@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the batched crypto engine: naive vs
-//! windowed vs fixed-base exponentiation, fold vs Montgomery
-//! multiplication, and per-proof vs RLC-batched proof verification.
+//! windowed vs fixed-base exponentiation, the multiply and square kernel,
+//! and per-proof vs RLC-batched proof verification.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -48,7 +48,6 @@ fn bench_field(c: &mut Criterion) {
 
     // Both operands are below `p` already (small top limbs), i.e. canonical.
     group.bench_function("mul_fold", |b| b.iter(|| P.mul(&base, &exp)));
-    group.bench_function("mul_montgomery", |b| b.iter(|| P.mont_mul(&base, &exp)));
     group.bench_function("sqr", |b| b.iter(|| P.sqr(&base)));
     group.finish();
 }

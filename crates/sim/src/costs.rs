@@ -64,8 +64,9 @@ impl PrimitiveCosts {
             shufproof_prove_per_msg: 7.57e-1 / 1024.0,
             shufproof_verify_per_msg: 1.41 / 1024.0,
             // The paper verifies shuffle proofs one at a time; the batched
-            // figure models the ≥3× RLC gain this reproduction measures and
-            // CI-gates (`BENCH_crypto.json: shuffle_batch_speedup`).
+            // figure models the 3× RLC gain this reproduction measured when
+            // batching landed (`BENCH_crypto.json: shuffle_batch_speedup`
+            // records today's ratio, CI-gated at 2×).
             shufproof_verify_batch_per_msg: 1.41 / 1024.0 / 3.0,
         }
     }
@@ -204,7 +205,7 @@ mod tests {
         assert!(costs.shufproof_verify_per_msg > costs.shufproof_prove_per_msg);
         assert!(costs.shufproof_prove_per_msg > costs.shuffle_per_msg);
         assert!(costs.reenc > costs.enc);
-        // The batched verifier models the CI-gated ≥3× RLC gain.
+        // The batched verifier models a 3× RLC gain.
         assert!(costs.shufproof_verify_batch_per_msg <= costs.shufproof_verify_per_msg / 3.0);
     }
 
@@ -218,9 +219,14 @@ mod tests {
         assert!(costs.shufproof_prove_per_msg > costs.shuffle_per_msg);
         assert!(costs.reencproof_prove + costs.reencproof_verify > 0.0);
         // Batched verification must not cost more than per-proof (debug
-        // builds are noisy, so no ratio floor here — the release-mode ≥3×
-        // gate lives in the crypto_baseline binary).
+        // builds are noisy, so no ratio floor here — the release-mode gate
+        // lives in the crypto_baseline binary). Both sides are one-shot
+        // timings of ~100 µs of work, at the scheduler's mercy while the
+        // harness runs tests in parallel: compare the best of a few.
         assert!(costs.shufproof_verify_batch_per_msg > 0.0);
-        assert!(costs.shufproof_verify_batch_per_msg <= costs.shufproof_verify_per_msg);
+        let runs: Vec<PrimitiveCosts> = (0..5).map(|_| PrimitiveCosts::measure(8)).collect();
+        let best =
+            |cost: fn(&PrimitiveCosts) -> f64| runs.iter().map(cost).fold(f64::INFINITY, f64::min);
+        assert!(best(|c| c.shufproof_verify_batch_per_msg) <= best(|c| c.shufproof_verify_per_msg));
     }
 }
