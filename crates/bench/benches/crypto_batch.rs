@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the batched crypto engine: naive vs
 //! windowed vs fixed-base exponentiation, the multiply and square kernel,
-//! and per-proof vs RLC-batched proof verification.
+//! per-proof vs RLC-batched `EncProof` verification, and one `ReEncProof` per
+//! message vs one per sub-batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -14,7 +15,9 @@ use atom_crypto::batch::{verify_encryption_batch, verify_reencryption_batch, Enc
 use atom_crypto::elgamal::{encrypt_message, reencrypt_message, KeyPair};
 use atom_crypto::encoding::encode_message;
 use atom_crypto::nizk::enc::{prove_encryption, verify_encryption, EncProof};
-use atom_crypto::nizk::reenc::{prove_reencryption, verify_reencryption, ReEncStatement};
+use atom_crypto::nizk::reenc::{
+    prove_reencryption, prove_reencryption_slice, verify_reencryption_slice, ReEncStatement,
+};
 use atom_crypto::MessageCiphertext;
 
 /// Square-and-multiply over all 256 exponent bits: the pre-optimization
@@ -95,23 +98,16 @@ fn bench_verification(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let server = KeyPair::generate(&mut rng);
     let next = KeyPair::generate(&mut rng);
-    let pairs: Vec<_> = (0..BATCH)
+    let hops: Vec<_> = (0..BATCH)
         .map(|i| {
             let points = encode_message(format!("bench hop {i}").as_bytes()).unwrap();
             let (input, _) = encrypt_message(&server.public, &points, &mut rng);
             let (output, witnesses) =
                 reencrypt_message(&server.secret.0, Some(&next.public), &input, &mut rng);
-            let stmt = ReEncStatement {
-                peel_public: &server.public.0,
-                next_pk: Some(&next.public),
-                input: &input,
-                output: &output,
-            };
-            let proof = prove_reencryption(&stmt, &witnesses, &mut rng).unwrap();
-            (input, output, proof)
+            (input, output, witnesses)
         })
         .collect();
-    let statements: Vec<ReEncStatement<'_>> = pairs
+    let statements: Vec<ReEncStatement<'_>> = hops
         .iter()
         .map(|(input, output, _)| ReEncStatement {
             peel_public: &server.public.0,
@@ -120,17 +116,19 @@ fn bench_verification(c: &mut Criterion) {
             output,
         })
         .collect();
-    let proofs: Vec<_> = pairs.iter().map(|(_, _, p)| p.clone()).collect();
+    let witnesses: Vec<&[_]> = hops.iter().map(|(_, _, w)| w.as_slice()).collect();
+    let single_proofs: Vec<_> = statements
+        .iter()
+        .zip(&witnesses)
+        .map(|(stmt, witnesses)| prove_reencryption(stmt, witnesses, &mut rng).unwrap())
+        .collect();
+    let proof = prove_reencryption_slice(&statements, &witnesses, &mut rng).unwrap();
 
-    group.bench_function("reenc_per_proof_16", |b| {
-        b.iter(|| {
-            for (stmt, proof) in statements.iter().zip(proofs.iter()) {
-                verify_reencryption(stmt, proof).unwrap();
-            }
-        })
+    group.bench_function("reenc_proof_per_message_16", |b| {
+        b.iter(|| verify_reencryption_batch(&statements, &single_proofs).unwrap())
     });
-    group.bench_function("reenc_batch_16", |b| {
-        b.iter(|| verify_reencryption_batch(&statements, &proofs).unwrap())
+    group.bench_function("reenc_proof_per_sub_batch_16", |b| {
+        b.iter(|| verify_reencryption_slice(&statements, &proof).unwrap())
     });
     group.finish();
 }

@@ -50,6 +50,16 @@ pub fn table3(batch: usize) -> Vec<(&'static str, f64, f64)> {
             paper.reencproof_verify,
         ),
         (
+            "ReEncProof prove (+ per batch)",
+            measured.reencproof_prove_fixed,
+            paper.reencproof_prove_fixed,
+        ),
+        (
+            "ReEncProof verify (+ per batch)",
+            measured.reencproof_verify_fixed,
+            paper.reencproof_verify_fixed,
+        ),
+        (
             "ShufProof prove (per msg)",
             measured.shufproof_prove_per_msg,
             paper.shufproof_prove_per_msg,

@@ -37,6 +37,13 @@ pub enum Misbehavior {
         /// Batch position to maul.
         slot: usize,
     },
+    /// Tamper with one group element of the message at `slot` of every
+    /// sub-batch this member re-encrypts, after its re-encryption proof has
+    /// been produced.
+    MaulReencryption {
+        /// Sub-batch position to maul.
+        slot: usize,
+    },
 }
 
 /// A plan describing when and where a malicious server strikes.

@@ -20,12 +20,14 @@
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
 
-use atom_crypto::batch::{verify_reencryption_batch, verify_shuffle_batch, ShuffleVerification};
+use atom_crypto::batch::{verify_shuffle_batch, ShuffleVerification};
 use atom_crypto::elgamal::{
-    encrypt_message, reencrypt_message, shuffle, MessageCiphertext, PublicKey,
+    encrypt_message, reencrypt_message, shuffle, MessageCiphertext, PublicKey, ReEncWitness,
 };
 use atom_crypto::encoding::{decode_message, encode_message_padded};
-use atom_crypto::nizk::reenc::{prove_reencryption, ReEncStatement};
+use atom_crypto::nizk::reenc::{
+    prove_reencryption_slice, verify_reencryption_slice, ReEncStatement,
+};
 use atom_crypto::nizk::shuffle::prove_shuffle;
 
 use crate::adversary::{AdversaryPlan, Misbehavior};
@@ -63,8 +65,8 @@ pub struct GroupStepOutput {
     pub plaintexts: Vec<Vec<u8>>,
 }
 
-/// Applies a misbehaviour to a batch in place. Returns a description used by
-/// tests; `group_pk` is needed to forge replacement ciphertexts.
+/// Applies a shuffle-stage misbehaviour to a batch in place; `group_pk` is
+/// needed to forge replacement ciphertexts.
 fn apply_misbehavior<R: RngCore + CryptoRng>(
     action: &Misbehavior,
     batch: &mut Vec<MessageCiphertext>,
@@ -90,25 +92,40 @@ fn apply_misbehavior<R: RngCore + CryptoRng>(
                 batch[slot] = encrypt_message(group_pk, &points, rng).0;
             }
         }
-        Misbehavior::TamperCiphertext { slot } => {
-            if slot < batch.len() {
-                let basepoint = curve_basepoint();
-                if let Some(component) = batch[slot].components.first_mut() {
-                    component.c += basepoint;
-                }
-            }
-        }
+        Misbehavior::TamperCiphertext { slot } => maul(batch, slot),
+        // Strikes in step 3, after the re-encryption proof.
+        Misbehavior::MaulReencryption { .. } => {}
     }
     Ok(())
 }
 
-fn curve_basepoint() -> atom_crypto::RistrettoPoint {
-    curve25519_dalek_basepoint()
+/// Shifts one group element of the message at `slot` (if there is one).
+fn maul(batch: &mut [MessageCiphertext], slot: usize) {
+    if let Some(component) = batch
+        .get_mut(slot)
+        .and_then(|message| message.components.first_mut())
+    {
+        component.c += atom_crypto::pedersen::CommitmentKey::atom().g;
+    }
 }
 
-// Small helper to avoid importing dalek constants throughout this module.
-fn curve25519_dalek_basepoint() -> atom_crypto::RistrettoPoint {
-    atom_crypto::pedersen::CommitmentKey::atom().g
+/// One statement per message of a sub-batch, all under the same keys.
+fn reenc_statements<'a>(
+    peel_public: &'a atom_crypto::RistrettoPoint,
+    next_pk: Option<&'a PublicKey>,
+    inputs: &'a [MessageCiphertext],
+    outputs: &'a [MessageCiphertext],
+) -> Vec<ReEncStatement<'a>> {
+    inputs
+        .iter()
+        .zip(outputs)
+        .map(|(input, output)| ReEncStatement {
+            peel_public,
+            next_pk,
+            input,
+            output,
+        })
+        .collect()
 }
 
 /// Re-encrypts every message of a sub-batch with the given peel exponent,
@@ -119,7 +136,7 @@ fn reencrypt_batch(
     batch: &[MessageCiphertext],
     parallelism: usize,
     rng: &mut (impl RngCore + CryptoRng),
-) -> Vec<(MessageCiphertext, Vec<atom_crypto::elgamal::ReEncWitness>)> {
+) -> Vec<(MessageCiphertext, Vec<ReEncWitness>)> {
     if parallelism <= 1 || batch.len() < 2 {
         return batch
             .iter()
@@ -130,8 +147,7 @@ fn reencrypt_batch(
     let workers = parallelism.min(batch.len());
     let chunk_size = batch.len().div_ceil(workers);
     let seeds: Vec<u64> = (0..workers).map(|_| rng.next_u64()).collect();
-    let mut results: Vec<Option<(MessageCiphertext, Vec<atom_crypto::elgamal::ReEncWitness>)>> =
-        vec![None; batch.len()];
+    let mut results: Vec<Option<(MessageCiphertext, Vec<ReEncWitness>)>> = vec![None; batch.len()];
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -313,6 +329,7 @@ pub fn group_mix_iteration<R: RngCore + CryptoRng>(
             .peel_verification_key(participating, member)
             .map_err(AtomError::Crypto)?;
         let last_member = position + 1 == participating.len();
+        let misbehaving = adversary.filter(|plan| plan.member == member);
 
         for (batch_index, sub_batch) in sub_batches.iter_mut().enumerate() {
             if sub_batch.is_empty() {
@@ -323,32 +340,32 @@ pub fn group_mix_iteration<R: RngCore + CryptoRng>(
             } else {
                 Some(&next_group_keys[batch_index])
             };
-            let reencrypted = reencrypt_batch(&peel, next_pk, sub_batch, options.parallelism, rng);
+            let (mut next, witnesses): (Vec<MessageCiphertext>, Vec<Vec<ReEncWitness>>) =
+                reencrypt_batch(&peel, next_pk, sub_batch, options.parallelism, rng)
+                    .into_iter()
+                    .unzip();
 
-            if options.defense == Defense::Nizk {
-                // Prove every message first (same RNG order as proving and
-                // verifying one by one), then verify the whole sub-batch
-                // through one RLC check. On batch failure the verifier falls
-                // back to per-proof checks and reports the first failing
-                // message, so the blamed member and reason match the
-                // sequential verifier exactly.
-                let statements: Vec<ReEncStatement<'_>> = sub_batch
-                    .iter()
-                    .zip(reencrypted.iter())
-                    .map(|(input, (output, _))| ReEncStatement {
-                        peel_public: &peel_public,
-                        next_pk,
-                        input,
-                        output,
-                    })
-                    .collect();
-                let mut proofs = Vec::with_capacity(statements.len());
-                for (statement, (_, witnesses)) in statements.iter().zip(reencrypted.iter()) {
-                    proofs.push(
-                        prove_reencryption(statement, witnesses, rng).map_err(AtomError::Crypto)?,
-                    );
-                }
-                if let Err((_, err)) = verify_reencryption_batch(&statements, &proofs) {
+            // One aggregated proof per (member, sub-batch).
+            let proof = if options.defense == Defense::Nizk {
+                let witnesses: Vec<&[ReEncWitness]> = witnesses.iter().map(Vec::as_slice).collect();
+                let statements = reenc_statements(&peel_public, next_pk, sub_batch, &next);
+                Some(
+                    prove_reencryption_slice(&statements, &witnesses, rng)
+                        .map_err(AtomError::Crypto)?,
+                )
+            } else {
+                None
+            };
+            // Misbehaviour happens *after* proving: the server publishes a
+            // mauled sub-batch alongside an honest-looking proof.
+            if let Some(Misbehavior::MaulReencryption { slot }) = misbehaving.map(|p| p.action) {
+                maul(&mut next, slot);
+            }
+            // The rest of the group checks what was published. A rejection
+            // names the member, not the message — all that blame needs.
+            if let Some(proof) = proof {
+                let statements = reenc_statements(&peel_public, next_pk, sub_batch, &next);
+                if let Err(err) = verify_reencryption_slice(&statements, &proof) {
                     return Err(AtomError::ProtocolViolation {
                         group: group.id,
                         member: Some(member as usize),
@@ -357,8 +374,6 @@ pub fn group_mix_iteration<R: RngCore + CryptoRng>(
                 }
             }
 
-            let mut next: Vec<MessageCiphertext> =
-                reencrypted.into_iter().map(|(ct, _)| ct).collect();
             if last_member && !exit_layer {
                 next = next
                     .iter()
@@ -609,6 +624,72 @@ mod tests {
             &mut rng,
         );
         assert!(matches!(result, Err(AtomError::ProtocolViolation { .. })));
+    }
+
+    #[test]
+    fn mauled_reencryption_names_its_member_in_nizk_and_passes_through_in_trap() {
+        // Every member position, towards a next group and on the exit layer.
+        for exit_layer in [false, true] {
+            for member in 1..=3u64 {
+                let run = |defense: Defense| {
+                    let mut rng = rng();
+                    let mut config = AtomConfig::test_default();
+                    config.defense = defense;
+                    let setup = setup_round(&config, &mut rng).unwrap();
+                    let group = &setup.groups[1];
+                    let padded_len = nizk_payload_len(config.message_len);
+                    let batch = encrypt_batch(
+                        &group.public_key,
+                        &[b"a", b"b", b"c", b"d"],
+                        padded_len,
+                        &mut rng,
+                    );
+                    let participating = group.participating(&[]).unwrap();
+                    assert!(participating.contains(&member));
+                    let plan = AdversaryPlan {
+                        group: group.id,
+                        member,
+                        iteration: 0,
+                        action: Misbehavior::MaulReencryption { slot: 1 },
+                    };
+                    let next_keys = [setup.groups[0].public_key, setup.groups[2].public_key];
+                    group_mix_iteration(
+                        group,
+                        &participating,
+                        batch,
+                        if exit_layer { &[] } else { &next_keys },
+                        padded_len,
+                        &GroupStepOptions::new(defense),
+                        Some(&plan),
+                        &mut rng,
+                    )
+                };
+                match run(Defense::Nizk) {
+                    Err(AtomError::ProtocolViolation {
+                        group,
+                        member: blamed,
+                        reason,
+                    }) => {
+                        assert_eq!(group, 1);
+                        assert_eq!(blamed, Some(member as usize));
+                        assert!(
+                            reason.starts_with("re-encryption proof rejected"),
+                            "{reason}"
+                        );
+                    }
+                    other => panic!("expected protocol violation, got {other:?}"),
+                }
+                // The trap variant checks nothing here: all four messages
+                // leave the group, for the round-level trap check to judge.
+                let output = run(Defense::Trap).unwrap();
+                let delivered = if exit_layer {
+                    output.plaintexts.len()
+                } else {
+                    output.outputs.iter().map(Vec::len).sum()
+                };
+                assert_eq!(delivered, 4);
+            }
+        }
     }
 
     #[test]

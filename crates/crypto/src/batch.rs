@@ -15,29 +15,34 @@
 //!   52·(16 squarings + 15 multiplies) to build and pays for itself after
 //!   three or four uses; round keys are reused thousands of times.
 //!
-//! * **Multi-exponentiation** ([`multiscalar_mul`]): the two-term checks of
-//!   `ReEncProof`/`ShufProof` verification and the big RLC combinations
-//!   below share a single squaring chain across all terms. Small products
-//!   use Straus/Shamir interleaving (4-bit windows); past the backend's
-//!   `PIPPENGER_CUTOFF` the vendored `multi_pow` switches to the Pippenger
-//!   bucket method, whose per-term cost keeps shrinking as the combined
-//!   shuffle-chain products grow into the thousands of terms. Subtractions
-//!   are folded in as negated scalar coefficients, which also eliminates
-//!   the per-`Sub` Fermat inversion of the vendored group (`a − b` costs a
-//!   full inverse exponentiation there).
+//! * **Multi-exponentiation** ([`multiscalar_mul`],
+//!   [`multiscalar_mul_distinct`]): the folded sums of the aggregated
+//!   `ReEncProof` and the big RLC combinations below share a single squaring
+//!   chain across all terms. Small products use Straus/Shamir interleaving
+//!   (4-bit windows); past the backend's `PIPPENGER_CUTOFF` the vendored
+//!   `multi_pow` switches to the Pippenger bucket method, whose per-term
+//!   cost keeps shrinking as the products grow into the thousands of terms.
+//!   Subtractions are folded in as negated scalar coefficients — or, where
+//!   the coefficients must stay 128 bits wide, as one shared batch
+//!   inversion — which also eliminates the per-`Sub` Fermat inversion of
+//!   the vendored group (`a − b` costs a full inverse exponentiation there).
 //!
 //! * **RLC batch verification** ([`verify_encryption_batch`],
-//!   [`verify_reencryption_batch`], [`verify_shuffle_batch`]): N
-//!   Schnorr-style proof equations `LHS_e = RHS_e` collapse into the single
-//!   check `Σ_e ρ_e·LHS_e = Σ_e ρ_e·RHS_e`, evaluated as one fixed-base
+//!   [`verify_shuffle_batch`]): N Schnorr-style proof equations
+//!   `LHS_e = RHS_e` collapse into the single check
+//!   `Σ_e ρ_e·LHS_e = Σ_e ρ_e·RHS_e`, evaluated as one fixed-base
 //!   multiplication plus one multi-exponentiation. For shuffle proofs the
 //!   combination spans *all* equations of *all* proofs of a group step's
 //!   shuffle chain (~5n per proof), so the multi-exponentiation routinely
 //!   exceeds the Pippenger crossover of the backend's `multi_pow`.
+//!   (`ReEncProof`s need no verifier-side batching: the same small-exponent
+//!   fold sits on the prover's side of Fiat-Shamir, one proof per member
+//!   and sub-batch — see [`crate::nizk::reenc`].)
 //!
 //! ## Soundness of the RLC combination
 //!
-//! The coefficients `ρ_e` are derived from a SHAKE256 Fiat-Shamir
+//! The coefficients `ρ_e` are one squeeze stream
+//! ([`Transcript::challenge_coefficients`]) of a SHAKE256 Fiat-Shamir
 //! transcript that absorbs every per-proof challenge and response before
 //! the first coefficient is squeezed, so a prover must commit to all
 //! equations before learning any `ρ_e`. If some equation has error
@@ -51,6 +56,13 @@
 //! back to per-proof verification, so callers always receive the *same*
 //! verdict — including which proof (and hence which server, for blame
 //! assignment in `atom-core`) failed — as the sequential verifier.
+//!
+//! The aggregated `ReEncProof` spends the same `2^-128`, once: its `ρ_l`
+//! come from a transcript that has absorbed `P`, `X'` and the whole
+//! sub-batch, its sigma challenge from that transcript's continuation, and
+//! there is no fallback to need — a proof covers exactly one member, so a
+//! rejection already names whom to blame (argument in
+//! [`crate::nizk::reenc`]).
 //!
 //! ## Algorithm choices
 //!
@@ -119,12 +131,6 @@ static VERIFY_ENC_BATCHES: Counter = Counter::new("crypto.verify_enc.batches");
 static VERIFY_ENC_ITEMS: Counter = Counter::new("crypto.verify_enc.items");
 /// `EncProof` batches whose RLC check missed and fell back per-proof.
 static VERIFY_ENC_FALLBACKS: Counter = Counter::new("crypto.verify_enc.fallbacks");
-/// RLC-batched `ReEncProof` verification calls.
-static VERIFY_REENC_BATCHES: Counter = Counter::new("crypto.verify_reenc.batches");
-/// Individual `ReEncProof`s covered by batched verification calls.
-static VERIFY_REENC_ITEMS: Counter = Counter::new("crypto.verify_reenc.items");
-/// `ReEncProof` batches whose RLC check missed and fell back per-proof.
-static VERIFY_REENC_FALLBACKS: Counter = Counter::new("crypto.verify_reenc.fallbacks");
 /// RLC-batched `ShuffleProof` verification calls.
 static VERIFY_SHUF_BATCHES: Counter = Counter::new("crypto.verify_shuffle.batches");
 /// Individual `ShuffleProof`s covered by batched verification calls.
@@ -171,9 +177,8 @@ pub fn mul_fixed(point: &RistrettoPoint, scalar: &Scalar) -> RistrettoPoint {
 
 /// `Σ scalars[k] · points[k]` by Straus/Shamir interleaving (one shared
 /// doubling chain). Duplicate points are coalesced by summing their
-/// coefficients first, which matters for batches whose statements share
-/// bases (every re-encryption proof of a sub-batch names the same peeling
-/// key and next-group key).
+/// coefficients first, which matters for combinations whose equations share
+/// bases (a shuffle proof's commitments each appear in several equations).
 pub fn multiscalar_mul(scalars: &[Scalar], points: &[RistrettoPoint]) -> RistrettoPoint {
     debug_assert_eq!(scalars.len(), points.len());
     MULTIEXP_CALLS.add(1);
@@ -194,18 +199,18 @@ pub fn multiscalar_mul(scalars: &[Scalar], points: &[RistrettoPoint]) -> Ristret
     RistrettoPoint::multiscalar_mul(&coefficients, &unique_points)
 }
 
+/// [`multiscalar_mul`] for points that are distinct by construction (the
+/// ciphertext components of a sub-batch): no coalescing pass.
+pub fn multiscalar_mul_distinct(scalars: &[Scalar], points: &[RistrettoPoint]) -> RistrettoPoint {
+    MULTIEXP_CALLS.add(1);
+    MULTIEXP_TERMS.add(scalars.len() as u64);
+    RistrettoPoint::multiscalar_mul(scalars, points)
+}
+
 /// Batched scalar inversion (Montgomery's trick): one Fermat exponentiation
 /// for the whole slice. Panics on zero, like `Scalar::invert`.
 pub fn batch_invert(scalars: &[Scalar]) -> Vec<Scalar> {
     Scalar::batch_invert(scalars)
-}
-
-/// Draws a 128-bit RLC coefficient from the transcript (see the module docs
-/// for the soundness trade-off).
-pub(crate) fn rlc_coefficient(transcript: &mut Transcript, label: &'static [u8]) -> Scalar {
-    let mut bytes = [0u8; 32];
-    transcript.challenge_bytes(label, &mut bytes[..16]);
-    Scalar::from_bytes_mod_order(bytes)
 }
 
 /// One `EncProof` verification instance for [`verify_encryption_batch`].
@@ -269,9 +274,11 @@ fn try_verify_encryption_rlc(items: &[EncVerification<'_>]) -> CryptoResult<()> 
         challenges.push(challenge);
     }
 
+    let terms = items.iter().map(|i| i.ciphertext.components.len()).sum();
+    let mut rhos = rlc.challenge_coefficients(b"rho", terms).into_iter();
     let mut basepoint_coeff = Scalar::ZERO;
-    let mut scalars = Vec::new();
-    let mut points = Vec::new();
+    let mut scalars = Vec::with_capacity(2 * terms);
+    let mut points = Vec::with_capacity(2 * terms);
     for (item, challenge) in items.iter().zip(challenges.iter()) {
         for ((component, announcement), response) in item
             .ciphertext
@@ -280,7 +287,7 @@ fn try_verify_encryption_rlc(items: &[EncVerification<'_>]) -> CryptoResult<()> 
             .zip(item.proof.announcements.iter())
             .zip(item.proof.responses.iter())
         {
-            let rho = rlc_coefficient(&mut rlc, b"rho");
+            let rho = rhos.next().expect("one coefficient per component");
             basepoint_coeff += rho * response;
             scalars.push(rho);
             points.push(*announcement);
@@ -299,11 +306,10 @@ fn try_verify_encryption_rlc(items: &[EncVerification<'_>]) -> CryptoResult<()> 
     }
 }
 
-/// Verifies a batch of `ReEncProof`s with one RLC check, falling back to
-/// per-proof verification when the combined check rejects. `Err((i, e))`
-/// identifies the first statement/proof pair (in slice order) that fails
-/// individually, so blame assignment localizes the same faulty server as
-/// the sequential verifier.
+/// Verifies one single-message `ReEncProof` per statement (the
+/// one-statement case of [`reenc::verify_reencryption_slice`], which is what
+/// a group step runs once per member and sub-batch). `Err((i, e))`
+/// identifies the first statement/proof pair, in slice order, that fails.
 pub fn verify_reencryption_batch(
     statements: &[ReEncStatement<'_>],
     proofs: &[ReEncProof],
@@ -313,117 +319,10 @@ pub fn verify_reencryption_batch(
         proofs.len(),
         "one proof per re-encryption statement"
     );
-    VERIFY_REENC_BATCHES.add(1);
-    VERIFY_REENC_ITEMS.add(statements.len() as u64);
-    if statements.len() > 1 && try_verify_reencryption_rlc(statements, proofs).is_ok() {
-        return Ok(());
-    }
-    if statements.len() > 1 {
-        VERIFY_REENC_FALLBACKS.add(1);
-    }
     for (i, (stmt, proof)) in statements.iter().zip(proofs.iter()).enumerate() {
         reenc::verify_reencryption(stmt, proof).map_err(|e| (i, e))?;
     }
     Ok(())
-}
-
-/// The RLC fast path for `ReEncProof` batches. Every per-proof relation is
-/// rewritten with all terms on the multi-exponentiation side except the
-/// basepoint contribution:
-///
-/// ```text
-///   key:      ρ·rk · B = ρ·K + ρt·P
-///   fresh:    ρ·rf · B = ρ·F + ρt·R' − ρt·R₀            (skipped when X' = ⊥)
-///   payload:  0 · B     = ρ·Pay + ρt·c − ρt·c' − ρ·rk·Y₀ [+ ρ·rf·X']
-/// ```
-fn try_verify_reencryption_rlc(
-    statements: &[ReEncStatement<'_>],
-    proofs: &[ReEncProof],
-) -> CryptoResult<()> {
-    let mut rlc = Transcript::new(b"atom-batch-reenc");
-    let mut prepared = Vec::with_capacity(statements.len());
-    for (stmt, proof) in statements.iter().zip(proofs.iter()) {
-        let views = reenc::check_structure(stmt)?;
-        if proof.components.len() != stmt.input.components.len() {
-            return Err(CryptoError::ProofInvalid("batch shape mismatch".into()));
-        }
-        let challenge = reenc::batch_challenge(stmt, proof);
-        rlc.append_scalar(b"challenge", &challenge);
-        rlc.append_scalar(b"response-key", &proof.response_key);
-        for comp in &proof.components {
-            rlc.append_scalar(b"response-fresh", &comp.response_fresh);
-        }
-        prepared.push((views, challenge));
-    }
-
-    let mut basepoint_coeff = Scalar::ZERO;
-    let mut scalars = Vec::new();
-    let mut points = Vec::new();
-    for ((stmt, proof), (views, challenge)) in
-        statements.iter().zip(proofs.iter()).zip(prepared.iter())
-    {
-        // Peeling-key relation.
-        let rho = rlc_coefficient(&mut rlc, b"rho-key");
-        basepoint_coeff += rho * proof.response_key;
-        scalars.push(rho);
-        points.push(proof.announce_key);
-        scalars.push(rho * challenge);
-        points.push(*stmt.peel_public);
-
-        for (((inp, out), (r0, y0)), comp) in stmt
-            .input
-            .components
-            .iter()
-            .zip(stmt.output.components.iter())
-            .zip(views.iter())
-            .zip(proof.components.iter())
-        {
-            if let Some(next) = stmt.next_pk {
-                // Fresh-randomness relation.
-                let rho = rlc_coefficient(&mut rlc, b"rho-fresh");
-                basepoint_coeff += rho * comp.response_fresh;
-                scalars.push(rho);
-                points.push(comp.announce_fresh);
-                scalars.push(rho * challenge);
-                points.push(out.r);
-                scalars.push(-(rho * challenge));
-                points.push(*r0);
-
-                // Payload relation (with the X' term).
-                let rho = rlc_coefficient(&mut rlc, b"rho-payload");
-                scalars.push(rho);
-                points.push(comp.announce_payload);
-                scalars.push(rho * challenge);
-                points.push(inp.c);
-                scalars.push(-(rho * challenge));
-                points.push(out.c);
-                scalars.push(-(rho * proof.response_key));
-                points.push(*y0);
-                scalars.push(rho * comp.response_fresh);
-                points.push(next.0);
-            } else {
-                // Payload relation for final decryption (X' = ⊥).
-                let rho = rlc_coefficient(&mut rlc, b"rho-payload");
-                scalars.push(rho);
-                points.push(comp.announce_payload);
-                scalars.push(rho * challenge);
-                points.push(inp.c);
-                scalars.push(-(rho * challenge));
-                points.push(out.c);
-                scalars.push(-(rho * proof.response_key));
-                points.push(*y0);
-            }
-        }
-    }
-
-    let lhs = RISTRETTO_BASEPOINT_TABLE.mul_scalar(&basepoint_coeff);
-    if lhs == multiscalar_mul(&scalars, &points) {
-        Ok(())
-    } else {
-        Err(CryptoError::ProofInvalid(
-            "batched ReEncProof check failed".into(),
-        ))
-    }
 }
 
 /// One `ShuffleProof` verification instance for [`verify_shuffle_batch`]:
@@ -706,11 +605,11 @@ mod tests {
     }
 
     #[test]
-    fn reenc_batch_detects_tampered_component_announcement() {
+    fn reenc_batch_detects_tampered_payload_announcement() {
         let mut rng = StdRng::seed_from_u64(10);
         let fixture = reenc_fixture(3, 11, false);
         let (stmts, mut proofs) = statements(&fixture, false);
-        proofs[1].components[0].announce_payload = RistrettoPoint::random(&mut rng);
+        proofs[1].announce_payload = RistrettoPoint::random(&mut rng);
         let (index, _) = verify_reencryption_batch(&stmts, &proofs).unwrap_err();
         assert_eq!(index, 1);
     }
@@ -728,7 +627,7 @@ mod tests {
                 match seed % 3 {
                     0 => proofs[corrupt].response_key += Scalar::ONE,
                     1 => {
-                        proofs[corrupt].components[0].response_fresh += Scalar::ONE;
+                        proofs[corrupt].response_fresh += Scalar::ONE;
                     }
                     _ => {
                         proofs[corrupt].announce_key = RistrettoPoint::random(&mut rng);

@@ -134,12 +134,53 @@ impl KeccakSponge {
         (self.state[lane] >> shift) as u8
     }
 
+    /// XORs `data` into the state starting at byte position `pos`: whole
+    /// little-endian lanes where the position is lane-aligned, single bytes
+    /// for the ragged head and tail. The caller keeps
+    /// `pos + data.len() <= rate`.
+    fn xor_bytes(&mut self, pos: usize, data: &[u8]) {
+        let (head, rest) = data.split_at(data.len().min(pos.wrapping_neg() % 8));
+        for (i, &byte) in head.iter().enumerate() {
+            self.xor_byte(pos + i, byte);
+        }
+        let pos = pos + head.len();
+        let lanes = rest.chunks_exact(8);
+        let tail = lanes.remainder();
+        for (lane, chunk) in self.state[pos / 8..].iter_mut().zip(lanes) {
+            *lane ^= u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+        let pos = pos + rest.len() - tail.len();
+        for (i, &byte) in tail.iter().enumerate() {
+            self.xor_byte(pos + i, byte);
+        }
+    }
+
+    /// Copies state bytes from byte position `pos` into `out`, lane-wise
+    /// like [`Self::xor_bytes`]. The caller keeps `pos + out.len() <= rate`.
+    fn read_bytes(&self, pos: usize, out: &mut [u8]) {
+        let (head, rest) = out.split_at_mut(out.len().min(pos.wrapping_neg() % 8));
+        for (i, byte) in head.iter_mut().enumerate() {
+            *byte = self.read_byte(pos + i);
+        }
+        let pos = pos + head.len();
+        let whole = rest.len() - rest.len() % 8;
+        let (body, tail) = rest.split_at_mut(whole);
+        for (lane, chunk) in self.state[pos / 8..].iter().zip(body.chunks_exact_mut(8)) {
+            chunk.copy_from_slice(&lane.to_le_bytes());
+        }
+        for (i, byte) in tail.iter_mut().enumerate() {
+            *byte = self.read_byte(pos + whole + i);
+        }
+    }
+
     /// Absorbs input into the sponge. Panics if called after squeezing began.
-    pub fn absorb(&mut self, data: &[u8]) {
+    pub fn absorb(&mut self, mut data: &[u8]) {
         assert!(!self.squeezing, "cannot absorb after squeezing started");
-        for &byte in data {
-            self.xor_byte(self.offset, byte);
-            self.offset += 1;
+        while !data.is_empty() {
+            let take = data.len().min(self.rate - self.offset);
+            self.xor_bytes(self.offset, &data[..take]);
+            self.offset += take;
+            data = &data[take..];
             if self.offset == self.rate {
                 keccak_f1600(&mut self.state);
                 self.offset = 0;
@@ -157,17 +198,20 @@ impl KeccakSponge {
     }
 
     /// Squeezes `out.len()` bytes from the sponge. May be called repeatedly.
-    pub fn squeeze(&mut self, out: &mut [u8]) {
+    pub fn squeeze(&mut self, mut out: &mut [u8]) {
         if !self.squeezing {
             self.finish_absorbing();
         }
-        for byte in out.iter_mut() {
+        while !out.is_empty() {
             if self.squeeze_offset == self.rate {
                 keccak_f1600(&mut self.state);
                 self.squeeze_offset = 0;
             }
-            *byte = self.read_byte(self.squeeze_offset);
-            self.squeeze_offset += 1;
+            let take = out.len().min(self.rate - self.squeeze_offset);
+            let (head, rest) = out.split_at_mut(take);
+            self.read_bytes(self.squeeze_offset, head);
+            self.squeeze_offset += take;
+            out = rest;
         }
     }
 }
@@ -305,6 +349,74 @@ mod tests {
         xof.squeeze(&mut c);
         let combined: Vec<u8> = a.into_iter().chain(b).chain(c).collect();
         assert_eq!(oneshot, combined);
+    }
+
+    /// The byte-at-a-time sponge the lane-wise `absorb`/`squeeze` replaced,
+    /// kept as the reference for the differential test below.
+    impl KeccakSponge {
+        fn absorb_bytewise(&mut self, data: &[u8]) {
+            assert!(!self.squeezing);
+            for &byte in data {
+                self.xor_byte(self.offset, byte);
+                self.offset += 1;
+                if self.offset == self.rate {
+                    keccak_f1600(&mut self.state);
+                    self.offset = 0;
+                }
+            }
+        }
+
+        fn squeeze_bytewise(&mut self, out: &mut [u8]) {
+            if !self.squeezing {
+                self.finish_absorbing();
+            }
+            for byte in out.iter_mut() {
+                if self.squeeze_offset == self.rate {
+                    keccak_f1600(&mut self.state);
+                    self.squeeze_offset = 0;
+                }
+                *byte = self.read_byte(self.squeeze_offset);
+                self.squeeze_offset += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sponge_matches_bytewise_sponge_over_random_splits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5907);
+        const RATE: usize = 136;
+        for len in 0..=3 * RATE {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            let mut lanes = KeccakSponge::new(RATE, 0x1f);
+            let mut bytes = KeccakSponge::new(RATE, 0x1f);
+            bytes.absorb_bytewise(&data);
+            // Absorb in randomly sized pieces (empty ones included).
+            let mut rest = data.as_slice();
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(rng.gen_range(0..=rest.len()));
+                lanes.absorb(piece);
+                rest = tail;
+            }
+            assert_eq!(lanes.state, bytes.state, "absorb, len {len}");
+            assert_eq!(lanes.offset, bytes.offset, "absorb, len {len}");
+
+            // Squeeze the same total in independently random pieces.
+            let total = rng.gen_range(0..=3 * RATE);
+            let mut want = vec![0u8; total];
+            bytes.squeeze_bytewise(&mut want);
+            let mut got = vec![0u8; total];
+            let mut rest = got.as_mut_slice();
+            while !rest.is_empty() {
+                let cut = rng.gen_range(0..=rest.len());
+                let (piece, tail) = rest.split_at_mut(cut);
+                lanes.squeeze(piece);
+                rest = tail;
+            }
+            assert_eq!(got, want, "squeeze, len {len}, total {total}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   while already re-encrypting toward the next (unknown-to-the-user) group.
 //! * [`batch`] — the batched public-key engine: precomputed fixed-base
 //!   tables, Straus multi-exponentiation, and random-linear-combination
-//!   batch verification of `EncProof`/`ReEncProof` with per-proof fallback.
+//!   batch verification of `EncProof`/`ShufProof` with per-proof fallback.
 //! * [`nizk`] — the three NIZK families the paper requires: `EncProof`,
 //!   `ReEncProof` and `ShufProof` (verifiable shuffle).
 //! * [`dkg`] / [`sharing`] — dealer-less distributed key generation and

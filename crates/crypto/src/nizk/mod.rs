@@ -6,7 +6,8 @@
 //!   a user-submitted ciphertext, bound to the entry group id so a proof
 //!   cannot be replayed at a different group.
 //! * [`reenc`] — `ReEncProof`: proof that a server correctly peeled its layer
-//!   and re-encrypted toward the next group's key (Chaum-Pedersen style).
+//!   and re-encrypted toward the next group's key (Chaum-Pedersen style),
+//!   one aggregated proof per server and sub-batch.
 //! * [`shuffle`] — `ShufProof`: proof that a batch of ciphertexts was
 //!   permuted and rerandomized correctly (a Bayer-Groth-style argument with
 //!   linear-size sub-arguments standing in for Neff's shuffle; the module

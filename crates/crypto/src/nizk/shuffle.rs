@@ -663,7 +663,8 @@ impl RlcAccumulator {
     }
 
     /// Folds every verification equation of one proof into the running
-    /// combination, drawing one coefficient per equation from `rlc`.
+    /// combination, drawing one coefficient per equation from `rlc` (one
+    /// stream per proof: `3n − 1 + 2·components` equations).
     pub(crate) fn accumulate(
         &mut self,
         rlc: &mut Transcript,
@@ -675,6 +676,10 @@ impl RlcAccumulator {
     ) {
         let n = ch.n;
         let c = ch.challenge;
+        let mut rhos = rlc
+            .challenge_coefficients(b"rho", 3 * n - 1 + 2 * ch.components)
+            .into_iter();
+        let mut next_rho = || rhos.next().expect("one coefficient per equation");
         self.scalars
             .reserve(10 * n + 2 * ch.components * (n + 1) + 8);
         self.points
@@ -697,14 +702,14 @@ impl RlcAccumulator {
         // on this backend costs a Fermat inversion.
         for j in 1..n {
             let step = &proof.product_steps[j - 1];
-            let rho = crate::batch::rlc_coefficient(rlc, b"rho-value");
+            let rho = next_rho();
             self.g_coeff += rho * (step.response_value + c * ch.z);
             self.h_coeff += rho * step.response_value_blinding;
             self.push(rho, step.announce_value);
             self.push(rho * c * ch.y, proof.commit_perm[j]);
             self.push(rho * c, proof.commit_powers[j]);
 
-            let rho = crate::batch::rlc_coefficient(rlc, b"rho-step");
+            let rho = next_rho();
             self.h_coeff += rho * step.response_step_blinding;
             self.push(rho, step.announce_step);
             self.push(rho * c, proof.commit_partial[j - 1]);
@@ -719,7 +724,7 @@ impl RlcAccumulator {
         }
 
         // Final opening: rf·H + c·P·G = A_f + c·c_p[n−1].
-        let rho = crate::batch::rlc_coefficient(rlc, b"rho-final");
+        let rho = next_rho();
         let product = public_product(n, &ch.x, &ch.y, &ch.z);
         self.g_coeff += rho * c * product;
         self.h_coeff += rho * proof.response_final;
@@ -734,7 +739,7 @@ impl RlcAccumulator {
 
         // Power openings: rp_j·G + rpb_j·H = A_p[j] + c·CB_j.
         for j in 0..n {
-            let rho = crate::batch::rlc_coefficient(rlc, b"rho-power");
+            let rho = next_rho();
             self.g_coeff += rho * proof.response_powers[j];
             self.h_coeff += rho * proof.response_power_blindings[j];
             self.push(rho, proof.announce_powers[j]);
@@ -746,7 +751,7 @@ impl RlcAccumulator {
         // payload half with c-components and the group key X in place of B.
         let mut pk_coeff = Scalar::ZERO;
         for l in 0..ch.components {
-            let rho = crate::batch::rlc_coefficient(rlc, b"rho-rand");
+            let rho = next_rho();
             self.g_coeff -= rho * proof.response_rho[l];
             self.push(rho, proof.announce_rand[l]);
             for (i, message) in inputs.iter().enumerate() {
@@ -756,7 +761,7 @@ impl RlcAccumulator {
                 self.push(-(rho * proof.response_powers[j]), message.components[l].r);
             }
 
-            let rho = crate::batch::rlc_coefficient(rlc, b"rho-payload");
+            let rho = next_rho();
             pk_coeff += rho * proof.response_rho[l];
             self.push(rho, proof.announce_payload[l]);
             for (i, message) in inputs.iter().enumerate() {

@@ -67,15 +67,37 @@ impl Transcript {
         Scalar::from_bytes_mod_order_wide(&wide)
     }
 
-    /// Derives challenge bytes. The transcript state advances.
+    /// Derives challenge bytes. The transcript state advances. At most 255
+    /// bytes per call: the consumed-length marker is a single byte (part of
+    /// every existing proof's transcript, so it stays one), and a longer
+    /// request would wrap it.
     pub fn challenge_bytes(&mut self, label: &'static [u8], out: &mut [u8]) {
+        let consumed = u8::try_from(out.len()).expect("challenge_bytes: at most 255 bytes a call");
         // Fork the sponge for output, then fold a commitment to this
         // challenge back into the main transcript so later challenges depend
         // on earlier ones.
         self.append_bytes(b"challenge-label", label);
         let mut fork = self.xof.clone();
         fork.squeeze(out);
-        self.append_bytes(b"challenge-consumed", &[out.len() as u8]);
+        self.append_bytes(b"challenge-consumed", &[consumed]);
+    }
+
+    /// Derives `n` 128-bit random-linear-combination coefficients from one
+    /// fork of the sponge: one squeeze stream instead of a fork, two
+    /// framed appends and a fresh permutation per coefficient. The label and
+    /// the count are absorbed before the fork, so the transcript state
+    /// advances and requests of different lengths leave different states.
+    pub fn challenge_coefficients(&mut self, label: &'static [u8], n: usize) -> Vec<Scalar> {
+        self.append_bytes(b"coefficients-label", label);
+        self.append_u64(b"coefficients-count", n as u64);
+        let mut fork = self.xof.clone();
+        (0..n)
+            .map(|_| {
+                let mut bytes = [0u8; 16];
+                fork.squeeze(&mut bytes);
+                Scalar::from(u128::from_le_bytes(bytes))
+            })
+            .collect()
     }
 }
 
@@ -134,5 +156,48 @@ mod tests {
         assert_eq!(c1, d1);
         b.append_point(b"p", &RISTRETTO_BASEPOINT_POINT);
         assert_ne!(a.challenge_scalar(b"c"), b.challenge_scalar(b"c"));
+    }
+
+    #[test]
+    fn coefficient_stream_binds_its_length_and_advances_the_transcript() {
+        let mut a = Transcript::new(b"test");
+        let mut b = a.clone();
+        let short = a.challenge_coefficients(b"rho", 16);
+        let long = b.challenge_coefficients(b"rho", 272);
+        assert_eq!(short.len(), 16);
+        assert_eq!(long.len(), 272);
+        // 128-bit values, pairwise distinct, and the count is part of what
+        // is hashed: neither the streams nor the states left behind agree.
+        assert!(long.iter().all(|rho| rho.as_bytes()[16..] == [0u8; 16]));
+        let distinct: std::collections::HashSet<_> = long.iter().collect();
+        assert_eq!(distinct.len(), long.len());
+        assert_ne!(short[..], long[..16]);
+        assert_ne!(a.challenge_scalar(b"c"), b.challenge_scalar(b"c"));
+
+        // Same request on the same history is deterministic, and a second
+        // request depends on the first having been made.
+        let mut c = Transcript::new(b"test");
+        let mut d = Transcript::new(b"test");
+        assert_eq!(c.challenge_coefficients(b"rho", 16), short);
+        assert_ne!(c.challenge_coefficients(b"rho", 16), short);
+        assert_ne!(d.challenge_coefficients(b"other", 16), short);
+    }
+
+    #[test]
+    fn challenge_bytes_keeps_its_one_byte_length_marker_below_256() {
+        // The largest request the one-byte marker can record still works...
+        let mut a = Transcript::new(b"test");
+        let mut out = [0u8; 255];
+        a.challenge_bytes(b"c", &mut out);
+        // ...and leaves a different state than a 16-byte request does.
+        let mut b = Transcript::new(b"test");
+        b.challenge_bytes(b"c", &mut [0u8; 16]);
+        assert_ne!(a.challenge_scalar(b"next"), b.challenge_scalar(b"next"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 bytes")]
+    fn challenge_bytes_refuses_a_length_its_marker_would_wrap() {
+        Transcript::new(b"test").challenge_bytes(b"c", &mut [0u8; 272]);
     }
 }

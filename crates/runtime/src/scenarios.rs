@@ -40,6 +40,9 @@
 //! * [`equivocating_setup`] — a forged sharded-setup frame advertising a
 //!   different group key is caught by the directory cross-check, whichever
 //!   order the conflicting frames arrive in.
+//! * [`mauled_reencryption`] — a member publishes a mauled sub-batch next to
+//!   an honest re-encryption proof: the NIZK variant convicts that member on
+//!   the spot, the trap variant aborts at its trap check.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,6 +51,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use atom_core::adversary::{AdversaryPlan, Misbehavior};
 use atom_core::config::{AtomConfig, Defense};
 use atom_core::directory::{derive_members, derive_setup, setup_round, RoundSetup};
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
@@ -682,6 +686,51 @@ fn check_against_reference(
     Ok(())
 }
 
+/// `count` submissions `"{prefix} {i}"`, dealt round-robin over the entry
+/// groups, in the round's defence variant.
+fn numbered_submissions(
+    setup: &RoundSetup,
+    count: usize,
+    prefix: &str,
+    rng: &mut StdRng,
+) -> AtomResult<RoundSubmissions> {
+    let config = &setup.config;
+    let groups = config.num_groups;
+    let text = |i: usize| format!("{prefix} {i}");
+    Ok(match config.defense {
+        Defense::Nizk => RoundSubmissions::Nizk(
+            (0..count)
+                .map(|i| {
+                    make_nizk_submission(
+                        i % groups,
+                        &setup.groups[i % groups].public_key,
+                        text(i).as_bytes(),
+                        config.message_len,
+                        rng,
+                    )
+                    .map(|(submission, _)| submission)
+                })
+                .collect::<AtomResult<Vec<_>>>()?,
+        ),
+        Defense::Trap => RoundSubmissions::Trap(
+            (0..count)
+                .map(|i| {
+                    make_trap_submission(
+                        i % groups,
+                        &setup.groups[i % groups].public_key,
+                        &setup.trustees.public_key,
+                        config.round,
+                        text(i).as_bytes(),
+                        config.message_len,
+                        rng,
+                    )
+                    .map(|(submission, _)| submission)
+                })
+                .collect::<AtomResult<Vec<_>>>()?,
+        ),
+    })
+}
+
 /// The same workload under both defences. Returns `(nizk, trap)` reports;
 /// both must deliver everything.
 pub fn defense_matrix(
@@ -692,50 +741,16 @@ pub fn defense_matrix(
     let mut rng = options.rng();
 
     // NIZK round.
-    let nizk_config = options.config(Defense::Nizk, groups, 0);
-    let nizk_setup = setup_round(&nizk_config, &mut rng)?;
-    let nizk_submissions = (0..messages)
-        .map(|i| {
-            make_nizk_submission(
-                i % groups,
-                &nizk_setup.groups[i % groups].public_key,
-                format!("both {i}").as_bytes(),
-                nizk_config.message_len,
-                &mut rng,
-            )
-            .map(|(submission, _)| submission)
-        })
-        .collect::<AtomResult<Vec<_>>>()?;
+    let nizk_setup = setup_round(&options.config(Defense::Nizk, groups, 0), &mut rng)?;
+    let nizk_submissions = numbered_submissions(&nizk_setup, messages, "both", &mut rng)?;
 
     // Trap round over the same texts.
-    let trap_config = options.config(Defense::Trap, groups, 1);
-    let trap_setup = setup_round(&trap_config, &mut rng)?;
-    let trap_submissions = (0..messages)
-        .map(|i| {
-            make_trap_submission(
-                i % groups,
-                &trap_setup.groups[i % groups].public_key,
-                &trap_setup.trustees.public_key,
-                trap_config.round,
-                format!("both {i}").as_bytes(),
-                trap_config.message_len,
-                &mut rng,
-            )
-            .map(|(submission, _)| submission)
-        })
-        .collect::<AtomResult<Vec<_>>>()?;
+    let trap_setup = setup_round(&options.config(Defense::Trap, groups, 1), &mut rng)?;
+    let trap_submissions = numbered_submissions(&trap_setup, messages, "both", &mut rng)?;
 
     let reports = collect(options.engine().run_rounds(vec![
-        RoundJob::new(
-            nizk_setup,
-            RoundSubmissions::Nizk(nizk_submissions),
-            options.seed,
-        ),
-        RoundJob::new(
-            trap_setup,
-            RoundSubmissions::Trap(trap_submissions),
-            options.seed + 1,
-        ),
+        RoundJob::new(nizk_setup, nizk_submissions, options.seed),
+        RoundJob::new(trap_setup, trap_submissions, options.seed + 1),
     ]))?;
 
     let mut want: Vec<String> = (0..messages).map(|i| format!("both {i}")).collect();
@@ -766,7 +781,7 @@ pub fn defense_matrix(
 #[derive(Clone, Debug)]
 pub struct AdversaryReport {
     /// Scenario name (`"submission_flood"`, `"slow_loris"`,
-    /// `"equivocating_setup"`).
+    /// `"equivocating_setup"`, `"mauled_reencryption"`).
     pub scenario: &'static str,
     /// The engine's diagnosis of the attacked round, verbatim.
     pub verdict: String,
@@ -802,28 +817,11 @@ fn control_round(
     options: &ScenarioOptions,
 ) -> AtomResult<AdversaryReport> {
     let mut rng = options.rng();
-    let config = options.config(Defense::Trap, groups, 1);
-    let setup = setup_round(&config, &mut rng)?;
-    let submissions = (0..messages)
-        .map(|i| {
-            make_trap_submission(
-                i % groups,
-                &setup.groups[i % groups].public_key,
-                &setup.trustees.public_key,
-                config.round,
-                format!("ctrl {i}").as_bytes(),
-                config.message_len,
-                &mut rng,
-            )
-            .map(|(submission, _)| submission)
-        })
-        .collect::<AtomResult<Vec<_>>>()?;
+    let setup = setup_round(&options.config(Defense::Trap, groups, 1), &mut rng)?;
+    let submissions = numbered_submissions(&setup, messages, "ctrl", &mut rng)?;
     let started = Instant::now();
-    let report = Engine::new(engine_options).run_round(RoundJob::new(
-        setup,
-        RoundSubmissions::Trap(submissions),
-        options.seed,
-    ))?;
+    let report =
+        Engine::new(engine_options).run_round(RoundJob::new(setup, submissions, options.seed))?;
     let elapsed = started.elapsed();
     let delivered = report.output.plaintexts.len();
     if delivered != messages {
@@ -1127,6 +1125,46 @@ pub fn equivocating_setup(
     }
     control_round(
         "equivocating_setup",
+        verdict,
+        groups,
+        posts,
+        options.engine_options(),
+        options,
+    )
+}
+
+/// A mauled re-encryption: member 2 of group 0 proves its first-iteration
+/// re-encryption honestly, then publishes a sub-batch with one group element
+/// shifted. Under `Defense::Nizk` the aggregated `ReEncProof` no longer
+/// matches what was published and the verdict names the member; under
+/// `Defense::Trap` nothing checks the hop, and the garbled message surfaces
+/// at the round's trap check.
+pub fn mauled_reencryption(
+    groups: usize,
+    posts: usize,
+    defense: Defense,
+    options: &ScenarioOptions,
+) -> AtomResult<AdversaryReport> {
+    let mut rng = options.rng();
+    let setup = setup_round(&options.config(defense, groups, 0), &mut rng)?;
+    let submissions = numbered_submissions(&setup, posts, "maul", &mut rng)?;
+    let mut job = RoundJob::new(setup, submissions, options.seed);
+    job.adversary = Some(AdversaryPlan {
+        group: 0,
+        member: 2,
+        iteration: 0,
+        action: Misbehavior::MaulReencryption { slot: 0 },
+    });
+    let verdict = match options.engine().run_round(job) {
+        Err(error) => format!("{error}"),
+        Ok(_) => {
+            return Err(AtomError::Malformed(
+                "a mauled re-encryption went undetected".into(),
+            ))
+        }
+    };
+    control_round(
+        "mauled_reencryption",
         verdict,
         groups,
         posts,

@@ -3,6 +3,7 @@
 
 use std::time::Duration;
 
+use atom_core::config::Defense;
 use atom_runtime::scenarios::{self, ScenarioOptions};
 
 fn options(seed: u64) -> ScenarioOptions {
@@ -115,6 +116,24 @@ fn equivocating_setup_frames_kill_the_round() {
     );
     assert_eq!(report.delivered, 4);
     assert!(report.msgs_per_sec() >= 1.0);
+}
+
+#[test]
+fn mauled_reencryption_is_blamed_on_its_member_or_trips_the_trap_check() {
+    let nizk = scenarios::mauled_reencryption(3, 6, Defense::Nizk, &options(53)).unwrap();
+    assert_eq!(nizk.scenario, "mauled_reencryption");
+    assert!(
+        nizk.verdict.contains("re-encryption proof rejected")
+            && nizk.verdict.contains("group 0 by member 2"),
+        "{}",
+        nizk.verdict
+    );
+    assert_eq!(nizk.delivered, 6);
+
+    let trap = scenarios::mauled_reencryption(3, 6, Defense::Trap, &options(53)).unwrap();
+    assert!(trap.verdict.contains("trap"), "{}", trap.verdict);
+    assert!(!trap.verdict.contains("proof rejected"), "{}", trap.verdict);
+    assert_eq!(trap.delivered, 6);
 }
 
 #[test]

@@ -150,13 +150,17 @@ pub fn estimate_round(spec: &DeploymentSpec, costs: &PrimitiveCosts) -> RoundEst
             // parallelizable (Fig. 7 shows sub-linear speed-up); charge the
             // proof work at half the core count. Verification is charged at
             // the batched rate: the engine settles each group step's whole
-            // shuffle chain in one combined RLC check.
+            // shuffle chain in one combined RLC check. Re-encryption proofs
+            // are one per sub-batch (one sub-batch per neighbouring group):
+            // a per-component term plus a fixed cost each.
+            let sub_batches = (spec.num_groups as f64).min(per_group_messages);
             let proofs = per_group_messages
                 * points
                 * (costs.shufproof_prove_per_msg
                     + costs.shufproof_verify_batch_per_msg
                     + costs.reencproof_prove
-                    + costs.reencproof_verify);
+                    + costs.reencproof_verify)
+                + sub_batches * (costs.reencproof_prove_fixed + costs.reencproof_verify_fixed);
             (shuffle_cost + reenc_cost) / avg_cores + proofs / (avg_cores / 2.0).max(1.0)
         }
     };

@@ -50,6 +50,7 @@ fn every_misbehavior_aborts_a_trap_round_or_is_survived_detectably() {
         Misbehavior::DropMessage { slot: 0 },
         Misbehavior::DuplicateMessage { slot: 0, source: 1 },
         Misbehavior::TamperCiphertext { slot: 1 },
+        Misbehavior::MaulReencryption { slot: 0 },
     ];
     for (i, action) in actions.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0xD00 + i as u64);
@@ -78,6 +79,7 @@ fn nizk_round_detects_every_misbehavior_and_names_the_server() {
         Misbehavior::DuplicateMessage { slot: 0, source: 1 },
         Misbehavior::ReplaceMessage { slot: 1 },
         Misbehavior::TamperCiphertext { slot: 0 },
+        Misbehavior::MaulReencryption { slot: 0 },
     ];
     for (i, action) in actions.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0xE00 + i as u64);
@@ -105,9 +107,19 @@ fn nizk_round_detects_every_misbehavior_and_names_the_server() {
             })
             .collect();
         match driver.run_nizk_round(&submissions, &mut rng) {
-            Err(AtomError::ProtocolViolation { group, member, .. }) => {
+            Err(AtomError::ProtocolViolation {
+                group,
+                member,
+                reason,
+            }) => {
                 assert_eq!(group, 0);
                 assert_eq!(member, Some(2));
+                // The stage that caught it is the stage that was attacked.
+                let stage = match action {
+                    Misbehavior::MaulReencryption { .. } => "re-encryption proof rejected",
+                    _ => "shuffle proof rejected",
+                };
+                assert!(reason.starts_with(stage), "{action:?}: {reason}");
             }
             other => panic!("action {action:?} not detected: {other:?}"),
         }
