@@ -1,4 +1,4 @@
-//! Extra ablations called out in DESIGN.md: topology choice and message size.
+//! Extra ablations (see ARCHITECTURE.md): topology choice and message size.
 fn main() {
     atom_bench::print_ablation_topology(1024);
     println!();

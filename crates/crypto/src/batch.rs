@@ -85,11 +85,12 @@
 //!   lands inside every exponentiation loop, here and across crates,
 //!   whatever profile the depending workspace builds with (the frozen
 //!   benchmark is a workspace of its own).
-//! * Point validation (`CompressedRistretto::decompress`, hit sixteen times
-//!   per ciphertext on every wire decode) is an exact Jacobi-symbol
-//!   computation — shifts and subtractions on four limbs — instead of
-//!   Euler's criterion, a full exponentiation: 9.4 → 2.0 µs per point with
-//!   the identical accept set.
+//! * Point validation (`CompressedRistretto::decompress`, hit for every
+//!   point of every wire decode) is a range check: the group is presented
+//!   as `Z_p^*/{±1}`, whose elements are exactly the integers `1..=q`, so
+//!   two limb comparisons decide membership where the quadratic-residue
+//!   presentation needed a Jacobi symbol (2.0 µs) or Euler's criterion
+//!   (9.4 µs). Still exact, still one encoding per element.
 //! * Leading zero windows are skipped (`U256::bits`), so short exponents
 //!   (Lagrange indices, Feldman evaluation points) cost proportionally
 //!   less.

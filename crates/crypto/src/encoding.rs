@@ -3,31 +3,26 @@
 //! Atom's rerandomizable ElGamal operates on group elements, so plaintext
 //! bytes must be embedded into curve points before encryption and recovered
 //! after decryption (the paper embeds 32 bytes per NIST P-256 point; here we
-//! embed [`PAYLOAD_PER_POINT`] bytes per Ristretto point — see DESIGN.md).
+//! embed [`PAYLOAD_PER_POINT`] bytes per point).
 //!
-//! The embedding is a try-and-increment search over the canonical 32-byte
-//! Ristretto encoding: the payload occupies fixed byte positions and two
-//! counter bytes are varied until the candidate string decompresses to a
-//! valid point. Roughly one in eight candidates is a valid encoding, so with
-//! `256 × 127` counter values the failure probability is negligible
-//! (≈ (7/8)^32512).
+//! The embedding writes the canonical 32-byte encoding directly: the payload
+//! in the low bytes and `len + 1` in the top byte. This is the one file that
+//! relies on a property of the stand-in group (see the vendored
+//! `curve25519-dalek/src/lib.rs` header): every little-endian integer in
+//! `[1, (p − 1) / 2]` is the encoding of an element, and a top byte of at
+//! most 32 keeps the value below `2^253.05`, inside that range; the marker
+//! is never zero, so neither is the value. Under real Ristretto this file is
+//! replaced by an Elligator-inverse embedding.
 
 use curve25519_dalek::ristretto::{CompressedRistretto, RistrettoPoint};
 
 use crate::error::{CryptoError, CryptoResult};
 
 /// Number of message payload bytes carried by a single group element.
-pub const PAYLOAD_PER_POINT: usize = 29;
+pub const PAYLOAD_PER_POINT: usize = 31;
 
-/// Byte offset of the low counter byte within the 32-byte encoding.
-const CTR_LO: usize = 0;
-/// Byte range of the payload within the 32-byte encoding.
-const PAYLOAD_RANGE: core::ops::Range<usize> = 1..30;
-/// Byte offset of the payload-length byte.
-const LEN_BYTE: usize = 30;
-/// Byte offset of the high counter byte (kept ≤ 0x7e so the little-endian
-/// field element stays below 2^255 − 19).
-const CTR_HI: usize = 31;
+/// Byte offset of the marker `len + 1`, the encoding's most significant byte.
+const MARKER: usize = 31;
 
 /// Returns the number of points needed to carry `len` payload bytes.
 ///
@@ -50,34 +45,24 @@ pub fn encode_chunk(chunk: &[u8]) -> CryptoResult<RistrettoPoint> {
             PAYLOAD_PER_POINT
         )));
     }
-    let mut candidate = [0u8; 32];
-    candidate[PAYLOAD_RANGE][..chunk.len()].copy_from_slice(chunk);
-    candidate[LEN_BYTE] = chunk.len() as u8;
-
-    for hi in 0..=0x7eu8 {
-        candidate[CTR_HI] = hi;
-        for lo in 0..=0xffu8 {
-            candidate[CTR_LO] = lo;
-            if let Some(point) = CompressedRistretto(candidate).decompress() {
-                return Ok(point);
-            }
-        }
-    }
-    Err(CryptoError::EncodingFailed(
-        "exhausted embedding counter space".to_string(),
-    ))
+    let mut bytes = [0u8; 32];
+    bytes[..chunk.len()].copy_from_slice(chunk);
+    bytes[MARKER] = chunk.len() as u8 + 1;
+    Ok(CompressedRistretto(bytes)
+        .decompress()
+        .expect("a top byte in 1..=32 keeps the value in [1, (p - 1) / 2]"))
 }
 
 /// Recovers the payload bytes embedded in a point by [`encode_chunk`].
 pub fn decode_chunk(point: &RistrettoPoint) -> CryptoResult<Vec<u8>> {
     let bytes = point.compress().to_bytes();
-    let len = bytes[LEN_BYTE] as usize;
-    if len > PAYLOAD_PER_POINT {
+    let marker = bytes[MARKER] as usize;
+    if marker == 0 || marker > PAYLOAD_PER_POINT + 1 {
         return Err(CryptoError::DecodingFailed(format!(
-            "length byte {len} exceeds payload capacity"
+            "marker byte {marker} is not a chunk length plus one"
         )));
     }
-    Ok(bytes[PAYLOAD_RANGE][..len].to_vec())
+    Ok(bytes[..marker - 1].to_vec())
 }
 
 /// Embeds an arbitrary byte message into a vector of points.
@@ -124,14 +109,81 @@ pub fn encode_message_padded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elgamal::{encrypt_message, reencrypt_message, KeyPair, PublicKey};
+    use curve25519_dalek::scalar::Scalar;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn chunk_roundtrip_various_lengths() {
         for len in 0..=PAYLOAD_PER_POINT {
-            let chunk: Vec<u8> = (0..len as u8).collect();
-            let point = encode_chunk(&chunk).unwrap();
-            assert_eq!(decode_chunk(&point).unwrap(), chunk);
+            for chunk in [
+                (0..len as u8).collect::<Vec<u8>>(),
+                vec![0; len],
+                vec![0xff; len],
+            ] {
+                let point = encode_chunk(&chunk).unwrap();
+                assert_eq!(decode_chunk(&point).unwrap(), chunk);
+                // One point per chunk, whatever the bytes: nothing to search.
+                assert_eq!(point.compress().as_bytes()[..len], chunk[..]);
+                assert_eq!(point.compress().as_bytes()[MARKER], len as u8 + 1);
+            }
         }
+    }
+
+    #[test]
+    fn points_without_a_length_marker_do_not_decode() {
+        for marker in [0u8, 33, 34, 0x3f] {
+            let mut bytes = [7u8; 32];
+            bytes[MARKER] = marker;
+            let point = CompressedRistretto(bytes).decompress().unwrap();
+            assert!(decode_chunk(&point).is_err(), "marker {marker}");
+        }
+    }
+
+    /// The identity held as the residue `p − 1`. The stand-in group keeps
+    /// either residue `v` or `p − v` of an element and nothing outside its
+    /// crate can tell which; adding this to a point flips it. 5 is not a
+    /// square modulo `p` (`p ≡ 3 mod 5`), so `5^q = p − 1` exactly, and
+    /// `−1 mod q` is `q − 1`.
+    fn identity_as_the_other_residue() -> RistrettoPoint {
+        let mut five = [0u8; 32];
+        five[0] = 5;
+        let five = CompressedRistretto(five).decompress().unwrap();
+        five + (-Scalar::ONE) * five
+    }
+
+    #[test]
+    fn plaintext_survives_a_group_chain_as_either_residue() {
+        let mut rng = StdRng::seed_from_u64(0xe4c0de);
+        let text: Vec<u8> = (0..211u32).map(|i| (i * 7) as u8).collect();
+        let points = encode_message(&text).unwrap();
+        let groups: Vec<Vec<KeyPair>> = (0..2)
+            .map(|_| (0..3).map(|_| KeyPair::generate(&mut rng)).collect())
+            .collect();
+        let keys: Vec<PublicKey> = groups
+            .iter()
+            .map(|group| PublicKey::combine(group.iter().map(|k| &k.public)))
+            .collect();
+        let (mut current, _) = encrypt_message(&keys[0], &points, &mut rng);
+        for (g, group) in groups.iter().enumerate() {
+            for member in group {
+                current =
+                    reencrypt_message(&member.secret.0, keys.get(g + 1), &current, &mut rng).0;
+            }
+            current = current.finalize_handoff();
+        }
+        let recovered: Vec<RistrettoPoint> = current
+            .components
+            .into_iter()
+            .map(|component| component.into_plaintext_point())
+            .collect();
+        // Of each recovered point and its flip, one is held as the
+        // non-canonical residue; both must decode.
+        let flip = identity_as_the_other_residue();
+        let flipped: Vec<RistrettoPoint> = recovered.iter().map(|point| point + flip).collect();
+        assert_eq!(decode_message(&recovered).unwrap(), text);
+        assert_eq!(decode_message(&flipped).unwrap(), text);
     }
 
     #[test]
@@ -178,6 +230,10 @@ mod tests {
         assert_eq!(points_needed(PAYLOAD_PER_POINT), 1);
         assert_eq!(points_needed(PAYLOAD_PER_POINT + 1), 2);
         assert_eq!(points_needed(160), 6);
+        // The padded payloads of a 160-byte post (trap, NIZK) and a dial.
+        assert_eq!(points_needed(211), 7);
+        assert_eq!(points_needed(163), 6);
+        assert_eq!(points_needed(131), 5);
     }
 
     #[test]

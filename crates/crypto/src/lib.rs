@@ -24,8 +24,10 @@
 //! * [`pedersen`], [`transcript`] — Pedersen commitments and the Fiat-Shamir
 //!   transcript used by the proofs.
 //!
-//! The group is Ristretto255 (`curve25519-dalek`); see DESIGN.md for the
-//! substitution notes relative to the paper's NIST P-256 implementation.
+//! The group is Ristretto255 (`curve25519-dalek`) where the paper uses NIST
+//! P-256; in this offline build the crate is a vendored stand-in over a
+//! different prime-order group — see the header of
+//! `vendor/curve25519-dalek/src/lib.rs` and ARCHITECTURE.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

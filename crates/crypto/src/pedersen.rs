@@ -9,8 +9,9 @@ use crate::keccak::Shake256;
 
 /// Derives an independent generator by hashing a label to the group.
 ///
-/// `RistrettoPoint::from_uniform_bytes` applies the Elligator map twice, so
-/// nobody knows the discrete log of the result with respect to the basepoint.
+/// `RistrettoPoint::from_uniform_bytes` maps the hash output uniformly onto
+/// the group, so nobody knows the discrete log of the result with respect to
+/// the basepoint.
 pub fn derive_generator(label: &[u8]) -> RistrettoPoint {
     let mut xof = Shake256::new();
     xof.absorb(b"atom-pedersen-generator");

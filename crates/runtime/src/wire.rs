@@ -1213,8 +1213,34 @@ mod tests {
     use super::*;
     use atom_crypto::elgamal::{encrypt_message, KeyPair};
     use atom_crypto::encoding::encode_message_padded;
+    use curve25519_dalek::field::{P, U256};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Puts each 32-byte string that no group element has in place of the
+    /// last occurrence of `point` in the valid frame `clean`, and expects
+    /// every one convicted:
+    /// zero, a value ≥ p, and `p − v` for the point's encoding `v` — the
+    /// other residue of the same element, which a relay could otherwise
+    /// swap in to change a frame's bytes but not its meaning.
+    fn assert_invalid_points_rejected(clean: &[u8], point: &RistrettoPoint) {
+        assert!(decode(clean).is_ok());
+        let valid = point.compress().to_bytes();
+        let point_at = clean
+            .windows(POINT_LEN)
+            .rposition(|window| window == valid)
+            .expect("the frame carries the point");
+        let twin = P.neg(&U256::from_le_bytes(&valid)).to_le_bytes();
+        for invalid in [[0u8; POINT_LEN], [0xff; POINT_LEN], twin] {
+            let mut bytes = clean.to_vec();
+            bytes[point_at..point_at + POINT_LEN].copy_from_slice(&invalid);
+            let error = decode(&bytes).unwrap_err();
+            assert!(
+                format!("{error:?}").contains("invalid point"),
+                "want the point error for {invalid:02x?}, got {error:?}"
+            );
+        }
+    }
 
     fn sample_batch(fresh: bool) -> Vec<MessageCiphertext> {
         let mut rng = StdRng::seed_from_u64(11);
@@ -1556,34 +1582,13 @@ mod tests {
 
     #[test]
     fn non_canonical_and_invalid_point_encodings_rejected() {
-        let batch = sample_batch(true);
+        let batch = sample_batch(false);
         let clean = encode_mix(0, 0, 0, Duration::ZERO, &batch);
-        let first_point = MIX_HEADER_LEN + 2 + 1;
-        // All-zero bytes: not a group element.
-        let mut bytes = clean.clone();
-        bytes[first_point..first_point + POINT_LEN].fill(0);
-        assert!(decode(&bytes).is_err());
-        // 0xff.. : a value ≥ p, i.e. a non-canonical field encoding.
-        let mut bytes = clean.clone();
-        bytes[first_point..first_point + POINT_LEN].fill(0xff);
-        assert!(decode(&bytes).is_err());
-        // A canonical field element that is not in the prime-order
-        // subgroup: flipping one bit of a valid encoding leaves the value
-        // < p with overwhelming probability but lands outside the group
-        // roughly half the time; scan until we hit such a value to pin the
-        // subgroup check specifically.
-        let mut rejected = false;
-        'outer: for byte in 0..POINT_LEN {
-            for bit in 0..8u8 {
-                let mut bytes = clean.clone();
-                bytes[first_point + byte] ^= 1 << bit;
-                if decode(&bytes).is_err() {
-                    rejected = true;
-                    break 'outer;
-                }
-            }
-        }
-        assert!(rejected, "no perturbed point encoding was rejected");
+        // `c` of the first component and `Y` of the last (the fixture sets
+        // `Y = R`; the helper replaces the later of equal encodings).
+        let last = batch[2].components.last().unwrap();
+        assert_invalid_points_rejected(&clean, &batch[0].components[0].c);
+        assert_invalid_points_rejected(&clean, &last.y.unwrap());
     }
 
     #[test]
@@ -1633,30 +1638,8 @@ mod tests {
 
     #[test]
     fn setup_invalid_and_non_canonical_points_rejected() {
-        let clean = encode_setup(&sample_setup());
-        let point_at = clean.len() - POINT_LEN;
-        // All-zero bytes: not a group element.
-        let mut bytes = clean.clone();
-        bytes[point_at..].fill(0);
-        assert!(decode(&bytes).is_err());
-        // 0xff…: a non-canonical field encoding (value ≥ p).
-        let mut bytes = clean.clone();
-        bytes[point_at..].fill(0xff);
-        assert!(decode(&bytes).is_err());
-        // Perturbing a valid encoding lands outside the prime-order subgroup
-        // about half the time; scan until a rejection pins the group check.
-        let mut rejected = false;
-        'outer: for byte in 0..POINT_LEN {
-            for bit in 0..8u8 {
-                let mut bytes = clean.clone();
-                bytes[point_at + byte] ^= 1 << bit;
-                if decode(&bytes).is_err() {
-                    rejected = true;
-                    break 'outer;
-                }
-            }
-        }
-        assert!(rejected, "no perturbed point encoding was rejected");
+        let setup = sample_setup();
+        assert_invalid_points_rejected(&encode_setup(&setup), &setup.public_key.0);
     }
 
     #[test]
@@ -2101,12 +2084,17 @@ mod tests {
 
     #[test]
     fn submit_corrupted_point_rejected() {
-        // Zero out the first ciphertext point (right after the component
-        // count + flags byte): an invalid encoding must be convicted.
-        let point_at = SUBMIT_HEADER_LEN + 2 + 1;
-        let mut bytes = encode_submit(&sample_submit(false));
-        bytes[point_at..point_at + POINT_LEN].fill(0);
-        assert!(decode(&bytes).is_err());
+        // A ciphertext component and a proof announcement, in both variants.
+        for trap in [false, true] {
+            let frame = sample_submit(trap);
+            let (ciphertext, proof) = match &frame.submission {
+                ClientSubmission::Nizk(s) => (&s.ciphertext, &s.proof),
+                ClientSubmission::Trap(s) => (&s.ciphertexts[1], &s.proofs[0]),
+            };
+            let clean = encode_submit(&frame);
+            assert_invalid_points_rejected(&clean, &ciphertext.components[0].c);
+            assert_invalid_points_rejected(&clean, &proof.announcements[0]);
+        }
     }
 
     #[test]

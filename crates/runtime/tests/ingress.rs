@@ -10,7 +10,7 @@
 //! clients are convicted without disturbing their honest neighbours.
 
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use atom_core::config::{AtomConfig, Defense};
@@ -22,10 +22,14 @@ use atom_runtime::wire::{self, ClientSubmission, Frame, SubmitFrame};
 use atom_runtime::{
     Engine, EngineOptions, IngressOptions, IngressServer, RoundJob, RoundSubmissions,
 };
+use curve25519_dalek::field::{P, U256};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const APP: u16 = 5;
+
+/// `atom-obs` state is process-global: tests that read it hold this.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn test_setup(seed: u64) -> (AtomConfig, RoundSetup) {
     let mut config = AtomConfig::test_default();
@@ -124,6 +128,7 @@ fn socket_fed_round_is_byte_identical_to_the_materialized_path() {
     let mut options = EngineOptions::with_workers(2);
     options.intake_window = 2;
     options.intake_chunk = 4;
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let was_enabled = atom_obs::enabled();
     atom_obs::set_enabled(true);
     atom_obs::reset();
@@ -186,6 +191,7 @@ fn a_flood_past_the_admission_queue_sheds_observably() {
     let submissions = test_submissions(&config, &setup, 1);
     let mut options = ingress_options(&config);
     options.queue_capacity = 4;
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let was_enabled = atom_obs::enabled();
     atom_obs::set_enabled(true);
     atom_obs::reset();
@@ -303,6 +309,10 @@ fn wrong_round_submissions_are_shed_not_convicted() {
 fn malformed_and_non_submit_frames_close_the_connection() {
     let (config, setup) = test_setup(0xE0_06);
     let submissions = test_submissions(&config, &setup, 1);
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = atom_obs::enabled();
+    atom_obs::set_enabled(true);
+    atom_obs::reset();
     let server = IngressServer::bind("127.0.0.1:0", ingress_options(&config)).unwrap();
 
     use std::io::Write;
@@ -331,7 +341,38 @@ fn malformed_and_non_submit_frames_close_the_connection() {
     wrong_kind.write_all(&client_frame(&mesh)).unwrap();
     assert!(read_client_frame(&mut wrong_kind, 1 << 20).is_err());
 
-    assert_eq!(server.stats().malformed, 2);
+    // An honest submission re-encoded: one ciphertext point `v` swapped for
+    // `p − v`, the other residue of the same group element. Each element
+    // has one encoding, so this is malformed, not an equal frame in
+    // different bytes.
+    let point = submissions[0].ciphertext.components[0]
+        .c
+        .compress()
+        .to_bytes();
+    let mut reencoded = wire::encode_submit(&SubmitFrame {
+        round: config.round as usize,
+        client: 0,
+        app: APP,
+        submission: ClientSubmission::Nizk(submissions[0].clone()),
+    });
+    let point_at = reencoded
+        .windows(32)
+        .position(|window| window == point)
+        .unwrap();
+    reencoded[point_at..point_at + 32]
+        .copy_from_slice(&P.neg(&U256::from_le_bytes(&point)).to_le_bytes());
+    let mut twin = TcpStream::connect(server.local_addr()).unwrap();
+    twin.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    twin.write_all(&client_frame(&reencoded)).unwrap();
+    assert!(read_client_frame(&mut twin, 1 << 20).is_err());
+
+    assert_eq!(server.stats().malformed, 3);
+    let counted = atom_obs::counter_snapshot()
+        .into_iter()
+        .find(|(name, _)| name == "ingress.rejected.malformed")
+        .map(|(_, n)| n);
+    assert_eq!(counted, Some(3));
+    atom_obs::set_enabled(was_enabled);
 
     // Honest traffic is untouched by the convictions.
     assert!(!submit_once(&server, config.round as usize, 0, &submissions[0]).shed);

@@ -1,30 +1,36 @@
-//! Known-answer tests pinning the group-arithmetic kernel to the values the
-//! previous kernel produced.
+//! Known-answer tests pinning the bytes a seeded round puts on the wire and
+//! what it delivers.
 //!
 //! The equivalence suites compare the engine against `RoundDriver`, and both
 //! run on the same vendored arithmetic, so a *consistent* arithmetic bug
-//! passes them. The digests below were generated on the commit before the
-//! one-pass multiply and the Jacobi-symbol point check landed (PR 11,
-//! `d662930`): equal digests mean the new kernel computes the same group
-//! elements, accepts the same encodings, and so drives the same rounds.
+//! passes them. Equal digests mean this commit computes the same group
+//! elements, encodes them to the same bytes, and so drives the same rounds
+//! as the commit that recorded them.
 //!
 //! Each digest covers the encoded client submissions (every ciphertext
-//! component and proof is a product of exponentiations, and the message
-//! embedding is a sequence of point-validity decisions) and the round's
+//! component and proof is a product of exponentiations) and the round's
 //! `RoundOutput`.
 //!
 //! The submit frames are also pinned on their own: they are made before any
-//! mixing, so a mismatch there is the kernel's (or the `EncProof`'s), never
-//! the mixing protocol's.
+//! mixing, so a mismatch there is the kernel's, the embedding's or the
+//! `EncProof`'s, never the mixing protocol's.
 //!
-//! The aggregated `ReEncProof` (PR 13) draws two nonces per (member,
-//! sub-batch) where the per-component proof drew `1 + components` per
-//! message, and a group's RNG stream runs on through its iterations, so in
-//! general the NIZK round's later permutations — its output *order*, never
-//! its content — differ from the parent's. Not in these rounds: six
+//! History. Recorded at `d662930` (PR 11); unchanged by the one-pass multiply
+//! kernel (PR 12) and by the aggregated `ReEncProof` (PR 13: six
 //! one-component messages over three groups make every forwarded sub-batch a
-//! single message, for which both proof systems draw exactly two nonces.
-//! Both combined digests are therefore still the ones recorded at `d662930`.
+//! single message, for which old and new provers draw the same nonces).
+//! Re-pinned in PR 14, which changes the bytes of every point by
+//! construction: the group is presented as `Z_p^*/{±1}` (an element's
+//! encoding is the smaller residue of its class, where it was a quadratic
+//! residue) and the embedding packs 31 bytes per point with no search
+//! counter. The field-level answers in the vendored
+//! `field::tests::known_answers_from_the_previous_kernel` did not move, and
+//! both tests assert the delivered texts independently of any encoding.
+//!
+//! To re-pin after a deliberate change of representation:
+//! `cargo test --test kernel_known_answers` — each failing `assert_eq!`
+//! prints the computed digest as `left` (submit digest first, then the
+//! combined one on the next run).
 
 use atom::core::config::{AtomConfig, Defense};
 use atom::core::message::{make_nizk_submission, make_trap_submission};
@@ -114,6 +120,18 @@ fn trap_round_matches_parent_commit_digest() {
         .run_trap_round(&submissions, &mut StdRng::seed_from_u64(SEED))
         .unwrap();
     assert_eq!(output.plaintexts.len(), 6);
+    // What no change of representation may alter: each client's text comes
+    // out, zero-padded to the round's message length.
+    let mut delivered = output.plaintexts.clone();
+    delivered.sort();
+    let sent: Vec<_> = (0..6)
+        .map(|i| {
+            let mut text = format!("known answer {i}").into_bytes();
+            text.resize(24, 0);
+            text
+        })
+        .collect();
+    assert_eq!(delivered, sent);
     let mut bytes = submit_bytes(
         submissions
             .into_iter()
@@ -163,7 +181,7 @@ fn nizk_round_matches_parent_commit_digest() {
     assert_eq!(digest(&bytes), NIZK_DIGEST);
 }
 
-const TRAP_SUBMIT_DIGEST: &str = "9e897a63af9a27c16761489237d61425a04f35abe42e184c54ff00ae6a3dd974";
-const TRAP_DIGEST: &str = "04b654c914ea950535000d6de8c5c3c9cac42849172eb46c7097482fa2a5a0c5";
-const NIZK_SUBMIT_DIGEST: &str = "44322b5d1d19845676d91d7c42e345fe5872a44bc9cb0004c146c69bf4850923";
-const NIZK_DIGEST: &str = "e0a44aac3da9f8056a5af261bf775b1fd9fa22679ca1bfbc066d3ca9e2313bfc";
+const TRAP_SUBMIT_DIGEST: &str = "6a2e906fd3c436a2b1081013ac789a2a2f3335f6ce9b14784302bb7ad42f1cba";
+const TRAP_DIGEST: &str = "d34bf4042075b09434ddc45c6fd1ba615d13b0301b72d15d9ed6a5d73b5cbefe";
+const NIZK_SUBMIT_DIGEST: &str = "7720b312c9dfb3d53b8b8a72c21349eb6d7e4a24e78286d40d9e4661b4140f20";
+const NIZK_DIGEST: &str = "f04d6503ac9ee731772302956bc76d6ff544588c9a75bffc8ac21893bcb55c3b";
