@@ -5,15 +5,18 @@
 //! carries NIZK proofs and every mixing hop re-encrypts — so this module
 //! concentrates the three amortization layers the hot paths share:
 //!
-//! * **Fixed-base tables** ([`fixed_base_table`] / [`mul_fixed`]): 5-bit
-//!   windows of `base^(j·32^i)` precomputed once per base, so a fixed-base
-//!   exponentiation is at most 52 multiplies and *no squarings*. The group
+//! * **Fixed-base tables** ([`fixed_base_table`] / [`mul_fixed`]): a
+//!   Lim–Lee comb precomputed once per base — the exponent read as 8 rows
+//!   of 32 bits, every product of the 8 row units tabulated for each of
+//!   two 16-column blocks — so a fixed-base exponentiation is 15 squarings
+//!   and 32 multiplies, half of them off the squaring chain. The group
 //!   generator uses the process-wide
 //!   [`RISTRETTO_BASEPOINT_TABLE`](curve25519_dalek::constants); other
 //!   heavily reused bases (each round's DKG group public keys, the Pedersen
-//!   blinding generator) go through a small keyed cache here. A table costs
-//!   52·(16 squarings + 15 multiplies) to build and pays for itself after
-//!   three or four uses; round keys are reused thousands of times.
+//!   blinding generator) go through a small keyed cache here. A table is
+//!   16 KiB, costs 240 squarings and 510 multiplies to build and pays for
+//!   itself after three or four uses; round keys are reused thousands of
+//!   times.
 //!
 //! * **Multi-exponentiation** ([`multiscalar_mul`],
 //!   [`multiscalar_mul_distinct`]): the folded sums of the aggregated
@@ -66,12 +69,17 @@
 //!
 //! ## Algorithm choices
 //!
-//! * Window sizes: the one-shot ladders (`pow`, Straus) use w = 4, where a
-//!   254-bit exponent costs 14 table multiplies plus ~60 window multiplies
-//!   on top of the squarings; the precomputed tables, whose build is
-//!   amortized over thousands of uses, use w = 5 — placed by measurement
-//!   against 4 and 6 on the frozen benchmark (numbers on `TABLE_WINDOW` in
-//!   the vendored field).
+//! * Window sizes: the variable-base loop (`pow`, `pow_lockstep`) slides
+//!   5-bit windows over odd powers, where a 254-bit exponent costs 1
+//!   squaring + 15 multiplies of table and ~42 window multiplies on top of
+//!   its 253 squarings; Straus interleaving keeps fixed 4-bit windows. The
+//!   squarings of one exponentiation depend on each other and run at the
+//!   multiplier's latency, so a message's peels — one exponent, one base
+//!   per component — advance four at a time
+//!   (`RistrettoPoint::mul_each`, called from
+//!   [`crate::elgamal::reencrypt_message`]). The comb's shape and the lane
+//!   count were placed by measurement on the frozen benchmark (numbers on
+//!   `COMB_BLOCKS` and `POW_LANES` in the vendored field).
 //! * The multiply kernel: both moduli are pseudo-Mersenne (`2^b − c`), so
 //!   `Modulus::{mul, sqr}` are a fully unrolled 4×4-limb schoolbook product
 //!   (ten limb products for a square) and one fold pass — high half times
@@ -80,8 +88,8 @@
 //!   behind a never-taken branch. Measured on the 2.1 GHz Xeon the
 //!   benchmark runs on, against the loop-and-`while` kernel it replaced:
 //!   `mul` 26.8 → 13.8 ns, `sqr` 24.3 → 12.1 ns, 254-bit `pow` 7.76 →
-//!   4.18 µs, fixed-base `PowTable::pow` 1.59 → 0.85 µs at the old 4-bit
-//!   window (0.71 µs at 5). The kernel is `#[inline(always)]` so that it
+//!   4.18 µs, fixed-base `PowTable::pow` 1.59 → 0.85 µs on the 4-bit
+//!   window table of the time (0.60 µs as a comb). The kernel is `#[inline(always)]` so that it
 //!   lands inside every exponentiation loop, here and across crates,
 //!   whatever profile the depending workspace builds with (the frozen
 //!   benchmark is a workspace of its own).
@@ -91,9 +99,9 @@
 //!   two limb comparisons decide membership where the quadratic-residue
 //!   presentation needed a Jacobi symbol (2.0 µs) or Euler's criterion
 //!   (9.4 µs). Still exact, still one encoding per element.
-//! * Leading zero windows are skipped (`U256::bits`), so short exponents
-//!   (Lagrange indices, Feldman evaluation points) cost proportionally
-//!   less.
+//! * Exponents of at most eight bits (Lagrange indices, Feldman evaluation
+//!   points) run as plain square-and-multiply over their own bits, with no
+//!   table of odd powers to pay for.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -111,14 +119,15 @@ use crate::nizk::reenc::{self, ReEncProof, ReEncStatement};
 use crate::nizk::shuffle::{self, ShuffleProof};
 use crate::transcript::Transcript;
 
-/// Entries kept in the fixed-base table cache before it is flushed. Keys are
+/// Entries kept in the fixed-base table cache before it evicts. Keys are
 /// per-round, so steady state holds one table per live group key; the cap
-/// only bounds pathological key churn (e.g. key-per-message tests).
+/// only bounds pathological key churn (e.g. key-per-message tests) — at
+/// 16 KiB a table, 1 MiB.
 const TABLE_CACHE_CAP: usize = 64;
 
-/// Table-cache lookups that found an existing window table.
+/// Table-cache lookups that found an existing table.
 static TABLE_CACHE_HITS: Counter = Counter::new("crypto.table_cache.hits");
-/// Table-cache lookups that had to build a fresh window table.
+/// Table-cache lookups that had to build a fresh table.
 static TABLE_CACHE_MISSES: Counter = Counter::new("crypto.table_cache.misses");
 /// Fixed-base scalar multiplications served through [`mul_fixed`].
 static FIXED_BASE_CALLS: Counter = Counter::new("crypto.fixed_base.calls");
@@ -145,8 +154,8 @@ fn table_cache() -> &'static Mutex<HashMap<[u8; 32], Arc<RistrettoBasepointTable
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The shared precomputed window table for `point`, building and caching it
-/// on first use. The window build itself happens lazily outside the cache
+/// The shared precomputed table for `point`, building and caching it
+/// on first use. The comb build itself happens lazily outside the cache
 /// lock, so concurrent callers never serialize on table construction.
 pub fn fixed_base_table(point: &RistrettoPoint) -> Arc<RistrettoBasepointTable> {
     let key = point.compress().to_bytes();
@@ -170,7 +179,7 @@ pub fn fixed_base_table(point: &RistrettoPoint) -> Arc<RistrettoBasepointTable> 
 }
 
 /// Fixed-base scalar multiplication `scalar · point` through the cached
-/// window table for `point`.
+/// table for `point`.
 pub fn mul_fixed(point: &RistrettoPoint, scalar: &Scalar) -> RistrettoPoint {
     FIXED_BASE_CALLS.add(1);
     fixed_base_table(point).mul_scalar(scalar)

@@ -18,6 +18,7 @@
 //! ("out-of-order" decryption). The last server of a group drops `Y` before
 //! forwarding (see [`Ciphertext::finalize_handoff`]).
 
+use atom_obs::Counter;
 use curve25519_dalek::constants::RISTRETTO_BASEPOINT_TABLE;
 use curve25519_dalek::ristretto::RistrettoPoint;
 use curve25519_dalek::scalar::Scalar;
@@ -27,6 +28,16 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CryptoError, CryptoResult};
+
+/// Variable-base exponentiations run by [`reencrypt_message`] (the peel),
+/// added once per message. With [`EXP_FIXED_BASE`], `crypto.fixed_base.calls`
+/// and `crypto.multiexp.terms` this makes exponentiations per delivered
+/// message a quotient of counters.
+static EXP_VAR_BASE: Counter = Counter::new("crypto.exp.var_base");
+/// Fixed-base exponentiations run by [`encrypt_message`], [`shuffle`] and
+/// [`reencrypt_message`] (two per randomizer: the generator and a group
+/// key), added once per message or batch.
+static EXP_FIXED_BASE: Counter = Counter::new("crypto.exp.fixed_base");
 
 /// An ElGamal secret key (a scalar).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -269,14 +280,23 @@ fn reencrypt_with_table_core(
     ct: &Ciphertext,
     fresh: &Scalar,
 ) -> Ciphertext {
+    // `c + (−x)·Y` avoids the point-subtraction inversion.
+    let peel = -*peel_secret * swap_view(ct).1;
+    reencrypt_around_peel(next_table, ct, peel, fresh)
+}
+
+/// `ReEnc` given its one variable-base term, `peel = (−x)·Y` for the `Y` of
+/// [`swap_view`].
+fn reencrypt_around_peel(
+    next_table: Option<&curve25519_dalek::ristretto::RistrettoBasepointTable>,
+    ct: &Ciphertext,
+    peel: RistrettoPoint,
+    fresh: &Scalar,
+) -> Ciphertext {
     // Step 1: if Y = ⊥, move the current randomness into Y and reset R.
-    let (mut r, y) = match ct.y {
-        Some(y) => (ct.r, y),
-        None => (RistrettoPoint::identity(), ct.r),
-    };
-    // Step 2: peel one layer of the current group's encryption
-    // (`c + (−x)·Y` avoids the point-subtraction inversion).
-    let mut c = ct.c + -*peel_secret * y;
+    let (mut r, y) = swap_view(ct);
+    // Step 2: peel one layer of the current group's encryption.
+    let mut c = ct.c + peel;
     // Step 3: add a layer toward the next group's key (if any).
     if let Some(next) = next_table {
         r += fresh * RISTRETTO_BASEPOINT_TABLE;
@@ -337,6 +357,7 @@ pub fn encrypt_message<R: RngCore + CryptoRng>(
     points: &[RistrettoPoint],
     rng: &mut R,
 ) -> (MessageCiphertext, Vec<Scalar>) {
+    EXP_FIXED_BASE.add(2 * points.len() as u64);
     let pk_table = crate::batch::fixed_base_table(&pk.0);
     let mut components = Vec::with_capacity(points.len());
     let mut randomness = Vec::with_capacity(points.len());
@@ -357,6 +378,13 @@ pub fn decrypt_message(
 }
 
 /// Re-encrypts every component of a message ciphertext.
+///
+/// Every component is peeled with the same exponent, so the peels
+/// `(−x)·Y_l` run as one same-scalar batch (`RistrettoPoint::mul_each`, the
+/// only caller of that entry point). The fresh randomness is drawn first,
+/// one scalar per component in component order — the draws
+/// [`reencrypt`] would make — so the output is the one a component-wise
+/// loop gives, byte for byte.
 pub fn reencrypt_message<R: RngCore + CryptoRng>(
     peel_secret: &Scalar,
     next_pk: Option<&PublicKey>,
@@ -364,14 +392,37 @@ pub fn reencrypt_message<R: RngCore + CryptoRng>(
     rng: &mut R,
 ) -> (MessageCiphertext, Vec<ReEncWitness>) {
     let next_table = next_pk.map(|next| crate::batch::fixed_base_table(&next.0));
-    let mut components = Vec::with_capacity(ct.components.len());
-    let mut witnesses = Vec::with_capacity(ct.components.len());
-    for component in &ct.components {
-        let (out, witness) =
-            reencrypt_with_table(peel_secret, next_table.as_deref(), component, rng);
-        components.push(out);
-        witnesses.push(witness);
-    }
+    let n = ct.components.len() as u64;
+    EXP_VAR_BASE.add(n);
+    EXP_FIXED_BASE.add(if next_table.is_some() { 2 * n } else { 0 });
+    let witnesses: Vec<ReEncWitness> = ct
+        .components
+        .iter()
+        .map(|component| ReEncWitness {
+            peel_secret: *peel_secret,
+            fresh_randomness: match next_table {
+                Some(_) => Scalar::random(rng),
+                None => Scalar::ZERO,
+            },
+            swapped: component.y.is_none(),
+        })
+        .collect();
+    let ys: Vec<RistrettoPoint> = ct.components.iter().map(|c| swap_view(c).1).collect();
+    let peels = RistrettoPoint::mul_each(&-*peel_secret, &ys);
+    let components = ct
+        .components
+        .iter()
+        .zip(peels)
+        .zip(&witnesses)
+        .map(|((component, peel), witness)| {
+            reencrypt_around_peel(
+                next_table.as_deref(),
+                component,
+                peel,
+                &witness.fresh_randomness,
+            )
+        })
+        .collect();
     (MessageCiphertext { components }, witnesses)
 }
 
@@ -407,6 +458,7 @@ pub fn shuffle<R: RngCore + CryptoRng>(
         permutation.swap(i, j);
     }
 
+    EXP_FIXED_BASE.add(2 * batch.iter().map(|m| m.components.len() as u64).sum::<u64>());
     let pk_table = crate::batch::fixed_base_table(&pk.0);
     let mut output = Vec::with_capacity(n);
     let mut randomness = Vec::with_capacity(n);
@@ -597,6 +649,105 @@ mod tests {
             let points = decrypt_message(&kp.secret, &shuffled[j]).unwrap();
             let original = decode_message(&messages[src]).unwrap();
             assert_eq!(decode_message(&points).unwrap(), original);
+        }
+    }
+
+    /// Message ciphertexts of `components` random points under `pk`.
+    fn random_messages(
+        pk: &PublicKey,
+        components: usize,
+        count: usize,
+        rng: &mut StdRng,
+    ) -> Vec<MessageCiphertext> {
+        (0..count)
+            .map(|_| {
+                let points: Vec<RistrettoPoint> = (0..components)
+                    .map(|_| RistrettoPoint::random(rng))
+                    .collect();
+                encrypt_message(pk, &points, rng).0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reencrypt_message_is_the_component_wise_loop() {
+        let mut rng = rng();
+        let member = KeyPair::generate(&mut rng);
+        let next = KeyPair::generate(&mut rng);
+        for components in [1usize, 5, 6, 7, 9] {
+            let fresh = random_messages(&member.public, components, 1, &mut rng).remove(0);
+            // A second hop sees Y ≠ ⊥ (no swap).
+            let swapped =
+                reencrypt_message(&member.secret.0, Some(&next.public), &fresh, &mut rng).0;
+            for input in [&fresh, &swapped] {
+                for next_pk in [Some(&next.public), None] {
+                    let mut reference_rng = rng.clone();
+                    let (out, witnesses) =
+                        reencrypt_message(&member.secret.0, next_pk, input, &mut rng);
+                    assert_eq!(out.len(), components);
+                    assert_eq!(witnesses.len(), components);
+                    for ((component, output), witness) in
+                        input.components.iter().zip(&out.components).zip(&witnesses)
+                    {
+                        // Same draws in the same order as one `reencrypt`
+                        // per component ...
+                        let (expected, expected_witness) =
+                            reencrypt(&member.secret.0, next_pk, component, &mut reference_rng);
+                        assert_eq!(*output, expected);
+                        assert_eq!(witness.fresh_randomness, expected_witness.fresh_randomness);
+                        assert_eq!(witness.peel_secret, member.secret.0);
+                        assert_eq!(witness.swapped, component.y.is_none());
+                        assert_eq!(next_pk.is_none(), witness.fresh_randomness == Scalar::ZERO);
+                        // ... and the deterministic core on the witness.
+                        assert_eq!(
+                            *output,
+                            reencrypt_with(
+                                &witness.peel_secret,
+                                next_pk,
+                                component,
+                                &witness.fresh_randomness
+                            )
+                        );
+                    }
+                    assert_eq!(rng.next_u64(), reference_rng.next_u64());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shuffle_is_the_component_wise_loop() {
+        let mut rng = rng();
+        let kp = KeyPair::generate(&mut rng);
+        for components in [1usize, 5, 6, 7, 9] {
+            let batch = random_messages(&kp.public, components, 5, &mut rng);
+            let mut reference_rng = rng.clone();
+            let (outputs, witness) = shuffle(&kp.public, &batch, &mut rng).unwrap();
+            // Draw order: the permutation's n − 1 words, then one scalar
+            // per output slot and component.
+            for _ in 1..batch.len() {
+                reference_rng.next_u64();
+            }
+            let mut sources = witness.permutation.clone();
+            sources.sort_unstable();
+            assert_eq!(sources, (0..batch.len()).collect::<Vec<_>>());
+            for ((output, &src), randomness) in outputs
+                .iter()
+                .zip(&witness.permutation)
+                .zip(&witness.randomness)
+            {
+                assert_eq!(output.len(), components);
+                for ((component, out), r) in batch[src]
+                    .components
+                    .iter()
+                    .zip(&output.components)
+                    .zip(randomness)
+                {
+                    assert_eq!(*r, Scalar::random(&mut reference_rng));
+                    assert_eq!(*out, rerandomize_with(&kp.public, component, r));
+                }
+            }
+            assert_eq!(rng.next_u64(), reference_rng.next_u64());
         }
     }
 

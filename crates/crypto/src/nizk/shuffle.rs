@@ -287,7 +287,7 @@ pub fn prove_shuffle<R: RngCore + CryptoRng>(
     }
 
     // Announcements for the per-step multiplication proofs. The blinding
-    // generator's window table is looked up once for the whole loop.
+    // generator's comb table is looked up once for the whole loop.
     let h_table = crate::batch::fixed_base_table(&key.h);
     let mut step_secrets = Vec::with_capacity(n.saturating_sub(1));
     let mut step_announcements = Vec::with_capacity(n.saturating_sub(1));
@@ -516,7 +516,7 @@ pub fn verify_shuffle_sequential(
         .collect();
 
     // Product argument: each multiplicative step (the blinding generator's
-    // window table is looked up once for the whole loop).
+    // comb table is looked up once for the whole loop).
     let h_table = crate::batch::fixed_base_table(&key.h);
     for j in 1..n {
         let step = &proof.product_steps[j - 1];

@@ -49,7 +49,7 @@ impl CommitmentKey {
     /// Commits to `value` with blinding factor `blinding`.
     pub fn commit(&self, value: &Scalar, blinding: &Scalar) -> RistrettoPoint {
         // Both generators are fixed for the lifetime of the process, so the
-        // precomputed window tables make this two table walks.
+        // precomputed comb tables make this two fixed-base exponentiations.
         crate::batch::mul_fixed(&self.g, value) + crate::batch::mul_fixed(&self.h, blinding)
     }
 
