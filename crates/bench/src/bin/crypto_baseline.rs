@@ -1,24 +1,28 @@
 //! Crypto-engine perf baseline: times the key batched-engine paths against
-//! their naive counterparts and writes `BENCH_crypto.json` (repo root) so CI
-//! and future sessions can compare against a recorded baseline.
+//! their naive counterparts, the shuffle argument at the frozen benchmark's
+//! own shape, and writes `BENCH_crypto.json` (repo root) so CI and future
+//! sessions can compare against a recorded baseline.
 //!
 //! Usage: `cargo run --release -p atom-bench --bin crypto_baseline --
 //! [--out PATH] [--iters N]`
 //!
 //! The emitted JSON holds mean microseconds per operation plus the speedup
 //! ratios the acceptance gates care about (`fixed_base_speedup`,
-//! `lockstep_speedup`, `enc_batch_speedup`, `reenc_aggregation_speedup`,
-//! `shuffle_batch_speedup`) and the one absolute gate, `point_decode_ns`
-//! (validating a wire point is a range check, not arithmetic: ≤ 200 ns
-//! where the Jacobi-symbol check it replaced took ≈ 2,000). The binary
-//! asserts the gates itself, so a regression fails CI.
+//! `lockstep_speedup`, `enc_batch_speedup`, `reenc_aggregation_speedup`)
+//! and the absolute gates: `point_decode_ns` (validating a wire point is a
+//! range check, not arithmetic: ≤ 200 ns where the Jacobi-symbol check it
+//! replaced took ≈ 2,000), `shuffle_proof_bytes_per_ct` (≤ 0.35 of the
+//! 352 B per ciphertext the per-element proof took) and the exact count
+//! `shuffle_verify_chain_terms` (the `crypto.multiexp.terms` a chain
+//! verification spends, ≤ (k+1)·2L·n + n + (6+2L)·k — a counter, so the gate
+//! cannot trip on a contended host). The binary asserts the gates itself, so
+//! a regression fails CI.
 //!
-//! The two batch gates sit at 2×: their denominators — the naive ladder
-//! and the sequential verifier — are pure exponentiation and run at the
-//! kernel's speed, while the batched paths spend about 45 % of their time
-//! in transcript hashing and scalar bookkeeping that no multiply touches
-//! (measured 2.25× and 2.7×; 4.2× and 4.0× on the slower kernel before
-//! PR 12, when the gates were 3×).
+//! The `EncProof` batch gate sits at 2×: its denominator — the naive
+//! ladder — is pure exponentiation and runs at the kernel's speed, while
+//! the batched path spends about 45 % of its time in transcript hashing and
+//! scalar bookkeeping that no multiply touches (measured 2.25×; 4.2× on the
+//! slower kernel before PR 12, when the gate was 3×).
 
 use std::time::Instant;
 
@@ -40,15 +44,19 @@ use atom_crypto::nizk::enc::{prove_encryption, verify_encryption};
 use atom_crypto::nizk::reenc::{
     prove_reencryption_slice, verify_reencryption_slice, ReEncStatement,
 };
-use atom_crypto::nizk::shuffle::{prove_shuffle, verify_shuffle_sequential, ShuffleProof};
+use atom_crypto::nizk::shuffle::{prove_shuffle, ShuffleProof};
 
 const BATCH: usize = 16;
 /// Sub-batch sizes the aggregated `ReEncProof` is timed at.
 const REENC_SIZES: [usize; 3] = [1, 16, 128];
-/// Members in the benchmarked shuffle chain (one proof per member).
-const SHUF_MEMBERS: usize = 4;
-/// Messages flowing through the benchmarked shuffle chain.
-const SHUF_MSGS: usize = 32;
+/// Members in the benchmarked shuffle chain (one proof per member): the
+/// frozen benchmark's group size.
+const SHUF_MEMBERS: usize = 3;
+/// Messages flowing through the benchmarked shuffle chain: one group's
+/// share of a `bulk_nizk` round.
+const SHUF_MSGS: usize = 512;
+/// Their length: the benchmark's 160-byte microblog post, six components.
+const SHUF_MSG_LEN: usize = 160;
 /// Bases raised to one exponent by the lockstep measurement: the components
 /// of a 160-byte trap message, i.e. one `reencrypt_message` peel.
 const LOCKSTEP_BASES: usize = 7;
@@ -305,23 +313,29 @@ fn main() {
     }) * 1e3
         / block.len() as f64;
 
-    // ShufProof: sequential per-proof verification vs one combined RLC check
-    // over a SHUF_MEMBERS-link shuffle chain (distinct statements per link,
-    // exactly what the group engine hands to `verify_shuffle_batch`).
+    // ShufProof at the shape of a `bulk_nizk` group step: proving one link,
+    // and one combined RLC check over the SHUF_MEMBERS-link chain (each
+    // link's output is the next link's input, exactly what the group engine
+    // hands to `verify_shuffle_batch`), per ciphertext and link.
     let group = KeyPair::generate(&mut rng);
     let initial: Vec<_> = (0..SHUF_MSGS)
         .map(|i| {
-            let points = encode_message(format!("mix {i}").as_bytes()).unwrap();
+            let points = encode_message(&[i as u8; SHUF_MSG_LEN]).unwrap();
             encrypt_message(&group.public, &points, &mut rng).0
         })
         .collect();
+    let shuf_components = initial[0].components.len();
     let mut stages = vec![initial];
     let mut shuffle_proofs: Vec<ShuffleProof> = Vec::with_capacity(SHUF_MEMBERS);
+    let mut shuffle_prove_us_per_ct = f64::INFINITY;
     for _ in 0..SHUF_MEMBERS {
         let inputs = stages.last().unwrap();
         let (outputs, witness) = shuffle(&group.public, inputs, &mut rng).unwrap();
-        shuffle_proofs
-            .push(prove_shuffle(&group.public, inputs, &outputs, &witness, &mut rng).unwrap());
+        let started = Instant::now();
+        let proof = prove_shuffle(&group.public, inputs, &outputs, &witness, &mut rng).unwrap();
+        shuffle_prove_us_per_ct =
+            shuffle_prove_us_per_ct.min(started.elapsed().as_secs_f64() * 1e6 / SHUF_MSGS as f64);
+        shuffle_proofs.push(proof);
         stages.push(outputs);
     }
     let shuffle_items: Vec<ShuffleVerification<'_>> = shuffle_proofs
@@ -334,29 +348,48 @@ fn main() {
             proof,
         })
         .collect();
-    let shuffle_per_proof_us = time_us(args.iters, || {
-        for item in &shuffle_items {
-            verify_shuffle_sequential(item.pk, item.inputs, item.outputs, item.proof).unwrap();
-        }
-    }) / SHUF_MEMBERS as f64;
-    let shuffle_batch_us =
-        time_us(args.iters, || verify_shuffle_batch(&shuffle_items).unwrap()) / SHUF_MEMBERS as f64;
+    let chain_cts = (SHUF_MEMBERS * SHUF_MSGS) as f64;
+    let shuffle_verify_chain_us_per_ct =
+        time_us(args.iters, || verify_shuffle_batch(&shuffle_items).unwrap()) / chain_cts;
+    let shuffle_proof_bytes_per_ct = shuffle_proofs[0].encoded_len() as f64 / SHUF_MSGS as f64;
+    // What one chain verification feeds its multi-exponentiations, read
+    // from the program's own counter: every distinct point once.
+    let multiexp_terms = || {
+        atom_obs::counter_snapshot()
+            .into_iter()
+            .find(|(name, _)| name == "crypto.multiexp.terms")
+            .map_or(0, |(_, value)| value)
+    };
+    atom_obs::set_enabled(true);
+    let terms_before = multiexp_terms();
+    verify_shuffle_batch(&shuffle_items).unwrap();
+    let shuffle_verify_chain_terms = multiexp_terms() - terms_before;
+    atom_obs::set_enabled(false);
+    let shuffle_verify_chain_terms_bound = (SHUF_MEMBERS + 1) * 2 * shuf_components * SHUF_MSGS
+        + SHUF_MSGS
+        + (6 + 2 * shuf_components) * SHUF_MEMBERS;
 
     // Host cores and revision, so baselines from different PRs and machines
-    // are never compared blind ("unknown" outside a git checkout).
+    // are never compared blind ("unknown" outside a git checkout). `dirty`
+    // says whether the tree differed from that revision: a file recorded
+    // while a change is being written names the *parent's* revision.
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let git_revision = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|output| output.status.success())
-        .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|output| output.status.success())
+            .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+    };
+    let git_revision = git(&["rev-parse", "HEAD"])
         .filter(|revision| !revision.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
+    let dirty = git(&["status", "--porcelain"]).is_none_or(|status| !status.is_empty());
 
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"git_revision\": \"{git_revision}\",\n  \
+        "{{\n  \"nproc\": {nproc},\n  \"git_revision\": \"{git_revision}\",\n  \"dirty\": {dirty},\n  \
          \"batch_size\": {BATCH},\n  \"pow_naive_us\": {pow_naive_us:.2},\n  \
          \"pow_windowed_us\": {pow_windowed_us:.2},\n  \"pow_lockstep_us\": {pow_lockstep_us:.2},\n  \
          \"pow_fixed_base_us\": {pow_fixed_base_us:.2},\n  \
@@ -369,17 +402,19 @@ fn main() {
          \"reenc_prove_us_per_ct_16\": {reenc_prove_16:.2},\n  \"reenc_verify_us_per_ct_16\": {reenc_verify_16:.2},\n  \
          \"reenc_prove_us_per_ct_128\": {reenc_prove_128:.2},\n  \"reenc_verify_us_per_ct_128\": {reenc_verify_128:.2},\n  \
          \"keccak_absorb_ns_per_byte\": {keccak_absorb_ns_per_byte:.2},\n  \
-         \"shuffle_verify_per_proof_us\": {shuffle_per_proof_us:.2},\n  \
-         \"shuffle_verify_batch_us\": {shuffle_batch_us:.2},\n  \
+         \"shuffle_prove_us_per_ct\": {shuffle_prove_us_per_ct:.2},\n  \
+         \"shuffle_verify_chain_us_per_ct\": {shuffle_verify_chain_us_per_ct:.2},\n  \
+         \"shuffle_proof_bytes_per_ct\": {shuffle_proof_bytes_per_ct:.2},\n  \
+         \"shuffle_verify_chain_terms\": {shuffle_verify_chain_terms},\n  \
+         \"shuffle_verify_chain_terms_bound\": {shuffle_verify_chain_terms_bound},\n  \
          \"windowed_speedup\": {:.2},\n  \"lockstep_speedup\": {lockstep_speedup:.2},\n  \
          \"fixed_base_speedup\": {:.2},\n  \
          \"enc_batch_speedup_vs_naive\": {:.2},\n  \"enc_batch_speedup_vs_per_proof\": {:.2},\n  \
-         \"reenc_aggregation_speedup\": {reenc_aggregation_speedup:.2},\n  \"shuffle_batch_speedup\": {:.2}\n}}\n",
+         \"reenc_aggregation_speedup\": {reenc_aggregation_speedup:.2}\n}}\n",
         pow_naive_us / pow_windowed_us,
         pow_naive_us / pow_fixed_base_us,
         enc_naive_us / enc_batch_us,
         enc_per_proof_us / enc_batch_us,
-        shuffle_per_proof_us / shuffle_batch_us,
     );
     print!("{json}");
     std::fs::write(&args.out, &json).expect("write baseline json");
@@ -406,7 +441,11 @@ fn main() {
         "one ReEncProof over 128 messages must cost at most 1/2.5 of 128 single-message proofs"
     );
     assert!(
-        shuffle_per_proof_us / shuffle_batch_us >= 2.0,
-        "batched ShufProof verification must be at least 2x over the sequential verifier"
+        shuffle_verify_chain_terms <= shuffle_verify_chain_terms_bound as u64,
+        "a chain verification must spend one multi-exponentiation term per distinct point"
+    );
+    assert!(
+        shuffle_proof_bytes_per_ct <= 0.35 * 11.0 * 32.0,
+        "a ShufProof must stay within 0.35 of the per-element proof's 352 B per ciphertext"
     );
 }

@@ -105,7 +105,7 @@ fn maul(batch: &mut [MessageCiphertext], slot: usize) {
         .get_mut(slot)
         .and_then(|message| message.components.first_mut())
     {
-        component.c += atom_crypto::pedersen::CommitmentKey::atom().g;
+        component.c += curve25519_dalek::constants::RISTRETTO_BASEPOINT_POINT;
     }
 }
 

@@ -18,10 +18,10 @@
 //!   itself after three or four uses; round keys are reused thousands of
 //!   times.
 //!
-//! * **Multi-exponentiation** ([`multiscalar_mul`],
-//!   [`multiscalar_mul_distinct`]): the folded sums of the aggregated
-//!   `ReEncProof` and the big RLC combinations below share a single squaring
-//!   chain across all terms. Small products use Straus/Shamir interleaving
+//! * **Multi-exponentiation** ([`multiscalar_mul`]): the folded sums of the
+//!   aggregated `ReEncProof`, the vector commitments of a `ShufProof` and
+//!   the big RLC combinations below share a single squaring chain across all
+//!   terms. Small products use Straus/Shamir interleaving
 //!   (4-bit windows); past the backend's `PIPPENGER_CUTOFF` the vendored
 //!   `multi_pow` switches to the Pippenger bucket method, whose per-term
 //!   cost keeps shrinking as the products grow into the thousands of terms.
@@ -36,8 +36,9 @@
 //!   `Σ_e ρ_e·LHS_e = Σ_e ρ_e·RHS_e`, evaluated as one fixed-base
 //!   multiplication plus one multi-exponentiation. For shuffle proofs the
 //!   combination spans *all* equations of *all* proofs of a group step's
-//!   shuffle chain (~5n per proof), so the multi-exponentiation routinely
-//!   exceeds the Pippenger crossover of the backend's `multi_pow`.
+//!   shuffle chain with one term per distinct point (see
+//!   [`crate::nizk::shuffle`]) — tens of thousands of terms, far past the
+//!   Pippenger crossover of the backend's `multi_pow`.
 //!   (`ReEncProof`s need no verifier-side batching: the same small-exponent
 //!   fold sits on the prover's side of Fiat-Shamir, one proof per member
 //!   and sub-batch — see [`crate::nizk::reenc`].)
@@ -58,7 +59,7 @@
 //! with negligible probability, and batch **rejection** automatically falls
 //! back to per-proof verification, so callers always receive the *same*
 //! verdict — including which proof (and hence which server, for blame
-//! assignment in `atom-core`) failed — as the sequential verifier.
+//! assignment in `atom-core`) failed — as verifying each proof on its own.
 //!
 //! The aggregated `ReEncProof` spends the same `2^-128`, once: its `ρ_l`
 //! come from a transcript that has absorbed `P`, `X'` and the whole
@@ -133,7 +134,7 @@ static TABLE_CACHE_MISSES: Counter = Counter::new("crypto.table_cache.misses");
 static FIXED_BASE_CALLS: Counter = Counter::new("crypto.fixed_base.calls");
 /// Multi-exponentiation invocations ([`multiscalar_mul`]).
 static MULTIEXP_CALLS: Counter = Counter::new("crypto.multiexp.calls");
-/// Total terms fed into multi-exponentiations (pre-coalescing).
+/// Total terms fed into multi-exponentiations.
 static MULTIEXP_TERMS: Counter = Counter::new("crypto.multiexp.terms");
 /// RLC-batched `EncProof` verification calls.
 static VERIFY_ENC_BATCHES: Counter = Counter::new("crypto.verify_enc.batches");
@@ -185,33 +186,11 @@ pub fn mul_fixed(point: &RistrettoPoint, scalar: &Scalar) -> RistrettoPoint {
     fixed_base_table(point).mul_scalar(scalar)
 }
 
-/// `Σ scalars[k] · points[k]` by Straus/Shamir interleaving (one shared
-/// doubling chain). Duplicate points are coalesced by summing their
-/// coefficients first, which matters for combinations whose equations share
-/// bases (a shuffle proof's commitments each appear in several equations).
+/// `Σ scalars[k] · points[k]` over one shared doubling chain (Straus/Shamir
+/// interleaving, Pippenger buckets past the backend's crossover). Terms are
+/// taken as given: callers that meet the same point in several equations
+/// merge its coefficients by index first (`nizk::shuffle`'s accumulator).
 pub fn multiscalar_mul(scalars: &[Scalar], points: &[RistrettoPoint]) -> RistrettoPoint {
-    debug_assert_eq!(scalars.len(), points.len());
-    MULTIEXP_CALLS.add(1);
-    MULTIEXP_TERMS.add(scalars.len() as u64);
-    let mut index: HashMap<RistrettoPoint, usize> = HashMap::with_capacity(points.len());
-    let mut unique_points: Vec<RistrettoPoint> = Vec::with_capacity(points.len());
-    let mut coefficients: Vec<Scalar> = Vec::with_capacity(points.len());
-    for (scalar, point) in scalars.iter().zip(points.iter()) {
-        match index.get(point) {
-            Some(&slot) => coefficients[slot] += scalar,
-            None => {
-                index.insert(*point, unique_points.len());
-                unique_points.push(*point);
-                coefficients.push(*scalar);
-            }
-        }
-    }
-    RistrettoPoint::multiscalar_mul(&coefficients, &unique_points)
-}
-
-/// [`multiscalar_mul`] for points that are distinct by construction (the
-/// ciphertext components of a sub-batch): no coalescing pass.
-pub fn multiscalar_mul_distinct(scalars: &[Scalar], points: &[RistrettoPoint]) -> RistrettoPoint {
     MULTIEXP_CALLS.add(1);
     MULTIEXP_TERMS.add(scalars.len() as u64);
     RistrettoPoint::multiscalar_mul(scalars, points)
@@ -238,7 +217,7 @@ pub struct EncVerification<'a> {
 /// Verifies a batch of `EncProof`s with one RLC check, falling back to
 /// per-proof verification when the combined check rejects. `Err((i, e))`
 /// identifies the first item (in slice order) that fails individually —
-/// exactly the verdict the sequential verifier would produce.
+/// exactly the verdict verifying one by one would produce.
 pub fn verify_encryption_batch(items: &[EncVerification<'_>]) -> Result<(), (usize, CryptoError)> {
     VERIFY_ENC_BATCHES.add(1);
     VERIFY_ENC_ITEMS.add(items.len() as u64);
@@ -357,46 +336,19 @@ pub struct ShuffleVerification<'a> {
 pub fn verify_shuffle_batch(items: &[ShuffleVerification<'_>]) -> Result<(), (usize, CryptoError)> {
     VERIFY_SHUF_BATCHES.add(1);
     VERIFY_SHUF_ITEMS.add(items.len() as u64);
-    if items.len() > 1 && try_verify_shuffle_rlc(items).is_ok() {
+    if items.len() > 1 && shuffle::verify_chain(items).is_ok() {
         return Ok(());
     }
     if items.len() > 1 {
         VERIFY_SHUF_FALLBACKS.add(1);
     }
     // Single item, structural oddity, or combined-check rejection: decide
-    // per proof so error identity matches the sequential path. (The single
-    // item still takes its own intra-proof RLC fast path.)
+    // per proof, in slice order.
     for (i, item) in items.iter().enumerate() {
         shuffle::verify_shuffle(item.pk, item.inputs, item.outputs, item.proof)
             .map_err(|e| (i, e))?;
     }
     Ok(())
-}
-
-/// The RLC fast path for `ShuffleProof` batches: every equation of every
-/// proof joins one [`shuffle::RlcAccumulator`] combination, settled by a
-/// single multiscalar multiplication across the whole chain. All challenges
-/// and responses are absorbed before the first coefficient is squeezed.
-fn try_verify_shuffle_rlc(items: &[ShuffleVerification<'_>]) -> CryptoResult<()> {
-    let mut rlc = Transcript::new(shuffle::RLC_DOMAIN);
-    rlc.append_u64(b"count", items.len() as u64);
-    let mut challenges = Vec::with_capacity(items.len());
-    for item in items {
-        let ch = shuffle::replay_challenges(item.pk, item.inputs, item.outputs, item.proof)?;
-        shuffle::absorb_proof(&mut rlc, &ch, item.proof);
-        challenges.push(ch);
-    }
-    let mut acc = shuffle::RlcAccumulator::new();
-    for (item, ch) in items.iter().zip(challenges.iter()) {
-        acc.accumulate(&mut rlc, item.pk, item.inputs, item.outputs, item.proof, ch);
-    }
-    if acc.check() {
-        Ok(())
-    } else {
-        Err(CryptoError::ProofInvalid(
-            "batched ShuffleProof check failed".into(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -406,6 +358,7 @@ mod tests {
     use crate::encoding::encode_message;
     use crate::nizk::enc::prove_encryption;
     use crate::nizk::reenc::prove_reencryption;
+    use curve25519_dalek::constants::RISTRETTO_BASEPOINT_POINT;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -445,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_multiscalar_matches_naive_sum() {
+    fn multiscalar_mul_sums_repeated_points() {
         let mut rng = StdRng::seed_from_u64(2);
         let a = RistrettoPoint::random(&mut rng);
         let b = RistrettoPoint::random(&mut rng);
@@ -454,7 +407,8 @@ mod tests {
             Scalar::random(&mut rng),
             Scalar::random(&mut rng),
         );
-        // `a` appears twice: coefficients must be summed, not dropped.
+        // `a` appears twice (as every point of a copied stage does in a
+        // shuffle chain's combination): both terms count.
         let got = multiscalar_mul(&[s1, s2, s3], &[a, b, a]);
         assert_eq!(got, s1 * a + s2 * b + s3 * a);
     }
@@ -705,11 +659,12 @@ mod tests {
             .collect()
     }
 
-    fn sequential_shuffle_verdict(
+    /// The verdict of verifying each member's proof inline, in chain order.
+    fn inline_shuffle_verdict(
         items: &[ShuffleVerification<'_>],
     ) -> Result<(), (usize, CryptoError)> {
         items.iter().enumerate().try_for_each(|(i, item)| {
-            shuffle::verify_shuffle_sequential(item.pk, item.inputs, item.outputs, item.proof)
+            shuffle::verify_shuffle(item.pk, item.inputs, item.outputs, item.proof)
                 .map_err(|e| (i, e))
         })
     }
@@ -722,28 +677,75 @@ mod tests {
         let items = chain_items(&kp.public, &stages, &proofs);
         // The combined check itself must accept — no hiding behind the
         // per-proof fallback.
-        assert!(try_verify_shuffle_rlc(&items).is_ok());
+        assert!(shuffle::verify_chain(&items).is_ok());
         assert!(verify_shuffle_batch(&items).is_ok());
         // Degenerate batch sizes.
         assert!(verify_shuffle_batch(&[]).is_ok());
         assert!(verify_shuffle_batch(&items[..1]).is_ok());
     }
 
+    /// A chain's combination takes exactly one multi-exponentiation term per
+    /// distinct point — `(k+1)·2L·n + n + (6+2L)·k` when consecutive links
+    /// share their stage — and the verdict does not depend on the sharing:
+    /// stages handed over as copies are hashed and entered again.
+    #[test]
+    fn shuffle_chain_verdict_is_the_same_for_aliased_and_copied_stages() {
+        let mut rng = StdRng::seed_from_u64(54);
+        let kp = KeyPair::generate(&mut rng);
+        let (k, n) = (3, 5);
+        let (stages, mut proofs) = shuffle_chain(&mut rng, &kp, k, n);
+        let components = stages[0][0].components.len();
+        let copies = stages.clone();
+        fn copied<'a>(
+            mut items: Vec<ShuffleVerification<'a>>,
+            copies: &'a [Vec<MessageCiphertext>],
+        ) -> Vec<ShuffleVerification<'a>> {
+            for (m, item) in items.iter_mut().enumerate() {
+                item.inputs = &copies[m];
+            }
+            items
+        }
+        let shared = (k + 1) * 2 * components * n + n + (6 + 2 * components) * k;
+        let aliased = chain_items(&kp.public, &stages, &proofs);
+        assert_eq!(shuffle::chain_terms(&aliased), shared);
+        assert!(verify_shuffle_batch(&aliased).is_ok());
+        assert_eq!(
+            shuffle::chain_terms(&copied(aliased, &copies)),
+            shared + (k - 1) * 2 * components * n
+        );
+        let items = copied(chain_items(&kp.public, &stages, &proofs), &copies);
+        assert!(verify_shuffle_batch(&items).is_ok());
+
+        proofs[1].response_rho[0] += Scalar::ONE;
+        let aliased = || chain_items(&kp.public, &stages, &proofs);
+        for items in [aliased(), copied(aliased(), &copies)] {
+            let (index, error) = verify_shuffle_batch(&items).unwrap_err();
+            assert_eq!(index, 1);
+            assert!(matches!(error, CryptoError::ProofInvalid(_)));
+        }
+    }
+
+    /// Every single-field tampering of every link's proof: the chain is
+    /// rejected, and the member named is the tampered link's.
     #[test]
     fn shuffle_batch_with_one_tampered_proof_names_its_member() {
+        let mut rng = StdRng::seed_from_u64(51);
+        let kp = KeyPair::generate(&mut rng);
+        let (stages, proofs) = shuffle_chain(&mut rng, &kp, 3, 5);
         for corrupt in 0..3usize {
-            let mut rng = StdRng::seed_from_u64(51);
-            let kp = KeyPair::generate(&mut rng);
-            let (stages, mut proofs) = shuffle_chain(&mut rng, &kp, 3, 5);
-            proofs[corrupt].response_final += Scalar::ONE;
-            let items = chain_items(&kp.public, &stages, &proofs);
-            let (index, error) = verify_shuffle_batch(&items).unwrap_err();
-            assert_eq!(index, corrupt);
-            assert!(matches!(error, CryptoError::ProofInvalid(_)));
-            // Verdict-identical to the sequential path, message included.
-            let (seq_index, seq_error) = sequential_shuffle_verdict(&items).unwrap_err();
-            assert_eq!(index, seq_index);
-            assert_eq!(format!("{error:?}"), format!("{seq_error:?}"));
+            for (field, tampered) in shuffle::tampered_variants(&proofs[corrupt]) {
+                let mut proofs = proofs.clone();
+                proofs[corrupt] = tampered;
+                let items = chain_items(&kp.public, &stages, &proofs);
+                assert!(shuffle::verify_chain(&items).is_err(), "{field}");
+                let (index, error) = verify_shuffle_batch(&items).unwrap_err();
+                assert_eq!(index, corrupt, "{field}");
+                assert!(matches!(error, CryptoError::ProofInvalid(_)), "{field}");
+                // Verdict-identical to inline verification, message included.
+                let (inline_index, inline_error) = inline_shuffle_verdict(&items).unwrap_err();
+                assert_eq!(index, inline_index, "{field}");
+                assert_eq!(format!("{error:?}"), format!("{inline_error:?}"), "{field}");
+            }
         }
     }
 
@@ -755,14 +757,13 @@ mod tests {
         // Mauling stage 2 invalidates member 1's outputs (and member 2's
         // inputs); the first failing item in slice order is member 1 —
         // the verdict inline verification would reach.
-        let g = crate::pedersen::CommitmentKey::atom().g;
-        stages[2][3].components[0].c += g;
+        stages[2][3].components[0].c += RISTRETTO_BASEPOINT_POINT;
         let items = chain_items(&kp.public, &stages, &proofs);
         let (index, error) = verify_shuffle_batch(&items).unwrap_err();
         assert_eq!(index, 1);
-        let (seq_index, seq_error) = sequential_shuffle_verdict(&items).unwrap_err();
-        assert_eq!(index, seq_index);
-        assert_eq!(format!("{error:?}"), format!("{seq_error:?}"));
+        let (inline_index, inline_error) = inline_shuffle_verdict(&items).unwrap_err();
+        assert_eq!(index, inline_index);
+        assert_eq!(format!("{error:?}"), format!("{inline_error:?}"));
     }
 
     #[test]
@@ -788,7 +789,7 @@ mod tests {
         // verifies per item; duplicating the *item* must not confuse blame
         // when one copy is broken.
         let mut dup_proofs = [proofs[0].clone(), proofs[0].clone()];
-        dup_proofs[1].response_final += Scalar::ONE;
+        dup_proofs[1].response_powers_blinding += Scalar::ONE;
         let dup_items: Vec<ShuffleVerification<'_>> = dup_proofs
             .iter()
             .map(|proof| ShuffleVerification {
@@ -815,16 +816,13 @@ mod tests {
                     1 => {
                         proofs[corrupt].announce_rand[0] = RistrettoPoint::random(&mut rng);
                     }
-                    _ => {
-                        let g = crate::pedersen::CommitmentKey::atom().g;
-                        stages[corrupt + 1][0].components[0].r += g;
-                    }
+                    _ => stages[corrupt + 1][0].components[0].r += RISTRETTO_BASEPOINT_POINT,
                 }
             }
             let items = chain_items(&kp.public, &stages, &proofs);
-            let sequential = sequential_shuffle_verdict(&items);
+            let inline = inline_shuffle_verdict(&items);
             let batched = verify_shuffle_batch(&items);
-            match (&sequential, &batched) {
+            match (&inline, &batched) {
                 (Ok(()), Ok(())) => {}
                 (Err((i, ei)), Err((j, ej))) => {
                     assert_eq!(i, j, "seed {seed}");

@@ -21,8 +21,8 @@
 //! * [`encoding`] — embedding byte messages into group elements.
 //! * [`keccak`], [`aead`] — SHA-3/SHAKE256 and ChaCha20-Poly1305 implemented
 //!   from scratch.
-//! * [`pedersen`], [`transcript`] — Pedersen commitments and the Fiat-Shamir
-//!   transcript used by the proofs.
+//! * [`pedersen`], [`transcript`] — vector Pedersen commitments and the
+//!   Fiat-Shamir transcript used by the proofs.
 //!
 //! The group is Ristretto255 (`curve25519-dalek`) where the paper uses NIST
 //! P-256; in this offline build the crate is a vendored stand-in over a

@@ -9,12 +9,12 @@
 //!   and re-encrypted toward the next group's key (Chaum-Pedersen style),
 //!   one aggregated proof per server and sub-batch.
 //! * [`shuffle`] — `ShufProof`: proof that a batch of ciphertexts was
-//!   permuted and rerandomized correctly (a Bayer-Groth-style argument with
-//!   linear-size sub-arguments standing in for Neff's shuffle; the module
-//!   docs carry the substitution note). Verification is RLC-batched: the
-//!   default verifier settles a whole proof in one multiscalar equation,
-//!   and `crate::batch::verify_shuffle_batch` extends the combination
-//!   across every proof of a shuffle chain.
+//!   permuted and rerandomized correctly (the Bayer–Groth shuffle argument
+//!   in its one-row layout standing in for Neff's shuffle; the module docs
+//!   carry the substitution note). Verification is RLC-batched: one
+//!   multiscalar equation settles a whole shuffle chain, and
+//!   `crate::batch::verify_shuffle_batch` adds the per-proof fallback that
+//!   names the failing member.
 
 pub mod enc;
 pub mod reenc;
@@ -22,4 +22,4 @@ pub mod shuffle;
 
 pub use enc::{prove_encryption, verify_encryption, EncProof};
 pub use reenc::{prove_reencryption, verify_reencryption, ReEncProof};
-pub use shuffle::{prove_shuffle, verify_shuffle, verify_shuffle_sequential, ShuffleProof};
+pub use shuffle::{prove_shuffle, verify_shuffle, ShuffleProof};

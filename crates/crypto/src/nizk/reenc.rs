@@ -62,7 +62,7 @@ use serde::{Deserialize, Serialize};
 
 use atom_obs::Counter;
 
-use crate::batch::{mul_fixed, multiscalar_mul_distinct};
+use crate::batch::{mul_fixed, multiscalar_mul};
 use crate::elgamal::{swap_view, MessageCiphertext, PublicKey, ReEncWitness};
 use crate::error::{CryptoError, CryptoResult};
 use crate::transcript::Transcript;
@@ -113,27 +113,6 @@ struct Folded<'a> {
     r_out: Vec<RistrettoPoint>,
     c_in: Vec<RistrettoPoint>,
     c_out: Vec<RistrettoPoint>,
-}
-
-fn append_message(
-    t: &mut Transcript,
-    label: &'static [u8],
-    message: &MessageCiphertext,
-    buf: &mut Vec<u8>,
-) {
-    buf.clear();
-    for ct in &message.components {
-        buf.extend_from_slice(ct.r.compress().as_bytes());
-        buf.extend_from_slice(ct.c.compress().as_bytes());
-        match &ct.y {
-            Some(y) => {
-                buf.push(1);
-                buf.extend_from_slice(y.compress().as_bytes());
-            }
-            None => buf.push(0),
-        }
-    }
-    t.append_bytes(label, buf);
 }
 
 /// Structural checks shared by prover and verifier, then the transcript and
@@ -188,8 +167,8 @@ fn fold<'a>(statements: &[ReEncStatement<'a>]) -> CryptoResult<Folded<'a>> {
             c_in.push(inp.c);
             c_out.push(out.c);
         }
-        append_message(&mut t, b"input", stmt.input, &mut buf);
-        append_message(&mut t, b"output", stmt.output, &mut buf);
+        t.append_message(b"input", stmt.input, &mut buf);
+        t.append_message(b"output", stmt.output, &mut buf);
     }
     let rho = t.challenge_coefficients(b"rho", terms);
     Ok(Folded {
@@ -261,7 +240,7 @@ pub fn prove_reencryption_slice<R: RngCore + CryptoRng>(
         .zip(&flat)
         .map(|(rho, w)| rho * w.fresh_randomness)
         .sum();
-    let y_star = multiscalar_mul_distinct(&folded.rho, &folded.y0);
+    let y_star = multiscalar_mul(&folded.rho, &folded.y0);
 
     let alpha = Scalar::random(rng);
     let beta = Scalar::random(rng);
@@ -304,11 +283,11 @@ pub fn verify_reencryption_slice(
     let negated = RistrettoPoint::batch_negate(&[&folded.c_out[..], &folded.r0].concat());
     let delta = |minuends: &[RistrettoPoint], negated: &[RistrettoPoint]| {
         let diffs: Vec<_> = minuends.iter().zip(negated).map(|(a, b)| a + b).collect();
-        multiscalar_mul_distinct(&folded.rho, &diffs)
+        multiscalar_mul(&folded.rho, &diffs)
     };
     let delta_c = delta(&folded.c_in, &negated[..terms]);
     let delta_r = delta(&folded.r_out, &negated[terms..]);
-    let y_star = multiscalar_mul_distinct(&folded.rho, &folded.y0);
+    let y_star = multiscalar_mul(&folded.rho, &folded.y0);
 
     // The three sigma equations, arranged so no side subtracts a point.
     if proof.response_key * RISTRETTO_BASEPOINT_TABLE

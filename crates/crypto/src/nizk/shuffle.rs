@@ -2,43 +2,79 @@
 //! correctly shuffled (permuted and rerandomized) under a group public key.
 //!
 //! **Substitution note.** The paper instantiates this with Neff's verifiable
-//! shuffle (ref. \[59\] in the paper); we use a Bayer-Groth-style argument
-//! with linear-size sub-arguments (commitment to the permutation + a product
-//! argument + a multi-exponentiation argument), which fills the same role
-//! with the same asymptotic cost — a small constant number of exponentiations
-//! per shuffled element for both prover and verifier. Verification further
-//! collapses all ~5n per-element equality checks into a single
-//! random-linear-combination multiscalar equation ([`verify_shuffle`]), with
-//! the textbook per-equation verifier retained as
-//! [`verify_shuffle_sequential`] for exact blame attribution;
-//! [`crate::batch::verify_shuffle_batch`] extends the same combination
-//! across all of a group step's proofs.
+//! shuffle (ref. \[59\] in the paper); this is the Bayer–Groth shuffle
+//! argument (EUROCRYPT 2012) with the batch laid out as **one row** (their
+//! `m = 1`, `n` = batch size, fixed — there is no shape parameter). Vectors
+//! are committed whole under [`CommitmentKey`], `com(v; r) = r·H + Σ v_i·G_i`,
+//! so a proof is `6 + 2L` group elements and `3n + L + 3` scalars for `n`
+//! messages of `L` components. Why one row: Bayer–Groth's `m × n` layout
+//! shrinks the proof to `O(m + n)` elements, but without their FFT
+//! techniques its prover pays `m` times the `2L·n` ciphertext
+//! exponentiations that already dominate, and shuffle proofs never cross
+//! the wire here (a group's members share one actor) — only compute counts.
 //!
-//! ## Protocol sketch
+//! ## Protocol
 //!
-//! Statement: group key `X`, inputs `C[i][l]`, outputs `C'[j][l]` (n messages
-//! of L components each). Claim: there are a permutation σ and scalars
-//! `ρ[j][l]` with `C'[j][l] = C[σ(j)][l] + ρ[j][l]·(B, X)`.
+//! Statement: group key `X`, inputs `C[i][l]`, outputs `C'[j][l]` (`n`
+//! messages of `L` components, each a pair `(R, c)`). Claim: there are a
+//! permutation π and scalars `ρ[j][l]` with
+//! `C'[j][l] = C[π(j)][l] + ρ[j][l]·(B, X)`. Indices below are 1-based.
 //!
-//! 1. The prover commits (per element, Pedersen) to `a_j = σ(j) + 1`.
-//!    Challenge `x`.
-//! 2. The prover commits to `b_j = x^{a_j}`. Challenges `y`, `z`.
-//! 3. **Product argument.** Both sides form commitments to
-//!    `v_j = y·a_j + b_j − z` homomorphically. The prover shows
-//!    `∏_j v_j = ∏_{i=1..n} (y·i + x^i − z)` by committing to the partial
-//!    products and proving each multiplicative step with a Σ-protocol, then
-//!    opening the last partial product to the public value. By Schwartz-Zippel
-//!    (over `z`, then `y`) this forces `{(a_j, b_j)} = {(i, x^i)}` as
-//!    multisets, i.e. `a` is a permutation and `b_j = x^{a_j}`.
-//! 4. **Linear multi-exponentiation argument.** For every component `l` the
-//!    prover shows knowledge of openings `b_j` of the step-2 commitments and
-//!    of a scalar `ρ*_l` with
-//!    `Σ_j b_j·C'[j][l] − ρ*_l·(B, X) = Σ_i x^i·C[i][l]`,
-//!    which for a correct shuffle holds with `ρ*_l = Σ_j b_j·ρ[j][l]`.
+//! 1. The prover sends `c_A = com(a)` with `a_j = π(j)`. Challenge `x`.
+//! 2. The prover sends `c_B = com(b)` with `b_j = x^{a_j}`. Challenges `y`, `z`.
+//! 3. **Product argument** (Bayer–Groth's single-value product argument) on
+//!    `d = y·a + b − z`, committed in `c_D = y·c_A + c_B − z·ΣG_i`, which
+//!    both sides form homomorphically: `∏_j d_j = ∏_i (y·i + x^i − z)`. With
+//!    partial products `p_j = d_1⋯d_j` the prover picks nonces `e_j`, `δ_j`
+//!    (`δ_1 = e_1`, `δ_n = 0`) and sends `c_e = com(e)`,
+//!    `c_δ = com(−δ_{j−1}·e_j)_{j≥2}`,
+//!    `c_Δ = com(δ_j − d_j·δ_{j−1} − p_{j−1}·e_j)_{j≥2}`.
+//! 4. **Multi-exponentiation argument**, a Σ-protocol for knowledge of the
+//!    opening `b` of `c_B` and of `ρ*_l` with
+//!    `Σ_j b_j·C'[j][l] − ρ*_l·(B, X) = Σ_i x^i·C[i][l]` (true for a correct
+//!    shuffle with `ρ*_l = Σ_j b_j·ρ[j][l]`): nonces `f⁰`, `t_l`, messages
+//!    `c_A0 = com(f⁰)` and `E[l] = Σ_j f⁰_j·C'[j][l] − t_l·(B, X)`.
+//! 5. Challenge `w`, shared by both sub-arguments. Responses
+//!    `ã = w·d + e`, `b̃ = w·p + δ`, `f = w·b + f⁰`, `τ_l = w·ρ*_l + t_l` and
+//!    the blindings `r̃`, `s̃`, `r_f` of the three openings below.
 //!
-//! All challenges are Fiat-Shamir derived from a transcript binding the group
-//! key, the entire input and output batches, and every commitment and
-//! announcement in order.
+//! The verifier checks
+//!
+//! * `com(ã; r̃) = w·c_D + c_e` — `ã` answers for the committed `d`;
+//! * `com((w·b̃_j − b̃_{j−1}·ã_j)_{j≥2}; s̃) = w·c_Δ + c_δ` — the `w²`
+//!   coefficient `p_j − p_{j−1}·d_j` of each entry vanishes, so `b̃` answers
+//!   for the running products of `d`;
+//! * `b̃_1 = ã_1` and `b̃_n = w·∏_i (y·i + x^i − z)` — the chain of products
+//!   starts at `d_1` and ends at the public value. By Schwartz–Zippel over
+//!   `z`, then `y`, `{(a_j, b_j)} = {(i, x^i)}` as multisets: `a` is a
+//!   permutation and `b_j = x^{a_j}`;
+//! * `com(f; r_f) = w·c_B + c_A0` — `f` answers for the `b` of the product
+//!   argument, the n per-element openings of a Σ-protocol chain in one;
+//! * `Σ_j f_j·C'[j][l] − τ_l·(B, X) = E[l] + w·Σ_i x^i·C[i][l]` for both
+//!   halves of every component — with `b_j = x^{π(j)}` a polynomial identity
+//!   in `x` that forces `C'[j] = C[π(j)] + ρ·(B, X)` (Schwartz–Zippel over `x`).
+//!
+//! Every witness-dependent response carries a fresh nonce. The one exception
+//! is `n = 1`, where the endpoint checks force `ã_1 = b̃_1 = w·d_1` and
+//! `d_1 = y + x − z` is public anyway.
+//!
+//! ## Fiat–Shamir
+//!
+//! One transcript per proof absorbs the group key, `n`, `L` and a 64-byte
+//! digest of each stage, then the prover's messages in the order
+//! `c_A → x → c_B → y, z → c_e, c_δ, c_Δ, c_A0, E → w`: every challenge
+//! binds the whole statement and every earlier message.
+//!
+//! ## Verification
+//!
+//! [`verify_chain`] folds the `3 + 2L` group equations of every link of a
+//! shuffle chain into one random linear combination — 128-bit coefficients,
+//! squeezed only after every link's `w` and responses are absorbed — and
+//! settles it with one multi-exponentiation in which each point appears
+//! once (see `RlcAccumulator`): `(k+1)·2L·n + n + (6+2L)·k` terms for `k`
+//! links. [`verify_shuffle`] is the one-link case;
+//! [`crate::batch::verify_shuffle_batch`] adds the per-proof fallback that
+//! names the first failing member.
 
 use curve25519_dalek::constants::RISTRETTO_BASEPOINT_TABLE;
 use curve25519_dalek::ristretto::RistrettoPoint;
@@ -47,82 +83,52 @@ use curve25519_dalek::traits::Identity;
 use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::batch::{mul_fixed, multiscalar_mul, ShuffleVerification};
 use crate::elgamal::{MessageCiphertext, PublicKey, ShuffleWitness};
 use crate::error::{CryptoError, CryptoResult};
 use crate::pedersen::CommitmentKey;
 use crate::transcript::Transcript;
 
-/// One multiplicative step of the product argument: proves that the `j`-th
-/// partial-product commitment opens to the product of the previous partial
-/// product and `v_j`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProductStepProof {
-    /// Announcement `α·G + β·H` for the opening of `c_v[j]`.
-    pub announce_value: RistrettoPoint,
-    /// Announcement `α·c_p[j−1] + γ·H` for the multiplicative relation.
-    pub announce_step: RistrettoPoint,
-    /// Response for `v_j`.
-    pub response_value: Scalar,
-    /// Response for the blinding of `c_v[j]`.
-    pub response_value_blinding: Scalar,
-    /// Response for the step blinding `s_j = r_p[j] − v_j·r_p[j−1]`.
-    pub response_step_blinding: Scalar,
-}
-
-/// The verifiable-shuffle proof.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// The verifiable-shuffle proof (names as in the module docs).
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShuffleProof {
-    /// Commitments to the permutation indices `a_j = σ(j) + 1`.
-    pub commit_perm: Vec<RistrettoPoint>,
-    /// Commitments to the permuted challenge powers `b_j = x^{a_j}`.
-    pub commit_powers: Vec<RistrettoPoint>,
-    /// Commitments to the partial products `p_j` (index 0 is omitted; it
-    /// equals the homomorphically derived `c_v[0]`).
-    pub commit_partial: Vec<RistrettoPoint>,
-    /// Per-step multiplication proofs (one for each `j ≥ 1`).
-    pub product_steps: Vec<ProductStepProof>,
-    /// Announcement of the final-opening proof (`c_p[n−1] − P·G = r·H`).
-    pub announce_final: RistrettoPoint,
-    /// Response of the final-opening proof.
-    pub response_final: Scalar,
-    /// Announcements for the openings of `commit_powers`.
-    pub announce_powers: Vec<RistrettoPoint>,
-    /// Announcements for the R-half of the multi-exponentiation relation,
-    /// one per component.
+    /// `c_A`: commitment to the permutation indices `a_j = π(j)`.
+    pub commit_perm: RistrettoPoint,
+    /// `c_B`: commitment to the permuted challenge powers `b_j = x^{a_j}`.
+    pub commit_powers: RistrettoPoint,
+    /// `c_e`: commitment to the product argument's nonces.
+    pub commit_nonce: RistrettoPoint,
+    /// `c_δ`: commitment to the constant terms `−δ_{j−1}·e_j`.
+    pub commit_cross: RistrettoPoint,
+    /// `c_Δ`: commitment to the linear terms `δ_j − d_j·δ_{j−1} − p_{j−1}·e_j`.
+    pub commit_linear: RistrettoPoint,
+    /// `c_A0`: commitment to the multi-exponentiation argument's nonces.
+    pub commit_multiexp: RistrettoPoint,
+    /// `E[l]`, R-half: one announcement per component.
     pub announce_rand: Vec<RistrettoPoint>,
-    /// Announcements for the payload-half of the multi-exponentiation
-    /// relation, one per component.
+    /// `E[l]`, payload half: one announcement per component.
     pub announce_payload: Vec<RistrettoPoint>,
-    /// Responses for `b_j`.
+    /// `ã`: responses for the values `d_j`.
+    pub response_values: Vec<Scalar>,
+    /// `r̃`: response for the blinding of `c_D`.
+    pub response_values_blinding: Scalar,
+    /// `b̃`: responses for the partial products `p_j`.
+    pub response_products: Vec<Scalar>,
+    /// `s̃`: response for the blinding of `c_Δ`.
+    pub response_products_blinding: Scalar,
+    /// `f`: responses for the powers `b_j`.
     pub response_powers: Vec<Scalar>,
-    /// Responses for the blindings of `commit_powers`.
-    pub response_power_blindings: Vec<Scalar>,
-    /// Responses for the aggregated rerandomizers `ρ*_l`, one per component.
+    /// `r_f`: response for the blinding of `c_B`.
+    pub response_powers_blinding: Scalar,
+    /// `τ_l`: responses for the aggregated rerandomizers `ρ*_l`.
     pub response_rho: Vec<Scalar>,
 }
 
-/// Builds the statement transcript shared by prover and verifier.
-fn statement_transcript(
-    pk: &PublicKey,
-    inputs: &[MessageCiphertext],
-    outputs: &[MessageCiphertext],
-) -> Transcript {
-    let mut t = Transcript::new(b"atom-shuffle-proof");
-    t.append_point(b"group-pk", &pk.0);
-    t.append_u64(b"n", inputs.len() as u64);
-    let components = inputs.first().map(|m| m.components.len()).unwrap_or(0);
-    t.append_u64(b"components", components as u64);
-    for batch_label in [(b"input" as &'static [u8], inputs), (b"output", outputs)] {
-        let (label, batch) = batch_label;
-        for message in batch {
-            for ct in &message.components {
-                t.append_bytes(b"side", label);
-                t.append_point(b"R", &ct.r);
-                t.append_point(b"c", &ct.c);
-            }
-        }
+impl ShuffleProof {
+    /// Bytes of the proof at 32 per group element and per scalar.
+    pub fn encoded_len(&self) -> usize {
+        32 * (9 + 3 * self.response_rho.len() + 3 * self.response_values.len())
     }
-    t
 }
 
 /// Checks the statement shape; returns (n, L).
@@ -155,39 +161,65 @@ fn check_shape(
     Ok((n, components))
 }
 
-/// Computes the public product `∏_{i=1..n} (y·i + x^i − z)`.
-fn public_product(n: usize, x: &Scalar, y: &Scalar, z: &Scalar) -> Scalar {
-    let mut product = Scalar::ONE;
-    let mut x_power = Scalar::ONE;
-    for i in 1..=n {
-        x_power *= x;
-        product *= y * Scalar::from(i as u64) + x_power - z;
+/// What a proof's transcript absorbs of one stage of a shuffle chain.
+fn stage_digest(stage: &[MessageCiphertext]) -> [u8; 64] {
+    let mut t = Transcript::new(b"atom-shuffle-stage");
+    let mut buf = Vec::new();
+    for message in stage {
+        t.append_message(b"message", message, &mut buf);
     }
-    product
+    let mut digest = [0u8; 64];
+    t.challenge_bytes(b"digest", &mut digest);
+    digest
 }
 
-/// Computes the public multi-exponentiation targets
-/// `T_R[l] = Σ_i x^{i+1}·R_i[l]` and `T_c[l] = Σ_i x^{i+1}·c_i[l]`.
-fn public_targets(
-    inputs: &[MessageCiphertext],
-    components: usize,
-    x: &Scalar,
-) -> (Vec<RistrettoPoint>, Vec<RistrettoPoint>) {
-    let mut x_powers = Vec::with_capacity(inputs.len());
-    let mut x_power = Scalar::ONE;
-    for _ in inputs {
-        x_power *= x;
-        x_powers.push(x_power);
+/// The statement transcript shared by prover and verifier.
+fn statement_transcript(
+    pk: &PublicKey,
+    shape: (usize, usize),
+    stages: [&[u8; 64]; 2],
+) -> Transcript {
+    let mut t = Transcript::new(b"atom-shuffle-proof");
+    t.append_point(b"group-pk", &pk.0);
+    t.append_u64(b"n", shape.0 as u64);
+    t.append_u64(b"components", shape.1 as u64);
+    t.append_bytes(b"input", stages[0]);
+    t.append_bytes(b"output", stages[1]);
+    t
+}
+
+/// Absorbs the messages both sub-arguments send before the challenge `w`
+/// and derives it.
+fn sigma_challenge(t: &mut Transcript, proof: &ShuffleProof) -> Scalar {
+    t.append_point(b"commit-nonce", &proof.commit_nonce);
+    t.append_point(b"commit-cross", &proof.commit_cross);
+    t.append_point(b"commit-linear", &proof.commit_linear);
+    t.append_point(b"commit-multiexp", &proof.commit_multiexp);
+    for announcement in proof.announce_rand.iter().chain(&proof.announce_payload) {
+        t.append_point(b"announce-multiexp", announcement);
     }
-    let mut t_rand = Vec::with_capacity(components);
-    let mut t_payload = Vec::with_capacity(components);
-    for l in 0..components {
-        let rs: Vec<RistrettoPoint> = inputs.iter().map(|m| m.components[l].r).collect();
-        let cs: Vec<RistrettoPoint> = inputs.iter().map(|m| m.components[l].c).collect();
-        t_rand.push(RistrettoPoint::multiscalar_mul(&x_powers, &rs));
-        t_payload.push(RistrettoPoint::multiscalar_mul(&x_powers, &cs));
-    }
-    (t_rand, t_payload)
+    t.challenge_scalar(b"w")
+}
+
+/// `x^1, …, x^n`.
+fn powers(x: &Scalar, n: usize) -> Vec<Scalar> {
+    std::iter::successors(Some(*x), |power| Some(power * x))
+        .take(n)
+        .collect()
+}
+
+/// The public product `∏_{i=1..n} (y·i + x^i − z)`.
+fn public_product(x_powers: &[Scalar], y: &Scalar, z: &Scalar) -> Scalar {
+    x_powers
+        .iter()
+        .zip(1u64..)
+        .fold(Scalar::ONE, |acc, (x_power, i)| {
+            acc * (y * Scalar::from(i) + x_power - z)
+        })
+}
+
+fn random_scalars<R: RngCore + CryptoRng>(n: usize, rng: &mut R) -> Vec<Scalar> {
+    (0..n).map(|_| Scalar::random(rng)).collect()
 }
 
 /// Produces a shuffle proof from the witness returned by
@@ -199,616 +231,442 @@ pub fn prove_shuffle<R: RngCore + CryptoRng>(
     witness: &ShuffleWitness,
     rng: &mut R,
 ) -> CryptoResult<ShuffleProof> {
+    prove(pk, inputs, outputs, &witness.permutation, witness, rng)
+}
+
+/// The prover. `committed` is the permutation `c_A` commits to — the
+/// witness's own for every caller but the soundness tests, which drive a
+/// prover whose `c_B` does not match its `c_A`.
+fn prove<R: RngCore + CryptoRng>(
+    pk: &PublicKey,
+    inputs: &[MessageCiphertext],
+    outputs: &[MessageCiphertext],
+    committed: &[usize],
+    witness: &ShuffleWitness,
+    rng: &mut R,
+) -> CryptoResult<ShuffleProof> {
     let (n, components) = check_shape(inputs, outputs)?;
-    if witness.permutation.len() != n || witness.randomness.len() != n {
+    if committed.len() != n
+        || witness.permutation.len() != n
+        || witness.permutation.iter().any(|&src| src >= n)
+        || witness.randomness.len() != n
+        || witness.randomness.iter().any(|r| r.len() != components)
+    {
         return Err(CryptoError::Parameter("witness shape mismatch".into()));
     }
-    let key = CommitmentKey::atom();
-    let mut t = statement_transcript(pk, inputs, outputs);
+    let key = CommitmentKey::atom(n);
+    let stages = [&stage_digest(inputs), &stage_digest(outputs)];
+    let mut t = statement_transcript(pk, (n, components), stages);
 
-    // Step 1: commit to the permutation (a_j = σ(j) + 1).
-    let perm_values: Vec<Scalar> = witness
-        .permutation
+    // c_A, then c_B once x is known (0-based from here: a_j = π(j) + 1).
+    let a: Vec<Scalar> = committed
         .iter()
-        .map(|&src| Scalar::from((src + 1) as u64))
+        .map(|&src| Scalar::from(src as u64 + 1))
         .collect();
-    let mut perm_blindings = Vec::with_capacity(n);
-    let mut commit_perm = Vec::with_capacity(n);
-    for value in &perm_values {
-        let (c, r) = key.commit_random(value, rng);
-        commit_perm.push(c);
-        perm_blindings.push(r);
-    }
-    for c in &commit_perm {
-        t.append_point(b"commit-perm", c);
-    }
+    let r_a = Scalar::random(rng);
+    let commit_perm = key.commit(&a, &r_a);
+    t.append_point(b"commit-perm", &commit_perm);
     let x = t.challenge_scalar(b"x");
 
-    // Step 2: commit to the permuted powers b_j = x^{σ(j)+1}.
-    let mut x_powers = Vec::with_capacity(n + 1);
-    x_powers.push(Scalar::ONE);
-    for i in 0..n {
-        let next = x_powers[i] * x;
-        x_powers.push(next);
-    }
-    let power_values: Vec<Scalar> = witness
+    let x_powers = powers(&x, n);
+    let b: Vec<Scalar> = witness
         .permutation
         .iter()
-        .map(|&src| x_powers[src + 1])
+        .map(|&src| x_powers[src])
         .collect();
-    let mut power_blindings = Vec::with_capacity(n);
-    let mut commit_powers = Vec::with_capacity(n);
-    for value in &power_values {
-        let (c, r) = key.commit_random(value, rng);
-        commit_powers.push(c);
-        power_blindings.push(r);
-    }
-    for c in &commit_powers {
-        t.append_point(b"commit-powers", c);
-    }
+    let r_b = Scalar::random(rng);
+    let commit_powers = key.commit(&b, &r_b);
+    t.append_point(b"commit-powers", &commit_powers);
     let y = t.challenge_scalar(b"y");
     let z = t.challenge_scalar(b"z");
 
-    // Step 3: product argument over v_j = y·a_j + b_j − z.
-    let v_values: Vec<Scalar> = perm_values
-        .iter()
-        .zip(power_values.iter())
-        .map(|(a, b)| y * a + b - z)
-        .collect();
-    let v_blindings: Vec<Scalar> = perm_blindings
-        .iter()
-        .zip(power_blindings.iter())
-        .map(|(ra, rb)| y * ra + rb)
-        .collect();
-    // `−z·G` is constant across the batch: one fixed-base walk, no
-    // per-element subtraction (each `Sub` costs a Fermat inversion).
-    let neg_z_g = crate::batch::mul_fixed(&key.g, &-z);
-    let v_commitments: Vec<RistrettoPoint> = commit_perm
-        .iter()
-        .zip(commit_powers.iter())
-        .map(|(ca, cb)| y * ca + cb + neg_z_g)
-        .collect();
-
-    // Partial products p_j and their commitments (p_0 reuses c_v[0]).
-    let mut partial_values = Vec::with_capacity(n);
-    let mut partial_blindings = Vec::with_capacity(n);
-    let mut commit_partial = Vec::with_capacity(n - 1);
-    partial_values.push(v_values[0]);
-    partial_blindings.push(v_blindings[0]);
+    // Product argument over d_j = y·a_j + b_j − z with partial products p.
+    let d: Vec<Scalar> = a.iter().zip(&b).map(|(a, b)| y * a + b - z).collect();
+    let mut p = d.clone();
     for j in 1..n {
-        let value = partial_values[j - 1] * v_values[j];
-        let (c, r) = key.commit_random(&value, rng);
-        partial_values.push(value);
-        partial_blindings.push(r);
-        commit_partial.push(c);
+        p[j] = p[j - 1] * d[j];
     }
-    for c in &commit_partial {
-        t.append_point(b"commit-partial", c);
+    let mut e = random_scalars(n, rng);
+    if n == 1 {
+        // The endpoint checks pin ã_0 = b̃_0 = w·d_0; d_0 is public.
+        e[0] = Scalar::ZERO;
     }
-
-    // Announcements for the per-step multiplication proofs. The blinding
-    // generator's comb table is looked up once for the whole loop.
-    let h_table = crate::batch::fixed_base_table(&key.h);
-    let mut step_secrets = Vec::with_capacity(n.saturating_sub(1));
-    let mut step_announcements = Vec::with_capacity(n.saturating_sub(1));
+    let delta: Vec<Scalar> = (0..n)
+        .map(|j| match j {
+            0 => e[0],
+            _ if j == n - 1 => Scalar::ZERO,
+            _ => Scalar::random(rng),
+        })
+        .collect();
+    let mut cross = vec![Scalar::ZERO; n];
+    let mut linear = vec![Scalar::ZERO; n];
     for j in 1..n {
-        let prev_commit = if j == 1 {
-            v_commitments[0]
-        } else {
-            commit_partial[j - 2]
-        };
-        let alpha = Scalar::random(rng);
-        let beta = Scalar::random(rng);
-        let gamma = Scalar::random(rng);
-        let announce_value = key.commit(&alpha, &beta);
-        let announce_step = alpha * prev_commit + h_table.mul_scalar(&gamma);
-        t.append_point(b"product-announce-value", &announce_value);
-        t.append_point(b"product-announce-step", &announce_step);
-        step_secrets.push((alpha, beta, gamma, prev_commit));
-        step_announcements.push((announce_value, announce_step));
+        cross[j] = -(delta[j - 1] * e[j]);
+        linear[j] = delta[j] - d[j] * delta[j - 1] - p[j - 1] * e[j];
     }
+    let (r_e, s_cross, s_linear) = (
+        Scalar::random(rng),
+        Scalar::random(rng),
+        Scalar::random(rng),
+    );
 
-    // Final opening announcement: c_p[n−1] − P·G = r·H.
-    let final_secret = Scalar::random(rng);
-    let announce_final = crate::batch::mul_fixed(&key.h, &final_secret);
-    t.append_point(b"final-announce", &announce_final);
-
-    // Step 4: multi-exponentiation announcements.
-    let mut power_nonces = Vec::with_capacity(n);
-    let mut power_blinding_nonces = Vec::with_capacity(n);
-    let mut announce_powers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let d = Scalar::random(rng);
-        let e = Scalar::random(rng);
-        announce_powers.push(key.commit(&d, &e));
-        power_nonces.push(d);
-        power_blinding_nonces.push(e);
-    }
-    let mut rho_nonces = Vec::with_capacity(components);
+    // Multi-exponentiation argument: c_A0 and one announcement per half of
+    // every component (`+ (−t)·base` sidesteps the point-subtraction
+    // inversion).
+    let f0 = random_scalars(n, rng);
+    let r_0 = Scalar::random(rng);
+    let t_nonces = random_scalars(components, rng);
     let mut announce_rand = Vec::with_capacity(components);
     let mut announce_payload = Vec::with_capacity(components);
-    for l in 0..components {
-        let t_nonce = Scalar::random(rng);
+    for (l, t_nonce) in t_nonces.iter().enumerate() {
         let rs: Vec<RistrettoPoint> = outputs.iter().map(|m| m.components[l].r).collect();
         let cs: Vec<RistrettoPoint> = outputs.iter().map(|m| m.components[l].c).collect();
-        let acc_rand = RistrettoPoint::multiscalar_mul(&power_nonces, &rs)
-            + -t_nonce * RISTRETTO_BASEPOINT_TABLE;
-        let acc_payload = RistrettoPoint::multiscalar_mul(&power_nonces, &cs)
-            + crate::batch::mul_fixed(&pk.0, &-t_nonce);
-        rho_nonces.push(t_nonce);
-        announce_rand.push(acc_rand);
-        announce_payload.push(acc_payload);
-    }
-    for a in &announce_powers {
-        t.append_point(b"announce-powers", a);
-    }
-    for a in announce_rand.iter().chain(announce_payload.iter()) {
-        t.append_point(b"announce-multiexp", a);
+        announce_rand.push(multiscalar_mul(&f0, &rs) + -*t_nonce * RISTRETTO_BASEPOINT_TABLE);
+        announce_payload.push(multiscalar_mul(&f0, &cs) + mul_fixed(&pk.0, &-*t_nonce));
     }
 
-    let challenge = t.challenge_scalar(b"challenge");
-
-    // Responses: product argument steps.
-    let product_steps = (1..n)
-        .map(|j| {
-            let (alpha, beta, gamma, _) = step_secrets[j - 1];
-            let (announce_value, announce_step) = step_announcements[j - 1];
-            let step_blinding = partial_blindings[j] - v_values[j] * partial_blindings[j - 1];
-            ProductStepProof {
-                announce_value,
-                announce_step,
-                response_value: alpha + challenge * v_values[j],
-                response_value_blinding: beta + challenge * v_blindings[j],
-                response_step_blinding: gamma + challenge * step_blinding,
-            }
-        })
-        .collect();
-
-    // Final opening response.
-    let response_final = final_secret + challenge * partial_blindings[n - 1];
-
-    // Multi-exponentiation responses.
-    let response_powers: Vec<Scalar> = power_nonces
-        .iter()
-        .zip(power_values.iter())
-        .map(|(d, b)| d + challenge * b)
-        .collect();
-    let response_power_blindings: Vec<Scalar> = power_blinding_nonces
-        .iter()
-        .zip(power_blindings.iter())
-        .map(|(e, r)| e + challenge * r)
-        .collect();
-    let response_rho: Vec<Scalar> = (0..components)
-        .map(|l| {
-            let rho_star: Scalar = (0..n)
-                .map(|j| power_values[j] * witness.randomness[j][l])
-                .sum();
-            rho_nonces[l] + challenge * rho_star
-        })
-        .collect();
-
-    Ok(ShuffleProof {
+    // The responses are filled in once the messages so far have fixed w.
+    let mut proof = ShuffleProof {
         commit_perm,
         commit_powers,
-        commit_partial,
-        product_steps,
-        announce_final,
-        response_final,
-        announce_powers,
+        commit_nonce: key.commit(&e, &r_e),
+        commit_cross: key.commit(&cross, &s_cross),
+        commit_linear: key.commit(&linear, &s_linear),
+        commit_multiexp: key.commit(&f0, &r_0),
         announce_rand,
         announce_payload,
-        response_powers,
-        response_power_blindings,
-        response_rho,
-    })
-}
-
-/// Shape-checked statement dimensions plus the Fiat-Shamir challenges
-/// replayed from a proof's transcript — everything verification needs
-/// besides the equations themselves. Shared by the sequential verifier, the
-/// single-proof RLC path and [`crate::batch::verify_shuffle_batch`], so all
-/// three reject malformed statements with identical errors.
-pub(crate) struct ShuffleChallenges {
-    pub(crate) n: usize,
-    pub(crate) components: usize,
-    pub(crate) x: Scalar,
-    pub(crate) y: Scalar,
-    pub(crate) z: Scalar,
-    pub(crate) challenge: Scalar,
-}
-
-/// Checks the statement and proof shapes, replays the Fiat-Shamir transcript
-/// and returns the derived challenges.
-pub(crate) fn replay_challenges(
-    pk: &PublicKey,
-    inputs: &[MessageCiphertext],
-    outputs: &[MessageCiphertext],
-    proof: &ShuffleProof,
-) -> CryptoResult<ShuffleChallenges> {
-    let (n, components) = check_shape(inputs, outputs)?;
-
-    // Shape checks on the proof itself.
-    if proof.commit_perm.len() != n
-        || proof.commit_powers.len() != n
-        || proof.commit_partial.len() != n - 1
-        || proof.product_steps.len() != n - 1
-        || proof.announce_powers.len() != n
-        || proof.response_powers.len() != n
-        || proof.response_power_blindings.len() != n
-        || proof.announce_rand.len() != components
-        || proof.announce_payload.len() != components
-        || proof.response_rho.len() != components
-    {
-        return Err(CryptoError::ProofInvalid(
-            "shuffle proof shape mismatch".into(),
-        ));
-    }
-
-    let mut t = statement_transcript(pk, inputs, outputs);
-    for c in &proof.commit_perm {
-        t.append_point(b"commit-perm", c);
-    }
-    let x = t.challenge_scalar(b"x");
-    for c in &proof.commit_powers {
-        t.append_point(b"commit-powers", c);
-    }
-    let y = t.challenge_scalar(b"y");
-    let z = t.challenge_scalar(b"z");
-    for c in &proof.commit_partial {
-        t.append_point(b"commit-partial", c);
-    }
-    for step in &proof.product_steps {
-        t.append_point(b"product-announce-value", &step.announce_value);
-        t.append_point(b"product-announce-step", &step.announce_step);
-    }
-    t.append_point(b"final-announce", &proof.announce_final);
-    for a in &proof.announce_powers {
-        t.append_point(b"announce-powers", a);
-    }
-    for a in proof
-        .announce_rand
-        .iter()
-        .chain(proof.announce_payload.iter())
-    {
-        t.append_point(b"announce-multiexp", a);
-    }
-    let challenge = t.challenge_scalar(b"challenge");
-    Ok(ShuffleChallenges {
-        n,
-        components,
-        x,
-        y,
-        z,
-        challenge,
-    })
-}
-
-/// Verifies a shuffle proof equation by equation — the textbook path.
-///
-/// [`verify_shuffle`] collapses all of these checks into one random linear
-/// combination; this verifier is retained as its fallback (so a rejection
-/// names the exact failing relation) and as the benchmark baseline the
-/// batched path is gated against.
-pub fn verify_shuffle_sequential(
-    pk: &PublicKey,
-    inputs: &[MessageCiphertext],
-    outputs: &[MessageCiphertext],
-    proof: &ShuffleProof,
-) -> CryptoResult<()> {
-    let ShuffleChallenges {
-        n,
-        components,
-        x,
-        y,
-        z,
-        challenge,
-    } = replay_challenges(pk, inputs, outputs, proof)?;
-    let key = CommitmentKey::atom();
-
-    // Homomorphically derived commitments to v_j (`−z·G` hoisted: one
-    // fixed-base walk instead of an inversion per element).
-    let neg_z_g = crate::batch::mul_fixed(&key.g, &-z);
-    let v_commitments: Vec<RistrettoPoint> = proof
-        .commit_perm
-        .iter()
-        .zip(proof.commit_powers.iter())
-        .map(|(ca, cb)| y * ca + cb + neg_z_g)
-        .collect();
-
-    // Product argument: each multiplicative step (the blinding generator's
-    // comb table is looked up once for the whole loop).
-    let h_table = crate::batch::fixed_base_table(&key.h);
-    for j in 1..n {
-        let step = &proof.product_steps[j - 1];
-        let prev_commit = if j == 1 {
-            v_commitments[0]
-        } else {
-            proof.commit_partial[j - 2]
-        };
-        let current_commit = proof.commit_partial[j - 1];
-
-        if key.commit(&step.response_value, &step.response_value_blinding)
-            != step.announce_value + challenge * v_commitments[j]
-        {
-            return Err(CryptoError::ProofInvalid(
-                "product argument: value opening failed".into(),
-            ));
-        }
-        if step.response_value * prev_commit + h_table.mul_scalar(&step.response_step_blinding)
-            != step.announce_step + challenge * current_commit
-        {
-            return Err(CryptoError::ProofInvalid(
-                "product argument: multiplicative step failed".into(),
-            ));
-        }
-    }
-
-    // Final opening: the last partial product equals the public product
-    // (`challenge·(c_p − P·G)` expanded so the `G` share stays fixed-base).
-    let product = public_product(n, &x, &y, &z);
-    let last_commit = if n == 1 {
-        v_commitments[0]
-    } else {
-        proof.commit_partial[n - 2]
+        ..ShuffleProof::default()
     };
-    if crate::batch::mul_fixed(&key.h, &proof.response_final)
-        != proof.announce_final
-            + challenge * last_commit
-            + crate::batch::mul_fixed(&key.g, &-(challenge * product))
-    {
-        return Err(CryptoError::ProofInvalid(
-            "product argument: final opening failed".into(),
-        ));
-    }
-
-    // Multi-exponentiation argument.
-    for j in 0..n {
-        if key.commit(
-            &proof.response_powers[j],
-            &proof.response_power_blindings[j],
-        ) != proof.announce_powers[j] + challenge * proof.commit_powers[j]
-        {
-            return Err(CryptoError::ProofInvalid(
-                "multi-exponentiation: power opening failed".into(),
-            ));
-        }
-    }
-    let (t_rand, t_payload) = public_targets(inputs, components, &x);
-    for l in 0..components {
-        let rs: Vec<RistrettoPoint> = outputs.iter().map(|m| m.components[l].r).collect();
-        let cs: Vec<RistrettoPoint> = outputs.iter().map(|m| m.components[l].c).collect();
-        let acc_rand = RistrettoPoint::multiscalar_mul(&proof.response_powers, &rs)
-            + -proof.response_rho[l] * RISTRETTO_BASEPOINT_TABLE;
-        let acc_payload = RistrettoPoint::multiscalar_mul(&proof.response_powers, &cs)
-            + crate::batch::mul_fixed(&pk.0, &-proof.response_rho[l]);
-
-        if acc_rand != proof.announce_rand[l] + challenge * t_rand[l] {
-            return Err(CryptoError::ProofInvalid(
-                "multi-exponentiation: randomness relation failed".into(),
-            ));
-        }
-        if acc_payload != proof.announce_payload[l] + challenge * t_payload[l] {
-            return Err(CryptoError::ProofInvalid(
-                "multi-exponentiation: payload relation failed".into(),
-            ));
-        }
-    }
-
-    Ok(())
+    let w = sigma_challenge(&mut t, &proof);
+    let respond = |secrets: &[Scalar], nonces: &[Scalar]| -> Vec<Scalar> {
+        secrets.iter().zip(nonces).map(|(s, k)| w * s + k).collect()
+    };
+    let rho_star: Vec<Scalar> = (0..components)
+        .map(|l| (0..n).map(|j| b[j] * witness.randomness[j][l]).sum())
+        .collect();
+    proof.response_values = respond(&d, &e);
+    proof.response_values_blinding = w * (y * r_a + r_b) + r_e;
+    proof.response_products = respond(&p, &delta);
+    proof.response_products_blinding = w * s_linear + s_cross;
+    proof.response_powers = respond(&b, &f0);
+    proof.response_powers_blinding = w * r_b + r_0;
+    proof.response_rho = respond(&rho_star, &t_nonces);
+    Ok(proof)
 }
 
-/// Domain separator of the RLC transcript that derives the combination
-/// coefficients, shared with [`crate::batch::verify_shuffle_batch`].
-pub(crate) const RLC_DOMAIN: &[u8] = b"atom-batch-shuffle";
-
-/// Absorbs one proof's challenge and responses into the RLC transcript, so
-/// the combination coefficients depend on every verified quantity: the
-/// Fiat-Shamir challenge already binds the statement, commitments and
-/// announcements, and the responses are appended explicitly.
-pub(crate) fn absorb_proof(rlc: &mut Transcript, ch: &ShuffleChallenges, proof: &ShuffleProof) {
-    rlc.append_scalar(b"challenge", &ch.challenge);
-    for step in &proof.product_steps {
-        rlc.append_scalar(b"response-value", &step.response_value);
-        rlc.append_scalar(b"response-value-blinding", &step.response_value_blinding);
-        rlc.append_scalar(b"response-step-blinding", &step.response_step_blinding);
-    }
-    rlc.append_scalar(b"response-final", &proof.response_final);
-    for s in &proof.response_powers {
-        rlc.append_scalar(b"response-powers", s);
-    }
-    for s in &proof.response_power_blindings {
-        rlc.append_scalar(b"response-power-blindings", s);
-    }
-    for s in &proof.response_rho {
-        rlc.append_scalar(b"response-rho", s);
-    }
+/// One link's shape-checked dimensions, where its stages' points sit in the
+/// accumulator, and the Fiat–Shamir challenges replayed from its transcript.
+struct Challenges {
+    n: usize,
+    components: usize,
+    /// Offsets of the input and output stages' points.
+    input: usize,
+    output: usize,
+    x: Scalar,
+    y: Scalar,
+    z: Scalar,
+    w: Scalar,
 }
 
-/// Accumulator for the random linear combination of shuffle-verification
-/// equations. Every equation is rearranged into the canonical form
-/// `g·G + h·H = Σ s_k·P_k + Σ ρ·ρ*·X` (fixed bases on the left, statement
-/// and proof points on the right, group keys `X` kept separate so their
-/// cached fixed-base tables are used), scaled by a fresh 128-bit
-/// transcript-derived coefficient, and summed. One [`check`] then settles
-/// every equation of every accumulated proof at once: a single pair of
-/// fixed-base walks plus one size-O(Σ terms) multiscalar multiplication
-/// (coalescing repeated points, Pippenger buckets past the crossover).
-/// By Schwartz-Zippel a batch containing any false equation passes with
-/// probability ≤ 2^-128 over the coefficients.
+/// A stage some link named, recognized again by slice identity.
+struct Stage<'a> {
+    batch: &'a [MessageCiphertext],
+    digest: [u8; 64],
+    /// Where its points start: message-major, then component, `R` before `c`.
+    offset: usize,
+}
+
+/// Accumulator for the random linear combination of a chain's verification
+/// equations, each moved to one side as `Σ s_k·P_k = 0` and scaled by a
+/// 128-bit transcript-derived coefficient. A point keeps one slot however
+/// many equations name it: the generators `G_i`, `H`, the basepoint and the
+/// group keys (whose cached fixed-base tables are used) by kind, a stage's
+/// points by the identity of its slice. By Schwartz–Zippel a chain with any
+/// false equation passes [`check`] with probability ≤ 2^-128 over the
+/// coefficients.
 ///
 /// [`check`]: RlcAccumulator::check
-pub(crate) struct RlcAccumulator {
-    g_coeff: Scalar,
-    h_coeff: Scalar,
-    /// `Σ ρ·ρ*·X` terms (group keys go through their cached tables).
-    rhs_extra: RistrettoPoint,
+#[derive(Default)]
+struct RlcAccumulator<'a> {
+    stages: Vec<Stage<'a>>,
+    /// Coefficient of `G_i`.
+    generators: Vec<Scalar>,
+    basepoint: Scalar,
+    blinding: Scalar,
+    /// `Σ coefficient·X` over the links' group keys.
+    keys: RistrettoPoint,
     scalars: Vec<Scalar>,
     points: Vec<RistrettoPoint>,
 }
 
-impl RlcAccumulator {
-    pub(crate) fn new() -> Self {
-        Self {
-            g_coeff: Scalar::ZERO,
-            h_coeff: Scalar::ZERO,
-            rhs_extra: RistrettoPoint::identity(),
-            scalars: Vec::new(),
-            points: Vec::new(),
-        }
-    }
-
+impl<'a> RlcAccumulator<'a> {
     fn push(&mut self, scalar: Scalar, point: RistrettoPoint) {
         self.scalars.push(scalar);
         self.points.push(point);
     }
 
-    /// Folds every verification equation of one proof into the running
-    /// combination, drawing one coefficient per equation from `rlc` (one
-    /// stream per proof: `3n − 1 + 2·components` equations).
-    pub(crate) fn accumulate(
-        &mut self,
-        rlc: &mut Transcript,
-        pk: &PublicKey,
-        inputs: &[MessageCiphertext],
-        outputs: &[MessageCiphertext],
-        proof: &ShuffleProof,
-        ch: &ShuffleChallenges,
-    ) {
-        let n = ch.n;
-        let c = ch.challenge;
-        let mut rhos = rlc
-            .challenge_coefficients(b"rho", 3 * n - 1 + 2 * ch.components)
-            .into_iter();
-        let mut next_rho = || rhos.next().expect("one coefficient per equation");
-        self.scalars
-            .reserve(10 * n + 2 * ch.components * (n + 1) + 8);
-        self.points
-            .reserve(10 * n + 2 * ch.components * (n + 1) + 8);
-
-        // x^{i+1} weights of the public multi-exponentiation targets.
-        let mut x_powers = Vec::with_capacity(n);
-        let mut x_power = Scalar::ONE;
-        for _ in 0..n {
-            x_power *= ch.x;
-            x_powers.push(x_power);
+    /// The index of `batch` among the stages, hashing it and reserving a
+    /// slot per point on first sight.
+    fn stage(&mut self, batch: &'a [MessageCiphertext]) -> usize {
+        if let Some(known) = self
+            .stages
+            .iter()
+            .position(|s| std::ptr::eq(s.batch, batch))
+        {
+            return known;
         }
-
-        // Product argument, per step j: the value opening
-        //   rv·G + rvb·H = A_v + c·(y·CP_j + CB_j − z·G)
-        // and the multiplicative step
-        //   rv·prev + rsb·H = A_s + c·c_p[j−1]
-        // with prev = c_v[0] (expanded homomorphically) for j = 1, else
-        // c_p[j−2]. Negations fold into scalar coefficients — a point `Sub`
-        // on this backend costs a Fermat inversion.
-        for j in 1..n {
-            let step = &proof.product_steps[j - 1];
-            let rho = next_rho();
-            self.g_coeff += rho * (step.response_value + c * ch.z);
-            self.h_coeff += rho * step.response_value_blinding;
-            self.push(rho, step.announce_value);
-            self.push(rho * c * ch.y, proof.commit_perm[j]);
-            self.push(rho * c, proof.commit_powers[j]);
-
-            let rho = next_rho();
-            self.h_coeff += rho * step.response_step_blinding;
-            self.push(rho, step.announce_step);
-            self.push(rho * c, proof.commit_partial[j - 1]);
-            let rv = rho * step.response_value;
-            if j == 1 {
-                self.push(-(rv * ch.y), proof.commit_perm[0]);
-                self.push(-rv, proof.commit_powers[0]);
-                self.g_coeff -= rv * ch.z;
-            } else {
-                self.push(-rv, proof.commit_partial[j - 2]);
-            }
+        let offset = self.points.len();
+        for ct in batch.iter().flat_map(|message| &message.components) {
+            self.push(Scalar::ZERO, ct.r);
+            self.push(Scalar::ZERO, ct.c);
         }
-
-        // Final opening: rf·H + c·P·G = A_f + c·c_p[n−1].
-        let rho = next_rho();
-        let product = public_product(n, &ch.x, &ch.y, &ch.z);
-        self.g_coeff += rho * c * product;
-        self.h_coeff += rho * proof.response_final;
-        self.push(rho, proof.announce_final);
-        if n == 1 {
-            self.push(rho * c * ch.y, proof.commit_perm[0]);
-            self.push(rho * c, proof.commit_powers[0]);
-            self.g_coeff += rho * c * ch.z;
-        } else {
-            self.push(rho * c, proof.commit_partial[n - 2]);
-        }
-
-        // Power openings: rp_j·G + rpb_j·H = A_p[j] + c·CB_j.
-        for j in 0..n {
-            let rho = next_rho();
-            self.g_coeff += rho * proof.response_powers[j];
-            self.h_coeff += rho * proof.response_power_blindings[j];
-            self.push(rho, proof.announce_powers[j]);
-            self.push(rho * c, proof.commit_powers[j]);
-        }
-
-        // Multi-exponentiation relations, per component l: the randomness
-        // half Σ_j rp_j·R'_j − rρ_l·B = A_R[l] + c·Σ_i x^{i+1}·R_i and the
-        // payload half with c-components and the group key X in place of B.
-        let mut pk_coeff = Scalar::ZERO;
-        for l in 0..ch.components {
-            let rho = next_rho();
-            self.g_coeff -= rho * proof.response_rho[l];
-            self.push(rho, proof.announce_rand[l]);
-            for (i, message) in inputs.iter().enumerate() {
-                self.push(rho * c * x_powers[i], message.components[l].r);
-            }
-            for (j, message) in outputs.iter().enumerate() {
-                self.push(-(rho * proof.response_powers[j]), message.components[l].r);
-            }
-
-            let rho = next_rho();
-            pk_coeff += rho * proof.response_rho[l];
-            self.push(rho, proof.announce_payload[l]);
-            for (i, message) in inputs.iter().enumerate() {
-                self.push(rho * c * x_powers[i], message.components[l].c);
-            }
-            for (j, message) in outputs.iter().enumerate() {
-                self.push(-(rho * proof.response_powers[j]), message.components[l].c);
-            }
-        }
-        self.rhs_extra += crate::batch::mul_fixed(&pk.0, &pk_coeff);
+        self.stages.push(Stage {
+            batch,
+            digest: stage_digest(batch),
+            offset,
+        });
+        self.stages.len() - 1
     }
 
-    /// Settles the combined equation.
-    pub(crate) fn check(&self) -> bool {
-        let key = CommitmentKey::atom();
-        let lhs = RISTRETTO_BASEPOINT_TABLE.mul_scalar(&self.g_coeff)
-            + crate::batch::mul_fixed(&key.h, &self.h_coeff);
-        lhs == crate::batch::multiscalar_mul(&self.scalars, &self.points) + self.rhs_extra
+    /// Checks the statement and proof shapes and replays the link's
+    /// Fiat–Shamir transcript.
+    fn replay(&mut self, link: &ShuffleVerification<'a>) -> CryptoResult<Challenges> {
+        let (n, components) = check_shape(link.inputs, link.outputs)?;
+        let proof = link.proof;
+        if proof.announce_rand.len() != components
+            || proof.announce_payload.len() != components
+            || proof.response_rho.len() != components
+            || proof.response_values.len() != n
+            || proof.response_products.len() != n
+            || proof.response_powers.len() != n
+        {
+            return Err(CryptoError::ProofInvalid(
+                "shuffle proof shape mismatch".into(),
+            ));
+        }
+        let (input, output) = (self.stage(link.inputs), self.stage(link.outputs));
+        let stages = [&self.stages[input].digest, &self.stages[output].digest];
+        let mut t = statement_transcript(link.pk, (n, components), stages);
+        t.append_point(b"commit-perm", &proof.commit_perm);
+        let x = t.challenge_scalar(b"x");
+        t.append_point(b"commit-powers", &proof.commit_powers);
+        let y = t.challenge_scalar(b"y");
+        let z = t.challenge_scalar(b"z");
+        let w = sigma_challenge(&mut t, proof);
+        Ok(Challenges {
+            n,
+            components,
+            input: self.stages[input].offset,
+            output: self.stages[output].offset,
+            x,
+            y,
+            z,
+            w,
+        })
+    }
+
+    /// Checks the link's two scalar equations and folds its `3 + 2L` group
+    /// equations into the combination, one coefficient of `rlc` each.
+    fn accumulate(
+        &mut self,
+        rlc: &mut Transcript,
+        link: &ShuffleVerification<'a>,
+        ch: &Challenges,
+    ) -> CryptoResult<()> {
+        let (n, proof, w) = (ch.n, link.proof, ch.w);
+        let x_powers = powers(&ch.x, n);
+        if proof.response_products[0] != proof.response_values[0] {
+            return Err(CryptoError::ProofInvalid(
+                "product argument: the partial products do not start at the first value".into(),
+            ));
+        }
+        if proof.response_products[n - 1] != w * public_product(&x_powers, &ch.y, &ch.z) {
+            return Err(CryptoError::ProofInvalid(
+                "product argument: the partial products do not end at the public product".into(),
+            ));
+        }
+        let mut rhos = rlc
+            .challenge_coefficients(b"rho", 3 + 2 * ch.components)
+            .into_iter();
+        let mut next_rho = || rhos.next().expect("one coefficient per equation");
+        let (rho_values, rho_products, rho_powers) = (next_rho(), next_rho(), next_rho());
+
+        // The three openings, as com(·) − (their right-hand sides) = 0:
+        //   com(ã + w·z; r̃)                         − w·y·c_A − w·c_B − c_e
+        //   com((w·b̃_j − b̃_{j−1}·ã_j)_{j≥1}; s̃)      − w·c_Δ − c_δ
+        //   com(f; r_f)                              − w·c_B − c_A0
+        if self.generators.len() < n {
+            self.generators.resize(n, Scalar::ZERO);
+        }
+        let wz = w * ch.z;
+        for j in 0..n {
+            let mut coefficient = rho_values * (proof.response_values[j] + wz)
+                + rho_powers * proof.response_powers[j];
+            if j > 0 {
+                coefficient += rho_products
+                    * (w * proof.response_products[j]
+                        - proof.response_products[j - 1] * proof.response_values[j]);
+            }
+            self.generators[j] += coefficient;
+        }
+        self.blinding += rho_values * proof.response_values_blinding
+            + rho_products * proof.response_products_blinding
+            + rho_powers * proof.response_powers_blinding;
+        self.push(-(rho_values * w * ch.y), proof.commit_perm);
+        self.push(-((rho_values + rho_powers) * w), proof.commit_powers);
+        self.push(-rho_values, proof.commit_nonce);
+        self.push(-rho_products, proof.commit_cross);
+        self.push(-(rho_products * w), proof.commit_linear);
+        self.push(-rho_powers, proof.commit_multiexp);
+
+        // The multi-exponentiation relations, per component l and half:
+        //   Σ_j f_j·C'_j − τ_l·base − E − w·Σ_i x^{i+1}·C_i = 0
+        // with base B for the R-half and the group key X for the payload.
+        let mut halves = Vec::with_capacity(2 * ch.components);
+        let mut key_coefficient = Scalar::ZERO;
+        for l in 0..ch.components {
+            let (rho_rand, rho_payload) = (next_rho(), next_rho());
+            self.push(-rho_rand, proof.announce_rand[l]);
+            self.push(-rho_payload, proof.announce_payload[l]);
+            self.basepoint -= rho_rand * proof.response_rho[l];
+            key_coefficient -= rho_payload * proof.response_rho[l];
+            halves.push((rho_rand, rho_rand * w));
+            halves.push((rho_payload, rho_payload * w));
+        }
+        self.keys += mul_fixed(&link.pk.0, &key_coefficient);
+        for (j, (x_power, f)) in x_powers.iter().zip(&proof.response_powers).enumerate() {
+            let message = j * halves.len();
+            for (slot, (rho, rho_w)) in halves.iter().enumerate() {
+                self.scalars[ch.input + message + slot] -= rho_w * x_power;
+                self.scalars[ch.output + message + slot] += rho * f;
+            }
+        }
+        Ok(())
+    }
+
+    /// Settles the combined equation: one multi-exponentiation over every
+    /// slot plus the generators, three fixed-base walks. A miss only says
+    /// that some link is wrong.
+    fn check(mut self) -> CryptoResult<()> {
+        let key = CommitmentKey::atom(self.generators.len());
+        self.points
+            .extend_from_slice(&key.g[..self.generators.len()]);
+        self.scalars.append(&mut self.generators);
+        let total = multiscalar_mul(&self.scalars, &self.points)
+            + RISTRETTO_BASEPOINT_TABLE.mul_scalar(&self.basepoint)
+            + mul_fixed(&key.h, &self.blinding)
+            + self.keys;
+        if total == RistrettoPoint::identity() {
+            Ok(())
+        } else {
+            Err(CryptoError::ProofInvalid(
+                "shuffle argument: combined check failed".into(),
+            ))
+        }
     }
 }
 
-/// Verifies a shuffle proof.
-///
-/// Fast path: all ~5n per-element equality checks are folded into one random
-/// linear combination and settled by a single multiscalar multiplication
-/// (see `RlcAccumulator`). An RLC miss can only mean some underlying
-/// equation is false (an honest proof satisfies every equation identically,
-/// so its combination holds for *any* coefficients), in which case the
-/// sequential verifier re-runs the equations one by one to report the exact
-/// failing relation — the cold path, taken only for invalid proofs.
+/// Replays every link of a shuffle chain and folds all their equations
+/// into one accumulator.
+fn combine<'a>(links: &[ShuffleVerification<'a>]) -> CryptoResult<RlcAccumulator<'a>> {
+    let mut acc = RlcAccumulator::default();
+    let mut rlc = Transcript::new(b"atom-batch-shuffle");
+    rlc.append_u64(b"count", links.len() as u64);
+    // Every link's challenge (which binds its statement and the prover's
+    // messages) and responses go in before the first coefficient comes out.
+    let mut challenges = Vec::with_capacity(links.len());
+    for link in links {
+        let ch = acc.replay(link)?;
+        let proof = link.proof;
+        rlc.append_scalar(b"challenge", &ch.w);
+        rlc.append_scalars(b"response-values", &proof.response_values);
+        rlc.append_scalars(b"response-products", &proof.response_products);
+        rlc.append_scalars(b"response-powers", &proof.response_powers);
+        rlc.append_scalars(b"response-rho", &proof.response_rho);
+        rlc.append_scalars(
+            b"response-blindings",
+            &[
+                proof.response_values_blinding,
+                proof.response_products_blinding,
+                proof.response_powers_blinding,
+            ],
+        );
+        challenges.push(ch);
+    }
+    for (link, ch) in links.iter().zip(&challenges) {
+        acc.accumulate(&mut rlc, link, ch)?;
+    }
+    Ok(acc)
+}
+
+/// Verifies every link of a shuffle chain with one combined check (module
+/// docs, "Verification"). `Parameter`/shape errors and the scalar endpoint
+/// checks name their cause; after a miss of the combination
+/// [`crate::batch::verify_shuffle_batch`] asks link by link.
+pub(crate) fn verify_chain(links: &[ShuffleVerification<'_>]) -> CryptoResult<()> {
+    combine(links)?.check()
+}
+
+/// How many terms the chain's one multi-exponentiation takes.
+#[cfg(test)]
+pub(crate) fn chain_terms(links: &[ShuffleVerification<'_>]) -> usize {
+    let acc = combine(links).unwrap();
+    acc.points.len() + acc.generators.len()
+}
+
+/// Verifies a shuffle proof: [`verify_chain`] over a chain of one link.
 pub fn verify_shuffle(
     pk: &PublicKey,
     inputs: &[MessageCiphertext],
     outputs: &[MessageCiphertext],
     proof: &ShuffleProof,
 ) -> CryptoResult<()> {
-    let ch = replay_challenges(pk, inputs, outputs, proof)?;
-    let mut rlc = Transcript::new(RLC_DOMAIN);
-    rlc.append_u64(b"count", 1);
-    absorb_proof(&mut rlc, &ch, proof);
-    let mut acc = RlcAccumulator::new();
-    acc.accumulate(&mut rlc, pk, inputs, outputs, proof, &ch);
-    if acc.check() {
-        Ok(())
-    } else {
-        verify_shuffle_sequential(pk, inputs, outputs, proof)
+    verify_chain(&[ShuffleVerification {
+        pk,
+        inputs,
+        outputs,
+        proof,
+    }])
+}
+
+/// Every single-field tampering of `proof`, named as in the module docs:
+/// each of its `6 + 2L` points shifted, each response vector bumped at its
+/// first, middle and last index, each blinding and each `τ_l` bumped.
+#[cfg(test)]
+pub(crate) fn tampered_variants(proof: &ShuffleProof) -> Vec<(String, ShuffleProof)> {
+    let (g, one) = (
+        curve25519_dalek::constants::RISTRETTO_BASEPOINT_POINT,
+        Scalar::ONE,
+    );
+    let n = proof.response_values.len();
+    let mut variants = Vec::new();
+    let mut vary = |name: &str, index: usize, edit: &dyn Fn(&mut ShuffleProof)| {
+        let mut tampered = proof.clone();
+        edit(&mut tampered);
+        variants.push((format!("{name}[{index}]"), tampered));
+    };
+    vary("c_A", 0, &|p| p.commit_perm += g);
+    vary("c_B", 0, &|p| p.commit_powers += g);
+    vary("c_e", 0, &|p| p.commit_nonce += g);
+    vary("c_δ", 0, &|p| p.commit_cross += g);
+    vary("c_Δ", 0, &|p| p.commit_linear += g);
+    vary("c_A0", 0, &|p| p.commit_multiexp += g);
+    for l in 0..proof.response_rho.len() {
+        vary("E_R", l, &|p| p.announce_rand[l] += g);
+        vary("E_c", l, &|p| p.announce_payload[l] += g);
+        vary("τ", l, &|p| p.response_rho[l] += one);
     }
+    let mut indices = vec![0, n / 2, n - 1];
+    indices.dedup();
+    for i in indices {
+        vary("ã", i, &|p| p.response_values[i] += one);
+        vary("b̃", i, &|p| p.response_products[i] += one);
+        vary("f", i, &|p| p.response_powers[i] += one);
+    }
+    vary("r̃", 0, &|p| p.response_values_blinding += one);
+    vary("s̃", 0, &|p| p.response_products_blinding += one);
+    vary("r_f", 0, &|p| p.response_powers_blinding += one);
+    variants
 }
 
 #[cfg(test)]
@@ -816,6 +674,7 @@ mod tests {
     use super::*;
     use crate::elgamal::{encrypt_message, shuffle, KeyPair};
     use crate::encoding::encode_message;
+    use curve25519_dalek::constants::RISTRETTO_BASEPOINT_POINT;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -834,227 +693,359 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn honest_shuffle_proof_verifies() {
-        let mut rng = StdRng::seed_from_u64(1234);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 8, 40);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs, &proof).is_ok());
-    }
-
-    #[test]
-    fn single_message_shuffle_proof_verifies() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 1, 10);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs, &proof).is_ok());
-    }
-
-    #[test]
-    fn single_component_messages_verify() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 5, 8);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs, &proof).is_ok());
-    }
-
-    #[test]
-    fn replaced_output_ciphertext_detected() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 6, 40);
-        let (mut outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-
-        // A malicious server swaps in an encryption of its own message.
-        let points = encode_message(b"injected").unwrap();
-        outputs[2] = encrypt_message(&kp.public, &points, &mut rng).0;
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs, &proof).is_err());
-    }
-
-    #[test]
-    fn duplicated_output_detected() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 6, 40);
-        let (mut outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        outputs[3] = outputs[4].clone();
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs, &proof).is_err());
-    }
-
-    #[test]
-    fn tampered_component_detected() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 4, 60);
-        let (mut outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        outputs[1].components[1].c += key_g();
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs, &proof).is_err());
-    }
-
-    #[test]
-    fn proof_for_other_inputs_rejected() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 5, 40);
-        let other_inputs = batch(&mut rng, &kp, 5, 40);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&kp.public, &other_inputs, &outputs, &proof).is_err());
-    }
-
-    #[test]
-    fn wrong_group_key_rejected() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let kp = KeyPair::generate(&mut rng);
-        let other = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 5, 40);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&other.public, &inputs, &outputs, &proof).is_err());
-    }
-
-    #[test]
-    fn non_rerandomized_identity_permutation_still_needs_valid_witness() {
-        // Passing outputs that are NOT a shuffle of the inputs (fresh
-        // encryptions of the same plaintexts) must fail even though the
-        // plaintext multiset matches, because the witness does not satisfy
-        // the rerandomization relation.
-        let mut rng = StdRng::seed_from_u64(12);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 4, 20);
-        let fake_outputs = batch(&mut rng, &kp, 4, 20);
-        let witness = ShuffleWitness {
-            permutation: (0..4).collect(),
-            randomness: vec![vec![Scalar::ZERO; inputs[0].components.len()]; 4],
-        };
-        let proof = prove_shuffle(&kp.public, &inputs, &fake_outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&kp.public, &inputs, &fake_outputs, &proof).is_err());
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 4, 20);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        assert!(verify_shuffle(&kp.public, &inputs[..3], &outputs, &proof).is_err());
-        assert!(verify_shuffle(&kp.public, &inputs, &outputs[..3], &proof).is_err());
-    }
-
-    fn key_g() -> RistrettoPoint {
-        CommitmentKey::atom().g
-    }
-
-    /// Runs the RLC combination directly (no fallback) so a bug in the
-    /// accumulation equations cannot hide behind the sequential verifier.
-    fn rlc_check(
+    /// The textbook verifier: every equation of the module docs on its own,
+    /// commitments and sums recomputed one exponentiation at a time. Shares
+    /// only the shape checks and the transcript replay with the fast path,
+    /// whose verdict it is the oracle for.
+    fn verify_shuffle_sequential(
         pk: &PublicKey,
         inputs: &[MessageCiphertext],
         outputs: &[MessageCiphertext],
         proof: &ShuffleProof,
-    ) -> bool {
-        let ch = replay_challenges(pk, inputs, outputs, proof).unwrap();
-        let mut rlc = Transcript::new(RLC_DOMAIN);
-        rlc.append_u64(b"count", 1);
-        absorb_proof(&mut rlc, &ch, proof);
-        let mut acc = RlcAccumulator::new();
-        acc.accumulate(&mut rlc, pk, inputs, outputs, proof, &ch);
-        acc.check()
+    ) -> CryptoResult<()> {
+        let link = ShuffleVerification {
+            pk,
+            inputs,
+            outputs,
+            proof,
+        };
+        let ch = RlcAccumulator::default().replay(&link)?;
+        let (n, w) = (ch.n, ch.w);
+        let key = CommitmentKey::atom(n);
+        let commit = |values: &[Scalar], blinding: &Scalar| -> RistrettoPoint {
+            let sum: RistrettoPoint = values.iter().zip(key.g.iter()).map(|(v, g)| v * g).sum();
+            sum + blinding * key.h
+        };
+        let fail = |what: &str| Err(CryptoError::ProofInvalid(what.into()));
+        let (values, products) = (&proof.response_values, &proof.response_products);
+
+        let c_d =
+            ch.y * proof.commit_perm + proof.commit_powers + commit(&vec![-ch.z; n], &Scalar::ZERO);
+        if commit(values, &proof.response_values_blinding) != w * c_d + proof.commit_nonce {
+            return fail("product argument: value opening failed");
+        }
+        let steps: Vec<Scalar> = (0..n)
+            .map(|j| match j {
+                0 => Scalar::ZERO,
+                _ => w * products[j] - products[j - 1] * values[j],
+            })
+            .collect();
+        if commit(&steps, &proof.response_products_blinding)
+            != w * proof.commit_linear + proof.commit_cross
+        {
+            return fail("product argument: multiplicative steps failed");
+        }
+        let x_powers = powers(&ch.x, n);
+        if products[0] != values[0]
+            || products[n - 1] != w * public_product(&x_powers, &ch.y, &ch.z)
+        {
+            return fail("product argument: endpoint failed");
+        }
+        if commit(&proof.response_powers, &proof.response_powers_blinding)
+            != w * proof.commit_powers + proof.commit_multiexp
+        {
+            return fail("multi-exponentiation: power opening failed");
+        }
+        for l in 0..ch.components {
+            type Half = fn(&crate::elgamal::Ciphertext) -> RistrettoPoint;
+            let halves: [(Half, _, _); 2] = [
+                (|ct| ct.r, RISTRETTO_BASEPOINT_POINT, proof.announce_rand[l]),
+                (|ct| ct.c, pk.0, proof.announce_payload[l]),
+            ];
+            for (half, base, announcement) in halves {
+                let fold = |stage: &[MessageCiphertext], weights: &[Scalar]| -> RistrettoPoint {
+                    stage
+                        .iter()
+                        .zip(weights)
+                        .map(|(m, weight)| weight * half(&m.components[l]))
+                        .sum()
+                };
+                if fold(outputs, &proof.response_powers) + -proof.response_rho[l] * base
+                    != announcement + w * fold(inputs, &x_powers)
+                {
+                    return fail("multi-exponentiation: relation failed");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A seeded statement, its honest witness and proof.
+    struct Fixture {
+        rng: StdRng,
+        kp: KeyPair,
+        inputs: Vec<MessageCiphertext>,
+        outputs: Vec<MessageCiphertext>,
+        witness: ShuffleWitness,
+        proof: ShuffleProof,
+    }
+
+    fn fixture(seed: u64, count: usize, msg_len: usize) -> Fixture {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(&mut rng);
+        let inputs = batch(&mut rng, &kp, count, msg_len);
+        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
+        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
+        Fixture {
+            rng,
+            kp,
+            inputs,
+            outputs,
+            witness,
+            proof,
+        }
+    }
+
+    impl Fixture {
+        fn verify(&self) -> CryptoResult<()> {
+            verify_shuffle(&self.kp.public, &self.inputs, &self.outputs, &self.proof)
+        }
+
+        /// Whether `proof` verifies over this statement, on which the fast
+        /// path and the oracle must agree.
+        fn verdict(&self, proof: &ShuffleProof, case: &str) -> bool {
+            let fast = verify_shuffle(&self.kp.public, &self.inputs, &self.outputs, proof);
+            let slow =
+                verify_shuffle_sequential(&self.kp.public, &self.inputs, &self.outputs, proof);
+            assert_eq!(fast.is_ok(), slow.is_ok(), "verdicts diverge for {case}");
+            fast.is_ok()
+        }
     }
 
     #[test]
+    fn honest_shuffle_proof_verifies() {
+        let f = fixture(1234, 8, 40);
+        assert!(f.verify().is_ok());
+        assert_eq!(f.proof.encoded_len(), 32 * (6 + 2 * 2 + 3 * 8 + 2 + 3));
+    }
+
+    #[test]
+    fn single_message_shuffle_proof_verifies() {
+        assert!(fixture(5, 1, 10).verify().is_ok());
+    }
+
+    #[test]
+    fn single_component_messages_verify() {
+        assert!(fixture(6, 5, 8).verify().is_ok());
+    }
+
+    #[test]
+    fn replaced_output_ciphertext_detected() {
+        let mut f = fixture(7, 6, 40);
+        // A malicious server swaps in an encryption of its own message.
+        let points = encode_message(b"injected").unwrap();
+        f.outputs[2] = encrypt_message(&f.kp.public, &points, &mut f.rng).0;
+        assert!(f.verify().is_err());
+    }
+
+    #[test]
+    fn duplicated_output_detected() {
+        let mut f = fixture(8, 6, 40);
+        f.outputs[3] = f.outputs[4].clone();
+        assert!(f.verify().is_err());
+    }
+
+    #[test]
+    fn tampered_component_detected() {
+        let mut f = fixture(9, 4, 60);
+        f.outputs[1].components[1].c += RISTRETTO_BASEPOINT_POINT;
+        assert!(f.verify().is_err());
+    }
+
+    #[test]
+    fn proof_for_other_inputs_rejected() {
+        let mut f = fixture(10, 5, 40);
+        f.inputs = batch(&mut f.rng, &f.kp, 5, 40);
+        assert!(f.verify().is_err());
+    }
+
+    #[test]
+    fn wrong_group_key_rejected() {
+        let mut f = fixture(11, 5, 40);
+        f.kp = KeyPair::generate(&mut f.rng);
+        assert!(f.verify().is_err());
+    }
+
+    #[test]
+    fn non_rerandomized_identity_permutation_still_needs_valid_witness() {
+        // Fresh encryptions of the same plaintexts are NOT a shuffle of the
+        // inputs: the plaintext multiset matches, but no witness satisfies
+        // the rerandomization relation.
+        let mut f = fixture(12, 4, 20);
+        f.outputs = batch(&mut f.rng, &f.kp, 4, 20);
+        f.witness = ShuffleWitness {
+            permutation: (0..4).collect(),
+            randomness: vec![vec![Scalar::ZERO; f.inputs[0].components.len()]; 4],
+        };
+        let (pk, rng) = (&f.kp.public, &mut f.rng);
+        f.proof = prove_shuffle(pk, &f.inputs, &f.outputs, &f.witness, rng).unwrap();
+        assert!(f.verify().is_err());
+    }
+
+    #[test]
+    fn shape_mismatch_rejected() {
+        let f = fixture(13, 4, 20);
+        let pk = &f.kp.public;
+        for (inputs, outputs) in [
+            (&f.inputs[..3], &f.outputs[..]),
+            (&f.inputs[..], &f.outputs[..3]),
+            (&f.inputs[..0], &f.outputs[..0]),
+        ] {
+            let fast = verify_shuffle(pk, inputs, outputs, &f.proof);
+            let slow = verify_shuffle_sequential(pk, inputs, outputs, &f.proof);
+            assert!(matches!(fast, Err(CryptoError::Parameter(_))));
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        }
+        // A proof for another n or L is malformed for this statement, and
+        // a witness of the wrong shape is refused before anything is drawn.
+        for (count, len) in [(3, 20), (4, 40)] {
+            let other = fixture(14, count, len).proof;
+            let fast = verify_shuffle(pk, &f.inputs, &f.outputs, &other);
+            let slow = verify_shuffle_sequential(pk, &f.inputs, &f.outputs, &other);
+            assert!(matches!(fast, Err(CryptoError::ProofInvalid(_))));
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        }
+        let mut rng = StdRng::seed_from_u64(15);
+        for edit in [
+            (|w| w.permutation[0] = 4) as fn(&mut ShuffleWitness),
+            |w| w.randomness[2].clear(),
+            |w| w.permutation.truncate(3),
+        ] {
+            let mut witness = f.witness.clone();
+            edit(&mut witness);
+            let refused = prove_shuffle(pk, &f.inputs, &f.outputs, &witness, &mut rng);
+            assert!(matches!(refused, Err(CryptoError::Parameter(_))));
+        }
+    }
+
+    /// Honest proofs at the edge sizes pass the combined check and every
+    /// equation of the oracle: n = 1 (no free nonce in the product
+    /// argument), n = 2 (no free δ), n = 3 (one), and L = 1 against L = 2.
+    #[test]
     fn rlc_fast_path_accepts_honest_proofs_without_fallback() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let kp = KeyPair::generate(&mut rng);
-        // Multi-element, single-element and single-component statements all
-        // exercise different accumulation branches (j == 1 expansion,
-        // n == 1 final opening).
-        for (count, len) in [(8, 40), (1, 10), (5, 8), (2, 20)] {
-            let inputs = batch(&mut rng, &kp, count, len);
-            let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-            let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
+        for (seed, (count, len)) in [(1, 10), (2, 20), (3, 8), (5, 8), (8, 40), (3, 70)]
+            .into_iter()
+            .enumerate()
+        {
+            let f = fixture(20 + seed as u64, count, len);
             assert!(
-                rlc_check(&kp.public, &inputs, &outputs, &proof),
-                "honest proof (n={count}) must pass the RLC combination itself"
+                f.verdict(&f.proof, "an honest proof"),
+                "honest proof (n={count}, len={len}) must verify"
             );
         }
     }
 
     #[test]
     fn rlc_fast_path_rejects_every_tampered_field() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 5, 30);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
-        let one = Scalar::ONE;
-
-        let mut tampered = Vec::new();
-        let mut p = proof.clone();
-        p.response_final += one;
-        tampered.push(("response_final", p));
-        let mut p = proof.clone();
-        p.response_powers[2] += one;
-        tampered.push(("response_powers", p));
-        let mut p = proof.clone();
-        p.response_power_blindings[0] += one;
-        tampered.push(("response_power_blindings", p));
-        let mut p = proof.clone();
-        p.response_rho[0] += one;
-        tampered.push(("response_rho", p));
-        let mut p = proof.clone();
-        p.product_steps[1].response_value += one;
-        tampered.push(("response_value", p));
-        let mut p = proof.clone();
-        p.product_steps[0].response_step_blinding += one;
-        tampered.push(("response_step_blinding", p));
-        let mut p = proof.clone();
-        p.announce_final += key_g();
-        tampered.push(("announce_final", p));
-        let mut p = proof.clone();
-        p.commit_perm[3] += key_g();
-        tampered.push(("commit_perm", p));
-
-        for (field, p) in tampered {
-            assert!(
-                !rlc_check(&kp.public, &inputs, &outputs, &p),
-                "tampered {field} must miss the RLC combination"
-            );
-            // And the public verifier agrees with the sequential one.
-            let fast = verify_shuffle(&kp.public, &inputs, &outputs, &p);
-            let slow = verify_shuffle_sequential(&kp.public, &inputs, &outputs, &p);
-            assert_eq!(
-                format!("{:?}", fast),
-                format!("{:?}", slow),
-                "verdicts diverge for tampered {field}"
-            );
-            assert!(fast.is_err());
+        for (count, len) in [(5, 40), (1, 10), (2, 8)] {
+            let f = fixture(21, count, len);
+            let variants = tampered_variants(&f.proof);
+            let components = f.inputs[0].components.len();
+            assert!(variants.len() >= 6 + 2 * components + 3 + components + 3);
+            for (field, tampered) in variants {
+                assert!(
+                    !f.verdict(&tampered, &field),
+                    "tampered {field} must be rejected (n={count})"
+                );
+            }
         }
     }
 
     #[test]
     fn fast_and_sequential_verdicts_agree_on_statement_tampering() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let kp = KeyPair::generate(&mut rng);
-        let inputs = batch(&mut rng, &kp, 6, 40);
-        let (outputs, witness) = shuffle(&kp.public, &inputs, &mut rng).unwrap();
-        let proof = prove_shuffle(&kp.public, &inputs, &outputs, &witness, &mut rng).unwrap();
+        let mut f = fixture(22, 6, 40);
+        f.outputs[4].components[0].c += RISTRETTO_BASEPOINT_POINT;
+        assert!(!f.verdict(&f.proof, "a mauled output"));
+        let mut f = fixture(22, 6, 40);
+        f.inputs.swap(0, 1);
+        assert!(!f.verdict(&f.proof, "reordered inputs"));
+    }
 
-        let mut mauled = outputs.clone();
-        mauled[4].components[0].c += key_g();
-        let fast = verify_shuffle(&kp.public, &inputs, &mauled, &proof);
-        let slow = verify_shuffle_sequential(&kp.public, &inputs, &mauled, &proof);
-        assert!(fast.is_err());
-        assert_eq!(format!("{:?}", fast), format!("{:?}", slow));
+    /// Provers that follow the protocol on a false witness: what each of the
+    /// argument's checks is there to catch.
+    #[test]
+    fn dishonest_witnesses_are_rejected() {
+        let f = fixture(23, 6, 40);
+        let pk = &f.kp.public;
+        let mut rng = StdRng::seed_from_u64(24);
+
+        // Not a permutation: input 1 delivered twice, input 0 dropped, every
+        // output an honest rerandomization of what the witness says it is.
+        // The product of the committed values misses the public product.
+        let mut witness = f.witness.clone();
+        let dropped = witness.permutation.iter().position(|&s| s == 0).unwrap();
+        witness.permutation[dropped] = 1;
+        let mut outputs = f.outputs.clone();
+        for (l, ct) in outputs[dropped].components.iter_mut().enumerate() {
+            let rho = witness.randomness[dropped][l];
+            let source = &f.inputs[1].components[l];
+            ct.r = source.r + rho * RISTRETTO_BASEPOINT_POINT;
+            ct.c = source.c + rho * pk.0;
+        }
+        let proof = prove_shuffle(pk, &f.inputs, &outputs, &witness, &mut rng).unwrap();
+        let misses_the_product = |outputs: &[MessageCiphertext], proof: &ShuffleProof| {
+            for verifier in [verify_shuffle, verify_shuffle_sequential] {
+                let error = verifier(pk, &f.inputs, outputs, proof).unwrap_err();
+                assert!(format!("{error}").contains("product argument"), "{error}");
+            }
+        };
+        misses_the_product(&outputs, &proof);
+
+        // c_A commits to one permutation and c_B to the powers of another:
+        // b_j ≠ x^{a_j} at two positions, so the multi-exponentiation
+        // relation (which only sees b) holds and the product argument fails.
+        let mut committed = f.witness.permutation.clone();
+        committed.swap(0, 1);
+        let proof = prove(pk, &f.inputs, &f.outputs, &committed, &f.witness, &mut rng).unwrap();
+        misses_the_product(&f.outputs, &proof);
+
+        // The right permutation with one wrong rerandomizer: the product
+        // argument holds and the multi-exponentiation relation fails.
+        let mut witness = f.witness.clone();
+        witness.randomness[3][1] += Scalar::ONE;
+        let proof = prove_shuffle(pk, &f.inputs, &f.outputs, &witness, &mut rng).unwrap();
+        assert!(verify_shuffle(pk, &f.inputs, &f.outputs, &proof).is_err());
+        let error = verify_shuffle_sequential(pk, &f.inputs, &f.outputs, &proof).unwrap_err();
+        assert!(
+            format!("{error}").contains("multi-exponentiation: relation"),
+            "{error}"
+        );
+    }
+
+    /// No response is `w` times its secret (a missing nonce would hand the
+    /// verifier the permutation), except where the module docs say so.
+    #[test]
+    fn every_witness_dependent_response_is_blinded() {
+        for count in [1, 2, 3, 7] {
+            let f = fixture(25, count, 40);
+            let link = ShuffleVerification {
+                pk: &f.kp.public,
+                inputs: &f.inputs,
+                outputs: &f.outputs,
+                proof: &f.proof,
+            };
+            let ch = RlcAccumulator::default().replay(&link).unwrap();
+            let x_powers = powers(&ch.x, count);
+            let mut product = Scalar::ONE;
+            for (j, &src) in f.witness.permutation.iter().enumerate() {
+                let b = x_powers[src];
+                let d = ch.y * Scalar::from(src as u64 + 1) + b - ch.z;
+                product *= d;
+                assert_ne!(f.proof.response_powers[j], ch.w * b);
+                // n = 1: the lone value is public and the endpoints pin it.
+                assert_eq!(f.proof.response_values[j] == ch.w * d, count == 1);
+                // The last partial product is the public one.
+                assert_eq!(
+                    f.proof.response_products[j] == ch.w * product,
+                    j == count - 1
+                );
+            }
+            for (l, tau) in f.proof.response_rho.iter().enumerate() {
+                let rho_star: Scalar = (0..count)
+                    .map(|j| x_powers[f.witness.permutation[j]] * f.witness.randomness[j][l])
+                    .sum();
+                assert_ne!(*tau, ch.w * rho_star);
+            }
+        }
     }
 }

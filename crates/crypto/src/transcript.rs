@@ -10,6 +10,7 @@
 use curve25519_dalek::ristretto::{CompressedRistretto, RistrettoPoint};
 use curve25519_dalek::scalar::Scalar;
 
+use crate::elgamal::MessageCiphertext;
 use crate::keccak::Shake256;
 
 /// A Fiat-Shamir transcript.
@@ -31,11 +32,16 @@ impl Transcript {
         t
     }
 
-    /// Appends a labelled byte string.
-    pub fn append_bytes(&mut self, label: &'static [u8], data: &[u8]) {
+    /// Absorbs an item's frame: the label and the length of what follows.
+    fn frame(&mut self, label: &'static [u8], len: usize) {
         self.xof.absorb(&(label.len() as u64).to_le_bytes());
         self.xof.absorb(label);
-        self.xof.absorb(&(data.len() as u64).to_le_bytes());
+        self.xof.absorb(&(len as u64).to_le_bytes());
+    }
+
+    /// Appends a labelled byte string.
+    pub fn append_bytes(&mut self, label: &'static [u8], data: &[u8]) {
+        self.frame(label, data.len());
         self.xof.absorb(data);
     }
 
@@ -57,6 +63,38 @@ impl Transcript {
     /// Appends a labelled scalar.
     pub fn append_scalar(&mut self, label: &'static [u8], scalar: &Scalar) {
         self.append_bytes(label, scalar.as_bytes());
+    }
+
+    /// Appends a labelled scalar vector as one framed item.
+    pub fn append_scalars(&mut self, label: &'static [u8], scalars: &[Scalar]) {
+        self.frame(label, 32 * scalars.len());
+        for scalar in scalars {
+            self.xof.absorb(scalar.as_bytes());
+        }
+    }
+
+    /// Appends a whole message ciphertext as one framed item: every
+    /// component's `R`, `c` and a presence byte followed by `Y` when there
+    /// is one. `buf` is scratch space reused across calls.
+    pub(crate) fn append_message(
+        &mut self,
+        label: &'static [u8],
+        message: &MessageCiphertext,
+        buf: &mut Vec<u8>,
+    ) {
+        buf.clear();
+        for ct in &message.components {
+            buf.extend_from_slice(ct.r.compress().as_bytes());
+            buf.extend_from_slice(ct.c.compress().as_bytes());
+            match &ct.y {
+                Some(y) => {
+                    buf.push(1);
+                    buf.extend_from_slice(y.compress().as_bytes());
+                }
+                None => buf.push(0),
+            }
+        }
+        self.append_bytes(label, buf);
     }
 
     /// Derives a challenge scalar. The transcript state advances, so repeated

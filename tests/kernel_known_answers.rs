@@ -26,6 +26,12 @@
 //! counter. The field-level answers in the vendored
 //! `field::tests::known_answers_from_the_previous_kernel` did not move, and
 //! both tests assert the delivered texts independently of any encoding.
+//! `NIZK_DIGEST` alone re-pinned in PR 16: the Bayer–Groth `ShufProof`
+//! draws a different number of nonces from the group's stream than the
+//! per-element proof did, so every permutation after a round's first moves
+//! and the output *order* with it. The submit digests, `TRAP_DIGEST` (the
+//! trap variant builds no shuffle proof) and the delivered multisets did
+//! not change.
 //!
 //! To re-pin after a deliberate change of representation:
 //! `cargo test --test kernel_known_answers` — each failing `assert_eq!`
@@ -184,4 +190,4 @@ fn nizk_round_matches_parent_commit_digest() {
 const TRAP_SUBMIT_DIGEST: &str = "6a2e906fd3c436a2b1081013ac789a2a2f3335f6ce9b14784302bb7ad42f1cba";
 const TRAP_DIGEST: &str = "d34bf4042075b09434ddc45c6fd1ba615d13b0301b72d15d9ed6a5d73b5cbefe";
 const NIZK_SUBMIT_DIGEST: &str = "7720b312c9dfb3d53b8b8a72c21349eb6d7e4a24e78286d40d9e4661b4140f20";
-const NIZK_DIGEST: &str = "f04d6503ac9ee731772302956bc76d6ff544588c9a75bffc8ac21893bcb55c3b";
+const NIZK_DIGEST: &str = "7899fce66bc475d5d8598209cbd0b6415877412c3d32abf087d3404164207a45";
