@@ -245,8 +245,8 @@ fn main() {
     let start = Instant::now();
     let results = process.try_run();
     let wall = start.elapsed();
-    // A lost peer or a failed round surfaces as per-round errors (the
-    // engine's send-failure containment and stall detector guarantee it);
+    // A lost peer or a failed round surfaces as per-round errors (a send
+    // error becomes `TransportLost`, silence trips the stall detector);
     // report every one and exit non-zero so an orchestrator sees a status,
     // not a hang.
     let failures: Vec<String> = results

@@ -103,6 +103,25 @@ fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
+/// Rounds of alternation in [`time_pair_us`] and the `ReEncProof` sweep.
+const ALTERNATIONS: usize = 8;
+
+/// [`time_us`] of two closures whose *ratio* a gate asserts, sampled in
+/// alternating rounds: a host whose speed drifts between phases (shared VMs
+/// do, by 12–25 %) then moves both sides of the ratio instead of one.
+fn time_pair_us<A, B>(
+    iters: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ALTERNATIONS {
+        best_a = best_a.min(time_us(iters, &mut a));
+        best_b = best_b.min(time_us(iters, &mut b));
+    }
+    (best_a, best_b)
+}
+
 fn pow_naive(base: &U256, exp: &U256) -> U256 {
     let mut acc = U256::ONE;
     for i in (0..256).rev() {
@@ -175,33 +194,37 @@ fn main() {
         0x2545_f491_4f6c_dd1d >> 2,
     ]);
 
-    let pow_naive_us = time_us(args.iters, || pow_naive(&base, &exp));
-    // `lockstep_speedup` is a ratio of two timings a few microseconds long:
-    // sample them alternately, so a host whose speed drifts between phases
-    // (shared VMs do) moves both sides of the ratio.
-    let lockstep_bases: [U256; LOCKSTEP_BASES] =
-        core::array::from_fn(|i| P.mul(&base, &U256::from_u64(i as u64 + 2)));
-    let (mut pow_windowed_us, mut pow_lockstep_us) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..8 {
-        pow_windowed_us = pow_windowed_us.min(time_us(args.iters, || P.pow(&base, &exp)));
-        let per_call = time_us(args.iters, || {
-            let mut lanes = lockstep_bases;
-            P.pow_lockstep(&mut lanes, &exp);
-            lanes
-        });
-        pow_lockstep_us = pow_lockstep_us.min(per_call / LOCKSTEP_BASES as f64);
-    }
-    let lockstep_speedup = pow_windowed_us / pow_lockstep_us;
+    // Every gated ratio — `lockstep_speedup`, `fixed_base_speedup`,
+    // `enc_batch_speedup_vs_naive`, `reenc_aggregation_speedup` — samples
+    // its two sides alternately (see `time_pair_us`).
     let table_build_us = time_us(args.iters, || PowTable::new(&P, &base));
     let table_kib = PowTable::BYTES as f64 / 1024.0;
     let table = PowTable::new(&P, &base);
     // Well under a microsecond: blocks of 100 calls per sample, so the
     // timer's own ~0.1 µs is not a sixth of the reading.
-    let pow_fixed_base_us = time_us(args.iters, || {
-        for _ in 0..100 {
-            std::hint::black_box(table.pow(&P, std::hint::black_box(&exp)));
-        }
-    }) / 100.0;
+    let (pow_naive_us, pow_fixed_base_us) = time_pair_us(
+        args.iters,
+        || pow_naive(&base, &exp),
+        || {
+            for _ in 0..100 {
+                std::hint::black_box(table.pow(&P, std::hint::black_box(&exp)));
+            }
+        },
+    );
+    let pow_fixed_base_us = pow_fixed_base_us / 100.0;
+    let lockstep_bases: [U256; LOCKSTEP_BASES] =
+        core::array::from_fn(|i| P.mul(&base, &U256::from_u64(i as u64 + 2)));
+    let (pow_windowed_us, pow_lockstep_us) = time_pair_us(
+        args.iters,
+        || P.pow(&base, &exp),
+        || {
+            let mut lanes = lockstep_bases;
+            P.pow_lockstep(&mut lanes, &exp);
+            lanes
+        },
+    );
+    let pow_lockstep_us = pow_lockstep_us / LOCKSTEP_BASES as f64;
+    let lockstep_speedup = pow_windowed_us / pow_lockstep_us;
     // The single multiplications are nanosecond-scale: time blocks of 1000
     // chained calls per sample so each sample is well above timer
     // resolution.
@@ -256,12 +279,15 @@ fn main() {
             verify_encryption(&kp.public, 0, ct, proof).unwrap();
         }
     });
-    let enc_naive_us = time_us(args.iters, || {
-        for (ct, proof) in &enc_items {
-            verify_encryption_naive(&kp.public, 0, ct, proof);
-        }
-    });
-    let enc_batch_us = time_us(args.iters, || verify_encryption_batch(&enc_refs).unwrap());
+    let (enc_naive_us, enc_batch_us) = time_pair_us(
+        args.iters,
+        || {
+            for (ct, proof) in &enc_items {
+                verify_encryption_naive(&kp.public, 0, ct, proof);
+            }
+        },
+        || verify_encryption_batch(&enc_refs).unwrap(),
+    );
 
     // ReEncProof: one aggregated proof per sub-batch, proved and verified at
     // each sub-batch size; reported per ciphertext.
@@ -288,18 +314,25 @@ fn main() {
         })
         .collect();
     let witnesses: Vec<&[_]> = reenc_witnesses.iter().map(Vec::as_slice).collect();
-    let [(reenc_prove_1, reenc_verify_1), (reenc_prove_16, reenc_verify_16), (reenc_prove_128, reenc_verify_128)] =
-        REENC_SIZES.map(|n| {
+    // Each round of the sweep visits every size, so the sizes 1 and 128 the
+    // aggregation gate divides are sampled alternately.
+    let mut reenc_us_per_ct = [(f64::INFINITY, f64::INFINITY); REENC_SIZES.len()];
+    for _ in 0..ALTERNATIONS {
+        for ((prove_us, verify_us), n) in reenc_us_per_ct.iter_mut().zip(REENC_SIZES) {
             let (statements, witnesses) = (&statements[..n], &witnesses[..n]);
-            let prove_us = time_us(args.iters, || {
+            let prove = time_us(args.iters, || {
                 prove_reencryption_slice(statements, witnesses, &mut rng).unwrap()
             });
             let proof = prove_reencryption_slice(statements, witnesses, &mut rng).unwrap();
-            let verify_us = time_us(args.iters, || {
+            let verify = time_us(args.iters, || {
                 verify_reencryption_slice(statements, &proof).unwrap()
             });
-            (prove_us / n as f64, verify_us / n as f64)
-        });
+            *prove_us = prove_us.min(prove / n as f64);
+            *verify_us = verify_us.min(verify / n as f64);
+        }
+    }
+    let [(reenc_prove_1, reenc_verify_1), (reenc_prove_16, reenc_verify_16), (reenc_prove_128, reenc_verify_128)] =
+        reenc_us_per_ct;
     let reenc_aggregation_speedup =
         (reenc_prove_1 + reenc_verify_1) / (reenc_prove_128 + reenc_verify_128);
 

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! **Detection.** A dead process surfaces either as an engine failure
-//! (send-failure containment → `TransportLost`, or the stall detector) that
+//! (a send error → `TransportLost`, or the stall detector) that
 //! [`FaultVerdict::diagnose`] pins on a process, or as a handshake timeout
 //! (a member that never acks a plan). Either way the coordinator convicts,
 //! gossips the structured verdict to the survivors in a kind-tagged `evict`
@@ -57,7 +57,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,7 +66,7 @@ use rand::SeedableRng;
 use atom_core::config::AtomConfig;
 use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::message::TrapSubmission;
-use atom_net::{TcpOptions, TcpTransport, Transport};
+use atom_net::{Dial, SendError, TcpOptions, TcpTransport, Transport};
 use atom_runtime::wire::{self, EvictFrame, Frame, RejoinFrame};
 use atom_runtime::{
     new_control_sink, ControlSink, Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict,
@@ -393,19 +392,18 @@ pub struct RecoveryOutcome {
     pub wall: Duration,
 }
 
+/// Sends one handshake frame straight to `process`. An error (after the
+/// transport's one reconnect attempt) means the peer vanished; at a
+/// handshake site that error *is* the detection signal.
 fn send_control(
     transport: &TcpTransport,
     process: usize,
     orch: usize,
     label: &'static str,
     payload: Vec<u8>,
-) -> Result<(), String> {
-    // Sends to a vanished peer panic by design (after one reconnect
-    // attempt); at a handshake site that panic *is* the detection signal.
-    catch_unwind(AssertUnwindSafe(|| {
-        transport.send_to_process(process, orch, orch, Cow::Borrowed(label), payload);
-    }))
-    .map_err(|_| format!("process {process} unreachable"))
+) -> Result<(), SendError> {
+    let label = Cow::Borrowed(label);
+    transport.send_to_process(process, orch, orch, label, payload, Dial::IfNeeded)
 }
 
 /// Pulls every control frame available right now: the engine's control
@@ -609,12 +607,13 @@ pub fn run_recovery_coordinator(
                 // seeing itself on the dead list is what prompts its rejoin
                 // request. Best-effort by design — a crashed peer must not
                 // cost a connect-timeout stall per epoch.
-                transport.try_send_to_process(
+                let _ = transport.send_to_process(
                     process,
                     orch,
                     orch,
                     Cow::Borrowed(REJOIN_LABEL),
                     wire::encode_rejoin(&plan),
+                    Dial::Never,
                 );
                 continue;
             }
@@ -628,13 +627,13 @@ pub fn run_recovery_coordinator(
                 Ok(()) => {
                     awaiting.insert(process);
                 }
-                Err(reason) => {
+                Err(SendError { process, error }) => {
                     let verdict = FaultVerdict {
                         round: next,
                         process,
                         kind: FaultKind::Dead,
                         servers: process_servers(num_servers, processes, process),
-                        reason: format!("unreachable during handshake: {reason}"),
+                        reason: format!("unreachable during handshake: {error}"),
                     };
                     if let Err(error) = convict(
                         verdict,
@@ -751,29 +750,24 @@ pub fn run_recovery_coordinator(
         // members freeze the batch's membership on receiving the go, so all
         // live members must see it — aborting at the first dead peer would
         // leave the survivors frozen on an epoch the coordinator abandoned.
-        let mut unreachable: Vec<(usize, String)> = Vec::new();
-        for process in awaiting.iter() {
-            if let Err(reason) = send_control(
-                &transport,
-                *process,
-                orch,
-                REJOIN_LABEL,
-                wire::encode_rejoin(&go),
-            ) {
-                unreachable.push((*process, reason));
-            }
-        }
+        let unreachable: Vec<SendError> = awaiting
+            .iter()
+            .filter_map(|&process| {
+                let go = wire::encode_rejoin(&go);
+                send_control(&transport, process, orch, REJOIN_LABEL, go).err()
+            })
+            .collect();
         if !unreachable.is_empty() {
             // The epoch committed for everyone reachable (they and we have
             // frozen these rounds); convict the dead and retry the batch
             // with their shares marked failed under the frozen membership.
-            for (process, reason) in unreachable {
+            for SendError { process, error } in unreachable {
                 let verdict = FaultVerdict {
                     round: next,
                     process,
                     kind: FaultKind::Dead,
                     servers: process_servers(num_servers, processes, process),
-                    reason: format!("unreachable at commit: {reason}"),
+                    reason: format!("unreachable at commit: {error}"),
                 };
                 if let Err(error) = convict(
                     verdict,
@@ -1091,7 +1085,7 @@ pub fn run_healing_member(
             REJOIN_LABEL,
             wire::encode_rejoin(&request),
         )
-        .map_err(|reason| format!("rejoin request failed: {reason}"))?;
+        .map_err(|error| format!("rejoin request failed: {error}"))?;
         requested_rejoin = true;
     }
 
@@ -1141,14 +1135,14 @@ pub fn run_healing_member(
                     digest: ledger.digest(),
                     evictions: Vec::new(),
                 };
-                if let Err(reason) = send_control(
+                if let Err(error) = send_control(
                     &transport,
                     0,
                     orch,
                     REJOIN_LABEL,
                     wire::encode_rejoin(&request),
                 ) {
-                    break Err(format!("rejoin request failed: {reason}"));
+                    break Err(format!("rejoin request failed: {error}"));
                 }
                 requested_rejoin = true;
             }
@@ -1179,10 +1173,10 @@ pub fn run_healing_member(
             evictions: Vec::new(),
         };
         atom_obs::count("fleet.handshake.acks", 1);
-        if let Err(reason) =
+        if let Err(error) =
             send_control(&transport, 0, orch, REJOIN_LABEL, wire::encode_rejoin(&ack))
         {
-            break Err(format!("coordinator unreachable at ack: {reason}"));
+            break Err(format!("coordinator unreachable at ack: {error}"));
         }
         let deadline = Instant::now() + plan_deadline(spec);
         match wait_for_go(&transport, &sink, orch, epoch, deadline, &mut inbox) {

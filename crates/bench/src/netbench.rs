@@ -324,8 +324,8 @@ impl Process {
 
     /// Plays the role to completion and returns one result per round
     /// (authoritative on process 0, stubs elsewhere). A vanished peer
-    /// process surfaces here as per-round errors — via the engine's
-    /// send-failure containment and stall detector — never as a hang.
+    /// process surfaces here as per-round errors — a send error becomes
+    /// `TransportLost`, silence trips the stall detector — never as a hang.
     pub fn try_run(self) -> Vec<AtomResult<RoundReport>> {
         let results =
             Engine::new(self.options).run_rounds_on(self.jobs, &self.transport, &self.role);

@@ -36,7 +36,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use atom_crypto::elgamal::{MessageCiphertext, PublicKey};
-use atom_net::VirtualClock;
 use atom_topology::network::Topology;
 
 use crate::adversary::AdversaryPlan;
@@ -136,7 +135,8 @@ pub struct GroupActor {
     pending: BTreeMap<usize, BTreeMap<usize, Vec<MessageCiphertext>>>,
     compute: Vec<Duration>,
     virtual_ready: Vec<Duration>,
-    clock: VirtualClock,
+    /// Virtual time at which the group finished its latest iteration.
+    clock: Duration,
     done: bool,
 }
 
@@ -190,7 +190,7 @@ impl GroupActor {
             pending: BTreeMap::new(),
             compute: Vec::with_capacity(iterations),
             virtual_ready: vec![Duration::ZERO; iterations],
-            clock: VirtualClock::new(),
+            clock: Duration::ZERO,
             config,
             done: false,
         })
@@ -320,9 +320,8 @@ impl GroupActor {
         let elapsed = start.elapsed();
         self.compute.push(elapsed);
         // Group-local virtual clock: wait for the slowest arrival, then run.
-        self.clock.advance_to(self.virtual_ready[iteration]);
-        self.clock.advance(elapsed);
-        let now = self.clock.now();
+        self.clock = self.clock.max(self.virtual_ready[iteration]) + elapsed;
+        let now = self.clock;
         self.next_iteration += 1;
 
         if neighbors.is_empty() {
@@ -342,12 +341,6 @@ impl GroupActor {
             }
         }
         Ok(())
-    }
-
-    /// The group's virtual clock (simulated arrival-gated time; see the
-    /// module docs).
-    pub fn virtual_clock(&self) -> &VirtualClock {
-        &self.clock
     }
 }
 

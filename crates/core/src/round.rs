@@ -21,8 +21,9 @@ use atom_crypto::cca2::{self, HybridCiphertext};
 use atom_crypto::commit::{self, Commitment};
 use atom_crypto::dkg::reconstruct_group_secret;
 use atom_crypto::elgamal::{MessageCiphertext, SecretKey};
-use atom_crypto::nizk::enc::verify_encryption;
-use atom_net::{InMemoryNetwork, LatencyModel};
+use atom_crypto::nizk::enc::{verify_encryption, EncProof};
+use atom_crypto::CryptoError;
+use atom_net::LatencyModel;
 
 use crate::actor::{ActorConfig, ActorOutput, GroupActor, SOURCE};
 use crate::adversary::AdversaryPlan;
@@ -237,12 +238,6 @@ impl RoundDriver {
         let (exit_payloads, timings) = self.run_mixing(batches, rng)?;
         finish_trap_round(&self.setup, &commitments, exit_payloads, routed, timings)
     }
-
-    /// Convenience: attaches an [`InMemoryNetwork`] sized for this deployment
-    /// (one node per server) so examples can meter traffic.
-    pub fn build_network(&self) -> InMemoryNetwork {
-        InMemoryNetwork::new(self.config().num_servers, self.latency, Vec::new())
-    }
 }
 
 /// The simulated latency of one inter-group hop, charged between the
@@ -306,11 +301,57 @@ pub fn verify_nizk_submissions(
     verify_nizk_submissions_range(setup, submissions, 0)
 }
 
+/// Verifies the proofs of a contiguous submission range, flattened to
+/// `(entry_group, ciphertext, proof)` items — `per_submission` consecutive
+/// items each — with one RLC batch verification (`atom_crypto::batch`).
+/// When an item names an unknown entry group (or there is nothing to batch)
+/// the exact sequential loop runs instead, so the verdict — *which*
+/// submission is rejected, and whether a bad group id or a bad proof comes
+/// first — is identical to the sequential driver's. `first_index` is the
+/// global index of the range's first submission.
+fn verify_intake_items<'a>(
+    setup: &'a RoundSetup,
+    items: impl Iterator<Item = (usize, &'a MessageCiphertext, &'a EncProof)> + Clone,
+    per_submission: usize,
+    first_index: usize,
+) -> AtomResult<()> {
+    let num_groups = setup.config.num_groups;
+    let index = |flat: usize| first_index + flat / per_submission;
+    let rejected = |flat: usize, e: CryptoError| {
+        AtomError::SubmissionRejected(format!("submission {}: {e}", index(flat)))
+    };
+    let batch: Option<Vec<EncVerification<'_>>> = items
+        .clone()
+        .map(|(gid, ciphertext, proof)| {
+            (gid < num_groups).then(|| EncVerification {
+                pk: &setup.groups[gid].public_key,
+                group_id: gid as u64,
+                ciphertext,
+                proof,
+            })
+        })
+        .collect();
+    if let Some(batch) = batch.filter(|batch| !batch.is_empty()) {
+        return verify_encryption_batch(&batch).map_err(|(flat, e)| rejected(flat, e));
+    }
+    for (flat, (gid, ciphertext, proof)) in items.enumerate() {
+        if gid >= num_groups {
+            return Err(AtomError::SubmissionRejected(format!(
+                "submission {} targets unknown group {gid}",
+                index(flat)
+            )));
+        }
+        let group_pk = &setup.groups[gid].public_key;
+        verify_encryption(group_pk, gid as u64, ciphertext, proof)
+            .map_err(|e| rejected(flat, e))?;
+    }
+    Ok(())
+}
+
 /// Verifies a contiguous range of NIZK-variant submissions, with
 /// `first_index` naming the global index of `submissions[0]` so error
 /// messages match the whole-batch verifier. Proofs are checked with one
-/// RLC batch verification (`atom_crypto::batch`); on any failure the exact
-/// sequential loop re-runs, so the reported verdict — including *which*
+/// RLC batch verification; the reported verdict — including *which*
 /// submission is rejected — is identical to the sequential driver's.
 /// Chunked intake in `atom-runtime` calls this per chunk.
 pub fn verify_nizk_submissions_range(
@@ -324,60 +365,14 @@ pub fn verify_nizk_submissions_range(
             "round setup is not configured for the NIZK variant".into(),
         ));
     }
-
-    // Fast path: batch-verify every proof at once. Falls through to the
-    // sequential loop when any structural check fails, so a bad entry-group
-    // id is reported in the same order relative to proof failures.
-    let mut items = Vec::with_capacity(submissions.len());
-    for submission in submissions {
-        let gid = submission.entry_group;
-        if gid >= config.num_groups {
-            items.clear();
-            break;
-        }
-        items.push(EncVerification {
-            pk: &setup.groups[gid].public_key,
-            group_id: gid as u64,
-            ciphertext: &submission.ciphertext,
-            proof: &submission.proof,
-        });
-    }
-    if items.len() == submissions.len() && !submissions.is_empty() {
-        return match verify_encryption_batch(&items) {
-            Ok(()) => {
-                let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); config.num_groups];
-                for submission in submissions {
-                    batches[submission.entry_group].push(submission.ciphertext.clone());
-                }
-                Ok(batches)
-            }
-            Err((offset, e)) => {
-                let index = first_index + offset;
-                Err(AtomError::SubmissionRejected(format!(
-                    "submission {index}: {e}"
-                )))
-            }
-        };
-    }
+    let items = submissions
+        .iter()
+        .map(|s| (s.entry_group, &s.ciphertext, &s.proof));
+    verify_intake_items(setup, items, 1, first_index)?;
 
     let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); config.num_groups];
-    for (offset, submission) in submissions.iter().enumerate() {
-        let index = first_index + offset;
-        let gid = submission.entry_group;
-        if gid >= config.num_groups {
-            return Err(AtomError::SubmissionRejected(format!(
-                "submission {index} targets unknown group {gid}"
-            )));
-        }
-        let group_pk = &setup.groups[gid].public_key;
-        verify_encryption(
-            group_pk,
-            gid as u64,
-            &submission.ciphertext,
-            &submission.proof,
-        )
-        .map_err(|e| AtomError::SubmissionRejected(format!("submission {index}: {e}")))?;
-        batches[gid].push(submission.ciphertext.clone());
+    for submission in submissions {
+        batches[submission.entry_group].push(submission.ciphertext.clone());
     }
     Ok(batches)
 }
@@ -393,9 +388,9 @@ pub fn verify_trap_submissions(
 }
 
 /// Verifies a contiguous range of trap-variant submissions (both proofs per
-/// submission batched through one RLC check; sequential re-run on failure
-/// for verdict identity). `first_index` names the global index of
-/// `submissions[0]`. Chunked intake in `atom-runtime` calls this per chunk.
+/// submission batched through one RLC check, with the sequential driver's
+/// verdict). `first_index` names the global index of `submissions[0]`.
+/// Chunked intake in `atom-runtime` calls this per chunk.
 pub fn verify_trap_submissions_range(
     setup: &RoundSetup,
     submissions: &[TrapSubmission],
@@ -407,67 +402,18 @@ pub fn verify_trap_submissions_range(
             "round setup is not configured for the trap variant".into(),
         ));
     }
-
-    // Fast path: one RLC batch over both proofs of every submission.
-    let mut items = Vec::with_capacity(submissions.len() * 2);
-    for submission in submissions {
-        let gid = submission.entry_group;
-        if gid >= config.num_groups {
-            items.clear();
-            break;
-        }
-        for (ct, proof) in submission.ciphertexts.iter().zip(submission.proofs.iter()) {
-            items.push(EncVerification {
-                pk: &setup.groups[gid].public_key,
-                group_id: gid as u64,
-                ciphertext: ct,
-                proof,
-            });
-        }
-    }
-    if items.len() == submissions.len() * 2 && !submissions.is_empty() {
-        return match verify_encryption_batch(&items) {
-            Ok(()) => {
-                let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); config.num_groups];
-                let mut commitments: Vec<Vec<Commitment>> = vec![Vec::new(); config.num_groups];
-                for submission in submissions {
-                    let gid = submission.entry_group;
-                    batches[gid].push(submission.ciphertexts[0].clone());
-                    batches[gid].push(submission.ciphertexts[1].clone());
-                    commitments[gid].push(submission.trap_commitment);
-                }
-                Ok(TrapIntake {
-                    batches,
-                    commitments,
-                })
-            }
-            Err((flat, e)) => {
-                // Two proofs per submission: flat item index → submission.
-                let index = first_index + flat / 2;
-                Err(AtomError::SubmissionRejected(format!(
-                    "submission {index}: {e}"
-                )))
-            }
-        };
-    }
+    // Two proofs per submission: flat item index / 2 names the submission.
+    let items = submissions.iter().flat_map(|s| {
+        let pairs = s.ciphertexts.iter().zip(&s.proofs);
+        pairs.map(move |(ciphertext, proof)| (s.entry_group, ciphertext, proof))
+    });
+    verify_intake_items(setup, items, 2, first_index)?;
 
     let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); config.num_groups];
     let mut commitments: Vec<Vec<Commitment>> = vec![Vec::new(); config.num_groups];
-    for (offset, submission) in submissions.iter().enumerate() {
-        let index = first_index + offset;
+    for submission in submissions {
         let gid = submission.entry_group;
-        if gid >= config.num_groups {
-            return Err(AtomError::SubmissionRejected(format!(
-                "submission {index} targets unknown group {gid}"
-            )));
-        }
-        let group_pk = &setup.groups[gid].public_key;
-        for (ct, proof) in submission.ciphertexts.iter().zip(submission.proofs.iter()) {
-            verify_encryption(group_pk, gid as u64, ct, proof)
-                .map_err(|e| AtomError::SubmissionRejected(format!("submission {index}: {e}")))?;
-        }
-        batches[gid].push(submission.ciphertexts[0].clone());
-        batches[gid].push(submission.ciphertexts[1].clone());
+        batches[gid].extend_from_slice(&submission.ciphertexts);
         commitments[gid].push(submission.trap_commitment);
     }
     Ok(TrapIntake {

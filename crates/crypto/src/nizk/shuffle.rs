@@ -67,7 +67,7 @@
 //!
 //! ## Verification
 //!
-//! [`verify_chain`] folds the `3 + 2L` group equations of every link of a
+//! `verify_chain` folds the `3 + 2L` group equations of every link of a
 //! shuffle chain into one random linear combination — 128-bit coefficients,
 //! squeezed only after every link's `w` and responses are absorbed — and
 //! settles it with one multi-exponentiation in which each point appears
@@ -614,7 +614,7 @@ pub(crate) fn chain_terms(links: &[ShuffleVerification<'_>]) -> usize {
     acc.points.len() + acc.generators.len()
 }
 
-/// Verifies a shuffle proof: [`verify_chain`] over a chain of one link.
+/// Verifies a shuffle proof: `verify_chain` over a chain of one link.
 pub fn verify_shuffle(
     pk: &PublicKey,
     inputs: &[MessageCiphertext],

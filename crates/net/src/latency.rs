@@ -3,8 +3,8 @@
 //! The paper's evaluation runs on EC2 with artificially injected pairwise
 //! latencies of 40–160 ms (via `tc`) and a Tor-derived bandwidth
 //! distribution (§6). This module reproduces those models so that both the
-//! in-process deployment and the large-scale simulator can charge realistic
-//! network time to each transfer.
+//! protocol drivers and the large-scale simulator can charge realistic
+//! network time to each hop.
 
 use std::time::Duration;
 
@@ -72,16 +72,6 @@ impl LatencyModel {
                 let span = max_millis.saturating_sub(min_millis) + 1;
                 Duration::from_millis(min_millis + h % span)
             }
-        }
-    }
-
-    /// The maximum latency the model can produce (used for conservative
-    /// round-trip budgeting).
-    pub fn max_latency(&self) -> Duration {
-        match *self {
-            LatencyModel::Zero => Duration::ZERO,
-            LatencyModel::Fixed { millis } => Duration::from_millis(millis),
-            LatencyModel::Uniform { max_millis, .. } => Duration::from_millis(max_millis),
         }
     }
 }
@@ -155,15 +145,6 @@ pub fn assign_server_classes(
         .collect()
 }
 
-/// Time to push `bytes` through a link of `bandwidth_mbps`.
-pub fn transmission_time(bytes: u64, bandwidth_mbps: u64) -> Duration {
-    if bandwidth_mbps == 0 {
-        return Duration::ZERO;
-    }
-    let bits = bytes as f64 * 8.0;
-    Duration::from_secs_f64(bits / (bandwidth_mbps as f64 * 1_000_000.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +204,5 @@ mod tests {
         let a = assign_server_classes(100, &paper_server_mix(), 3);
         let b = assign_server_classes(100, &paper_server_mix(), 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn transmission_time_scales_linearly() {
-        let one_mb = transmission_time(1_000_000, 100);
-        assert!((one_mb.as_secs_f64() - 0.08).abs() < 1e-9);
-        let two_mb = transmission_time(2_000_000, 100);
-        assert!((two_mb.as_secs_f64() - 0.16).abs() < 1e-9);
-        assert_eq!(transmission_time(1_000_000, 0), Duration::ZERO);
     }
 }

@@ -5,18 +5,22 @@
 //!
 //! The paper deploys Atom on 1,024 EC2 machines talking TLS with 40–160 ms
 //! of injected pairwise latency and a Tor-derived bandwidth distribution
-//! (§6). This crate abstracts the wire behind the [`Transport`] trait — a
-//! mailbox-per-node send/receive API with traffic metering and a delivery
-//! hook for scheduler wake-ups — with two backends:
+//! (§6). This crate abstracts the wire behind the [`Transport`] trait — six
+//! operations that move addressed opaque bytes into a mailbox per node and
+//! wake the scheduler through a delivery hook — with two backends over one
+//! shared mailbox core:
 //!
-//! * [`transport::InMemoryNetwork`] — every node in one process; sends are
-//!   charged simulated propagation latency and transmission time, which a
-//!   [`VirtualClock`] accumulates along the protocol's critical path.
+//! * [`transport::InMemoryNetwork`] — every node in one process.
 //! * [`tcp::TcpTransport`] — nodes partitioned across OS processes; the
 //!   same envelopes travel as length-delimited frames over blocking TCP
-//!   sockets (frame layout in the [`tcp`] module docs). Simulated-latency
-//!   accounting stays with the caller, so virtual-clock figures are
-//!   identical across backends.
+//!   sockets (frame layout in the [`tcp`] module docs). A send to an
+//!   unreachable peer process returns a [`SendError`] value.
+//!
+//! The carrier keeps no protocol state: the simulated §6 latency of a hop is
+//! charged by the protocol layer (`atom_core::round::hop_latency`) from a
+//! [`LatencyModel`], and traffic is counted by the runtime's `RoundReport`
+//! and the `net.*` counters of `atom_obs`, so both are identical across
+//! backends.
 //!
 //! [`evloop`] adds the client-facing edge: a single-threaded, poll-based
 //! readiness loop ([`evloop::EventLoop`]) that multiplexes thousands of
@@ -24,9 +28,8 @@
 //! out, with write backpressure and idle conviction — without spending a
 //! reader thread per connection the way the server mesh does.
 //!
-//! [`latency`] provides the per-link latency models, the heterogeneous
-//! server-class mix, and transmission-time accounting both backends and the
-//! figure harnesses share.
+//! [`latency`] provides the per-link latency models and the heterogeneous
+//! server-class mix the protocol layer and the figure harnesses share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +43,15 @@ pub use evloop::{
     client_frame, read_client_frame, CloseReason, ConnId, Event, EventLoop, EvloopOptions,
 };
 pub use latency::{assign_server_classes, paper_server_mix, LatencyModel, ServerClass};
-pub use tcp::{TcpOptions, TcpTransport};
+pub use tcp::{Dial, TcpOptions, TcpTransport};
 pub use transport::{
-    DeliveryHook, Envelope, InMemoryNetwork, NodeId, TrafficStats, Transport, VirtualClock,
+    DeliveryHook, Envelope, InMemoryNetwork, NodeId, SendError, TrafficStats, Transport,
 };
+
+/// Serializes the unit tests that flip the process-global `atom_obs` switch.
+#[cfg(test)]
+pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

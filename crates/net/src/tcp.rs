@@ -40,13 +40,14 @@
 //! [`TcpTransport::connect_peers`] establishes outbound streams with a
 //! retry loop so processes may start in any order, and
 //! [`TcpTransport::shutdown`] tears the sockets down and joins the
-//! listener. Sends that hit a dead peer panic with context: the runtime
-//! catches the panic at each protocol send site and converts it into a
-//! failure of the affected round, which is strictly better than silently
-//! dropping protocol traffic and deadlocking the round.
+//! listener and the readers. A send that hits a dead peer gets one
+//! reconnect-and-resend repair and then returns a [`SendError`] naming the
+//! unreachable process: the runtime matches on it and fails the affected
+//! round (the recovery handshake convicts the process), which is strictly
+//! better than silently dropping protocol traffic and deadlocking the
+//! round.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::transport::{DeliveryHook, Envelope, NodeId, TrafficStats, Transport};
+use crate::transport::{DeliveryHook, Envelope, Mailboxes, NodeId, SendError, Transport};
 
 const FRAME_MAGIC: u32 = 0x4D4F_5441; // "ATOM" in little-endian byte order.
 const FRAME_VERSION: u8 = 1;
@@ -87,14 +88,26 @@ impl Default for TcpOptions {
     }
 }
 
+/// Whether a send may establish the outbound stream it needs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dial {
+    /// Connect if no stream exists and repair a dead one once — every
+    /// protocol send.
+    IfNeeded,
+    /// Write only over a stream that is already established: never
+    /// connects, never retries. Recovery courtesy-copies plans to convicted
+    /// processes this way: a slow-but-alive victim still holds its
+    /// connection open and learns of its eviction, while a genuinely
+    /// crashed one costs nothing (no connect-timeout stall).
+    Never,
+}
+
 struct TcpInner {
     /// `owner[node]` is the index (into `peer_addrs`) of the process
     /// hosting `node`'s mailbox. Mutable because fleet recovery reassigns
     /// a dead process's nodes to survivors ([`TcpTransport::set_owner`]);
     /// the vector's length — the node-id space — never changes.
     owner: Mutex<Vec<usize>>,
-    /// Cached `owner.len()`, so the hot paths never lock just for bounds.
-    num_nodes: usize,
     /// This process's index.
     me: usize,
     /// One outbound stream slot per process (slot `me` stays empty).
@@ -117,34 +130,11 @@ struct TcpInner {
     /// Readers currently running (incremented before spawn, decremented
     /// at reader exit) — lets teardown tests assert none leaked.
     live_readers: AtomicUsize,
-    mailboxes: Vec<Mutex<VecDeque<Envelope>>>,
-    sent: Vec<Mutex<TrafficStats>>,
-    received: Vec<Mutex<TrafficStats>>,
-    hook: Mutex<Option<DeliveryHook>>,
+    /// One mailbox per node of the deployment, hosted here or not (see
+    /// [`reader_loop`]).
+    mailboxes: Mailboxes,
     options: TcpOptions,
     closing: AtomicBool,
-}
-
-impl TcpInner {
-    fn deliver_local(&self, envelope: Envelope) {
-        let to = envelope.to;
-        self.mailboxes[to].lock().push_back(envelope);
-        let hook = self.hook.lock().clone();
-        if let Some(hook) = hook {
-            hook(to);
-        }
-    }
-
-    fn credit_received(&self, node: NodeId, envelopes: &[Envelope]) {
-        if envelopes.is_empty() {
-            return;
-        }
-        let mut stats = self.received[node].lock();
-        for envelope in envelopes {
-            stats.messages += 1;
-            stats.bytes += envelope.payload.len() as u64;
-        }
-    }
 }
 
 /// A [`Transport`] whose nodes are partitioned across OS processes. See the
@@ -176,24 +166,15 @@ impl TcpTransport {
         );
         let listener = TcpListener::bind(&peer_addrs[me])?;
         let local_addr = listener.local_addr()?;
-        let nodes = owner.len();
         let inner = Arc::new(TcpInner {
+            mailboxes: Mailboxes::new(owner.len()),
             owner: Mutex::new(owner),
-            num_nodes: nodes,
             me,
             outbound: (0..peer_addrs.len()).map(|_| Mutex::new(None)).collect(),
             peer_addrs: Mutex::new(peer_addrs),
             inbound: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
             live_readers: AtomicUsize::new(0),
-            mailboxes: (0..nodes).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sent: (0..nodes)
-                .map(|_| Mutex::new(TrafficStats::default()))
-                .collect(),
-            received: (0..nodes)
-                .map(|_| Mutex::new(TrafficStats::default()))
-                .collect(),
-            hook: Mutex::new(None),
             options,
             closing: AtomicBool::new(false),
         });
@@ -237,25 +218,12 @@ impl TcpTransport {
         self.local_addr
     }
 
-    /// This process's index.
-    pub fn process_index(&self) -> usize {
-        self.inner.me
-    }
-
-    /// Node ids hosted by this process.
-    pub fn local_nodes(&self) -> Vec<NodeId> {
-        let owner = self.inner.owner.lock();
-        (0..owner.len())
-            .filter(|&n| owner[n] == self.inner.me)
-            .collect()
-    }
-
     /// Reassigns the mailbox of `node` to `process`. Fleet recovery uses
     /// this to hand a dead process's nodes to survivors (and to hand them
     /// back when the process rejoins); envelopes already queued in the
     /// local mailbox stay put, so reassign between rounds and drain first.
     pub fn set_owner(&self, node: NodeId, process: usize) {
-        assert!(node < self.inner.num_nodes, "unknown node in set_owner");
+        assert!(node < self.nodes(), "unknown node in set_owner");
         assert!(
             process < self.inner.outbound.len(),
             "unknown process in set_owner"
@@ -263,15 +231,12 @@ impl TcpTransport {
         self.inner.owner.lock()[node] = process;
     }
 
-    /// The process currently hosting `node`'s mailbox.
-    pub fn owner_of(&self, node: NodeId) -> usize {
-        self.inner.owner.lock()[node]
-    }
-
     /// Sends an envelope straight to `process`, regardless of who owns the
     /// destination mailbox. Recovery handshakes need this: a coordinator
     /// answering a rejoin request must reach the *restarted* process even
     /// while the node's mailbox is still assigned to a survivor.
+    /// [`Transport::send`] is this with the owner of `to` and
+    /// [`Dial::IfNeeded`].
     pub fn send_to_process(
         &self,
         process: usize,
@@ -279,9 +244,10 @@ impl TcpTransport {
         to: NodeId,
         label: Cow<'static, str>,
         payload: Vec<u8>,
-    ) {
+        dial: Dial,
+    ) -> Result<(), SendError> {
         assert!(
-            from < self.inner.num_nodes && to < self.inner.num_nodes,
+            from < self.nodes() && to < self.nodes(),
             "unknown node in TCP send"
         );
         let envelope = Envelope {
@@ -289,58 +255,29 @@ impl TcpTransport {
             to,
             label,
             payload,
-            delay: Duration::ZERO,
         };
-        if process == self.inner.me {
-            self.inner.deliver_local(envelope);
-            return;
+        let inner = &*self.inner;
+        if process != inner.me {
+            forward(inner, process, &envelope, dial).map_err(|error| {
+                atom_obs::count("net.tcp.send_failures", 1);
+                SendError { process, error }
+            })?;
         }
-        send_remote(&self.inner, process, &envelope);
-    }
-
-    /// Best-effort variant of [`send_to_process`](Self::send_to_process):
-    /// writes the envelope only if an outbound stream to `process` is
-    /// already established — it never connects, never retries and never
-    /// panics. Returns whether the frame was written. Recovery uses this to
-    /// courtesy-copy plans to convicted processes: a slow-but-alive victim
-    /// still holds its connection open and learns of its eviction, while a
-    /// genuinely crashed one costs nothing (no connect-timeout stall).
-    pub fn try_send_to_process(
-        &self,
-        process: usize,
-        from: NodeId,
-        to: NodeId,
-        label: Cow<'static, str>,
-        payload: Vec<u8>,
-    ) -> bool {
-        assert!(
-            from < self.inner.num_nodes && to < self.inner.num_nodes,
-            "unknown node in TCP send"
-        );
-        let envelope = Envelope {
-            from,
-            to,
-            label,
-            payload,
-            delay: Duration::ZERO,
-        };
-        if process == self.inner.me {
-            self.inner.deliver_local(envelope);
-            return true;
+        // Metered only once the frame is written: frames that never reached
+        // a dead peer must not inflate the fleet's traffic counters.
+        if atom_obs::enabled() {
+            let label = &envelope.label;
+            atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
+            atom_obs::count(
+                &format!("net.tcp.bytes.{label}"),
+                envelope.payload.len() as u64,
+            );
+            atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
         }
-        let mut slot = self.inner.outbound[process].lock();
-        let Some(stream) = slot.as_mut() else {
-            return false;
-        };
-        match write_frame(stream, &envelope) {
-            Ok(()) => true,
-            Err(_) => {
-                // Half-dead socket: clear it so a later authoritative send
-                // goes through the reconnect-and-repair path cleanly.
-                *slot = None;
-                false
-            }
+        if process == inner.me {
+            inner.mailboxes.deliver(envelope);
         }
+        Ok(())
     }
 
     /// Drops the outbound stream to `process`, forcing the next send to
@@ -363,10 +300,9 @@ impl TcpTransport {
     /// their listeners yet). Sends connect lazily as a fallback, but
     /// calling this first keeps connection churn off the mixing path.
     pub fn connect_peers(&self) -> io::Result<()> {
-        let processes = self.inner.peer_addrs.lock().len();
-        for process in 0..processes {
+        for (process, slot) in self.inner.outbound.iter().enumerate() {
             if process != self.inner.me {
-                connect_retry(&self.inner, process)?;
+                connect_retry(&self.inner, process, &mut slot.lock())?;
             }
         }
         Ok(())
@@ -429,8 +365,10 @@ fn connect_backoff(me: usize, peer: usize, attempt: u32) -> Duration {
     Duration::from_millis(exp + hash % (exp / 2 + 1))
 }
 
-fn connect_retry(inner: &Arc<TcpInner>, process: usize) -> io::Result<()> {
-    let mut slot = inner.outbound[process].lock();
+/// Fills `slot` — the locked outbound slot of `process` — with a fresh
+/// stream unless it already holds one, retrying until
+/// [`TcpOptions::connect_timeout`] elapses.
+fn connect_retry(inner: &TcpInner, process: usize, slot: &mut Option<TcpStream>) -> io::Result<()> {
     if slot.is_some() {
         return Ok(());
     }
@@ -464,42 +402,31 @@ fn connect_retry(inner: &Arc<TcpInner>, process: usize) -> io::Result<()> {
 }
 
 /// Writes `envelope` to the outbound stream of `process`, establishing it
-/// if absent. A write failure means the peer died since the stream was
-/// established (or the peer restarted, leaving a half-dead socket): the
-/// slot is cleared and ONE reconnect-and-resend repair is attempted — a
-/// restarted peer listening on the same address picks the frame up — before
-/// panicking like any other dead-peer send.
-fn send_remote(inner: &Arc<TcpInner>, process: usize, envelope: &Envelope) {
-    if inner.outbound[process].lock().is_none() {
-        connect_retry(inner, process).unwrap_or_else(|error| panic!("tcp transport: {error}"));
-    }
-    {
-        let mut slot = inner.outbound[process].lock();
-        let stream = slot.as_mut().expect("peer stream established above");
-        match write_frame(stream, envelope) {
-            Ok(()) => return,
-            Err(_) => {
-                atom_obs::count("net.tcp.send_repairs", 1);
-                *slot = None;
-            }
-        }
-    }
-    connect_retry(inner, process).unwrap_or_else(|error| {
-        panic!(
-            "tcp transport: sending {} -> {} via process {process} failed and \
-             the peer is unreachable: {error}",
-            envelope.from, envelope.to
-        )
-    });
+/// first if absent and `dial` allows. A write failure means the peer died
+/// since the stream was established (or restarted, leaving a half-dead
+/// socket): the slot is cleared — so the next send reconnects cleanly —
+/// and, under [`Dial::IfNeeded`], ONE reconnect-and-resend repair is
+/// attempted, which a restarted peer listening on the same address picks
+/// up, before the failure is reported.
+fn forward(inner: &TcpInner, process: usize, envelope: &Envelope, dial: Dial) -> io::Result<()> {
     let mut slot = inner.outbound[process].lock();
-    let stream = slot.as_mut().expect("peer stream established above");
-    write_frame(stream, envelope).unwrap_or_else(|error| {
-        panic!(
-            "tcp transport: sending {} -> {} via process {process} failed after \
-             reconnect: {error}",
-            envelope.from, envelope.to
-        )
-    });
+    let mut repaired = false;
+    loop {
+        if dial == Dial::Never && slot.is_none() {
+            return Err(io::ErrorKind::NotConnected.into());
+        }
+        connect_retry(inner, process, &mut slot)?;
+        let stream = slot.as_mut().expect("peer stream established above");
+        let Err(error) = write_frame(stream, envelope) else {
+            return Ok(());
+        };
+        *slot = None;
+        if repaired || dial == Dial::Never {
+            return Err(error);
+        }
+        atom_obs::count("net.tcp.send_repairs", 1);
+        repaired = true;
+    }
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
@@ -529,7 +456,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
                 // that holds its half open), then drains `readers`.
                 inner.live_readers.fetch_add(1, Ordering::SeqCst);
                 let handle = std::thread::spawn(move || {
-                    reader_loop(stream, Arc::clone(&reader_inner));
+                    reader_loop(stream, &reader_inner);
                     reader_inner.live_readers.fetch_sub(1, Ordering::SeqCst);
                 });
                 inner.readers.lock().push(handle);
@@ -543,7 +470,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
     }
 }
 
-fn reader_loop(mut stream: TcpStream, inner: Arc<TcpInner>) {
+fn reader_loop(mut stream: TcpStream, inner: &TcpInner) {
     loop {
         match read_frame(&mut stream, &inner.options) {
             Ok(Some(envelope)) => {
@@ -556,7 +483,7 @@ fn reader_loop(mut stream: TcpStream, inner: Arc<TcpInner>) {
                 // reassignment), and rejoin responses are addressed
                 // directly. Only out-of-range node ids poison the
                 // connection.
-                if envelope.to >= inner.num_nodes {
+                if envelope.to >= inner.mailboxes.nodes() {
                     eprintln!(
                         "atom-net: dropping connection after a frame for unknown \
                          node {} at process {}",
@@ -564,7 +491,7 @@ fn reader_loop(mut stream: TcpStream, inner: Arc<TcpInner>) {
                     );
                     return;
                 }
-                inner.deliver_local(envelope);
+                inner.mailboxes.deliver(envelope);
             }
             Ok(None) => return, // clean EOF
             Err(error) => {
@@ -628,17 +555,16 @@ fn read_frame(stream: &mut TcpStream, options: &TcpOptions) -> io::Result<Option
         to,
         label: Cow::Owned(label),
         payload,
-        delay: Duration::ZERO,
     }))
 }
 
 impl Transport for TcpTransport {
     fn nodes(&self) -> usize {
-        self.inner.num_nodes
+        self.inner.mailboxes.nodes()
     }
 
     fn is_local(&self, node: NodeId) -> bool {
-        node < self.inner.num_nodes && self.inner.owner.lock()[node] == self.inner.me
+        node < self.nodes() && self.inner.owner.lock()[node] == self.inner.me
     }
 
     fn send(
@@ -647,73 +573,22 @@ impl Transport for TcpTransport {
         to: NodeId,
         label: Cow<'static, str>,
         payload: Vec<u8>,
-    ) -> Duration {
-        assert!(
-            from < self.nodes() && to < self.nodes(),
-            "unknown node in TCP send"
-        );
-        {
-            let mut stats = self.inner.sent[from].lock();
-            stats.messages += 1;
-            stats.bytes += payload.len() as u64;
-        }
-        let envelope = Envelope {
-            from,
-            to,
-            label,
-            payload,
-            delay: Duration::ZERO,
-        };
+    ) -> Result<(), SendError> {
+        assert!(to < self.nodes(), "unknown node in TCP send");
         let process = self.inner.owner.lock()[to];
-        if atom_obs::enabled() {
-            let label = &envelope.label;
-            atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
-            atom_obs::count(
-                &format!("net.tcp.bytes.{label}"),
-                envelope.payload.len() as u64,
-            );
-            atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
-        }
-        if process == self.inner.me {
-            self.inner.deliver_local(envelope);
-            return Duration::ZERO;
-        }
-        send_remote(&self.inner, process, &envelope);
-        Duration::ZERO
-    }
-
-    fn try_receive(&self, node: NodeId) -> Option<Envelope> {
-        let envelope = self.inner.mailboxes[node].lock().pop_front();
-        if let Some(envelope) = &envelope {
-            self.inner
-                .credit_received(node, std::slice::from_ref(envelope));
-        }
-        envelope
+        self.send_to_process(process, from, to, label, payload, Dial::IfNeeded)
     }
 
     fn drain(&self, node: NodeId) -> Vec<Envelope> {
-        let drained: Vec<Envelope> = {
-            let mut mailbox = self.inner.mailboxes[node].lock();
-            mailbox.drain(..).collect()
-        };
-        self.inner.credit_received(node, &drained);
-        drained
+        self.inner.mailboxes.drain(node)
     }
 
     fn pending(&self, node: NodeId) -> usize {
-        self.inner.mailboxes[node].lock().len()
-    }
-
-    fn sent_stats(&self, node: NodeId) -> TrafficStats {
-        *self.inner.sent[node].lock()
-    }
-
-    fn received_stats(&self, node: NodeId) -> TrafficStats {
-        *self.inner.received[node].lock()
+        self.inner.mailboxes.pending(node)
     }
 
     fn set_delivery_hook(&self, hook: Option<DeliveryHook>) {
-        *self.inner.hook.lock() = hook;
+        self.inner.mailboxes.set_hook(hook);
     }
 }
 
@@ -746,20 +621,16 @@ mod tests {
     fn local_and_remote_sends_deliver() {
         let (a, b) = pair(vec![0, 0, 1]);
         // Loopback within process 0.
-        Transport::send(&a, 0, 1, "local".into(), vec![1, 2]);
-        let envelope = Transport::try_receive(&a, 1).unwrap();
+        Transport::send(&a, 0, 1, "local".into(), vec![1, 2]).unwrap();
+        let envelope = Transport::drain(&a, 1).pop().unwrap();
         assert_eq!(envelope.payload, vec![1, 2]);
         assert_eq!(envelope.from, 0);
         // Across the socket to process 1.
-        Transport::send(&a, 0, 2, "remote".into(), vec![3, 4, 5]);
+        Transport::send(&a, 0, 2, "remote".into(), vec![3, 4, 5]).unwrap();
         wait_pending(&b, 2);
-        let envelope = Transport::try_receive(&b, 2).unwrap();
+        let envelope = Transport::drain(&b, 2).pop().unwrap();
         assert_eq!(envelope.label, "remote");
         assert_eq!(envelope.payload, vec![3, 4, 5]);
-        assert_eq!(envelope.delay, Duration::ZERO);
-        // Metering: sent credited at process 0, received at process 1.
-        assert_eq!(Transport::sent_stats(&a, 0).messages, 2);
-        assert_eq!(Transport::received_stats(&b, 2).bytes, 3);
         a.shutdown();
         b.shutdown();
     }
@@ -770,7 +641,7 @@ mod tests {
         let hits = Arc::new(Mutex::new(Vec::new()));
         let sink = hits.clone();
         Transport::set_delivery_hook(&b, Some(Arc::new(move |node| sink.lock().push(node))));
-        Transport::send(&a, 0, 1, "hooked".into(), vec![9]);
+        Transport::send(&a, 0, 1, "hooked".into(), vec![9]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while hits.lock().is_empty() {
             assert!(Instant::now() < deadline, "hook never fired");
@@ -796,7 +667,7 @@ mod tests {
         bogus.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd payload_len
         rogue.write_all(&bogus).unwrap();
         // The healthy connection keeps working.
-        Transport::send(&a, 0, 1, "still-fine".into(), vec![7]);
+        Transport::send(&a, 0, 1, "still-fine".into(), vec![7]).unwrap();
         wait_pending(&b, 1);
         assert_eq!(Transport::drain(&b, 1).len(), 1);
         a.shutdown();
@@ -814,7 +685,6 @@ mod tests {
             to: 99,
             label: "unknown".into(),
             payload: vec![1],
-            delay: Duration::ZERO,
         };
         write_frame(&mut rogue, &envelope).unwrap();
         // A frame for a valid node this process does NOT currently own is
@@ -826,7 +696,6 @@ mod tests {
             to: 0,
             label: "early".into(),
             payload: vec![2],
-            delay: Duration::ZERO,
         };
         write_frame(&mut early, &envelope).unwrap();
         wait_pending(&b, 0);
@@ -840,15 +709,14 @@ mod tests {
         // Nodes 1 and 2 start on process 1; after the handoff of node 2,
         // process 0 delivers to itself locally.
         let (a, b) = pair(vec![0, 1, 1]);
-        Transport::send(&a, 0, 2, "before".into(), vec![1]);
+        Transport::send(&a, 0, 2, "before".into(), vec![1]).unwrap();
         wait_pending(&b, 2);
         assert_eq!(Transport::drain(&b, 2).len(), 1);
         assert!(!Transport::is_local(&a, 2));
         a.set_owner(2, 0);
         assert!(Transport::is_local(&a, 2));
-        assert_eq!(a.owner_of(2), 0);
-        assert_eq!(a.local_nodes(), vec![0, 2]);
-        Transport::send(&a, 0, 2, "after".into(), vec![2]);
+        assert_eq!(*a.inner.owner.lock(), vec![0, 1, 0]);
+        Transport::send(&a, 0, 2, "after".into(), vec![2]).unwrap();
         assert_eq!(Transport::drain(&a, 2)[0].payload, vec![2]);
         a.shutdown();
         b.shutdown();
@@ -858,18 +726,23 @@ mod tests {
     fn try_send_is_best_effort_and_never_connects() {
         let (a, b) = pair(vec![0, 1]);
         // Established stream: the frame goes through like a normal send.
-        assert!(a.try_send_to_process(1, 0, 0, "courtesy".into(), vec![9]));
+        let try_send = |process, to, label: &'static str, payload| {
+            a.send_to_process(process, 0, to, label.into(), payload, Dial::Never)
+        };
+        assert!(try_send(1, 0, "courtesy", vec![9]).is_ok());
         wait_pending(&b, 0);
         assert_eq!(Transport::drain(&b, 0)[0].payload, vec![9]);
         // Local delivery always succeeds.
-        assert!(a.try_send_to_process(0, 0, 1, "loop".into(), vec![3]));
-        assert_eq!(Transport::try_receive(&a, 1).unwrap().payload, vec![3]);
-        // No established stream (and nobody listening): returns false
-        // immediately instead of spinning in the connect-retry loop.
+        assert!(try_send(0, 1, "loop", vec![3]).is_ok());
+        assert_eq!(Transport::drain(&a, 1)[0].payload, vec![3]);
+        // No established stream (and nobody listening): fails immediately
+        // instead of spinning in the connect-retry loop.
         a.reset_peer(1);
         b.shutdown();
         let start = Instant::now();
-        assert!(!a.try_send_to_process(1, 0, 0, "courtesy".into(), vec![9]));
+        let error = try_send(1, 0, "courtesy", vec![9]).unwrap_err();
+        assert_eq!(error.process, 1);
+        assert_eq!(error.error.kind(), io::ErrorKind::NotConnected);
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "blocked on connect"
@@ -882,11 +755,13 @@ mod tests {
         let (a, b) = pair(vec![0, 1]);
         // Node 0's mailbox is owned by process 0, but the direct-addressed
         // send reaches process 1's buffer for it anyway.
-        a.send_to_process(1, 0, 0, "direct".into(), vec![7]);
+        a.send_to_process(1, 0, 0, "direct".into(), vec![7], Dial::IfNeeded)
+            .unwrap();
         wait_pending(&b, 0);
         assert_eq!(Transport::drain(&b, 0)[0].payload, vec![7]);
         // Loopback path.
-        a.send_to_process(0, 0, 0, "loop".into(), vec![8]);
+        a.send_to_process(0, 0, 0, "loop".into(), vec![8], Dial::IfNeeded)
+            .unwrap();
         assert_eq!(Transport::drain(&a, 0)[0].payload, vec![8]);
         a.shutdown();
         b.shutdown();
@@ -899,7 +774,7 @@ mod tests {
         let b = TcpTransport::bind_any(2, owner.clone(), 1, TcpOptions::default()).unwrap();
         a.set_peer_addr(1, b.local_addr().to_string());
         a.connect_peers().unwrap();
-        Transport::send(&a, 0, 1, "first".into(), vec![1]);
+        Transport::send(&a, 0, 1, "first".into(), vec![1]).unwrap();
         wait_pending(&b, 1);
         // The peer process "restarts": same address, fresh listener. The
         // old stream dies with it.
@@ -919,12 +794,60 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Transport::pending(&b2, 1) == 0 {
             assert!(Instant::now() < deadline, "repair never delivered");
-            Transport::send(&a, 0, 1, "after-restart".into(), vec![2]);
+            Transport::send(&a, 0, 1, "after-restart".into(), vec![2]).unwrap();
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(Transport::try_receive(&b2, 1).unwrap().payload, vec![2]);
+        assert_eq!(Transport::drain(&b2, 1)[0].payload, vec![2]);
         a.shutdown();
         b2.shutdown();
+    }
+
+    /// A peer that never started is an expected input: the send comes back
+    /// as a value within the connect budget, is metered as a failure and
+    /// not as traffic, and the next send after the peer binds reconnects.
+    #[test]
+    fn send_to_a_never_started_peer_errs_then_reaches_it_once_bound() {
+        let _obs = crate::obs_test_lock();
+        atom_obs::set_enabled(true);
+        let options = TcpOptions {
+            connect_timeout: Duration::from_millis(100),
+            ..TcpOptions::default()
+        };
+        let a = TcpTransport::bind_any(2, vec![0, 1], 0, options).unwrap();
+        // Reserve process 1's address and free it again: nobody listens yet.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .unwrap();
+        a.set_peer_addr(1, addr.to_string());
+
+        let failures = counter("net.tcp.send_failures");
+        let start = Instant::now();
+        let error = Transport::send(&a, 0, 1, "never-arrived".into(), vec![1]).unwrap_err();
+        // The 100 ms budget plus at most one capped backoff sleep.
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "blocked past the connect budget"
+        );
+        assert_eq!(error.process, 1);
+        assert!(error.to_string().contains(&addr.to_string()), "{error}");
+        // (Other tests' failed sends may land in the same global counter.)
+        assert!(counter("net.tcp.send_failures") > failures);
+        assert_eq!(counter("net.tcp.frames.never-arrived"), 0);
+
+        let b = TcpTransport::bind(
+            vec![String::new(), addr.to_string()],
+            vec![0, 1],
+            1,
+            TcpOptions::default(),
+        )
+        .unwrap();
+        Transport::send(&a, 0, 1, "arrived".into(), vec![2]).unwrap();
+        wait_pending(&b, 1);
+        assert_eq!(Transport::drain(&b, 1)[0].payload, vec![2]);
+        assert_eq!(counter("net.tcp.frames.arrived"), 1);
+        atom_obs::set_enabled(false);
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]
@@ -949,8 +872,9 @@ mod tests {
 
     #[test]
     fn failed_connects_meter_retries() {
+        let _obs = crate::obs_test_lock();
         atom_obs::set_enabled(true);
-        let before = retries_counter();
+        let before = counter("net.tcp.connect_retries");
         // Nobody listens on the peer address: the connect loop must retry
         // (metering each attempt) until the budget expires.
         let options = TcpOptions {
@@ -962,7 +886,7 @@ mod tests {
         // fast on loopback.
         a.set_peer_addr(1, "127.0.0.1:59999".to_string());
         assert!(a.connect_peers().is_err());
-        let after = retries_counter();
+        let after = counter("net.tcp.connect_retries");
         assert!(
             after > before,
             "net.tcp.connect_retries must increment ({before} -> {after})"
@@ -971,10 +895,10 @@ mod tests {
         atom_obs::set_enabled(false);
     }
 
-    fn retries_counter() -> u64 {
+    fn counter(name: &str) -> u64 {
         atom_obs::counter_snapshot()
             .into_iter()
-            .find(|(name, _)| name == "net.tcp.connect_retries")
+            .find(|(found, _)| found == name)
             .map(|(_, value)| value)
             .unwrap_or(0)
     }
@@ -1003,7 +927,6 @@ mod tests {
             to: 0,
             label: "rogue".into(),
             payload: vec![9; 16],
-            delay: Duration::ZERO,
         };
         write_frame(&mut rogue, &envelope).unwrap();
         wait_pending(&a, 0);

@@ -2,36 +2,35 @@
 //!
 //! Atom's servers communicate over authenticated channels (TLS in the
 //! paper's deployment). This reproduction routes every protocol message
-//! through the [`Transport`] trait — a mailbox-per-node send/receive API
-//! with traffic metering — so the same engine code runs against:
+//! through the [`Transport`] trait — addressed opaque bytes into a
+//! mailbox per node, nothing more — so the same engine code runs against:
 //!
-//! * [`InMemoryNetwork`] (this module): a single-process backend whose
-//!   sends are metered (bytes and message counts per node), charged
-//!   propagation latency from a [`LatencyModel`] and transmission time
-//!   from the sender's bandwidth class, and delivered through a
-//!   lock-protected mailbox.
+//! * [`InMemoryNetwork`] (this module): every node in one process; a send
+//!   is a push onto the destination's lock-protected mailbox.
 //! * [`TcpTransport`](crate::tcp::TcpTransport): a multi-process backend
 //!   shipping the same envelopes as length-delimited frames over blocking
 //!   TCP sockets.
 //!
-//! A [`VirtualClock`] accumulates the simulated network time along the
-//! protocol's critical path, which is what the end-to-end latency figures
-//! (Fig. 9–11) report on top of measured compute time.
+//! Both backends store and wake through the one mailbox core in this
+//! module. A transport only transports: the simulated 40–160 ms hops of §6
+//! are charged by the protocol layer (`atom_core::round::hop_latency`, the
+//! `sent_virtual` stamp in mix frames) from a
+//! [`LatencyModel`](crate::LatencyModel), and traffic is counted by the
+//! runtime's `RoundReport` and the `net.*` counters of `atom_obs`.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt;
+use std::io;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::latency::{transmission_time, LatencyModel, ServerClass};
-
 /// Identifies a protocol endpoint (a server, a trustee, or the orchestrator).
 pub type NodeId = usize;
 
-/// An addressed, metered protocol message.
+/// An addressed protocol message.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Envelope {
     /// Sending node.
@@ -44,8 +43,6 @@ pub struct Envelope {
     pub label: Cow<'static, str>,
     /// Serialized payload.
     pub payload: Vec<u8>,
-    /// Simulated network delay this message experienced.
-    pub delay: Duration,
 }
 
 /// Aggregate traffic statistics.
@@ -55,6 +52,33 @@ pub struct TrafficStats {
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
+}
+
+/// A [`Transport::send`] that reached no mailbox: the process hosting the
+/// destination is unreachable. A peer that stops answering is an expected
+/// input (§4.5), so it travels as a value the caller matches on.
+#[derive(Debug)]
+pub struct SendError {
+    /// Index of the unreachable peer process.
+    pub process: usize,
+    /// The connect or write failure that gave the peer away.
+    pub error: io::Error,
+}
+
+impl fmt::Display for SendError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "peer process {} unreachable: {}",
+            self.process, self.error
+        )
+    }
+}
+
+impl std::error::Error for SendError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
 }
 
 /// Callback a [`Transport`] invokes every time an envelope lands in one of
@@ -68,22 +92,7 @@ pub type DeliveryHook = Arc<dyn Fn(NodeId) + Send + Sync>;
 /// Endpoints are dense ids `0..nodes()`. A backend may host only a subset
 /// of them locally ([`Transport::is_local`]); sends to non-local nodes are
 /// forwarded to the backend that hosts them (over TCP, say), and only local
-/// mailboxes can be received from. All methods are callable from any
-/// thread.
-///
-/// Metering contract (shared by every backend): sent-side statistics are
-/// credited when [`Transport::send`] accepts the payload; received-side
-/// statistics only when an envelope is actually handed out through
-/// [`Transport::try_receive`] or [`Transport::drain`], so in-flight
-/// messages are never counted as received.
-///
-/// The returned [`Duration`] of a send is the *simulated* network delay
-/// charged to the message (propagation + transmission under the backend's
-/// latency model). Real-network backends return [`Duration::ZERO`]: their
-/// cost shows up on the wall clock instead, and virtual-clock accounting
-/// stays with the caller (the runtime charges hops from its own
-/// [`LatencyModel`], so simulated latency figures are identical across
-/// backends).
+/// mailboxes can be drained. All methods are callable from any thread.
 pub trait Transport: Send + Sync {
     /// Number of endpoints.
     fn nodes(&self) -> usize;
@@ -91,30 +100,21 @@ pub trait Transport: Send + Sync {
     /// Whether `node`'s mailbox lives in this process.
     fn is_local(&self, node: NodeId) -> bool;
 
-    /// Sends `payload` from `from` to `to`, returning the simulated delay
-    /// charged to the message.
+    /// Sends `payload` from `from` to `to`. `Err` means the process hosting
+    /// `to` is unreachable and the envelope was not delivered.
     fn send(
         &self,
         from: NodeId,
         to: NodeId,
         label: Cow<'static, str>,
         payload: Vec<u8>,
-    ) -> Duration;
-
-    /// Receives the next envelope queued for local node `node`, if any.
-    fn try_receive(&self, node: NodeId) -> Option<Envelope>;
+    ) -> Result<(), SendError>;
 
     /// Drains every queued envelope for local node `node`.
     fn drain(&self, node: NodeId) -> Vec<Envelope>;
 
     /// Number of envelopes waiting for local node `node`.
     fn pending(&self, node: NodeId) -> usize;
-
-    /// Traffic sent by `node` so far (local nodes only).
-    fn sent_stats(&self, node: NodeId) -> TrafficStats;
-
-    /// Traffic delivered to `node` so far (local nodes only).
-    fn received_stats(&self, node: NodeId) -> TrafficStats;
 
     /// Registers (or, with `None`, removes) the delivery hook. At most one
     /// hook is active; setting replaces. The hook may be invoked
@@ -123,213 +123,100 @@ pub trait Transport: Send + Sync {
     fn set_delivery_hook(&self, hook: Option<DeliveryHook>);
 }
 
-/// A monotonically advancing virtual clock tracking simulated elapsed time.
-#[derive(Clone, Debug, Default)]
-pub struct VirtualClock {
-    now: Arc<Mutex<Duration>>,
+/// The receive half every backend shares: one FIFO mailbox per node id and
+/// the delivery hook that announces arrivals.
+pub(crate) struct Mailboxes {
+    queues: Vec<Mutex<VecDeque<Envelope>>>,
+    hook: Mutex<Option<DeliveryHook>>,
 }
 
-impl VirtualClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Duration {
-        *self.now.lock()
-    }
-
-    /// Advances the clock by `delta`.
-    pub fn advance(&self, delta: Duration) {
-        *self.now.lock() += delta;
-    }
-
-    /// Advances the clock to at least `instant`.
-    pub fn advance_to(&self, instant: Duration) {
-        let mut now = self.now.lock();
-        if instant > *now {
-            *now = instant;
+impl Mailboxes {
+    pub(crate) fn new(nodes: usize) -> Self {
+        Self {
+            queues: (0..nodes).map(|_| Mutex::new(VecDeque::new())).collect(),
+            hook: Mutex::new(None),
         }
     }
-}
 
-/// Per-node mailbox state.
-#[derive(Default)]
-struct Mailbox {
-    queue: VecDeque<Envelope>,
-}
+    pub(crate) fn nodes(&self) -> usize {
+        self.queues.len()
+    }
 
-/// Shared state of the in-memory network.
-struct NetworkInner {
-    latency: LatencyModel,
-    classes: Vec<ServerClass>,
-    mailboxes: Vec<Mutex<Mailbox>>,
-    sent: Vec<Mutex<TrafficStats>>,
-    received: Vec<Mutex<TrafficStats>>,
-    hook: Mutex<Option<DeliveryHook>>,
+    /// Queues `envelope` for its destination and fires the hook.
+    pub(crate) fn deliver(&self, envelope: Envelope) {
+        let to = envelope.to;
+        self.queues[to].lock().push_back(envelope);
+        // Outside the mailbox lock: the hook may fan out into scheduler
+        // state that itself sends.
+        let hook = self.hook.lock().clone();
+        if let Some(hook) = hook {
+            hook(to);
+        }
+    }
+
+    pub(crate) fn drain(&self, node: NodeId) -> Vec<Envelope> {
+        self.queues[node].lock().drain(..).collect()
+    }
+
+    pub(crate) fn pending(&self, node: NodeId) -> usize {
+        self.queues[node].lock().len()
+    }
+
+    pub(crate) fn set_hook(&self, hook: Option<DeliveryHook>) {
+        *self.hook.lock() = hook;
+    }
 }
 
 /// An in-process network connecting `nodes` endpoints.
 #[derive(Clone)]
 pub struct InMemoryNetwork {
-    inner: Arc<NetworkInner>,
+    mailboxes: Arc<Mailboxes>,
 }
 
 impl InMemoryNetwork {
-    /// Creates a network of `nodes` endpoints with the given latency model
-    /// and per-node server classes (`classes.len()` must equal `nodes`, or be
-    /// empty to give every node an unmetered-bandwidth class).
-    pub fn new(nodes: usize, latency: LatencyModel, classes: Vec<ServerClass>) -> Self {
-        let classes = if classes.is_empty() {
-            vec![
-                ServerClass {
-                    bandwidth_mbps: 0,
-                    cores: 4
-                };
-                nodes
-            ]
-        } else {
-            assert_eq!(classes.len(), nodes, "one server class per node required");
-            classes
-        };
-        let inner = NetworkInner {
-            latency,
-            classes,
-            mailboxes: (0..nodes).map(|_| Mutex::new(Mailbox::default())).collect(),
-            sent: (0..nodes)
-                .map(|_| Mutex::new(TrafficStats::default()))
-                .collect(),
-            received: (0..nodes)
-                .map(|_| Mutex::new(TrafficStats::default()))
-                .collect(),
-            hook: Mutex::new(None),
-        };
-        Self {
-            inner: Arc::new(inner),
-        }
-    }
-
-    /// Convenience constructor with no latency and unmetered bandwidth.
+    /// A network of `nodes` endpoints, all hosted in this process.
     pub fn local(nodes: usize) -> Self {
-        Self::new(nodes, LatencyModel::Zero, Vec::new())
+        Self {
+            mailboxes: Arc::new(Mailboxes::new(nodes)),
+        }
     }
 
     /// Number of endpoints.
     pub fn nodes(&self) -> usize {
-        self.inner.mailboxes.len()
+        self.mailboxes.nodes()
     }
 
-    /// Sends `payload` from `from` to `to`, returning the simulated network
-    /// delay charged to this message (propagation + transmission).
-    ///
-    /// Sent-side statistics are credited immediately; received-side
-    /// statistics only when the message is actually delivered through
-    /// [`Self::try_receive`] or [`Self::drain`], so in-flight messages are
-    /// never counted as received.
+    /// Sends `payload` from `from` to `to`. Infallible: every mailbox is
+    /// local.
     pub fn send(
         &self,
         from: NodeId,
         to: NodeId,
         label: impl Into<Cow<'static, str>>,
         payload: Vec<u8>,
-    ) -> Duration {
+    ) {
         assert!(from < self.nodes() && to < self.nodes(), "unknown node");
         let label = label.into();
-        let bytes = payload.len() as u64;
-        let propagation = self.inner.latency.link(from, to);
-        let transmission = transmission_time(bytes, self.inner.classes[from].bandwidth_mbps);
-        let delay = propagation + transmission;
-
         if atom_obs::enabled() {
             atom_obs::count(&format!("net.mem.frames.{label}"), 1);
-            atom_obs::count(&format!("net.mem.bytes.{label}"), bytes);
+            atom_obs::count(&format!("net.mem.bytes.{label}"), payload.len() as u64);
         }
-        {
-            let mut stats = self.inner.sent[from].lock();
-            stats.messages += 1;
-            stats.bytes += bytes;
-        }
-        self.inner.mailboxes[to].lock().queue.push_back(Envelope {
+        self.mailboxes.deliver(Envelope {
             from,
             to,
             label,
             payload,
-            delay,
         });
-        // Outside the mailbox lock: the hook may fan out into scheduler
-        // state that itself sends.
-        let hook = self.inner.hook.lock().clone();
-        if let Some(hook) = hook {
-            hook(to);
-        }
-        delay
-    }
-
-    fn credit_received(&self, node: NodeId, envelopes: &[Envelope]) {
-        if envelopes.is_empty() {
-            return;
-        }
-        let mut stats = self.inner.received[node].lock();
-        for envelope in envelopes {
-            stats.messages += 1;
-            stats.bytes += envelope.payload.len() as u64;
-        }
-    }
-
-    /// Receives the next message queued for `node`, if any.
-    pub fn try_receive(&self, node: NodeId) -> Option<Envelope> {
-        let envelope = self.inner.mailboxes[node].lock().queue.pop_front();
-        if let Some(envelope) = &envelope {
-            self.credit_received(node, std::slice::from_ref(envelope));
-        }
-        envelope
     }
 
     /// Drains every queued message for `node`.
     pub fn drain(&self, node: NodeId) -> Vec<Envelope> {
-        let drained: Vec<Envelope> = {
-            let mut mailbox = self.inner.mailboxes[node].lock();
-            mailbox.queue.drain(..).collect()
-        };
-        self.credit_received(node, &drained);
-        drained
+        self.mailboxes.drain(node)
     }
 
     /// Number of messages waiting for `node`.
     pub fn pending(&self, node: NodeId) -> usize {
-        self.inner.mailboxes[node].lock().queue.len()
-    }
-
-    /// Traffic sent by `node` so far.
-    pub fn sent_stats(&self, node: NodeId) -> TrafficStats {
-        *self.inner.sent[node].lock()
-    }
-
-    /// Traffic received by `node` so far.
-    pub fn received_stats(&self, node: NodeId) -> TrafficStats {
-        *self.inner.received[node].lock()
-    }
-
-    /// Total traffic across all nodes.
-    pub fn total_sent(&self) -> TrafficStats {
-        let mut total = TrafficStats::default();
-        for stats in &self.inner.sent {
-            let s = stats.lock();
-            total.messages += s.messages;
-            total.bytes += s.bytes;
-        }
-        total
-    }
-
-    /// The server class of `node`.
-    pub fn class(&self, node: NodeId) -> ServerClass {
-        self.inner.classes[node]
-    }
-
-    /// The latency model in force.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.inner.latency
+        self.mailboxes.pending(node)
     }
 }
 
@@ -348,12 +235,9 @@ impl Transport for InMemoryNetwork {
         to: NodeId,
         label: Cow<'static, str>,
         payload: Vec<u8>,
-    ) -> Duration {
-        InMemoryNetwork::send(self, from, to, label, payload)
-    }
-
-    fn try_receive(&self, node: NodeId) -> Option<Envelope> {
-        InMemoryNetwork::try_receive(self, node)
+    ) -> Result<(), SendError> {
+        InMemoryNetwork::send(self, from, to, label, payload);
+        Ok(())
     }
 
     fn drain(&self, node: NodeId) -> Vec<Envelope> {
@@ -364,16 +248,8 @@ impl Transport for InMemoryNetwork {
         InMemoryNetwork::pending(self, node)
     }
 
-    fn sent_stats(&self, node: NodeId) -> TrafficStats {
-        InMemoryNetwork::sent_stats(self, node)
-    }
-
-    fn received_stats(&self, node: NodeId) -> TrafficStats {
-        InMemoryNetwork::received_stats(self, node)
-    }
-
     fn set_delivery_hook(&self, hook: Option<DeliveryHook>) {
-        *self.inner.hook.lock() = hook;
+        self.mailboxes.set_hook(hook);
     }
 }
 
@@ -386,77 +262,17 @@ mod tests {
         let net = InMemoryNetwork::local(3);
         net.send(0, 2, "hello", vec![1, 2, 3]);
         assert_eq!(net.pending(2), 1);
-        let envelope = net.try_receive(2).unwrap();
+        let envelope = net.drain(2).pop().unwrap();
         assert_eq!(envelope.from, 0);
         assert_eq!(envelope.payload, vec![1, 2, 3]);
         assert_eq!(envelope.label, "hello");
-        assert!(net.try_receive(2).is_none());
-        assert!(net.try_receive(1).is_none());
-    }
-
-    #[test]
-    fn traffic_is_metered_per_node() {
-        let net = InMemoryNetwork::local(2);
-        net.send(0, 1, "a", vec![0u8; 100]);
-        net.send(0, 1, "b", vec![0u8; 50]);
-        net.send(1, 0, "c", vec![0u8; 10]);
-        net.drain(1);
-        net.drain(0);
-        assert_eq!(
-            net.sent_stats(0),
-            TrafficStats {
-                messages: 2,
-                bytes: 150
-            }
-        );
-        assert_eq!(
-            net.received_stats(1),
-            TrafficStats {
-                messages: 2,
-                bytes: 150
-            }
-        );
-        assert_eq!(net.sent_stats(1).bytes, 10);
-        assert_eq!(net.total_sent().bytes, 160);
-        assert_eq!(net.total_sent().messages, 3);
-    }
-
-    #[test]
-    fn received_stats_credit_on_delivery_not_send() {
-        // Regression test: received-side stats used to be credited at send
-        // time, counting in-flight messages as received.
-        let net = InMemoryNetwork::local(2);
-        net.send(0, 1, "inflight", vec![0u8; 64]);
-        net.send(0, 1, "inflight", vec![0u8; 36]);
-        assert_eq!(net.received_stats(1), TrafficStats::default());
-
-        let first = net.try_receive(1).unwrap();
-        assert_eq!(first.payload.len(), 64);
-        assert_eq!(
-            net.received_stats(1),
-            TrafficStats {
-                messages: 1,
-                bytes: 64
-            }
-        );
-
-        let rest = net.drain(1);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(
-            net.received_stats(1),
-            TrafficStats {
-                messages: 2,
-                bytes: 100
-            }
-        );
-
-        // Draining an empty mailbox credits nothing further.
+        assert!(net.drain(2).is_empty());
         assert!(net.drain(1).is_empty());
-        assert_eq!(net.received_stats(1).messages, 2);
     }
 
     #[test]
     fn sends_feed_the_observability_counters_when_enabled() {
+        let _obs = crate::obs_test_lock();
         let net = InMemoryNetwork::local(2);
         // Disabled (the default): nothing is recorded.
         net.send(0, 1, "meter-probe", vec![0u8; 5]);
@@ -489,29 +305,12 @@ mod tests {
     fn static_labels_are_borrowed_not_allocated() {
         let net = InMemoryNetwork::local(2);
         net.send(0, 1, "static-label", Vec::new());
-        let envelope = net.try_receive(1).unwrap();
+        let envelope = net.drain(1).pop().unwrap();
         assert!(matches!(envelope.label, std::borrow::Cow::Borrowed(_)));
         // Owned labels still work for dynamic tracing.
         net.send(0, 1, format!("round-{}", 7), Vec::new());
-        let envelope = net.try_receive(1).unwrap();
+        let envelope = net.drain(1).pop().unwrap();
         assert_eq!(envelope.label, "round-7");
-    }
-
-    #[test]
-    fn latency_and_bandwidth_are_charged() {
-        let classes = vec![
-            ServerClass {
-                bandwidth_mbps: 100,
-                cores: 4,
-            };
-            2
-        ];
-        let net = InMemoryNetwork::new(2, LatencyModel::Fixed { millis: 50 }, classes);
-        // 1 MB at 100 Mbps = 80 ms transmission + 50 ms propagation.
-        let delay = net.send(0, 1, "bulk", vec![0u8; 1_000_000]);
-        assert!((delay.as_secs_f64() - 0.13).abs() < 1e-6, "{delay:?}");
-        let envelope = net.try_receive(1).unwrap();
-        assert_eq!(envelope.delay, delay);
     }
 
     #[test]
@@ -526,17 +325,6 @@ mod tests {
             assert_eq!(envelope.payload, vec![i as u8]);
         }
         assert_eq!(net.pending(1), 0);
-    }
-
-    #[test]
-    fn virtual_clock_advances_monotonically() {
-        let clock = VirtualClock::new();
-        assert_eq!(clock.now(), Duration::ZERO);
-        clock.advance(Duration::from_millis(120));
-        clock.advance_to(Duration::from_millis(100)); // No going backwards.
-        assert_eq!(clock.now(), Duration::from_millis(120));
-        clock.advance_to(Duration::from_millis(500));
-        assert_eq!(clock.now(), Duration::from_millis(500));
     }
 
     #[test]

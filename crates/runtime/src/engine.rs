@@ -58,6 +58,7 @@ use atom_core::message::{NizkSubmission, TrapSubmission};
 use atom_core::round::{
     collect_round_timings, finish_nizk_round, finish_trap_round, hop_latency,
     verify_nizk_submissions_range, verify_trap_submissions_range, RoundOutput, RoundTimings,
+    TrapIntake,
 };
 use atom_crypto::commit::Commitment;
 use atom_crypto::elgamal::{MessageCiphertext, PublicKey};
@@ -527,20 +528,14 @@ enum Task {
     },
 }
 
-/// Verified intake of one submission chunk: per-entry-group sub-batches and
-/// (trap variant) commitments, covering `IntakeChunk`'s submission range.
-struct ChunkIntake {
-    batches: Vec<Vec<MessageCiphertext>>,
-    commitments: Vec<Vec<Commitment>>,
-}
-
 struct IntakeState {
     /// Chunks not yet verified; the worker that takes this to zero merges
     /// and releases the round's iteration-0 batches.
     pending: usize,
-    /// Per-chunk verification results, merged in chunk order (so the first
-    /// failing submission wins, exactly like the sequential driver).
-    results: Vec<Option<AtomResult<ChunkIntake>>>,
+    /// Per-chunk verification results — per-entry-group sub-batches and
+    /// (trap variant only) commitments — merged in chunk order, so the first
+    /// failing submission wins, exactly like the sequential driver.
+    results: Vec<Option<AtomResult<TrapIntake>>>,
 }
 
 struct ExitState {
@@ -791,17 +786,14 @@ impl Shared<'_> {
         };
         let payload = wire::encode_abort(self.wire_round(round), reason);
         for node in targets {
-            let send = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.transport
-                    .send(from, node, ABORT_LABEL.into(), payload.clone());
-            }));
-            if send.is_err() {
-                eprintln!("atom-runtime: abort notification to node {node} failed");
+            let payload = payload.clone();
+            if let Err(error) = self.transport.send(from, node, ABORT_LABEL.into(), payload) {
+                eprintln!("atom-runtime: abort notification to node {node} failed: {error}");
             }
         }
     }
 
-    /// Fails every unresolved round. Used when a worker panics or an
+    /// Fails every unresolved round. Used when a worker task unwinds or an
     /// envelope cannot even name its round: continuing would leave waiters
     /// blocked forever, so convert the hang into per-round errors.
     fn fail_all(&self, reason: &str) {
@@ -810,12 +802,11 @@ impl Shared<'_> {
         }
     }
 
-    /// Sends a protocol frame on behalf of `round`, converting a transport
-    /// panic — an unreachable or vanished peer process: connect failure,
-    /// reset stream — into a failure of that round instead of letting the
-    /// panic tear down the whole engine scope. With several remote peers,
-    /// one dead process must surface as per-round errors on the survivors,
-    /// not as a crash. Returns whether the send succeeded.
+    /// Sends a protocol frame on behalf of `round`. A send error — an
+    /// unreachable or vanished peer process: connect failure, reset stream —
+    /// fails that round and only that round: with several remote peers, one
+    /// dead process must surface as per-round errors on the survivors.
+    /// Returns whether the send succeeded.
     fn send_for_round(
         &self,
         round: usize,
@@ -824,17 +815,14 @@ impl Shared<'_> {
         label: &'static str,
         payload: Vec<u8>,
     ) -> bool {
-        let send = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.transport.send(from, to, label.into(), payload);
-        }));
-        if send.is_ok() {
+        let Err(error) = self.transport.send(from, to, label.into(), payload) else {
             return true;
-        }
+        };
         self.fail_job(
             round,
             AtomError::Engine {
                 kind: EngineErrorKind::TransportLost,
-                reason: format!("send {from} -> {to} ({label}) failed: peer process unreachable"),
+                reason: format!("send {from} -> {to} ({label}) failed: {error}"),
                 nodes: vec![to],
             },
         );
@@ -1046,7 +1034,7 @@ impl Engine {
             .unwrap_or(1);
         // One mailbox per group id plus the orchestrator; rounds share
         // mailboxes and are distinguished by the wire header.
-        let network = InMemoryNetwork::new(max_groups + 1, LatencyModel::Zero, Vec::new());
+        let network = InMemoryNetwork::local(max_groups + 1);
         self.run_rounds_on(jobs, &network, &EngineRole::standalone(max_groups))
     }
 
@@ -1458,22 +1446,36 @@ fn worker_loop(shared: &Shared<'_>, stall_timeout: Duration) {
                 queue = guard;
             }
         };
-        // A panicking task (e.g. a poisoned intra-group re-encryption
-        // worker) must not strand the other workers in their condvar wait:
-        // resolve every open round with an error, then re-raise the panic so
-        // the scope surfaces it.
-        shared.sched.executing.fetch_add(1, Ordering::SeqCst);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match task {
+        let _executing = Executing::enter(shared);
+        match task {
             Task::IntakeChunk { round, chunk } => run_intake_chunk(shared, round, chunk),
             Task::Deliver { node } => run_deliver(shared, node),
             Task::SetupGroup { round, gid } => run_setup_group(shared, round, gid),
             Task::SetupTrustees { round } => run_setup_trustees(shared, round),
-        }));
+        }
+    }
+}
+
+/// Marks one task as executing; dropping it records the progress. A task
+/// that unwinds (e.g. a poisoned intra-group re-encryption worker) must not
+/// strand the other workers in their condvar wait: the drop then fails every
+/// open round while the panic travels on for the scope to surface.
+struct Executing<'a, 'b>(&'a Shared<'b>);
+
+impl<'a, 'b> Executing<'a, 'b> {
+    fn enter(shared: &'a Shared<'b>) -> Self {
+        shared.sched.executing.fetch_add(1, Ordering::SeqCst);
+        Self(shared)
+    }
+}
+
+impl Drop for Executing<'_, '_> {
+    fn drop(&mut self) {
+        let shared = self.0;
         *shared.sched.last_progress.lock() = Instant::now();
         shared.sched.executing.fetch_sub(1, Ordering::SeqCst);
-        if let Err(panic) = result {
+        if std::thread::panicking() {
             shared.fail_all("engine worker panicked; round abandoned");
-            std::panic::resume_unwind(panic);
         }
     }
 }
@@ -1826,6 +1828,31 @@ fn finish_setup(shared: &Shared<'_>, round: usize) {
     }
 }
 
+/// One intake chunk's submissions, borrowed from a materialized round or
+/// from the block a [`SubmissionSource`] just produced.
+enum Chunk<'a> {
+    Nizk(&'a [NizkSubmission]),
+    Trap(&'a [TrapSubmission]),
+}
+
+/// The one route into the range verifiers. `first_index` is the global
+/// index of the chunk's first submission.
+fn verify_chunk(
+    setup: &RoundSetup,
+    chunk: Chunk<'_>,
+    first_index: usize,
+) -> AtomResult<TrapIntake> {
+    match chunk {
+        Chunk::Nizk(subs) => {
+            verify_nizk_submissions_range(setup, subs, first_index).map(|batches| TrapIntake {
+                batches,
+                commitments: Vec::new(),
+            })
+        }
+        Chunk::Trap(subs) => verify_trap_submissions_range(setup, subs, first_index),
+    }
+}
+
 /// Verifies one intake chunk of a round's submissions; the worker that
 /// completes the round's last chunk merges the results and releases the
 /// iteration-0 batches ([`finish_intake`]).
@@ -1844,68 +1871,40 @@ fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) {
 
     let (start, end) = job.chunks[chunk];
     let setup = job.round_setup();
-    let result = {
-        // Proof verification dominates intake; give it its own phase so the
-        // trace separates crypto cost from chunk bookkeeping.
-        let _verify_span = atom_obs::span("verify", round as u32, atom_obs::GID_NONE);
-        match &job.submissions {
-            RoundSubmissions::Nizk(submissions) => {
-                verify_nizk_submissions_range(setup, &submissions[start..end], start).map(
-                    |batches| ChunkIntake {
-                        batches,
-                        commitments: Vec::new(),
-                    },
-                )
-            }
-            RoundSubmissions::Trap(submissions) => {
-                verify_trap_submissions_range(setup, &submissions[start..end], start).map(
-                    |intake| ChunkIntake {
-                        batches: intake.batches,
-                        commitments: intake.commitments,
-                    },
-                )
-            }
-            // Streaming intake: materialize exactly this chunk's range, feed
-            // it through the same range verifiers, and drop it again. The
-            // in-flight accounting brackets the verify so the peak gauge
-            // reflects what was actually resident at once.
-            RoundSubmissions::Stream(source) => {
-                let span = end - start;
-                let in_flight = job.stream_in_flight.fetch_add(span, Ordering::SeqCst) + span;
-                atom_obs::gauge_max("engine.intake.peak_in_flight", in_flight as u64);
-                atom_obs::count("engine.intake.streamed", span as u64);
-                let verified = source.generate((start, end)).and_then(|block| {
-                    if block.len() != span {
-                        return Err(AtomError::Malformed(format!(
-                            "submission source returned {} submissions for range \
-                             {start}..{end}",
-                            block.len()
-                        )));
-                    }
-                    match block {
-                        SubmissionBlock::Nizk(submissions) => {
-                            verify_nizk_submissions_range(setup, &submissions, start).map(
-                                |batches| ChunkIntake {
-                                    batches,
-                                    commitments: Vec::new(),
-                                },
-                            )
-                        }
-                        SubmissionBlock::Trap(submissions) => {
-                            verify_trap_submissions_range(setup, &submissions, start).map(
-                                |intake| ChunkIntake {
-                                    batches: intake.batches,
-                                    commitments: intake.commitments,
-                                },
-                            )
-                        }
-                    }
-                });
-                job.stream_in_flight.fetch_sub(span, Ordering::SeqCst);
-                verified
-            }
+    // Proof verification dominates intake; give it its own phase so the
+    // trace separates crypto cost from chunk bookkeeping.
+    let verify_span = atom_obs::span("verify", round as u32, atom_obs::GID_NONE);
+    let result = match &job.submissions {
+        RoundSubmissions::Nizk(subs) => verify_chunk(setup, Chunk::Nizk(&subs[start..end]), start),
+        RoundSubmissions::Trap(subs) => verify_chunk(setup, Chunk::Trap(&subs[start..end]), start),
+        // Streaming intake: materialize exactly this chunk's range, verify
+        // it as the same slice and drop it again. The in-flight accounting
+        // brackets the verify so the peak gauge reflects what was actually
+        // resident at once.
+        RoundSubmissions::Stream(source) => {
+            let span = end - start;
+            let in_flight = job.stream_in_flight.fetch_add(span, Ordering::SeqCst) + span;
+            atom_obs::gauge_max("engine.intake.peak_in_flight", in_flight as u64);
+            atom_obs::count("engine.intake.streamed", span as u64);
+            let verified = source.generate((start, end)).and_then(|block| {
+                if block.len() != span {
+                    return Err(AtomError::Malformed(format!(
+                        "submission source returned {} submissions for range \
+                         {start}..{end}",
+                        block.len()
+                    )));
+                }
+                let chunk = match &block {
+                    SubmissionBlock::Nizk(subs) => Chunk::Nizk(subs),
+                    SubmissionBlock::Trap(subs) => Chunk::Trap(subs),
+                };
+                verify_chunk(setup, chunk, start)
+            });
+            job.stream_in_flight.fetch_sub(span, Ordering::SeqCst);
+            verified
         }
     };
+    drop(verify_span);
 
     // Under a bounded window, a finishing chunk releases the next unclaimed
     // one. This also runs for failed chunks: the release path needs every
@@ -1938,7 +1937,7 @@ fn finish_intake(shared: &Shared<'_>, round: usize) {
     if job.failed() {
         return;
     }
-    let results: Vec<AtomResult<ChunkIntake>> = {
+    let results: Vec<AtomResult<TrapIntake>> = {
         let mut intake = job.intake.lock();
         intake
             .results
@@ -2672,14 +2671,8 @@ mod tests {
         // that reuses job index 0.
         let (jobs, expected) = trap_jobs(1, 9100);
         let groups = jobs[0].config().num_groups;
-        let network = InMemoryNetwork::new(groups + 1, LatencyModel::Zero, Vec::new());
-        Transport::send(
-            &network,
-            0,
-            groups,
-            ABORT_LABEL.into(),
-            wire::encode_abort(2, "stale"),
-        );
+        let network = InMemoryNetwork::local(groups + 1);
+        network.send(0, groups, ABORT_LABEL, wire::encode_abort(2, "stale"));
         let mut options = EngineOptions::with_workers(2);
         options.round_offset = 7;
         let report = Engine::new(options.clone())
@@ -2694,14 +2687,8 @@ mod tests {
         // An abort in the current epoch's id range still maps back onto
         // the job it names and fails it, exactly as without the fence.
         let (jobs, _) = trap_jobs(1, 9100);
-        let network = InMemoryNetwork::new(groups + 1, LatencyModel::Zero, Vec::new());
-        Transport::send(
-            &network,
-            0,
-            groups,
-            ABORT_LABEL.into(),
-            wire::encode_abort(7, "current"),
-        );
+        let network = InMemoryNetwork::local(groups + 1);
+        network.send(0, groups, ABORT_LABEL, wire::encode_abort(7, "current"));
         let result = Engine::new(options)
             .run_rounds_on(jobs, &network, &EngineRole::standalone(groups))
             .pop()
@@ -3067,6 +3054,105 @@ mod tests {
         let job = RoundJob::sharded(config, RoundSubmissions::Trap(Vec::new()), 1);
         let report = Engine::with_workers(1).run_round(job);
         assert!(matches!(report, Err(AtomError::Config(_))));
+    }
+
+    /// An in-memory network on which round 0's frames for group 2 meet a
+    /// dead peer process.
+    struct LossyNetwork(InMemoryNetwork);
+
+    impl Transport for LossyNetwork {
+        fn nodes(&self) -> usize {
+            self.0.nodes()
+        }
+
+        fn is_local(&self, _node: usize) -> bool {
+            true
+        }
+
+        fn send(
+            &self,
+            from: usize,
+            to: usize,
+            label: std::borrow::Cow<'static, str>,
+            payload: Vec<u8>,
+        ) -> Result<(), atom_net::SendError> {
+            if to == 2 && wire::decode_round(&payload) == Some(0) {
+                let error = std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer hung up");
+                return Err(atom_net::SendError { process: 1, error });
+            }
+            self.0.send(from, to, label, payload);
+            Ok(())
+        }
+
+        fn drain(&self, node: usize) -> Vec<atom_net::Envelope> {
+            self.0.drain(node)
+        }
+
+        fn pending(&self, node: usize) -> usize {
+            self.0.pending(node)
+        }
+
+        fn set_delivery_hook(&self, hook: Option<atom_net::DeliveryHook>) {
+            Transport::set_delivery_hook(&self.0, hook);
+        }
+    }
+
+    #[test]
+    fn send_error_fails_its_round_as_transport_lost_and_spares_the_other() {
+        let (jobs, expected) = trap_jobs(2, 9200);
+        let groups = jobs[0].config().num_groups;
+        let network = LossyNetwork(InMemoryNetwork::local(groups + 1));
+        // Completing at all means no worker unwound: the scope would
+        // re-raise a worker panic here.
+        let reports =
+            Engine::with_workers(2).run_rounds_on(jobs, &network, &EngineRole::standalone(groups));
+        match &reports[0] {
+            Err(AtomError::Engine {
+                kind: EngineErrorKind::TransportLost,
+                reason,
+                nodes,
+            }) => {
+                assert_eq!(nodes, &[2]);
+                assert!(reason.contains("peer hung up"), "{reason}");
+            }
+            other => panic!("expected a TransportLost failure, got {other:?}"),
+        }
+        let mut want = expected[1].clone();
+        want.sort();
+        assert_eq!(recovered(&reports[1].as_ref().unwrap().output), want);
+    }
+
+    struct PanickingSource;
+
+    impl SubmissionSource for PanickingSource {
+        fn total(&self) -> usize {
+            4
+        }
+
+        fn defense(&self) -> Defense {
+            Defense::Trap
+        }
+
+        fn generate(&self, _range: (usize, usize)) -> AtomResult<SubmissionBlock> {
+            panic!("submission source exploded")
+        }
+    }
+
+    #[test]
+    fn unwinding_task_fails_open_rounds_instead_of_stranding_workers() {
+        let (mut jobs, _) = trap_jobs(2, 9300);
+        jobs[0].submissions = RoundSubmissions::Stream(Arc::new(PanickingSource));
+        let mut options = EngineOptions::with_workers(2);
+        options.stall_timeout = Duration::from_secs(60);
+        let start = Instant::now();
+        let run = std::thread::spawn(move || Engine::new(options).run_rounds(jobs)).join();
+        assert!(run.is_err(), "the scope must surface the task's panic");
+        // The surviving worker left because every round was resolved, not
+        // because the stall detector eventually fired.
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "workers stranded"
+        );
     }
 
     #[test]

@@ -68,10 +68,10 @@
 //! byte-equivalent to [`atom_core::round::RoundDriver`] — asserted by the
 //! `runtime_equivalence` integration suite.
 //!
-//! **Accounting.** Sent-side traffic is metered by the transport as
-//! envelopes leave a group; the engine reports per-round message and byte
-//! counts. Latency is tracked on two models: the barrier model
-//! (`RoundTimings::end_to_end`, matching the sequential driver and
+//! **Accounting.** The transport only transports: the engine counts each
+//! mix envelope as it encodes it and reports per-round message and byte
+//! counts ([`RoundReport`]). Latency is tracked on two models: the barrier
+//! model (`RoundTimings::end_to_end`, matching the sequential driver and
 //! Fig. 9–11) and the pipelined model (the virtual-clock time of the latest
 //! group exit), whose gap quantifies what the barrier costs.
 //!

@@ -57,7 +57,7 @@ use atom_core::directory::{derive_members, derive_setup, setup_round, RoundSetup
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
 use atom_core::message::{make_nizk_submission, make_trap_submission};
 use atom_core::round::RoundDriver;
-use atom_net::{LatencyModel, TcpOptions, TcpTransport, Transport};
+use atom_net::{LatencyModel, SendError, TcpOptions, TcpTransport, Transport};
 
 use atom_apps::dialing::{make_dial_submission, DialIdentity, Mailboxes};
 
@@ -610,7 +610,7 @@ fn run_loopback_split(
         member_jobs,
         options.engine_options(),
         options.engine_options(),
-        |_| {},
+        |_| Ok(()),
     )?;
     member_results.into_iter().collect::<AtomResult<Vec<_>>>()?;
     collect(coordinator_results)
@@ -631,20 +631,20 @@ fn run_loopback_split_raw(
     member_jobs: Vec<RoundJob>,
     coordinator_options: EngineOptions,
     member_options: EngineOptions,
-    inject: impl FnOnce(&TcpTransport),
+    inject: impl FnOnce(&TcpTransport) -> Result<(), SendError>,
 ) -> AtomResult<(RawRoundResults, RawRoundResults)> {
-    let net_error = |what: &str, error: std::io::Error| {
+    let net_error = |what: &str, error: &dyn std::fmt::Display| {
         AtomError::Malformed(format!("tcp loopback scenario: {what}: {error}"))
     };
     let mut owner: Vec<usize> = (0..groups).map(|gid| gid % 2).collect();
     owner.push(0);
     let coordinator_net = TcpTransport::bind_any(2, owner.clone(), 0, TcpOptions::default())
-        .map_err(|e| net_error("binding coordinator", e))?;
+        .map_err(|e| net_error("binding coordinator", &e))?;
     let member_net = TcpTransport::bind_any(2, owner, 1, TcpOptions::default())
-        .map_err(|e| net_error("binding member", e))?;
+        .map_err(|e| net_error("binding member", &e))?;
     coordinator_net.set_peer_addr(1, member_net.local_addr().to_string());
     member_net.set_peer_addr(0, coordinator_net.local_addr().to_string());
-    inject(&member_net);
+    inject(&member_net).map_err(|e| net_error("injecting forged frames", &e))?;
 
     let hosted_even: Vec<usize> = (0..groups).step_by(2).collect();
     let hosted_odd: Vec<usize> = (1..groups).step_by(2).collect();
@@ -984,7 +984,7 @@ pub fn slow_loris(
         jobs,
         coordinator_options,
         member_options,
-        |_| {},
+        |_| Ok(()),
     )?;
     let error = match coordinator_results.into_iter().next() {
         Some(Err(error)) => error,
@@ -1100,8 +1100,8 @@ pub fn equivocating_setup(
         options.engine_options(),
         options.engine_options(),
         move |member_net| {
-            let _ = member_net.send(1, 0, SETUP_LABEL.into(), forged);
-            let _ = member_net.send(1, 0, SETUP_LABEL.into(), genuine);
+            member_net.send(1, 0, SETUP_LABEL.into(), forged)?;
+            member_net.send(1, 0, SETUP_LABEL.into(), genuine)
         },
     )?;
     let error = match coordinator_results.into_iter().next() {

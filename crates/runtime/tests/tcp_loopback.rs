@@ -250,7 +250,9 @@ fn forged_setup_frame_membership_fails_the_round() {
         threshold: 3,
         public_key: atom_crypto::elgamal::KeyPair::generate(&mut rng_for(1)).public,
     };
-    member_net.send(1, 0, SETUP_LABEL.into(), wire::encode_setup(&forged));
+    member_net
+        .send(1, 0, SETUP_LABEL.into(), wire::encode_setup(&forged))
+        .unwrap();
 
     let mut options = EngineOptions::with_workers(2);
     options.stall_timeout = Duration::from_secs(10);
@@ -289,7 +291,9 @@ fn mix_flood_before_setup_completion_fails_the_round() {
     let (coordinator_net, member_net) = tcp_pair();
     let payload = wire::encode_mix(0, 1, 1, Duration::ZERO, &[]);
     for _ in 0..64 {
-        member_net.send(1, 0, MIX_LABEL.into(), payload.clone());
+        member_net
+            .send(1, 0, MIX_LABEL.into(), payload.clone())
+            .unwrap();
     }
 
     let mut options = EngineOptions::with_workers(2);

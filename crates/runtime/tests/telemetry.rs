@@ -197,8 +197,12 @@ fn duplicate_telemetry_frame_is_idempotent() {
         spans: Vec::new(),
     };
     let payload = wire::encode_telemetry(&synthetic);
-    member_net.send(1, 3, TELEMETRY_LABEL.into(), payload.clone());
-    member_net.send(1, 3, TELEMETRY_LABEL.into(), payload);
+    member_net
+        .send(1, 3, TELEMETRY_LABEL.into(), payload.clone())
+        .unwrap();
+    member_net
+        .send(1, 3, TELEMETRY_LABEL.into(), payload)
+        .unwrap();
 
     let member_jobs = jobs.clone();
     let member_thread = std::thread::spawn(move || {
