@@ -402,27 +402,9 @@ fn main() {
         + SHUF_MSGS
         + (6 + 2 * shuf_components) * SHUF_MEMBERS;
 
-    // Host cores and revision, so baselines from different PRs and machines
-    // are never compared blind ("unknown" outside a git checkout). `dirty`
-    // says whether the tree differed from that revision: a file recorded
-    // while a change is being written names the *parent's* revision.
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .ok()
-            .filter(|output| output.status.success())
-            .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
-    };
-    let git_revision = git(&["rev-parse", "HEAD"])
-        .filter(|revision| !revision.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let dirty = git(&["status", "--porcelain"]).is_none_or(|status| !status.is_empty());
-
+    let provenance = atom_bench::provenance_json();
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"git_revision\": \"{git_revision}\",\n  \"dirty\": {dirty},\n  \
+        "{{\n  {provenance},\n  \
          \"batch_size\": {BATCH},\n  \"pow_naive_us\": {pow_naive_us:.2},\n  \
          \"pow_windowed_us\": {pow_windowed_us:.2},\n  \"pow_lockstep_us\": {pow_lockstep_us:.2},\n  \
          \"pow_fixed_base_us\": {pow_fixed_base_us:.2},\n  \

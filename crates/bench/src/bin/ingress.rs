@@ -66,7 +66,11 @@ fn main() {
     let baseline = run_ingress(&spec, workers).unwrap_or_else(|error| panic!("{error}"));
     print_fig_ingress(&baseline);
     if let Some(path) = &out {
-        std::fs::write(path, baseline.to_json()).expect("write BENCH_ingress.json");
+        let provenance = atom_bench::provenance_json();
+        let body = baseline.to_json();
+        let fields = body.strip_prefix("{\n").expect("to_json opens an object");
+        let json = format!("{{\n  {provenance},\n{fields}");
+        std::fs::write(path, json).expect("write BENCH_ingress.json");
         println!("\nwrote {path}");
     }
 }

@@ -365,13 +365,14 @@ pub fn run_ingress(spec: &IngressSweepSpec, workers: usize) -> Result<IngressBas
     atom_obs::set_enabled(true);
     atom_obs::reset();
 
-    let evloop = EvloopOptions {
-        max_connections: spec.clients + 64,
-        ..EvloopOptions::default()
-    };
-    let server = IngressServer::bind(
-        "127.0.0.1:0",
-        IngressOptions {
+    // Phase 1: every connection opens before the first frame is written —
+    // the concurrency the event loop must multiplex on its one thread.
+    let open_swarm = |frames: Vec<Vec<u8>>| -> Result<(IngressServer, ClientSwarm), String> {
+        let evloop = EvloopOptions {
+            max_connections: spec.clients + 64,
+            ..EvloopOptions::default()
+        };
+        let options = IngressOptions {
             round,
             defense: Defense::Nizk,
             app: SWARM_APP,
@@ -380,13 +381,22 @@ pub fn run_ingress(spec: &IngressSweepSpec, workers: usize) -> Result<IngressBas
             queue_capacity: spec.queue_capacity,
             retry_after: Duration::from_millis(100),
             evloop,
-        },
-    )
-    .map_err(|error| format!("bind ingress: {error}"))?;
+        };
+        let server = IngressServer::bind("127.0.0.1:0", options)
+            .map_err(|error| format!("bind ingress: {error}"))?;
+        let swarm = ClientSwarm::connect(server.local_addr(), frames)?;
+        Ok((server, swarm))
+    };
+    // One unmeasured swarm first: the first trip through these paths
+    // (first-touch page faults, allocator growth, lazily built statics) is
+    // not the steady state the latency columns are meant to record.
+    let (warm_server, mut warm_swarm) = open_swarm(frames.clone())?;
+    warm_swarm.drive(Duration::from_secs(120));
+    drop(warm_swarm);
+    warm_server.shutdown();
+    atom_obs::reset();
 
-    // Phase 1: every connection opens before the first frame is written —
-    // the concurrency the event loop must multiplex on its one thread.
-    let mut swarm = ClientSwarm::connect(server.local_addr(), frames)?;
+    let (server, mut swarm) = open_swarm(frames)?;
     let swarm_start = Instant::now();
     let (mut latencies, shed, lost) = swarm.drive(Duration::from_secs(120));
     let elapsed = swarm_start.elapsed();

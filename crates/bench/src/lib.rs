@@ -25,3 +25,27 @@ pub mod scale;
 pub mod workload;
 
 pub use experiments::*;
+
+/// The leading fields of a recorded `BENCH_*.json` — `"nproc"`,
+/// `"git_revision"`, `"dirty"` — as one JSON fragment: host cores and
+/// revision, so baselines from different PRs and machines are never
+/// compared blind (`"unknown"` outside a git checkout). `dirty` says
+/// whether the tree differed from that revision: a file recorded while a
+/// change is being written names the *parent's* revision.
+pub fn provenance_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|output| output.status.success())
+            .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+    };
+    let git_revision = git(&["rev-parse", "HEAD"])
+        .filter(|revision| !revision.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    let dirty = git(&["status", "--porcelain"]).is_none_or(|status| !status.is_empty());
+    format!("\"nproc\": {nproc},\n  \"git_revision\": \"{git_revision}\",\n  \"dirty\": {dirty}")
+}

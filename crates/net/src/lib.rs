@@ -22,9 +22,9 @@
 //! and the `net.*` counters of `atom_obs`, so both are identical across
 //! backends.
 //!
-//! [`evloop`] adds the client-facing edge: a single-threaded, poll-based
-//! readiness loop ([`evloop::EventLoop`]) that multiplexes thousands of
-//! non-blocking client connections — length-framed submissions in, acks
+//! [`evloop`] adds the client-facing edge: a single-threaded readiness loop
+//! ([`evloop::EventLoop`]) parked in `epoll(7)` that multiplexes thousands
+//! of non-blocking client connections — length-framed submissions in, acks
 //! out, with write backpressure and idle conviction — without spending a
 //! reader thread per connection the way the server mesh does.
 //!
@@ -40,7 +40,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use evloop::{
-    client_frame, read_client_frame, CloseReason, ConnId, Event, EventLoop, EvloopOptions,
+    client_frame, read_client_frame, CloseReason, ConnId, Event, EventLoop, EvloopOptions, Waker,
 };
 pub use latency::{assign_server_classes, paper_server_mix, LatencyModel, ServerClass};
 pub use tcp::{Dial, TcpOptions, TcpTransport};

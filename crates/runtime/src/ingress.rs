@@ -6,8 +6,9 @@
 //! this edge: each user opens one connection to the coordinator, sends
 //! one [`wire::SubmitFrame`] per round, and gets back a
 //! [`wire::SubmitAckFrame`] verdict. The server multiplexes every
-//! connection on **one thread** (`atom_net::evloop`) and defends itself
-//! in three layers:
+//! connection on **one thread** (`atom_net::evloop`) that sleeps in the
+//! kernel until a socket is ready or [`IngressServer::shutdown`] wakes it —
+//! idle connections cost it nothing — and defends itself in three layers:
 //!
 //! 1. **Framing/decoding** — the evloop bounds frame sizes and convicts
 //!    slow-drip and backpressured connections; `wire::decode` gives the
@@ -40,8 +41,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atom_core::{AtomError, AtomResult, Defense, NizkSubmission, TrapSubmission};
-use atom_net::evloop::{ConnId, Event, EventLoop, EvloopOptions};
-use parking_lot::Mutex;
+use atom_net::evloop::{ConnId, Event, EventLoop, EvloopOptions, Waker};
+use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{SubmissionBlock, SubmissionSource};
 use crate::wire::{self, ClientSubmission, Frame, SubmitAckFrame};
@@ -225,6 +226,8 @@ pub struct IngressStats {
 
 struct IngressShared {
     queue: Mutex<AdmissionQueue<(u64, ClientSubmission)>>,
+    /// Signalled on every admission; [`IngressServer::source`] waits on it.
+    admitted: Condvar,
     shed_rate: AtomicU64,
     malformed: AtomicU64,
     wrong_round: AtomicU64,
@@ -237,6 +240,7 @@ pub struct IngressServer {
     shared: Arc<IngressShared>,
     local_addr: SocketAddr,
     defense: Defense,
+    waker: Waker,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -246,8 +250,10 @@ impl IngressServer {
     pub fn bind(addr: &str, options: IngressOptions) -> io::Result<Self> {
         let evloop = EventLoop::bind(addr, options.evloop.clone())?;
         let local_addr = evloop.local_addr();
+        let waker = evloop.waker();
         let shared = Arc::new(IngressShared {
             queue: Mutex::new(AdmissionQueue::new(options.queue_capacity)),
+            admitted: Condvar::new(),
             shed_rate: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
             wrong_round: AtomicU64::new(0),
@@ -260,6 +266,7 @@ impl IngressServer {
             shared,
             local_addr,
             defense,
+            waker,
             thread: Mutex::new(Some(thread)),
         })
     }
@@ -293,19 +300,19 @@ impl IngressServer {
     /// kept), ready to stream into a `RoundJob`.
     pub fn source(&self, expected: usize, timeout: Duration) -> AtomResult<IngressSource> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if self.shared.queue.lock().len() >= expected {
-                break;
-            }
-            if Instant::now() >= deadline {
-                let queued = self.shared.queue.lock().len();
+        let mut queue = self.shared.queue.lock();
+        while queue.len() < expected {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let queued = queue.len();
                 return Err(AtomError::Config(format!(
                     "ingress source timed out with {queued}/{expected} submissions queued"
                 )));
             }
-            std::thread::sleep(Duration::from_millis(1));
+            queue = self.shared.admitted.wait_timeout(queue, left).0;
         }
-        let mut items = self.shared.queue.lock().drain();
+        let mut items = queue.drain();
+        drop(queue);
         items.sort_by_key(|(client, _)| *client);
         items.dedup_by_key(|(client, _)| *client);
         IngressSource::from_items(self.defense, items)
@@ -315,6 +322,7 @@ impl IngressServer {
     /// Idempotent; also run on drop.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(handle) = self.thread.lock().take() {
             let _ = handle.join();
         }
@@ -327,15 +335,14 @@ impl Drop for IngressServer {
     }
 }
 
-/// The ingress thread: polls the event loop, decodes submit frames and
-/// runs the admission layers.
+/// The ingress thread: parks in the event loop until sockets are ready or
+/// `shutdown` wakes it, decodes submit frames and runs the admission layers.
 fn serve(mut evloop: EventLoop, shared: Arc<IngressShared>, options: IngressOptions) {
     let epoch = Instant::now();
     let mut buckets: HashMap<ConnId, TokenBucket> = HashMap::new();
     let mut events = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
-        events.clear();
-        let progress = evloop.poll(&mut events);
+        evloop.wait(&mut events, None);
         for event in events.drain(..) {
             match event {
                 Event::Opened { conn, .. } => {
@@ -356,11 +363,6 @@ fn serve(mut evloop: EventLoop, shared: Arc<IngressShared>, options: IngressOpti
                     );
                 }
             }
-        }
-        if !progress {
-            // Nothing moved this pass: yield briefly instead of spinning
-            // a core (the scan loop has no poll(2) to block on).
-            std::thread::sleep(Duration::from_micros(500));
         }
     }
     evloop.close_all();
@@ -415,8 +417,10 @@ fn handle_frame(
         send_ack(evloop, conn, options, true);
         return;
     }
-    match shared.queue.lock().offer((frame.client, frame.submission)) {
+    let admission = shared.queue.lock().offer((frame.client, frame.submission));
+    match admission {
         Admission::Admitted => {
+            shared.admitted.notify_one();
             atom_obs::count("ingress.accepted", 1);
             send_ack(evloop, conn, options, false);
         }

@@ -417,3 +417,31 @@ fn a_slow_drip_client_is_convicted_while_honest_clients_are_served() {
     assert!(convicted, "slow-drip client outlived the idle timeout");
     assert!(!submit_once(&server, config.round as usize, 1, &submissions[1]).shed);
 }
+
+#[test]
+fn shutdown_of_an_idle_server_holding_many_connections_is_prompt() {
+    let (config, _) = test_setup(0xE0_08);
+    let server = IngressServer::bind("127.0.0.1:0", ingress_options(&config)).unwrap();
+    // A listen backlog's worth at a time; nobody sends a byte.
+    let mut idle = Vec::new();
+    for _ in 0..4 {
+        idle.extend((0..64).map(|_| TcpStream::connect(server.local_addr()).unwrap()));
+        // Accepts are first-come: once a later connection has been judged
+        // (garbage closes it), every earlier one is held by the loop.
+        use std::io::Write;
+        let mut probe = TcpStream::connect(server.local_addr()).unwrap();
+        probe.write_all(&client_frame(&[0xFF])).unwrap();
+        assert!(read_client_frame(&mut probe, 1 << 20).is_err());
+    }
+    assert_eq!(idle.len(), 256);
+
+    // The ingress thread is parked in the kernel with nothing to wake it:
+    // `shutdown` has to, and must not wait out an idle sweep (1.25 s).
+    let start = std::time::Instant::now();
+    server.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_millis(100),
+        "shutdown took {:?}",
+        start.elapsed()
+    );
+}

@@ -1,0 +1,16 @@
+//! Helpers shared by the source-scan tests.
+
+use std::path::{Path, PathBuf};
+
+/// Collects every `.rs` file under `dir`, recursively, into `out`.
+pub fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}

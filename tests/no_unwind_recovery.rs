@@ -6,21 +6,13 @@
 //! fails if an unwind-catching primitive reappears under `src/` or any
 //! `crates/*/src`. CI runs it in the Chaos step.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
+
+use common::rust_files;
 
 const FORBIDDEN: [&str; 3] = ["catch_unwind", "resume_unwind", "AssertUnwindSafe"];
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 #[test]
 fn no_source_file_catches_an_unwind() {
