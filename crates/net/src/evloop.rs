@@ -1,12 +1,13 @@
-//! Single-threaded, event-driven client transport: one readiness loop
+//! Single-threaded, event-driven transport: one readiness loop
 //! multiplexing thousands of connections.
 //!
-//! The server-to-server backend ([`crate::tcp`]) spends one blocking
-//! reader thread per peer — fine for ≤ 8 server processes, a wall for
-//! client fan-in where *millions* of users must reach the coordinator
-//! (conf. SOSP'17 §6: Atom's horizontal-scaling claim is about exactly
-//! this edge). [`EventLoop`] is the alternative: one listener, per-connection
-//! read and write buffers, and a single thread parked in [`EventLoop::wait`].
+//! A thread per connection is a wall for client fan-in, where *millions*
+//! of users must reach the coordinator (conf. SOSP'17 §6: Atom's
+//! horizontal-scaling claim is about exactly this edge). [`EventLoop`] is
+//! one listener, per-connection read and write buffers, and a single
+//! thread parked in [`EventLoop::wait`]. Both edges of a process run on it:
+//! the client ingress and the server mesh ([`crate::tcp`], whose frames are
+//! client frames carrying an envelope prefix).
 //!
 //! Readiness comes from the kernel: the listener and every connection sit,
 //! level-triggered and keyed by [`ConnId`], in an `epoll(7)` set behind the
@@ -19,9 +20,9 @@
 //!
 //! ## Client frame layout
 //!
-//! Client connections speak a deliberately smaller framing than the
-//! server mesh (no node addressing — a client talks only to the process
-//! it dialed). All integers little-endian:
+//! The one framing of the workspace; a client talks only to the process
+//! it dialed, so it carries no addressing (the mesh puts its envelope
+//! prefix inside the payload). All integers little-endian:
 //!
 //! ```text
 //! magic       u32  = 0x434F5441 ("ATOC")
@@ -58,9 +59,9 @@ use std::time::{Duration, Instant};
 
 use polling::{Event as Interest, Events, Poller};
 
-/// Magic leading every client frame: "ATOC" in little-endian byte order
-/// (deliberately distinct from the server-mesh magic `"ATOM"` so a client
-/// dialing a mesh port — or vice versa — is rejected on the first frame).
+/// Magic leading every client frame: "ATOC" in little-endian byte order.
+/// The mesh speaks the same header, so a cross-wired connection ends in
+/// the mesh's envelope check, or in the wire decoder's counted rejection.
 pub const CLIENT_MAGIC: u32 = 0x434F_5441;
 /// Client framing version this loop speaks.
 pub const CLIENT_VERSION: u8 = 1;
@@ -187,7 +188,8 @@ pub struct EventLoop {
     /// The kernel's report, and the copy a pass iterates while it mutates the loop.
     ready: Events,
     batch: Vec<Interest>,
-    /// Most bytes one pass reads from one ready connection (16 KiB).
+    /// Most bytes one pass reads from one ready connection (64 KiB: a 256 KiB
+    /// mesh frame in four passes, where 16 KiB cost measurable throughput).
     chunk: Box<[u8]>,
     conns: BTreeMap<ConnId, Conn>,
     next_seq: u64,
@@ -217,7 +219,7 @@ impl EventLoop {
             poller,
             ready: Events::new(),
             batch: Vec::new(),
-            chunk: vec![0; 16 << 10].into_boxed_slice(),
+            chunk: vec![0; 64 << 10].into_boxed_slice(),
             conns: BTreeMap::new(),
             next_seq: 0,
             closed: Vec::new(),
@@ -507,12 +509,15 @@ fn parse_frames(
 /// Encodes one client frame (`ATOC` header + payload) — the encoding
 /// side of the framing [`EventLoop`] decodes; used by client drivers.
 pub fn client_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CLIENT_HEADER_LEN + payload.len());
-    out.extend_from_slice(&CLIENT_MAGIC.to_le_bytes());
-    out.push(CLIENT_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    [&client_header(payload.len())[..], payload].concat()
+}
+
+/// The header [`client_frame`] puts ahead of a `payload_len`-byte payload,
+/// for writers that assemble the payload in place.
+pub(crate) fn client_header(payload_len: usize) -> [u8; CLIENT_HEADER_LEN] {
+    let [m0, m1, m2, m3] = CLIENT_MAGIC.to_le_bytes();
+    let [l0, l1, l2, l3] = (payload_len as u32).to_le_bytes();
+    [m0, m1, m2, m3, CLIENT_VERSION, l0, l1, l2, l3]
 }
 
 /// Blocking helper for simple clients: reads exactly one client frame

@@ -12,9 +12,9 @@
 //!
 //! * [`transport::InMemoryNetwork`] — every node in one process.
 //! * [`tcp::TcpTransport`] — nodes partitioned across OS processes; the
-//!   same envelopes travel as length-delimited frames over blocking TCP
-//!   sockets (frame layout in the [`tcp`] module docs). A send to an
-//!   unreachable peer process returns a [`SendError`] value.
+//!   same envelopes travel as client frames over TCP, received by one
+//!   `epoll` loop thread per process (layout in the [`tcp`] module docs).
+//!   A send to an unreachable peer process returns a [`SendError`] value.
 //!
 //! The carrier keeps no protocol state: the simulated §6 latency of a hop is
 //! charged by the protocol layer (`atom_core::round::hop_latency`) from a
@@ -22,11 +22,11 @@
 //! and the `net.*` counters of `atom_obs`, so both are identical across
 //! backends.
 //!
-//! [`evloop`] adds the client-facing edge: a single-threaded readiness loop
-//! ([`evloop::EventLoop`]) parked in `epoll(7)` that multiplexes thousands
-//! of non-blocking client connections — length-framed submissions in, acks
-//! out, with write backpressure and idle conviction — without spending a
-//! reader thread per connection the way the server mesh does.
+//! [`evloop`] is the one network I/O model under both edges: a
+//! single-threaded readiness loop ([`evloop::EventLoop`]) parked in
+//! `epoll(7)` that multiplexes thousands of non-blocking connections — the
+//! client edge's submissions in and acks out, with write backpressure and
+//! idle conviction, and the server mesh's peer frames.
 //!
 //! [`latency`] provides the per-link latency models and the heterogeneous
 //! server-class mix the protocol layer and the figure harnesses share.

@@ -1,68 +1,67 @@
-//! Multi-process [`Transport`] backend over blocking TCP sockets.
+//! Multi-process [`Transport`] backend over TCP.
 //!
 //! [`TcpTransport`] lets the node ids of one logical deployment span
 //! several OS processes: each process hosts the mailboxes of the nodes
 //! assigned to it and forwards everything else to the process that owns the
-//! destination. The build environment has no async runtime (the vendored
-//! dependency set is `std`-only), so the backend is deliberately classic:
-//! blocking sockets, one listener per process, one reader thread per
-//! inbound connection and one lazily-established outbound stream per peer
-//! process.
+//! destination.
 //!
-//! ## Frame layout
+//! ## Threads and frames
 //!
-//! Envelopes travel as length-delimited frames (all integers
-//! little-endian):
+//! Receiving costs one thread per process, whatever the peer count: the
+//! mesh loop, parked in [`EventLoop::wait`] — the client edge's `epoll`
+//! loop — on the listener and every accepted peer connection. Sending stays
+//! on the caller's thread, a blocking `write_all` on one lazily dialed
+//! stream per peer process: routing it through the loop would add a
+//! cross-thread wake-up per frame.
+//!
+//! A mesh frame is a client frame (the `ATOC` header of [`crate::evloop`])
+//! whose payload opens with an envelope prefix, integers little-endian:
 //!
 //! ```text
-//! magic    u32  = 0x4D4F5441 ("ATOM")
-//! version  u8   = 1
-//! from     u32  sending node id
-//! to       u32  receiving node id
-//! label_len u16 ‖ payload_len u32
-//! label    [u8; label_len]   (UTF-8, validated)
-//! payload  [u8; payload_len]
+//! from u32 ‖ to u32 ‖ label_len u16 (≤ 1,024) ‖ label (UTF-8) ‖ body
 //! ```
 //!
-//! The frame header is the *transport's* validation boundary: magic and
-//! version are checked, `label_len`/`payload_len` are bounded
-//! ([`TcpOptions::max_frame`]) before any allocation, and `to` must be a
-//! node this process hosts. A malformed frame poisons only its connection —
-//! the reader logs and hangs up, exactly what a real deployment does with a
-//! misbehaving peer. The *payload* stays opaque here; protocol-level
-//! validation of untrusted bytes happens in `atom_runtime::wire`, which
-//! treats every decoded field as adversarial.
+//! The loop checks the header and bounds the length claim (64 MiB) before
+//! buffering; the mesh loop checks that `from` and `to` are nodes of the
+//! deployment and that the label is UTF-8. A violation poisons only its
+//! connection, as a real deployment treats a misbehaving peer. The body
+//! stays opaque: `atom_runtime::wire` validates it as adversarial.
 //!
 //! ## Lifecycle
 //!
-//! [`TcpTransport::bind`] starts the listener (an address of port `0`
-//! picks a free port, see [`TcpTransport::local_addr`]),
-//! [`TcpTransport::connect_peers`] establishes outbound streams with a
-//! retry loop so processes may start in any order, and
-//! [`TcpTransport::shutdown`] tears the sockets down and joins the
-//! listener and the readers. A send that hits a dead peer gets one
+//! [`TcpTransport::connect_peers`] dials every peer with retries, so
+//! processes may start in any order. A send that hits a dead peer gets one
 //! reconnect-and-resend repair and then returns a [`SendError`] naming the
-//! unreachable process: the runtime matches on it and fails the affected
-//! round (the recovery handshake convicts the process), which is strictly
-//! better than silently dropping protocol traffic and deadlocking the
-//! round.
+//! process: the runtime fails the round and recovery convicts the process,
+//! where a silently dropped frame would deadlock the round.
 
 use std::borrow::Cow;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::evloop::{client_header, CloseReason, Event, EventLoop, EvloopOptions, Waker};
 use crate::transport::{DeliveryHook, Envelope, Mailboxes, NodeId, SendError, Transport};
 
-const FRAME_MAGIC: u32 = 0x4D4F_5441; // "ATOM" in little-endian byte order.
-const FRAME_VERSION: u8 = 1;
-const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 4 + 2 + 4;
+/// Bytes of the envelope prefix ahead of the label: `from ‖ to ‖ label_len`.
+const PREFIX_LEN: usize = 4 + 4 + 2;
 const MAX_LABEL_LEN: usize = 1024;
+
+/// The mesh loop's limits. No idle conviction: closing an idle-but-alive
+/// peer would let its next `write_all` succeed into a half-closed socket
+/// and lose the frame (so an `accept` failure mutes the listener until a
+/// peer hangs up, not until a sweep). The mesh never writes through it.
+const MESH_LOOP: EvloopOptions = EvloopOptions {
+    max_frame: 64 << 20,
+    idle_timeout: Duration::MAX,
+    max_connections: 1024,
+    max_write_buffer: 0,
+};
 
 /// Tuning knobs of a [`TcpTransport`].
 #[derive(Clone, Debug)]
@@ -70,20 +69,12 @@ pub struct TcpOptions {
     /// Total retry budget when establishing an outbound connection to a
     /// peer process (peers may start later than we do).
     pub connect_timeout: Duration,
-    /// Upper bound on a frame's payload length; larger claims are rejected
-    /// before any allocation.
-    pub max_frame: usize,
-    /// Sets `TCP_NODELAY` on every stream (mixing batches are
-    /// latency-sensitive and already coalesced).
-    pub nodelay: bool,
 }
 
 impl Default for TcpOptions {
     fn default() -> Self {
         Self {
             connect_timeout: Duration::from_secs(10),
-            max_frame: 64 << 20,
-            nodelay: true,
         }
     }
 }
@@ -91,68 +82,44 @@ impl Default for TcpOptions {
 /// Whether a send may establish the outbound stream it needs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dial {
-    /// Connect if no stream exists and repair a dead one once — every
+    /// Connect if no stream exists and repair a dead one once: every
     /// protocol send.
     IfNeeded,
-    /// Write only over a stream that is already established: never
-    /// connects, never retries. Recovery courtesy-copies plans to convicted
-    /// processes this way: a slow-but-alive victim still holds its
-    /// connection open and learns of its eviction, while a genuinely
-    /// crashed one costs nothing (no connect-timeout stall).
+    /// Write only over an established stream, never (re)connecting: how
+    /// recovery courtesy-copies plans to convicted processes. A slow but
+    /// alive victim learns of its eviction; a crashed one costs no stall.
     Never,
 }
 
-struct TcpInner {
-    /// `owner[node]` is the index (into `peer_addrs`) of the process
-    /// hosting `node`'s mailbox. Mutable because fleet recovery reassigns
-    /// a dead process's nodes to survivors ([`TcpTransport::set_owner`]);
-    /// the vector's length — the node-id space — never changes.
+/// A [`Transport`] whose nodes are partitioned across OS processes.
+pub struct TcpTransport {
+    /// `owner[node]` is the process hosting `node`'s mailbox. Fleet recovery
+    /// reassigns a dead process's nodes ([`TcpTransport::set_owner`]); the
+    /// node-id space never changes.
     owner: Mutex<Vec<usize>>,
     /// This process's index.
     me: usize,
     /// One outbound stream slot per process (slot `me` stays empty).
     outbound: Vec<Mutex<Option<TcpStream>>>,
-    /// Listen address of every process. Entries other than `me`'s may be
-    /// filled in after construction ([`TcpTransport::set_peer_addr`]) so a
-    /// mesh can bind every listener on port `0` first and exchange the
-    /// resolved addresses afterwards — no reserve-then-rebind races.
+    /// Listen address of every process, filled in after construction
+    /// ([`TcpTransport::set_peer_addr`]) when a mesh binds every listener on
+    /// port `0` first — no reserve-then-rebind races.
     peer_addrs: Mutex<Vec<String>>,
-    /// Clones of the accepted inbound streams, so `shutdown` can force the
-    /// detached reader threads off their blocking reads (without this, an
-    /// in-process "restart" leaves the old readers absorbing frames meant
-    /// for the new transport on the same address).
-    inbound: Mutex<Vec<TcpStream>>,
-    /// Join handles of the per-connection reader threads, pushed by the
-    /// accept loop and joined by `shutdown` after the inbound streams are
-    /// closed. Without the join there is a teardown window where a reader
-    /// whose peer never closes its half outlives the transport.
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Readers currently running (incremented before spawn, decremented
-    /// at reader exit) — lets teardown tests assert none leaked.
-    live_readers: AtomicUsize,
-    /// One mailbox per node of the deployment, hosted here or not (see
-    /// [`reader_loop`]).
-    mailboxes: Mailboxes,
+    /// One mailbox per node of the deployment, hosted here or not; the mesh
+    /// loop delivers into them until `closing`.
+    mailboxes: Arc<Mailboxes>,
+    closing: Arc<AtomicBool>,
     options: TcpOptions,
-    closing: AtomicBool,
-}
-
-/// A [`Transport`] whose nodes are partitioned across OS processes. See the
-/// module docs for the frame layout and lifecycle.
-pub struct TcpTransport {
-    inner: Arc<TcpInner>,
     local_addr: SocketAddr,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    waker: Waker,
+    mesh_loop: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
-    /// Binds the listener of process `me` and starts accepting inbound
-    /// connections.
-    ///
-    /// `peer_addrs[p]` is the listen address of process `p` (as passed to
-    /// `TcpListener::bind`; `me`'s entry may use port `0` to pick a free
-    /// port). `owner[node]` names the process hosting each node id; every
-    /// node whose owner is `me` gets a local mailbox.
+    /// Binds the listener of process `me` on `peer_addrs[me]` (port `0`
+    /// picks a free one) and starts its mesh loop. `peer_addrs[p]` is the
+    /// listen address of process `p`, `owner[node]` the process hosting
+    /// each node id.
     pub fn bind(
         peer_addrs: Vec<String>,
         owner: Vec<usize>,
@@ -164,35 +131,30 @@ impl TcpTransport {
             owner.iter().all(|&p| p < peer_addrs.len()),
             "node owner names an unknown process"
         );
-        let listener = TcpListener::bind(&peer_addrs[me])?;
-        let local_addr = listener.local_addr()?;
-        let inner = Arc::new(TcpInner {
-            mailboxes: Mailboxes::new(owner.len()),
+        let evloop = EventLoop::bind(&peer_addrs[me], MESH_LOOP)?;
+        let (local_addr, waker) = (evloop.local_addr(), evloop.waker());
+        let mailboxes = Arc::new(Mailboxes::new(owner.len()));
+        let closing = Arc::new(AtomicBool::new(false));
+        let (inbox, stop) = (Arc::clone(&mailboxes), Arc::clone(&closing));
+        let mesh_loop = std::thread::spawn(move || mesh_loop(evloop, &inbox, &stop, me));
+        Ok(Self {
             owner: Mutex::new(owner),
             me,
             outbound: (0..peer_addrs.len()).map(|_| Mutex::new(None)).collect(),
             peer_addrs: Mutex::new(peer_addrs),
-            inbound: Mutex::new(Vec::new()),
-            readers: Mutex::new(Vec::new()),
-            live_readers: AtomicUsize::new(0),
+            mailboxes,
+            closing,
             options,
-            closing: AtomicBool::new(false),
-        });
-        let accept_inner = Arc::clone(&inner);
-        let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_inner));
-        Ok(Self {
-            inner,
             local_addr,
-            accept_thread: Mutex::new(Some(accept_thread)),
+            waker,
+            mesh_loop: Mutex::new(Some(mesh_loop)),
         })
     }
 
-    /// Binds on a free loopback port with peer addresses unknown:
-    /// `processes` empty slots, to be filled via
-    /// [`TcpTransport::set_peer_addr`] once the other listeners have bound.
-    /// This is how in-process tests and harnesses build a race-free mesh;
-    /// multi-process deployments know their addresses up front and use
-    /// [`TcpTransport::bind`].
+    /// Binds on a free loopback port with the other `processes − 1` peer
+    /// addresses unknown, to be filled via [`TcpTransport::set_peer_addr`]
+    /// once their listeners have bound: how in-process tests and harnesses
+    /// build a race-free mesh.
     pub fn bind_any(
         processes: usize,
         owner: Vec<usize>,
@@ -210,7 +172,7 @@ impl TcpTransport {
     /// whatever was configured. Outbound connections established later use
     /// the new address; existing streams are untouched.
     pub fn set_peer_addr(&self, process: usize, addr: String) {
-        self.inner.peer_addrs.lock()[process] = addr;
+        self.peer_addrs.lock()[process] = addr;
     }
 
     /// The address the listener actually bound (resolves port `0`).
@@ -224,19 +186,15 @@ impl TcpTransport {
     /// local mailbox stay put, so reassign between rounds and drain first.
     pub fn set_owner(&self, node: NodeId, process: usize) {
         assert!(node < self.nodes(), "unknown node in set_owner");
-        assert!(
-            process < self.inner.outbound.len(),
-            "unknown process in set_owner"
-        );
-        self.inner.owner.lock()[node] = process;
+        assert!(process < self.outbound.len(), "unknown process");
+        self.owner.lock()[node] = process;
     }
 
     /// Sends an envelope straight to `process`, regardless of who owns the
-    /// destination mailbox. Recovery handshakes need this: a coordinator
-    /// answering a rejoin request must reach the *restarted* process even
-    /// while the node's mailbox is still assigned to a survivor.
-    /// [`Transport::send`] is this with the owner of `to` and
-    /// [`Dial::IfNeeded`].
+    /// destination mailbox: a coordinator answering a rejoin request must
+    /// reach the *restarted* process while the node's mailbox is still
+    /// assigned to a survivor. [`Transport::send`] is this with the owner of
+    /// `to` and [`Dial::IfNeeded`].
     pub fn send_to_process(
         &self,
         process: usize,
@@ -246,51 +204,41 @@ impl TcpTransport {
         payload: Vec<u8>,
         dial: Dial,
     ) -> Result<(), SendError> {
-        assert!(
-            from < self.nodes() && to < self.nodes(),
-            "unknown node in TCP send"
-        );
+        assert!(from < self.nodes() && to < self.nodes(), "unknown node");
         let envelope = Envelope {
             from,
             to,
             label,
             payload,
         };
-        let inner = &*self.inner;
-        if process != inner.me {
-            forward(inner, process, &envelope, dial).map_err(|error| {
-                atom_obs::count("net.tcp.send_failures", 1);
-                SendError { process, error }
-            })?;
+        if process != self.me {
+            self.forward(process, &mesh_frame(&envelope), dial)
+                .map_err(|error| {
+                    atom_obs::count("net.tcp.send_failures", 1);
+                    SendError { process, error }
+                })?;
         }
         // Metered only once the frame is written: frames that never reached
         // a dead peer must not inflate the fleet's traffic counters.
         if atom_obs::enabled() {
-            let label = &envelope.label;
+            let (label, bytes) = (&envelope.label, envelope.payload.len() as u64);
             atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
-            atom_obs::count(
-                &format!("net.tcp.bytes.{label}"),
-                envelope.payload.len() as u64,
-            );
+            atom_obs::count(&format!("net.tcp.bytes.{label}"), bytes);
             atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
         }
-        if process == inner.me {
-            inner.mailboxes.deliver(envelope);
+        if process == self.me {
+            self.mailboxes.deliver(envelope);
         }
         Ok(())
     }
 
     /// Drops the outbound stream to `process`, forcing the next send to
-    /// reconnect. Call when a peer is known to have restarted on the same
-    /// address: the old half-dead socket accepts one buffered write before
-    /// erroring, so the lazy in-band repair alone would silently lose the
-    /// first frame to the restarted process.
+    /// reconnect. Call when a peer restarted on the same address: the old
+    /// half-dead socket accepts one write before erroring, so the in-band
+    /// repair alone would lose the first frame to the restarted process.
     pub fn reset_peer(&self, process: usize) {
-        assert!(
-            process < self.inner.outbound.len(),
-            "unknown process in reset_peer"
-        );
-        if let Some(stream) = self.inner.outbound[process].lock().take() {
+        assert!(process < self.outbound.len(), "unknown process");
+        if let Some(stream) = self.outbound[process].lock().take() {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -300,40 +248,88 @@ impl TcpTransport {
     /// their listeners yet). Sends connect lazily as a fallback, but
     /// calling this first keeps connection churn off the mixing path.
     pub fn connect_peers(&self) -> io::Result<()> {
-        for (process, slot) in self.inner.outbound.iter().enumerate() {
-            if process != self.inner.me {
-                connect_retry(&self.inner, process, &mut slot.lock())?;
+        for (process, slot) in self.outbound.iter().enumerate() {
+            if process != self.me {
+                self.connect_retry(process, &mut slot.lock())?;
             }
         }
         Ok(())
     }
 
-    /// Closes every stream and joins the listener thread. Idempotent; also
-    /// run on drop.
+    /// Joins the mesh loop, which closes every inbound connection (even one
+    /// whose peer holds it open), then closes the outbound streams.
+    /// Idempotent; also run on drop.
     pub fn shutdown(&self) {
-        if self.inner.closing.swap(true, Ordering::SeqCst) {
+        if self.closing.swap(true, Ordering::SeqCst) {
             return;
         }
-        for slot in &self.inner.outbound {
-            if let Some(stream) = slot.lock().take() {
-                let _ = stream.shutdown(Shutdown::Both);
+        self.waker.wake();
+        if let Some(handle) = self.mesh_loop.lock().take() {
+            let _ = handle.join();
+        }
+        for process in 0..self.outbound.len() {
+            self.reset_peer(process);
+        }
+    }
+
+    /// Fills `slot` — the locked outbound slot of `process` — with a fresh
+    /// `TCP_NODELAY` stream (mixing batches are latency-sensitive and already
+    /// coalesced) unless it holds one, retrying until
+    /// [`TcpOptions::connect_timeout`] elapses.
+    fn connect_retry(&self, process: usize, slot: &mut Option<TcpStream>) -> io::Result<()> {
+        if slot.is_some() {
+            return Ok(());
+        }
+        let deadline = Instant::now() + self.options.connect_timeout;
+        let mut attempt = 0u32;
+        loop {
+            // Re-read each attempt: `set_peer_addr` may fill it in meanwhile.
+            let addr = self.peer_addrs.lock()[process].clone();
+            match TcpStream::connect(&addr) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    *slot = Some(stream);
+                    return Ok(());
+                }
+                Err(error) => {
+                    atom_obs::count("net.tcp.connect_retries", 1);
+                    if Instant::now() >= deadline {
+                        return Err(io::Error::new(
+                            error.kind(),
+                            format!("connecting to peer process {process} at {addr}: {error}"),
+                        ));
+                    }
+                    std::thread::sleep(connect_backoff(self.me, process, attempt));
+                    attempt += 1;
+                }
             }
         }
-        for stream in self.inner.inbound.lock().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // Wake the accept loop so it observes `closing`.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.lock().take() {
-            let _ = handle.join();
-        }
-        // With the accept thread gone, no new readers can appear; join
-        // the existing ones. Their streams were all shut down above, so
-        // each blocking read has already returned (or will immediately),
-        // even when the remote peer never closes its half.
-        let readers: Vec<JoinHandle<()>> = self.inner.readers.lock().drain(..).collect();
-        for handle in readers {
-            let _ = handle.join();
+    }
+
+    /// Writes `frame` to the outbound stream of `process`, establishing it
+    /// first if absent and `dial` allows. A write failure means the peer
+    /// died or restarted since: the slot is cleared, so the next send
+    /// reconnects cleanly, and under [`Dial::IfNeeded`] ONE
+    /// reconnect-and-resend repair — which a peer restarted on the same
+    /// address picks up — precedes reporting the failure.
+    fn forward(&self, process: usize, frame: &[u8], dial: Dial) -> io::Result<()> {
+        let mut slot = self.outbound[process].lock();
+        let mut repaired = false;
+        loop {
+            if dial == Dial::Never && slot.is_none() {
+                return Err(io::ErrorKind::NotConnected.into());
+            }
+            self.connect_retry(process, &mut slot)?;
+            let stream = slot.as_mut().expect("peer stream established above");
+            let Err(error) = stream.write_all(frame) else {
+                return Ok(());
+            };
+            *slot = None;
+            if repaired || dial == Dial::Never {
+                return Err(error);
+            }
+            atom_obs::count("net.tcp.send_repairs", 1);
+            repaired = true;
         }
     }
 }
@@ -344,9 +340,81 @@ impl Drop for TcpTransport {
     }
 }
 
-/// First retry delay of the exponential backoff in [`connect_retry`].
+/// The process's one receive thread: parks until a peer connection is
+/// readable, delivers the envelopes of its complete frames and hangs up on
+/// any peer that sends a bad one, until `closing`.
+fn mesh_loop(mut evloop: EventLoop, mailboxes: &Mailboxes, closing: &AtomicBool, me: usize) {
+    let mut events = Vec::new();
+    while !closing.load(Ordering::SeqCst) {
+        evloop.wait(&mut events, None);
+        for event in events.drain(..) {
+            let violation = match event {
+                Event::Frame { conn, payload } => match open_envelope(payload, mailboxes.nodes()) {
+                    Ok(envelope) => {
+                        mailboxes.deliver(envelope);
+                        continue;
+                    }
+                    Err(violation) => {
+                        evloop.close(conn);
+                        violation
+                    }
+                },
+                Event::Closed {
+                    reason: CloseReason::Malformed(violation),
+                    ..
+                } => violation,
+                _ => continue,
+            };
+            eprintln!("atom-net: process {me} hung up on a peer: {violation}");
+        }
+    }
+    evloop.close_all();
+}
+
+/// Splits a mesh frame's payload into its envelope. Both node ids must name
+/// nodes of the deployment, but not necessarily ones hosted here: during
+/// recovery a peer may send to a mailbox this process is about to take over
+/// (ownership reassignment), and rejoin responses are addressed directly.
+fn open_envelope(mut frame: Vec<u8>, nodes: usize) -> Result<Envelope, String> {
+    let Some(&[f0, f1, f2, f3, t0, t1, t2, t3, l0, l1]) = frame.first_chunk::<PREFIX_LEN>() else {
+        return Err(format!("{}-byte frame has no envelope prefix", frame.len()));
+    };
+    let from = u32::from_le_bytes([f0, f1, f2, f3]) as usize;
+    let to = u32::from_le_bytes([t0, t1, t2, t3]) as usize;
+    if from >= nodes || to >= nodes {
+        return Err(format!("frame from node {from} to node {to} of {nodes}"));
+    }
+    let label_len = u16::from_le_bytes([l0, l1]) as usize;
+    if label_len > MAX_LABEL_LEN {
+        return Err(format!("{label_len}-byte frame label"));
+    }
+    let end = PREFIX_LEN + label_len;
+    let label = frame.get(PREFIX_LEN..end).ok_or("label overruns frame")?;
+    let label = std::str::from_utf8(label).map_err(|_| "frame label is not UTF-8")?;
+    let label = Cow::Owned(label.to_owned());
+    frame.drain(..end);
+    Ok(Envelope {
+        from,
+        to,
+        label,
+        payload: frame,
+    })
+}
+
+/// Encodes `envelope` as one mesh frame (layout in the module docs).
+fn mesh_frame(envelope: &Envelope) -> Vec<u8> {
+    let label = envelope.label.as_bytes();
+    assert!(label.len() <= MAX_LABEL_LEN, "envelope label too long");
+    let [f0, f1, f2, f3] = (envelope.from as u32).to_le_bytes();
+    let [t0, t1, t2, t3] = (envelope.to as u32).to_le_bytes();
+    let [l0, l1] = (label.len() as u16).to_le_bytes();
+    let prefix = [f0, f1, f2, f3, t0, t1, t2, t3, l0, l1];
+    let header = client_header(PREFIX_LEN + label.len() + envelope.payload.len());
+    [&header[..], &prefix, label, &envelope.payload].concat()
+}
+
+/// First delay and ceiling of `connect_retry`'s exponential backoff.
 const CONNECT_BACKOFF_BASE_MS: u64 = 5;
-/// Ceiling on a single backoff sleep.
 const CONNECT_BACKOFF_CAP_MS: u64 = 200;
 
 /// Backoff before retry `attempt` (0-based): `min(base · 2ᵃ, cap)` plus a
@@ -365,206 +433,13 @@ fn connect_backoff(me: usize, peer: usize, attempt: u32) -> Duration {
     Duration::from_millis(exp + hash % (exp / 2 + 1))
 }
 
-/// Fills `slot` — the locked outbound slot of `process` — with a fresh
-/// stream unless it already holds one, retrying until
-/// [`TcpOptions::connect_timeout`] elapses.
-fn connect_retry(inner: &TcpInner, process: usize, slot: &mut Option<TcpStream>) -> io::Result<()> {
-    if slot.is_some() {
-        return Ok(());
-    }
-    let deadline = Instant::now() + inner.options.connect_timeout;
-    let mut attempt = 0u32;
-    loop {
-        // Re-read each attempt: the address may be filled in concurrently
-        // by `set_peer_addr` while we retry.
-        let addr = inner.peer_addrs.lock()[process].clone();
-        match TcpStream::connect(&addr) {
-            Ok(stream) => {
-                if inner.options.nodelay {
-                    let _ = stream.set_nodelay(true);
-                }
-                *slot = Some(stream);
-                return Ok(());
-            }
-            Err(error) => {
-                atom_obs::count("net.tcp.connect_retries", 1);
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        error.kind(),
-                        format!("connecting to peer process {process} at {addr}: {error}"),
-                    ));
-                }
-                std::thread::sleep(connect_backoff(inner.me, process, attempt));
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// Writes `envelope` to the outbound stream of `process`, establishing it
-/// first if absent and `dial` allows. A write failure means the peer died
-/// since the stream was established (or restarted, leaving a half-dead
-/// socket): the slot is cleared — so the next send reconnects cleanly —
-/// and, under [`Dial::IfNeeded`], ONE reconnect-and-resend repair is
-/// attempted, which a restarted peer listening on the same address picks
-/// up, before the failure is reported.
-fn forward(inner: &TcpInner, process: usize, envelope: &Envelope, dial: Dial) -> io::Result<()> {
-    let mut slot = inner.outbound[process].lock();
-    let mut repaired = false;
-    loop {
-        if dial == Dial::Never && slot.is_none() {
-            return Err(io::ErrorKind::NotConnected.into());
-        }
-        connect_retry(inner, process, &mut slot)?;
-        let stream = slot.as_mut().expect("peer stream established above");
-        let Err(error) = write_frame(stream, envelope) else {
-            return Ok(());
-        };
-        *slot = None;
-        if repaired || dial == Dial::Never {
-            return Err(error);
-        }
-        atom_obs::count("net.tcp.send_repairs", 1);
-        repaired = true;
-    }
-}
-
-fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if inner.closing.load(Ordering::SeqCst) {
-                    return;
-                }
-                if inner.options.nodelay {
-                    let _ = stream.set_nodelay(true);
-                }
-                // Without a registered clone, `shutdown` could not force
-                // this reader off its blocking read and the join below
-                // would hang on a peer that never closes its half — so a
-                // failed clone means no reader at all.
-                match stream.try_clone() {
-                    Ok(clone) => inner.inbound.lock().push(clone),
-                    Err(_) => {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                }
-                let reader_inner = Arc::clone(&inner);
-                // Readers are joined at teardown: `shutdown` closes the
-                // registered stream clones (forcing EOF even under a peer
-                // that holds its half open), then drains `readers`.
-                inner.live_readers.fetch_add(1, Ordering::SeqCst);
-                let handle = std::thread::spawn(move || {
-                    reader_loop(stream, &reader_inner);
-                    reader_inner.live_readers.fetch_sub(1, Ordering::SeqCst);
-                });
-                inner.readers.lock().push(handle);
-            }
-            Err(_) => {
-                if inner.closing.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, inner: &TcpInner) {
-    loop {
-        match read_frame(&mut stream, &inner.options) {
-            Ok(Some(envelope)) => {
-                if inner.closing.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Buffer frames for ANY node of the deployment, not just
-                // currently-hosted ones: during recovery a peer may send to
-                // a mailbox this process is about to take over (ownership
-                // reassignment), and rejoin responses are addressed
-                // directly. Only out-of-range node ids poison the
-                // connection.
-                if envelope.to >= inner.mailboxes.nodes() {
-                    eprintln!(
-                        "atom-net: dropping connection after a frame for unknown \
-                         node {} at process {}",
-                        envelope.to, inner.me
-                    );
-                    return;
-                }
-                inner.mailboxes.deliver(envelope);
-            }
-            Ok(None) => return, // clean EOF
-            Err(error) => {
-                if !inner.closing.load(Ordering::SeqCst) {
-                    eprintln!("atom-net: dropping connection on malformed frame: {error}");
-                }
-                return;
-            }
-        }
-    }
-}
-
-fn write_frame(stream: &mut TcpStream, envelope: &Envelope) -> io::Result<()> {
-    let label = envelope.label.as_bytes();
-    assert!(label.len() <= MAX_LABEL_LEN, "envelope label too long");
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + label.len() + envelope.payload.len());
-    frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    frame.push(FRAME_VERSION);
-    frame.extend_from_slice(&(envelope.from as u32).to_le_bytes());
-    frame.extend_from_slice(&(envelope.to as u32).to_le_bytes());
-    frame.extend_from_slice(&(label.len() as u16).to_le_bytes());
-    frame.extend_from_slice(&(envelope.payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(label);
-    frame.extend_from_slice(&envelope.payload);
-    stream.write_all(&frame)
-}
-
-/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary. Length
-/// fields are untrusted: both are bounds-checked before any allocation.
-fn read_frame(stream: &mut TcpStream, options: &TcpOptions) -> io::Result<Option<Envelope>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(error) if error.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(error) => return Err(error),
-    }
-    let malformed = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    if u32::from_le_bytes(header[0..4].try_into().unwrap()) != FRAME_MAGIC {
-        return Err(malformed("bad frame magic"));
-    }
-    if header[4] != FRAME_VERSION {
-        return Err(malformed("unsupported frame version"));
-    }
-    let from = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    let to = u32::from_le_bytes(header[9..13].try_into().unwrap()) as usize;
-    let label_len = u16::from_le_bytes(header[13..15].try_into().unwrap()) as usize;
-    let payload_len = u32::from_le_bytes(header[15..19].try_into().unwrap()) as usize;
-    if label_len > MAX_LABEL_LEN {
-        return Err(malformed("frame label too long"));
-    }
-    if payload_len > options.max_frame {
-        return Err(malformed("frame payload exceeds max_frame"));
-    }
-    let mut label = vec![0u8; label_len];
-    stream.read_exact(&mut label)?;
-    let label = String::from_utf8(label).map_err(|_| malformed("frame label is not UTF-8"))?;
-    let mut payload = vec![0u8; payload_len];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(Envelope {
-        from,
-        to,
-        label: Cow::Owned(label),
-        payload,
-    }))
-}
-
 impl Transport for TcpTransport {
     fn nodes(&self) -> usize {
-        self.inner.mailboxes.nodes()
+        self.mailboxes.nodes()
     }
 
     fn is_local(&self, node: NodeId) -> bool {
-        node < self.nodes() && self.inner.owner.lock()[node] == self.inner.me
+        node < self.nodes() && self.owner.lock()[node] == self.me
     }
 
     fn send(
@@ -575,26 +450,30 @@ impl Transport for TcpTransport {
         payload: Vec<u8>,
     ) -> Result<(), SendError> {
         assert!(to < self.nodes(), "unknown node in TCP send");
-        let process = self.inner.owner.lock()[to];
+        let process = self.owner.lock()[to];
         self.send_to_process(process, from, to, label, payload, Dial::IfNeeded)
     }
 
     fn drain(&self, node: NodeId) -> Vec<Envelope> {
-        self.inner.mailboxes.drain(node)
+        self.mailboxes.drain(node)
     }
 
     fn pending(&self, node: NodeId) -> usize {
-        self.inner.mailboxes.pending(node)
+        self.mailboxes.pending(node)
     }
 
     fn set_delivery_hook(&self, hook: Option<DeliveryHook>) {
-        self.inner.mailboxes.set_hook(hook);
+        self.mailboxes.set_hook(hook);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evloop::client_frame;
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::sync::mpsc::{channel, Receiver};
 
     /// Two transports in one process, exercising both the loopback and the
     /// socket path. Both listeners bind port 0 and exchange resolved
@@ -609,11 +488,53 @@ mod tests {
         (a, b)
     }
 
+    /// Routes `transport`'s delivery hook into a channel.
+    fn arrivals(transport: &TcpTransport) -> Receiver<NodeId> {
+        let (tx, rx) = channel();
+        let hook: DeliveryHook = Arc::new(move |node| {
+            let _ = tx.send(node);
+        });
+        Transport::set_delivery_hook(transport, Some(hook));
+        rx
+    }
+
+    /// Parks until `node` has mail. The hook goes in before the check, so
+    /// no arrival slips between the two.
     fn wait_pending(transport: &TcpTransport, node: NodeId) {
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let delivered = arrivals(transport);
         while Transport::pending(transport, node) == 0 {
-            assert!(Instant::now() < deadline, "message never arrived");
-            std::thread::sleep(Duration::from_millis(5));
+            let arrived = delivered.recv_timeout(Duration::from_secs(5));
+            arrived.expect("message never arrived");
+        }
+    }
+
+    /// A mesh frame with arbitrary — possibly invalid — envelope fields.
+    fn raw_frame(from: u32, to: u32, label: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&from.to_le_bytes());
+        payload.extend_from_slice(&to.to_le_bytes());
+        payload.extend_from_slice(&(label.len() as u16).to_le_bytes());
+        payload.extend_from_slice(label);
+        payload.extend_from_slice(body);
+        client_frame(&payload)
+    }
+
+    /// Opens a raw peer connection to `transport` and writes `bytes`.
+    fn rogue(transport: &TcpTransport, bytes: &[u8]) -> TcpStream {
+        let mut stream = TcpStream::connect(transport.local_addr()).unwrap();
+        stream.write_all(bytes).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
+    /// Whether the transport hung up on `stream` (EOF or a reset, never
+    /// data, within the read timeout).
+    fn hung_up(stream: &mut TcpStream) -> bool {
+        match stream.read(&mut [0u8; 64]) {
+            Ok(read) => read == 0,
+            Err(error) => error.kind() == io::ErrorKind::ConnectionReset,
         }
     }
 
@@ -638,16 +559,10 @@ mod tests {
     #[test]
     fn delivery_hook_fires_for_remote_arrivals() {
         let (a, b) = pair(vec![0, 1]);
-        let hits = Arc::new(Mutex::new(Vec::new()));
-        let sink = hits.clone();
-        Transport::set_delivery_hook(&b, Some(Arc::new(move |node| sink.lock().push(node))));
+        let delivered = arrivals(&b);
         Transport::send(&a, 0, 1, "hooked".into(), vec![9]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while hits.lock().is_empty() {
-            assert!(Instant::now() < deadline, "hook never fired");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(*hits.lock(), vec![1]);
+        assert_eq!(delivered.recv_timeout(Duration::from_secs(5)), Ok(1));
+        assert!(delivered.try_recv().is_err(), "the hook fired twice");
         a.shutdown();
         b.shutdown();
     }
@@ -655,21 +570,23 @@ mod tests {
     #[test]
     fn malformed_frames_poison_only_their_connection() {
         let (a, b) = pair(vec![0, 1]);
-        // A raw connection writing garbage: the reader must hang up without
-        // panicking or allocating the claimed length.
-        let mut rogue = TcpStream::connect(b.local_addr()).unwrap();
-        let mut bogus = Vec::new();
-        bogus.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        bogus.push(FRAME_VERSION);
-        bogus.extend_from_slice(&0u32.to_le_bytes()); // from
-        bogus.extend_from_slice(&1u32.to_le_bytes()); // to
-        bogus.extend_from_slice(&0u16.to_le_bytes()); // label_len
-        bogus.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd payload_len
-        rogue.write_all(&bogus).unwrap();
+        // A length claim past the 64 MiB cap: the loop must hang up
+        // without allocating the claimed length.
+        let mut absurd = client_frame(&[]);
+        absurd[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        // The retired "ATOM" header, and an envelope prefix cut short.
+        let mut retired = b"ATOM".to_vec();
+        retired.extend_from_slice(&[1; 15]);
+        let short = client_frame(&[0, 0, 0, 0, 1]);
+        let mut rogues: Vec<TcpStream> = [absurd, retired, short]
+            .iter()
+            .map(|bytes| rogue(&b, bytes))
+            .collect();
         // The healthy connection keeps working.
         Transport::send(&a, 0, 1, "still-fine".into(), vec![7]).unwrap();
         wait_pending(&b, 1);
         assert_eq!(Transport::drain(&b, 1).len(), 1);
+        assert!(rogues.iter_mut().all(hung_up));
         a.shutdown();
         b.shutdown();
     }
@@ -677,29 +594,24 @@ mod tests {
     #[test]
     fn frames_for_unknown_nodes_are_rejected_but_unowned_ones_buffer() {
         let (a, b) = pair(vec![0, 1]);
-        // A frame for a node id outside the deployment poisons its
-        // connection.
-        let mut rogue = TcpStream::connect(b.local_addr()).unwrap();
-        let envelope = Envelope {
-            from: 1,
-            to: 99,
-            label: "unknown".into(),
-            payload: vec![1],
-        };
-        write_frame(&mut rogue, &envelope).unwrap();
+        // Node ids outside the deployment, on either end, and a label that
+        // is not UTF-8 each poison their connection.
+        let mut rogues: Vec<TcpStream> = [
+            raw_frame(1, 99, b"unknown", &[1]),
+            raw_frame(99, 1, b"unknown", &[1]),
+            raw_frame(1, 1, &[0xFF, 0xFE], &[1]),
+        ]
+        .iter()
+        .map(|bytes| rogue(&b, bytes))
+        .collect();
+        assert!(rogues.iter_mut().all(hung_up));
         // A frame for a valid node this process does NOT currently own is
         // buffered — recovery reassigns mailboxes between rounds and the
         // frame may arrive first.
-        let mut early = TcpStream::connect(b.local_addr()).unwrap();
-        let envelope = Envelope {
-            from: 1,
-            to: 0,
-            label: "early".into(),
-            payload: vec![2],
-        };
-        write_frame(&mut early, &envelope).unwrap();
+        let _early = rogue(&b, &raw_frame(1, 0, b"early", &[2]));
         wait_pending(&b, 0);
         assert_eq!(Transport::drain(&b, 0)[0].payload, vec![2]);
+        assert_eq!(Transport::pending(&b, 1), 0, "a rejected frame arrived");
         a.shutdown();
         b.shutdown();
     }
@@ -715,7 +627,7 @@ mod tests {
         assert!(!Transport::is_local(&a, 2));
         a.set_owner(2, 0);
         assert!(Transport::is_local(&a, 2));
-        assert_eq!(*a.inner.owner.lock(), vec![0, 1, 0]);
+        assert_eq!(*a.owner.lock(), vec![0, 1, 0]);
         Transport::send(&a, 0, 2, "after".into(), vec![2]).unwrap();
         assert_eq!(Transport::drain(&a, 2)[0].payload, vec![2]);
         a.shutdown();
@@ -788,14 +700,17 @@ mod tests {
             TcpOptions::default(),
         )
         .unwrap();
+        let delivered = arrivals(&b2);
         // The first send after the restart hits the dead socket (possibly
         // only on the second write, once the kernel notices the reset);
         // the repair path reconnects and the frame arrives.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while Transport::pending(&b2, 1) == 0 {
+        loop {
             assert!(Instant::now() < deadline, "repair never delivered");
             Transport::send(&a, 0, 1, "after-restart".into(), vec![2]).unwrap();
-            std::thread::sleep(Duration::from_millis(20));
+            if delivered.recv_timeout(Duration::from_millis(20)).is_ok() {
+                break;
+            }
         }
         assert_eq!(Transport::drain(&b2, 1)[0].payload, vec![2]);
         a.shutdown();
@@ -811,7 +726,6 @@ mod tests {
         atom_obs::set_enabled(true);
         let options = TcpOptions {
             connect_timeout: Duration::from_millis(100),
-            ..TcpOptions::default()
         };
         let a = TcpTransport::bind_any(2, vec![0, 1], 0, options).unwrap();
         // Reserve process 1's address and free it again: nobody listens yet.
@@ -879,7 +793,6 @@ mod tests {
         // (metering each attempt) until the budget expires.
         let options = TcpOptions {
             connect_timeout: Duration::from_millis(60),
-            ..TcpOptions::default()
         };
         let a = TcpTransport::bind_any(2, vec![0, 1], 0, options).unwrap();
         // A port from the dynamic range with no listener; connecting fails
@@ -911,42 +824,28 @@ mod tests {
         b.shutdown();
     }
 
-    /// Regression: reader threads used to be detached, so a peer that
-    /// held its half of the connection open could leave a reader alive
-    /// (blocked or draining) after `shutdown` returned. Readers are now
-    /// joined, so teardown must return promptly with zero readers left —
-    /// even under a rogue peer that never closes and never reads.
+    /// A peer that holds its half of the connection open must not keep
+    /// the mesh loop — or the connection — alive past `shutdown`: the loop
+    /// closes every inbound connection before its thread is joined.
     #[test]
-    fn shutdown_joins_readers_despite_a_peer_that_never_closes() {
+    fn shutdown_joins_the_loop_despite_a_peer_that_never_closes() {
         let a = TcpTransport::bind_any(2, vec![0, 1], 0, TcpOptions::default()).unwrap();
-        // A rogue "peer": sends one valid frame to prove its reader is
-        // live, then sits on the open socket without closing either half.
-        let mut rogue = TcpStream::connect(a.local_addr()).unwrap();
-        let envelope = Envelope {
-            from: 1,
-            to: 0,
-            label: "rogue".into(),
-            payload: vec![9; 16],
-        };
-        write_frame(&mut rogue, &envelope).unwrap();
+        // A rogue "peer": sends one valid frame to prove the loop holds its
+        // connection, then sits on the open socket without closing either
+        // half.
+        let mut peer = rogue(&a, &raw_frame(1, 0, b"rogue", &[9; 16]));
         wait_pending(&a, 0);
-        assert_eq!(a.inner.live_readers.load(Ordering::SeqCst), 1);
 
         let start = Instant::now();
         a.shutdown();
         assert!(
             start.elapsed() < Duration::from_secs(5),
-            "shutdown hung on the reader join"
+            "shutdown hung on the loop join"
         );
-        assert_eq!(
-            a.inner.live_readers.load(Ordering::SeqCst),
-            0,
-            "a reader thread outlived transport teardown"
-        );
+        assert!(a.mesh_loop.lock().is_none(), "the loop was not joined");
         assert!(
-            a.inner.readers.lock().is_empty(),
-            "join handles not drained"
+            hung_up(&mut peer),
+            "the rogue's connection outlived teardown"
         );
-        drop(rogue);
     }
 }

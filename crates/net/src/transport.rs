@@ -8,8 +8,8 @@
 //! * [`InMemoryNetwork`] (this module): every node in one process; a send
 //!   is a push onto the destination's lock-protected mailbox.
 //! * [`TcpTransport`](crate::tcp::TcpTransport): a multi-process backend
-//!   shipping the same envelopes as length-delimited frames over blocking
-//!   TCP sockets.
+//!   shipping the same envelopes as length-delimited frames over TCP,
+//!   received on one `epoll` loop thread per process.
 //!
 //! Both backends store and wake through the one mailbox core in this
 //! module. A transport only transports: the simulated 40–160 ms hops of §6

@@ -561,6 +561,10 @@ struct ExitState {
     /// every remotely hosted group, so the merged report and fleet trace
     /// span all processes.
     telemetry: Vec<TelemetryFrame>,
+    /// Claimed, under this lock, by the exit or telemetry frame that
+    /// completes the round: finalization takes the state above, so it must
+    /// run once even when a late snapshot races it.
+    finalizing: bool,
 }
 
 /// What actor construction needs from a [`RoundJob`], retained per round so
@@ -1201,6 +1205,7 @@ impl Engine {
                     group_mix_messages: 0,
                     group_mix_bytes: 0,
                     telemetry: Vec::new(),
+                    finalizing: false,
                 }),
                 result: Mutex::new(result),
                 intake_mix_messages: AtomicU64::new(0),
@@ -2343,7 +2348,9 @@ fn on_exit_frame(shared: &Shared<'_>, node: usize, frame: ExitFrame) {
         exit.group_mix_bytes += frame.mix_bytes;
         exit.exits_done += 1;
         exit.pipelined = exit.pipelined.max(frame.finished_virtual);
-        exit.exits_done == job.num_groups() && telemetry_complete(shared, job, &exit)
+        exit.exits_done == job.num_groups()
+            && telemetry_complete(shared, job, &exit)
+            && !std::mem::replace(&mut exit.finalizing, true)
     };
     if complete {
         finalize_round(shared, round);
@@ -2391,9 +2398,11 @@ fn on_telemetry_frame(shared: &Shared<'_>, node: usize, frame: TelemetryFrame) {
             return; // duplicate snapshot from a process we already heard
         }
         exit.telemetry.push(frame);
-        exit.exits_done == job.num_groups() && telemetry_complete(shared, job, &exit)
+        exit.exits_done == job.num_groups()
+            && telemetry_complete(shared, job, &exit)
+            && !std::mem::replace(&mut exit.finalizing, true)
     };
-    if complete && !job.finalized() {
+    if complete {
         finalize_round(shared, round);
     }
 }

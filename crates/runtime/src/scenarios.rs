@@ -610,7 +610,7 @@ fn run_loopback_split(
         member_jobs,
         options.engine_options(),
         options.engine_options(),
-        |_| Ok(()),
+        |_| Ok(0),
     )?;
     member_results.into_iter().collect::<AtomResult<Vec<_>>>()?;
     collect(coordinator_results)
@@ -622,7 +622,8 @@ type RawRoundResults = Vec<AtomResult<RoundReport>>;
 /// The raw two-instance split: like [`run_loopback_split`], but with
 /// per-side engine options (adversary scenarios slow one side down or arm
 /// the other side's deadline), an `inject` hook that may push forged wire
-/// frames through the member's transport before either engine starts, and
+/// frames through the member's transport before either engine starts (it
+/// returns how many; both engines start once they have all landed), and
 /// the per-round results returned raw — a coordinator round that *fails* is
 /// the observation adversary scenarios exist to capture, not an early exit.
 fn run_loopback_split_raw(
@@ -631,7 +632,7 @@ fn run_loopback_split_raw(
     member_jobs: Vec<RoundJob>,
     coordinator_options: EngineOptions,
     member_options: EngineOptions,
-    inject: impl FnOnce(&TcpTransport) -> Result<(), SendError>,
+    inject: impl FnOnce(&TcpTransport) -> Result<usize, SendError>,
 ) -> AtomResult<(RawRoundResults, RawRoundResults)> {
     let net_error = |what: &str, error: &dyn std::fmt::Display| {
         AtomError::Malformed(format!("tcp loopback scenario: {what}: {error}"))
@@ -644,7 +645,21 @@ fn run_loopback_split_raw(
         .map_err(|e| net_error("binding member", &e))?;
     coordinator_net.set_peer_addr(1, member_net.local_addr().to_string());
     member_net.set_peer_addr(0, coordinator_net.local_addr().to_string());
-    inject(&member_net).map_err(|e| net_error("injecting forged frames", &e))?;
+    // Delivery is asynchronous: unless every injected frame is queued before
+    // the engines start, the coordinator can act on the first before the
+    // rest land (run intake under a forged key, say, ahead of the setup
+    // frame that contradicts it).
+    let (landed, arrivals) = std::sync::mpsc::channel();
+    coordinator_net.set_delivery_hook(Some(Arc::new(move |_| {
+        let _ = landed.send(());
+    })));
+    let injected = inject(&member_net).map_err(|e| net_error("injecting forged frames", &e))?;
+    let queued = |node| coordinator_net.pending(node);
+    while (0..coordinator_net.nodes()).map(queued).sum::<usize>() < injected {
+        let arrival = arrivals.recv_timeout(Duration::from_secs(10));
+        arrival.map_err(|e| net_error("awaiting injected frames", &e))?;
+    }
+    coordinator_net.set_delivery_hook(None);
 
     let hosted_even: Vec<usize> = (0..groups).step_by(2).collect();
     let hosted_odd: Vec<usize> = (1..groups).step_by(2).collect();
@@ -984,7 +999,7 @@ pub fn slow_loris(
         jobs,
         coordinator_options,
         member_options,
-        |_| Ok(()),
+        |_| Ok(0),
     )?;
     let error = match coordinator_results.into_iter().next() {
         Some(Err(error)) => error,
@@ -1101,7 +1116,8 @@ pub fn equivocating_setup(
         options.engine_options(),
         move |member_net| {
             member_net.send(1, 0, SETUP_LABEL.into(), forged)?;
-            member_net.send(1, 0, SETUP_LABEL.into(), genuine)
+            member_net.send(1, 0, SETUP_LABEL.into(), genuine)?;
+            Ok(2)
         },
     )?;
     let error = match coordinator_results.into_iter().next() {
