@@ -10,12 +10,16 @@
 //! any index range can be generated independently and
 //! [`WorkloadSource::generate`] yields byte-identical streams whatever the
 //! chunking or [window](atom_runtime::EngineOptions::intake_window) the
-//! engine pulls it through.
+//! engine pulls it through. The same property lets
+//! [`WorkloadSource::materialize`] build a whole round on every core, one
+//! contiguous index range per core, with output that cannot depend on the
+//! split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::Arc;
+use std::thread;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -24,7 +28,6 @@ use atom_core::config::Defense;
 use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult};
 use atom_core::message::{make_nizk_submission, make_trap_submission};
-use atom_core::{NizkSubmission, TrapSubmission};
 use atom_runtime::wire::{self, ClientSubmission, SubmitFrame};
 use atom_runtime::{RoundSubmissions, SubmissionBlock, SubmissionSource};
 
@@ -261,63 +264,97 @@ impl WorkloadSource {
         Ok(Self { setup, spec, zipf })
     }
 
-    /// The payload text of submission `index` — pattern-shaped, and short
-    /// enough for any test-sized `message_len`.
-    pub fn text_at(&self, index: usize) -> String {
+    /// The one walk down submission `index`'s [`index_rng`]: the entry
+    /// group (the first draw), the RNG right after that draw, which the
+    /// builder encrypts with, and the payload text, drawn from a clone of
+    /// that RNG so the pattern's draws never shift the encryption
+    /// randomness.
+    fn draw(&self, index: usize) -> (usize, StdRng, String) {
         let mut rng = index_rng(self.spec.seed, index as u64);
-        // First draw: entry group (must match generate()'s draw order).
         let gid = (rng.next_u64() % self.setup.config.num_groups as u64) as usize;
-        let _ = gid;
-        match &self.spec.pattern {
+        let mut text_rng = rng.clone();
+        let text = match &self.spec.pattern {
             TrafficPattern::ZipfMicroblog { .. } => {
                 let author = self
                     .zipf
                     .as_ref()
                     .expect("zipf sampler exists for microblog patterns")
-                    .sample(unit_f64(rng.next_u64()));
+                    .sample(unit_f64(text_rng.next_u64()));
                 format!("u{author} p{index}")
             }
             TrafficPattern::Dialing { users } => {
-                let caller = rng.next_u64() % *users as u64;
-                let callee = rng.next_u64() % *users as u64;
+                let caller = text_rng.next_u64() % *users as u64;
+                let callee = text_rng.next_u64() % *users as u64;
                 format!("dial {caller}>{callee} #{index}")
             }
-        }
+        };
+        (gid, rng, text)
     }
 
-    /// The entry group of submission `index`.
-    pub fn entry_group_at(&self, index: usize) -> usize {
-        let mut rng = index_rng(self.spec.seed, index as u64);
-        (rng.next_u64() % self.setup.config.num_groups as u64) as usize
-    }
-
-    /// The author rank of submission `index` (microblog patterns only).
-    pub fn author_at(&self, index: usize) -> Option<usize> {
-        self.zipf.as_ref().map(|zipf| {
-            let mut rng = index_rng(self.spec.seed, index as u64);
-            let _gid = rng.next_u64();
-            zipf.sample(unit_f64(rng.next_u64()))
-        })
+    /// The payload text of submission `index` — pattern-shaped, and short
+    /// enough for any test-sized `message_len`.
+    pub fn text_at(&self, index: usize) -> String {
+        self.draw(index).2
     }
 
     /// Materializes the whole stream as engine-ready submissions — the
     /// equivalence baseline the streaming path is byte-compared against.
+    /// It runs one contiguous index range per core (never more ranges than
+    /// submissions; the caller's thread takes the first) and joins the
+    /// blocks in index order. The output cannot depend on the split, since
+    /// `generate(a..b) ++ generate(b..c)` is `generate(a..c)`, and the first
+    /// error in that order is the lowest failing index's, as serially.
     pub fn materialize(&self) -> AtomResult<RoundSubmissions> {
-        Ok(match self.generate((0, self.spec.submissions))? {
-            SubmissionBlock::Nizk(subs) => RoundSubmissions::Nizk(subs),
-            SubmissionBlock::Trap(subs) => RoundSubmissions::Trap(subs),
+        let total = self.spec.submissions;
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let ranges = cores.min(total).max(1); // an empty stream: one empty range
+        let range = |r: usize| (r * total / ranges, (r + 1) * total / ranges);
+        thread::scope(|scope| {
+            let rest: Vec<_> = (1..ranges)
+                .map(|r| scope.spawn(move || self.generate(range(r))))
+                .collect();
+            let first = self.generate(range(0));
+            let rest = rest
+                .into_iter()
+                .map(|handle| handle.join().expect("generator panicked"));
+            let (mut nizk, mut trap) = (Vec::new(), Vec::new());
+            for block in std::iter::once(first).chain(rest) {
+                match block? {
+                    SubmissionBlock::Nizk(part) => nizk.extend(part),
+                    SubmissionBlock::Trap(part) => trap.extend(part),
+                }
+            }
+            Ok(match self.spec.defense {
+                Defense::Nizk => RoundSubmissions::Nizk(nizk),
+                Defense::Trap => RoundSubmissions::Trap(trap),
+            })
         })
     }
 
     /// Submission `index` built for the wire: the [`ClientSubmission`] a
     /// real client at that index would send the ingress tier.
-    /// [`generate`](SubmissionSource::generate) delegates to the same
-    /// per-index builders, so the socket path and the materialized path
-    /// carry byte-identical submissions by construction.
+    /// [`generate`](SubmissionSource::generate) collects the same
+    /// submissions, so the socket path and the materialized path carry
+    /// byte-identical submissions by construction.
     pub fn submission_at(&self, index: usize) -> AtomResult<ClientSubmission> {
+        let (gid, mut rng, text) = self.draw(index);
+        let (config, key) = (&self.setup.config, &self.setup.groups[gid].public_key);
         Ok(match self.spec.defense {
-            Defense::Nizk => ClientSubmission::Nizk(self.nizk_at(index)?),
-            Defense::Trap => ClientSubmission::Trap(self.trap_at(index)?),
+            Defense::Nizk => ClientSubmission::Nizk(
+                make_nizk_submission(gid, key, text.as_bytes(), config.message_len, &mut rng)?.0,
+            ),
+            Defense::Trap => ClientSubmission::Trap(
+                make_trap_submission(
+                    gid,
+                    key,
+                    &self.setup.trustees.public_key,
+                    config.round,
+                    text.as_bytes(),
+                    config.message_len,
+                    &mut rng,
+                )?
+                .0,
+            ),
         })
     }
 
@@ -332,42 +369,6 @@ impl WorkloadSource {
             submission: self.submission_at(index)?,
         }))
     }
-
-    /// The single per-index NIZK builder both `generate` and
-    /// `submission_at` share.
-    fn nizk_at(&self, index: usize) -> AtomResult<NizkSubmission> {
-        let config = &self.setup.config;
-        let mut rng = index_rng(self.spec.seed, index as u64);
-        let gid = (rng.next_u64() % config.num_groups as u64) as usize;
-        let text = self.text_at(index);
-        let (submission, _receipt) = make_nizk_submission(
-            gid,
-            &self.setup.groups[gid].public_key,
-            text.as_bytes(),
-            config.message_len,
-            &mut rng,
-        )?;
-        Ok(submission)
-    }
-
-    /// The single per-index trap builder both `generate` and
-    /// `submission_at` share.
-    fn trap_at(&self, index: usize) -> AtomResult<TrapSubmission> {
-        let config = &self.setup.config;
-        let mut rng = index_rng(self.spec.seed, index as u64);
-        let gid = (rng.next_u64() % config.num_groups as u64) as usize;
-        let text = self.text_at(index);
-        let (submission, _receipt) = make_trap_submission(
-            gid,
-            &self.setup.groups[gid].public_key,
-            &self.setup.trustees.public_key,
-            config.round,
-            text.as_bytes(),
-            config.message_len,
-            &mut rng,
-        )?;
-        Ok(submission)
-    }
 }
 
 impl SubmissionSource for WorkloadSource {
@@ -380,22 +381,17 @@ impl SubmissionSource for WorkloadSource {
     }
 
     fn generate(&self, (start, end): (usize, usize)) -> AtomResult<SubmissionBlock> {
-        match self.spec.defense {
-            Defense::Nizk => {
-                let mut block = Vec::with_capacity(end - start);
-                for index in start..end {
-                    block.push(self.nizk_at(index)?);
-                }
-                Ok(SubmissionBlock::Nizk(block))
-            }
-            Defense::Trap => {
-                let mut block = Vec::with_capacity(end - start);
-                for index in start..end {
-                    block.push(self.trap_at(index)?);
-                }
-                Ok(SubmissionBlock::Trap(block))
+        let (mut nizk, mut trap) = (Vec::new(), Vec::new());
+        for index in start..end {
+            match self.submission_at(index)? {
+                ClientSubmission::Nizk(submission) => nizk.push(submission),
+                ClientSubmission::Trap(submission) => trap.push(submission),
             }
         }
+        Ok(match self.spec.defense {
+            Defense::Nizk => SubmissionBlock::Nizk(nizk),
+            Defense::Trap => SubmissionBlock::Trap(trap),
+        })
     }
 }
 
@@ -475,6 +471,75 @@ mod tests {
             }
             assert_eq!(stitched, whole, "partition {cuts:?}");
         }
+    }
+
+    fn source_on(
+        setup: &Arc<RoundSetup>,
+        pattern: TrafficPattern,
+        submissions: usize,
+    ) -> WorkloadSource {
+        let spec = WorkloadSpec {
+            pattern,
+            defense: setup.config.defense,
+            submissions,
+            seed: 0x5B117,
+        };
+        WorkloadSource::new(setup.clone(), spec).unwrap()
+    }
+
+    fn client_submissions(round: RoundSubmissions) -> Vec<ClientSubmission> {
+        match round {
+            RoundSubmissions::Nizk(subs) => subs.into_iter().map(ClientSubmission::Nizk).collect(),
+            RoundSubmissions::Trap(subs) => subs.into_iter().map(ClientSubmission::Trap).collect(),
+            RoundSubmissions::Stream(_) => panic!("materialize never streams"),
+        }
+    }
+
+    #[test]
+    fn materialize_matches_submission_at_whatever_the_split() {
+        // Sizes cover an empty stream, fewer submissions than cores, and
+        // ranges with odd remainders.
+        for defense in [Defense::Nizk, Defense::Trap] {
+            let setup = test_setup(defense, 3, 0x5B1);
+            for pattern in [
+                TrafficPattern::ZipfMicroblog {
+                    users: 100,
+                    exponent: 1.1,
+                },
+                TrafficPattern::Dialing { users: 50 },
+            ] {
+                for n in [0, 1, 2, 3, 7, 129] {
+                    let source = source_on(&setup, pattern.clone(), n);
+                    let whole = client_submissions(source.materialize().unwrap());
+                    assert_eq!(whole.len(), n, "{defense:?} {pattern:?}");
+                    for (index, submission) in whole.iter().enumerate() {
+                        assert_eq!(
+                            submission,
+                            &source.submission_at(index).unwrap(),
+                            "{defense:?} {pattern:?} n = {n}: index {index} diverged"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn materialize_reports_a_later_ranges_error_like_the_serial_pass() {
+        // Ten single-digit authors: `u{author} p{index}` is 7 bytes from
+        // index 100 on, too long for 6 — so the first failure lies past
+        // the first of two or more ranges.
+        let mut setup = (*test_setup(Defense::Trap, 3, 0xE44)).clone();
+        setup.config.message_len = 6;
+        let pattern = TrafficPattern::ZipfMicroblog {
+            users: 10,
+            exponent: 1.1,
+        };
+        let source = source_on(&Arc::new(setup), pattern, 129);
+        let serial = source.generate((0, 129)).map(|_| ()).unwrap_err();
+        let parallel = source.materialize().map(|_| ()).unwrap_err();
+        assert_eq!(parallel, serial);
+        assert!(serial.to_string().contains("7 bytes"), "{serial}");
     }
 
     #[test]
