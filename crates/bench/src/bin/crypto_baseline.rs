@@ -34,6 +34,7 @@ use curve25519_dalek::field::{PowTable, P, U256};
 use curve25519_dalek::ristretto::CompressedRistretto;
 use curve25519_dalek::scalar::Scalar;
 
+use atom_bench::json::Value;
 use atom_crypto::batch::{
     verify_encryption_batch, verify_shuffle_batch, EncVerification, ShuffleVerification,
 };
@@ -402,35 +403,53 @@ fn main() {
         + SHUF_MSGS
         + (6 + 2 * shuf_components) * SHUF_MEMBERS;
 
-    let provenance = atom_bench::provenance_json();
-    let json = format!(
-        "{{\n  {provenance},\n  \
-         \"batch_size\": {BATCH},\n  \"pow_naive_us\": {pow_naive_us:.2},\n  \
-         \"pow_windowed_us\": {pow_windowed_us:.2},\n  \"pow_lockstep_us\": {pow_lockstep_us:.2},\n  \
-         \"pow_fixed_base_us\": {pow_fixed_base_us:.2},\n  \
-         \"table_build_us\": {table_build_us:.2},\n  \"table_kib\": {table_kib:.0},\n  \
-         \"mul_fold_us\": {mul_fold_us:.4},\n  \
-         \"point_decode_ns\": {point_decode_ns:.1},\n  \"embed_ns_per_point\": {embed_ns_per_point:.1},\n  \
-         \"enc_verify_naive_us\": {enc_naive_us:.2},\n  \
-         \"enc_verify_per_proof_us\": {enc_per_proof_us:.2},\n  \"enc_verify_batch_us\": {enc_batch_us:.2},\n  \
-         \"reenc_prove_us_per_ct_1\": {reenc_prove_1:.2},\n  \"reenc_verify_us_per_ct_1\": {reenc_verify_1:.2},\n  \
-         \"reenc_prove_us_per_ct_16\": {reenc_prove_16:.2},\n  \"reenc_verify_us_per_ct_16\": {reenc_verify_16:.2},\n  \
-         \"reenc_prove_us_per_ct_128\": {reenc_prove_128:.2},\n  \"reenc_verify_us_per_ct_128\": {reenc_verify_128:.2},\n  \
-         \"keccak_absorb_ns_per_byte\": {keccak_absorb_ns_per_byte:.2},\n  \
-         \"shuffle_prove_us_per_ct\": {shuffle_prove_us_per_ct:.2},\n  \
-         \"shuffle_verify_chain_us_per_ct\": {shuffle_verify_chain_us_per_ct:.2},\n  \
-         \"shuffle_proof_bytes_per_ct\": {shuffle_proof_bytes_per_ct:.2},\n  \
-         \"shuffle_verify_chain_terms\": {shuffle_verify_chain_terms},\n  \
-         \"shuffle_verify_chain_terms_bound\": {shuffle_verify_chain_terms_bound},\n  \
-         \"windowed_speedup\": {:.2},\n  \"lockstep_speedup\": {lockstep_speedup:.2},\n  \
-         \"fixed_base_speedup\": {:.2},\n  \
-         \"enc_batch_speedup_vs_naive\": {:.2},\n  \"enc_batch_speedup_vs_per_proof\": {:.2},\n  \
-         \"reenc_aggregation_speedup\": {reenc_aggregation_speedup:.2}\n}}\n",
-        pow_naive_us / pow_windowed_us,
-        pow_naive_us / pow_fixed_base_us,
-        enc_naive_us / enc_batch_us,
-        enc_per_proof_us / enc_batch_us,
-    );
+    let fields = [
+        ("batch_size", BATCH as f64),
+        ("pow_naive_us", pow_naive_us),
+        ("pow_windowed_us", pow_windowed_us),
+        ("pow_lockstep_us", pow_lockstep_us),
+        ("pow_fixed_base_us", pow_fixed_base_us),
+        ("table_build_us", table_build_us),
+        ("table_kib", table_kib),
+        ("mul_fold_us", mul_fold_us),
+        ("point_decode_ns", point_decode_ns),
+        ("embed_ns_per_point", embed_ns_per_point),
+        ("enc_verify_naive_us", enc_naive_us),
+        ("enc_verify_per_proof_us", enc_per_proof_us),
+        ("enc_verify_batch_us", enc_batch_us),
+        ("reenc_prove_us_per_ct_1", reenc_prove_1),
+        ("reenc_verify_us_per_ct_1", reenc_verify_1),
+        ("reenc_prove_us_per_ct_16", reenc_prove_16),
+        ("reenc_verify_us_per_ct_16", reenc_verify_16),
+        ("reenc_prove_us_per_ct_128", reenc_prove_128),
+        ("reenc_verify_us_per_ct_128", reenc_verify_128),
+        ("keccak_absorb_ns_per_byte", keccak_absorb_ns_per_byte),
+        ("shuffle_prove_us_per_ct", shuffle_prove_us_per_ct),
+        (
+            "shuffle_verify_chain_us_per_ct",
+            shuffle_verify_chain_us_per_ct,
+        ),
+        ("shuffle_proof_bytes_per_ct", shuffle_proof_bytes_per_ct),
+        (
+            "shuffle_verify_chain_terms",
+            shuffle_verify_chain_terms as f64,
+        ),
+        (
+            "shuffle_verify_chain_terms_bound",
+            shuffle_verify_chain_terms_bound as f64,
+        ),
+        ("windowed_speedup", pow_naive_us / pow_windowed_us),
+        ("lockstep_speedup", lockstep_speedup),
+        ("fixed_base_speedup", pow_naive_us / pow_fixed_base_us),
+        ("enc_batch_speedup_vs_naive", enc_naive_us / enc_batch_us),
+        (
+            "enc_batch_speedup_vs_per_proof",
+            enc_per_proof_us / enc_batch_us,
+        ),
+        ("reenc_aggregation_speedup", reenc_aggregation_speedup),
+    ];
+    let fields = fields.map(|(key, n)| (key.to_string(), Value::Num(n)));
+    let json = atom_bench::recorded_json(&Value::Obj(fields.into()), &[]);
     print!("{json}");
     std::fs::write(&args.out, &json).expect("write baseline json");
     eprintln!("wrote {}", args.out);

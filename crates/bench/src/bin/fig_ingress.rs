@@ -16,15 +16,10 @@
 use atom_bench::ingress::{print_fig_ingress, IngressBaseline};
 
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_ingress.json".to_string());
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-        panic!(
-            "read {path}: {error} — regenerate with `cargo run --release -p atom-bench \
-             --bin ingress -- --clients 1200 --out BENCH_ingress.json`"
-        )
-    });
-    let baseline = IngressBaseline::parse(&json).unwrap_or_else(|error| panic!("{path}: {error}"));
+    let baseline = atom_bench::read_recorded(
+        "BENCH_ingress.json",
+        "ingress -- --clients 1200 --out BENCH_ingress.json",
+        IngressBaseline::parse,
+    );
     print_fig_ingress(&baseline);
 }

@@ -14,15 +14,10 @@
 use atom_bench::recovery::{print_fig_recovery, RecoveryBaseline};
 
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_recovery.json".to_string());
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-        panic!(
-            "read {path}: {error} — regenerate with `cargo run --release -p atom-bench \
-             --bin recovery -- --out BENCH_recovery.json`"
-        )
-    });
-    let baseline = RecoveryBaseline::parse(&json).unwrap_or_else(|error| panic!("{path}: {error}"));
+    let baseline = atom_bench::read_recorded(
+        "BENCH_recovery.json",
+        "recovery -- --out BENCH_recovery.json",
+        RecoveryBaseline::parse,
+    );
     print_fig_recovery(&baseline);
 }

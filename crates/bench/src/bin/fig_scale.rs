@@ -15,15 +15,10 @@
 use atom_bench::scale::{print_fig_scale, ScaleBaseline};
 
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-        panic!(
-            "read {path}: {error} — regenerate with `cargo run --release -p atom-bench \
-             --bin throughput -- --transport tcp --processes 1,2,3,4 --out BENCH_scale.json`"
-        )
-    });
-    let baseline = ScaleBaseline::parse(&json).unwrap_or_else(|error| panic!("{path}: {error}"));
+    let baseline = atom_bench::read_recorded(
+        "BENCH_scale.json",
+        "throughput -- --transport tcp --processes 1,2,3,4 --out BENCH_scale.json",
+        ScaleBaseline::parse,
+    );
     print_fig_scale(&baseline);
 }

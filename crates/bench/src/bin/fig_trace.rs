@@ -12,55 +12,34 @@
 //!     --transport tcp --trace trace.json
 //! ```
 //!
-//! The emitter writes one event per line (see `docs/observability.md`), so
-//! this reader scans lines instead of parsing JSON — the same approach the
-//! recorded bench baselines use under the no-op vendored `serde`.
+//! The trace is read through `atom_bench::json`, the one JSON codec of the
+//! bench crate.
 
 use std::collections::BTreeMap;
 
-/// One complete (`"ph":"X"`) event scanned from a trace line.
+use atom_bench::json::{self, Value};
+
+/// One complete (`"ph":"X"`) event of a trace.
 struct TraceEvent {
     phase: String,
     pid: u64,
     dur_us: u64,
 }
 
-/// The string following `"key":"` in `line`, up to the next quote. Good
-/// enough for the emitter's own output, where phase names never contain
-/// escapes.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":\"");
-    let at = line.find(&pattern)? + pattern.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// The unsigned number following `"key":` in `line`.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pattern = format!("\"{key}\":");
-    let at = line.find(&pattern)? + pattern.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
 /// Every span event of the trace, in file order. Metadata (`"ph":"M"`)
-/// lines and the array brackets are skipped; a malformed span line fails
-/// loudly rather than being silently dropped.
-fn scan_events(trace: &str) -> Vec<TraceEvent> {
-    trace
-        .lines()
-        .filter(|line| line.contains("\"ph\":\"X\""))
-        .map(|line| TraceEvent {
-            phase: field_str(line, "name")
-                .unwrap_or_else(|| panic!("span event without a name: {line}"))
-                .to_string(),
-            pid: field_u64(line, "pid")
-                .unwrap_or_else(|| panic!("span event without a pid: {line}")),
-            dur_us: field_u64(line, "dur")
-                .unwrap_or_else(|| panic!("span event without a dur: {line}")),
+/// events are skipped; a malformed span event fails the read rather than
+/// being silently dropped.
+fn span_events(trace: &str) -> Result<Vec<TraceEvent>, String> {
+    let events: Vec<Value> = json::parse(trace)?.field("traceEvents")?;
+    events
+        .iter()
+        .filter(|event| event.field::<String>("ph").is_ok_and(|ph| ph == "X"))
+        .map(|event| {
+            Ok(TraceEvent {
+                phase: event.field("name")?,
+                pid: event.field("pid")?,
+                dur_us: event.field("dur")?,
+            })
         })
         .collect()
 }
@@ -123,16 +102,11 @@ fn print_breakdown(events: &[TraceEvent]) {
 }
 
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "trace.json".to_string());
-    let trace = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-        panic!(
-            "read {path}: {error} — record a trace with `cargo run --release -p atom-bench \
-             --bin throughput -- --transport tcp --trace trace.json`"
-        )
-    });
-    let events = scan_events(&trace);
-    assert!(!events.is_empty(), "{path} holds no span events");
+    let events = atom_bench::read_recorded(
+        "trace.json",
+        "throughput -- --transport tcp --trace trace.json",
+        span_events,
+    );
+    assert!(!events.is_empty(), "the trace holds no span events");
     print_breakdown(&events);
 }

@@ -16,15 +16,10 @@
 use atom_bench::workload::{print_fig_workload, WorkloadBaseline};
 
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_workload.json".to_string());
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-        panic!(
-            "read {path}: {error} — regenerate with `cargo run --release -p atom-bench \
-             --bin workload -- --users 1000000 --submissions 1000000 --out BENCH_workload.json`"
-        )
-    });
-    let baseline = WorkloadBaseline::parse(&json).unwrap_or_else(|error| panic!("{path}: {error}"));
+    let baseline = atom_bench::read_recorded(
+        "BENCH_workload.json",
+        "workload -- --users 1000000 --submissions 1000000 --out BENCH_workload.json",
+        WorkloadBaseline::parse,
+    );
     print_fig_workload(&baseline);
 }

@@ -12,8 +12,10 @@
 //! * **healed throughput** — messages/sec over the rounds completed after
 //!   the detection, next to the whole run's rate.
 //!
-//! With `--out PATH` the measurement is written as `BENCH_recovery.json`
-//! (schema: [`atom_bench::recovery`], rendered by the `fig_recovery` bin).
+//! A run without an eviction and a readmitted rejoin fails instead of
+//! recording. With `--out PATH` the measurement is written as
+//! `BENCH_recovery.json` (schema: [`atom_bench::recovery`], rendered by the
+//! `fig_recovery` bin).
 //!
 //! Usage: `cargo run --release -p atom-bench --bin recovery --
 //! [--rounds N] [--messages M] [--kill-at R] [--restart-at R]
@@ -272,6 +274,9 @@ fn main() {
         baseline.msgs_per_sec,
         baseline.healed_msgs_per_sec
     );
+    baseline
+        .check()
+        .unwrap_or_else(|error| panic!("the fleet did not heal: {error}"));
     if let Some(path) = &args.out {
         std::fs::write(path, baseline.to_json()).expect("write BENCH_recovery.json");
         println!("wrote {path}");

@@ -35,10 +35,9 @@
 //! is recorded as `BENCH_scale.json` (schema: `docs/benchmarks.md`), which
 //! the `fig_scale` bin renders as the throughput-vs-processes curve.
 //!
-//! Without `--processes`, `--out PATH` keeps its historical meaning: run
-//! both transports at 1/2/4 workers under thread parity and write
-//! `BENCH_net.json` recording in-memory vs. TCP-loopback msgs/sec — the
-//! transport's overhead, kept on record next to `BENCH_crypto.json`.
+//! `--out` without `--processes` is an error: the only file this bin
+//! records is the sweep's. The in-memory vs. TCP ratio on real compute is
+//! the frozen benchmark's `engine.tcp_over_mem`.
 //!
 //! **`--trace PATH`** enables `atom-obs` recording fleet-wide: every
 //! process records spans and counters, members ship them to the
@@ -193,6 +192,10 @@ fn parse_args() -> Args {
             other => panic!("unknown flag {other}"),
         }
     }
+    assert!(
+        args.out.is_none() || !args.processes.is_empty(),
+        "--out records the --processes sweep; add --transport tcp --processes 1,2,.."
+    );
     if is_member {
         args.member = Some(member);
     }
@@ -468,58 +471,6 @@ fn run_scale_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) -> Scal
     }
 }
 
-/// Runs both transports at 1/2/4 workers-per-process and writes
-/// `BENCH_net.json`. Thread parity: the TCP run spreads the deployment
-/// over 2 processes of `workers` engine threads each, so the in-memory
-/// run gets the combined `2 * workers` threads — both sides spend the
-/// same compute, and the recorded gap is the transport's genuine cost
-/// (frame encode/decode, socket hops, the process split).
-fn write_net_baseline(args: &Args, path: &str, telemetry: &mut Vec<atom_obs::Snapshot>) {
-    let spec = spec(args, 0xBE_AC0);
-    let total_messages = args.rounds * args.messages;
-    let mut rows = Vec::new();
-    println!(
-        "net baseline: {GROUPS}-group trap deployment, {} rounds x {} messages",
-        args.rounds, args.messages
-    );
-    println!(
-        "{:>8} {:>14} {:>14} {:>10}",
-        "workers", "mem msgs/s", "tcp msgs/s", "overhead"
-    );
-    for workers in JSON_SWEEP {
-        let (mem_wall, mem_delivered, _, mem_reports) = run_memory(&spec, 2 * workers);
-        collect_telemetry(&mem_reports, telemetry);
-        let (tcp_wall, tcp_delivered, tcp_setup, tcp_reports) = run_tcp(&spec, 2, workers);
-        collect_telemetry(&tcp_reports, telemetry);
-        assert_eq!(mem_delivered, total_messages);
-        assert_eq!(tcp_delivered, total_messages);
-        let mem_rate = mem_delivered as f64 / mem_wall.as_secs_f64();
-        let tcp_rate = tcp_delivered as f64 / tcp_wall.as_secs_f64();
-        let overhead = (mem_rate / tcp_rate - 1.0) * 100.0;
-        let setup_ms = tcp_setup.as_secs_f64() * 1e3;
-        println!("{workers:>8} {mem_rate:>14.1} {tcp_rate:>14.1} {overhead:>9.1}%");
-        rows.push(format!(
-            "    {{\"workers_per_process\": {workers}, \"in_memory_msgs_per_sec\": {mem_rate:.1}, \
-             \"tcp_msgs_per_sec\": {tcp_rate:.1}, \"tcp_overhead_pct\": {overhead:.1}, \
-             \"tcp_setup_ms\": {setup_ms:.1}}}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"groups\": {GROUPS},\n  \"rounds\": {},\n  \"messages\": {},\n  \
-         \"iterations\": {ITERATIONS},\n  \"delay_ms\": {},\n  \"tcp_processes\": 2,\n  \
-         \"sharded_setup\": {},\n  \
-         \"thread_parity\": \"in-memory runs 2x workers_per_process\",\n  \
-         \"sweep\": [\n{}\n  ]\n}}\n",
-        args.rounds,
-        args.messages,
-        spec.delay.as_millis(),
-        args.sharded,
-        rows.join(",\n")
-    );
-    std::fs::write(path, &json).expect("write BENCH_net.json");
-    println!("wrote {path}");
-}
-
 /// Writes the `--trace` / `--metrics-out` artifacts from the accumulated
 /// fleet snapshots and prints the human span summary.
 fn write_telemetry(args: &Args, telemetry: &[atom_obs::Snapshot]) {
@@ -568,9 +519,6 @@ fn main() {
         write_telemetry(&args, &telemetry);
         return;
     }
-    match &args.out {
-        Some(path) => write_net_baseline(&args, path, &mut telemetry),
-        None => print_sweep(&args, &mut telemetry),
-    }
+    print_sweep(&args, &mut telemetry);
     write_telemetry(&args, &telemetry);
 }

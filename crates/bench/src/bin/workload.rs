@@ -15,7 +15,9 @@
 //!
 //! CI runs a small sweep with `--check-equivalence`, which re-runs every
 //! pattern through the materialized intake path and byte-compares the
-//! reports. Schema and units: `docs/benchmarks.md`.
+//! reports. Any run fails rather than records a file if a pattern loses a
+//! message or overruns its intake window, or an attack's verdict names the
+//! wrong defence. Schema and units: `docs/benchmarks.md`.
 //!
 //! Usage: `cargo run --release -p atom-bench --bin workload --
 //! [--groups N] [--iterations I] [--users U] [--rounds R]

@@ -16,8 +16,8 @@
 //! The `ingress` bin emits the file ([`IngressBaseline::to_json`]); the
 //! `fig_ingress` bin reads it back ([`IngressBaseline::parse`]) and
 //! renders it. Emitter and parser live together so the round-trip is unit
-//! tested; the JSON is written and scanned by hand like [`crate::scale`]
-//! (the offline build vendors a no-op `serde`).
+//! tested, both through [`crate::json`]; [`IngressBaseline::check`] refuses
+//! a run that does not hold the tier's claims before it is recorded.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -34,8 +34,8 @@ use atom_runtime::{
 };
 use atom_workload::{TrafficPattern, WorkloadSource, WorkloadSpec};
 
+use crate::json::{self, json_record, Json};
 use crate::netbench::serialize_reports;
-use crate::scale::field_num;
 
 /// Application tag every swarm submission carries.
 pub const SWARM_APP: u16 = 1;
@@ -514,7 +514,7 @@ pub fn run_ingress(spec: &IngressSweepSpec, workers: usize) -> Result<IngressBas
         return Err("flood shed acks disagree with the server's counter".to_string());
     }
 
-    Ok(IngressBaseline {
+    let baseline = IngressBaseline {
         clients: spec.clients,
         groups: spec.groups,
         iterations: spec.iterations,
@@ -526,83 +526,52 @@ pub fn run_ingress(spec: &IngressSweepSpec, workers: usize) -> Result<IngressBas
             shed: flood_stats.shed_queue as usize,
             queue_capacity: spec.flood_queue_capacity,
         },
-    })
+    };
+    baseline.check()?;
+    Ok(baseline)
 }
 
+json_record! {
+    SwarmRow {
+        clients, admitted, lost_frames, peak_connections, accepted_per_sec, p50_ms, p99_ms,
+        elapsed_ms, delivered, peak_in_flight, identical
+    }
+}
+json_record! { FloodRow { offered, admitted, shed, queue_capacity } }
+json_record! { IngressBaseline { clients, groups, iterations, seed, swarm, flood } }
+
 impl IngressBaseline {
-    /// The canonical `BENCH_ingress.json` serialization (stable field
-    /// order, readable diffs).
+    /// The canonical `BENCH_ingress.json` text (stable field order,
+    /// readable diffs).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"clients\": {},\n  \"groups\": {},\n  \"iterations\": {},\n  \
-             \"seed\": {},\n  \"swarm\": {{\"clients\": {}, \"admitted\": {}, \
-             \"lost_frames\": {}, \"peak_connections\": {}, \"accepted_per_sec\": {:.1}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"elapsed_ms\": {:.1}, \
-             \"delivered\": {}, \"peak_in_flight\": {}, \"identical\": {}}},\n  \
-             \"flood\": {{\"offered\": {}, \"admitted\": {}, \"shed\": {}, \
-             \"queue_capacity\": {}}}\n}}\n",
-            self.clients,
-            self.groups,
-            self.iterations,
-            self.seed,
-            self.swarm.clients,
-            self.swarm.admitted,
-            self.swarm.lost_frames,
-            self.swarm.peak_connections,
-            self.swarm.accepted_per_sec,
-            self.swarm.p50_ms,
-            self.swarm.p99_ms,
-            self.swarm.elapsed_ms,
-            self.swarm.delivered,
-            self.swarm.peak_in_flight,
-            self.swarm.identical,
-            self.flood.offered,
-            self.flood.admitted,
-            self.flood.shed,
-            self.flood.queue_capacity,
-        )
+        crate::recorded_json(self, &[])
     }
 
-    /// Parses what [`IngressBaseline::to_json`] wrote. Tolerant of
-    /// whitespace, intolerant of missing fields.
+    /// Parses what [`IngressBaseline::to_json`] wrote. Intolerant of
+    /// missing fields.
     pub fn parse(json: &str) -> Result<Self, String> {
-        let swarm_at = json
-            .find("\"swarm\"")
-            .ok_or_else(|| "missing field swarm".to_string())?;
-        let flood_at = json
-            .find("\"flood\"")
-            .ok_or_else(|| "missing field flood".to_string())?;
-        if flood_at < swarm_at {
-            return Err("flood must follow swarm".to_string());
-        }
-        let head = &json[..swarm_at];
-        let swarm_src = &json[swarm_at..flood_at];
-        let flood_src = &json[flood_at..];
-        Ok(Self {
-            clients: field_num(head, "clients")? as usize,
-            groups: field_num(head, "groups")? as usize,
-            iterations: field_num(head, "iterations")? as usize,
-            seed: field_num(head, "seed")? as u64,
-            swarm: SwarmRow {
-                clients: field_num(swarm_src, "clients")? as usize,
-                admitted: field_num(swarm_src, "admitted")? as usize,
-                lost_frames: field_num(swarm_src, "lost_frames")? as usize,
-                peak_connections: field_num(swarm_src, "peak_connections")? as u64,
-                accepted_per_sec: field_num(swarm_src, "accepted_per_sec")?,
-                p50_ms: field_num(swarm_src, "p50_ms")?,
-                p99_ms: field_num(swarm_src, "p99_ms")?,
-                elapsed_ms: field_num(swarm_src, "elapsed_ms")?,
-                delivered: field_num(swarm_src, "delivered")? as usize,
-                peak_in_flight: field_num(swarm_src, "peak_in_flight")? as u64,
-                identical: field_num(swarm_src, "identical")? as u64,
-            },
-            flood: FloodRow {
-                offered: field_num(flood_src, "offered")? as usize,
-                admitted: field_num(flood_src, "admitted")? as usize,
-                shed: field_num(flood_src, "shed")? as usize,
-                queue_capacity: field_num(flood_src, "queue_capacity")? as usize,
-            },
-        })
+        Self::from_value(&json::parse(json)?)
+    }
+
+    /// Refuses a run whose swarm was not admitted whole, concurrently and
+    /// with measured latency, whose round diverged from the materialized
+    /// path or lost submissions, or whose flood queue broke its bound.
+    pub fn check(&self) -> Result<(), String> {
+        let (swarm, flood) = (&self.swarm, &self.flood);
+        let broken = if swarm.peak_connections < swarm.clients as u64 {
+            "every connection was open at once"
+        } else if !(0.0 < swarm.p50_ms && swarm.p50_ms <= swarm.p99_ms) {
+            "0 < p50 <= p99"
+        } else if swarm.identical != 1 {
+            "the socket-fed round matches the materialized round"
+        } else if swarm.delivered != swarm.admitted {
+            "every admitted submission was delivered"
+        } else if flood.admitted != flood.offered.min(flood.queue_capacity) {
+            "the flood queue admitted min(offered, queue_capacity)"
+        } else {
+            return Ok(());
+        };
+        Err(format!("the run broke the claim that {broken}: {self:?}"))
     }
 }
 
@@ -644,9 +613,8 @@ pub fn print_fig_ingress(baseline: &IngressBaseline) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_roundtrip_is_lossless() {
-        let baseline = IngressBaseline {
+    fn sample() -> IngressBaseline {
+        IngressBaseline {
             clients: 1_200,
             groups: 3,
             iterations: 2,
@@ -670,9 +638,32 @@ mod tests {
                 shed: 48,
                 queue_capacity: 16,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn json_roundtrip_is_lossless() {
+        let baseline = sample();
         let parsed = IngressBaseline::parse(&baseline.to_json()).unwrap();
         assert_eq!(parsed, baseline);
+    }
+
+    #[test]
+    fn check_refuses_each_broken_claim() {
+        assert_eq!(sample().check(), Ok(()));
+        let broken: [fn(&mut IngressBaseline); 6] = [
+            |b| b.swarm.peak_connections = 1_199,
+            |b| b.swarm.p50_ms = 0.0,
+            |b| b.swarm.p99_ms = 1.0,
+            |b| b.swarm.identical = 0,
+            |b| b.swarm.delivered = 1_199,
+            |b| b.flood.admitted = 17,
+        ];
+        for breaks in broken {
+            let mut baseline = sample();
+            breaks(&mut baseline);
+            assert!(baseline.check().is_err(), "{baseline:?}");
+        }
     }
 
     #[test]

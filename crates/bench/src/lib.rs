@@ -19,6 +19,7 @@ pub mod experiments;
 pub mod fixtures;
 pub mod heal;
 pub mod ingress;
+pub mod json;
 pub mod netbench;
 pub mod recovery;
 pub mod scale;
@@ -26,26 +27,58 @@ pub mod workload;
 
 pub use experiments::*;
 
-/// The leading fields of a recorded `BENCH_*.json` — `"nproc"`,
-/// `"git_revision"`, `"dirty"` — as one JSON fragment: host cores and
-/// revision, so baselines from different PRs and machines are never
-/// compared blind (`"unknown"` outside a git checkout). `dirty` says
-/// whether the tree differed from that revision: a file recorded while a
-/// change is being written names the *parent's* revision.
-pub fn provenance_json() -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .ok()
-            .filter(|output| output.status.success())
-            .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+use std::sync::OnceLock;
+
+use json::{Json, Value};
+
+/// The text of a recorded `BENCH_*.json`: three provenance fields readers
+/// ignore, then `record`'s fields and the string `constants`. `nproc` and
+/// `git_revision` (`"unknown"` outside git) keep files of different hosts
+/// and PRs from being compared blind; `dirty` says the tree differed from
+/// that revision, so a file recorded mid-change names the *parent's*. They
+/// are read once per process, so one run writes one provenance.
+pub fn recorded_json(record: &impl Json, constants: &[(&str, &str)]) -> String {
+    static PROVENANCE: OnceLock<Vec<(String, Value)>> = OnceLock::new();
+    let mut file = PROVENANCE
+        .get_or_init(|| {
+            let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let git = |args: &[&str]| {
+                std::process::Command::new("git")
+                    .args(args)
+                    .current_dir(env!("CARGO_MANIFEST_DIR"))
+                    .output()
+                    .ok()
+                    .filter(|output| output.status.success())
+                    .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+            };
+            let git_revision = git(&["rev-parse", "HEAD"])
+                .filter(|revision| !revision.is_empty())
+                .unwrap_or_else(|| "unknown".to_string());
+            let dirty = git(&["status", "--porcelain"]).is_none_or(|status| !status.is_empty());
+            vec![
+                ("nproc".into(), nproc.to_value()),
+                ("git_revision".into(), Value::Str(git_revision)),
+                ("dirty".into(), Value::Bool(dirty)),
+            ]
+        })
+        .clone();
+    let Value::Obj(fields) = record.to_value() else {
+        panic!("a recorded baseline is a JSON object");
     };
-    let git_revision = git(&["rev-parse", "HEAD"])
-        .filter(|revision| !revision.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let dirty = git(&["status", "--porcelain"]).is_none_or(|status| !status.is_empty());
-    format!("\"nproc\": {nproc},\n  \"git_revision\": \"{git_revision}\",\n  \"dirty\": {dirty}")
+    file.extend(fields);
+    for &(key, text) in constants {
+        file.push((key.into(), Value::Str(text.into())));
+    }
+    Value::Obj(file).to_pretty()
+}
+
+/// What a `fig_*` bin renders: the file named by the first argument (or
+/// `default`), read by `parse`. A missing file panics with the command
+/// that writes it: `cargo run --release -p atom-bench --bin {writer}`.
+pub fn read_recorded<T>(default: &str, writer: &str, parse: fn(&str) -> Result<T, String>) -> T {
+    let path = std::env::args().nth(1).unwrap_or_else(|| default.into());
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|error| {
+        panic!("read {path}: {error} — write it with `cargo run --release -p atom-bench --bin {writer}`")
+    });
+    parse(&text).unwrap_or_else(|error| panic!("{path}: {error}"))
 }

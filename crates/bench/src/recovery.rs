@@ -2,10 +2,10 @@
 //!
 //! The `recovery` bin runs a fleet through a kill → evict → heal → rejoin
 //! cycle (see [`crate::heal`]) and emits this file; the `fig_recovery` bin
-//! reads it back and renders the healing timeline. As with the scaling
-//! baseline, emitter and parser live together and round-trip under unit
-//! test — the offline build vendors a no-op `serde`, so the JSON is written
-//! and scanned by hand.
+//! reads it back and renders the healing timeline. Emitter and parser live
+//! together and round-trip under unit test, both through [`crate::json`].
+
+use crate::json::{self, json_record, Json};
 
 /// What one recovered fleet run measured: the deployment shape, the churn
 /// history, and the two paper-facing numbers — detection-to-healed-round
@@ -46,69 +46,40 @@ pub struct RecoveryBaseline {
     pub wall_ms: f64,
 }
 
-impl RecoveryBaseline {
-    /// The canonical `BENCH_recovery.json` serialization (stable field
-    /// order, readable diffs).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"processes\": {},\n  \"groups\": {},\n  \"rounds\": {},\n  \
-             \"messages\": {},\n  \"iterations\": {},\n  \"batch\": {},\n  \
-             \"honest\": {},\n  \"evictions\": {},\n  \"rejoins\": {},\n  \
-             \"epochs\": {},\n  \"detection_to_healed_ms\": {:.1},\n  \
-             \"msgs_per_sec\": {:.1},\n  \"healed_msgs_per_sec\": {:.1},\n  \
-             \"wall_ms\": {:.1},\n  \"transport\": \"tcp-loopback\"\n}}\n",
-            self.processes,
-            self.groups,
-            self.rounds,
-            self.messages,
-            self.iterations,
-            self.batch,
-            self.honest,
-            self.evictions,
-            self.rejoins,
-            self.epochs,
-            self.detection_to_healed_ms,
-            self.msgs_per_sec,
-            self.healed_msgs_per_sec,
-            self.wall_ms,
-        )
-    }
-
-    /// Parses what [`RecoveryBaseline::to_json`] wrote. Tolerant of
-    /// whitespace, intolerant of missing fields.
-    pub fn parse(json: &str) -> Result<Self, String> {
-        Ok(Self {
-            processes: field_num(json, "processes")? as usize,
-            groups: field_num(json, "groups")? as usize,
-            rounds: field_num(json, "rounds")? as usize,
-            messages: field_num(json, "messages")? as usize,
-            iterations: field_num(json, "iterations")? as usize,
-            batch: field_num(json, "batch")? as usize,
-            honest: field_num(json, "honest")? as usize,
-            evictions: field_num(json, "evictions")? as usize,
-            rejoins: field_num(json, "rejoins")? as usize,
-            epochs: field_num(json, "epochs")? as usize,
-            detection_to_healed_ms: field_num(json, "detection_to_healed_ms")?,
-            msgs_per_sec: field_num(json, "msgs_per_sec")?,
-            healed_msgs_per_sec: field_num(json, "healed_msgs_per_sec")?,
-            wall_ms: field_num(json, "wall_ms")?,
-        })
+json_record! {
+    RecoveryBaseline {
+        processes, groups, rounds, messages, iterations, batch, honest, evictions, rejoins,
+        epochs, detection_to_healed_ms, msgs_per_sec, healed_msgs_per_sec, wall_ms
     }
 }
 
-/// The first number following `"key":` in `text`.
-fn field_num(text: &str, key: &str) -> Result<f64, String> {
-    let pattern = format!("\"{key}\":");
-    let at = text
-        .find(&pattern)
-        .ok_or_else(|| format!("missing field {key}"))?;
-    let rest = text[at + pattern.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|error| format!("field {key}: {error}"))
+impl RecoveryBaseline {
+    /// The canonical `BENCH_recovery.json` text (stable field order,
+    /// readable diffs).
+    pub fn to_json(&self) -> String {
+        crate::recorded_json(self, &[("transport", "tcp-loopback")])
+    }
+
+    /// Parses what [`RecoveryBaseline::to_json`] wrote. Intolerant of
+    /// missing fields.
+    pub fn parse(json: &str) -> Result<Self, String> {
+        Self::from_value(&json::parse(json)?)
+    }
+
+    /// Refuses a run that did not heal: no eviction, no readmitted
+    /// restart, or no measured recovery latency or healed throughput.
+    pub fn check(&self) -> Result<(), String> {
+        let broken = if self.evictions == 0 {
+            "a member was evicted"
+        } else if self.rejoins == 0 {
+            "the restarted member was readmitted"
+        } else if !(self.detection_to_healed_ms > 0.0 && self.healed_msgs_per_sec > 0.0) {
+            "the healed rounds were timed"
+        } else {
+            return Ok(());
+        };
+        Err(format!("the run broke the claim that {broken}: {self:?}"))
+    }
 }
 
 /// Renders the healing timeline from a recorded baseline: deployment
@@ -188,5 +159,21 @@ mod tests {
         let json = sample().to_json();
         assert!(RecoveryBaseline::parse(&json[..json.len() / 3]).is_err());
         assert!(RecoveryBaseline::parse("{}").is_err());
+    }
+
+    #[test]
+    fn check_refuses_a_run_that_did_not_heal() {
+        assert_eq!(sample().check(), Ok(()));
+        let broken: [fn(&mut RecoveryBaseline); 4] = [
+            |b| b.evictions = 0,
+            |b| b.rejoins = 0,
+            |b| b.detection_to_healed_ms = 0.0,
+            |b| b.healed_msgs_per_sec = 0.0,
+        ];
+        for breaks in broken {
+            let mut baseline = sample();
+            breaks(&mut baseline);
+            assert!(baseline.check().is_err(), "{baseline:?}");
+        }
     }
 }

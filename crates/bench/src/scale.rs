@@ -6,8 +6,9 @@
 //! ([`ScaleBaseline::to_json`]); the `fig_scale` bin reads it back
 //! ([`ScaleBaseline::parse`]) and renders the throughput-vs-processes
 //! curve. Emitter and parser live together here so the round-trip is unit
-//! tested — the offline build vendors a no-op `serde`, so the JSON is
-//! written and scanned by hand.
+//! tested, both through [`crate::json`].
+
+use crate::json::{self, json_record, Json};
 
 /// One (processes, workers-per-process) cell of the scaling sweep. Each
 /// cell is measured twice — with the prebuilt directory and with
@@ -54,91 +55,27 @@ pub struct ScaleBaseline {
     pub cells: Vec<ScaleCell>,
 }
 
+json_record! {
+    ScaleCell {
+        processes, workers_per_process, msgs_per_sec, sharded_msgs_per_sec, setup_ms,
+        setup_p50_ms, intake_p50_ms, mix_p50_ms, verify_p50_ms
+    }
+}
+
+json_record! { ScaleBaseline { groups, rounds, messages, iterations, delay_ms, "sweep" = cells } }
+
 impl ScaleBaseline {
-    /// The canonical `BENCH_scale.json` serialization (stable field order,
-    /// readable diffs).
+    /// The canonical `BENCH_scale.json` text (stable field order, readable
+    /// diffs).
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|cell| {
-                format!(
-                    "    {{\"processes\": {}, \"workers_per_process\": {}, \
-                     \"msgs_per_sec\": {:.1}, \"sharded_msgs_per_sec\": {:.1}, \
-                     \"setup_ms\": {:.1}, \"setup_p50_ms\": {:.3}, \
-                     \"intake_p50_ms\": {:.3}, \"mix_p50_ms\": {:.3}, \
-                     \"verify_p50_ms\": {:.3}}}",
-                    cell.processes,
-                    cell.workers_per_process,
-                    cell.msgs_per_sec,
-                    cell.sharded_msgs_per_sec,
-                    cell.setup_ms,
-                    cell.setup_p50_ms,
-                    cell.intake_p50_ms,
-                    cell.mix_p50_ms,
-                    cell.verify_p50_ms
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"groups\": {},\n  \"rounds\": {},\n  \"messages\": {},\n  \
-             \"iterations\": {},\n  \"delay_ms\": {},\n  \
-             \"transport\": \"tcp-loopback\",\n  \"sweep\": [\n{}\n  ]\n}}\n",
-            self.groups,
-            self.rounds,
-            self.messages,
-            self.iterations,
-            self.delay_ms,
-            cells.join(",\n")
-        )
+        crate::recorded_json(self, &[("transport", "tcp-loopback")])
     }
 
-    /// Parses what [`ScaleBaseline::to_json`] wrote. Tolerant of
-    /// whitespace, intolerant of missing fields — a truncated or
-    /// hand-mangled baseline fails loudly rather than rendering nonsense.
+    /// Parses what [`ScaleBaseline::to_json`] wrote. Intolerant of missing
+    /// fields — a truncated or hand-mangled baseline fails loudly rather
+    /// than rendering nonsense.
     pub fn parse(json: &str) -> Result<Self, String> {
-        let sweep_at = json
-            .find("\"sweep\"")
-            .ok_or_else(|| "missing field sweep".to_string())?;
-        let (head, tail) = json.split_at(sweep_at);
-        let array_start = tail
-            .find('[')
-            .ok_or_else(|| "sweep is not an array".to_string())?;
-        let array_end = tail
-            .rfind(']')
-            .ok_or_else(|| "unterminated sweep array".to_string())?;
-        if array_end < array_start {
-            return Err("unterminated sweep array".to_string());
-        }
-        let mut cells = Vec::new();
-        for object in tail[array_start + 1..array_end].split('}') {
-            let Some(body_at) = object.find('{') else {
-                continue; // separators / trailing whitespace between objects
-            };
-            let body = &object[body_at + 1..];
-            cells.push(ScaleCell {
-                processes: field_num(body, "processes")? as usize,
-                workers_per_process: field_num(body, "workers_per_process")? as usize,
-                msgs_per_sec: field_num(body, "msgs_per_sec")?,
-                sharded_msgs_per_sec: field_num(body, "sharded_msgs_per_sec")?,
-                setup_ms: field_num(body, "setup_ms")?,
-                setup_p50_ms: field_num(body, "setup_p50_ms")?,
-                intake_p50_ms: field_num(body, "intake_p50_ms")?,
-                mix_p50_ms: field_num(body, "mix_p50_ms")?,
-                verify_p50_ms: field_num(body, "verify_p50_ms")?,
-            });
-        }
-        if cells.is_empty() {
-            return Err("sweep array holds no cells".to_string());
-        }
-        Ok(Self {
-            groups: field_num(head, "groups")? as usize,
-            rounds: field_num(head, "rounds")? as usize,
-            messages: field_num(head, "messages")? as usize,
-            iterations: field_num(head, "iterations")? as usize,
-            delay_ms: field_num(head, "delay_ms")? as u64,
-            cells,
-        })
+        Self::from_value(&json::parse(json)?)
     }
 
     /// The swept process counts, ascending and deduplicated.
@@ -167,22 +104,6 @@ impl ScaleBaseline {
             .iter()
             .find(|cell| cell.processes == processes && cell.workers_per_process == workers)
     }
-}
-
-/// The first number following `"key":` in `text`. Shared with the other
-/// hand-rolled baseline parsers (the offline build vendors a no-op serde).
-pub(crate) fn field_num(text: &str, key: &str) -> Result<f64, String> {
-    let pattern = format!("\"{key}\":");
-    let at = text
-        .find(&pattern)
-        .ok_or_else(|| format!("missing field {key}"))?;
-    let rest = text[at + pattern.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|error| format!("field {key}: {error}"))
 }
 
 /// Renders the throughput-vs-processes curve from a recorded baseline: the

@@ -17,8 +17,7 @@
 //! The `workload` bin emits the file ([`WorkloadBaseline::to_json`]); the
 //! `fig_workload` bin reads it back ([`WorkloadBaseline::parse`]) and
 //! renders it. Emitter and parser live together so the round-trip is unit
-//! tested — the offline build vendors a no-op `serde`, so the JSON is
-//! written and scanned by hand, like [`crate::scale`].
+//! tested, both through [`crate::json`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,8 +30,8 @@ use atom_workload::{
     dialing_burst_counts, DiurnalCurve, TrafficPattern, WorkloadSource, WorkloadSpec,
 };
 
+use crate::json::{self, json_record, Json};
 use crate::netbench::serialize_reports;
-use crate::scale::field_num;
 
 /// One traffic pattern pulled through the streaming intake.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,6 +79,53 @@ pub struct ScenarioRow {
     pub delivered: usize,
     /// Control-traffic throughput — the liveness floor.
     pub msgs_per_sec: f64,
+}
+
+json_record! {
+    WorkloadRow {
+        name, users, rounds, submissions, delivered, window, chunk, peak_in_flight, elapsed_ms,
+        msgs_per_sec, streaming_identical
+    }
+}
+json_record! { ScenarioRow { name, verdict, submitted, delivered, msgs_per_sec } }
+
+impl WorkloadRow {
+    /// Refuses a row that lost messages or, with an intake window set,
+    /// whose peak residency was unobserved or over `window × chunk`.
+    fn check(&self) -> Result<(), String> {
+        let peak = self.peak_in_flight as usize;
+        let broken = if self.delivered != self.submissions {
+            "every submission was delivered"
+        } else if self.window > 0 && !(0 < peak && peak <= self.window * self.chunk) {
+            "0 < peak_in_flight <= window * chunk"
+        } else {
+            return Ok(());
+        };
+        Err(format!("the run broke the claim that {broken}: {self:?}"))
+    }
+}
+
+/// The defence each adversary scenario's verdict must name.
+const DEFENCES: [(&str, &str); 3] = [
+    ("submission_flood", "over the intake cap"),
+    ("slow_loris", "deadline"),
+    ("equivocating_setup", "conflicting setup frames"),
+];
+
+impl ScenarioRow {
+    /// Refuses a scenario whose verdict does not name its defence, or
+    /// whose control traffic was not delivered in full.
+    fn check(&self) -> Result<(), String> {
+        let defence = DEFENCES.iter().find(|(name, _)| *name == self.name);
+        let broken = if !defence.is_some_and(|(_, defence)| self.verdict.contains(defence)) {
+            "the verdict names the scenario's defence"
+        } else if self.submitted == 0 || self.delivered != self.submitted {
+            "the control traffic was delivered"
+        } else {
+            return Ok(());
+        };
+        Err(format!("the run broke the claim that {broken}: {self:?}"))
+    }
 }
 
 /// Parameters of one workload sweep.
@@ -246,7 +292,7 @@ fn run_pattern(
     };
 
     let secs = elapsed.as_secs_f64();
-    Ok(WorkloadRow {
+    let row = WorkloadRow {
         name: name.to_string(),
         users: spec.users,
         rounds: counts.len(),
@@ -262,11 +308,14 @@ fn run_pattern(
             f64::INFINITY
         },
         streaming_identical,
-    })
+    };
+    row.check()?;
+    Ok(row)
 }
 
 /// Runs the full sweep: the three pattern rows, then the adversary
-/// scenario suite.
+/// scenario suite. A sweep that lost a message, overran its intake window
+/// or saw an attack stopped by the wrong defence is an `Err`.
 pub fn run_workload(spec: &WorkloadSweepSpec, workers: usize) -> Result<WorkloadBaseline, String> {
     let zipf = TrafficPattern::ZipfMicroblog {
         users: spec.users,
@@ -328,14 +377,17 @@ pub fn run_workload(spec: &WorkloadSweepSpec, workers: usize) -> Result<Workload
     ];
     let scenarios = suite
         .into_iter()
-        .map(|report| ScenarioRow {
-            name: report.scenario.to_string(),
-            verdict: report.verdict.clone(),
-            submitted: report.submitted,
-            delivered: report.delivered,
-            msgs_per_sec: report.msgs_per_sec(),
+        .map(|report| {
+            let row = ScenarioRow {
+                name: report.scenario.to_string(),
+                verdict: report.verdict.clone(),
+                submitted: report.submitted,
+                delivered: report.delivered,
+                msgs_per_sec: report.msgs_per_sec(),
+            };
+            row.check().map(|()| row)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     Ok(WorkloadBaseline {
         groups: spec.groups,
@@ -347,162 +399,19 @@ pub fn run_workload(spec: &WorkloadSweepSpec, workers: usize) -> Result<Workload
     })
 }
 
-/// Escapes a string for the hand-rolled JSON (the verdicts can carry
-/// quotes or backslashes from error formatting).
-fn escape(text: &str) -> String {
-    text.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// The first string following `"key":` in `text` (unescaping what
-/// [`escape`] wrote).
-fn field_str(text: &str, key: &str) -> Result<String, String> {
-    let pattern = format!("\"{key}\":");
-    let at = text
-        .find(&pattern)
-        .ok_or_else(|| format!("missing field {key}"))?;
-    let rest = text[at + pattern.len()..].trim_start();
-    let mut chars = rest.chars();
-    if chars.next() != Some('"') {
-        return Err(format!("field {key} is not a string"));
-    }
-    let mut out = String::new();
-    let mut escaped = false;
-    for c in chars {
-        if escaped {
-            out.push(match c {
-                'n' => '\n',
-                other => other,
-            });
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Ok(out);
-        } else {
-            out.push(c);
-        }
-    }
-    Err(format!("unterminated string for field {key}"))
-}
+json_record! { WorkloadBaseline { groups, iterations, users, seed, "patterns" = rows, scenarios } }
 
 impl WorkloadBaseline {
-    /// The canonical `BENCH_workload.json` serialization (stable field
-    /// order, readable diffs).
+    /// The canonical `BENCH_workload.json` text (stable field order,
+    /// readable diffs).
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "    {{\"name\": \"{}\", \"users\": {}, \"rounds\": {}, \
-                     \"submissions\": {}, \"delivered\": {}, \"window\": {}, \
-                     \"chunk\": {}, \"peak_in_flight\": {}, \"elapsed_ms\": {:.1}, \
-                     \"msgs_per_sec\": {:.1}, \"streaming_identical\": {}}}",
-                    escape(&row.name),
-                    row.users,
-                    row.rounds,
-                    row.submissions,
-                    row.delivered,
-                    row.window,
-                    row.chunk,
-                    row.peak_in_flight,
-                    row.elapsed_ms,
-                    row.msgs_per_sec,
-                    row.streaming_identical
-                )
-            })
-            .collect();
-        let scenarios: Vec<String> = self
-            .scenarios
-            .iter()
-            .map(|row| {
-                format!(
-                    "    {{\"name\": \"{}\", \"verdict\": \"{}\", \"submitted\": {}, \
-                     \"delivered\": {}, \"msgs_per_sec\": {:.1}}}",
-                    escape(&row.name),
-                    escape(&row.verdict),
-                    row.submitted,
-                    row.delivered,
-                    row.msgs_per_sec
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"groups\": {},\n  \"iterations\": {},\n  \"users\": {},\n  \
-             \"seed\": {},\n  \"patterns\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-            self.groups,
-            self.iterations,
-            self.users,
-            self.seed,
-            rows.join(",\n"),
-            scenarios.join(",\n")
-        )
+        crate::recorded_json(self, &[])
     }
 
-    /// Parses what [`WorkloadBaseline::to_json`] wrote. Tolerant of
-    /// whitespace, intolerant of missing fields.
+    /// Parses what [`WorkloadBaseline::to_json`] wrote. Intolerant of
+    /// missing fields.
     pub fn parse(json: &str) -> Result<Self, String> {
-        let patterns_at = json
-            .find("\"patterns\"")
-            .ok_or_else(|| "missing field patterns".to_string())?;
-        let scenarios_at = json
-            .find("\"scenarios\"")
-            .ok_or_else(|| "missing field scenarios".to_string())?;
-        if scenarios_at < patterns_at {
-            return Err("scenarios must follow patterns".to_string());
-        }
-        let head = &json[..patterns_at];
-        let patterns_src = &json[patterns_at..scenarios_at];
-        let scenarios_src = &json[scenarios_at..];
-
-        let mut rows = Vec::new();
-        for body in array_objects(patterns_src)? {
-            rows.push(WorkloadRow {
-                name: field_str(body, "name")?,
-                users: field_num(body, "users")? as usize,
-                rounds: field_num(body, "rounds")? as usize,
-                submissions: field_num(body, "submissions")? as usize,
-                delivered: field_num(body, "delivered")? as usize,
-                window: field_num(body, "window")? as usize,
-                chunk: field_num(body, "chunk")? as usize,
-                peak_in_flight: field_num(body, "peak_in_flight")? as u64,
-                elapsed_ms: field_num(body, "elapsed_ms")?,
-                msgs_per_sec: field_num(body, "msgs_per_sec")?,
-                streaming_identical: field_num(body, "streaming_identical")? as u64,
-            });
-        }
-        if rows.is_empty() {
-            return Err("patterns array holds no rows".to_string());
-        }
-        let mut scenario_rows = Vec::new();
-        for body in array_objects(scenarios_src)? {
-            scenario_rows.push(ScenarioRow {
-                name: field_str(body, "name")?,
-                verdict: field_str(body, "verdict")?,
-                submitted: field_num(body, "submitted")? as usize,
-                delivered: field_num(body, "delivered")? as usize,
-                msgs_per_sec: field_num(body, "msgs_per_sec")?,
-            });
-        }
-        if scenario_rows.is_empty() {
-            return Err("scenarios array holds no rows".to_string());
-        }
-        Ok(Self {
-            groups: field_num(head, "groups")? as usize,
-            iterations: field_num(head, "iterations")? as usize,
-            users: field_num(head, "users")? as usize,
-            seed: field_num(head, "seed")? as u64,
-            rows,
-            scenarios: scenario_rows,
-        })
+        Self::from_value(&json::parse(json)?)
     }
 
     /// The pattern row of `name`, if recorded.
@@ -514,26 +423,6 @@ impl WorkloadBaseline {
     pub fn scenario(&self, name: &str) -> Option<&ScenarioRow> {
         self.scenarios.iter().find(|row| row.name == name)
     }
-}
-
-/// The object bodies of the first JSON array in `text`.
-fn array_objects(text: &str) -> Result<Vec<&str>, String> {
-    let start = text
-        .find('[')
-        .ok_or_else(|| "expected an array".to_string())?;
-    let end = text
-        .rfind(']')
-        .ok_or_else(|| "unterminated array".to_string())?;
-    if end < start {
-        return Err("unterminated array".to_string());
-    }
-    // Objects carry no nested braces, so splitting on '}' is safe here
-    // (verdict strings are escaped and never contain a raw brace from
-    // the error formats we record).
-    Ok(text[start + 1..end]
-        .split('}')
-        .filter_map(|object| object.find('{').map(|at| &object[at + 1..]))
-        .collect())
 }
 
 /// Renders the workload baseline: the pattern table (throughput and peak
@@ -643,6 +532,57 @@ mod tests {
     }
 
     #[test]
+    fn hostile_strings_round_trip_exactly() {
+        let mut baseline = sample();
+        baseline.scenarios[0].verdict =
+            "a \"quoted\" {braced} back\\slash, a tab\t, a newline\n and é".into();
+        let parsed = WorkloadBaseline::parse(&baseline.to_json()).expect("parse own output");
+        assert_eq!(parsed, baseline);
+    }
+
+    #[test]
+    fn check_refuses_lost_messages_and_overrun_windows() {
+        let row = || sample().rows[0].clone();
+        assert_eq!(row().check(), Ok(()));
+        let broken: [fn(&mut WorkloadRow); 3] = [
+            |r| r.delivered -= 1,
+            |r| r.peak_in_flight = 0,
+            |r| r.peak_in_flight = (r.window * r.chunk) as u64 + 1,
+        ];
+        for breaks in broken {
+            let mut row = row();
+            breaks(&mut row);
+            assert!(row.check().is_err(), "{row:?}");
+        }
+        let mut unwindowed = row();
+        (unwindowed.window, unwindowed.peak_in_flight) = (0, 0);
+        assert_eq!(unwindowed.check(), Ok(()));
+    }
+
+    #[test]
+    fn check_refuses_the_wrong_defence_and_lost_control_traffic() {
+        let scenario = || ScenarioRow {
+            name: "slow_loris".into(),
+            verdict: "round 0 outlived its 150ms deadline".into(),
+            submitted: 4,
+            delivered: 4,
+            msgs_per_sec: 900.0,
+        };
+        assert_eq!(scenario().check(), Ok(()));
+        let broken: [fn(&mut ScenarioRow); 4] = [
+            |s| s.verdict = "malformed data: conflicting setup frames for group 1".into(),
+            |s| s.name = "unknown_attack".into(),
+            |s| s.delivered = 3,
+            |s| (s.submitted, s.delivered) = (0, 0),
+        ];
+        for breaks in broken {
+            let mut row = scenario();
+            breaks(&mut row);
+            assert!(row.check().is_err(), "{row:?}");
+        }
+    }
+
+    #[test]
     fn tiny_sweep_streams_byte_identically_and_contains_the_adversaries() {
         let spec = WorkloadSweepSpec {
             groups: 3,
@@ -682,8 +622,8 @@ mod tests {
             .unwrap()
             .verdict
             .contains("conflicting setup frames"));
-        // The serialization round-trips (the emitter rounds floats to one
-        // decimal, so compare the canonical forms, not the live structs).
+        // The serialization round-trips: reading it back and writing it
+        // again reproduces it byte for byte.
         let json = baseline.to_json();
         let parsed = WorkloadBaseline::parse(&json).unwrap();
         assert_eq!(parsed.to_json(), json);

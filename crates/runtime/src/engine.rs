@@ -116,8 +116,6 @@ pub struct EngineOptions {
     pub workers: usize,
     /// Latency model for inter-group hops (virtual-clock accounting).
     pub latency: LatencyModel,
-    /// Intra-group re-encryption threads (see `GroupStepOptions`).
-    pub parallelism: usize,
     /// Artificial per-iteration compute delay per group id, used to emulate
     /// slow groups (stragglers) and per-group server hardware.
     pub stragglers: Vec<(usize, Duration)>,
@@ -187,7 +185,6 @@ impl Default for EngineOptions {
                 .map(|n| n.get())
                 .unwrap_or(4),
             latency: LatencyModel::Zero,
-            parallelism: 1,
             stragglers: Vec::new(),
             intake_chunk: 0,
             stall_timeout: Duration::from_secs(120),
@@ -206,7 +203,6 @@ impl std::fmt::Debug for EngineOptions {
         f.debug_struct("EngineOptions")
             .field("workers", &self.workers)
             .field("latency", &self.latency)
-            .field("parallelism", &self.parallelism)
             .field("stragglers", &self.stragglers)
             .field("intake_chunk", &self.intake_chunk)
             .field("stall_timeout", &self.stall_timeout)
@@ -1349,10 +1345,7 @@ fn build_actor(
     spec: &ActorSpec,
     options: &EngineOptions,
 ) -> AtomResult<GroupActor> {
-    let mut config = ActorConfig::new(GroupStepOptions {
-        defense: spec.defense,
-        parallelism: options.parallelism.max(1),
-    });
+    let mut config = ActorConfig::new(GroupStepOptions::new(spec.defense));
     config.adversary = spec.adversary;
     config.failed_servers = spec.failed_servers.clone();
     config.churn = spec.churn.clone();
