@@ -209,18 +209,17 @@ impl Mailboxes {
 mod tests {
     use super::*;
     use atom_core::config::AtomConfig;
-    use atom_core::directory::setup_round;
+    use atom_core::directory::derive_setup;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn driver() -> (StdRng, RoundDriver) {
-        let mut rng = StdRng::seed_from_u64(314);
         let mut config = AtomConfig::test_default();
         config.message_len = PAPER_DIAL_LEN;
         config.num_groups = 2;
         config.iterations = 2;
-        let setup = setup_round(&config, &mut rng).unwrap();
-        (rng, RoundDriver::new(setup))
+        let setup = derive_setup(&config).unwrap();
+        (StdRng::seed_from_u64(314), RoundDriver::new(setup))
     }
 
     #[test]
@@ -303,7 +302,7 @@ mod tests {
         let mut config = AtomConfig::test_default();
         config.defense = Defense::Nizk;
         config.message_len = PAPER_DIAL_LEN;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup);
         let alice = DialIdentity::generate(&mut rng);
         let bob = DialIdentity::generate(&mut rng);

@@ -154,19 +154,18 @@ pub fn run_microblog_round<R: RngCore + CryptoRng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atom_core::directory::setup_round;
+    use atom_core::directory::derive_setup;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn driver(defense: Defense) -> (StdRng, RoundDriver) {
-        let mut rng = StdRng::seed_from_u64(99);
         let mut config = AtomConfig::test_default();
         config.defense = defense;
         config.message_len = 48;
         config.num_groups = 3;
         config.iterations = 2;
-        let setup = setup_round(&config, &mut rng).unwrap();
-        (rng, RoundDriver::new(setup))
+        let setup = derive_setup(&config).unwrap();
+        (StdRng::seed_from_u64(99), RoundDriver::new(setup))
     }
 
     #[test]

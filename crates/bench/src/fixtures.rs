@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use atom_core::config::{AtomConfig, Defense, TopologyKind};
-use atom_core::directory::{setup_round, GroupContext, RoundSetup};
+use atom_core::directory::{derive_setup, GroupContext, RoundSetup};
 use atom_core::message::{nizk_payload_len, trap_payload_len, MixPayload};
 use atom_crypto::elgamal::{encrypt_message, MessageCiphertext, PublicKey};
 use atom_crypto::encoding::encode_message_padded;
@@ -30,11 +30,6 @@ pub fn bench_config(defense: Defense, groups: usize, group_size: usize) -> AtomC
         round: 0,
         evicted_servers: Vec::new(),
     }
-}
-
-/// Sets up a round for benchmarking.
-pub fn bench_setup(config: &AtomConfig) -> RoundSetup {
-    setup_round(config, &mut bench_rng()).expect("bench setup")
 }
 
 /// The padded payload length for a config.
@@ -71,7 +66,7 @@ pub fn group_with_batch(
 ) -> (RoundSetup, GroupContext, Vec<MessageCiphertext>, usize) {
     let config = bench_config(defense, 2, group_size);
     let padded = payload_len(&config);
-    let setup = bench_setup(&config);
+    let setup = derive_setup(&config).expect("bench setup");
     let group = setup.groups[0].clone();
     let batch = encrypted_batch(&group.public_key, messages, padded, &mut bench_rng());
     (setup, group, batch, padded)

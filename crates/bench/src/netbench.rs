@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use atom_core::config::{AtomConfig, Defense};
-use atom_core::directory::{derive_setup, setup_round, RoundSetup};
+use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::error::AtomResult;
 use atom_core::message::{make_trap_submission, TrapSubmission};
 use atom_net::{NodeId, TcpOptions, TcpTransport};
@@ -142,35 +142,15 @@ pub(crate) fn round_submissions(
 }
 
 /// Derives the spec's rounds: a trap-variant deployment with fixed-length
-/// messages, identical in every process for equal specs. The directory is
-/// prebuilt via the monolithic rng-threaded [`setup_round`] (the historical
-/// path; [`build_derived_jobs`] is the per-group-stream equivalent).
+/// messages and a prebuilt directory ([`derive_setup`] of each round's
+/// config), identical in every process for equal specs. This is also the
+/// in-memory reference a sharded run is diffed against: [`build_sharded_jobs`]
+/// over the same spec must produce byte-identical round outputs.
 pub fn build_jobs(spec: &NetSpec) -> Vec<RoundJob> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     (0..spec.rounds)
         .map(|round| {
-            let config = round_config(spec, round);
-            let setup = setup_round(&config, &mut rng).expect("derive round setup");
-            let submissions = round_submissions(spec, round, &setup, &mut rng);
-            RoundJob::new(
-                setup,
-                RoundSubmissions::Trap(submissions),
-                spec.seed.wrapping_add(round as u64),
-            )
-        })
-        .collect()
-}
-
-/// The spec's rounds with a **prebuilt** directory derived from the
-/// per-group beacon streams ([`derive_setup`]). This is the in-memory
-/// reference a sharded run is diffed against: [`build_sharded_jobs`] over
-/// the same spec must produce byte-identical round outputs.
-pub fn build_derived_jobs(spec: &NetSpec) -> Vec<RoundJob> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    (0..spec.rounds)
-        .map(|round| {
-            let config = round_config(spec, round);
-            let setup = derive_setup(&config).expect("derive round setup");
+            let setup = derive_setup(&round_config(spec, round)).expect("derive round setup");
             let submissions = round_submissions(spec, round, &setup, &mut rng);
             RoundJob::new(
                 setup,
@@ -183,24 +163,22 @@ pub fn build_derived_jobs(spec: &NetSpec) -> Vec<RoundJob> {
 
 /// The spec's rounds as **sharded** jobs: the directory is derived inside
 /// the engine run, split across the participating processes. Only the
-/// coordinator needs submissions (`with_submissions`) — it derives the full
-/// directory locally to play the users, exactly like clients reading the
-/// published directory — while members pass an empty set and so never
-/// derive a non-hosted group's DKG at all.
+/// coordinator needs submissions (`with_submissions`) — it takes them from
+/// [`build_jobs`], deriving the full directory locally to play the users
+/// exactly like clients reading the published directory — while members
+/// pass an empty set and so never derive a non-hosted group's DKG at all.
 pub fn build_sharded_jobs(spec: &NetSpec, with_submissions: bool) -> Vec<RoundJob> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    if with_submissions {
+        return build_jobs(spec)
+            .into_iter()
+            .map(|job| RoundJob::sharded(job.config().clone(), job.submissions, job.seed))
+            .collect();
+    }
     (0..spec.rounds)
         .map(|round| {
-            let config = round_config(spec, round);
-            let submissions = if with_submissions {
-                let setup = derive_setup(&config).expect("derive round setup");
-                round_submissions(spec, round, &setup, &mut rng)
-            } else {
-                Vec::new()
-            };
             RoundJob::sharded(
-                config,
-                RoundSubmissions::Trap(submissions),
+                round_config(spec, round),
+                RoundSubmissions::Trap(Vec::new()),
                 spec.seed.wrapping_add(round as u64),
             )
         })
@@ -734,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_jobs_match_the_derived_reference_byte_for_byte() {
+    fn sharded_jobs_match_the_prebuilt_jobs_byte_for_byte() {
         let spec = NetSpec {
             groups: 2,
             rounds: 2,
@@ -742,7 +720,7 @@ mod tests {
             ..NetSpec::default()
         };
         let reference: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_derived_jobs(&spec))
+            .run_rounds(build_jobs(&spec))
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();

@@ -119,8 +119,9 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
 /// where each `atom-node` derives only the DKGs of its hosted groups and
 /// the rest of the directory travels as `setup` wire frames — must produce
 /// round outputs byte-identical to a single-process in-memory run whose
-/// directory was derived monolithically (`netbench::build_derived_jobs`,
-/// i.e. `atom_core::directory::derive_setup`).
+/// directory was derived monolithically (`netbench::build_jobs`, i.e.
+/// `atom_core::directory::derive_setup`) — the same reference the
+/// prebuilt cases diff against.
 #[test]
 fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     let spec = NetSpec {
@@ -137,7 +138,7 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     // Reference: the same spec, single process, prebuilt monolithic
     // derivation over the identical per-group beacon streams.
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_derived_jobs(&spec))
+        .run_rounds(netbench::build_jobs(&spec))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
@@ -244,7 +245,7 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     };
 
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_derived_jobs(&spec))
+        .run_rounds(netbench::build_jobs(&spec))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");

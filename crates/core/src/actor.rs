@@ -348,7 +348,7 @@ impl GroupActor {
 mod tests {
     use super::*;
     use crate::config::AtomConfig;
-    use crate::directory::setup_round;
+    use crate::directory::derive_setup;
     use crate::message::MixPayload;
     use atom_crypto::elgamal::encrypt_message;
     use atom_crypto::encoding::encode_message_padded;
@@ -395,7 +395,7 @@ mod tests {
         let mut config = AtomConfig::test_default();
         config.num_groups = 2;
         config.iterations = 2;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let mut actors: Vec<GroupActor> = (0..2)
             .map(|gid| GroupActor::new(&setup, gid, 42, actor_config()).unwrap())
             .collect();
@@ -445,9 +445,8 @@ mod tests {
 
     #[test]
     fn stale_and_duplicate_batches_rejected() {
-        let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let mut actor = GroupActor::new(&setup, 0, 1, actor_config()).unwrap();
         actor.on_batch(0, SOURCE, Vec::new()).unwrap();
         // Iteration 0 already ran: stale.
@@ -475,7 +474,7 @@ mod tests {
         let mut config = AtomConfig::test_default();
         config.num_groups = 1;
         config.iterations = 1;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let mut actor = GroupActor::new(&setup, 0, 5, actor_config()).unwrap();
         actor.note_arrival(0, Duration::from_millis(120));
         let padded_len = actor.padded_len;
@@ -499,7 +498,7 @@ mod tests {
         config.iterations = 2;
         config.required_honest = 2; // tolerate one failure
         config.group_size = 3;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let victim = setup.groups[0].members[0];
         let mut cfg = actor_config();
         cfg.churn = vec![(1, victim)];
@@ -539,7 +538,7 @@ mod tests {
         let mut config = AtomConfig::test_default();
         config.num_groups = 1;
         config.iterations = 2;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         // threshold == group_size: any churn is fatal.
         let victim = setup.groups[0].members[0];
         let mut cfg = actor_config();

@@ -148,7 +148,7 @@ pub fn identify_malicious_users(
 mod tests {
     use super::*;
     use crate::config::AtomConfig;
-    use crate::directory::setup_round;
+    use crate::directory::derive_setup;
     use crate::message::make_trap_submission;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -158,7 +158,7 @@ mod tests {
         let mut config = AtomConfig::test_default();
         config.num_groups = 2;
         config.message_len = 24;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let submissions: Vec<TrapSubmission> = (0..4)
             .map(|i| {
                 let gid = i % 2;

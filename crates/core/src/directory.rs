@@ -8,24 +8,21 @@
 //! anytrust group of *trustees* generates the per-round inner-ciphertext key
 //! (§4.4).
 //!
-//! Two derivation paths produce the same [`RoundSetup`]:
-//!
-//! * [`setup_round`] — the original monolithic path: one caller-supplied RNG
-//!   threaded through every DKG in group order. Handy for tests, but group
-//!   `g`'s key material depends on every earlier group's draws, so it cannot
-//!   be sharded.
-//! * The *shardable* units — [`derive_group`], [`derive_trustees`],
-//!   [`derive_buddies`] and their monolithic composition [`derive_setup`].
-//!   Here each group's DKG draws from its own stream seeded by
-//!   [`setup_stream_seed`]`(beacon_seed, round, gid)`, so any process can
-//!   derive exactly the groups it hosts — in any order, concurrently —
-//!   and the result is byte-identical to deriving everything locally. This
-//!   is what the runtime's sharded setup phase (`atom_runtime`) builds on:
-//!   each process runs only the DKGs of its hosted groups and ships the
-//!   public half of the result to its peers as `setup` wire frames.
+//! A round's [`RoundSetup`] is a pure function of its [`AtomConfig`]: one
+//! config names one deployment everywhere. It is built from *shardable*
+//! units — [`derive_group`], [`derive_trustees`], [`derive_buddies`] — whose
+//! monolithic composition is [`derive_setup`]. Each group's DKG draws from
+//! its own stream seeded by [`setup_stream_seed`]`(beacon_seed, round, gid)`,
+//! so any process can derive exactly the groups it hosts — in any order,
+//! concurrently — and the result is byte-identical to deriving everything
+//! locally. This is what the runtime's sharded setup phase (`atom_runtime`)
+//! builds on: each process runs only the DKGs of its hosted groups and ships
+//! the public half of the result to its peers as `setup` wire frames. Two
+//! distinct deployments differ in their config (`round` or `beacon_seed`),
+//! never in a caller's RNG.
 
 use rand::rngs::StdRng;
-use rand::{CryptoRng, RngCore, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use atom_crypto::dkg::{run_dkg, DkgParams, DkgShare};
@@ -312,79 +309,15 @@ pub fn derive_setup(config: &AtomConfig) -> AtomResult<RoundSetup> {
 /// mixing groups' (the DKG randomness is separated by [`TRUSTEE_STREAM`]).
 const TRUSTEE_BEACON_TWEAK: u64 = 0x7472_7573_7465_6573;
 
-/// Forms groups, runs the per-group DKGs and the trustee DKG, and assigns
-/// buddy groups for one round.
-pub fn setup_round<R: RngCore + CryptoRng>(
-    config: &AtomConfig,
-    rng: &mut R,
-) -> AtomResult<RoundSetup> {
-    config.validate()?;
-    let threshold = config.group_threshold();
-    let params = DkgParams::new(config.group_size, threshold).map_err(AtomError::Crypto)?;
-
-    let assignments = form_groups(
-        config.num_servers,
-        config.num_groups,
-        config.group_size,
-        config.beacon_seed,
-    );
-
-    let mut groups = Vec::with_capacity(config.num_groups);
-    for assignment in assignments {
-        let (public_key, shares) = run_dkg(&params, rng).map_err(AtomError::Crypto)?;
-        let gid = assignment.id as u64;
-        groups.push(GroupContext {
-            id: assignment.id,
-            members: remap_evicted_members(config, gid, assignment.members),
-            shares,
-            public_key,
-            threshold,
-        });
-    }
-
-    // Trustees: one extra anytrust group sampled like the others but with a
-    // distinct beacon tweak; it holds the per-round inner-ciphertext key.
-    let trustee_assignment = form_groups(
-        config.num_servers,
-        1,
-        config.group_size,
-        config.beacon_seed ^ TRUSTEE_BEACON_TWEAK,
-    )
-    .pop()
-    .expect("one trustee group");
-    let trustee_params = DkgParams::new(config.group_size, threshold).map_err(AtomError::Crypto)?;
-    let (trustee_key, trustee_shares) = run_dkg(&trustee_params, rng).map_err(AtomError::Crypto)?;
-    let trustees = TrusteeContext {
-        members: remap_evicted_members(config, TRUSTEE_STREAM, trustee_assignment.members),
-        shares: trustee_shares,
-        public_key: trustee_key,
-    };
-
-    let buddies = assign_buddies(config.num_groups, config.buddy_groups, config.beacon_seed);
-
-    Ok(RoundSetup {
-        config: config.clone(),
-        groups,
-        trustees,
-        buddies,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AtomConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(1)
-    }
 
     #[test]
     fn setup_produces_expected_shapes() {
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng()).unwrap();
+        let setup = derive_setup(&config).unwrap();
         assert_eq!(setup.groups.len(), 4);
         for group in &setup.groups {
             assert_eq!(group.members.len(), 3);
@@ -400,7 +333,7 @@ mod tests {
     fn participating_selects_threshold_members() {
         let mut config = AtomConfig::test_default();
         config.required_honest = 2; // tolerate one failure, threshold 2.
-        let setup = setup_round(&config, &mut rng()).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         assert_eq!(group.threshold, 2);
 
@@ -423,7 +356,7 @@ mod tests {
     fn invalid_config_is_rejected() {
         let mut config = AtomConfig::test_default();
         config.group_size = 0;
-        assert!(setup_round(&config, &mut rng()).is_err());
+        assert!(derive_setup(&config).is_err());
     }
 
     #[test]
@@ -463,16 +396,6 @@ mod tests {
         assert_ne!(base, setup_stream_seed(2, 0, 0));
         assert_ne!(base, setup_stream_seed(1, 0, TRUSTEE_STREAM));
         assert_eq!(base, setup_stream_seed(1, 0, 0));
-
-        // Distinct streams yield distinct key material.
-        let config = AtomConfig::test_default();
-        let setup = derive_setup(&config).unwrap();
-        for i in 0..setup.groups.len() {
-            for j in i + 1..setup.groups.len() {
-                assert_ne!(setup.groups[i].public_key, setup.groups[j].public_key);
-            }
-            assert_ne!(setup.groups[i].public_key, setup.trustees.public_key);
-        }
     }
 
     #[test]
@@ -548,10 +471,11 @@ mod tests {
         assert!(matches!(derive_setup(&config), Err(AtomError::Config(_))));
     }
 
+    /// Distinct setup streams yield distinct key material.
     #[test]
     fn group_keys_are_distinct() {
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng()).unwrap();
+        let setup = derive_setup(&config).unwrap();
         for i in 0..setup.groups.len() {
             for j in i + 1..setup.groups.len() {
                 assert_ne!(setup.groups[i].public_key, setup.groups[j].public_key);

@@ -188,7 +188,7 @@ pub fn heal_group_via_escrow(
 mod tests {
     use super::*;
     use crate::config::AtomConfig;
-    use crate::directory::setup_round;
+    use crate::directory::derive_setup;
     use crate::group::{group_mix_iteration, GroupStepOptions};
     use crate::message::{nizk_payload_len, MixPayload};
     use atom_crypto::elgamal::encrypt_message;
@@ -204,7 +204,7 @@ mod tests {
     fn escrow_recovers_every_member_share() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let buddy = &setup.groups[setup.buddies[0][0]];
         let escrow = escrow_group_shares(group, buddy, &mut rng).unwrap();
@@ -221,7 +221,7 @@ mod tests {
     fn partial_escrow_does_not_reveal_shares() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let buddy = &setup.groups[setup.buddies[0][0]];
         let escrow = escrow_group_shares(group, buddy, &mut rng).unwrap();
@@ -235,7 +235,7 @@ mod tests {
         let mut rng = rng();
         let mut config = AtomConfig::test_default();
         config.required_honest = 2; // threshold 2-of-3: tolerate one failure.
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let buddy = &setup.groups[setup.buddies[0][0]];
         let escrow = escrow_group_shares(group, buddy, &mut rng).unwrap();
@@ -277,10 +277,9 @@ mod tests {
 
     #[test]
     fn heal_group_via_escrow_is_deterministic_and_complete() {
-        let mut rng = rng();
         let mut config = AtomConfig::test_default();
         config.required_honest = 2; // tolerate one failure; two is catastrophic
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
 
         // More members fail than Lagrange reweighting can absorb.
@@ -317,7 +316,7 @@ mod tests {
     fn mismatched_escrow_rejected() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let escrow = escrow_group_shares(&setup.groups[0], &setup.groups[1], &mut rng).unwrap();
         assert!(recover_group(&setup.groups[2], &escrow, &[(0, 50)]).is_err());
         assert!(recover_group(&setup.groups[0], &escrow, &[(9, 50)]).is_err());

@@ -416,7 +416,7 @@ pub fn group_mix_iteration<R: RngCore + CryptoRng>(
 mod tests {
     use super::*;
     use crate::config::AtomConfig;
-    use crate::directory::setup_round;
+    use crate::directory::derive_setup;
     use crate::message::{nizk_payload_len, MixPayload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -447,7 +447,7 @@ mod tests {
     fn single_group_exit_iteration_recovers_plaintexts() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let padded_len = nizk_payload_len(config.message_len);
 
@@ -492,7 +492,7 @@ mod tests {
         let mut config = AtomConfig::test_default();
         config.num_groups = 2;
         config.iterations = 2;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let padded_len = nizk_payload_len(config.message_len);
 
         let first = &setup.groups[0];
@@ -558,7 +558,7 @@ mod tests {
         let mut rng = rng();
         let mut config = AtomConfig::test_default();
         config.defense = Defense::Nizk;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[1];
         let padded_len = nizk_payload_len(config.message_len);
         let batch = encrypt_batch(
@@ -601,7 +601,7 @@ mod tests {
         let mut rng = rng();
         let mut config = AtomConfig::test_default();
         config.defense = Defense::Nizk;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let padded_len = nizk_payload_len(config.message_len);
         let batch = encrypt_batch(&group.public_key, &[b"a", b"b"], padded_len, &mut rng);
@@ -635,7 +635,7 @@ mod tests {
                     let mut rng = rng();
                     let mut config = AtomConfig::test_default();
                     config.defense = defense;
-                    let setup = setup_round(&config, &mut rng).unwrap();
+                    let setup = derive_setup(&config).unwrap();
                     let group = &setup.groups[1];
                     let padded_len = nizk_payload_len(config.message_len);
                     let batch = encrypt_batch(
@@ -698,7 +698,7 @@ mod tests {
         // surfaces only at the trap check (tested in round.rs).
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let padded_len = nizk_payload_len(config.message_len);
         let batch = encrypt_batch(&group.public_key, &[b"a", b"b", b"c"], padded_len, &mut rng);
@@ -727,7 +727,7 @@ mod tests {
     fn parallel_reencryption_matches_sequential_semantics() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let padded_len = nizk_payload_len(config.message_len);
         let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![b'p', i]).collect();
@@ -768,7 +768,7 @@ mod tests {
     fn too_few_participants_rejected() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let padded_len = nizk_payload_len(config.message_len);
         let batch = encrypt_batch(&group.public_key, &[b"a"], padded_len, &mut rng);
@@ -789,7 +789,7 @@ mod tests {
     fn empty_batch_produces_empty_outputs() {
         let mut rng = rng();
         let config = AtomConfig::test_default();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let group = &setup.groups[0];
         let participating = group.participating(&[]).unwrap();
         let output = group_mix_iteration(

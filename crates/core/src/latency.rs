@@ -3,8 +3,10 @@
 //! The paper's evaluation runs on EC2 with artificially injected pairwise
 //! latencies of 40–160 ms (via `tc`) and a Tor-derived bandwidth
 //! distribution (§6). This module reproduces those models so that both the
-//! protocol drivers and the large-scale simulator can charge realistic
-//! network time to each hop.
+//! protocol driver ([`hop_latency`](crate::round::hop_latency)) and the
+//! large-scale simulator (`atom_sim::deployment`) can charge realistic
+//! network time to each hop. They are simulation models of the paper's
+//! links: no byte on a real socket ever waits on them.
 
 use std::time::Duration;
 

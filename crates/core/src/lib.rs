@@ -1,7 +1,8 @@
 //! # atom-core
 //!
 //! The Atom anonymous-messaging protocol (SOSP 2017), reproduced in Rust on
-//! top of [`atom_crypto`], [`atom_topology`] and [`atom_net`].
+//! top of [`atom_crypto`] and [`atom_topology`]. It moves no bytes itself:
+//! the transports live in `atom_net`, below the `atom_runtime` engine.
 //!
 //! An Atom deployment consists of hundreds or thousands of servers organized
 //! into *anytrust groups* connected by a random permutation network. Users
@@ -25,6 +26,8 @@
 //! * [`round`] — full-round orchestration, trap checking, trustee release;
 //!   also exposes the submission-verification and exit-phase helpers the
 //!   parallel runtime shares.
+//! * [`latency`] — the §6 link-latency models and server-class mix charged
+//!   by [`round::hop_latency`] and the deployment simulator.
 //! * [`adversary`] — active-attack injection used by tests and benches.
 //! * [`blame`] — identification of malicious users after a disruption (§4.6).
 //! * [`faults`] — buddy-group escrow and catastrophic-failure recovery (§4.5).
@@ -33,7 +36,7 @@
 //!
 //! ```
 //! use atom_core::config::AtomConfig;
-//! use atom_core::directory::setup_round;
+//! use atom_core::directory::derive_setup;
 //! use atom_core::message::make_trap_submission;
 //! use atom_core::round::RoundDriver;
 //! use rand::rngs::StdRng;
@@ -42,7 +45,7 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut config = AtomConfig::test_default();
 //! config.message_len = 24;
-//! let setup = setup_round(&config, &mut rng).unwrap();
+//! let setup = derive_setup(&config).unwrap();
 //! let driver = RoundDriver::new(setup);
 //!
 //! let submissions: Vec<_> = ["hello", "world"]
@@ -79,13 +82,14 @@ pub mod directory;
 pub mod error;
 pub mod faults;
 pub mod group;
+pub mod latency;
 pub mod message;
 pub mod round;
 
 pub use actor::{group_stream_seed, ActorConfig, ActorOutput, GroupActor, SOURCE};
 pub use adversary::{AdversaryPlan, Misbehavior};
 pub use config::{AtomConfig, Defense, TopologyKind};
-pub use directory::{setup_round, GroupContext, RoundSetup, TrusteeContext};
+pub use directory::{derive_setup, GroupContext, RoundSetup, TrusteeContext};
 pub use error::{AtomError, AtomResult};
 pub use message::{make_nizk_submission, make_trap_submission, NizkSubmission, TrapSubmission};
 pub use round::{RoundDriver, RoundOutput, RoundTimings};

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use rand::{CryptoRng, RngCore};
 
+use crate::latency::LatencyModel;
 use atom_crypto::batch::{verify_encryption_batch, EncVerification};
 use atom_crypto::cca2::{self, HybridCiphertext};
 use atom_crypto::commit::{self, Commitment};
@@ -23,7 +24,6 @@ use atom_crypto::dkg::reconstruct_group_secret;
 use atom_crypto::elgamal::{MessageCiphertext, SecretKey};
 use atom_crypto::nizk::enc::{verify_encryption, EncProof};
 use atom_crypto::CryptoError;
-use atom_net::LatencyModel;
 
 use crate::actor::{ActorConfig, ActorOutput, GroupActor, SOURCE};
 use crate::adversary::AdversaryPlan;
@@ -583,7 +583,7 @@ mod tests {
     use super::*;
     use crate::adversary::Misbehavior;
     use crate::config::TopologyKind;
-    use crate::directory::setup_round;
+    use crate::directory::derive_setup;
     use crate::message::{make_nizk_submission, make_trap_submission};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -629,7 +629,7 @@ mod tests {
     fn trap_round_delivers_all_messages() {
         let mut rng = rng();
         let config = trap_config();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup);
         let messages = [
             "protest at noon",
@@ -664,7 +664,7 @@ mod tests {
         let mut rng = rng();
         let mut config = trap_config();
         config.defense = Defense::Nizk;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup);
 
         let messages = ["alpha", "bravo", "charlie"];
@@ -702,7 +702,7 @@ mod tests {
     fn trap_round_aborts_when_a_message_is_dropped() {
         let mut rng = rng();
         let config = trap_config();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let plan = AdversaryPlan {
             group: 1,
             member: 1,
@@ -723,7 +723,7 @@ mod tests {
     fn trap_round_aborts_on_duplicated_ciphertext() {
         let mut rng = rng();
         let config = trap_config();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let plan = AdversaryPlan {
             group: 0,
             member: 2,
@@ -745,7 +745,7 @@ mod tests {
         let mut rng = rng();
         let mut config = trap_config();
         config.defense = Defense::Nizk;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let plan = AdversaryPlan {
             group: 2,
             member: 3,
@@ -780,7 +780,7 @@ mod tests {
     fn invalid_submission_proof_rejected() {
         let mut rng = rng();
         let config = trap_config();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup);
         let mut submissions = make_trap_submissions(driver.setup(), &["a", "b"], &mut rng);
         // Rebind submission 0 to a different entry group without re-proving.
@@ -797,7 +797,7 @@ mod tests {
         let mut config = trap_config();
         config.required_honest = 2; // tolerate one failure per group.
         config.group_size = 3;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         // Fail a single server; it is the first member of group 0 and may
         // also serve in other groups, each of which tolerates one failure.
         let failed = vec![setup.groups[0].members[0]];
@@ -812,7 +812,7 @@ mod tests {
         let mut rng = rng();
         let mut config = trap_config();
         config.required_honest = 2;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let failed: Vec<usize> = setup.groups[0].members[..2].to_vec();
         let driver = RoundDriver::new(setup).with_failures(failed);
         let submissions = make_trap_submissions(driver.setup(), &["x", "y"], &mut rng);
@@ -826,7 +826,7 @@ mod tests {
     fn wrong_variant_rejected() {
         let mut rng = rng();
         let config = trap_config();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup);
         assert!(matches!(
             driver.run_nizk_round(&[], &mut rng),
@@ -840,7 +840,7 @@ mod tests {
         let mut config = trap_config();
         config.num_groups = 4;
         config.topology = TopologyKind::Butterfly;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup);
         let submissions = make_trap_submissions(driver.setup(), &["p", "q", "r", "s"], &mut rng);
         let output = driver.run_trap_round(&submissions, &mut rng).unwrap();
@@ -851,7 +851,7 @@ mod tests {
     fn latency_model_adds_network_critical_path() {
         let mut rng = rng();
         let config = trap_config();
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let driver = RoundDriver::new(setup).with_latency(LatencyModel::Fixed { millis: 100 });
         let submissions = make_trap_submissions(driver.setup(), &["a", "b", "c"], &mut rng);
         let output = driver.run_trap_round(&submissions, &mut rng).unwrap();

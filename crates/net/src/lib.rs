@@ -17,32 +17,27 @@
 //!   A send to an unreachable peer process returns a [`SendError`] value.
 //!
 //! The carrier keeps no protocol state: the simulated §6 latency of a hop is
-//! charged by the protocol layer (`atom_core::round::hop_latency`) from a
-//! [`LatencyModel`], and traffic is counted by the runtime's `RoundReport`
-//! and the `net.*` counters of `atom_obs`, so both are identical across
-//! backends.
+//! charged by the protocol layer (`atom_core::round::hop_latency` over an
+//! `atom_core::latency::LatencyModel`), and traffic is counted by the
+//! runtime's `RoundReport` and the `net.*` counters of `atom_obs`, so both
+//! are identical across backends.
 //!
 //! [`evloop`] is the one network I/O model under both edges: a
 //! single-threaded readiness loop ([`evloop::EventLoop`]) parked in
 //! `epoll(7)` that multiplexes thousands of non-blocking connections — the
 //! client edge's submissions in and acks out, with write backpressure and
 //! idle conviction, and the server mesh's peer frames.
-//!
-//! [`latency`] provides the per-link latency models and the heterogeneous
-//! server-class mix the protocol layer and the figure harnesses share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod evloop;
-pub mod latency;
 pub mod tcp;
 pub mod transport;
 
 pub use evloop::{
     client_frame, read_client_frame, CloseReason, ConnId, Event, EventLoop, EvloopOptions, Waker,
 };
-pub use latency::{assign_server_classes, paper_server_mix, LatencyModel, ServerClass};
 pub use tcp::{Dial, TcpOptions, TcpTransport};
 pub use transport::{
     DeliveryHook, Envelope, InMemoryNetwork, NodeId, SendError, TrafficStats, Transport,

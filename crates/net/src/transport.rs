@@ -13,9 +13,8 @@
 //!
 //! Both backends store and wake through the one mailbox core in this
 //! module. A transport only transports: the simulated 40–160 ms hops of §6
-//! are charged by the protocol layer (`atom_core::round::hop_latency`, the
-//! `sent_virtual` stamp in mix frames) from a
-//! [`LatencyModel`](crate::LatencyModel), and traffic is counted by the
+//! are charged by the protocol layer (`atom_core::round::hop_latency` over
+//! an `atom_core::latency::LatencyModel`), and traffic is counted by the
 //! runtime's `RoundReport` and the `net.*` counters of `atom_obs`.
 
 use std::borrow::Cow;

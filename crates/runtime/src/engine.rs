@@ -54,18 +54,18 @@ use atom_core::directory::{
 };
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
 use atom_core::group::GroupStepOptions;
+use atom_core::latency::LatencyModel;
 use atom_core::message::{NizkSubmission, TrapSubmission};
 use atom_core::round::{
-    collect_round_timings, finish_nizk_round, finish_trap_round, hop_latency,
-    verify_nizk_submissions_range, verify_trap_submissions_range, RoundOutput, RoundTimings,
-    TrapIntake,
+    collect_round_timings, finish_nizk_round, finish_trap_round, verify_nizk_submissions_range,
+    verify_trap_submissions_range, RoundOutput, RoundTimings, TrapIntake,
 };
 use atom_crypto::commit::Commitment;
 use atom_crypto::elgamal::{MessageCiphertext, PublicKey};
 use atom_crypto::RistrettoPoint;
 use curve25519_dalek::traits::Identity;
 
-use atom_net::{InMemoryNetwork, LatencyModel, TrafficStats, Transport};
+use atom_net::{InMemoryNetwork, TrafficStats, Transport};
 
 use crate::wire;
 use crate::wire::{ExitFrame, Frame, SetupFrame, TelemetryFrame};
@@ -114,8 +114,6 @@ pub fn new_control_sink() -> ControlSink {
 pub struct EngineOptions {
     /// Worker threads driving group actors.
     pub workers: usize,
-    /// Latency model for inter-group hops (virtual-clock accounting).
-    pub latency: LatencyModel,
     /// Artificial per-iteration compute delay per group id, used to emulate
     /// slow groups (stragglers) and per-group server hardware.
     pub stragglers: Vec<(usize, Duration)>,
@@ -184,7 +182,6 @@ impl Default for EngineOptions {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            latency: LatencyModel::Zero,
             stragglers: Vec::new(),
             intake_chunk: 0,
             stall_timeout: Duration::from_secs(120),
@@ -202,7 +199,6 @@ impl std::fmt::Debug for EngineOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineOptions")
             .field("workers", &self.workers)
-            .field("latency", &self.latency)
             .field("stragglers", &self.stragglers)
             .field("intake_chunk", &self.intake_chunk)
             .field("stall_timeout", &self.stall_timeout)
@@ -383,8 +379,7 @@ impl RoundSubmissions {
 #[derive(Clone, Debug)]
 pub enum RoundDirectory {
     /// The full directory — every group's DKG — was derived (or loaded)
-    /// ahead of time, e.g. via [`atom_core::directory::setup_round`] or
-    /// [`atom_core::directory::derive_setup`].
+    /// ahead of time via [`atom_core::directory::derive_setup`].
     Full(RoundSetup),
     /// Sharded: this process derives **only the DKGs of the groups it
     /// hosts** ([`atom_core::directory::derive_group`], one queue task per
@@ -711,7 +706,6 @@ struct Shared<'a> {
     jobs: &'a [JobState],
     sched: Arc<Scheduler>,
     transport: &'a dyn Transport,
-    latency: LatencyModel,
     orchestrator: usize,
     role: &'a EngineRole,
     options: &'a EngineOptions,
@@ -1233,7 +1227,6 @@ impl Engine {
             jobs: &states,
             sched: Arc::clone(&sched),
             transport,
-            latency: self.options.latency,
             orchestrator,
             role,
             options: &self.options,
@@ -1980,16 +1973,6 @@ fn finish_intake(shared: &Shared<'_>, round: usize) {
     }
 }
 
-/// The simulated latency of one inter-group hop (shared accounting from
-/// `atom_core::round::hop_latency`). Orchestrator injections are free: the
-/// submission phase is accounted separately in the paper's figures.
-fn inbound_hop(shared: &Shared<'_>, setup: &RoundSetup, from: usize, to: usize) -> Duration {
-    if from == SOURCE {
-        return Duration::ZERO;
-    }
-    hop_latency(setup, &shared.latency, from, to)
-}
-
 /// Drains a local mailbox and dispatches its frames: mix batches feed the
 /// node's group actor, exit frames accumulate at the orchestrator, abort
 /// frames fail their round.
@@ -2128,7 +2111,6 @@ fn on_mix_frame(shared: &Shared<'_>, gid: usize, mix: wire::MixEnvelope) {
         return;
     };
 
-    let arrival = mix.sent_virtual + inbound_hop(shared, job.round_setup(), mix.from, gid);
     // Frames are encoded and traffic counters updated while the actor lock
     // is held: the lock serializes the group's iterations, so by the time
     // the exit frame snapshots the group's counters every earlier forward
@@ -2143,7 +2125,7 @@ fn on_mix_frame(shared: &Shared<'_>, gid: usize, mix: wire::MixEnvelope) {
         // the round's telemetry snapshot.
         let _span = atom_obs::span("mix", round as u32, gid as u32);
         let mut actor = actor_slot.lock();
-        actor.note_arrival(mix.iteration, arrival);
+        actor.note_arrival(mix.iteration, mix.sent_virtual);
         let outputs = match actor.on_batch(mix.iteration, mix.from, mix.batch) {
             Ok(outputs) => outputs,
             Err(error) => {
@@ -2429,7 +2411,7 @@ fn finalize_round(shared: &Shared<'_>, round: usize) {
         // exit frames, plus the analytic barrier-model network critical
         // path, via the accounting helper shared with the sequential driver.
         let setup = job.round_setup();
-        let mut timings = collect_round_timings(setup, &shared.latency, &computes);
+        let mut timings = collect_round_timings(setup, &LatencyModel::Zero, &computes);
         // Same field semantics as the sequential driver: end-to-end wall
         // time of the round in the coordinator process.
         let wall_clock = started.map(|at| at.elapsed()).unwrap_or_default();
@@ -2503,7 +2485,7 @@ pub fn total_traffic(reports: &[AtomResult<RoundReport>]) -> TrafficStats {
 mod tests {
     use super::*;
     use atom_core::config::AtomConfig;
-    use atom_core::directory::setup_round;
+    use atom_core::directory::derive_setup;
     use atom_core::message::make_trap_submission;
     use atom_core::round::RoundDriver;
 
@@ -2517,7 +2499,7 @@ mod tests {
             config.iterations = 2;
             config.message_len = 24;
             config.round = round as u64;
-            let setup = setup_round(&config, &mut rng).unwrap();
+            let setup = derive_setup(&config).unwrap();
             let messages: Vec<String> = (0..4).map(|i| format!("round {round} msg {i}")).collect();
             let submissions: Vec<TrapSubmission> = messages
                 .iter()
@@ -2633,7 +2615,7 @@ mod tests {
         config.num_servers = 16;
         config.required_honest = 2;
         config.message_len = 24;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let victims = vec![setup.groups[0].members[0], setup.groups[0].members[1]];
         assert!(
             setup.groups[0].participating(&victims).is_err(),
@@ -2906,7 +2888,7 @@ mod tests {
         config.num_groups = 3;
         config.iterations = 2;
         config.message_len = 24;
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let submissions: Vec<_> = (0..6)
             .map(|i| {
                 let gid = i % config.num_groups;
@@ -3170,17 +3152,5 @@ mod tests {
         // The straggler inflates its own iterations; the pipelined latency
         // must track it.
         assert!(report.pipelined_latency >= Duration::from_millis(60));
-    }
-
-    #[test]
-    fn latency_model_produces_pipelined_latency() {
-        let (jobs, _) = trap_jobs(1, 5000);
-        let mut options = EngineOptions::with_workers(2);
-        options.latency = LatencyModel::Fixed { millis: 40 };
-        let engine = Engine::new(options);
-        let report = engine.run_round(jobs.into_iter().next().unwrap()).unwrap();
-        // Two iterations ⇒ one charged hop layer.
-        assert!(report.pipelined_latency >= Duration::from_millis(40));
-        assert!(report.output.timings.network_critical_path >= Duration::from_millis(40));
     }
 }

@@ -73,14 +73,16 @@
 //! counts ([`RoundReport`]). Latency is tracked on two models: the barrier
 //! model (`RoundTimings::end_to_end`, matching the sequential driver and
 //! Fig. 9–11) and the pipelined model (the virtual-clock time of the latest
-//! group exit), whose gap quantifies what the barrier costs.
+//! group exit), whose gap quantifies what the barrier costs. Both clocks
+//! carry compute only: the engine charges no simulated §6 link time (the
+//! sequential driver does, via `RoundDriver::with_latency`).
 //!
 //! ## Example
 //!
 //! ```
 //! use atom_runtime::{Engine, RoundJob, RoundSubmissions};
 //! use atom_core::config::AtomConfig;
-//! use atom_core::directory::setup_round;
+//! use atom_core::directory::derive_setup;
 //! use atom_core::message::make_trap_submission;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -88,7 +90,7 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut config = AtomConfig::test_default();
 //! config.message_len = 24;
-//! let setup = setup_round(&config, &mut rng).unwrap();
+//! let setup = derive_setup(&config).unwrap();
 //! let submissions: Vec<_> = ["hello", "world"]
 //!     .iter()
 //!     .enumerate()
@@ -110,9 +112,16 @@
 //!
 //! let engine = Engine::with_workers(2);
 //! let report = engine
-//!     .run_round(RoundJob::new(setup, RoundSubmissions::Trap(submissions), 7))
+//!     .run_round(RoundJob::new(setup, RoundSubmissions::Trap(submissions.clone()), 7))
 //!     .unwrap();
 //! assert_eq!(report.output.plaintexts.len(), 2);
+//!
+//! // One config names one deployment: derived inside the run instead of
+//! // prebuilt, the same round delivers the same bytes in the same order.
+//! let sharded = engine
+//!     .run_round(RoundJob::sharded(config, RoundSubmissions::Trap(submissions), 7))
+//!     .unwrap();
+//! assert_eq!(sharded.output.plaintexts, report.output.plaintexts);
 //! ```
 
 #![forbid(unsafe_code)]

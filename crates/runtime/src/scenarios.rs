@@ -53,11 +53,11 @@ use rand::SeedableRng;
 
 use atom_core::adversary::{AdversaryPlan, Misbehavior};
 use atom_core::config::{AtomConfig, Defense};
-use atom_core::directory::{derive_members, derive_setup, setup_round, RoundSetup};
+use atom_core::directory::{derive_members, derive_setup, RoundSetup};
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
 use atom_core::message::{make_nizk_submission, make_trap_submission};
 use atom_core::round::RoundDriver;
-use atom_net::{LatencyModel, SendError, TcpOptions, TcpTransport, Transport};
+use atom_net::{SendError, TcpOptions, TcpTransport, Transport};
 
 use atom_apps::dialing::{make_dial_submission, DialIdentity, Mailboxes};
 
@@ -73,10 +73,9 @@ use crate::wire;
 pub struct ScenarioOptions {
     /// Worker threads for the engine.
     pub workers: usize,
-    /// Deterministic seed for deployment setup, submissions and mixing.
+    /// Deterministic seed for the deployment's beacon, submissions and
+    /// mixing.
     pub seed: u64,
-    /// Latency model for virtual-clock accounting.
-    pub latency: LatencyModel,
 }
 
 impl Default for ScenarioOptions {
@@ -84,7 +83,6 @@ impl Default for ScenarioOptions {
         Self {
             workers: 4,
             seed: 7,
-            latency: LatencyModel::Zero,
         }
     }
 }
@@ -98,9 +96,9 @@ impl ScenarioOptions {
         }
     }
 
-    /// The scenario's deterministic RNG. Every scenario draws its setup
-    /// and submissions from this one constructor, so two scenarios handed
-    /// equal options can never silently diverge on seeding.
+    /// The scenario's deterministic RNG. Every scenario draws its
+    /// submissions from this one constructor, so two scenarios handed equal
+    /// options can never silently diverge on seeding.
     pub fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.seed)
     }
@@ -125,9 +123,7 @@ impl ScenarioOptions {
     /// need more (chunking, caps, deadlines) start from this and override,
     /// so the shared knobs stay shared.
     pub fn engine_options(&self) -> EngineOptions {
-        let mut engine_options = EngineOptions::with_workers(self.workers);
-        engine_options.latency = self.latency;
-        engine_options
+        EngineOptions::with_workers(self.workers)
     }
 
     /// An engine over [`engine_options`](Self::engine_options).
@@ -196,8 +192,8 @@ fn decode_texts(report: &RoundReport) -> Vec<String> {
 
 /// Builds the microblog workload: `rounds` rounds of `posts_per_round`
 /// fixed-length posts each, plus the sorted expected texts per round.
-/// Shared by [`microblog`] and [`tcp_loopback`], which must execute the
-/// identical jobs.
+/// Shared by [`microblog`], [`tcp_loopback`] and the sharded scenarios,
+/// which must execute the identical jobs.
 fn microblog_jobs(
     groups: usize,
     posts_per_round: usize,
@@ -209,7 +205,7 @@ fn microblog_jobs(
     let mut expected = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let config = options.config(Defense::Trap, groups, round as u64);
-        let setup = setup_round(&config, &mut rng)?;
+        let setup = derive_setup(&config)?;
         let posts: Vec<String> = (0..posts_per_round)
             .map(|i| format!("r{round} post {i}"))
             .collect();
@@ -277,7 +273,7 @@ pub fn dialing(
     let mut config = options.config(Defense::Trap, groups, 0);
     // Room for `mailbox (2B) ‖ sealed key (32B KEM + 16B tag + 32B key)`.
     config.message_len = 96;
-    let setup = setup_round(&config, &mut rng)?;
+    let setup = derive_setup(&config)?;
     // The submission builder wants a driver for setup access; the round
     // itself runs on the engine.
     let driver = RoundDriver::new(setup.clone());
@@ -330,7 +326,7 @@ pub fn server_churn(
     let mut rng = options.rng();
     let mut config = options.config(Defense::Trap, groups, 0);
     config.required_honest = 2; // tolerate one failure per group
-    let setup = setup_round(&config, &mut rng)?;
+    let setup = derive_setup(&config)?;
     let texts: Vec<String> = (0..messages).map(|i| format!("churn {i}")).collect();
     let submissions = texts
         .iter()
@@ -380,7 +376,7 @@ pub fn stragglers(
 ) -> AtomResult<ScenarioReport> {
     let mut rng = options.rng();
     let config = options.config(Defense::Trap, groups, 0);
-    let setup = setup_round(&config, &mut rng)?;
+    let setup = derive_setup(&config)?;
     let texts: Vec<String> = (0..messages).map(|i| format!("slow {i}")).collect();
     let submissions = texts
         .iter()
@@ -430,7 +426,7 @@ pub fn batched_intake(
 ) -> AtomResult<ScenarioReport> {
     let mut rng = options.rng();
     let config = options.config(Defense::Nizk, groups, 0);
-    let setup = setup_round(&config, &mut rng)?;
+    let setup = derive_setup(&config)?;
     let submissions = (0..messages)
         .map(|i| {
             make_nizk_submission(
@@ -513,21 +509,9 @@ pub fn sharded_loopback(
     rounds: usize,
     options: &ScenarioOptions,
 ) -> AtomResult<ScenarioReport> {
-    let (full_jobs, sharded_jobs) =
+    let (full_jobs, sharded_jobs, member_jobs) =
         sharded_microblog_jobs(groups, posts_per_round, rounds, options)?;
     let reference = collect(options.engine().run_rounds(full_jobs))?;
-    // Members never run intake, so their copy of the jobs carries no
-    // submissions — the same contract `atom-node --sharded` ships.
-    let member_jobs: Vec<RoundJob> = sharded_jobs
-        .iter()
-        .map(|job| {
-            RoundJob::sharded(
-                job.config().clone(),
-                RoundSubmissions::Trap(Vec::new()),
-                job.seed,
-            )
-        })
-        .collect();
     let reports = run_loopback_split(groups, sharded_jobs, member_jobs, options)?;
     check_against_reference(&reports, &reference, "sharded")?;
     for (round, report) in reports.iter().enumerate() {
@@ -543,54 +527,30 @@ pub fn sharded_loopback(
     ))
 }
 
-/// The microblog workload twice over: once with prebuilt
-/// [`derive_setup`]-based directories (the monolithic reference) and once
-/// as sharded jobs over the identical configs, submissions and seeds.
-/// Returns `(full, sharded)`.
+/// [`microblog_jobs`] three ways over the identical configs, submissions
+/// and seeds: prebuilt (the in-memory reference), sharded for the
+/// coordinator, and sharded without submissions for the member — members
+/// never run intake, the same contract `atom-node --sharded` ships.
+/// Returns `(full, coordinator, member)`.
 fn sharded_microblog_jobs(
     groups: usize,
     posts_per_round: usize,
     rounds: usize,
     options: &ScenarioOptions,
-) -> AtomResult<(Vec<RoundJob>, Vec<RoundJob>)> {
-    let mut rng = options.rng();
-    let mut full = Vec::with_capacity(rounds);
-    let mut sharded = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let config = options.config(Defense::Trap, groups, round as u64);
-        let setup = derive_setup(&config)?;
-        let posts: Vec<String> = (0..posts_per_round)
-            .map(|i| format!("r{round} sharded post {i}"))
-            .collect();
-        let submissions = posts
-            .iter()
-            .enumerate()
-            .map(|(i, post)| {
-                make_trap_submission(
-                    i % groups,
-                    &setup.groups[i % groups].public_key,
-                    &setup.trustees.public_key,
-                    config.round,
-                    post.as_bytes(),
-                    config.message_len,
-                    &mut rng,
-                )
-                .map(|(submission, _)| submission)
-            })
-            .collect::<AtomResult<Vec<_>>>()?;
-        let seed = options.seed.wrapping_add(round as u64);
-        full.push(RoundJob::new(
-            setup,
-            RoundSubmissions::Trap(submissions.clone()),
-            seed,
-        ));
-        sharded.push(RoundJob::sharded(
-            config,
-            RoundSubmissions::Trap(submissions),
-            seed,
-        ));
-    }
-    Ok((full, sharded))
+) -> AtomResult<(Vec<RoundJob>, Vec<RoundJob>, Vec<RoundJob>)> {
+    let (full, _) = microblog_jobs(groups, posts_per_round, rounds, options)?;
+    let sharded = |job: &RoundJob, submissions| {
+        RoundJob::sharded(job.config().clone(), submissions, job.seed)
+    };
+    let coordinator = full
+        .iter()
+        .map(|job| sharded(job, job.submissions.clone()))
+        .collect();
+    let member = full
+        .iter()
+        .map(|job| sharded(job, RoundSubmissions::Trap(Vec::new())))
+        .collect();
+    Ok((full, coordinator, member))
 }
 
 /// Runs `coordinator_jobs`/`member_jobs` split across two engine instances
@@ -756,11 +716,11 @@ pub fn defense_matrix(
     let mut rng = options.rng();
 
     // NIZK round.
-    let nizk_setup = setup_round(&options.config(Defense::Nizk, groups, 0), &mut rng)?;
+    let nizk_setup = derive_setup(&options.config(Defense::Nizk, groups, 0))?;
     let nizk_submissions = numbered_submissions(&nizk_setup, messages, "both", &mut rng)?;
 
     // Trap round over the same texts.
-    let trap_setup = setup_round(&options.config(Defense::Trap, groups, 1), &mut rng)?;
+    let trap_setup = derive_setup(&options.config(Defense::Trap, groups, 1))?;
     let trap_submissions = numbered_submissions(&trap_setup, messages, "both", &mut rng)?;
 
     let reports = collect(options.engine().run_rounds(vec![
@@ -832,7 +792,7 @@ fn control_round(
     options: &ScenarioOptions,
 ) -> AtomResult<AdversaryReport> {
     let mut rng = options.rng();
-    let setup = setup_round(&options.config(Defense::Trap, groups, 1), &mut rng)?;
+    let setup = derive_setup(&options.config(Defense::Trap, groups, 1))?;
     let submissions = numbered_submissions(&setup, messages, "ctrl", &mut rng)?;
     let started = Instant::now();
     let report =
@@ -912,9 +872,7 @@ pub fn submission_flood(
             "submission_flood wants flood > cap, got {flood} <= {cap}"
         )));
     }
-    let mut rng = options.rng();
-    let config = options.config(Defense::Trap, groups, 0);
-    let setup = setup_round(&config, &mut rng)?;
+    let setup = derive_setup(&options.config(Defense::Trap, groups, 0))?;
     let source = Arc::new(FloodSource {
         setup: Arc::new(setup.clone()),
         total: flood,
@@ -1074,17 +1032,7 @@ pub fn equivocating_setup(
             "equivocating_setup wants at least one member-hosted (odd) group".into(),
         ));
     }
-    let (_, sharded_jobs) = sharded_microblog_jobs(groups, posts, 1, options)?;
-    let member_jobs: Vec<RoundJob> = sharded_jobs
-        .iter()
-        .map(|job| {
-            RoundJob::sharded(
-                job.config().clone(),
-                RoundSubmissions::Trap(Vec::new()),
-                job.seed,
-            )
-        })
-        .collect();
+    let (_, sharded_jobs, member_jobs) = sharded_microblog_jobs(groups, posts, 1, options)?;
     let config = sharded_jobs[0].config().clone();
     // The equivocator tells two stories about group 1's key. The forged
     // story passes every public cross-check except the key: membership and
@@ -1162,7 +1110,7 @@ pub fn mauled_reencryption(
     options: &ScenarioOptions,
 ) -> AtomResult<AdversaryReport> {
     let mut rng = options.rng();
-    let setup = setup_round(&options.config(defense, groups, 0), &mut rng)?;
+    let setup = derive_setup(&options.config(defense, groups, 0))?;
     let submissions = numbered_submissions(&setup, posts, "maul", &mut rng)?;
     let mut job = RoundJob::new(setup, submissions, options.seed);
     job.adversary = Some(AdversaryPlan {

@@ -7,11 +7,7 @@ use atom_core::config::Defense;
 use atom_runtime::scenarios::{self, ScenarioOptions};
 
 fn options(seed: u64) -> ScenarioOptions {
-    ScenarioOptions {
-        workers: 3,
-        seed,
-        ..ScenarioOptions::default()
-    }
+    ScenarioOptions { workers: 3, seed }
 }
 
 #[test]

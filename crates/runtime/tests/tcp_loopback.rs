@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use atom_core::adversary::{AdversaryPlan, Misbehavior};
 use atom_core::config::{AtomConfig, Defense};
-use atom_core::directory::{derive_setup, setup_round};
+use atom_core::directory::derive_setup;
 use atom_core::error::AtomError;
 use atom_core::message::{make_nizk_submission, make_trap_submission};
 use atom_net::{TcpOptions, TcpTransport};
@@ -30,7 +30,7 @@ fn trap_jobs(rounds: usize, seed: u64) -> Vec<RoundJob> {
             config.iterations = 2;
             config.message_len = 24;
             config.round = round as u64;
-            let setup = setup_round(&config, &mut rng).unwrap();
+            let setup = derive_setup(&config).unwrap();
             let submissions: Vec<_> = (0..5)
                 .map(|i| {
                     let gid = i % GROUPS;
@@ -326,7 +326,7 @@ fn remote_actor_failure_aborts_the_round_on_both_sides() {
     config.num_groups = GROUPS;
     config.iterations = 2;
     config.message_len = 24;
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let submissions: Vec<_> = (0..4)
         .map(|i| {
             let gid = i % GROUPS;
@@ -419,7 +419,7 @@ fn member_hosting_no_groups_of_a_small_round_resolves_immediately() {
     config.num_groups = 1;
     config.iterations = 1;
     config.message_len = 24;
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let submission = make_trap_submission(
         0,
         &setup.groups[0].public_key,

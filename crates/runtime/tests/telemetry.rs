@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use atom_core::config::AtomConfig;
-use atom_core::directory::setup_round;
+use atom_core::directory::derive_setup;
 use atom_core::message::make_trap_submission;
 use atom_net::{TcpOptions, TcpTransport, Transport};
 use atom_runtime::{wire, Engine, EngineRole, RoundJob, RoundSubmissions, TELEMETRY_LABEL};
@@ -31,7 +31,7 @@ fn trap_jobs(rounds: usize, seed: u64) -> Vec<RoundJob> {
             config.iterations = 2;
             config.message_len = 24;
             config.round = round as u64;
-            let setup = setup_round(&config, &mut rng).unwrap();
+            let setup = derive_setup(&config).unwrap();
             let submissions: Vec<_> = (0..5)
                 .map(|i| {
                     let gid = i % GROUPS;

@@ -11,9 +11,9 @@
 use serde::{Deserialize, Serialize};
 
 use atom_core::config::Defense;
+use atom_core::latency::{assign_server_classes, paper_server_mix, ServerClass};
 use atom_core::message::trap_payload_len;
 use atom_crypto::encoding::points_needed;
-use atom_net::latency::{assign_server_classes, paper_server_mix, ServerClass};
 
 use crate::costs::PrimitiveCosts;
 

@@ -15,7 +15,7 @@ use atom::core::config::{AtomConfig, Defense};
 use atom::core::message::{make_nizk_submission, make_trap_submission};
 use atom::core::round::RoundDriver;
 use atom::core::AtomError;
-use atom::setup_round;
+use atom::derive_setup;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(13);
@@ -30,7 +30,7 @@ fn main() {
     let mut config = AtomConfig::test_default();
     config.num_groups = 3;
     config.iterations = 3;
-    let setup = setup_round(&config, &mut rng).expect("setup");
+    let setup = derive_setup(&config).expect("setup");
     let driver = RoundDriver::new(setup).with_adversary(plan);
     let submissions: Vec<_> = (0..6)
         .map(|i| {
@@ -67,7 +67,7 @@ fn main() {
     config.num_groups = 3;
     config.iterations = 3;
     config.defense = Defense::Nizk;
-    let setup = setup_round(&config, &mut rng).expect("setup");
+    let setup = derive_setup(&config).expect("setup");
     let driver = RoundDriver::new(setup).with_adversary(plan);
     let submissions: Vec<_> = (0..6)
         .map(|i| {

@@ -14,7 +14,7 @@ use atom::apps::dialing::{
 };
 use atom::core::config::AtomConfig;
 use atom::core::round::RoundDriver;
-use atom::setup_round;
+use atom::derive_setup;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2026);
@@ -23,7 +23,7 @@ fn main() {
     config.message_len = PAPER_DIAL_LEN;
     config.num_groups = 4;
     config.iterations = 3;
-    let setup = setup_round(&config, &mut rng).expect("setup");
+    let setup = derive_setup(&config).expect("setup");
     let driver = RoundDriver::new(setup);
 
     let mailboxes = 16;

@@ -11,7 +11,7 @@ use atom::core::config::AtomConfig;
 use atom::core::faults::{escrow_group_shares, recover_group};
 use atom::core::message::make_trap_submission;
 use atom::core::round::RoundDriver;
-use atom::setup_round;
+use atom::derive_setup;
 use atom::topology::groups::{required_group_size, GroupSecurityParams};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     config.required_honest = 2;
     config.num_groups = 3;
     config.iterations = 3;
-    let setup = setup_round(&config, &mut rng).expect("setup");
+    let setup = derive_setup(&config).expect("setup");
 
     // Escrow every group's shares with its buddy group before the round.
     let escrows: Vec<_> = setup

@@ -10,9 +10,9 @@ use rand::SeedableRng;
 
 use atom::apps::microblog::run_microblog_round;
 use atom::core::config::AtomConfig;
+use atom::core::latency::LatencyModel;
 use atom::core::round::RoundDriver;
-use atom::net::LatencyModel;
-use atom::setup_round;
+use atom::derive_setup;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -24,7 +24,7 @@ fn main() {
     config.message_len = 160;
     config.num_groups = 4;
     config.iterations = 4;
-    let setup = setup_round(&config, &mut rng).expect("setup");
+    let setup = derive_setup(&config).expect("setup");
     let driver = RoundDriver::new(setup).with_latency(LatencyModel::paper_wan(7));
 
     let posts = [

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use atom::core::config::{AtomConfig, Defense};
 use atom::core::message::make_trap_submission;
+use atom::derive_setup;
 use atom::runtime::{Engine, EngineOptions, RoundJob, RoundSubmissions};
-use atom::setup_round;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,7 +26,7 @@ fn main() {
         config.iterations = 3;
         config.message_len = 48;
         config.round = round;
-        let setup = setup_round(&config, &mut rng).expect("setup");
+        let setup = derive_setup(&config).expect("setup");
 
         let submissions: Vec<_> = (0..posts_per_round)
             .map(|i| {

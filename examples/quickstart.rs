@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use atom::core::config::AtomConfig;
 use atom::core::message::make_trap_submission;
 use atom::core::round::RoundDriver;
-use atom::setup_round;
+use atom::derive_setup;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -25,7 +25,7 @@ fn main() {
         "setting up {} groups of {} servers ...",
         config.num_groups, config.group_size
     );
-    let setup = setup_round(&config, &mut rng).expect("round setup");
+    let setup = derive_setup(&config).expect("round setup");
     let driver = RoundDriver::new(setup);
 
     // Eight users each submit one message to an entry group of their choice.

@@ -11,7 +11,7 @@
 //!   NIZKs (including the verifiable shuffle), DKG/threshold keys, CCA2
 //!   hybrid encryption, SHA-3 and ChaCha20-Poly1305 from scratch.
 //! * [`topology`] — permutation networks, group sizing and formation.
-//! * [`net`] — the in-process transport substrate and latency models.
+//! * [`net`] — the transport substrate: in-process mailboxes and TCP sockets.
 //! * [`core`] — the Atom protocol: clients, groups, rounds, trustees,
 //!   fault tolerance and blame.
 //! * [`runtime`] — the parallel group-actor execution engine with
@@ -36,6 +36,6 @@ pub use atom_sim as sim;
 pub use atom_topology as topology;
 
 pub use atom_core::{
-    make_nizk_submission, make_trap_submission, setup_round, AtomConfig, AtomError, AtomResult,
+    derive_setup, make_nizk_submission, make_trap_submission, AtomConfig, AtomError, AtomResult,
     Defense, RoundDriver, RoundOutput, TopologyKind,
 };

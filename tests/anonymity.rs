@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use atom::core::config::AtomConfig;
 use atom::core::message::make_trap_submission;
 use atom::core::round::RoundDriver;
-use atom::setup_round;
+use atom::derive_setup;
 use atom::topology::mixing::{outcome_permutation, simulate_mixing};
 use atom::topology::network::SquareNetwork;
 
@@ -20,7 +20,7 @@ fn run_round(seed: u64, users: usize) -> (Vec<String>, Vec<String>) {
     config.num_groups = 4;
     config.iterations = 3;
     config.message_len = 32;
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup);
 
     let messages: Vec<String> = (0..users).map(|i| format!("user-{i:02}-message")).collect();
@@ -83,7 +83,7 @@ fn users_are_mixed_across_entry_groups() {
     config.num_groups = 4;
     config.iterations = 3;
     config.message_len = 32;
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup);
 
     let users = 32usize;

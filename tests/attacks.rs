@@ -10,7 +10,7 @@ use atom::core::config::{AtomConfig, Defense};
 use atom::core::error::AtomError;
 use atom::core::message::{make_nizk_submission, make_trap_submission, TrapSubmission};
 use atom::core::round::RoundDriver;
-use atom::setup_round;
+use atom::derive_setup;
 
 fn config(defense: Defense) -> AtomConfig {
     let mut config = AtomConfig::test_default();
@@ -55,7 +55,7 @@ fn every_misbehavior_aborts_a_trap_round_or_is_survived_detectably() {
     for (i, action) in actions.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0xD00 + i as u64);
         let config = config(Defense::Trap);
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let plan = AdversaryPlan {
             group: 1,
             member: 1,
@@ -84,7 +84,7 @@ fn nizk_round_detects_every_misbehavior_and_names_the_server() {
     for (i, action) in actions.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0xE00 + i as u64);
         let config = config(Defense::Nizk);
-        let setup = setup_round(&config, &mut rng).unwrap();
+        let setup = derive_setup(&config).unwrap();
         let plan = AdversaryPlan {
             group: 0,
             member: 2,
@@ -130,7 +130,7 @@ fn nizk_round_detects_every_misbehavior_and_names_the_server() {
 fn malicious_user_is_identified_after_disruption() {
     let mut rng = StdRng::seed_from_u64(0xF00);
     let config = config(Defense::Trap);
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup);
     let mut submissions = trap_submissions(&driver, 6, &mut rng);
 
@@ -153,7 +153,7 @@ fn replayed_submission_is_rejected_at_the_entry_group() {
     // entry group; the group-id binding in EncProof rejects it (§3).
     let mut rng = StdRng::seed_from_u64(0xF10);
     let config = config(Defense::Trap);
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup);
     let mut submissions = trap_submissions(&driver, 4, &mut rng);
     let mut replayed = submissions[0].clone();
@@ -172,7 +172,7 @@ fn round_survives_failures_up_to_the_provisioned_tolerance() {
     config.required_honest = 2;
     config.group_size = 4;
     config.num_servers = 12;
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let failed = vec![setup.groups[1].members[2]];
     let driver = RoundDriver::new(setup).with_failures(failed);
     let submissions = trap_submissions(&driver, 6, &mut rng);

@@ -6,10 +6,10 @@ use rand::SeedableRng;
 
 use atom::apps::microblog::run_microblog_round;
 use atom::core::config::{AtomConfig, Defense, TopologyKind};
+use atom::core::latency::LatencyModel;
 use atom::core::message::make_trap_submission;
 use atom::core::round::RoundDriver;
-use atom::net::LatencyModel;
-use atom::setup_round;
+use atom::derive_setup;
 
 fn base_config() -> AtomConfig {
     let mut config = AtomConfig::test_default();
@@ -25,7 +25,7 @@ fn base_config() -> AtomConfig {
 fn trap_round_with_many_users_delivers_every_message() {
     let mut rng = StdRng::seed_from_u64(100);
     let config = base_config();
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup);
 
     let messages: Vec<String> = (0..24)
@@ -73,7 +73,7 @@ fn microblogging_app_works_over_both_defenses_and_topologies() {
             let mut config = base_config();
             config.defense = defense;
             config.topology = topology;
-            let setup = setup_round(&config, &mut rng).unwrap();
+            let setup = derive_setup(&config).unwrap();
             let driver = RoundDriver::new(setup);
             let posts = [
                 "post one",
@@ -97,7 +97,7 @@ fn microblogging_app_works_over_both_defenses_and_topologies() {
 fn latency_model_contributes_to_end_to_end_estimate() {
     let mut rng = StdRng::seed_from_u64(9);
     let config = base_config();
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup).with_latency(LatencyModel::paper_wan(3));
     let submissions: Vec<_> = (0..4)
         .map(|i| {
@@ -129,7 +129,7 @@ fn latency_model_contributes_to_end_to_end_estimate() {
 fn parallel_round_matches_sequential_results() {
     let mut rng = StdRng::seed_from_u64(11);
     let config = base_config();
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let driver = RoundDriver::new(setup).with_parallelism(4);
     let submissions: Vec<_> = (0..8)
         .map(|i| {

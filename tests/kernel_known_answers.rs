@@ -32,18 +32,27 @@
 //! and the output *order* with it. The submit digests, `TRAP_DIGEST` (the
 //! trap variant builds no shuffle proof) and the delivered multisets did
 //! not change.
+//! All four re-pinned when the rng-threaded setup derivation was deleted:
+//! the directory is now `derive_setup` of the config, so every key moves,
+//! and so does every rng draw after the setup. The digests were recorded
+//! on an export of `faeb709` with only this file's edit applied (the
+//! `derive_setup` lines), and the change reproduces them: the kernel, the
+//! embedding and the `EncProof` did not move. The delivered multisets
+//! passed there unedited.
 //!
 //! To re-pin after a deliberate change of representation:
 //! `cargo test --test kernel_known_answers` — each failing `assert_eq!`
 //! prints the computed digest as `left` (submit digest first, then the
-//! combined one on the next run).
+//! combined one on the next run). When the change moves the inputs rather
+//! than the arithmetic, record the digests on an export of the parent
+//! commit with only this file edited, as the last re-pin did.
 
 use atom::core::config::{AtomConfig, Defense};
+use atom::core::directory::derive_setup;
 use atom::core::message::{make_nizk_submission, make_trap_submission};
 use atom::core::round::{RoundDriver, RoundOutput};
 use atom::crypto::keccak::sha3_256;
 use atom::runtime::wire::{encode_submit, ClientSubmission, SubmitFrame};
-use atom::setup_round;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -105,7 +114,7 @@ fn digest(bytes: &[u8]) -> String {
 #[test]
 fn trap_round_matches_parent_commit_digest() {
     let mut rng = StdRng::seed_from_u64(42);
-    let setup = setup_round(&config(Defense::Trap), &mut rng).unwrap();
+    let setup = derive_setup(&config(Defense::Trap)).unwrap();
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % setup.config.num_groups;
@@ -152,7 +161,7 @@ fn trap_round_matches_parent_commit_digest() {
 #[test]
 fn nizk_round_matches_parent_commit_digest() {
     let mut rng = StdRng::seed_from_u64(43);
-    let setup = setup_round(&config(Defense::Nizk), &mut rng).unwrap();
+    let setup = derive_setup(&config(Defense::Nizk)).unwrap();
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % setup.config.num_groups;
@@ -187,7 +196,7 @@ fn nizk_round_matches_parent_commit_digest() {
     assert_eq!(digest(&bytes), NIZK_DIGEST);
 }
 
-const TRAP_SUBMIT_DIGEST: &str = "6a2e906fd3c436a2b1081013ac789a2a2f3335f6ce9b14784302bb7ad42f1cba";
-const TRAP_DIGEST: &str = "d34bf4042075b09434ddc45c6fd1ba615d13b0301b72d15d9ed6a5d73b5cbefe";
-const NIZK_SUBMIT_DIGEST: &str = "7720b312c9dfb3d53b8b8a72c21349eb6d7e4a24e78286d40d9e4661b4140f20";
-const NIZK_DIGEST: &str = "7899fce66bc475d5d8598209cbd0b6415877412c3d32abf087d3404164207a45";
+const TRAP_SUBMIT_DIGEST: &str = "8870fbfaa19ddc27977939ba431cd3e577b9d57509124aebbf7efa174ceddedc";
+const TRAP_DIGEST: &str = "2391baf56f1430003d0859b0ec8ea82fdd549b18016b90ec3a49f7543f4c8f48";
+const NIZK_SUBMIT_DIGEST: &str = "27192b6575cf653996b9ab7bb73bfbdc69f054375e1d13d00c2696ee5cb5127d";
+const NIZK_DIGEST: &str = "115a3fa31adb16b5516ad7cec1264ae79c3fcd4b899d854fe803da48882c4c38";

@@ -8,8 +8,8 @@ use atom::core::config::{AtomConfig, Defense};
 use atom::core::error::AtomError;
 use atom::core::message::{make_nizk_submission, make_trap_submission};
 use atom::core::round::RoundDriver;
+use atom::derive_setup;
 use atom::runtime::{Engine, RoundJob, RoundSubmissions};
-use atom::setup_round;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +28,7 @@ fn trap_fixture(
     adversary: Option<AdversaryPlan>,
 ) -> (RoundDriver, Vec<atom::core::message::TrapSubmission>) {
     let mut rng = StdRng::seed_from_u64(42);
-    let setup = setup_round(&config(Defense::Trap), &mut rng).unwrap();
+    let setup = derive_setup(&config(Defense::Trap)).unwrap();
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % setup.config.num_groups;
@@ -56,7 +56,7 @@ fn nizk_fixture(
     adversary: Option<AdversaryPlan>,
 ) -> (RoundDriver, Vec<atom::core::message::NizkSubmission>) {
     let mut rng = StdRng::seed_from_u64(43);
-    let setup = setup_round(&config(Defense::Nizk), &mut rng).unwrap();
+    let setup = derive_setup(&config(Defense::Nizk)).unwrap();
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % setup.config.num_groups;
@@ -238,7 +238,7 @@ fn butterfly_topology_is_equivalent_too() {
     let mut config = config(Defense::Trap);
     config.num_groups = 4;
     config.topology = atom::core::config::TopologyKind::Butterfly;
-    let setup = setup_round(&config, &mut rng).unwrap();
+    let setup = derive_setup(&config).unwrap();
     let submissions: Vec<_> = (0..4)
         .map(|i| {
             let gid = i % config.num_groups;
