@@ -77,8 +77,11 @@ use crate::netbench::{hosted_groups, round_config, round_submissions, NetSpec};
 
 /// Wire-round ids per epoch: batch attempt `e` runs rounds
 /// `e × EPOCH_STRIDE ..`, so a straggler frame from attempt `e − 1` can
-/// never decode to a round of attempt `e`. A u32 wire round holds 4096
-/// epochs of this stride — far beyond the epoch cap of any recovery run.
+/// never decode to a round of attempt `e`. A u32 wire round holds 4,096
+/// epochs of this stride. At batch 1 every round opens at least one epoch
+/// (a run may use up to `rounds × 3 + 24`), so a run of more than 4,096
+/// rounds — fewer, with retries — reaches it: the engine then fails the
+/// batch with an `AtomError::Config` naming `round_offset`.
 pub const EPOCH_STRIDE: usize = 1 << 20;
 
 /// How long either side polls between control-frame reads.

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use atom_core::config::{AtomConfig, Defense};
 use atom_core::directory::derive_setup;
-use atom_net::evloop::{CLIENT_HEADER_LEN, CLIENT_MAGIC, CLIENT_VERSION};
+use atom_net::evloop::{check_header, CLIENT_HEADER_LEN};
 use atom_net::EvloopOptions;
 use atom_runtime::wire::{self, Frame};
 use atom_runtime::{
@@ -292,20 +292,16 @@ fn service_client(client: &mut SwarmClient) -> bool {
 /// Parses the client-framed ack once enough bytes arrived and records the
 /// client's admission latency and shed verdict.
 fn try_complete_ack(client: &mut SwarmClient) {
-    if client.ack.len() < CLIENT_HEADER_LEN {
+    let Some(header) = client.ack.first_chunk() else {
         return;
-    }
-    let magic = u32::from_le_bytes(client.ack[0..4].try_into().unwrap());
-    let version = client.ack[4];
-    let len = u32::from_le_bytes(client.ack[5..9].try_into().unwrap()) as usize;
-    if magic != CLIENT_MAGIC || version != CLIENT_VERSION {
+    };
+    let Ok(len) = check_header(header, 1 << 20) else {
         client.dead = true;
         return;
-    }
-    if client.ack.len() < CLIENT_HEADER_LEN + len {
+    };
+    let Some(payload) = client.ack.get(CLIENT_HEADER_LEN..CLIENT_HEADER_LEN + len) else {
         return;
-    }
-    let payload = &client.ack[CLIENT_HEADER_LEN..CLIENT_HEADER_LEN + len];
+    };
     match wire::decode(payload) {
         Ok(Frame::SubmitAck(ack)) => {
             client.shed = ack.shed;
@@ -477,9 +473,12 @@ pub fn run_ingress(spec: &IngressSweepSpec, workers: usize) -> Result<IngressBas
         },
     )
     .map_err(|error| format!("bind flood ingress: {error}"))?;
-    let flood_payload = source
+    let payload = source
         .submit_payload_at(0, round, SWARM_APP)
         .map_err(|error| format!("flood payload: {error}"))?;
+    let Ok(Frame::Submit(mut flood_frame)) = wire::decode(&payload) else {
+        return Err("flood payload is not a submit frame".to_string());
+    };
     let mut flood_shed = 0usize;
     for index in 0..spec.flood_offers {
         let mut stream = TcpStream::connect(flood_server.local_addr())
@@ -488,13 +487,9 @@ pub fn run_ingress(spec: &IngressSweepSpec, workers: usize) -> Result<IngressBas
             .set_read_timeout(Some(Duration::from_secs(10)))
             .map_err(|error| format!("flood client {index}: {error}"))?;
         // Re-stamp the client id so dedup can't hide the flood.
-        let payload = {
-            let mut payload = flood_payload.clone();
-            payload[5..13].copy_from_slice(&(index as u64).to_le_bytes());
-            payload
-        };
+        flood_frame.client = index as u64;
         stream
-            .write_all(&atom_net::client_frame(&payload))
+            .write_all(&atom_net::client_frame(&wire::encode_submit(&flood_frame)))
             .map_err(|error| format!("flood client {index} write: {error}"))?;
         let ack = atom_net::read_client_frame(&mut stream, 1 << 20)
             .map_err(|error| format!("flood client {index} ack: {error}"))?;

@@ -150,8 +150,10 @@ pub struct EngineOptions {
     /// frames go out as `round_offset + job_index` and inbound frames below
     /// the offset are dropped as stale. Recovery orchestration gives each
     /// engine run (epoch) a disjoint id range, so a straggler frame from a
-    /// failed epoch can never alias the retry of the same round. `0`
-    /// (default) reproduces the historical wire bytes exactly.
+    /// failed epoch can never alias the retry of the same round. A job
+    /// whose id would not fit the frames' `u32` round field fails with
+    /// [`AtomError::Config`]. `0` (default) reproduces the historical wire
+    /// bytes exactly.
     pub round_offset: usize,
     /// Streaming-intake window: at most this many intake chunks are
     /// scheduled (and therefore materialized) at once per round, so a
@@ -1164,7 +1166,19 @@ impl Engine {
                     nodes: Vec::new(),
                 });
             }
-            if let Some(error) = &construction_error {
+            // Every frame carries its round as a `u32`: a job past that range
+            // would go out wrapped and be fenced as stale by its own run. Every
+            // process fails it alike, and it has no round id to abort with.
+            let offset = self.options.round_offset;
+            if round
+                .checked_add(offset)
+                .and_then(|wire| u32::try_from(wire).ok())
+                .is_none()
+            {
+                construction_error = Some(AtomError::Config(format!(
+                    "round_offset {offset} puts job {round} past the u32 wire round range"
+                )));
+            } else if let Some(error) = &construction_error {
                 construction_failures.push((round, format!("{error:?}")));
             }
             // A member whose groups all sit outside this round has nothing
@@ -2683,6 +2697,25 @@ mod tests {
                 ..
             }) => {}
             other => panic!("want a ProtocolAbort failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wire_rounds_past_u32_fail_as_config_errors_instead_of_wrapping() {
+        // Job 0 sits on the last u32 wire round; job 1 would wrap to 0,
+        // which its own run fences as stale, and stall.
+        let (jobs, expected) = trap_jobs(2, 9200);
+        let mut options = EngineOptions::with_workers(2);
+        options.round_offset = u32::MAX as usize;
+        options.stall_timeout = Duration::from_secs(5);
+        let mut reports = Engine::new(options).run_rounds(jobs).into_iter();
+        let report = reports.next().unwrap().unwrap();
+        let mut want = expected[0].clone();
+        want.sort();
+        assert_eq!(recovered(&report.output), want);
+        match reports.next().unwrap() {
+            Err(AtomError::Config(reason)) => assert!(reason.contains("round_offset"), "{reason}"),
+            other => panic!("want a round_offset Config error, got {other:?}"),
         }
     }
 
