@@ -18,17 +18,17 @@
 //!    retry round,     stale                         no             rejoiners
 //!    epoch, digest)   frames)                       │
 //!                                                   ▼
-//!                      diagnose lowest failed round → FaultVerdict
-//!                      gossip `evict` frame, extend the eviction log,
-//!                      re-plan from that round (new epoch)
+//!                      diagnose lowest failed round → FaultVerdict,
+//!                      extend the eviction log, re-plan from that
+//!                      round (new epoch) — the plan carries the verdict
 //! ```
 //!
 //! **Detection.** A dead process surfaces either as an engine failure
 //! (a send error → `TransportLost`, or the stall detector) that
 //! [`FaultVerdict::diagnose`] pins on a process, or as a handshake timeout
 //! (a member that never acks a plan). Either way the coordinator convicts,
-//! gossips the structured verdict to the survivors in a kind-tagged `evict`
-//! frame, and re-plans.
+//! appends the structured verdict to its eviction log, and re-plans: the
+//! survivors learn every verdict from the next plan's log.
 //!
 //! **Healing.** The retried detection round keeps the membership its
 //! directory was built with (frozen in the [`RecoveryLedger`]) and instead
@@ -42,10 +42,12 @@
 //! round outputs stay byte-deterministic given the log.
 //!
 //! **Epoch fencing.** Each batch attempt runs with a disjoint wire-round
-//! range (`EngineOptions::round_offset = epoch × EPOCH_STRIDE`). A frame
+//! range (`EngineOptions::round_offset = epoch × batch`): an attempt runs at
+//! most `batch` jobs, so its ids end where the next epoch's begin. A frame
 //! straggling in from a failed attempt therefore cannot alias a retried
-//! round — the engine drops it as stale — which makes the retry loop safe
-//! even though TCP ordering guarantees nothing across connections.
+//! round — it falls below the offset and the engine drops it as stale —
+//! which makes the retry loop safe even though TCP ordering guarantees
+//! nothing across connections.
 //!
 //! **Rejoin.** A restarted process binds its old address, sends a `rejoin`
 //! request carrying its (empty) log digest, and waits. The coordinator
@@ -57,7 +59,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -66,26 +68,14 @@ use rand::SeedableRng;
 use atom_core::config::AtomConfig;
 use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::message::TrapSubmission;
-use atom_net::{Dial, SendError, TcpOptions, TcpTransport, Transport};
+use atom_net::{DeliveryHook, Dial, SendError, TcpOptions, TcpTransport, Transport};
 use atom_runtime::wire::{self, EvictFrame, Frame, RejoinFrame};
 use atom_runtime::{
     new_control_sink, ControlSink, Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict,
-    RoundCompleteHook, RoundJob, RoundReport, RoundSubmissions, EVICT_LABEL, REJOIN_LABEL,
+    RoundCompleteHook, RoundJob, RoundReport, RoundSubmissions, REJOIN_LABEL,
 };
 
 use crate::netbench::{hosted_groups, round_config, round_submissions, NetSpec};
-
-/// Wire-round ids per epoch: batch attempt `e` runs rounds
-/// `e × EPOCH_STRIDE ..`, so a straggler frame from attempt `e − 1` can
-/// never decode to a round of attempt `e`. A u32 wire round holds 4,096
-/// epochs of this stride. At batch 1 every round opens at least one epoch
-/// (a run may use up to `rounds × 3 + 24`), so a run of more than 4,096
-/// rounds — fewer, with retries — reaches it: the engine then fails the
-/// batch with an `AtomError::Config` naming `round_offset`.
-pub const EPOCH_STRIDE: usize = 1 << 20;
-
-/// How long either side polls between control-frame reads.
-const CONTROL_POLL: Duration = Duration::from_millis(2);
 
 /// Bounded retries of one batch when a failure yields no actionable
 /// verdict (e.g. a protocol abort that implicates no process).
@@ -157,8 +147,8 @@ pub fn eviction_log_digest(log: &[FaultVerdict]) -> [u8; 32] {
 /// Both sides' view of who has been evicted and how each round heals.
 /// The coordinator mutates it via [`RecoveryLedger::evict`] /
 /// [`RecoveryLedger::readmit`]; members mirror it from plans via
-/// [`RecoveryLedger::apply_plan`]. Given the same eviction history both
-/// paths produce byte-identical round jobs — asserted by unit test.
+/// [`RecoveryLedger::apply_plan`], the one update path `evict` also takes,
+/// so both sides build byte-identical round jobs.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryLedger {
     /// Standing verdicts: one entry per conviction whose process is still
@@ -230,22 +220,13 @@ impl RecoveryLedger {
         failed.sort_unstable();
     }
 
-    /// Coordinator side: convict `verdict`, retrying from `retry_round`.
-    /// The retried round keeps its frozen membership and gains the newly
-    /// lost servers as mid-flight failures; every later round is unfrozen
-    /// so its directory re-forms over the survivors.
+    /// Coordinator side: convict `verdict`, retrying from `retry_round` —
+    /// the plan of the log plus `verdict`, through the same update members
+    /// mirror it with.
     pub fn evict(&mut self, verdict: FaultVerdict, retry_round: usize) {
-        let known = self.active_servers();
-        let fresh: Vec<usize> = verdict
-            .servers
-            .iter()
-            .copied()
-            .filter(|s| !known.contains(s))
-            .collect();
-        self.active.push(verdict);
-        self.note_failures(retry_round, &fresh);
-        self.frozen.retain(|&round, _| round <= retry_round);
-        self.failed.retain(|&round, _| round <= retry_round);
+        let mut log = self.active.clone();
+        log.push(verdict);
+        self.apply_plan(&log, retry_round);
     }
 
     /// Coordinator side: welcome `process` back. Its standing verdicts are
@@ -254,10 +235,11 @@ impl RecoveryLedger {
         self.active.retain(|v| v.process != process);
     }
 
-    /// Member side: adopt the coordinator's authoritative plan for a batch
-    /// starting at `plan_round`. Mirrors [`RecoveryLedger::evict`] exactly
-    /// — new servers relative to our log become mid-flight failures of the
-    /// retried round (if we had frozen it), later rounds unfreeze.
+    /// Adopt the eviction log `evictions` for a batch starting at
+    /// `plan_round`. Servers new relative to our log become mid-flight
+    /// failures of that round (if we had frozen it, so it keeps its
+    /// membership and heals in place); every later round is unfrozen so
+    /// its directory re-forms over the survivors.
     pub fn apply_plan(&mut self, evictions: &[FaultVerdict], plan_round: usize) {
         let known = self.active_servers();
         let mut fresh: Vec<usize> = evictions
@@ -291,13 +273,29 @@ impl RecoveryLedger {
         config.validate().map_err(|error| {
             format!("round {round} config invalid under eviction log: {error:?}")
         })?;
-        Ok(heal_job(
-            spec,
-            config,
+        let failed = self.failed_for(round);
+        Ok(heal_job(spec, config, round, failed, with_submissions))
+    }
+
+    /// One encoded `rejoin` frame over this log. The coordinator's
+    /// (process 0) plan, go and done frames are responses carrying the
+    /// whole log; a member's ack and rejoin request carry only its digest.
+    fn handshake(&self, round: usize, process: usize, epoch: usize, commit: bool) -> Vec<u8> {
+        let response = process == 0;
+        let evictions = if response {
+            self.active.clone()
+        } else {
+            vec![]
+        };
+        wire::encode_rejoin(&RejoinFrame {
             round,
-            self.failed_for(round),
-            with_submissions,
-        ))
+            process,
+            epoch,
+            response,
+            commit,
+            digest: self.digest(),
+            evictions,
+        })
     }
 }
 
@@ -321,22 +319,17 @@ fn heal_job(
     with_submissions: bool,
 ) -> RoundJob {
     let seed = spec.seed.wrapping_add(round as u64);
-    let mut job = if spec.sharded {
-        let submissions = if with_submissions {
-            let setup = derive_setup(&config).expect("derive healed directory");
-            heal_submissions(spec, round, &setup)
-        } else {
-            Vec::new()
-        };
-        RoundJob::sharded(config, RoundSubmissions::Trap(submissions), seed)
-    } else {
-        let setup = derive_setup(&config).expect("derive healed directory");
-        let submissions = if with_submissions {
-            heal_submissions(spec, round, &setup)
-        } else {
-            Vec::new()
-        };
-        RoundJob::new(setup, RoundSubmissions::Trap(submissions), seed)
+    // A sharded member without submissions derives no directory at all.
+    let setup = (!spec.sharded || with_submissions)
+        .then(|| derive_setup(&config).expect("derive healed directory"));
+    let submissions = match &setup {
+        Some(setup) if with_submissions => heal_submissions(spec, round, setup),
+        _ => Vec::new(),
+    };
+    let submissions = RoundSubmissions::Trap(submissions);
+    let mut job = match setup {
+        Some(setup) if !spec.sharded => RoundJob::new(setup, submissions, seed),
+        _ => RoundJob::sharded(config, submissions, seed),
     };
     job.failed_servers = failed;
     job
@@ -395,60 +388,128 @@ pub struct RecoveryOutcome {
     pub wall: Duration,
 }
 
-/// Sends one handshake frame straight to `process`. An error (after the
-/// transport's one reconnect attempt) means the peer vanished; at a
-/// handshake site that error *is* the detection signal.
-fn send_control(
-    transport: &TcpTransport,
-    process: usize,
-    orch: usize,
-    label: &'static str,
-    payload: Vec<u8>,
-) -> Result<(), SendError> {
-    let label = Cow::Borrowed(label);
-    transport.send_to_process(process, orch, orch, label, payload, Dial::IfNeeded)
+/// Binds fleet process `me`'s end of the mesh and connects it to every
+/// peer, with the full-membership owner map.
+fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransport, String> {
+    if spec.trace {
+        atom_obs::set_process(me as u32);
+        atom_obs::set_enabled(true);
+    }
+    let owner = owner_map_excluding(spec.groups, addrs.len(), &[]);
+    let role = if me == 0 { "coordinator" } else { "member" };
+    let transport = TcpTransport::bind(addrs, owner, me, TcpOptions::default())
+        .map_err(|error| format!("bind {role} transport: {error}"))?;
+    transport
+        .connect_peers()
+        .map_err(|error| format!("connect to fleet: {error}"))?;
+    Ok(transport)
 }
 
-/// Pulls every control frame available right now: the engine's control
-/// sink (frames that arrived mid-run) plus the orchestrator mailbox
-/// (frames that arrived between runs). Non-control traffic in the mailbox
-/// is dropped — it is by definition stale protocol residue.
-fn collect_control(
-    transport: &TcpTransport,
-    sink: &ControlSink,
+/// The orchestrator node's control channel: handshake frames out, `rejoin`
+/// frames in — whether they raced into an engine run (the control sink) or
+/// arrived between runs (the mailbox).
+struct Control<'a> {
+    transport: &'a TcpTransport,
     orch: usize,
-    inbox: &mut Vec<Frame>,
-) {
-    inbox.extend(std::mem::take(&mut *sink.lock()));
-    for envelope in Transport::drain(transport, orch) {
-        if let Ok(frame) = wire::decode(&envelope.payload) {
-            if matches!(frame, Frame::Evict(_) | Frame::Rejoin(_)) {
-                inbox.push(frame);
-            }
+    sink: ControlSink,
+    /// Raised by the delivery hook on each arrival at the orchestrator
+    /// mailbox; [`Control::wait`] parks on it.
+    arrived: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl<'a> Control<'a> {
+    fn new(transport: &'a TcpTransport, orch: usize) -> Self {
+        Self {
+            transport,
+            orch,
+            sink: new_control_sink(),
+            arrived: Arc::default(),
         }
     }
-}
 
-/// Purges every mailbox of frames from dead epochs. Safe on the
-/// coordinator once all acks are in (per-connection ordering puts any
-/// member's protocol frames before its ack) and on a member before it
-/// acks; the epoch fence backstops whatever arrives later.
-fn purge_mailboxes(
-    transport: &TcpTransport,
-    sink: &ControlSink,
-    orch: usize,
-    inbox: &mut Vec<Frame>,
-) {
-    collect_control(transport, sink, orch, inbox);
-    for node in 0..Transport::nodes(transport) {
-        if node != orch {
-            let _ = Transport::drain(transport, node);
+    /// Sends one handshake frame straight to `process`. An error (after the
+    /// transport's one reconnect attempt) means the peer vanished; at a
+    /// handshake site that error *is* the detection signal.
+    fn send(&self, process: usize, frame: &[u8], dial: Dial) -> Result<(), SendError> {
+        let (orch, label) = (self.orch, Cow::Borrowed(REJOIN_LABEL));
+        self.transport
+            .send_to_process(process, orch, orch, label, frame.to_vec(), dial)
+    }
+
+    /// Every control frame available right now. Anything else in the
+    /// mailbox is by definition stale protocol residue and dropped.
+    fn sweep(&self) -> Vec<RejoinFrame> {
+        let stashed = std::mem::take(&mut *self.sink.lock());
+        let mail = Transport::drain(self.transport, self.orch);
+        let decoded = mail
+            .iter()
+            .filter_map(|envelope| wire::decode(&envelope.payload).ok());
+        stashed
+            .into_iter()
+            .chain(decoded)
+            .filter_map(|frame| match frame {
+                Frame::Rejoin(frame) => Some(frame),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// [`Control::sweep`], then purges every other mailbox of frames from
+    /// dead epochs. Safe on the coordinator once all acks are in
+    /// (per-connection ordering puts any member's protocol frames before
+    /// its ack) and on a member before it acks; the epoch fence backstops
+    /// whatever arrives later.
+    fn purge(&self) -> Vec<RejoinFrame> {
+        let frames = self.sweep();
+        for node in (0..Transport::nodes(self.transport)).filter(|&node| node != self.orch) {
+            let _ = Transport::drain(self.transport, node);
+        }
+        frames
+    }
+
+    /// Feeds each control frame, in arrival order, to `pick` until a sweep
+    /// yields a pick (its last one wins) or `deadline` passes; between
+    /// sweeps it parks until the delivery hook reports an arrival.
+    fn wait<T>(
+        &self,
+        deadline: Instant,
+        mut pick: impl FnMut(RejoinFrame) -> Option<T>,
+    ) -> Option<T> {
+        // The engine replaces the hook for each run and clears it at the
+        // end, so install ours at every wait — and before the first sweep,
+        // so a frame landing between a sweep and the park still wakes it.
+        let (arrived, orch) = (Arc::clone(&self.arrived), self.orch);
+        let hook: DeliveryHook = Arc::new(move |node| {
+            if node == orch {
+                let (raised, signal) = &*arrived;
+                *raised.lock().unwrap_or_else(|poison| poison.into_inner()) = true;
+                signal.notify_all();
+            }
+        });
+        Transport::set_delivery_hook(self.transport, Some(hook));
+        let (raised, signal) = &*self.arrived;
+        loop {
+            *raised.lock().unwrap_or_else(|poison| poison.into_inner()) = false;
+            let mut picked = None;
+            for frame in self.sweep() {
+                picked = pick(frame).or(picked);
+            }
+            if picked.is_some() {
+                return picked;
+            }
+            let mut up = raised.lock().unwrap_or_else(|poison| poison.into_inner());
+            while !*up {
+                let left = deadline.checked_duration_since(Instant::now())?;
+                let woken = signal.wait_timeout(up, left);
+                up = woken.unwrap_or_else(|poison| poison.into_inner()).0;
+            }
         }
     }
 }
 
 fn engine_options(
     spec: &NetSpec,
+    batch: usize,
     workers: usize,
     sink: &ControlSink,
     epoch: usize,
@@ -471,7 +532,7 @@ fn engine_options(
         options.stragglers = (0..spec.groups).map(|gid| (gid, spec.loris)).collect();
     }
     options.control_sink = Some(sink.clone());
-    options.round_offset = epoch * EPOCH_STRIDE;
+    options.round_offset = epoch * batch;
     options
 }
 
@@ -488,6 +549,320 @@ fn plan_deadline(spec: &NetSpec) -> Duration {
     spec.stall_timeout.max(Duration::from_secs(1)) * 8 + Duration::from_secs(10)
 }
 
+/// Records `frame` if it is a rejoin request from an evicted process.
+fn note_request(pending: &mut BTreeSet<usize>, live: &[bool], frame: &RejoinFrame) {
+    let request = !frame.response && !frame.commit && frame.process < live.len();
+    if request && !live[frame.process] && pending.insert(frame.process) {
+        atom_obs::count("fleet.rejoin.requests", 1);
+        println!(
+            "recovery: process {} requests rejoin (last round {})",
+            frame.process, frame.round
+        );
+    }
+}
+
+/// The coordinator's side of the recovery loop. Each epoch runs four
+/// phases — [`Coordinator::plan`], [`Coordinator::acks`],
+/// [`Coordinator::commit`] and [`Coordinator::run_batch`] — and any of
+/// them may end it early by convicting a process, after which the loop
+/// re-plans from `next` under a fresh epoch.
+struct Coordinator<'a> {
+    spec: &'a NetSpec,
+    batch: usize,
+    workers: usize,
+    on_round: Option<RoundCompleteHook>,
+    control: Control<'a>,
+    num_servers: usize,
+    group_size: usize,
+    ledger: RecoveryLedger,
+    /// Per process: admitted, not evicted. The coordinator always is.
+    live: Vec<bool>,
+    /// Evicted processes that asked back in, readmitted at the next
+    /// successful batch boundary.
+    pending_rejoin: BTreeSet<usize>,
+    evictions: Vec<FaultVerdict>,
+    rejoins: Vec<(usize, usize)>,
+    completions: Arc<Mutex<Vec<(usize, Instant)>>>,
+    detected: Option<Instant>,
+    epoch: usize,
+    /// The lowest round without an authoritative report.
+    next: usize,
+    /// Consecutive failures of the batch that yielded no actionable verdict.
+    stuck: usize,
+    reports: Vec<Option<RoundReport>>,
+    round_evicted: Vec<Vec<usize>>,
+    round_failed: Vec<Vec<usize>>,
+}
+
+impl Coordinator<'_> {
+    fn run(&mut self) -> Result<(), String> {
+        let max_epochs = self.spec.rounds * 3 + 24;
+        while self.next < self.spec.rounds {
+            self.epoch += 1;
+            if self.epoch > max_epochs {
+                return Err(format!(
+                    "recovery made no progress within {max_epochs} epochs"
+                ));
+            }
+            let Some(awaiting) = self.plan()? else {
+                continue;
+            };
+            if !self.acks(&awaiting)? {
+                continue;
+            }
+            if let Some(jobs) = self.commit(&awaiting)? {
+                self.run_batch(jobs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Convicts `verdict.process`, retrying from `next`: capacity check,
+    /// extend the eviction log, mark dead. The next plan carries the
+    /// verdict to the survivors.
+    fn convict(&mut self, verdict: FaultVerdict) -> Result<(), String> {
+        let mut lost: BTreeSet<usize> = self.ledger.active_servers().into_iter().collect();
+        lost.extend(verdict.servers.iter().copied());
+        let left = self.num_servers - lost.len();
+        if left < self.group_size {
+            return Err(format!(
+                "evicting process {} would leave {left} servers, fewer than one group ({})",
+                verdict.process, self.group_size
+            ));
+        }
+        self.detected.get_or_insert_with(Instant::now);
+        atom_obs::count("fleet.evictions", 1);
+        println!(
+            "recovery: evicting process {} ({}) at round {}: {}",
+            verdict.process, verdict.kind, self.next, verdict.reason
+        );
+        self.live[verdict.process] = false;
+        self.ledger.evict(verdict.clone(), self.next);
+        self.evictions.push(verdict);
+        self.stuck = 0;
+        Ok(())
+    }
+
+    /// [`Coordinator::convict`] of a process that went silent or
+    /// unreachable.
+    fn convict_dead(&mut self, process: usize, reason: String) -> Result<(), String> {
+        let servers = process_servers(self.num_servers, self.live.len(), process);
+        self.convict(FaultVerdict {
+            round: self.next,
+            process,
+            kind: FaultKind::Dead,
+            servers,
+            reason,
+        })
+    }
+
+    /// Phase 1: sends the plan — retry round, eviction log, epoch, digest —
+    /// and returns the members whose acks to await, or `None` after
+    /// convicting one that could not be reached.
+    fn plan(&mut self) -> Result<Option<BTreeSet<usize>>, String> {
+        atom_obs::count("fleet.handshake.plans", 1);
+        let plan = self.ledger.handshake(self.next, 0, self.epoch, false);
+        let mut awaiting = BTreeSet::new();
+        for process in 1..self.live.len() {
+            if !self.live[process] {
+                // A convicted process may be gone — or merely slow and still
+                // listening (a slow-loris eviction). Courtesy-copy it the
+                // plan over any still-open stream, without awaiting an ack:
+                // seeing itself on the dead list is what prompts its rejoin
+                // request. Best-effort by design — a crashed peer must not
+                // cost a connect-timeout stall per epoch.
+                let _ = self.control.send(process, &plan, Dial::Never);
+            } else if let Err(error) = self.control.send(process, &plan, Dial::IfNeeded) {
+                let reason = format!("unreachable during handshake: {}", error.error);
+                self.convict_dead(process, reason)?;
+                return Ok(None);
+            } else {
+                awaiting.insert(process);
+            }
+        }
+        Ok(Some(awaiting))
+    }
+
+    /// Phase 2: collects the acks until the ack deadline, noting any rejoin
+    /// request on the way. `false` after convicting the silent members.
+    fn acks(&mut self, awaiting: &BTreeSet<usize>) -> Result<bool, String> {
+        let (epoch, digest) = (self.epoch, self.ledger.digest());
+        let (live, pending) = (&self.live, &mut self.pending_rejoin);
+        let mut acked = BTreeSet::new();
+        let mut diverged = None;
+        if !awaiting.is_empty() {
+            let deadline = Instant::now() + ack_deadline(self.spec);
+            self.control.wait(deadline, |frame| {
+                let ack = !frame.response && !frame.commit && frame.epoch == epoch;
+                if !ack || !awaiting.contains(&frame.process) {
+                    note_request(pending, live, &frame);
+                } else if frame.digest == digest {
+                    acked.insert(frame.process);
+                } else {
+                    diverged = Some(frame.process);
+                }
+                (diverged.is_some() || acked.len() == awaiting.len()).then_some(())
+            });
+        }
+        if let Some(process) = diverged {
+            return Err(format!(
+                "process {process} acked with a divergent eviction-log digest"
+            ));
+        }
+        let silent: Vec<usize> = awaiting.difference(&acked).copied().collect();
+        for &process in &silent {
+            self.convict_dead(process, "no handshake ack".into())?;
+        }
+        Ok(silent.is_empty())
+    }
+
+    /// Phase 3: with all acks in, every member frame of dead epochs has been
+    /// delivered (per-connection ordering) — purge, build the batch's jobs,
+    /// then send the go. Returns the jobs, or `None` after convicting the
+    /// members the go could not reach.
+    fn commit(&mut self, awaiting: &BTreeSet<usize>) -> Result<Option<Vec<RoundJob>>, String> {
+        for frame in self.control.purge() {
+            note_request(&mut self.pending_rejoin, &self.live, &frame);
+        }
+        // Build (and thereby freeze) the batch's jobs *before* committing:
+        // members freeze on receiving the go, so freezing must be part of
+        // the committed protocol on this side too — an epoch abandoned
+        // before its commit must leave no membership frozen anywhere.
+        let end = batch_end(self.next, self.batch, self.spec.rounds);
+        let mut jobs = Vec::new();
+        for round in self.next..end {
+            jobs.push(self.ledger.job_for_round(self.spec, round, true)?);
+            self.round_evicted[round] = self.ledger.evicted_for(round);
+            self.round_failed[round] = self.ledger.failed_for(round);
+        }
+        // Attempt the commit to *every* member before reacting to failures:
+        // members freeze the batch's membership on receiving the go, so all
+        // live members must see it — aborting at the first dead peer would
+        // leave the survivors frozen on an epoch the coordinator abandoned.
+        let go = self.ledger.handshake(self.next, 0, self.epoch, true);
+        let unreachable: Vec<SendError> = awaiting
+            .iter()
+            .filter_map(|&process| self.control.send(process, &go, Dial::IfNeeded).err())
+            .collect();
+        // The epoch committed for everyone reachable (they and we have
+        // frozen these rounds); convict the dead and retry the batch with
+        // their shares marked failed under the frozen membership.
+        for SendError { process, error } in &unreachable {
+            self.convict_dead(*process, format!("unreachable at commit: {error}"))?;
+        }
+        Ok(unreachable.is_empty().then_some(jobs))
+    }
+
+    /// Phase 4: runs the committed batch under the agreed membership and
+    /// epoch fence. Success advances `next` and readmits the pending
+    /// rejoiners at this healed boundary; failure rewinds `next` to the
+    /// lowest failed round and convicts whoever the diagnosis names.
+    fn run_batch(&mut self, jobs: Vec<RoundJob>) -> Result<(), String> {
+        let (transport, processes) = (self.control.transport, self.live.len());
+        let owner = owner_map_excluding(self.spec.groups, processes, &self.ledger.dead_processes());
+        for (node, &process) in owner.iter().enumerate() {
+            transport.set_owner(node, process);
+        }
+        let sink = &self.control.sink;
+        let mut options = engine_options(self.spec, self.batch, self.workers, sink, self.epoch, 0);
+        let (base, tap, user_hook) = (self.next, self.completions.clone(), self.on_round.clone());
+        options.on_round_complete = Some(Arc::new(move |index: usize| {
+            let round = base + index;
+            let mut completions = tap.lock().unwrap_or_else(|poison| poison.into_inner());
+            completions.push((round, Instant::now()));
+            if let Some(hook) = &user_hook {
+                hook(round);
+            }
+        }));
+        let role = EngineRole::coordinator(hosted_groups(&owner, 0));
+        let end = base + jobs.len();
+        let mut failed = None;
+        let results = Engine::new(options).run_rounds_on(jobs, transport, &role);
+        for (round, result) in (base..).zip(results) {
+            match result {
+                Ok(report) => self.reports[round] = Some(report),
+                Err(error) => {
+                    failed.get_or_insert((round, error));
+                }
+            }
+        }
+        let Some((round, error)) = failed else {
+            self.stuck = 0;
+            self.next = end;
+            if end < self.spec.rounds {
+                for process in std::mem::take(&mut self.pending_rejoin) {
+                    // The restarted peer listens on its old address but our
+                    // outbound stream still points at the dead incarnation;
+                    // drop it so the readmission plan reconnects fresh.
+                    transport.reset_peer(process);
+                    self.ledger.readmit(process);
+                    self.live[process] = true;
+                    self.rejoins.push((process, end));
+                    atom_obs::count("fleet.rejoin.readmissions", 1);
+                    println!("recovery: process {process} readmitted from round {end}");
+                }
+            }
+            return Ok(());
+        };
+        self.next = round;
+        let num_servers = self.num_servers;
+        let verdict = FaultVerdict::diagnose(round, &error, &owner, 0, |process| {
+            process_servers(num_servers, processes, process)
+        });
+        match verdict {
+            Some(verdict) if verdict.process != 0 && self.live[verdict.process] => {
+                self.convict(verdict)
+            }
+            _ => {
+                self.stuck += 1;
+                let stuck = self.stuck;
+                if stuck >= MAX_STUCK_RETRIES {
+                    return Err(format!(
+                        "round {round} failed {stuck} times with no actionable verdict: {error:?}"
+                    ));
+                }
+                println!(
+                    "recovery: round {round} failed without a verdict (attempt {stuck}), \
+                     retrying: {error:?}"
+                );
+                Ok(())
+            }
+        }
+    }
+
+    fn outcome(self, start: Instant) -> RecoveryOutcome {
+        let completions = self
+            .completions
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner());
+        let healed: Vec<(usize, Duration)> = match self.detected {
+            Some(detected) => completions
+                .iter()
+                .filter(|(_, at)| *at > detected)
+                .map(|&(round, at)| (round, at - detected))
+                .collect(),
+            None => Vec::new(),
+        };
+        let healed_rounds: BTreeSet<usize> = healed.iter().map(|&(round, _)| round).collect();
+        RecoveryOutcome {
+            reports: self
+                .reports
+                .into_iter()
+                .map(|report| report.expect("every round resolved"))
+                .collect(),
+            evictions: self.evictions,
+            rejoins: self.rejoins,
+            round_evicted: self.round_evicted,
+            round_failed: self.round_failed,
+            epochs: self.epoch,
+            detected_at: self.detected.map(|instant| instant - start),
+            healed_latency: healed.iter().map(|&(_, latency)| latency).min(),
+            healed_rounds: healed_rounds.into_iter().collect(),
+            wall: start.elapsed(),
+        }
+    }
+}
+
 /// Runs the coordinator (process 0) of a self-healing deployment: rounds
 /// in batches of `batch`, the eviction → re-formation → rejoin loop from
 /// the module docs, until every round of the spec has an authoritative
@@ -502,532 +877,45 @@ pub fn run_recovery_coordinator(
 ) -> Result<RecoveryOutcome, String> {
     let processes = addrs.len();
     assert!(processes >= 2, "a fleet needs at least one member");
-    if spec.trace {
-        atom_obs::set_process(0);
-        atom_obs::set_enabled(true);
-    }
     let start = Instant::now();
-    let orch = spec.groups;
+    let transport = join_fleet(spec, addrs, 0)?;
     let config = round_config(spec, 0);
-    let (num_servers, group_size) = (config.num_servers, config.group_size);
-
-    let transport = TcpTransport::bind(
-        addrs,
-        owner_map_excluding(spec.groups, processes, &[]),
-        0,
-        TcpOptions::default(),
-    )
-    .map_err(|error| format!("bind coordinator transport: {error}"))?;
-    transport
-        .connect_peers()
-        .map_err(|error| format!("connect to fleet: {error}"))?;
-
-    let sink = new_control_sink();
-    let completions: Arc<Mutex<Vec<(usize, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut inbox: Vec<Frame> = Vec::new();
-    let mut ledger = RecoveryLedger::default();
-    let mut live = vec![true; processes];
-    let mut pending_rejoin: BTreeSet<usize> = BTreeSet::new();
-    let mut reports: Vec<Option<RoundReport>> = (0..spec.rounds).map(|_| None).collect();
-    let mut round_evicted = vec![Vec::new(); spec.rounds];
-    let mut round_failed = vec![Vec::new(); spec.rounds];
-    let mut evictions: Vec<FaultVerdict> = Vec::new();
-    let mut rejoins: Vec<(usize, usize)> = Vec::new();
-    let mut detected_instant: Option<Instant> = None;
-    let mut next = 0usize;
-    let mut epoch = 0usize;
-    let mut stuck = 0usize;
-    let max_epochs = spec.rounds * 3 + 24;
-
-    // Convicts a process: capacity check, gossip the verdict to survivors
-    // in an `evict` frame, extend the log, mark dead.
-    let convict = |verdict: FaultVerdict,
-                   retry_round: usize,
-                   transport: &TcpTransport,
-                   ledger: &mut RecoveryLedger,
-                   live: &mut [bool],
-                   evictions: &mut Vec<FaultVerdict>,
-                   detected_instant: &mut Option<Instant>|
-     -> Result<(), String> {
-        let mut lost: BTreeSet<usize> = ledger.active_servers().into_iter().collect();
-        lost.extend(verdict.servers.iter().copied());
-        if num_servers - lost.len() < group_size {
-            return Err(format!(
-                "evicting process {} would leave {} servers, fewer than one group ({group_size})",
-                verdict.process,
-                num_servers - lost.len()
-            ));
-        }
-        detected_instant.get_or_insert_with(Instant::now);
-        atom_obs::count("fleet.evictions", 1);
-        println!(
-            "recovery: evicting process {} ({}) at round {}: {}",
-            verdict.process, verdict.kind, retry_round, verdict.reason
-        );
-        let frame = wire::encode_evict(&EvictFrame {
-            verdict: verdict.clone(),
-        });
-        live[verdict.process] = false;
-        for (process, alive) in live.iter().enumerate().skip(1) {
-            if *alive {
-                let _ = send_control(transport, process, orch, EVICT_LABEL, frame.clone());
-            }
-        }
-        ledger.evict(verdict.clone(), retry_round);
-        evictions.push(verdict);
-        Ok(())
+    let mut fleet = Coordinator {
+        spec,
+        batch,
+        workers,
+        on_round,
+        control: Control::new(&transport, spec.groups),
+        num_servers: config.num_servers,
+        group_size: config.group_size,
+        ledger: RecoveryLedger::default(),
+        live: vec![true; processes],
+        pending_rejoin: BTreeSet::new(),
+        evictions: Vec::new(),
+        rejoins: Vec::new(),
+        completions: Arc::default(),
+        detected: None,
+        epoch: 0,
+        next: 0,
+        stuck: 0,
+        reports: (0..spec.rounds).map(|_| None).collect(),
+        round_evicted: vec![Vec::new(); spec.rounds],
+        round_failed: vec![Vec::new(); spec.rounds],
     };
-
-    let run: Result<(), String> = 'epochs: loop {
-        if next >= spec.rounds {
-            break Ok(());
-        }
-        epoch += 1;
-        if epoch > max_epochs {
-            break Err(format!(
-                "recovery made no progress within {max_epochs} epochs"
-            ));
-        }
-        let end = batch_end(next, batch, spec.rounds);
-
-        // Phase 1: the plan — retry round, eviction log, epoch, digest.
-        let plan = RejoinFrame {
-            round: next,
-            process: 0,
-            epoch,
-            response: true,
-            commit: false,
-            digest: ledger.digest(),
-            evictions: ledger.active().to_vec(),
-        };
-        atom_obs::count("fleet.handshake.plans", 1);
-        let mut awaiting: BTreeSet<usize> = BTreeSet::new();
-        for process in 1..processes {
-            if !live[process] {
-                // A convicted process may be gone — or merely slow and still
-                // listening (a slow-loris eviction). Courtesy-copy it the
-                // plan over any still-open stream, without awaiting an ack:
-                // seeing itself on the dead list is what prompts its rejoin
-                // request. Best-effort by design — a crashed peer must not
-                // cost a connect-timeout stall per epoch.
-                let _ = transport.send_to_process(
-                    process,
-                    orch,
-                    orch,
-                    Cow::Borrowed(REJOIN_LABEL),
-                    wire::encode_rejoin(&plan),
-                    Dial::Never,
-                );
-                continue;
-            }
-            match send_control(
-                &transport,
-                process,
-                orch,
-                REJOIN_LABEL,
-                wire::encode_rejoin(&plan),
-            ) {
-                Ok(()) => {
-                    awaiting.insert(process);
-                }
-                Err(SendError { process, error }) => {
-                    let verdict = FaultVerdict {
-                        round: next,
-                        process,
-                        kind: FaultKind::Dead,
-                        servers: process_servers(num_servers, processes, process),
-                        reason: format!("unreachable during handshake: {error}"),
-                    };
-                    if let Err(error) = convict(
-                        verdict,
-                        next,
-                        &transport,
-                        &mut ledger,
-                        &mut live,
-                        &mut evictions,
-                        &mut detected_instant,
-                    ) {
-                        break 'epochs Err(error);
-                    }
-                    stuck = 0;
-                    continue 'epochs;
-                }
-            }
-        }
-
-        // Collect acks; anything else that shows up is a rejoin request.
-        let deadline = Instant::now() + ack_deadline(spec);
-        let mut acked: BTreeSet<usize> = BTreeSet::new();
-        while acked.len() < awaiting.len() {
-            collect_control(&transport, &sink, orch, &mut inbox);
-            for frame in inbox.drain(..) {
-                let Frame::Rejoin(frame) = frame else {
-                    continue;
-                };
-                if frame.response || frame.commit || frame.process >= processes {
-                    continue;
-                }
-                if awaiting.contains(&frame.process) && frame.epoch == epoch {
-                    if frame.digest != plan.digest {
-                        break 'epochs Err(format!(
-                            "process {} acked with a divergent eviction-log digest",
-                            frame.process
-                        ));
-                    }
-                    acked.insert(frame.process);
-                } else if !live[frame.process] && pending_rejoin.insert(frame.process) {
-                    atom_obs::count("fleet.rejoin.requests", 1);
-                    println!(
-                        "recovery: process {} requests rejoin (last round {})",
-                        frame.process, frame.round
-                    );
-                }
-            }
-            if Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(CONTROL_POLL);
-        }
-        let silent: Vec<usize> = awaiting.difference(&acked).copied().collect();
-        if !silent.is_empty() {
-            for process in silent {
-                let verdict = FaultVerdict {
-                    round: next,
-                    process,
-                    kind: FaultKind::Dead,
-                    servers: process_servers(num_servers, processes, process),
-                    reason: "no handshake ack".into(),
-                };
-                if let Err(error) = convict(
-                    verdict,
-                    next,
-                    &transport,
-                    &mut ledger,
-                    &mut live,
-                    &mut evictions,
-                    &mut detected_instant,
-                ) {
-                    break 'epochs Err(error);
-                }
-            }
-            stuck = 0;
-            continue 'epochs;
-        }
-
-        // Barrier: with all acks in, every member frame of dead epochs has
-        // been delivered (per-connection ordering) — purge, then commit.
-        purge_mailboxes(&transport, &sink, orch, &mut inbox);
-        inbox.retain(|frame| matches!(frame, Frame::Rejoin(f) if !f.response && !f.commit));
-        for frame in inbox.drain(..) {
-            if let Frame::Rejoin(frame) = frame {
-                if frame.process < processes
-                    && !live[frame.process]
-                    && pending_rejoin.insert(frame.process)
-                {
-                    atom_obs::count("fleet.rejoin.requests", 1);
-                }
-            }
-        }
-        // Build (and thereby freeze) the batch's jobs *before* committing:
-        // members freeze on receiving the go, so freezing must be part of
-        // the committed protocol on this side too — an epoch abandoned
-        // before its commit must leave no membership frozen anywhere.
-        let dead = ledger.dead_processes();
-        let owner = owner_map_excluding(spec.groups, processes, &dead);
-        let mut jobs = Vec::new();
-        for round in next..end {
-            match ledger.job_for_round(spec, round, true) {
-                Ok(job) => {
-                    round_evicted[round] = ledger.evicted_for(round);
-                    round_failed[round] = ledger.failed_for(round);
-                    jobs.push(job);
-                }
-                Err(error) => break 'epochs Err(error),
-            }
-        }
-        let go = RejoinFrame {
-            commit: true,
-            ..plan.clone()
-        };
-        // Attempt the commit to *every* member before reacting to failures:
-        // members freeze the batch's membership on receiving the go, so all
-        // live members must see it — aborting at the first dead peer would
-        // leave the survivors frozen on an epoch the coordinator abandoned.
-        let unreachable: Vec<SendError> = awaiting
-            .iter()
-            .filter_map(|&process| {
-                let go = wire::encode_rejoin(&go);
-                send_control(&transport, process, orch, REJOIN_LABEL, go).err()
-            })
-            .collect();
-        if !unreachable.is_empty() {
-            // The epoch committed for everyone reachable (they and we have
-            // frozen these rounds); convict the dead and retry the batch
-            // with their shares marked failed under the frozen membership.
-            for SendError { process, error } in unreachable {
-                let verdict = FaultVerdict {
-                    round: next,
-                    process,
-                    kind: FaultKind::Dead,
-                    servers: process_servers(num_servers, processes, process),
-                    reason: format!("unreachable at commit: {error}"),
-                };
-                if let Err(error) = convict(
-                    verdict,
-                    next,
-                    &transport,
-                    &mut ledger,
-                    &mut live,
-                    &mut evictions,
-                    &mut detected_instant,
-                ) {
-                    break 'epochs Err(error);
-                }
-            }
-            stuck = 0;
-            continue 'epochs;
-        }
-
-        // Run the batch under the agreed membership and epoch fence.
-        for (node, &process) in owner.iter().enumerate() {
-            transport.set_owner(node, process);
-        }
-        let role = EngineRole::coordinator(hosted_groups(&owner, 0));
-        let mut options = engine_options(spec, workers, &sink, epoch, 0);
-        let base = next;
-        let completion_tap = completions.clone();
-        let user_hook = on_round.clone();
-        options.on_round_complete = Some(Arc::new(move |index: usize| {
-            let global = base + index;
-            completion_tap
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .push((global, Instant::now()));
-            if let Some(hook) = &user_hook {
-                hook(global);
-            }
-        }));
-        let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
-
-        let mut failed: Option<(usize, atom_core::error::AtomError)> = None;
-        for (index, result) in results.into_iter().enumerate() {
-            let global = next + index;
-            match result {
-                Ok(report) => reports[global] = Some(report),
-                Err(error) => {
-                    if failed.as_ref().map(|(r, _)| global < *r).unwrap_or(true) {
-                        failed = Some((global, error));
-                    }
-                }
-            }
-        }
-        let Some((failed_round, error)) = failed else {
-            // Batch done: advance, and readmit at this healed boundary.
-            stuck = 0;
-            next = end;
-            if next < spec.rounds {
-                for process in std::mem::take(&mut pending_rejoin) {
-                    // The restarted peer listens on its old address but our
-                    // outbound stream still points at the dead incarnation;
-                    // drop it so the readmission plan reconnects fresh.
-                    transport.reset_peer(process);
-                    ledger.readmit(process);
-                    live[process] = true;
-                    rejoins.push((process, next));
-                    atom_obs::count("fleet.rejoin.readmissions", 1);
-                    println!("recovery: process {process} readmitted from round {next}");
-                }
-            }
-            continue 'epochs;
-        };
-
-        // Failure: everything below `failed_round` completed; diagnose it
-        // and retry from there.
-        next = failed_round;
-        let verdict = FaultVerdict::diagnose(failed_round, &error, &owner, 0, |process| {
-            process_servers(num_servers, processes, process)
-        });
-        match verdict {
-            Some(verdict) if verdict.process != 0 && live[verdict.process] => {
-                if let Err(error) = convict(
-                    verdict,
-                    failed_round,
-                    &transport,
-                    &mut ledger,
-                    &mut live,
-                    &mut evictions,
-                    &mut detected_instant,
-                ) {
-                    break 'epochs Err(error);
-                }
-                stuck = 0;
-            }
-            _ => {
-                stuck += 1;
-                if stuck >= MAX_STUCK_RETRIES {
-                    break 'epochs Err(format!(
-                        "round {failed_round} failed {stuck} times with no actionable verdict: \
-                         {error:?}"
-                    ));
-                }
-                println!(
-                    "recovery: round {failed_round} failed without a verdict (attempt {stuck}), \
-                     retrying: {error:?}"
-                );
-            }
-        }
-    };
+    let run = fleet.run();
 
     // Tell everyone — members, and any rejoiner still waiting — that the
     // run is over (round == spec.rounds is the done sentinel), whether we
     // succeeded or gave up.
-    let done = RejoinFrame {
-        round: spec.rounds,
-        process: 0,
-        epoch: epoch + 1,
-        response: true,
-        commit: false,
-        digest: ledger.digest(),
-        evictions: ledger.active().to_vec(),
-    };
+    let done = fleet
+        .ledger
+        .handshake(spec.rounds, 0, fleet.epoch + 1, false);
     for process in 1..processes {
-        let _ = send_control(
-            &transport,
-            process,
-            orch,
-            REJOIN_LABEL,
-            wire::encode_rejoin(&done),
-        );
+        let _ = fleet.control.send(process, &done, Dial::IfNeeded);
     }
     transport.shutdown();
     run?;
-
-    let reports: Vec<RoundReport> = reports
-        .into_iter()
-        .map(|report| report.expect("every round resolved"))
-        .collect();
-    let completions = completions
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    let detected_at = detected_instant.map(|instant| instant - start);
-    let healed_latency = detected_instant.and_then(|detected| {
-        completions
-            .iter()
-            .filter(|(_, at)| *at > detected)
-            .map(|(_, at)| *at - detected)
-            .min()
-    });
-    let mut healed_rounds: Vec<usize> = detected_instant
-        .map(|detected| {
-            completions
-                .iter()
-                .filter(|(_, at)| *at > detected)
-                .map(|(round, _)| *round)
-                .collect::<BTreeSet<usize>>()
-                .into_iter()
-                .collect()
-        })
-        .unwrap_or_default();
-    healed_rounds.dedup();
-    Ok(RecoveryOutcome {
-        reports,
-        evictions,
-        rejoins,
-        round_evicted,
-        round_failed,
-        epochs: epoch,
-        detected_at,
-        healed_latency,
-        healed_rounds,
-        wall: start.elapsed(),
-    })
-}
-
-enum GoOrPlan {
-    Go,
-    Plan(RejoinFrame),
-}
-
-fn wait_for_plan(
-    transport: &TcpTransport,
-    sink: &ControlSink,
-    orch: usize,
-    after_epoch: usize,
-    deadline: Instant,
-    inbox: &mut Vec<Frame>,
-) -> Result<RejoinFrame, String> {
-    loop {
-        let mut best: Option<RejoinFrame> = None;
-        inbox.retain(|frame| match frame {
-            Frame::Evict(_) => {
-                atom_obs::count("fleet.evict.gossip_received", 1);
-                false
-            }
-            Frame::Rejoin(frame) if frame.response && !frame.commit => {
-                if frame.epoch > after_epoch
-                    && best.as_ref().map(|b| frame.epoch > b.epoch).unwrap_or(true)
-                {
-                    best = Some(frame.clone());
-                }
-                false
-            }
-            Frame::Rejoin(_) => false,
-            _ => false,
-        });
-        if let Some(plan) = best {
-            return Ok(plan);
-        }
-        if Instant::now() > deadline {
-            return Err("no plan from the coordinator before the deadline".into());
-        }
-        collect_control(transport, sink, orch, inbox);
-        if inbox.is_empty() {
-            std::thread::sleep(CONTROL_POLL);
-        }
-    }
-}
-
-fn wait_for_go(
-    transport: &TcpTransport,
-    sink: &ControlSink,
-    orch: usize,
-    epoch: usize,
-    deadline: Instant,
-    inbox: &mut Vec<Frame>,
-) -> Result<GoOrPlan, String> {
-    loop {
-        let mut outcome: Option<GoOrPlan> = None;
-        inbox.retain(|frame| match frame {
-            Frame::Evict(_) => {
-                atom_obs::count("fleet.evict.gossip_received", 1);
-                false
-            }
-            Frame::Rejoin(frame) if frame.response && frame.commit && frame.epoch == epoch => {
-                if outcome.is_none() {
-                    outcome = Some(GoOrPlan::Go);
-                }
-                false
-            }
-            Frame::Rejoin(frame) if frame.response && !frame.commit && frame.epoch > epoch => {
-                // The coordinator re-planned underneath us (another member
-                // died between our ack and its commit).
-                outcome = Some(GoOrPlan::Plan(frame.clone()));
-                false
-            }
-            Frame::Rejoin(_) => false,
-            _ => false,
-        });
-        if let Some(outcome) = outcome {
-            return Ok(outcome);
-        }
-        if Instant::now() > deadline {
-            return Err(format!("no commit for epoch {epoch} before the deadline"));
-        }
-        collect_control(transport, sink, orch, inbox);
-        if inbox.is_empty() {
-            std::thread::sleep(CONTROL_POLL);
-        }
-    }
+    Ok(fleet.outcome(start))
 }
 
 /// Runs a member (process `index > 0`) of a self-healing deployment: waits
@@ -1048,182 +936,120 @@ pub fn run_healing_member(
 ) -> Result<(), String> {
     let processes = addrs.len();
     assert!(index > 0 && index < processes, "member index out of range");
-    if spec.trace {
-        atom_obs::set_process(index as u32);
-        atom_obs::set_enabled(true);
-    }
-    let orch = spec.groups;
-    let transport = TcpTransport::bind(
-        addrs,
-        owner_map_excluding(spec.groups, processes, &[]),
-        index,
-        TcpOptions::default(),
-    )
-    .map_err(|error| format!("bind member transport: {error}"))?;
-    transport
-        .connect_peers()
-        .map_err(|error| format!("connect to fleet: {error}"))?;
+    let transport = join_fleet(spec, addrs, index)?;
     on_ready();
+    let control = Control::new(&transport, spec.groups);
+    let result = member_loop(spec, batch, &control, (index, processes), workers, rejoin);
+    transport.shutdown();
+    result
+}
 
-    let sink = new_control_sink();
-    let mut inbox: Vec<Frame> = Vec::new();
+/// The member's side of the recovery loop, one control frame at a time:
+/// a plan is mirrored and acked, the go of the acked plan runs its batch.
+fn member_loop(
+    spec: &NetSpec,
+    batch: usize,
+    control: &Control,
+    (index, processes): (usize, usize),
+    workers: usize,
+    rejoin: bool,
+) -> Result<(), String> {
+    let transport = control.transport;
     let mut ledger = RecoveryLedger::default();
-    let mut epoch = 0usize;
-    let mut requested_rejoin = false;
-    if rejoin {
-        atom_obs::count("fleet.rejoin.handshakes", 1);
-        let request = RejoinFrame {
-            round: 0,
-            process: index,
-            epoch: 0,
-            response: false,
-            commit: false,
-            digest: ledger.digest(),
-            evictions: Vec::new(),
-        };
-        send_control(
-            &transport,
-            0,
-            orch,
-            REJOIN_LABEL,
-            wire::encode_rejoin(&request),
-        )
-        .map_err(|error| format!("rejoin request failed: {error}"))?;
-        requested_rejoin = true;
-    }
-
-    let mut carried: Option<RejoinFrame> = None;
+    let (mut round, mut epoch) = (0, 0);
+    // `outside`: not admitted (a restart, or on the last plan's dead list).
+    let (mut outside, mut requested) = (rejoin, false);
+    // The hosted groups of the plan acked but not yet committed.
+    let mut acked: Option<Vec<usize>> = None;
     let mut known_dead: Vec<usize> = Vec::new();
-    let result: Result<(), String> = loop {
-        let plan = match carried.take() {
-            Some(plan) => plan,
-            None => {
-                let deadline = Instant::now() + plan_deadline(spec);
-                match wait_for_plan(&transport, &sink, orch, epoch, deadline, &mut inbox) {
-                    Ok(plan) => plan,
-                    Err(error) => break Err(error),
-                }
-            }
-        };
-        if plan.round >= spec.rounds {
-            break Ok(());
+    loop {
+        if outside && !requested {
+            // Ask back in, once per eviction, and wait for a plan that
+            // readmits us.
+            atom_obs::count("fleet.rejoin.handshakes", 1);
+            let request = ledger.handshake(round, index, 0, false);
+            control
+                .send(0, &request, Dial::IfNeeded)
+                .map_err(|error| format!("rejoin request failed: {error}"))?;
+            requested = true;
         }
-        epoch = plan.epoch;
-        ledger.apply_plan(&plan.evictions, plan.round);
-        if ledger.digest() != plan.digest {
-            break Err("eviction-log digest diverged from the coordinator".into());
+        // The next plan, or the go of the acked one. A newer plan supersedes
+        // an acked one: the coordinator re-planned underneath us (another
+        // member died between our ack and its commit).
+        let deadline = Instant::now() + plan_deadline(spec);
+        let mut newest = epoch;
+        let frame = control.wait(deadline, |frame| {
+            let go = frame.commit && frame.epoch == epoch && acked.is_some();
+            let plan = !frame.commit && frame.epoch > newest;
+            if frame.response && plan {
+                newest = frame.epoch;
+            }
+            (frame.response && (go || plan)).then_some(frame)
+        });
+        let frame = frame.ok_or_else(|| match acked {
+            Some(_) => format!("no commit for epoch {epoch} before the deadline"),
+            None => "no plan from the coordinator before the deadline".into(),
+        })?;
+        if let (true, Some(hosted)) = (frame.commit, acked.take()) {
+            // Build (and freeze) the batch only now that the epoch
+            // committed: a plan abandoned before its go must leave nothing
+            // frozen, or a later retry of the same rounds would heal them
+            // under a membership the coordinator never agreed to.
+            let end = batch_end(round, batch, spec.rounds);
+            let jobs = (round..end)
+                .map(|round| ledger.job_for_round(spec, round, !spec.sharded))
+                .collect::<Result<Vec<_>, _>>()?;
+            let options = engine_options(spec, batch, workers, &control.sink, epoch, index);
+            let total = jobs.len();
+            let role = EngineRole::member(hosted);
+            let results = Engine::new(options).run_rounds_on(jobs, transport, &role);
+            let resolved = results.iter().filter(|result| result.is_ok()).count();
+            // Failures here are expected during churn — the coordinator owns
+            // the diagnosis; we just report in and wait for the next plan.
+            println!(
+                "healing member {index}: epoch {epoch} rounds {round}..{end} → {resolved}/{total} resolved"
+            );
+            continue;
+        }
+        if frame.round >= spec.rounds {
+            return Ok(());
+        }
+        (round, epoch) = (frame.round, frame.epoch);
+        ledger.apply_plan(&frame.evictions, round);
+        if ledger.digest() != frame.digest {
+            return Err("eviction-log digest diverged from the coordinator".into());
         }
         // A process that left the dead list was readmitted after a restart:
         // our outbound stream still points at its dead incarnation, so drop
         // it before this epoch's mixing frames are lost into it.
-        let now_dead = ledger.dead_processes();
+        let dead = ledger.dead_processes();
         for &process in &known_dead {
-            if !now_dead.contains(&process) && process != index {
+            if !dead.contains(&process) && process != index {
                 transport.reset_peer(process);
             }
         }
-        known_dead = now_dead;
-        if ledger.dead_processes().contains(&index) {
-            // We are on the plan's dead list (evicted while alive, e.g.
-            // convicted as slow). Ask back in once and wait for a plan
-            // that readmits us.
-            if !requested_rejoin {
-                atom_obs::count("fleet.rejoin.handshakes", 1);
-                let request = RejoinFrame {
-                    round: plan.round,
-                    process: index,
-                    epoch: 0,
-                    response: false,
-                    commit: false,
-                    digest: ledger.digest(),
-                    evictions: Vec::new(),
-                };
-                if let Err(error) = send_control(
-                    &transport,
-                    0,
-                    orch,
-                    REJOIN_LABEL,
-                    wire::encode_rejoin(&request),
-                ) {
-                    break Err(format!("rejoin request failed: {error}"));
-                }
-                requested_rejoin = true;
-            }
+        outside = dead.contains(&index);
+        known_dead = dead;
+        if outside {
             continue;
         }
-        requested_rejoin = false;
+        requested = false;
 
-        // Mirror the agreed membership.
-        let dead = ledger.dead_processes();
-        let owner = owner_map_excluding(spec.groups, processes, &dead);
+        // Mirror the agreed membership, purge dead-epoch residue *before*
+        // acking (new-epoch frames can only be sent after the coordinator
+        // has our ack), then ack.
+        let owner = owner_map_excluding(spec.groups, processes, &known_dead);
         for (node, &process) in owner.iter().enumerate() {
             transport.set_owner(node, process);
         }
-        let hosted = hosted_groups(&owner, index);
-        let end = batch_end(plan.round, batch, spec.rounds);
-
-        // Purge dead-epoch residue *before* acking: new-epoch frames can
-        // only be sent after the coordinator has our ack.
-        purge_mailboxes(&transport, &sink, orch, &mut inbox);
-        inbox.clear();
-        let ack = RejoinFrame {
-            round: plan.round,
-            process: index,
-            epoch,
-            response: false,
-            commit: false,
-            digest: ledger.digest(),
-            evictions: Vec::new(),
-        };
+        let _ = control.purge();
         atom_obs::count("fleet.handshake.acks", 1);
-        if let Err(error) =
-            send_control(&transport, 0, orch, REJOIN_LABEL, wire::encode_rejoin(&ack))
-        {
-            break Err(format!("coordinator unreachable at ack: {error}"));
-        }
-        let deadline = Instant::now() + plan_deadline(spec);
-        match wait_for_go(&transport, &sink, orch, epoch, deadline, &mut inbox) {
-            Ok(GoOrPlan::Plan(newer)) => {
-                carried = Some(newer);
-                continue;
-            }
-            Ok(GoOrPlan::Go) => {}
-            Err(error) => break Err(error),
-        }
-
-        // Build (and freeze) the batch only now that the epoch committed:
-        // a plan abandoned before its go must leave nothing frozen, or a
-        // later retry of the same rounds would heal them under a membership
-        // the coordinator never agreed to.
-        let mut jobs = Vec::new();
-        let mut build_error = None;
-        for round in plan.round..end {
-            match ledger.job_for_round(spec, round, !spec.sharded) {
-                Ok(job) => jobs.push(job),
-                Err(error) => {
-                    build_error = Some(error);
-                    break;
-                }
-            }
-        }
-        if let Some(error) = build_error {
-            break Err(error);
-        }
-
-        let options = engine_options(spec, workers, &sink, epoch, index);
-        let role = EngineRole::member(hosted);
-        let total = jobs.len();
-        let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
-        let resolved = results.iter().filter(|result| result.is_ok()).count();
-        // Failures here are expected during churn — the coordinator owns
-        // the diagnosis; we just report in and wait for the next plan.
-        println!(
-            "healing member {index}: epoch {epoch} rounds {}..{end} → {resolved}/{total} resolved",
-            plan.round
-        );
-    };
-    transport.shutdown();
-    result
+        let ack = ledger.handshake(round, index, epoch, false);
+        control
+            .send(0, &ack, Dial::IfNeeded)
+            .map_err(|error| format!("coordinator unreachable at ack: {error}"))?;
+        acked = Some(hosted_groups(&owner, index));
+    }
 }
 
 #[cfg(test)]
@@ -1377,7 +1203,7 @@ mod tests {
 
     /// The whole tentpole in one process: a three-"process" fleet (threads
     /// with real TCP transports) loses member 2 between batches, the
-    /// coordinator convicts it on the handshake timeout and gossips the
+    /// coordinator convicts it on the handshake timeout and re-plans with the
     /// verdict, the survivors re-form its groups and keep delivering, a
     /// restarted member 2 rejoins on the same address mid-run — and the
     /// final outputs are byte-identical to an in-memory rebuild from the
@@ -1618,5 +1444,89 @@ mod tests {
                 .sum::<usize>(),
             spec.rounds * spec.messages
         );
+    }
+
+    /// A batch-1 run opens an epoch per round, so a long run reaches epoch
+    /// 4,096 near round 4k: the fence `heal` builds for it must still fit
+    /// the frames' u32 round field and deliver.
+    #[test]
+    fn epoch_fence_fits_the_wire_past_epoch_4096() {
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 1,
+            messages: 6,
+            honest: 2,
+            ..NetSpec::default()
+        };
+        let job = RecoveryLedger::default()
+            .job_for_round(&spec, 0, true)
+            .unwrap();
+        let options = engine_options(&spec, 1, 2, &new_control_sink(), 4_096, 0);
+        let report = Engine::new(options).run_rounds(vec![job]).pop().unwrap();
+        let report = report.expect("epoch 4,096 delivers");
+        assert_eq!(report.output.plaintexts.len(), spec.messages);
+    }
+
+    /// A seeded walk over the coordinator's ledger calls — batch builds,
+    /// convictions at the retry round, readmissions at a healed boundary —
+    /// with a member mirroring every plan through `apply_plan`: both sides
+    /// build the same job for every committed round.
+    #[test]
+    fn ledger_mirror_agrees_over_a_seeded_walk() {
+        use rand::Rng;
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 10_000,
+            messages: 6,
+            honest: 2,
+            ..NetSpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0x1ED6E4);
+        let mut coordinator = RecoveryLedger::default();
+        let mut member = RecoveryLedger::default();
+        // `next` is the round the next plan starts at; `healed` whether a
+        // batch just succeeded there — the only place readmission happens.
+        let (mut next, mut healed) = (0, true);
+        let (mut commits, mut evictions, mut readmissions) = (0, 0, 0);
+        for step in 0..200 {
+            match rng.gen_range(0..4) {
+                0 => {
+                    let process = rng.gen_range(1..3);
+                    if !coordinator.dead_processes().contains(&process) {
+                        let servers = process_servers(9, 3, process);
+                        coordinator.evict(verdict(process, servers, next), next);
+                        (healed, evictions) = (false, evictions + 1);
+                    }
+                }
+                1 if healed => {
+                    if let Some(&process) = coordinator.dead_processes().first() {
+                        coordinator.readmit(process);
+                        readmissions += 1;
+                    }
+                }
+                _ => {
+                    member.apply_plan(coordinator.active(), next);
+                    assert_eq!(member.digest(), coordinator.digest(), "step {step}");
+                    let end = batch_end(next, 3, spec.rounds);
+                    for round in next..end {
+                        let ours = coordinator.job_for_round(&spec, round, false);
+                        let theirs = member.job_for_round(&spec, round, false);
+                        assert_eq!(
+                            ours.map(|job| job_fingerprint(&job)),
+                            theirs.map(|job| job_fingerprint(&job)),
+                            "step {step}, round {round}"
+                        );
+                    }
+                    // The batch completes, or fails from some round on.
+                    (next, healed) = if rng.gen_bool(0.5) {
+                        (end, true)
+                    } else {
+                        (rng.gen_range(next..end), false)
+                    };
+                    commits += 1;
+                }
+            }
+        }
+        assert!(commits > 50 && evictions > 10 && readmissions > 3);
     }
 }

@@ -88,9 +88,6 @@ pub const SETUP_LABEL: &str = "atom/setup";
 /// never able to alter a round's protocol output.
 pub const TELEMETRY_LABEL: &str = "atom/telemetry";
 
-/// Envelope label of eviction verdicts (coordinator → members).
-pub const EVICT_LABEL: &str = "atom/evict";
-
 /// Envelope label of rejoin/catch-up handshake frames.
 pub const REJOIN_LABEL: &str = "atom/rejoin";
 
@@ -141,7 +138,7 @@ pub struct EngineOptions {
     /// Where `evict`/`rejoin` frames that race into an *active* engine run
     /// are stashed. Membership control is an orchestration-layer concern
     /// that happens *between* engine runs; a control frame arriving mid-run
-    /// (e.g. an eviction broadcast overtaking a member's own stall
+    /// (e.g. the coordinator's next plan overtaking a member's own stall
     /// detection) must neither fail a round as malformed traffic nor be
     /// silently eaten. With no sink configured such frames are counted and
     /// dropped.

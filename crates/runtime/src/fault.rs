@@ -5,10 +5,10 @@
 //! still waiting on, or the peer a send could not reach). This module turns
 //! that raw evidence into a [`FaultVerdict`] — which *process* is at fault,
 //! which *servers* that process hosted, and how confident the diagnosis is
-//! — which the coordinator gossips in an `evict` wire frame
-//! ([`crate::wire::EvictFrame`]) so every surviving process applies the
-//! identical membership change and the healed directory stays a pure
-//! function of `(config, eviction log)`.
+//! — which the coordinator appends to the eviction log its next plan
+//! carries (each verdict in the [`crate::wire::EvictFrame`] encoding), so
+//! every surviving process applies the identical membership change and the
+//! healed directory stays a pure function of `(config, eviction log)`.
 
 use atom_core::error::{AtomError, EngineErrorKind};
 

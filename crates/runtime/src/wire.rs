@@ -168,11 +168,11 @@ pub struct TelemetryFrame {
 }
 
 /// A decoded evict frame: the coordinator's fault verdict for a dead or
-/// misbehaving process, gossiped to every surviving member so all of them
-/// apply the identical membership change before the healed rounds run.
+/// misbehaving process. This is the verdict encoding the eviction-log
+/// digest hashes; verdicts reach members inside `rejoin` plans.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EvictFrame {
-    /// The verdict being gossiped; its `round` field doubles as the frame's
+    /// The encoded verdict; its `round` field doubles as the frame's
     /// round header (the detection round).
     pub verdict: FaultVerdict,
 }

@@ -13,8 +13,9 @@ use std::path::Path;
 
 use common::rust_files;
 
-/// The count when this ratchet was added; simulated time is meant to lower it.
-const MAX_SLEEPS: usize = 14;
+/// The count when the bound was last lowered; simulated time is meant to
+/// lower it further.
+const MAX_SLEEPS: usize = 11;
 
 #[test]
 fn thread_sleep_count_does_not_grow() {
