@@ -126,9 +126,6 @@ fn parse_args() -> Args {
                 args.spec.iterations = num("--iterations", grab("--iterations")) as usize
             }
             "--seed" => args.spec.seed = num("--seed", grab("--seed")),
-            "--delay-ms" => {
-                args.spec.delay = Duration::from_millis(num("--delay-ms", grab("--delay-ms")))
-            }
             "--workers" => args.workers = num("--workers", grab("--workers")) as usize,
             "--sharded" => args.spec.sharded = true,
             "--stall-timeout-ms" => {

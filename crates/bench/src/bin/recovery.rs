@@ -52,7 +52,6 @@ fn parse_args() -> Args {
             messages: 12,
             iterations: 2,
             seed: 0x4EA1_BEAC,
-            delay: Duration::from_millis(25),
             sharded: false,
             stall_timeout: Duration::from_secs(2),
             trace: false,
@@ -85,9 +84,6 @@ fn parse_args() -> Args {
                 args.spec.iterations = num("--iterations", grab("--iterations")) as usize
             }
             "--seed" => args.spec.seed = num("--seed", grab("--seed")),
-            "--delay-ms" => {
-                args.spec.delay = Duration::from_millis(num("--delay-ms", grab("--delay-ms")))
-            }
             "--stall-timeout-ms" => {
                 args.spec.stall_timeout =
                     Duration::from_millis(num("--stall-timeout-ms", grab("--stall-timeout-ms")))
@@ -133,8 +129,6 @@ fn member_command(args: &Args, addrs: &[String], index: usize, rejoin: bool) -> 
         .arg(args.spec.iterations.to_string())
         .arg("--seed")
         .arg(args.spec.seed.to_string())
-        .arg("--delay-ms")
-        .arg(args.spec.delay.as_millis().to_string())
         .arg("--stall-timeout-ms")
         .arg(args.spec.stall_timeout.as_millis().to_string())
         .arg("--honest")

@@ -2,16 +2,8 @@
 //!
 //! Runs an 8-group trap-variant deployment at 1/2/4/8 worker threads and
 //! reports sustained messages/sec plus the speedup over the single-worker
-//! configuration. Two compute models:
-//!
-//! * **Emulated server compute** (default): every group charges a fixed
-//!   per-iteration compute delay, standing in for the per-group hardware of
-//!   a real deployment (in the paper each group runs on its own machines).
-//!   Engine scheduling, pipelining and message passing are measured for
-//!   real; group compute overlaps across workers exactly as it would across
-//!   machines, so the scaling shape is visible even on a single-core host.
-//! * **`--real`**: no emulation — raw curve arithmetic on the host. The
-//!   scaling then tracks the machine's physical core count.
+//! configuration. Group compute is the real curve arithmetic on this host,
+//! so the scaling tracks the machine's physical core count.
 //!
 //! Two transports:
 //!
@@ -50,7 +42,7 @@
 //! without it (CI asserts this).
 //!
 //! Usage: `cargo run --release -p atom-bench --bin throughput --
-//! [--real] [--rounds N] [--messages M] [--delay-ms D] [--transport mem|tcp]
+//! [--rounds N] [--messages M] [--transport mem|tcp]
 //! [--processes 1,2,..] [--sharded] [--stall-timeout-ms S] [--out PATH]
 //! [--trace PATH] [--metrics-out PATH]`
 
@@ -76,10 +68,8 @@ enum TransportKind {
 }
 
 struct Args {
-    real: bool,
     rounds: usize,
     messages: usize,
-    delay: Duration,
     transport: TransportKind,
     sharded: bool,
     stall_timeout: Duration,
@@ -107,13 +97,11 @@ struct MemberArgs {
 
 fn parse_args() -> Args {
     // 64 messages/round keeps submission-proof verification (the part the
-    // batched crypto engine and chunked intake accelerate) on the measured
-    // path instead of hiding it under the emulated compute delay.
+    // batched crypto engine and chunked intake accelerate) a visible share
+    // of the measured path.
     let mut args = Args {
-        real: false,
         rounds: 2,
         messages: 64,
-        delay: Duration::from_millis(10),
         transport: TransportKind::Mem,
         sharded: false,
         stall_timeout: Duration::from_secs(120),
@@ -143,12 +131,8 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|_| panic!("{name} needs a numeric argument"))
         };
         match flag.as_str() {
-            "--real" => args.real = true,
             "--rounds" => args.rounds = grab("--rounds", grab_str("--rounds")) as usize,
             "--messages" => args.messages = grab("--messages", grab_str("--messages")) as usize,
-            "--delay-ms" => {
-                args.delay = Duration::from_millis(grab("--delay-ms", grab_str("--delay-ms")))
-            }
             "--transport" => {
                 args.transport = match grab_str("--transport").as_str() {
                     "mem" => TransportKind::Mem,
@@ -209,11 +193,6 @@ fn spec(args: &Args, seed: u64) -> NetSpec {
         messages: args.messages,
         iterations: ITERATIONS,
         seed,
-        delay: if args.real {
-            Duration::ZERO
-        } else {
-            args.delay
-        },
         sharded: args.sharded,
         stall_timeout: args.stall_timeout,
         trace: args.trace.is_some() || args.traced,
@@ -241,11 +220,7 @@ fn run_memory(spec: &NetSpec, workers: usize) -> (Duration, usize, Duration, Vec
     } else {
         netbench::build_jobs(spec)
     };
-    let mut options = EngineOptions::with_workers(workers);
-    if !spec.delay.is_zero() {
-        options.stragglers = (0..spec.groups).map(|gid| (gid, spec.delay)).collect();
-    }
-    let engine = Engine::new(options);
+    let engine = Engine::new(EngineOptions::with_workers(workers));
     let start = Instant::now();
     let reports = engine.run_rounds(jobs);
     let wall = start.elapsed();
@@ -276,8 +251,6 @@ fn member_command(spec: &NetSpec, addrs: &[String], index: usize, workers: usize
         .arg(spec.rounds.to_string())
         .arg("--messages")
         .arg(spec.messages.to_string())
-        .arg("--delay-ms")
-        .arg(spec.delay.as_millis().to_string())
         .arg("--stall-timeout-ms")
         .arg(spec.stall_timeout.as_millis().to_string());
     if spec.sharded {
@@ -360,14 +333,10 @@ fn print_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) {
     let spec = spec(args, 0xBE_AC0);
     let total_messages = args.rounds * args.messages;
     println!(
-        "throughput: {GROUPS}-group trap deployment, {} rounds x {} messages, {}, {} transport",
+        "throughput: {GROUPS}-group trap deployment, {} rounds x {} messages, \
+         real host compute, {} transport",
         args.rounds,
         args.messages,
-        if args.real {
-            "real host compute".to_string()
-        } else {
-            format!("emulated {:?}/iteration group compute", args.delay)
-        },
         match args.transport {
             TransportKind::Mem => "in-memory".to_string(),
             TransportKind::Tcp => "tcp-loopback (2 processes)".to_string(),
@@ -462,11 +431,6 @@ fn run_scale_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) -> Scal
         rounds: args.rounds,
         messages: args.messages,
         iterations: ITERATIONS,
-        delay_ms: if args.real {
-            0
-        } else {
-            args.delay.as_millis() as u64
-        },
         cells,
     }
 }

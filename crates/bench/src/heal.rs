@@ -68,7 +68,10 @@ use rand::SeedableRng;
 use atom_core::config::AtomConfig;
 use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::message::TrapSubmission;
-use atom_net::{DeliveryHook, Dial, SendError, TcpOptions, TcpTransport, Transport};
+use atom_net::{
+    DeliveryHook, Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport,
+};
+use atom_runtime::scenarios::slow_groups;
 use atom_runtime::wire::{self, EvictFrame, Frame, RejoinFrame};
 use atom_runtime::{
     new_control_sink, ControlSink, Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict,
@@ -517,19 +520,11 @@ fn engine_options(
 ) -> EngineOptions {
     let mut options = EngineOptions::with_workers(workers);
     options.stall_timeout = spec.stall_timeout;
-    if !spec.delay.is_zero() {
-        options.stragglers = (0..spec.groups).map(|gid| (gid, spec.delay)).collect();
-    }
     if process == 0 {
         // The round clock is the coordinator's alone: it owns the diagnosis,
         // and a member that also deadlined would race its abort against the
         // coordinator's verdict (turning `Slow` into `Blamed`).
         options.round_deadline = spec.round_deadline;
-    } else if process == 1 && !spec.loris.is_zero() {
-        // Chaos knob: member process 1 plays the slow loris, dripping its
-        // hosted groups' iterations slowly enough to defeat the stall
-        // detector but not the round clock.
-        options.stragglers = (0..spec.groups).map(|gid| (gid, spec.loris)).collect();
     }
     options.control_sink = Some(sink.clone());
     options.round_offset = epoch * batch;
@@ -1002,7 +997,13 @@ fn member_loop(
             let options = engine_options(spec, batch, workers, &control.sink, epoch, index);
             let total = jobs.len();
             let role = EngineRole::member(hosted);
-            let results = Engine::new(options).run_rounds_on(jobs, transport, &role);
+            // Chaos knob: member process 1 plays the slow loris, dripping
+            // its hosted groups' steps slowly enough to defeat the stall
+            // detector but not the round clock.
+            let loris = index == 1 && !spec.loris.is_zero();
+            let slow = slow_groups(move |_| loris, spec.groups, spec.loris);
+            let transport = FaultyTransport::new(transport, slow);
+            let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
             let resolved = results.iter().filter(|result| result.is_ok()).count();
             // Failures here are expected during churn — the coordinator owns
             // the diagnosis; we just report in and wait for the next plan.
@@ -1216,7 +1217,6 @@ mod tests {
             messages: 6,
             iterations: 2,
             seed: 0x4EA1,
-            delay: Duration::from_millis(25),
             stall_timeout: Duration::from_secs(1),
             honest: 2,
             ..NetSpec::default()
@@ -1332,9 +1332,9 @@ mod tests {
             messages: 6,
             iterations: 2,
             seed: 0x510E,
-            // The drip (one 5 s straggle per iteration) never leaves a 20 s
-            // progress gap; the 5 s round clock fires long before the
-            // member's ~10 s round could finish.
+            // The drip (one 5 s straggle per step, at the transport) never
+            // leaves a 20 s progress gap; the 5 s round clock fires long
+            // before the member's ~10 s round could finish.
             stall_timeout: Duration::from_secs(20),
             round_deadline: Duration::from_secs(5),
             loris,
@@ -1353,9 +1353,12 @@ mod tests {
             std::thread::spawn(move || run_healing_member(&spec, batch, addrs, 2, 2, false, || {}))
         };
         // Gate: hold the coordinator at the first healed round until the
-        // convicted member has certainly woken from its drip sleep and sent
-        // its rejoin request (bounded by one residual drip plus slack), so
-        // at least one readmission happens before the final batch boundary.
+        // convicted member has certainly woken from its drip and sent its
+        // rejoin request (bounded by one residual drip plus slack), so at
+        // least one readmission happens before the final batch boundary.
+        // One residual drip holds because `slow_groups` delays one frame
+        // per step (the group's frame to itself, or its exit frame), not
+        // one per neighbour, and the group's next step waits on that frame.
         // WHICH boundary collects the request still races the member's
         // wake-up, so the assertions below are boundary-agnostic.
         let hook: RoundCompleteHook = Arc::new(move |round| {

@@ -37,9 +37,6 @@ pub struct NetSpec {
     pub iterations: usize,
     /// Deterministic seed for setup, submissions and mixing.
     pub seed: u64,
-    /// Per-iteration emulated group compute (zero = real compute only);
-    /// stands in for each group's own hardware, as in the throughput bin.
-    pub delay: Duration,
     /// Sharded directory mode: each engine process derives only the DKGs of
     /// its hosted groups inside the run (`RoundJob::sharded`) instead of
     /// every process re-deriving the full directory up front. Members skip
@@ -69,11 +66,12 @@ pub struct NetSpec {
     /// also deadlined would race its `abort` against the coordinator's
     /// verdict and turn a `Slow` conviction into a `Blamed` one.
     pub round_deadline: Duration,
-    /// Slow-loris drip (zero = none): member process 1 delays each mixing
-    /// iteration of its hosted groups by this, while everyone else runs at
-    /// full speed. Combined with `round_deadline` this is the chaos-drill
-    /// knob: the drip defeats the stall detector, the round clock catches
-    /// it anyway.
+    /// Slow-loris drip (zero = none): member process 1 sends through
+    /// `atom_runtime::scenarios::slow_groups`, so each mixing step of its
+    /// hosted groups costs this much wall time where its frames leave,
+    /// while everyone else runs at full speed. Combined with
+    /// `round_deadline` this is the chaos-drill knob: the drip defeats the
+    /// stall detector, the round clock catches it anyway.
     pub loris: Duration,
     /// Honest members assumed per group (`h`): the DKG threshold becomes
     /// `k − (h − 1)`, so `h − 1` member losses per group heal by Lagrange
@@ -91,7 +89,6 @@ impl Default for NetSpec {
             messages: 16,
             iterations: 2,
             seed: 0xA70,
-            delay: Duration::ZERO,
             sharded: false,
             stall_timeout: Duration::from_secs(120),
             round_deadline: Duration::ZERO,
@@ -284,9 +281,6 @@ impl Process {
         };
         let mut options = EngineOptions::with_workers(workers);
         options.stall_timeout = spec.stall_timeout;
-        if !spec.delay.is_zero() {
-            options.stragglers = (0..spec.groups).map(|gid| (gid, spec.delay)).collect();
-        }
         let jobs = if spec.sharded {
             build_sharded_jobs(spec, index == 0)
         } else {

@@ -49,8 +49,6 @@ pub struct ScaleBaseline {
     pub messages: usize,
     /// Mixing iterations.
     pub iterations: usize,
-    /// Emulated per-iteration group compute, milliseconds.
-    pub delay_ms: u64,
     /// The measured cells, in sweep order.
     pub cells: Vec<ScaleCell>,
 }
@@ -62,7 +60,7 @@ json_record! {
     }
 }
 
-json_record! { ScaleBaseline { groups, rounds, messages, iterations, delay_ms, "sweep" = cells } }
+json_record! { ScaleBaseline { groups, rounds, messages, iterations, "sweep" = cells } }
 
 impl ScaleBaseline {
     /// The canonical `BENCH_scale.json` text (stable field order, readable
@@ -116,8 +114,8 @@ impl ScaleBaseline {
 pub fn print_fig_scale(baseline: &ScaleBaseline) {
     println!(
         "fig_scale: throughput vs processes — {}-group trap deployment, \
-         {} rounds x {} messages, {} iterations, {} ms emulated compute",
-        baseline.groups, baseline.rounds, baseline.messages, baseline.iterations, baseline.delay_ms
+         {} rounds x {} messages, {} iterations, real host compute",
+        baseline.groups, baseline.rounds, baseline.messages, baseline.iterations
     );
     println!(
         "{:>10} {:>9} {:>12} {:>14} {:>10}",
@@ -211,7 +209,6 @@ mod tests {
             rounds: 2,
             messages: 64,
             iterations: 3,
-            delay_ms: 10,
             cells: vec![
                 ScaleCell {
                     processes: 1,

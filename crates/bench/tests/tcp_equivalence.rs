@@ -83,7 +83,6 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
         messages: 12,
         iterations: 2,
         seed: 0xEC_0FF,
-        delay: Duration::ZERO,
         sharded: false,
         ..NetSpec::default()
     };
@@ -130,7 +129,6 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         messages: 12,
         iterations: 2,
         seed: 0x5AAD0,
-        delay: Duration::ZERO,
         sharded: true,
         ..NetSpec::default()
     };
@@ -207,7 +205,6 @@ fn three_process_tcp_run_is_byte_identical_to_in_memory() {
         messages: 9,
         iterations: 2,
         seed: 0x3EC_0FF,
-        delay: Duration::ZERO,
         sharded: false,
         ..NetSpec::default()
     };
@@ -239,7 +236,6 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         messages: 9,
         iterations: 2,
         seed: 0x35AAD0,
-        delay: Duration::ZERO,
         sharded: true,
         ..NetSpec::default()
     };
@@ -261,8 +257,7 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
 
 /// The `atom-node` command for process `index` of a **self-healing**
 /// deployment: the base command plus the churn-facing flags (`--heal`,
-/// `--batch`, `--honest`, and the workload's `--delay-ms`, which the
-/// non-healing tests leave at zero).
+/// `--batch`, `--honest`).
 fn heal_node_command(
     spec: &NetSpec,
     addrs: &[String],
@@ -272,8 +267,6 @@ fn heal_node_command(
 ) -> Command {
     let mut command = node_command(spec, addrs, index, None);
     command
-        .arg("--delay-ms")
-        .arg(spec.delay.as_millis().to_string())
         .arg("--honest")
         .arg(spec.honest.to_string())
         .arg("--heal")
@@ -303,11 +296,8 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
         messages: 6,
         iterations: 2,
         seed: 0xC4A0_5EED,
-        // Slow the groups slightly so the SIGKILL lands while rounds are
-        // in flight; keep the stall budget short so detection (and the
-        // test) stays fast.
-        delay: Duration::from_millis(25),
         sharded: false,
+        // A short stall budget keeps detection (and the test) fast.
         stall_timeout: Duration::from_secs(2),
         trace: false,
         honest: 2,

@@ -75,10 +75,6 @@ pub struct ActorConfig {
     /// which succeeds as long as the group retains `threshold` live members
     /// (§4.5: any `k − (h−1)` members can finish the round).
     pub churn: Vec<(usize, usize)>,
-    /// Artificial extra compute time per iteration, used by straggler
-    /// scenarios and the throughput harness to emulate a slow group (each
-    /// group runs on its own hardware in a real deployment).
-    pub compute_delay: Duration,
 }
 
 impl ActorConfig {
@@ -89,7 +85,6 @@ impl ActorConfig {
             adversary: None,
             failed_servers: Vec::new(),
             churn: Vec::new(),
-            compute_delay: Duration::ZERO,
         }
     }
 }
@@ -304,9 +299,6 @@ impl GroupActor {
             .filter(|plan| plan.applies_to(self.gid, iteration));
 
         let start = Instant::now();
-        if !self.config.compute_delay.is_zero() {
-            std::thread::sleep(self.config.compute_delay);
-        }
         let output = group_mix_iteration(
             &self.group,
             &self.participating,

@@ -16,6 +16,10 @@
 //!   `epoll` loop thread per process (layout in the [`tcp`] module docs).
 //!   A send to an unreachable peer process returns a [`SendError`] value.
 //!
+//! [`FaultyTransport`] wraps either backend with one rule per send: a slow
+//! server is a delay where its frames leave, a dead one an unreachable
+//! send.
+//!
 //! The carrier keeps no protocol state: the simulated §6 latency of a hop is
 //! charged by the protocol layer (`atom_core::round::hop_latency` over an
 //! `atom_core::latency::LatencyModel`), and traffic is counted by the
@@ -40,7 +44,8 @@ pub use evloop::{
 };
 pub use tcp::{Dial, TcpOptions, TcpTransport};
 pub use transport::{
-    DeliveryHook, Envelope, InMemoryNetwork, NodeId, SendError, TrafficStats, Transport,
+    DeliveryHook, Envelope, FaultyTransport, InMemoryNetwork, NodeId, SendError, SendFault,
+    TrafficStats, Transport,
 };
 
 /// Serializes the unit tests that flip the process-global `atom_obs` switch.

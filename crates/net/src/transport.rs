@@ -16,12 +16,17 @@
 //! are charged by the protocol layer (`atom_core::round::hop_latency` over
 //! an `atom_core::latency::LatencyModel`), and traffic is counted by the
 //! runtime's `RoundReport` and the `net.*` counters of `atom_obs`.
+//!
+//! A slow or unreachable server is a fault of the frames it sends, so it is
+//! injected here too: [`FaultyTransport`] wraps either backend and passes
+//! each send through one rule.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -252,6 +257,84 @@ impl Transport for InMemoryNetwork {
     }
 }
 
+/// What [`FaultyTransport`] does with one send.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SendFault {
+    /// Forward the envelope untouched.
+    Deliver,
+    /// Stall the sending thread this long, then forward: a slow server.
+    Delay(Duration),
+    /// Deliver nothing and fail the send naming `process`: a dead peer.
+    Unreachable {
+        /// The process the returned [`SendError`] names.
+        process: usize,
+    },
+}
+
+/// A [`Transport`] over a borrowed one whose sends first pass through
+/// `rule(from, to, &payload)`. Every other operation is forwarded, so
+/// deliveries, [`Transport::pending`], [`Transport::drain`] and the
+/// delivery hook behave exactly as on the inner transport. A delay blocks
+/// only the calling thread: in the engine, the worker sending that group's
+/// frames, outside the group's actor lock.
+pub struct FaultyTransport<'a, R> {
+    inner: &'a dyn Transport,
+    rule: R,
+}
+
+impl<'a, R> FaultyTransport<'a, R>
+where
+    R: Fn(NodeId, NodeId, &[u8]) -> SendFault + Send + Sync,
+{
+    /// Wraps `inner`, deciding each send's fault with `rule`.
+    pub fn new(inner: &'a dyn Transport, rule: R) -> Self {
+        Self { inner, rule }
+    }
+}
+
+impl<R> Transport for FaultyTransport<'_, R>
+where
+    R: Fn(NodeId, NodeId, &[u8]) -> SendFault + Send + Sync,
+{
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+
+    fn is_local(&self, node: NodeId) -> bool {
+        self.inner.is_local(node)
+    }
+
+    fn send(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        label: Cow<'static, str>,
+        payload: Vec<u8>,
+    ) -> Result<(), SendError> {
+        match (self.rule)(from, to, &payload) {
+            SendFault::Deliver => {}
+            SendFault::Delay(delay) => std::thread::sleep(delay),
+            SendFault::Unreachable { process } => {
+                let error = io::Error::new(io::ErrorKind::ConnectionRefused, "injected fault");
+                return Err(SendError { process, error });
+            }
+        }
+        self.inner.send(from, to, label, payload)
+    }
+
+    fn drain(&self, node: NodeId) -> Vec<Envelope> {
+        self.inner.drain(node)
+    }
+
+    fn pending(&self, node: NodeId) -> usize {
+        self.inner.pending(node)
+    }
+
+    fn set_delivery_hook(&self, hook: Option<DeliveryHook>) {
+        self.inner.set_delivery_hook(hook);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,5 +431,67 @@ mod tests {
         net.send(0, 1, "d", vec![4]);
         assert_eq!(hits.lock().len(), 3);
         assert_eq!(net.pending(1), 1);
+    }
+
+    #[test]
+    fn delay_rule_stalls_only_the_matching_sends() {
+        let delay = Duration::from_millis(100);
+        let net = InMemoryNetwork::local(3);
+        let slow = FaultyTransport::new(&net, |from, _, _: &[u8]| {
+            if from == 1 {
+                SendFault::Delay(delay)
+            } else {
+                SendFault::Deliver
+            }
+        });
+        let timed_send = |from| {
+            let start = std::time::Instant::now();
+            slow.send(from, 2, "x".into(), vec![from as u8]).unwrap();
+            start.elapsed()
+        };
+        assert!(timed_send(1) >= delay);
+        assert!(timed_send(0) < delay);
+        let delivered: Vec<Vec<u8>> = net.drain(2).into_iter().map(|e| e.payload).collect();
+        assert_eq!(delivered, vec![vec![1], vec![0]]);
+    }
+
+    #[test]
+    fn unreachable_rule_fails_the_send_and_delivers_nothing() {
+        let net = InMemoryNetwork::local(2);
+        let dead =
+            FaultyTransport::new(&net, |_, _, _: &[u8]| SendFault::Unreachable { process: 7 });
+        let error = dead.send(0, 1, "x".into(), vec![1]).unwrap_err();
+        assert_eq!(error.process, 7);
+        assert!(error.to_string().contains("peer process 7 unreachable"));
+        assert_eq!(net.pending(1), 0);
+    }
+
+    #[test]
+    fn delivering_rule_is_invisible_to_hook_pending_and_drain() {
+        // The same traffic through a bare network and through a wrapper
+        // that delivers everything must look identical from the receive
+        // side: hook calls, pending counts and drained envelopes.
+        let observe = |transport: &dyn Transport| {
+            let hits = Arc::new(Mutex::new(Vec::new()));
+            let sink = hits.clone();
+            transport.set_delivery_hook(Some(Arc::new(move |node| sink.lock().push(node))));
+            for (from, to) in [(0, 2), (1, 2), (2, 0)] {
+                transport
+                    .send(from, to, "t".into(), vec![from as u8])
+                    .unwrap();
+            }
+            let pending: Vec<usize> = (0..3).map(|node| transport.pending(node)).collect();
+            transport.set_delivery_hook(None);
+            transport.send(0, 1, "t".into(), vec![9]).unwrap();
+            let drained: Vec<Vec<Envelope>> = (0..3).map(|node| transport.drain(node)).collect();
+            let hits = hits.lock().clone();
+            (hits, pending, drained)
+        };
+        let bare = InMemoryNetwork::local(3);
+        let inner = InMemoryNetwork::local(3);
+        let wrapped = FaultyTransport::new(&inner, |_, _, _: &[u8]| SendFault::Deliver);
+        assert_eq!(wrapped.nodes(), 3);
+        assert!(wrapped.is_local(2));
+        assert_eq!(observe(&bare), observe(&wrapped));
     }
 }

@@ -111,9 +111,6 @@ pub fn new_control_sink() -> ControlSink {
 pub struct EngineOptions {
     /// Worker threads driving group actors.
     pub workers: usize,
-    /// Artificial per-iteration compute delay per group id, used to emulate
-    /// slow groups (stragglers) and per-group server hardware.
-    pub stragglers: Vec<(usize, Duration)>,
     /// Submissions per intake-verification chunk. A round's intake splits
     /// into `⌈n / intake_chunk⌉` independent queue tasks so proof
     /// verification parallelizes across workers *within* a round; chunk
@@ -181,7 +178,6 @@ impl Default for EngineOptions {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            stragglers: Vec::new(),
             intake_chunk: 0,
             stall_timeout: Duration::from_secs(120),
             on_round_complete: None,
@@ -198,7 +194,6 @@ impl std::fmt::Debug for EngineOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineOptions")
             .field("workers", &self.workers)
-            .field("stragglers", &self.stragglers)
             .field("intake_chunk", &self.intake_chunk)
             .field("stall_timeout", &self.stall_timeout)
             .field("on_round_complete", &self.on_round_complete.is_some())
@@ -1105,7 +1100,7 @@ impl Engine {
                 // Prebuilt directory: actors exist before the workers start.
                 RoundDirectory::Full(setup) => {
                     for gid in (0..num_groups).filter(|&gid| role.hosts(gid)) {
-                        match build_actor(&setup, gid, &actor_spec, &self.options) {
+                        match build_actor(&setup, gid, &actor_spec) {
                             Ok(actor) => {
                                 let _ = actors[gid].set(Mutex::new(actor));
                             }
@@ -1343,22 +1338,11 @@ fn member_stub_report(
 /// Builds the actor of group `gid` from the assembled directory and the
 /// job's retained [`ActorSpec`]. Used both at engine start (prebuilt
 /// directories) and at the end of a sharded setup phase.
-fn build_actor(
-    setup: &RoundSetup,
-    gid: usize,
-    spec: &ActorSpec,
-    options: &EngineOptions,
-) -> AtomResult<GroupActor> {
+fn build_actor(setup: &RoundSetup, gid: usize, spec: &ActorSpec) -> AtomResult<GroupActor> {
     let mut config = ActorConfig::new(GroupStepOptions::new(spec.defense));
     config.adversary = spec.adversary;
     config.failed_servers = spec.failed_servers.clone();
     config.churn = spec.churn.clone();
-    config.compute_delay = options
-        .stragglers
-        .iter()
-        .find(|(slow, _)| *slow == gid)
-        .map(|(_, delay)| *delay)
-        .unwrap_or(Duration::ZERO);
     // A group that lost more members than its DKG threshold tolerates
     // cannot run threshold decryption with Lagrange reweighting alone; fall
     // back to the buddy-group escrow (§4.5), which deterministically
@@ -1798,7 +1782,7 @@ fn finish_setup(shared: &Shared<'_>, round: usize) {
         buddies: derive_buddies(&job.config),
     };
     for gid in (0..job.num_groups()).filter(|&gid| shared.role.hosts(gid)) {
-        match build_actor(&setup, gid, &job.actor_spec, shared.options) {
+        match build_actor(&setup, gid, &job.actor_spec) {
             Ok(actor) => {
                 let _ = job.actors[gid].set(Mutex::new(actor));
             }
@@ -2499,6 +2483,9 @@ mod tests {
     use atom_core::directory::derive_setup;
     use atom_core::message::make_trap_submission;
     use atom_core::round::RoundDriver;
+    use atom_net::{FaultyTransport, SendFault};
+
+    use crate::scenarios::slow_groups;
 
     fn trap_jobs(rounds: usize, seed: u64) -> (Vec<RoundJob>, Vec<Vec<String>>) {
         let mut rng = StdRng::seed_from_u64(77);
@@ -3070,56 +3057,23 @@ mod tests {
         assert!(matches!(report, Err(AtomError::Config(_))));
     }
 
-    /// An in-memory network on which round 0's frames for group 2 meet a
-    /// dead peer process.
-    struct LossyNetwork(InMemoryNetwork);
-
-    impl Transport for LossyNetwork {
-        fn nodes(&self) -> usize {
-            self.0.nodes()
-        }
-
-        fn is_local(&self, _node: usize) -> bool {
-            true
-        }
-
-        fn send(
-            &self,
-            from: usize,
-            to: usize,
-            label: std::borrow::Cow<'static, str>,
-            payload: Vec<u8>,
-        ) -> Result<(), atom_net::SendError> {
-            if to == 2 && wire::decode_round(&payload) == Some(0) {
-                let error = std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer hung up");
-                return Err(atom_net::SendError { process: 1, error });
-            }
-            self.0.send(from, to, label, payload);
-            Ok(())
-        }
-
-        fn drain(&self, node: usize) -> Vec<atom_net::Envelope> {
-            self.0.drain(node)
-        }
-
-        fn pending(&self, node: usize) -> usize {
-            self.0.pending(node)
-        }
-
-        fn set_delivery_hook(&self, hook: Option<atom_net::DeliveryHook>) {
-            Transport::set_delivery_hook(&self.0, hook);
-        }
-    }
-
     #[test]
     fn send_error_fails_its_round_as_transport_lost_and_spares_the_other() {
         let (jobs, expected) = trap_jobs(2, 9200);
         let groups = jobs[0].config().num_groups;
-        let network = LossyNetwork(InMemoryNetwork::local(groups + 1));
+        let network = InMemoryNetwork::local(groups + 1);
+        // Round 0's frames for group 2 meet a dead peer process.
+        let lossy = FaultyTransport::new(&network, |_, to, payload: &[u8]| {
+            if to == 2 && wire::decode_round(payload) == Some(0) {
+                SendFault::Unreachable { process: 1 }
+            } else {
+                SendFault::Deliver
+            }
+        });
         // Completing at all means no worker unwound: the scope would
         // re-raise a worker panic here.
         let reports =
-            Engine::with_workers(2).run_rounds_on(jobs, &network, &EngineRole::standalone(groups));
+            Engine::with_workers(2).run_rounds_on(jobs, &lossy, &EngineRole::standalone(groups));
         match &reports[0] {
             Err(AtomError::Engine {
                 kind: EngineErrorKind::TransportLost,
@@ -3127,7 +3081,7 @@ mod tests {
                 nodes,
             }) => {
                 assert_eq!(nodes, &[2]);
-                assert!(reason.contains("peer hung up"), "{reason}");
+                assert!(reason.contains("peer process 1 unreachable"), "{reason}");
             }
             other => panic!("expected a TransportLost failure, got {other:?}"),
         }
@@ -3172,15 +3126,18 @@ mod tests {
     #[test]
     fn straggler_group_does_not_block_others() {
         let (jobs, expected) = trap_jobs(1, 4000);
-        let mut options = EngineOptions::with_workers(3);
-        options.stragglers = vec![(0, Duration::from_millis(30))];
-        let engine = Engine::new(options);
-        let report = engine.run_round(jobs.into_iter().next().unwrap()).unwrap();
+        let groups = jobs[0].config().num_groups;
+        let network = InMemoryNetwork::local(groups + 1);
+        let drip = Duration::from_millis(30);
+        let slow = FaultyTransport::new(&network, slow_groups(|gid| gid == 0, groups, drip));
+        let reports =
+            Engine::with_workers(3).run_rounds_on(jobs, &slow, &EngineRole::standalone(groups));
+        let report = reports.into_iter().next().unwrap().unwrap();
         let mut want = expected[0].clone();
         want.sort();
         assert_eq!(recovered(&report.output), want);
-        // The straggler inflates its own iterations; the pipelined latency
-        // must track it.
-        assert!(report.pipelined_latency >= Duration::from_millis(60));
+        // The straggler's drips are wall time, one per step; at least two
+        // of its steps sit on the round's critical path.
+        assert!(report.wall_clock >= 2 * drip);
     }
 }

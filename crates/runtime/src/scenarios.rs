@@ -10,8 +10,9 @@
 //!   per-recipient mailboxes.
 //! * [`server_churn`] — fault-tolerant groups lose a member mid-round and
 //!   finish anyway (§4.5).
-//! * [`stragglers`] — one slow group; pipelining keeps the other groups
-//!   productive and the report exposes barrier vs. pipelined latency.
+//! * [`stragglers`] — one slow group, slowed at the transport by
+//!   [`slow_groups`]; every message is still delivered and the drips show
+//!   on the round's wall clock.
 //! * [`defense_matrix`] — the same workload under both the NIZK and trap
 //!   variants.
 //! * [`batched_intake`] — chunked parallel submission intake: per-submission
@@ -57,7 +58,10 @@ use atom_core::directory::{derive_members, derive_setup, RoundSetup};
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
 use atom_core::message::{make_nizk_submission, make_trap_submission};
 use atom_core::round::RoundDriver;
-use atom_net::{SendError, TcpOptions, TcpTransport, Transport};
+use atom_net::{
+    FaultyTransport, InMemoryNetwork, NodeId, SendError, SendFault, TcpOptions, TcpTransport,
+    Transport,
+};
 
 use atom_apps::dialing::{make_dial_submission, DialIdentity, Mailboxes};
 
@@ -66,7 +70,7 @@ use crate::engine::{
     SubmissionSource, SETUP_LABEL,
 };
 use crate::fault::{FaultKind, FaultVerdict};
-use crate::wire;
+use crate::wire::{self, Frame};
 
 /// Common knobs for every scenario.
 #[derive(Clone, Debug)]
@@ -141,11 +145,6 @@ pub struct ScenarioReport {
     pub submitted: usize,
     /// Messages delivered across all rounds.
     pub delivered: usize,
-    /// Largest per-round pipelined end-to-end latency.
-    pub pipelined_latency: Duration,
-    /// Largest per-round barrier-model end-to-end latency
-    /// (`RoundTimings::end_to_end`).
-    pub barrier_latency: Duration,
     /// Total mixing traffic (messages) through the transport.
     pub mix_messages: u64,
     /// Total mixing traffic (bytes) through the transport.
@@ -158,16 +157,6 @@ impl ScenarioReport {
             rounds: reports.len(),
             submitted,
             delivered: reports.iter().map(|r| r.output.plaintexts.len()).sum(),
-            pipelined_latency: reports
-                .iter()
-                .map(|r| r.pipelined_latency)
-                .max()
-                .unwrap_or_default(),
-            barrier_latency: reports
-                .iter()
-                .map(|r| r.output.timings.end_to_end())
-                .max()
-                .unwrap_or_default(),
             mix_messages: reports.iter().map(|r| r.mix_messages).sum(),
             mix_bytes: reports.iter().map(|r| r.mix_bytes).sum(),
         }
@@ -206,33 +195,11 @@ fn microblog_jobs(
     for round in 0..rounds {
         let config = options.config(Defense::Trap, groups, round as u64);
         let setup = derive_setup(&config)?;
-        let posts: Vec<String> = (0..posts_per_round)
-            .map(|i| format!("r{round} post {i}"))
-            .collect();
-        let submissions = posts
-            .iter()
-            .enumerate()
-            .map(|(i, post)| {
-                make_trap_submission(
-                    i % groups,
-                    &setup.groups[i % groups].public_key,
-                    &setup.trustees.public_key,
-                    config.round,
-                    post.as_bytes(),
-                    config.message_len,
-                    &mut rng,
-                )
-                .map(|(submission, _)| submission)
-            })
-            .collect::<AtomResult<Vec<_>>>()?;
-        jobs.push(RoundJob::new(
-            setup,
-            RoundSubmissions::Trap(submissions),
-            options.seed.wrapping_add(round as u64),
-        ));
-        let mut posts_sorted = posts;
-        posts_sorted.sort();
-        expected.push(posts_sorted);
+        let prefix = format!("r{round} post");
+        let submissions = numbered_submissions(&setup, posts_per_round, &prefix, &mut rng)?;
+        let seed = options.seed.wrapping_add(round as u64);
+        jobs.push(RoundJob::new(setup, submissions, seed));
+        expected.push(numbered_texts(posts_per_round, &prefix));
     }
     Ok((jobs, expected))
 }
@@ -327,33 +294,16 @@ pub fn server_churn(
     let mut config = options.config(Defense::Trap, groups, 0);
     config.required_honest = 2; // tolerate one failure per group
     let setup = derive_setup(&config)?;
-    let texts: Vec<String> = (0..messages).map(|i| format!("churn {i}")).collect();
-    let submissions = texts
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            make_trap_submission(
-                i % groups,
-                &setup.groups[i % groups].public_key,
-                &setup.trustees.public_key,
-                config.round,
-                text.as_bytes(),
-                config.message_len,
-                &mut rng,
-            )
-            .map(|(submission, _)| submission)
-        })
-        .collect::<AtomResult<Vec<_>>>()?;
+    let submissions = numbered_submissions(&setup, messages, "churn", &mut rng)?;
 
     // A member of group 0 dies between iterations 0 and 1.
     let victim = setup.groups[0].members[0];
-    let mut job = RoundJob::new(setup, RoundSubmissions::Trap(submissions), options.seed);
+    let mut job = RoundJob::new(setup, submissions, options.seed);
     job.churn = vec![(1, victim)];
 
     let report = options.engine().run_round(job)?;
     let got = decode_texts(&report);
-    let mut want = texts;
-    want.sort();
+    let want = numbered_texts(messages, "churn");
     if got != want {
         return Err(AtomError::Malformed(format!(
             "churn round lost messages: got {got:?}, want {want:?}"
@@ -365,9 +315,31 @@ pub fn server_churn(
     ))
 }
 
-/// One group is `delay` slower per iteration than the rest. Delivery must
-/// be unaffected; the report's pipelined latency shows the straggler's cost
-/// without a per-iteration barrier.
+/// The send rule of slow servers: each mixing step of a group `slow`
+/// picks costs `drip` of wall time, charged where its frames leave. One
+/// frame per step carries the drip: the one the group sends to itself
+/// (every non-final step of both topologies sends one) and, at the last
+/// step, its exit frame to `orchestrator`. So a step is charged once, not
+/// once per neighbour, and the group's next step waits on the drip as it
+/// would on a slow machine.
+pub fn slow_groups(
+    slow: impl Fn(usize) -> bool + Send + Sync,
+    orchestrator: NodeId,
+    drip: Duration,
+) -> impl Fn(NodeId, NodeId, &[u8]) -> SendFault + Send + Sync {
+    move |from, to, payload| {
+        let exit = || to == orchestrator && matches!(wire::decode(payload), Ok(Frame::Exit(_)));
+        if slow(from) && (to == from || exit()) {
+            SendFault::Delay(drip)
+        } else {
+            SendFault::Deliver
+        }
+    }
+}
+
+/// Group 0 runs on a slow server: [`slow_groups`] adds `delay` to each of
+/// its steps. Delivery must be unaffected, and every one of its steps sits
+/// on the round's critical path, so the wall clock must show them all.
 pub fn stragglers(
     groups: usize,
     messages: usize,
@@ -377,37 +349,23 @@ pub fn stragglers(
     let mut rng = options.rng();
     let config = options.config(Defense::Trap, groups, 0);
     let setup = derive_setup(&config)?;
-    let texts: Vec<String> = (0..messages).map(|i| format!("slow {i}")).collect();
-    let submissions = texts
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            make_trap_submission(
-                i % groups,
-                &setup.groups[i % groups].public_key,
-                &setup.trustees.public_key,
-                config.round,
-                text.as_bytes(),
-                config.message_len,
-                &mut rng,
-            )
-            .map(|(submission, _)| submission)
-        })
-        .collect::<AtomResult<Vec<_>>>()?;
+    let submissions = numbered_submissions(&setup, messages, "slow", &mut rng)?;
 
-    let mut engine_options = options.engine_options();
-    engine_options.stragglers = vec![(0, delay)];
-    let report = Engine::new(engine_options).run_round(RoundJob::new(
-        setup,
-        RoundSubmissions::Trap(submissions),
-        options.seed,
-    ))?;
+    let network = InMemoryNetwork::local(groups + 1);
+    let slow = FaultyTransport::new(&network, slow_groups(|gid| gid == 0, groups, delay));
+    let job = RoundJob::new(setup, submissions, options.seed);
+    let role = EngineRole::standalone(groups);
+    let report = collect(options.engine().run_rounds_on(vec![job], &slow, &role))?.remove(0);
 
-    let got = decode_texts(&report);
-    let mut want = texts;
-    want.sort();
-    if got != want {
+    if decode_texts(&report) != numbered_texts(messages, "slow") {
         return Err(AtomError::Malformed("straggler round lost messages".into()));
+    }
+    let critical = delay * config.iterations as u32;
+    if report.wall_clock < critical {
+        return Err(AtomError::Malformed(format!(
+            "straggler round took {:?}, less than its {critical:?} of drips",
+            report.wall_clock
+        )));
     }
     Ok(ScenarioReport::from_reports(
         std::slice::from_ref(&report),
@@ -569,7 +527,8 @@ fn run_loopback_split(
         coordinator_jobs,
         member_jobs,
         options.engine_options(),
-        options.engine_options(),
+        options,
+        |_, _, _| SendFault::Deliver,
         |_| Ok(0),
     )?;
     member_results.into_iter().collect::<AtomResult<Vec<_>>>()?;
@@ -579,11 +538,12 @@ fn run_loopback_split(
 /// Per-round results of one side of a split run, failures kept in place.
 type RawRoundResults = Vec<AtomResult<RoundReport>>;
 
-/// The raw two-instance split: like [`run_loopback_split`], but with
-/// per-side engine options (adversary scenarios slow one side down or arm
-/// the other side's deadline), an `inject` hook that may push forged wire
-/// frames through the member's transport before either engine starts (it
-/// returns how many; both engines start once they have all landed), and
+/// The raw two-instance split: like [`run_loopback_split`], but with the
+/// coordinator's own engine options (adversary scenarios arm its
+/// deadline), a send rule the member's engine runs behind (a slow member
+/// is a [`FaultyTransport`] fault), an `inject` hook that may push forged
+/// wire frames through the member's transport before either engine starts
+/// (it returns how many; both engines start once they have all landed), and
 /// the per-round results returned raw — a coordinator round that *fails* is
 /// the observation adversary scenarios exist to capture, not an early exit.
 fn run_loopback_split_raw(
@@ -591,7 +551,8 @@ fn run_loopback_split_raw(
     coordinator_jobs: Vec<RoundJob>,
     member_jobs: Vec<RoundJob>,
     coordinator_options: EngineOptions,
-    member_options: EngineOptions,
+    options: &ScenarioOptions,
+    member_fault: impl Fn(NodeId, NodeId, &[u8]) -> SendFault + Send + Sync + 'static,
     inject: impl FnOnce(&TcpTransport) -> Result<usize, SendError>,
 ) -> AtomResult<(RawRoundResults, RawRoundResults)> {
     let net_error = |what: &str, error: &dyn std::fmt::Display| {
@@ -623,10 +584,11 @@ fn run_loopback_split_raw(
 
     let hosted_even: Vec<usize> = (0..groups).step_by(2).collect();
     let hosted_odd: Vec<usize> = (1..groups).step_by(2).collect();
+    let member_options = options.engine_options();
     let member_thread = std::thread::spawn(move || {
         Engine::new(member_options).run_rounds_on(
             member_jobs,
-            &member_net,
+            &FaultyTransport::new(&member_net, member_fault),
             &EngineRole::member(hosted_odd),
         )
     });
@@ -659,6 +621,14 @@ fn check_against_reference(
         }
     }
     Ok(())
+}
+
+/// The texts of [`numbered_submissions`], sorted as [`decode_texts`]
+/// returns them.
+fn numbered_texts(count: usize, prefix: &str) -> Vec<String> {
+    let mut texts: Vec<String> = (0..count).map(|i| format!("{prefix} {i}")).collect();
+    texts.sort();
+    texts
 }
 
 /// `count` submissions `"{prefix} {i}"`, dealt round-robin over the entry
@@ -728,8 +698,7 @@ pub fn defense_matrix(
         RoundJob::new(trap_setup, trap_submissions, options.seed + 1),
     ]))?;
 
-    let mut want: Vec<String> = (0..messages).map(|i| format!("both {i}")).collect();
-    want.sort();
+    let want = numbered_texts(messages, "both");
     for report in &reports {
         if decode_texts(report) != want {
             return Err(AtomError::Malformed(
@@ -925,9 +894,10 @@ pub fn submission_flood(
     )
 }
 
-/// Slow-loris member: the member instance of a TCP loopback split delays
-/// every mixing iteration of its hosted (odd) groups by `drip` — always
-/// making *some* progress, so the stall detector never fires — while the
+/// Slow-loris member: the member instance of a TCP loopback split sends
+/// through [`slow_groups`], so every mixing step of its hosted (odd) groups
+/// costs `drip` — always making *some* progress, so the stall detector
+/// never fires — while the
 /// coordinator arms a `deadline` round clock. The round must die with a
 /// [`Deadline`](EngineErrorKind::Deadline) verdict implicating the member's
 /// groups, and [`FaultVerdict::diagnose`] must convict the member process
@@ -946,8 +916,6 @@ pub fn slow_loris(
         ));
     }
     let (jobs, _) = microblog_jobs(groups, posts, 1, options)?;
-    let mut member_options = options.engine_options();
-    member_options.stragglers = (1..groups).step_by(2).map(|gid| (gid, drip)).collect();
     let mut coordinator_options = options.engine_options();
     coordinator_options.round_deadline = deadline;
 
@@ -956,7 +924,8 @@ pub fn slow_loris(
         jobs.clone(),
         jobs,
         coordinator_options,
-        member_options,
+        options,
+        slow_groups(|gid| gid % 2 == 1, groups, drip),
         |_| Ok(0),
     )?;
     let error = match coordinator_results.into_iter().next() {
@@ -1061,7 +1030,8 @@ pub fn equivocating_setup(
         sharded_jobs,
         member_jobs,
         options.engine_options(),
-        options.engine_options(),
+        options,
+        |_, _, _| SendFault::Deliver,
         move |member_net| {
             member_net.send(1, 0, SETUP_LABEL.into(), forged)?;
             member_net.send(1, 0, SETUP_LABEL.into(), genuine)?;

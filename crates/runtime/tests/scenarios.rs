@@ -34,10 +34,11 @@ fn server_churn_mid_round_is_survivable() {
 
 #[test]
 fn straggler_groups_do_not_stall_the_round() {
+    // The drips are wall time, which the compute-only virtual clock never
+    // sees: the scenario itself fails unless the round's wall clock holds
+    // both 25 ms steps of the straggler.
     let report = scenarios::stragglers(3, 4, Duration::from_millis(25), &options(19)).unwrap();
     assert_eq!(report.delivered, 4);
-    // Two iterations of a 25 ms straggler are on the critical path.
-    assert!(report.pipelined_latency >= Duration::from_millis(50));
 }
 
 #[test]

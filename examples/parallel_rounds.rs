@@ -1,10 +1,8 @@
 //! Parallel pipelined rounds: the `atom-runtime` engine running three
-//! microblog rounds in flight at once on a worker pool, with a deliberately
-//! slow group showing why barrier-free mixing matters.
+//! microblog rounds in flight at once on a worker pool, reporting each
+//! round's barrier vs. pipelined latency.
 //!
 //! Run with: `cargo run --release --example parallel_rounds`
-
-use std::time::Duration;
 
 use atom::core::config::{AtomConfig, Defense};
 use atom::core::message::make_trap_submission;
@@ -51,13 +49,9 @@ fn main() {
         ));
     }
 
-    // Group 2 is slow: 15 ms of extra compute per iteration. Without
-    // pipelining every other group would wait for it at every layer.
-    let mut options = EngineOptions::with_workers(4);
-    options.stragglers = vec![(2, Duration::from_millis(15))];
-    let engine = Engine::new(options);
+    let engine = Engine::new(EngineOptions::with_workers(4));
 
-    println!("running {rounds} trap rounds in flight on 4 workers (group 2 straggling)...\n");
+    println!("running {rounds} trap rounds in flight on 4 workers...\n");
     let reports = engine.run_rounds(jobs);
 
     for (round, report) in reports.into_iter().enumerate() {

@@ -15,13 +15,13 @@ use common::rust_files;
 
 /// Each struct's `pub` field count when this ratchet was added.
 const CEILINGS: [(&str, usize); 8] = [
-    ("EngineOptions", 10),
+    ("EngineOptions", 9),
     ("IngressOptions", 8),
     ("EvloopOptions", 4),
     ("TcpOptions", 1),
     ("ScenarioOptions", 2),
-    ("NetSpec", 12),
-    ("ActorConfig", 5),
+    ("NetSpec", 11),
+    ("ActorConfig", 4),
     ("GroupStepOptions", 2),
 ];
 
