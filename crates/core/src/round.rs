@@ -60,7 +60,7 @@ impl RoundTimings {
 }
 
 /// The result of a successful round.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RoundOutput {
     /// The anonymized plaintext messages, grouped by the exit (or holding)
     /// group that published them.

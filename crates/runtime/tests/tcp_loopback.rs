@@ -459,3 +459,75 @@ fn member_hosting_no_groups_of_a_small_round_resolves_immediately() {
     assert_eq!(stub.mix_messages, 0);
     assert_eq!(stub.pipelined_latency, Duration::ZERO);
 }
+
+/// A one-group round: a member hosting groups 1 and 2 has no part in it.
+fn one_group_job(seed: u64) -> RoundJob {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut config = AtomConfig::test_default();
+    config.num_groups = 1;
+    config.iterations = 1;
+    config.message_len = 24;
+    config.round = 1;
+    let setup = derive_setup(&config).unwrap();
+    let submission = make_trap_submission(
+        0,
+        &setup.groups[0].public_key,
+        &setup.trustees.public_key,
+        config.round,
+        b"solo",
+        config.message_len,
+        &mut rng,
+    )
+    .unwrap()
+    .0;
+    RoundJob::new(setup, RoundSubmissions::Trap(vec![submission]), seed)
+}
+
+/// `on_round_complete` fires once for every round a process resolves: on
+/// the coordinator, and on a member too — including the empty stub of a
+/// round in which the member hosts no group.
+#[test]
+fn completion_hook_fires_once_per_resolved_round_on_both_processes() {
+    use std::sync::{Arc, Mutex};
+
+    use atom_runtime::EngineOptions;
+
+    // Round 0 spans both processes; round 1 has a single group, which the
+    // coordinator hosts.
+    let mut jobs = trap_jobs(1, 9800);
+    jobs.push(one_group_job(9801));
+    let hooked = |seen: &Arc<Mutex<Vec<usize>>>| {
+        let tap = Arc::clone(seen);
+        let mut options = EngineOptions::with_workers(2);
+        options.on_round_complete = Some(Arc::new(move |round| tap.lock().unwrap().push(round)));
+        options
+    };
+    let member_seen = Arc::new(Mutex::new(Vec::new()));
+    let coordinator_seen = Arc::new(Mutex::new(Vec::new()));
+
+    let (coordinator_net, member_net) = tcp_pair();
+    let (member_options, member_jobs) = (hooked(&member_seen), jobs.clone());
+    let member_thread = std::thread::spawn(move || {
+        Engine::new(member_options).run_rounds_on(
+            member_jobs,
+            &member_net,
+            &EngineRole::member(vec![1, 2]),
+        )
+    });
+    let reports = Engine::new(hooked(&coordinator_seen)).run_rounds_on(
+        jobs,
+        &coordinator_net,
+        &EngineRole::coordinator(vec![0]),
+    );
+    let member_reports = member_thread.join().unwrap();
+    coordinator_net.shutdown();
+
+    for report in reports.iter().chain(&member_reports) {
+        assert!(report.is_ok(), "{report:?}");
+    }
+    for seen in [member_seen, coordinator_seen] {
+        let mut seen = seen.lock().unwrap().clone();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1], "each resolved round fires the hook once");
+    }
+}
