@@ -2,7 +2,8 @@
 //! back to delivering rounds after losing a member.
 //!
 //! Runs a three-OS-process healing deployment (coordinator in this
-//! process, two `--heal-member` children — this binary re-executed),
+//! process, two `atom-node --heal` members — this binary re-executed as
+//! `recovery node <atom-node flags>`, running `netbench::run_node`),
 //! SIGKILLs member 2 after round `--kill-at` completes, restarts it with
 //! the rejoin handshake after round `--restart-at`, and records:
 //!
@@ -21,12 +22,11 @@
 //! [--rounds N] [--messages M] [--kill-at R] [--restart-at R]
 //! [--batch B] [--honest H] [--out PATH]`
 
-use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use atom_bench::heal;
-use atom_bench::netbench::{self, NetSpec, ProcessFleet};
+use atom_bench::netbench::{self, flag_number, flag_value, NetSpec, NodeArgs, ProcessFleet};
 use atom_bench::recovery::RecoveryBaseline;
 use atom_runtime::RoundCompleteHook;
 
@@ -40,11 +40,9 @@ struct Args {
     kill_at: usize,
     restart_at: usize,
     out: Option<String>,
-    /// Internal: run as one healing member of the fleet.
-    member: Option<(usize, Vec<String>, bool)>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         spec: NetSpec {
             groups: GROUPS,
@@ -63,114 +61,62 @@ fn parse_args() -> Args {
         kill_at: 1,
         restart_at: 3,
         out: None,
-        member: None,
     };
-    let (mut is_member, mut index, mut addrs, mut rejoin) = (false, 0usize, Vec::new(), false);
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut grab = |name: &str| -> String {
-            iter.next()
-                .unwrap_or_else(|| panic!("{name} needs an argument"))
-        };
-        let num = |name: &str, value: String| -> u64 {
-            value
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("{name} needs a numeric argument"))
-        };
-        match flag.as_str() {
-            "--rounds" => args.spec.rounds = num("--rounds", grab("--rounds")) as usize,
-            "--messages" => args.spec.messages = num("--messages", grab("--messages")) as usize,
-            "--iterations" => {
-                args.spec.iterations = num("--iterations", grab("--iterations")) as usize
-            }
-            "--seed" => args.spec.seed = num("--seed", grab("--seed")),
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let (spec, flag) = (&mut args.spec, flag.as_str());
+        match flag {
+            "--rounds" => spec.rounds = flag_number(flag, argv.next())?,
+            "--messages" => spec.messages = flag_number(flag, argv.next())?,
+            "--iterations" => spec.iterations = flag_number(flag, argv.next())?,
+            "--seed" => spec.seed = flag_number(flag, argv.next())?,
             "--stall-timeout-ms" => {
-                args.spec.stall_timeout =
-                    Duration::from_millis(num("--stall-timeout-ms", grab("--stall-timeout-ms")))
+                spec.stall_timeout = Duration::from_millis(flag_number(flag, argv.next())?)
             }
-            "--honest" => args.spec.honest = num("--honest", grab("--honest")) as usize,
-            "--batch" => args.batch = num("--batch", grab("--batch")) as usize,
-            "--workers" => args.workers = num("--workers", grab("--workers")) as usize,
-            "--kill-at" => args.kill_at = num("--kill-at", grab("--kill-at")) as usize,
-            "--restart-at" => args.restart_at = num("--restart-at", grab("--restart-at")) as usize,
-            "--out" => args.out = Some(grab("--out")),
-            "--heal-member" => is_member = true,
-            "--index" => index = num("--index", grab("--index")) as usize,
-            "--addrs" => addrs = grab("--addrs").split(',').map(str::to_string).collect(),
-            "--rejoin" => rejoin = true,
-            other => panic!("unknown flag {other}"),
+            "--honest" => spec.honest = flag_number(flag, argv.next())?,
+            "--batch" => args.batch = flag_number(flag, argv.next())?,
+            "--workers" => args.workers = flag_number(flag, argv.next())?,
+            "--kill-at" => args.kill_at = flag_number(flag, argv.next())?,
+            "--restart-at" => args.restart_at = flag_number(flag, argv.next())?,
+            "--out" => args.out = Some(flag_value(flag, argv.next())?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    assert!(
-        args.kill_at < args.restart_at && args.restart_at + 2 < args.spec.rounds,
-        "need kill-at < restart-at and at least two rounds after the restart \
-         for the readmission to land"
-    );
-    if is_member {
-        args.member = Some((index, addrs, rejoin));
+    if args.kill_at >= args.restart_at || args.restart_at + 2 >= args.spec.rounds {
+        return Err(
+            "need kill-at < restart-at and at least two rounds after the restart \
+             for the readmission to land"
+                .into(),
+        );
     }
-    args
-}
-
-/// The `--heal-member` command hosting process `index` of this deployment.
-fn member_command(args: &Args, addrs: &[String], index: usize, rejoin: bool) -> Command {
-    let mut command = Command::new(std::env::current_exe().expect("own binary path"));
-    command
-        .arg("--heal-member")
-        .arg("--index")
-        .arg(index.to_string())
-        .arg("--addrs")
-        .arg(addrs.join(","))
-        .arg("--rounds")
-        .arg(args.spec.rounds.to_string())
-        .arg("--messages")
-        .arg(args.spec.messages.to_string())
-        .arg("--iterations")
-        .arg(args.spec.iterations.to_string())
-        .arg("--seed")
-        .arg(args.spec.seed.to_string())
-        .arg("--stall-timeout-ms")
-        .arg(args.spec.stall_timeout.as_millis().to_string())
-        .arg("--honest")
-        .arg(args.spec.honest.to_string())
-        .arg("--batch")
-        .arg(args.batch.to_string())
-        .arg("--workers")
-        .arg(args.workers.to_string());
-    if rejoin {
-        command.arg("--rejoin");
-    }
-    command
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some((index, addrs, rejoin)) = &args.member {
-        let result = heal::run_healing_member(
-            &args.spec,
-            args.batch,
-            addrs.clone(),
-            *index,
-            args.workers,
-            *rejoin,
-            || {
-                use std::io::Write;
-                println!("{}", netbench::READY_LINE);
-                std::io::stdout().flush().expect("flush readiness signal");
-            },
-        );
-        if let Err(error) = result {
-            eprintln!("recovery member {index}: {error}");
-            std::process::exit(1);
-        }
-        return;
+    if let Some(status) = netbench::node_mode() {
+        std::process::exit(status);
     }
-
+    let args = parse_args().unwrap_or_else(|error| {
+        eprintln!("recovery: {error}");
+        std::process::exit(2)
+    });
     let addrs = netbench::free_addrs(PROCESSES);
-    let fleet = Arc::new(Mutex::new(Some(ProcessFleet::spawn(vec![
-        member_command(&args, &addrs, 1, false),
-        member_command(&args, &addrs, 2, false),
-    ]))));
+    let member = |index, rejoin| NodeArgs {
+        spec: args.spec.clone(),
+        addrs: addrs.clone(),
+        index,
+        workers: args.workers,
+        heal: true,
+        rejoin,
+        batch: args.batch,
+        ..NodeArgs::default()
+    };
+    let fleet = ProcessFleet::spawn(
+        netbench::this_exe_as_node(),
+        vec![member(1, false), member(2, false)],
+    )
+    .unwrap_or_else(|error| panic!("spawn fleet: {error}"));
+    let fleet = Arc::new(Mutex::new(Some(fleet)));
     println!(
         "recovery: {GROUPS}-group healing deployment over {PROCESSES} processes, \
          {} rounds x {} messages (batch {}, h = {}); killing process 2 after \
@@ -185,8 +131,7 @@ fn main() {
 
     let hook: RoundCompleteHook = {
         let fleet = fleet.clone();
-        let restart_command = member_command(&args, &addrs, 2, true);
-        let restart_command = Arc::new(Mutex::new(Some(restart_command)));
+        let restart = Arc::new(Mutex::new(Some(member(2, true))));
         let (kill_at, restart_at) = (args.kill_at, args.restart_at);
         Arc::new(move |round| {
             let mut guard = fleet.lock().unwrap();
@@ -195,13 +140,9 @@ fn main() {
                 fleet.kill_member(2);
             }
             if round == restart_at {
-                let command = restart_command
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("restart fires once");
+                let node = restart.lock().unwrap().take().expect("restart fires once");
                 fleet
-                    .restart_member(2, command)
+                    .restart_member(node)
                     .expect("restart the killed member");
             }
         })
@@ -223,9 +164,7 @@ fn main() {
         .finish(Duration::from_secs(120))
         .unwrap_or_else(|error| panic!("fleet teardown: {error}"));
 
-    let delivered: usize = outcome
-        .reports
-        .iter()
+    let delivered: usize = (outcome.reports.iter())
         .map(|r| r.output.plaintexts.len())
         .sum();
     assert_eq!(

@@ -11,9 +11,10 @@
 //!   `InMemoryNetwork`.
 //! * **`--transport tcp`**: the same deployment split across **OS processes
 //!   on loopback** (coordinator + a [`netbench::ProcessFleet`] of members,
-//!   groups round-robin; each member is this binary re-executed with the
-//!   internal `--tcp-member` flag), exchanging frames through
-//!   `TcpTransport`. Defaults to 2 processes.
+//!   groups round-robin), exchanging frames through `TcpTransport`.
+//!   Defaults to 2 processes. Each member is an `atom-node` process: this
+//!   binary re-executed as `throughput node <atom-node flags>`, running
+//!   `netbench::run_node` on flags written by `netbench::NodeArgs`.
 //!
 //! With `--sharded`, round setup runs *inside* the engine as a distributed
 //! phase — each process derives only the DKGs of the groups it hosts (see
@@ -46,10 +47,9 @@
 //! [--processes 1,2,..] [--sharded] [--stall-timeout-ms S] [--out PATH]
 //! [--trace PATH] [--metrics-out PATH]`
 
-use std::process::Command;
 use std::time::{Duration, Instant};
 
-use atom_bench::netbench::{self, NetSpec, ProcessFleet};
+use atom_bench::netbench::{self, flag_number, flag_value, NetSpec, NodeArgs, ProcessFleet};
 use atom_bench::scale::{ScaleBaseline, ScaleCell};
 use atom_runtime::{Engine, RoundReport};
 
@@ -81,21 +81,9 @@ struct Args {
     trace: Option<String>,
     /// Write the merged counter snapshots as JSON here (requires tracing).
     metrics_out: Option<String>,
-    /// Internal (member mode): recording is on fleet-wide, but this process
-    /// only ships its snapshots to the coordinator and writes no files.
-    traced: bool,
-    /// Internal: run as a member process of a TCP sweep.
-    member: Option<MemberArgs>,
 }
 
-struct MemberArgs {
-    index: usize,
-    addrs: Vec<String>,
-    workers: usize,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     // 64 messages/round keeps submission-proof verification (the part the
     // batched crypto engine and chunked intake accelerate) a visible share
     // of the measured path.
@@ -109,93 +97,62 @@ fn parse_args() -> Args {
         out: None,
         trace: None,
         metrics_out: None,
-        traced: false,
-        member: None,
     };
-    let mut member = MemberArgs {
-        index: 0,
-        addrs: Vec::new(),
-        workers: 1,
-        seed: 0xBE_AC0,
-    };
-    let mut is_member = false;
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut grab_str = |name: &str| -> String {
-            iter.next()
-                .unwrap_or_else(|| panic!("{name} needs an argument"))
-        };
-        let grab = |name: &str, value: String| -> u64 {
-            value
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("{name} needs a numeric argument"))
-        };
-        match flag.as_str() {
-            "--rounds" => args.rounds = grab("--rounds", grab_str("--rounds")) as usize,
-            "--messages" => args.messages = grab("--messages", grab_str("--messages")) as usize,
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let flag = flag.as_str();
+        match flag {
+            "--rounds" => args.rounds = flag_number(flag, argv.next())?,
+            "--messages" => args.messages = flag_number(flag, argv.next())?,
             "--transport" => {
-                args.transport = match grab_str("--transport").as_str() {
+                args.transport = match flag_value(flag, argv.next())?.as_str() {
                     "mem" => TransportKind::Mem,
                     "tcp" => TransportKind::Tcp,
-                    other => panic!("unknown transport {other} (expected mem or tcp)"),
+                    other => return Err(format!("unknown transport {other} (mem or tcp)")),
                 }
             }
             "--processes" => {
-                args.processes = grab_str("--processes")
-                    .split(',')
-                    .map(|count| {
-                        count
-                            .trim()
-                            .parse::<usize>()
-                            .unwrap_or_else(|_| panic!("--processes wants counts, got {count}"))
-                    })
-                    .collect();
-                assert!(
-                    args.processes.iter().all(|&count| count >= 1),
-                    "--processes counts must be >= 1"
-                );
+                args.processes = (flag_value(flag, argv.next())?.split(','))
+                    .map(|count| flag_number(flag, Some(count.trim().to_string())))
+                    .collect::<Result<_, _>>()?
             }
             "--sharded" => args.sharded = true,
             "--stall-timeout-ms" => {
-                args.stall_timeout = Duration::from_millis(grab(
-                    "--stall-timeout-ms",
-                    grab_str("--stall-timeout-ms"),
-                ))
+                args.stall_timeout = Duration::from_millis(flag_number(flag, argv.next())?)
             }
-            "--out" => args.out = Some(grab_str("--out")),
-            "--trace" => args.trace = Some(grab_str("--trace")),
-            "--metrics-out" => args.metrics_out = Some(grab_str("--metrics-out")),
-            "--traced" => args.traced = true,
-            "--tcp-member" => is_member = true,
-            "--index" => member.index = grab("--index", grab_str("--index")) as usize,
-            "--addrs" => {
-                member.addrs = grab_str("--addrs").split(',').map(str::to_string).collect()
-            }
-            "--workers" => member.workers = grab("--workers", grab_str("--workers")) as usize,
-            "--seed" => member.seed = grab("--seed", grab_str("--seed")),
-            other => panic!("unknown flag {other}"),
+            "--out" => args.out = Some(flag_value(flag, argv.next())?),
+            "--trace" => args.trace = Some(flag_value(flag, argv.next())?),
+            "--metrics-out" => args.metrics_out = Some(flag_value(flag, argv.next())?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    assert!(
-        args.out.is_none() || !args.processes.is_empty(),
-        "--out records the --processes sweep; add --transport tcp --processes 1,2,.."
-    );
-    if is_member {
-        args.member = Some(member);
+    if args.processes.contains(&0) {
+        return Err("--processes counts must be >= 1".into());
     }
-    args
+    if !args.processes.is_empty() && args.transport != TransportKind::Tcp {
+        return Err("--processes sweeps OS processes; add --transport tcp".into());
+    }
+    if args.out.is_some() && args.processes.is_empty() {
+        return Err(
+            "--out records the --processes sweep; add --transport tcp --processes 1,2,..".into(),
+        );
+    }
+    if args.metrics_out.is_some() && args.trace.is_none() {
+        return Err("--metrics-out needs --trace (recording is off otherwise)".into());
+    }
+    Ok(args)
 }
 
-fn spec(args: &Args, seed: u64) -> NetSpec {
+fn spec(args: &Args) -> NetSpec {
     NetSpec {
         groups: GROUPS,
         rounds: args.rounds,
         messages: args.messages,
         iterations: ITERATIONS,
-        seed,
+        seed: 0xBE_AC0,
         sharded: args.sharded,
         stall_timeout: args.stall_timeout,
-        trace: args.trace.is_some() || args.traced,
+        trace: args.trace.is_some(),
         honest: 1,
         ..NetSpec::default()
     }
@@ -234,34 +191,6 @@ fn run_memory(spec: &NetSpec, workers: usize) -> (Duration, usize, Duration, Vec
     (wall, delivered, setup, reports)
 }
 
-/// The command line of the `--tcp-member` child hosting process `index`.
-fn member_command(spec: &NetSpec, addrs: &[String], index: usize, workers: usize) -> Command {
-    let mut command = Command::new(std::env::current_exe().expect("own binary path"));
-    command
-        .arg("--tcp-member")
-        .arg("--index")
-        .arg(index.to_string())
-        .arg("--addrs")
-        .arg(addrs.join(","))
-        .arg("--workers")
-        .arg(workers.to_string())
-        .arg("--seed")
-        .arg(spec.seed.to_string())
-        .arg("--rounds")
-        .arg(spec.rounds.to_string())
-        .arg("--messages")
-        .arg(spec.messages.to_string())
-        .arg("--stall-timeout-ms")
-        .arg(spec.stall_timeout.as_millis().to_string());
-    if spec.sharded {
-        command.arg("--sharded");
-    }
-    if spec.trace {
-        command.arg("--traced");
-    }
-    command
-}
-
 /// One TCP-loopback run split across `processes` OS processes: this
 /// process coordinates, a [`ProcessFleet`] of freshly spawned children
 /// hosts the rest of the groups (with `processes == 1`, nobody else).
@@ -276,6 +205,7 @@ fn member_command(spec: &NetSpec, addrs: &[String], index: usize, workers: usize
 /// peer into per-round errors, and the fleet kills and reaps every child
 /// on all exit paths — never a hang, never an orphan.
 fn run_tcp(
+    args: &Args,
     spec: &NetSpec,
     processes: usize,
     workers: usize,
@@ -288,14 +218,23 @@ fn run_tcp(
         atom_obs::reset();
     }
     let addrs = netbench::free_addrs(processes);
-    let commands = (1..processes)
-        .map(|index| member_command(spec, &addrs, index, workers))
+    let members = (1..processes)
+        .map(|index| NodeArgs {
+            spec: spec.clone(),
+            addrs: addrs.clone(),
+            index,
+            workers,
+            trace: args.trace.clone(),
+            ..NodeArgs::default()
+        })
         .collect();
-    let mut fleet = ProcessFleet::spawn(commands);
+    let mut fleet = ProcessFleet::spawn(netbench::this_exe_as_node(), members)
+        .unwrap_or_else(|error| panic!("spawn fleet: {error}"));
     // Coordinator setup overlaps the members'; member listeners may come up
     // after this bind, but Process::start retries connects, so start order
     // does not matter.
-    let process = netbench::Process::start(spec, addrs, 0, workers);
+    let process = netbench::Process::start(spec, addrs, 0, workers)
+        .unwrap_or_else(|error| panic!("coordinator setup: {error}"));
     fleet
         .await_ready(FLEET_TIMEOUT)
         .unwrap_or_else(|error| panic!("fleet readiness: {error}"));
@@ -330,7 +269,7 @@ fn collect_telemetry(reports: &[RoundReport], sink: &mut Vec<atom_obs::Snapshot>
 }
 
 fn print_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) {
-    let spec = spec(args, 0xBE_AC0);
+    let spec = spec(args);
     let total_messages = args.rounds * args.messages;
     println!(
         "throughput: {GROUPS}-group trap deployment, {} rounds x {} messages, \
@@ -351,7 +290,7 @@ fn print_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) {
     for workers in WORKER_SWEEP {
         let (wall, delivered, setup, reports) = match args.transport {
             TransportKind::Mem => run_memory(&spec, workers),
-            TransportKind::Tcp => run_tcp(&spec, 2, workers),
+            TransportKind::Tcp => run_tcp(args, &spec, 2, workers),
         };
         collect_telemetry(&reports, telemetry);
         assert_eq!(delivered, total_messages, "no message may be lost");
@@ -385,17 +324,17 @@ fn run_scale_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) -> Scal
     let mut cells = Vec::new();
     for &processes in &args.processes {
         for workers in JSON_SWEEP {
-            let mut normal = spec(args, 0xBE_AC0);
+            let mut normal = spec(args);
             normal.sharded = false;
-            let (wall, delivered, _, reports) = run_tcp(&normal, processes, workers);
+            let (wall, delivered, _, reports) = run_tcp(args, &normal, processes, workers);
             assert_eq!(delivered, total_messages, "no message may be lost");
             let rate = delivered as f64 / wall.as_secs_f64();
             collect_telemetry(&reports, telemetry);
 
-            let mut sharded = spec(args, 0xBE_AC0);
+            let mut sharded = spec(args);
             sharded.sharded = true;
             let (sharded_wall, sharded_delivered, setup, sharded_reports) =
-                run_tcp(&sharded, processes, workers);
+                run_tcp(args, &sharded, processes, workers);
             assert_eq!(sharded_delivered, total_messages, "no message may be lost");
             let sharded_rate = sharded_delivered as f64 / sharded_wall.as_secs_f64();
             collect_telemetry(&sharded_reports, telemetry);
@@ -435,54 +374,28 @@ fn run_scale_sweep(args: &Args, telemetry: &mut Vec<atom_obs::Snapshot>) -> Scal
     }
 }
 
-/// Writes the `--trace` / `--metrics-out` artifacts from the accumulated
-/// fleet snapshots and prints the human span summary.
-fn write_telemetry(args: &Args, telemetry: &[atom_obs::Snapshot]) {
-    if let Some(path) = &args.trace {
-        std::fs::write(path, atom_obs::chrome_trace_json(telemetry))
-            .expect("write fleet trace JSON");
-        println!("wrote {path} ({} snapshots)", telemetry.len());
-        print!("{}", atom_obs::text_summary(telemetry));
-    }
-    if let Some(path) = &args.metrics_out {
-        assert!(
-            args.trace.is_some(),
-            "--metrics-out needs --trace (recording is off otherwise)"
-        );
-        std::fs::write(path, atom_obs::metrics_json(telemetry)).expect("write metrics JSON");
-        println!("wrote {path}");
-    }
-}
-
 fn main() {
-    let args = parse_args();
-    if let Some(member) = &args.member {
-        // Internal mode: one member process of a TCP sweep. Setup runs
-        // before the readiness signal so the parent's timed region starts
-        // with both engines ready.
-        let spec = spec(&args, member.seed);
-        let process =
-            netbench::Process::start(&spec, member.addrs.clone(), member.index, member.workers);
-        println!("{}", netbench::READY_LINE);
-        use std::io::Write;
-        std::io::stdout().flush().expect("flush readiness signal");
-        process.run();
-        return;
+    if let Some(status) = netbench::node_mode() {
+        std::process::exit(status);
     }
+    let args = parse_args().unwrap_or_else(|error| {
+        eprintln!("throughput: {error}");
+        std::process::exit(2)
+    });
     let mut telemetry: Vec<atom_obs::Snapshot> = Vec::new();
-    if !args.processes.is_empty() {
-        assert!(
-            args.transport == TransportKind::Tcp,
-            "--processes sweeps OS processes; add --transport tcp"
-        );
+    if args.processes.is_empty() {
+        print_sweep(&args, &mut telemetry);
+    } else {
         let baseline = run_scale_sweep(&args, &mut telemetry);
         if let Some(path) = &args.out {
             std::fs::write(path, baseline.to_json()).expect("write BENCH_scale.json");
             println!("wrote {path}");
         }
-        write_telemetry(&args, &telemetry);
-        return;
     }
-    print_sweep(&args, &mut telemetry);
-    write_telemetry(&args, &telemetry);
+    netbench::write_telemetry(
+        args.trace.as_deref(),
+        args.metrics_out.as_deref(),
+        &telemetry,
+    )
+    .unwrap_or_else(|error| panic!("{error}"));
 }

@@ -392,8 +392,14 @@ pub struct RecoveryOutcome {
 }
 
 /// Binds fleet process `me`'s end of the mesh and connects it to every
-/// peer, with the full-membership owner map.
-fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransport, String> {
+/// peer, with the full-membership owner map — the one transport setup of
+/// every fleet process, plain or healing. Turns recording on under
+/// `NetSpec::trace`.
+pub(crate) fn join_fleet(
+    spec: &NetSpec,
+    addrs: Vec<String>,
+    me: usize,
+) -> Result<TcpTransport, String> {
     if spec.trace {
         atom_obs::set_process(me as u32);
         atom_obs::set_enabled(true);
@@ -1101,10 +1107,7 @@ mod tests {
         // Orchestrator pinned to the coordinator.
         assert_eq!(owner[5], 0);
         // No evictions reproduces the historical round-robin map.
-        assert_eq!(
-            owner_map_excluding(5, 3, &[]),
-            crate::netbench::owner_map(5, 3)
-        );
+        assert_eq!(owner_map_excluding(5, 3, &[]), vec![0, 1, 2, 0, 1, 0]);
     }
 
     #[test]

@@ -7,8 +7,14 @@
 //! a canonical byte serialization of round outputs, which is what the TCP
 //! loopback equivalence test compares against a single-process run —
 //! byte-for-byte, not just set-equal.
+//!
+//! It also owns the one fleet process: [`NodeArgs`] (its flags, parsed and
+//! written by one codec) and [`run_node`] (its run, plain or `--heal`),
+//! which `atom-node` and every harness-spawned member run, and
+//! [`ProcessFleet`], the one supervisor of child processes.
 
-use std::io::{BufRead, BufReader};
+use std::ffi::OsString;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -20,8 +26,10 @@ use atom_core::config::{AtomConfig, Defense};
 use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::error::AtomResult;
 use atom_core::message::{make_trap_submission, TrapSubmission};
-use atom_net::{NodeId, TcpOptions, TcpTransport};
+use atom_net::{NodeId, TcpTransport};
 use atom_runtime::{Engine, EngineOptions, EngineRole, RoundJob, RoundReport, RoundSubmissions};
+
+use crate::heal::{self, join_fleet, owner_map_excluding};
 
 /// Everything a process needs to derive a multi-process workload
 /// deterministically.
@@ -182,17 +190,8 @@ pub fn build_sharded_jobs(spec: &NetSpec, with_submissions: bool) -> Vec<RoundJo
         .collect()
 }
 
-/// The node→process assignment: groups round-robin over every process
-/// (coordinator included), the orchestrator node (always last) on process
-/// 0. Every process must compute the identical map.
-pub fn owner_map(groups: usize, processes: usize) -> Vec<usize> {
-    assert!(processes >= 1, "at least the coordinator process");
-    let mut owner: Vec<usize> = (0..groups).map(|gid| gid % processes).collect();
-    owner.push(0);
-    owner
-}
-
-/// The group ids process `index` hosts under [`owner_map`].
+/// The group ids process `index` hosts under an owner map
+/// ([`owner_map_excluding`]).
 pub fn hosted_groups(owner: &[NodeId], index: usize) -> Vec<usize> {
     let groups = owner.len() - 1; // last node is the orchestrator
     (0..groups).filter(|&gid| owner[gid] == index).collect()
@@ -245,12 +244,9 @@ pub fn free_addrs(count: usize) -> Vec<String> {
 }
 
 /// One process's share of a multi-process run, split into an untimed setup
-/// phase ([`Process::start`]: derive jobs, bind, connect) and the run
-/// itself ([`Process::run`]) — so benchmarks can time the engine without
-/// charging it for workload derivation or connection churn.
-///
-/// Panics on transport setup failure or if any round errors — the callers
-/// are benchmarks and CLI harnesses where loud is right.
+/// phase ([`Process::start`]: derive jobs, join the mesh) and the run
+/// itself ([`Process::try_run`]) — so benchmarks can time the engine
+/// without charging it for workload derivation or connection churn.
 pub struct Process {
     transport: TcpTransport,
     role: EngineRole,
@@ -259,21 +255,19 @@ pub struct Process {
 }
 
 impl Process {
-    /// Derives the spec's jobs, binds node `index` of `addrs` and connects
-    /// to every peer (retrying while they start up). Under
+    /// Derives the spec's jobs and joins node `index` of `addrs` to the
+    /// mesh (retrying connects while the peers start up). Under
     /// [`NetSpec::sharded`] the jobs carry only the configuration (plus, on
     /// the coordinator, the submissions): the DKGs themselves run inside
-    /// [`Process::run`], sharded across the processes.
-    pub fn start(spec: &NetSpec, addrs: Vec<String>, index: usize, workers: usize) -> Self {
-        if spec.trace {
-            atom_obs::set_process(index as u32);
-            atom_obs::set_enabled(true);
-        }
-        let owner = owner_map(spec.groups, addrs.len());
-        let hosted = hosted_groups(&owner, index);
-        let transport = TcpTransport::bind(addrs, owner, index, TcpOptions::default())
-            .expect("bind tcp transport");
-        transport.connect_peers().expect("connect tcp peers");
+    /// [`Process::try_run`], sharded across the processes.
+    pub fn start(
+        spec: &NetSpec,
+        addrs: Vec<String>,
+        index: usize,
+        workers: usize,
+    ) -> Result<Self, String> {
+        let hosted = hosted_groups(&owner_map_excluding(spec.groups, addrs.len(), &[]), index);
+        let transport = join_fleet(spec, addrs, index)?;
         let role = if index == 0 {
             EngineRole::coordinator(hosted)
         } else {
@@ -286,12 +280,12 @@ impl Process {
         } else {
             build_jobs(spec)
         };
-        Self {
+        Ok(Self {
             transport,
             role,
             options,
             jobs,
-        }
+        })
     }
 
     /// Plays the role to completion and returns one result per round
@@ -304,31 +298,397 @@ impl Process {
         self.transport.shutdown();
         results
     }
+}
 
-    /// [`Process::try_run`], panicking on the first round error — for
-    /// harnesses where loud is right.
-    pub fn run(self) -> Vec<RoundReport> {
-        self.try_run()
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .expect("multi-process round failed")
+/// The command line of one fleet process: `atom-node`'s flags, read by
+/// [`NodeArgs::parse`], written by [`NodeArgs::argv`] and run by
+/// [`run_node`]. Every harness that spawns fleet processes goes through
+/// this one codec, so the flag-agreement rules of `docs/operations.md`
+/// live in one place.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeArgs {
+    /// The workload (`--groups`, `--rounds`, `--messages`, `--iterations`,
+    /// `--seed`, `--sharded`, `--stall-timeout-ms`, `--honest`); every
+    /// process of a deployment must get the same one.
+    pub spec: NetSpec,
+    /// One listen address per process, in process-index order (`--addrs`).
+    pub addrs: Vec<String>,
+    /// This process's index in `addrs`; 0 is the coordinator (`--index`).
+    pub index: usize,
+    /// Engine worker threads (`--workers`); free to differ per process.
+    pub workers: usize,
+    /// Self-healing mode (`--heal`): survive member loss via eviction and
+    /// re-formation.
+    pub heal: bool,
+    /// Healing member only (`--rejoin`, implies `--heal`): announce as a
+    /// restarted process instead of expecting to be in the fleet from
+    /// round 0.
+    pub rejoin: bool,
+    /// Healing mode: rounds per batch (`--batch`), the re-formation and
+    /// readmission boundary spacing.
+    pub batch: usize,
+    /// Coordinator: write the canonical round outputs here (`--out`).
+    pub out: Option<String>,
+    /// Coordinator: write the merged fleet Chrome trace here (`--trace`).
+    /// Every process passes it to turn recording on; members ignore the
+    /// path. Mirrors `spec.trace`.
+    pub trace: Option<String>,
+    /// Coordinator: write the merged counter snapshots here
+    /// (`--metrics-out`, needs `--trace`).
+    pub metrics_out: Option<String>,
+}
+
+impl Default for NodeArgs {
+    fn default() -> Self {
+        Self {
+            spec: NetSpec::default(),
+            addrs: Vec::new(),
+            index: 0,
+            workers: 2,
+            heal: false,
+            rejoin: false,
+            batch: 1,
+            out: None,
+            trace: None,
+            metrics_out: None,
+        }
     }
 }
 
-/// [`Process::start`] + [`Process::run`] in one call, for harnesses that
-/// do their own timing (or none).
-pub fn run_process(
-    spec: &NetSpec,
-    addrs: Vec<String>,
-    index: usize,
-    workers: usize,
-) -> Vec<RoundReport> {
-    Process::start(spec, addrs, index, workers).run()
+/// What [`node_main`] prints after a flag error.
+const NODE_USAGE: &str = "usage: atom-node --index I --addrs HOST:PORT,HOST:PORT[,..] \
+     [--groups G] [--rounds R] [--messages M] [--iterations N] [--seed S] [--sharded] \
+     [--stall-timeout-ms T] [--honest H] [--workers W] [--heal] [--rejoin] [--batch B] \
+     [--out PATH] [--trace PATH [--metrics-out PATH]]";
+
+/// The value after `flag`, or the error that it is missing.
+pub fn flag_value(flag: &str, value: Option<String>) -> Result<String, String> {
+    value.ok_or_else(|| format!("{flag} needs an argument"))
 }
 
-/// The readiness line a non-coordinator process of an orchestrated
-/// deployment prints on stdout once its setup (job derivation, bind,
-/// connect) is done and its engine is about to run. [`ProcessFleet`] waits
+/// The number after `flag`, or the error that it is missing or malformed.
+pub fn flag_number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = flag_value(flag, value)?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got {value:?}"))
+}
+
+impl NodeArgs {
+    /// Reads a fleet process's flags (without the program name). Every
+    /// check runs here, before the process binds anything, so a bad
+    /// command line is an error on every process rather than a panic on
+    /// one of them mid-run.
+    pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut args = Self::default();
+        let mut argv = argv.into_iter();
+        while let Some(flag) = argv.next() {
+            let (spec, flag) = (&mut args.spec, flag.as_str());
+            match flag {
+                "--index" => args.index = flag_number(flag, argv.next())?,
+                "--addrs" => {
+                    args.addrs = (flag_value(flag, argv.next())?.split(','))
+                        .map(str::trim)
+                        .filter(|addr| !addr.is_empty())
+                        .map(String::from)
+                        .collect()
+                }
+                "--groups" => spec.groups = flag_number(flag, argv.next())?,
+                "--rounds" => spec.rounds = flag_number(flag, argv.next())?,
+                "--messages" => spec.messages = flag_number(flag, argv.next())?,
+                "--iterations" => spec.iterations = flag_number(flag, argv.next())?,
+                "--seed" => spec.seed = flag_number(flag, argv.next())?,
+                "--sharded" => spec.sharded = true,
+                "--stall-timeout-ms" => {
+                    spec.stall_timeout = Duration::from_millis(flag_number(flag, argv.next())?)
+                }
+                "--honest" => spec.honest = flag_number(flag, argv.next())?,
+                "--workers" => args.workers = flag_number(flag, argv.next())?,
+                "--heal" => args.heal = true,
+                "--rejoin" => (args.heal, args.rejoin) = (true, true),
+                "--batch" => args.batch = flag_number(flag, argv.next())?,
+                "--out" => args.out = Some(flag_value(flag, argv.next())?),
+                "--trace" => args.trace = Some(flag_value(flag, argv.next())?),
+                "--metrics-out" => args.metrics_out = Some(flag_value(flag, argv.next())?),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        args.spec.trace = args.trace.is_some();
+        if args.addrs.len() < 2 {
+            return Err(format!(
+                "--addrs needs at least coordinator + one member (got {})",
+                args.addrs.len()
+            ));
+        }
+        if args.index >= args.addrs.len() {
+            return Err(format!(
+                "--index {} out of range for {} addresses",
+                args.index,
+                args.addrs.len()
+            ));
+        }
+        if args.metrics_out.is_some() && args.trace.is_none() {
+            return Err("--metrics-out needs --trace (recording is off otherwise)".into());
+        }
+        Ok(args)
+    }
+
+    /// The flags [`NodeArgs::parse`] reads back as `self`. Refuses what no
+    /// flag can carry rather than dropping it: the in-process drill knobs
+    /// (`NetSpec::loris`, `NetSpec::round_deadline`), a stall timeout finer
+    /// than a millisecond, and a `spec.trace` without a `--trace` path.
+    pub fn argv(&self) -> Result<Vec<String>, String> {
+        let spec = &self.spec;
+        let stall_ms = spec.stall_timeout.as_millis() as u64;
+        if !spec.loris.is_zero() || !spec.round_deadline.is_zero() {
+            return Err(
+                "loris and round_deadline are in-process drill knobs; no flag carries them".into(),
+            );
+        }
+        if Duration::from_millis(stall_ms) != spec.stall_timeout {
+            return Err("--stall-timeout-ms carries whole milliseconds only".into());
+        }
+        if spec.trace != self.trace.is_some() {
+            return Err("spec.trace is set exactly when --trace has a path".into());
+        }
+        let paths = [
+            ("--out", &self.out),
+            ("--trace", &self.trace),
+            ("--metrics-out", &self.metrics_out),
+        ];
+        let switches = [
+            ("--sharded", spec.sharded),
+            ("--heal", self.heal),
+            ("--rejoin", self.rejoin),
+        ];
+        let valued = [
+            ("--index", self.index.to_string()),
+            ("--addrs", self.addrs.join(",")),
+            ("--groups", spec.groups.to_string()),
+            ("--rounds", spec.rounds.to_string()),
+            ("--messages", spec.messages.to_string()),
+            ("--iterations", spec.iterations.to_string()),
+            ("--seed", spec.seed.to_string()),
+            ("--stall-timeout-ms", stall_ms.to_string()),
+            ("--honest", spec.honest.to_string()),
+            ("--workers", self.workers.to_string()),
+            ("--batch", self.batch.to_string()),
+        ]
+        .into_iter()
+        .chain(
+            paths
+                .into_iter()
+                .filter_map(|(flag, path)| Some((flag, path.clone()?))),
+        );
+        Ok(valued
+            .flat_map(|(flag, value)| [flag.to_string(), value])
+            .chain(
+                switches
+                    .into_iter()
+                    .filter(|&(_, on)| on)
+                    .map(|(flag, _)| flag.into()),
+            )
+            .collect())
+    }
+}
+
+/// Prints [`READY_LINE`]: this process's setup is done and its engine is
+/// about to run.
+fn announce_ready() {
+    println!("{READY_LINE}");
+    std::io::stdout().flush().expect("flush readiness signal");
+}
+
+/// One fleet process, plain or `--heal`, start to finish: join the mesh,
+/// play this process's role, and on the coordinator write the `--out`,
+/// `--trace` and `--metrics-out` files from its round reports. A failed
+/// round, a lost message or an unrecoverable fleet is an `Err`.
+pub fn run_node(args: &NodeArgs) -> Result<(), String> {
+    let reports = if args.heal {
+        run_healing_node(args)?
+    } else {
+        run_plain_node(args)?
+    };
+    if args.index != 0 {
+        return Ok(());
+    }
+    if let Some(path) = &args.out {
+        write_file(path, &serialize_reports(&reports))?;
+    }
+    let telemetry: Vec<atom_obs::Snapshot> = (reports.iter())
+        .flat_map(|report| report.telemetry.iter().cloned())
+        .collect();
+    write_telemetry(
+        args.trace.as_deref(),
+        args.metrics_out.as_deref(),
+        &telemetry,
+    )
+}
+
+/// Writes `bytes` to `path` and says so on stdout.
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|error| format!("write {path}: {error}"))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+/// Writes a fleet's merged snapshots as the `--trace` Chrome trace (plus
+/// the span summary on stdout) and the `--metrics-out` counters.
+pub fn write_telemetry(
+    trace: Option<&str>,
+    metrics_out: Option<&str>,
+    telemetry: &[atom_obs::Snapshot],
+) -> Result<(), String> {
+    if let Some(path) = trace {
+        write_file(path, atom_obs::chrome_trace_json(telemetry).as_bytes())?;
+        print!("{}", atom_obs::text_summary(telemetry));
+    }
+    match metrics_out {
+        Some(path) => write_file(path, atom_obs::metrics_json(telemetry).as_bytes()),
+        None => Ok(()),
+    }
+}
+
+/// The default semantics: one engine run over every round, any failure
+/// fatal. Returns the coordinator's reports (stubs on a member).
+fn run_plain_node(args: &NodeArgs) -> Result<Vec<RoundReport>, String> {
+    // Setup (job derivation, bind, connect retries) first, then the
+    // readiness line: an orchestrator waiting for it knows this engine is
+    // about to run, so its timed region starts with the whole deployment
+    // ready.
+    let (spec, index) = (&args.spec, args.index);
+    let process = Process::start(spec, args.addrs.clone(), index, args.workers)?;
+    announce_ready();
+    let start = Instant::now();
+    let results = process.try_run();
+    let wall = start.elapsed();
+    // A lost peer or a failed round surfaces as per-round errors (a send
+    // error becomes `TransportLost`, silence trips the stall detector);
+    // report every one, so an orchestrator sees a status, not a hang.
+    let failures: Vec<String> = (results.iter().enumerate())
+        .filter_map(|(round, result)| Some(format!("round {round}: {:?}", result.as_ref().err()?)))
+        .collect();
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
+    }
+    let reports: Vec<RoundReport> = results.into_iter().flatten().collect();
+    if index != 0 {
+        println!("atom-node member {index}: hosted its groups to completion in {wall:.2?}");
+        return Ok(reports);
+    }
+    let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
+    if delivered != spec.rounds * spec.messages {
+        return Err(format!(
+            "{delivered} of {} messages delivered; no message may be lost",
+            spec.rounds * spec.messages
+        ));
+    }
+    println!(
+        "atom-node coordinator: {} processes, {} groups, {} rounds x {} messages \
+         -> {delivered} delivered in {wall:.2?} ({:.1} msgs/sec)",
+        args.addrs.len(),
+        spec.groups,
+        spec.rounds,
+        spec.messages,
+        delivered as f64 / wall.as_secs_f64(),
+    );
+    if spec.sharded {
+        let setup_max = reports.iter().map(|r| r.setup_latency).max();
+        println!(
+            "atom-node coordinator: sharded directory — max per-round setup latency \
+             {:.2?} (overlapped across rounds, not additive)",
+            setup_max.unwrap_or_default()
+        );
+    }
+    Ok(reports)
+}
+
+/// The `--heal` semantics ([`crate::heal`]): the coordinator runs the
+/// recovery loop and returns its reports; a member runs the handshake loop
+/// and returns none. Member-side round failures during churn are expected
+/// and not fatal: the coordinator owns the diagnosis.
+fn run_healing_node(args: &NodeArgs) -> Result<Vec<RoundReport>, String> {
+    let (spec, index, addrs) = (&args.spec, args.index, args.addrs.clone());
+    if index != 0 {
+        let (batch, workers) = (args.batch, args.workers);
+        heal::run_healing_member(
+            spec,
+            batch,
+            addrs,
+            index,
+            workers,
+            args.rejoin,
+            announce_ready,
+        )?;
+        println!("atom-node member {index}: left the healed deployment cleanly");
+        return Ok(Vec::new());
+    }
+    let start = Instant::now();
+    let outcome = heal::run_recovery_coordinator(spec, args.batch, addrs, args.workers, None)
+        .map_err(|error| format!("recovery failed: {error}"))?;
+    let delivered: usize = (outcome.reports.iter())
+        .map(|r| r.output.plaintexts.len())
+        .sum();
+    println!(
+        "atom-node coordinator: healed deployment — {} rounds in {} epoch(s), \
+         {} eviction(s), {} rejoin(s), {delivered} delivered in {:.2?}",
+        spec.rounds,
+        outcome.epochs,
+        outcome.evictions.len(),
+        outcome.rejoins.len(),
+        start.elapsed(),
+    );
+    if let Some(latency) = outcome.healed_latency {
+        println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
+    }
+    Ok(outcome.reports)
+}
+
+/// `atom-node`'s program, also what `throughput` and `recovery` run when
+/// re-executed in [`NODE_MODE`]: parse `argv` (the flags, without the
+/// program name), [`run_node`] it, and return the exit status — 2 for a
+/// flag error, 1 for a failed run.
+pub fn node_main(argv: impl IntoIterator<Item = String>) -> i32 {
+    let args = match NodeArgs::parse(argv) {
+        Ok(args) => args,
+        Err(error) => {
+            eprintln!("atom-node: {error}\n{NODE_USAGE}");
+            return 2;
+        }
+    };
+    match run_node(&args) {
+        Ok(()) => 0,
+        Err(error) => {
+            eprintln!("atom-node process {}: {error}", args.index);
+            1
+        }
+    }
+}
+
+/// The leading argument that makes a harness binary run as one fleet
+/// process ([`node_main`]) instead of as itself. `throughput` and
+/// `recovery` re-execute themselves this way ([`this_exe_as_node`])
+/// rather than spawn `atom-node`, which `cargo run --bin` would not build.
+pub const NODE_MODE: &str = "node";
+
+/// Runs this process as a fleet process if it was launched as one
+/// (`<exe> node <flags>`) and returns its exit status; `None` for any
+/// other invocation.
+pub fn node_mode() -> Option<i32> {
+    let mut argv = std::env::args().skip(1);
+    (argv.next().as_deref() == Some(NODE_MODE)).then(|| node_main(argv))
+}
+
+/// The program that runs this executable in [`NODE_MODE`], for
+/// [`ProcessFleet::spawn`].
+pub fn this_exe_as_node() -> Vec<OsString> {
+    let exe = std::env::current_exe().expect("own binary path");
+    vec![exe.into(), NODE_MODE.into()]
+}
+
+/// The readiness line a fleet process prints on stdout once its setup (job
+/// derivation, bind, connect) is done and its engine is about to run (a
+/// `--heal` coordinator prints none). [`ProcessFleet`] waits
 /// for it, so a benchmark's timed region starts with every engine ready —
 /// and so a child that dies during setup is caught immediately.
 pub const READY_LINE: &str = "atom-process-ready";
@@ -343,8 +703,7 @@ enum FleetEvent {
 }
 
 struct FleetMember {
-    /// Process index in the deployment (the spawning process is 0, so
-    /// members are indices `1..processes`).
+    /// Process index in the deployment (its `--index`).
     index: usize,
     child: Child,
     ready: bool,
@@ -355,9 +714,28 @@ struct FleetMember {
     generation: u64,
 }
 
-/// Human-readable exit description, including the fatal signal on Unix —
-/// a SIGKILLed member reads `signal 9`, not an opaque failure.
-#[cfg(unix)]
+impl FleetMember {
+    /// Reaps the child if it has exited — SIGKILLing it first and waiting
+    /// when `kill` — and records how it died. Whether it is reaped.
+    fn reap(&mut self, epoch: Instant, kill: bool) -> bool {
+        if self.reaped.is_none() {
+            let status = if kill {
+                let _ = self.child.kill();
+                self.child.wait().ok()
+            } else {
+                self.child.try_wait().ok().flatten()
+            };
+            if let Some(status) = status {
+                record_exit(self.index, epoch, &status);
+                self.reaped = Some(status);
+            }
+        }
+        self.reaped.is_some()
+    }
+}
+
+/// Human-readable exit description, including the fatal signal — a
+/// SIGKILLed member reads `signal 9`, not an opaque failure.
 fn describe_exit(status: &ExitStatus) -> String {
     use std::os::unix::process::ExitStatusExt;
     match (status.code(), status.signal()) {
@@ -372,11 +750,6 @@ fn describe_exit(status: &ExitStatus) -> String {
         }
         _ => format!("{status}"),
     }
-}
-
-#[cfg(not(unix))]
-fn describe_exit(status: &ExitStatus) -> String {
-    format!("{status}")
 }
 
 /// One timestamped, attributed line on stderr when a member is reaped, so
@@ -410,15 +783,18 @@ fn spawn_reader(
     })
 }
 
-/// The member processes of one N-process deployment: spawned together,
+/// The child processes of one N-process deployment: spawned together,
 /// readiness-handshaked, monitored, and — on **every** exit path, including
 /// a panicking or early-returning caller — killed and reaped (`Drop`), so
 /// no fleet ever leaks an orphan child.
 ///
-/// The coordinator (process 0) is the caller itself and never part of the
-/// fleet; `commands[i]` must launch process index `i + 1` of the deployment
-/// and print [`READY_LINE`] on stdout once its engine is ready.
+/// Each child is `program` run with one [`NodeArgs`]'s flags, so it knows
+/// its real process index: usually the members, with the caller as the
+/// coordinator, but a coordinator child (index 0) is supervised the same
+/// way. A child prints [`READY_LINE`] on stdout once its engine is ready.
 pub struct ProcessFleet {
+    /// The executable plus the arguments before the node flags.
+    program: Vec<OsString>,
     members: Vec<FleetMember>,
     events: mpsc::Receiver<FleetEvent>,
     events_tx: mpsc::Sender<FleetEvent>,
@@ -426,54 +802,52 @@ pub struct ProcessFleet {
 }
 
 impl ProcessFleet {
-    /// Spawns one member per command. Each child's stdout is piped through
-    /// a monitor thread that watches for [`READY_LINE`] and forwards every
-    /// other line to this process's stderr, prefixed with the member's
-    /// process index and the milliseconds elapsed since the fleet spawned —
-    /// so an operator watching the coordinator sees the whole fleet's
-    /// output, attributed and ordered in time (interleaving across members
-    /// is otherwise unreadable during a stall post-mortem).
-    pub fn spawn(commands: Vec<Command>) -> Self {
+    /// Spawns one child per node: `program` (an executable plus any
+    /// leading arguments, e.g. [`this_exe_as_node`]) followed by
+    /// [`NodeArgs::argv`]. Each child's stdout is piped through a monitor
+    /// thread that watches for [`READY_LINE`] and forwards every other line
+    /// to this process's stderr, prefixed with the child's process index
+    /// and the milliseconds elapsed since the fleet spawned — so an
+    /// operator watching the coordinator sees the whole fleet's output,
+    /// attributed and ordered in time (interleaving across members is
+    /// otherwise unreadable during a stall post-mortem).
+    pub fn spawn(program: Vec<OsString>, nodes: Vec<NodeArgs>) -> Result<Self, String> {
         let (events_tx, events) = mpsc::channel();
-        let epoch = Instant::now();
-        let members = commands
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut command)| {
-                let index = i + 1;
-                let mut child = command
-                    .stdout(Stdio::piped())
-                    .stderr(Stdio::inherit())
-                    .spawn()
-                    .expect("spawn fleet member process");
-                let stdout = child.stdout.take().expect("fleet member stdout piped");
-                let reader = spawn_reader(index, 0, stdout, events_tx.clone(), epoch);
-                FleetMember {
-                    index,
-                    child,
-                    ready: false,
-                    reaped: None,
-                    reader: Some(reader),
-                    generation: 0,
-                }
-            })
-            .collect();
-        Self {
-            members,
+        let mut fleet = Self {
+            program,
+            members: Vec::new(),
             events,
             events_tx,
-            epoch,
+            epoch: Instant::now(),
+        };
+        for node in &nodes {
+            let member = fleet.launch(node, 0)?;
+            fleet.members.push(member);
         }
+        Ok(fleet)
     }
 
-    /// Number of member processes (the deployment has one more: the caller).
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the fleet has no members (a single-process deployment).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+    /// Starts one child for `node` and its stdout monitor.
+    fn launch(&self, node: &NodeArgs, generation: u64) -> Result<FleetMember, String> {
+        let index = node.index;
+        let (exe, leading) = self.program.split_first().ok_or("an empty fleet program")?;
+        let mut child = Command::new(exe)
+            .args(leading)
+            .args(node.argv()?)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|error| format!("spawn fleet process {index}: {error}"))?;
+        let stdout = child.stdout.take().expect("fleet member stdout piped");
+        let tx = self.events_tx.clone();
+        Ok(FleetMember {
+            index,
+            child,
+            ready: false,
+            reaped: None,
+            reader: Some(spawn_reader(index, generation, stdout, tx, self.epoch)),
+            generation,
+        })
     }
 
     /// Blocks until every member signalled readiness. A member that exits
@@ -483,13 +857,6 @@ impl ProcessFleet {
         let deadline = Instant::now() + timeout;
         while self.members.iter().any(|member| !member.ready) {
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                let waiting = self.not_ready();
-                self.kill_all();
-                return Err(format!(
-                    "fleet members {waiting:?} not ready after {timeout:?}"
-                ));
-            }
             match self.events.recv_timeout(left) {
                 Ok(FleetEvent::Ready(index, generation)) => {
                     if let Some(member) = self
@@ -513,7 +880,10 @@ impl ProcessFleet {
                     }
                 }
                 Err(_) => {
-                    let waiting = self.not_ready();
+                    let waiting: Vec<usize> = (self.members.iter())
+                        .filter(|member| !member.ready)
+                        .map(|member| member.index)
+                        .collect();
                     self.kill_all();
                     return Err(format!(
                         "fleet members {waiting:?} not ready after {timeout:?}"
@@ -524,43 +894,24 @@ impl ProcessFleet {
         Ok(())
     }
 
-    fn not_ready(&self) -> Vec<usize> {
-        self.members
-            .iter()
-            .filter(|member| !member.ready)
-            .map(|member| member.index)
-            .collect()
-    }
-
-    /// Waits (bounded) for every member to exit, then checks the statuses.
-    /// A member still running at the deadline is killed; any non-success
+    /// Waits (bounded) for every child to exit, then checks the statuses.
+    /// A child still running at the deadline is killed; any non-success
     /// status is reported. Either way every child is reaped before this
     /// returns.
     pub fn finish(mut self, timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
         loop {
-            for member in &mut self.members {
-                if member.reaped.is_none() {
-                    if let Some(status) = member.child.try_wait().expect("wait on fleet member") {
-                        record_exit(member.index, self.epoch, &status);
-                        member.reaped = Some(status);
-                    }
-                }
-            }
-            if self.members.iter().all(|member| member.reaped.is_some()) {
+            let epoch = self.epoch;
+            let running: Vec<usize> = (self.members.iter_mut())
+                .filter_map(|member| (!member.reap(epoch, false)).then_some(member.index))
+                .collect();
+            if running.is_empty() {
                 break;
             }
             if Instant::now() > deadline {
-                let laggards: Vec<usize> = self
-                    .members
-                    .iter()
-                    .filter(|member| member.reaped.is_none())
-                    .map(|member| member.index)
-                    .collect();
                 self.kill_all();
                 return Err(format!(
-                    "fleet members {laggards:?} still running {timeout:?} after the \
-                     coordinator finished; killed"
+                    "fleet processes {running:?} still running after {timeout:?}; killed"
                 ));
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -592,13 +943,7 @@ impl ProcessFleet {
     pub fn kill_member(&mut self, index: usize) {
         let epoch = self.epoch;
         if let Some(member) = self.members.iter_mut().find(|m| m.index == index) {
-            if member.reaped.is_none() {
-                let _ = member.child.kill();
-                if let Ok(status) = member.child.wait() {
-                    record_exit(index, epoch, &status);
-                    member.reaped = Some(status);
-                }
-            }
+            member.reap(epoch, true);
         }
     }
 
@@ -612,43 +957,25 @@ impl ProcessFleet {
             .and_then(|m| m.reaped)
     }
 
-    /// Restarts a dead member slot with a fresh command (same deployment
-    /// index — rejoin drills restart the killed process on its old
-    /// address). Errors if the old child is still running. The new child
-    /// gets a fresh generation, so stale events from its predecessor are
-    /// ignored; wait for it with [`ProcessFleet::await_ready`].
-    pub fn restart_member(&mut self, index: usize, mut command: Command) -> Result<(), String> {
-        let epoch = self.epoch;
-        let tx = self.events_tx.clone();
-        let member = self
-            .members
-            .iter_mut()
-            .find(|m| m.index == index)
+    /// Restarts a dead member slot as `node` (same process index — rejoin
+    /// drills restart the killed process on its old address). Errors if
+    /// the old child is still running. The new child gets a fresh
+    /// generation, so stale events from its predecessor are ignored; wait
+    /// for it with [`ProcessFleet::await_ready`].
+    pub fn restart_member(&mut self, node: NodeArgs) -> Result<(), String> {
+        let (index, epoch) = (node.index, self.epoch);
+        let slot = (self.members.iter())
+            .position(|m| m.index == index)
             .ok_or_else(|| format!("no fleet member with process index {index}"))?;
-        if member.reaped.is_none() {
-            match member.child.try_wait() {
-                Ok(Some(status)) => {
-                    record_exit(index, epoch, &status);
-                    member.reaped = Some(status);
-                }
-                Ok(None) => return Err(format!("fleet member {index} is still running")),
-                Err(error) => return Err(format!("wait on fleet member {index}: {error}")),
-            }
+        let member = &mut self.members[slot];
+        if !member.reap(epoch, false) {
+            return Err(format!("fleet member {index} is still running"));
         }
         if let Some(reader) = member.reader.take() {
             let _ = reader.join();
         }
-        let mut child = command
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|error| format!("respawn fleet member {index}: {error}"))?;
-        let stdout = child.stdout.take().expect("fleet member stdout piped");
-        member.generation += 1;
-        member.reader = Some(spawn_reader(index, member.generation, stdout, tx, epoch));
-        member.child = child;
-        member.ready = false;
-        member.reaped = None;
+        let generation = member.generation + 1;
+        self.members[slot] = self.launch(&node, generation)?;
         eprintln!("[p{index} +{}ms] restarted", epoch.elapsed().as_millis());
         Ok(())
     }
@@ -658,12 +985,7 @@ impl ProcessFleet {
     /// including a caller panic — orphans a child process.
     pub fn kill_all(&mut self) {
         for member in &mut self.members {
-            if member.reaped.is_none() {
-                let _ = member.child.kill();
-                if let Ok(status) = member.child.wait() {
-                    member.reaped = Some(status);
-                }
-            }
+            member.reap(self.epoch, true);
             if let Some(reader) = member.reader.take() {
                 let _ = reader.join();
             }
@@ -683,6 +1005,7 @@ mod tests {
 
     #[test]
     fn owner_map_round_robins_groups_and_pins_the_orchestrator() {
+        let owner_map = |groups, processes| owner_map_excluding(groups, processes, &[]);
         assert_eq!(owner_map(4, 2), vec![0, 1, 0, 1, 0]);
         assert_eq!(owner_map(3, 1), vec![0, 0, 0, 0]);
         assert_eq!(hosted_groups(&owner_map(4, 2), 0), vec![0, 2]);
@@ -762,5 +1085,181 @@ mod tests {
         let again = serialize_reports(&reports);
         assert_eq!(bytes, again);
         assert!(bytes.len() > 4, "serialization must not be empty");
+    }
+
+    fn parse(line: &str) -> Result<NodeArgs, String> {
+        NodeArgs::parse(line.split_whitespace().map(String::from))
+    }
+
+    fn addrs(line: &str) -> Vec<String> {
+        line.split(',').map(String::from).collect()
+    }
+
+    #[test]
+    fn node_args_round_trip_through_their_command_line() {
+        let plain = NodeArgs {
+            spec: NetSpec {
+                groups: 8,
+                rounds: 3,
+                messages: 20,
+                iterations: 3,
+                seed: 0xBE_AC0,
+                stall_timeout: Duration::from_millis(1500),
+                ..NetSpec::default()
+            },
+            addrs: addrs("127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"),
+            index: 2,
+            workers: 4,
+            ..NodeArgs::default()
+        };
+        let sharded = NodeArgs {
+            spec: NetSpec {
+                sharded: true,
+                ..plain.spec.clone()
+            },
+            out: Some("/tmp/out.bin".into()),
+            index: 0,
+            ..plain.clone()
+        };
+        let heal = NodeArgs {
+            spec: NetSpec {
+                honest: 2,
+                ..plain.spec.clone()
+            },
+            heal: true,
+            batch: 4,
+            ..plain.clone()
+        };
+        let rejoin = NodeArgs {
+            rejoin: true,
+            ..heal.clone()
+        };
+        let traced = NodeArgs {
+            spec: NetSpec {
+                trace: true,
+                ..plain.spec.clone()
+            },
+            index: 0,
+            trace: Some("/tmp/trace.json".into()),
+            metrics_out: Some("/tmp/metrics.json".into()),
+            ..plain.clone()
+        };
+        for args in [plain, sharded, heal, rejoin, traced] {
+            let argv = args.argv().expect("every flag carries");
+            assert_eq!(NodeArgs::parse(argv.clone()), Ok(args), "{argv:?}");
+        }
+    }
+
+    /// The literal `atom-node` command lines of `ci.yml`, the operator
+    /// guide and `atom-node`'s module docs, each with the deployment it
+    /// has always meant.
+    #[test]
+    fn documented_command_lines_parse_to_the_deployments_they_mean() {
+        let cases = [
+            (
+                "--index 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --groups 4 --rounds 1 --messages 8",
+                1,
+                NetSpec {
+                    rounds: 1,
+                    messages: 8,
+                    ..NetSpec::default()
+                },
+            ),
+            (
+                "--index 0 --sharded --addrs 127.0.0.1:7403,127.0.0.1:7404 --groups 4 --rounds 1 \
+                 --messages 8",
+                0,
+                NetSpec {
+                    rounds: 1,
+                    messages: 8,
+                    sharded: true,
+                    ..NetSpec::default()
+                },
+            ),
+            (
+                "--index 1 --addrs 127.0.0.1:7421,127.0.0.1:7422 --groups 4 --rounds 2 \
+                 --messages 12 --trace /tmp/member_trace_ignored.json",
+                1,
+                NetSpec {
+                    messages: 12,
+                    trace: true,
+                    ..NetSpec::default()
+                },
+            ),
+            (
+                "--index 2 --addrs 127.0.0.1:7401,127.0.0.1:7402,127.0.0.1:7403 --groups 6 \
+                 --rounds 2",
+                2,
+                NetSpec {
+                    groups: 6,
+                    ..NetSpec::default()
+                },
+            ),
+            (
+                "--index 2 --addrs HOST1:7401,HOST2:7401,HOST3:7401 --groups 3 --rounds 100 \
+                 --honest 2 --heal --batch 4 --stall-timeout-ms 2000",
+                2,
+                NetSpec {
+                    groups: 3,
+                    rounds: 100,
+                    honest: 2,
+                    stall_timeout: Duration::from_secs(2),
+                    ..NetSpec::default()
+                },
+            ),
+        ];
+        for (line, index, spec) in &cases {
+            let args = parse(line).expect(line);
+            assert_eq!(
+                (args.index, args.workers, &args.spec),
+                (*index, 2, spec),
+                "{line}"
+            );
+        }
+        let heal = parse(cases[4].0).unwrap();
+        assert!(heal.heal && !heal.rejoin && heal.batch == 4);
+        let coordinator = parse(
+            "--index 0 --addrs 127.0.0.1:7421,127.0.0.1:7422 --groups 4 --rounds 2 --messages 12 \
+             --out /tmp/traced.bin --trace /tmp/ci_trace.json --metrics-out /tmp/ci_metrics.json",
+        )
+        .unwrap();
+        assert_eq!(coordinator.out.as_deref(), Some("/tmp/traced.bin"));
+        assert_eq!(coordinator.trace.as_deref(), Some("/tmp/ci_trace.json"));
+        assert_eq!(
+            coordinator.metrics_out.as_deref(),
+            Some("/tmp/ci_metrics.json")
+        );
+        assert!(coordinator.spec.trace && !coordinator.heal);
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        let base = "--index 0 --addrs 127.0.0.1:1,127.0.0.1:2";
+        for line in [
+            "--index 0 --addrs 127.0.0.1:1",
+            "--index 2 --addrs 127.0.0.1:1,127.0.0.1:2",
+            &format!("{base} --metrics-out /tmp/m.json"),
+            &format!("{base} --rounds two"),
+            &format!("{base} --rounds"),
+            &format!("{base} --tcp-member"),
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+        assert!(parse(base).is_ok());
+    }
+
+    #[test]
+    fn the_writer_refuses_what_no_flag_carries() {
+        let args = parse("--index 1 --addrs 127.0.0.1:1,127.0.0.1:2").unwrap();
+        let with = |edit: fn(&mut NodeArgs)| {
+            let mut args = args.clone();
+            edit(&mut args);
+            args.argv()
+        };
+        assert!(with(|a| a.spec.loris = Duration::from_millis(5)).is_err());
+        assert!(with(|a| a.spec.round_deadline = Duration::from_secs(1)).is_err());
+        assert!(with(|a| a.spec.stall_timeout = Duration::from_micros(1500)).is_err());
+        assert!(with(|a| a.spec.trace = true).is_err());
+        assert!(with(|_| ()).is_ok());
     }
 }

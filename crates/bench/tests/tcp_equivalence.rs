@@ -9,70 +9,51 @@
 //! and a restarted member must rejoin and contribute again — no hang, no
 //! orphaned processes, no lost messages.
 
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::ExitStatus;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use atom_bench::heal;
-use atom_bench::netbench::{self, NetSpec, ProcessFleet};
+use atom_bench::netbench::{self, NetSpec, NodeArgs, ProcessFleet};
 use atom_runtime::{Engine, FaultKind, RoundCompleteHook};
 
-/// The `atom-node` command hosting process `index` of `spec`'s deployment.
-fn node_command(spec: &NetSpec, addrs: &[String], index: usize, out: Option<&str>) -> Command {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_atom-node"));
-    command
-        .arg("--index")
-        .arg(index.to_string())
-        .arg("--addrs")
-        .arg(addrs.join(","))
-        .arg("--groups")
-        .arg(spec.groups.to_string())
-        .arg("--rounds")
-        .arg(spec.rounds.to_string())
-        .arg("--messages")
-        .arg(spec.messages.to_string())
-        .arg("--iterations")
-        .arg(spec.iterations.to_string())
-        .arg("--seed")
-        .arg(spec.seed.to_string())
-        .arg("--stall-timeout-ms")
-        .arg(spec.stall_timeout.as_millis().to_string())
-        .arg("--workers")
-        .arg("2");
-    if spec.sharded {
-        command.arg("--sharded");
-    }
-    if let Some(path) = out {
-        command.arg("--out").arg(path);
-    }
-    command
+/// The `atom-node` binary as a [`ProcessFleet`] program.
+fn atom_node() -> Vec<std::ffi::OsString> {
+    vec![env!("CARGO_BIN_EXE_atom-node").into()]
 }
 
-fn spawn_node(spec: &NetSpec, addrs: &[String], index: usize, out: Option<&str>) -> Child {
-    let mut command = node_command(spec, addrs, index, out);
-    command
-        .stdout(Stdio::inherit())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn atom-node")
+/// The flags of process `index` of `spec`'s deployment.
+fn node(spec: &NetSpec, addrs: &[String], index: usize) -> NodeArgs {
+    NodeArgs {
+        spec: spec.clone(),
+        addrs: addrs.to_vec(),
+        index,
+        ..NodeArgs::default()
+    }
 }
 
-/// Waits for `child` with a deadline so a wedged multi-process run fails
-/// the test instead of hanging CI forever.
-fn wait_with_deadline(mut child: Child, what: &str, deadline: Instant) {
-    loop {
-        match child.try_wait().expect("wait on atom-node") {
-            Some(status) => {
-                assert!(status.success(), "{what} exited with {status}");
-                return;
-            }
-            None if Instant::now() > deadline => {
-                let _ = child.kill();
-                panic!("{what} did not finish before the deadline");
-            }
-            None => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
+/// Runs every process of `spec`'s deployment as an `atom-node` child — the
+/// coordinator (process 0) writing its canonical outputs to a temporary
+/// file — and returns those bytes. The whole fleet runs under one
+/// [`ProcessFleet`], so a wedged run fails the test at the deadline
+/// instead of hanging CI, and no child outlives it.
+fn fleet_output(spec: &NetSpec, processes: usize, tag: &str) -> Vec<u8> {
+    let addrs = netbench::free_addrs(processes);
+    let out = std::env::temp_dir().join(format!("atom_{tag}_{}.bin", std::process::id()));
+    let out_path = out.to_str().unwrap().to_string();
+    let mut nodes: Vec<NodeArgs> = (0..processes).map(|i| node(spec, &addrs, i)).collect();
+    nodes[0].out = Some(out_path.clone());
+    let mut fleet = ProcessFleet::spawn(atom_node(), nodes).expect("spawn the fleet");
+    fleet
+        .await_ready(Duration::from_secs(120))
+        .expect("fleet readiness");
+    fleet
+        .finish(Duration::from_secs(120))
+        .expect("every fleet process exits cleanly");
+
+    let got = std::fs::read(&out_path).expect("coordinator output file");
+    let _ = std::fs::remove_file(&out_path);
+    got
 }
 
 #[test]
@@ -95,18 +76,7 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
         .expect("in-memory reference run");
     let want = netbench::serialize_reports(&in_memory);
 
-    let addrs = netbench::free_addrs(2);
-    let out = std::env::temp_dir().join(format!("atom_tcp_equivalence_{}.bin", std::process::id()));
-    let out_path = out.to_str().unwrap().to_string();
-
-    let member = spawn_node(&spec, &addrs, 1, None);
-    let coordinator = spawn_node(&spec, &addrs, 0, Some(&out_path));
-    let deadline = Instant::now() + Duration::from_secs(120);
-    wait_with_deadline(coordinator, "coordinator", deadline);
-    wait_with_deadline(member, "member", deadline);
-
-    let got = std::fs::read(&out_path).expect("coordinator output file");
-    let _ = std::fs::remove_file(&out_path);
+    let got = fleet_output(&spec, 2, "tcp_equivalence");
     assert!(!want.is_empty());
     assert_eq!(
         got, want,
@@ -142,55 +112,12 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         .expect("in-memory reference run");
     let want = netbench::serialize_reports(&in_memory);
 
-    let addrs = netbench::free_addrs(2);
-    let out = std::env::temp_dir().join(format!(
-        "atom_sharded_equivalence_{}.bin",
-        std::process::id()
-    ));
-    let out_path = out.to_str().unwrap().to_string();
-
-    let member = spawn_node(&spec, &addrs, 1, None);
-    let coordinator = spawn_node(&spec, &addrs, 0, Some(&out_path));
-    let deadline = Instant::now() + Duration::from_secs(120);
-    wait_with_deadline(coordinator, "coordinator", deadline);
-    wait_with_deadline(member, "member", deadline);
-
-    let got = std::fs::read(&out_path).expect("coordinator output file");
-    let _ = std::fs::remove_file(&out_path);
+    let got = fleet_output(&spec, 2, "sharded_equivalence");
     assert!(!want.is_empty());
     assert_eq!(
         got, want,
         "sharded two-process output differs from the monolithic derivation"
     );
-}
-
-/// Runs `spec` as a **three-OS-process** deployment — two fleet members
-/// plus a coordinator child — and returns the coordinator's canonical
-/// output bytes. Members are orchestrated through [`ProcessFleet`], so
-/// this also exercises the readiness handshake and teardown path the
-/// scaling sweep uses.
-fn three_process_output(spec: &NetSpec, tag: &str) -> Vec<u8> {
-    let addrs = netbench::free_addrs(3);
-    let out = std::env::temp_dir().join(format!("atom_{tag}_{}.bin", std::process::id()));
-    let out_path = out.to_str().unwrap().to_string();
-
-    let mut fleet = ProcessFleet::spawn(vec![
-        node_command(spec, &addrs, 1, None),
-        node_command(spec, &addrs, 2, None),
-    ]);
-    let coordinator = spawn_node(spec, &addrs, 0, Some(&out_path));
-    fleet
-        .await_ready(Duration::from_secs(120))
-        .expect("fleet readiness");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    wait_with_deadline(coordinator, "coordinator", deadline);
-    fleet
-        .finish(Duration::from_secs(120))
-        .expect("fleet members");
-
-    let got = std::fs::read(&out_path).expect("coordinator output file");
-    let _ = std::fs::remove_file(&out_path);
-    got
 }
 
 /// The N-process acceptance test: a **three**-OS-process run (coordinator
@@ -217,7 +144,7 @@ fn three_process_tcp_run_is_byte_identical_to_in_memory() {
     let want = netbench::serialize_reports(&in_memory);
     assert!(!want.is_empty());
 
-    let got = three_process_output(&spec, "tcp3_equivalence");
+    let got = fleet_output(&spec, 3, "tcp3_equivalence");
     assert_eq!(
         got, want,
         "TCP three-process output differs from the in-memory run"
@@ -248,34 +175,28 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     let want = netbench::serialize_reports(&in_memory);
     assert!(!want.is_empty());
 
-    let got = three_process_output(&spec, "sharded3_equivalence");
+    let got = fleet_output(&spec, 3, "sharded3_equivalence");
     assert_eq!(
         got, want,
         "sharded three-process output differs from the monolithic derivation"
     );
 }
 
-/// The `atom-node` command for process `index` of a **self-healing**
-/// deployment: the base command plus the churn-facing flags (`--heal`,
-/// `--batch`, `--honest`).
-fn heal_node_command(
+/// The flags of process `index` of a **self-healing** deployment: the
+/// base flags plus `--heal`, `--batch` and, for a restart, `--rejoin`.
+fn heal_node(
     spec: &NetSpec,
     addrs: &[String],
     index: usize,
     batch: usize,
     rejoin: bool,
-) -> Command {
-    let mut command = node_command(spec, addrs, index, None);
-    command
-        .arg("--honest")
-        .arg(spec.honest.to_string())
-        .arg("--heal")
-        .arg("--batch")
-        .arg(batch.to_string());
-    if rejoin {
-        command.arg("--rejoin");
+) -> NodeArgs {
+    NodeArgs {
+        heal: true,
+        rejoin,
+        batch,
+        ..node(spec, addrs, index)
     }
-    command
 }
 
 /// The chaos acceptance test — the failure path upgraded from "fails with
@@ -306,10 +227,12 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
     let batch = 1;
     let addrs = netbench::free_addrs(3);
 
-    let fleet = Arc::new(Mutex::new(Some(ProcessFleet::spawn(vec![
-        heal_node_command(&spec, &addrs, 1, batch, false),
-        heal_node_command(&spec, &addrs, 2, batch, false),
-    ]))));
+    let members = vec![
+        heal_node(&spec, &addrs, 1, batch, false),
+        heal_node(&spec, &addrs, 2, batch, false),
+    ];
+    let fleet = ProcessFleet::spawn(atom_node(), members).expect("spawn the members");
+    let fleet = Arc::new(Mutex::new(Some(fleet)));
     let killed_status: Arc<Mutex<Option<ExitStatus>>> = Arc::new(Mutex::new(None));
 
     // Kill process 2 right after it helped complete round 1 (the loss
@@ -328,7 +251,7 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
             }
             if round == 3 {
                 fleet
-                    .restart_member(2, heal_node_command(&spec, &addrs, 2, batch, true))
+                    .restart_member(heal_node(&spec, &addrs, 2, batch, true))
                     .expect("restart the killed member");
             }
         })
@@ -399,4 +322,52 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
     fleet
         .finish(Duration::from_secs(120))
         .expect("fleet members exit cleanly after the healed run");
+}
+
+/// `--trace` in healing mode: a 2-process `--heal --trace` fleet with no
+/// kill writes the merged fleet trace on the coordinator, holding the
+/// snapshots of both processes, plus the `--metrics-out` counters.
+#[test]
+fn healing_fleet_writes_its_trace() {
+    let spec = NetSpec {
+        groups: 2,
+        rounds: 2,
+        messages: 4,
+        seed: 0x7EA1,
+        stall_timeout: Duration::from_secs(2),
+        trace: true,
+        honest: 2,
+        ..NetSpec::default()
+    };
+    let dir = std::env::temp_dir();
+    let path = |name: &str| {
+        let file = dir.join(format!("atom_heal_{name}_{}.json", std::process::id()));
+        file.to_str().unwrap().to_string()
+    };
+    let (trace, metrics) = (path("trace"), path("metrics"));
+    let addrs = netbench::free_addrs(2);
+    let coordinator = NodeArgs {
+        trace: Some(trace.clone()),
+        metrics_out: Some(metrics.clone()),
+        ..heal_node(&spec, &addrs, 0, 1, false)
+    };
+    let member = NodeArgs {
+        trace: Some(path("ignored")),
+        ..heal_node(&spec, &addrs, 1, 1, false)
+    };
+    ProcessFleet::spawn(atom_node(), vec![coordinator, member])
+        .expect("spawn the fleet")
+        .finish(Duration::from_secs(120))
+        .expect("both processes exit cleanly");
+
+    let written = std::fs::read_to_string(&trace).expect("coordinator trace file");
+    let counters = std::fs::read_to_string(&metrics).expect("coordinator metrics file");
+    let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
+    for process in 0..2 {
+        assert!(
+            written.contains(&format!("\"atom process {process}\"")),
+            "the trace holds no snapshot from process {process}"
+        );
+        assert!(counters.contains(&format!("\"process\":{process},")));
+    }
 }

@@ -14,7 +14,7 @@ use std::path::Path;
 use common::rust_files;
 
 /// Each struct's `pub` field count when this ratchet was added.
-const CEILINGS: [(&str, usize); 8] = [
+const CEILINGS: [(&str, usize); 9] = [
     ("EngineOptions", 9),
     ("IngressOptions", 8),
     ("EvloopOptions", 4),
@@ -23,6 +23,7 @@ const CEILINGS: [(&str, usize); 8] = [
     ("NetSpec", 11),
     ("ActorConfig", 4),
     ("GroupStepOptions", 2),
+    ("NodeArgs", 10),
 ];
 
 #[test]

@@ -15,7 +15,7 @@ use common::rust_files;
 
 /// The count when the bound was last lowered; simulated time is meant to
 /// lower it further.
-const MAX_SLEEPS: usize = 11;
+const MAX_SLEEPS: usize = 10;
 
 #[test]
 fn thread_sleep_count_does_not_grow() {
