@@ -9,14 +9,18 @@
 //! he recognizes. To hide how many calls a user receives, one anytrust group
 //! (the trustees in the trap variant) injects a differentially-private number
 //! of dummy requests into every mailbox (the Vuvuzela mechanism, ref. \[72\] in the paper).
+//! [`make_dial_submission`] and [`make_dummy_submissions`] encrypt to a
+//! round's directory, the round runs on `atom_runtime::Engine`, and
+//! [`Mailboxes::from_round`] reads its output.
 
 use rand::{CryptoRng, Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use atom_core::config::Defense;
+use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult};
 use atom_core::message::{make_trap_submission, TrapSubmission};
-use atom_core::round::{RoundDriver, RoundOutput};
+use atom_core::round::RoundOutput;
 use atom_crypto::cca2;
 use atom_crypto::elgamal::{KeyPair, PublicKey};
 use atom_crypto::keccak::sha3_256;
@@ -79,14 +83,13 @@ fn decode_dial_request(bytes: &[u8]) -> Option<(usize, Vec<u8>)> {
 
 /// Builds the Atom submission for dialing `callee` from `caller`.
 pub fn make_dial_submission<R: RngCore + CryptoRng>(
-    driver: &RoundDriver,
+    setup: &RoundSetup,
     caller: &DialIdentity,
     callee: &PublicKey,
     mailboxes: usize,
     entry_group: usize,
     rng: &mut R,
 ) -> AtomResult<TrapSubmission> {
-    let setup = driver.setup();
     let config = &setup.config;
     if config.defense != Defense::Trap {
         return Err(AtomError::Config(
@@ -125,12 +128,11 @@ pub fn dummy_count<R: RngCore + CryptoRng>(mu: f64, scale: f64, rng: &mut R) -> 
 
 /// Generates `count` dummy dial submissions addressed to random mailboxes.
 pub fn make_dummy_submissions<R: RngCore + CryptoRng>(
-    driver: &RoundDriver,
+    setup: &RoundSetup,
     mailboxes: usize,
     count: usize,
     rng: &mut R,
 ) -> AtomResult<Vec<TrapSubmission>> {
-    let setup = driver.setup();
     let config = &setup.config;
     let mut dummies = Vec::with_capacity(count);
     for _ in 0..count {
@@ -138,7 +140,7 @@ pub fn make_dummy_submissions<R: RngCore + CryptoRng>(
         let target = DialIdentity::generate(rng);
         let entry_group = rng.gen_range(0..config.num_groups);
         dummies.push(make_dial_submission(
-            driver,
+            setup,
             &throwaway,
             &target.keys.public,
             mailboxes,
@@ -210,6 +212,7 @@ mod tests {
     use super::*;
     use atom_core::config::AtomConfig;
     use atom_core::directory::derive_setup;
+    use atom_core::round::RoundDriver;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -225,19 +228,17 @@ mod tests {
     #[test]
     fn dialing_round_delivers_requests_to_the_right_mailbox() {
         let (mut rng, driver) = driver();
+        let setup = driver.setup();
         let mailboxes = 8;
         let alice = DialIdentity::generate(&mut rng);
         let carol = DialIdentity::generate(&mut rng);
         let bob = DialIdentity::generate(&mut rng);
 
         let submissions = vec![
-            make_dial_submission(&driver, &alice, &bob.keys.public, mailboxes, 0, &mut rng)
-                .unwrap(),
-            make_dial_submission(&driver, &carol, &bob.keys.public, mailboxes, 1, &mut rng)
-                .unwrap(),
+            make_dial_submission(setup, &alice, &bob.keys.public, mailboxes, 0, &mut rng).unwrap(),
+            make_dial_submission(setup, &carol, &bob.keys.public, mailboxes, 1, &mut rng).unwrap(),
             // Unrelated call so Bob's mailbox is not the only busy one.
-            make_dial_submission(&driver, &bob, &alice.keys.public, mailboxes, 0, &mut rng)
-                .unwrap(),
+            make_dial_submission(setup, &bob, &alice.keys.public, mailboxes, 0, &mut rng).unwrap(),
         ];
         let output = driver.run_trap_round(&submissions, &mut rng).unwrap();
         let boxes = Mailboxes::from_round(&output, mailboxes);
@@ -256,16 +257,17 @@ mod tests {
     #[test]
     fn dummies_hide_call_volume_but_do_not_decrypt() {
         let (mut rng, driver) = driver();
+        let setup = driver.setup();
         let mailboxes = 4;
         let bob = DialIdentity::generate(&mut rng);
         let alice = DialIdentity::generate(&mut rng);
 
         let mut submissions =
             vec![
-                make_dial_submission(&driver, &alice, &bob.keys.public, mailboxes, 0, &mut rng)
+                make_dial_submission(setup, &alice, &bob.keys.public, mailboxes, 0, &mut rng)
                     .unwrap(),
             ];
-        submissions.extend(make_dummy_submissions(&driver, mailboxes, 5, &mut rng).unwrap());
+        submissions.extend(make_dummy_submissions(setup, mailboxes, 5, &mut rng).unwrap());
 
         let output = driver.run_trap_round(&submissions, &mut rng).unwrap();
         let boxes = Mailboxes::from_round(&output, mailboxes);
@@ -303,9 +305,8 @@ mod tests {
         config.defense = Defense::Nizk;
         config.message_len = PAPER_DIAL_LEN;
         let setup = derive_setup(&config).unwrap();
-        let driver = RoundDriver::new(setup);
         let alice = DialIdentity::generate(&mut rng);
         let bob = DialIdentity::generate(&mut rng);
-        assert!(make_dial_submission(&driver, &alice, &bob.keys.public, 4, 0, &mut rng).is_err());
+        assert!(make_dial_submission(&setup, &alice, &bob.keys.public, 4, 0, &mut rng).is_err());
     }
 }

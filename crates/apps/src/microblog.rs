@@ -3,16 +3,20 @@
 //! Users broadcast short fixed-length posts (160 bytes in the paper's
 //! evaluation, Twitter-style); the exit groups publish the anonymized
 //! plaintexts to a public bulletin board that anyone can read.
+//! [`prepare_posts`] encrypts the posts to a round's directory, the round
+//! runs on `atom_runtime::Engine`, and [`BulletinBoard::publish`] reads its
+//! output.
 
 use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use atom_core::config::{AtomConfig, Defense};
+use atom_core::config::Defense;
+use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult};
 use atom_core::message::{
     make_nizk_submission, make_trap_submission, NizkSubmission, SubmissionReceipt, TrapSubmission,
 };
-use atom_core::round::{RoundDriver, RoundOutput};
+use atom_core::round::RoundOutput;
 
 /// The fixed post length used in the paper's microblogging evaluation.
 pub const PAPER_POST_LEN: usize = 160;
@@ -87,12 +91,11 @@ pub struct MicroblogBatch {
 /// Encrypts a set of user posts for a round, assigning users to entry groups
 /// round-robin (an untrusted load balancer in the paper, §3).
 pub fn prepare_posts<R: RngCore + CryptoRng>(
-    driver: &RoundDriver,
+    setup: &RoundSetup,
     posts: &[&str],
     rng: &mut R,
 ) -> AtomResult<MicroblogBatch> {
-    let setup = driver.setup();
-    let config: &AtomConfig = &setup.config;
+    let config = &setup.config;
     let mut batch = MicroblogBatch {
         nizk: Vec::new(),
         trap: Vec::new(),
@@ -137,26 +140,29 @@ pub fn prepare_posts<R: RngCore + CryptoRng>(
     Ok(batch)
 }
 
-/// Runs a complete microblogging round and publishes the bulletin board.
-pub fn run_microblog_round<R: RngCore + CryptoRng>(
-    driver: &RoundDriver,
-    posts: &[&str],
-    rng: &mut R,
-) -> AtomResult<(BulletinBoard, RoundOutput)> {
-    let batch = prepare_posts(driver, posts, rng)?;
-    let output = match driver.setup().config.defense {
-        Defense::Nizk => driver.run_nizk_round(&batch.nizk, rng)?,
-        Defense::Trap => driver.run_trap_round(&batch.trap, rng)?,
-    };
-    Ok((BulletinBoard::publish(&output), output))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atom_core::config::AtomConfig;
     use atom_core::directory::derive_setup;
+    use atom_core::round::RoundDriver;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Prepares the posts, runs the round on the sequential driver and
+    /// publishes the board.
+    fn run_microblog(
+        driver: &RoundDriver,
+        posts: &[&str],
+        rng: &mut StdRng,
+    ) -> AtomResult<(BulletinBoard, RoundOutput)> {
+        let batch = prepare_posts(driver.setup(), posts, rng)?;
+        let output = match driver.setup().config.defense {
+            Defense::Nizk => driver.run_nizk_round(&batch.nizk, rng)?,
+            Defense::Trap => driver.run_trap_round(&batch.trap, rng)?,
+        };
+        Ok((BulletinBoard::publish(&output), output))
+    }
 
     fn driver(defense: Defense) -> (StdRng, RoundDriver) {
         let mut config = AtomConfig::test_default();
@@ -177,7 +183,7 @@ mod tests {
             "stay peaceful",
             "tell everyone",
         ];
-        let (board, output) = run_microblog_round(&driver, &posts, &mut rng).unwrap();
+        let (board, output) = run_microblog(&driver, &posts, &mut rng).unwrap();
         assert_eq!(board.len(), posts.len());
         assert_eq!(output.plaintexts.len(), posts.len());
         let mut texts: Vec<&str> = board.posts.iter().map(|p| p.text.as_str()).collect();
@@ -192,7 +198,7 @@ mod tests {
     fn nizk_variant_microblogging_publishes_all_posts() {
         let (mut rng, driver) = driver(Defense::Nizk);
         let posts = ["one", "two", "three"];
-        let (board, _) = run_microblog_round(&driver, &posts, &mut rng).unwrap();
+        let (board, _) = run_microblog(&driver, &posts, &mut rng).unwrap();
         assert_eq!(board.len(), 3);
         assert!(!board.is_empty());
     }
@@ -201,6 +207,6 @@ mod tests {
     fn oversized_post_rejected() {
         let (mut rng, driver) = driver(Defense::Trap);
         let long = "x".repeat(100);
-        assert!(run_microblog_round(&driver, &[long.as_str()], &mut rng).is_err());
+        assert!(run_microblog(&driver, &[long.as_str()], &mut rng).is_err());
     }
 }

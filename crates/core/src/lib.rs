@@ -20,25 +20,29 @@
 //! * [`message`] — client-side submissions and the mix-payload wire format.
 //! * [`group`] — the group mixing protocol (Algorithms 1 and 2).
 //! * [`actor`] — the re-entrant per-group mixing state machine
-//!   ([`actor::GroupActor`]) with deterministic per-group RNG streams,
-//!   consumed by both the sequential [`round::RoundDriver`] and the parallel
-//!   `atom-runtime` engine.
-//! * [`round`] — full-round orchestration, trap checking, trustee release;
-//!   also exposes the submission-verification and exit-phase helpers the
-//!   parallel runtime shares.
-//! * [`latency`] — the §6 link-latency models and server-class mix charged
-//!   by [`round::hop_latency`] and the deployment simulator.
+//!   ([`actor::GroupActor`]) with deterministic per-group RNG streams, which
+//!   the `atom-runtime` engine drives from its worker pool.
+//! * [`round`] — the round phases the engine calls into: submission
+//!   verification, trap checking, trustee release. Also the sequential
+//!   [`round::RoundDriver`], the oracle the equivalence suites diff the
+//!   engine against.
+//! * [`latency`] — the §6 server-class mix the deployment simulator draws
+//!   from.
 //! * [`adversary`] — active-attack injection used by tests and benches.
 //! * [`blame`] — identification of malicious users after a disruption (§4.6).
 //! * [`faults`] — buddy-group escrow and catastrophic-failure recovery (§4.5).
 //!
 //! ## Quick example
 //!
+//! A round's directory comes from its config alone, and clients encrypt to
+//! it. Running the round is `atom_runtime::Engine`'s job (see that crate's
+//! example); here the entry groups' intake check accepts the submissions.
+//!
 //! ```
 //! use atom_core::config::AtomConfig;
 //! use atom_core::directory::derive_setup;
 //! use atom_core::message::make_trap_submission;
-//! use atom_core::round::RoundDriver;
+//! use atom_core::round::verify_trap_submissions;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -46,7 +50,6 @@
 //! let mut config = AtomConfig::test_default();
 //! config.message_len = 24;
 //! let setup = derive_setup(&config).unwrap();
-//! let driver = RoundDriver::new(setup);
 //!
 //! let submissions: Vec<_> = ["hello", "world"]
 //!     .iter()
@@ -55,8 +58,8 @@
 //!         let gid = i % config.num_groups;
 //!         make_trap_submission(
 //!             gid,
-//!             &driver.setup().groups[gid].public_key,
-//!             &driver.setup().trustees.public_key,
+//!             &setup.groups[gid].public_key,
+//!             &setup.trustees.public_key,
 //!             config.round,
 //!             msg.as_bytes(),
 //!             config.message_len,
@@ -67,8 +70,9 @@
 //!     })
 //!     .collect();
 //!
-//! let output = driver.run_trap_round(&submissions, &mut rng).unwrap();
-//! assert_eq!(output.plaintexts.len(), 2);
+//! // Two ciphertexts (message and trap) per submission enter the network.
+//! let intake = verify_trap_submissions(&setup, &submissions).unwrap();
+//! assert_eq!(intake.batches.iter().map(Vec::len).sum::<usize>(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -92,4 +96,4 @@ pub use config::{AtomConfig, Defense, TopologyKind};
 pub use directory::{derive_setup, GroupContext, RoundSetup, TrusteeContext};
 pub use error::{AtomError, AtomResult};
 pub use message::{make_nizk_submission, make_trap_submission, NizkSubmission, TrapSubmission};
-pub use round::{RoundDriver, RoundOutput, RoundTimings};
+pub use round::{RoundOutput, RoundTimings};

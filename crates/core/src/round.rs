@@ -1,22 +1,24 @@
-//! Full-round orchestration: collection, mixing, exit routing, trap checking
-//! and trustee-gated decryption.
+//! Round phases shared by every driver, and the sequential reference driver.
 //!
-//! The [`RoundDriver`] plays the role of the whole deployment: it feeds user
-//! submissions to their entry groups, drives the permutation network
-//! iteration by iteration (every group runs
-//! [`group_mix_iteration`](crate::group::group_mix_iteration)), routes
-//! exit payloads (traps back to their entry groups, inner ciphertexts to
-//! load-balanced holders), gathers the per-group reports, and asks the
-//! trustees to release the per-round key only if every report is clean
-//! (§4.4). The NIZK variant skips the trap machinery and aborts immediately
-//! when any proof fails (§4.3).
+//! Rounds run on `atom_runtime::Engine`. This module holds the phases the
+//! engine calls into — submission verification
+//! ([`verify_trap_submissions_range`], [`verify_nizk_submissions_range`]),
+//! the exit phases ([`finish_trap_round`], [`finish_nizk_round`]: trap
+//! checking and trustee-gated decryption, §4.4; the NIZK variant aborts as
+//! soon as any proof fails, §4.3) and the timing accounting
+//! ([`collect_round_timings`]).
+//!
+//! [`RoundDriver`] is the oracle the equivalence suites diff the engine
+//! against: it feeds the submissions to their entry groups, steps every
+//! group's [`GroupActor`] in FIFO order on one thread and runs the same exit
+//! phase, so for equal seeds its [`RoundOutput`] is the engine's byte for
+//! byte.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use rand::{CryptoRng, RngCore};
 
-use crate::latency::LatencyModel;
 use atom_crypto::batch::{verify_encryption_batch, EncVerification};
 use atom_crypto::cca2::{self, HybridCiphertext};
 use atom_crypto::commit::{self, Commitment};
@@ -27,13 +29,12 @@ use atom_crypto::CryptoError;
 
 use crate::actor::{ActorConfig, ActorOutput, GroupActor, SOURCE};
 use crate::adversary::AdversaryPlan;
-use crate::config::{AtomConfig, Defense};
+use crate::config::Defense;
 use crate::directory::RoundSetup;
 use crate::error::{AtomError, AtomResult};
 use crate::group::GroupStepOptions;
 use crate::message::{
-    inner_target_group, nizk_payload_len, trap_payload_len, MixPayload, NizkSubmission,
-    TrapSubmission, TRAP_COMMIT_LABEL,
+    inner_target_group, MixPayload, NizkSubmission, TrapSubmission, TRAP_COMMIT_LABEL,
 };
 
 /// Per-round measurements used by the evaluation figures.
@@ -44,18 +45,15 @@ pub struct RoundTimings {
     pub iteration_critical_path: Vec<Duration>,
     /// Total compute time summed over all groups and iterations.
     pub total_compute: Duration,
-    /// Simulated network time along the critical path (one inter-group hop
-    /// per iteration under the configured latency model).
-    pub network_critical_path: Duration,
     /// Wall-clock time the in-process run took end to end.
     pub wall_clock: Duration,
 }
 
 impl RoundTimings {
-    /// The end-to-end latency estimate: compute critical path plus network
-    /// critical path.
+    /// The barrier-model latency: the compute critical path summed over
+    /// the iterations.
     pub fn end_to_end(&self) -> Duration {
-        self.iteration_critical_path.iter().sum::<Duration>() + self.network_critical_path
+        self.iteration_critical_path.iter().sum()
     }
 }
 
@@ -75,25 +73,22 @@ pub struct RoundOutput {
     pub timings: RoundTimings,
 }
 
-/// Drives complete Atom rounds over a [`RoundSetup`].
+/// The sequential reference driver: runs a whole round over a
+/// [`RoundSetup`] on the calling thread. The equivalence suites diff
+/// `atom_runtime::Engine` against it.
 pub struct RoundDriver {
     setup: RoundSetup,
     failed_servers: Vec<usize>,
     adversary: Option<AdversaryPlan>,
-    parallelism: usize,
-    latency: LatencyModel,
 }
 
 impl RoundDriver {
-    /// Creates a driver with no failures, no adversary and sequential
-    /// execution.
+    /// Creates a driver with no failures and no adversary.
     pub fn new(setup: RoundSetup) -> Self {
         Self {
             setup,
             failed_servers: Vec::new(),
             adversary: None,
-            parallelism: 1,
-            latency: LatencyModel::Zero,
         }
     }
 
@@ -114,36 +109,11 @@ impl RoundDriver {
         self
     }
 
-    /// Sets the number of worker threads each group uses for re-encryption.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Sets the latency model used to estimate network time (§6's 40–160 ms
-    /// emulation).
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    fn config(&self) -> &AtomConfig {
-        &self.setup.config
-    }
-
-    /// The fixed mix-payload length for this deployment.
-    pub fn payload_len(&self) -> usize {
-        match self.config().defense {
-            Defense::Nizk => nizk_payload_len(self.config().message_len),
-            Defense::Trap => trap_payload_len(self.config().message_len),
-        }
-    }
-
     /// The per-actor execution options this driver implies.
     fn actor_config(&self) -> ActorConfig {
         let mut config = ActorConfig::new(GroupStepOptions {
-            defense: self.config().defense,
-            parallelism: self.parallelism,
+            defense: self.setup.config.defense,
+            parallelism: 1,
         });
         config.adversary = self.adversary;
         config.failed_servers = self.failed_servers.clone();
@@ -156,10 +126,9 @@ impl RoundDriver {
     ///
     /// Groups execute as [`GroupActor`]s with per-group RNG streams derived
     /// from one master draw on `rng`, delivered here in deterministic FIFO
-    /// order. The parallel runtime (`atom-runtime`) drives the same actors
-    /// from a worker pool; because each group's stream and batch-assembly
-    /// order are independent of scheduling, both drivers produce
-    /// byte-identical outputs for the same seed.
+    /// order. The engine drives the same actors from a worker pool; because
+    /// each group's stream and batch-assembly order are independent of
+    /// scheduling, both produce byte-identical outputs for the same seed.
     fn run_mixing<R: RngCore + CryptoRng>(
         &self,
         batches: Vec<Vec<MessageCiphertext>>,
@@ -204,7 +173,7 @@ impl RoundDriver {
             .iter()
             .map(|actor| actor.compute_times().to_vec())
             .collect();
-        let mut timings = collect_round_timings(&self.setup, &self.latency, &computes);
+        let mut timings = collect_round_timings(&self.setup, &computes);
         timings.wall_clock = wall_start.elapsed();
         Ok((exit_payloads, timings))
     }
@@ -240,43 +209,20 @@ impl RoundDriver {
     }
 }
 
-/// The simulated latency of one inter-group hop, charged between the
-/// sender's last member and the receiver's first (the convention every
-/// driver and figure harness shares).
-pub fn hop_latency(setup: &RoundSetup, latency: &LatencyModel, from: usize, to: usize) -> Duration {
-    let src = *setup.groups[from].members.last().unwrap_or(&0);
-    let dst = *setup.groups[to].members.first().unwrap_or(&0);
-    latency.link(src, dst)
-}
-
-/// Assembles [`RoundTimings`] from per-group compute records plus the
-/// analytic per-iteration network critical path (one inter-group hop per
-/// non-exit iteration, barrier model). `computes[gid]` holds group `gid`'s
-/// measured per-iteration compute times. Shared by the sequential driver and
-/// the parallel runtime so the accounting cannot drift between them.
-pub fn collect_round_timings(
-    setup: &RoundSetup,
-    latency: &LatencyModel,
-    computes: &[Vec<Duration>],
-) -> RoundTimings {
-    let topology = setup.config.topology();
-    let iterations = topology.iterations();
+/// Assembles [`RoundTimings`] from per-group compute records (barrier
+/// model: an iteration lasts as long as its slowest group). `computes[gid]`
+/// holds group `gid`'s measured per-iteration compute times. Shared by the
+/// sequential driver and the engine so the accounting cannot drift between
+/// them.
+pub fn collect_round_timings(setup: &RoundSetup, computes: &[Vec<Duration>]) -> RoundTimings {
     let mut timings = RoundTimings::default();
-
-    for iteration in 0..iterations {
+    for iteration in 0..setup.config.topology().iterations() {
         let mut iteration_max = Duration::ZERO;
-        let mut max_hop = Duration::ZERO;
-        for (gid, compute) in computes.iter().enumerate() {
-            if let Some(&elapsed) = compute.get(iteration) {
-                timings.total_compute += elapsed;
-                iteration_max = iteration_max.max(elapsed);
-            }
-            for neighbor in topology.neighbors(gid, iteration) {
-                max_hop = max_hop.max(hop_latency(setup, latency, gid, neighbor));
-            }
+        for &elapsed in computes.iter().filter_map(|compute| compute.get(iteration)) {
+            timings.total_compute += elapsed;
+            iteration_max = iteration_max.max(elapsed);
         }
         timings.iteration_critical_path.push(iteration_max);
-        timings.network_critical_path += max_hop;
     }
     timings
 }
@@ -582,7 +528,7 @@ pub fn finish_trap_round(
 mod tests {
     use super::*;
     use crate::adversary::Misbehavior;
-    use crate::config::TopologyKind;
+    use crate::config::{AtomConfig, TopologyKind};
     use crate::directory::derive_setup;
     use crate::message::{make_nizk_submission, make_trap_submission};
     use rand::rngs::StdRng;
@@ -845,20 +791,5 @@ mod tests {
         let submissions = make_trap_submissions(driver.setup(), &["p", "q", "r", "s"], &mut rng);
         let output = driver.run_trap_round(&submissions, &mut rng).unwrap();
         assert_eq!(output.plaintexts.len(), 4);
-    }
-
-    #[test]
-    fn latency_model_adds_network_critical_path() {
-        let mut rng = rng();
-        let config = trap_config();
-        let setup = derive_setup(&config).unwrap();
-        let driver = RoundDriver::new(setup).with_latency(LatencyModel::Fixed { millis: 100 });
-        let submissions = make_trap_submissions(driver.setup(), &["a", "b", "c"], &mut rng);
-        let output = driver.run_trap_round(&submissions, &mut rng).unwrap();
-        // Two iterations: one inter-group hop after the first iteration only
-        // (the second is the exit layer), but we charge per non-exit
-        // iteration, so expect at least 100 ms.
-        assert!(output.timings.network_critical_path >= Duration::from_millis(100));
-        assert!(output.timings.end_to_end() >= output.timings.network_critical_path);
     }
 }

@@ -20,11 +20,9 @@
 //! server is a delay where its frames leave, a dead one an unreachable
 //! send.
 //!
-//! The carrier keeps no protocol state: the simulated §6 latency of a hop is
-//! charged by the protocol layer (`atom_core::round::hop_latency` over an
-//! `atom_core::latency::LatencyModel`), and traffic is counted by the
-//! runtime's `RoundReport` and the `net.*` counters of `atom_obs`, so both
-//! are identical across backends.
+//! The carrier keeps no protocol state: traffic is counted by the runtime's
+//! `RoundReport` and the `net.*` counters of `atom_obs`, so the counts are
+//! identical across backends.
 //!
 //! [`evloop`] is the one network I/O model under both edges: a
 //! single-threaded readiness loop ([`evloop::EventLoop`]) parked in

@@ -12,9 +12,7 @@
 //!   received on one `epoll` loop thread per process.
 //!
 //! Both backends store and wake through the one mailbox core in this
-//! module. A transport only transports: the simulated 40–160 ms hops of §6
-//! are charged by the protocol layer (`atom_core::round::hop_latency` over
-//! an `atom_core::latency::LatencyModel`), and traffic is counted by the
+//! module. A transport only transports: traffic is counted by the
 //! runtime's `RoundReport` and the `net.*` counters of `atom_obs`.
 //!
 //! A slow or unreachable server is a fault of the frames it sends, so it is

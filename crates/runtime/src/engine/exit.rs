@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use atom_core::config::Defense;
 use atom_core::error::AtomError;
-use atom_core::latency::LatencyModel;
 use atom_core::round::{collect_round_timings, finish_nizk_round, finish_trap_round, RoundOutput};
 use atom_crypto::commit::Commitment;
 
@@ -189,7 +188,7 @@ pub(super) fn on_local_exit(shared: &Shared<'_>, round: usize, finished_virtual:
             .filter(|&gid| gid < job.num_groups())
             .collect();
         let from = hosted.first().copied().unwrap_or(0);
-        let snapshot = atom_obs::local_snapshot(Some(round as u32));
+        let snapshot = atom_obs::local_snapshot(Some(shared.trace_round(round)));
         let frame = TelemetryFrame {
             round: shared.wire_round(round),
             process: snapshot.process,
@@ -232,12 +231,12 @@ fn finalize_round(shared: &Shared<'_>, round: usize, exit: ExitState) {
         .map(Option::unwrap_or_default)
         .collect();
     let (output, wall_clock) = {
-        let _span = atom_obs::span("exit", round as u32, atom_obs::GID_NONE);
+        let _span = atom_obs::span("exit", shared.trace_round(round), atom_obs::GID_NONE);
         // Per-iteration compute critical path as reported in the groups'
-        // exit frames, plus the analytic barrier-model network critical
-        // path, via the accounting helper shared with the sequential driver.
+        // exit frames, via the accounting helper shared with the sequential
+        // driver.
         let setup = job.round_setup();
-        let mut timings = collect_round_timings(setup, &LatencyModel::Zero, &exit.computes);
+        let mut timings = collect_round_timings(setup, &exit.computes);
         // Same field semantics as the sequential driver: end-to-end wall
         // time of the round in the coordinator process.
         let wall_clock = job.wall_clock();
@@ -258,7 +257,7 @@ fn finalize_round(shared: &Shared<'_>, round: usize, exit: ExitState) {
         // Perfetto process track each, in process order.
         let mut telemetry: Vec<atom_obs::Snapshot> = Vec::new();
         if atom_obs::enabled() {
-            telemetry.push(atom_obs::local_snapshot(Some(round as u32)));
+            telemetry.push(atom_obs::local_snapshot(Some(shared.trace_round(round))));
             for frame in exit.telemetry {
                 telemetry.push(atom_obs::Snapshot {
                     process: frame.process,

@@ -127,7 +127,7 @@ fn verify_chunk(
 /// completes the round's last chunk merges the results and releases the
 /// iteration-0 batches ([`finish_intake`]).
 pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) {
-    let _span = atom_obs::span("intake", round as u32, atom_obs::GID_NONE);
+    let _span = atom_obs::span("intake", shared.trace_round(round), atom_obs::GID_NONE);
     let job = &shared.jobs[round];
     if job.failed() {
         return;
@@ -139,7 +139,7 @@ pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) 
     let setup = job.round_setup();
     // Proof verification dominates intake; give it its own phase so the
     // trace separates crypto cost from chunk bookkeeping.
-    let verify_span = atom_obs::span("verify", round as u32, atom_obs::GID_NONE);
+    let verify_span = atom_obs::span("verify", shared.trace_round(round), atom_obs::GID_NONE);
     let result = match &job.submissions {
         RoundSubmissions::Nizk(subs) => verify_chunk(setup, Chunk::Nizk(&subs[start..end]), start),
         RoundSubmissions::Trap(subs) => verify_chunk(setup, Chunk::Trap(&subs[start..end]), start),

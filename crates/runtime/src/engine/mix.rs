@@ -47,7 +47,7 @@ pub(super) fn on_mix_frame(shared: &Shared<'_>, round: usize, gid: usize, mix: M
         // One span per hop. Scoped to the actor section (not the sends), so
         // a member's final hop is recorded before `exit::on_local_exit`
         // builds the round's telemetry snapshot.
-        let _span = atom_obs::span("mix", round as u32, gid as u32);
+        let _span = atom_obs::span("mix", shared.trace_round(round), gid as u32);
         let mut actor = actor_slot.lock();
         actor.note_arrival(mix.iteration, mix.sent_virtual);
         let outputs = match actor.on_batch(mix.iteration, mix.from, mix.batch) {

@@ -738,6 +738,13 @@ impl Shared<'_> {
         round + self.options.round_offset
     }
 
+    /// The label of local job `round`'s spans, notes and snapshots: its
+    /// wire round, so runs with disjoint `round_offset` ranges (a healing
+    /// fleet's epochs) never label two rounds alike on one recorder.
+    fn trace_round(&self, round: usize) -> u32 {
+        self.wire_round(round) as u32
+    }
+
     /// Maps an inbound wire round id back to a local job index. `None`
     /// means the frame predates this run's id range — a stale frame from an
     /// earlier recovery epoch, to be fenced off rather than misdelivered to
@@ -878,7 +885,7 @@ impl Shared<'_> {
             // The diagnosis goes into the trace timeline too, so a traced
             // run shows *where* the round was stuck next to the spans of
             // the work that did complete — not only on stderr.
-            atom_obs::note(phase, round as u32, &detail);
+            atom_obs::note(phase, self.trace_round(round), &detail);
             let reason = format!("{cause}{detail}");
             self.fail_job(
                 round,

@@ -142,7 +142,7 @@ pub(super) fn derive(shared: &Shared<'_>, round: usize) {
 /// mix; the coordinator additionally needs it for intake verification), and
 /// records the full context locally.
 pub(super) fn run_setup_group(shared: &Shared<'_>, round: usize, gid: usize) {
-    let _span = atom_obs::span("setup", round as u32, gid as u32);
+    let _span = atom_obs::span("setup", shared.trace_round(round), gid as u32);
     let job = &shared.jobs[round];
     if job.failed() {
         return;
@@ -177,7 +177,7 @@ pub(super) fn run_setup_group(shared: &Shared<'_>, round: usize, gid: usize) {
 /// Derives the trustee DKG of a sharded round (coordinator only; members
 /// record a placeholder — see [`member_trustee_placeholder`]).
 pub(super) fn run_setup_trustees(shared: &Shared<'_>, round: usize) {
-    let _span = atom_obs::span("setup", round as u32, atom_obs::GID_NONE);
+    let _span = atom_obs::span("setup", shared.trace_round(round), atom_obs::GID_NONE);
     let job = &shared.jobs[round];
     if job.failed() {
         return;

@@ -7,7 +7,10 @@
 //! in flight** across rounds. This is the subsystem that lets the
 //! reproduction exhibit the paper's headline property — horizontal scaling —
 //! instead of executing every group on one thread with a hard barrier
-//! between iterations.
+//! between iterations. It is the one round driver: the apps, the examples,
+//! the fleet binaries and the benchmark all run their rounds here, and the
+//! sequential `atom_core::round::RoundDriver` is kept only as the oracle
+//! the equivalence suites diff the engine against.
 //!
 //! The engine is transport-generic: [`Engine::run_rounds`] runs every group
 //! in-process over an [`atom_net::InMemoryNetwork`], while
@@ -74,8 +77,8 @@
 //! model (`RoundTimings::end_to_end`, matching the sequential driver and
 //! Fig. 9–11) and the pipelined model (the virtual-clock time of the latest
 //! group exit), whose gap quantifies what the barrier costs. Both clocks
-//! carry compute only: the engine charges no simulated §6 link time (the
-//! sequential driver does, via `RoundDriver::with_latency`).
+//! carry compute only: no simulated §6 link time is charged anywhere (the
+//! deployment simulator in `atom-sim` models links instead).
 //!
 //! ## Example
 //!

@@ -4,8 +4,6 @@
 //! parallel engine and verifies delivery, returning a [`ScenarioReport`]
 //! that tests, examples and the throughput harness consume. Covered shapes:
 //!
-//! * [`microblog`] — multi-round anonymous microblogging (§5.1) with all
-//!   rounds in flight at once.
 //! * [`dialing`] — Vuvuzela-style dialing (§5.2): sealed caller keys land in
 //!   per-recipient mailboxes.
 //! * [`server_churn`] — fault-tolerant groups lose a member mid-round and
@@ -180,18 +178,16 @@ fn decode_texts(report: &RoundReport) -> Vec<String> {
 }
 
 /// Builds the microblog workload: `rounds` rounds of `posts_per_round`
-/// fixed-length posts each, plus the sorted expected texts per round.
-/// Shared by [`microblog`], [`tcp_loopback`] and the sharded scenarios,
-/// which must execute the identical jobs.
+/// fixed-length posts each. Shared by [`tcp_loopback`], [`slow_loris`] and
+/// the sharded scenarios, which must execute the identical jobs.
 fn microblog_jobs(
     groups: usize,
     posts_per_round: usize,
     rounds: usize,
     options: &ScenarioOptions,
-) -> AtomResult<(Vec<RoundJob>, Vec<Vec<String>>)> {
+) -> AtomResult<Vec<RoundJob>> {
     let mut rng = options.rng();
     let mut jobs = Vec::with_capacity(rounds);
-    let mut expected = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let config = options.config(Defense::Trap, groups, round as u64);
         let setup = derive_setup(&config)?;
@@ -199,34 +195,8 @@ fn microblog_jobs(
         let submissions = numbered_submissions(&setup, posts_per_round, &prefix, &mut rng)?;
         let seed = options.seed.wrapping_add(round as u64);
         jobs.push(RoundJob::new(setup, submissions, seed));
-        expected.push(numbered_texts(posts_per_round, &prefix));
     }
-    Ok((jobs, expected))
-}
-
-/// Multi-round anonymous microblogging: `rounds` rounds of `posts_per_round`
-/// fixed-length posts each, all rounds in flight at once. Fails if any round
-/// aborts or any post is lost.
-pub fn microblog(
-    groups: usize,
-    posts_per_round: usize,
-    rounds: usize,
-    options: &ScenarioOptions,
-) -> AtomResult<ScenarioReport> {
-    let (jobs, expected) = microblog_jobs(groups, posts_per_round, rounds, options)?;
-    let reports = collect(options.engine().run_rounds(jobs))?;
-    for (report, want) in reports.iter().zip(&expected) {
-        let got = decode_texts(report);
-        if &got != want {
-            return Err(AtomError::Malformed(format!(
-                "microblog round lost posts: got {got:?}, want {want:?}"
-            )));
-        }
-    }
-    Ok(ScenarioReport::from_reports(
-        &reports,
-        posts_per_round * rounds,
-    ))
+    Ok(jobs)
 }
 
 /// Dialing: `callers` users dial distinct callees through one trap round;
@@ -241,9 +211,6 @@ pub fn dialing(
     // Room for `mailbox (2B) ‖ sealed key (32B KEM + 16B tag + 32B key)`.
     config.message_len = 96;
     let setup = derive_setup(&config)?;
-    // The submission builder wants a driver for setup access; the round
-    // itself runs on the engine.
-    let driver = RoundDriver::new(setup.clone());
     let mailboxes = (callers * 4).max(8);
 
     let mut pairs = Vec::with_capacity(callers);
@@ -252,7 +219,7 @@ pub fn dialing(
         let caller = DialIdentity::generate(&mut rng);
         let callee = DialIdentity::generate(&mut rng);
         submissions.push(make_dial_submission(
-            &driver,
+            &setup,
             &caller,
             &callee.keys.public,
             mailboxes,
@@ -443,7 +410,7 @@ pub fn tcp_loopback(
     rounds: usize,
     options: &ScenarioOptions,
 ) -> AtomResult<ScenarioReport> {
-    let (jobs, _) = microblog_jobs(groups, posts_per_round, rounds, options)?;
+    let jobs = microblog_jobs(groups, posts_per_round, rounds, options)?;
     let reference = collect(options.engine().run_rounds(jobs.clone()))?;
     let reports = run_loopback_split(groups, jobs.clone(), jobs, options)?;
     check_against_reference(&reports, &reference, "tcp")?;
@@ -496,7 +463,7 @@ fn sharded_microblog_jobs(
     rounds: usize,
     options: &ScenarioOptions,
 ) -> AtomResult<(Vec<RoundJob>, Vec<RoundJob>, Vec<RoundJob>)> {
-    let (full, _) = microblog_jobs(groups, posts_per_round, rounds, options)?;
+    let full = microblog_jobs(groups, posts_per_round, rounds, options)?;
     let sharded = |job: &RoundJob, submissions| {
         RoundJob::sharded(job.config().clone(), submissions, job.seed)
     };
@@ -915,7 +882,7 @@ pub fn slow_loris(
             "slow_loris wants at least one member-hosted (odd) group".into(),
         ));
     }
-    let (jobs, _) = microblog_jobs(groups, posts, 1, options)?;
+    let jobs = microblog_jobs(groups, posts, 1, options)?;
     let mut coordinator_options = options.engine_options();
     coordinator_options.round_deadline = deadline;
 

@@ -11,15 +11,6 @@ fn options(seed: u64) -> ScenarioOptions {
 }
 
 #[test]
-fn microblog_rounds_pipeline_and_deliver() {
-    let report = scenarios::microblog(3, 4, 3, &options(11)).unwrap();
-    assert_eq!(report.rounds, 3);
-    assert_eq!(report.submitted, 12);
-    assert_eq!(report.delivered, 12);
-    assert!(report.mix_messages > 0);
-}
-
-#[test]
 fn dialing_requests_reach_their_mailboxes() {
     let report = scenarios::dialing(2, 4, &options(13)).unwrap();
     assert_eq!(report.rounds, 1);

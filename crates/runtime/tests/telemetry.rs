@@ -16,7 +16,10 @@ use atom_core::config::AtomConfig;
 use atom_core::directory::derive_setup;
 use atom_core::message::make_trap_submission;
 use atom_net::{TcpOptions, TcpTransport, Transport};
-use atom_runtime::{wire, Engine, EngineRole, RoundJob, RoundSubmissions, TELEMETRY_LABEL};
+use atom_runtime::{
+    wire, Engine, EngineOptions, EngineRole, RoundJob, RoundReport, RoundSubmissions,
+    TELEMETRY_LABEL,
+};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -129,6 +132,43 @@ fn traced_run_is_byte_identical_to_untraced() {
             "round {round} snapshot leaked spans of another round"
         );
     }
+}
+
+/// A healing fleet runs each batch as its own engine run on one recorder,
+/// each at a higher `round_offset`. Spans carry the wire round, so a later
+/// run's coordinator snapshot holds its own round's spans and none of an
+/// earlier run's, which carried the same job index.
+#[test]
+fn spans_are_labelled_with_the_wire_round() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    atom_obs::reset();
+    atom_obs::set_enabled(true);
+    let first = Engine::with_workers(2)
+        .run_round(trap_jobs(1, 5500).remove(0))
+        .unwrap();
+    let mut options = EngineOptions::with_workers(2);
+    options.round_offset = 1;
+    let second = Engine::new(options)
+        .run_round(trap_jobs(1, 5500).remove(0))
+        .unwrap();
+    atom_obs::set_enabled(false);
+
+    let coordinator_spans = |report: &RoundReport| -> Vec<atom_obs::SpanRecord> {
+        let snapshot = report.telemetry.iter().find(|s| s.process == 0);
+        snapshot.expect("coordinator snapshot").spans.clone()
+    };
+    let (first, second) = (coordinator_spans(&first), coordinator_spans(&second));
+    assert!(
+        !first.is_empty() && !second.is_empty(),
+        "both runs record spans"
+    );
+    assert!(first.iter().all(|span| span.round == 0), "{first:?}");
+    let labels: Vec<u32> = second.iter().map(|span| span.round).collect();
+    assert!(labels.iter().all(|&round| round == 1), "{labels:?}");
+    assert!(
+        !second.iter().any(|span| first.contains(span)),
+        "the second run's snapshot repeats spans of the first"
+    );
 }
 
 /// Split across a TCP pair, the member's spans travel to the coordinator in

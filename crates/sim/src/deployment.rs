@@ -41,7 +41,7 @@ pub struct DeploymentSpec {
     pub defense: Defense,
     /// Average one-way inter-server latency in seconds (the paper emulates
     /// 40–160 ms, i.e. 0.1 s on average).
-    pub hop_latency: f64,
+    pub link_latency: f64,
     /// Per-connection setup cost in seconds (TLS handshake amortization);
     /// only significant at very large group counts.
     pub connection_setup: f64,
@@ -70,7 +70,7 @@ impl DeploymentSpec {
             points_per_message: points,
             bytes_per_message: (points as u64) * 3 * 32,
             defense: Defense::Trap,
-            hop_latency: 0.1,
+            link_latency: 0.1,
             connection_setup: 3.0e-3,
             trustee_report_cost: 1.0e-2,
         }
@@ -91,7 +91,7 @@ impl DeploymentSpec {
             points_per_message: points,
             bytes_per_message: (points as u64) * 3 * 32,
             defense: Defense::Trap,
-            hop_latency: 0.1,
+            link_latency: 0.1,
             connection_setup: 3.0e-3,
             trustee_report_cost: 1.0e-2,
         }
@@ -176,8 +176,8 @@ pub fn estimate_round(spec: &DeploymentSpec, costs: &PrimitiveCosts) -> RoundEst
     let transmission = batch_bytes * 8.0 / (avg_bandwidth_mbps * 1.0e6);
     // Within a group the ciphertexts also travel member-to-member; charge one
     // hop per member.
-    let intra_group = spec.hop_latency * spec.participating as f64;
-    let per_iteration_network = spec.hop_latency + transmission + intra_group;
+    let intra_group = spec.link_latency * spec.participating as f64;
+    let per_iteration_network = spec.link_latency + transmission + intra_group;
 
     // --- Large-scale overheads (Fig. 11). ---
     // Each group maintains connections to every group of the next layer:

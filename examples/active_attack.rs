@@ -13,12 +13,13 @@ use atom::core::adversary::{AdversaryPlan, Misbehavior};
 use atom::core::blame::identify_malicious_users;
 use atom::core::config::{AtomConfig, Defense};
 use atom::core::message::{make_nizk_submission, make_trap_submission};
-use atom::core::round::RoundDriver;
 use atom::core::AtomError;
 use atom::derive_setup;
+use atom::runtime::{Engine, RoundJob, RoundSubmissions};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(13);
+    let engine = Engine::with_workers(4);
     let plan = AdversaryPlan {
         group: 1,
         member: 2,
@@ -31,14 +32,13 @@ fn main() {
     config.num_groups = 3;
     config.iterations = 3;
     let setup = derive_setup(&config).expect("setup");
-    let driver = RoundDriver::new(setup).with_adversary(plan);
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % config.num_groups;
             make_trap_submission(
                 gid,
-                &driver.setup().groups[gid].public_key,
-                &driver.setup().trustees.public_key,
+                &setup.groups[gid].public_key,
+                &setup.trustees.public_key,
                 config.round,
                 format!("sensitive message {i}").as_bytes(),
                 config.message_len,
@@ -48,15 +48,21 @@ fn main() {
             .0
         })
         .collect();
-    match driver.run_trap_round(&submissions, &mut rng) {
+    let mut job = RoundJob::new(
+        setup.clone(),
+        RoundSubmissions::Trap(submissions.clone()),
+        13,
+    );
+    job.adversary = Some(plan);
+    match engine.run_round(job) {
         Err(AtomError::TrapCheckFailed(reason)) => {
             println!("[trap variant] round aborted as designed: {reason}");
             println!("[trap variant] trustees withheld the decryption key; no plaintext leaked");
         }
-        other => println!("[trap variant] unexpected outcome: {other:?}"),
+        other => panic!("[trap variant] unexpected outcome: {other:?}"),
     }
     // The users were honest, so the blame protocol clears them all.
-    let blames = identify_malicious_users(driver.setup(), &submissions).unwrap();
+    let blames = identify_malicious_users(&setup, &submissions).unwrap();
     println!(
         "[trap variant] blame protocol flags {} user(s) (expected 0)",
         blames.len()
@@ -68,13 +74,12 @@ fn main() {
     config.iterations = 3;
     config.defense = Defense::Nizk;
     let setup = derive_setup(&config).expect("setup");
-    let driver = RoundDriver::new(setup).with_adversary(plan);
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % config.num_groups;
             make_nizk_submission(
                 gid,
-                &driver.setup().groups[gid].public_key,
+                &setup.groups[gid].public_key,
                 format!("sensitive message {i}").as_bytes(),
                 config.message_len,
                 &mut rng,
@@ -83,7 +88,9 @@ fn main() {
             .0
         })
         .collect();
-    match driver.run_nizk_round(&submissions, &mut rng) {
+    let mut job = RoundJob::new(setup, RoundSubmissions::Nizk(submissions), 14);
+    job.adversary = Some(plan);
+    match engine.run_round(job) {
         Err(AtomError::ProtocolViolation {
             group,
             member,
@@ -92,6 +99,6 @@ fn main() {
             println!("[nizk variant] caught cheating server: group {group}, member {member:?}");
             println!("[nizk variant] reason: {reason}");
         }
-        other => println!("[nizk variant] unexpected outcome: {other:?}"),
+        other => panic!("[nizk variant] unexpected outcome: {other:?}"),
     }
 }

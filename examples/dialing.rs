@@ -13,8 +13,8 @@ use atom::apps::dialing::{
     PAPER_DIAL_LEN,
 };
 use atom::core::config::AtomConfig;
-use atom::core::round::RoundDriver;
 use atom::derive_setup;
+use atom::runtime::{Engine, RoundJob, RoundSubmissions};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2026);
@@ -24,7 +24,6 @@ fn main() {
     config.num_groups = 4;
     config.iterations = 3;
     let setup = derive_setup(&config).expect("setup");
-    let driver = RoundDriver::new(setup);
 
     let mailboxes = 16;
     let alice = DialIdentity::generate(&mut rng);
@@ -34,11 +33,11 @@ fn main() {
 
     // Real dial requests.
     let mut submissions = vec![
-        make_dial_submission(&driver, &alice, &bob.keys.public, mailboxes, 0, &mut rng)
+        make_dial_submission(&setup, &alice, &bob.keys.public, mailboxes, 0, &mut rng)
             .expect("alice dials bob"),
-        make_dial_submission(&driver, &carol, &bob.keys.public, mailboxes, 2, &mut rng)
+        make_dial_submission(&setup, &carol, &bob.keys.public, mailboxes, 2, &mut rng)
             .expect("carol dials bob"),
-        make_dial_submission(&driver, &bob, &alice.keys.public, mailboxes, 1, &mut rng)
+        make_dial_submission(&setup, &bob, &alice.keys.public, mailboxes, 1, &mut rng)
             .expect("bob dials alice back"),
     ];
 
@@ -47,12 +46,11 @@ fn main() {
     let dummies = dummy_count(6.0, 2.0, &mut rng);
     println!("adding {dummies} dummy dial requests for cover");
     submissions
-        .extend(make_dummy_submissions(&driver, mailboxes, dummies, &mut rng).expect("dummies"));
+        .extend(make_dummy_submissions(&setup, mailboxes, dummies, &mut rng).expect("dummies"));
 
-    let output = driver
-        .run_trap_round(&submissions, &mut rng)
-        .expect("round");
-    let boxes = Mailboxes::from_round(&output, mailboxes);
+    let job = RoundJob::new(setup, RoundSubmissions::Trap(submissions), 2026);
+    let report = Engine::with_workers(4).run_round(job).expect("round");
+    let boxes = Mailboxes::from_round(&report.output, mailboxes);
     println!(
         "round complete: {} requests distributed over {} mailboxes",
         boxes.total_requests(),

@@ -10,8 +10,8 @@ use rand::SeedableRng;
 use atom::core::config::AtomConfig;
 use atom::core::faults::{escrow_group_shares, recover_group};
 use atom::core::message::make_trap_submission;
-use atom::core::round::RoundDriver;
 use atom::derive_setup;
+use atom::runtime::{Engine, RoundJob, RoundSubmissions};
 use atom::topology::groups::{required_group_size, GroupSecurityParams};
 
 fn main() {
@@ -46,14 +46,13 @@ fn main() {
     // One server dies mid-round: the round still completes.
     let failed_server = setup.groups[0].members[3];
     println!("\nserver {failed_server} fails; groups fall back to threshold participation");
-    let driver = RoundDriver::new(setup).with_failures(vec![failed_server]);
     let submissions: Vec<_> = (0..6)
         .map(|i| {
             let gid = i % config.num_groups;
             make_trap_submission(
                 gid,
-                &driver.setup().groups[gid].public_key,
-                &driver.setup().trustees.public_key,
+                &setup.groups[gid].public_key,
+                &setup.trustees.public_key,
                 config.round,
                 format!("message {i}").as_bytes(),
                 config.message_len,
@@ -63,16 +62,18 @@ fn main() {
             .0
         })
         .collect();
-    let output = driver
-        .run_trap_round(&submissions, &mut rng)
+    let mut job = RoundJob::new(setup.clone(), RoundSubmissions::Trap(submissions), 3);
+    job.failed_servers = vec![failed_server];
+    let report = Engine::with_workers(4)
+        .run_round(job)
         .expect("round survives");
     println!(
         "round completed despite the failure: {} messages delivered",
-        output.plaintexts.len()
+        report.output.plaintexts.len()
     );
 
     // Catastrophe: group 0 loses two servers (more than it tolerates).
-    let group = &driver.setup().groups[0];
+    let group = &setup.groups[0];
     let dead = vec![group.members[0], group.members[1]];
     println!("\ngroup 0 loses servers {dead:?} (more than h-1 = 1)");
     assert!(group.participating(&dead).is_err());

@@ -8,24 +8,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use atom::apps::microblog::run_microblog_round;
+use atom::apps::microblog::{prepare_posts, BulletinBoard};
 use atom::core::config::AtomConfig;
-use atom::core::latency::LatencyModel;
-use atom::core::round::RoundDriver;
 use atom::derive_setup;
+use atom::runtime::{Engine, RoundJob, RoundSubmissions};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
 
-    // 160-byte posts like the paper's evaluation, 4 groups of 3 servers,
-    // with the paper's 40-160 ms WAN latency model charged to the network
-    // critical path.
+    // 160-byte posts like the paper's evaluation, 4 groups of 3 servers.
     let mut config = AtomConfig::test_default();
     config.message_len = 160;
     config.num_groups = 4;
     config.iterations = 4;
     let setup = derive_setup(&config).expect("setup");
-    let driver = RoundDriver::new(setup).with_latency(LatencyModel::paper_wan(7));
 
     let posts = [
         "Protest at the central square, noon tomorrow. Bring water and friends.",
@@ -39,7 +35,13 @@ fn main() {
     ];
 
     println!("submitting {} posts through Atom ...", posts.len());
-    let (board, output) = run_microblog_round(&driver, &posts, &mut rng).expect("round");
+    let batch = prepare_posts(&setup, &posts, &mut rng).expect("posts fit");
+    let job = RoundJob::new(setup, RoundSubmissions::Trap(batch.trap), 42);
+    let output = Engine::with_workers(4)
+        .run_round(job)
+        .expect("round")
+        .output;
+    let board = BulletinBoard::publish(&output);
 
     println!("\n--- bulletin board ({} posts) ---", board.len());
     for post in &board.posts {
@@ -51,9 +53,7 @@ fn main() {
         board.search("publish").len()
     );
     println!(
-        "round stats: {} ciphertexts routed, compute {:.2?}, network (simulated) {:.2?}",
-        output.routed_ciphertexts,
-        output.timings.total_compute,
-        output.timings.network_critical_path
+        "round stats: {} ciphertexts routed, compute {:.2?}, wall clock {:.2?}",
+        output.routed_ciphertexts, output.timings.total_compute, output.timings.wall_clock
     );
 }

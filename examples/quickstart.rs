@@ -1,6 +1,6 @@
 //! Quickstart: stand up a small Atom deployment in-process, send a handful of
-//! anonymous messages through it with the trap-based defence, and print what
-//! the exit groups publish.
+//! anonymous messages through it with the trap-based defence on the engine's
+//! worker pool, and print what the exit groups publish.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -9,8 +9,8 @@ use rand::SeedableRng;
 
 use atom::core::config::AtomConfig;
 use atom::core::message::make_trap_submission;
-use atom::core::round::RoundDriver;
 use atom::derive_setup;
+use atom::runtime::{Engine, RoundJob, RoundSubmissions};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -26,7 +26,6 @@ fn main() {
         config.num_groups, config.group_size
     );
     let setup = derive_setup(&config).expect("round setup");
-    let driver = RoundDriver::new(setup);
 
     // Eight users each submit one message to an entry group of their choice.
     let messages = [
@@ -46,8 +45,8 @@ fn main() {
             let entry_group = i % config.num_groups;
             make_trap_submission(
                 entry_group,
-                &driver.setup().groups[entry_group].public_key,
-                &driver.setup().trustees.public_key,
+                &setup.groups[entry_group].public_key,
+                &setup.trustees.public_key,
                 config.round,
                 msg.as_bytes(),
                 config.message_len,
@@ -62,9 +61,11 @@ fn main() {
         "routing {} ciphertexts (messages + traps) ...",
         2 * submissions.len()
     );
-    let output = driver
-        .run_trap_round(&submissions, &mut rng)
-        .expect("round should complete");
+    let job = RoundJob::new(setup, RoundSubmissions::Trap(submissions), 1);
+    let output = Engine::with_workers(4)
+        .run_round(job)
+        .expect("round should complete")
+        .output;
 
     println!(
         "\nanonymized output ({} messages):",

@@ -12,11 +12,12 @@
 //!   hybrid encryption, SHA-3 and ChaCha20-Poly1305 from scratch.
 //! * [`topology`] — permutation networks, group sizing and formation.
 //! * [`net`] — the transport substrate: in-process mailboxes and TCP sockets.
-//! * [`core`] — the Atom protocol: clients, groups, rounds, trustees,
+//! * [`core`] — the Atom protocol: clients, groups, round phases, trustees,
 //!   fault tolerance and blame.
-//! * [`runtime`] — the parallel group-actor execution engine with
-//!   barrier-free pipelined mixing and multi-round execution.
-//! * [`apps`] — microblogging and dialing built on the public API.
+//! * [`runtime`] — [`runtime::Engine`], which runs every round: parallel group
+//!   actors, barrier-free pipelined mixing, several rounds in flight.
+//! * [`apps`] — microblogging and dialing: they build a round's submissions
+//!   from its directory and read the engine's output.
 //! * [`baselines`] — simplified Riposte and Vuvuzela/Alpenhorn comparators.
 //! * [`sim`] — the calibrated large-scale deployment simulator.
 //!
@@ -37,5 +38,5 @@ pub use atom_topology as topology;
 
 pub use atom_core::{
     derive_setup, make_nizk_submission, make_trap_submission, AtomConfig, AtomError, AtomResult,
-    Defense, RoundDriver, RoundOutput, TopologyKind,
+    Defense, RoundOutput, TopologyKind,
 };
