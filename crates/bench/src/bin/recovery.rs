@@ -1,9 +1,9 @@
 //! The recovery experiment: measures how fast a self-healing fleet gets
 //! back to delivering rounds after losing a member.
 //!
-//! Runs a three-OS-process healing deployment (coordinator in this
-//! process, two `atom-node --heal` members — this binary re-executed as
-//! `recovery node <atom-node flags>`, running `netbench::run_node`),
+//! Runs a three-OS-process deployment (coordinator in this process, two
+//! `atom-node` members — this binary re-executed as `recovery node
+//! <atom-node flags>`, running `netbench::run_node`),
 //! SIGKILLs member 2 after round `--kill-at` completes, restarts it with
 //! the rejoin handshake after round `--restart-at`, and records:
 //!
@@ -106,9 +106,8 @@ fn main() {
         addrs: addrs.clone(),
         index,
         workers: args.workers,
-        heal: true,
         rejoin,
-        batch: args.batch,
+        batch: Some(args.batch),
         ..NodeArgs::default()
     };
     let fleet = ProcessFleet::spawn(
@@ -148,8 +147,9 @@ fn main() {
         })
     };
 
+    let (spec, workers) = (&args.spec, args.workers);
     let outcome =
-        heal::run_recovery_coordinator(&args.spec, args.batch, addrs, args.workers, Some(hook))
+        heal::run_recovery_coordinator(spec, args.batch, addrs, workers, Some(hook), || {})
             .unwrap_or_else(|error| {
                 if let Some(fleet) = fleet.lock().unwrap().as_mut() {
                     fleet.kill_all();

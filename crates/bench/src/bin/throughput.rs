@@ -14,7 +14,9 @@
 //!   groups round-robin), exchanging frames through `TcpTransport`.
 //!   Defaults to 2 processes. Each member is an `atom-node` process: this
 //!   binary re-executed as `throughput node <atom-node flags>`, running
-//!   `netbench::run_node` on flags written by `netbench::NodeArgs`.
+//!   `netbench::run_node` on flags written by `netbench::NodeArgs`. This
+//!   process runs the coordinator's side of the same recovery loop
+//!   (`heal::run_recovery_coordinator`), all rounds in one batch.
 //!
 //! With `--sharded`, round setup runs *inside* the engine as a distributed
 //! phase — each process derives only the DKGs of the groups it hosts (see
@@ -49,6 +51,7 @@
 
 use std::time::{Duration, Instant};
 
+use atom_bench::heal;
 use atom_bench::netbench::{self, flag_number, flag_value, NetSpec, NodeArgs, ProcessFleet};
 use atom_bench::scale::{ScaleBaseline, ScaleCell};
 use atom_runtime::{Engine, RoundReport};
@@ -172,11 +175,7 @@ fn run_memory(spec: &NetSpec, workers: usize) -> (Duration, usize, Duration, Vec
         atom_obs::set_process(0);
         atom_obs::set_enabled(true);
     }
-    let jobs = if spec.sharded {
-        netbench::build_sharded_jobs(spec, true)
-    } else {
-        netbench::build_jobs(spec)
-    };
+    let jobs = heal::fleet_jobs(spec);
     let engine = Engine::new(EngineOptions::with_workers(workers));
     let start = Instant::now();
     let reports = engine.run_rounds(jobs);
@@ -194,16 +193,18 @@ fn run_memory(spec: &NetSpec, workers: usize) -> (Duration, usize, Duration, Vec
 /// One TCP-loopback run split across `processes` OS processes: this
 /// process coordinates, a [`ProcessFleet`] of freshly spawned children
 /// hosts the rest of the groups (with `processes == 1`, nobody else).
-/// Returns (wall, delivered, max setup latency). The timed region covers
-/// only the engine run — job derivation, binds and the connect retry loop
-/// happen before the clock starts on every side (each member signals
-/// readiness over its stdout) — mirroring `run_memory`, which also derives
-/// jobs untimed. What remains in the TCP column is the genuine transport
-/// cost: frame encode/decode, socket hops, the process split.
+/// Returns (wall, delivered, max setup latency). The timed region is the
+/// coordinator's engine run ([`heal::RecoveryOutcome::engine`]) — binds,
+/// the connect retry loop and job derivation happen before it on every
+/// side (each process derives the batch from the plan, before the go) —
+/// mirroring `run_memory`, which also derives jobs untimed. What remains
+/// in the TCP column is the genuine transport cost: frame encode/decode,
+/// socket hops, the process split.
 ///
-/// A member that dies fails the run loudly — the engine converts the lost
-/// peer into per-round errors, and the fleet kills and reaps every child
-/// on all exit paths — never a hang, never an orphan.
+/// A member that dies fails the run loudly — an unrecoverable fleet is an
+/// error and a healed one an eviction, both fatal here, and the fleet
+/// kills and reaps every child on all exit paths — never a hang, never an
+/// orphan.
 fn run_tcp(
     args: &Args,
     spec: &NetSpec,
@@ -230,24 +231,19 @@ fn run_tcp(
         .collect();
     let mut fleet = ProcessFleet::spawn(netbench::this_exe_as_node(), members)
         .unwrap_or_else(|error| panic!("spawn fleet: {error}"));
-    // Coordinator setup overlaps the members'; member listeners may come up
-    // after this bind, but Process::start retries connects, so start order
-    // does not matter.
-    let process = netbench::Process::start(spec, addrs, 0, workers)
-        .unwrap_or_else(|error| panic!("coordinator setup: {error}"));
-    fleet
-        .await_ready(FLEET_TIMEOUT)
-        .unwrap_or_else(|error| panic!("fleet readiness: {error}"));
-    let start = Instant::now();
-    let results = process.try_run();
-    let wall = start.elapsed();
-    let reports: Vec<_> = match results.into_iter().collect::<Result<Vec<_>, _>>() {
-        Ok(reports) => reports,
-        Err(error) => {
-            fleet.kill_all();
-            panic!("tcp run failed: {error:?}");
-        }
+    // Member listeners may come up after the coordinator's bind, but the
+    // connects retry, so start order does not matter. The batch is the
+    // members' default: every round at once.
+    let ready = || {
+        (fleet.await_ready(FLEET_TIMEOUT))
+            .unwrap_or_else(|error| panic!("fleet readiness: {error}"))
     };
+    // A panic here drops `fleet`, which kills and reaps every child.
+    let outcome = heal::run_recovery_coordinator(spec, spec.rounds, addrs, workers, None, ready)
+        .unwrap_or_else(|error| panic!("tcp run failed: {error}"));
+    let evicted = &outcome.evictions;
+    assert!(evicted.is_empty(), "tcp run evicted members: {evicted:?}");
+    let (wall, reports) = (outcome.engine, outcome.reports);
     let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
     let setup = reports
         .iter()

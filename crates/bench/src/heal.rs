@@ -1,12 +1,13 @@
 //! Membership churn, eviction and round recovery for multi-process fleets.
 //!
-//! The plain multi-process harness ([`crate::netbench`]) treats a vanished
-//! peer as fatal: rounds fail with per-round errors and the sweep ends. This
-//! module makes the fleet *heal* instead. The coordinator runs rounds in
-//! batches; between batches the fleet passes a two-phase membership
+//! Every fleet process ([`crate::netbench::run_node`]) runs this module's
+//! loop, so a fleet *heals* rather than fails when a peer vanishes. The
+//! coordinator runs rounds in batches (by default one batch of every
+//! round); before each batch the fleet passes a two-phase membership
 //! handshake, so every process agrees — before any protocol frame of the
-//! next batch is sent — on who is dead, which rounds are being retried, and
-//! which wire-round namespace (epoch) the batch runs in.
+//! batch is sent — on who is dead, which rounds are being retried, and
+//! which wire-round namespace (epoch) the batch runs in. A fault-free run
+//! is one handshake and one engine run over an empty eviction log.
 //!
 //! ## The recovery loop
 //!
@@ -14,8 +15,8 @@
 //!            ┌────────────────────────────────────────────────────┐
 //!            ▼                                                    │
 //!   plan ──▶ ack ──▶ drain ──▶ go ──▶ run batch ──▶ ok? ── yes ──▶ advance,
-//!   (evictions,      (purge    (commit)             │              readmit
-//!    retry round,     stale                         no             rejoiners
+//!   (evictions,      (purge    (commit,             │              readmit
+//!    retry round,     stale     freeze)             no             rejoiners
 //!    epoch, digest)   frames)                       │
 //!                                                   ▼
 //!                      diagnose lowest failed round → FaultVerdict,
@@ -41,6 +42,12 @@
 //! the eviction log, so every process computes identical directories and
 //! round outputs stay byte-deterministic given the log.
 //!
+//! **Job derivation.** Every process derives a batch's jobs from its plan —
+//! the coordinator right after sending it, a member before acking it — so
+//! the go starts engines whose jobs are ready, and the engine run times no
+//! derivation. The derived membership is frozen only at the go: a plan
+//! that a newer eviction supersedes leaves no round frozen anywhere.
+//!
 //! **Epoch fencing.** Each batch attempt runs with a disjoint wire-round
 //! range (`EngineOptions::round_offset = epoch × batch`): an attempt runs at
 //! most `batch` jobs, so its ids end where the next epoch's begin. A frame
@@ -59,6 +66,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,18 +75,18 @@ use rand::SeedableRng;
 
 use atom_core::config::AtomConfig;
 use atom_core::directory::{derive_setup, RoundSetup};
-use atom_core::message::TrapSubmission;
+use atom_core::message::{make_trap_submission, TrapSubmission};
 use atom_net::{
     DeliveryHook, Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport,
 };
 use atom_runtime::scenarios::slow_groups;
-use atom_runtime::wire::{self, EvictFrame, Frame, RejoinFrame};
+use atom_runtime::wire::{self, Frame, RejoinFrame};
 use atom_runtime::{
     new_control_sink, ControlSink, Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict,
     RoundCompleteHook, RoundJob, RoundReport, RoundSubmissions, REJOIN_LABEL,
 };
 
-use crate::netbench::{hosted_groups, round_config, round_submissions, NetSpec};
+use crate::netbench::{hosted_groups, round_config, NetSpec};
 
 /// Bounded retries of one batch when a failure yields no actionable
 /// verdict (e.g. a protocol abort that implicates no process).
@@ -125,15 +133,14 @@ pub fn batch_end(round: usize, batch: usize, rounds: usize) -> usize {
 }
 
 /// A 32-byte integrity digest of an eviction log: four independent FNV-64
-/// lanes over the canonical `evict`-frame encoding of each verdict, in log
-/// order. Good enough to catch divergence between the coordinator's log
-/// and a member's mirror (its only job — this is not an adversarial hash).
+/// lanes over the wire encoding of each verdict ([`wire::encode_verdict`]),
+/// in log order. Good enough to catch divergence between the coordinator's
+/// log and a member's mirror (its only job — this is not an adversarial
+/// hash).
 pub fn eviction_log_digest(log: &[FaultVerdict]) -> [u8; 32] {
     let mut bytes = Vec::new();
     for verdict in log {
-        bytes.extend_from_slice(&wire::encode_evict(&EvictFrame {
-            verdict: verdict.clone(),
-        }));
+        wire::encode_verdict(&mut bytes, verdict);
     }
     let mut digest = [0u8; 32];
     for lane in 0..4u64 {
@@ -151,16 +158,17 @@ pub fn eviction_log_digest(log: &[FaultVerdict]) -> [u8; 32] {
 /// The coordinator mutates it via [`RecoveryLedger::evict`] /
 /// [`RecoveryLedger::readmit`]; members mirror it from plans via
 /// [`RecoveryLedger::apply_plan`], the one update path `evict` also takes,
-/// so both sides build byte-identical round jobs.
+/// so both sides build byte-identical round jobs
+/// ([`RecoveryLedger::batch_jobs`], the one round-job derivation).
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryLedger {
     /// Standing verdicts: one entry per conviction whose process is still
     /// out. This is the log plans and digests cover.
     active: Vec<FaultVerdict>,
     /// round → evicted-server set its directory was built with. Frozen at
-    /// first build so a *retried* detection round keeps the membership its
-    /// submissions and peers' directories were derived under — it heals by
-    /// Lagrange/escrow instead of re-forming.
+    /// the go of its first batch so a *retried* detection round keeps the
+    /// membership its submissions and peers' directories were derived
+    /// under — it heals by Lagrange/escrow instead of re-forming.
     frozen: BTreeMap<usize, Vec<usize>>,
     /// round → servers that failed mid-flight for that round (the frozen
     /// detection round's Lagrange/escrow set).
@@ -258,26 +266,38 @@ impl RecoveryLedger {
         self.failed.retain(|&round, _| round <= plan_round);
     }
 
-    /// The job for `round` under the current log, freezing the round's
-    /// membership on first build. Members pass `with_submissions: false`
-    /// under a sharded spec (they never derive non-hosted DKGs); everyone
-    /// else derives the full healed directory and the round's submissions.
-    /// Errors if the log leaves too few survivors to fill a group.
-    pub fn job_for_round(
-        &mut self,
+    /// The jobs of `rounds` under the current log. Members pass
+    /// `with_submissions: false` under a sharded spec (they never derive
+    /// non-hosted DKGs); everyone else derives the full healed directory and
+    /// the rounds' submissions. Freezes nothing ([`RecoveryLedger::freeze`]
+    /// does, at the go). Errors if the log leaves too few survivors to fill
+    /// a group.
+    pub fn batch_jobs(
+        &self,
         spec: &NetSpec,
-        round: usize,
+        rounds: Range<usize>,
         with_submissions: bool,
-    ) -> Result<RoundJob, String> {
-        let fallback = self.active_servers();
-        let evicted = self.frozen.entry(round).or_insert(fallback).clone();
-        let mut config = round_config(spec, round);
-        config.evicted_servers = evicted;
-        config.validate().map_err(|error| {
-            format!("round {round} config invalid under eviction log: {error:?}")
-        })?;
-        let failed = self.failed_for(round);
-        Ok(heal_job(spec, config, round, failed, with_submissions))
+    ) -> Result<Vec<RoundJob>, String> {
+        rounds
+            .map(|round| {
+                let mut config = round_config(spec, round);
+                config.evicted_servers = self.evicted_for(round);
+                config.validate().map_err(|error| {
+                    format!("round {round} config invalid under eviction log: {error:?}")
+                })?;
+                let failed = self.failed_for(round);
+                Ok(heal_job(spec, config, round, failed, with_submissions))
+            })
+            .collect()
+    }
+
+    /// Freezes the membership of `rounds` as the go that commits them finds
+    /// it; a round already frozen keeps its first membership.
+    pub fn freeze(&mut self, rounds: Range<usize>) {
+        for round in rounds {
+            let evicted = self.evicted_for(round);
+            self.frozen.entry(round).or_insert(evicted);
+        }
     }
 
     /// One encoded `rejoin` frame over this log. The coordinator's
@@ -302,16 +322,31 @@ impl RecoveryLedger {
     }
 }
 
-/// Submissions for one healed round, from a stream keyed on `(seed, round)`
-/// alone — unlike `build_jobs`' rng, which threads across rounds — so the
-/// recovery loop can re-derive any single round in isolation. They encrypt
-/// to the entry groups' DKG keys, which derive from the beacon and not from
-/// membership, so the same submission bytes stay valid under any eviction.
+/// The spec's submissions for one round, from a stream keyed on
+/// `(seed, round)` alone, so the recovery loop can re-derive any single
+/// round in isolation. They encrypt to the entry groups' DKG keys, which
+/// derive from the beacon and not from membership, so the same submission
+/// bytes stay valid under any eviction.
 fn heal_submissions(spec: &NetSpec, round: usize, setup: &RoundSetup) -> Vec<TrapSubmission> {
     let mut rng = StdRng::seed_from_u64(
         spec.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x4845_414C,
     );
-    round_submissions(spec, round, setup, &mut rng)
+    (0..spec.messages)
+        .map(|i| {
+            let gid = i % spec.groups;
+            make_trap_submission(
+                gid,
+                &setup.groups[gid].public_key,
+                &setup.trustees.public_key,
+                setup.config.round,
+                format!("net r{round} m{i}").as_bytes(),
+                setup.config.message_len,
+                &mut rng,
+            )
+            .expect("derive submission")
+            .0
+        })
+        .collect()
 }
 
 fn heal_job(
@@ -336,6 +371,16 @@ fn heal_job(
     };
     job.failed_servers = failed;
     job
+}
+
+/// The spec's rounds under an empty eviction log, with submissions: what a
+/// fault-free fleet runs, and the in-memory reference its outputs are
+/// diffed against. A trap-variant deployment with fixed-length messages,
+/// its directory prebuilt ([`derive_setup`] of each round's config) or,
+/// under [`NetSpec::sharded`], derived inside the engine run.
+pub fn fleet_jobs(spec: &NetSpec) -> Vec<RoundJob> {
+    (RecoveryLedger::default().batch_jobs(spec, 0..spec.rounds, true))
+        .unwrap_or_else(|error| panic!("derive the spec's rounds: {error}"))
 }
 
 /// The in-memory reference for a recovered run: every round rebuilt with
@@ -380,6 +425,9 @@ pub struct RecoveryOutcome {
     pub round_failed: Vec<Vec<usize>>,
     /// Batch attempts (plan/ack/go handshakes) the run took.
     pub epochs: usize,
+    /// Wall clock of the coordinator's engine runs, summed over every batch
+    /// attempt: no job derivation, handshake or connect inside.
+    pub engine: Duration,
     /// When the first fault was detected, relative to run start.
     pub detected_at: Option<Duration>,
     /// Detection → completion of the first round finished after detection:
@@ -393,13 +441,8 @@ pub struct RecoveryOutcome {
 
 /// Binds fleet process `me`'s end of the mesh and connects it to every
 /// peer, with the full-membership owner map — the one transport setup of
-/// every fleet process, plain or healing. Turns recording on under
-/// `NetSpec::trace`.
-pub(crate) fn join_fleet(
-    spec: &NetSpec,
-    addrs: Vec<String>,
-    me: usize,
-) -> Result<TcpTransport, String> {
+/// every fleet process. Turns recording on under `NetSpec::trace`.
+fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransport, String> {
     if spec.trace {
         atom_obs::set_process(me as u32);
         atom_obs::set_enabled(true);
@@ -562,6 +605,10 @@ fn note_request(pending: &mut BTreeSet<usize>, live: &[bool], frame: &RejoinFram
     }
 }
 
+/// A plan on the wire: the members whose acks to await, and the batch's
+/// jobs.
+type SentPlan = (BTreeSet<usize>, Vec<RoundJob>);
+
 /// The coordinator's side of the recovery loop. Each epoch runs four
 /// phases — [`Coordinator::plan`], [`Coordinator::acks`],
 /// [`Coordinator::commit`] and [`Coordinator::run_batch`] — and any of
@@ -590,6 +637,8 @@ struct Coordinator<'a> {
     next: usize,
     /// Consecutive failures of the batch that yielded no actionable verdict.
     stuck: usize,
+    /// Summed wall clock of the engine runs.
+    engine: Duration,
     reports: Vec<Option<RoundReport>>,
     round_evicted: Vec<Vec<usize>>,
     round_failed: Vec<Vec<usize>>,
@@ -605,13 +654,10 @@ impl Coordinator<'_> {
                     "recovery made no progress within {max_epochs} epochs"
                 ));
             }
-            let Some(awaiting) = self.plan()? else {
+            let Some((awaiting, jobs)) = self.plan()? else {
                 continue;
             };
-            if !self.acks(&awaiting)? {
-                continue;
-            }
-            if let Some(jobs) = self.commit(&awaiting)? {
+            if self.acks(&awaiting)? && self.commit(&awaiting)? {
                 self.run_batch(jobs)?;
             }
         }
@@ -657,10 +703,16 @@ impl Coordinator<'_> {
         })
     }
 
+    /// The rounds of the batch the next plan starts.
+    fn batch_rounds(&self) -> Range<usize> {
+        self.next..batch_end(self.next, self.batch, self.spec.rounds)
+    }
+
     /// Phase 1: sends the plan — retry round, eviction log, epoch, digest —
-    /// and returns the members whose acks to await, or `None` after
-    /// convicting one that could not be reached.
-    fn plan(&mut self) -> Result<Option<BTreeSet<usize>>, String> {
+    /// then derives the batch's jobs while the members derive theirs, and
+    /// returns the members whose acks to await with those jobs, or `None`
+    /// after convicting one that could not be reached.
+    fn plan(&mut self) -> Result<Option<SentPlan>, String> {
         atom_obs::count("fleet.handshake.plans", 1);
         let plan = self.ledger.handshake(self.next, 0, self.epoch, false);
         let mut awaiting = BTreeSet::new();
@@ -681,7 +733,10 @@ impl Coordinator<'_> {
                 awaiting.insert(process);
             }
         }
-        Ok(Some(awaiting))
+        let jobs = self
+            .ledger
+            .batch_jobs(self.spec, self.batch_rounds(), true)?;
+        Ok(Some((awaiting, jobs)))
     }
 
     /// Phase 2: collects the acks until the ack deadline, noting any rejoin
@@ -718,21 +773,19 @@ impl Coordinator<'_> {
     }
 
     /// Phase 3: with all acks in, every member frame of dead epochs has been
-    /// delivered (per-connection ordering) — purge, build the batch's jobs,
-    /// then send the go. Returns the jobs, or `None` after convicting the
-    /// members the go could not reach.
-    fn commit(&mut self, awaiting: &BTreeSet<usize>) -> Result<Option<Vec<RoundJob>>, String> {
+    /// delivered (per-connection ordering) — purge, freeze the batch's
+    /// membership, then send the go. `false` after convicting the members
+    /// the go could not reach.
+    fn commit(&mut self, awaiting: &BTreeSet<usize>) -> Result<bool, String> {
         for frame in self.control.purge() {
             note_request(&mut self.pending_rejoin, &self.live, &frame);
         }
-        // Build (and thereby freeze) the batch's jobs *before* committing:
-        // members freeze on receiving the go, so freezing must be part of
-        // the committed protocol on this side too — an epoch abandoned
-        // before its commit must leave no membership frozen anywhere.
-        let end = batch_end(self.next, self.batch, self.spec.rounds);
-        let mut jobs = Vec::new();
-        for round in self.next..end {
-            jobs.push(self.ledger.job_for_round(self.spec, round, true)?);
+        // Members freeze on receiving the go, so freezing is part of the
+        // committed protocol on this side too — an epoch abandoned before
+        // its commit leaves no membership frozen anywhere.
+        let rounds = self.batch_rounds();
+        self.ledger.freeze(rounds.clone());
+        for round in rounds {
             self.round_evicted[round] = self.ledger.evicted_for(round);
             self.round_failed[round] = self.ledger.failed_for(round);
         }
@@ -751,7 +804,7 @@ impl Coordinator<'_> {
         for SendError { process, error } in &unreachable {
             self.convict_dead(*process, format!("unreachable at commit: {error}"))?;
         }
-        Ok(unreachable.is_empty().then_some(jobs))
+        Ok(unreachable.is_empty())
     }
 
     /// Phase 4: runs the committed batch under the agreed membership and
@@ -778,7 +831,9 @@ impl Coordinator<'_> {
         let role = EngineRole::coordinator(hosted_groups(&owner, 0));
         let end = base + jobs.len();
         let mut failed = None;
+        let start = Instant::now();
         let results = Engine::new(options).run_rounds_on(jobs, transport, &role);
+        self.engine += start.elapsed();
         for (round, result) in (base..).zip(results) {
             match result {
                 Ok(report) => self.reports[round] = Some(report),
@@ -856,6 +911,7 @@ impl Coordinator<'_> {
             round_evicted: self.round_evicted,
             round_failed: self.round_failed,
             epochs: self.epoch,
+            engine: self.engine,
             detected_at: self.detected.map(|instant| instant - start),
             healed_latency: healed.iter().map(|&(_, latency)| latency).min(),
             healed_rounds: healed_rounds.into_iter().collect(),
@@ -864,22 +920,26 @@ impl Coordinator<'_> {
     }
 }
 
-/// Runs the coordinator (process 0) of a self-healing deployment: rounds
-/// in batches of `batch`, the eviction → re-formation → rejoin loop from
-/// the module docs, until every round of the spec has an authoritative
-/// report. `on_round` fires with each global round as it completes — the
-/// chaos tests use it to schedule kills and restarts mid-run.
+/// Runs the coordinator (process 0) of a fleet: rounds in batches of
+/// `batch`, the eviction → re-formation → rejoin loop from the module docs,
+/// until every round of the spec has an authoritative report. A fleet of
+/// one (`addrs` holds only the coordinator) runs every group here.
+/// `on_ready` fires once the transport is connected — the node binary
+/// prints its readiness line there; `on_round` fires with each global
+/// round as it completes — the chaos tests use it to schedule kills and
+/// restarts mid-run.
 pub fn run_recovery_coordinator(
     spec: &NetSpec,
     batch: usize,
     addrs: Vec<String>,
     workers: usize,
     on_round: Option<RoundCompleteHook>,
+    on_ready: impl FnOnce(),
 ) -> Result<RecoveryOutcome, String> {
     let processes = addrs.len();
-    assert!(processes >= 2, "a fleet needs at least one member");
     let start = Instant::now();
     let transport = join_fleet(spec, addrs, 0)?;
+    on_ready();
     let config = round_config(spec, 0);
     let mut fleet = Coordinator {
         spec,
@@ -899,6 +959,7 @@ pub fn run_recovery_coordinator(
         epoch: 0,
         next: 0,
         stuck: 0,
+        engine: Duration::ZERO,
         reports: (0..spec.rounds).map(|_| None).collect(),
         round_evicted: vec![Vec::new(); spec.rounds],
         round_failed: vec![Vec::new(); spec.rounds],
@@ -919,9 +980,10 @@ pub fn run_recovery_coordinator(
     Ok(fleet.outcome(start))
 }
 
-/// Runs a member (process `index > 0`) of a self-healing deployment: waits
-/// for each plan, mirrors the eviction log, acks, waits for the commit and
-/// runs its share of the batch — until the coordinator's done sentinel.
+/// Runs a member (process `index > 0`) of a fleet: waits for each plan,
+/// mirrors the eviction log, derives the batch's jobs, acks, waits for the
+/// commit and runs its share of the batch — until the coordinator's done
+/// sentinel.
 /// With `rejoin: true` the member announces itself as a restarted process
 /// (the catch-up handshake): it sends a rejoin request and idles until a
 /// plan readmits it. `on_ready` fires once the transport is connected —
@@ -946,7 +1008,8 @@ pub fn run_healing_member(
 }
 
 /// The member's side of the recovery loop, one control frame at a time:
-/// a plan is mirrored and acked, the go of the acked plan runs its batch.
+/// a plan is mirrored, derived and acked, the go of the acked plan runs
+/// its batch.
 fn member_loop(
     spec: &NetSpec,
     batch: usize,
@@ -960,8 +1023,8 @@ fn member_loop(
     let (mut round, mut epoch) = (0, 0);
     // `outside`: not admitted (a restart, or on the last plan's dead list).
     let (mut outside, mut requested) = (rejoin, false);
-    // The hosted groups of the plan acked but not yet committed.
-    let mut acked: Option<Vec<usize>> = None;
+    // The hosted groups and jobs of the plan acked but not yet committed.
+    let mut acked: Option<(Vec<usize>, Vec<RoundJob>)> = None;
     let mut known_dead: Vec<usize> = Vec::new();
     loop {
         if outside && !requested {
@@ -991,15 +1054,13 @@ fn member_loop(
             Some(_) => format!("no commit for epoch {epoch} before the deadline"),
             None => "no plan from the coordinator before the deadline".into(),
         })?;
-        if let (true, Some(hosted)) = (frame.commit, acked.take()) {
-            // Build (and freeze) the batch only now that the epoch
-            // committed: a plan abandoned before its go must leave nothing
-            // frozen, or a later retry of the same rounds would heal them
-            // under a membership the coordinator never agreed to.
-            let end = batch_end(round, batch, spec.rounds);
-            let jobs = (round..end)
-                .map(|round| ledger.job_for_round(spec, round, !spec.sharded))
-                .collect::<Result<Vec<_>, _>>()?;
+        if let (true, Some((hosted, jobs))) = (frame.commit, acked.take()) {
+            // Freeze the batch only now that the epoch committed: a plan
+            // abandoned before its go must leave nothing frozen, or a later
+            // retry of the same rounds would heal them under a membership
+            // the coordinator never agreed to.
+            let end = round + jobs.len();
+            ledger.freeze(round..end);
             let options = engine_options(spec, batch, workers, &control.sink, epoch, index);
             let total = jobs.len();
             let role = EngineRole::member(hosted);
@@ -1014,7 +1075,7 @@ fn member_loop(
             // Failures here are expected during churn — the coordinator owns
             // the diagnosis; we just report in and wait for the next plan.
             println!(
-                "healing member {index}: epoch {epoch} rounds {round}..{end} → {resolved}/{total} resolved"
+                "fleet member {index}: epoch {epoch} rounds {round}..{end} → {resolved}/{total} resolved"
             );
             continue;
         }
@@ -1042,20 +1103,23 @@ fn member_loop(
         }
         requested = false;
 
-        // Mirror the agreed membership, purge dead-epoch residue *before*
-        // acking (new-epoch frames can only be sent after the coordinator
-        // has our ack), then ack.
+        // Mirror the agreed membership and derive the batch's jobs, so the
+        // go finds them ready; purge dead-epoch residue *before* acking
+        // (new-epoch frames can only be sent after the coordinator has our
+        // ack), then ack.
         let owner = owner_map_excluding(spec.groups, processes, &known_dead);
         for (node, &process) in owner.iter().enumerate() {
             transport.set_owner(node, process);
         }
+        let end = batch_end(round, batch, spec.rounds);
+        let jobs = ledger.batch_jobs(spec, round..end, !spec.sharded)?;
         let _ = control.purge();
         atom_obs::count("fleet.handshake.acks", 1);
         let ack = ledger.handshake(round, index, epoch, false);
         control
             .send(0, &ack, Dial::IfNeeded)
             .map_err(|error| format!("coordinator unreachable at ack: {error}"))?;
-        acked = Some(hosted_groups(&owner, index));
+        acked = Some((hosted_groups(&owner, index), jobs));
     }
 }
 
@@ -1064,6 +1128,21 @@ mod tests {
     use super::*;
     use crate::netbench::serialize_reports;
     use atom_runtime::RoundDirectory;
+
+    impl RecoveryLedger {
+        /// One round derived and then frozen: what a plan and its go do
+        /// to a batch of one.
+        fn job_for_round(
+            &mut self,
+            spec: &NetSpec,
+            round: usize,
+            with_submissions: bool,
+        ) -> Result<RoundJob, String> {
+            let mut jobs = self.batch_jobs(spec, round..round + 1, with_submissions)?;
+            self.freeze(round..round + 1);
+            Ok(jobs.remove(0))
+        }
+    }
 
     fn verdict(process: usize, servers: Vec<usize>, round: usize) -> FaultVerdict {
         FaultVerdict {
@@ -1179,6 +1258,59 @@ mod tests {
         assert_eq!(reformed, job_fingerprint(&member_reformed));
     }
 
+    /// A batch derived from a plan that a newer eviction supersedes before
+    /// its go freezes nothing: the retried rounds re-form without the
+    /// evicted servers instead of healing them under the old membership.
+    #[test]
+    fn superseded_plan_leaves_no_round_frozen() {
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 4,
+            messages: 6,
+            honest: 2,
+            ..NetSpec::default()
+        };
+        let victims = process_servers(9, 3, 2);
+        let mut ledger = RecoveryLedger::default();
+        let planned = ledger.batch_jobs(&spec, 0..2, true).unwrap();
+        ledger.evict(verdict(2, victims.clone(), 0), 0);
+        let retried = ledger.batch_jobs(&spec, 0..2, true).unwrap();
+        for (round, (planned, retried)) in planned.iter().zip(&retried).enumerate() {
+            assert!(job_fingerprint(planned).0.is_empty(), "round {round}");
+            assert_eq!(ledger.evicted_for(round), victims, "round {round}");
+            let (evicted, failed, _) = job_fingerprint(retried);
+            assert_eq!(evicted, victims, "round {round} re-forms");
+            assert!(failed.is_empty(), "round {round} heals nothing in place");
+        }
+    }
+
+    /// A fleet of one — the coordinator hosting every group over its own
+    /// TCP transport, as `throughput --processes 1` runs it — delivers the
+    /// bytes of its empty-log reference.
+    #[test]
+    fn coordinator_only_fleet_matches_its_reference() {
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 2,
+            messages: 6,
+            ..NetSpec::default()
+        };
+        let addrs = crate::netbench::free_addrs(1);
+        let outcome = run_recovery_coordinator(&spec, spec.rounds, addrs, 2, None, || {})
+            .expect("a coordinator-only fleet completes every round");
+        assert!(outcome.evictions.is_empty());
+        assert_eq!(outcome.epochs, 1, "one handshake, one batch");
+        let reference: Vec<RoundReport> = Engine::with_workers(2)
+            .run_rounds(fleet_jobs(&spec))
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(
+            serialize_reports(&outcome.reports),
+            serialize_reports(&reference)
+        );
+    }
+
     #[test]
     fn rejoined_member_rebuilds_identical_fresh_rounds() {
         let spec = NetSpec {
@@ -1262,7 +1394,7 @@ mod tests {
             })
         };
 
-        let outcome = run_recovery_coordinator(&spec, batch, addrs, 2, Some(hook))
+        let outcome = run_recovery_coordinator(&spec, batch, addrs, 2, Some(hook), || {})
             .expect("recovery completes every round");
 
         assert!(
@@ -1370,7 +1502,7 @@ mod tests {
             }
         });
 
-        let outcome = run_recovery_coordinator(&spec, batch, addrs, 2, Some(hook))
+        let outcome = run_recovery_coordinator(&spec, batch, addrs, 2, Some(hook), || {})
             .expect("recovery completes every round");
         assert!(
             m1.join().unwrap().is_ok(),

@@ -3,15 +3,19 @@
 //! A multi-process run has no shared memory, so every process derives the
 //! *same* rounds — setups, submissions, seeds — from a [`NetSpec`] it was
 //! handed on the command line, and the node→process assignment is a pure
-//! function of `(groups, processes)`. This module owns that derivation plus
-//! a canonical byte serialization of round outputs, which is what the TCP
-//! loopback equivalence test compares against a single-process run —
-//! byte-for-byte, not just set-equal.
+//! function of `(groups, processes)`. This module owns the spec, each
+//! round's configuration and a canonical byte serialization of round
+//! outputs, which is what the TCP loopback equivalence test compares
+//! against a single-process run — byte-for-byte, not just set-equal. The
+//! rounds' jobs are derived in one place, [`crate::heal`]'s ledger, over an
+//! eviction log that a fault-free run leaves empty
+//! ([`heal::fleet_jobs`]).
 //!
 //! It also owns the one fleet process: [`NodeArgs`] (its flags, parsed and
-//! written by one codec) and [`run_node`] (its run, plain or `--heal`),
-//! which `atom-node` and every harness-spawned member run, and
-//! [`ProcessFleet`], the one supervisor of child processes.
+//! written by one codec) and [`run_node`] (its run: the recovery loop of
+//! [`crate::heal`], the same on every process), which `atom-node` and every
+//! harness-spawned member run, and [`ProcessFleet`], the one supervisor of
+//! child processes.
 
 use std::ffi::OsString;
 use std::io::{BufRead, BufReader, Write};
@@ -19,17 +23,11 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use atom_core::config::{AtomConfig, Defense};
-use atom_core::directory::{derive_setup, RoundSetup};
-use atom_core::error::AtomResult;
-use atom_core::message::{make_trap_submission, TrapSubmission};
-use atom_net::{NodeId, TcpTransport};
-use atom_runtime::{Engine, EngineOptions, EngineRole, RoundJob, RoundReport, RoundSubmissions};
+use atom_net::NodeId;
+use atom_runtime::RoundReport;
 
-use crate::heal::{self, join_fleet, owner_map_excluding};
+use crate::heal;
 
 /// Everything a process needs to derive a multi-process workload
 /// deterministically.
@@ -37,7 +35,8 @@ use crate::heal::{self, join_fleet, owner_map_excluding};
 pub struct NetSpec {
     /// Anytrust groups in the deployment.
     pub groups: usize,
-    /// Rounds, all in flight at once.
+    /// Rounds. A fleet runs them in batches of `NodeArgs::batch`, by
+    /// default one batch, so every round is in flight at once.
     pub rounds: usize,
     /// Submissions per round.
     pub messages: usize,
@@ -121,77 +120,8 @@ pub(crate) fn round_config(spec: &NetSpec, round: usize) -> AtomConfig {
     config
 }
 
-/// The spec's submissions for one round, encrypted to the given directory.
-pub(crate) fn round_submissions(
-    spec: &NetSpec,
-    round: usize,
-    setup: &RoundSetup,
-    rng: &mut StdRng,
-) -> Vec<TrapSubmission> {
-    (0..spec.messages)
-        .map(|i| {
-            let gid = i % spec.groups;
-            make_trap_submission(
-                gid,
-                &setup.groups[gid].public_key,
-                &setup.trustees.public_key,
-                setup.config.round,
-                format!("net r{round} m{i}").as_bytes(),
-                setup.config.message_len,
-                rng,
-            )
-            .expect("derive submission")
-            .0
-        })
-        .collect()
-}
-
-/// Derives the spec's rounds: a trap-variant deployment with fixed-length
-/// messages and a prebuilt directory ([`derive_setup`] of each round's
-/// config), identical in every process for equal specs. This is also the
-/// in-memory reference a sharded run is diffed against: [`build_sharded_jobs`]
-/// over the same spec must produce byte-identical round outputs.
-pub fn build_jobs(spec: &NetSpec) -> Vec<RoundJob> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    (0..spec.rounds)
-        .map(|round| {
-            let setup = derive_setup(&round_config(spec, round)).expect("derive round setup");
-            let submissions = round_submissions(spec, round, &setup, &mut rng);
-            RoundJob::new(
-                setup,
-                RoundSubmissions::Trap(submissions),
-                spec.seed.wrapping_add(round as u64),
-            )
-        })
-        .collect()
-}
-
-/// The spec's rounds as **sharded** jobs: the directory is derived inside
-/// the engine run, split across the participating processes. Only the
-/// coordinator needs submissions (`with_submissions`) — it takes them from
-/// [`build_jobs`], deriving the full directory locally to play the users
-/// exactly like clients reading the published directory — while members
-/// pass an empty set and so never derive a non-hosted group's DKG at all.
-pub fn build_sharded_jobs(spec: &NetSpec, with_submissions: bool) -> Vec<RoundJob> {
-    if with_submissions {
-        return build_jobs(spec)
-            .into_iter()
-            .map(|job| RoundJob::sharded(job.config().clone(), job.submissions, job.seed))
-            .collect();
-    }
-    (0..spec.rounds)
-        .map(|round| {
-            RoundJob::sharded(
-                round_config(spec, round),
-                RoundSubmissions::Trap(Vec::new()),
-                spec.seed.wrapping_add(round as u64),
-            )
-        })
-        .collect()
-}
-
 /// The group ids process `index` hosts under an owner map
-/// ([`owner_map_excluding`]).
+/// ([`heal::owner_map_excluding`]).
 pub fn hosted_groups(owner: &[NodeId], index: usize) -> Vec<usize> {
     let groups = owner.len() - 1; // last node is the orchestrator
     (0..groups).filter(|&gid| owner[gid] == index).collect()
@@ -243,63 +173,6 @@ pub fn free_addrs(count: usize) -> Vec<String> {
         .collect()
 }
 
-/// One process's share of a multi-process run, split into an untimed setup
-/// phase ([`Process::start`]: derive jobs, join the mesh) and the run
-/// itself ([`Process::try_run`]) — so benchmarks can time the engine
-/// without charging it for workload derivation or connection churn.
-pub struct Process {
-    transport: TcpTransport,
-    role: EngineRole,
-    options: EngineOptions,
-    jobs: Vec<RoundJob>,
-}
-
-impl Process {
-    /// Derives the spec's jobs and joins node `index` of `addrs` to the
-    /// mesh (retrying connects while the peers start up). Under
-    /// [`NetSpec::sharded`] the jobs carry only the configuration (plus, on
-    /// the coordinator, the submissions): the DKGs themselves run inside
-    /// [`Process::try_run`], sharded across the processes.
-    pub fn start(
-        spec: &NetSpec,
-        addrs: Vec<String>,
-        index: usize,
-        workers: usize,
-    ) -> Result<Self, String> {
-        let hosted = hosted_groups(&owner_map_excluding(spec.groups, addrs.len(), &[]), index);
-        let transport = join_fleet(spec, addrs, index)?;
-        let role = if index == 0 {
-            EngineRole::coordinator(hosted)
-        } else {
-            EngineRole::member(hosted)
-        };
-        let mut options = EngineOptions::with_workers(workers);
-        options.stall_timeout = spec.stall_timeout;
-        let jobs = if spec.sharded {
-            build_sharded_jobs(spec, index == 0)
-        } else {
-            build_jobs(spec)
-        };
-        Ok(Self {
-            transport,
-            role,
-            options,
-            jobs,
-        })
-    }
-
-    /// Plays the role to completion and returns one result per round
-    /// (authoritative on process 0, stubs elsewhere). A vanished peer
-    /// process surfaces here as per-round errors — a send error becomes
-    /// `TransportLost`, silence trips the stall detector — never as a hang.
-    pub fn try_run(self) -> Vec<AtomResult<RoundReport>> {
-        let results =
-            Engine::new(self.options).run_rounds_on(self.jobs, &self.transport, &self.role);
-        self.transport.shutdown();
-        results
-    }
-}
-
 /// The command line of one fleet process: `atom-node`'s flags, read by
 /// [`NodeArgs::parse`], written by [`NodeArgs::argv`] and run by
 /// [`run_node`]. Every harness that spawns fleet processes goes through
@@ -317,16 +190,13 @@ pub struct NodeArgs {
     pub index: usize,
     /// Engine worker threads (`--workers`); free to differ per process.
     pub workers: usize,
-    /// Self-healing mode (`--heal`): survive member loss via eviction and
-    /// re-formation.
-    pub heal: bool,
-    /// Healing member only (`--rejoin`, implies `--heal`): announce as a
-    /// restarted process instead of expecting to be in the fleet from
-    /// round 0.
+    /// Members only (`--rejoin`): announce as a restarted process instead
+    /// of expecting to be in the fleet from round 0.
     pub rejoin: bool,
-    /// Healing mode: rounds per batch (`--batch`), the re-formation and
-    /// readmission boundary spacing.
-    pub batch: usize,
+    /// Rounds per batch (`--batch`), the re-formation and readmission
+    /// boundary spacing; `None` runs every round in one batch
+    /// ([`NodeArgs::rounds_per_batch`]).
+    pub batch: Option<usize>,
     /// Coordinator: write the canonical round outputs here (`--out`).
     pub out: Option<String>,
     /// Coordinator: write the merged fleet Chrome trace here (`--trace`).
@@ -345,9 +215,8 @@ impl Default for NodeArgs {
             addrs: Vec::new(),
             index: 0,
             workers: 2,
-            heal: false,
             rejoin: false,
-            batch: 1,
+            batch: None,
             out: None,
             trace: None,
             metrics_out: None,
@@ -358,7 +227,7 @@ impl Default for NodeArgs {
 /// What [`node_main`] prints after a flag error.
 const NODE_USAGE: &str = "usage: atom-node --index I --addrs HOST:PORT,HOST:PORT[,..] \
      [--groups G] [--rounds R] [--messages M] [--iterations N] [--seed S] [--sharded] \
-     [--stall-timeout-ms T] [--honest H] [--workers W] [--heal] [--rejoin] [--batch B] \
+     [--stall-timeout-ms T] [--honest H] [--workers W] [--rejoin] [--batch B] \
      [--out PATH] [--trace PATH [--metrics-out PATH]]";
 
 /// The value after `flag`, or the error that it is missing.
@@ -404,9 +273,8 @@ impl NodeArgs {
                 }
                 "--honest" => spec.honest = flag_number(flag, argv.next())?,
                 "--workers" => args.workers = flag_number(flag, argv.next())?,
-                "--heal" => args.heal = true,
-                "--rejoin" => (args.heal, args.rejoin) = (true, true),
-                "--batch" => args.batch = flag_number(flag, argv.next())?,
+                "--rejoin" => args.rejoin = true,
+                "--batch" => args.batch = Some(flag_number(flag, argv.next())?),
                 "--out" => args.out = Some(flag_value(flag, argv.next())?),
                 "--trace" => args.trace = Some(flag_value(flag, argv.next())?),
                 "--metrics-out" => args.metrics_out = Some(flag_value(flag, argv.next())?),
@@ -430,7 +298,23 @@ impl NodeArgs {
         if args.metrics_out.is_some() && args.trace.is_none() {
             return Err("--metrics-out needs --trace (recording is off otherwise)".into());
         }
+        if let Err(error) = round_config(&args.spec, 0).validate() {
+            return Err(format!("the workload flags name no deployment: {error:?}"));
+        }
+        if args.batch == Some(0) {
+            return Err("--batch must be at least one round".into());
+        }
+        if args.rejoin && args.index == 0 {
+            return Err("--rejoin is for a restarted member; the coordinator never rejoins".into());
+        }
         Ok(args)
+    }
+
+    /// Rounds per batch: `--batch`, or all of `--rounds` in one batch. Every
+    /// process resolves it the same way, so all agree on the epoch fence
+    /// (`round_offset = epoch × batch`).
+    pub fn rounds_per_batch(&self) -> usize {
+        self.batch.unwrap_or(self.spec.rounds)
     }
 
     /// The flags [`NodeArgs::parse`] reads back as `self`. Refuses what no
@@ -456,11 +340,7 @@ impl NodeArgs {
             ("--trace", &self.trace),
             ("--metrics-out", &self.metrics_out),
         ];
-        let switches = [
-            ("--sharded", spec.sharded),
-            ("--heal", self.heal),
-            ("--rejoin", self.rejoin),
-        ];
+        let switches = [("--sharded", spec.sharded), ("--rejoin", self.rejoin)];
         let valued = [
             ("--index", self.index.to_string()),
             ("--addrs", self.addrs.join(",")),
@@ -472,9 +352,9 @@ impl NodeArgs {
             ("--stall-timeout-ms", stall_ms.to_string()),
             ("--honest", spec.honest.to_string()),
             ("--workers", self.workers.to_string()),
-            ("--batch", self.batch.to_string()),
         ]
         .into_iter()
+        .chain(self.batch.map(|batch| ("--batch", batch.to_string())))
         .chain(
             paths
                 .into_iter()
@@ -492,25 +372,61 @@ impl NodeArgs {
     }
 }
 
-/// Prints [`READY_LINE`]: this process's setup is done and its engine is
-/// about to run.
+/// Prints [`READY_LINE`]: this process has joined the fleet.
 fn announce_ready() {
     println!("{READY_LINE}");
     std::io::stdout().flush().expect("flush readiness signal");
 }
 
-/// One fleet process, plain or `--heal`, start to finish: join the mesh,
-/// play this process's role, and on the coordinator write the `--out`,
-/// `--trace` and `--metrics-out` files from its round reports. A failed
-/// round, a lost message or an unrecoverable fleet is an `Err`.
+/// One fleet process start to finish: join the mesh and run the recovery
+/// loop of [`crate::heal`] — the handshake loop on a member, the
+/// coordinator's loop on process 0, which then checks that no message was
+/// lost and writes the `--out`, `--trace` and `--metrics-out` files from
+/// its round reports. Member-side round failures during churn are not
+/// fatal: the coordinator owns the diagnosis. A lost message or an
+/// unrecoverable fleet is an `Err`.
 pub fn run_node(args: &NodeArgs) -> Result<(), String> {
-    let reports = if args.heal {
-        run_healing_node(args)?
-    } else {
-        run_plain_node(args)?
-    };
-    if args.index != 0 {
+    let (spec, index, addrs) = (&args.spec, args.index, args.addrs.clone());
+    let (batch, workers) = (args.rounds_per_batch(), args.workers);
+    if index != 0 {
+        heal::run_healing_member(
+            spec,
+            batch,
+            addrs,
+            index,
+            workers,
+            args.rejoin,
+            announce_ready,
+        )?;
+        println!("atom-node member {index}: left the deployment cleanly");
         return Ok(());
+    }
+    let outcome = heal::run_recovery_coordinator(spec, batch, addrs, workers, None, announce_ready)
+        .map_err(|error| format!("recovery failed: {error}"))?;
+    let reports = outcome.reports;
+    let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
+    if delivered != spec.rounds * spec.messages {
+        return Err(format!(
+            "{delivered} of {} messages delivered; no message may be lost",
+            spec.rounds * spec.messages
+        ));
+    }
+    println!(
+        "atom-node coordinator: {} processes, {} groups, {} rounds x {} messages \
+         -> {delivered} delivered, engine {:.2?} ({:.1} msgs/sec), {} epoch(s), \
+         {} eviction(s), {} rejoin(s)",
+        args.addrs.len(),
+        spec.groups,
+        spec.rounds,
+        spec.messages,
+        outcome.engine,
+        delivered as f64 / outcome.engine.as_secs_f64(),
+        outcome.epochs,
+        outcome.evictions.len(),
+        outcome.rejoins.len(),
+    );
+    if let Some(latency) = outcome.healed_latency {
+        println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
     }
     if let Some(path) = &args.out {
         write_file(path, &serialize_reports(&reports))?;
@@ -547,101 +463,6 @@ pub fn write_telemetry(
         Some(path) => write_file(path, atom_obs::metrics_json(telemetry).as_bytes()),
         None => Ok(()),
     }
-}
-
-/// The default semantics: one engine run over every round, any failure
-/// fatal. Returns the coordinator's reports (stubs on a member).
-fn run_plain_node(args: &NodeArgs) -> Result<Vec<RoundReport>, String> {
-    // Setup (job derivation, bind, connect retries) first, then the
-    // readiness line: an orchestrator waiting for it knows this engine is
-    // about to run, so its timed region starts with the whole deployment
-    // ready.
-    let (spec, index) = (&args.spec, args.index);
-    let process = Process::start(spec, args.addrs.clone(), index, args.workers)?;
-    announce_ready();
-    let start = Instant::now();
-    let results = process.try_run();
-    let wall = start.elapsed();
-    // A lost peer or a failed round surfaces as per-round errors (a send
-    // error becomes `TransportLost`, silence trips the stall detector);
-    // report every one, so an orchestrator sees a status, not a hang.
-    let failures: Vec<String> = (results.iter().enumerate())
-        .filter_map(|(round, result)| Some(format!("round {round}: {:?}", result.as_ref().err()?)))
-        .collect();
-    if !failures.is_empty() {
-        return Err(failures.join("; "));
-    }
-    let reports: Vec<RoundReport> = results.into_iter().flatten().collect();
-    if index != 0 {
-        println!("atom-node member {index}: hosted its groups to completion in {wall:.2?}");
-        return Ok(reports);
-    }
-    let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
-    if delivered != spec.rounds * spec.messages {
-        return Err(format!(
-            "{delivered} of {} messages delivered; no message may be lost",
-            spec.rounds * spec.messages
-        ));
-    }
-    println!(
-        "atom-node coordinator: {} processes, {} groups, {} rounds x {} messages \
-         -> {delivered} delivered in {wall:.2?} ({:.1} msgs/sec)",
-        args.addrs.len(),
-        spec.groups,
-        spec.rounds,
-        spec.messages,
-        delivered as f64 / wall.as_secs_f64(),
-    );
-    if spec.sharded {
-        let setup_max = reports.iter().map(|r| r.setup_latency).max();
-        println!(
-            "atom-node coordinator: sharded directory — max per-round setup latency \
-             {:.2?} (overlapped across rounds, not additive)",
-            setup_max.unwrap_or_default()
-        );
-    }
-    Ok(reports)
-}
-
-/// The `--heal` semantics ([`crate::heal`]): the coordinator runs the
-/// recovery loop and returns its reports; a member runs the handshake loop
-/// and returns none. Member-side round failures during churn are expected
-/// and not fatal: the coordinator owns the diagnosis.
-fn run_healing_node(args: &NodeArgs) -> Result<Vec<RoundReport>, String> {
-    let (spec, index, addrs) = (&args.spec, args.index, args.addrs.clone());
-    if index != 0 {
-        let (batch, workers) = (args.batch, args.workers);
-        heal::run_healing_member(
-            spec,
-            batch,
-            addrs,
-            index,
-            workers,
-            args.rejoin,
-            announce_ready,
-        )?;
-        println!("atom-node member {index}: left the healed deployment cleanly");
-        return Ok(Vec::new());
-    }
-    let start = Instant::now();
-    let outcome = heal::run_recovery_coordinator(spec, args.batch, addrs, args.workers, None)
-        .map_err(|error| format!("recovery failed: {error}"))?;
-    let delivered: usize = (outcome.reports.iter())
-        .map(|r| r.output.plaintexts.len())
-        .sum();
-    println!(
-        "atom-node coordinator: healed deployment — {} rounds in {} epoch(s), \
-         {} eviction(s), {} rejoin(s), {delivered} delivered in {:.2?}",
-        spec.rounds,
-        outcome.epochs,
-        outcome.evictions.len(),
-        outcome.rejoins.len(),
-        start.elapsed(),
-    );
-    if let Some(latency) = outcome.healed_latency {
-        println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
-    }
-    Ok(outcome.reports)
 }
 
 /// `atom-node`'s program, also what `throughput` and `recovery` run when
@@ -686,11 +507,10 @@ pub fn this_exe_as_node() -> Vec<OsString> {
     vec![exe.into(), NODE_MODE.into()]
 }
 
-/// The readiness line a fleet process prints on stdout once its setup (job
-/// derivation, bind, connect) is done and its engine is about to run (a
-/// `--heal` coordinator prints none). [`ProcessFleet`] waits
-/// for it, so a benchmark's timed region starts with every engine ready —
-/// and so a child that dies during setup is caught immediately.
+/// The readiness line every fleet process prints on stdout once it has
+/// joined the fleet (bound its address and connected to every peer).
+/// [`ProcessFleet`] waits for it, so a child that dies during setup is
+/// caught immediately.
 pub const READY_LINE: &str = "atom-process-ready";
 
 enum FleetEvent {
@@ -791,7 +611,7 @@ fn spawn_reader(
 /// Each child is `program` run with one [`NodeArgs`]'s flags, so it knows
 /// its real process index: usually the members, with the caller as the
 /// coordinator, but a coordinator child (index 0) is supervised the same
-/// way. A child prints [`READY_LINE`] on stdout once its engine is ready.
+/// way. A child prints [`READY_LINE`] on stdout once it has joined.
 pub struct ProcessFleet {
     /// The executable plus the arguments before the node flags.
     program: Vec<OsString>,
@@ -1002,6 +822,8 @@ impl Drop for ProcessFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heal::{fleet_jobs, owner_map_excluding, RecoveryLedger};
+    use atom_runtime::{Engine, RoundSubmissions};
 
     #[test]
     fn owner_map_round_robins_groups_and_pins_the_orchestrator() {
@@ -1016,8 +838,8 @@ mod tests {
     #[test]
     fn job_derivation_is_deterministic() {
         let spec = NetSpec::default();
-        let a = build_jobs(&spec);
-        let b = build_jobs(&spec);
+        let a = fleet_jobs(&spec);
+        let b = fleet_jobs(&spec);
         assert_eq!(a.len(), b.len());
         for (ja, jb) in a.iter().zip(&b) {
             assert_eq!(ja.seed, jb.seed);
@@ -1037,12 +859,15 @@ mod tests {
             ..NetSpec::default()
         };
         let reference: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_jobs(&spec))
+            .run_rounds(fleet_jobs(&spec))
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
         let sharded: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_sharded_jobs(&spec, true))
+            .run_rounds(fleet_jobs(&NetSpec {
+                sharded: true,
+                ..spec.clone()
+            }))
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
@@ -1058,8 +883,12 @@ mod tests {
 
     #[test]
     fn memberless_sharded_jobs_skip_submission_generation() {
-        let spec = NetSpec::default();
-        for job in build_sharded_jobs(&spec, false) {
+        let spec = NetSpec {
+            sharded: true,
+            ..NetSpec::default()
+        };
+        let ledger = RecoveryLedger::default();
+        for job in ledger.batch_jobs(&spec, 0..spec.rounds, false).unwrap() {
             match &job.submissions {
                 RoundSubmissions::Trap(subs) => assert!(subs.is_empty()),
                 other => panic!("expected trap submissions, got {other:?}"),
@@ -1077,7 +906,7 @@ mod tests {
             ..NetSpec::default()
         };
         let reports: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_jobs(&spec))
+            .run_rounds(fleet_jobs(&spec))
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
@@ -1121,18 +950,17 @@ mod tests {
             index: 0,
             ..plain.clone()
         };
-        let heal = NodeArgs {
+        let batched = NodeArgs {
             spec: NetSpec {
                 honest: 2,
                 ..plain.spec.clone()
             },
-            heal: true,
-            batch: 4,
+            batch: Some(4),
             ..plain.clone()
         };
         let rejoin = NodeArgs {
             rejoin: true,
-            ..heal.clone()
+            ..batched.clone()
         };
         let traced = NodeArgs {
             spec: NetSpec {
@@ -1144,7 +972,10 @@ mod tests {
             metrics_out: Some("/tmp/metrics.json".into()),
             ..plain.clone()
         };
-        for args in [plain, sharded, heal, rejoin, traced] {
+        // No `--batch`: one batch of every round, on every process.
+        assert_eq!((plain.batch, plain.rounds_per_batch()), (None, 3));
+        assert_eq!(batched.rounds_per_batch(), 4);
+        for args in [plain, sharded, batched, rejoin, traced] {
             let argv = args.argv().expect("every flag carries");
             assert_eq!(NodeArgs::parse(argv.clone()), Ok(args), "{argv:?}");
         }
@@ -1197,7 +1028,7 @@ mod tests {
             ),
             (
                 "--index 2 --addrs HOST1:7401,HOST2:7401,HOST3:7401 --groups 3 --rounds 100 \
-                 --honest 2 --heal --batch 4 --stall-timeout-ms 2000",
+                 --honest 2 --batch 4 --stall-timeout-ms 2000",
                 2,
                 NetSpec {
                     groups: 3,
@@ -1217,7 +1048,7 @@ mod tests {
             );
         }
         let heal = parse(cases[4].0).unwrap();
-        assert!(heal.heal && !heal.rejoin && heal.batch == 4);
+        assert!(!heal.rejoin && heal.batch == Some(4));
         let coordinator = parse(
             "--index 0 --addrs 127.0.0.1:7421,127.0.0.1:7422 --groups 4 --rounds 2 --messages 12 \
              --out /tmp/traced.bin --trace /tmp/ci_trace.json --metrics-out /tmp/ci_metrics.json",
@@ -1229,7 +1060,7 @@ mod tests {
             coordinator.metrics_out.as_deref(),
             Some("/tmp/ci_metrics.json")
         );
-        assert!(coordinator.spec.trace && !coordinator.heal);
+        assert!(coordinator.spec.trace);
     }
 
     #[test]
@@ -1242,6 +1073,11 @@ mod tests {
             &format!("{base} --rounds two"),
             &format!("{base} --rounds"),
             &format!("{base} --tcp-member"),
+            &format!("{base} --heal"),
+            &format!("{base} --honest 0"),
+            &format!("{base} --groups 0"),
+            &format!("{base} --batch 0"),
+            &format!("{base} --rejoin"),
         ] {
             assert!(parse(line).is_err(), "{line}");
         }

@@ -2,8 +2,9 @@
 //! **two or three OS processes** on localhost must produce a `RoundOutput`
 //! that is byte-identical to the same scenario run in-process over
 //! `InMemoryNetwork`. Spawns the `atom-node` binary (coordinator +
-//! members), reads the coordinator's canonical output serialization and
-//! diffs it against the in-memory run — whole bytes, not summaries. Also
+//! members, every one running the recovery loop), reads the coordinator's
+//! canonical output serialization and diffs it against the in-memory run
+//! of the same jobs (`heal::fleet_jobs`) — whole bytes, not summaries. Also
 //! the failure-path acceptance: a member SIGKILLed mid-deployment must be
 //! *evicted*, the surviving fleet must keep delivering rounds without it,
 //! and a restarted member must rejoin and contribute again — no hang, no
@@ -70,7 +71,7 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
 
     // Reference: the same spec, single process, in-memory transport.
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_jobs(&spec))
+        .run_rounds(heal::fleet_jobs(&spec))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
@@ -88,9 +89,9 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
 /// where each `atom-node` derives only the DKGs of its hosted groups and
 /// the rest of the directory travels as `setup` wire frames — must produce
 /// round outputs byte-identical to a single-process in-memory run whose
-/// directory was derived monolithically (`netbench::build_jobs`, i.e.
-/// `atom_core::directory::derive_setup`) — the same reference the
-/// prebuilt cases diff against.
+/// directory was derived monolithically (`heal::fleet_jobs` of the
+/// unsharded spec, i.e. `atom_core::directory::derive_setup`) — the same
+/// reference the prebuilt cases diff against.
 #[test]
 fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     let spec = NetSpec {
@@ -106,7 +107,10 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     // Reference: the same spec, single process, prebuilt monolithic
     // derivation over the identical per-group beacon streams.
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_jobs(&spec))
+        .run_rounds(heal::fleet_jobs(&NetSpec {
+            sharded: false,
+            ..spec.clone()
+        }))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
@@ -137,7 +141,7 @@ fn three_process_tcp_run_is_byte_identical_to_in_memory() {
     };
 
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_jobs(&spec))
+        .run_rounds(heal::fleet_jobs(&spec))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
@@ -168,7 +172,10 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     };
 
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_jobs(&spec))
+        .run_rounds(heal::fleet_jobs(&NetSpec {
+            sharded: false,
+            ..spec.clone()
+        }))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
@@ -182,8 +189,8 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     );
 }
 
-/// The flags of process `index` of a **self-healing** deployment: the
-/// base flags plus `--heal`, `--batch` and, for a restart, `--rejoin`.
+/// The flags of process `index` of a deployment run in batches: the base
+/// flags plus `--batch` and, for a restart, `--rejoin`.
 fn heal_node(
     spec: &NetSpec,
     addrs: &[String],
@@ -192,9 +199,8 @@ fn heal_node(
     rejoin: bool,
 ) -> NodeArgs {
     NodeArgs {
-        heal: true,
         rejoin,
-        batch,
+        batch: Some(batch),
         ..node(spec, addrs, index)
     }
 }
@@ -257,7 +263,7 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
         })
     };
 
-    let outcome = heal::run_recovery_coordinator(&spec, batch, addrs.clone(), 2, Some(hook))
+    let outcome = heal::run_recovery_coordinator(&spec, batch, addrs.clone(), 2, Some(hook), || {})
         .expect("recovery completes every round despite the kill");
 
     // The mid-round SIGKILL was diagnosed and exactly process 2 evicted.
@@ -324,7 +330,7 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
         .expect("fleet members exit cleanly after the healed run");
 }
 
-/// `--trace` in healing mode: a 2-process `--heal --trace` fleet with no
+/// `--trace` with batches: a 2-process `--batch 1 --trace` fleet with no
 /// kill writes the merged fleet trace on the coordinator, holding the
 /// snapshots of both processes, plus the `--metrics-out` counters.
 #[test]

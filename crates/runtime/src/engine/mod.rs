@@ -1219,11 +1219,11 @@ impl Drop for Executing<'_, '_> {
 fn run_deliver(shared: &Shared<'_>, node: usize) {
     for envelope in shared.transport.drain(node) {
         let decoded = match wire::decode(&envelope.payload) {
-            // Membership control (evict / rejoin) is handled by the
-            // recovery orchestration *between* engine runs, and its frames
-            // carry global round numbers: a control frame overtaking this
-            // run is stashed for it, never a round failure.
-            Ok(frame @ (Frame::Evict(_) | Frame::Rejoin(_))) => {
+            // Membership control (rejoin) is handled by the recovery
+            // orchestration *between* engine runs, and its frames carry
+            // global round numbers: a control frame overtaking this run is
+            // stashed for it, never a round failure.
+            Ok(frame @ Frame::Rejoin(_)) => {
                 atom_obs::count("engine.control.frames_in_run", 1);
                 if let Some(sink) = &shared.options.control_sink {
                     sink.lock().push(frame);
@@ -1277,7 +1277,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
                     nodes: Vec::new(),
                 },
             ),
-            Ok(Frame::Evict(_) | Frame::Rejoin(_) | Frame::Submit(_) | Frame::SubmitAck(_)) => {
+            Ok(Frame::Rejoin(_) | Frame::Submit(_) | Frame::SubmitAck(_)) => {
                 unreachable!("control and client frames name no job")
             }
         }
@@ -1968,8 +1968,7 @@ mod tests {
     fn hostile_frames_end_in_their_named_verdict() {
         use crate::fault::{FaultKind, FaultVerdict};
         use crate::wire::{
-            ClientSubmission, EvictFrame, ExitFrame, RejoinFrame, SetupFrame, SubmitFrame,
-            TelemetryFrame,
+            ClientSubmission, ExitFrame, RejoinFrame, SetupFrame, SubmitFrame, TelemetryFrame,
         };
         use atom_core::error::AtomError;
         use atom_net::InMemoryNetwork;
@@ -2102,35 +2101,26 @@ mod tests {
                 rounds: 1,
                 sharded: false,
                 hosted: all.clone(),
-                frames: vec![
-                    (
-                        0,
-                        REJOIN_LABEL,
-                        wire::encode_evict(&EvictFrame {
-                            verdict: FaultVerdict {
-                                round: 0,
-                                process: 1,
-                                kind: FaultKind::Dead,
-                                servers: vec![1],
-                                reason: "gone".into(),
-                            },
-                        }),
-                    ),
-                    (
-                        orchestrator,
-                        REJOIN_LABEL,
-                        wire::encode_rejoin(&RejoinFrame {
+                frames: vec![(
+                    orchestrator,
+                    REJOIN_LABEL,
+                    wire::encode_rejoin(&RejoinFrame {
+                        round: 0,
+                        process: 1,
+                        epoch: 1,
+                        response: true,
+                        commit: false,
+                        digest: [0; 32],
+                        evictions: vec![FaultVerdict {
                             round: 0,
                             process: 1,
-                            epoch: 1,
-                            response: true,
-                            commit: false,
-                            digest: [0; 32],
-                            evictions: Vec::new(),
-                        }),
-                    ),
-                ],
-                want: Want::Delivers(None, 2),
+                            kind: FaultKind::Dead,
+                            servers: vec![1],
+                            reason: "gone".into(),
+                        }],
+                    }),
+                )],
+                want: Want::Delivers(None, 1),
             },
             Case {
                 name: "telemetry frame for an unknown round",

@@ -4,8 +4,6 @@
 //! parallel engine and verifies delivery, returning a [`ScenarioReport`]
 //! that tests, examples and the throughput harness consume. Covered shapes:
 //!
-//! * [`dialing`] — Vuvuzela-style dialing (§5.2): sealed caller keys land in
-//!   per-recipient mailboxes.
 //! * [`server_churn`] — fault-tolerant groups lose a member mid-round and
 //!   finish anyway (§4.5).
 //! * [`stragglers`] — one slow group, slowed at the transport by
@@ -60,8 +58,6 @@ use atom_net::{
     FaultyTransport, InMemoryNetwork, NodeId, SendError, SendFault, TcpOptions, TcpTransport,
     Transport,
 };
-
-use atom_apps::dialing::{make_dial_submission, DialIdentity, Mailboxes};
 
 use crate::engine::{
     Engine, EngineOptions, EngineRole, RoundJob, RoundReport, RoundSubmissions, SubmissionBlock,
@@ -197,57 +193,6 @@ fn microblog_jobs(
         jobs.push(RoundJob::new(setup, submissions, seed));
     }
     Ok(jobs)
-}
-
-/// Dialing: `callers` users dial distinct callees through one trap round;
-/// every sealed caller key must land in the callee's mailbox.
-pub fn dialing(
-    groups: usize,
-    callers: usize,
-    options: &ScenarioOptions,
-) -> AtomResult<ScenarioReport> {
-    let mut rng = options.rng();
-    let mut config = options.config(Defense::Trap, groups, 0);
-    // Room for `mailbox (2B) ‖ sealed key (32B KEM + 16B tag + 32B key)`.
-    config.message_len = 96;
-    let setup = derive_setup(&config)?;
-    let mailboxes = (callers * 4).max(8);
-
-    let mut pairs = Vec::with_capacity(callers);
-    let mut submissions = Vec::with_capacity(callers);
-    for i in 0..callers {
-        let caller = DialIdentity::generate(&mut rng);
-        let callee = DialIdentity::generate(&mut rng);
-        submissions.push(make_dial_submission(
-            &setup,
-            &caller,
-            &callee.keys.public,
-            mailboxes,
-            i % groups,
-            &mut rng,
-        )?);
-        pairs.push((caller, callee));
-    }
-
-    let report = options.engine().run_round(RoundJob::new(
-        setup,
-        RoundSubmissions::Trap(submissions),
-        options.seed,
-    ))?;
-
-    let boxes = Mailboxes::from_round(&report.output, mailboxes);
-    for (caller, callee) in &pairs {
-        let sealed = boxes.check_mailbox(callee);
-        if !sealed.contains(&caller.keys.public) {
-            return Err(AtomError::Malformed(
-                "a dial request missed its mailbox".into(),
-            ));
-        }
-    }
-    Ok(ScenarioReport::from_reports(
-        std::slice::from_ref(&report),
-        callers,
-    ))
 }
 
 /// Server churn mid-round: fault-tolerant groups (`h = 2`) lose one member

@@ -4,9 +4,10 @@
 //! The engine ships everything through [`atom_net::Transport`] envelopes
 //! rather than passing Rust values by reference, so traffic metering sees
 //! the true wire size and the TCP transport ships the identical bytes
-//! between processes. Nine frame kinds, discriminated by the leading
-//! byte (all integers little-endian). This is the one statement of their
-//! byte layouts; `ARCHITECTURE.md` lists the kinds and links here:
+//! between processes. Eight frame kinds, discriminated by the leading
+//! byte (all integers little-endian; kind `0x06` is retired). This is the
+//! one statement of their byte layouts; `ARCHITECTURE.md` lists the kinds
+//! and links here:
 //!
 //! ```text
 //! mix:   0x01 ‖ round u32 ‖ iteration u32 ‖ from u32 ‖ sent_virtual_nanos u64 ‖ count u32
@@ -26,13 +27,12 @@
 //!        ‖ span_count u32 ‖ span *
 //!        span: phase_len u16 ‖ phase ‖ note_len u16 ‖ note
 //!              ‖ round u32 ‖ gid u32 ‖ tid u32 ‖ start_us u64 ‖ dur_us u64
-//! evict: 0x06 ‖ verdict
-//!        verdict: round u32 ‖ process u32 ‖ kind u8 (0 dead, 1 blamed,
-//!                 2 slow) ‖ server_count u32 ‖ server u32 *
-//!                 ‖ reason_len u16 ‖ reason (UTF-8)
 //! rejoin:
 //!        0x07 ‖ round u32 ‖ process u32 ‖ epoch u32 ‖ flags u8 (bit0:
 //!        response, bit1: commit) ‖ digest 32B ‖ evict_count u32 ‖ verdict *
+//!        verdict: round u32 ‖ process u32 ‖ kind u8 (0 dead, 1 blamed,
+//!                 2 slow) ‖ server_count u32 ‖ server u32 *
+//!                 ‖ reason_len u16 ‖ reason (UTF-8)
 //! submit:
 //!        0x08 ‖ round u32 ‖ client u64 ‖ flags u8 (bit0: trap variant)
 //!        ‖ app u16 ‖ entry_group u32 ‖ body
@@ -167,16 +167,6 @@ pub struct TelemetryFrame {
     pub spans: Vec<SpanRecord>,
 }
 
-/// A decoded evict frame: the coordinator's fault verdict for a dead or
-/// misbehaving process. This is the verdict encoding the eviction-log
-/// digest hashes; verdicts reach members inside `rejoin` plans.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EvictFrame {
-    /// The encoded verdict; its `round` field doubles as the frame's
-    /// round header (the detection round).
-    pub verdict: FaultVerdict,
-}
-
 /// A decoded rejoin frame. Doubles as the recovery handshake's
 /// acknowledgement: a restarted (or surviving) member sends a *request*
 /// carrying its last-known round and eviction-log digest; the coordinator
@@ -284,8 +274,6 @@ pub enum Frame {
     Setup(SetupFrame),
     /// One process's span/counter snapshot for a finished round.
     Telemetry(TelemetryFrame),
-    /// A fault verdict evicting a process from the fleet.
-    Evict(EvictFrame),
     /// A catch-up / acknowledgement handshake frame.
     Rejoin(RejoinFrame),
     /// One client's submission for a round (client → ingress).
@@ -299,7 +287,6 @@ const KIND_EXIT: u8 = 2;
 const KIND_ABORT: u8 = 3;
 const KIND_SETUP: u8 = 4;
 const KIND_TELEMETRY: u8 = 5;
-const KIND_EVICT: u8 = 6;
 const KIND_REJOIN: u8 = 7;
 const KIND_SUBMIT: u8 = 8;
 const KIND_SUBMIT_ACK: u8 = 9;
@@ -390,7 +377,10 @@ fn put_proof(out: &mut Vec<u8>, proof: &EncProof) {
     }
 }
 
-fn put_verdict(out: &mut Vec<u8>, verdict: &FaultVerdict) {
+/// Appends one fault verdict in its wire encoding (the `verdict` layout
+/// of a `rejoin` frame's eviction log), which is also the encoding the
+/// recovery harness's eviction-log digest hashes.
+pub fn encode_verdict(out: &mut Vec<u8>, verdict: &FaultVerdict) {
     put_u32(out, verdict.round as u32);
     put_u32(out, verdict.process as u32);
     out.push(verdict.kind.to_wire());
@@ -505,14 +495,6 @@ pub fn encode_telemetry(frame: &TelemetryFrame) -> Vec<u8> {
     out
 }
 
-/// Serializes an evict frame. The verdict's detection round lands right
-/// after the kind byte so [`decode_round`] attributes the frame correctly.
-pub fn encode_evict(frame: &EvictFrame) -> Vec<u8> {
-    let mut out = vec![KIND_EVICT];
-    put_verdict(&mut out, &frame.verdict);
-    out
-}
-
 /// Serializes a rejoin frame.
 pub fn encode_rejoin(frame: &RejoinFrame) -> Vec<u8> {
     let mut out = vec![KIND_REJOIN];
@@ -523,7 +505,7 @@ pub fn encode_rejoin(frame: &RejoinFrame) -> Vec<u8> {
     out.extend_from_slice(&frame.digest);
     put_u32(&mut out, frame.evictions.len() as u32);
     for verdict in &frame.evictions {
-        put_verdict(&mut out, verdict);
+        encode_verdict(&mut out, verdict);
     }
     out
 }
@@ -588,9 +570,6 @@ pub fn decode(bytes: &[u8]) -> AtomResult<Frame> {
         KIND_ABORT => Frame::Abort(decode_abort(r)?),
         KIND_SETUP => Frame::Setup(decode_setup(r)?),
         KIND_TELEMETRY => Frame::Telemetry(decode_telemetry(r)?),
-        KIND_EVICT => Frame::Evict(EvictFrame {
-            verdict: read_verdict(r)?,
-        }),
         KIND_REJOIN => Frame::Rejoin(decode_rejoin(r)?),
         KIND_SUBMIT => Frame::Submit(decode_submit(r)?),
         KIND_SUBMIT_ACK => Frame::SubmitAck(SubmitAckFrame {
@@ -1155,7 +1134,6 @@ mod tests {
         let abort = encode_abort(5, "r");
         let setup = encode_setup(&sample_setup());
         let telemetry = encode_telemetry(&sample_telemetry());
-        let evict = encode_evict(&sample_evict());
         let rejoin = encode_rejoin(&sample_rejoin());
         let submit = encode_submit(&sample_submit(false));
         let ack = encode_submit_ack(&SubmitAckFrame {
@@ -1168,7 +1146,6 @@ mod tests {
         assert_eq!(decode_round(&abort), Some(5));
         assert_eq!(decode_round(&setup), Some(6));
         assert_eq!(decode_round(&telemetry), Some(8));
-        assert_eq!(decode_round(&evict), Some(11));
         assert_eq!(decode_round(&rejoin), Some(12));
         assert_eq!(decode_round(&submit), Some(13));
         assert_eq!(decode_round(&ack), Some(14));
@@ -1194,7 +1171,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// One valid frame of every kind, `submit` in both variants.
-    fn sample_frames() -> [Vec<u8>; 10] {
+    fn sample_frames() -> [Vec<u8>; 9] {
         let batch = sample_batch(false);
         [
             encode_mix(1, 2, 0, Duration::from_millis(1), &batch),
@@ -1210,7 +1187,6 @@ mod tests {
             encode_abort(1, "reason"),
             encode_setup(&sample_setup()),
             encode_telemetry(&sample_telemetry()),
-            encode_evict(&sample_evict()),
             encode_rejoin(&sample_rejoin()),
             encode_submit(&sample_submit(false)),
             encode_submit(&sample_submit(true)),
@@ -1230,7 +1206,6 @@ mod tests {
             Frame::Abort(frame) => encode_abort(frame.round, &frame.reason),
             Frame::Setup(frame) => encode_setup(frame),
             Frame::Telemetry(frame) => encode_telemetry(frame),
-            Frame::Evict(frame) => encode_evict(frame),
             Frame::Rejoin(frame) => encode_rejoin(frame),
             Frame::Submit(frame) => encode_submit(frame),
             Frame::SubmitAck(frame) => encode_submit_ack(frame),
@@ -1304,6 +1279,10 @@ mod tests {
         assert!(decode(&[0]).is_err());
         assert!(decode(&[10, 1, 2, 3]).is_err());
         assert!(decode(&[0xFF, 1, 2, 3]).is_err());
+        // The retired evict kind, even over a well-formed verdict body.
+        let mut retired = vec![6];
+        encode_verdict(&mut retired, &sample_evict());
+        assert!(decode(&retired).is_err());
     }
 
     #[test]
@@ -1537,17 +1516,17 @@ mod tests {
         );
     }
 
-    // Evict/rejoin-frame adversarial coverage, mirroring the other suites.
+    // Verdict and rejoin-frame adversarial coverage, mirroring the other
+    // suites. A verdict only travels in a rejoin frame's eviction log, so
+    // the verdict cases decode a rejoin frame whose log is that verdict.
 
-    fn sample_evict() -> EvictFrame {
-        EvictFrame {
-            verdict: FaultVerdict {
-                round: 11,
-                process: 2,
-                kind: FaultKind::Dead,
-                servers: vec![4, 5],
-                reason: "no frames before the stall timeout".to_string(),
-            },
+    fn sample_evict() -> FaultVerdict {
+        FaultVerdict {
+            round: 11,
+            process: 2,
+            kind: FaultKind::Dead,
+            servers: vec![4, 5],
+            reason: "no frames before the stall timeout".to_string(),
         }
     }
 
@@ -1560,7 +1539,7 @@ mod tests {
             commit: false,
             digest: [0xA7; 32],
             evictions: vec![
-                sample_evict().verdict,
+                sample_evict(),
                 FaultVerdict {
                     round: 9,
                     process: 3,
@@ -1572,24 +1551,37 @@ mod tests {
         }
     }
 
-    /// Byte offset of the server-count field in an encoded evict frame.
-    const EVICT_SERVER_COUNT_AT: usize = 1 + 4 + 4 + 1;
+    /// The sample rejoin frame with `verdict` as its whole eviction log.
+    fn evict_frame(verdict: FaultVerdict) -> RejoinFrame {
+        RejoinFrame {
+            evictions: vec![verdict],
+            ..sample_rejoin()
+        }
+    }
+
+    fn encode_evict(verdict: FaultVerdict) -> Vec<u8> {
+        encode_rejoin(&evict_frame(verdict))
+    }
+
+    /// Byte offset of the verdict in an [`encode_evict`] frame.
+    const VERDICT_AT: usize = 1 + 4 + 4 + 4 + 1 + DIGEST_LEN + 4;
+    /// Byte offset of the verdict's server-count field.
+    const EVICT_SERVER_COUNT_AT: usize = VERDICT_AT + 4 + 4 + 1;
 
     #[test]
     fn evict_frame_roundtrips() {
-        let frame = sample_evict();
-        let bytes = encode_evict(&frame);
-        assert_eq!(decode(&bytes).unwrap(), Frame::Evict(frame));
-        // Every verdict kind survives the trip.
+        // Every verdict kind survives the trip, as the frame's tail.
         for kind in [FaultKind::Dead, FaultKind::Blamed, FaultKind::Slow] {
-            let frame = EvictFrame {
-                verdict: FaultVerdict {
-                    kind,
-                    ..sample_evict().verdict
-                },
+            let verdict = FaultVerdict {
+                kind,
+                ..sample_evict()
             };
-            let bytes = encode_evict(&frame);
-            assert_eq!(decode(&bytes).unwrap(), Frame::Evict(frame));
+            let bytes = encode_evict(verdict.clone());
+            let mut tail = Vec::new();
+            encode_verdict(&mut tail, &verdict);
+            assert_eq!(&bytes[VERDICT_AT..], &tail[..]);
+            let frame = Frame::Rejoin(evict_frame(verdict));
+            assert_eq!(decode(&bytes).unwrap(), frame);
         }
     }
 
@@ -1617,9 +1609,9 @@ mod tests {
 
     #[test]
     fn evict_unknown_verdict_kind_rejected() {
-        let kind_at = 1 + 4 + 4;
+        let kind_at = VERDICT_AT + 4 + 4;
         for byte in [3u8, 0x80, 0xff] {
-            let mut bytes = encode_evict(&sample_evict());
+            let mut bytes = encode_evict(sample_evict());
             bytes[kind_at] = byte;
             let error = decode(&bytes).unwrap_err();
             assert!(
@@ -1632,7 +1624,7 @@ mod tests {
     #[test]
     fn evict_count_overflows_rejected_before_allocation() {
         // u32::MAX servers claimed over a 2-server body.
-        let mut bytes = encode_evict(&sample_evict());
+        let mut bytes = encode_evict(sample_evict());
         bytes[EVICT_SERVER_COUNT_AT..EVICT_SERVER_COUNT_AT + 4]
             .copy_from_slice(&u32::MAX.to_le_bytes());
         let error = decode(&bytes).unwrap_err();
@@ -1641,7 +1633,7 @@ mod tests {
             "want the bounds error, got {error:?}"
         );
         // A reason length pointing past the frame end.
-        let mut bytes = encode_evict(&sample_evict());
+        let mut bytes = encode_evict(sample_evict());
         let reason_len_at = EVICT_SERVER_COUNT_AT + 4 + 2 * 4;
         bytes[reason_len_at..reason_len_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(decode(&bytes).is_err());
@@ -1649,14 +1641,14 @@ mod tests {
 
     #[test]
     fn evict_trailing_bytes_rejected() {
-        let mut bytes = encode_evict(&sample_evict());
+        let mut bytes = encode_evict(sample_evict());
         bytes.push(0);
         assert!(decode(&bytes).is_err());
     }
 
     #[test]
     fn evict_non_utf8_reason_rejected() {
-        let mut bytes = encode_evict(&sample_evict());
+        let mut bytes = encode_evict(sample_evict());
         let end = bytes.len();
         bytes[end - 2] = 0xff;
         bytes[end - 1] = 0xfe;

@@ -11,13 +11,6 @@ fn options(seed: u64) -> ScenarioOptions {
 }
 
 #[test]
-fn dialing_requests_reach_their_mailboxes() {
-    let report = scenarios::dialing(2, 4, &options(13)).unwrap();
-    assert_eq!(report.rounds, 1);
-    assert_eq!(report.delivered, 4);
-}
-
-#[test]
 fn server_churn_mid_round_is_survivable() {
     let report = scenarios::server_churn(2, 4, &options(17)).unwrap();
     assert_eq!(report.delivered, 4);

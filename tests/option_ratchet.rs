@@ -23,7 +23,7 @@ const CEILINGS: [(&str, usize); 9] = [
     ("NetSpec", 11),
     ("ActorConfig", 4),
     ("GroupStepOptions", 2),
-    ("NodeArgs", 10),
+    ("NodeArgs", 9),
 ];
 
 #[test]
