@@ -644,7 +644,43 @@ struct Coordinator<'a> {
     round_failed: Vec<Vec<usize>>,
 }
 
-impl Coordinator<'_> {
+impl<'a> Coordinator<'a> {
+    /// A coordinator of `processes` processes over `transport`, before its
+    /// first epoch.
+    fn new(
+        spec: &'a NetSpec,
+        batch: usize,
+        transport: &'a TcpTransport,
+        processes: usize,
+        workers: usize,
+        on_round: Option<RoundCompleteHook>,
+    ) -> Self {
+        let config = round_config(spec, 0);
+        Self {
+            spec,
+            batch,
+            workers,
+            on_round,
+            control: Control::new(transport, spec.groups),
+            num_servers: config.num_servers,
+            group_size: config.group_size,
+            ledger: RecoveryLedger::default(),
+            live: vec![true; processes],
+            pending_rejoin: BTreeSet::new(),
+            evictions: Vec::new(),
+            rejoins: Vec::new(),
+            completions: Arc::default(),
+            detected: None,
+            epoch: 0,
+            next: 0,
+            stuck: 0,
+            engine: Duration::ZERO,
+            reports: (0..spec.rounds).map(|_| None).collect(),
+            round_evicted: vec![Vec::new(); spec.rounds],
+            round_failed: vec![Vec::new(); spec.rounds],
+        }
+    }
+
     fn run(&mut self) -> Result<(), String> {
         let max_epochs = self.spec.rounds * 3 + 24;
         while self.next < self.spec.rounds {
@@ -783,12 +819,7 @@ impl Coordinator<'_> {
         // Members freeze on receiving the go, so freezing is part of the
         // committed protocol on this side too — an epoch abandoned before
         // its commit leaves no membership frozen anywhere.
-        let rounds = self.batch_rounds();
-        self.ledger.freeze(rounds.clone());
-        for round in rounds {
-            self.round_evicted[round] = self.ledger.evicted_for(round);
-            self.round_failed[round] = self.ledger.failed_for(round);
-        }
+        self.ledger.freeze(self.batch_rounds());
         // Attempt the commit to *every* member before reacting to failures:
         // members freeze the batch's membership on receiving the go, so all
         // live members must see it — aborting at the first dead peer would
@@ -810,7 +841,9 @@ impl Coordinator<'_> {
     /// Phase 4: runs the committed batch under the agreed membership and
     /// epoch fence. Success advances `next` and readmits the pending
     /// rejoiners at this healed boundary; failure rewinds `next` to the
-    /// lowest failed round and convicts whoever the diagnosis names.
+    /// lowest failed round and convicts whoever the diagnosis names. A
+    /// round's first success is final: a retry that re-runs it neither
+    /// replaces its report nor reports its completion again.
     fn run_batch(&mut self, jobs: Vec<RoundJob>) -> Result<(), String> {
         let (transport, processes) = (self.control.transport, self.live.len());
         let owner = owner_map_excluding(self.spec.groups, processes, &self.ledger.dead_processes());
@@ -820,7 +853,14 @@ impl Coordinator<'_> {
         let sink = &self.control.sink;
         let mut options = engine_options(self.spec, self.batch, self.workers, sink, self.epoch, 0);
         let (base, tap, user_hook) = (self.next, self.completions.clone(), self.on_round.clone());
+        let settled: Vec<bool> = self.reports[base..base + jobs.len()]
+            .iter()
+            .map(Option::is_some)
+            .collect();
         options.on_round_complete = Some(Arc::new(move |index: usize| {
+            if settled[index] {
+                return;
+            }
             let round = base + index;
             let mut completions = tap.lock().unwrap_or_else(|poison| poison.into_inner());
             completions.push((round, Instant::now()));
@@ -836,7 +876,13 @@ impl Coordinator<'_> {
         self.engine += start.elapsed();
         for (round, result) in (base..).zip(results) {
             match result {
-                Ok(report) => self.reports[round] = Some(report),
+                _ if self.reports[round].is_some() => {}
+                Ok(report) => {
+                    // The membership the report was made under.
+                    self.round_evicted[round] = self.ledger.evicted_for(round);
+                    self.round_failed[round] = self.ledger.failed_for(round);
+                    self.reports[round] = Some(report);
+                }
                 Err(error) => {
                     failed.get_or_insert((round, error));
                 }
@@ -940,30 +986,7 @@ pub fn run_recovery_coordinator(
     let start = Instant::now();
     let transport = join_fleet(spec, addrs, 0)?;
     on_ready();
-    let config = round_config(spec, 0);
-    let mut fleet = Coordinator {
-        spec,
-        batch,
-        workers,
-        on_round,
-        control: Control::new(&transport, spec.groups),
-        num_servers: config.num_servers,
-        group_size: config.group_size,
-        ledger: RecoveryLedger::default(),
-        live: vec![true; processes],
-        pending_rejoin: BTreeSet::new(),
-        evictions: Vec::new(),
-        rejoins: Vec::new(),
-        completions: Arc::default(),
-        detected: None,
-        epoch: 0,
-        next: 0,
-        stuck: 0,
-        engine: Duration::ZERO,
-        reports: (0..spec.rounds).map(|_| None).collect(),
-        round_evicted: vec![Vec::new(); spec.rounds],
-        round_failed: vec![Vec::new(); spec.rounds],
-    };
+    let mut fleet = Coordinator::new(spec, batch, &transport, processes, workers, on_round);
     let run = fleet.run();
 
     // Tell everyone — members, and any rejoiner still waiting — that the
@@ -1581,6 +1604,66 @@ mod tests {
                 .map(|r| r.output.plaintexts.len())
                 .sum::<usize>(),
             spec.rounds * spec.messages
+        );
+    }
+
+    /// A batch whose middle round alone fails while the later rounds
+    /// succeed: round 1's job carries a hostile client submission (one
+    /// rebound to another entry group without a fresh proof), so its intake
+    /// check fails. The retry re-runs rounds 1..4, but a completed round's
+    /// first success is final: its report stays and its completion hook
+    /// fires once.
+    #[test]
+    fn a_retried_batch_keeps_each_completed_rounds_first_success() {
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 4,
+            messages: 6,
+            ..NetSpec::default()
+        };
+        let fired = Arc::new(Mutex::new(vec![0usize; spec.rounds]));
+        let hook: RoundCompleteHook = {
+            let fired = Arc::clone(&fired);
+            Arc::new(move |round| fired.lock().unwrap()[round] += 1)
+        };
+        let transport = join_fleet(&spec, crate::netbench::free_addrs(1), 0).unwrap();
+        let mut coordinator = Coordinator::new(&spec, spec.rounds, &transport, 1, 2, Some(hook));
+        coordinator.epoch = 1;
+        let (awaiting, mut jobs) = coordinator.plan().unwrap().expect("no member to reach");
+        assert!(coordinator.acks(&awaiting).unwrap() && coordinator.commit(&awaiting).unwrap());
+        let RoundSubmissions::Trap(submissions) = &mut jobs[1].submissions else {
+            panic!("fleet rounds are trap rounds");
+        };
+        submissions[2].entry_group = (submissions[2].entry_group + 1) % spec.groups;
+        coordinator.run_batch(jobs).unwrap();
+        assert_eq!(coordinator.next, 1, "round 1 alone failed");
+        let first: Vec<Option<Duration>> = coordinator
+            .reports
+            .iter()
+            .map(|report| report.as_ref().map(|report| report.wall_clock))
+            .collect();
+        assert!(first[1].is_none() && first[2].is_some() && first[3].is_some());
+
+        coordinator.run().expect("the retry completes round 1");
+        let outcome = coordinator.outcome(Instant::now());
+        transport.shutdown();
+        assert_eq!(
+            *fired.lock().unwrap(),
+            vec![1; spec.rounds],
+            "each round's hook fires once"
+        );
+        for round in [0, 2, 3] {
+            assert_eq!(
+                Some(outcome.reports[round].wall_clock),
+                first[round],
+                "round {round}'s report is its first success"
+            );
+        }
+        let reference =
+            build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+        assert_eq!(
+            serialize_reports(&outcome.reports),
+            serialize_reports(&reference)
         );
     }
 

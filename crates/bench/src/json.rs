@@ -398,27 +398,15 @@ mod tests {
     /// The committed baselines are the files the codec must read.
     #[test]
     fn committed_baselines_parse() {
-        use crate::{ingress, recovery, scale, workload};
+        use crate::{recovery, scale};
         let crypto = parse(include_str!("../../../BENCH_crypto.json")).unwrap();
         assert!(crypto.field::<f64>("lockstep_speedup").unwrap() > 1.0);
         assert_eq!(crypto.field("shuffle_verify_chain_terms"), Ok(25_142u64));
-        let ingress =
-            ingress::IngressBaseline::parse(include_str!("../../../BENCH_ingress.json")).unwrap();
-        assert_eq!((ingress.clients, ingress.swarm.identical), (1_200, 1));
         let recovery =
             recovery::RecoveryBaseline::parse(include_str!("../../../BENCH_recovery.json"))
                 .unwrap();
         assert_eq!((recovery.evictions, recovery.rejoins), (1, 1));
         let scale = scale::ScaleBaseline::parse(include_str!("../../../BENCH_scale.json")).unwrap();
         assert_eq!(scale.process_counts(), vec![1, 2, 3, 4]);
-        let workload =
-            workload::WorkloadBaseline::parse(include_str!("../../../BENCH_workload.json"))
-                .unwrap();
-        assert_eq!(workload.row("microblog_trap").unwrap().delivered, 1_000_000);
-        assert!(workload
-            .scenario("equivocating_setup")
-            .unwrap()
-            .verdict
-            .contains("conflicting setup frames"));
     }
 }

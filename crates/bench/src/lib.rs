@@ -11,19 +11,19 @@
 //! Absolute numbers will differ from the paper (different curve, different
 //! hardware, one machine instead of 1,024); the quantities that must
 //! reproduce are the *shapes*: what grows linearly, who is faster than whom
-//! and by roughly what factor. `EXPERIMENTS.md` records both.
+//! and by roughly what factor. No file records these runs: each bin prints
+//! its rows, and the recorded perf baselines are listed in
+//! `docs/benchmarks.md`.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod fixtures;
 pub mod heal;
-pub mod ingress;
 pub mod json;
 pub mod netbench;
 pub mod recovery;
 pub mod scale;
-pub mod workload;
 
 pub use experiments::*;
 

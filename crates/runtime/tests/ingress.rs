@@ -4,7 +4,8 @@
 //! The load-bearing assertion is *equivalence*: a round fed by the
 //! ingress server over TCP loopback produces byte-identical output to the
 //! same submissions materialized directly into a `RoundJob` — the socket
-//! path adds admission control, not semantics. Around it: floods past the
+//! path adds admission control, not semantics, whether the clients come one
+//! at a time or as a concurrent swarm. Around it: floods past the
 //! admission queue shed (observably, via `atom-obs`) instead of growing
 //! memory, over-rate clients get retry hints, malformed and slow-drip
 //! clients are convicted without disturbing their honest neighbours.
@@ -161,6 +162,85 @@ fn socket_fed_round_is_byte_identical_to_the_materialized_path() {
         materialized.output.routed_ciphertexts
     );
     assert_eq!(streamed.output.plaintexts.len(), 12);
+}
+
+/// A concurrent swarm on the one ingress thread: every connection is open
+/// before any client sends a byte (128 fit the listener's backlog, so no
+/// connect waits out a dropped SYN), each client submits once and gets
+/// exactly one ack, none shed, and the admitted round mixes byte-identically
+/// to the same submissions materialized.
+#[test]
+fn a_concurrent_swarm_is_admitted_whole_and_mixes_like_the_materialized_round() {
+    const CLIENTS: usize = 128;
+    let (config, setup) = test_setup(0xE0_09);
+    let submissions = test_submissions(&config, &setup, CLIENTS);
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = atom_obs::enabled();
+    atom_obs::set_enabled(true);
+    atom_obs::reset();
+    let server = IngressServer::bind("127.0.0.1:0", ingress_options(&config)).unwrap();
+
+    let mut clients: Vec<TcpStream> = (0..CLIENTS)
+        .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+        .collect();
+    use std::io::Write;
+    for (index, (stream, submission)) in clients.iter_mut().zip(&submissions).enumerate() {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let payload = wire::encode_submit(&SubmitFrame {
+            round: config.round as usize,
+            client: index as u64,
+            app: APP,
+            submission: ClientSubmission::Nizk(submission.clone()),
+        });
+        stream.write_all(&client_frame(&payload)).unwrap();
+    }
+    for (index, stream) in clients.iter_mut().enumerate() {
+        match wire::decode(&read_client_frame(stream, 1 << 20).unwrap()).unwrap() {
+            Frame::SubmitAck(ack) => assert!(!ack.shed, "client {index} was shed"),
+            other => panic!("client {index}: expected a submit ack, got {other:?}"),
+        }
+    }
+    assert_eq!(server.stats().admitted, CLIENTS as u64);
+    let peak = atom_obs::gauge_peak("net.evloop.connections.peak").unwrap_or(0);
+    assert!(
+        peak >= CLIENTS as u64,
+        "only {peak} connections open at once"
+    );
+    atom_obs::set_enabled(was_enabled);
+
+    let source = server.source(CLIENTS, Duration::from_secs(10)).unwrap();
+    server.shutdown();
+    // Exactly one ack each: the next thing a client reads is the close.
+    for (index, stream) in clients.iter_mut().enumerate() {
+        assert!(
+            read_client_frame(stream, 1 << 20).is_err(),
+            "client {index} got a second frame"
+        );
+    }
+
+    let streamed = Engine::with_workers(2)
+        .run_round(RoundJob::new(
+            setup.clone(),
+            RoundSubmissions::Stream(Arc::new(source)),
+            0xE0_09,
+        ))
+        .unwrap();
+    let materialized = Engine::with_workers(2)
+        .run_round(RoundJob::new(
+            setup,
+            RoundSubmissions::Nizk(submissions),
+            0xE0_09,
+        ))
+        .unwrap();
+    assert_eq!(streamed.output.plaintexts, materialized.output.plaintexts);
+    assert_eq!(streamed.output.per_group, materialized.output.per_group);
+    assert_eq!(
+        streamed.output.routed_ciphertexts,
+        materialized.output.routed_ciphertexts
+    );
+    assert_eq!(streamed.output.plaintexts.len(), CLIENTS);
 }
 
 #[test]

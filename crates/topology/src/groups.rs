@@ -246,8 +246,8 @@ mod tests {
     fn paper_group_size_for_one_fault_is_about_33() {
         // §4.5 reports k ≥ 33 for h = 2. Evaluating the Appendix B union
         // bound exactly gives a value within a couple of servers of that
-        // (the paper presumably rounds the tail bound slightly differently);
-        // EXPERIMENTS.md records the measured value.
+        // (the paper presumably rounds the tail bound slightly differently):
+        // k = 35 here.
         let params = GroupSecurityParams::paper_defaults(2);
         let k = required_group_size(&params).unwrap();
         assert!((33..=35).contains(&k), "k = {k}");

@@ -2,9 +2,8 @@
 //!
 //! The paper's claim is horizontal scaling of strong anonymity to millions
 //! of users; exercising that claim needs workloads *shaped* like real
-//! traffic — Zipf-distributed microblog fan-in, diurnal load curves,
-//! dialing bursts, mixed trap/NIZK deployments — at sizes that must never
-//! be materialized in one `Vec`. Every generator here is a pure function
+//! traffic — Zipf-distributed microblog fan-in, dialing, mixed trap/NIZK
+//! deployments — at sizes that must never be materialized in one `Vec`. Every generator here is a pure function
 //! of `(seed, index)`: submission `i` is derived from its own
 //! [`StdRng`] seeded by a splitmix64 hash of the workload seed and `i`, so
 //! any index range can be generated independently and
@@ -106,94 +105,6 @@ impl Zipf {
         let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
         self.cdf[rank] - below
     }
-}
-
-/// A 24-bucket diurnal load curve: relative traffic weight per hour of
-/// day, used to spread a day's submissions over a round schedule the way
-/// real load ebbs and flows instead of uniformly.
-#[derive(Clone, Debug)]
-pub struct DiurnalCurve {
-    weights: [f64; 24],
-}
-
-impl DiurnalCurve {
-    /// A curve from explicit per-hour weights. Panics unless every weight
-    /// is positive and finite.
-    pub fn new(weights: [f64; 24]) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "diurnal weights must be positive"
-        );
-        Self { weights }
-    }
-
-    /// The classic single-peak shape: a quiet small-hours trough, a ramp
-    /// through the morning, and an evening peak — a raised cosine with its
-    /// minimum at 04:00.
-    pub fn standard() -> Self {
-        let mut weights = [0.0; 24];
-        for (hour, slot) in weights.iter_mut().enumerate() {
-            let phase = (hour as f64 - 4.0) / 24.0 * std::f64::consts::TAU;
-            *slot = 1.0 - 0.8 * phase.cos();
-        }
-        Self::new(weights)
-    }
-
-    /// The relative weight of `hour` (mod 24).
-    pub fn weight(&self, hour: usize) -> f64 {
-        self.weights[hour % 24]
-    }
-
-    /// Spreads `total` submissions over `rounds` rounds proportional to
-    /// the curve (round `r` maps to hour `r * 24 / rounds`), with
-    /// largest-remainder rounding so the counts sum to exactly `total`.
-    pub fn round_counts(&self, rounds: usize, total: usize) -> Vec<usize> {
-        if rounds == 0 {
-            return Vec::new();
-        }
-        let hour_weights: Vec<f64> = (0..rounds)
-            .map(|round| self.weight(round * 24 / rounds))
-            .collect();
-        let sum: f64 = hour_weights.iter().sum();
-        let mut counts = Vec::with_capacity(rounds);
-        let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(rounds);
-        let mut assigned = 0usize;
-        for (round, weight) in hour_weights.iter().enumerate() {
-            let exact = total as f64 * weight / sum;
-            let floor = exact.floor() as usize;
-            assigned += floor;
-            counts.push(floor);
-            remainders.push((round, exact - floor as f64));
-        }
-        // Largest remainders (ties to the earlier round) soak up the slack.
-        remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        for &(round, _) in remainders.iter().take(total - assigned) {
-            counts[round] += 1;
-        }
-        counts
-    }
-}
-
-/// Per-round submission counts for a dialing workload with periodic
-/// bursts: every round offers `base` dials, and every `burst_every`-th
-/// round (starting at the first) multiplies that by `burst_scale` — the
-/// "everyone calls at the top of the hour" shape.
-pub fn dialing_burst_counts(
-    rounds: usize,
-    base: usize,
-    burst_every: usize,
-    burst_scale: usize,
-) -> Vec<usize> {
-    let period = burst_every.max(1);
-    (0..rounds)
-        .map(|round| {
-            if round % period == 0 {
-                base * burst_scale.max(1)
-            } else {
-                base
-            }
-        })
-        .collect()
 }
 
 /// What the submissions of one workload round look like.
@@ -576,34 +487,6 @@ mod tests {
             );
         }
         assert!(buckets[0] > buckets[9] * 5, "no fan-in skew: {buckets:?}");
-    }
-
-    #[test]
-    fn diurnal_counts_sum_exactly_and_follow_the_curve() {
-        let curve = DiurnalCurve::standard();
-        let counts = curve.round_counts(24, 100_003);
-        assert_eq!(counts.iter().sum::<usize>(), 100_003);
-        // The 04:00 trough must carry less than the evening peak.
-        let trough = counts[4];
-        let peak = *counts.iter().max().unwrap();
-        assert!(
-            trough * 2 < peak,
-            "diurnal shape lost: trough {trough} vs peak {peak}"
-        );
-        // Counts rise monotonically from the trough to the peak hour.
-        let peak_at = counts.iter().enumerate().max_by_key(|(_, &c)| c).unwrap().0;
-        for hour in 4..peak_at {
-            assert!(
-                counts[hour] <= counts[hour + 1],
-                "ramp must be monotone at hour {hour}: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn dialing_bursts_scale_the_burst_rounds_only() {
-        let counts = dialing_burst_counts(7, 10, 3, 5);
-        assert_eq!(counts, vec![50, 10, 10, 50, 10, 10, 50]);
     }
 
     #[test]
