@@ -79,7 +79,7 @@ use atom_core::message::{make_trap_submission, TrapSubmission};
 use atom_net::{
     DeliveryHook, Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport,
 };
-use atom_runtime::scenarios::slow_groups;
+use atom_runtime::fault::slow_groups;
 use atom_runtime::wire::{self, Frame, RejoinFrame};
 use atom_runtime::{
     new_control_sink, ControlSink, Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict,

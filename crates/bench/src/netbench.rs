@@ -74,7 +74,7 @@ pub struct NetSpec {
     /// verdict and turn a `Slow` conviction into a `Blamed` one.
     pub round_deadline: Duration,
     /// Slow-loris drip (zero = none): member process 1 sends through
-    /// `atom_runtime::scenarios::slow_groups`, so each mixing step of its
+    /// `atom_runtime::fault::slow_groups`, so each mixing step of its
     /// hosted groups costs this much wall time where its frames leave,
     /// while everyone else runs at full speed. Combined with
     /// `round_deadline` this is the chaos-drill knob: the drip defeats the

@@ -44,15 +44,18 @@ pub(super) fn on_mix_frame(shared: &Shared<'_>, round: usize, gid: usize, mix: M
     let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
     let mut exit_send: Option<(Vec<u8>, Duration)> = None;
     {
-        // One span per hop. Scoped to the actor section (not the sends), so
-        // a member's final hop is recorded before `exit::on_local_exit`
-        // builds the round's telemetry snapshot.
-        let _span = atom_obs::span("mix", shared.trace_round(round), gid as u32);
         let mut actor = actor_slot.lock();
+        // One span per hop, opened once the lock is held (a worker blocked
+        // on a group another worker is stepping is waiting, not mixing) and
+        // closed before it is released. Scoped to the actor section (not
+        // the sends), so a member's final hop is recorded before
+        // `exit::on_local_exit` builds the round's telemetry snapshot.
+        let span = atom_obs::span("mix", shared.trace_round(round), gid as u32);
         actor.note_arrival(mix.iteration, mix.sent_virtual);
         let outputs = match actor.on_batch(mix.iteration, mix.from, mix.batch) {
             Ok(outputs) => outputs,
             Err(error) => {
+                drop(span);
                 drop(actor);
                 shared.fail_job(round, error);
                 return;

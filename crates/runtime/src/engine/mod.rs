@@ -1284,7 +1284,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
     }
 }
 
-/// Aggregate transport statistics helper for reports and scenarios.
+/// Aggregate transport statistics helper for reports.
 pub fn total_traffic(reports: &[AtomResult<RoundReport>]) -> TrafficStats {
     let mut total = TrafficStats::default();
     for report in reports.iter().flatten() {
@@ -1304,7 +1304,7 @@ mod tests {
     use atom_core::round::RoundDriver;
     use atom_net::{FaultyTransport, SendFault};
 
-    use crate::scenarios::slow_groups;
+    use crate::fault::slow_groups;
 
     fn trap_jobs(rounds: usize, seed: u64) -> (Vec<RoundJob>, Vec<Vec<String>>) {
         let mut rng = StdRng::seed_from_u64(77);

@@ -9,8 +9,17 @@
 //! carries (each verdict in the [`crate::wire::encode_verdict`] encoding), so
 //! every surviving process applies the identical membership change and the
 //! healed directory stays a pure function of `(config, eviction log)`.
+//!
+//! [`slow_groups`] is the other side of a `Slow` verdict: the send rule
+//! that makes a server slow at the transport, the way drills and tests
+//! inject one.
+
+use std::time::Duration;
 
 use atom_core::error::{AtomError, EngineErrorKind};
+use atom_net::{NodeId, SendFault};
+
+use crate::wire::{self, Frame};
 
 /// How a fault verdict classifies the failed process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,6 +149,28 @@ impl FaultVerdict {
             servers: servers_of(process),
             reason: reason.clone(),
         })
+    }
+}
+
+/// The send rule of slow servers, for an [`atom_net::FaultyTransport`]:
+/// each mixing step of a group `slow` picks costs `drip` of wall time,
+/// charged where its frames leave. One frame per step carries the drip:
+/// the one the group sends to itself (every non-final step of both
+/// topologies sends one) and, at the last step, its exit frame to
+/// `orchestrator`. So a step is charged once, not once per neighbour, and
+/// the group's next step waits on the drip as it would on a slow machine.
+pub fn slow_groups(
+    slow: impl Fn(usize) -> bool + Send + Sync,
+    orchestrator: NodeId,
+    drip: Duration,
+) -> impl Fn(NodeId, NodeId, &[u8]) -> SendFault + Send + Sync {
+    move |from, to, payload| {
+        let exit = || to == orchestrator && matches!(wire::decode(payload), Ok(Frame::Exit(_)));
+        if slow(from) && (to == from || exit()) {
+            SendFault::Delay(drip)
+        } else {
+            SendFault::Deliver
+        }
     }
 }
 

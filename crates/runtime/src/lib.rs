@@ -133,7 +133,6 @@
 pub mod engine;
 pub mod fault;
 pub mod ingress;
-pub mod scenarios;
 pub mod wire;
 
 pub use engine::{
@@ -147,4 +146,3 @@ pub use ingress::{
     Admission, AdmissionQueue, IngressOptions, IngressServer, IngressSource, IngressStats,
     TokenBucket,
 };
-pub use scenarios::{AdversaryReport, ScenarioOptions, ScenarioReport};

@@ -95,10 +95,17 @@ fn tcp_split_round_output_is_byte_identical_to_in_memory() {
     );
     let member_reports = member_thread.join().unwrap();
 
+    assert_eq!(tcp.len(), 2);
     assert_eq!(tcp.len(), in_memory.len());
     for (round, (tcp_report, mem_report)) in tcp.iter().zip(&in_memory).enumerate() {
         let tcp_report = tcp_report.as_ref().unwrap();
         let mem_report = mem_report.as_ref().unwrap();
+        assert_eq!(
+            tcp_report.output.plaintexts.len(),
+            5,
+            "round {round} delivers all"
+        );
+        assert!(tcp_report.mix_messages > 0, "round {round} mixed over tcp");
         assert_eq!(
             tcp_report.output.plaintexts, mem_report.output.plaintexts,
             "round {round} plaintexts diverge"
@@ -194,10 +201,17 @@ fn sharded_tcp_split_matches_the_monolithic_derivation() {
     );
     let member_reports = member_thread.join().unwrap();
 
+    assert_eq!(tcp.len(), 2);
     assert_eq!(tcp.len(), in_memory.len());
     for (round, (tcp_report, mem_report)) in tcp.iter().zip(&in_memory).enumerate() {
         let tcp_report = tcp_report.as_ref().unwrap();
         let mem_report = mem_report.as_ref().unwrap();
+        assert_eq!(
+            tcp_report.output.plaintexts.len(),
+            5,
+            "round {round} delivers all"
+        );
+        assert!(tcp_report.mix_messages > 0, "round {round} mixed over tcp");
         assert_eq!(
             tcp_report.output.plaintexts, mem_report.output.plaintexts,
             "round {round} plaintexts diverge"

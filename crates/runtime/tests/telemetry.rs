@@ -7,6 +7,7 @@
 //! binary precisely so toggling the recorder cannot race the other runtime
 //! suites.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
@@ -275,4 +276,48 @@ fn duplicate_telemetry_frame_is_idempotent() {
         from_seven[0].counters,
         vec![("synthetic.counter".to_string(), 11)]
     );
+}
+
+/// A `mix` span measures a group step, not the wait for the group's lock:
+/// it opens once the worker holds the actor lock and closes before the
+/// lock is released. So over a multi-round run on three workers, where
+/// several workers often deliver to one group at once, no two `mix` spans
+/// of one `(round, gid)` overlap in time.
+#[test]
+fn mix_spans_of_one_group_never_overlap() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    atom_obs::reset();
+    atom_obs::set_enabled(true);
+    let reports: Vec<RoundReport> = Engine::with_workers(3)
+        .run_rounds(trap_jobs(4, 6600))
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    atom_obs::set_enabled(false);
+
+    let mut steps: BTreeMap<(u32, u32), Vec<(u64, u64)>> = BTreeMap::new();
+    for span in reports
+        .iter()
+        .flat_map(|report| report.telemetry.iter())
+        .flat_map(|snapshot| snapshot.spans.iter())
+        .filter(|span| span.phase == "mix")
+    {
+        let end = span.start_us + span.dur_us;
+        steps
+            .entry((span.round, span.gid))
+            .or_default()
+            .push((span.start_us, end));
+    }
+    assert_eq!(steps.len(), 4 * GROUPS, "every group of every round mixed");
+    for ((round, gid), mut spans) in steps {
+        spans.sort_unstable();
+        for pair in spans.windows(2) {
+            assert!(
+                pair[1].0 >= pair[0].1,
+                "round {round} group {gid}: mix spans {:?} and {:?} overlap",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
 }

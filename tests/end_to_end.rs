@@ -79,8 +79,10 @@ fn microblog_job(setup: &RoundSetup, batch: MicroblogBatch, seed: u64) -> RoundJ
 #[test]
 fn microblogging_app_works_over_both_defenses_and_topologies() {
     let engine = Engine::with_workers(2);
+    let mut trap_mix_bytes = Vec::new();
     for defense in [Defense::Trap, Defense::Nizk] {
-        for topology in [TopologyKind::Square, TopologyKind::Butterfly] {
+        let topologies = [TopologyKind::Square, TopologyKind::Butterfly];
+        for (t, topology) in topologies.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(7);
             let mut config = base_config();
             config.defense = defense;
@@ -102,6 +104,16 @@ fn microblogging_app_works_over_both_defenses_and_topologies() {
             let mut expected = posts.to_vec();
             expected.sort_unstable();
             assert_eq!(texts, expected);
+            // The trap variant routes two ciphertexts per message.
+            match defense {
+                Defense::Trap => trap_mix_bytes.push(report.mix_bytes),
+                Defense::Nizk => assert!(
+                    trap_mix_bytes[t] > report.mix_bytes / 2,
+                    "{topology:?}: trap {} bytes, nizk {}",
+                    trap_mix_bytes[t],
+                    report.mix_bytes
+                ),
+            }
         }
     }
 }

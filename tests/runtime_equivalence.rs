@@ -9,7 +9,7 @@ use atom::core::error::AtomError;
 use atom::core::message::{make_nizk_submission, make_trap_submission};
 use atom::core::round::RoundDriver;
 use atom::derive_setup;
-use atom::runtime::{Engine, RoundJob, RoundSubmissions};
+use atom::runtime::{Engine, EngineOptions, RoundJob, RoundSubmissions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -113,9 +113,13 @@ fn nizk_round_outputs_are_byte_identical() {
         .run_nizk_round(&submissions, &mut StdRng::seed_from_u64(SEED))
         .unwrap();
 
-    for workers in [1, 4] {
-        let engine = Engine::with_workers(workers);
-        let report = engine
+    // `intake_chunk` only moves where proof verification runs: one intake
+    // task per submission, one for the whole round and the default split
+    // (0) all say the same.
+    for (workers, intake_chunk) in [(1, 0), (4, 0), (3, 1), (3, usize::MAX)] {
+        let mut options = EngineOptions::with_workers(workers);
+        options.intake_chunk = intake_chunk;
+        let report = Engine::new(options)
             .run_round(RoundJob::new(
                 driver.setup().clone(),
                 RoundSubmissions::Nizk(submissions.clone()),
@@ -124,6 +128,10 @@ fn nizk_round_outputs_are_byte_identical() {
             .unwrap();
         assert_eq!(report.output.plaintexts, sequential.plaintexts);
         assert_eq!(report.output.per_group, sequential.per_group);
+        assert_eq!(
+            report.output.routed_ciphertexts,
+            sequential.routed_ciphertexts
+        );
     }
 }
 
