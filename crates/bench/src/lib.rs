@@ -5,8 +5,9 @@
 //!
 //! Each experiment is exposed both as a library function (returning the rows
 //! it would print, so integration tests can sanity-check the shapes) and as a
-//! small binary (`cargo run --release -p atom-bench --bin fig5`, etc.). The
-//! Criterion microbenchmarks in `benches/` cover the primitive-level numbers.
+//! small binary (`cargo run --release -p atom-bench --bin fig5`, etc.).
+//! Primitive-level costs are the frozen benchmark's per-layer metrics
+//! (`benchmark/`).
 //!
 //! Absolute numbers will differ from the paper (different curve, different
 //! hardware, one machine instead of 1,024); the quantities that must

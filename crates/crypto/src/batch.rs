@@ -98,8 +98,8 @@
 //!   point of every wire decode) is a range check: the group is presented
 //!   as `Z_p^*/{±1}`, whose elements are exactly the integers `1..=q`, so
 //!   two limb comparisons decide membership where the quadratic-residue
-//!   presentation needed a Jacobi symbol (2.0 µs) or Euler's criterion
-//!   (9.4 µs). Still exact, still one encoding per element.
+//!   presentation needed a Jacobi symbol (2.0 µs) or the Euler power
+//!   `v^((p−1)/2)` (9.4 µs). Still exact, still one encoding per element.
 //! * Exponents of at most eight bits (Lagrange indices, Feldman evaluation
 //!   points) run as plain square-and-multiply over their own bits, with no
 //!   table of odd powers to pay for.

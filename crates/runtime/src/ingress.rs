@@ -20,7 +20,7 @@
 //! 3. **Bounded admission queue** ([`AdmissionQueue`]) — the buffer
 //!    between the ingress thread and round intake holds at most
 //!    `queue_capacity` submissions; a flood past the bound sheds instead
-//!    of growing memory (the acceptance criterion: not OOM, not hung).
+//!    of growing memory (the requirement: not OOM, not hung).
 //!
 //! Admitted submissions become an [`IngressSource`] — sorted by client
 //! index so the round's intake order (and therefore the round output) is

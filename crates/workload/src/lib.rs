@@ -27,7 +27,7 @@ use atom_core::config::Defense;
 use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult};
 use atom_core::message::{make_nizk_submission, make_trap_submission};
-use atom_runtime::wire::{self, ClientSubmission, SubmitFrame};
+use atom_runtime::wire::ClientSubmission;
 use atom_runtime::{RoundSubmissions, SubmissionBlock, SubmissionSource};
 
 /// Sebastiano Vigna's splitmix64 finalizer: the standard cheap bijection
@@ -268,18 +268,6 @@ impl WorkloadSource {
             ),
         })
     }
-
-    /// The encoded `submit` wire payload of client `index` (ready to wrap
-    /// in an `atom_net` client frame): the client id is the index itself,
-    /// so the ingress tier's sort-by-client recovers generation order.
-    pub fn submit_payload_at(&self, index: usize, round: usize, app: u16) -> AtomResult<Vec<u8>> {
-        Ok(wire::encode_submit(&SubmitFrame {
-            round,
-            client: index as u64,
-            app,
-            submission: self.submission_at(index)?,
-        }))
-    }
 }
 
 impl SubmissionSource for WorkloadSource {
@@ -311,6 +299,7 @@ mod tests {
     use super::*;
     use atom_core::config::AtomConfig;
     use atom_core::directory::derive_setup;
+    use atom_runtime::wire::{self, SubmitFrame};
 
     fn test_setup(defense: Defense, groups: usize, seed: u64) -> Arc<RoundSetup> {
         let mut config = AtomConfig::test_default();
@@ -504,7 +493,12 @@ mod tests {
             };
             assert_eq!(&wire_side, expected, "index {index} diverged");
 
-            let payload = source.submit_payload_at(index, 3, 9).unwrap();
+            let payload = wire::encode_submit(&SubmitFrame {
+                round: 3,
+                client: index as u64,
+                app: 9,
+                submission: source.submission_at(index).unwrap(),
+            });
             let wire::Frame::Submit(frame) = wire::decode(&payload).unwrap() else {
                 panic!("submit payload must decode as a submit frame");
             };
