@@ -34,9 +34,8 @@
 //!
 //! This binary is only a name for the fleet process: its flags are
 //! `netbench::NodeArgs` and its run is `netbench::run_node`, which the
-//! `throughput` and `recovery` harnesses also run when they re-execute
-//! themselves as fleet members. A flag error exits with status 2, a failed
-//! run with 1.
+//! `recovery` harness also runs when it re-executes itself as fleet
+//! members. A flag error exits with status 2, a failed run with 1.
 
 fn main() {
     std::process::exit(atom_bench::netbench::node_main(std::env::args().skip(1)));

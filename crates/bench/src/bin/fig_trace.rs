@@ -1,15 +1,18 @@
 //! Renders the per-phase cost breakdown of a recorded fleet trace.
 //!
-//! Reads the Chrome trace-event JSON written by `throughput --trace` or
+//! Reads the Chrome trace-event JSON written by the coordinator of
 //! `atom-node --trace` (path overridable as the first argument, default
 //! `trace.json`) and prints, per fleet process and fleet-wide, how the
 //! recorded span time splits across the engine phases (`setup`, `intake`,
 //! `mix`, `verify`, `exit`) — the textual companion to loading the same
-//! file in Perfetto. Regenerate a trace with:
+//! file in Perfetto. Regenerate a trace with a two-process fleet, every
+//! process traced:
 //!
 //! ```text
-//! cargo run --release -p atom-bench --bin throughput -- \
-//!     --transport tcp --trace trace.json
+//! cargo run --release -p atom-bench --bin atom-node -- \
+//!     --index 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace x &
+//! cargo run --release -p atom-bench --bin atom-node -- \
+//!     --index 0 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace trace.json
 //! ```
 //!
 //! The trace is read through `atom_bench::json`, the one JSON codec of the
@@ -104,7 +107,7 @@ fn print_breakdown(events: &[TraceEvent]) {
 fn main() {
     let events = atom_bench::read_recorded(
         "trace.json",
-        "throughput -- --transport tcp --trace trace.json",
+        "atom-node -- --index 0 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace trace.json",
         span_events,
     );
     assert!(!events.is_empty(), "the trace holds no span events");

@@ -1308,8 +1308,7 @@ mod tests {
     }
 
     /// A fleet of one — the coordinator hosting every group over its own
-    /// TCP transport, as `throughput --processes 1` runs it — delivers the
-    /// bytes of its empty-log reference.
+    /// TCP transport — delivers the bytes of its empty-log reference.
     #[test]
     fn coordinator_only_fleet_matches_its_reference() {
         let spec = NetSpec {

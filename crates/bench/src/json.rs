@@ -1,8 +1,9 @@
 //! The one JSON codec of `atom-bench` (the offline build vendors a no-op
-//! `serde`): every recorded `BENCH_*.json` and every fleet trace is read
-//! through [`parse`], and written through [`Value`]. Objects keep insertion
-//! order, numbers are `f64` at full precision, strings escape and unescape
-//! exactly, and [`Json`] stores a struct as an object keyed by its fields.
+//! `serde`): the recorded `BENCH_recovery.json` and every fleet trace are
+//! read through [`parse`], and written through [`Value`]. Objects keep
+//! insertion order, numbers are `f64` at full precision, strings escape and
+//! unescape exactly, and [`Json`] stores a struct as an object keyed by its
+//! fields.
 
 use std::fmt::Write as _;
 
@@ -395,15 +396,12 @@ mod tests {
         assert!(read(r#"{"name": 1, "count": 2, "rates": []}"#).contains("not a string"));
     }
 
-    /// The committed baselines are the files the codec must read.
+    /// The committed baseline is a file the codec must read.
     #[test]
     fn committed_baselines_parse() {
-        use crate::{recovery, scale};
+        use crate::recovery::RecoveryBaseline;
         let recovery =
-            recovery::RecoveryBaseline::parse(include_str!("../../../BENCH_recovery.json"))
-                .unwrap();
+            RecoveryBaseline::parse(include_str!("../../../BENCH_recovery.json")).unwrap();
         assert_eq!((recovery.evictions, recovery.rejoins), (1, 1));
-        let scale = scale::ScaleBaseline::parse(include_str!("../../../BENCH_scale.json")).unwrap();
-        assert_eq!(scale.process_counts(), vec![1, 2, 3, 4]);
     }
 }

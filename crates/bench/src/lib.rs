@@ -24,7 +24,6 @@ pub mod heal;
 pub mod json;
 pub mod netbench;
 pub mod recovery;
-pub mod scale;
 
 pub use experiments::*;
 
@@ -33,12 +32,13 @@ use std::sync::OnceLock;
 use json::{Json, Value};
 
 /// The text of a recorded `BENCH_*.json`: three provenance fields readers
-/// ignore, then `record`'s fields and the string `constants`. `nproc` and
-/// `git_revision` (`"unknown"` outside git) keep files of different hosts
-/// and PRs from being compared blind; `dirty` says the tree differed from
-/// that revision, so a file recorded mid-change names the *parent's*. They
-/// are read once per process, so one run writes one provenance.
-pub fn recorded_json(record: &impl Json, constants: &[(&str, &str)]) -> String {
+/// ignore, then `record`'s fields and `"transport": "tcp-loopback"`, the
+/// network every recorded fleet ran on. `nproc` and `git_revision`
+/// (`"unknown"` outside git) keep files of different hosts and PRs from
+/// being compared blind; `dirty` says the tree differed from that
+/// revision, so a file recorded mid-change names the *parent's*. They are
+/// read once per process, so one run writes one provenance.
+pub fn recorded_json(record: &impl Json) -> String {
     static PROVENANCE: OnceLock<Vec<(String, Value)>> = OnceLock::new();
     let mut file = PROVENANCE
         .get_or_init(|| {
@@ -67,9 +67,7 @@ pub fn recorded_json(record: &impl Json, constants: &[(&str, &str)]) -> String {
         panic!("a recorded baseline is a JSON object");
     };
     file.extend(fields);
-    for &(key, text) in constants {
-        file.push((key.into(), Value::Str(text.into())));
-    }
+    file.push(("transport".into(), Value::Str("tcp-loopback".into())));
     Value::Obj(file).to_pretty()
 }
 

@@ -434,11 +434,14 @@ pub fn run_node(args: &NodeArgs) -> Result<(), String> {
     let telemetry: Vec<atom_obs::Snapshot> = (reports.iter())
         .flat_map(|report| report.telemetry.iter().cloned())
         .collect();
-    write_telemetry(
-        args.trace.as_deref(),
-        args.metrics_out.as_deref(),
-        &telemetry,
-    )
+    if let Some(path) = &args.trace {
+        write_file(path, atom_obs::chrome_trace_json(&telemetry).as_bytes())?;
+        print!("{}", atom_obs::text_summary(&telemetry));
+    }
+    match &args.metrics_out {
+        Some(path) => write_file(path, atom_obs::metrics_json(&telemetry).as_bytes()),
+        None => Ok(()),
+    }
 }
 
 /// Writes `bytes` to `path` and says so on stdout.
@@ -448,27 +451,10 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes a fleet's merged snapshots as the `--trace` Chrome trace (plus
-/// the span summary on stdout) and the `--metrics-out` counters.
-pub fn write_telemetry(
-    trace: Option<&str>,
-    metrics_out: Option<&str>,
-    telemetry: &[atom_obs::Snapshot],
-) -> Result<(), String> {
-    if let Some(path) = trace {
-        write_file(path, atom_obs::chrome_trace_json(telemetry).as_bytes())?;
-        print!("{}", atom_obs::text_summary(telemetry));
-    }
-    match metrics_out {
-        Some(path) => write_file(path, atom_obs::metrics_json(telemetry).as_bytes()),
-        None => Ok(()),
-    }
-}
-
-/// `atom-node`'s program, also what `throughput` and `recovery` run when
-/// re-executed in [`NODE_MODE`]: parse `argv` (the flags, without the
-/// program name), [`run_node`] it, and return the exit status — 2 for a
-/// flag error, 1 for a failed run.
+/// `atom-node`'s program, also what `recovery` runs when re-executed in
+/// [`NODE_MODE`]: parse `argv` (the flags, without the program name),
+/// [`run_node`] it, and return the exit status — 2 for a flag error, 1 for
+/// a failed run.
 pub fn node_main(argv: impl IntoIterator<Item = String>) -> i32 {
     let args = match NodeArgs::parse(argv) {
         Ok(args) => args,
@@ -487,9 +473,9 @@ pub fn node_main(argv: impl IntoIterator<Item = String>) -> i32 {
 }
 
 /// The leading argument that makes a harness binary run as one fleet
-/// process ([`node_main`]) instead of as itself. `throughput` and
-/// `recovery` re-execute themselves this way ([`this_exe_as_node`])
-/// rather than spawn `atom-node`, which `cargo run --bin` would not build.
+/// process ([`node_main`]) instead of as itself. `recovery` re-executes
+/// itself this way ([`this_exe_as_node`]) rather than spawn `atom-node`,
+/// which `cargo run --bin` would not build.
 pub const NODE_MODE: &str = "node";
 
 /// Runs this process as a fleet process if it was launched as one

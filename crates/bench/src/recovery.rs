@@ -57,7 +57,7 @@ impl RecoveryBaseline {
     /// The canonical `BENCH_recovery.json` text (stable field order,
     /// readable diffs).
     pub fn to_json(&self) -> String {
-        crate::recorded_json(self, &[("transport", "tcp-loopback")])
+        crate::recorded_json(self)
     }
 
     /// Parses what [`RecoveryBaseline::to_json`] wrote. Intolerant of

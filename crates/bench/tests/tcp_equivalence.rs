@@ -15,6 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use atom_bench::heal;
+use atom_bench::json::{self, Value};
 use atom_bench::netbench::{self, NetSpec, NodeArgs, ProcessFleet};
 use atom_runtime::{Engine, FaultKind, RoundCompleteHook};
 
@@ -332,7 +333,9 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
 
 /// `--trace` with batches: a 2-process `--batch 1 --trace` fleet with no
 /// kill writes the merged fleet trace on the coordinator, holding the
-/// snapshots of both processes, plus the `--metrics-out` counters.
+/// snapshots of both processes, plus the `--metrics-out` counters. Those
+/// counters show a fault-free fleet evicts no one: no process counts an
+/// eviction, and the coordinator plans each one-round batch exactly once.
 #[test]
 fn healing_fleet_writes_its_trace() {
     let spec = NetSpec {
@@ -376,4 +379,27 @@ fn healing_fleet_writes_its_trace() {
         );
         assert!(counters.contains(&format!("\"process\":{process},")));
     }
+
+    // Every round's report carries one snapshot per process, and counters
+    // only grow, so a counter's largest reading is its final value.
+    let metrics = json::parse(&counters).expect("the metrics file is JSON");
+    let snapshots: Vec<Value> = metrics.field("processes").unwrap();
+    let counter = |process: usize, name: &str| {
+        (snapshots.iter())
+            .filter(|snapshot| snapshot.field::<usize>("process") == Ok(process))
+            .filter_map(|snapshot| snapshot.field::<Value>("counters").ok()?.field(name).ok())
+            .fold(0.0, f64::max)
+    };
+    for process in 0..2 {
+        assert_eq!(
+            counter(process, "fleet.evictions"),
+            0.0,
+            "process {process} counted an eviction in a fault-free fleet"
+        );
+    }
+    assert_eq!(
+        counter(0, "fleet.handshake.plans"),
+        spec.rounds as f64,
+        "one plan per one-round batch: no batch was retried"
+    );
 }

@@ -3,7 +3,7 @@
 //! text summary with p50/p99 per phase per round.
 //!
 //! The workspace builds offline against a no-op vendored `serde`, so both
-//! JSON emitters are hand-rolled — same approach as the bench baselines.
+//! JSON emitters are hand-rolled, as is `atom-bench`'s JSON codec.
 //! Each trace event is written on its own line so downstream tooling
 //! (`fig_trace`) can scan line-by-line instead of parsing JSON.
 
@@ -114,25 +114,6 @@ fn percentile_us(durations: &mut [u64], p: u32) -> u64 {
     durations.sort_unstable();
     let rank = (durations.len() * p as usize).div_ceil(100).max(1);
     durations[rank - 1]
-}
-
-/// Collect every span duration of `phase` across all snapshots, in
-/// microseconds.
-fn phase_durations_us(snapshots: &[Snapshot], phase: &str) -> Vec<u64> {
-    snapshots
-        .iter()
-        .flat_map(|snapshot| snapshot.spans.iter())
-        .filter(|span| span.phase == phase)
-        .map(|span| span.dur_us)
-        .collect()
-}
-
-/// Median duration of `phase` across all snapshots, in milliseconds
-/// (0.0 when the phase never ran). This is what the scale sweep records
-/// into `BENCH_scale.json` per-phase columns.
-pub fn phase_median_ms(snapshots: &[Snapshot], phase: &str) -> f64 {
-    let mut durations = phase_durations_us(snapshots, phase);
-    percentile_us(&mut durations, 50) as f64 / 1_000.0
 }
 
 /// Human-readable per-round, per-phase latency table: span count, total,
@@ -253,14 +234,6 @@ mod tests {
         assert_eq!(percentile_us(&mut durations, 99), 400);
         assert_eq!(percentile_us(&mut [], 50), 0);
         assert_eq!(percentile_us(&mut [7], 99), 7);
-    }
-
-    #[test]
-    fn phase_median_spans_processes() {
-        let snapshots = sample();
-        assert_eq!(phase_median_ms(&snapshots, "mix"), 0.1);
-        assert_eq!(phase_median_ms(&snapshots, "setup"), 0.05);
-        assert_eq!(phase_median_ms(&snapshots, "absent"), 0.0);
     }
 
     #[test]

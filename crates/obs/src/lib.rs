@@ -24,7 +24,7 @@
 
 mod emit;
 
-pub use emit::{chrome_trace_json, metrics_json, phase_median_ms, text_summary};
+pub use emit::{chrome_trace_json, metrics_json, text_summary};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
