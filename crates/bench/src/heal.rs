@@ -27,9 +27,15 @@
 //! **Detection.** A dead process surfaces either as an engine failure
 //! (a send error → `TransportLost`, or the stall detector) that
 //! [`FaultVerdict::diagnose`] pins on a process, or as a handshake timeout
-//! (a member that never acks a plan). Either way the coordinator convicts,
-//! appends the structured verdict to its eviction log, and re-plans: the
-//! survivors learn every verdict from the next plan's log.
+//! (a member that never acks a plan). A process that stopped reading is a
+//! send error too, within twice [`TcpOptions::connect_timeout`]. Either
+//! way the coordinator convicts, appends the structured verdict to its
+//! eviction log, and re-plans: the survivors learn every verdict from the
+//! next plan's log.
+//!
+//! **Control traffic.** The handshake travels through each process's
+//! control inbox ([`TcpTransport::send_control`], [`TcpTransport::recv_control`]),
+//! which no engine run drains: a frame that overtakes a run waits there.
 //!
 //! **Healing.** The retried detection round keeps the membership its
 //! directory was built with (frozen in the [`RecoveryLedger`]) and instead
@@ -58,16 +64,15 @@
 //!
 //! **Rejoin.** A restarted process binds its old address, sends a `rejoin`
 //! request carrying its (empty) log digest, and waits. The coordinator
-//! collects requests whenever it reads control traffic and readmits at the
+//! collects requests whenever it reads its control inbox and readmits at the
 //! next *successful* batch boundary: the rejoiner's verdicts are pruned
 //! from the log, the node→process map re-includes it, and the next plan —
 //! which doubles as the catch-up reply, carrying the authoritative eviction
 //! log and current round — puts it back to work hosting groups.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -76,14 +81,12 @@ use rand::SeedableRng;
 use atom_core::config::AtomConfig;
 use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::message::{make_trap_submission, TrapSubmission};
-use atom_net::{
-    DeliveryHook, Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport,
-};
+use atom_net::{Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport};
 use atom_runtime::fault::slow_groups;
 use atom_runtime::wire::{self, Frame, RejoinFrame};
 use atom_runtime::{
-    new_control_sink, ControlSink, Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict,
-    RoundCompleteHook, RoundJob, RoundReport, RoundSubmissions, REJOIN_LABEL,
+    Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict, RoundCompleteHook, RoundJob,
+    RoundReport, RoundSubmissions,
 };
 
 use crate::netbench::{hosted_groups, round_config, NetSpec};
@@ -457,105 +460,46 @@ fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransp
     Ok(transport)
 }
 
-/// The orchestrator node's control channel: handshake frames out, `rejoin`
-/// frames in — whether they raced into an engine run (the control sink) or
-/// arrived between runs (the mailbox).
-struct Control<'a> {
-    transport: &'a TcpTransport,
-    orch: usize,
-    sink: ControlSink,
-    /// Raised by the delivery hook on each arrival at the orchestrator
-    /// mailbox; [`Control::wait`] parks on it.
-    arrived: Arc<(Mutex<bool>, Condvar)>,
+/// The control frames that reach this process's control inbox until
+/// `deadline`, once one has: the first, then every one queued behind it.
+/// Empty if none did; a deadline already past only sweeps the inbox.
+fn control_frames(transport: &TcpTransport, deadline: Instant) -> Vec<RejoinFrame> {
+    let first = transport.recv_control(deadline);
+    let rest = std::iter::from_fn(|| transport.recv_control(Instant::now()));
+    first
+        .into_iter()
+        .chain(rest)
+        .filter_map(|payload| match wire::decode(&payload) {
+            Ok(Frame::Rejoin(frame)) => Some(frame),
+            _ => None,
+        })
+        .collect()
 }
 
-impl<'a> Control<'a> {
-    fn new(transport: &'a TcpTransport, orch: usize) -> Self {
-        Self {
-            transport,
-            orch,
-            sink: new_control_sink(),
-            arrived: Arc::default(),
+/// Feeds each control frame, in arrival order, to `pick` until a batch of
+/// arrivals yields a pick (its last one wins) or `deadline` passes, parked
+/// on the control inbox's wake-up in between.
+fn wait<T>(
+    transport: &TcpTransport,
+    deadline: Instant,
+    mut pick: impl FnMut(RejoinFrame) -> Option<T>,
+) -> Option<T> {
+    loop {
+        let frames = control_frames(transport, deadline).into_iter();
+        let picked = frames.filter_map(&mut pick).last();
+        if picked.is_some() || Instant::now() >= deadline {
+            return picked;
         }
     }
+}
 
-    /// Sends one handshake frame straight to `process`. An error (after the
-    /// transport's one reconnect attempt) means the peer vanished; at a
-    /// handshake site that error *is* the detection signal.
-    fn send(&self, process: usize, frame: &[u8], dial: Dial) -> Result<(), SendError> {
-        let (orch, label) = (self.orch, Cow::Borrowed(REJOIN_LABEL));
-        self.transport
-            .send_to_process(process, orch, orch, label, frame.to_vec(), dial)
-    }
-
-    /// Every control frame available right now. Anything else in the
-    /// mailbox is by definition stale protocol residue and dropped.
-    fn sweep(&self) -> Vec<RejoinFrame> {
-        let stashed = std::mem::take(&mut *self.sink.lock());
-        let mail = Transport::drain(self.transport, self.orch);
-        let decoded = mail
-            .iter()
-            .filter_map(|envelope| wire::decode(&envelope.payload).ok());
-        stashed
-            .into_iter()
-            .chain(decoded)
-            .filter_map(|frame| match frame {
-                Frame::Rejoin(frame) => Some(frame),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// [`Control::sweep`], then purges every other mailbox of frames from
-    /// dead epochs. Safe on the coordinator once all acks are in
-    /// (per-connection ordering puts any member's protocol frames before
-    /// its ack) and on a member before it acks; the epoch fence backstops
-    /// whatever arrives later.
-    fn purge(&self) -> Vec<RejoinFrame> {
-        let frames = self.sweep();
-        for node in (0..Transport::nodes(self.transport)).filter(|&node| node != self.orch) {
-            let _ = Transport::drain(self.transport, node);
-        }
-        frames
-    }
-
-    /// Feeds each control frame, in arrival order, to `pick` until a sweep
-    /// yields a pick (its last one wins) or `deadline` passes; between
-    /// sweeps it parks until the delivery hook reports an arrival.
-    fn wait<T>(
-        &self,
-        deadline: Instant,
-        mut pick: impl FnMut(RejoinFrame) -> Option<T>,
-    ) -> Option<T> {
-        // The engine replaces the hook for each run and clears it at the
-        // end, so install ours at every wait — and before the first sweep,
-        // so a frame landing between a sweep and the park still wakes it.
-        let (arrived, orch) = (Arc::clone(&self.arrived), self.orch);
-        let hook: DeliveryHook = Arc::new(move |node| {
-            if node == orch {
-                let (raised, signal) = &*arrived;
-                *raised.lock().unwrap_or_else(|poison| poison.into_inner()) = true;
-                signal.notify_all();
-            }
-        });
-        Transport::set_delivery_hook(self.transport, Some(hook));
-        let (raised, signal) = &*self.arrived;
-        loop {
-            *raised.lock().unwrap_or_else(|poison| poison.into_inner()) = false;
-            let mut picked = None;
-            for frame in self.sweep() {
-                picked = pick(frame).or(picked);
-            }
-            if picked.is_some() {
-                return picked;
-            }
-            let mut up = raised.lock().unwrap_or_else(|poison| poison.into_inner());
-            while !*up {
-                let left = deadline.checked_duration_since(Instant::now())?;
-                let woken = signal.wait_timeout(up, left);
-                up = woken.unwrap_or_else(|poison| poison.into_inner()).0;
-            }
-        }
+/// Empties every node mailbox of frames from dead epochs. Safe on the
+/// coordinator once all acks are in (per-connection ordering puts any
+/// member's protocol frames before its ack) and on a member before it acks;
+/// the epoch fence backstops whatever arrives later.
+fn purge(transport: &TcpTransport) {
+    for node in 0..Transport::nodes(transport) {
+        let _ = Transport::drain(transport, node);
     }
 }
 
@@ -563,7 +507,6 @@ fn engine_options(
     spec: &NetSpec,
     batch: usize,
     workers: usize,
-    sink: &ControlSink,
     epoch: usize,
     process: usize,
 ) -> EngineOptions {
@@ -575,7 +518,6 @@ fn engine_options(
         // coordinator's verdict (turning `Slow` into `Blamed`).
         options.round_deadline = spec.round_deadline;
     }
-    options.control_sink = Some(sink.clone());
     options.round_offset = epoch * batch;
     options
 }
@@ -619,7 +561,7 @@ struct Coordinator<'a> {
     batch: usize,
     workers: usize,
     on_round: Option<RoundCompleteHook>,
-    control: Control<'a>,
+    transport: &'a TcpTransport,
     num_servers: usize,
     group_size: usize,
     ledger: RecoveryLedger,
@@ -661,7 +603,7 @@ impl<'a> Coordinator<'a> {
             batch,
             workers,
             on_round,
-            control: Control::new(transport, spec.groups),
+            transport,
             num_servers: config.num_servers,
             group_size: config.group_size,
             ledger: RecoveryLedger::default(),
@@ -760,8 +702,8 @@ impl<'a> Coordinator<'a> {
                 // seeing itself on the dead list is what prompts its rejoin
                 // request. Best-effort by design — a crashed peer must not
                 // cost a connect-timeout stall per epoch.
-                let _ = self.control.send(process, &plan, Dial::Never);
-            } else if let Err(error) = self.control.send(process, &plan, Dial::IfNeeded) {
+                let _ = self.transport.send_control(process, &plan, Dial::Never);
+            } else if let Err(error) = self.transport.send_control(process, &plan, Dial::IfNeeded) {
                 let reason = format!("unreachable during handshake: {}", error.error);
                 self.convict_dead(process, reason)?;
                 return Ok(None);
@@ -784,7 +726,7 @@ impl<'a> Coordinator<'a> {
         let mut diverged = None;
         if !awaiting.is_empty() {
             let deadline = Instant::now() + ack_deadline(self.spec);
-            self.control.wait(deadline, |frame| {
+            wait(self.transport, deadline, |frame| {
                 let ack = !frame.response && !frame.commit && frame.epoch == epoch;
                 if !ack || !awaiting.contains(&frame.process) {
                     note_request(pending, live, &frame);
@@ -813,9 +755,10 @@ impl<'a> Coordinator<'a> {
     /// membership, then send the go. `false` after convicting the members
     /// the go could not reach.
     fn commit(&mut self, awaiting: &BTreeSet<usize>) -> Result<bool, String> {
-        for frame in self.control.purge() {
+        for frame in control_frames(self.transport, Instant::now()) {
             note_request(&mut self.pending_rejoin, &self.live, &frame);
         }
+        purge(self.transport);
         // Members freeze on receiving the go, so freezing is part of the
         // committed protocol on this side too — an epoch abandoned before
         // its commit leaves no membership frozen anywhere.
@@ -827,7 +770,11 @@ impl<'a> Coordinator<'a> {
         let go = self.ledger.handshake(self.next, 0, self.epoch, true);
         let unreachable: Vec<SendError> = awaiting
             .iter()
-            .filter_map(|&process| self.control.send(process, &go, Dial::IfNeeded).err())
+            .filter_map(|&process| {
+                self.transport
+                    .send_control(process, &go, Dial::IfNeeded)
+                    .err()
+            })
             .collect();
         // The epoch committed for everyone reachable (they and we have
         // frozen these rounds); convict the dead and retry the batch with
@@ -845,13 +792,12 @@ impl<'a> Coordinator<'a> {
     /// round's first success is final: a retry that re-runs it neither
     /// replaces its report nor reports its completion again.
     fn run_batch(&mut self, jobs: Vec<RoundJob>) -> Result<(), String> {
-        let (transport, processes) = (self.control.transport, self.live.len());
+        let (transport, processes) = (self.transport, self.live.len());
         let owner = owner_map_excluding(self.spec.groups, processes, &self.ledger.dead_processes());
         for (node, &process) in owner.iter().enumerate() {
             transport.set_owner(node, process);
         }
-        let sink = &self.control.sink;
-        let mut options = engine_options(self.spec, self.batch, self.workers, sink, self.epoch, 0);
+        let mut options = engine_options(self.spec, self.batch, self.workers, self.epoch, 0);
         let (base, tap, user_hook) = (self.next, self.completions.clone(), self.on_round.clone());
         let settled: Vec<bool> = self.reports[base..base + jobs.len()]
             .iter()
@@ -996,7 +942,7 @@ pub fn run_recovery_coordinator(
         .ledger
         .handshake(spec.rounds, 0, fleet.epoch + 1, false);
     for process in 1..processes {
-        let _ = fleet.control.send(process, &done, Dial::IfNeeded);
+        let _ = transport.send_control(process, &done, Dial::IfNeeded);
     }
     transport.shutdown();
     run?;
@@ -1024,8 +970,7 @@ pub fn run_healing_member(
     assert!(index > 0 && index < processes, "member index out of range");
     let transport = join_fleet(spec, addrs, index)?;
     on_ready();
-    let control = Control::new(&transport, spec.groups);
-    let result = member_loop(spec, batch, &control, (index, processes), workers, rejoin);
+    let result = member_loop(spec, batch, &transport, (index, processes), workers, rejoin);
     transport.shutdown();
     result
 }
@@ -1036,12 +981,11 @@ pub fn run_healing_member(
 fn member_loop(
     spec: &NetSpec,
     batch: usize,
-    control: &Control,
+    transport: &TcpTransport,
     (index, processes): (usize, usize),
     workers: usize,
     rejoin: bool,
 ) -> Result<(), String> {
-    let transport = control.transport;
     let mut ledger = RecoveryLedger::default();
     let (mut round, mut epoch) = (0, 0);
     // `outside`: not admitted (a restart, or on the last plan's dead list).
@@ -1055,8 +999,8 @@ fn member_loop(
             // readmits us.
             atom_obs::count("fleet.rejoin.handshakes", 1);
             let request = ledger.handshake(round, index, 0, false);
-            control
-                .send(0, &request, Dial::IfNeeded)
+            transport
+                .send_control(0, &request, Dial::IfNeeded)
                 .map_err(|error| format!("rejoin request failed: {error}"))?;
             requested = true;
         }
@@ -1065,7 +1009,7 @@ fn member_loop(
         // member died between our ack and its commit).
         let deadline = Instant::now() + plan_deadline(spec);
         let mut newest = epoch;
-        let frame = control.wait(deadline, |frame| {
+        let frame = wait(transport, deadline, |frame| {
             let go = frame.commit && frame.epoch == epoch && acked.is_some();
             let plan = !frame.commit && frame.epoch > newest;
             if frame.response && plan {
@@ -1084,7 +1028,7 @@ fn member_loop(
             // the coordinator never agreed to.
             let end = round + jobs.len();
             ledger.freeze(round..end);
-            let options = engine_options(spec, batch, workers, &control.sink, epoch, index);
+            let options = engine_options(spec, batch, workers, epoch, index);
             let total = jobs.len();
             let role = EngineRole::member(hosted);
             // Chaos knob: member process 1 plays the slow loris, dripping
@@ -1136,11 +1080,11 @@ fn member_loop(
         }
         let end = batch_end(round, batch, spec.rounds);
         let jobs = ledger.batch_jobs(spec, round..end, !spec.sharded)?;
-        let _ = control.purge();
+        purge(transport);
         atom_obs::count("fleet.handshake.acks", 1);
         let ack = ledger.handshake(round, index, epoch, false);
-        control
-            .send(0, &ack, Dial::IfNeeded)
+        transport
+            .send_control(0, &ack, Dial::IfNeeded)
             .map_err(|error| format!("coordinator unreachable at ack: {error}"))?;
         acked = Some((hosted_groups(&owner, index), jobs));
     }
@@ -1681,7 +1625,7 @@ mod tests {
         let job = RecoveryLedger::default()
             .job_for_round(&spec, 0, true)
             .unwrap();
-        let options = engine_options(&spec, 1, 2, &new_control_sink(), 4_096, 0);
+        let options = engine_options(&spec, 1, 2, 4_096, 0);
         let report = Engine::new(options).run_rounds(vec![job]).pop().unwrap();
         let report = report.expect("epoch 4,096 delivers");
         assert_eq!(report.output.plaintexts.len(), spec.messages);

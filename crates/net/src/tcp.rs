@@ -10,9 +10,10 @@
 //! Receiving costs one thread per process, whatever the peer count: the
 //! mesh loop, parked in [`EventLoop::wait`] — the client edge's `epoll`
 //! loop — on the listener and every accepted peer connection. Sending stays
-//! on the caller's thread, a blocking `write_all` on one lazily dialed
-//! stream per peer process: routing it through the loop would add a
-//! cross-thread wake-up per frame.
+//! on the caller's thread, on one lazily dialed stream per peer process
+//! (routing it through the loop would add a cross-thread wake-up per
+//! frame), but a frame gets [`TcpOptions::connect_timeout`] to be written
+//! whole: a peer that stops reading fails the send, never parks it.
 //!
 //! A mesh frame is a client frame (the `ATOC` header of [`crate::evloop`])
 //! whose payload opens with an envelope prefix, integers little-endian:
@@ -27,6 +28,11 @@
 //! connection, as a real deployment treats a misbehaving peer. The body
 //! stays opaque: `atom_runtime::wire` validates it as adversarial.
 //!
+//! Each process also has one control inbox, for recovery's handshake:
+//! [`TcpTransport::send_control`] addresses a process by writing `from` and
+//! `to` as a reserved id that names no node, and the mesh loop queues such
+//! a frame for [`TcpTransport::recv_control`], never in a node mailbox.
+//!
 //! ## Lifecycle
 //!
 //! [`TcpTransport::connect_peers`] dials every peer with retries, so
@@ -36,14 +42,15 @@
 //! where a silently dropped frame would deadlock the round.
 
 use std::borrow::Cow;
-use std::io::{self, Write};
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::evloop::{client_header, CloseReason, Event, EventLoop, EvloopOptions, Waker};
 use crate::transport::{DeliveryHook, Envelope, Mailboxes, NodeId, SendError, Transport};
@@ -52,8 +59,11 @@ use crate::transport::{DeliveryHook, Envelope, Mailboxes, NodeId, SendError, Tra
 const PREFIX_LEN: usize = 4 + 4 + 2;
 const MAX_LABEL_LEN: usize = 1024;
 
+/// The id a control frame carries as both `from` and `to`: no node's.
+const CONTROL: NodeId = u32::MAX as NodeId;
+
 /// The mesh loop's limits. No idle conviction: closing an idle-but-alive
-/// peer would let its next `write_all` succeed into a half-closed socket
+/// peer would let its next write succeed into a half-closed socket
 /// and lose the frame (so an `accept` failure mutes the listener until a
 /// peer hangs up, not until a sweep). The mesh never writes through it.
 const MESH_LOOP: EvloopOptions = EvloopOptions {
@@ -66,8 +76,9 @@ const MESH_LOOP: EvloopOptions = EvloopOptions {
 /// Tuning knobs of a [`TcpTransport`].
 #[derive(Clone, Debug)]
 pub struct TcpOptions {
-    /// Total retry budget when establishing an outbound connection to a
-    /// peer process (peers may start later than we do).
+    /// The one (nonzero) budget for reaching a peer: to establish an
+    /// outbound connection, with retries (peers may start later than we
+    /// do), and to write one frame whole. A send fails within twice this.
     pub connect_timeout: Duration,
 }
 
@@ -108,6 +119,8 @@ pub struct TcpTransport {
     /// One mailbox per node of the deployment, hosted here or not; the mesh
     /// loop delivers into them until `closing`.
     mailboxes: Arc<Mailboxes>,
+    /// This process's control inbox (module docs).
+    control: Arc<ControlInbox>,
     closing: Arc<AtomicBool>,
     options: TcpOptions,
     local_addr: SocketAddr,
@@ -134,15 +147,17 @@ impl TcpTransport {
         let evloop = EventLoop::bind(&peer_addrs[me], MESH_LOOP)?;
         let (local_addr, waker) = (evloop.local_addr(), evloop.waker());
         let mailboxes = Arc::new(Mailboxes::new(owner.len()));
-        let closing = Arc::new(AtomicBool::new(false));
-        let (inbox, stop) = (Arc::clone(&mailboxes), Arc::clone(&closing));
-        let mesh_loop = std::thread::spawn(move || mesh_loop(evloop, &inbox, &stop, me));
+        let (control, closing) = (Arc::<ControlInbox>::default(), Arc::default());
+        let inboxes = (Arc::clone(&mailboxes), Arc::clone(&control));
+        let stop = Arc::clone(&closing);
+        let mesh_loop = std::thread::spawn(move || mesh_loop(evloop, &inboxes, &stop, me));
         Ok(Self {
             owner: Mutex::new(owner),
             me,
             outbound: (0..peer_addrs.len()).map(|_| Mutex::new(None)).collect(),
             peer_addrs: Mutex::new(peer_addrs),
             mailboxes,
+            control,
             closing,
             options,
             local_addr,
@@ -190,46 +205,31 @@ impl TcpTransport {
         self.owner.lock()[node] = process;
     }
 
-    /// Sends an envelope straight to `process`, regardless of who owns the
-    /// destination mailbox: a coordinator answering a rejoin request must
-    /// reach the *restarted* process while the node's mailbox is still
-    /// assigned to a survivor. [`Transport::send`] is this with the owner of
-    /// `to` and [`Dial::IfNeeded`].
-    pub fn send_to_process(
-        &self,
-        process: usize,
-        from: NodeId,
-        to: NodeId,
-        label: Cow<'static, str>,
-        payload: Vec<u8>,
-        dial: Dial,
-    ) -> Result<(), SendError> {
-        assert!(from < self.nodes() && to < self.nodes(), "unknown node");
-        let envelope = Envelope {
-            from,
-            to,
-            label,
-            payload,
-        };
-        if process != self.me {
-            self.forward(process, &mesh_frame(&envelope), dial)
-                .map_err(|error| {
-                    atom_obs::count("net.tcp.send_failures", 1);
-                    SendError { process, error }
-                })?;
-        }
-        // Metered only once the frame is written: frames that never reached
-        // a dead peer must not inflate the fleet's traffic counters.
-        if atom_obs::enabled() {
-            let (label, bytes) = (&envelope.label, envelope.payload.len() as u64);
-            atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
-            atom_obs::count(&format!("net.tcp.bytes.{label}"), bytes);
-            atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
-        }
+    /// Sends `frame` to the control inbox of `process`, whoever owns which
+    /// node: a coordinator answering a rejoin request must reach the
+    /// *restarted* process while its nodes are still assigned to a
+    /// survivor. A send to this process queues locally.
+    pub fn send_control(&self, process: usize, frame: &[u8], dial: Dial) -> Result<(), SendError> {
         if process == self.me {
-            self.mailboxes.deliver(envelope);
+            push_control(&self.control, frame.to_vec());
+            return Ok(());
         }
-        Ok(())
+        self.forward(process, &mesh_frame(CONTROL, CONTROL, "", frame), dial)
+    }
+
+    /// Takes the oldest frame of this process's control inbox, waiting
+    /// until `deadline` for one; `None` once it passes with the inbox
+    /// empty, so a deadline already past only polls.
+    pub fn recv_control(&self, deadline: Instant) -> Option<Vec<u8>> {
+        let (frames, arrived) = &*self.control;
+        let mut frames = frames.lock();
+        loop {
+            if let Some(frame) = frames.pop_front() {
+                return Some(frame);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            frames = arrived.wait_timeout(frames, left).0;
+        }
     }
 
     /// Drops the outbound stream to `process`, forcing the next send to
@@ -275,7 +275,7 @@ impl TcpTransport {
     /// Fills `slot` — the locked outbound slot of `process` — with a fresh
     /// `TCP_NODELAY` stream (mixing batches are latency-sensitive and already
     /// coalesced) unless it holds one, retrying until
-    /// [`TcpOptions::connect_timeout`] elapses.
+    /// [`TcpOptions::connect_timeout`] elapses. Arms [`write_frame`]'s timeout.
     fn connect_retry(&self, process: usize, slot: &mut Option<TcpStream>) -> io::Result<()> {
         if slot.is_some() {
             return Ok(());
@@ -288,6 +288,7 @@ impl TcpTransport {
             match TcpStream::connect(&addr) {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
+                    stream.set_write_timeout(Some(self.options.connect_timeout))?;
                     *slot = Some(stream);
                     return Ok(());
                 }
@@ -308,30 +309,81 @@ impl TcpTransport {
 
     /// Writes `frame` to the outbound stream of `process`, establishing it
     /// first if absent and `dial` allows. A write failure means the peer
-    /// died or restarted since: the slot is cleared, so the next send
-    /// reconnects cleanly, and under [`Dial::IfNeeded`] ONE
+    /// died, restarted or stopped reading: the slot is cleared, so the next
+    /// send reconnects cleanly, and under [`Dial::IfNeeded`] ONE
     /// reconnect-and-resend repair — which a peer restarted on the same
-    /// address picks up — precedes reporting the failure.
-    fn forward(&self, process: usize, frame: &[u8], dial: Dial) -> io::Result<()> {
+    /// address picks up — precedes reporting any failure but a timeout.
+    fn forward(&self, process: usize, frame: &[u8], dial: Dial) -> Result<(), SendError> {
         let mut slot = self.outbound[process].lock();
         let mut repaired = false;
-        loop {
+        let error = loop {
             if dial == Dial::Never && slot.is_none() {
-                return Err(io::ErrorKind::NotConnected.into());
+                break ErrorKind::NotConnected.into();
             }
-            self.connect_retry(process, &mut slot)?;
+            if let Err(error) = self.connect_retry(process, &mut slot) {
+                break error;
+            }
             let stream = slot.as_mut().expect("peer stream established above");
-            let Err(error) = stream.write_all(frame) else {
+            let Err(error) = write_frame(stream, frame, self.options.connect_timeout) else {
                 return Ok(());
             };
             *slot = None;
-            if repaired || dial == Dial::Never {
-                return Err(error);
+            let timed_out = error.kind() == ErrorKind::TimedOut;
+            if timed_out {
+                atom_obs::count("net.tcp.send_timeouts", 1);
+            }
+            if timed_out || repaired || dial == Dial::Never {
+                break error;
             }
             atom_obs::count("net.tcp.send_repairs", 1);
             repaired = true;
-        }
+        };
+        atom_obs::count("net.tcp.send_failures", 1);
+        Err(SendError { process, error })
     }
+}
+
+/// Writes all of `frame` to `stream` within `budget`, however many `write`
+/// calls it takes. The stream's write timeout, armed to the whole budget at
+/// connect, bounds the first call; a partial write re-arms it to what is
+/// left, so a peer that reads a byte per timeout cannot stretch the frame.
+/// A healthy frame goes out in one call and costs no extra syscall.
+fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> io::Result<()> {
+    let start = Instant::now();
+    let (mut rest, mut rearmed) = (frame, false);
+    loop {
+        match stream.write(rest) {
+            Ok(written) if written == rest.len() => break,
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(written) => rest = &rest[written..],
+            // A signal, or the armed timeout expired with nothing written.
+            Err(error)
+                if matches!(error.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {}
+            Err(error) => return Err(error),
+        }
+        let left = budget.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        rearmed = true;
+    }
+    if rearmed {
+        stream.set_write_timeout(Some(budget))?;
+    }
+    Ok(())
+}
+
+/// Where the mesh loop delivers: the node mailboxes and the control inbox.
+type Inboxes = (Arc<Mailboxes>, Arc<ControlInbox>);
+
+/// Control frames in arrival order, and the wake-up of whoever waits on
+/// them ([`TcpTransport::recv_control`]).
+type ControlInbox = (Mutex<VecDeque<Vec<u8>>>, Condvar);
+
+fn push_control((frames, arrived): &ControlInbox, frame: Vec<u8>) {
+    frames.lock().push_back(frame);
+    arrived.notify_all();
 }
 
 impl Drop for TcpTransport {
@@ -341,9 +393,11 @@ impl Drop for TcpTransport {
 }
 
 /// The process's one receive thread: parks until a peer connection is
-/// readable, delivers the envelopes of its complete frames and hangs up on
-/// any peer that sends a bad one, until `closing`.
-fn mesh_loop(mut evloop: EventLoop, mailboxes: &Mailboxes, closing: &AtomicBool, me: usize) {
+/// readable, delivers the envelopes of its complete frames — a control
+/// frame to the control inbox, any other to its node's mailbox — and hangs
+/// up on any peer that sends a bad one, until `closing`.
+fn mesh_loop(mut evloop: EventLoop, inboxes: &Inboxes, closing: &AtomicBool, me: usize) {
+    let (mailboxes, control) = inboxes;
     let mut events = Vec::new();
     while !closing.load(Ordering::SeqCst) {
         evloop.wait(&mut events, None);
@@ -351,7 +405,10 @@ fn mesh_loop(mut evloop: EventLoop, mailboxes: &Mailboxes, closing: &AtomicBool,
             let violation = match event {
                 Event::Frame { conn, payload } => match open_envelope(payload, mailboxes.nodes()) {
                     Ok(envelope) => {
-                        mailboxes.deliver(envelope);
+                        match envelope.to {
+                            CONTROL => push_control(control, envelope.payload),
+                            _ => mailboxes.deliver(envelope),
+                        }
                         continue;
                     }
                     Err(violation) => {
@@ -374,14 +431,16 @@ fn mesh_loop(mut evloop: EventLoop, mailboxes: &Mailboxes, closing: &AtomicBool,
 /// Splits a mesh frame's payload into its envelope. Both node ids must name
 /// nodes of the deployment, but not necessarily ones hosted here: during
 /// recovery a peer may send to a mailbox this process is about to take over
-/// (ownership reassignment), and rejoin responses are addressed directly.
+/// (ownership reassignment). The reserved [`CONTROL`] id passes only as the
+/// control address, in both fields at once.
 fn open_envelope(mut frame: Vec<u8>, nodes: usize) -> Result<Envelope, String> {
     let Some(&[f0, f1, f2, f3, t0, t1, t2, t3, l0, l1]) = frame.first_chunk::<PREFIX_LEN>() else {
         return Err(format!("{}-byte frame has no envelope prefix", frame.len()));
     };
     let from = u32::from_le_bytes([f0, f1, f2, f3]) as usize;
     let to = u32::from_le_bytes([t0, t1, t2, t3]) as usize;
-    if from >= nodes || to >= nodes {
+    let control = from == CONTROL && to == CONTROL;
+    if !control && (from >= nodes || to >= nodes) {
         return Err(format!("frame from node {from} to node {to} of {nodes}"));
     }
     let label_len = u16::from_le_bytes([l0, l1]) as usize;
@@ -401,16 +460,15 @@ fn open_envelope(mut frame: Vec<u8>, nodes: usize) -> Result<Envelope, String> {
     })
 }
 
-/// Encodes `envelope` as one mesh frame (layout in the module docs).
-fn mesh_frame(envelope: &Envelope) -> Vec<u8> {
-    let label = envelope.label.as_bytes();
+/// Encodes one mesh frame (layout in the module docs).
+fn mesh_frame(from: NodeId, to: NodeId, label: &str, payload: &[u8]) -> Vec<u8> {
     assert!(label.len() <= MAX_LABEL_LEN, "envelope label too long");
-    let [f0, f1, f2, f3] = (envelope.from as u32).to_le_bytes();
-    let [t0, t1, t2, t3] = (envelope.to as u32).to_le_bytes();
+    let [f0, f1, f2, f3] = (from as u32).to_le_bytes();
+    let [t0, t1, t2, t3] = (to as u32).to_le_bytes();
     let [l0, l1] = (label.len() as u16).to_le_bytes();
     let prefix = [f0, f1, f2, f3, t0, t1, t2, t3, l0, l1];
-    let header = client_header(PREFIX_LEN + label.len() + envelope.payload.len());
-    [&header[..], &prefix, label, &envelope.payload].concat()
+    let header = client_header(PREFIX_LEN + label.len() + payload.len());
+    [&header[..], &prefix, label.as_bytes(), payload].concat()
 }
 
 /// First delay and ceiling of `connect_retry`'s exponential backoff.
@@ -449,9 +507,32 @@ impl Transport for TcpTransport {
         label: Cow<'static, str>,
         payload: Vec<u8>,
     ) -> Result<(), SendError> {
-        assert!(to < self.nodes(), "unknown node in TCP send");
+        assert!(from < self.nodes() && to < self.nodes(), "unknown node");
         let process = self.owner.lock()[to];
-        self.send_to_process(process, from, to, label, payload, Dial::IfNeeded)
+        if process != self.me {
+            self.forward(
+                process,
+                &mesh_frame(from, to, &label, &payload),
+                Dial::IfNeeded,
+            )?;
+        }
+        // Metered only once the frame is written: frames that never reached
+        // a dead peer must not inflate the fleet's traffic counters.
+        if atom_obs::enabled() {
+            atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
+            atom_obs::count(&format!("net.tcp.bytes.{label}"), payload.len() as u64);
+            atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
+        }
+        if process == self.me {
+            let envelope = Envelope {
+                from,
+                to,
+                label,
+                payload,
+            };
+            self.mailboxes.deliver(envelope);
+        }
+        Ok(())
     }
 
     fn drain(&self, node: NodeId) -> Vec<Envelope> {
@@ -638,23 +719,20 @@ mod tests {
     fn try_send_is_best_effort_and_never_connects() {
         let (a, b) = pair(vec![0, 1]);
         // Established stream: the frame goes through like a normal send.
-        let try_send = |process, to, label: &'static str, payload| {
-            a.send_to_process(process, 0, to, label.into(), payload, Dial::Never)
-        };
-        assert!(try_send(1, 0, "courtesy", vec![9]).is_ok());
-        wait_pending(&b, 0);
-        assert_eq!(Transport::drain(&b, 0)[0].payload, vec![9]);
+        let try_send = |process, frame: &[u8]| a.send_control(process, frame, Dial::Never);
+        assert!(try_send(1, &[9]).is_ok());
+        assert_eq!(b.recv_control(soon()), Some(vec![9]));
         // Local delivery always succeeds.
-        assert!(try_send(0, 1, "loop", vec![3]).is_ok());
-        assert_eq!(Transport::drain(&a, 1)[0].payload, vec![3]);
+        assert!(try_send(0, &[3]).is_ok());
+        assert_eq!(a.recv_control(Instant::now()), Some(vec![3]));
         // No established stream (and nobody listening): fails immediately
         // instead of spinning in the connect-retry loop.
         a.reset_peer(1);
         b.shutdown();
         let start = Instant::now();
-        let error = try_send(1, 0, "courtesy", vec![9]).unwrap_err();
+        let error = try_send(1, &[9]).unwrap_err();
         assert_eq!(error.process, 1);
-        assert_eq!(error.error.kind(), io::ErrorKind::NotConnected);
+        assert_eq!(error.error.kind(), ErrorKind::NotConnected);
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "blocked on connect"
@@ -662,21 +740,93 @@ mod tests {
         a.shutdown();
     }
 
+    /// Five seconds from now: how long a test waits for a frame to arrive.
+    fn soon() -> Instant {
+        Instant::now() + Duration::from_secs(5)
+    }
+
     #[test]
-    fn send_to_process_bypasses_the_owner_map() {
-        let (a, b) = pair(vec![0, 1]);
-        // Node 0's mailbox is owned by process 0, but the direct-addressed
-        // send reaches process 1's buffer for it anyway.
-        a.send_to_process(1, 0, 0, "direct".into(), vec![7], Dial::IfNeeded)
-            .unwrap();
-        wait_pending(&b, 0);
-        assert_eq!(Transport::drain(&b, 0)[0].payload, vec![7]);
+    fn send_control_bypasses_the_owner_map() {
+        // Process 1 hosts no node, yet a control frame reaches it, and
+        // lands in no node mailbox on either side.
+        let (a, b) = pair(vec![0, 0]);
+        a.send_control(1, &[7], Dial::IfNeeded).unwrap();
+        assert_eq!(b.recv_control(soon()), Some(vec![7]));
         // Loopback path.
-        a.send_to_process(0, 0, 0, "loop".into(), vec![8], Dial::IfNeeded)
-            .unwrap();
-        assert_eq!(Transport::drain(&a, 0)[0].payload, vec![8]);
+        a.send_control(0, &[8], Dial::IfNeeded).unwrap();
+        assert_eq!(a.recv_control(soon()), Some(vec![8]));
+        assert_eq!(a.recv_control(Instant::now()), None, "an inbox left a copy");
+        for node in 0..2 {
+            assert_eq!(
+                Transport::pending(&a, node) + Transport::pending(&b, node),
+                0
+            );
+        }
         a.shutdown();
         b.shutdown();
+    }
+
+    /// The reserved id passes only as the control address: in one field
+    /// alone it is an unknown node and poisons its connection.
+    #[test]
+    fn the_control_id_passes_only_as_the_control_address() {
+        let (a, b) = pair(vec![0, 1]);
+        let control = CONTROL as u32;
+        let mut rogues: Vec<TcpStream> = [
+            raw_frame(control, 1, b"", &[1]),
+            raw_frame(1, control, b"", &[1]),
+        ]
+        .iter()
+        .map(|bytes| rogue(&b, bytes))
+        .collect();
+        assert!(rogues.iter_mut().all(hung_up));
+        let _peer = rogue(&b, &raw_frame(control, control, b"", &[5]));
+        assert_eq!(b.recv_control(soon()), Some(vec![5]));
+        assert_eq!(Transport::pending(&b, 1), 0, "a rejected frame arrived");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A peer that accepts a connection and never reads fills the socket
+    /// buffers; the send that finds them full must come back as a value
+    /// naming the peer within twice the write budget, however many bytes
+    /// it got out. The sender runs on its own thread, behind a guard, so a
+    /// send that blocks fails this test rather than hanging it.
+    #[test]
+    fn send_to_a_peer_that_never_reads_errs_within_the_write_budget() {
+        let _obs = crate::obs_test_lock();
+        atom_obs::set_enabled(true);
+        let budget = Duration::from_millis(200);
+        let options = TcpOptions {
+            connect_timeout: budget,
+        };
+        let a = TcpTransport::bind_any(2, vec![0, 1], 0, options).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        a.set_peer_addr(1, listener.local_addr().unwrap().to_string());
+        a.connect_peers().unwrap();
+        let _peer = listener.accept().unwrap();
+        let timeouts = counter("net.tcp.send_timeouts");
+
+        let (done, outcome) = channel();
+        let sender = std::thread::spawn(move || {
+            for _ in 0..64 {
+                let start = Instant::now();
+                let sent = Transport::send(&a, 0, 1, "wedged".into(), vec![0; 1 << 20]);
+                if let Err(error) = sent {
+                    let _ = done.send(Ok((start.elapsed(), error)));
+                    return;
+                }
+            }
+            let _ = done.send(Err("64 MiB went out to a peer that never reads"));
+        });
+        let outcome = outcome.recv_timeout(Duration::from_secs(10));
+        let (elapsed, error) = outcome.expect("the send blocked").unwrap();
+        sender.join().unwrap();
+        assert!(elapsed < budget * 2, "the failing send took {elapsed:?}");
+        assert_eq!(error.process, 1);
+        assert_eq!(error.error.kind(), ErrorKind::TimedOut, "{error}");
+        assert!(counter("net.tcp.send_timeouts") > timeouts);
+        atom_obs::set_enabled(false);
     }
 
     #[test]

@@ -92,23 +92,10 @@ pub const SETUP_LABEL: &str = "atom/setup";
 /// never able to alter a round's protocol output.
 pub const TELEMETRY_LABEL: &str = "atom/telemetry";
 
-/// Envelope label of rejoin/catch-up handshake frames.
-pub const REJOIN_LABEL: &str = "atom/rejoin";
-
 /// Callback invoked with a round index each time that round resolves
 /// *successfully* in this process (see
 /// [`EngineOptions::on_round_complete`]).
 pub type RoundCompleteHook = Arc<dyn Fn(usize) + Send + Sync>;
-
-/// Shared stash for membership-control frames (`evict`, `rejoin`) observed
-/// while an engine run is active (see [`EngineOptions::control_sink`]).
-pub type ControlSink = Arc<Mutex<Vec<wire::Frame>>>;
-
-/// A fresh, empty [`ControlSink`] — the constructor crates without a
-/// `parking_lot` dependency use.
-pub fn new_control_sink() -> ControlSink {
-    Arc::new(Mutex::new(Vec::new()))
-}
 
 /// Engine-wide execution options.
 #[derive(Clone)]
@@ -136,14 +123,6 @@ pub struct EngineOptions {
     /// scheduling and detection-to-healed-round latency without polling.
     /// Called from worker threads; must not call back into the engine.
     pub on_round_complete: Option<RoundCompleteHook>,
-    /// Where `evict`/`rejoin` frames that race into an *active* engine run
-    /// are stashed. Membership control is an orchestration-layer concern
-    /// that happens *between* engine runs; a control frame arriving mid-run
-    /// (e.g. the coordinator's next plan overtaking a member's own stall
-    /// detection) must neither fail a round as malformed traffic nor be
-    /// silently eaten. With no sink configured such frames are counted and
-    /// dropped.
-    pub control_sink: Option<ControlSink>,
     /// Epoch fence: the wire round id of this run's first job. Protocol
     /// frames go out as `round_offset + job_index` and inbound frames below
     /// the offset are dropped as stale. Recovery orchestration gives each
@@ -185,7 +164,6 @@ impl Default for EngineOptions {
             intake_chunk: 0,
             stall_timeout: Duration::from_secs(120),
             on_round_complete: None,
-            control_sink: None,
             round_offset: 0,
             intake_window: 0,
             intake_cap: 0,
@@ -201,7 +179,6 @@ impl std::fmt::Debug for EngineOptions {
             .field("intake_chunk", &self.intake_chunk)
             .field("stall_timeout", &self.stall_timeout)
             .field("on_round_complete", &self.on_round_complete.is_some())
-            .field("control_sink", &self.control_sink.is_some())
             .field("round_offset", &self.round_offset)
             .field("intake_window", &self.intake_window)
             .field("intake_cap", &self.intake_cap)
@@ -1219,21 +1196,11 @@ impl Drop for Executing<'_, '_> {
 fn run_deliver(shared: &Shared<'_>, node: usize) {
     for envelope in shared.transport.drain(node) {
         let decoded = match wire::decode(&envelope.payload) {
-            // Membership control (rejoin) is handled by the recovery
-            // orchestration *between* engine runs, and its frames carry
-            // global round numbers: a control frame overtaking this run is
-            // stashed for it, never a round failure.
-            Ok(frame @ Frame::Rejoin(_)) => {
-                atom_obs::count("engine.control.frames_in_run", 1);
-                if let Some(sink) = &shared.options.control_sink {
-                    sink.lock().push(frame);
-                }
-                continue;
-            }
-            // Client traffic terminates at the ingress tier; a submit or
-            // ack frame on the server mesh is misdirected and ignored.
-            Ok(Frame::Submit(_) | Frame::SubmitAck(_)) => {
-                atom_obs::count("engine.client.frames_on_mesh", 1);
+            // Client traffic terminates at the ingress tier, and membership
+            // control travels beside the mesh's mailboxes: a submit, ack or
+            // rejoin frame here is misdirected and ignored.
+            Ok(Frame::Submit(_) | Frame::SubmitAck(_) | Frame::Rejoin(_)) => {
+                atom_obs::count("engine.misdirected.frames", 1);
                 continue;
             }
             decoded => decoded,
@@ -1278,7 +1245,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
                 },
             ),
             Ok(Frame::Rejoin(_) | Frame::Submit(_) | Frame::SubmitAck(_)) => {
-                unreachable!("control and client frames name no job")
+                unreachable!("misdirected frames name no job")
             }
         }
     }
@@ -1979,9 +1946,8 @@ mod tests {
             Fails(&'static str),
             /// Every round fails as `Malformed`, naming this.
             AllFail(&'static str),
-            /// Every round delivers, the named counter (if any) rose, and
-            /// the control sink holds this many frames.
-            Delivers(Option<&'static str>, usize),
+            /// Every round delivers, and the named counter (if any) rose.
+            Delivers(Option<&'static str>),
         }
         struct Case {
             name: &'static str,
@@ -2094,7 +2060,7 @@ mod tests {
                         submission: ClientSubmission::Trap(submission),
                     }),
                 )],
-                want: Want::Delivers(Some("engine.client.frames_on_mesh"), 0),
+                want: Want::Delivers(Some("engine.misdirected.frames")),
             },
             Case {
                 name: "membership control frames mid-run",
@@ -2103,7 +2069,7 @@ mod tests {
                 hosted: all.clone(),
                 frames: vec![(
                     orchestrator,
-                    REJOIN_LABEL,
+                    MIX_LABEL,
                     wire::encode_rejoin(&RejoinFrame {
                         round: 0,
                         process: 1,
@@ -2120,7 +2086,7 @@ mod tests {
                         }],
                     }),
                 )],
-                want: Want::Delivers(None, 1),
+                want: Want::Delivers(Some("engine.misdirected.frames")),
             },
             Case {
                 name: "telemetry frame for an unknown round",
@@ -2138,7 +2104,7 @@ mod tests {
                         spans: Vec::new(),
                     }),
                 )],
-                want: Want::Delivers(None, 0),
+                want: Want::Delivers(None),
             },
         ];
 
@@ -2160,14 +2126,10 @@ mod tests {
                 for (node, label, payload) in &case.frames {
                     network.send(0, *node, *label, payload.clone());
                 }
-                let sink = new_control_sink();
                 let mut options = EngineOptions::with_workers(1);
-                options.control_sink = Some(sink.clone());
                 options.stall_timeout = Duration::from_secs(30);
                 let role = EngineRole::coordinator(case.hosted.clone());
-                let reports = Engine::new(options).run_rounds_on(jobs, &network, &role);
-                let stashed = sink.lock().len();
-                (reports, stashed)
+                Engine::new(options).run_rounds_on(jobs, &network, &role)
             };
             let malformed = |report: &AtomResult<RoundReport>, want: &str| match report {
                 Err(AtomError::Malformed(reason)) => {
@@ -2176,15 +2138,15 @@ mod tests {
                 other => panic!("{name}: want a Malformed failure naming {want:?}, got {other:?}"),
             };
             match case.want {
-                Want::Fails(want) => malformed(&run().0[0], want),
+                Want::Fails(want) => malformed(&run()[0], want),
                 Want::AllFail(want) => {
-                    let (reports, _) = run();
+                    let reports = run();
                     assert_eq!(reports.len(), case.rounds, "{name}");
                     for report in &reports {
                         malformed(report, want);
                     }
                 }
-                Want::Delivers(bumped, want_stashed) => {
+                Want::Delivers(bumped) => {
                     // Another test in this binary resets recording and
                     // switches it off, which can swallow a reading: retry,
                     // and leave recording on so this test never cuts short
@@ -2195,11 +2157,9 @@ mod tests {
                             atom_obs::set_enabled(true);
                         }
                         let before = bumped.map_or(0, counter);
-                        let (reports, stashed) = run();
-                        for report in &reports {
+                        for report in &run() {
                             assert!(report.is_ok(), "{name}: {report:?}");
                         }
-                        assert_eq!(stashed, want_stashed, "{name}");
                         if bumped.is_none_or(|bumped| counter(bumped) > before) {
                             break;
                         }

@@ -136,10 +136,9 @@ pub mod ingress;
 pub mod wire;
 
 pub use engine::{
-    new_control_sink, total_traffic, ControlSink, Engine, EngineOptions, EngineRole,
-    RoundCompleteHook, RoundDirectory, RoundJob, RoundReport, RoundSubmissions, SubmissionBlock,
-    SubmissionSource, ABORT_LABEL, EXIT_LABEL, MIX_LABEL, REJOIN_LABEL, SETUP_LABEL,
-    TELEMETRY_LABEL,
+    total_traffic, Engine, EngineOptions, EngineRole, RoundCompleteHook, RoundDirectory, RoundJob,
+    RoundReport, RoundSubmissions, SubmissionBlock, SubmissionSource, ABORT_LABEL, EXIT_LABEL,
+    MIX_LABEL, SETUP_LABEL, TELEMETRY_LABEL,
 };
 pub use fault::{FaultKind, FaultVerdict};
 pub use ingress::{

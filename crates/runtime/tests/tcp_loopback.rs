@@ -130,15 +130,11 @@ fn tcp_split_round_output_is_byte_identical_to_in_memory() {
     }
 }
 
-/// Sharded directories across OS-thread "processes": the coordinator's jobs
-/// carry the submissions, the member's carry an **empty** vector (members
-/// never run intake), and each side derives only its hosted groups' DKGs.
-/// The coordinator's outputs must match an in-memory run whose directory
-/// was derived monolithically via `derive_setup` — byte for byte.
-#[test]
-fn sharded_tcp_split_matches_the_monolithic_derivation() {
+/// `rounds` rounds three ways: prebuilt from `derive_setup`, and sharded
+/// for the coordinator (with the submissions) and for the member (with an
+/// **empty** vector: members never run intake).
+fn sharded_jobs(rounds: u64) -> (Vec<RoundJob>, Vec<RoundJob>, Vec<RoundJob>) {
     let mut rng = StdRng::seed_from_u64(808);
-    let rounds = 2;
     let mut full_jobs = Vec::new();
     let mut coordinator_jobs = Vec::new();
     let mut member_jobs = Vec::new();
@@ -183,7 +179,17 @@ fn sharded_tcp_split_matches_the_monolithic_derivation() {
             seed,
         ));
     }
+    (full_jobs, coordinator_jobs, member_jobs)
+}
 
+/// Sharded directories across OS-thread "processes": the coordinator's jobs
+/// carry the submissions, the member's carry none, and each side derives
+/// only its hosted groups' DKGs. The coordinator's outputs must match an
+/// in-memory run whose directory was derived monolithically via
+/// `derive_setup` — byte for byte.
+#[test]
+fn sharded_tcp_split_matches_the_monolithic_derivation() {
+    let (full_jobs, coordinator_jobs, member_jobs) = sharded_jobs(2);
     let in_memory = Engine::with_workers(3).run_rounds(full_jobs);
 
     let (coordinator_net, member_net) = tcp_pair();
@@ -543,5 +549,135 @@ fn completion_hook_fires_once_per_resolved_round_on_both_processes() {
         let mut seen = seen.lock().unwrap().clone();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1], "each resolved round fires the hook once");
+    }
+}
+
+/// A control frame sent while the receiver's engine is mid-run waits in
+/// the receiver's control inbox: no engine drains it, no node mailbox
+/// holds it, and the run delivers exactly the bytes a run without it does.
+#[test]
+fn a_control_frame_sent_mid_run_reaches_only_the_control_inbox() {
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use atom_net::{Dial, Transport};
+    use atom_runtime::wire::{self, RejoinFrame};
+
+    let (full_jobs, coordinator_jobs, member_jobs) = sharded_jobs(1);
+    let in_memory = Engine::with_workers(3).run_rounds(full_jobs);
+
+    let (coordinator_net, member_net) = tcp_pair();
+    // The member's first setup frame shows its engine running; the engine
+    // cannot finish before the coordinator's batches, which travel behind
+    // the control frame on the same stream.
+    let (arrived, setup_seen) = channel();
+    coordinator_net.set_delivery_hook(Some(Arc::new(move |_| {
+        let _ = arrived.send(());
+    })));
+    let control = wire::encode_rejoin(&RejoinFrame {
+        round: 0,
+        process: 1,
+        epoch: 1,
+        response: true,
+        commit: false,
+        digest: [0; 32],
+        evictions: Vec::new(),
+    });
+    let (tcp, member_reports) = std::thread::scope(|scope| {
+        let member = scope.spawn(|| {
+            let role = EngineRole::member(vec![1, 2]);
+            Engine::with_workers(2).run_rounds_on(member_jobs, &member_net, &role)
+        });
+        let seen = setup_seen.recv_timeout(Duration::from_secs(30));
+        seen.expect("the member engine sent nothing");
+        coordinator_net
+            .send_control(1, &control, Dial::IfNeeded)
+            .unwrap();
+        let role = EngineRole::coordinator(vec![0]);
+        let tcp = Engine::with_workers(2).run_rounds_on(coordinator_jobs, &coordinator_net, &role);
+        (tcp, member.join().unwrap())
+    });
+
+    assert!(member_reports[0].is_ok(), "{:?}", member_reports[0]);
+    let (tcp, mem) = (tcp[0].as_ref().unwrap(), in_memory[0].as_ref().unwrap());
+    assert_eq!(tcp.output.plaintexts, mem.output.plaintexts);
+    assert_eq!(tcp.output.per_group, mem.output.per_group);
+    assert_eq!(tcp.output.routed_ciphertexts, mem.output.routed_ciphertexts);
+    assert_eq!(member_net.recv_control(Instant::now()), Some(control));
+    assert_eq!(member_net.recv_control(Instant::now()), None);
+    for node in 0..Transport::nodes(&member_net) {
+        assert_eq!(member_net.pending(node), 0, "node {node} holds a frame");
+    }
+    coordinator_net.shutdown();
+    member_net.shutdown();
+}
+
+/// A peer "process" that accepts its connection and never reads: the
+/// coordinator's batches for the two groups it hosts, about 6.6 MB, fill
+/// the loopback buffers, and the round ends in a `TransportLost` verdict
+/// naming one of that process's nodes instead of parking an engine worker
+/// for good. The engine runs behind a guard, so a hang fails this test
+/// rather than the suite.
+#[test]
+fn a_peer_that_never_reads_ends_the_round_in_transport_lost() {
+    use std::net::TcpListener;
+    use std::sync::mpsc::channel;
+
+    use atom_core::error::EngineErrorKind;
+
+    let mut rng = StdRng::seed_from_u64(707);
+    let mut config = AtomConfig::test_default();
+    config.num_groups = GROUPS;
+    config.iterations = 2;
+    config.message_len = 16 << 10;
+    let setup = derive_setup(&config).unwrap();
+    // Every message enters at group 1 or 2, both on the wedged process.
+    let submissions: Vec<_> = (0..96)
+        .map(|i| {
+            let gid = 1 + i % 2;
+            make_trap_submission(
+                gid,
+                &setup.groups[gid].public_key,
+                &setup.trustees.public_key,
+                config.round,
+                format!("wedged m{i}").as_bytes(),
+                config.message_len,
+                &mut rng,
+            )
+            .unwrap()
+            .0
+        })
+        .collect();
+    let job = RoundJob::new(setup, RoundSubmissions::Trap(submissions), 41);
+
+    let options = TcpOptions {
+        connect_timeout: Duration::from_millis(300),
+    };
+    let coordinator_net = TcpTransport::bind_any(2, vec![0, 1, 1, 0], 0, options).unwrap();
+    let wedged = TcpListener::bind("127.0.0.1:0").unwrap();
+    coordinator_net.set_peer_addr(1, wedged.local_addr().unwrap().to_string());
+    coordinator_net.connect_peers().unwrap();
+    let _peer = wedged.accept().unwrap();
+
+    let (done, outcome) = channel();
+    let engine = std::thread::spawn(move || {
+        let role = EngineRole::coordinator(vec![0]);
+        let reports = Engine::with_workers(2).run_rounds_on(vec![job], &coordinator_net, &role);
+        let _ = done.send(reports);
+    });
+    let reports = outcome.recv_timeout(Duration::from_secs(60));
+    let mut reports = reports.expect("the engine call never returned");
+    engine.join().unwrap();
+    match reports.pop().unwrap() {
+        Err(AtomError::Engine {
+            kind: EngineErrorKind::TransportLost,
+            reason,
+            nodes,
+        }) => assert!(
+            !nodes.is_empty() && nodes.iter().all(|node| [1, 2].contains(node)),
+            "{nodes:?}: {reason}"
+        ),
+        other => panic!("want a TransportLost verdict, got {other:?}"),
     }
 }
