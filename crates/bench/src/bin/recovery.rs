@@ -4,9 +4,12 @@
 //! Runs a three-OS-process deployment (coordinator in this process, two
 //! `atom-node` members — this binary re-executed as `recovery node
 //! <atom-node flags>`, running `netbench::run_node`),
-//! SIGKILLs member 2 after round `--kill-at` completes, restarts it with
-//! the rejoin handshake after round `--restart-at`, and records:
+//! SIGKILLs member 2 once a round at or past `--kill-at` completes,
+//! restarts it with the rejoin handshake once a later completion reaches
+//! `--restart-at`, and records:
 //!
+//! * **kill → verdict** — the wall-clock gap between the SIGKILL and the
+//!   coordinator convicting the dead process,
 //! * **detection → first healed round** — the wall-clock gap between the
 //!   coordinator convicting the dead process and the first round completed
 //!   afterwards (the paper-facing recovery latency), and
@@ -23,7 +26,7 @@
 //! [--batch B] [--honest H] [--out PATH]`
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use atom_bench::heal;
 use atom_bench::netbench::{self, flag_number, flag_value, NetSpec, NodeArgs, ProcessFleet};
@@ -82,12 +85,13 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.kill_at >= args.restart_at || args.restart_at + 2 >= args.spec.rounds {
-        return Err(
-            "need kill-at < restart-at and at least two rounds after the restart \
-             for the readmission to land"
-                .into(),
-        );
+    // The restart lands at or past `restart_at` in a batch after the kill's;
+    // the next batch reads its rejoin request, and readmits at its end.
+    let end = |round| heal::batch_end(round, args.batch, usize::MAX);
+    if args.kill_at >= args.restart_at
+        || end(args.restart_at.max(end(args.kill_at))) + args.batch >= args.spec.rounds
+    {
+        return Err("need kill-at < restart-at and a batch left after the readmission".into());
     }
     Ok(args)
 }
@@ -128,26 +132,34 @@ fn main() {
         args.restart_at
     );
 
+    // Rounds complete in any order: each action fires on the first completion
+    // at or past its round, the restart only in a batch after the kill's (a
+    // restart before the conviction could take over the address unseen), and
+    // it waits for the member to join, so the next batch reads its request.
+    let killed_at = Arc::new(Mutex::new(None));
     let hook: RoundCompleteHook = {
-        let fleet = fleet.clone();
+        let (fleet, killed_at) = (fleet.clone(), killed_at.clone());
         let restart = Arc::new(Mutex::new(Some(member(2, true))));
-        let (kill_at, restart_at) = (args.kill_at, args.restart_at);
+        let (kill_at, restart_at, batch) = (args.kill_at, args.restart_at, args.batch);
         Arc::new(move |round| {
             let mut guard = fleet.lock().unwrap();
             let fleet = guard.as_mut().expect("fleet alive during the run");
-            if round == kill_at {
+            let mut killed = killed_at.lock().unwrap();
+            if killed.is_none() && round >= kill_at {
+                *killed = Some((heal::batch_end(round, batch, usize::MAX), Instant::now()));
                 fleet.kill_member(2);
-            }
-            if round == restart_at {
-                let node = restart.lock().unwrap().take().expect("restart fires once");
-                fleet
-                    .restart_member(node)
-                    .expect("restart the killed member");
+            } else if killed.is_some_and(|(kill_end, _)| round >= restart_at.max(kill_end)) {
+                if let Some(node) = restart.lock().unwrap().take() {
+                    (fleet.restart_member(node))
+                        .and_then(|()| fleet.await_ready(Duration::from_secs(10)))
+                        .expect("restart the killed member");
+                }
             }
         })
     };
 
     let (spec, workers) = (&args.spec, args.workers);
+    let start = Instant::now(); // an instant before the coordinator's own
     let outcome =
         heal::run_recovery_coordinator(spec, args.batch, addrs, workers, Some(hook), || {})
             .unwrap_or_else(|error| {
@@ -178,6 +190,7 @@ fn main() {
     let healed_latency = outcome
         .healed_latency
         .expect("at least one round must complete after the detection");
+    let (_, killed_at) = killed_at.lock().unwrap().expect("the member was killed");
     let healed_window = outcome.wall.saturating_sub(detected_at);
     let healed_delivered = outcome.healed_rounds.len() * args.spec.messages;
 
@@ -192,17 +205,19 @@ fn main() {
         evictions: outcome.evictions.len(),
         rejoins: outcome.rejoins.len(),
         epochs: outcome.epochs,
+        kill_to_verdict_ms: (start + detected_at - killed_at).as_secs_f64() * 1e3,
         detection_to_healed_ms: healed_latency.as_secs_f64() * 1e3,
         msgs_per_sec: delivered as f64 / outcome.wall.as_secs_f64(),
         healed_msgs_per_sec: healed_delivered as f64 / healed_window.as_secs_f64(),
         wall_ms: outcome.wall.as_secs_f64() * 1e3,
     };
     println!(
-        "recovery: {} eviction(s), {} rejoin(s) over {} epoch(s); detection -> \
-         first healed round {:.1} ms; {:.1} msgs/sec overall, {:.1} msgs/sec healed",
+        "recovery: {} eviction(s), {} rejoin(s) over {} epoch(s); kill -> verdict {:.1} ms; \
+         detection -> first healed round {:.1} ms; {:.1} msgs/sec overall, {:.1} healed",
         baseline.evictions,
         baseline.rejoins,
         baseline.epochs,
+        baseline.kill_to_verdict_ms,
         baseline.detection_to_healed_ms,
         baseline.msgs_per_sec,
         baseline.healed_msgs_per_sec

@@ -24,14 +24,14 @@
 //!                      round (new epoch) — the plan carries the verdict
 //! ```
 //!
-//! **Detection.** A dead process surfaces either as an engine failure
-//! (a send error → `TransportLost`, or the stall detector) that
-//! [`FaultVerdict::diagnose`] pins on a process, or as a handshake timeout
-//! (a member that never acks a plan). A process that stopped reading is a
-//! send error too, within twice [`TcpOptions::connect_timeout`]. Either
-//! way the coordinator convicts, appends the structured verdict to its
-//! eviction log, and re-plans: the survivors learn every verdict from the
-//! next plan's log.
+//! **Detection.** A dead process surfaces as an engine failure (a send
+//! error → `TransportLost`, or the stall detector) that
+//! [`FaultVerdict::diagnose`] pins on a process, as a plan send that fails
+//! (the transport drops a stream its peer closed and dials once), or as a
+//! member that never acks a plan. A process that stopped reading is a send
+//! error too, within twice [`TcpOptions::connect_timeout`]. Either way the
+//! coordinator convicts, appends the verdict to its eviction log, and
+//! re-plans: the survivors learn every verdict from the next plan's log.
 //!
 //! **Control traffic.** The handshake travels through each process's
 //! control inbox ([`TcpTransport::send_control`], [`TcpTransport::recv_control`]),
@@ -839,10 +839,6 @@ impl<'a> Coordinator<'a> {
             self.next = end;
             if end < self.spec.rounds {
                 for process in std::mem::take(&mut self.pending_rejoin) {
-                    // The restarted peer listens on its old address but our
-                    // outbound stream still points at the dead incarnation;
-                    // drop it so the readmission plan reconnects fresh.
-                    transport.reset_peer(process);
                     self.ledger.readmit(process);
                     self.live[process] = true;
                     self.rejoins.push((process, end));
@@ -992,7 +988,6 @@ fn member_loop(
     let (mut outside, mut requested) = (rejoin, false);
     // The hosted groups and jobs of the plan acked but not yet committed.
     let mut acked: Option<(Vec<usize>, Vec<RoundJob>)> = None;
-    let mut known_dead: Vec<usize> = Vec::new();
     loop {
         if outside && !requested {
             // Ask back in, once per eviction, and wait for a plan that
@@ -1054,17 +1049,8 @@ fn member_loop(
         if ledger.digest() != frame.digest {
             return Err("eviction-log digest diverged from the coordinator".into());
         }
-        // A process that left the dead list was readmitted after a restart:
-        // our outbound stream still points at its dead incarnation, so drop
-        // it before this epoch's mixing frames are lost into it.
         let dead = ledger.dead_processes();
-        for &process in &known_dead {
-            if !dead.contains(&process) && process != index {
-                transport.reset_peer(process);
-            }
-        }
         outside = dead.contains(&index);
-        known_dead = dead;
         if outside {
             continue;
         }
@@ -1074,7 +1060,7 @@ fn member_loop(
         // go finds them ready; purge dead-epoch residue *before* acking
         // (new-epoch frames can only be sent after the coordinator has our
         // ack), then ack.
-        let owner = owner_map_excluding(spec.groups, processes, &known_dead);
+        let owner = owner_map_excluding(spec.groups, processes, &dead);
         for (node, &process) in owner.iter().enumerate() {
             transport.set_owner(node, process);
         }

@@ -403,5 +403,7 @@ mod tests {
         let recovery =
             RecoveryBaseline::parse(include_str!("../../../BENCH_recovery.json")).unwrap();
         assert_eq!((recovery.evictions, recovery.rejoins), (1, 1));
+        // Its kill → verdict is under the bound too.
+        assert_eq!(recovery.check(), Ok(()));
     }
 }

@@ -33,6 +33,8 @@ pub struct RecoveryBaseline {
     pub rejoins: usize,
     /// Batch attempts (plan/ack/go handshakes) the run took.
     pub epochs: usize,
+    /// The member's SIGKILL → the first conviction, milliseconds.
+    pub kill_to_verdict_ms: f64,
     /// Fault detection → completion of the first round finished after
     /// detection, milliseconds: the recovery latency.
     pub detection_to_healed_ms: f64,
@@ -49,7 +51,8 @@ pub struct RecoveryBaseline {
 json_record! {
     RecoveryBaseline {
         processes, groups, rounds, messages, iterations, batch, honest, evictions, rejoins,
-        epochs, detection_to_healed_ms, msgs_per_sec, healed_msgs_per_sec, wall_ms
+        epochs, kill_to_verdict_ms, detection_to_healed_ms, msgs_per_sec, healed_msgs_per_sec,
+        wall_ms
     }
 }
 
@@ -66,13 +69,15 @@ impl RecoveryBaseline {
         Self::from_value(&json::parse(json)?)
     }
 
-    /// Refuses a run that did not heal: no eviction, no readmitted
-    /// restart, or no measured recovery latency or healed throughput.
+    /// Refuses a run that did not heal (no eviction, readmission, recovery
+    /// latency or healed throughput) or took over 250 ms to convict the kill.
     pub fn check(&self) -> Result<(), String> {
         let broken = if self.evictions == 0 {
             "a member was evicted"
         } else if self.rejoins == 0 {
             "the restarted member was readmitted"
+        } else if self.kill_to_verdict_ms > 250.0 {
+            "the kill was convicted within 250 ms"
         } else if !(self.detection_to_healed_ms > 0.0 && self.healed_msgs_per_sec > 0.0) {
             "the healed rounds were timed"
         } else {
@@ -101,8 +106,8 @@ pub fn print_fig_recovery(baseline: &RecoveryBaseline) {
         baseline.evictions, baseline.rejoins, baseline.epochs, baseline.rounds
     );
     println!(
-        "  detection → first healed round: {:>8.1} ms",
-        baseline.detection_to_healed_ms
+        "  kill → verdict:                 {:>8.1} ms\n  detection → first healed round: {:>8.1} ms",
+        baseline.kill_to_verdict_ms, baseline.detection_to_healed_ms
     );
     println!("  {:>22} {:>12}", "", "msgs/sec");
     let widest = baseline.msgs_per_sec.max(baseline.healed_msgs_per_sec);
@@ -140,6 +145,7 @@ mod tests {
             evictions: 1,
             rejoins: 1,
             epochs: 5,
+            kill_to_verdict_ms: 3.5,
             detection_to_healed_ms: 412.5,
             msgs_per_sec: 88.0,
             healed_msgs_per_sec: 120.5,
@@ -164,9 +170,10 @@ mod tests {
     #[test]
     fn check_refuses_a_run_that_did_not_heal() {
         assert_eq!(sample().check(), Ok(()));
-        let broken: [fn(&mut RecoveryBaseline); 4] = [
+        let broken: [fn(&mut RecoveryBaseline); 5] = [
             |b| b.evictions = 0,
             |b| b.rejoins = 0,
+            |b| b.kill_to_verdict_ms = 250.5,
             |b| b.detection_to_healed_ms = 0.0,
             |b| b.healed_msgs_per_sec = 0.0,
         ];

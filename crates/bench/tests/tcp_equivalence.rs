@@ -271,6 +271,13 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
     let convicted: Vec<usize> = outcome.evictions.iter().map(|v| v.process).collect();
     assert_eq!(convicted, vec![2], "exactly the killed process is evicted");
     assert!(matches!(outcome.evictions[0].kind, FaultKind::Dead));
+    // The next plan's send found the killed member's stream closed and its
+    // address refusing: the verdict did not wait out the ack deadline.
+    let reason = &outcome.evictions[0].reason;
+    assert!(
+        reason.starts_with("unreachable during handshake"),
+        "{reason}"
+    );
     #[cfg(unix)]
     {
         use std::os::unix::process::ExitStatusExt;

@@ -36,15 +36,18 @@
 //! ## Lifecycle
 //!
 //! [`TcpTransport::connect_peers`] dials every peer with retries, so
-//! processes may start in any order. A send that hits a dead peer gets one
-//! reconnect-and-resend repair and then returns a [`SendError`] naming the
-//! process: the runtime fails the round and recovery convicts the process,
-//! where a silently dropped frame would deadlock the round.
+//! processes may start in any order; nothing else waits for a peer. A send
+//! drops a stream its peer closed (the mesh never writes back on one, so
+//! anything to read is EOF or a reset), dials a missing one once and
+//! writes: it fails within one connect and one frame write, with a
+//! [`SendError`] naming the process. The runtime fails the round and
+//! recovery convicts the process, where a silently dropped frame would
+//! deadlock the round.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,10 +65,10 @@ const MAX_LABEL_LEN: usize = 1024;
 /// The id a control frame carries as both `from` and `to`: no node's.
 const CONTROL: NodeId = u32::MAX as NodeId;
 
-/// The mesh loop's limits. No idle conviction: closing an idle-but-alive
-/// peer would let its next write succeed into a half-closed socket
-/// and lose the frame (so an `accept` failure mutes the listener until a
-/// peer hangs up, not until a sweep). The mesh never writes through it.
+/// The mesh loop's limits. No idle conviction: mesh peers idle between
+/// batches, and a close would only cost them a redial (so an `accept`
+/// failure mutes the listener until a peer hangs up, not until a sweep).
+/// The mesh never writes through it.
 const MESH_LOOP: EvloopOptions = EvloopOptions {
     max_frame: 64 << 20,
     idle_timeout: Duration::MAX,
@@ -76,9 +79,9 @@ const MESH_LOOP: EvloopOptions = EvloopOptions {
 /// Tuning knobs of a [`TcpTransport`].
 #[derive(Clone, Debug)]
 pub struct TcpOptions {
-    /// The one (nonzero) budget for reaching a peer: to establish an
-    /// outbound connection, with retries (peers may start later than we
-    /// do), and to write one frame whole. A send fails within twice this.
+    /// The one (nonzero) budget for reaching a peer: per connect attempt,
+    /// per peer for [`TcpTransport::connect_peers`]'s retries, and to write
+    /// one frame whole. A send fails within twice this.
     pub connect_timeout: Duration,
 }
 
@@ -93,10 +96,9 @@ impl Default for TcpOptions {
 /// Whether a send may establish the outbound stream it needs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dial {
-    /// Connect if no stream exists and repair a dead one once: every
-    /// protocol send.
+    /// Dial once if no live stream exists: every protocol send.
     IfNeeded,
-    /// Write only over an established stream, never (re)connecting: how
+    /// Write only over an established live stream, never connecting: how
     /// recovery courtesy-copies plans to convicted processes. A slow but
     /// alive victim learns of its eviction; a crashed one costs no stall.
     Never,
@@ -232,25 +234,24 @@ impl TcpTransport {
         }
     }
 
-    /// Drops the outbound stream to `process`, forcing the next send to
-    /// reconnect. Call when a peer restarted on the same address: the old
-    /// half-dead socket accepts one write before erroring, so the in-band
-    /// repair alone would lose the first frame to the restarted process.
-    pub fn reset_peer(&self, process: usize) {
-        assert!(process < self.outbound.len(), "unknown process");
-        if let Some(stream) = self.outbound[process].lock().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-
     /// Eagerly connects to every peer process, retrying each until
     /// [`TcpOptions::connect_timeout`] elapses (peers may not have bound
-    /// their listeners yet). Sends connect lazily as a fallback, but
+    /// their listeners yet). Sends dial lazily, once, as a fallback, but
     /// calling this first keeps connection churn off the mixing path.
     pub fn connect_peers(&self) -> io::Result<()> {
         for (process, slot) in self.outbound.iter().enumerate() {
-            if process != self.me {
-                self.connect_retry(process, &mut slot.lock())?;
+            let (mut slot, mut attempt) = (slot.lock(), 0);
+            let deadline = Instant::now() + self.options.connect_timeout;
+            while process != self.me && slot.is_none() {
+                match self.dial(process, deadline) {
+                    Ok(stream) => *slot = Some(stream),
+                    Err(error) if Instant::now() >= deadline => return Err(error),
+                    Err(_) => {
+                        atom_obs::count("net.tcp.connect_retries", 1);
+                        std::thread::sleep(connect_backoff(self.me, process, attempt));
+                        attempt += 1;
+                    }
+                }
             }
         }
         Ok(())
@@ -267,96 +268,86 @@ impl TcpTransport {
         if let Some(handle) = self.mesh_loop.lock().take() {
             let _ = handle.join();
         }
-        for process in 0..self.outbound.len() {
-            self.reset_peer(process);
+        for slot in &self.outbound {
+            slot.lock().take();
         }
     }
 
-    /// Fills `slot` — the locked outbound slot of `process` — with a fresh
-    /// `TCP_NODELAY` stream (mixing batches are latency-sensitive and already
-    /// coalesced) unless it holds one, retrying until
-    /// [`TcpOptions::connect_timeout`] elapses. Arms [`write_frame`]'s timeout.
-    fn connect_retry(&self, process: usize, slot: &mut Option<TcpStream>) -> io::Result<()> {
-        if slot.is_some() {
-            return Ok(());
-        }
-        let deadline = Instant::now() + self.options.connect_timeout;
-        let mut attempt = 0u32;
-        loop {
-            // Re-read each attempt: `set_peer_addr` may fill it in meanwhile.
-            let addr = self.peer_addrs.lock()[process].clone();
-            match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    stream.set_write_timeout(Some(self.options.connect_timeout))?;
-                    *slot = Some(stream);
-                    return Ok(());
-                }
-                Err(error) => {
-                    atom_obs::count("net.tcp.connect_retries", 1);
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            error.kind(),
-                            format!("connecting to peer process {process} at {addr}: {error}"),
-                        ));
-                    }
-                    std::thread::sleep(connect_backoff(self.me, process, attempt));
-                    attempt += 1;
-                }
-            }
-        }
+    /// One connect attempt to `process`, given until `deadline` (at least
+    /// 1 ms), for a nonblocking `TCP_NODELAY` stream (mixing batches are
+    /// latency-sensitive and already coalesced).
+    fn dial(&self, process: usize, deadline: Instant) -> io::Result<TcpStream> {
+        // Read per attempt: `set_peer_addr` may fill it in meanwhile.
+        let addr = self.peer_addrs.lock()[process].clone();
+        let connect = |socket| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            TcpStream::connect_timeout(&socket, left.max(Duration::from_millis(1)))
+        };
+        let stream = addr.to_socket_addrs().and_then(|sockets| {
+            let none = Err(ErrorKind::AddrNotAvailable.into());
+            sockets.fold(none, |tried, socket| tried.or_else(|_| connect(socket)))
+        });
+        let stream = stream.map_err(|error| {
+            let context = format!("connecting to peer process {process} at {addr}: {error}");
+            io::Error::new(error.kind(), context)
+        })?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     }
 
-    /// Writes `frame` to the outbound stream of `process`, establishing it
-    /// first if absent and `dial` allows. A write failure means the peer
-    /// died, restarted or stopped reading: the slot is cleared, so the next
-    /// send reconnects cleanly, and under [`Dial::IfNeeded`] ONE
-    /// reconnect-and-resend repair — which a peer restarted on the same
-    /// address picks up — precedes reporting any failure but a timeout.
+    /// Writes `frame` to the outbound stream of `process`, once [`live`]
+    /// passes it; a missing one gets one connect attempt if `dial` allows.
+    /// A failure leaves the slot empty, so the next send dials afresh.
     fn forward(&self, process: usize, frame: &[u8], dial: Dial) -> Result<(), SendError> {
+        let budget = self.options.connect_timeout;
         let mut slot = self.outbound[process].lock();
-        let mut repaired = false;
-        let error = loop {
-            if dial == Dial::Never && slot.is_none() {
-                break ErrorKind::NotConnected.into();
-            }
-            if let Err(error) = self.connect_retry(process, &mut slot) {
-                break error;
-            }
-            let stream = slot.as_mut().expect("peer stream established above");
-            let Err(error) = write_frame(stream, frame, self.options.connect_timeout) else {
-                return Ok(());
-            };
-            *slot = None;
-            let timed_out = error.kind() == ErrorKind::TimedOut;
-            if timed_out {
+        let stream = match (slot.take().and_then(live), dial) {
+            (Some(stream), _) => Ok(stream),
+            (None, Dial::IfNeeded) => self.dial(process, Instant::now() + budget),
+            (None, Dial::Never) => Err(ErrorKind::NotConnected.into()),
+        };
+        let sent = stream.and_then(|mut stream| {
+            write_frame(&mut stream, frame, budget)?;
+            *slot = Some(stream);
+            Ok(())
+        });
+        sent.map_err(|error| {
+            if error.kind() == ErrorKind::TimedOut {
                 atom_obs::count("net.tcp.send_timeouts", 1);
             }
-            if timed_out || repaired || dial == Dial::Never {
-                break error;
-            }
-            atom_obs::count("net.tcp.send_repairs", 1);
-            repaired = true;
-        };
-        atom_obs::count("net.tcp.send_failures", 1);
-        Err(SendError { process, error })
+            atom_obs::count("net.tcp.send_failures", 1);
+            SendError { process, error }
+        })
     }
 }
 
-/// Writes all of `frame` to `stream` within `budget`, however many `write`
-/// calls it takes. The stream's write timeout, armed to the whole budget at
-/// connect, bounds the first call; a partial write re-arms it to what is
-/// left, so a peer that reads a byte per timeout cannot stretch the frame.
-/// A healthy frame goes out in one call and costs no extra syscall.
+/// The nonblocking outbound `stream` while its peer holds it open. The
+/// mesh never writes back on it, so anything but "nothing to read yet" is
+/// EOF or a reset: the stream is stale, and dropped.
+fn live(stream: TcpStream) -> Option<TcpStream> {
+    let open = matches!(stream.peek(&mut [0]), Err(error) if error.kind() == ErrorKind::WouldBlock);
+    if !open {
+        atom_obs::count("net.tcp.stale_streams", 1);
+    }
+    open.then_some(stream)
+}
+
+/// Writes all of `frame` to the nonblocking `stream` within `budget`,
+/// however many `write` calls it takes; a healthy frame takes one. Once
+/// the socket buffer fills, the stream blocks, its write timeout re-armed
+/// to what is left before each call, so a peer that reads a byte per
+/// timeout cannot stretch the frame.
 fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> io::Result<()> {
     let start = Instant::now();
-    let (mut rest, mut rearmed) = (frame, false);
+    let (mut rest, mut blocking) = (frame, false);
     loop {
         match stream.write(rest) {
             Ok(written) if written == rest.len() => break,
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(written) => rest = &rest[written..],
-            // A signal, or the armed timeout expired with nothing written.
+            // A signal, a full buffer, or the armed timeout expired with
+            // nothing written.
             Err(error)
                 if matches!(error.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {}
             Err(error) => return Err(error),
@@ -365,11 +356,12 @@ fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> io::Re
         if left.is_zero() {
             return Err(ErrorKind::TimedOut.into());
         }
+        stream.set_nonblocking(false)?;
         stream.set_write_timeout(Some(left))?;
-        rearmed = true;
+        blocking = true;
     }
-    if rearmed {
-        stream.set_write_timeout(Some(budget))?;
+    if blocking {
+        stream.set_nonblocking(true)?;
     }
     Ok(())
 }
@@ -471,7 +463,7 @@ fn mesh_frame(from: NodeId, to: NodeId, label: &str, payload: &[u8]) -> Vec<u8> 
     [&header[..], &prefix, label.as_bytes(), payload].concat()
 }
 
-/// First delay and ceiling of `connect_retry`'s exponential backoff.
+/// First delay and ceiling of `connect_peers`'s exponential backoff.
 const CONNECT_BACKOFF_BASE_MS: u64 = 5;
 const CONNECT_BACKOFF_CAP_MS: u64 = 200;
 
@@ -725,9 +717,8 @@ mod tests {
         // Local delivery always succeeds.
         assert!(try_send(0, &[3]).is_ok());
         assert_eq!(a.recv_control(Instant::now()), Some(vec![3]));
-        // No established stream (and nobody listening): fails immediately
-        // instead of spinning in the connect-retry loop.
-        a.reset_peer(1);
+        // The peer shut down, so its stream is dropped unwritten (and
+        // nobody listens): fails immediately instead of connecting.
         b.shutdown();
         let start = Instant::now();
         let error = try_send(1, &[9]).unwrap_err();
@@ -830,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn send_repairs_a_dead_stream_to_a_restarted_peer() {
+    fn first_send_after_a_peer_restart_arrives() {
         let owner = vec![0usize, 1];
         let a = TcpTransport::bind_any(2, owner.clone(), 0, TcpOptions::default()).unwrap();
         let b = TcpTransport::bind_any(2, owner.clone(), 1, TcpOptions::default()).unwrap();
@@ -851,20 +842,80 @@ mod tests {
         )
         .unwrap();
         let delivered = arrivals(&b2);
-        // The first send after the restart hits the dead socket (possibly
-        // only on the second write, once the kernel notices the reset);
-        // the repair path reconnects and the frame arrives.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(Instant::now() < deadline, "repair never delivered");
-            Transport::send(&a, 0, 1, "after-restart".into(), vec![2]).unwrap();
-            if delivered.recv_timeout(Duration::from_millis(20)).is_ok() {
-                break;
-            }
-        }
+        // The first send after the restart finds the old stream closed,
+        // drops it unwritten and dials the new listener.
+        Transport::send(&a, 0, 1, "after-restart".into(), vec![2]).unwrap();
+        assert_eq!(delivered.recv_timeout(Duration::from_secs(5)), Ok(1));
         assert_eq!(Transport::drain(&b2, 1)[0].payload, vec![2]);
         a.shutdown();
         b2.shutdown();
+    }
+
+    /// A peer that shut down closed its end of the stream: the next send
+    /// drops the stream, dials once, is refused and names the peer — well
+    /// inside the default 10 s budget.
+    #[test]
+    fn send_to_a_peer_that_has_shut_down_errs_within_a_second() {
+        let (a, b) = pair(vec![0, 1]);
+        Transport::send(&a, 0, 1, "before".into(), vec![1]).unwrap();
+        wait_pending(&b, 1);
+        b.shutdown();
+        let start = Instant::now();
+        let error = Transport::send(&a, 0, 1, "after".into(), vec![2]).unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the failing send took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(error.process, 1);
+        assert!(error.to_string().contains("process 1"), "{error}");
+        a.shutdown();
+    }
+
+    /// A listener whose accept queue is full drops SYNs, and a plain
+    /// connect to it waits out the kernel's SYN retries (minutes). Each
+    /// attempt of `connect_peers` has its own timeout, so it errs within
+    /// twice its budget. It runs on its own thread, behind a guard, so an
+    /// attempt that blocks fails this test rather than hanging it.
+    #[test]
+    fn connect_peers_honours_its_budget_against_a_listener_that_drops_syns() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut held = Vec::new();
+        let full = loop {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(100)) {
+                Ok(stream) if held.len() < 1024 => held.push(stream),
+                Err(error) if error.kind() == ErrorKind::TimedOut => break true,
+                _ => break false,
+            }
+        };
+        if !full {
+            eprintln!(
+                "skipped: the accept queue took {} connections without filling",
+                held.len()
+            );
+            return;
+        }
+        let budget = Duration::from_millis(200);
+        let options = TcpOptions {
+            connect_timeout: budget,
+        };
+        let a = TcpTransport::bind_any(2, vec![0, 1], 0, options).unwrap();
+        a.set_peer_addr(1, addr.to_string());
+        let (done, outcome) = channel();
+        let dialer = std::thread::spawn(move || {
+            let start = Instant::now();
+            let connected = a.connect_peers();
+            let _ = done.send((start.elapsed(), connected));
+        });
+        let outcome = outcome.recv_timeout(Duration::from_secs(10));
+        let (elapsed, connected) = outcome.expect("connect_peers blocked");
+        dialer.join().unwrap();
+        assert!(
+            connected.is_err(),
+            "connected to a listener that drops SYNs"
+        );
+        assert!(elapsed < budget * 2, "connect_peers took {elapsed:?}");
     }
 
     /// A peer that never started is an expected input: the send comes back
@@ -887,7 +938,7 @@ mod tests {
         let failures = counter("net.tcp.send_failures");
         let start = Instant::now();
         let error = Transport::send(&a, 0, 1, "never-arrived".into(), vec![1]).unwrap_err();
-        // The 100 ms budget plus at most one capped backoff sleep.
+        // One connect attempt, which the refusal ends at once.
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "blocked past the connect budget"
