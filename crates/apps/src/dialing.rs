@@ -54,7 +54,7 @@ impl DialIdentity {
 }
 
 /// The mailbox assignment function: `H(identity) mod m`.
-pub fn mailbox_for(identity: &PublicKey, mailboxes: usize) -> usize {
+fn mailbox_for(identity: &PublicKey, mailboxes: usize) -> usize {
     let digest = sha3_256(&identity.to_bytes());
     let mut value = 0u64;
     for &byte in &digest[..8] {

@@ -19,4 +19,4 @@ pub mod dialing;
 pub mod microblog;
 
 pub use dialing::{DialIdentity, Mailboxes, PAPER_DIAL_LEN};
-pub use microblog::{BulletinBoard, Post, PAPER_POST_LEN};
+pub use microblog::{BulletinBoard, Post};

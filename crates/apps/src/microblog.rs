@@ -18,9 +18,6 @@ use atom_core::message::{
 };
 use atom_core::round::RoundOutput;
 
-/// The fixed post length used in the paper's microblogging evaluation.
-pub const PAPER_POST_LEN: usize = 160;
-
 /// A published post on the bulletin board.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Post {

@@ -5,12 +5,10 @@
 
 use std::time::Instant;
 
-use rand::Rng;
-
-use atom_baselines::{riposte_latency_seconds, vuvuzela_latency_seconds};
 use atom_core::config::Defense;
 use atom_core::group::{group_mix_iteration, GroupStepOptions};
 use atom_crypto::dkg::{run_dkg, DkgParams};
+use atom_sim::deployment::{riposte_latency_seconds, vuvuzela_latency_seconds};
 use atom_sim::{estimate_round, DeploymentSpec, PrimitiveCosts};
 use atom_topology::groups::{required_group_size, GroupSecurityParams};
 
@@ -18,7 +16,7 @@ use crate::fixtures::{bench_rng, group_with_batch};
 
 /// Table 3: primitive latencies measured on this machine, next to the
 /// paper's values.
-pub fn table3(batch: usize) -> Vec<(&'static str, f64, f64)> {
+fn table3(batch: usize) -> Vec<(&'static str, f64, f64)> {
     let measured = PrimitiveCosts::measure(batch);
     let paper = PrimitiveCosts::paper_table3();
     vec![
@@ -82,7 +80,7 @@ pub fn print_table3(batch: usize) {
 }
 
 /// Table 4: anytrust group setup (DKG/DVSS) latency for varying group sizes.
-pub fn table4(sizes: &[usize]) -> Vec<(usize, f64)> {
+fn table4(sizes: &[usize]) -> Vec<(usize, f64)> {
     let mut rng = bench_rng();
     sizes
         .iter()
@@ -107,7 +105,7 @@ pub fn print_table4(sizes: &[usize]) {
 
 /// One row of Fig. 5/6-style measurements.
 #[derive(Clone, Copy, Debug)]
-pub struct MixingRow {
+struct MixingRow {
     /// The varied parameter (message count or group size).
     pub x: usize,
     /// Seconds per mixing iteration for the NIZK variant.
@@ -144,7 +142,7 @@ fn time_iteration(defense: Defense, group_size: usize, messages: usize, parallel
 /// Fig. 5: time per mixing iteration as the number of messages varies
 /// (fixed group size). In the trap variant each group handles twice the
 /// messages (real + trap), which is accounted for by the caller's counts.
-pub fn fig5(group_size: usize, message_counts: &[usize]) -> Vec<MixingRow> {
+fn fig5(group_size: usize, message_counts: &[usize]) -> Vec<MixingRow> {
     message_counts
         .iter()
         .map(|&messages| MixingRow {
@@ -176,7 +174,7 @@ pub fn print_fig5(group_size: usize, message_counts: &[usize]) {
 
 /// Fig. 6: time per mixing iteration as the group size varies (fixed message
 /// count).
-pub fn fig6(message_count: usize, group_sizes: &[usize]) -> Vec<MixingRow> {
+fn fig6(message_count: usize, group_sizes: &[usize]) -> Vec<MixingRow> {
     group_sizes
         .iter()
         .map(|&size| MixingRow {
@@ -202,7 +200,7 @@ pub fn print_fig6(message_count: usize, group_sizes: &[usize]) {
 
 /// Fig. 7: speed-up of one mixing iteration as the number of worker threads
 /// grows, relative to the smallest thread count, for both variants.
-pub fn fig7(group_size: usize, messages: usize, threads: &[usize]) -> Vec<(usize, f64, f64)> {
+fn fig7(group_size: usize, messages: usize, threads: &[usize]) -> Vec<(usize, f64, f64)> {
     let trap_base = time_iteration(Defense::Trap, group_size, messages, threads[0]);
     let nizk_base = time_iteration(Defense::Nizk, group_size, messages, threads[0]);
     threads
@@ -230,7 +228,7 @@ pub fn print_fig7(group_size: usize, messages: usize, threads: &[usize]) {
 
 /// Fig. 9: end-to-end latency vs number of users for microblogging and
 /// dialing on a 1,024-server deployment (calibrated model).
-pub fn fig9(costs: &PrimitiveCosts, user_counts: &[u64]) -> Vec<(u64, f64, f64)> {
+fn fig9(costs: &PrimitiveCosts, user_counts: &[u64]) -> Vec<(u64, f64, f64)> {
     user_counts
         .iter()
         .map(|&users| {
@@ -256,7 +254,7 @@ pub fn print_fig9(costs: &PrimitiveCosts, user_counts: &[u64]) {
 
 /// Fig. 10: speed-up relative to 128 servers when routing one million
 /// microblogging messages.
-pub fn fig10(costs: &PrimitiveCosts, server_counts: &[usize]) -> Vec<(usize, f64, f64)> {
+fn fig10(costs: &PrimitiveCosts, server_counts: &[usize]) -> Vec<(usize, f64, f64)> {
     let base = DeploymentSpec::paper_microblogging(server_counts[0], 1_000_000);
     let base_total = estimate_round(&base, costs).total_seconds();
     server_counts
@@ -284,7 +282,7 @@ pub fn print_fig10(costs: &PrimitiveCosts, server_counts: &[usize]) {
 
 /// Fig. 11: simulated speed-up for very large deployments routing one billion
 /// microblogging messages.
-pub fn fig11(costs: &PrimitiveCosts, server_exponents: &[u32]) -> Vec<(usize, f64, f64)> {
+fn fig11(costs: &PrimitiveCosts, server_exponents: &[u32]) -> Vec<(usize, f64, f64)> {
     let base_servers = 1usize << server_exponents[0];
     let base = estimate_round(
         &DeploymentSpec::paper_microblogging(base_servers, 500_000_000),
@@ -319,7 +317,7 @@ pub fn print_fig11(costs: &PrimitiveCosts, server_exponents: &[u32]) {
 }
 
 /// Table 12: latency to support one million users, Atom vs the baselines.
-pub struct Table12Row {
+struct Table12Row {
     /// System / configuration label.
     pub system: String,
     /// Microblogging latency in minutes (None where not applicable).
@@ -330,7 +328,7 @@ pub struct Table12Row {
 
 /// Computes Table 12 using the calibrated deployment model and the baseline
 /// cost models (PRG and hybrid-decryption throughput measured locally).
-pub fn table12(costs: &PrimitiveCosts) -> Vec<Table12Row> {
+fn table12(costs: &PrimitiveCosts) -> Vec<Table12Row> {
     let users = 1_000_000u64;
     let mut rows = Vec::new();
     for servers in [128usize, 256, 512, 1024] {
@@ -371,22 +369,23 @@ pub fn table12(costs: &PrimitiveCosts) -> Vec<Table12Row> {
 pub fn print_table12(costs: &PrimitiveCosts) {
     println!("Table 12: latency to support one million users (minutes)");
     println!("{:<36} {:>12} {:>12}", "system", "microblog", "dialing");
+    // Three significant figures: Vuvuzela's dialing round is a fraction of
+    // a minute (0.07 under Table 3's costs, 0.003 under this host's) and
+    // Riposte's is over an hour; a fixed precision shows one of them as 0.
+    let cell = |minutes: Option<f64>| match minutes {
+        Some(m) if m > 0.0 => format!("{m:.*}", (2.0 - m.log10().floor()).min(6.0) as usize),
+        Some(m) => format!("{m:.1}"),
+        None => "-".into(),
+    };
     for row in table12(costs) {
-        let micro = row
-            .microblog_minutes
-            .map(|m| format!("{m:.1}"))
-            .unwrap_or_else(|| "-".into());
-        let dial = row
-            .dial_minutes
-            .map(|m| format!("{m:.1}"))
-            .unwrap_or_else(|| "-".into());
+        let (micro, dial) = (cell(row.microblog_minutes), cell(row.dial_minutes));
         println!("{:<36} {:>12} {:>12}", row.system, micro, dial);
     }
     println!("(paper: Atom 1024 = 28.2 min microblog, 23.7x faster than Riposte; Vuvuzela 56x faster than Atom for dialing)");
 }
 
 /// Fig. 13 (Appendix B): required group size vs required honest servers.
-pub fn fig13(max_h: usize) -> Vec<(usize, usize)> {
+fn fig13(max_h: usize) -> Vec<(usize, usize)> {
     (1..=max_h)
         .map(|h| {
             let params = GroupSecurityParams::paper_defaults(h);
@@ -410,7 +409,7 @@ pub fn print_fig13(max_h: usize) {
 /// Ablation: square vs iterated-butterfly topology for the same deployment
 /// (per-group load × iterations gives the total work; butterfly needs
 /// O(log² G) iterations).
-pub fn ablation_topology(groups: usize) -> Vec<(&'static str, usize, usize)> {
+fn ablation_topology(groups: usize) -> Vec<(&'static str, usize, usize)> {
     use atom_topology::network::{ButterflyNetwork, SquareNetwork, Topology};
     let square = SquareNetwork::paper_default(groups);
     let butterfly = ButterflyNetwork::for_groups(groups);
@@ -436,7 +435,7 @@ pub fn print_ablation_topology(groups: usize) {
 
 /// Ablation: per-iteration mixing time vs message length (number of group
 /// elements per ciphertext).
-pub fn ablation_msgsize(group_size: usize, messages: usize, lens: &[usize]) -> Vec<(usize, f64)> {
+fn ablation_msgsize(group_size: usize, messages: usize, lens: &[usize]) -> Vec<(usize, f64)> {
     use crate::fixtures::{bench_config, encrypted_batch};
     use atom_core::directory::derive_setup;
     lens.iter()
@@ -480,10 +479,45 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
-/// A deterministic jitter helper for experiment labels (kept here so the
-/// binaries stay dependency-free).
-pub fn seeded_percent(seed: u64) -> f64 {
-    let mut rng = bench_rng();
-    let _ = seed;
-    rng.gen_range(0.0..1.0)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table12_keeps_the_papers_order_under_table3_costs() {
+        let rows = table12(&PrimitiveCosts::paper_table3());
+        let minutes = |prefix: &str, column: fn(&Table12Row) -> Option<f64>| -> Vec<f64> {
+            rows.iter()
+                .filter(|row| row.system.starts_with(prefix))
+                .map(|row| column(row).expect("column applies to this system"))
+                .collect()
+        };
+        let atom_micro = minutes("Atom", |row| row.microblog_minutes);
+        let atom_dial = minutes("Atom", |row| row.dial_minutes);
+        let riposte = minutes("Riposte", |row| row.microblog_minutes);
+        let vuvuzela = minutes("Vuvuzela", |row| row.dial_minutes);
+        assert_eq!((atom_micro.len(), riposte.len(), vuvuzela.len()), (4, 1, 1));
+
+        // Atom scales horizontally: 128 → 1,024 servers cuts both latencies.
+        for latencies in [&atom_micro, &atom_dial] {
+            assert!(
+                latencies.windows(2).all(|pair| pair[1] < pair[0]),
+                "Atom latency must fall as servers are added: {latencies:?}"
+            );
+        }
+        // Riposte's quadratic server work loses to Atom at 1,024 servers ...
+        assert!(
+            atom_micro[3] < riposte[0],
+            "Atom 1024 {} min vs Riposte {} min",
+            atom_micro[3],
+            riposte[0]
+        );
+        // ... while centralized Vuvuzela still dials faster than Atom.
+        assert!(
+            vuvuzela[0] < atom_dial[3],
+            "Vuvuzela {} min vs Atom 1024 {} min",
+            vuvuzela[0],
+            atom_dial[3]
+        );
+    }
 }

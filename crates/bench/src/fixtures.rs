@@ -10,12 +10,12 @@ use atom_crypto::elgamal::{encrypt_message, MessageCiphertext, PublicKey};
 use atom_crypto::encoding::encode_message_padded;
 
 /// A deterministic RNG for benchmarks.
-pub fn bench_rng() -> StdRng {
+pub(crate) fn bench_rng() -> StdRng {
     StdRng::seed_from_u64(0xA70B_BE4C)
 }
 
 /// A small deployment configuration scaled for a single machine.
-pub fn bench_config(defense: Defense, groups: usize, group_size: usize) -> AtomConfig {
+pub(crate) fn bench_config(defense: Defense, groups: usize, group_size: usize) -> AtomConfig {
     AtomConfig {
         num_servers: groups * group_size,
         num_groups: groups,
@@ -33,7 +33,7 @@ pub fn bench_config(defense: Defense, groups: usize, group_size: usize) -> AtomC
 }
 
 /// The padded payload length for a config.
-pub fn payload_len(config: &AtomConfig) -> usize {
+pub(crate) fn payload_len(config: &AtomConfig) -> usize {
     match config.defense {
         Defense::Nizk => nizk_payload_len(config.message_len),
         Defense::Trap => trap_payload_len(config.message_len),
@@ -41,7 +41,7 @@ pub fn payload_len(config: &AtomConfig) -> usize {
 }
 
 /// Encrypts `count` framed payloads of `padded_len` bytes under a group key.
-pub fn encrypted_batch(
+pub(crate) fn encrypted_batch(
     group_pk: &PublicKey,
     count: usize,
     padded_len: usize,
@@ -59,7 +59,7 @@ pub fn encrypted_batch(
 }
 
 /// Convenience: a single group plus an encrypted batch for it.
-pub fn group_with_batch(
+pub(crate) fn group_with_batch(
     defense: Defense,
     group_size: usize,
     messages: usize,

@@ -38,7 +38,7 @@
 //! which no engine run drains: a frame that overtakes a run waits there.
 //!
 //! **Healing.** The retried detection round keeps the membership its
-//! directory was built with (frozen in the [`RecoveryLedger`]) and instead
+//! directory was built with (frozen in the `RecoveryLedger`) and instead
 //! marks the evicted servers *failed*, so groups heal by Lagrange
 //! reweighting where `k − (h−1)` members remain and by buddy-group escrow
 //! reconstruction below that — the paper's §4.5 fault path. Rounds after
@@ -99,7 +99,7 @@ const MAX_STUCK_RETRIES: usize = 3;
 /// process `s mod processes`, so the partition is a pure function every
 /// process computes identically — and the conversion from a dead process
 /// to its lost servers needs no directory lookup.
-pub fn process_servers(num_servers: usize, processes: usize, process: usize) -> Vec<usize> {
+fn process_servers(num_servers: usize, processes: usize, process: usize) -> Vec<usize> {
     (0..num_servers)
         .filter(|s| s % processes == process)
         .collect()
@@ -109,7 +109,7 @@ pub fn process_servers(num_servers: usize, processes: usize, process: usize) -> 
 /// round-robin owner while that owner lives, and is otherwise reassigned
 /// round-robin over the survivors. The orchestrator node (always last)
 /// stays on the coordinator, which never appears in `dead`.
-pub fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize]) -> Vec<usize> {
+pub(crate) fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize]) -> Vec<usize> {
     assert!(!dead.contains(&0), "the coordinator cannot be evicted");
     let live: Vec<usize> = (0..processes).filter(|p| !dead.contains(p)).collect();
     assert!(!live.is_empty(), "no live process left");
@@ -164,7 +164,7 @@ pub fn eviction_log_digest(log: &[FaultVerdict]) -> [u8; 32] {
 /// so both sides build byte-identical round jobs
 /// ([`RecoveryLedger::batch_jobs`], the one round-job derivation).
 #[derive(Clone, Debug, Default)]
-pub struct RecoveryLedger {
+pub(crate) struct RecoveryLedger {
     /// Standing verdicts: one entry per conviction whose process is still
     /// out. This is the log plans and digests cover.
     active: Vec<FaultVerdict>,
@@ -179,19 +179,14 @@ pub struct RecoveryLedger {
 }
 
 impl RecoveryLedger {
-    /// The standing eviction log, in conviction order.
-    pub fn active(&self) -> &[FaultVerdict] {
-        &self.active
-    }
-
     /// The processes currently evicted, ascending.
-    pub fn dead_processes(&self) -> Vec<usize> {
+    fn dead_processes(&self) -> Vec<usize> {
         let set: BTreeSet<usize> = self.active.iter().map(|v| v.process).collect();
         set.into_iter().collect()
     }
 
     /// The servers currently evicted, ascending and deduplicated.
-    pub fn active_servers(&self) -> Vec<usize> {
+    fn active_servers(&self) -> Vec<usize> {
         let set: BTreeSet<usize> = self
             .active
             .iter()
@@ -201,13 +196,13 @@ impl RecoveryLedger {
     }
 
     /// The digest members must echo in their acks.
-    pub fn digest(&self) -> [u8; 32] {
+    fn digest(&self) -> [u8; 32] {
         eviction_log_digest(&self.active)
     }
 
     /// The evicted-server set round `round`'s directory was (or will be)
     /// built with.
-    pub fn evicted_for(&self, round: usize) -> Vec<usize> {
+    fn evicted_for(&self, round: usize) -> Vec<usize> {
         self.frozen
             .get(&round)
             .cloned()
@@ -215,7 +210,7 @@ impl RecoveryLedger {
     }
 
     /// The mid-flight failure set of round `round`.
-    pub fn failed_for(&self, round: usize) -> Vec<usize> {
+    fn failed_for(&self, round: usize) -> Vec<usize> {
         self.failed.get(&round).cloned().unwrap_or_default()
     }
 
@@ -237,7 +232,7 @@ impl RecoveryLedger {
     /// Coordinator side: convict `verdict`, retrying from `retry_round` —
     /// the plan of the log plus `verdict`, through the same update members
     /// mirror it with.
-    pub fn evict(&mut self, verdict: FaultVerdict, retry_round: usize) {
+    pub(crate) fn evict(&mut self, verdict: FaultVerdict, retry_round: usize) {
         let mut log = self.active.clone();
         log.push(verdict);
         self.apply_plan(&log, retry_round);
@@ -245,7 +240,7 @@ impl RecoveryLedger {
 
     /// Coordinator side: welcome `process` back. Its standing verdicts are
     /// pruned; rounds planned from now on include it again.
-    pub fn readmit(&mut self, process: usize) {
+    fn readmit(&mut self, process: usize) {
         self.active.retain(|v| v.process != process);
     }
 
@@ -254,7 +249,7 @@ impl RecoveryLedger {
     /// failures of that round (if we had frozen it, so it keeps its
     /// membership and heals in place); every later round is unfrozen so
     /// its directory re-forms over the survivors.
-    pub fn apply_plan(&mut self, evictions: &[FaultVerdict], plan_round: usize) {
+    fn apply_plan(&mut self, evictions: &[FaultVerdict], plan_round: usize) {
         let known = self.active_servers();
         let mut fresh: Vec<usize> = evictions
             .iter()
@@ -275,7 +270,7 @@ impl RecoveryLedger {
     /// the rounds' submissions. Freezes nothing ([`RecoveryLedger::freeze`]
     /// does, at the go). Errors if the log leaves too few survivors to fill
     /// a group.
-    pub fn batch_jobs(
+    pub(crate) fn batch_jobs(
         &self,
         spec: &NetSpec,
         rounds: Range<usize>,
@@ -296,7 +291,7 @@ impl RecoveryLedger {
 
     /// Freezes the membership of `rounds` as the go that commits them finds
     /// it; a round already frozen keeps its first membership.
-    pub fn freeze(&mut self, rounds: Range<usize>) {
+    fn freeze(&mut self, rounds: Range<usize>) {
         for round in rounds {
             let evicted = self.evicted_for(round);
             self.frozen.entry(round).or_insert(evicted);
@@ -953,7 +948,7 @@ pub fn run_recovery_coordinator(
 /// (the catch-up handshake): it sends a rejoin request and idles until a
 /// plan readmits it. `on_ready` fires once the transport is connected —
 /// the node binary prints its readiness line there.
-pub fn run_healing_member(
+pub(crate) fn run_healing_member(
     spec: &NetSpec,
     batch: usize,
     addrs: Vec<String>,
@@ -1189,7 +1184,7 @@ mod tests {
         // Member: built round 0 too, then mirrors the plan.
         let mut member = RecoveryLedger::default();
         let _ = member.job_for_round(&spec, 0, true).unwrap();
-        member.apply_plan(coordinator.active(), 0);
+        member.apply_plan(&coordinator.active, 0);
         assert_eq!(member.digest(), coordinator.digest());
         assert_eq!(member.dead_processes(), vec![2]);
         let member_retried = member.job_for_round(&spec, 0, true).unwrap();
@@ -1278,12 +1273,12 @@ mod tests {
         let _ = coordinator.job_for_round(&spec, 1, true).unwrap();
         let _ = coordinator.job_for_round(&spec, 2, true).unwrap();
         coordinator.readmit(2);
-        assert!(coordinator.active().is_empty());
+        assert!(coordinator.active.is_empty());
         let fresh = coordinator.job_for_round(&spec, 3, true).unwrap();
 
         // The restarted process starts from an empty ledger plus the plan.
         let mut rejoiner = RecoveryLedger::default();
-        rejoiner.apply_plan(coordinator.active(), 3);
+        rejoiner.apply_plan(&coordinator.active, 3);
         let mirrored = rejoiner.job_for_round(&spec, 3, true).unwrap();
         assert_eq!(job_fingerprint(&fresh), job_fingerprint(&mirrored));
         assert!(job_fingerprint(&fresh).0.is_empty());
@@ -1655,7 +1650,7 @@ mod tests {
                     }
                 }
                 _ => {
-                    member.apply_plan(coordinator.active(), next);
+                    member.apply_plan(&coordinator.active, next);
                     assert_eq!(member.digest(), coordinator.digest(), "step {step}");
                     let end = batch_end(next, 3, spec.rounds);
                     for round in next..end {

@@ -3,8 +3,8 @@
 //! The reproduction harness for every table and figure in the evaluation
 //! section of *Atom: Horizontally Scaling Strong Anonymity* (SOSP 2017).
 //!
-//! Each experiment is exposed both as a library function (returning the rows
-//! it would print, so integration tests can sanity-check the shapes) and as a
+//! Each experiment is a crate-private function returning the rows it prints
+//! (so unit tests can check the shapes), a public `print_*` companion, and a
 //! small binary (`cargo run --release -p atom-bench --bin fig5`, etc.).
 //! Primitive-level costs are the frozen benchmark's per-layer metrics
 //! (`benchmark/`).
@@ -19,7 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod fixtures;
+mod fixtures;
 pub mod heal;
 pub mod json;
 pub mod netbench;
@@ -38,7 +38,7 @@ use json::{Json, Value};
 /// being compared blind; `dirty` says the tree differed from that
 /// revision, so a file recorded mid-change names the *parent's*. They are
 /// read once per process, so one run writes one provenance.
-pub fn recorded_json(record: &impl Json) -> String {
+pub(crate) fn recorded_json(record: &impl Json) -> String {
     static PROVENANCE: OnceLock<Vec<(String, Value)>> = OnceLock::new();
     let mut file = PROVENANCE
         .get_or_init(|| {

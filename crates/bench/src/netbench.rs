@@ -122,7 +122,7 @@ pub(crate) fn round_config(spec: &NetSpec, round: usize) -> AtomConfig {
 
 /// The group ids process `index` hosts under an owner map
 /// ([`heal::owner_map_excluding`]).
-pub fn hosted_groups(owner: &[NodeId], index: usize) -> Vec<usize> {
+pub(crate) fn hosted_groups(owner: &[NodeId], index: usize) -> Vec<usize> {
     let groups = owner.len() - 1; // last node is the orchestrator
     (0..groups).filter(|&gid| owner[gid] == index).collect()
 }
@@ -452,7 +452,7 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// `atom-node`'s program, also what `recovery` runs when re-executed in
-/// [`NODE_MODE`]: parse `argv` (the flags, without the program name),
+/// `NODE_MODE`: parse `argv` (the flags, without the program name),
 /// [`run_node`] it, and return the exit status — 2 for a flag error, 1 for
 /// a failed run.
 pub fn node_main(argv: impl IntoIterator<Item = String>) -> i32 {
@@ -476,7 +476,7 @@ pub fn node_main(argv: impl IntoIterator<Item = String>) -> i32 {
 /// process ([`node_main`]) instead of as itself. `recovery` re-executes
 /// itself this way ([`this_exe_as_node`]) rather than spawn `atom-node`,
 /// which `cargo run --bin` would not build.
-pub const NODE_MODE: &str = "node";
+const NODE_MODE: &str = "node";
 
 /// Runs this process as a fleet process if it was launched as one
 /// (`<exe> node <flags>`) and returns its exit status; `None` for any
@@ -486,7 +486,7 @@ pub fn node_mode() -> Option<i32> {
     (argv.next().as_deref() == Some(NODE_MODE)).then(|| node_main(argv))
 }
 
-/// The program that runs this executable in [`NODE_MODE`], for
+/// The program that runs this executable in `NODE_MODE`, for
 /// [`ProcessFleet::spawn`].
 pub fn this_exe_as_node() -> Vec<OsString> {
     let exe = std::env::current_exe().expect("own binary path");
@@ -497,7 +497,7 @@ pub fn this_exe_as_node() -> Vec<OsString> {
 /// joined the fleet (bound its address and connected to every peer).
 /// [`ProcessFleet`] waits for it, so a child that dies during setup is
 /// caught immediately.
-pub const READY_LINE: &str = "atom-process-ready";
+const READY_LINE: &str = "atom-process-ready";
 
 enum FleetEvent {
     /// The member printed [`READY_LINE`]. Carries the member's spawn
@@ -597,7 +597,7 @@ fn spawn_reader(
 /// Each child is `program` run with one [`NodeArgs`]'s flags, so it knows
 /// its real process index: usually the members, with the caller as the
 /// coordinator, but a coordinator child (index 0) is supervised the same
-/// way. A child prints [`READY_LINE`] on stdout once it has joined.
+/// way. A child prints `READY_LINE` on stdout once it has joined.
 pub struct ProcessFleet {
     /// The executable plus the arguments before the node flags.
     program: Vec<OsString>,
@@ -611,7 +611,7 @@ impl ProcessFleet {
     /// Spawns one child per node: `program` (an executable plus any
     /// leading arguments, e.g. [`this_exe_as_node`]) followed by
     /// [`NodeArgs::argv`]. Each child's stdout is piped through a monitor
-    /// thread that watches for [`READY_LINE`] and forwards every other line
+    /// thread that watches for `READY_LINE` and forwards every other line
     /// to this process's stderr, prefixed with the child's process index
     /// and the milliseconds elapsed since the fleet spawned — so an
     /// operator watching the coordinator sees the whole fleet's output,

@@ -196,11 +196,6 @@ impl GroupActor {
         self.gid
     }
 
-    /// True once the exit layer has run.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Measured compute time of each completed iteration.
     pub fn compute_times(&self) -> &[Duration] {
         &self.compute

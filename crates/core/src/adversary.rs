@@ -61,7 +61,7 @@ pub struct AdversaryPlan {
 
 impl AdversaryPlan {
     /// True if this plan applies to the given group and iteration.
-    pub fn applies_to(&self, group: usize, iteration: usize) -> bool {
+    pub(crate) fn applies_to(&self, group: usize, iteration: usize) -> bool {
         self.group == group && self.iteration == iteration
     }
 }

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use atom_topology::groups::GroupSecurityParams;
 use atom_topology::network::{ButterflyNetwork, SquareNetwork, Topology};
 
 use crate::error::{AtomError, AtomResult};
@@ -89,25 +88,14 @@ impl AtomConfig {
 
     /// Server ids still participating in group formation (everything not in
     /// [`Self::evicted_servers`]), in ascending order.
-    pub fn surviving_servers(&self) -> Vec<usize> {
+    pub(crate) fn surviving_servers(&self) -> Vec<usize> {
         (0..self.num_servers)
             .filter(|server| !self.evicted_servers.contains(server))
             .collect()
     }
 
-    /// The security parameters implied by this configuration, using the
-    /// paper's `f = 20%` and 2⁻⁶⁴ target.
-    pub fn security_params(&self) -> GroupSecurityParams {
-        GroupSecurityParams {
-            adversarial_fraction: 0.2,
-            num_groups: self.num_groups,
-            required_honest: self.required_honest,
-            security_bits: 64,
-        }
-    }
-
     /// Number of member failures each group tolerates (`h − 1`).
-    pub fn tolerated_failures(&self) -> usize {
+    fn tolerated_failures(&self) -> usize {
         self.required_honest.saturating_sub(1)
     }
 

@@ -12,7 +12,7 @@
 //! config names one deployment everywhere. It is built from *shardable*
 //! units — [`derive_group`], [`derive_trustees`], [`derive_buddies`] — whose
 //! monolithic composition is [`derive_setup`]. Each group's DKG draws from
-//! its own stream seeded by [`setup_stream_seed`]`(beacon_seed, round, gid)`,
+//! its own stream seeded by `setup_stream_seed(beacon_seed, round, gid)`,
 //! so any process can derive exactly the groups it hosts — in any order,
 //! concurrently — and the result is byte-identical to deriving everything
 //! locally. This is what the runtime's sharded setup phase (`atom_runtime`)
@@ -119,17 +119,10 @@ pub struct RoundSetup {
     pub buddies: Vec<Vec<usize>>,
 }
 
-impl RoundSetup {
-    /// The public key of group `gid`.
-    pub fn group_key(&self, gid: usize) -> &PublicKey {
-        &self.groups[gid].public_key
-    }
-}
-
 /// Stream id of the trustee DKG in [`setup_stream_seed`]. Sits outside the
 /// real group-id space, so the trustee stream can never collide with a
 /// group's.
-pub const TRUSTEE_STREAM: u64 = u64::MAX;
+const TRUSTEE_STREAM: u64 = u64::MAX;
 
 /// Derives the RNG seed of the setup stream for `gid` — a group id, or
 /// [`TRUSTEE_STREAM`] — from the round's public randomness beacon
@@ -140,7 +133,7 @@ pub const TRUSTEE_STREAM: u64 = u64::MAX;
 /// `(beacon_seed, round)`, which is what makes the per-group DKGs
 /// independently derivable: group `g`'s key material is a pure function of
 /// the beacon and `g`, never of which process derives it or in what order.
-pub fn setup_stream_seed(beacon_seed: u64, round: u64, gid: u64) -> u64 {
+pub(crate) fn setup_stream_seed(beacon_seed: u64, round: u64, gid: u64) -> u64 {
     let mut x = beacon_seed
         ^ round.wrapping_mul(0xd6e8_feb8_6659_fd93)
         ^ gid.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -225,7 +218,7 @@ pub fn derive_group(config: &AtomConfig, gid: usize) -> AtomResult<GroupContext>
 }
 
 /// Derives the trustee group of the trap variant (§4.4) from its own
-/// dedicated stream ([`TRUSTEE_STREAM`]). In a sharded setup only the
+/// dedicated stream (`TRUSTEE_STREAM`). In a sharded setup only the
 /// coordinator runs this — group actors never consult the trustee context.
 pub fn derive_trustees(config: &AtomConfig) -> AtomResult<TrusteeContext> {
     config.validate()?;

@@ -67,7 +67,7 @@ pub fn escrow_group_shares<R: RngCore + CryptoRng>(
 /// In a deployment the members of a *newly formed* anytrust group would each
 /// fetch one sub-share from the buddy group and jointly reconstruct; here the
 /// reconstruction is done directly, which is equivalent for correctness.
-pub fn recover_member_share(escrow: &BuddyEscrow, member_position: usize) -> AtomResult<Scalar> {
+fn recover_member_share(escrow: &BuddyEscrow, member_position: usize) -> AtomResult<Scalar> {
     let sub_shares = escrow
         .per_member
         .get(member_position)
@@ -124,7 +124,7 @@ const ESCROW_BEACON_TWEAK: u64 = 0x6573_6372_6F77; // "escrow"
 /// from a dedicated beacon stream so every surviving process reconstructs
 /// the identical [`BuddyEscrow`] when recovery is needed — escrow recovery
 /// stays byte-deterministic across the fleet.
-pub fn escrow_stream_rng(config: &crate::config::AtomConfig, gid: usize) -> StdRng {
+fn escrow_stream_rng(config: &crate::config::AtomConfig, gid: usize) -> StdRng {
     StdRng::seed_from_u64(setup_stream_seed(
         config.beacon_seed ^ ESCROW_BEACON_TWEAK,
         config.round,

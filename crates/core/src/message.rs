@@ -24,19 +24,19 @@ use atom_crypto::nizk::enc::{prove_encryption, EncProof};
 use crate::error::{AtomError, AtomResult};
 
 /// Tag byte marking an inner ciphertext (`M` in the paper).
-pub const TAG_INNER: u8 = b'M';
+const TAG_INNER: u8 = b'M';
 /// Tag byte marking a trap message (`T` in the paper).
-pub const TAG_TRAP: u8 = b'T';
+const TAG_TRAP: u8 = b'T';
 /// Domain-separation label for trap commitments.
-pub const TRAP_COMMIT_LABEL: &[u8] = b"atom-trap";
+pub(crate) const TRAP_COMMIT_LABEL: &[u8] = b"atom-trap";
 /// Size of a trap nonce in bytes.
-pub const TRAP_NONCE_LEN: usize = 16;
+const TRAP_NONCE_LEN: usize = 16;
 
 /// Overhead the CCA2 envelope adds to a plaintext: 32-byte KEM encapsulation
 /// plus a 16-byte AEAD tag.
-pub const INNER_OVERHEAD: usize = 32 + 16;
+const INNER_OVERHEAD: usize = 32 + 16;
 /// Framing overhead of a mix payload: tag byte plus 2-byte length.
-pub const FRAME_OVERHEAD: usize = 3;
+const FRAME_OVERHEAD: usize = 3;
 
 /// The fixed mix-payload length (in bytes) for a deployment with plaintext
 /// length `message_len` in the trap variant: every trap and every inner
@@ -128,7 +128,7 @@ impl MixPayload {
     }
 
     /// The canonical bytes a trap commitment is computed over.
-    pub fn trap_commit_bytes(gid: u32, nonce: &[u8; TRAP_NONCE_LEN]) -> Vec<u8> {
+    pub(crate) fn trap_commit_bytes(gid: u32, nonce: &[u8; TRAP_NONCE_LEN]) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(4 + TRAP_NONCE_LEN);
         bytes.extend_from_slice(&gid.to_le_bytes());
         bytes.extend_from_slice(nonce);
@@ -139,7 +139,7 @@ impl MixPayload {
 /// The exit-side load-balancing function for inner ciphertexts: a hash of the
 /// ciphertext picks the group that will hold it for decryption (§4.4,
 /// "a deterministic function that will load-balance").
-pub fn inner_target_group(inner_bytes: &[u8], num_groups: usize) -> usize {
+pub(crate) fn inner_target_group(inner_bytes: &[u8], num_groups: usize) -> usize {
     let digest = sha3_256(inner_bytes);
     let mut value = 0u64;
     for &b in &digest[..8] {

@@ -240,7 +240,7 @@ pub struct TrapIntake {
 /// Verifies NIZK-variant submissions and buckets them by entry group
 /// (the submission phase of §4.3). Shared by the sequential driver and the
 /// parallel runtime.
-pub fn verify_nizk_submissions(
+fn verify_nizk_submissions(
     setup: &RoundSetup,
     submissions: &[NizkSubmission],
 ) -> AtomResult<Vec<Vec<MessageCiphertext>>> {

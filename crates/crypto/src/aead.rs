@@ -8,11 +8,11 @@
 use crate::error::CryptoError;
 
 /// Size of a ChaCha20-Poly1305 key in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Size of a nonce in bytes.
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 /// Size of the authentication tag in bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 /// The ChaCha20 quarter round.
 #[inline(always)]
@@ -64,7 +64,7 @@ fn chacha20_block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) ->
 
 /// Encrypts or decrypts `data` in place with the ChaCha20 stream cipher,
 /// starting at block `counter`.
-pub fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
     for (block_idx, chunk) in data.chunks_mut(64).enumerate() {
         let block = chacha20_block(key, counter.wrapping_add(block_idx as u32), nonce);
         for (byte, key_byte) in chunk.iter_mut().zip(block.iter()) {
@@ -297,7 +297,12 @@ fn poly1305_aead_tag(otk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_
 }
 
 /// Encrypts `plaintext` with ChaCha20-Poly1305, returning ciphertext || tag.
-pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+pub(crate) fn seal(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    plaintext: &[u8],
+) -> Vec<u8> {
     let otk_block = chacha20_block(key, 0, nonce);
     let otk: [u8; 32] = otk_block[..32].try_into().unwrap();
 
@@ -309,7 +314,7 @@ pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext:
 }
 
 /// Decrypts and authenticates a ciphertext produced by [`seal`].
-pub fn open(
+pub(crate) fn open(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],

@@ -5,7 +5,7 @@
 //! carries NIZK proofs and every mixing hop re-encrypts — so this module
 //! concentrates the three amortization layers the hot paths share:
 //!
-//! * **Fixed-base tables** ([`fixed_base_table`] / [`mul_fixed`]): a
+//! * **Fixed-base tables** (`fixed_base_table` / [`mul_fixed`]): a
 //!   Lim–Lee comb precomputed once per base — the exponent read as 8 rows
 //!   of 32 bits, every product of the 8 row units tabulated for each of
 //!   two 16-column blocks — so a fixed-base exponentiation is 15 squarings
@@ -18,7 +18,7 @@
 //!   itself after three or four uses; round keys are reused thousands of
 //!   times.
 //!
-//! * **Multi-exponentiation** ([`multiscalar_mul`]): the folded sums of the
+//! * **Multi-exponentiation** (`multiscalar_mul`): the folded sums of the
 //!   aggregated `ReEncProof`, the vector commitments of a `ShufProof` and
 //!   the big RLC combinations below share a single squaring chain across all
 //!   terms. Small products use Straus/Shamir interleaving
@@ -46,7 +46,7 @@
 //! ## Soundness of the RLC combination
 //!
 //! The coefficients `ρ_e` are one squeeze stream
-//! ([`Transcript::challenge_coefficients`]) of a SHAKE256 Fiat-Shamir
+//! (`Transcript::challenge_coefficients`) of a SHAKE256 Fiat-Shamir
 //! transcript that absorbs every per-proof challenge and response before
 //! the first coefficient is squeezed, so a prover must commit to all
 //! equations before learning any `ρ_e`. If some equation has error
@@ -158,7 +158,7 @@ fn table_cache() -> &'static Mutex<HashMap<[u8; 32], Arc<RistrettoBasepointTable
 /// The shared precomputed table for `point`, building and caching it
 /// on first use. The comb build itself happens lazily outside the cache
 /// lock, so concurrent callers never serialize on table construction.
-pub fn fixed_base_table(point: &RistrettoPoint) -> Arc<RistrettoBasepointTable> {
+pub(crate) fn fixed_base_table(point: &RistrettoPoint) -> Arc<RistrettoBasepointTable> {
     let key = point.compress().to_bytes();
     let mut cache = table_cache().lock();
     if let Some(table) = cache.get(&key) {
@@ -190,16 +190,10 @@ pub fn mul_fixed(point: &RistrettoPoint, scalar: &Scalar) -> RistrettoPoint {
 /// interleaving, Pippenger buckets past the backend's crossover). Terms are
 /// taken as given: callers that meet the same point in several equations
 /// merge its coefficients by index first (`nizk::shuffle`'s accumulator).
-pub fn multiscalar_mul(scalars: &[Scalar], points: &[RistrettoPoint]) -> RistrettoPoint {
+pub(crate) fn multiscalar_mul(scalars: &[Scalar], points: &[RistrettoPoint]) -> RistrettoPoint {
     MULTIEXP_CALLS.add(1);
     MULTIEXP_TERMS.add(scalars.len() as u64);
     RistrettoPoint::multiscalar_mul(scalars, points)
-}
-
-/// Batched scalar inversion (Montgomery's trick): one Fermat exponentiation
-/// for the whole slice. Panics on zero, like `Scalar::invert`.
-pub fn batch_invert(scalars: &[Scalar]) -> Vec<Scalar> {
-    Scalar::batch_invert(scalars)
 }
 
 /// One `EncProof` verification instance for [`verify_encryption_batch`].

@@ -55,16 +55,6 @@ impl DkgParams {
     pub fn anytrust(participants: usize) -> CryptoResult<Self> {
         Self::new(participants, participants)
     }
-
-    /// Many-trust parameters tolerating `h − 1` failures (`t = k − (h−1)`).
-    pub fn many_trust(participants: usize, honest: usize) -> CryptoResult<Self> {
-        if honest == 0 || honest > participants {
-            return Err(CryptoError::Parameter(format!(
-                "invalid honest-count {honest} for group of {participants}"
-            )));
-        }
-        Self::new(participants, participants - (honest - 1))
-    }
 }
 
 /// A dealing broadcast by one participant: public Feldman commitments and the
@@ -80,7 +70,7 @@ pub struct Dealing {
 }
 
 /// Creates the dealing for participant `dealer_index` (1-based).
-pub fn deal<R: RngCore + CryptoRng>(dealer_index: u64, params: &DkgParams, rng: &mut R) -> Dealing {
+fn deal<R: RngCore + CryptoRng>(dealer_index: u64, params: &DkgParams, rng: &mut R) -> Dealing {
     let poly = Polynomial::random(Scalar::random(rng), params.threshold, rng);
     let commitments = poly.feldman_commitments();
     let shares = (1..=params.participants as u64)
@@ -96,7 +86,7 @@ pub fn deal<R: RngCore + CryptoRng>(dealer_index: u64, params: &DkgParams, rng: 
 /// A complaint filed by a member against a dealer whose share failed to
 /// verify against its Feldman commitments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Complaint {
+struct Complaint {
     /// The complaining member (1-based).
     pub member: u64,
     /// The accused dealer (1-based).
@@ -104,7 +94,7 @@ pub struct Complaint {
 }
 
 /// Verifies the share destined for `member_index` inside a dealing.
-pub fn verify_dealing_for(dealing: &Dealing, member_index: u64, params: &DkgParams) -> bool {
+fn verify_dealing_for(dealing: &Dealing, member_index: u64, params: &DkgParams) -> bool {
     if dealing.commitments.len() != params.threshold || dealing.shares.len() != params.participants
     {
         return false;
@@ -118,11 +108,7 @@ pub fn verify_dealing_for(dealing: &Dealing, member_index: u64, params: &DkgPara
 }
 
 /// Collects complaints from `member_index` against all invalid dealings.
-pub fn complaints_for(
-    dealings: &[Dealing],
-    member_index: u64,
-    params: &DkgParams,
-) -> Vec<Complaint> {
+fn complaints_for(dealings: &[Dealing], member_index: u64, params: &DkgParams) -> Vec<Complaint> {
     dealings
         .iter()
         .filter(|d| !verify_dealing_for(d, member_index, params))
@@ -149,11 +135,6 @@ pub struct DkgShare {
 }
 
 impl DkgShare {
-    /// The verification key of this member.
-    pub fn own_verification_key(&self) -> RistrettoPoint {
-        self.verification_keys[(self.index - 1) as usize]
-    }
-
     /// The effective peeling exponent for this member when the set
     /// `participating` (1-based indices, including this member) runs the
     /// threshold decryption/re-encryption.
@@ -178,7 +159,7 @@ impl DkgShare {
 ///
 /// `disqualified` lists dealer indices excluded after the complaint round;
 /// their dealings are ignored. At least one qualified dealing must remain.
-pub fn aggregate(
+fn aggregate(
     dealings: &[Dealing],
     params: &DkgParams,
     disqualified: &[u64],
@@ -308,10 +289,6 @@ mod tests {
         assert!(DkgParams::new(4, 5).is_err());
         assert!(DkgParams::new(0, 0).is_err());
         assert_eq!(DkgParams::anytrust(8).unwrap().threshold, 8);
-        let mt = DkgParams::many_trust(33, 2).unwrap();
-        assert_eq!(mt.threshold, 32);
-        assert!(DkgParams::many_trust(4, 0).is_err());
-        assert!(DkgParams::many_trust(4, 5).is_err());
     }
 
     #[test]
@@ -322,7 +299,7 @@ mod tests {
         for share in &shares {
             assert_eq!(share.group_public, group_public);
             assert_eq!(
-                share.own_verification_key(),
+                share.verification_keys[(share.index - 1) as usize],
                 crate::elgamal::KeyPair::from_secret(share.secret_share)
                     .public
                     .0
@@ -339,7 +316,7 @@ mod tests {
     #[test]
     fn threshold_decryption_via_lagrange_peeling() {
         let mut rng = rng();
-        let params = DkgParams::many_trust(5, 2).unwrap(); // 4-of-5
+        let params = DkgParams::new(5, 4).unwrap(); // 4-of-5
         let (group_public, shares) = run_dkg(&params, &mut rng).unwrap();
 
         let message = RistrettoPoint::random(&mut rng);

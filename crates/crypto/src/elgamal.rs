@@ -23,7 +23,6 @@ use curve25519_dalek::constants::RISTRETTO_BASEPOINT_TABLE;
 use curve25519_dalek::ristretto::RistrettoPoint;
 use curve25519_dalek::scalar::Scalar;
 use curve25519_dalek::traits::Identity;
-use rand::rngs::OsRng;
 use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
@@ -63,13 +62,8 @@ impl KeyPair {
         Self::from_secret(x)
     }
 
-    /// Generates a fresh keypair from the operating-system RNG.
-    pub fn generate_default() -> Self {
-        Self::generate(&mut OsRng)
-    }
-
     /// Builds a keypair from an existing secret scalar.
-    pub fn from_secret(x: Scalar) -> Self {
+    pub(crate) fn from_secret(x: Scalar) -> Self {
         let public = PublicKey(x * RISTRETTO_BASEPOINT_TABLE);
         Self {
             secret: SecretKey(x),
@@ -79,16 +73,6 @@ impl KeyPair {
 }
 
 impl PublicKey {
-    /// Combines several public keys into an anytrust group key
-    /// (the "product of the public keys of all servers" in §4.2).
-    pub fn combine<'a>(keys: impl IntoIterator<Item = &'a PublicKey>) -> PublicKey {
-        let mut sum = RistrettoPoint::identity();
-        for key in keys {
-            sum += key.0;
-        }
-        PublicKey(sum)
-    }
-
     /// The canonical 32-byte encoding of the key.
     pub fn to_bytes(&self) -> [u8; 32] {
         self.0.compress().to_bytes()
@@ -182,26 +166,8 @@ pub fn decrypt(sk: &SecretKey, ct: &Ciphertext) -> CryptoResult<RistrettoPoint> 
     Ok(ct.c + -sk.0 * ct.r)
 }
 
-/// Rerandomizes a ciphertext for public key `pk`, returning the fresh
-/// randomness (needed for shuffle proofs). Fails if `Y ≠ ⊥`.
-pub fn rerandomize<R: RngCore + CryptoRng>(
-    pk: &PublicKey,
-    ct: &Ciphertext,
-    rng: &mut R,
-) -> CryptoResult<(Ciphertext, Scalar)> {
-    if ct.y.is_some() {
-        return Err(CryptoError::UnexpectedAuxComponent);
-    }
-    let r = Scalar::random(rng);
-    Ok((rerandomize_with(pk, ct, &r), r))
-}
-
-/// Rerandomizes a ciphertext with caller-provided randomness.
-pub fn rerandomize_with(pk: &PublicKey, ct: &Ciphertext, r: &Scalar) -> Ciphertext {
-    rerandomize_with_table(&crate::batch::fixed_base_table(&pk.0), ct, r)
-}
-
-/// [`rerandomize_with`] against an already-fetched key table.
+/// Rerandomizes a ciphertext with caller-provided randomness `r`, against
+/// the key's already-fetched fixed-base table.
 fn rerandomize_with_table(
     pk_table: &curve25519_dalek::ristretto::RistrettoBasepointTable,
     ct: &Ciphertext,
@@ -263,17 +229,6 @@ fn reencrypt_with_table<R: RngCore + CryptoRng>(
     (out, witness)
 }
 
-/// Deterministic core of [`reencrypt`] with caller-provided randomness.
-pub fn reencrypt_with(
-    peel_secret: &Scalar,
-    next_pk: Option<&PublicKey>,
-    ct: &Ciphertext,
-    fresh: &Scalar,
-) -> Ciphertext {
-    let next_table = next_pk.map(|next| crate::batch::fixed_base_table(&next.0));
-    reencrypt_with_table_core(peel_secret, next_table.as_deref(), ct, fresh)
-}
-
 fn reencrypt_with_table_core(
     peel_secret: &Scalar,
     next_table: Option<&curve25519_dalek::ristretto::RistrettoBasepointTable>,
@@ -308,7 +263,7 @@ fn reencrypt_around_peel(
 /// The public "swap view" of a ciphertext as seen by a re-encryption proof:
 /// the `(R, Y)` pair after the deterministic `Y := R, R := 0` swap has been
 /// applied when `Y = ⊥`. Both prover and verifier compute this locally.
-pub fn swap_view(ct: &Ciphertext) -> (RistrettoPoint, RistrettoPoint) {
+pub(crate) fn swap_view(ct: &Ciphertext) -> (RistrettoPoint, RistrettoPoint) {
     match ct.y {
         Some(y) => (ct.r, y),
         None => (RistrettoPoint::identity(), ct.r),
@@ -481,6 +436,52 @@ pub fn shuffle<R: RngCore + CryptoRng>(
             randomness,
         },
     ))
+}
+
+#[cfg(test)]
+impl PublicKey {
+    /// Combines several public keys into an anytrust group key
+    /// (the "product of the public keys of all servers" in §4.2).
+    pub(crate) fn combine<'a>(keys: impl IntoIterator<Item = &'a PublicKey>) -> PublicKey {
+        let mut sum = RistrettoPoint::identity();
+        for key in keys {
+            sum += key.0;
+        }
+        PublicKey(sum)
+    }
+}
+
+#[cfg(test)]
+/// Rerandomizes a ciphertext for public key `pk`, returning the fresh
+/// randomness (needed for shuffle proofs). Fails if `Y ≠ ⊥`.
+pub(crate) fn rerandomize<R: RngCore + CryptoRng>(
+    pk: &PublicKey,
+    ct: &Ciphertext,
+    rng: &mut R,
+) -> CryptoResult<(Ciphertext, Scalar)> {
+    if ct.y.is_some() {
+        return Err(CryptoError::UnexpectedAuxComponent);
+    }
+    let r = Scalar::random(rng);
+    Ok((rerandomize_with(pk, ct, &r), r))
+}
+
+#[cfg(test)]
+/// Rerandomizes a ciphertext with caller-provided randomness.
+fn rerandomize_with(pk: &PublicKey, ct: &Ciphertext, r: &Scalar) -> Ciphertext {
+    rerandomize_with_table(&crate::batch::fixed_base_table(&pk.0), ct, r)
+}
+
+#[cfg(test)]
+/// Deterministic core of [`reencrypt`] with caller-provided randomness.
+fn reencrypt_with(
+    peel_secret: &Scalar,
+    next_pk: Option<&PublicKey>,
+    ct: &Ciphertext,
+    fresh: &Scalar,
+) -> Ciphertext {
+    let next_table = next_pk.map(|next| crate::batch::fixed_base_table(&next.0));
+    reencrypt_with_table_core(peel_secret, next_table.as_deref(), ct, fresh)
 }
 
 #[cfg(test)]

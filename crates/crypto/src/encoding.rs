@@ -3,7 +3,7 @@
 //! Atom's rerandomizable ElGamal operates on group elements, so plaintext
 //! bytes must be embedded into curve points before encryption and recovered
 //! after decryption (the paper embeds 32 bytes per NIST P-256 point; here we
-//! embed [`PAYLOAD_PER_POINT`] bytes per point).
+//! embed `PAYLOAD_PER_POINT` bytes per point).
 //!
 //! The embedding writes the canonical 32-byte encoding directly: the payload
 //! in the low bytes and `len + 1` in the top byte. This is the one file that
@@ -19,7 +19,7 @@ use curve25519_dalek::ristretto::{CompressedRistretto, RistrettoPoint};
 use crate::error::{CryptoError, CryptoResult};
 
 /// Number of message payload bytes carried by a single group element.
-pub const PAYLOAD_PER_POINT: usize = 31;
+const PAYLOAD_PER_POINT: usize = 31;
 
 /// Byte offset of the marker `len + 1`, the encoding's most significant byte.
 const MARKER: usize = 31;
@@ -37,7 +37,7 @@ pub fn points_needed(len: usize) -> usize {
 }
 
 /// Embeds a chunk of at most [`PAYLOAD_PER_POINT`] bytes into a point.
-pub fn encode_chunk(chunk: &[u8]) -> CryptoResult<RistrettoPoint> {
+fn encode_chunk(chunk: &[u8]) -> CryptoResult<RistrettoPoint> {
     if chunk.len() > PAYLOAD_PER_POINT {
         return Err(CryptoError::EncodingFailed(format!(
             "chunk of {} bytes exceeds {} bytes per point",
@@ -54,7 +54,7 @@ pub fn encode_chunk(chunk: &[u8]) -> CryptoResult<RistrettoPoint> {
 }
 
 /// Recovers the payload bytes embedded in a point by [`encode_chunk`].
-pub fn decode_chunk(point: &RistrettoPoint) -> CryptoResult<Vec<u8>> {
+fn decode_chunk(point: &RistrettoPoint) -> CryptoResult<Vec<u8>> {
     let bytes = point.compress().to_bytes();
     let marker = bytes[MARKER] as usize;
     if marker == 0 || marker > PAYLOAD_PER_POINT + 1 {

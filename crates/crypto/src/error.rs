@@ -45,4 +45,4 @@ impl fmt::Display for CryptoError {
 impl std::error::Error for CryptoError {}
 
 /// Convenience result alias for crypto operations.
-pub type CryptoResult<T> = Result<T, CryptoError>;
+pub(crate) type CryptoResult<T> = Result<T, CryptoError>;

@@ -47,7 +47,7 @@ const RHO: [[u32; 5]; 5] = [
 ///
 /// The state is indexed as `state[x + 5 * y]` holding lane (x, y), matching
 /// the FIPS 202 byte ordering when lanes are loaded little-endian.
-pub fn keccak_f1600(state: &mut [u64; 25]) {
+fn keccak_f1600(state: &mut [u64; 25]) {
     for rc in ROUND_CONSTANTS {
         // Theta.
         let mut c = [0u64; 5];
@@ -89,7 +89,7 @@ pub fn keccak_f1600(state: &mut [u64; 25]) {
 
 /// An incremental Keccak sponge with a configurable rate and domain padding.
 #[derive(Clone)]
-pub struct KeccakSponge {
+struct KeccakSponge {
     state: [u64; 25],
     /// Rate in bytes (136 for SHA3-256 / SHAKE256).
     rate: usize,
@@ -105,7 +105,7 @@ pub struct KeccakSponge {
 
 impl KeccakSponge {
     /// Creates a sponge with the given byte rate and padding byte.
-    pub fn new(rate: usize, pad: u8) -> Self {
+    pub(crate) fn new(rate: usize, pad: u8) -> Self {
         assert!(
             rate > 0 && rate < 200 && rate.is_multiple_of(8),
             "invalid Keccak rate"
@@ -174,7 +174,7 @@ impl KeccakSponge {
     }
 
     /// Absorbs input into the sponge. Panics if called after squeezing began.
-    pub fn absorb(&mut self, mut data: &[u8]) {
+    pub(crate) fn absorb(&mut self, mut data: &[u8]) {
         assert!(!self.squeezing, "cannot absorb after squeezing started");
         while !data.is_empty() {
             let take = data.len().min(self.rate - self.offset);
@@ -198,7 +198,7 @@ impl KeccakSponge {
     }
 
     /// Squeezes `out.len()` bytes from the sponge. May be called repeatedly.
-    pub fn squeeze(&mut self, mut out: &mut [u8]) {
+    pub(crate) fn squeeze(&mut self, mut out: &mut [u8]) {
         if !self.squeezing {
             self.finish_absorbing();
         }
@@ -226,7 +226,7 @@ pub fn sha3_256(data: &[u8]) -> [u8; 32] {
 }
 
 /// Computes a SHA3-256 digest over several input slices, as if concatenated.
-pub fn sha3_256_multi(parts: &[&[u8]]) -> [u8; 32] {
+pub(crate) fn sha3_256_multi(parts: &[&[u8]]) -> [u8; 32] {
     let mut sponge = KeccakSponge::new(136, 0x06);
     for part in parts {
         sponge.absorb(part);
@@ -238,36 +238,33 @@ pub fn sha3_256_multi(parts: &[&[u8]]) -> [u8; 32] {
 
 /// An incremental SHAKE256 extendable-output function.
 #[derive(Clone)]
-pub struct Shake256 {
+pub(crate) struct Shake256 {
     sponge: KeccakSponge,
-}
-
-impl Default for Shake256 {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Shake256 {
     /// Creates an empty SHAKE256 instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             sponge: KeccakSponge::new(136, 0x1f),
         }
     }
 
     /// Absorbs more input.
-    pub fn absorb(&mut self, data: &[u8]) {
+    pub(crate) fn absorb(&mut self, data: &[u8]) {
         self.sponge.absorb(data);
     }
 
     /// Squeezes `out.len()` bytes of output; callable repeatedly for a stream.
-    pub fn squeeze(&mut self, out: &mut [u8]) {
+    pub(crate) fn squeeze(&mut self, out: &mut [u8]) {
         self.sponge.squeeze(out);
     }
+}
 
+#[cfg(test)]
+impl Shake256 {
     /// One-shot convenience: SHAKE256(data) truncated/extended to `n` bytes.
-    pub fn hash(data: &[u8], n: usize) -> Vec<u8> {
+    fn hash(data: &[u8], n: usize) -> Vec<u8> {
         let mut xof = Self::new();
         xof.absorb(data);
         let mut out = vec![0u8; n];

@@ -19,9 +19,9 @@
 //!   ciphertexts (§4.4).
 //! * [`commit`] — SHA-3 commitments for trap messages.
 //! * [`encoding`] — embedding byte messages into group elements.
-//! * [`keccak`], [`aead`] — SHA-3/SHAKE256 and ChaCha20-Poly1305 implemented
+//! * [`keccak`], `aead` — SHA-3/SHAKE256 and ChaCha20-Poly1305 implemented
 //!   from scratch.
-//! * [`pedersen`], [`transcript`] — vector Pedersen commitments and the
+//! * `pedersen`, `transcript` — vector Pedersen commitments and the
 //!   Fiat-Shamir transcript used by the proofs.
 //!
 //! The group is Ristretto255 (`curve25519-dalek`) where the paper uses NIST
@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aead;
+mod aead;
 pub mod batch;
 pub mod cca2;
 pub mod commit;
@@ -42,12 +42,12 @@ pub mod encoding;
 pub mod error;
 pub mod keccak;
 pub mod nizk;
-pub mod pedersen;
+mod pedersen;
 pub mod sharing;
-pub mod transcript;
+mod transcript;
 
 pub use curve25519_dalek::ristretto::RistrettoPoint;
 pub use curve25519_dalek::scalar::Scalar;
 
 pub use elgamal::{Ciphertext, KeyPair, MessageCiphertext, PublicKey, SecretKey};
-pub use error::{CryptoError, CryptoResult};
+pub use error::CryptoError;

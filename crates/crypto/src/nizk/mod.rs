@@ -21,5 +21,5 @@ pub mod reenc;
 pub mod shuffle;
 
 pub use enc::{prove_encryption, verify_encryption, EncProof};
-pub use reenc::{prove_reencryption, verify_reencryption, ReEncProof};
+pub use reenc::{prove_reencryption, ReEncProof};
 pub use shuffle::{prove_shuffle, verify_shuffle, ShuffleProof};

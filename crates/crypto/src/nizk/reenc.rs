@@ -4,7 +4,7 @@
 //!
 //! Let `(R₀, Y₀)` be an input ciphertext after the deterministic
 //! `Y := R, R := 0` swap (applied when the input has `Y = ⊥`; both prover and
-//! verifier compute it locally with [`crate::elgamal::swap_view`]). The server
+//! verifier compute it locally with `crate::elgamal::swap_view`). The server
 //! holds a peeling exponent `x` with public verification key `P = xB` (its
 //! own public key in the anytrust variant, or the Lagrange-weighted Feldman
 //! verification share in the many-trust variant) and fresh randomness `f_l`
@@ -320,7 +320,10 @@ pub fn prove_reencryption<R: RngCore + CryptoRng>(
 }
 
 /// [`verify_reencryption_slice`] for a sub-batch of one message.
-pub fn verify_reencryption(stmt: &ReEncStatement<'_>, proof: &ReEncProof) -> CryptoResult<()> {
+pub(crate) fn verify_reencryption(
+    stmt: &ReEncStatement<'_>,
+    proof: &ReEncProof,
+) -> CryptoResult<()> {
     verify_reencryption_slice(std::slice::from_ref(stmt), proof)
 }
 

@@ -5,7 +5,7 @@
 //! shuffle (ref. \[59\] in the paper); this is the Bayer–Groth shuffle
 //! argument (EUROCRYPT 2012) with the batch laid out as **one row** (their
 //! `m = 1`, `n` = batch size, fixed — there is no shape parameter). Vectors
-//! are committed whole under [`CommitmentKey`], `com(v; r) = r·H + Σ v_i·G_i`,
+//! are committed whole under `CommitmentKey`, `com(v; r) = r·H + Σ v_i·G_i`,
 //! so a proof is `6 + 2L` group elements and `3n + L + 3` scalars for `n`
 //! messages of `L` components. Why one row: Bayer–Groth's `m × n` layout
 //! shrinks the proof to `O(m + n)` elements, but without their FFT
@@ -122,13 +122,6 @@ pub struct ShuffleProof {
     pub response_powers_blinding: Scalar,
     /// `τ_l`: responses for the aggregated rerandomizers `ρ*_l`.
     pub response_rho: Vec<Scalar>,
-}
-
-impl ShuffleProof {
-    /// Bytes of the proof at 32 per group element and per scalar.
-    pub fn encoded_len(&self) -> usize {
-        32 * (9 + 3 * self.response_rho.len() + 3 * self.response_values.len())
-    }
 }
 
 /// Checks the statement shape; returns (n, L).
@@ -605,6 +598,14 @@ fn combine<'a>(links: &[ShuffleVerification<'a>]) -> CryptoResult<RlcAccumulator
 /// [`crate::batch::verify_shuffle_batch`] asks link by link.
 pub(crate) fn verify_chain(links: &[ShuffleVerification<'_>]) -> CryptoResult<()> {
     combine(links)?.check()
+}
+
+#[cfg(test)]
+impl ShuffleProof {
+    /// Bytes of the proof at 32 per group element and per scalar.
+    fn encoded_len(&self) -> usize {
+        32 * (9 + 3 * self.response_rho.len() + 3 * self.response_values.len())
+    }
 }
 
 /// How many terms the chain's one multi-exponentiation takes.

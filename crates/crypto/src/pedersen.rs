@@ -14,7 +14,7 @@ use crate::keccak::Shake256;
 /// `RistrettoPoint::from_uniform_bytes` maps the hash output uniformly onto
 /// the group, so nobody knows the discrete log of the result with respect to
 /// the basepoint.
-pub fn derive_generator(label: &[u8]) -> RistrettoPoint {
+fn derive_generator(label: &[u8]) -> RistrettoPoint {
     let mut xof = Shake256::new();
     xof.absorb(b"atom-pedersen-generator");
     xof.absorb(&(label.len() as u64).to_le_bytes());
@@ -49,7 +49,7 @@ fn vector_generators(n: usize) -> Arc<Vec<RistrettoPoint>> {
 /// Commitment key: the blinding generator `H` and value generators `G_i`,
 /// all nothing-up-my-sleeve derived.
 #[derive(Clone, Debug)]
-pub struct CommitmentKey {
+pub(crate) struct CommitmentKey {
     /// Blinding generator.
     pub h: RistrettoPoint,
     /// Value generators; at least as many as [`CommitmentKey::atom`] was
@@ -60,7 +60,7 @@ pub struct CommitmentKey {
 impl CommitmentKey {
     /// The fixed commitment key used throughout Atom's shuffle proofs, wide
     /// enough for vectors of `n` entries.
-    pub fn atom(n: usize) -> Self {
+    pub(crate) fn atom(n: usize) -> Self {
         Self {
             h: derive_generator(b"shuffle-blinding-H"),
             g: vector_generators(n),
@@ -70,7 +70,7 @@ impl CommitmentKey {
     /// Commits to `values` with blinding factor `blinding`: one fixed-base
     /// exponentiation for `H` and one multi-exponentiation over the value
     /// generators (zero entries cost nothing).
-    pub fn commit(&self, values: &[Scalar], blinding: &Scalar) -> RistrettoPoint {
+    pub(crate) fn commit(&self, values: &[Scalar], blinding: &Scalar) -> RistrettoPoint {
         crate::batch::mul_fixed(&self.h, blinding)
             + crate::batch::multiscalar_mul(values, &self.g[..values.len()])
     }

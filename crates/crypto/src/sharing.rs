@@ -27,13 +27,17 @@ pub struct Share {
 
 /// A random polynomial of degree `threshold − 1` with `f(0) = secret`.
 #[derive(Clone, Debug)]
-pub struct Polynomial {
+pub(crate) struct Polynomial {
     coefficients: Vec<Scalar>,
 }
 
 impl Polynomial {
     /// Samples a polynomial with the given constant term and threshold.
-    pub fn random<R: RngCore + CryptoRng>(secret: Scalar, threshold: usize, rng: &mut R) -> Self {
+    pub(crate) fn random<R: RngCore + CryptoRng>(
+        secret: Scalar,
+        threshold: usize,
+        rng: &mut R,
+    ) -> Self {
         assert!(threshold >= 1, "threshold must be at least 1");
         let mut coefficients = Vec::with_capacity(threshold);
         coefficients.push(secret);
@@ -43,13 +47,8 @@ impl Polynomial {
         Self { coefficients }
     }
 
-    /// The threshold (number of shares needed to reconstruct).
-    pub fn threshold(&self) -> usize {
-        self.coefficients.len()
-    }
-
     /// Evaluates the polynomial at `index` (Horner's rule).
-    pub fn evaluate(&self, index: u64) -> Scalar {
+    fn evaluate(&self, index: u64) -> Scalar {
         let x = Scalar::from(index);
         let mut acc = Scalar::ZERO;
         for coeff in self.coefficients.iter().rev() {
@@ -59,7 +58,7 @@ impl Polynomial {
     }
 
     /// Produces the share for participant `index`.
-    pub fn share(&self, index: u64) -> Share {
+    pub(crate) fn share(&self, index: u64) -> Share {
         Share {
             index,
             value: self.evaluate(index),
@@ -67,16 +66,11 @@ impl Polynomial {
     }
 
     /// Feldman commitments to every coefficient (`A_m = a_m · B`).
-    pub fn feldman_commitments(&self) -> Vec<RistrettoPoint> {
+    pub(crate) fn feldman_commitments(&self) -> Vec<RistrettoPoint> {
         self.coefficients
             .iter()
             .map(|c| c * RISTRETTO_BASEPOINT_TABLE)
             .collect()
-    }
-
-    /// The secret (constant term).
-    pub fn secret(&self) -> Scalar {
-        self.coefficients[0]
     }
 }
 
@@ -99,7 +93,7 @@ pub fn split<R: RngCore + CryptoRng>(
 
 /// Computes the Lagrange coefficient for `index` within the participating
 /// set `indices`, evaluated at zero.
-pub fn lagrange_coefficient(indices: &[u64], index: u64) -> CryptoResult<Scalar> {
+pub(crate) fn lagrange_coefficient(indices: &[u64], index: u64) -> CryptoResult<Scalar> {
     if !indices.contains(&index) {
         return Err(CryptoError::Sharing(format!(
             "index {index} is not in the participating set"
@@ -126,7 +120,7 @@ pub fn lagrange_coefficient(indices: &[u64], index: u64) -> CryptoResult<Scalar>
 /// participating set at once, with a single Fermat inversion for all
 /// denominators (Montgomery's trick) instead of one per index. The result
 /// is ordered like `indices`; duplicate indices are rejected.
-pub fn lagrange_coefficients(indices: &[u64]) -> CryptoResult<Vec<Scalar>> {
+fn lagrange_coefficients(indices: &[u64]) -> CryptoResult<Vec<Scalar>> {
     let mut sorted = indices.to_vec();
     sorted.sort_unstable();
     if sorted.windows(2).any(|w| w[0] == w[1]) {
@@ -178,14 +172,14 @@ pub fn reconstruct(shares: &[Share]) -> CryptoResult<Scalar> {
 
 /// Verifies a share against Feldman commitments:
 /// `share.value · B == Σ_m index^m · A_m`.
-pub fn verify_share(share: &Share, commitments: &[RistrettoPoint]) -> bool {
+pub(crate) fn verify_share(share: &Share, commitments: &[RistrettoPoint]) -> bool {
     let expected = evaluate_commitments(commitments, share.index);
     share.value * RISTRETTO_BASEPOINT_TABLE == expected
 }
 
 /// Evaluates Feldman commitments at `index`, yielding `f(index) · B` without
 /// knowing the polynomial.
-pub fn evaluate_commitments(commitments: &[RistrettoPoint], index: u64) -> RistrettoPoint {
+pub(crate) fn evaluate_commitments(commitments: &[RistrettoPoint], index: u64) -> RistrettoPoint {
     let x = Scalar::from(index);
     let mut acc = RistrettoPoint::identity();
     for commitment in commitments.iter().rev() {

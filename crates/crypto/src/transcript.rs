@@ -7,7 +7,7 @@
 //! group id for EncProof) into the challenge is what makes the proofs
 //! non-malleable across groups, as required by §3 and Appendix A.
 
-use curve25519_dalek::ristretto::{CompressedRistretto, RistrettoPoint};
+use curve25519_dalek::ristretto::RistrettoPoint;
 use curve25519_dalek::scalar::Scalar;
 
 use crate::elgamal::MessageCiphertext;
@@ -18,13 +18,13 @@ use crate::keccak::Shake256;
 /// Each absorbed item is framed as `len(label) || label || len(data) || data`
 /// so that distinct sequences of appends can never collide.
 #[derive(Clone)]
-pub struct Transcript {
+pub(crate) struct Transcript {
     xof: Shake256,
 }
 
 impl Transcript {
     /// Creates a transcript with a protocol-level domain separation label.
-    pub fn new(domain: &'static [u8]) -> Self {
+    pub(crate) fn new(domain: &'static [u8]) -> Self {
         let mut xof = Shake256::new();
         xof.absorb(b"atom-transcript-v1");
         let mut t = Self { xof };
@@ -40,33 +40,28 @@ impl Transcript {
     }
 
     /// Appends a labelled byte string.
-    pub fn append_bytes(&mut self, label: &'static [u8], data: &[u8]) {
+    pub(crate) fn append_bytes(&mut self, label: &'static [u8], data: &[u8]) {
         self.frame(label, data.len());
         self.xof.absorb(data);
     }
 
     /// Appends a labelled u64.
-    pub fn append_u64(&mut self, label: &'static [u8], value: u64) {
+    pub(crate) fn append_u64(&mut self, label: &'static [u8], value: u64) {
         self.append_bytes(label, &value.to_le_bytes());
     }
 
     /// Appends a labelled group element.
-    pub fn append_point(&mut self, label: &'static [u8], point: &RistrettoPoint) {
+    pub(crate) fn append_point(&mut self, label: &'static [u8], point: &RistrettoPoint) {
         self.append_bytes(label, point.compress().as_bytes());
     }
 
-    /// Appends a labelled compressed group element.
-    pub fn append_compressed(&mut self, label: &'static [u8], point: &CompressedRistretto) {
-        self.append_bytes(label, point.as_bytes());
-    }
-
     /// Appends a labelled scalar.
-    pub fn append_scalar(&mut self, label: &'static [u8], scalar: &Scalar) {
+    pub(crate) fn append_scalar(&mut self, label: &'static [u8], scalar: &Scalar) {
         self.append_bytes(label, scalar.as_bytes());
     }
 
     /// Appends a labelled scalar vector as one framed item.
-    pub fn append_scalars(&mut self, label: &'static [u8], scalars: &[Scalar]) {
+    pub(crate) fn append_scalars(&mut self, label: &'static [u8], scalars: &[Scalar]) {
         self.frame(label, 32 * scalars.len());
         for scalar in scalars {
             self.xof.absorb(scalar.as_bytes());
@@ -99,7 +94,7 @@ impl Transcript {
 
     /// Derives a challenge scalar. The transcript state advances, so repeated
     /// calls yield independent challenges.
-    pub fn challenge_scalar(&mut self, label: &'static [u8]) -> Scalar {
+    pub(crate) fn challenge_scalar(&mut self, label: &'static [u8]) -> Scalar {
         let mut wide = [0u8; 64];
         self.challenge_bytes(label, &mut wide);
         Scalar::from_bytes_mod_order_wide(&wide)
@@ -109,7 +104,7 @@ impl Transcript {
     /// bytes per call: the consumed-length marker is a single byte (part of
     /// every existing proof's transcript, so it stays one), and a longer
     /// request would wrap it.
-    pub fn challenge_bytes(&mut self, label: &'static [u8], out: &mut [u8]) {
+    pub(crate) fn challenge_bytes(&mut self, label: &'static [u8], out: &mut [u8]) {
         let consumed = u8::try_from(out.len()).expect("challenge_bytes: at most 255 bytes a call");
         // Fork the sponge for output, then fold a commitment to this
         // challenge back into the main transcript so later challenges depend
@@ -125,7 +120,7 @@ impl Transcript {
     /// framed appends and a fresh permutation per coefficient. The label and
     /// the count are absorbed before the fork, so the transcript state
     /// advances and requests of different lengths leave different states.
-    pub fn challenge_coefficients(&mut self, label: &'static [u8], n: usize) -> Vec<Scalar> {
+    pub(crate) fn challenge_coefficients(&mut self, label: &'static [u8], n: usize) -> Vec<Scalar> {
         self.append_bytes(b"coefficients-label", label);
         self.append_u64(b"coefficients-count", n as u64);
         let mut fork = self.xof.clone();

@@ -462,7 +462,7 @@ fn flush_writes(poller: &Poller, id: ConnId, c: &mut Conn) -> Result<(), CloseRe
 /// Validates a client frame header — magic, version, and a length claim
 /// of at most `max_frame` — and returns the payload length it claims. The
 /// one header check of the workspace, for the loop and for client drivers.
-pub fn check_header(header: &[u8; CLIENT_HEADER_LEN], max_frame: usize) -> Result<usize, String> {
+fn check_header(header: &[u8; CLIENT_HEADER_LEN], max_frame: usize) -> Result<usize, String> {
     let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     if magic != CLIENT_MAGIC {
         return Err(format!("bad client frame magic 0x{magic:08X}"));

@@ -42,8 +42,7 @@ pub use evloop::{
 };
 pub use tcp::{Dial, TcpOptions, TcpTransport};
 pub use transport::{
-    DeliveryHook, Envelope, FaultyTransport, InMemoryNetwork, NodeId, SendError, SendFault,
-    TrafficStats, Transport,
+    Envelope, FaultyTransport, InMemoryNetwork, NodeId, SendError, SendFault, Transport,
 };
 
 /// Serializes the unit tests that flip the process-global `atom_obs` switch.

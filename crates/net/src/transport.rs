@@ -47,15 +47,6 @@ pub struct Envelope {
     pub payload: Vec<u8>,
 }
 
-/// Aggregate traffic statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrafficStats {
-    /// Total messages sent.
-    pub messages: u64,
-    /// Total payload bytes sent.
-    pub bytes: u64,
-}
-
 /// A [`Transport::send`] that reached no mailbox: the process hosting the
 /// destination is unreachable. A peer that stops answering is an expected
 /// input (§4.5), so it travels as a value the caller matches on.
@@ -87,7 +78,7 @@ impl std::error::Error for SendError {
 /// its *local* mailboxes (whether the sender was local or a remote peer).
 /// The runtime registers one to turn arrivals into scheduler wake-ups
 /// instead of polling; transports with no hook registered just enqueue.
-pub type DeliveryHook = Arc<dyn Fn(NodeId) + Send + Sync>;
+pub(crate) type DeliveryHook = Arc<dyn Fn(NodeId) + Send + Sync>;
 
 /// A mailbox-per-node message substrate.
 ///

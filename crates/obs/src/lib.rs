@@ -200,7 +200,7 @@ fn record(span: SpanRecord) {
 }
 
 /// All spans recorded so far for `round`, in recording order.
-pub fn spans_for_round(round: u32) -> Vec<SpanRecord> {
+fn spans_for_round(round: u32) -> Vec<SpanRecord> {
     SPANS
         .lock()
         .expect("span store poisoned")

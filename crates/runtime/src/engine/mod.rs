@@ -61,7 +61,7 @@ use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
 use atom_core::message::{NizkSubmission, TrapSubmission};
 use atom_core::round::RoundOutput;
 
-use atom_net::{InMemoryNetwork, TrafficStats, Transport};
+use atom_net::{InMemoryNetwork, Transport};
 
 use crate::wire::{self, Frame};
 
@@ -79,10 +79,10 @@ use setup::SetupPhase;
 pub const MIX_LABEL: &str = "atom/mix";
 
 /// Envelope label of exit frames (group → orchestrator).
-pub const EXIT_LABEL: &str = "atom/exit";
+pub(crate) const EXIT_LABEL: &str = "atom/exit";
 
 /// Envelope label of abort notifications.
-pub const ABORT_LABEL: &str = "atom/abort";
+const ABORT_LABEL: &str = "atom/abort";
 
 /// Envelope label of sharded-setup directory frames (group → peers).
 pub const SETUP_LABEL: &str = "atom/setup";
@@ -217,7 +217,7 @@ pub struct EngineRole {
 
 impl EngineRole {
     /// The classic single-process role: coordinator hosting every group.
-    pub fn standalone(num_groups: usize) -> Self {
+    fn standalone(num_groups: usize) -> Self {
         Self {
             hosted: (0..num_groups).collect(),
             coordinator: true,
@@ -1249,16 +1249,6 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
             }
         }
     }
-}
-
-/// Aggregate transport statistics helper for reports.
-pub fn total_traffic(reports: &[AtomResult<RoundReport>]) -> TrafficStats {
-    let mut total = TrafficStats::default();
-    for report in reports.iter().flatten() {
-        total.messages += report.mix_messages;
-        total.bytes += report.mix_bytes;
-    }
-    total
 }
 
 #[cfg(test)]

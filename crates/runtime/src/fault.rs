@@ -39,7 +39,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The verdict byte used by the `evict` wire frame.
-    pub fn to_wire(self) -> u8 {
+    pub(crate) fn to_wire(self) -> u8 {
         match self {
             FaultKind::Dead => 0,
             FaultKind::Blamed => 1,
@@ -49,7 +49,7 @@ impl FaultKind {
 
     /// Parses a wire verdict byte; unknown values are rejected by the
     /// frame decoder.
-    pub fn from_wire(byte: u8) -> Option<Self> {
+    pub(crate) fn from_wire(byte: u8) -> Option<Self> {
         match byte {
             0 => Some(FaultKind::Dead),
             1 => Some(FaultKind::Blamed),

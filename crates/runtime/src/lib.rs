@@ -136,9 +136,8 @@ pub mod ingress;
 pub mod wire;
 
 pub use engine::{
-    total_traffic, Engine, EngineOptions, EngineRole, RoundCompleteHook, RoundDirectory, RoundJob,
-    RoundReport, RoundSubmissions, SubmissionBlock, SubmissionSource, ABORT_LABEL, EXIT_LABEL,
-    MIX_LABEL, SETUP_LABEL, TELEMETRY_LABEL,
+    Engine, EngineOptions, EngineRole, RoundCompleteHook, RoundDirectory, RoundJob, RoundReport,
+    RoundSubmissions, SubmissionBlock, SubmissionSource, MIX_LABEL, SETUP_LABEL, TELEMETRY_LABEL,
 };
 pub use fault::{FaultKind, FaultVerdict};
 pub use ingress::{

@@ -443,7 +443,7 @@ pub fn encode_exit(frame: &ExitFrame) -> Vec<u8> {
 
 /// Serializes an abort frame. Reasons longer than the decoder's cap are
 /// truncated at a character boundary.
-pub fn encode_abort(round: usize, reason: &str) -> Vec<u8> {
+pub(crate) fn encode_abort(round: usize, reason: &str) -> Vec<u8> {
     let reason = truncated(reason, MAX_ABORT_REASON);
     let mut out = vec![KIND_ABORT];
     put_u32(&mut out, round as u32);
@@ -552,7 +552,7 @@ pub fn encode_submit_ack(frame: &SubmitAckFrame) -> Vec<u8> {
 /// Best-effort extraction of the round index from a (possibly corrupt)
 /// frame, so a decode failure can still be attributed to its round. Every
 /// frame kind stores the round as a `u32` right after the kind byte.
-pub fn decode_round(bytes: &[u8]) -> Option<usize> {
+pub(crate) fn decode_round(bytes: &[u8]) -> Option<usize> {
     bytes
         .get(1..5)
         .map(|s| u32::from_le_bytes(s.try_into().unwrap()) as usize)

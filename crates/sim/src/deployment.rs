@@ -202,6 +202,39 @@ pub fn speedup(baseline: &DeploymentSpec, spec: &DeploymentSpec, costs: &Primiti
     estimate_round(baseline, costs).total_seconds() / estimate_round(spec, costs).total_seconds()
 }
 
+/// Analytical per-server cost of a Riposte round (IEEE S&P 2015) with
+/// `messages` messages of `cell_len` bytes, in PRG bytes expanded:
+/// `M · M · cell_len` (every write touches the whole table).
+fn riposte_server_work_bytes(messages: u64, cell_len: u64) -> u64 {
+    messages * messages * cell_len
+}
+
+/// Estimated wall-clock seconds for a Riposte deployment, calibrated by the
+/// measured PRG throughput (bytes/second) of this machine and the paper's
+/// three-server, 36-core configuration.
+pub fn riposte_latency_seconds(
+    messages: u64,
+    cell_len: u64,
+    prg_bytes_per_second: f64,
+    cores: u64,
+) -> f64 {
+    let work = riposte_server_work_bytes(messages, cell_len) as f64;
+    work / (prg_bytes_per_second * cores as f64)
+}
+
+/// Estimated wall-clock seconds for a Vuvuzela/Alpenhorn dialing round
+/// (SOSP 2015 / OSDI 2016) with `messages` messages: three sequential
+/// servers, each doing one hybrid decryption per message, parallelized over
+/// `cores`. The system scales only vertically.
+pub fn vuvuzela_latency_seconds(
+    messages: u64,
+    hybrid_ops_per_second: f64,
+    servers: u64,
+    cores: u64,
+) -> f64 {
+    (messages as f64 * servers as f64) / (hybrid_ops_per_second * cores as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,5 +305,26 @@ mod tests {
         assert!(estimate.connection_seconds > 0.0);
         assert!(estimate.trustee_seconds > 0.0);
         assert!(estimate.total_seconds() > estimate.compute_seconds);
+    }
+
+    #[test]
+    fn server_work_is_quadratic_in_messages() {
+        let w1 = riposte_server_work_bytes(1_000, 160);
+        let w2 = riposte_server_work_bytes(2_000, 160);
+        assert_eq!(w2, 4 * w1);
+    }
+
+    #[test]
+    fn latency_model_scales_with_cores() {
+        let slow = riposte_latency_seconds(1_000_000, 160, 1e9, 36);
+        let fast = riposte_latency_seconds(1_000_000, 160, 1e9, 72);
+        assert!((slow / fast - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn latency_scales_linearly_with_messages() {
+        let one = vuvuzela_latency_seconds(1_000_000, 50_000.0, 3, 36);
+        let two = vuvuzela_latency_seconds(2_000_000, 50_000.0, 3, 36);
+        assert!((two / one - 2.0).abs() < 1e-9);
     }
 }

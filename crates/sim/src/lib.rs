@@ -9,7 +9,8 @@
 //!   numbers measured on this machine.
 //! * [`deployment`] — end-to-end round-latency estimation for arbitrary
 //!   deployment sizes, including the large-scale overhead terms that make
-//!   the speed-up sub-linear beyond ~2¹⁰ servers.
+//!   the speed-up sub-linear beyond ~2¹⁰ servers, and the closed-form
+//!   Riposte and Vuvuzela/Alpenhorn latency models Table 12 compares against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

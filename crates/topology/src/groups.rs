@@ -55,7 +55,7 @@ fn ln_binomial(n: u64, k: u64) -> f64 {
 /// `h` honest servers, when each server is malicious independently with
 /// probability `f`:
 /// `Σ_{i=0}^{h−1} C(k, i) · (1−f)^i · f^(k−i)`.
-pub fn log2_group_failure_probability(k: usize, f: f64, h: usize) -> f64 {
+fn log2_group_failure_probability(k: usize, f: f64, h: usize) -> f64 {
     assert!(
         (0.0..1.0).contains(&f),
         "adversarial fraction must be in [0,1)"
@@ -84,7 +84,7 @@ pub fn log2_group_failure_probability(k: usize, f: f64, h: usize) -> f64 {
 }
 
 /// Probability (in log₂) that *any* of the `G` groups is bad (union bound).
-pub fn log2_network_failure_probability(k: usize, params: &GroupSecurityParams) -> f64 {
+fn log2_network_failure_probability(k: usize, params: &GroupSecurityParams) -> f64 {
     (params.num_groups as f64).log2()
         + log2_group_failure_probability(k, params.adversarial_fraction, params.required_honest)
 }
@@ -197,31 +197,31 @@ pub fn assign_buddies(num_groups: usize, buddy_count: usize, seed: u64) -> Vec<V
         .collect()
 }
 
-/// Per-server statistics of a group assignment: how many groups each server
-/// belongs to, and the distribution of positions it occupies.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerLoad {
-    /// Number of groups the server is a member of.
-    pub group_count: usize,
-    /// Positions (0-based) the server occupies across its groups.
-    pub positions: Vec<usize>,
-}
-
-/// Computes per-server load statistics for a group assignment.
-pub fn server_loads(num_servers: usize, groups: &[Group]) -> Vec<ServerLoad> {
-    let mut loads = vec![ServerLoad::default(); num_servers];
-    for group in groups {
-        for (position, &server) in group.members.iter().enumerate() {
-            loads[server].group_count += 1;
-            loads[server].positions.push(position);
-        }
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-server statistics of a group assignment: how many groups each server
+    /// belongs to, and the distribution of positions it occupies.
+    #[derive(Clone, Default)]
+    struct ServerLoad {
+        /// Number of groups the server is a member of.
+        group_count: usize,
+        /// Positions (0-based) the server occupies across its groups.
+        positions: Vec<usize>,
+    }
+
+    /// Computes per-server load statistics for a group assignment.
+    fn server_loads(num_servers: usize, groups: &[Group]) -> Vec<ServerLoad> {
+        let mut loads = vec![ServerLoad::default(); num_servers];
+        for group in groups {
+            for (position, &server) in group.members.iter().enumerate() {
+                loads[server].group_count += 1;
+                loads[server].positions.push(position);
+            }
+        }
+        loads
+    }
 
     #[test]
     fn form_group_matches_form_groups_entry_for_entry() {

@@ -136,12 +136,6 @@ impl Topology for ButterflyNetwork {
     }
 }
 
-/// How many ciphertexts each group handles per iteration, `C(M, N)`-style
-/// accounting from §2.2/§3: `messages / groups` in the square network.
-pub fn per_group_load(total_messages: usize, num_groups: usize) -> usize {
-    total_messages.div_ceil(num_groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,13 +185,6 @@ mod tests {
                 assert!(net.neighbors(partner, iteration).contains(&group));
             }
         }
-    }
-
-    #[test]
-    fn per_group_load_matches_paper_accounting() {
-        // 2^20 messages over 1024 groups → 1024 ciphertexts per group (§6.1).
-        assert_eq!(per_group_load(1 << 20, 1024), 1024);
-        assert_eq!(per_group_load(1000, 3), 334);
     }
 
     #[test]

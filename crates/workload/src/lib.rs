@@ -44,14 +44,14 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// the index in *before* the splitmix finalizer keeps adjacent indices
 /// statistically unrelated, which is what lets `generate(a..b)` and
 /// `generate(b..c)` concatenate into exactly `generate(a..c)`.
-pub fn index_seed(seed: u64, index: u64) -> u64 {
+fn index_seed(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ index.wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
 /// The per-submission RNG: every random choice of submission `index`
 /// (author, entry group, encryption randomness, trap nonce) draws from
 /// this stream and nothing else.
-pub fn index_rng(seed: u64, index: u64) -> StdRng {
+fn index_rng(seed: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(index_seed(seed, index))
 }
 
@@ -65,14 +65,14 @@ fn unit_f64(raw: u64) -> f64 {
 /// is the canonical use — a handful of prolific authors produce most
 /// posts, with a long tail of occasional ones.
 #[derive(Clone, Debug)]
-pub struct Zipf {
+struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// A sampler over `ranks` ranks with the given exponent. Panics on
     /// zero ranks or a non-finite exponent.
-    pub fn new(ranks: usize, exponent: f64) -> Self {
+    fn new(ranks: usize, exponent: f64) -> Self {
         assert!(ranks > 0, "a Zipf law needs at least one rank");
         assert!(exponent.is_finite(), "non-finite Zipf exponent");
         let mut cdf = Vec::with_capacity(ranks);
@@ -88,22 +88,11 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// The rank a uniform `u ∈ [0, 1)` maps to.
-    pub fn sample(&self, u: f64) -> usize {
+    fn sample(&self, u: f64) -> usize {
         self.cdf
             .partition_point(|&cum| cum <= u)
             .min(self.cdf.len() - 1)
-    }
-
-    /// The probability mass of `rank`.
-    pub fn share(&self, rank: usize) -> f64 {
-        let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - below
     }
 }
 
@@ -247,7 +236,7 @@ impl WorkloadSource {
     /// [`generate`](SubmissionSource::generate) collects the same
     /// submissions, so the socket path and the materialized path carry
     /// byte-identical submissions by construction.
-    pub fn submission_at(&self, index: usize) -> AtomResult<ClientSubmission> {
+    fn submission_at(&self, index: usize) -> AtomResult<ClientSubmission> {
         let (gid, mut rng, text) = self.draw(index);
         let (config, key) = (&self.setup.config, &self.setup.groups[gid].public_key);
         Ok(match self.spec.defense {
@@ -291,6 +280,15 @@ impl SubmissionSource for WorkloadSource {
             Defense::Nizk => SubmissionBlock::Nizk(nizk),
             Defense::Trap => SubmissionBlock::Trap(trap),
         })
+    }
+}
+
+#[cfg(test)]
+impl Zipf {
+    /// The probability mass of `rank`.
+    fn share(&self, rank: usize) -> f64 {
+        let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
+        self.cdf[rank] - below
     }
 }
 

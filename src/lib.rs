@@ -18,8 +18,8 @@
 //!   actors, barrier-free pipelined mixing, several rounds in flight.
 //! * [`apps`] — microblogging and dialing: they build a round's submissions
 //!   from its directory and read the engine's output.
-//! * [`baselines`] — simplified Riposte and Vuvuzela/Alpenhorn comparators.
-//! * [`sim`] — the calibrated large-scale deployment simulator.
+//! * [`sim`] — the calibrated large-scale deployment simulator, with the
+//!   closed-form Riposte and Vuvuzela/Alpenhorn latency models of Table 12.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! the per-table/figure reproduction harness.
@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub use atom_apps as apps;
-pub use atom_baselines as baselines;
 pub use atom_core as core;
 pub use atom_crypto as crypto;
 pub use atom_net as net;

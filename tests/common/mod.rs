@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 
 /// Collects every `.rs` file under `dir`, recursively, into `out`.
-pub fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
     for entry in entries.flatten() {
         let path = entry.path();
