@@ -162,7 +162,7 @@ fn main() {
     let start = Instant::now(); // an instant before the coordinator's own
     let outcome =
         heal::run_recovery_coordinator(spec, args.batch, addrs, workers, Some(hook), || {})
-            .unwrap_or_else(|error| {
+            .unwrap_or_else(|(error, _)| {
                 if let Some(fleet) = fleet.lock().unwrap().as_mut() {
                     fleet.kill_all();
                 }

@@ -37,6 +37,12 @@
 //! control inbox ([`TcpTransport::send_control`], [`TcpTransport::recv_control`]),
 //! which no engine run drains: a frame that overtakes a run waits there.
 //!
+//! **Telemetry** travels through the control inbox too, never through an
+//! engine run: under [`NetSpec::trace`] a member ships its new spans after
+//! each round it completes and at the done sentinel, and the coordinator
+//! sets them aside wherever it reads its inbox
+//! ([`RecoveryOutcome::telemetry`]).
+//!
 //! **Healing.** The retried detection round keeps the membership its
 //! directory was built with (frozen in the `RecoveryLedger`) and instead
 //! marks the evicted servers *failed*, so groups heal by Lagrange
@@ -72,8 +78,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use atom_obs::Snapshot;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,7 +91,7 @@ use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::message::{make_trap_submission, TrapSubmission};
 use atom_net::{Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport};
 use atom_runtime::fault::slow_groups;
-use atom_runtime::wire::{self, Frame, RejoinFrame};
+use atom_runtime::wire::{self, Frame, RejoinFrame, TelemetryFrame};
 use atom_runtime::{
     Engine, EngineOptions, EngineRole, FaultKind, FaultVerdict, RoundCompleteHook, RoundJob,
     RoundReport, RoundSubmissions,
@@ -435,6 +443,65 @@ pub struct RecoveryOutcome {
     pub healed_rounds: Vec<usize>,
     /// Wall clock of the whole recovered run.
     pub wall: Duration,
+    /// Under [`NetSpec::trace`], one snapshot per process in process order:
+    /// the coordinator's whole run, failed attempts included, and what each
+    /// member shipped. Empty untraced.
+    pub telemetry: Vec<Snapshot>,
+}
+
+/// The fleet's telemetry under `trace` (none otherwise), one snapshot per
+/// process in process order: this process's whole-run recording, and per
+/// member the spans of every frame it shipped and its latest counters.
+fn fleet_telemetry(frames: Vec<TelemetryFrame>, trace: bool) -> Vec<Snapshot> {
+    if !trace {
+        return Vec::new();
+    }
+    let mut fleet = vec![atom_obs::local_snapshot(None)];
+    for frame in frames {
+        match fleet
+            .iter_mut()
+            .find(|snapshot| snapshot.process == frame.process)
+        {
+            Some(snapshot) => {
+                snapshot.spans.extend(frame.spans);
+                snapshot.counters = frame.counters;
+            }
+            None => fleet.push(Snapshot {
+                process: frame.process,
+                counters: frame.counters,
+                spans: frame.spans,
+            }),
+        }
+    }
+    fleet.sort_by_key(|snapshot| snapshot.process);
+    fleet
+}
+
+/// A traced member's shipments to the coordinator: each sends the spans
+/// recorded since the previous one, so the recorder, which other fleet
+/// roles of the same OS process may share, is never drained.
+struct Shipper {
+    transport: Arc<TcpTransport>,
+    /// Spans already shipped.
+    shipped: Mutex<usize>,
+}
+
+impl Shipper {
+    /// Ships one telemetry frame, `last` in reply to the done sentinel.
+    /// Observational: a ship that fails is dropped.
+    fn ship(&self, last: bool) {
+        let mut shipped = self.shipped.lock().unwrap_or_else(PoisonError::into_inner);
+        let spans = atom_obs::spans_since(*shipped);
+        *shipped += spans.len();
+        let frame = TelemetryFrame {
+            process: atom_obs::process(),
+            last,
+            counters: atom_obs::counter_snapshot(),
+            spans,
+        };
+        let payload = wire::encode_telemetry(&frame);
+        let _ = self.transport.send_control(0, &payload, Dial::IfNeeded);
+    }
 }
 
 /// Binds fleet process `me`'s end of the mesh and connects it to every
@@ -455,10 +522,15 @@ fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransp
     Ok(transport)
 }
 
-/// The control frames that reach this process's control inbox until
-/// `deadline`, once one has: the first, then every one queued behind it.
-/// Empty if none did; a deadline already past only sweeps the inbox.
-fn control_frames(transport: &TcpTransport, deadline: Instant) -> Vec<RejoinFrame> {
+/// The handshake frames that reach this process's control inbox until
+/// `deadline`, once a frame has: the first, then every one queued behind
+/// it. Telemetry frames among them are set aside in `telemetry`. Empty if
+/// none did; a deadline already past only sweeps the inbox.
+fn control_frames(
+    transport: &TcpTransport,
+    deadline: Instant,
+    telemetry: &mut Vec<TelemetryFrame>,
+) -> Vec<RejoinFrame> {
     let first = transport.recv_control(deadline);
     let rest = std::iter::from_fn(|| transport.recv_control(Instant::now()));
     first
@@ -466,21 +538,26 @@ fn control_frames(transport: &TcpTransport, deadline: Instant) -> Vec<RejoinFram
         .chain(rest)
         .filter_map(|payload| match wire::decode(&payload) {
             Ok(Frame::Rejoin(frame)) => Some(frame),
+            Ok(Frame::Telemetry(frame)) => {
+                telemetry.push(frame);
+                None
+            }
             _ => None,
         })
         .collect()
 }
 
-/// Feeds each control frame, in arrival order, to `pick` until a batch of
-/// arrivals yields a pick (its last one wins) or `deadline` passes, parked
-/// on the control inbox's wake-up in between.
+/// Feeds each handshake frame, in arrival order, to `pick` until a batch
+/// of arrivals yields a pick (its last one wins) or `deadline` passes,
+/// parked on the control inbox's wake-up in between.
 fn wait<T>(
     transport: &TcpTransport,
     deadline: Instant,
+    telemetry: &mut Vec<TelemetryFrame>,
     mut pick: impl FnMut(RejoinFrame) -> Option<T>,
 ) -> Option<T> {
     loop {
-        let frames = control_frames(transport, deadline).into_iter();
+        let frames = control_frames(transport, deadline, telemetry).into_iter();
         let picked = frames.filter_map(&mut pick).last();
         if picked.is_some() || Instant::now() >= deadline {
             return picked;
@@ -579,6 +656,8 @@ struct Coordinator<'a> {
     reports: Vec<Option<RoundReport>>,
     round_evicted: Vec<Vec<usize>>,
     round_failed: Vec<Vec<usize>>,
+    /// Telemetry frames set aside from the control inbox.
+    telemetry: Vec<TelemetryFrame>,
 }
 
 impl<'a> Coordinator<'a> {
@@ -615,6 +694,7 @@ impl<'a> Coordinator<'a> {
             reports: (0..spec.rounds).map(|_| None).collect(),
             round_evicted: vec![Vec::new(); spec.rounds],
             round_failed: vec![Vec::new(); spec.rounds],
+            telemetry: Vec::new(),
         }
     }
 
@@ -721,7 +801,7 @@ impl<'a> Coordinator<'a> {
         let mut diverged = None;
         if !awaiting.is_empty() {
             let deadline = Instant::now() + ack_deadline(self.spec);
-            wait(self.transport, deadline, |frame| {
+            wait(self.transport, deadline, &mut self.telemetry, |frame| {
                 let ack = !frame.response && !frame.commit && frame.epoch == epoch;
                 if !ack || !awaiting.contains(&frame.process) {
                     note_request(pending, live, &frame);
@@ -750,7 +830,7 @@ impl<'a> Coordinator<'a> {
     /// membership, then send the go. `false` after convicting the members
     /// the go could not reach.
     fn commit(&mut self, awaiting: &BTreeSet<usize>) -> Result<bool, String> {
-        for frame in control_frames(self.transport, Instant::now()) {
+        for frame in control_frames(self.transport, Instant::now(), &mut self.telemetry) {
             note_request(&mut self.pending_rejoin, &self.live, &frame);
         }
         purge(self.transport);
@@ -869,7 +949,8 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    fn outcome(self, start: Instant) -> RecoveryOutcome {
+    fn outcome(mut self, start: Instant) -> RecoveryOutcome {
+        let telemetry = fleet_telemetry(std::mem::take(&mut self.telemetry), self.spec.trace);
         let completions = self
             .completions
             .lock()
@@ -899,6 +980,7 @@ impl<'a> Coordinator<'a> {
             healed_latency: healed.iter().map(|&(_, latency)| latency).min(),
             healed_rounds: healed_rounds.into_iter().collect(),
             wall: start.elapsed(),
+            telemetry,
         }
     }
 }
@@ -910,7 +992,8 @@ impl<'a> Coordinator<'a> {
 /// `on_ready` fires once the transport is connected — the node binary
 /// prints its readiness line there; `on_round` fires with each global
 /// round as it completes — the chaos tests use it to schedule kills and
-/// restarts mid-run.
+/// restarts mid-run. A run that fails still hands back the fleet's
+/// telemetry ([`RecoveryOutcome::telemetry`]) beside its reason.
 pub fn run_recovery_coordinator(
     spec: &NetSpec,
     batch: usize,
@@ -918,26 +1001,46 @@ pub fn run_recovery_coordinator(
     workers: usize,
     on_round: Option<RoundCompleteHook>,
     on_ready: impl FnOnce(),
-) -> Result<RecoveryOutcome, String> {
+) -> Result<RecoveryOutcome, (String, Vec<Snapshot>)> {
     let processes = addrs.len();
     let start = Instant::now();
-    let transport = join_fleet(spec, addrs, 0)?;
+    let transport = join_fleet(spec, addrs, 0).map_err(|error| (error, Vec::new()))?;
     on_ready();
     let mut fleet = Coordinator::new(spec, batch, &transport, processes, workers, on_round);
     let run = fleet.run();
+    if let Err(error) = &run {
+        // Beside the last attempt's spans, labelled with its first wire
+        // round: a run can fail before any engine ran.
+        atom_obs::note("failed", (fleet.epoch * batch) as u32, error);
+    }
 
     // Tell everyone — members, and any rejoiner still waiting — that the
     // run is over (round == spec.rounds is the done sentinel), whether we
-    // succeeded or gave up.
+    // succeeded or gave up. A traced run then awaits, until the ack
+    // deadline, the final telemetry of every live member the sentinel
+    // reached.
     let done = fleet
         .ledger
         .handshake(spec.rounds, 0, fleet.epoch + 1, false);
+    let mut awaiting = Vec::new();
     for process in 1..processes {
-        let _ = transport.send_control(process, &done, Dial::IfNeeded);
+        let reached = transport.send_control(process, &done, Dial::IfNeeded);
+        if reached.is_ok() && spec.trace && fleet.live[process] {
+            awaiting.push(process as u32);
+        }
+    }
+    let deadline = Instant::now() + ack_deadline(spec);
+    let finished = |frames: &[TelemetryFrame], process| {
+        (frames.iter()).any(|frame| frame.last && frame.process == process)
+    };
+    while !awaiting.iter().all(|&p| finished(&fleet.telemetry, p)) && Instant::now() < deadline {
+        control_frames(&transport, deadline, &mut fleet.telemetry);
     }
     transport.shutdown();
-    run?;
-    Ok(fleet.outcome(start))
+    match run {
+        Ok(()) => Ok(fleet.outcome(start)),
+        Err(error) => Err((error, fleet_telemetry(fleet.telemetry, spec.trace))),
+    }
 }
 
 /// Runs a member (process `index > 0`) of a fleet: waits for each plan,
@@ -959,7 +1062,7 @@ pub(crate) fn run_healing_member(
 ) -> Result<(), String> {
     let processes = addrs.len();
     assert!(index > 0 && index < processes, "member index out of range");
-    let transport = join_fleet(spec, addrs, index)?;
+    let transport = Arc::new(join_fleet(spec, addrs, index)?);
     on_ready();
     let result = member_loop(spec, batch, &transport, (index, processes), workers, rejoin);
     transport.shutdown();
@@ -968,15 +1071,23 @@ pub(crate) fn run_healing_member(
 
 /// The member's side of the recovery loop, one control frame at a time:
 /// a plan is mirrored, derived and acked, the go of the acked plan runs
-/// its batch.
+/// its batch. A traced member ships its telemetry after each round it
+/// completes and once more at the done sentinel.
 fn member_loop(
     spec: &NetSpec,
     batch: usize,
-    transport: &TcpTransport,
+    transport: &Arc<TcpTransport>,
     (index, processes): (usize, usize),
     workers: usize,
     rejoin: bool,
 ) -> Result<(), String> {
+    let shipper = spec.trace.then(|| {
+        Arc::new(Shipper {
+            transport: Arc::clone(transport),
+            shipped: Mutex::new(0),
+        })
+    });
+    let transport: &TcpTransport = transport;
     let mut ledger = RecoveryLedger::default();
     let (mut round, mut epoch) = (0, 0);
     // `outside`: not admitted (a restart, or on the last plan's dead list).
@@ -999,7 +1110,7 @@ fn member_loop(
         // member died between our ack and its commit).
         let deadline = Instant::now() + plan_deadline(spec);
         let mut newest = epoch;
-        let frame = wait(transport, deadline, |frame| {
+        let frame = wait(transport, deadline, &mut Vec::new(), |frame| {
             let go = frame.commit && frame.epoch == epoch && acked.is_some();
             let plan = !frame.commit && frame.epoch > newest;
             if frame.response && plan {
@@ -1018,7 +1129,10 @@ fn member_loop(
             // the coordinator never agreed to.
             let end = round + jobs.len();
             ledger.freeze(round..end);
-            let options = engine_options(spec, batch, workers, epoch, index);
+            let mut options = engine_options(spec, batch, workers, epoch, index);
+            options.on_round_complete = shipper
+                .clone()
+                .map(|shipper| Arc::new(move |_| shipper.ship(false)) as RoundCompleteHook);
             let total = jobs.len();
             let role = EngineRole::member(hosted);
             // Chaos knob: member process 1 plays the slow loris, dripping
@@ -1037,6 +1151,9 @@ fn member_loop(
             continue;
         }
         if frame.round >= spec.rounds {
+            if let Some(shipper) = &shipper {
+                shipper.ship(true);
+            }
             return Ok(());
         }
         (round, epoch) = (frame.round, frame.epoch);
@@ -1588,6 +1705,53 @@ mod tests {
         assert_eq!(
             serialize_reports(&outcome.reports),
             serialize_reports(&reference)
+        );
+    }
+
+    /// Recording is process-global, so the traced tests here hold this.
+    static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+    /// A failed attempt leaves its reason in the fleet's telemetry although
+    /// its retry succeeds: round 1's intake rejects a rebound submission in
+    /// epoch 1, so the coordinator's `RecoveryOutcome::telemetry` notes the
+    /// rejection at that attempt's wire round, `epoch × batch + 1`.
+    #[test]
+    fn a_failed_attempt_leaves_its_reason_in_the_fleet_telemetry() {
+        let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 4,
+            messages: 6,
+            trace: true,
+            ..NetSpec::default()
+        };
+        let transport = join_fleet(&spec, crate::netbench::free_addrs(1), 0).unwrap();
+        let mut coordinator = Coordinator::new(&spec, spec.rounds, &transport, 1, 2, None);
+        coordinator.epoch = 1;
+        let (awaiting, mut jobs) = coordinator.plan().unwrap().expect("no member to reach");
+        assert!(coordinator.acks(&awaiting).unwrap() && coordinator.commit(&awaiting).unwrap());
+        let RoundSubmissions::Trap(submissions) = &mut jobs[1].submissions else {
+            panic!("fleet rounds are trap rounds");
+        };
+        submissions[2].entry_group = (submissions[2].entry_group + 1) % spec.groups;
+        coordinator.run_batch(jobs).unwrap();
+        assert_eq!(coordinator.next, 1, "round 1 alone failed");
+        coordinator.run().expect("the retry completes round 1");
+        let outcome = coordinator.outcome(Instant::now());
+        transport.shutdown();
+        atom_obs::set_enabled(false);
+
+        let failed_attempt = (spec.rounds + 1) as u32;
+        let notes: Vec<&atom_obs::SpanRecord> = (outcome.telemetry.iter())
+            .filter(|snapshot| snapshot.process == 0)
+            .flat_map(|snapshot| snapshot.spans.iter())
+            .filter(|span| span.phase == "failed" && span.round == failed_attempt)
+            .collect();
+        assert!(
+            notes
+                .iter()
+                .any(|span| span.note.contains("submission rejected")),
+            "no note of the intake rejection at wire round {failed_attempt}: {notes:?}"
         );
     }
 

@@ -19,7 +19,9 @@
 
 use std::ffi::OsString;
 use std::io::{BufRead, BufReader, Write};
+use std::ops::RangeInclusive;
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -59,10 +61,11 @@ pub struct NetSpec {
     /// process of a deployment agrees on it like on every other knob.
     pub stall_timeout: Duration,
     /// Enables `atom-obs` span/counter recording in every process of the
-    /// deployment. Members then ship telemetry frames to the coordinator at
-    /// round end, so it must be on fleet-wide or not at all — which is why
-    /// it lives in the spec rather than in a per-process flag. Recording is
-    /// observational only: round outputs are byte-identical either way.
+    /// deployment. Members then ship telemetry to the coordinator, which
+    /// awaits their last frames, so it must be on fleet-wide or not at all
+    /// — which is why it lives in the spec rather than in a per-process
+    /// flag. Recording is observational only: round outputs are
+    /// byte-identical either way.
     pub trace: bool,
     /// Coordinator round clock (`EngineOptions::round_deadline`; zero =
     /// disabled): the wall-clock budget a round gets before the coordinator
@@ -157,20 +160,40 @@ pub fn serialize_reports(reports: &[RoundReport]) -> Vec<u8> {
     out
 }
 
-/// Reserves `count` distinct loopback addresses by briefly binding port-0
-/// listeners. Racy in principle — the listeners are dropped before the
-/// processes rebind — but the window is milliseconds, a collision fails
-/// loudly, and addresses must be known *before* the child processes spawn
-/// (the race-free `TcpTransport::bind_any` + `set_peer_addr` dance only
-/// works within one process).
-pub fn free_addrs(count: usize) -> Vec<String> {
-    let listeners: Vec<std::net::TcpListener> = (0..count)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve loopback port"))
+/// The kernel's ephemeral port range (`ip_local_port_range`), from which
+/// every port-0 bind and outgoing connect draws; Linux's default when it
+/// cannot be read.
+fn ephemeral_ports() -> RangeInclusive<u16> {
+    let range = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range");
+    let bounds: Vec<u16> = (range.unwrap_or_default().split_whitespace())
+        .filter_map(|bound| bound.parse().ok())
         .collect();
-    listeners
-        .iter()
-        .map(|listener| listener.local_addr().expect("resolve port").to_string())
-        .collect()
+    match bounds[..] {
+        [low, high] => low..=high,
+        _ => 32768..=60999,
+    }
+}
+
+/// Reserves `count` distinct loopback addresses for processes about to
+/// spawn, which must know them before they start (the race-free
+/// `TcpTransport::bind_any` + `set_peer_addr` dance only works within one
+/// process). The ports lie below the ephemeral range, so no port-0 bind
+/// or outgoing connect of another test can take one before its process
+/// binds it. They come from a cursor this process shares, offset by its id
+/// so parallel test binaries start apart, and a port that will not bind
+/// now is skipped.
+pub fn free_addrs(count: usize) -> Vec<String> {
+    static CURSOR: AtomicUsize = AtomicUsize::new(0);
+    let ports = usize::from(*ephemeral_ports().start()).saturating_sub(1024);
+    let start = std::process::id() as usize * 7919;
+    let addrs: Vec<String> = (0..ports)
+        .map(|_| start + CURSOR.fetch_add(1, Ordering::Relaxed))
+        .map(|cursor| format!("127.0.0.1:{}", 1024 + cursor % ports))
+        .filter(|addr| std::net::TcpListener::bind(addr).is_ok())
+        .take(count)
+        .collect();
+    assert_eq!(addrs.len(), count, "too few free ports bind");
+    addrs
 }
 
 /// The command line of one fleet process: `atom-node`'s flags, read by
@@ -380,11 +403,12 @@ fn announce_ready() {
 
 /// One fleet process start to finish: join the mesh and run the recovery
 /// loop of [`crate::heal`] — the handshake loop on a member, the
-/// coordinator's loop on process 0, which then checks that no message was
-/// lost and writes the `--out`, `--trace` and `--metrics-out` files from
-/// its round reports. Member-side round failures during churn are not
-/// fatal: the coordinator owns the diagnosis. A lost message or an
-/// unrecoverable fleet is an `Err`.
+/// coordinator's loop on process 0, which writes the `--trace` and
+/// `--metrics-out` files from the fleet's telemetry, a failed run's too,
+/// then checks that no message was lost and writes `--out` from its round
+/// reports. Member-side round failures during churn are not fatal: the
+/// coordinator owns the diagnosis. A lost message or an unrecoverable
+/// fleet is an `Err`.
 pub fn run_node(args: &NodeArgs) -> Result<(), String> {
     let (spec, index, addrs) = (&args.spec, args.index, args.addrs.clone());
     let (batch, workers) = (args.rounds_per_batch(), args.workers);
@@ -401,8 +425,15 @@ pub fn run_node(args: &NodeArgs) -> Result<(), String> {
         println!("atom-node member {index}: left the deployment cleanly");
         return Ok(());
     }
-    let outcome = heal::run_recovery_coordinator(spec, batch, addrs, workers, None, announce_ready)
-        .map_err(|error| format!("recovery failed: {error}"))?;
+    let outcome = heal::run_recovery_coordinator(spec, batch, addrs, workers, None, announce_ready);
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err((error, telemetry)) => {
+            write_telemetry(args, &telemetry)?;
+            return Err(format!("recovery failed: {error}"));
+        }
+    };
+    write_telemetry(args, &outcome.telemetry)?;
     let reports = outcome.reports;
     let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
     if delivered != spec.rounds * spec.messages {
@@ -428,18 +459,21 @@ pub fn run_node(args: &NodeArgs) -> Result<(), String> {
     if let Some(latency) = outcome.healed_latency {
         println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
     }
-    if let Some(path) = &args.out {
-        write_file(path, &serialize_reports(&reports))?;
+    match &args.out {
+        Some(path) => write_file(path, &serialize_reports(&reports)),
+        None => Ok(()),
     }
-    let telemetry: Vec<atom_obs::Snapshot> = (reports.iter())
-        .flat_map(|report| report.telemetry.iter().cloned())
-        .collect();
+}
+
+/// The coordinator's `--trace` and `--metrics-out` files, and the trace's
+/// text summary on stdout.
+fn write_telemetry(args: &NodeArgs, telemetry: &[atom_obs::Snapshot]) -> Result<(), String> {
     if let Some(path) = &args.trace {
-        write_file(path, atom_obs::chrome_trace_json(&telemetry).as_bytes())?;
-        print!("{}", atom_obs::text_summary(&telemetry));
+        write_file(path, atom_obs::chrome_trace_json(telemetry).as_bytes())?;
+        print!("{}", atom_obs::text_summary(telemetry));
     }
     match &args.metrics_out {
-        Some(path) => write_file(path, atom_obs::metrics_json(&telemetry).as_bytes()),
+        Some(path) => write_file(path, atom_obs::metrics_json(telemetry).as_bytes()),
         None => Ok(()),
     }
 }
@@ -513,6 +547,8 @@ struct FleetMember {
     index: usize,
     child: Child,
     ready: bool,
+    /// Its stdout hit EOF: it exited, or is exiting.
+    eof: bool,
     reaped: Option<ExitStatus>,
     reader: Option<std::thread::JoinHandle<()>>,
     /// Bumped by [`ProcessFleet::restart_member`]; events from a previous
@@ -521,22 +557,18 @@ struct FleetMember {
 }
 
 impl FleetMember {
-    /// Reaps the child if it has exited — SIGKILLing it first and waiting
-    /// when `kill` — and records how it died. Whether it is reaped.
-    fn reap(&mut self, epoch: Instant, kill: bool) -> bool {
+    /// Unless it is reaped already, waits for the child to exit —
+    /// SIGKILLing it first when `kill` — and records how it died.
+    fn reap(&mut self, epoch: Instant, kill: bool) {
         if self.reaped.is_none() {
-            let status = if kill {
+            if kill {
                 let _ = self.child.kill();
-                self.child.wait().ok()
-            } else {
-                self.child.try_wait().ok().flatten()
-            };
-            if let Some(status) = status {
+            }
+            if let Ok(status) = self.child.wait() {
                 record_exit(self.index, epoch, &status);
                 self.reaped = Some(status);
             }
         }
-        self.reaped.is_some()
     }
 }
 
@@ -650,6 +682,7 @@ impl ProcessFleet {
             index,
             child,
             ready: false,
+            eof: false,
             reaped: None,
             reader: Some(spawn_reader(index, generation, stdout, tx, self.epoch)),
             generation,
@@ -664,21 +697,10 @@ impl ProcessFleet {
         while self.members.iter().any(|member| !member.ready) {
             let left = deadline.saturating_duration_since(Instant::now());
             match self.events.recv_timeout(left) {
-                Ok(FleetEvent::Ready(index, generation)) => {
-                    if let Some(member) = self
-                        .members
-                        .iter_mut()
-                        .find(|m| m.index == index && m.generation == generation)
-                    {
-                        member.ready = true;
-                    }
-                }
-                Ok(FleetEvent::Eof(index, generation)) => {
-                    let premature = self
-                        .members
-                        .iter()
-                        .any(|m| m.index == index && m.generation == generation && !m.ready);
-                    if premature {
+                Ok(event) => {
+                    self.record(event);
+                    let premature = self.members.iter().find(|m| m.eof && !m.ready);
+                    if let Some(index) = premature.map(|member| member.index) {
                         self.kill_all();
                         return Err(format!(
                             "fleet member process {index} exited before signalling readiness"
@@ -700,6 +722,19 @@ impl ProcessFleet {
         Ok(())
     }
 
+    /// Marks the member an event is about ready, or at EOF. Events of an
+    /// earlier generation are ignored.
+    fn record(&mut self, event: FleetEvent) {
+        let (FleetEvent::Ready(index, generation) | FleetEvent::Eof(index, generation)) = event;
+        let member = (self.members.iter_mut())
+            .find(|member| member.index == index && member.generation == generation);
+        match (event, member) {
+            (FleetEvent::Ready(..), Some(member)) => member.ready = true,
+            (FleetEvent::Eof(..), Some(member)) => member.eof = true,
+            (_, None) => {}
+        }
+    }
+
     /// Waits (bounded) for every child to exit, then checks the statuses.
     /// A child still running at the deadline is killed; any non-success
     /// status is reported. Either way every child is reaped before this
@@ -707,22 +742,28 @@ impl ProcessFleet {
     pub fn finish(mut self, timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
         loop {
-            let epoch = self.epoch;
-            let running: Vec<usize> = (self.members.iter_mut())
-                .filter_map(|member| (!member.reap(epoch, false)).then_some(member.index))
+            let running: Vec<usize> = (self.members.iter())
+                .filter(|member| !member.eof && member.reaped.is_none())
+                .map(|member| member.index)
                 .collect();
             if running.is_empty() {
                 break;
             }
-            if Instant::now() > deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Ok(event) = self.events.recv_timeout(left) else {
                 self.kill_all();
                 return Err(format!(
                     "fleet processes {running:?} still running after {timeout:?}; killed"
                 ));
-            }
-            std::thread::sleep(Duration::from_millis(20));
+            };
+            self.record(event);
         }
-        // Children are reaped; this only joins the monitor threads.
+        // Every child closed its stdout: reap each, then join the monitor
+        // threads.
+        let epoch = self.epoch;
+        for member in &mut self.members {
+            member.reap(epoch, false);
+        }
         self.kill_all();
         let failures: Vec<String> = self
             .members
@@ -774,9 +815,10 @@ impl ProcessFleet {
             .position(|m| m.index == index)
             .ok_or_else(|| format!("no fleet member with process index {index}"))?;
         let member = &mut self.members[slot];
-        if !member.reap(epoch, false) {
+        if member.reaped.is_none() && !matches!(member.child.try_wait(), Ok(Some(_))) {
             return Err(format!("fleet member {index} is still running"));
         }
+        member.reap(epoch, false);
         if let Some(reader) = member.reader.take() {
             let _ = reader.join();
         }
@@ -810,6 +852,27 @@ mod tests {
     use super::*;
     use crate::heal::{fleet_jobs, owner_map_excluding, RecoveryLedger};
     use atom_runtime::{Engine, RoundSubmissions};
+
+    /// Reserved ports come from below the ephemeral range, so nothing else
+    /// of this host's is handed them on a port-0 bind or a connect.
+    #[test]
+    fn free_addrs_are_distinct_bindable_and_below_the_ephemeral_range() {
+        let (addrs, ephemeral) = (free_addrs(64), ephemeral_ports());
+        let port = |addr: &String| addr.parse::<std::net::SocketAddr>().unwrap().port();
+        let ports: std::collections::BTreeSet<u16> = addrs.iter().map(port).collect();
+        assert_eq!(
+            ports.len(),
+            addrs.len(),
+            "a port was reserved twice: {addrs:?}"
+        );
+        for addr in &addrs {
+            assert!(
+                !ephemeral.contains(&port(addr)),
+                "{addr} lies in {ephemeral:?}"
+            );
+            std::net::TcpListener::bind(addr).unwrap_or_else(|error| panic!("{addr}: {error}"));
+        }
+    }
 
     #[test]
     fn owner_map_round_robins_groups_and_pins_the_orchestrator() {

@@ -339,10 +339,11 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
 }
 
 /// `--trace` with batches: a 2-process `--batch 1 --trace` fleet with no
-/// kill writes the merged fleet trace on the coordinator, holding the
-/// snapshots of both processes, plus the `--metrics-out` counters. Those
-/// counters show a fault-free fleet evicts no one: no process counts an
-/// eviction, and the coordinator plans each one-round batch exactly once.
+/// kill writes the fleet trace on the coordinator, holding a `mix` span of
+/// every group on the process that hosts it, plus the `--metrics-out`
+/// counters, one object per process. Those counters show a fault-free
+/// fleet evicts no one: no process counts an eviction, and the coordinator
+/// plans each one-round batch exactly once.
 #[test]
 fn healing_fleet_writes_its_trace() {
     let spec = NetSpec {
@@ -387,15 +388,35 @@ fn healing_fleet_writes_its_trace() {
         assert!(counters.contains(&format!("\"process\":{process},")));
     }
 
-    // Every round's report carries one snapshot per process, and counters
-    // only grow, so a counter's largest reading is its final value.
+    // Group g is hosted by process g mod 2, and its mix spans are there.
+    let events: Vec<Value> = (json::parse(&written).expect("the trace is JSON"))
+        .field("traceEvents")
+        .unwrap();
+    for gid in 0..spec.groups {
+        let mixed_on_host = events.iter().any(|event| {
+            let args = event.field::<Value>("args");
+            event
+                .field::<String>("name")
+                .is_ok_and(|name| name == "mix")
+                && event.field::<usize>("pid") == Ok(gid % 2)
+                && args.and_then(|args| args.field::<usize>("gid")) == Ok(gid)
+        });
+        assert!(
+            mixed_on_host,
+            "no mix span of group {gid} on its host process"
+        );
+    }
+
+    // One object per process, holding its final counters.
     let metrics = json::parse(&counters).expect("the metrics file is JSON");
     let snapshots: Vec<Value> = metrics.field("processes").unwrap();
+    let processes: Vec<usize> = (snapshots.iter())
+        .map(|snapshot| snapshot.field("process").unwrap())
+        .collect();
+    assert_eq!(processes, vec![0, 1], "one metrics object per process");
     let counter = |process: usize, name: &str| {
-        (snapshots.iter())
-            .filter(|snapshot| snapshot.field::<usize>("process") == Ok(process))
-            .filter_map(|snapshot| snapshot.field::<Value>("counters").ok()?.field(name).ok())
-            .fold(0.0, f64::max)
+        let counters = snapshots[process].field::<Value>("counters").unwrap();
+        counters.field::<f64>(name).unwrap_or(0.0)
     };
     for process in 0..2 {
         assert_eq!(
@@ -408,5 +429,72 @@ fn healing_fleet_writes_its_trace() {
         counter(0, "fleet.handshake.plans"),
         spec.rounds as f64,
         "one plan per one-round batch: no batch was retried"
+    );
+}
+
+/// A traced fleet that cannot heal still writes its trace and metrics. In a
+/// two-process `--groups 1` fleet, convicting member 1 would leave 2 of
+/// the 3 servers, fewer than one group, so killing it once both processes
+/// are ready ends the coordinator's run in an error: it exits 1, having
+/// written both files with its own recording of the run. One-round batches
+/// make every round wait on the member's ack, so the run cannot finish
+/// before the kill.
+#[test]
+fn failed_fleet_run_still_writes_its_trace() {
+    let spec = NetSpec {
+        groups: 1,
+        rounds: 256,
+        messages: 4,
+        seed: 0xFA11,
+        stall_timeout: Duration::from_secs(2),
+        trace: true,
+        ..NetSpec::default()
+    };
+    let dir = std::env::temp_dir();
+    let path = |name: &str| {
+        let file = dir.join(format!("atom_failed_{name}_{}.json", std::process::id()));
+        file.to_str().unwrap().to_string()
+    };
+    let (trace, metrics) = (path("trace"), path("metrics"));
+    let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
+    let addrs = netbench::free_addrs(2);
+    let coordinator = NodeArgs {
+        trace: Some(trace.clone()),
+        metrics_out: Some(metrics.clone()),
+        ..heal_node(&spec, &addrs, 0, 1, false)
+    };
+    let member = NodeArgs {
+        trace: Some(path("ignored")),
+        ..heal_node(&spec, &addrs, 1, 1, false)
+    };
+    let mut fleet = ProcessFleet::spawn(atom_node(), vec![coordinator, member]).expect("spawn");
+    fleet
+        .await_ready(Duration::from_secs(120))
+        .expect("fleet readiness");
+    fleet.kill_member(1);
+    let error = fleet
+        .finish(Duration::from_secs(120))
+        .expect_err("the fleet cannot heal");
+    assert!(
+        error.contains("process 0 exited with exit code 1"),
+        "the coordinator's run must fail: {error}"
+    );
+
+    let written = std::fs::read_to_string(&trace).expect("coordinator trace file");
+    let counters = std::fs::read_to_string(&metrics).expect("coordinator metrics file");
+    let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
+    let events: Vec<Value> = (json::parse(&written).expect("the trace is JSON"))
+        .field("traceEvents")
+        .unwrap();
+    let own_spans = (events.iter())
+        .filter(|event| event.field::<String>("ph").is_ok_and(|ph| ph == "X"))
+        .filter(|event| event.field::<usize>("pid") == Ok(0))
+        .count();
+    assert!(own_spans > 0, "the trace holds no span of process 0");
+    let metrics = json::parse(&counters).expect("the metrics file is JSON");
+    let snapshots: Vec<Value> = metrics.field("processes").unwrap();
+    assert!(
+        (snapshots.iter()).any(|snapshot| snapshot.field::<usize>("process") == Ok(0)),
+        "the metrics file holds no object of process 0"
     );
 }

@@ -36,74 +36,52 @@ fn json_escape(text: &str) -> String {
 /// become complete (`"ph":"X"`) events with `ts`/`dur` in microseconds and
 /// `round`/`gid`/`note` in `args`. One event per line.
 pub fn chrome_trace_json(snapshots: &[Snapshot]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut named: Vec<u32> = Vec::new();
+    let mut events = Vec::new();
     for snapshot in snapshots {
-        if !named.contains(&snapshot.process) {
-            named.push(snapshot.process);
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":\"atom process {}\"}}}}",
-                snapshot.process, snapshot.process
-            );
-        }
+        let pid = snapshot.process;
+        events.push(format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
+             \"args\":{{\"name\":\"atom process {pid}\"}}}}"
+        ));
         for span in &snapshot.spans {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let gid = if span.gid == GID_NONE {
-                "\"-\"".to_string()
-            } else {
-                span.gid.to_string()
+            let gid = match span.gid {
+                GID_NONE => "\"-\"".to_string(),
+                gid => gid.to_string(),
             };
-            let _ = write!(
-                out,
+            let mut event = format!(
                 "{{\"name\":\"{}\",\"cat\":\"atom\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\"round\":{},\"gid\":{}",
+                 \"pid\":{pid},\"tid\":{},\"args\":{{\"round\":{},\"gid\":{gid}",
                 json_escape(&span.phase),
                 span.start_us,
                 span.dur_us,
-                snapshot.process,
                 span.tid,
                 span.round,
-                gid
             );
             if !span.note.is_empty() {
-                let _ = write!(out, ",\"note\":\"{}\"", json_escape(&span.note));
+                let _ = write!(event, ",\"note\":\"{}\"", json_escape(&span.note));
             }
-            out.push_str("}}");
+            events.push(event + "}}");
         }
     }
-    out.push_str("\n]}\n");
-    out
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
 /// Render each snapshot's counters as JSON: an array of per-process objects,
 /// one counter per line, sorted by name within each process.
 pub fn metrics_json(snapshots: &[Snapshot]) -> String {
-    let mut out = String::from("{\"processes\":[\n");
-    for (index, snapshot) in snapshots.iter().enumerate() {
-        if index > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(out, "{{\"process\":{},\"counters\":{{", snapshot.process);
-        for (cindex, (name, value)) in snapshot.counters.iter().enumerate() {
-            if cindex > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n  \"{}\": {}", json_escape(name), value);
-        }
-        out.push_str("\n}}");
-    }
-    out.push_str("\n]}\n");
-    out
+    let objects: Vec<String> = (snapshots.iter())
+        .map(|snapshot| {
+            let counters: Vec<String> = (snapshot.counters.iter())
+                .map(|(name, value)| format!("\n  \"{}\": {value}", json_escape(name)))
+                .collect();
+            let process = snapshot.process;
+            format!(
+                "{{\"process\":{process},\"counters\":{{{}\n}}}}",
+                counters.join(",")
+            )
+        })
+        .collect();
+    format!("{{\"processes\":[\n{}\n]}}\n", objects.join(",\n"))
 }
 
 /// Nearest-rank percentile (`p` in 0..=100) of an unsorted duration sample.
@@ -118,7 +96,7 @@ fn percentile_us(durations: &mut [u64], p: u32) -> u64 {
 
 /// Human-readable per-round, per-phase latency table: span count, total,
 /// p50 and p99 duration for every `(round, phase)` that recorded at least
-/// one span, followed by any stall notes.
+/// one span, followed by any notes (why a round failed).
 pub fn text_summary(snapshots: &[Snapshot]) -> String {
     let mut groups: BTreeMap<(u32, String), Vec<u64>> = BTreeMap::new();
     let mut notes: Vec<&SpanRecord> = Vec::new();

@@ -32,7 +32,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Sentinel `gid` for spans that are not specific to one group
-/// (trustee setup, exit assembly, stall diagnostics).
+/// (trustee setup, exit assembly, failure notes).
 pub const GID_NONE: u32 = u32::MAX;
 
 /// Global enable flag. All instrumentation sites check this first.
@@ -116,10 +116,10 @@ pub fn reset() {
 /// One recorded phase span: `phase` ran for `dur_us` starting at `start_us`
 /// (microseconds since the process epoch) on worker thread `tid`, attributed
 /// to `round`/`gid` (`gid == `[`GID_NONE`] when not group-specific). `note`
-/// carries free-text detail (stall diagnoses) and is usually empty.
+/// carries free-text detail (why a round failed) and is usually empty.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Short phase name: `setup`, `intake`, `verify`, `mix`, `exit`, `stall`.
+    /// Short phase name: `setup`, `intake`, `verify`, `mix`, `exit`, `failed`.
     pub phase: String,
     /// Protocol round the span belongs to.
     pub round: u32,
@@ -131,7 +131,7 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Duration in microseconds (0 for instant markers).
     pub dur_us: u64,
-    /// Optional free-text detail (e.g. the engine's stall diagnosis).
+    /// Optional free-text detail (e.g. why the engine failed a round).
     pub note: String,
 }
 
@@ -141,13 +141,6 @@ pub struct SpanRecord {
 #[must_use = "a span measures the scope it is alive for"]
 pub struct Span {
     start: Option<(&'static str, u32, u32, u64)>,
-}
-
-impl Span {
-    /// An inert span that records nothing on drop.
-    pub fn disabled() -> Self {
-        Span { start: None }
-    }
 }
 
 impl Drop for Span {
@@ -171,14 +164,14 @@ impl Drop for Span {
 /// [`GID_NONE`] for spans not tied to one group.
 pub fn span(phase: &'static str, round: u32, gid: u32) -> Span {
     if !enabled() {
-        return Span::disabled();
+        return Span { start: None };
     }
     Span {
         start: Some((phase, round, gid, now_us())),
     }
 }
 
-/// Record an instant marker with free-text detail (e.g. a stall diagnosis).
+/// Record an instant marker with free-text detail (e.g. why a round failed).
 /// No-op while recording is disabled.
 pub fn note(phase: &'static str, round: u32, detail: &str) {
     if !enabled() {
@@ -197,17 +190,6 @@ pub fn note(phase: &'static str, round: u32, detail: &str) {
 
 fn record(span: SpanRecord) {
     SPANS.lock().expect("span store poisoned").push(span);
-}
-
-/// All spans recorded so far for `round`, in recording order.
-fn spans_for_round(round: u32) -> Vec<SpanRecord> {
-    SPANS
-        .lock()
-        .expect("span store poisoned")
-        .iter()
-        .filter(|span| span.round == round)
-        .cloned()
-        .collect()
 }
 
 /// A named, statically-allocated operation counter. Declare one per
@@ -322,9 +304,10 @@ pub fn counter_snapshot() -> Vec<(String, u64)> {
 }
 
 /// One process's collected telemetry: its counters plus a set of spans.
-/// Members ship these to the coordinator inside `telemetry` wire frames;
-/// the coordinator merges one per process into each round's report and the
-/// fleet trace file (one Perfetto process track per `process`).
+/// A fleet's members ship theirs to the coordinator inside `telemetry`
+/// control frames, a batch of new spans at a time; the coordinator keeps
+/// one per process, its own included, for the fleet trace and metrics
+/// files (one Perfetto process track per `process`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Fleet process index the data came from (Perfetto `pid`).
@@ -338,15 +321,23 @@ pub struct Snapshot {
 /// Snapshot this process's counters plus the spans of `round` (or all
 /// rounds when `round` is `None`), stamped with [`process`].
 pub fn local_snapshot(round: Option<u32>) -> Snapshot {
-    let spans = match round {
-        Some(round) => spans_for_round(round),
-        None => SPANS.lock().expect("span store poisoned").clone(),
-    };
+    let spans = (SPANS.lock().expect("span store poisoned").iter())
+        .filter(|span| round.is_none_or(|round| span.round == round))
+        .cloned()
+        .collect();
     Snapshot {
         process: process(),
         counters: counter_snapshot(),
         spans,
     }
+}
+
+/// The spans recorded after the first `from`, in recording order: with
+/// `from` the count already taken, a caller reads each span once without
+/// draining the store other readers share.
+pub fn spans_since(from: usize) -> Vec<SpanRecord> {
+    let spans = SPANS.lock().expect("span store poisoned");
+    spans.get(from..).unwrap_or_default().to_vec()
 }
 
 #[cfg(test)]
@@ -375,7 +366,7 @@ mod tests {
         static TEST_DISABLED: Counter = Counter::new("test.disabled");
         TEST_DISABLED.add(5);
         count("test.disabled.dyn", 5);
-        assert!(spans_for_round(7).is_empty());
+        assert!(local_snapshot(Some(7)).spans.is_empty());
         assert_eq!(TEST_DISABLED.get(), 0);
         assert!(counter_snapshot()
             .iter()
@@ -393,7 +384,7 @@ mod tests {
         }
         note("stall", 2, "no task progress");
         set_enabled(false);
-        let spans = spans_for_round(2);
+        let spans = local_snapshot(Some(2)).spans;
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].phase, "setup");
         assert_eq!((spans[0].round, spans[0].gid), (2, 1));
@@ -406,7 +397,7 @@ mod tests {
         assert_eq!(spans[1].gid, GID_NONE);
         assert_eq!(spans[1].dur_us, 0);
         assert_eq!(spans[1].note, "no task progress");
-        assert!(spans_for_round(3).is_empty());
+        assert!(local_snapshot(Some(3)).spans.is_empty());
     }
 
     #[test]
@@ -479,5 +470,28 @@ mod tests {
         let all = local_snapshot(None);
         assert_eq!(all.spans.len(), 2);
         set_process(0);
+    }
+
+    #[test]
+    fn spans_since_reads_each_span_once_and_leaves_the_store() {
+        let _guard = exclusive();
+        set_enabled(true);
+        reset();
+        note("stall", 0, "first");
+        let first = spans_since(0);
+        note("failed", 1, "second");
+        let second = spans_since(first.len());
+        set_enabled(false);
+        assert_eq!(first.len(), 1);
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].note, "second");
+        assert_eq!(spans_since(2), Vec::new());
+        assert_eq!(local_snapshot(None).spans.len(), 2, "nothing was drained");
+        reset();
+        assert_eq!(
+            spans_since(5),
+            Vec::new(),
+            "a cursor past a reset reads nothing"
+        );
     }
 }

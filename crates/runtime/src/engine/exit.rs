@@ -1,7 +1,6 @@
-//! Exit: the orchestrator collects every group's exit frame (and, while
-//! recording, every member's telemetry snapshot) and finalizes the round
-//! through its variant's exit phase; a member resolves a stub report once
-//! its own groups have exited.
+//! Exit: the orchestrator collects every group's exit frame and finalizes
+//! the round through its variant's exit phase; a member resolves a stub
+//! report once its own groups have exited.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -11,11 +10,11 @@ use atom_core::error::AtomError;
 use atom_core::round::{collect_round_timings, finish_nizk_round, finish_trap_round, RoundOutput};
 use atom_crypto::commit::Commitment;
 
-use super::{JobState, RoundReport, Shared, TELEMETRY_LABEL};
-use crate::wire::{self, ExitFrame, TelemetryFrame};
+use super::{JobState, RoundReport, Shared};
+use crate::wire::ExitFrame;
 
 /// What a round's finalization collects: intake's release and every exit
-/// and telemetry frame.
+/// frame.
 #[derive(Default)]
 pub(super) struct ExitState {
     /// Exit payloads the coordinator has collected, one slot per group of
@@ -32,12 +31,6 @@ pub(super) struct ExitState {
     /// Mixing traffic accumulated from the groups' exit frames.
     group_mix_messages: u64,
     group_mix_bytes: u64,
-    /// Member telemetry snapshots collected at the orchestrator, at most
-    /// one per sending process (duplicates are benign no-ops). While
-    /// recording is enabled the round finalizes only once these cover
-    /// every remotely hosted group, so the merged report and fleet trace
-    /// span all processes.
-    telemetry: Vec<TelemetryFrame>,
 }
 
 impl ExitState {
@@ -54,27 +47,6 @@ impl ExitState {
     pub(super) fn released(&mut self, routed: usize, commitments: Vec<Vec<Commitment>>) {
         self.routed = routed;
         self.commitments = commitments;
-    }
-}
-
-/// Takes the round's exit state for finalization once every group has
-/// exited and, while recording, every remotely hosted group is covered by
-/// some member's telemetry snapshot. Members send their snapshot after
-/// their last exit frame on the same ordered channel, so this resolves
-/// shortly after the exits do. Taking the state is the claim: it happens
-/// once, under the exit lock, even when a late snapshot races the last
-/// exit frame.
-fn claim(shared: &Shared<'_>, job: &JobState, slot: &mut Option<ExitState>) -> Option<ExitState> {
-    let exit = slot.as_ref()?;
-    let complete = exit.payloads.iter().all(Option::is_some)
-        && (!atom_obs::enabled()
-            || (0..job.num_groups())
-                .filter(|&gid| !shared.role.hosts(gid))
-                .all(|gid| exit.telemetry.iter().any(|frame| frame.gids.contains(&gid))));
-    if complete {
-        slot.take()
-    } else {
-        None
     }
 }
 
@@ -119,37 +91,13 @@ pub(super) fn on_exit_frame(shared: &Shared<'_>, round: usize, node: usize, fram
         exit.group_mix_messages += frame.mix_messages;
         exit.group_mix_bytes += frame.mix_bytes;
         exit.pipelined = exit.pipelined.max(frame.finished_virtual);
-        claim(shared, job, &mut slot)
-    };
-    if let Some(exit) = claimed {
-        finalize_round(shared, round, exit);
-    }
-}
-
-/// Collects one member process's telemetry snapshot at the orchestrator.
-/// Observational traffic: a duplicate from the same process is a benign
-/// no-op (idempotent), and a misrouted frame is dropped rather than failing
-/// anything — telemetry must never be able to abort a round.
-pub(super) fn on_telemetry_frame(
-    shared: &Shared<'_>,
-    round: usize,
-    node: usize,
-    frame: TelemetryFrame,
-) {
-    let job = &shared.jobs[round];
-    if node != shared.orchestrator || !shared.role.coordinator || job.failed() {
-        return;
-    }
-    let claimed = {
-        let mut slot = job.exit.lock();
-        let Some(exit) = slot.as_mut() else {
-            return;
-        };
-        if (exit.telemetry.iter()).any(|existing| existing.process == frame.process) {
-            return; // duplicate snapshot from a process we already heard
+        // Taking the state is the claim: the frame that completes the
+        // round takes it, once, under the exit lock.
+        if exit.payloads.iter().all(Option::is_some) {
+            slot.take()
+        } else {
+            None
         }
-        exit.telemetry.push(frame);
-        claim(shared, job, &mut slot)
     };
     if let Some(exit) = claimed {
         finalize_round(shared, round, exit);
@@ -174,34 +122,9 @@ pub(super) fn on_local_exit(shared: &Shared<'_>, round: usize, finished_virtual:
         exit.pipelined = exit.pipelined.max(finished_virtual);
         exit.local_exits == shared.role.hosted_in_round(job.num_groups())
     };
-    if !all_local_done {
-        return;
+    if all_local_done {
+        shared.resolve(round, Ok(member_stub(job)));
     }
-    // All local groups are done: ship this process's span/counter snapshot
-    // to the orchestrator so the coordinator's merged report and fleet
-    // trace cover this process. Observational only — sent exclusively when
-    // recording is enabled, after the last local exit frame (ordered
-    // delivery per peer means it cannot overtake the exits).
-    if atom_obs::enabled() {
-        let hosted: Vec<usize> = (shared.role.hosted.iter())
-            .copied()
-            .filter(|&gid| gid < job.num_groups())
-            .collect();
-        let from = hosted.first().copied().unwrap_or(0);
-        let snapshot = atom_obs::local_snapshot(Some(shared.trace_round(round)));
-        let frame = TelemetryFrame {
-            round: shared.wire_round(round),
-            process: snapshot.process,
-            gids: hosted,
-            counters: snapshot.counters,
-            spans: snapshot.spans,
-        };
-        let payload = wire::encode_telemetry(&frame);
-        if !shared.send_for_round(round, from, shared.orchestrator, TELEMETRY_LABEL, payload) {
-            return;
-        }
-    }
-    shared.resolve(round, Ok(member_stub(job)));
 }
 
 /// The report a non-coordinator member resolves a round with: local
@@ -219,7 +142,6 @@ pub(super) fn member_stub(job: &JobState) -> RoundReport {
         setup_latency: job.setup_latency(),
         mix_messages,
         mix_bytes,
-        telemetry: Vec::new(),
     }
 }
 
@@ -251,31 +173,13 @@ fn finalize_round(shared: &Shared<'_>, round: usize, exit: ExitState) {
 
     // The exit phase itself can reject a round (trap-check failure,
     // malformed payloads); `resolve` then tells any member still mixing.
-    let report = output.map(|output| {
-        // Merge the fleet's telemetry: this process's snapshot — taken
-        // *after* the exit span above closed — plus every member frame, one
-        // Perfetto process track each, in process order.
-        let mut telemetry: Vec<atom_obs::Snapshot> = Vec::new();
-        if atom_obs::enabled() {
-            telemetry.push(atom_obs::local_snapshot(Some(shared.trace_round(round))));
-            for frame in exit.telemetry {
-                telemetry.push(atom_obs::Snapshot {
-                    process: frame.process,
-                    counters: frame.counters,
-                    spans: frame.spans,
-                });
-            }
-            telemetry.sort_by_key(|snapshot| snapshot.process);
-        }
-        RoundReport {
-            pipelined_latency: exit.pipelined,
-            wall_clock,
-            setup_latency: job.setup_latency(),
-            mix_messages: job.intake_mix_messages.load(Ordering::Relaxed) + exit.group_mix_messages,
-            mix_bytes: job.intake_mix_bytes.load(Ordering::Relaxed) + exit.group_mix_bytes,
-            output,
-            telemetry,
-        }
+    let report = output.map(|output| RoundReport {
+        pipelined_latency: exit.pipelined,
+        wall_clock,
+        setup_latency: job.setup_latency(),
+        mix_messages: job.intake_mix_messages.load(Ordering::Relaxed) + exit.group_mix_messages,
+        mix_bytes: job.intake_mix_bytes.load(Ordering::Relaxed) + exit.group_mix_bytes,
+        output,
     });
     shared.resolve(round, report);
 }

@@ -49,7 +49,7 @@ pub(super) fn on_mix_frame(shared: &Shared<'_>, round: usize, gid: usize, mix: M
         // on a group another worker is stepping is waiting, not mixing) and
         // closed before it is released. Scoped to the actor section (not
         // the sends), so a member's final hop is recorded before
-        // `exit::on_local_exit` builds the round's telemetry snapshot.
+        // `exit::on_local_exit` resolves the round.
         let span = atom_obs::span("mix", shared.trace_round(round), gid as u32);
         actor.note_arrival(mix.iteration, mix.sent_virtual);
         let outputs = match actor.on_batch(mix.iteration, mix.from, mix.batch) {

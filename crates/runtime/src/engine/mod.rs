@@ -87,11 +87,6 @@ const ABORT_LABEL: &str = "atom/abort";
 /// Envelope label of sharded-setup directory frames (group → peers).
 pub const SETUP_LABEL: &str = "atom/setup";
 
-/// Envelope label of telemetry snapshots (member → orchestrator). Purely
-/// observational: only sent while [`atom_obs`] recording is enabled, and
-/// never able to alter a round's protocol output.
-pub const TELEMETRY_LABEL: &str = "atom/telemetry";
-
 /// Callback invoked with a round index each time that round resolves
 /// *successfully* in this process (see
 /// [`EngineOptions::on_round_complete`]).
@@ -467,11 +462,6 @@ pub struct RoundReport {
     pub mix_messages: u64,
     /// Mixing bytes this round pushed through the transport.
     pub mix_bytes: u64,
-    /// Fleet-wide telemetry for this round, one snapshot per process
-    /// (sorted by process index): the coordinator's own spans/counters plus
-    /// every member's `telemetry` wire frame. Empty unless
-    /// [`atom_obs`] recording was enabled for the run.
-    pub telemetry: Vec<atom_obs::Snapshot>,
 }
 
 enum Task {
@@ -532,9 +522,8 @@ struct JobState {
     /// The round clock: the coordinator starts it at its first intake work,
     /// a member at its first local delivery.
     started: OnceLock<Instant>,
-    /// Exit collection. The frame that completes the round takes it for
-    /// finalization, so finalization runs once even when a late snapshot
-    /// races the last exit frame.
+    /// Exit collection. The exit frame that completes the round takes it
+    /// for finalization, so finalization runs once.
     exit: Mutex<Option<ExitState>>,
     result: Mutex<Option<AtomResult<RoundReport>>>,
     /// Iteration-0 injections by the local intake (coordinator only).
@@ -731,11 +720,12 @@ impl Shared<'_> {
     }
 
     /// The one place a round's result is written. The first result wins
-    /// and later ones are dropped. A failure is broadcast to the peers (a
+    /// and later ones are dropped. A failure goes into the trace timeline
+    /// as a note, whatever its kind, and is broadcast to the peers (a
     /// member still mixing must not be left waiting); a success fires
     /// [`EngineOptions::on_round_complete`].
     fn resolve(&self, round: usize, result: AtomResult<RoundReport>) {
-        let abort = result.as_ref().err().map(|error| format!("{error:?}"));
+        let failure = result.as_ref().err().cloned();
         {
             let mut slot = self.jobs[round].result.lock();
             if slot.is_some() {
@@ -743,8 +733,9 @@ impl Shared<'_> {
             }
             *slot = Some(result);
         }
-        if let Some(reason) = abort {
-            self.broadcast_abort(round, &reason);
+        if let Some(error) = failure {
+            atom_obs::note("failed", self.trace_round(round), &error.to_string());
+            self.broadcast_abort(round, &format!("{error:?}"));
         } else if let Some(hook) = &self.options.on_round_complete {
             hook(round);
         }
@@ -846,11 +837,6 @@ impl Shared<'_> {
         kind: EngineErrorKind,
         cause: impl Fn(usize, &JobState) -> Option<String>,
     ) {
-        let phase = if kind == EngineErrorKind::Deadline {
-            "deadline"
-        } else {
-            "stall"
-        };
         for (round, job) in self.jobs.iter().enumerate() {
             if job.finalized() {
                 continue;
@@ -859,10 +845,6 @@ impl Shared<'_> {
                 continue;
             };
             let (detail, nodes) = self.stall_detail(job);
-            // The diagnosis goes into the trace timeline too, so a traced
-            // run shows *where* the round was stuck next to the spans of
-            // the work that did complete — not only on stderr.
-            atom_obs::note(phase, self.trace_round(round), &detail);
             let reason = format!("{cause}{detail}");
             self.fail_job(
                 round,
@@ -1189,17 +1171,18 @@ impl Drop for Executing<'_, '_> {
 }
 
 /// Drains a local mailbox and routes each frame to its round's phase: mix
-/// batches feed the node's group actor, exit and telemetry frames
-/// accumulate at the orchestrator, setup frames build a sharded directory
+/// batches feed the node's group actor, exit frames accumulate at the
+/// orchestrator, setup frames build a sharded directory
 /// and abort frames fail their round. This is the one place a frame's
 /// round is checked against the run's job list.
 fn run_deliver(shared: &Shared<'_>, node: usize) {
     for envelope in shared.transport.drain(node) {
         let decoded = match wire::decode(&envelope.payload) {
             // Client traffic terminates at the ingress tier, and membership
-            // control travels beside the mesh's mailboxes: a submit, ack or
-            // rejoin frame here is misdirected and ignored.
-            Ok(Frame::Submit(_) | Frame::SubmitAck(_) | Frame::Rejoin(_)) => {
+            // control and telemetry travel beside the mesh's mailboxes: a
+            // submit, ack, rejoin or telemetry frame here is misdirected and
+            // ignored.
+            Ok(Frame::Submit(_) | Frame::SubmitAck(_) | Frame::Rejoin(_) | Frame::Telemetry(_)) => {
                 atom_obs::count("engine.misdirected.frames", 1);
                 continue;
             }
@@ -1216,12 +1199,9 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
             continue;
         };
         if round >= shared.jobs.len() {
-            // Telemetry is observational and is dropped; any other frame
-            // naming no round of this run cannot be attributed, so every
-            // round fails rather than wait on what it displaced.
-            if !matches!(decoded, Ok(Frame::Telemetry(_))) {
-                shared.fail_all("frame names an unknown round");
-            }
+            // A frame naming no round of this run cannot be attributed, so
+            // every round fails rather than wait on what it displaced.
+            shared.fail_all("frame names an unknown round");
             continue;
         }
         match decoded {
@@ -1233,9 +1213,6 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
             Ok(Frame::Mix(mix)) => mix::on_mix_frame(shared, round, node, mix),
             Ok(Frame::Exit(exit)) => exit::on_exit_frame(shared, round, node, exit),
             Ok(Frame::Setup(setup)) => setup::on_setup_frame(shared, round, setup),
-            Ok(Frame::Telemetry(telemetry)) => {
-                exit::on_telemetry_frame(shared, round, node, telemetry)
-            }
             Ok(Frame::Abort(abort)) => shared.fail_job(
                 round,
                 AtomError::Engine {
@@ -1244,7 +1221,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
                     nodes: Vec::new(),
                 },
             ),
-            Ok(Frame::Rejoin(_) | Frame::Submit(_) | Frame::SubmitAck(_)) => {
+            Ok(Frame::Rejoin(_) | Frame::Submit(_) | Frame::SubmitAck(_) | Frame::Telemetry(_)) => {
                 unreachable!("misdirected frames name no job")
             }
         }
@@ -1936,8 +1913,8 @@ mod tests {
             Fails(&'static str),
             /// Every round fails as `Malformed`, naming this.
             AllFail(&'static str),
-            /// Every round delivers, and the named counter (if any) rose.
-            Delivers(Option<&'static str>),
+            /// Every round delivers, and the named counter rose.
+            Delivers(&'static str),
         }
         struct Case {
             name: &'static str,
@@ -2050,7 +2027,7 @@ mod tests {
                         submission: ClientSubmission::Trap(submission),
                     }),
                 )],
-                want: Want::Delivers(Some("engine.misdirected.frames")),
+                want: Want::Delivers("engine.misdirected.frames"),
             },
             Case {
                 name: "membership control frames mid-run",
@@ -2076,25 +2053,24 @@ mod tests {
                         }],
                     }),
                 )],
-                want: Want::Delivers(Some("engine.misdirected.frames")),
+                want: Want::Delivers("engine.misdirected.frames"),
             },
             Case {
-                name: "telemetry frame for an unknown round",
+                name: "telemetry frame on the mesh",
                 rounds: 1,
                 sharded: false,
                 hosted: all,
                 frames: vec![(
                     orchestrator,
-                    TELEMETRY_LABEL,
+                    EXIT_LABEL,
                     wire::encode_telemetry(&TelemetryFrame {
-                        round: 9,
                         process: 1,
-                        gids: vec![1],
+                        last: false,
                         counters: Vec::new(),
                         spans: Vec::new(),
                     }),
                 )],
-                want: Want::Delivers(None),
+                want: Want::Delivers("engine.misdirected.frames"),
             },
         ];
 
@@ -2143,18 +2119,16 @@ mod tests {
                     // another one's.
                     let mut attempts = 0;
                     loop {
-                        if bumped.is_some() {
-                            atom_obs::set_enabled(true);
-                        }
-                        let before = bumped.map_or(0, counter);
+                        atom_obs::set_enabled(true);
+                        let before = counter(bumped);
                         for report in &run() {
                             assert!(report.is_ok(), "{name}: {report:?}");
                         }
-                        if bumped.is_none_or(|bumped| counter(bumped) > before) {
+                        if counter(bumped) > before {
                             break;
                         }
                         attempts += 1;
-                        assert!(attempts < 5, "{name}: {bumped:?} never counted the frame");
+                        assert!(attempts < 5, "{name}: {bumped} never counted the frame");
                     }
                 }
             }

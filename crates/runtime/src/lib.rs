@@ -137,7 +137,7 @@ pub mod wire;
 
 pub use engine::{
     Engine, EngineOptions, EngineRole, RoundCompleteHook, RoundDirectory, RoundJob, RoundReport,
-    RoundSubmissions, SubmissionBlock, SubmissionSource, MIX_LABEL, SETUP_LABEL, TELEMETRY_LABEL,
+    RoundSubmissions, SubmissionBlock, SubmissionSource, MIX_LABEL, SETUP_LABEL,
 };
 pub use fault::{FaultKind, FaultVerdict};
 pub use ingress::{

@@ -21,8 +21,7 @@
 //! setup: 0x04 ‖ round u32 ‖ gid u32 ‖ flags u8 (must be 0) ‖ threshold u32
 //!        ‖ member_count u32 ‖ member u32 * ‖ group_public_key 32B
 //! telemetry:
-//!        0x05 ‖ round u32 ‖ process u32 ‖ flags u8 (must be 0)
-//!        ‖ gid_count u32 ‖ gid u32 *
+//!        0x05 ‖ process u32 ‖ flags u8 (bit0: final)
 //!        ‖ counter_count u32 ‖ (name_len u16 ‖ name ‖ value u64) *
 //!        ‖ span_count u32 ‖ span *
 //!        span: phase_len u16 ‖ phase ‖ note_len u16 ‖ note
@@ -48,7 +47,9 @@
 //! ```
 //!
 //! `from == u32::MAX` in a mix frame encodes the round orchestrator
-//! ([`SOURCE`]).
+//! ([`SOURCE`]). Every kind but `telemetry` carries its round right after
+//! the kind byte; a telemetry frame belongs to no round and never reaches
+//! the engine.
 //!
 //! This codec is the protocol's trust boundary: over
 //! [`TcpTransport`](atom_net::tcp::TcpTransport) these bytes arrive from another process, and a real
@@ -145,25 +146,20 @@ pub struct SetupFrame {
     pub public_key: PublicKey,
 }
 
-/// A decoded telemetry frame: one member process's span/counter snapshot
-/// for a finished round, sent to the round orchestrator after the member's
-/// last hosted group exits. Purely observational — the engine merges it
-/// into the round's [`RoundReport`](crate::engine::RoundReport) and the
-/// fleet trace file, and a duplicate from the same process is a benign
-/// no-op (unlike a duplicate exit frame, which fails the round).
+/// A decoded telemetry frame: the spans one fleet process recorded since
+/// its previous frame, with its counters at the time of sending. A member
+/// ships one through its control inbox to the fleet coordinator after each
+/// round it completes and a final one when the run ends. Purely
+/// observational: no engine reads it, so no round waits on one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetryFrame {
-    /// Index of the round within the engine run.
-    pub round: usize,
     /// Fleet process index the snapshot came from (Perfetto `pid`).
     pub process: u32,
-    /// The groups whose spans this snapshot covers (the sender's hosted
-    /// groups); the orchestrator uses them to know when every remote
-    /// group's telemetry has arrived.
-    pub gids: Vec<usize>,
+    /// The `final` flag: the sender's last frame of the run.
+    pub last: bool,
     /// Counter name/value pairs at snapshot time.
     pub counters: Vec<(String, u64)>,
-    /// The process's recorded spans for this round.
+    /// The spans recorded since the sender's previous frame.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -470,13 +466,8 @@ pub fn encode_setup(frame: &SetupFrame) -> Vec<u8> {
 /// Serializes a telemetry frame.
 pub fn encode_telemetry(frame: &TelemetryFrame) -> Vec<u8> {
     let mut out = vec![KIND_TELEMETRY];
-    put_u32(&mut out, frame.round as u32);
     put_u32(&mut out, frame.process);
-    out.push(0); // flags: none defined yet
-    put_u32(&mut out, frame.gids.len() as u32);
-    for gid in &frame.gids {
-        put_u32(&mut out, *gid as u32);
-    }
+    out.push(frame.last as u8);
     put_u32(&mut out, frame.counters.len() as u32);
     for (name, value) in &frame.counters {
         put_string(&mut out, name);
@@ -551,7 +542,8 @@ pub fn encode_submit_ack(frame: &SubmitAckFrame) -> Vec<u8> {
 
 /// Best-effort extraction of the round index from a (possibly corrupt)
 /// frame, so a decode failure can still be attributed to its round. Every
-/// frame kind stores the round as a `u32` right after the kind byte.
+/// frame kind but `telemetry` stores the round as a `u32` right after the
+/// kind byte.
 pub(crate) fn decode_round(bytes: &[u8]) -> Option<usize> {
     bytes
         .get(1..5)
@@ -857,13 +849,9 @@ fn decode_setup(r: &mut Reader) -> AtomResult<SetupFrame> {
 }
 
 fn decode_telemetry(r: &mut Reader) -> AtomResult<TelemetryFrame> {
-    let round = r.u32("telemetry round")? as usize;
-    let process = r.u32("telemetry process")?;
-    r.flags(0, "telemetry frame")?;
     Ok(TelemetryFrame {
-        round,
-        process,
-        gids: r.list(4, "telemetry gids", |r| Ok(r.u32("gid")? as usize))?,
+        process: r.u32("telemetry process")?,
+        last: r.flags(1, "telemetry frame")? == 1,
         counters: r.list(MIN_COUNTER_LEN, "telemetry counters", |r| {
             Ok((r.string("counter name")?, r.u64("counter value")?))
         })?,
@@ -1072,9 +1060,8 @@ mod tests {
 
     fn sample_telemetry() -> TelemetryFrame {
         TelemetryFrame {
-            round: 8,
             process: 2,
-            gids: vec![1, 3],
+            last: true,
             counters: vec![
                 ("crypto.multiexp.calls".to_string(), 12),
                 ("net.frames".to_string(), 7),
@@ -1110,7 +1097,7 @@ mod tests {
         // An empty snapshot (process hosted nothing measurable) is still
         // well-formed.
         let empty = TelemetryFrame {
-            gids: Vec::new(),
+            last: false,
             counters: Vec::new(),
             spans: Vec::new(),
             ..sample_telemetry()
@@ -1119,6 +1106,7 @@ mod tests {
         assert_eq!(decode(&bytes).unwrap(), Frame::Telemetry(empty));
     }
 
+    /// Every kind that carries a round: `telemetry` belongs to none.
     #[test]
     fn decode_round_works_for_every_kind() {
         let mix = encode_mix(3, 0, SOURCE, Duration::ZERO, &[]);
@@ -1133,7 +1121,6 @@ mod tests {
         });
         let abort = encode_abort(5, "r");
         let setup = encode_setup(&sample_setup());
-        let telemetry = encode_telemetry(&sample_telemetry());
         let rejoin = encode_rejoin(&sample_rejoin());
         let submit = encode_submit(&sample_submit(false));
         let ack = encode_submit_ack(&SubmitAckFrame {
@@ -1145,7 +1132,6 @@ mod tests {
         assert_eq!(decode_round(&exit), Some(4));
         assert_eq!(decode_round(&abort), Some(5));
         assert_eq!(decode_round(&setup), Some(6));
-        assert_eq!(decode_round(&telemetry), Some(8));
         assert_eq!(decode_round(&rejoin), Some(12));
         assert_eq!(decode_round(&submit), Some(13));
         assert_eq!(decode_round(&ack), Some(14));
@@ -1427,23 +1413,14 @@ mod tests {
 
     // Telemetry-frame adversarial coverage, mirroring the other suites.
 
-    /// Byte offset of the gid-count field in an encoded telemetry frame.
-    const TELEMETRY_GID_COUNT_AT: usize = 1 + 4 + 4 + 1;
+    /// Byte offset of the flags byte in an encoded telemetry frame.
+    const TELEMETRY_FLAGS_AT: usize = 1 + 4;
 
     #[test]
     fn telemetry_count_overflows_rejected_before_allocation() {
         let clean = encode_telemetry(&sample_telemetry());
-        // u32::MAX gids claimed over a 2-gid body.
-        let mut bytes = clean.clone();
-        bytes[TELEMETRY_GID_COUNT_AT..TELEMETRY_GID_COUNT_AT + 4]
-            .copy_from_slice(&u32::MAX.to_le_bytes());
-        let error = decode(&bytes).unwrap_err();
-        assert!(
-            format!("{error:?}").contains("claims"),
-            "want the gid bounds error, got {error:?}"
-        );
-        // Counter count follows the two gids.
-        let counter_count_at = TELEMETRY_GID_COUNT_AT + 4 + 2 * 4;
+        // u32::MAX counters claimed over a 2-counter body.
+        let counter_count_at = TELEMETRY_FLAGS_AT + 1;
         let mut bytes = clean.clone();
         bytes[counter_count_at..counter_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let error = decode(&bytes).unwrap_err();
@@ -1476,10 +1453,9 @@ mod tests {
 
     #[test]
     fn telemetry_unknown_flags_rejected() {
-        let flags_at = 1 + 4 + 4;
-        for flags in [1u8, 0x80, 0xff] {
+        for flags in [2u8, 0x80, 0xff] {
             let mut bytes = encode_telemetry(&sample_telemetry());
-            bytes[flags_at] = flags;
+            bytes[TELEMETRY_FLAGS_AT] = flags;
             let error = decode(&bytes).unwrap_err();
             assert!(
                 format!("{error:?}").contains("flags"),
@@ -1498,7 +1474,6 @@ mod tests {
     #[test]
     fn telemetry_non_utf8_strings_rejected() {
         let frame = TelemetryFrame {
-            gids: Vec::new(),
             counters: vec![("ab".to_string(), 1)],
             spans: Vec::new(),
             ..sample_telemetry()

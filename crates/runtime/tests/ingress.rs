@@ -407,8 +407,8 @@ fn malformed_and_non_submit_frames_close_the_connection() {
         "garbage submission must close the connection, not be acked"
     );
 
-    // A well-formed *mesh* frame (telemetry/mix kinds) on the client edge
-    // is also a violation.
+    // A well-formed frame of a kind clients never send (here the server's
+    // own `submit_ack`) on the client edge is also a violation.
     let mesh = wire::encode_submit_ack(&wire::SubmitAckFrame {
         round: config.round as usize,
         shed: false,
