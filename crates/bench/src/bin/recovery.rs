@@ -105,13 +105,13 @@ fn main() {
         std::process::exit(2)
     });
     let addrs = netbench::free_addrs(PROCESSES);
+    // No `--batch`: each plan names a member's rounds and offset.
     let member = |index, rejoin| NodeArgs {
         spec: args.spec.clone(),
         addrs: addrs.clone(),
         index,
         workers: args.workers,
         rejoin,
-        batch: Some(args.batch),
         ..NodeArgs::default()
     };
     let fleet = ProcessFleet::spawn(

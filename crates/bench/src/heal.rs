@@ -3,25 +3,24 @@
 //! Every fleet process ([`crate::netbench::run_node`]) runs this module's
 //! loop, so a fleet *heals* rather than fails when a peer vanishes. The
 //! coordinator runs rounds in batches (by default one batch of every
-//! round); before each batch the fleet passes a two-phase membership
-//! handshake, so every process agrees — before any protocol frame of the
-//! batch is sent — on who is dead, which rounds are being retried, and
-//! which wire-round namespace (epoch) the batch runs in. A fault-free run
-//! is one handshake and one engine run over an empty eviction log.
+//! round); before each attempt the fleet passes a two-phase membership
+//! handshake, so every process agrees on who is dead and on the rounds and
+//! wire-round offset of the attempt — both the coordinator's to decide —
+//! before any of its protocol frames is sent. A fault-free run is one
+//! handshake and one engine run over an empty eviction log.
 //!
 //! ## The recovery loop
 //!
 //! ```text
-//!            ┌────────────────────────────────────────────────────┐
-//!            ▼                                                    │
-//!   plan ──▶ ack ──▶ drain ──▶ go ──▶ run batch ──▶ ok? ── yes ──▶ advance,
-//!   (evictions,      (purge    (commit,             │              readmit
-//!    retry round,     stale     freeze)             no             rejoiners
-//!    epoch, digest)   frames)                       │
-//!                                                   ▼
-//!                      diagnose lowest failed round → FaultVerdict,
-//!                      extend the eviction log, re-plan from that
-//!                      round (new epoch) — the plan carries the verdict
+//!            ┌──────────────────────────────────────────────────────┐
+//!            ▼                                                      │
+//!   plan ──▶ ack ──▶ drain ──▶ go ──▶ run attempt ──▶ ok? ── yes ──▶ advance,
+//!   (evictions,      (purge    (commit,               │              readmit at
+//!    round..end,      stale     freeze)               no             a batch start
+//!    offset, digest)  frames)                         ▼
+//!                      diagnose lowest failed round → FaultVerdict, extend
+//!                      the eviction log, re-plan the rounds without a report
+//!                      (new epoch) — the plan carries the verdict
 //! ```
 //!
 //! **Detection.** A dead process surfaces as an engine failure (a send
@@ -54,19 +53,19 @@
 //! the eviction log, so every process computes identical directories and
 //! round outputs stay byte-deterministic given the log.
 //!
-//! **Job derivation.** Every process derives a batch's jobs from its plan —
-//! the coordinator right after sending it, a member before acking it — so
-//! the go starts engines whose jobs are ready, and the engine run times no
-//! derivation. The derived membership is frozen only at the go: a plan
-//! that a newer eviction supersedes leaves no round frozen anywhere.
+//! **Job derivation.** A plan runs `round..end`: the lowest round without a
+//! report up to the first round with one or the batch end ([`batch_end`]),
+//! so no attempt re-runs a completed round. Every process derives those
+//! jobs from the plan — the coordinator after sending it, a member before
+//! acking it — so the engine run times no derivation. The membership is
+//! frozen only at the go: a superseded plan leaves no round frozen.
 //!
-//! **Epoch fencing.** Each batch attempt runs with a disjoint wire-round
-//! range (`EngineOptions::round_offset = epoch × batch`): an attempt runs at
-//! most `batch` jobs, so its ids end where the next epoch's begin. A frame
-//! straggling in from a failed attempt therefore cannot alias a retried
-//! round — it falls below the offset and the engine drops it as stale —
-//! which makes the retry loop safe even though TCP ordering guarantees
-//! nothing across connections.
+//! **Epoch fencing.** Each attempt runs at the plan's `offset`
+//! (`EngineOptions::round_offset`), `epoch × batch`: an attempt runs at
+//! most `batch` rounds, so its ids end where the next epoch's begin. A
+//! frame straggling in from a failed attempt falls below the offset and is
+//! dropped as stale, although TCP orders nothing across connections.
+//! Members take the offset from the plan and never know the batch size.
 //!
 //! **Rejoin.** A restarted process binds its old address, sends a `rejoin`
 //! request carrying its (empty) log digest, and waits. The coordinator
@@ -136,8 +135,8 @@ pub(crate) fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize
 }
 
 /// The exclusive end of the batch containing `round`: batches are aligned
-/// to multiples of `batch`, capped at `rounds`. Re-formation and
-/// readmission happen only at these boundaries.
+/// to multiples of `batch`, capped at `rounds`. No attempt crosses one, and
+/// readmission happens only at them. Members never need it.
 pub fn batch_end(round: usize, batch: usize, rounds: usize) -> usize {
     assert!(batch >= 1, "batch must be at least one round");
     (((round / batch) + 1) * batch).min(rounds)
@@ -306,10 +305,11 @@ impl RecoveryLedger {
         }
     }
 
-    /// One encoded `rejoin` frame over this log. The coordinator's
-    /// (process 0) plan, go and done frames are responses carrying the
-    /// whole log; a member's ack and rejoin request carry only its digest.
-    fn handshake(&self, round: usize, process: usize, epoch: usize, commit: bool) -> Vec<u8> {
+    /// One encoded `rejoin` frame over this log, naming `rounds` at
+    /// `offset`. The coordinator's (process 0) plan, go and done frames are
+    /// responses carrying the whole log; a member's ack and rejoin request
+    /// carry only its digest.
+    fn handshake(&self, rounds: Range<usize>, process: usize, offset: usize, go: bool) -> Vec<u8> {
         let response = process == 0;
         let evictions = if response {
             self.active.clone()
@@ -317,11 +317,12 @@ impl RecoveryLedger {
             vec![]
         };
         wire::encode_rejoin(&RejoinFrame {
-            round,
+            round: rounds.start,
+            end: rounds.end,
             process,
-            epoch,
+            offset,
             response,
-            commit,
+            commit: go,
             digest: self.digest(),
             evictions,
         })
@@ -575,13 +576,9 @@ fn purge(transport: &TcpTransport) {
     }
 }
 
-fn engine_options(
-    spec: &NetSpec,
-    batch: usize,
-    workers: usize,
-    epoch: usize,
-    process: usize,
-) -> EngineOptions {
+/// The engine options of one attempt on `process`, at the wire-round
+/// `offset` its plan names.
+fn engine_options(spec: &NetSpec, workers: usize, offset: usize, process: usize) -> EngineOptions {
     let mut options = EngineOptions::with_workers(workers);
     options.stall_timeout = spec.stall_timeout;
     if process == 0 {
@@ -590,7 +587,7 @@ fn engine_options(
         // coordinator's verdict (turning `Slow` into `Blamed`).
         options.round_deadline = spec.round_deadline;
     }
-    options.round_offset = epoch * batch;
+    options.round_offset = offset;
     options
 }
 
@@ -613,13 +610,13 @@ fn note_request(pending: &mut BTreeSet<usize>, live: &[bool], frame: &RejoinFram
     if request && !live[frame.process] && pending.insert(frame.process) {
         atom_obs::count("fleet.rejoin.requests", 1);
         println!(
-            "recovery: process {} requests rejoin (last round {})",
+            "recovery: process {} requests rejoin (last plan from round {})",
             frame.process, frame.round
         );
     }
 }
 
-/// A plan on the wire: the members whose acks to await, and the batch's
+/// A plan on the wire: the members whose acks to await, and the attempt's
 /// jobs.
 type SentPlan = (BTreeSet<usize>, Vec<RoundJob>);
 
@@ -649,6 +646,8 @@ struct Coordinator<'a> {
     epoch: usize,
     /// The lowest round without an authoritative report.
     next: usize,
+    /// The rounds the last plan's attempt runs.
+    attempt: Range<usize>,
     /// Consecutive failures of the batch that yielded no actionable verdict.
     stuck: usize,
     /// Summed wall clock of the engine runs.
@@ -689,6 +688,7 @@ impl<'a> Coordinator<'a> {
             detected: None,
             epoch: 0,
             next: 0,
+            attempt: 0..0,
             stuck: 0,
             engine: Duration::ZERO,
             reports: (0..spec.rounds).map(|_| None).collect(),
@@ -756,18 +756,23 @@ impl<'a> Coordinator<'a> {
         })
     }
 
-    /// The rounds of the batch the next plan starts.
-    fn batch_rounds(&self) -> Range<usize> {
-        self.next..batch_end(self.next, self.batch, self.spec.rounds)
+    /// The wire-round offset of this epoch's attempt.
+    fn offset(&self) -> usize {
+        self.epoch * self.batch
     }
 
-    /// Phase 1: sends the plan — retry round, eviction log, epoch, digest —
-    /// then derives the batch's jobs while the members derive theirs, and
+    /// Phase 1: sends the plan — rounds, eviction log, offset, digest —
+    /// then derives the attempt's jobs while the members derive theirs, and
     /// returns the members whose acks to await with those jobs, or `None`
     /// after convicting one that could not be reached.
     fn plan(&mut self) -> Result<Option<SentPlan>, String> {
         atom_obs::count("fleet.handshake.plans", 1);
-        let plan = self.ledger.handshake(self.next, 0, self.epoch, false);
+        let end = batch_end(self.next, self.batch, self.spec.rounds);
+        let end = (self.next..end)
+            .find(|&round| self.reports[round].is_some())
+            .unwrap_or(end);
+        self.attempt = self.next..end;
+        let plan = (self.ledger).handshake(self.attempt.clone(), 0, self.offset(), false);
         let mut awaiting = BTreeSet::new();
         for process in 1..self.live.len() {
             if !self.live[process] {
@@ -786,23 +791,21 @@ impl<'a> Coordinator<'a> {
                 awaiting.insert(process);
             }
         }
-        let jobs = self
-            .ledger
-            .batch_jobs(self.spec, self.batch_rounds(), true)?;
+        let jobs = (self.ledger).batch_jobs(self.spec, self.attempt.clone(), true)?;
         Ok(Some((awaiting, jobs)))
     }
 
     /// Phase 2: collects the acks until the ack deadline, noting any rejoin
     /// request on the way. `false` after convicting the silent members.
     fn acks(&mut self, awaiting: &BTreeSet<usize>) -> Result<bool, String> {
-        let (epoch, digest) = (self.epoch, self.ledger.digest());
+        let (offset, digest) = (self.offset(), self.ledger.digest());
         let (live, pending) = (&self.live, &mut self.pending_rejoin);
         let mut acked = BTreeSet::new();
         let mut diverged = None;
         if !awaiting.is_empty() {
             let deadline = Instant::now() + ack_deadline(self.spec);
             wait(self.transport, deadline, &mut self.telemetry, |frame| {
-                let ack = !frame.response && !frame.commit && frame.epoch == epoch;
+                let ack = !frame.response && !frame.commit && frame.offset == offset;
                 if !ack || !awaiting.contains(&frame.process) {
                     note_request(pending, live, &frame);
                 } else if frame.digest == digest {
@@ -826,7 +829,7 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Phase 3: with all acks in, every member frame of dead epochs has been
-    /// delivered (per-connection ordering) — purge, freeze the batch's
+    /// delivered (per-connection ordering) — purge, freeze the attempt's
     /// membership, then send the go. `false` after convicting the members
     /// the go could not reach.
     fn commit(&mut self, awaiting: &BTreeSet<usize>) -> Result<bool, String> {
@@ -837,12 +840,12 @@ impl<'a> Coordinator<'a> {
         // Members freeze on receiving the go, so freezing is part of the
         // committed protocol on this side too — an epoch abandoned before
         // its commit leaves no membership frozen anywhere.
-        self.ledger.freeze(self.batch_rounds());
+        self.ledger.freeze(self.attempt.clone());
         // Attempt the commit to *every* member before reacting to failures:
         // members freeze the batch's membership on receiving the go, so all
         // live members must see it — aborting at the first dead peer would
         // leave the survivors frozen on an epoch the coordinator abandoned.
-        let go = self.ledger.handshake(self.next, 0, self.epoch, true);
+        let go = (self.ledger).handshake(self.attempt.clone(), 0, self.offset(), true);
         let unreachable: Vec<SendError> = awaiting
             .iter()
             .filter_map(|&process| {
@@ -852,7 +855,7 @@ impl<'a> Coordinator<'a> {
             })
             .collect();
         // The epoch committed for everyone reachable (they and we have
-        // frozen these rounds); convict the dead and retry the batch with
+        // frozen these rounds); convict the dead and retry the attempt with
         // their shares marked failed under the frozen membership.
         for SendError { process, error } in &unreachable {
             self.convict_dead(*process, format!("unreachable at commit: {error}"))?;
@@ -860,28 +863,22 @@ impl<'a> Coordinator<'a> {
         Ok(unreachable.is_empty())
     }
 
-    /// Phase 4: runs the committed batch under the agreed membership and
-    /// epoch fence. Success advances `next` and readmits the pending
-    /// rejoiners at this healed boundary; failure rewinds `next` to the
-    /// lowest failed round and convicts whoever the diagnosis names. A
-    /// round's first success is final: a retry that re-runs it neither
-    /// replaces its report nor reports its completion again.
+    /// Phase 4: runs the committed attempt under the agreed membership and
+    /// epoch fence, and moves `next` to the lowest round still without a
+    /// report. Success readmits the pending rejoiners if that round starts
+    /// a batch; failure convicts whoever the diagnosis of the lowest failed
+    /// round names. The attempt holds no completed round, so each round's
+    /// report and completion are its only ones.
     fn run_batch(&mut self, jobs: Vec<RoundJob>) -> Result<(), String> {
         let (transport, processes) = (self.transport, self.live.len());
         let owner = owner_map_excluding(self.spec.groups, processes, &self.ledger.dead_processes());
         for (node, &process) in owner.iter().enumerate() {
             transport.set_owner(node, process);
         }
-        let mut options = engine_options(self.spec, self.batch, self.workers, self.epoch, 0);
-        let (base, tap, user_hook) = (self.next, self.completions.clone(), self.on_round.clone());
-        let settled: Vec<bool> = self.reports[base..base + jobs.len()]
-            .iter()
-            .map(Option::is_some)
-            .collect();
+        let mut options = engine_options(self.spec, self.workers, self.offset(), 0);
+        let base = self.attempt.start;
+        let (tap, user_hook) = (self.completions.clone(), self.on_round.clone());
         options.on_round_complete = Some(Arc::new(move |index: usize| {
-            if settled[index] {
-                return;
-            }
             let round = base + index;
             let mut completions = tap.lock().unwrap_or_else(|poison| poison.into_inner());
             completions.push((round, Instant::now()));
@@ -890,14 +887,12 @@ impl<'a> Coordinator<'a> {
             }
         }));
         let role = EngineRole::coordinator(hosted_groups(&owner, 0));
-        let end = base + jobs.len();
         let mut failed = None;
         let start = Instant::now();
         let results = Engine::new(options).run_rounds_on(jobs, transport, &role);
         self.engine += start.elapsed();
         for (round, result) in (base..).zip(results) {
             match result {
-                _ if self.reports[round].is_some() => {}
                 Ok(report) => {
                     // The membership the report was made under.
                     self.round_evicted[round] = self.ledger.evicted_for(round);
@@ -909,21 +904,22 @@ impl<'a> Coordinator<'a> {
                 }
             }
         }
+        let unreported = self.reports.iter().position(Option::is_none);
+        self.next = unreported.unwrap_or(self.spec.rounds);
         let Some((round, error)) = failed else {
             self.stuck = 0;
-            self.next = end;
-            if end < self.spec.rounds {
+            let next = self.next;
+            if next < self.spec.rounds && next.is_multiple_of(self.batch) {
                 for process in std::mem::take(&mut self.pending_rejoin) {
                     self.ledger.readmit(process);
                     self.live[process] = true;
-                    self.rejoins.push((process, end));
+                    self.rejoins.push((process, next));
                     atom_obs::count("fleet.rejoin.readmissions", 1);
-                    println!("recovery: process {process} readmitted from round {end}");
+                    println!("recovery: process {process} readmitted from round {next}");
                 }
             }
             return Ok(());
         };
-        self.next = round;
         let num_servers = self.num_servers;
         let verdict = FaultVerdict::diagnose(round, &error, &owner, 0, |process| {
             process_servers(num_servers, processes, process)
@@ -1011,17 +1007,16 @@ pub fn run_recovery_coordinator(
     if let Err(error) = &run {
         // Beside the last attempt's spans, labelled with its first wire
         // round: a run can fail before any engine ran.
-        atom_obs::note("failed", (fleet.epoch * batch) as u32, error);
+        atom_obs::note("failed", fleet.offset() as u32, error);
     }
 
     // Tell everyone — members, and any rejoiner still waiting — that the
-    // run is over (round == spec.rounds is the done sentinel), whether we
-    // succeeded or gave up. A traced run then awaits, until the ack
-    // deadline, the final telemetry of every live member the sentinel
+    // run is over (a plan starting at spec.rounds is the done sentinel),
+    // whether we succeeded or gave up. A traced run then awaits, until the
+    // ack deadline, the final telemetry of every live member the sentinel
     // reached.
-    let done = fleet
-        .ledger
-        .handshake(spec.rounds, 0, fleet.epoch + 1, false);
+    let sentinel = spec.rounds..spec.rounds + 1;
+    let done = (fleet.ledger).handshake(sentinel, 0, (fleet.epoch + 1) * batch, false);
     let mut awaiting = Vec::new();
     for process in 1..processes {
         let reached = transport.send_control(process, &done, Dial::IfNeeded);
@@ -1044,16 +1039,16 @@ pub fn run_recovery_coordinator(
 }
 
 /// Runs a member (process `index > 0`) of a fleet: waits for each plan,
-/// mirrors the eviction log, derives the batch's jobs, acks, waits for the
-/// commit and runs its share of the batch — until the coordinator's done
-/// sentinel.
+/// mirrors the eviction log, derives the jobs of the rounds the plan names,
+/// acks, waits for the commit and runs its share of them at the plan's
+/// offset — until the coordinator's done sentinel. It takes no batch size:
+/// the coordinator alone decides what each attempt runs.
 /// With `rejoin: true` the member announces itself as a restarted process
 /// (the catch-up handshake): it sends a rejoin request and idles until a
 /// plan readmits it. `on_ready` fires once the transport is connected —
 /// the node binary prints its readiness line there.
 pub(crate) fn run_healing_member(
     spec: &NetSpec,
-    batch: usize,
     addrs: Vec<String>,
     index: usize,
     workers: usize,
@@ -1064,18 +1059,17 @@ pub(crate) fn run_healing_member(
     assert!(index > 0 && index < processes, "member index out of range");
     let transport = Arc::new(join_fleet(spec, addrs, index)?);
     on_ready();
-    let result = member_loop(spec, batch, &transport, (index, processes), workers, rejoin);
+    let result = member_loop(spec, &transport, (index, processes), workers, rejoin);
     transport.shutdown();
     result
 }
 
 /// The member's side of the recovery loop, one control frame at a time:
 /// a plan is mirrored, derived and acked, the go of the acked plan runs
-/// its batch. A traced member ships its telemetry after each round it
+/// its rounds. A traced member ships its telemetry after each round it
 /// completes and once more at the done sentinel.
 fn member_loop(
     spec: &NetSpec,
-    batch: usize,
     transport: &Arc<TcpTransport>,
     (index, processes): (usize, usize),
     workers: usize,
@@ -1089,7 +1083,8 @@ fn member_loop(
     });
     let transport: &TcpTransport = transport;
     let mut ledger = RecoveryLedger::default();
-    let (mut round, mut epoch) = (0, 0);
+    // The rounds and offset of the last plan: none before the first.
+    let (mut rounds, mut offset) = (0..0, 0);
     // `outside`: not admitted (a restart, or on the last plan's dead list).
     let (mut outside, mut requested) = (rejoin, false);
     // The hosted groups and jobs of the plan acked but not yet committed.
@@ -1099,7 +1094,7 @@ fn member_loop(
             // Ask back in, once per eviction, and wait for a plan that
             // readmits us.
             atom_obs::count("fleet.rejoin.handshakes", 1);
-            let request = ledger.handshake(round, index, 0, false);
+            let request = ledger.handshake(rounds.clone(), index, 0, false);
             transport
                 .send_control(0, &request, Dial::IfNeeded)
                 .map_err(|error| format!("rejoin request failed: {error}"))?;
@@ -1109,27 +1104,26 @@ fn member_loop(
         // an acked one: the coordinator re-planned underneath us (another
         // member died between our ack and its commit).
         let deadline = Instant::now() + plan_deadline(spec);
-        let mut newest = epoch;
+        let mut newest = offset;
         let frame = wait(transport, deadline, &mut Vec::new(), |frame| {
-            let go = frame.commit && frame.epoch == epoch && acked.is_some();
-            let plan = !frame.commit && frame.epoch > newest;
+            let go = frame.commit && frame.offset == offset && acked.is_some();
+            let plan = !frame.commit && frame.offset > newest;
             if frame.response && plan {
-                newest = frame.epoch;
+                newest = frame.offset;
             }
             (frame.response && (go || plan)).then_some(frame)
         });
         let frame = frame.ok_or_else(|| match acked {
-            Some(_) => format!("no commit for epoch {epoch} before the deadline"),
+            Some(_) => format!("no commit for offset {offset} before the deadline"),
             None => "no plan from the coordinator before the deadline".into(),
         })?;
         if let (true, Some((hosted, jobs))) = (frame.commit, acked.take()) {
-            // Freeze the batch only now that the epoch committed: a plan
+            // Freeze the rounds only now that the attempt committed: a plan
             // abandoned before its go must leave nothing frozen, or a later
             // retry of the same rounds would heal them under a membership
             // the coordinator never agreed to.
-            let end = round + jobs.len();
-            ledger.freeze(round..end);
-            let mut options = engine_options(spec, batch, workers, epoch, index);
+            ledger.freeze(rounds.clone());
+            let mut options = engine_options(spec, workers, offset, index);
             options.on_round_complete = shipper
                 .clone()
                 .map(|shipper| Arc::new(move |_| shipper.ship(false)) as RoundCompleteHook);
@@ -1146,7 +1140,7 @@ fn member_loop(
             // Failures here are expected during churn — the coordinator owns
             // the diagnosis; we just report in and wait for the next plan.
             println!(
-                "fleet member {index}: epoch {epoch} rounds {round}..{end} → {resolved}/{total} resolved"
+                "fleet member {index}: offset {offset} rounds {rounds:?} → {resolved}/{total} resolved"
             );
             continue;
         }
@@ -1156,8 +1150,8 @@ fn member_loop(
             }
             return Ok(());
         }
-        (round, epoch) = (frame.round, frame.epoch);
-        ledger.apply_plan(&frame.evictions, round);
+        (rounds, offset) = (frame.round..frame.end, frame.offset);
+        ledger.apply_plan(&frame.evictions, rounds.start);
         if ledger.digest() != frame.digest {
             return Err("eviction-log digest diverged from the coordinator".into());
         }
@@ -1168,19 +1162,18 @@ fn member_loop(
         }
         requested = false;
 
-        // Mirror the agreed membership and derive the batch's jobs, so the
-        // go finds them ready; purge dead-epoch residue *before* acking
+        // Mirror the agreed membership and derive the planned rounds' jobs,
+        // so the go finds them ready; purge dead-epoch residue *before* acking
         // (new-epoch frames can only be sent after the coordinator has our
         // ack), then ack.
         let owner = owner_map_excluding(spec.groups, processes, &dead);
         for (node, &process) in owner.iter().enumerate() {
             transport.set_owner(node, process);
         }
-        let end = batch_end(round, batch, spec.rounds);
-        let jobs = ledger.batch_jobs(spec, round..end, !spec.sharded)?;
+        let jobs = ledger.batch_jobs(spec, rounds.clone(), !spec.sharded)?;
         purge(transport);
         atom_obs::count("fleet.handshake.acks", 1);
-        let ack = ledger.handshake(round, index, epoch, false);
+        let ack = ledger.handshake(rounds.clone(), index, offset, false);
         transport
             .send_control(0, &ack, Dial::IfNeeded)
             .map_err(|error| format!("coordinator unreachable at ack: {error}"))?;
@@ -1193,6 +1186,49 @@ mod tests {
     use super::*;
     use crate::netbench::serialize_reports;
     use atom_runtime::RoundDirectory;
+    use std::sync::mpsc;
+
+    /// A fleet member on its own thread. Its result comes back over a
+    /// channel, so the test awaits it with a deadline: a member that hangs
+    /// fails the test by name instead of parking a `join` forever.
+    struct Member {
+        name: &'static str,
+        result: mpsc::Receiver<Result<(), String>>,
+        /// Twice the member's plan deadline: a member gives up on a silent
+        /// coordinator after one.
+        deadline: Duration,
+    }
+
+    impl Member {
+        /// Process `index`; with `rejoin`, a restarted one asking back in.
+        fn spawn(
+            name: &'static str,
+            spec: &NetSpec,
+            addrs: &[String],
+            index: usize,
+            rejoin: bool,
+        ) -> Self {
+            let (spec, addrs) = (spec.clone(), addrs.to_vec());
+            let deadline = plan_deadline(&spec) * 2;
+            let (sender, result) = mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = sender.send(run_healing_member(&spec, addrs, index, 2, rejoin, || {}));
+            });
+            Self {
+                name,
+                result,
+                deadline,
+            }
+        }
+
+        /// The member's result; panics, naming the member, if none arrives
+        /// before the deadline or the thread died without one.
+        fn result(self) -> Result<(), String> {
+            let (name, deadline) = (self.name, self.deadline);
+            (self.result.recv_timeout(deadline))
+                .unwrap_or_else(|error| panic!("{name}: no result within {deadline:?}: {error}"))
+        }
+    }
 
     impl RecoveryLedger {
         /// One round derived and then frozen: what a plan and its go do
@@ -1423,37 +1459,30 @@ mod tests {
         let addrs = crate::netbench::free_addrs(3);
         let batch = 1;
 
-        let m1 = {
-            let (spec, addrs) = (spec.clone(), addrs.clone());
-            std::thread::spawn(move || run_healing_member(&spec, batch, addrs, 1, 2, false, || {}))
-        };
+        let m1 = Member::spawn("member 1", &spec, &addrs, 1, false);
         // Process 2's first incarnation believes the workload is one round
         // long: it completes round 0, then exits and shuts its transport
         // down when the round-1 plan arrives — an abrupt disappearance as
         // far as the rest of the fleet is concerned.
-        let m2a = {
-            let (mut spec, addrs) = (spec.clone(), addrs.clone());
-            spec.rounds = 1;
-            std::thread::spawn(move || run_healing_member(&spec, batch, addrs, 2, 2, false, || {}))
+        let one_round = NetSpec {
+            rounds: 1,
+            ..spec.clone()
         };
+        let m2a = Member::spawn("member 2, first incarnation", &one_round, &addrs, 2, false);
         // Its second incarnation restarts on the same address once the
         // fleet has demonstrably healed (first post-eviction round done)
         // and asks to rejoin.
-        type MemberHandle = std::thread::JoinHandle<Result<(), String>>;
-        let restarted: Arc<Mutex<Option<MemberHandle>>> = Arc::new(Mutex::new(None));
+        let restarted: Arc<Mutex<Option<Member>>> = Arc::new(Mutex::new(None));
         let hook: RoundCompleteHook = {
             let restarted = restarted.clone();
             let (spec, addrs) = (spec.clone(), addrs.clone());
             Arc::new(move |round| {
                 if round == 1 {
-                    let (spec, addrs) = (spec.clone(), addrs.clone());
-                    let handle = std::thread::spawn(move || {
-                        run_healing_member(&spec, batch, addrs, 2, 2, true, || {})
-                    });
+                    let member = Member::spawn("member 2, rejoiner", &spec, &addrs, 2, true);
                     restarted
                         .lock()
                         .unwrap_or_else(|poison| poison.into_inner())
-                        .replace(handle);
+                        .replace(member);
                 }
             })
         };
@@ -1461,17 +1490,14 @@ mod tests {
         let outcome = run_recovery_coordinator(&spec, batch, addrs, 2, Some(hook), || {})
             .expect("recovery completes every round");
 
-        assert!(
-            m2a.join().unwrap().is_ok(),
-            "first incarnation exits cleanly"
-        );
-        assert!(m1.join().unwrap().is_ok(), "surviving member exits cleanly");
+        assert!(m2a.result().is_ok(), "first incarnation exits cleanly");
+        assert!(m1.result().is_ok(), "surviving member exits cleanly");
         let m2b = restarted
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
             .take()
             .expect("restart scheduled at the first healed round");
-        assert!(m2b.join().unwrap().is_ok(), "rejoiner exits cleanly");
+        assert!(m2b.result().is_ok(), "rejoiner exits cleanly");
 
         // Exactly process 2 was convicted, as dead, and later readmitted.
         let convicted: Vec<usize> = outcome.evictions.iter().map(|v| v.process).collect();
@@ -1543,14 +1569,8 @@ mod tests {
         let addrs = crate::netbench::free_addrs(3);
         let batch = 1;
 
-        let m1 = {
-            let (spec, addrs) = (spec.clone(), addrs.clone());
-            std::thread::spawn(move || run_healing_member(&spec, batch, addrs, 1, 2, false, || {}))
-        };
-        let m2 = {
-            let (spec, addrs) = (spec.clone(), addrs.clone());
-            std::thread::spawn(move || run_healing_member(&spec, batch, addrs, 2, 2, false, || {}))
-        };
+        let m1 = Member::spawn("loris member 1", &spec, &addrs, 1, false);
+        let m2 = Member::spawn("honest member 2", &spec, &addrs, 2, false);
         // Gate: hold the coordinator at the first healed round until the
         // convicted member has certainly woken from its drip and sent its
         // rejoin request (bounded by one residual drip plus slack), so at
@@ -1569,10 +1589,10 @@ mod tests {
         let outcome = run_recovery_coordinator(&spec, batch, addrs, 2, Some(hook), || {})
             .expect("recovery completes every round");
         assert!(
-            m1.join().unwrap().is_ok(),
+            m1.result().is_ok(),
             "loris member exits cleanly on the done sentinel"
         );
-        assert!(m2.join().unwrap().is_ok(), "honest member exits cleanly");
+        assert!(m2.result().is_ok(), "honest member exits cleanly");
 
         // Convicted as slow (not dead, not blamed) every time it was
         // admitted: once in the original membership, once more after every
@@ -1651,9 +1671,9 @@ mod tests {
     /// A batch whose middle round alone fails while the later rounds
     /// succeed: round 1's job carries a hostile client submission (one
     /// rebound to another entry group without a fresh proof), so its intake
-    /// check fails. The retry re-runs rounds 1..4, but a completed round's
-    /// first success is final: its report stays and its completion hook
-    /// fires once.
+    /// check fails. Rounds 2 and 3 have their reports, so the retry plans
+    /// round 1 alone: its engine run holds that one job, each round's
+    /// report is its first success and each completion hook fires once.
     #[test]
     fn a_retried_batch_keeps_each_completed_rounds_first_success() {
         let spec = NetSpec {
@@ -1685,7 +1705,13 @@ mod tests {
             .collect();
         assert!(first[1].is_none() && first[2].is_some() && first[3].is_some());
 
-        coordinator.run().expect("the retry completes round 1");
+        coordinator.epoch = 2;
+        let (awaiting, retry) = coordinator.plan().unwrap().expect("no member to reach");
+        assert_eq!(coordinator.attempt, 1..2, "the retry plans round 1 alone");
+        assert_eq!(retry.len(), 1, "the retry's engine run holds one job");
+        assert!(coordinator.acks(&awaiting).unwrap() && coordinator.commit(&awaiting).unwrap());
+        coordinator.run_batch(retry).unwrap();
+        assert_eq!(coordinator.next, spec.rounds, "the retry completes round 1");
         let outcome = coordinator.outcome(Instant::now());
         transport.shutdown();
         assert_eq!(
@@ -1770,7 +1796,8 @@ mod tests {
         let job = RecoveryLedger::default()
             .job_for_round(&spec, 0, true)
             .unwrap();
-        let options = engine_options(&spec, 1, 2, 4_096, 0);
+        // Epoch 4,096 of batch-1 attempts: offset 4,096 × 1.
+        let options = engine_options(&spec, 2, 4_096, 0);
         let report = Engine::new(options).run_rounds(vec![job]).pop().unwrap();
         let report = report.expect("epoch 4,096 delivers");
         assert_eq!(report.output.plaintexts.len(), spec.messages);

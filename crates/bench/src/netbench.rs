@@ -216,9 +216,11 @@ pub struct NodeArgs {
     /// Members only (`--rejoin`): announce as a restarted process instead
     /// of expecting to be in the fleet from round 0.
     pub rejoin: bool,
-    /// Rounds per batch (`--batch`), the re-formation and readmission
-    /// boundary spacing; `None` runs every round in one batch
-    /// ([`NodeArgs::rounds_per_batch`]).
+    /// Coordinator: rounds per batch (`--batch`), the readmission boundary
+    /// spacing and the most rounds one attempt runs; `None` runs every
+    /// round in one batch ([`NodeArgs::rounds_per_batch`]). A member reads
+    /// the flag but ignores it: it runs the rounds and wire-round offset
+    /// each plan names.
     pub batch: Option<usize>,
     /// Coordinator: write the canonical round outputs here (`--out`).
     pub out: Option<String>,
@@ -333,9 +335,10 @@ impl NodeArgs {
         Ok(args)
     }
 
-    /// Rounds per batch: `--batch`, or all of `--rounds` in one batch. Every
-    /// process resolves it the same way, so all agree on the epoch fence
-    /// (`round_offset = epoch × batch`).
+    /// Rounds per batch: `--batch`, or all of `--rounds` in one batch. Only
+    /// the coordinator uses it, to plan each attempt's rounds and its epoch
+    /// fence (`round_offset = epoch × batch`); its plans carry both to the
+    /// members.
     pub fn rounds_per_batch(&self) -> usize {
         self.batch.unwrap_or(self.spec.rounds)
     }
@@ -413,15 +416,7 @@ pub fn run_node(args: &NodeArgs) -> Result<(), String> {
     let (spec, index, addrs) = (&args.spec, args.index, args.addrs.clone());
     let (batch, workers) = (args.rounds_per_batch(), args.workers);
     if index != 0 {
-        heal::run_healing_member(
-            spec,
-            batch,
-            addrs,
-            index,
-            workers,
-            args.rejoin,
-            announce_ready,
-        )?;
+        heal::run_healing_member(spec, addrs, index, workers, args.rejoin, announce_ready)?;
         println!("atom-node member {index}: left the deployment cleanly");
         return Ok(());
     }
@@ -1021,7 +1016,7 @@ mod tests {
             metrics_out: Some("/tmp/metrics.json".into()),
             ..plain.clone()
         };
-        // No `--batch`: one batch of every round, on every process.
+        // No `--batch`: the coordinator plans one batch of every round.
         assert_eq!((plain.batch, plain.rounds_per_batch()), (None, 3));
         assert_eq!(batched.rounds_per_batch(), 4);
         for args in [plain, sharded, batched, rejoin, traced] {
@@ -1037,10 +1032,9 @@ mod tests {
     fn documented_command_lines_parse_to_the_deployments_they_mean() {
         let cases = [
             (
-                "--index 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --groups 4 --rounds 1 --messages 8",
+                "--index 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --groups 4 --rounds 2 --messages 8",
                 1,
                 NetSpec {
-                    rounds: 1,
                     messages: 8,
                     ..NetSpec::default()
                 },
@@ -1087,6 +1081,15 @@ mod tests {
                     ..NetSpec::default()
                 },
             ),
+            (
+                "--index 0 --batch 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --groups 4 --rounds 2 \
+                 --messages 8",
+                0,
+                NetSpec {
+                    messages: 8,
+                    ..NetSpec::default()
+                },
+            ),
         ];
         for (line, index, spec) in &cases {
             let args = parse(line).expect(line);
@@ -1098,6 +1101,10 @@ mod tests {
         }
         let heal = parse(cases[4].0).unwrap();
         assert!(!heal.rejoin && heal.batch == Some(4));
+        // CI's smoke: the coordinator plans one-round batches, and the
+        // member, which has no `--batch`, runs them.
+        assert_eq!(parse(cases[5].0).unwrap().rounds_per_batch(), 1);
+        assert_eq!(parse(cases[0].0).unwrap().batch, None);
         let coordinator = parse(
             "--index 0 --addrs 127.0.0.1:7421,127.0.0.1:7422 --groups 4 --rounds 2 --messages 12 \
              --out /tmp/traced.bin --trace /tmp/ci_trace.json --metrics-out /tmp/ci_metrics.json",

@@ -498,3 +498,71 @@ fn failed_fleet_run_still_writes_its_trace() {
         "the metrics file holds no object of process 0"
     );
 }
+
+/// The coordinator alone decides what each attempt runs. Its batches here
+/// are two rounds long, member 1 was started with `--batch 1` and member 2
+/// with no `--batch` at all; member 2 is SIGKILLed once round 1 completes.
+/// The coordinator evicts exactly process 2 and never convicts the healthy
+/// member 1, whatever batch its command line named, and the outputs are
+/// byte-identical to the in-memory rebuild from the eviction log.
+#[test]
+fn members_run_the_coordinators_plans_whatever_their_batch_flag() {
+    let spec = NetSpec {
+        groups: 3,
+        rounds: 6,
+        messages: 6,
+        iterations: 2,
+        seed: 0x0BA7_C4ED,
+        stall_timeout: Duration::from_secs(2),
+        honest: 2,
+        ..NetSpec::default()
+    };
+    let addrs = netbench::free_addrs(3);
+    let members = vec![
+        heal_node(&spec, &addrs, 1, 1, false),
+        node(&spec, &addrs, 2),
+    ];
+    let fleet = ProcessFleet::spawn(atom_node(), members).expect("spawn the members");
+    let fleet = Arc::new(Mutex::new(Some(fleet)));
+    let hook: RoundCompleteHook = {
+        let fleet = fleet.clone();
+        Arc::new(move |round| {
+            if round == 1 {
+                let mut guard = fleet.lock().unwrap();
+                guard.as_mut().expect("fleet alive").kill_member(2);
+            }
+        })
+    };
+
+    let outcome = heal::run_recovery_coordinator(&spec, 2, addrs, 2, Some(hook), || {})
+        .expect("recovery completes every round despite the kill");
+
+    let convicted: Vec<usize> = outcome.evictions.iter().map(|v| v.process).collect();
+    assert_eq!(
+        convicted,
+        vec![2],
+        "exactly the killed process is evicted: {:?}",
+        outcome.evictions
+    );
+    let delivered: usize = (outcome.reports.iter())
+        .map(|r| r.output.plaintexts.len())
+        .sum();
+    assert_eq!(delivered, spec.rounds * spec.messages, "no message lost");
+    let reference =
+        heal::build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+    assert_eq!(
+        netbench::serialize_reports(&outcome.reports),
+        netbench::serialize_reports(&reference),
+        "fleet outputs must be rebuildable from the eviction log alone"
+    );
+
+    // The survivor exits cleanly; only the killed member's status fails.
+    let fleet = fleet.lock().unwrap().take().expect("fleet still owned");
+    let error = fleet
+        .finish(Duration::from_secs(120))
+        .expect_err("member 2 died of SIGKILL");
+    assert!(
+        error.starts_with("fleet member process 2 exited") && !error.contains(';'),
+        "{error}"
+    );
+}

@@ -2039,8 +2039,9 @@ mod tests {
                     MIX_LABEL,
                     wire::encode_rejoin(&RejoinFrame {
                         round: 0,
+                        end: 1,
                         process: 1,
-                        epoch: 1,
+                        offset: 1,
                         response: true,
                         commit: false,
                         digest: [0; 32],

@@ -27,8 +27,9 @@
 //!        span: phase_len u16 ‖ phase ‖ note_len u16 ‖ note
 //!              ‖ round u32 ‖ gid u32 ‖ tid u32 ‖ start_us u64 ‖ dur_us u64
 //! rejoin:
-//!        0x07 ‖ round u32 ‖ process u32 ‖ epoch u32 ‖ flags u8 (bit0:
-//!        response, bit1: commit) ‖ digest 32B ‖ evict_count u32 ‖ verdict *
+//!        0x07 ‖ round u32 ‖ end u32 ‖ process u32 ‖ offset u32 ‖ flags u8
+//!        (bit0: response, bit1: commit; a response needs end > round)
+//!        ‖ digest 32B ‖ evict_count u32 ‖ verdict *
 //!        verdict: round u32 ‖ process u32 ‖ kind u8 (0 dead, 1 blamed,
 //!                 2 slow) ‖ server_count u32 ‖ server u32 *
 //!                 ‖ reason_len u16 ‖ reason (UTF-8)
@@ -165,24 +166,24 @@ pub struct TelemetryFrame {
 
 /// A decoded rejoin frame. Doubles as the recovery handshake's
 /// acknowledgement: a restarted (or surviving) member sends a *request*
-/// carrying its last-known round and eviction-log digest; the coordinator
-/// answers with a *response* (`response == true`) carrying the
-/// authoritative eviction log and the current round, and treats a
-/// survivor's matching digest as the barrier that keeps new-epoch traffic
-/// from racing ahead of membership reassignment.
+/// carrying its last plan's rounds and its eviction-log digest; the
+/// coordinator answers with a *response* (`response == true`) carrying the
+/// authoritative eviction log and the rounds the next attempt runs, and
+/// treats a survivor's matching digest as the barrier that keeps new-epoch
+/// traffic from racing ahead of membership reassignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RejoinFrame {
-    /// Request: the sender's last completed round. Response: the round the
-    /// fleet will run next.
+    /// `round..end`: the rounds a plan's attempt runs, or those of the
+    /// plan a member's frame answers.
     pub round: usize,
+    /// Exceeds `round` in a response; the decoder rejects any other.
+    pub end: usize,
     /// The fleet process index of the sender.
     pub process: usize,
-    /// The recovery epoch this handshake opens (coordinator frames) or
-    /// acknowledges (member acks). Each epoch's engine run uses a disjoint
-    /// wire-round id range (`EngineOptions::round_offset`), so both sides
-    /// must agree on the count — including a rejoining process that was
-    /// dead for any number of epochs.
-    pub epoch: usize,
+    /// The wire-round offset (`EngineOptions::round_offset`) of the attempt
+    /// this handshake opens (coordinator frames) or acknowledges (member
+    /// acks): the coordinator's alone to choose, disjoint per attempt.
+    pub offset: usize,
     /// `false` for a member's request/ack, `true` for the coordinator's
     /// authoritative answer.
     pub response: bool,
@@ -490,8 +491,9 @@ pub fn encode_telemetry(frame: &TelemetryFrame) -> Vec<u8> {
 pub fn encode_rejoin(frame: &RejoinFrame) -> Vec<u8> {
     let mut out = vec![KIND_REJOIN];
     put_u32(&mut out, frame.round as u32);
+    put_u32(&mut out, frame.end as u32);
     put_u32(&mut out, frame.process as u32);
-    put_u32(&mut out, frame.epoch as u32);
+    put_u32(&mut out, frame.offset as u32);
     out.push(frame.response as u8 | (frame.commit as u8) << 1);
     out.extend_from_slice(&frame.digest);
     put_u32(&mut out, frame.evictions.len() as u32);
@@ -871,13 +873,18 @@ fn decode_telemetry(r: &mut Reader) -> AtomResult<TelemetryFrame> {
 
 fn decode_rejoin(r: &mut Reader) -> AtomResult<RejoinFrame> {
     let round = r.u32("rejoin round")? as usize;
+    let end = r.u32("rejoin end")? as usize;
     let process = r.u32("rejoin process")? as usize;
-    let epoch = r.u32("rejoin epoch")? as usize;
+    let offset = r.u32("rejoin offset")? as usize;
     let flags = r.flags(0b11, "rejoin frame")?;
+    if flags & 1 == 1 && end <= round {
+        return Err(malformed(format_args!("rejoin response runs no round")));
+    }
     Ok(RejoinFrame {
         round,
+        end,
         process,
-        epoch,
+        offset,
         response: flags & 1 == 1,
         commit: flags & 2 == 2,
         digest: r.array::<DIGEST_LEN>("rejoin digest")?,
@@ -1156,8 +1163,9 @@ mod tests {
     // an allocation sized by an attacker-controlled field.
     // ------------------------------------------------------------------
 
-    /// One valid frame of every kind, `submit` in both variants.
-    fn sample_frames() -> [Vec<u8>; 9] {
+    /// One valid frame of every kind, `rejoin` as a request and as a plan,
+    /// `submit` in both variants.
+    fn sample_frames() -> [Vec<u8>; 10] {
         let batch = sample_batch(false);
         [
             encode_mix(1, 2, 0, Duration::from_millis(1), &batch),
@@ -1174,6 +1182,7 @@ mod tests {
             encode_setup(&sample_setup()),
             encode_telemetry(&sample_telemetry()),
             encode_rejoin(&sample_rejoin()),
+            encode_rejoin(&sample_plan()),
             encode_submit(&sample_submit(false)),
             encode_submit(&sample_submit(true)),
             encode_submit_ack(&SubmitAckFrame {
@@ -1508,8 +1517,9 @@ mod tests {
     fn sample_rejoin() -> RejoinFrame {
         RejoinFrame {
             round: 12,
+            end: 14,
             process: 1,
-            epoch: 3,
+            offset: 3,
             response: false,
             commit: false,
             digest: [0xA7; 32],
@@ -1526,6 +1536,14 @@ mod tests {
         }
     }
 
+    /// The sample rejoin frame as a coordinator's plan of rounds 12..14.
+    fn sample_plan() -> RejoinFrame {
+        RejoinFrame {
+            response: true,
+            ..sample_rejoin()
+        }
+    }
+
     /// The sample rejoin frame with `verdict` as its whole eviction log.
     fn evict_frame(verdict: FaultVerdict) -> RejoinFrame {
         RejoinFrame {
@@ -1539,7 +1557,7 @@ mod tests {
     }
 
     /// Byte offset of the verdict in an [`encode_evict`] frame.
-    const VERDICT_AT: usize = 1 + 4 + 4 + 4 + 1 + DIGEST_LEN + 4;
+    const VERDICT_AT: usize = 1 + 4 + 4 + 4 + 4 + 1 + DIGEST_LEN + 4;
     /// Byte offset of the verdict's server-count field.
     const EVICT_SERVER_COUNT_AT: usize = VERDICT_AT + 4 + 4 + 1;
 
@@ -1580,6 +1598,29 @@ mod tests {
         };
         let bytes = encode_rejoin(&empty);
         assert_eq!(decode(&bytes).unwrap(), Frame::Rejoin(empty));
+        // A response must run a round; a member's frame may name none (a
+        // restarted member has seen no plan yet).
+        for (round, end) in [(12, 12), (12, 11), (0, 0), (u32::MAX as usize, 0)] {
+            for commit in [false, true] {
+                let plan = RejoinFrame {
+                    round,
+                    end,
+                    commit,
+                    ..sample_plan()
+                };
+                let error = decode(&encode_rejoin(&plan)).unwrap_err();
+                assert!(
+                    matches!(&error, AtomError::Malformed(reason) if reason.contains("no round")),
+                    "plan of rounds {round}..{end}: want Malformed, got {error:?}"
+                );
+                let request = RejoinFrame {
+                    response: false,
+                    ..plan
+                };
+                let bytes = encode_rejoin(&request);
+                assert_eq!(decode(&bytes).unwrap(), Frame::Rejoin(request));
+            }
+        }
     }
 
     #[test]
@@ -1636,7 +1677,7 @@ mod tests {
 
     #[test]
     fn rejoin_unknown_flags_rejected() {
-        let flags_at = 1 + 4 + 4 + 4;
+        let flags_at = 1 + 4 + 4 + 4 + 4;
         for flags in [4u8, 0x80, 0xff] {
             let mut bytes = encode_rejoin(&sample_rejoin());
             bytes[flags_at] = flags;
@@ -1652,7 +1693,7 @@ mod tests {
     fn rejoin_evict_count_overflow_rejected_before_allocation() {
         // u32::MAX verdicts claimed over a 2-verdict body: the bound by
         // MIN_VERDICT_LEN must fire before any allocation.
-        let evict_count_at = 1 + 4 + 4 + 4 + 1 + DIGEST_LEN;
+        let evict_count_at = 1 + 4 + 4 + 4 + 4 + 1 + DIGEST_LEN;
         let mut bytes = encode_rejoin(&sample_rejoin());
         bytes[evict_count_at..evict_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let error = decode(&bytes).unwrap_err();
@@ -1668,9 +1709,11 @@ mod tests {
 
     #[test]
     fn rejoin_trailing_bytes_rejected() {
-        let mut bytes = encode_rejoin(&sample_rejoin());
-        bytes.push(0);
-        assert!(decode(&bytes).is_err());
+        for frame in [sample_rejoin(), sample_plan()] {
+            let mut bytes = encode_rejoin(&frame);
+            bytes.push(0);
+            assert!(decode(&bytes).is_err(), "{frame:?} plus a byte");
+        }
     }
 
     /// A real submission of each defense variant, built with the same

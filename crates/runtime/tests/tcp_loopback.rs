@@ -577,8 +577,9 @@ fn a_control_frame_sent_mid_run_reaches_only_the_control_inbox() {
     })));
     let control = wire::encode_rejoin(&RejoinFrame {
         round: 0,
+        end: 1,
         process: 1,
-        epoch: 1,
+        offset: 1,
         response: true,
         commit: false,
         digest: [0; 32],
