@@ -19,18 +19,14 @@
 //! ```
 //!
 //! Every process must receive the same flags except `--index`,
-//! `--workers` and the coordinator's output paths; the workload derivation
-//! is a pure function of them, which makes the run coordination-free.
-//! Every process runs the same self-healing loop (`atom_bench::heal`):
-//! rounds run in batches (`--batch`, default all of `--rounds` in one),
-//! each opened by a plan/ack/go handshake, so a lost member is evicted and
-//! its groups re-formed rather than failing the run. `docs/operations.md`
-//! is the operator guide: the flag-agreement rules, the
-//! `atom-process-ready` readiness line, `--sharded` (distributed round
-//! setup), `--batch` / `--honest` / `--rejoin` (failure and recovery), and
-//! the coordinator's `--out` (canonical round outputs, which the TCP
-//! equivalence tests diff byte-for-byte), `--trace` and `--metrics-out`
-//! files.
+//! `--workers` and the coordinator's output paths. Every process runs a
+//! recovery state machine (`atom_runtime::recovery`, driven by
+//! `atom_bench::heal`), so a lost member is evicted and its groups
+//! re-formed rather than failing the run. `docs/operations.md` is the
+//! operator guide: the flag-agreement rules, the `atom-process-ready`
+//! readiness line, `--sharded`, `--batch` / `--honest` / `--rejoin`
+//! (failure and recovery), and the coordinator's `--out`, `--trace` and
+//! `--metrics-out` files.
 //!
 //! This binary is only a name for the fleet process: its flags are
 //! `netbench::NodeArgs` and its run is `netbench::run_node`, which the

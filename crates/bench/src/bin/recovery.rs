@@ -86,8 +86,8 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     // The restart lands at or past `restart_at` in a batch after the kill's;
-    // the next batch reads its rejoin request, and readmits at its end.
-    let end = |round| heal::batch_end(round, args.batch, usize::MAX);
+    // a later batch start's handshake reads its request and readmits it.
+    let end = |round: usize| (round / args.batch + 1) * args.batch;
     if args.kill_at >= args.restart_at
         || end(args.restart_at.max(end(args.kill_at))) + args.batch >= args.spec.rounds
     {
@@ -135,7 +135,7 @@ fn main() {
     // Rounds complete in any order: each action fires on the first completion
     // at or past its round, the restart only in a batch after the kill's (a
     // restart before the conviction could take over the address unseen), and
-    // it waits for the member to join, so the next batch reads its request.
+    // it waits for the member to join, so a later batch start reads it.
     let killed_at = Arc::new(Mutex::new(None));
     let hook: RoundCompleteHook = {
         let (fleet, killed_at) = (fleet.clone(), killed_at.clone());
@@ -146,7 +146,7 @@ fn main() {
             let fleet = guard.as_mut().expect("fleet alive during the run");
             let mut killed = killed_at.lock().unwrap();
             if killed.is_none() && round >= kill_at {
-                *killed = Some((heal::batch_end(round, batch, usize::MAX), Instant::now()));
+                *killed = Some(((round / batch + 1) * batch, Instant::now()));
                 fleet.kill_member(2);
             } else if killed.is_some_and(|(kill_end, _)| round >= restart_at.max(kill_end)) {
                 if let Some(node) = restart.lock().unwrap().take() {

@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod experiments;
+mod experiments;
 mod fixtures;
 pub mod heal;
 pub mod json;

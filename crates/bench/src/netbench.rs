@@ -2,20 +2,14 @@
 //!
 //! A multi-process run has no shared memory, so every process derives the
 //! *same* rounds — setups, submissions, seeds — from a [`NetSpec`] it was
-//! handed on the command line, and the node→process assignment is a pure
-//! function of `(groups, processes)`. This module owns the spec, each
-//! round's configuration and a canonical byte serialization of round
-//! outputs, which is what the TCP loopback equivalence test compares
-//! against a single-process run — byte-for-byte, not just set-equal. The
-//! rounds' jobs are derived in one place, [`crate::heal`]'s ledger, over an
-//! eviction log that a fault-free run leaves empty
-//! ([`heal::fleet_jobs`]).
-//!
-//! It also owns the one fleet process: [`NodeArgs`] (its flags, parsed and
-//! written by one codec) and [`run_node`] (its run: the recovery loop of
-//! [`crate::heal`], the same on every process), which `atom-node` and every
-//! harness-spawned member run, and [`ProcessFleet`], the one supervisor of
-//! child processes.
+//! handed on the command line. This module owns the spec, each round's
+//! configuration and a canonical byte serialization of round outputs,
+//! which the TCP loopback equivalence test compares byte for byte against
+//! a single-process run ([`heal::fleet_jobs`]). It also owns the one fleet
+//! process — [`NodeArgs`] (its flags, parsed and written by one codec) and
+//! `run_node` (the recovery driver of [`crate::heal`]), which `atom-node`
+//! and every harness-spawned member run — and [`ProcessFleet`], the one
+//! supervisor of child processes.
 
 use std::ffi::OsString;
 use std::io::{BufRead, BufReader, Write};
@@ -124,7 +118,7 @@ pub(crate) fn round_config(spec: &NetSpec, round: usize) -> AtomConfig {
 }
 
 /// The group ids process `index` hosts under an owner map
-/// ([`heal::owner_map_excluding`]).
+/// ([`atom_runtime::recovery::owner_map_excluding`]).
 pub(crate) fn hosted_groups(owner: &[NodeId], index: usize) -> Vec<usize> {
     let groups = owner.len() - 1; // last node is the orchestrator
     (0..groups).filter(|&gid| owner[gid] == index).collect()
@@ -198,7 +192,7 @@ pub fn free_addrs(count: usize) -> Vec<String> {
 
 /// The command line of one fleet process: `atom-node`'s flags, read by
 /// [`NodeArgs::parse`], written by [`NodeArgs::argv`] and run by
-/// [`run_node`]. Every harness that spawns fleet processes goes through
+/// `run_node`. Every harness that spawns fleet processes goes through
 /// this one codec, so the flag-agreement rules of `docs/operations.md`
 /// live in one place.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -412,7 +406,7 @@ fn announce_ready() {
 /// reports. Member-side round failures during churn are not fatal: the
 /// coordinator owns the diagnosis. A lost message or an unrecoverable
 /// fleet is an `Err`.
-pub fn run_node(args: &NodeArgs) -> Result<(), String> {
+pub(crate) fn run_node(args: &NodeArgs) -> Result<(), String> {
     let (spec, index, addrs) = (&args.spec, args.index, args.addrs.clone());
     let (batch, workers) = (args.rounds_per_batch(), args.workers);
     if index != 0 {
@@ -482,7 +476,7 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
 
 /// `atom-node`'s program, also what `recovery` runs when re-executed in
 /// `NODE_MODE`: parse `argv` (the flags, without the program name),
-/// [`run_node`] it, and return the exit status — 2 for a flag error, 1 for
+/// `run_node` it, and return the exit status — 2 for a flag error, 1 for
 /// a failed run.
 pub fn node_main(argv: impl IntoIterator<Item = String>) -> i32 {
     let args = match NodeArgs::parse(argv) {
@@ -845,7 +839,8 @@ impl Drop for ProcessFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heal::{fleet_jobs, owner_map_excluding, RecoveryLedger};
+    use crate::heal::{batch_jobs, fleet_jobs};
+    use atom_runtime::recovery::owner_map_excluding;
     use atom_runtime::{Engine, RoundSubmissions};
 
     /// Reserved ports come from below the ephemeral range, so nothing else
@@ -931,8 +926,8 @@ mod tests {
             sharded: true,
             ..NetSpec::default()
         };
-        let ledger = RecoveryLedger::default();
-        for job in ledger.batch_jobs(&spec, 0..spec.rounds, false).unwrap() {
+        let none = vec![Vec::new(); spec.rounds];
+        for job in batch_jobs(&spec, 0..spec.rounds, &none, &none, false) {
             match &job.submissions {
                 RoundSubmissions::Trap(subs) => assert!(subs.is_empty()),
                 other => panic!("expected trap submissions, got {other:?}"),

@@ -39,7 +39,7 @@ pub mod commit;
 pub mod dkg;
 pub mod elgamal;
 pub mod encoding;
-pub mod error;
+mod error;
 pub mod keccak;
 pub mod nizk;
 mod pedersen;

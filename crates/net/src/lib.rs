@@ -35,7 +35,7 @@
 
 pub mod evloop;
 pub mod tcp;
-pub mod transport;
+mod transport;
 
 pub use evloop::{
     client_frame, read_client_frame, CloseReason, ConnId, Event, EventLoop, EvloopOptions, Waker,

@@ -308,7 +308,7 @@ pub fn counter_snapshot() -> Vec<(String, u64)> {
 /// control frames, a batch of new spans at a time; the coordinator keeps
 /// one per process, its own included, for the fleet trace and metrics
 /// files (one Perfetto process track per `process`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Fleet process index the data came from (Perfetto `pid`).
     pub process: u32,

@@ -6,7 +6,7 @@
 //! that raw evidence into a [`FaultVerdict`] — which *process* is at fault,
 //! which *servers* that process hosted, and how confident the diagnosis is
 //! — which the coordinator appends to the eviction log its next plan
-//! carries (each verdict in the [`crate::wire::encode_verdict`] encoding), so
+//! carries (each verdict in the `rejoin` frame's `verdict` encoding), so
 //! every surviving process applies the identical membership change and the
 //! healed directory stays a pure function of `(config, eviction log)`.
 //!

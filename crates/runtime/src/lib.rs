@@ -130,9 +130,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
+mod engine;
 pub mod fault;
 pub mod ingress;
+pub mod recovery;
 pub mod wire;
 
 pub use engine::{

@@ -1,0 +1,1044 @@
+//! The fleet's recovery protocol — membership churn, eviction and round
+//! recovery — as two sans-I/O state machines: process 0 runs a
+//! [`CoordinatorState`], every other process a [`MemberState`]. A machine
+//! owns no socket, thread, engine, clock, counter or log line; its driver
+//! (`atom_bench::heal` over TCP) feeds it [`Input`]s through
+//! [`Machine::step`] and carries out the [`Action`]s each step returns.
+//! Before each attempt of a batch the fleet passes a two-phase handshake,
+//! so every process agrees on who is dead and on the attempt's rounds and
+//! wire-round offset — the coordinator's to decide — before it runs:
+//!
+//! ```text
+//!            ┌──────────────────────────────────────────────────────┐
+//!            ▼                                                      │
+//!   plan ──▶ ack ──▶ drain ──▶ go ──▶ run attempt ──▶ ok? ── yes ──▶ advance
+//!   (readmit at an    (purge    (commit,               │
+//!    open batch start, stale    freeze)               no
+//!    evictions,        frames)                         ▼
+//!    round..end,       diagnose lowest failed round → FaultVerdict, extend
+//!    offset, digest)   the eviction log, re-plan the rounds without a report
+//! ```
+//!
+//! **Detection.** A dead process surfaces as an engine failure that
+//! [`FaultVerdict::diagnose`] pins on it, as a plan send that fails, or as
+//! a member that never acks. The coordinator convicts, extends its
+//! eviction log and re-plans; the next plan carries the verdict.
+//!
+//! **Healing.** A retried detection round keeps the membership frozen at
+//! its go and marks the evicted servers *failed*, so its groups heal by
+//! Lagrange reweighting or buddy escrow (§4.5); later rounds re-form over
+//! the survivors. Both are pure functions of the eviction log.
+//!
+//! **Job derivation.** A plan runs `round..end`: the lowest round without a
+//! report up to the first round with one or the batch end. Every process
+//! derives its jobs at the plan's [`Action::Prepare`] — the coordinator
+//! after sending it, a member before acking it.
+//!
+//! **Epoch fencing.** An attempt runs at the plan's offset, `epoch × batch`,
+//! so a straggling frame of a failed attempt is dropped as stale. Members
+//! take the offset from the plan and never know the batch size.
+//!
+//! **Rejoin.** A restarted process sends a `rejoin` request. The coordinator
+//! readmits in one place: planning a batch start none of whose rounds is
+//! frozen (an *open* plan). A request read while an open plan awaits its
+//! acks supersedes it with one that readmits the requester, so a request
+//! read during any batch start's handshake, the last one's included, is
+//! readmitted there.
+//!
+//! **Driving.** A driver carries out a step's actions in order; a failed
+//! [`Action::Send`] ends the list with [`Input::Unreachable`], and
+//! [`Action::Run`] with [`Input::Ran`]. Otherwise it steps each `rejoin`
+//! frame of its control inbox, then [`Input::Timer`] once the armed time
+//! has passed. A machine's first input is `Timer`.
+
+mod ledger;
+
+use std::collections::BTreeSet;
+use std::mem;
+use std::ops::Range;
+use std::time::Duration;
+
+use atom_core::config::AtomConfig;
+use atom_core::error::AtomError;
+use atom_net::SendError;
+
+use crate::fault::{FaultKind, FaultVerdict};
+use crate::wire::RejoinFrame;
+use ledger::{batch_end, process_servers, RecoveryLedger};
+
+/// A fleet's group count and process count.
+type Fleet = (usize, usize);
+
+/// Bounded retries of one batch when a failure yields no actionable
+/// verdict (e.g. a protocol abort that implicates no process).
+const MAX_STUCK_RETRIES: usize = 3;
+
+/// The node→process map with `dead` processes excluded: a group keeps its
+/// round-robin owner while that owner lives, and is otherwise reassigned
+/// round-robin over the survivors. The orchestrator node (always last)
+/// stays on the coordinator, which never appears in `dead`.
+pub fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize]) -> Vec<usize> {
+    assert!(!dead.contains(&0), "the coordinator cannot be evicted");
+    let live: Vec<usize> = (0..processes).filter(|p| !dead.contains(p)).collect();
+    let owner = (0..groups).map(|gid| match gid % processes {
+        preferred if dead.contains(&preferred) => live[gid % live.len()],
+        preferred => preferred,
+    });
+    owner.chain([0]).collect()
+}
+
+/// What a driver tells a machine.
+#[derive(Debug)]
+pub enum Input {
+    /// A `rejoin` frame read from the control inbox.
+    Frame(RejoinFrame),
+    /// The failed sends of one [`Action::Send`].
+    Unreachable(Vec<SendError>),
+    /// The prepared attempt ran: one result per round of it, in order.
+    Ran(Vec<Result<(), AtomError>>),
+    /// The armed time passed with the control inbox empty.
+    Timer,
+}
+
+/// What a machine asks of its driver, in order.
+#[derive(Debug)]
+pub enum Action {
+    /// Send the frame to each listed process's control inbox.
+    Send(Vec<usize>, RejoinFrame),
+    /// Copy a plan to a convicted process over an open stream, ignoring
+    /// failure: it prompts a slow but alive process to ask back in.
+    Courtesy(usize, RejoinFrame),
+    /// Empty every node mailbox of frames from dead epochs.
+    Purge,
+    /// Install an attempt's owner map and derive its jobs: its rounds, wire
+    /// offset, owner map, and per round the servers excluded and failed.
+    Prepare(
+        Range<usize>,
+        usize,
+        Vec<usize>,
+        Vec<Vec<usize>>,
+        Vec<Vec<usize>>,
+    ),
+    /// Run the prepared attempt.
+    Run,
+    /// Arm the timer at this time since the start (replacing any armed).
+    Arm(Duration),
+    /// The coordinator planned an attempt.
+    Planned,
+    /// A member acked a plan.
+    Acked,
+    /// A member outside the fleet asked back in.
+    Requested,
+    /// The coordinator read an evicted process's request, sent from the
+    /// plan starting at the given round.
+    RequestRead(usize, usize),
+    /// The coordinator convicted a process.
+    Convicted(FaultVerdict),
+    /// The coordinator readmitted a process from the given round.
+    Readmitted(usize, usize),
+    /// A round failed, the given time in a row, with no verdict: retried.
+    Retrying(usize, usize, String),
+    /// The run is over.
+    Finish(Result<(), String>),
+}
+
+/// A recovery state machine: the one entry point of either role.
+pub trait Machine {
+    /// Feeds `input`, read at `now` (since the machine started), and returns
+    /// what the driver is to do, in order.
+    fn step(&mut self, now: Duration, input: Input) -> Vec<Action>;
+}
+
+/// Where the coordinator is in its loop.
+#[derive(Debug, Default)]
+enum Phase {
+    #[default]
+    Start,
+    /// The plan is out: the members awaited and those acked, the ack
+    /// deadline (unset until the driver is back at its inbox), and whether
+    /// the plan is open — a batch start none of whose rounds is frozen.
+    Acks(BTreeSet<usize>, BTreeSet<usize>, Option<Duration>, bool),
+    /// The go is out and the attempt runs.
+    Running,
+    /// The done sentinel is out.
+    Closing(Result<(), String>),
+}
+
+/// The coordinator's (process 0's) side of the recovery loop: it plans
+/// every attempt, convicts and readmits. Its public fields are what the
+/// run settled.
+#[derive(Debug, Default)]
+pub struct CoordinatorState {
+    processes: usize,
+    groups: usize,
+    servers: usize,
+    group_size: usize,
+    rounds: usize,
+    batch: usize,
+    ack_deadline: Duration,
+    ledger: RecoveryLedger,
+    /// Evicted processes that asked back in.
+    pending: BTreeSet<usize>,
+    /// The lowest round without a report, and the last plan's rounds.
+    next: usize,
+    attempt: Range<usize>,
+    /// Consecutive failures of the batch that yielded no actionable verdict.
+    stuck: usize,
+    reported: Vec<bool>,
+    phase: Phase,
+    /// Attempts planned (plan/ack/go handshakes begun).
+    pub epoch: usize,
+    /// Every conviction, in order.
+    pub evictions: Vec<FaultVerdict>,
+    /// `(process, round)` of each readmission.
+    pub rejoins: Vec<(usize, usize)>,
+    /// Per round: the evicted-server set its report was made under.
+    pub round_evicted: Vec<Vec<usize>>,
+    /// Per round: the mid-flight failure set it healed around.
+    pub round_failed: Vec<Vec<usize>>,
+    /// The admitted members the done sentinel reached.
+    pub reached: Vec<usize>,
+}
+
+impl CoordinatorState {
+    /// The coordinator of `processes` processes over `config`'s groups, for
+    /// `rounds` rounds in batches of `batch`, with an `ack_deadline`.
+    pub fn new(
+        config: &AtomConfig,
+        (processes, rounds, batch): (usize, usize, usize),
+        ack_deadline: Duration,
+    ) -> Self {
+        assert!(batch >= 1, "batch must be at least one round");
+        Self {
+            processes,
+            groups: config.num_groups,
+            servers: config.num_servers,
+            group_size: config.group_size,
+            rounds,
+            batch,
+            ack_deadline,
+            reported: vec![false; rounds],
+            round_evicted: vec![Vec::new(); rounds],
+            round_failed: vec![Vec::new(); rounds],
+            ..Self::default()
+        }
+    }
+
+    /// The admitted members.
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..self.processes).filter(|&p| self.ledger.admits(p))
+    }
+
+    /// Readmits the pending rejoiners at an open batch start, sends the plan
+    /// of the rounds from `next` and derives it while the members do.
+    fn plan(&mut self, out: &mut Vec<Action>) {
+        if self.next >= self.rounds {
+            return self.close(Ok(()), out);
+        }
+        self.epoch += 1;
+        let max_epochs = self.rounds * 3 + 24;
+        if self.epoch > max_epochs {
+            let reason = format!("recovery made no progress within {max_epochs} epochs");
+            return self.close(Err(reason), out);
+        }
+        let end = batch_end(self.next, self.batch, self.rounds);
+        let open = self.next.is_multiple_of(self.batch) && !self.ledger.any_frozen(self.next..end);
+        for process in mem::take(&mut self.pending) {
+            if !open {
+                self.pending.insert(process);
+                continue;
+            }
+            self.ledger.readmit(process);
+            self.rejoins.push((process, self.next));
+            out.push(Action::Readmitted(process, self.next));
+        }
+        out.push(Action::Planned);
+        let end = (self.next..end).find(|&r| self.reported[r]).unwrap_or(end);
+        self.attempt = self.next..end;
+        let offset = self.epoch * self.batch;
+        let plan = (self.ledger).handshake(self.attempt.clone(), 0, offset, false);
+        for process in 1..self.processes {
+            out.push(match self.ledger.admits(process) {
+                true => Action::Send(vec![process], plan.clone()),
+                false => Action::Courtesy(process, plan.clone()),
+            });
+        }
+        let fleet = (self.groups, self.processes);
+        out.push(self.ledger.prepare(self.attempt.clone(), offset, fleet));
+        out.push(Action::Arm(Duration::ZERO));
+        let awaiting = self.members().collect();
+        self.phase = Phase::Acks(awaiting, BTreeSet::new(), None, open);
+    }
+
+    /// Convicts `verdicts`, retrying from `next`, and re-plans with them.
+    fn convict(&mut self, verdicts: Vec<FaultVerdict>, out: &mut Vec<Action>) {
+        for verdict in verdicts {
+            let mut lost = self.ledger.active_servers();
+            lost.extend(verdict.servers.iter().copied());
+            let (process, left, size) =
+                (verdict.process, self.servers - lost.len(), self.group_size);
+            if left < size {
+                let reason = format!(
+                    "evicting process {process} would leave {left} servers, fewer than one group ({size})"
+                );
+                return self.close(Err(reason), out);
+            }
+            out.push(Action::Convicted(verdict.clone()));
+            self.ledger.evict(verdict.clone(), self.next);
+            self.evictions.push(verdict);
+        }
+        self.stuck = 0;
+        self.plan(out);
+    }
+
+    /// The verdict on a process that went silent or unreachable.
+    fn dead(&self, process: usize, reason: String) -> FaultVerdict {
+        let (round, kind) = (self.next, FaultKind::Dead);
+        let servers = process_servers(self.servers, self.processes, process);
+        FaultVerdict {
+            round,
+            process,
+            kind,
+            servers,
+            reason,
+        }
+    }
+
+    /// Records the attempt's reports, moves `next` to the lowest round without
+    /// one, and convicts whoever the lowest failed round's diagnosis names.
+    fn ran(&mut self, results: Vec<Result<(), AtomError>>, out: &mut Vec<Action>) {
+        let mut failed = None;
+        for (round, result) in (self.attempt.start..).zip(results) {
+            match result {
+                // The membership the report was made under.
+                Ok(()) => {
+                    self.round_evicted[round] = self.ledger.evicted_for(round);
+                    self.round_failed[round] = self.ledger.failed_for(round);
+                    self.reported[round] = true;
+                }
+                Err(error) => {
+                    failed.get_or_insert((round, error));
+                }
+            }
+        }
+        self.next = (self.reported.iter().position(|r| !r)).unwrap_or(self.rounds);
+        let Some((round, error)) = failed else {
+            self.stuck = 0;
+            return self.plan(out);
+        };
+        let (servers, processes) = (self.servers, self.processes);
+        let owner = owner_map_excluding(self.groups, processes, &self.ledger.dead_processes());
+        let servers_of = |process| process_servers(servers, processes, process);
+        match FaultVerdict::diagnose(round, &error, &owner, 0, servers_of) {
+            Some(verdict) if verdict.process != 0 && self.ledger.admits(verdict.process) => {
+                self.convict(vec![verdict], out)
+            }
+            _ => {
+                self.stuck += 1;
+                let (stuck, error) = (self.stuck, format!("{error:?}"));
+                if stuck < MAX_STUCK_RETRIES {
+                    out.push(Action::Retrying(round, stuck, error));
+                    return self.plan(out);
+                }
+                let reason = format!(
+                    "round {round} failed {stuck} times with no actionable verdict: {error}"
+                );
+                self.close(Err(reason), out);
+            }
+        }
+    }
+
+    /// An ack of the current plan, or a rejoin request from an evicted
+    /// process, which supersedes an open plan awaiting acks.
+    fn frame(&mut self, frame: RejoinFrame, out: &mut Vec<Action>) {
+        let (member, process) = (!frame.response && !frame.commit, frame.process);
+        let ack = member && frame.offset == self.epoch * self.batch;
+        match &mut self.phase {
+            Phase::Acks(awaiting, acked, ..) if ack && awaiting.contains(&process) => {
+                if frame.digest != self.ledger.digest() {
+                    let reason =
+                        format!("process {process} acked with a divergent eviction-log digest");
+                    return self.close(Err(reason), out);
+                }
+                acked.insert(process);
+                if acked.len() == awaiting.len() {
+                    // Commit once the inbox behind the last ack is read.
+                    out.push(Action::Arm(Duration::ZERO));
+                }
+            }
+            _ if !member || process >= self.processes || self.ledger.admits(process) => {}
+            phase => {
+                let open = matches!(phase, Phase::Acks(.., true));
+                if self.pending.insert(process) {
+                    out.push(Action::RequestRead(process, frame.round));
+                    if open {
+                        self.plan(out);
+                    }
+                }
+            }
+        }
+    }
+
+    /// With every ack in and the inbox behind them read, every member frame
+    /// of dead epochs has arrived: purge, freeze, send the go to every member
+    /// before reacting to a failure (each freezes on it), and run. Else
+    /// convict the members silent past the ack deadline, or start it.
+    fn timer(&mut self, now: Duration, out: &mut Vec<Action>) {
+        let Phase::Acks(awaiting, acked, wait, _) = &mut self.phase else {
+            if let Phase::Start = self.phase {
+                self.plan(out);
+            }
+            return;
+        };
+        if acked.len() == awaiting.len() {
+            let to: Vec<usize> = mem::take(awaiting).into_iter().collect();
+            self.ledger.freeze(self.attempt.clone());
+            let offset = self.epoch * self.batch;
+            let go = (self.ledger).handshake(self.attempt.clone(), 0, offset, true);
+            out.push(Action::Purge);
+            out.extend((!to.is_empty()).then_some(Action::Send(to, go)));
+            out.push(Action::Run);
+            self.phase = Phase::Running;
+        } else if wait.is_some_and(|at| now >= at) {
+            let silent: Vec<usize> = awaiting.difference(acked).copied().collect();
+            let verdicts = silent
+                .into_iter()
+                .map(|p| self.dead(p, "no handshake ack".into()));
+            self.convict(verdicts.collect(), out);
+        } else {
+            out.push(Action::Arm(*wait.get_or_insert(now + self.ack_deadline)));
+        }
+    }
+
+    /// Convicts the processes a plan or go could not reach; a done sentinel
+    /// that could not reach one only finishes.
+    fn unreachable(&mut self, failures: Vec<SendError>, out: &mut Vec<Action>) {
+        let stage = match &self.phase {
+            Phase::Acks(..) => "unreachable during handshake",
+            Phase::Running => "unreachable at commit",
+            Phase::Closing(result) => {
+                (self.reached).retain(|&p| failures.iter().all(|f| f.process != p));
+                return out.push(Action::Finish(result.clone()));
+            }
+            Phase::Start => return,
+        };
+        let dead = failures.into_iter();
+        let verdicts = dead.map(|f| self.dead(f.process, format!("{stage}: {}", f.error)));
+        self.convict(verdicts.collect(), out);
+    }
+
+    /// Tells every member and waiting rejoiner that the run is over: a plan
+    /// starting at `rounds` is the done sentinel.
+    fn close(&mut self, result: Result<(), String>, out: &mut Vec<Action>) {
+        self.reached = self.members().collect();
+        let (done, offset) = (self.rounds..self.rounds + 1, (self.epoch + 1) * self.batch);
+        let sentinel = self.ledger.handshake(done, 0, offset, false);
+        let to: Vec<usize> = (1..self.processes).collect();
+        out.extend((!to.is_empty()).then_some(Action::Send(to, sentinel)));
+        self.phase = Phase::Closing(result.clone());
+        out.push(Action::Finish(result));
+    }
+}
+
+impl Machine for CoordinatorState {
+    fn step(&mut self, now: Duration, input: Input) -> Vec<Action> {
+        let mut out = Vec::new();
+        match input {
+            Input::Frame(frame) => self.frame(frame, &mut out),
+            Input::Unreachable(failures) => self.unreachable(failures, &mut out),
+            Input::Ran(results) => self.ran(results, &mut out),
+            Input::Timer => self.timer(now, &mut out),
+        }
+        out
+    }
+}
+
+/// A member's (process `index > 0`'s) side of the recovery loop: a plan is
+/// mirrored, derived and acked, and its go runs its rounds, until the done
+/// sentinel. A restarted member starts outside the fleet and asks back in.
+#[derive(Debug, Default)]
+pub struct MemberState {
+    index: usize,
+    fleet: Fleet,
+    rounds: usize,
+    plan_deadline: Duration,
+    ledger: RecoveryLedger,
+    /// The rounds and offset of the last plan: none before the first.
+    planned: Range<usize>,
+    offset: usize,
+    /// Not admitted (a restart, or on the last plan's dead list); asked
+    /// back in since; the last plan derived and acked, awaiting its go.
+    outside: bool,
+    requested: bool,
+    acked: bool,
+    /// The newest plan offset this wait has seen, and what this read of the
+    /// inbox acts on once it is empty: the newest plan, or the acked go.
+    newest: usize,
+    pick: Option<RejoinFrame>,
+    /// When this wait gives up; unset until the driver is back at its inbox.
+    wait: Option<Duration>,
+}
+
+impl MemberState {
+    /// Process `index` of `processes` hosting `groups` groups, for `rounds`
+    /// rounds, with a `plan_deadline`; with `rejoin`, a restarted process.
+    pub fn new(
+        (index, processes, groups): (usize, usize, usize),
+        rounds: usize,
+        plan_deadline: Duration,
+        rejoin: bool,
+    ) -> Self {
+        assert!(index > 0 && index < processes, "member index out of range");
+        let (fleet, outside) = ((groups, processes), rejoin);
+        Self {
+            index,
+            fleet,
+            rounds,
+            plan_deadline,
+            outside,
+            ..Self::default()
+        }
+    }
+
+    /// Asks back in, once per eviction, if not admitted.
+    fn ask_back_in(&mut self, out: &mut Vec<Action>) {
+        if self.outside && !self.requested {
+            let request = (self.ledger).handshake(self.planned.clone(), self.index, 0, false);
+            out.extend([Action::Requested, Action::Send(vec![0], request)]);
+            self.requested = true;
+        }
+    }
+
+    /// Runs an acked plan on its go, or mirrors a new plan: apply its log,
+    /// check the digest and, if admitted, derive its jobs, purge dead-epoch
+    /// residue before acking (new-epoch frames follow the ack), and ack.
+    fn act(&mut self, frame: RejoinFrame, out: &mut Vec<Action>) {
+        if frame.commit {
+            // Freeze the rounds only now that the attempt committed: a plan
+            // abandoned before its go must leave nothing frozen, or a later
+            // retry of the same rounds would heal them under a membership
+            // the coordinator never agreed to.
+            self.acked = false;
+            self.ledger.freeze(self.planned.clone());
+            return out.push(Action::Run);
+        }
+        if frame.round >= self.rounds {
+            return out.push(Action::Finish(Ok(())));
+        }
+        (self.planned, self.offset, self.acked) = (frame.round..frame.end, frame.offset, false);
+        self.ledger.apply_plan(&frame.evictions, frame.round);
+        if self.ledger.digest() != frame.digest {
+            let reason = "eviction-log digest diverged from the coordinator";
+            return out.push(Action::Finish(Err(reason.into())));
+        }
+        self.outside = self.ledger.dead_processes().contains(&self.index);
+        if !self.outside {
+            out.push((self.ledger).prepare(self.planned.clone(), self.offset, self.fleet));
+            let ack = (self.ledger).handshake(self.planned.clone(), self.index, self.offset, false);
+            out.extend([Action::Purge, Action::Acked, Action::Send(vec![0], ack)]);
+            (self.requested, self.acked) = (false, true);
+        }
+        self.await_next(out);
+    }
+
+    /// Starts the wait for the next plan, or the go of the acked one.
+    fn await_next(&mut self, out: &mut Vec<Action>) {
+        self.ask_back_in(out);
+        (self.wait, self.newest) = (None, self.offset);
+        out.push(Action::Arm(Duration::ZERO));
+    }
+}
+
+impl Machine for MemberState {
+    fn step(&mut self, now: Duration, input: Input) -> Vec<Action> {
+        let mut out = Vec::new();
+        match (input, self.pick.take(), self.wait) {
+            // A newer plan supersedes an acked one: the coordinator
+            // re-planned underneath us (another member died between our ack
+            // and its commit). Of the frames read in a row, the last that
+            // qualifies wins.
+            (Input::Frame(frame), pick, _) => {
+                let go = frame.commit && frame.offset == self.offset && self.acked;
+                let plan = !frame.commit && frame.offset > self.newest;
+                self.pick = pick;
+                if frame.response && (go || plan) {
+                    self.newest = self.newest.max(frame.offset);
+                    self.pick = Some(frame);
+                    out.push(Action::Arm(Duration::ZERO));
+                }
+            }
+            (Input::Timer, Some(frame), _) => self.act(frame, &mut out),
+            (Input::Timer, None, Some(at)) if now >= at => {
+                let offset = self.offset;
+                let awaited = match self.acked {
+                    true => format!("commit for offset {offset}"),
+                    false => "plan from the coordinator".into(),
+                };
+                out.push(Action::Finish(Err(format!(
+                    "no {awaited} before the deadline"
+                ))));
+            }
+            (Input::Timer, None, wait) => {
+                self.ask_back_in(&mut out);
+                let at = wait.unwrap_or(now + self.plan_deadline);
+                out.push(Action::Arm(*self.wait.insert(at)));
+            }
+            (Input::Ran(_), ..) => self.await_next(&mut out),
+            (Input::Unreachable(failures), ..) => {
+                let failure = &failures[0];
+                let reason = match self.outside {
+                    true => format!("rejoin request failed: {failure}"),
+                    false => format!("coordinator unreachable at ack: {failure}"),
+                };
+                out.push(Action::Finish(Err(reason)));
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::io;
+
+    use atom_core::error::EngineErrorKind;
+
+    use crate::wire::{self, Frame};
+    use ledger::eviction_log_digest;
+
+    const ACK_DEADLINE: Duration = Duration::from_secs(1);
+    const PLAN_DEADLINE: Duration = Duration::from_secs(20);
+    const GROUPS: usize = 3;
+
+    /// The coordinator of `processes` processes hosting three groups of
+    /// three over nine servers.
+    fn coordinator(processes: usize, rounds: usize, batch: usize) -> CoordinatorState {
+        let mut config = AtomConfig::test_default();
+        (config.num_groups, config.num_servers, config.group_size) = (GROUPS, 9, 3);
+        CoordinatorState::new(&config, (processes, rounds, batch), ACK_DEADLINE)
+    }
+
+    fn refused(process: usize) -> SendError {
+        let error = io::Error::from(io::ErrorKind::ConnectionRefused);
+        SendError { process, error }
+    }
+
+    /// The plan an answer sends or copies.
+    fn plan_in(answer: &[Action]) -> RejoinFrame {
+        (answer.iter())
+            .find_map(|action| match action {
+                Action::Send(_, frame) | Action::Courtesy(_, frame) if !frame.commit => {
+                    Some(frame.clone())
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no plan in {answer:?}"))
+    }
+
+    /// Member `process`'s ack of `plan`.
+    fn ack(process: usize, plan: &RejoinFrame) -> Input {
+        Input::Frame(RejoinFrame {
+            process,
+            response: false,
+            evictions: Vec::new(),
+            ..plan.clone()
+        })
+    }
+
+    /// Scripts the rest of a run: every plan sent in `answer` and after is
+    /// acked by every process it reaches, the inbox is then empty, and every
+    /// attempt succeeds.
+    fn settle(machine: &mut CoordinatorState, mut answer: Vec<Action>) -> Result<(), String> {
+        for _ in 0..1_000 {
+            let input = match answer.last() {
+                Some(Action::Finish(result)) => return result.clone(),
+                Some(Action::Run) => Input::Ran(machine.attempt.clone().map(|_| Ok(())).collect()),
+                _ => {
+                    for action in &answer {
+                        if let Action::Send(to, frame) = action {
+                            for &process in to {
+                                machine.step(Duration::ZERO, ack(process, frame));
+                            }
+                        }
+                    }
+                    Input::Timer
+                }
+            };
+            answer = machine.step(Duration::ZERO, input);
+        }
+        panic!("the run did not finish");
+    }
+
+    /// At `--rounds 8 --batch 2`, member 2 is convicted in batch 0..2 and
+    /// restarts; its rejoin request is read while the last batch start
+    /// (6..8) waits for its acks. It is readmitted at round 6 — or the run
+    /// ends with a named reason, never with the request silently dropped.
+    #[test]
+    fn a_rejoin_request_read_during_the_last_batch_handshake_is_readmitted() {
+        let mut machine = coordinator(3, 8, 2);
+        let now = Duration::ZERO;
+        machine.step(now, Input::Timer);
+        let mut answer = machine.step(now, Input::Unreachable(vec![refused(2)]));
+        assert!(matches!(&answer[0], Action::Convicted(verdict) if verdict.process == 2));
+        for start in [0, 2, 4] {
+            let plan = plan_in(&answer);
+            assert_eq!((plan.round, plan.end), (start, start + 2));
+            assert!(machine
+                .step(now, ack(1, &plan))
+                .iter()
+                .all(|a| matches!(a, Action::Arm(_))));
+            let go = machine.step(now, Input::Timer);
+            assert!(matches!(go.last(), Some(Action::Run)), "{go:?}");
+            answer = machine.step(now, Input::Ran(vec![Ok(()), Ok(())]));
+        }
+        let plan = plan_in(&answer);
+        assert_eq!((plan.round, plan.end), (6, 8));
+        let request = RejoinFrame {
+            round: 0,
+            end: 2,
+            process: 2,
+            offset: 0,
+            response: false,
+            commit: false,
+            digest: eviction_log_digest(&[]),
+            evictions: Vec::new(),
+        };
+        let read = machine.step(now, Input::Frame(request));
+        assert!(matches!(read[0], Action::RequestRead(2, _)));
+        // The script acks every plan still on the wire, the 6..8 one too.
+        answer.extend(read);
+        match settle(&mut machine, answer) {
+            Ok(()) => assert_eq!(machine.rejoins, vec![(2, 6)], "readmitted at round 6"),
+            Err(reason) => assert!(!reason.is_empty(), "the run ends with a named reason"),
+        }
+    }
+
+    /// Rejoin requests read while no open plan waits wait for the next
+    /// open one; a retry of frozen rounds readmits nobody.
+    #[test]
+    fn a_retry_of_frozen_rounds_readmits_nobody() {
+        let mut machine = coordinator(3, 4, 2);
+        let now = Duration::ZERO;
+        let plan = plan_in(&machine.step(now, Input::Timer));
+        machine.step(now, ack(1, &plan));
+        machine.step(now, ack(2, &plan));
+        machine.step(now, Input::Timer);
+        let lost = AtomError::Engine {
+            kind: EngineErrorKind::TransportLost,
+            reason: "peer closed".into(),
+            nodes: vec![2],
+        };
+        let retry = machine.step(now, Input::Ran(vec![Ok(()), Err(lost)]));
+        assert!(matches!(&retry[0], Action::Convicted(verdict) if verdict.process == 2));
+        let plan = plan_in(&retry);
+        assert_eq!(
+            (plan.round, plan.end),
+            (1, 2),
+            "the retry runs round 1 alone"
+        );
+        let request = RejoinFrame {
+            process: 2,
+            response: false,
+            offset: 0,
+            evictions: Vec::new(),
+            digest: eviction_log_digest(&[]),
+            ..plan.clone()
+        };
+        let answer = machine.step(now, Input::Frame(request));
+        assert!(matches!(answer[..], [Action::RequestRead(2, 1)]));
+        let answer = machine.step(now, ack(1, &plan));
+        assert_eq!(settle(&mut machine, answer), Ok(()));
+        assert_eq!(
+            machine.rejoins,
+            vec![(2, 2)],
+            "readmitted at the next batch start"
+        );
+    }
+
+    /// One coordinator and its members in one thread: FIFOs of encoded
+    /// control frames, one timer per process, and a fake engine under which
+    /// an attempt's round succeeds iff every process of its owner map is
+    /// alive. Frames are delivered before any timer fires; the earliest
+    /// timer fires next (of equal times, the one armed first), moving the
+    /// clock.
+    struct Lockstep {
+        now: Duration,
+        rounds: usize,
+        coordinator: CoordinatorState,
+        /// Index 0 unused; `None` while dead.
+        members: Vec<Option<MemberState>>,
+        inbox: Vec<VecDeque<Vec<u8>>>,
+        /// Per process: when its timer fires, and when it was armed.
+        timer: Vec<Option<(Duration, usize)>>,
+        armed: usize,
+        prepared: Vec<Option<(Range<usize>, Vec<usize>)>>,
+        finished: Vec<Option<Result<(), String>>>,
+        /// Every frame delivered: sender, receiver, frame.
+        sent: Vec<(usize, usize, RejoinFrame)>,
+        /// Every event the coordinator reported.
+        events: Vec<Action>,
+        /// The rounds of each attempt the coordinator ran.
+        attempts: Vec<Range<usize>>,
+        /// `(round, process)`: the attempt running `round` loses `process`
+        /// there.
+        kill: Option<(usize, usize)>,
+        /// `(round, process)`: `process` restarts once an attempt ran past
+        /// `round` with it dead.
+        restart: Option<(usize, usize)>,
+    }
+
+    impl Lockstep {
+        fn new(processes: usize, rounds: usize, batch: usize) -> Self {
+            let member =
+                |index| MemberState::new((index, processes, GROUPS), rounds, PLAN_DEADLINE, false);
+            Self {
+                now: Duration::ZERO,
+                rounds,
+                coordinator: coordinator(processes, rounds, batch),
+                members: (0..processes).map(|p| (p > 0).then(|| member(p))).collect(),
+                inbox: vec![VecDeque::new(); processes],
+                timer: (0..processes).map(|p| Some((Duration::ZERO, p))).collect(),
+                armed: processes,
+                prepared: vec![None; processes],
+                finished: vec![None; processes],
+                sent: Vec::new(),
+                events: Vec::new(),
+                attempts: Vec::new(),
+                kill: None,
+                restart: None,
+            }
+        }
+
+        fn alive(&self, process: usize) -> bool {
+            let running = process == 0 || self.members[process].is_some();
+            running && self.finished[process].is_none()
+        }
+
+        fn step(&mut self, process: usize, input: Input) -> Vec<Action> {
+            match process {
+                0 => self.coordinator.step(self.now, input),
+                _ => (self.members[process].as_mut())
+                    .expect("a live member")
+                    .step(self.now, input),
+            }
+        }
+
+        /// Steps `process` with `input`, and with every input its actions
+        /// yield in turn.
+        fn feed(&mut self, process: usize, input: Input) {
+            let mut next = Some(input);
+            while let Some(input) = next.take() {
+                let actions = self.step(process, input);
+                next = self.carry(process, actions);
+            }
+        }
+
+        fn carry(&mut self, process: usize, actions: Vec<Action>) -> Option<Input> {
+            for action in actions {
+                match action {
+                    Action::Send(to, frame) => {
+                        let failed: Vec<SendError> = (to.into_iter())
+                            .filter(|&to| !self.deliver(process, to, &frame))
+                            .map(refused)
+                            .collect();
+                        if !failed.is_empty() {
+                            return Some(Input::Unreachable(failed));
+                        }
+                    }
+                    Action::Courtesy(to, frame) => {
+                        self.deliver(process, to, &frame);
+                    }
+                    Action::Prepare(rounds, _, owner, ..) => {
+                        self.prepared[process] = Some((rounds, owner));
+                    }
+                    Action::Run => return Some(Input::Ran(self.run(process))),
+                    Action::Arm(at) => {
+                        self.armed += 1;
+                        self.timer[process] = Some((at.max(self.now), self.armed));
+                    }
+                    Action::Finish(result) => {
+                        self.finished[process] = Some(result);
+                        return None;
+                    }
+                    event if process == 0 => self.events.push(event),
+                    _ => {}
+                }
+            }
+            None
+        }
+
+        fn deliver(&mut self, from: usize, to: usize, frame: &RejoinFrame) -> bool {
+            if self.alive(to) {
+                self.sent.push((from, to, frame.clone()));
+                self.inbox[to].push_back(wire::encode_rejoin(frame));
+            }
+            self.alive(to)
+        }
+
+        /// The fake engine. A member's run always succeeds: the coordinator
+        /// owns the diagnosis.
+        fn run(&mut self, process: usize) -> Vec<Result<(), AtomError>> {
+            let (rounds, owner) = self.prepared[process].take().expect("a go runs a plan");
+            if process > 0 {
+                return rounds.map(|_| Ok(())).collect();
+            }
+            self.attempts.push(rounds.clone());
+            let results = (rounds.clone())
+                .map(|round| {
+                    if let Some((_, victim)) = self.kill.filter(|&(at, _)| round >= at) {
+                        self.kill = None;
+                        self.members[victim] = None;
+                        self.inbox[victim].clear();
+                        self.timer[victim] = None;
+                    }
+                    let lost: Vec<usize> = (0..owner.len())
+                        .filter(|&node| !self.alive(owner[node]))
+                        .collect();
+                    match lost.is_empty() {
+                        true => Ok(()),
+                        false => Err(AtomError::Engine {
+                            kind: EngineErrorKind::TransportLost,
+                            reason: "peer closed its stream".into(),
+                            nodes: lost,
+                        }),
+                    }
+                })
+                .collect();
+            let due =
+                |&(after, p): &(usize, usize)| rounds.end > after && self.members[p].is_none();
+            if let Some((_, process)) = self.restart.filter(due) {
+                self.restart = None;
+                let fresh = (process, self.members.len(), GROUPS);
+                self.members[process] =
+                    Some(MemberState::new(fresh, self.rounds, PLAN_DEADLINE, true));
+                self.armed += 1;
+                self.finished[process] = None;
+                self.timer[process] = Some((self.now, self.armed));
+            }
+            results
+        }
+
+        /// Runs the fleet until every live process finished.
+        fn run_to_end(&mut self) {
+            let processes = self.members.len();
+            for _ in 0..100_000 {
+                if (0..processes).all(|p| !self.alive(p)) {
+                    return;
+                }
+                let ready = (0..processes).find(|&p| self.alive(p) && !self.inbox[p].is_empty());
+                if let Some(process) = ready {
+                    let payload = self.inbox[process].pop_front().unwrap();
+                    let Ok(Frame::Rejoin(frame)) = wire::decode(&payload) else {
+                        panic!("a control frame decodes");
+                    };
+                    self.feed(process, Input::Frame(frame));
+                    continue;
+                }
+                let armed = (0..processes)
+                    .filter(|&p| self.alive(p))
+                    .filter_map(|p| self.timer[p].map(|timer| (timer, p)))
+                    .min();
+                let ((at, _), process) = armed.expect("a waiting process has a timer");
+                (self.now, self.timer[process]) = (self.now.max(at), None);
+                self.feed(process, Input::Timer);
+            }
+            panic!("the fleet did not finish within 100,000 steps");
+        }
+
+        /// The frames `from` sent, with their receivers.
+        fn frames_from(&self, from: impl Fn(usize) -> bool) -> Vec<(usize, &RejoinFrame)> {
+            (self.sent.iter())
+                .filter(|(sender, _, _)| from(*sender))
+                .map(|(_, to, frame)| (*to, frame))
+                .collect()
+        }
+
+        fn convicted(&self) -> Vec<usize> {
+            (self.events.iter())
+                .filter_map(|event| match event {
+                    Action::Convicted(verdict) => Some(verdict.process),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// A fault-free run of four rounds in batches of two: per batch one
+    /// plan, two acks and one go, every ack echoing its plan's digest.
+    #[test]
+    fn lockstep_fault_free_run_takes_one_handshake_per_batch() {
+        let mut fleet = Lockstep::new(3, 4, 2);
+        fleet.run_to_end();
+        assert_eq!(fleet.finished, vec![Some(Ok(())); 3]);
+        assert_eq!(fleet.attempts, vec![0..2, 2..4]);
+        assert!(fleet.convicted().is_empty() && fleet.coordinator.rejoins.is_empty());
+        let coordinator = fleet.frames_from(|p| p == 0);
+        let acks = fleet.frames_from(|p| p > 0);
+        for start in [0, 2] {
+            let batch = |frame: &&RejoinFrame| frame.round == start && frame.end == start + 2;
+            let plans: Vec<&RejoinFrame> = (coordinator.iter())
+                .map(|(_, frame)| *frame)
+                .filter(|frame| !frame.commit)
+                .filter(batch)
+                .collect();
+            let offsets: BTreeSet<usize> = plans.iter().map(|plan| plan.offset).collect();
+            assert_eq!(
+                (plans.len(), offsets.len()),
+                (2, 1),
+                "one plan of batch {start}"
+            );
+            let offset = plans[0].offset;
+            let gos = (coordinator.iter()).filter(|(_, f)| f.commit && batch(f));
+            assert_eq!(gos.count(), 2, "one go of batch {start}, to each member");
+            let acked: Vec<&RejoinFrame> = (acks.iter())
+                .map(|(_, frame)| *frame)
+                .filter(|frame| frame.offset == offset)
+                .collect();
+            assert_eq!(acked.len(), 2, "two acks of batch {start}");
+            assert!(acked.iter().all(|ack| ack.digest == plans[0].digest));
+        }
+    }
+
+    /// Member 2 dies inside the first attempt, at round 1: exactly one
+    /// verdict, naming it, and the retry plans round 1 alone — round 0 has
+    /// its report.
+    #[test]
+    fn lockstep_kill_mid_attempt_yields_one_verdict_and_a_retry_of_the_unreported() {
+        let mut fleet = Lockstep::new(3, 4, 2);
+        fleet.kill = Some((1, 2));
+        fleet.run_to_end();
+        assert_eq!(fleet.convicted(), vec![2]);
+        let verdict = &fleet.coordinator.evictions[0];
+        assert_eq!((verdict.round, verdict.kind), (1, FaultKind::Dead));
+        assert_eq!(fleet.attempts, vec![0..2, 1..2, 2..4]);
+        assert_eq!(fleet.finished[0], Some(Ok(())));
+        assert_eq!(fleet.finished[1], Some(Ok(())));
+        assert_eq!(fleet.coordinator.round_evicted[1], Vec::<usize>::new());
+        assert_eq!(fleet.coordinator.round_failed[1], process_servers(9, 3, 2));
+        assert_eq!(fleet.coordinator.round_evicted[2], process_servers(9, 3, 2));
+    }
+
+    /// The member killed mid-attempt restarts once round 3 has run and
+    /// asks back in: it is readmitted at a batch start and runs to the
+    /// done sentinel with the rest.
+    #[test]
+    fn lockstep_restarted_member_is_readmitted() {
+        let mut fleet = Lockstep::new(3, 8, 2);
+        (fleet.kill, fleet.restart) = (Some((1, 2)), Some((3, 2)));
+        fleet.run_to_end();
+        assert_eq!(
+            fleet.convicted(),
+            vec![2],
+            "one verdict: {:?}",
+            fleet.events
+        );
+        let rejoins = &fleet.coordinator.rejoins;
+        assert!(matches!(rejoins[..], [(2, round)] if round % 2 == 0 && round > 3 && round < 8));
+        assert_eq!(fleet.finished, vec![Some(Ok(())); 3]);
+        let (_, readmitted_at) = rejoins[0];
+        assert!(fleet.coordinator.round_evicted[readmitted_at].is_empty());
+        assert_eq!(fleet.coordinator.reached, vec![1, 2]);
+    }
+}

@@ -164,13 +164,11 @@ pub struct TelemetryFrame {
     pub spans: Vec<SpanRecord>,
 }
 
-/// A decoded rejoin frame. Doubles as the recovery handshake's
-/// acknowledgement: a restarted (or surviving) member sends a *request*
-/// carrying its last plan's rounds and its eviction-log digest; the
-/// coordinator answers with a *response* (`response == true`) carrying the
-/// authoritative eviction log and the rounds the next attempt runs, and
-/// treats a survivor's matching digest as the barrier that keeps new-epoch
-/// traffic from racing ahead of membership reassignment.
+/// A decoded rejoin frame: every message of the recovery handshake
+/// ([`crate::recovery`]). A member's request or ack carries the rounds of
+/// the last plan it saw and its eviction-log digest; the coordinator's
+/// response — a plan, its go, or the done sentinel — carries the
+/// authoritative eviction log and the rounds and offset of an attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RejoinFrame {
     /// `round..end`: the rounds a plan's attempt runs, or those of the
@@ -180,26 +178,18 @@ pub struct RejoinFrame {
     pub end: usize,
     /// The fleet process index of the sender.
     pub process: usize,
-    /// The wire-round offset (`EngineOptions::round_offset`) of the attempt
-    /// this handshake opens (coordinator frames) or acknowledges (member
-    /// acks): the coordinator's alone to choose, disjoint per attempt.
+    /// The attempt's wire-round offset (`EngineOptions::round_offset`),
+    /// the coordinator's alone to choose and disjoint per attempt.
     pub offset: usize,
-    /// `false` for a member's request/ack, `true` for the coordinator's
-    /// authoritative answer.
+    /// `false` for a member's request/ack, `true` for the coordinator's.
     pub response: bool,
-    /// Set on the coordinator's *go* frame — the second phase of the
-    /// inter-epoch barrier. A plan (`response` only) tells members what to
-    /// apply; the commit (`response` + `commit`) tells them every survivor
-    /// has acknowledged and drained, so the next epoch's frames cannot be
-    /// confused with stale ones.
+    /// Set on the coordinator's go: every survivor has acked and drained,
+    /// so the next epoch's frames cannot be confused with stale ones.
     pub commit: bool,
-    /// Digest of the sender's eviction log (`eviction_log_digest` in the
-    /// recovery harness, four FNV-64 lanes over the log's encoding); lets
-    /// both sides detect divergent membership views without shipping the
-    /// directory.
+    /// Digest of the sender's eviction log: both sides detect divergent
+    /// membership views without shipping the directory.
     pub digest: [u8; 32],
-    /// The eviction log as the sender knows it (authoritative in a
-    /// response; the member's view in a request).
+    /// The eviction log as the sender knows it (empty in a member's frame).
     pub evictions: Vec<FaultVerdict>,
 }
 
@@ -376,8 +366,8 @@ fn put_proof(out: &mut Vec<u8>, proof: &EncProof) {
 
 /// Appends one fault verdict in its wire encoding (the `verdict` layout
 /// of a `rejoin` frame's eviction log), which is also the encoding the
-/// recovery harness's eviction-log digest hashes.
-pub fn encode_verdict(out: &mut Vec<u8>, verdict: &FaultVerdict) {
+/// recovery ledger's eviction-log digest hashes.
+pub(crate) fn encode_verdict(out: &mut Vec<u8>, verdict: &FaultVerdict) {
     put_u32(out, verdict.round as u32);
     put_u32(out, verdict.process as u32);
     out.push(verdict.kind.to_wire());

@@ -5,7 +5,7 @@
 //! "we modified the implementation to model the expected latency given ...
 //! the values shown in Table 3").
 //!
-//! * [`costs`] — primitive cost models: the paper's Table 3 numbers or
+//! * [`PrimitiveCosts`] — primitive cost models: the paper's Table 3 numbers or
 //!   numbers measured on this machine.
 //! * [`deployment`] — end-to-end round-latency estimation for arbitrary
 //!   deployment sizes, including the large-scale overhead terms that make
@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod costs;
+mod costs;
 pub mod deployment;
 
 pub use costs::PrimitiveCosts;

@@ -5,7 +5,8 @@
 //! them. This scan counts the calls left under `crates/`, `src/` and
 //! `tests/` (comments stripped) and fails when the count rises above
 //! [`MAX_SLEEPS`]. A change that removes a sleep lowers the bound with it.
-//! CI runs it in the Chaos step.
+//! A second scan keeps the recovery state machines free of clocks, threads
+//! and I/O, so time stays injected there. CI runs both in the Chaos step.
 
 mod common;
 
@@ -42,6 +43,55 @@ fn thread_sleep_count_does_not_grow() {
         hits.len() <= MAX_SLEEPS,
         "{} calls to {pattern} (at most {MAX_SLEEPS}); wait on readiness or a condvar instead:\n{}",
         hits.len(),
+        hits.join("\n")
+    );
+}
+
+/// What the non-test part of `crates/runtime/src/recovery*` may not name:
+/// the machines take their time and their frames from a driver.
+const IO_TOKENS: [&str; 7] = [
+    "Instant::now",
+    "SystemTime",
+    "thread::",
+    "send_control",
+    "recv_control",
+    "Engine::",
+    "println!",
+];
+
+#[test]
+fn recovery_machines_stay_sans_io() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/runtime/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    let recovery = |file: &&std::path::PathBuf| {
+        let relative = file.strip_prefix(&src).expect("under the runtime sources");
+        relative.to_string_lossy().starts_with("recovery")
+    };
+    let files: Vec<_> = files.iter().filter(recovery).collect();
+    assert!(
+        !files.is_empty(),
+        "no recovery sources under {}",
+        src.display()
+    );
+
+    let mut hits = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|error| panic!("read {}: {error}", file.display()));
+        let non_test = text
+            .lines()
+            .take_while(|line| !line.contains("#[cfg(test)]"));
+        for (index, line) in non_test.enumerate() {
+            let code = line.split("//").next().unwrap_or_default();
+            for token in IO_TOKENS.iter().filter(|token| code.contains(*token)) {
+                hits.push(format!("{}:{}: {token}", file.display(), index + 1));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "the recovery machines own no clock, thread, transport, engine or log line:\n{}",
         hits.join("\n")
     );
 }
