@@ -18,10 +18,10 @@ use rand::SeedableRng;
 use atom_core::directory::derive_setup;
 use atom_core::error::AtomError;
 use atom_core::message::make_trap_submission;
-use atom_net::{Dial, FaultyTransport, SendError, TcpOptions, TcpTransport, Transport};
+use atom_net::{Dial, FaultyTransport, SendError, TcpTransport, Transport};
 use atom_runtime::fault::slow_groups;
-use atom_runtime::recovery::MemberState;
-use atom_runtime::recovery::{owner_map_excluding, Action, CoordinatorState, Input, Machine};
+use atom_runtime::recovery::{fleet_clocks, owner_map_excluding, Action, Input, Machine};
+use atom_runtime::recovery::{CoordinatorState, MemberState};
 use atom_runtime::wire::{self, Frame, TelemetryFrame};
 use atom_runtime::{Engine, EngineOptions, EngineRole, FaultVerdict, RoundCompleteHook};
 use atom_runtime::{RoundJob, RoundReport, RoundSubmissions};
@@ -149,7 +149,8 @@ fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransp
     }
     let owner = owner_map_excluding(spec.groups, addrs.len(), &[]);
     let role = if me == 0 { "coordinator" } else { "member" };
-    let transport = TcpTransport::bind(addrs, owner, me, TcpOptions::default())
+    let mesh = fleet_clocks(spec.stall_timeout).mesh;
+    let transport = TcpTransport::bind(addrs, owner, me, mesh)
         .map_err(|error| format!("bind {role} transport: {error}"))?;
     let connected = transport.connect_peers();
     connected.map_err(|error| format!("connect to fleet: {error}"))?;
@@ -159,7 +160,7 @@ fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransp
 /// The engine options of one attempt on `process`, at wire-round `offset`.
 fn engine_options(spec: &NetSpec, workers: usize, offset: usize, process: usize) -> EngineOptions {
     let mut options = EngineOptions::with_workers(workers);
-    options.stall_timeout = spec.stall_timeout;
+    options.stall_timeout = fleet_clocks(spec.stall_timeout).stall;
     if process == 0 {
         // The round clock is the coordinator's alone: it owns the diagnosis,
         // and a member that also deadlined would race its abort against the
@@ -168,18 +169,6 @@ fn engine_options(spec: &NetSpec, workers: usize, offset: usize, process: usize)
     }
     options.round_offset = offset;
     options
-}
-
-/// How long the coordinator waits for plan acks before convicting the
-/// silent members as dead.
-fn ack_deadline(spec: &NetSpec) -> Duration {
-    spec.stall_timeout.max(Duration::from_millis(500)) * 2
-}
-
-/// How long a member waits for the next plan (or go) before concluding the
-/// coordinator is gone: a full batch run plus the coordinator's ack wait.
-fn plan_deadline(spec: &NetSpec) -> Duration {
-    spec.stall_timeout.max(Duration::from_secs(1)) * 8 + Duration::from_secs(10)
 }
 
 /// An attempt a plan prepared — its rounds, offset, owner map and jobs.
@@ -209,13 +198,13 @@ fn recv(
 
 /// Steps `machine` from its first timer to its finish over `transport`,
 /// carrying out each step's actions; `run` runs an attempt on its go.
-/// Returns the run's result and when the first conviction was reported.
+/// Returns the run's result, its first conviction's time and its end's.
 fn drive(
     (spec, transport, with_submissions): (&NetSpec, &TcpTransport, bool),
     machine: &mut impl Machine,
     run: &mut dyn FnMut(Prepared) -> Vec<Result<(), AtomError>>,
     telemetry: &mut Vec<TelemetryFrame>,
-) -> (Result<(), String>, Option<Instant>) {
+) -> (Result<(), String>, Option<Instant>, Instant) {
     let (start, mut timer, mut prepared, mut detected) = (Instant::now(), None, None, None);
     let mut next = Some(Input::Timer);
     loop {
@@ -225,7 +214,8 @@ fn drive(
         else {
             continue;
         };
-        for action in machine.step(start.elapsed(), input) {
+        let now = Instant::now();
+        for action in machine.step(now - start, input) {
             match action {
                 Action::Send(to, frame) => {
                     let payload = wire::encode_rejoin(&frame);
@@ -258,7 +248,7 @@ fn drive(
                     println!("recovery: process {process} requests rejoin (last plan from round {round})");
                 }
                 Action::Convicted(FaultVerdict { process, kind, round, reason, .. }) => {
-                    detected.get_or_insert_with(Instant::now);
+                    detected.get_or_insert(now);
                     atom_obs::count("fleet.evictions", 1);
                     println!("recovery: evicting process {process} ({kind}) at round {round}: {reason}");
                 }
@@ -269,7 +259,7 @@ fn drive(
                 Action::Retrying(round, stuck, error) => println!(
                     "recovery: round {round} failed without a verdict (attempt {stuck}), retrying: {error}"
                 ),
-                Action::Finish(result) => return (result, detected),
+                Action::Finish(result) => return (result, detected, now),
             }
         }
     }
@@ -292,7 +282,8 @@ pub fn run_recovery_coordinator(
     let transport = join_fleet(spec, addrs, 0).map_err(|error| (error, Vec::new()))?;
     on_ready();
     let shape = (processes, spec.rounds, batch);
-    let mut machine = CoordinatorState::new(&config, shape, ack_deadline(spec));
+    let ack = fleet_clocks(spec.stall_timeout).ack;
+    let mut machine = CoordinatorState::new(&config, shape, ack);
     let mut reports: Vec<Option<RoundReport>> = (0..spec.rounds).map(|_| None).collect();
     let completions: Arc<Mutex<Vec<(usize, Instant)>>> = Arc::default();
     let mut engine = Duration::ZERO;
@@ -316,7 +307,7 @@ pub fn run_recovery_coordinator(
         rounds.zip(results).map(&mut report).collect()
     };
     let mut telemetry = Vec::new();
-    let (run, detected) = drive(
+    let (run, detected, finished) = drive(
         (spec, &transport, true),
         &mut machine,
         &mut run,
@@ -329,7 +320,7 @@ pub fn run_recovery_coordinator(
     }
     // A traced run awaits, until the ack deadline, the final telemetry of
     // every admitted member the done sentinel reached.
-    let mut timer = spec.trace.then(|| Instant::now() + ack_deadline(spec));
+    let mut timer = spec.trace.then_some(finished + ack);
     let shipped = |t: &[TelemetryFrame], p| t.iter().any(|f| f.last && f.process as usize == p);
     while timer.is_some() && !(machine.reached.iter()).all(|&p| shipped(&telemetry, p)) {
         recv(&transport, &mut timer, &mut telemetry);
@@ -342,10 +333,11 @@ pub fn run_recovery_coordinator(
         .filter_map(|&(round, at)| Some((round, at.checked_duration_since(detected?)?)))
         .filter(|&(_, latency)| !latency.is_zero())
         .collect();
+    let healed_rounds: BTreeSet<usize> = healed.iter().map(|&(round, _)| round).collect();
     Ok(RecoveryOutcome {
         reports: reports
             .into_iter()
-            .map(|report| report.expect("every round resolved"))
+            .map(|r| r.expect("every round resolved"))
             .collect(),
         evictions: machine.evictions,
         rejoins: machine.rejoins,
@@ -355,12 +347,7 @@ pub fn run_recovery_coordinator(
         engine,
         detected_at: detected.map(|instant| instant - start),
         healed_latency: healed.iter().map(|&(_, latency)| latency).min(),
-        healed_rounds: healed
-            .iter()
-            .map(|&(round, _)| round)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect(),
+        healed_rounds: healed_rounds.into_iter().collect(),
         wall: start.elapsed(),
         telemetry,
     })
@@ -379,7 +366,8 @@ pub(crate) fn run_healing_member(
     on_ready: impl FnOnce(),
 ) -> Result<(), String> {
     let fleet = (index, addrs.len(), spec.groups);
-    let mut machine = MemberState::new(fleet, spec.rounds, plan_deadline(spec), rejoin);
+    let plan = fleet_clocks(spec.stall_timeout).plan;
+    let mut machine = MemberState::new(fleet, spec.rounds, plan, rejoin);
     let transport = Arc::new(join_fleet(spec, addrs, index)?);
     on_ready();
     let (shipper, shipped) = (Arc::clone(&transport), Mutex::new(0));
@@ -418,7 +406,7 @@ pub(crate) fn run_healing_member(
         results.into_iter().map(|result| result.map(drop)).collect()
     };
     let driven = (spec, &*transport, !spec.sharded);
-    let (result, _) = drive(driven, &mut machine, &mut run, &mut Vec::new());
+    let (result, ..) = drive(driven, &mut machine, &mut run, &mut Vec::new());
     if result.is_ok() && spec.trace {
         ship(true);
     }
@@ -462,7 +450,7 @@ mod tests {
             rejoin: bool,
         ) -> Self {
             let (spec, addrs) = (spec.clone(), addrs.to_vec());
-            let deadline = plan_deadline(&spec) * 2;
+            let deadline = fleet_clocks(spec.stall_timeout).plan * 2;
             let (sender, result) = mpsc::channel();
             std::thread::spawn(move || {
                 let _ = sender.send(run_healing_member(&spec, addrs, index, 2, rejoin, || {}));
@@ -759,7 +747,11 @@ mod tests {
     /// batch.
     fn lone_coordinator(spec: &NetSpec) -> CoordinatorState {
         let shape = (1, spec.rounds, spec.rounds);
-        CoordinatorState::new(&round_config(spec, 0), shape, ack_deadline(spec))
+        CoordinatorState::new(
+            &round_config(spec, 0),
+            shape,
+            fleet_clocks(spec.stall_timeout).ack,
+        )
     }
 
     /// One attempt of a [`lone_coordinator`], carried out by hand with no

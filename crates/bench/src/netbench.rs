@@ -547,14 +547,16 @@ struct FleetMember {
 
 impl FleetMember {
     /// Unless it is reaped already, waits for the child to exit —
-    /// SIGKILLing it first when `kill` — and records how it died.
+    /// SIGKILLing it first when `kill` — and logs how it died on stderr, so
+    /// a churn post-mortem shows it beside the member's output.
     fn reap(&mut self, epoch: Instant, kill: bool) {
         if self.reaped.is_none() {
             if kill {
                 let _ = self.child.kill();
             }
             if let Ok(status) = self.child.wait() {
-                record_exit(self.index, epoch, &status);
+                let (index, ms) = (self.index, epoch.elapsed().as_millis());
+                eprintln!("[p{index} +{ms}ms] exited ({})", describe_exit(&status));
                 self.reaped = Some(status);
             }
         }
@@ -565,28 +567,12 @@ impl FleetMember {
 /// SIGKILLed member reads `signal 9`, not an opaque failure.
 fn describe_exit(status: &ExitStatus) -> String {
     use std::os::unix::process::ExitStatusExt;
+    let core = status.core_dumped().then_some(" (core dumped)");
     match (status.code(), status.signal()) {
         (Some(code), _) => format!("exit code {code}"),
-        (None, Some(signal)) => {
-            let core = if status.core_dumped() {
-                " (core dumped)"
-            } else {
-                ""
-            };
-            format!("signal {signal}{core}")
-        }
+        (None, Some(signal)) => format!("signal {signal}{}", core.unwrap_or_default()),
         _ => format!("{status}"),
     }
-}
-
-/// One timestamped, attributed line on stderr when a member is reaped, so
-/// a churn post-mortem shows *how* each process died alongside its output.
-fn record_exit(index: usize, epoch: Instant, status: &ExitStatus) {
-    eprintln!(
-        "[p{index} +{}ms] exited ({})",
-        epoch.elapsed().as_millis(),
-        describe_exit(status)
-    );
 }
 
 fn spawn_reader(
@@ -631,13 +617,10 @@ pub struct ProcessFleet {
 impl ProcessFleet {
     /// Spawns one child per node: `program` (an executable plus any
     /// leading arguments, e.g. [`this_exe_as_node`]) followed by
-    /// [`NodeArgs::argv`]. Each child's stdout is piped through a monitor
-    /// thread that watches for `READY_LINE` and forwards every other line
-    /// to this process's stderr, prefixed with the child's process index
-    /// and the milliseconds elapsed since the fleet spawned — so an
-    /// operator watching the coordinator sees the whole fleet's output,
-    /// attributed and ordered in time (interleaving across members is
-    /// otherwise unreadable during a stall post-mortem).
+    /// [`NodeArgs::argv`]. A monitor thread per child watches its stdout
+    /// for `READY_LINE` and forwards every other line to this process's
+    /// stderr, prefixed with the child's index and the milliseconds since
+    /// the fleet spawned: the whole fleet's output, attributed and in order.
     pub fn spawn(program: Vec<OsString>, nodes: Vec<NodeArgs>) -> Result<Self, String> {
         let (events_tx, events) = mpsc::channel();
         let mut fleet = Self {

@@ -104,7 +104,7 @@ pub struct Ciphertext {
 
 impl Ciphertext {
     /// True if the auxiliary component is ⊥.
-    pub fn is_fresh(&self) -> bool {
+    pub(crate) fn is_fresh(&self) -> bool {
         self.y.is_none()
     }
 

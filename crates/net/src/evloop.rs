@@ -199,22 +199,29 @@ pub struct EventLoop {
     /// False from an `accept` failure (`EMFILE`) until a close or a sweep: a
     /// level-triggered listener nobody can drain would end every `wait` at once.
     accepting: bool,
+    /// When the idle sweep is next due; the last pass's (or the bind's) time.
     next_sweep: Instant,
+    now: Instant,
 }
 
 impl EventLoop {
     /// Binds the listener (port `0` picks a free port — see
-    /// [`EventLoop::local_addr`]) and registers it for readiness.
+    /// [`EventLoop::local_addr`]) with an accept queue of
+    /// [`EvloopOptions::max_connections`] (capped by the kernel's
+    /// `somaxconn`), and registers it for readiness.
     pub fn bind(addr: &str, options: EvloopOptions) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        polling::set_backlog(&listener, options.max_connections)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let poller = Arc::new(Poller::new()?);
         poller.add(&listener, Interest::readable(LISTENER))?;
+        let now = Instant::now();
         Ok(Self {
             listener,
             local_addr,
-            next_sweep: Instant::now() + options.idle_timeout / 8,
+            next_sweep: now + options.idle_timeout / 8,
+            now,
             options,
             poller,
             ready: Events::new(),
@@ -248,12 +255,12 @@ impl EventLoop {
     }
 
     /// One pass, parked in the kernel until a socket is ready, a [`Waker`]
-    /// fires, `timeout` passes (`None`: no limit) or the idle sweep is due:
-    /// accepts, frames what is readable, flushes what became writable,
-    /// convicts idle connections. Returns whether it appended to `events`.
+    /// fires, `timeout` passes (`None`: no limit) or the idle sweep is due
+    /// (reckoned from the last pass): accepts, frames what is readable,
+    /// flushes what became writable, convicts idle connections. Returns
+    /// whether it appended to `events`.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> bool {
-        let before = events.len();
-        let until_sweep = self.next_sweep.saturating_duration_since(Instant::now());
+        let until_sweep = self.next_sweep.saturating_duration_since(self.now);
         let park = match timeout {
             _ if !self.closed.is_empty() => Duration::ZERO,
             Some(timeout) => timeout.min(until_sweep),
@@ -262,11 +269,17 @@ impl EventLoop {
         // Only a broken set (`EBADF`, `EINVAL`) fails: nothing a retry fixes.
         let waited = self.poller.wait(&mut self.ready, Some(park));
         waited.expect("epoll_wait on the loop's own descriptor");
+        self.pass(events, Instant::now())
+    }
+
+    /// One pass's work on what the kernel reported, at `now`: it stamps
+    /// each frame and accept, and the idle sweep runs once due.
+    fn pass(&mut self, events: &mut Vec<Event>, now: Instant) -> bool {
+        let before = events.len();
         let mut batch = std::mem::take(&mut self.batch);
         batch.extend(self.ready.iter());
         WAKEUPS.add(1);
         READY.add(batch.len() as u64);
-        let now = Instant::now();
         for ready in batch.drain(..) {
             match ready.key {
                 LISTENER => self.accept_ready(now, events),
@@ -274,6 +287,7 @@ impl EventLoop {
             }
         }
         self.batch = batch;
+        self.now = now;
         if now >= self.next_sweep {
             self.next_sweep = now + self.options.idle_timeout / 8;
             self.sweep_idle(now);
@@ -721,6 +735,31 @@ mod tests {
         );
     }
 
+    /// Passes at the synthetic instant `now`, each after a real park of at
+    /// most 10 ms, until `done`; panics after 500 of them.
+    fn pass_until(
+        evloop: &mut EventLoop,
+        events: &mut Vec<Event>,
+        now: Instant,
+        done: impl Fn(&EventLoop, &[Event]) -> bool,
+    ) {
+        for _ in 0..500 {
+            if done(evloop, events) {
+                return;
+            }
+            let parked = evloop
+                .poller
+                .wait(&mut evloop.ready, Some(Duration::from_millis(10)));
+            parked.unwrap();
+            evloop.pass(events, now);
+        }
+        panic!("no pass got there; events: {events:?}");
+    }
+
+    /// The idle clock at synthetic instants `at(ms)`, over real sockets:
+    /// one header byte per 40 ms never resets it, a healthy client is
+    /// served meanwhile, and the dripper is closed with `IdleTimeout` at
+    /// the first sweep more than 150 ms after its accept.
     #[test]
     fn slow_drip_client_is_convicted_without_hanging_the_loop() {
         let opts = EvloopOptions {
@@ -729,45 +768,60 @@ mod tests {
         };
         let mut evloop = EventLoop::bind("127.0.0.1:0", opts).unwrap();
         let addr = evloop.local_addr();
-
-        // The dripper feeds one header byte at a time, never completing a
-        // frame: byte activity must NOT reset the idle clock.
-        let dripper = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let frame = client_frame(b"never finishes");
-            for b in frame.iter().take(6) {
-                if s.write_all(&[*b]).is_err() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(40));
-            }
-            // Hold the socket open; the server must convict us anyway.
-            thread::sleep(Duration::from_millis(400));
-        });
-
-        // A healthy client must still be served while the drip is live.
+        let base = Instant::now();
+        let at = |ms: u64| base + Duration::from_millis(ms);
+        let mut dripper = TcpStream::connect(addr).unwrap();
         let mut healthy = TcpStream::connect(addr).unwrap();
-        healthy.write_all(&client_frame(b"prompt")).unwrap();
-
-        let start = Instant::now();
         let mut events = Vec::new();
-        poll_until(&mut evloop, &mut events, Duration::from_secs(5), |ev| {
-            closes(ev)
-                .iter()
-                .any(|(_, r)| *r == CloseReason::IdleTimeout)
+        pass_until(&mut evloop, &mut events, at(0), |evloop, _| {
+            evloop.connections() == 2
         });
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "conviction took {:?}",
-            start.elapsed()
-        );
-        assert_eq!(
-            frames(&events).len(),
-            1,
-            "healthy client served during the drip"
-        );
-        assert_eq!(frames(&events)[0].1, b"prompt");
-        dripper.join().unwrap();
+        let drip_addr = dripper.local_addr().unwrap();
+        let drip = (events.iter())
+            .find_map(|e| match e {
+                Event::Opened { conn, peer } if *peer == drip_addr => Some(*conn),
+                _ => None,
+            })
+            .unwrap();
+
+        let frame = client_frame(b"never finishes");
+        for (step, byte) in (0u64..).zip(&frame[..4]) {
+            dripper.write_all(&[*byte]).unwrap();
+            let prompt = format!("prompt {step}");
+            healthy.write_all(&client_frame(prompt.as_bytes())).unwrap();
+            let read = step as usize + 1;
+            pass_until(&mut evloop, &mut events, at(40 * step), |evloop, events| {
+                evloop.conns[&drip].read_buf.len() == read && frames(events).len() == read
+            });
+            assert_eq!(frames(&events)[step as usize].1, prompt.as_bytes());
+            assert!(closes(&events).is_empty(), "closed at {} ms", 40 * step);
+        }
+
+        healthy.write_all(&client_frame(b"prompt 4")).unwrap();
+        pass_until(&mut evloop, &mut events, at(160), |_, events| {
+            frames(events).len() == 5 && !closes(events).is_empty()
+        });
+        assert_eq!(closes(&events), vec![(drip, CloseReason::IdleTimeout)]);
+        assert_eq!(evloop.connections(), 1, "the healthy client stays");
+    }
+
+    /// The accept queue holds `max_connections`, not std's 128: a loop
+    /// that accepts nothing for a while loses no SYN of a connect burst.
+    #[test]
+    fn the_accept_queue_holds_max_connections() {
+        let opts = EvloopOptions {
+            max_connections: 512,
+            ..options()
+        };
+        let evloop = EventLoop::bind("127.0.0.1:0", opts).unwrap();
+        let addr = evloop.local_addr();
+        let connected: Vec<TcpStream> = (0..300)
+            .map(|i| {
+                let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+                stream.unwrap_or_else(|error| panic!("connect {i}: {error}"))
+            })
+            .collect();
+        assert_eq!(connected.len(), 300);
     }
 
     #[test]

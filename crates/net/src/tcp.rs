@@ -98,9 +98,8 @@ impl Default for TcpOptions {
 pub enum Dial {
     /// Dial once if no live stream exists: every protocol send.
     IfNeeded,
-    /// Write only over an established live stream, never connecting: how
-    /// recovery courtesy-copies plans to convicted processes. A slow but
-    /// alive victim learns of its eviction; a crashed one costs no stall.
+    /// Write only over a live stream: how recovery courtesy-copies plans to
+    /// convicted processes, so a crashed one costs no stall.
     Never,
 }
 
@@ -243,12 +242,14 @@ impl TcpTransport {
             let (mut slot, mut attempt) = (slot.lock(), 0);
             let deadline = Instant::now() + self.options.connect_timeout;
             while process != self.me && slot.is_none() {
-                match self.dial(process, deadline) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.dial(process, left) {
                     Ok(stream) => *slot = Some(stream),
-                    Err(error) if Instant::now() >= deadline => return Err(error),
+                    Err(error) if left.is_zero() => return Err(error),
                     Err(_) => {
                         atom_obs::count("net.tcp.connect_retries", 1);
-                        std::thread::sleep(connect_backoff(self.me, process, attempt));
+                        let backoff = connect_backoff(self.me, process, attempt);
+                        std::thread::sleep(backoff.min(left));
                         attempt += 1;
                     }
                 }
@@ -273,16 +274,14 @@ impl TcpTransport {
         }
     }
 
-    /// One connect attempt to `process`, given until `deadline` (at least
-    /// 1 ms), for a nonblocking `TCP_NODELAY` stream (mixing batches are
-    /// latency-sensitive and already coalesced).
-    fn dial(&self, process: usize, deadline: Instant) -> io::Result<TcpStream> {
+    /// One connect attempt to `process` per address it resolves to, each
+    /// given `budget` (at least 1 ms), for a nonblocking `TCP_NODELAY`
+    /// stream (mixing batches are latency-sensitive and already coalesced).
+    fn dial(&self, process: usize, budget: Duration) -> io::Result<TcpStream> {
         // Read per attempt: `set_peer_addr` may fill it in meanwhile.
         let addr = self.peer_addrs.lock()[process].clone();
-        let connect = |socket| {
-            let left = deadline.saturating_duration_since(Instant::now());
-            TcpStream::connect_timeout(&socket, left.max(Duration::from_millis(1)))
-        };
+        let connect =
+            |socket| TcpStream::connect_timeout(&socket, budget.max(Duration::from_millis(1)));
         let stream = addr.to_socket_addrs().and_then(|sockets| {
             let none = Err(ErrorKind::AddrNotAvailable.into());
             sockets.fold(none, |tried, socket| tried.or_else(|_| connect(socket)))
@@ -304,7 +303,7 @@ impl TcpTransport {
         let mut slot = self.outbound[process].lock();
         let stream = match (slot.take().and_then(live), dial) {
             (Some(stream), _) => Ok(stream),
-            (None, Dial::IfNeeded) => self.dial(process, Instant::now() + budget),
+            (None, Dial::IfNeeded) => self.dial(process, budget),
             (None, Dial::Never) => Err(ErrorKind::NotConnected.into()),
         };
         let sent = stream.and_then(|mut stream| {
@@ -333,37 +332,30 @@ fn live(stream: TcpStream) -> Option<TcpStream> {
     open.then_some(stream)
 }
 
-/// Writes all of `frame` to the nonblocking `stream` within `budget`,
-/// however many `write` calls it takes; a healthy frame takes one. Once
-/// the socket buffer fills, the stream blocks, its write timeout re-armed
-/// to what is left before each call, so a peer that reads a byte per
-/// timeout cannot stretch the frame.
+/// Writes all of `frame` to the nonblocking `stream` within `budget`: one
+/// nonblocking `write`, then, if the socket buffer filled, one blocking
+/// `write` of the rest under a `budget` write timeout, which Linux spends
+/// across the whole call; a peer reading a byte at a time cannot stretch
+/// it. Whatever is still unwritten then is a timeout.
 fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> io::Result<()> {
-    let start = Instant::now();
-    let (mut rest, mut blocking) = (frame, false);
-    loop {
-        match stream.write(rest) {
-            Ok(written) if written == rest.len() => break,
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(written) => rest = &rest[written..],
-            // A signal, a full buffer, or the armed timeout expired with
-            // nothing written.
-            Err(error)
-                if matches!(error.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {}
-            Err(error) => return Err(error),
-        }
-        let left = budget.saturating_sub(start.elapsed());
-        if left.is_zero() {
-            return Err(ErrorKind::TimedOut.into());
-        }
-        stream.set_nonblocking(false)?;
-        stream.set_write_timeout(Some(left))?;
-        blocking = true;
+    let written = match stream.write(frame) {
+        Ok(written) => written,
+        Err(error) if error.kind() == ErrorKind::WouldBlock => 0,
+        Err(error) => return Err(error),
+    };
+    if written == frame.len() {
+        return Ok(());
     }
-    if blocking {
-        stream.set_nonblocking(true)?;
+    stream.set_nonblocking(false)?;
+    stream.set_write_timeout(Some(budget))?;
+    let rest = stream.write(&frame[written..]);
+    stream.set_nonblocking(true)?;
+    match rest {
+        Ok(rest) if written + rest == frame.len() => Ok(()),
+        Err(error) if error.kind() != ErrorKind::WouldBlock => Err(error),
+        // The timeout expired with part of the frame, or none of it, out.
+        _ => Err(ErrorKind::TimedOut.into()),
     }
-    Ok(())
 }
 
 /// Where the mesh loop delivers: the node mailboxes and the control inbox.

@@ -105,12 +105,10 @@ pub struct EngineOptions {
     /// (default) auto-sizes to spread one round's intake evenly across the
     /// worker pool.
     pub intake_chunk: usize,
-    /// Stall detector: if rounds are pending, no task is executing and no
-    /// task has *finished* for this long, the engine fails every
-    /// unresolved round instead of waiting forever. In a single process a
-    /// stall is a bug; in a multi-process run it is how a peer process
-    /// dying without a word (crash, OOM-kill) surfaces — TCP gives the
-    /// survivor no abort frame, only silence. Default 120 s.
+    /// Stall detector: with rounds pending, no task executing and none
+    /// *finished* for this long, every unresolved round fails. It is how a
+    /// peer process dying without a word (crash, OOM-kill) surfaces — TCP
+    /// gives the survivor only silence. Default 120 s.
     pub stall_timeout: Duration,
     /// Invoked each time a round resolves successfully in this process
     /// (coordinator: the full report is finalized; member: the local stub
@@ -140,13 +138,11 @@ pub struct EngineOptions {
     /// materialized or verified — with a `ProtocolAbort` diagnosis naming
     /// the flood. `0` (default) disables the cap.
     pub intake_cap: usize,
-    /// Wall-clock deadline per round, measured from the coordinator's first
-    /// intake work for that round. The stall detector only catches total
-    /// silence; a slow-loris peer dripping one frame per stall window keeps
-    /// it quiet forever. When a round outlives this deadline it fails with
-    /// [`EngineErrorKind::Deadline`] and the usual named stall diagnosis, so
-    /// recovery can convict the slow peer. `Duration::ZERO` (default)
-    /// disables the deadline.
+    /// Wall-clock deadline per round, from the coordinator's first intake
+    /// work for it: the one defence against a slow-loris peer dripping one
+    /// frame per stall window. An overdue round fails with
+    /// [`EngineErrorKind::Deadline`] and the named stall diagnosis.
+    /// `Duration::ZERO` (default) disables it.
     pub round_deadline: Duration,
 }
 
@@ -164,21 +160,6 @@ impl Default for EngineOptions {
             intake_cap: 0,
             round_deadline: Duration::ZERO,
         }
-    }
-}
-
-impl std::fmt::Debug for EngineOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineOptions")
-            .field("workers", &self.workers)
-            .field("intake_chunk", &self.intake_chunk)
-            .field("stall_timeout", &self.stall_timeout)
-            .field("on_round_complete", &self.on_round_complete.is_some())
-            .field("round_offset", &self.round_offset)
-            .field("intake_window", &self.intake_window)
-            .field("intake_cap", &self.intake_cap)
-            .field("round_deadline", &self.round_deadline)
-            .finish()
     }
 }
 
@@ -669,11 +650,10 @@ struct Scheduler {
     queue: std::sync::Mutex<VecDeque<Task>>,
     ready: std::sync::Condvar,
     pending_jobs: AtomicUsize,
-    /// Tasks currently being executed by a worker. Feeds the stall
-    /// detector: a long-running healthy task must not look like a stall to
-    /// the idle workers.
+    /// Workers between a task's start and their next empty queue: a
+    /// long-running healthy task must not look like a stall.
     executing: AtomicUsize,
-    /// When a worker last finished a task (stall detector's clock).
+    /// When a worker last found the queue empty after tasks.
     last_progress: Mutex<Instant>,
 }
 
@@ -826,22 +806,15 @@ impl Shared<'_> {
         false
     }
 
-    /// Fails each unresolved round `cause` names (a stall fails them all, a
-    /// deadline those whose clock ran out) with a diagnosis naming exactly
-    /// what the round is still waiting for. `cause` opens the diagnosis.
-    /// With more than one remote peer, "which groups never reported" is
-    /// what maps a silent stall back to the process (and machine) that
-    /// died.
-    fn fail_unresolved(
-        &self,
-        kind: EngineErrorKind,
-        cause: impl Fn(usize, &JobState) -> Option<String>,
-    ) {
+    /// Fails each unresolved round `cause` names, with a diagnosis that
+    /// `cause` opens and that names what the round still waits for: which
+    /// groups never reported maps a silent stall back to the dead process.
+    fn fail_unresolved(&self, kind: EngineErrorKind, cause: impl Fn(usize) -> Option<String>) {
         for (round, job) in self.jobs.iter().enumerate() {
             if job.finalized() {
                 continue;
             }
-            let Some(cause) = cause(round, job) else {
+            let Some(cause) = cause(round) else {
                 continue;
             };
             let (detail, nodes) = self.stall_detail(job);
@@ -857,24 +830,10 @@ impl Shared<'_> {
         }
     }
 
-    /// Remaining time until the earliest round-deadline expiry among
-    /// unresolved rounds whose clock is running, or `None` when nothing has
-    /// started yet. `Some(ZERO)` means a deadline already passed.
-    fn nearest_deadline(&self, deadline: Duration) -> Option<Duration> {
-        self.jobs
-            .iter()
-            .filter(|job| !job.finalized())
-            .filter_map(|job| job.started.get())
-            .map(|started| deadline.saturating_sub(started.elapsed()))
-            .min()
-    }
-
-    /// What an unresolved round is waiting for, asked of the phase it is
-    /// stuck in, with each outstanding group tagged local/remote. Besides
-    /// the human-readable diagnosis, returns the outstanding *remote* group
-    /// nodes as data: the structured half that a
-    /// [`FaultVerdict`](crate::fault::FaultVerdict) maps back to the dead
-    /// process without parsing the string.
+    /// What an unresolved round waits for, asked of the phase it is stuck
+    /// in: the diagnosis, with each outstanding group tagged local/remote,
+    /// and the remote group nodes, which a
+    /// [`FaultVerdict`](crate::fault::FaultVerdict) maps to a process.
     fn stall_detail(&self, job: &JobState) -> (String, Vec<usize>) {
         if let Some(waiting) = job.phase.as_ref().and_then(|p| p.lock().waiting_on(self)) {
             return waiting;
@@ -912,11 +871,6 @@ impl Engine {
     /// An engine with default options and `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         Self::new(EngineOptions::with_workers(workers))
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &EngineOptions {
-        &self.options
     }
 
     /// Runs a single round.
@@ -1068,8 +1022,53 @@ fn check_layout(
     }
 }
 
+/// What an idle worker does next ([`watchdog`]): fail every unresolved
+/// round after this long a silence, fail these rounds (each with how long
+/// its clock ran), or wait at most this long for a task.
+#[derive(Debug, PartialEq)]
+enum Watch {
+    Stall(Duration),
+    Expired(Vec<(usize, Duration)>),
+    Wait(Duration),
+}
+
+/// The stall detector and the round clock, at `now`, for a worker that
+/// found the queue empty. `progress` is when a task last finished (`None`
+/// while one executes), `clocks` when each unresolved round's clock
+/// started; a zero `deadline` disarms the round clock. A silent dead peer
+/// stalls the engine; a peer dripping one frame per stall window defeats
+/// that detector, but not a round's clock.
+fn watchdog(
+    now: Instant,
+    progress: Option<Instant>,
+    clocks: impl IntoIterator<Item = Option<Instant>>,
+    (stall, deadline): (Duration, Duration),
+) -> Watch {
+    let silence = progress.map_or(Duration::ZERO, |last| now.saturating_duration_since(last));
+    if progress.is_some() && silence >= stall {
+        return Watch::Stall(silence);
+    }
+    let (mut wait, mut expired) = (stall - silence, Vec::new());
+    let armed = clocks
+        .into_iter()
+        .enumerate()
+        .filter(|_| !deadline.is_zero());
+    for (round, ran) in armed.filter_map(|(r, c)| Some((r, now.saturating_duration_since(c?)))) {
+        match deadline.checked_sub(ran).filter(|left| !left.is_zero()) {
+            Some(left) => wait = wait.min(left),
+            None => expired.push((round, ran)),
+        }
+    }
+    match expired.is_empty() {
+        true => Watch::Wait(wait),
+        false => Watch::Expired(expired),
+    }
+}
+
 fn worker_loop(shared: &Shared<'_>, stall_timeout: Duration) {
-    let round_deadline = shared.options.round_deadline;
+    let clocks = (stall_timeout, shared.options.round_deadline);
+    // Held from a task's start until this worker finds the queue empty.
+    let mut busy: Option<Executing> = None;
     loop {
         let task = {
             let mut queue = shared.sched.queue_lock();
@@ -1080,63 +1079,50 @@ fn worker_loop(shared: &Shared<'_>, stall_timeout: Duration) {
                 if shared.sched.pending_jobs.load(Ordering::SeqCst) == 0 {
                     return;
                 }
-                // Stall detector: rounds pending, queue empty, nobody
-                // executing, and nothing has finished for stall_timeout —
-                // a remote peer died silently (or a local bug lost a
-                // wake-up). Fail the unresolved rounds rather than wait
-                // forever; resolved rounds keep their results.
-                let idle = shared.sched.executing.load(Ordering::SeqCst) == 0;
-                let elapsed = shared.sched.last_progress.lock().elapsed();
-                if idle && elapsed >= stall_timeout {
-                    drop(queue);
-                    shared.fail_unresolved(EngineErrorKind::Stall, |round, _| {
-                        Some(format!(
-                            "engine stalled: no task progress for {elapsed:?} (remote peer \
-                             lost?); round {round} "
-                        ))
-                    });
-                    return;
+                // One clock read stamps the progress and feeds the watchdog.
+                let now = Instant::now();
+                if let Some(done) = busy.take() {
+                    *shared.sched.last_progress.lock() = now;
+                    drop(done);
                 }
-                let mut wait = if idle {
-                    stall_timeout - elapsed
-                } else {
-                    stall_timeout
-                };
-                // Round-deadline enforcement: a peer dripping one frame per
-                // stall window resets the stall detector forever, but it
-                // cannot stop the round clock. Like the stall path, failing
-                // rounds re-acquires the queue lock (`resolve` notifies
-                // under it), so the lock must be dropped first.
-                if !round_deadline.is_zero() {
-                    match shared.nearest_deadline(round_deadline) {
-                        Some(remaining) if remaining.is_zero() => {
-                            drop(queue);
-                            shared.fail_unresolved(EngineErrorKind::Deadline, |round, job| {
-                                let elapsed = job.started.get()?.elapsed();
-                                (elapsed >= round_deadline).then(|| {
-                                    format!(
-                                        "round {round} outlived its {round_deadline:?} deadline \
-                                         ({elapsed:?} elapsed): progress kept trickling in — \
-                                         slow-loris peer? — but the round never finished; "
-                                    )
-                                })
-                            });
-                            queue = shared.sched.queue_lock();
-                            continue;
-                        }
-                        Some(remaining) => wait = wait.min(remaining),
-                        None => {}
+                let idle = shared.sched.executing.load(Ordering::SeqCst) == 0;
+                let progress = idle.then(|| *shared.sched.last_progress.lock());
+                let rounds = (shared.jobs.iter())
+                    .map(|job| job.started.get().copied().filter(|_| !job.finalized()));
+                // Failing rounds re-acquires the queue lock (`resolve`
+                // notifies under it), so the lock is dropped first.
+                match watchdog(now, progress, rounds, clocks) {
+                    Watch::Stall(silence) => {
+                        drop(queue);
+                        shared.fail_unresolved(EngineErrorKind::Stall, |round| {
+                            Some(format!(
+                                "engine stalled: no task progress for {silence:?} (remote peer \
+                                 lost?); round {round} "
+                            ))
+                        });
+                        return;
+                    }
+                    Watch::Expired(expired) => {
+                        drop(queue);
+                        shared.fail_unresolved(EngineErrorKind::Deadline, |round| {
+                            let &(_, ran) = expired.iter().find(|(r, _)| *r == round)?;
+                            Some(format!(
+                                "round {round} outlived its {:?} deadline ({ran:?} elapsed): \
+                                 progress kept trickling in — slow-loris peer? — but the round \
+                                 never finished; ",
+                                clocks.1
+                            ))
+                        });
+                        queue = shared.sched.queue_lock();
+                    }
+                    Watch::Wait(wait) => {
+                        let waited = shared.sched.ready.wait_timeout(queue, wait);
+                        queue = waited.unwrap_or_else(PoisonError::into_inner).0;
                     }
                 }
-                let (guard, _) = shared
-                    .sched
-                    .ready
-                    .wait_timeout(queue, wait)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
             }
         };
-        let _executing = Executing::enter(shared);
+        busy.get_or_insert_with(|| Executing::enter(shared));
         match task {
             Task::IntakeChunk { round, chunk } => intake::run_intake_chunk(shared, round, chunk),
             Task::Deliver { node } => run_deliver(shared, node),
@@ -1146,10 +1132,8 @@ fn worker_loop(shared: &Shared<'_>, stall_timeout: Duration) {
     }
 }
 
-/// Marks one task as executing; dropping it records the progress. A task
-/// that unwinds (e.g. a poisoned intra-group re-encryption worker) must not
-/// strand the other workers in their condvar wait: the drop then fails every
-/// open round while the panic travels on for the scope to surface.
+/// Marks a worker as executing until dropped. A task that unwinds must not
+/// strand the other workers in their wait: the drop fails every open round.
 struct Executing<'a, 'b>(&'a Shared<'b>);
 
 impl<'a, 'b> Executing<'a, 'b> {
@@ -1162,7 +1146,6 @@ impl<'a, 'b> Executing<'a, 'b> {
 impl Drop for Executing<'_, '_> {
     fn drop(&mut self) {
         let shared = self.0;
-        *shared.sched.last_progress.lock() = Instant::now();
         shared.sched.executing.fetch_sub(1, Ordering::SeqCst);
         if std::thread::panicking() {
             shared.fail_all("engine worker panicked; round abandoned");
@@ -1290,6 +1273,57 @@ mod tests {
             .collect();
         messages.sort();
         messages
+    }
+
+    /// The watchdog's decisions at synthetic instants: `at(ms)` is `ms`
+    /// after one base instant, and the stall window is 10 s.
+    #[test]
+    fn the_watchdog_is_a_function_of_now() {
+        let base = Instant::now();
+        let at = |ms: u64| base + Duration::from_millis(ms);
+        let ms = Duration::from_millis;
+        let (stall, armed, disarmed) = (ms(10_000), ms(5_000), Duration::ZERO);
+        let none = || std::iter::empty();
+
+        // The stall fires iff nothing executes and the silence reaches it.
+        let table = [
+            (Some(at(0)), at(9_999), Watch::Wait(ms(1))),
+            (Some(at(0)), at(10_000), Watch::Stall(ms(10_000))),
+            (Some(at(0)), at(12_000), Watch::Stall(ms(12_000))),
+            (None, at(50_000), Watch::Wait(stall)),
+        ];
+        for (progress, now, expected) in table {
+            let watch = watchdog(now, progress, none(), (stall, armed));
+            assert_eq!(watch, expected, "progress {progress:?} now {now:?}");
+        }
+
+        // The round clock fails exactly the started, unresolved rounds past
+        // it: round 0 never started (or resolved), 2 has 1 ms left.
+        let clocks = [None, Some(at(0)), Some(at(1)), Some(at(0)), Some(at(3_000))];
+        let watch = watchdog(at(5_000), None, clocks, (stall, armed));
+        assert_eq!(watch, Watch::Expired(vec![(1, ms(5_000)), (3, ms(5_000))]));
+        let watch = watchdog(at(5_000), None, clocks, (stall, disarmed));
+        assert_eq!(watch, Watch::Wait(stall), "a zero deadline disarms it");
+
+        // Otherwise the wait is the nearer of the two.
+        let nearer = [
+            (at(4_000), [Some(at(1_000))], armed, ms(2_000)),
+            (at(4_000), [Some(at(3_000))], armed, ms(4_000)),
+            (at(4_000), [None], armed, ms(6_000)),
+            (at(4_000), [Some(at(1_000))], disarmed, ms(6_000)),
+        ];
+        for (now, clocks, deadline, wait) in nearer {
+            let watch = watchdog(now, Some(at(0)), clocks, (stall, deadline));
+            assert_eq!(
+                watch,
+                Watch::Wait(wait),
+                "clocks {clocks:?} deadline {deadline:?}"
+            );
+        }
+
+        // A stall takes precedence over an expired round.
+        let watch = watchdog(at(10_000), Some(at(0)), [Some(at(0))], (stall, armed));
+        assert_eq!(watch, Watch::Stall(stall));
     }
 
     #[test]

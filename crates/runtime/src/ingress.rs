@@ -289,11 +289,6 @@ impl IngressServer {
         }
     }
 
-    /// Submissions currently waiting in the admission queue.
-    pub fn queued(&self) -> usize {
-        self.shared.queue.lock().len()
-    }
-
     /// Waits until at least `expected` submissions are queued (or the
     /// timeout expires), then drains them into an [`IngressSource`]:
     /// sorted by client index, duplicate client indices dropped (first

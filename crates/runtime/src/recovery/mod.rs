@@ -53,14 +53,14 @@
 
 mod ledger;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::mem;
 use std::ops::Range;
 use std::time::Duration;
 
 use atom_core::config::AtomConfig;
 use atom_core::error::AtomError;
-use atom_net::SendError;
+use atom_net::{SendError, TcpOptions};
 
 use crate::fault::{FaultKind, FaultVerdict};
 use crate::wire::RejoinFrame;
@@ -72,6 +72,31 @@ type Fleet = (usize, usize);
 /// Bounded retries of one batch when a failure yields no actionable
 /// verdict (e.g. a protocol abort that implicates no process).
 const MAX_STUCK_RETRIES: usize = 3;
+
+/// The clocks of a fleet process, all set by [`fleet_clocks`].
+#[derive(Clone, Debug)]
+pub struct FleetClocks {
+    /// The engine's stall window.
+    pub stall: Duration,
+    /// The coordinator's wait for plan acks before it convicts the silent.
+    pub ack: Duration,
+    /// A member's wait for the next plan or go: a batch run plus `ack`.
+    pub plan: Duration,
+    /// The mesh's connect and frame-write budgets.
+    pub mesh: TcpOptions,
+}
+
+/// A fleet's clocks, derived from its `stall` window in this one place
+/// (tabulated in `docs/operations.md`). The round clock is not among them:
+/// no function of the stall window catches a peer dripping just under it.
+pub fn fleet_clocks(stall: Duration) -> FleetClocks {
+    FleetClocks {
+        stall,
+        ack: stall.max(Duration::from_millis(500)) * 2,
+        plan: stall.max(Duration::from_secs(1)) * 8 + Duration::from_secs(10),
+        mesh: TcpOptions::default(),
+    }
+}
 
 /// The node→process map with `dead` processes excluded: a group keeps its
 /// round-robin owner while that owner lives, and is otherwise reassigned
@@ -179,6 +204,9 @@ pub struct CoordinatorState {
     ledger: RecoveryLedger,
     /// Evicted processes that asked back in.
     pending: BTreeSet<usize>,
+    /// Per `Slow`-convicted process: its `Slow` convictions, the open batch
+    /// starts it is still to be passed over at, and the last it was.
+    slow: BTreeMap<usize, (u32, usize, Option<usize>)>,
     /// The lowest round without a report, and the last plan's rounds.
     next: usize,
     attempt: Range<usize>,
@@ -244,7 +272,7 @@ impl CoordinatorState {
         let end = batch_end(self.next, self.batch, self.rounds);
         let open = self.next.is_multiple_of(self.batch) && !self.ledger.any_frozen(self.next..end);
         for process in mem::take(&mut self.pending) {
-            if !open {
+            if !open || self.passed_over(process) {
                 self.pending.insert(process);
                 continue;
             }
@@ -270,6 +298,16 @@ impl CoordinatorState {
         self.phase = Phase::Acks(awaiting, BTreeSet::new(), None, open);
     }
 
+    /// Whether pending `process` is passed over at this open batch start:
+    /// its n-th `Slow` conviction costs it 2^(n−1) − 1 of them.
+    fn passed_over(&mut self, process: usize) -> bool {
+        let (_, owed, last) = self.slow.entry(process).or_default();
+        if *last != Some(self.next) && *owed > 0 {
+            (*owed, *last) = (*owed - 1, Some(self.next));
+        }
+        *last == Some(self.next)
+    }
+
     /// Convicts `verdicts`, retrying from `next`, and re-plans with them.
     fn convict(&mut self, verdicts: Vec<FaultVerdict>, out: &mut Vec<Action>) {
         for verdict in verdicts {
@@ -284,6 +322,11 @@ impl CoordinatorState {
                 return self.close(Err(reason), out);
             }
             out.push(Action::Convicted(verdict.clone()));
+            if let FaultKind::Slow = verdict.kind {
+                let (convictions, owed, last) = self.slow.entry(process).or_default();
+                *convictions += 1;
+                (*owed, *last) = ((1 << (*convictions - 1).min(16)) - 1, None);
+            }
             self.ledger.evict(verdict.clone(), self.next);
             self.evictions.push(verdict);
         }
@@ -755,6 +798,82 @@ mod tests {
             vec![(2, 2)],
             "readmitted at the next batch start"
         );
+    }
+
+    /// The fleet's clocks at the 120 s default stall window and at the
+    /// drills' 2 s.
+    #[test]
+    fn fleet_clocks_derive_from_the_stall_window() {
+        let secs = Duration::from_secs;
+        for (stall, ack, plan, mesh) in [(120, 240, 970, 10), (2, 4, 26, 10)] {
+            let clocks = fleet_clocks(secs(stall));
+            assert_eq!(clocks.stall, secs(stall));
+            assert_eq!(
+                (clocks.ack, clocks.plan),
+                (secs(ack), secs(plan)),
+                "stall {stall} s"
+            );
+            assert_eq!(clocks.mesh.connect_timeout, secs(mesh), "stall {stall} s");
+        }
+    }
+
+    /// Acks the plan in `answer` from every process it was sent to, sends
+    /// the go and runs the attempt's one round with `result`.
+    fn attempt(
+        machine: &mut CoordinatorState,
+        answer: &[Action],
+        result: Result<(), AtomError>,
+    ) -> Vec<Action> {
+        let now = Duration::ZERO;
+        for action in answer {
+            if let Action::Send(to, plan) = action {
+                to.iter()
+                    .for_each(|&p| drop(machine.step(now, ack(p, plan))));
+            }
+        }
+        let go = machine.step(now, Input::Timer);
+        assert!(matches!(go.last(), Some(Action::Run)), "{go:?}");
+        machine.step(now, Input::Ran(vec![result]))
+    }
+
+    /// At `--batch 1`, member 1 fails rounds 0 and 1 with a `kind` error
+    /// naming its group and asks back in after each conviction: the rounds
+    /// it is readmitted from by the plan of round 3.
+    fn readmissions_after_two_convictions(kind: EngineErrorKind) -> Vec<(usize, usize)> {
+        let mut machine = coordinator(3, 6, 1);
+        let mut answer = machine.step(Duration::ZERO, Input::Timer);
+        let fault = || AtomError::Engine {
+            kind,
+            reason: "member 1".into(),
+            nodes: vec![1],
+        };
+        for round in 0..2 {
+            answer = attempt(&mut machine, &answer, Err(fault()));
+            assert!(
+                matches!(&answer[0], Action::Convicted(v) if v.process == 1 && v.round == round)
+            );
+            let request = RejoinFrame {
+                process: 1,
+                response: false,
+                offset: 0,
+                ..plan_in(&answer)
+            };
+            machine.step(Duration::ZERO, Input::Frame(request));
+            answer = attempt(&mut machine, &answer, Ok(()));
+        }
+        attempt(&mut machine, &answer, Ok(()));
+        machine.rejoins
+    }
+
+    /// A first conviction readmits at the next open batch start whatever
+    /// its kind; after a second `Slow` one the process is passed over once,
+    /// after a second `Dead` one it is not.
+    #[test]
+    fn a_twice_slow_member_waits_out_one_more_batch_start() {
+        let slow = readmissions_after_two_convictions(EngineErrorKind::Deadline);
+        assert_eq!(slow, vec![(1, 1), (1, 3)], "passed over at round 2");
+        let dead = readmissions_after_two_convictions(EngineErrorKind::TransportLost);
+        assert_eq!(dead, vec![(1, 1), (1, 2)], "readmitted at the next start");
     }
 
     /// One coordinator and its members in one thread: FIFOs of encoded
