@@ -16,7 +16,7 @@ use atom_bench::recovery::{print_fig_recovery, RecoveryBaseline};
 fn main() {
     let baseline = atom_bench::read_recorded(
         "BENCH_recovery.json",
-        "recovery -- --out BENCH_recovery.json",
+        "-p atom-bench --bin recovery -- --out BENCH_recovery.json",
         RecoveryBaseline::parse,
     );
     print_fig_recovery(&baseline);

@@ -9,9 +9,9 @@
 //! process traced:
 //!
 //! ```text
-//! cargo run --release -p atom-bench --bin atom-node -- \
+//! cargo run --release -p atom-runtime --bin atom-node -- \
 //!     --index 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace x &
-//! cargo run --release -p atom-bench --bin atom-node -- \
+//! cargo run --release -p atom-runtime --bin atom-node -- \
 //!     --index 0 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace trace.json
 //! ```
 //!
@@ -107,7 +107,8 @@ fn print_breakdown(events: &[TraceEvent]) {
 fn main() {
     let events = atom_bench::read_recorded(
         "trace.json",
-        "atom-node -- --index 0 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace trace.json",
+        "-p atom-runtime --bin atom-node -- --index 0 --addrs 127.0.0.1:7401,127.0.0.1:7402 \
+         --trace trace.json",
         span_events,
     );
     assert!(!events.is_empty(), "the trace holds no span events");

@@ -3,7 +3,7 @@
 //!
 //! Runs a three-OS-process deployment (coordinator in this process, two
 //! `atom-node` members — this binary re-executed as `recovery node
-//! <atom-node flags>`, running `netbench::run_node`),
+//! <atom-node flags>`, running `atom_runtime::fleet::node_main`),
 //! SIGKILLs member 2 once a round at or past `--kill-at` completes,
 //! restarts it with the rejoin handshake once a later completion reaches
 //! `--restart-at`, and records:
@@ -28,9 +28,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use atom_bench::heal;
-use atom_bench::netbench::{self, flag_number, flag_value, NetSpec, NodeArgs, ProcessFleet};
+use atom_bench::netbench::{self, ProcessFleet};
 use atom_bench::recovery::RecoveryBaseline;
+use atom_runtime::fleet::{self, flag_number, flag_value, NetSpec, NodeArgs};
 use atom_runtime::RoundCompleteHook;
 
 const PROCESSES: usize = 3;
@@ -104,7 +104,7 @@ fn main() {
         eprintln!("recovery: {error}");
         std::process::exit(2)
     });
-    let addrs = netbench::free_addrs(PROCESSES);
+    let addrs = fleet::free_addrs(PROCESSES);
     // No `--batch`: each plan names a member's rounds and offset.
     let member = |index, rejoin| NodeArgs {
         spec: args.spec.clone(),
@@ -161,7 +161,7 @@ fn main() {
     let (spec, workers) = (&args.spec, args.workers);
     let start = Instant::now(); // an instant before the coordinator's own
     let outcome =
-        heal::run_recovery_coordinator(spec, args.batch, addrs, workers, Some(hook), || {})
+        fleet::run_recovery_coordinator(spec, args.batch, addrs, workers, Some(hook), || {})
             .unwrap_or_else(|(error, _)| {
                 if let Some(fleet) = fleet.lock().unwrap().as_mut() {
                     fleet.kill_all();

@@ -20,7 +20,6 @@
 
 mod experiments;
 mod fixtures;
-pub mod heal;
 pub mod json;
 pub mod netbench;
 pub mod recovery;
@@ -73,11 +72,11 @@ pub(crate) fn recorded_json(record: &impl Json) -> String {
 
 /// What a `fig_*` bin renders: the file named by the first argument (or
 /// `default`), read by `parse`. A missing file panics with the command
-/// that writes it: `cargo run --release -p atom-bench --bin {writer}`.
+/// that writes it: `cargo run --release {writer}`.
 pub fn read_recorded<T>(default: &str, writer: &str, parse: fn(&str) -> Result<T, String>) -> T {
     let path = std::env::args().nth(1).unwrap_or_else(|| default.into());
     let text = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-        panic!("read {path}: {error} — write it with `cargo run --release -p atom-bench --bin {writer}`")
+        panic!("read {path}: {error} — write it with `cargo run --release {writer}`")
     });
     parse(&text).unwrap_or_else(|error| panic!("{path}: {error}"))
 }

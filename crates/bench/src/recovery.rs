@@ -1,7 +1,7 @@
 //! The recorded baseline for the recovery experiment (`BENCH_recovery.json`).
 //!
 //! The `recovery` bin runs a fleet through a kill → evict → heal → rejoin
-//! cycle (see [`crate::heal`]) and emits this file; the `fig_recovery` bin
+//! cycle (`atom_runtime::fleet`) and emits this file; the `fig_recovery` bin
 //! reads it back and renders the healing timeline. Emitter and parser live
 //! together and round-trip under unit test, both through [`crate::json`].
 

@@ -1,10 +1,11 @@
 //! The acceptance tests of the TCP transport: a scenario executed across
 //! **two or three OS processes** on localhost must produce a `RoundOutput`
 //! that is byte-identical to the same scenario run in-process over
-//! `InMemoryNetwork`. Spawns the `atom-node` binary (coordinator +
-//! members, every one running the recovery loop), reads the coordinator's
+//! `InMemoryNetwork`. Spawns the fleet processes (coordinator + members,
+//! every one running the recovery loop; the `recovery` bin in its `node`
+//! mode, which runs what `atom-node` runs), reads the coordinator's
 //! canonical output serialization and diffs it against the in-memory run
-//! of the same jobs (`heal::fleet_jobs`) — whole bytes, not summaries. Also
+//! of the same jobs (`fleet::fleet_jobs`) — whole bytes, not summaries. Also
 //! the failure-path acceptance: a member SIGKILLed mid-deployment must be
 //! *evicted*, the surviving fleet must keep delivering rounds without it,
 //! and a restarted member must rejoin and contribute again — no hang, no
@@ -14,14 +15,15 @@ use std::process::ExitStatus;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use atom_bench::heal;
 use atom_bench::json::{self, Value};
-use atom_bench::netbench::{self, NetSpec, NodeArgs, ProcessFleet};
+use atom_bench::netbench::{ProcessFleet, NODE_MODE};
+use atom_runtime::fleet::{self, NetSpec, NodeArgs};
 use atom_runtime::{Engine, FaultKind, RoundCompleteHook};
 
-/// The `atom-node` binary as a [`ProcessFleet`] program.
+/// The fleet process as a [`ProcessFleet`] program: `recovery node`, the
+/// program `atom-node` runs.
 fn atom_node() -> Vec<std::ffi::OsString> {
-    vec![env!("CARGO_BIN_EXE_atom-node").into()]
+    vec![env!("CARGO_BIN_EXE_recovery").into(), NODE_MODE.into()]
 }
 
 /// The flags of process `index` of `spec`'s deployment.
@@ -34,13 +36,13 @@ fn node(spec: &NetSpec, addrs: &[String], index: usize) -> NodeArgs {
     }
 }
 
-/// Runs every process of `spec`'s deployment as an `atom-node` child — the
+/// Runs every process of `spec`'s deployment as a fleet-process child — the
 /// coordinator (process 0) writing its canonical outputs to a temporary
 /// file — and returns those bytes. The whole fleet runs under one
 /// [`ProcessFleet`], so a wedged run fails the test at the deadline
 /// instead of hanging CI, and no child outlives it.
 fn fleet_output(spec: &NetSpec, processes: usize, tag: &str) -> Vec<u8> {
-    let addrs = netbench::free_addrs(processes);
+    let addrs = fleet::free_addrs(processes);
     let out = std::env::temp_dir().join(format!("atom_{tag}_{}.bin", std::process::id()));
     let out_path = out.to_str().unwrap().to_string();
     let mut nodes: Vec<NodeArgs> = (0..processes).map(|i| node(spec, &addrs, i)).collect();
@@ -72,11 +74,11 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
 
     // Reference: the same spec, single process, in-memory transport.
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(heal::fleet_jobs(&spec))
+        .run_rounds(fleet::fleet_jobs(&spec))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = fleet::serialize_reports(&in_memory);
 
     let got = fleet_output(&spec, 2, "tcp_equivalence");
     assert!(!want.is_empty());
@@ -90,7 +92,7 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
 /// where each `atom-node` derives only the DKGs of its hosted groups and
 /// the rest of the directory travels as `setup` wire frames — must produce
 /// round outputs byte-identical to a single-process in-memory run whose
-/// directory was derived monolithically (`heal::fleet_jobs` of the
+/// directory was derived monolithically (`fleet::fleet_jobs` of the
 /// unsharded spec, i.e. `atom_core::directory::derive_setup`) — the same
 /// reference the prebuilt cases diff against.
 #[test]
@@ -108,14 +110,14 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     // Reference: the same spec, single process, prebuilt monolithic
     // derivation over the identical per-group beacon streams.
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(heal::fleet_jobs(&NetSpec {
+        .run_rounds(fleet::fleet_jobs(&NetSpec {
             sharded: false,
             ..spec.clone()
         }))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = fleet::serialize_reports(&in_memory);
 
     let got = fleet_output(&spec, 2, "sharded_equivalence");
     assert!(!want.is_empty());
@@ -142,11 +144,11 @@ fn three_process_tcp_run_is_byte_identical_to_in_memory() {
     };
 
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(heal::fleet_jobs(&spec))
+        .run_rounds(fleet::fleet_jobs(&spec))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = fleet::serialize_reports(&in_memory);
     assert!(!want.is_empty());
 
     let got = fleet_output(&spec, 3, "tcp3_equivalence");
@@ -173,14 +175,14 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     };
 
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(heal::fleet_jobs(&NetSpec {
+        .run_rounds(fleet::fleet_jobs(&NetSpec {
             sharded: false,
             ..spec.clone()
         }))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = fleet::serialize_reports(&in_memory);
     assert!(!want.is_empty());
 
     let got = fleet_output(&spec, 3, "sharded3_equivalence");
@@ -232,7 +234,7 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
         ..NetSpec::default()
     };
     let batch = 1;
-    let addrs = netbench::free_addrs(3);
+    let addrs = fleet::free_addrs(3);
 
     let members = vec![
         heal_node(&spec, &addrs, 1, batch, false),
@@ -264,8 +266,9 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
         })
     };
 
-    let outcome = heal::run_recovery_coordinator(&spec, batch, addrs.clone(), 2, Some(hook), || {})
-        .expect("recovery completes every round despite the kill");
+    let outcome =
+        fleet::run_recovery_coordinator(&spec, batch, addrs.clone(), 2, Some(hook), || {})
+            .expect("recovery completes every round despite the kill");
 
     // The mid-round SIGKILL was diagnosed and exactly process 2 evicted.
     let convicted: Vec<usize> = outcome.evictions.iter().map(|v| v.process).collect();
@@ -320,10 +323,10 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
     // Byte-determinism given the eviction log: an in-memory rebuild from
     // the recorded per-round membership reproduces the fleet's outputs.
     let reference =
-        heal::build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+        fleet::build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
     assert_eq!(
-        netbench::serialize_reports(&outcome.reports),
-        netbench::serialize_reports(&reference),
+        fleet::serialize_reports(&outcome.reports),
+        fleet::serialize_reports(&reference),
         "fleet outputs must be rebuildable from the eviction log alone"
     );
 
@@ -362,7 +365,7 @@ fn healing_fleet_writes_its_trace() {
         file.to_str().unwrap().to_string()
     };
     let (trace, metrics) = (path("trace"), path("metrics"));
-    let addrs = netbench::free_addrs(2);
+    let addrs = fleet::free_addrs(2);
     let coordinator = NodeArgs {
         trace: Some(trace.clone()),
         metrics_out: Some(metrics.clone()),
@@ -457,7 +460,7 @@ fn failed_fleet_run_still_writes_its_trace() {
     };
     let (trace, metrics) = (path("trace"), path("metrics"));
     let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
-    let addrs = netbench::free_addrs(2);
+    let addrs = fleet::free_addrs(2);
     let coordinator = NodeArgs {
         trace: Some(trace.clone()),
         metrics_out: Some(metrics.clone()),
@@ -517,7 +520,7 @@ fn members_run_the_coordinators_plans_whatever_their_batch_flag() {
         honest: 2,
         ..NetSpec::default()
     };
-    let addrs = netbench::free_addrs(3);
+    let addrs = fleet::free_addrs(3);
     let members = vec![
         heal_node(&spec, &addrs, 1, 1, false),
         node(&spec, &addrs, 2),
@@ -534,7 +537,7 @@ fn members_run_the_coordinators_plans_whatever_their_batch_flag() {
         })
     };
 
-    let outcome = heal::run_recovery_coordinator(&spec, 2, addrs, 2, Some(hook), || {})
+    let outcome = fleet::run_recovery_coordinator(&spec, 2, addrs, 2, Some(hook), || {})
         .expect("recovery completes every round despite the kill");
 
     let convicted: Vec<usize> = outcome.evictions.iter().map(|v| v.process).collect();
@@ -549,10 +552,10 @@ fn members_run_the_coordinators_plans_whatever_their_batch_flag() {
         .sum();
     assert_eq!(delivered, spec.rounds * spec.messages, "no message lost");
     let reference =
-        heal::build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+        fleet::build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
     assert_eq!(
-        netbench::serialize_reports(&outcome.reports),
-        netbench::serialize_reports(&reference),
+        fleet::serialize_reports(&outcome.reports),
+        fleet::serialize_reports(&reference),
         "fleet outputs must be rebuildable from the eviction log alone"
     );
 

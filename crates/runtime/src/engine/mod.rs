@@ -1606,6 +1606,9 @@ mod tests {
         options.intake_chunk = 1;
         options.intake_window = 1;
 
+        let _guard = crate::OBS_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         atom_obs::reset();
         atom_obs::set_enabled(true);
         let report = Engine::new(options).run_round(streamed);

@@ -1,9 +1,19 @@
-//! The recovery driver of a fleet process over TCP: it carries out the
-//! actions of its [`atom_runtime::recovery`] state machine (control sends,
-//! job derivation, engine runs) and feeds it the control inbox, the timer
-//! and each run's results. It keeps what the protocol does not decide: the
-//! jobs, the `fleet.*` counters and log lines, and telemetry, which members
-//! ship over the control inbox after each round and at the done sentinel.
+//! The fleet process (`atom-node` is [`node_main`]): it derives its rounds
+//! from a [`NetSpec`], joins the TCP mesh and drives a state machine of
+//! `crate::recovery` to its finish — `CoordinatorState` on process 0,
+//! `MemberState` elsewhere.
+//!
+//! **The driver contract.** The machine decides; the driver carries out a
+//! step's actions in order. A failed `Send` ends the list with
+//! `Unreachable`, and `Run` with `Ran`. Otherwise it steps each `rejoin`
+//! frame of its control inbox, then `Timer` once the armed time has passed;
+//! a machine's first input is `Timer`. It sets telemetry frames aside and
+//! drops and counts any other (`fleet.control.dropped`). It keeps what the
+//! protocol does not decide: jobs, clocks, `fleet.*` counters, log lines,
+//! and telemetry, which members ship over the control inbox after each
+//! round and at the done sentinel.
+
+mod node;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -19,14 +29,19 @@ use atom_core::directory::derive_setup;
 use atom_core::error::AtomError;
 use atom_core::message::make_trap_submission;
 use atom_net::{Dial, FaultyTransport, SendError, TcpTransport, Transport};
-use atom_runtime::fault::slow_groups;
-use atom_runtime::recovery::{fleet_clocks, owner_map_excluding, Action, Input, Machine};
-use atom_runtime::recovery::{CoordinatorState, MemberState};
-use atom_runtime::wire::{self, Frame, TelemetryFrame};
-use atom_runtime::{Engine, EngineOptions, EngineRole, FaultVerdict, RoundCompleteHook};
-use atom_runtime::{RoundJob, RoundReport, RoundSubmissions};
 
-use crate::netbench::{hosted_groups, round_config, NetSpec};
+use crate::fault::{slow_groups, FaultVerdict};
+use crate::recovery::{fleet_clocks, owner_map_excluding, Action, Input, Machine};
+use crate::recovery::{CoordinatorState, MemberState};
+use crate::wire::{self, Frame, TelemetryFrame};
+use crate::{Engine, EngineOptions, EngineRole, RoundCompleteHook};
+use crate::{RoundJob, RoundReport, RoundSubmissions};
+
+pub use node::{
+    flag_number, flag_value, free_addrs, node_main, serialize_reports, NetSpec, NodeArgs,
+    READY_LINE,
+};
+use node::{hosted_groups, round_config};
 
 /// The jobs of `rounds`, the `i`-th built without the servers `evicted[i]`
 /// and healing around those in `failed[i]`: the one round-job derivation.
@@ -175,7 +190,8 @@ fn engine_options(spec: &NetSpec, workers: usize, offset: usize, process: usize)
 type Prepared = (Range<usize>, usize, Vec<usize>, Vec<RoundJob>);
 
 /// One read of the control inbox until `timer`: a `rejoin` frame, or
-/// `Timer` once it passed. A telemetry frame is set aside.
+/// `Timer` once it passed. A telemetry frame is set aside, and any other
+/// is dropped and counted, with no log line a hostile peer could flood.
 fn recv(
     transport: &TcpTransport,
     timer: &mut Option<Instant>,
@@ -187,13 +203,11 @@ fn recv(
         return Some(Input::Timer);
     };
     match wire::decode(&payload) {
-        Ok(Frame::Rejoin(frame)) => Some(Input::Frame(frame)),
-        Ok(Frame::Telemetry(frame)) => {
-            telemetry.push(frame);
-            None
-        }
-        _ => None,
+        Ok(Frame::Rejoin(frame)) => return Some(Input::Frame(frame)),
+        Ok(Frame::Telemetry(frame)) => telemetry.push(frame),
+        _ => atom_obs::count("fleet.control.dropped", 1),
     }
+    None
 }
 
 /// Steps `machine` from its first timer to its finish over `transport`,
@@ -306,13 +320,8 @@ pub fn run_recovery_coordinator(
         };
         rounds.zip(results).map(&mut report).collect()
     };
-    let mut telemetry = Vec::new();
-    let (run, detected, finished) = drive(
-        (spec, &transport, true),
-        &mut machine,
-        &mut run,
-        &mut telemetry,
-    );
+    let (driven, mut telemetry) = ((spec, &transport, true), Vec::new());
+    let (run, detected, finished) = drive(driven, &mut machine, &mut run, &mut telemetry);
     if let Err(error) = &run {
         // Beside the last attempt's spans, labelled with its first wire
         // round: a run can fail before any engine ran.
@@ -417,8 +426,7 @@ pub(crate) fn run_healing_member(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netbench::serialize_reports;
-    use atom_runtime::FaultKind;
+    use crate::{FaultKind, OBS_LOCK};
     use std::sync::mpsc;
 
     /// A fleet member on its own thread. Its result comes back over a
@@ -496,7 +504,7 @@ mod tests {
             messages: 6,
             ..NetSpec::default()
         };
-        let addrs = crate::netbench::free_addrs(1);
+        let addrs = free_addrs(1);
         let outcome = run_recovery_coordinator(&spec, spec.rounds, addrs, 2, None, || {})
             .expect("a coordinator-only fleet completes every round");
         assert!(outcome.evictions.is_empty());
@@ -506,6 +514,51 @@ mod tests {
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
+        assert_eq!(
+            serialize_reports(&outcome.reports),
+            serialize_reports(&reference)
+        );
+    }
+
+    /// A control frame that is neither a `rejoin` nor telemetry — here bytes
+    /// no frame decodes from, sent by a peer outside the fleet before the
+    /// first plan — is dropped and counted once as `fleet.control.dropped`,
+    /// and the fleet still delivers the bytes of its reference.
+    #[test]
+    fn a_garbage_control_frame_is_counted_and_changes_no_output() {
+        let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let spec = NetSpec {
+            groups: 2,
+            rounds: 2,
+            messages: 4,
+            stall_timeout: Duration::from_secs(2),
+            ..NetSpec::default()
+        };
+        let addrs = free_addrs(2);
+        let dropped = || {
+            let mut counters = atom_obs::counter_snapshot().into_iter();
+            (counters.find(|(name, _)| name == "fleet.control.dropped")).map_or(0, |(_, n)| n)
+        };
+        atom_obs::set_enabled(true);
+        let before = dropped();
+        let member = Member::spawn("member 1", &spec, &addrs, 1, false);
+        let coordinator = addrs[0].clone();
+        let inject = move || {
+            let owner = owner_map_excluding(spec.groups, 2, &[]);
+            let hostile = TcpTransport::bind_any(2, owner, 1, Default::default()).unwrap();
+            hostile.set_peer_addr(0, coordinator);
+            (hostile.send_control(0, b"not a frame", Dial::IfNeeded)).expect("reach the inbox");
+            hostile.shutdown();
+        };
+        let outcome = run_recovery_coordinator(&spec, 1, addrs, 2, None, inject)
+            .expect("a dropped frame fails no round");
+        assert!(member.result().is_ok(), "the member exits cleanly");
+        let counted = dropped() - before;
+        atom_obs::set_enabled(false);
+        assert_eq!(counted, 1, "the garbage frame is counted once");
+        assert!(outcome.evictions.is_empty());
+        let reference =
+            build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
         assert_eq!(
             serialize_reports(&outcome.reports),
             serialize_reports(&reference)
@@ -531,7 +584,7 @@ mod tests {
             honest: 2,
             ..NetSpec::default()
         };
-        let addrs = crate::netbench::free_addrs(3);
+        let addrs = free_addrs(3);
         let batch = 1;
 
         let m1 = Member::spawn("member 1", &spec, &addrs, 1, false);
@@ -641,7 +694,7 @@ mod tests {
             honest: 2,
             ..NetSpec::default()
         };
-        let addrs = crate::netbench::free_addrs(3);
+        let addrs = free_addrs(3);
         let batch = 1;
 
         let m1 = Member::spawn("loris member 1", &spec, &addrs, 1, false);
@@ -884,9 +937,6 @@ mod tests {
         assert_eq!(serialize_reports(&reports), serialize_reports(&reference));
     }
 
-    /// Recording is process-global, so the traced tests here hold this.
-    static OBS_LOCK: Mutex<()> = Mutex::new(());
-
     /// A failed attempt leaves its reason in the fleet's telemetry although
     /// its retry succeeds: round 1's intake rejects a rebound submission in
     /// epoch 1, so the coordinator's telemetry notes the rejection at that
@@ -939,7 +989,7 @@ mod tests {
     }
 
     /// A batch-1 run opens an epoch per round, so a long run reaches epoch
-    /// 4,096 near round 4k: the fence `heal` builds for it must still fit
+    /// 4,096 near round 4k: the fence the driver builds for it must still fit
     /// the frames' u32 round field and deliver.
     #[test]
     fn epoch_fence_fits_the_wire_past_epoch_4096() {

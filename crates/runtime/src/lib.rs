@@ -17,8 +17,8 @@
 //! [`Engine::run_rounds_on`] accepts any [`atom_net::Transport`] plus an
 //! [`EngineRole`], so the *same* engine hosts a subset of the groups in
 //! each of several OS processes connected by
-//! [`atom_net::TcpTransport`] — the multi-process mode the `atom-node`
-//! binary (in `atom-bench`) drives. For equal jobs and seeds the
+//! [`atom_net::TcpTransport`] — the multi-process mode of [`fleet`], the
+//! fleet process the `atom-node` binary runs. For equal jobs and seeds the
 //! coordinator's [`RoundOutput`](atom_core::round::RoundOutput) is
 //! byte-identical across transports and process layouts.
 //!
@@ -132,8 +132,9 @@
 
 mod engine;
 pub mod fault;
+pub mod fleet;
 pub mod ingress;
-pub mod recovery;
+mod recovery;
 pub mod wire;
 
 pub use engine::{
@@ -145,3 +146,8 @@ pub use ingress::{
     Admission, AdmissionQueue, IngressOptions, IngressServer, IngressSource, IngressStats,
     TokenBucket,
 };
+
+#[cfg(test)]
+/// Recording is process-global, so the tests of this crate that reset it or
+/// read back what it recorded hold this.
+static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

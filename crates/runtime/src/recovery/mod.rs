@@ -2,8 +2,9 @@
 //! recovery — as two sans-I/O state machines: process 0 runs a
 //! [`CoordinatorState`], every other process a [`MemberState`]. A machine
 //! owns no socket, thread, engine, clock, counter or log line; its driver
-//! (`atom_bench::heal` over TCP) feeds it [`Input`]s through
-//! [`Machine::step`] and carries out the [`Action`]s each step returns.
+//! ([`crate::fleet`], over TCP, whose docs state the contract) feeds it
+//! [`Input`]s through [`Machine::step`] and carries out the [`Action`]s
+//! each step returns.
 //! Before each attempt of a batch the fleet passes a two-phase handshake,
 //! so every process agrees on who is dead and on the attempt's rounds and
 //! wire-round offset — the coordinator's to decide — before it runs:
@@ -44,12 +45,6 @@
 //! acks supersedes it with one that readmits the requester, so a request
 //! read during any batch start's handshake, the last one's included, is
 //! readmitted there.
-//!
-//! **Driving.** A driver carries out a step's actions in order; a failed
-//! [`Action::Send`] ends the list with [`Input::Unreachable`], and
-//! [`Action::Run`] with [`Input::Ran`]. Otherwise it steps each `rejoin`
-//! frame of its control inbox, then [`Input::Timer`] once the armed time
-//! has passed. A machine's first input is `Timer`.
 
 mod ledger;
 
@@ -75,21 +70,21 @@ const MAX_STUCK_RETRIES: usize = 3;
 
 /// The clocks of a fleet process, all set by [`fleet_clocks`].
 #[derive(Clone, Debug)]
-pub struct FleetClocks {
+pub(crate) struct FleetClocks {
     /// The engine's stall window.
-    pub stall: Duration,
+    pub(crate) stall: Duration,
     /// The coordinator's wait for plan acks before it convicts the silent.
-    pub ack: Duration,
+    pub(crate) ack: Duration,
     /// A member's wait for the next plan or go: a batch run plus `ack`.
-    pub plan: Duration,
+    pub(crate) plan: Duration,
     /// The mesh's connect and frame-write budgets.
-    pub mesh: TcpOptions,
+    pub(crate) mesh: TcpOptions,
 }
 
 /// A fleet's clocks, derived from its `stall` window in this one place
 /// (tabulated in `docs/operations.md`). The round clock is not among them:
 /// no function of the stall window catches a peer dripping just under it.
-pub fn fleet_clocks(stall: Duration) -> FleetClocks {
+pub(crate) fn fleet_clocks(stall: Duration) -> FleetClocks {
     FleetClocks {
         stall,
         ack: stall.max(Duration::from_millis(500)) * 2,
@@ -102,7 +97,7 @@ pub fn fleet_clocks(stall: Duration) -> FleetClocks {
 /// round-robin owner while that owner lives, and is otherwise reassigned
 /// round-robin over the survivors. The orchestrator node (always last)
 /// stays on the coordinator, which never appears in `dead`.
-pub fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize]) -> Vec<usize> {
+pub(crate) fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize]) -> Vec<usize> {
     assert!(!dead.contains(&0), "the coordinator cannot be evicted");
     let live: Vec<usize> = (0..processes).filter(|p| !dead.contains(p)).collect();
     let owner = (0..groups).map(|gid| match gid % processes {
@@ -114,7 +109,7 @@ pub fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize]) -> V
 
 /// What a driver tells a machine.
 #[derive(Debug)]
-pub enum Input {
+pub(crate) enum Input {
     /// A `rejoin` frame read from the control inbox.
     Frame(RejoinFrame),
     /// The failed sends of one [`Action::Send`].
@@ -127,7 +122,7 @@ pub enum Input {
 
 /// What a machine asks of its driver, in order.
 #[derive(Debug)]
-pub enum Action {
+pub(crate) enum Action {
     /// Send the frame to each listed process's control inbox.
     Send(Vec<usize>, RejoinFrame),
     /// Copy a plan to a convicted process over an open stream, ignoring
@@ -168,7 +163,7 @@ pub enum Action {
 }
 
 /// A recovery state machine: the one entry point of either role.
-pub trait Machine {
+pub(crate) trait Machine {
     /// Feeds `input`, read at `now` (since the machine started), and returns
     /// what the driver is to do, in order.
     fn step(&mut self, now: Duration, input: Input) -> Vec<Action>;
@@ -190,10 +185,10 @@ enum Phase {
 }
 
 /// The coordinator's (process 0's) side of the recovery loop: it plans
-/// every attempt, convicts and readmits. Its public fields are what the
-/// run settled.
+/// every attempt, convicts and readmits. Its crate-visible fields are what
+/// the run settled.
 #[derive(Debug, Default)]
-pub struct CoordinatorState {
+pub(crate) struct CoordinatorState {
     processes: usize,
     groups: usize,
     servers: usize,
@@ -215,23 +210,23 @@ pub struct CoordinatorState {
     reported: Vec<bool>,
     phase: Phase,
     /// Attempts planned (plan/ack/go handshakes begun).
-    pub epoch: usize,
+    pub(crate) epoch: usize,
     /// Every conviction, in order.
-    pub evictions: Vec<FaultVerdict>,
+    pub(crate) evictions: Vec<FaultVerdict>,
     /// `(process, round)` of each readmission.
-    pub rejoins: Vec<(usize, usize)>,
+    pub(crate) rejoins: Vec<(usize, usize)>,
     /// Per round: the evicted-server set its report was made under.
-    pub round_evicted: Vec<Vec<usize>>,
+    pub(crate) round_evicted: Vec<Vec<usize>>,
     /// Per round: the mid-flight failure set it healed around.
-    pub round_failed: Vec<Vec<usize>>,
+    pub(crate) round_failed: Vec<Vec<usize>>,
     /// The admitted members the done sentinel reached.
-    pub reached: Vec<usize>,
+    pub(crate) reached: Vec<usize>,
 }
 
 impl CoordinatorState {
     /// The coordinator of `processes` processes over `config`'s groups, for
     /// `rounds` rounds in batches of `batch`, with an `ack_deadline`.
-    pub fn new(
+    pub(crate) fn new(
         config: &AtomConfig,
         (processes, rounds, batch): (usize, usize, usize),
         ack_deadline: Duration,
@@ -500,7 +495,7 @@ impl Machine for CoordinatorState {
 /// mirrored, derived and acked, and its go runs its rounds, until the done
 /// sentinel. A restarted member starts outside the fleet and asks back in.
 #[derive(Debug, Default)]
-pub struct MemberState {
+pub(crate) struct MemberState {
     index: usize,
     fleet: Fleet,
     rounds: usize,
@@ -525,7 +520,7 @@ pub struct MemberState {
 impl MemberState {
     /// Process `index` of `processes` hosting `groups` groups, for `rounds`
     /// rounds, with a `plan_deadline`; with `rejoin`, a restarted process.
-    pub fn new(
+    pub(crate) fn new(
         (index, processes, groups): (usize, usize, usize),
         rounds: usize,
         plan_deadline: Duration,

@@ -164,8 +164,8 @@ pub struct TelemetryFrame {
     pub spans: Vec<SpanRecord>,
 }
 
-/// A decoded rejoin frame: every message of the recovery handshake
-/// ([`crate::recovery`]). A member's request or ack carries the rounds of
+/// A decoded rejoin frame: every message of the recovery handshake, which
+/// [`crate::fleet`] drives. A member's request or ack carries the rounds of
 /// the last plan it saw and its eviction-log digest; the coordinator's
 /// response — a plan, its go, or the done sentinel — carries the
 /// authoritative eviction log and the rounds and offset of an attempt.
@@ -455,7 +455,7 @@ pub fn encode_setup(frame: &SetupFrame) -> Vec<u8> {
 }
 
 /// Serializes a telemetry frame.
-pub fn encode_telemetry(frame: &TelemetryFrame) -> Vec<u8> {
+pub(crate) fn encode_telemetry(frame: &TelemetryFrame) -> Vec<u8> {
     let mut out = vec![KIND_TELEMETRY];
     put_u32(&mut out, frame.process);
     out.push(frame.last as u8);

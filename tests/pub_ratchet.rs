@@ -15,7 +15,7 @@ use std::path::Path;
 use common::rust_files;
 
 /// The count when the bound was last lowered.
-const MAX_PUB_ITEMS: usize = 469;
+const MAX_PUB_ITEMS: usize = 458;
 
 /// The item kinds counted (`pub const fn` counts once, as a `const`).
 const KINDS: [&str; 9] = [

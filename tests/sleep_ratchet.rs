@@ -106,7 +106,7 @@ const CLOCK_FILES: [&str; 8] = [
     "crates/runtime/src/ingress.rs",
     "crates/net/src/tcp.rs",
     "crates/net/src/evloop.rs",
-    "crates/bench/src/heal.rs",
+    "crates/runtime/src/fleet/mod.rs",
     "crates/core/src/actor.rs",
     "crates/core/src/round.rs",
 ];
