@@ -11,34 +11,31 @@ use atom_core::round::{collect_round_timings, finish_nizk_round, finish_trap_rou
 use atom_crypto::commit::Commitment;
 
 use super::{JobState, RoundReport, Shared};
-use crate::wire::ExitFrame;
+use crate::{fill_vec::FillVec, wire::ExitFrame};
 
 /// What a round's finalization collects: intake's release and every exit
 /// frame.
-#[derive(Default)]
 pub(super) struct ExitState {
-    /// Exit payloads the coordinator has collected, one slot per group of
-    /// the round, local and remote.
-    payloads: Vec<Option<Vec<Vec<u8>>>>,
+    /// The coordinator's exit frames, one slot per group of the round,
+    /// local and remote.
+    frames: FillVec<ExitFrame>,
     /// Local actors that reached their exit layer (what a member resolves
     /// its rounds on).
     local_exits: usize,
     routed: usize,
     commitments: Vec<Vec<Commitment>>,
-    /// Per-group measured compute times, as reported in exit frames.
-    computes: Vec<Vec<Duration>>,
+    /// The latest virtual exit time of a member's local actors.
     pipelined: Duration,
-    /// Mixing traffic accumulated from the groups' exit frames.
-    group_mix_messages: u64,
-    group_mix_bytes: u64,
 }
 
 impl ExitState {
     pub(super) fn new(num_groups: usize) -> Self {
         Self {
-            payloads: vec![None; num_groups],
-            computes: vec![Vec::new(); num_groups],
-            ..Self::default()
+            frames: FillVec::new(num_groups),
+            local_exits: 0,
+            routed: 0,
+            commitments: Vec::new(),
+            pipelined: Duration::ZERO,
         }
     }
 
@@ -81,19 +78,14 @@ pub(super) fn on_exit_frame(shared: &Shared<'_>, round: usize, node: usize, fram
         let Some(exit) = slot.as_mut() else {
             return; // finalization already claimed the round
         };
-        if exit.payloads[gid].is_some() {
+        if exit.frames.set(gid, frame).is_err() {
             drop(slot);
             let error = AtomError::Malformed(format!("duplicate exit frame from group {gid}"));
             return shared.fail_job(round, error);
         }
-        exit.payloads[gid] = Some(frame.payloads);
-        exit.computes[gid] = frame.compute;
-        exit.group_mix_messages += frame.mix_messages;
-        exit.group_mix_bytes += frame.mix_bytes;
-        exit.pipelined = exit.pipelined.max(frame.finished_virtual);
         // Taking the state is the claim: the frame that completes the
         // round takes it, once, under the exit lock.
-        if exit.payloads.iter().all(Option::is_some) {
+        if exit.frames.is_full() {
             slot.take()
         } else {
             None
@@ -149,16 +141,18 @@ pub(super) fn member_stub(job: &JobState) -> RoundReport {
 /// round (coordinator only; members resolve through [`on_local_exit`]).
 fn finalize_round(shared: &Shared<'_>, round: usize, exit: ExitState) {
     let job = &shared.jobs[round];
-    let payloads: Vec<Vec<Vec<u8>>> = (exit.payloads.into_iter())
-        .map(Option::unwrap_or_default)
-        .collect();
+    let frames = exit.frames.into_full().expect("every exit frame arrived");
+    let pipelined = frames.iter().map(|frame| frame.finished_virtual).max();
+    let mix = (frames.iter()).fold((0, 0), |(m, b), f| (m + f.mix_messages, b + f.mix_bytes));
+    let (payloads, computes): (Vec<_>, Vec<_>) =
+        frames.into_iter().map(|f| (f.payloads, f.compute)).unzip();
     let (output, wall_clock) = {
         let _span = atom_obs::span("exit", shared.trace_round(round), atom_obs::GID_NONE);
         // Per-iteration compute critical path as reported in the groups'
         // exit frames, via the accounting helper shared with the sequential
         // driver.
         let setup = job.round_setup();
-        let mut timings = collect_round_timings(setup, &exit.computes);
+        let mut timings = collect_round_timings(setup, &computes);
         // Same field semantics as the sequential driver: end-to-end wall
         // time of the round in the coordinator process.
         let wall_clock = job.wall_clock();
@@ -174,11 +168,11 @@ fn finalize_round(shared: &Shared<'_>, round: usize, exit: ExitState) {
     // The exit phase itself can reject a round (trap-check failure,
     // malformed payloads); `resolve` then tells any member still mixing.
     let report = output.map(|output| RoundReport {
-        pipelined_latency: exit.pipelined,
+        pipelined_latency: pipelined.unwrap_or_default(),
         wall_clock,
         setup_latency: job.setup_latency(),
-        mix_messages: job.intake_mix_messages.load(Ordering::Relaxed) + exit.group_mix_messages,
-        mix_bytes: job.intake_mix_bytes.load(Ordering::Relaxed) + exit.group_mix_bytes,
+        mix_messages: job.intake_mix_messages.load(Ordering::Relaxed) + mix.0,
+        mix_bytes: job.intake_mix_bytes.load(Ordering::Relaxed) + mix.1,
         output,
     });
     shared.resolve(round, report);
@@ -193,8 +187,7 @@ pub(super) fn waiting_on(shared: &Shared<'_>, job: &JobState) -> (String, Vec<us
         return ("finalizing: every exit frame arrived".into(), Vec::new());
     };
     if shared.role.coordinator {
-        let missing = (0..exit.payloads.len()).filter(|&gid| exit.payloads[gid].is_none());
-        let (named, remote) = shared.locate(missing.collect());
+        let (named, remote) = shared.locate(exit.frames.missing().collect());
         let detail = format!("waiting on exit frames from groups [{named}]");
         return (detail, remote);
     }

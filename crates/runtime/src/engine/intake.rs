@@ -16,7 +16,7 @@ use atom_crypto::commit::Commitment;
 use atom_crypto::elgamal::MessageCiphertext;
 
 use super::{EngineOptions, RoundSubmissions, Shared, SubmissionBlock, Task, MIX_LABEL};
-use crate::wire;
+use crate::{fill_vec::FillVec, wire};
 
 /// A round's intake chunks and their progress.
 pub(super) struct Intake {
@@ -40,7 +40,7 @@ pub(super) struct Intake {
     /// failing submission wins, exactly like the sequential driver. The
     /// worker filling the last slot takes them all and releases the round's
     /// iteration-0 batches, leaving this empty.
-    results: Mutex<Vec<Option<AtomResult<TrapIntake>>>>,
+    results: Mutex<FillVec<AtomResult<TrapIntake>>>,
 }
 
 impl Intake {
@@ -52,7 +52,7 @@ impl Intake {
             window => window.min(chunks.len()).max(1),
         };
         Self {
-            results: Mutex::new((0..chunks.len()).map(|_| None).collect()),
+            results: Mutex::new(FillVec::new(chunks.len())),
             chunks,
             window,
             next_chunk: AtomicUsize::new(window),
@@ -67,7 +67,7 @@ impl Intake {
 
     /// What the round waits on while chunks are still unverified.
     pub(super) fn waiting_on(&self) -> Option<(String, Vec<usize>)> {
-        let pending = self.results.lock().iter().filter(|r| r.is_none()).count();
+        let pending = self.results.lock().missing().count();
         let detail = format!("stuck before batch release: {pending} intake chunk(s) unverified");
         (pending > 0).then_some((detail, Vec::new()))
     }
@@ -182,23 +182,20 @@ pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) 
             .push_task(Task::IntakeChunk { round, chunk: next });
     }
 
-    let released = {
-        let mut results = intake.results.lock();
-        results[chunk] = Some(result);
-        (results.iter().all(Option::is_some)).then(|| std::mem::take(&mut *results))
-    };
-    if let Some(results) = released {
-        finish_intake(shared, round, results);
+    let mut results = intake.results.lock();
+    if results.set(chunk, result).is_ok() && results.is_full() {
+        let full = std::mem::replace(&mut *results, FillVec::new(0)).into_full();
+        drop(results);
+        finish_intake(shared, round, full.expect("every chunk verified"));
     }
 }
 
-/// Merges the verified intake chunks — every slot of `results` filled — in
-/// chunk order and injects the iteration-0 batches. Ranges are contiguous
-/// and ascending, so the merged per-group batches equal the single-task
-/// (and sequential-driver) bucketing byte for byte; the first failed chunk
-/// — which contains the lowest-indexed rejected submission — decides the
-/// round's error.
-fn finish_intake(shared: &Shared<'_>, round: usize, results: Vec<Option<AtomResult<TrapIntake>>>) {
+/// Merges the verified intake chunks in chunk order and injects the
+/// iteration-0 batches. Ranges are contiguous and ascending, so the merged
+/// per-group batches equal the single-task (and sequential-driver)
+/// bucketing byte for byte; the first failed chunk — which contains the
+/// lowest-indexed rejected submission — decides the round's error.
+fn finish_intake(shared: &Shared<'_>, round: usize, results: Vec<AtomResult<TrapIntake>>) {
     let job = &shared.jobs[round];
     if job.failed() {
         return;
@@ -206,7 +203,7 @@ fn finish_intake(shared: &Shared<'_>, round: usize, results: Vec<Option<AtomResu
     let num_groups = job.num_groups();
     let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); num_groups];
     let mut commitments: Vec<Vec<Commitment>> = vec![Vec::new(); num_groups];
-    for result in results.into_iter().flatten() {
+    for result in results {
         match result {
             Ok(chunk) => {
                 for (gid, mut sub) in chunk.batches.into_iter().enumerate() {

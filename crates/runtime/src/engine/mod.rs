@@ -506,7 +506,7 @@ struct JobState {
     /// Exit collection. The exit frame that completes the round takes it
     /// for finalization, so finalization runs once.
     exit: Mutex<Option<ExitState>>,
-    result: Mutex<Option<AtomResult<RoundReport>>>,
+    result: OnceLock<AtomResult<RoundReport>>,
     /// Iteration-0 injections by the local intake (coordinator only).
     intake_mix_messages: AtomicU64,
     intake_mix_bytes: AtomicU64,
@@ -584,7 +584,7 @@ impl JobState {
             intake: Intake::new(offered, options, workers),
             started: OnceLock::new(),
             exit: Mutex::new(Some(ExitState::new(num_groups))),
-            result: Mutex::new(None),
+            result: OnceLock::new(),
             intake_mix_messages: AtomicU64::new(0),
             intake_mix_bytes: AtomicU64::new(0),
             group_mix: (0..num_groups)
@@ -606,11 +606,11 @@ impl JobState {
     }
 
     fn failed(&self) -> bool {
-        matches!(*self.result.lock(), Some(Err(_)))
+        matches!(self.result.get(), Some(Err(_)))
     }
 
     fn finalized(&self) -> bool {
-        self.result.lock().is_some()
+        self.result.get().is_some()
     }
 
     /// Starts the round clock unless it already runs.
@@ -706,12 +706,8 @@ impl Shared<'_> {
     /// [`EngineOptions::on_round_complete`].
     fn resolve(&self, round: usize, result: AtomResult<RoundReport>) {
         let failure = result.as_ref().err().cloned();
-        {
-            let mut slot = self.jobs[round].result.lock();
-            if slot.is_some() {
-                return;
-            }
-            *slot = Some(result);
+        if self.jobs[round].result.set(result).is_err() {
+            return;
         }
         if let Some(error) = failure {
             atom_obs::note("failed", self.trace_round(round), &error.to_string());
@@ -744,25 +740,15 @@ impl Shared<'_> {
         let Some(wire_round) = wire_round_id(round, self.options.round_offset) else {
             return;
         };
-        let targets: Vec<usize> = if self.role.coordinator {
-            (0..self.orchestrator)
-                .filter(|&node| !self.transport.is_local(node))
-                .collect()
-        } else if !self.transport.is_local(self.orchestrator) {
-            vec![self.orchestrator]
-        } else {
-            Vec::new()
-        };
-        if targets.is_empty() {
-            return;
-        }
-        let from = if self.role.coordinator {
-            self.orchestrator
-        } else {
-            self.role.hosted.first().copied().unwrap_or(0)
+        let (from, targets) = match self.role.coordinator {
+            true => (self.orchestrator, 0..self.orchestrator),
+            false => {
+                let from = self.role.hosted.first().copied().unwrap_or(0);
+                (from, self.orchestrator..self.orchestrator + 1)
+            }
         };
         let payload = wire::encode_abort(wire_round, reason);
-        for node in targets {
+        for node in targets.filter(|&node| !self.transport.is_local(node)) {
             let payload = payload.clone();
             if let Err(error) = self.transport.send(from, node, ABORT_LABEL.into(), payload) {
                 eprintln!("atom-runtime: abort notification to node {node} failed: {error}");
@@ -835,15 +821,10 @@ impl Shared<'_> {
     /// and the remote group nodes, which a
     /// [`FaultVerdict`](crate::fault::FaultVerdict) maps to a process.
     fn stall_detail(&self, job: &JobState) -> (String, Vec<usize>) {
-        if let Some(waiting) = job.phase.as_ref().and_then(|p| p.lock().waiting_on(self)) {
-            return waiting;
-        }
-        if self.role.coordinator {
-            if let Some(waiting) = job.intake.waiting_on() {
-                return waiting;
-            }
-        }
-        exit::waiting_on(self, job)
+        let setup = job.phase.as_ref().and_then(|p| p.lock().waiting_on(self));
+        let intake = || self.role.coordinator.then(|| job.intake.waiting_on())?;
+        let exit = || exit::waiting_on(self, job);
+        setup.or_else(intake).unwrap_or_else(exit)
     }
 
     /// Names `gids` as `"g (local), h (remote)"` — a remote tag names a

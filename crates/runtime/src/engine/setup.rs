@@ -20,6 +20,7 @@ use atom_crypto::RistrettoPoint;
 use curve25519_dalek::traits::Identity;
 
 use super::{mix, ActorSpec, EngineRole, Shared, Task, SETUP_LABEL};
+use crate::fill_vec::FillVec;
 use crate::wire::{self, MixEnvelope, SetupFrame};
 
 /// In-flight state of a sharded round's distributed directory derivation.
@@ -31,7 +32,7 @@ pub(super) struct SetupPhase {
     /// Collected contexts: full (with shares) for hosted groups, public-only
     /// for remote ones. The directory is complete once every slot and the
     /// trustee slot are filled.
-    groups: Vec<Option<GroupContext>>,
+    groups: FillVec<GroupContext>,
     /// The trustee context: derived locally on the coordinator, a
     /// placeholder from the start on members.
     trustees: Option<TrusteeContext>,
@@ -44,14 +45,13 @@ pub(super) struct SetupPhase {
     /// withholding its setup frames — fail the round instead of buffering
     /// without bound.
     buffer_cap: usize,
-    /// Set once `finish_setup` has taken ownership of the collected
-    /// contexts, after which no frame may mutate this state: the group
-    /// public keys the directory was assembled with. Late setup frames are
-    /// cross-checked against these: an equivocating peer that lands its
-    /// forged frame first must still be caught — and the round killed with
-    /// the conflict named — when its genuine frame (or a second forged
-    /// story) arrives after sealing.
-    sealed_keys: Option<Vec<PublicKey>>,
+    /// Set once `finish_setup` assembled the directory from `groups`, after
+    /// which no frame may mutate this state. Late setup frames are still
+    /// cross-checked against the keys it was assembled with: an
+    /// equivocating peer that lands its forged frame first must still be
+    /// caught — and the round killed with the conflict named — when its
+    /// genuine frame (or a second forged story) arrives after sealing.
+    sealed: bool,
     /// Set once actors exist and mixing may proceed, to how long the
     /// directory took.
     ready: Option<Duration>,
@@ -63,11 +63,11 @@ impl SetupPhase {
         let iterations = config.topology().iterations();
         Self {
             started: Instant::now(),
-            groups: vec![None; num_groups],
+            groups: FillVec::new(num_groups),
             trustees: (!role.coordinator).then(member_trustee_placeholder),
             buffered: Vec::new(),
             buffer_cap: num_groups.saturating_mul(1 + num_groups.saturating_mul(iterations)),
-            sealed_keys: None,
+            sealed: false,
             ready: None,
         }
     }
@@ -77,25 +77,19 @@ impl SetupPhase {
     }
 
     fn complete(&self) -> bool {
-        self.trustees.is_some() && self.groups.iter().all(Option::is_some)
+        self.trustees.is_some() && self.groups.is_full()
     }
 
-    /// Checks a setup frame against the sealed keys, or against the stored
-    /// context of its group. `None` means this phase holds nothing for the
-    /// group yet; otherwise the frame is a benign copy (`Ok`) or an
-    /// equivocation. Once sealed, only the key the round mixes under is
-    /// compared, and a disagreeing frame is named even though the first
-    /// (possibly forged) story already won the slot.
+    /// Checks a setup frame against the stored context of its group. `None`
+    /// means this phase holds nothing for the group yet; otherwise the frame
+    /// is a benign copy (`Ok`) or an equivocation. Once sealed, only the key
+    /// the round mixes under is compared, and a disagreeing frame is named
+    /// even though the first (possibly forged) story already won the slot.
     fn check_copy(&self, frame: &SetupFrame) -> Option<AtomResult<()>> {
-        let benign = if let Some(keys) = &self.sealed_keys {
-            keys.get(frame.gid)
-                .is_none_or(|key| *key == frame.public_key)
-        } else {
-            let existing = self.groups[frame.gid].as_ref()?;
-            existing.public_key == frame.public_key
-                && existing.threshold == frame.threshold
-                && existing.members == frame.members
-        };
+        let existing = self.groups.get(frame.gid)?;
+        let benign = existing.public_key == frame.public_key
+            && (self.sealed
+                || (existing.threshold == frame.threshold && existing.members == frame.members));
         Some(if benign {
             Ok(())
         } else {
@@ -112,15 +106,10 @@ impl SetupPhase {
         if self.ready.is_some() {
             return None;
         }
-        let waiting = (0..self.groups.len()).filter(|&gid| self.groups[gid].is_none());
-        let trustees = if self.trustees.is_none() {
-            " and the trustee DKG"
-        } else {
-            ""
-        };
-        let (named, remote) = shared.locate(waiting.collect());
+        let trustees = self.trustees.is_none().then_some(" and the trustee DKG");
+        let (named, remote) = shared.locate(self.groups.missing().collect());
         let detail = format!("stuck in sharded setup, waiting on group directories [{named}]");
-        Some((detail + trustees, remote))
+        Some((detail + trustees.unwrap_or_default(), remote))
     }
 }
 
@@ -171,7 +160,7 @@ pub(super) fn run_setup_group(shared: &Shared<'_>, round: usize, gid: usize) {
             return;
         }
     }
-    record_local(shared, round, |phase| phase.groups[gid] = Some(context));
+    record_local(shared, round, |phase| drop(phase.groups.set(gid, context)));
 }
 
 /// Derives the trustee DKG of a sharded round (coordinator only; members
@@ -194,7 +183,7 @@ fn record_local(shared: &Shared<'_>, round: usize, record: impl FnOnce(&mut Setu
     let phase_lock = shared.jobs[round].phase.as_ref().expect("sharded round");
     let complete = {
         let mut phase = phase_lock.lock();
-        phase.sealed_keys.is_none() && {
+        !phase.sealed && {
             record(&mut phase);
             phase.complete()
         }
@@ -242,14 +231,14 @@ pub(super) fn on_setup_frame(shared: &Shared<'_>, round: usize, frame: SetupFram
             if let Some(verdict) = phase.check_copy(&frame) {
                 return verdict.map(|()| false);
             }
-            phase.groups[gid] = Some(GroupContext {
+            let context = GroupContext {
                 id: gid,
                 members: frame.members,
                 shares: Vec::new(),
                 public_key: frame.public_key,
                 threshold: frame.threshold,
-            });
-            Ok(phase.complete())
+            };
+            Ok(phase.groups.set(gid, context).is_ok() && phase.complete())
         }),
     };
     match verdict {
@@ -288,12 +277,10 @@ fn finish_setup(shared: &Shared<'_>, round: usize) {
     let job = &shared.jobs[round];
     let (groups, trustees) = {
         let mut phase = job.phase.as_ref().expect("sharded round").lock();
-        debug_assert!(phase.complete() && phase.sealed_keys.is_none());
-        let groups: Vec<GroupContext> = (phase.groups.iter_mut())
-            .map(|slot| slot.take().expect("setup phase complete"))
-            .collect();
-        phase.sealed_keys = Some(groups.iter().map(|group| group.public_key).collect());
-        (groups, phase.trustees.take().expect("setup phase complete"))
+        debug_assert!(phase.complete() && !phase.sealed);
+        phase.sealed = true;
+        let (groups, trustees) = (phase.groups.clone().into_full(), phase.trustees.take());
+        groups.zip(trustees).expect("setup phase complete")
     };
     let setup = RoundSetup {
         config: job.config.clone(),

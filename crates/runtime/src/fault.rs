@@ -21,41 +21,29 @@ use atom_net::{NodeId, SendFault};
 
 use crate::wire::{self, Frame};
 
-/// How a fault verdict classifies the failed process.
+/// How a fault verdict classifies the failed process. The discriminant is
+/// its verdict byte on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The process is gone: its peer reset the connection, or it produced
     /// no frames at all before the stall timeout. Evict immediately.
-    Dead,
+    Dead = 0,
     /// The process (or one of its servers) provably deviated — it sent an
     /// abort, a malformed frame, or failed a protocol check. Evict and
     /// attribute.
-    Blamed,
+    Blamed = 1,
     /// The process was implicated but the evidence is circumstantial
     /// (e.g. a stall that points at several processes). Evict it to heal
     /// the round, but a real deployment would only deprioritize it.
-    Slow,
+    Slow = 2,
 }
 
 impl FaultKind {
-    /// The verdict byte used by the `evict` wire frame.
-    pub(crate) fn to_wire(self) -> u8 {
-        match self {
-            FaultKind::Dead => 0,
-            FaultKind::Blamed => 1,
-            FaultKind::Slow => 2,
-        }
-    }
-
     /// Parses a wire verdict byte; unknown values are rejected by the
     /// frame decoder.
     pub(crate) fn from_wire(byte: u8) -> Option<Self> {
-        match byte {
-            0 => Some(FaultKind::Dead),
-            1 => Some(FaultKind::Blamed),
-            2 => Some(FaultKind::Slow),
-            _ => None,
-        }
+        let kinds = [FaultKind::Dead, FaultKind::Blamed, FaultKind::Slow];
+        kinds.get(usize::from(byte)).copied()
     }
 }
 
@@ -244,8 +232,12 @@ mod tests {
 
     #[test]
     fn wire_byte_roundtrips() {
-        for kind in [FaultKind::Dead, FaultKind::Blamed, FaultKind::Slow] {
-            assert_eq!(FaultKind::from_wire(kind.to_wire()), Some(kind));
+        for (byte, kind) in [
+            (0, FaultKind::Dead),
+            (1, FaultKind::Blamed),
+            (2, FaultKind::Slow),
+        ] {
+            assert_eq!((FaultKind::from_wire(byte), kind as u8), (Some(kind), byte));
         }
         assert_eq!(FaultKind::from_wire(3), None);
         assert_eq!(FaultKind::from_wire(0xff), None);

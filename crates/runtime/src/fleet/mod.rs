@@ -31,6 +31,7 @@ use atom_core::message::make_trap_submission;
 use atom_net::{Dial, FaultyTransport, SendError, TcpTransport, Transport};
 
 use crate::fault::{slow_groups, FaultVerdict};
+use crate::fill_vec::FillVec;
 use crate::recovery::{fleet_clocks, owner_map_excluding, Action, Input, Machine};
 use crate::recovery::{CoordinatorState, MemberState};
 use crate::wire::{self, Frame, TelemetryFrame};
@@ -137,6 +138,9 @@ pub struct RecoveryOutcome {
     /// Under [`NetSpec::trace`], one snapshot per process in process order:
     /// the coordinator's whole run and what each member shipped.
     pub telemetry: Vec<Snapshot>,
+    /// Control frames the coordinator dropped, traced or not: neither
+    /// `rejoin` nor telemetry (what `fleet.control.dropped` counts).
+    pub control_dropped: usize,
 }
 
 /// The fleet's telemetry under `trace` (none otherwise), one snapshot per
@@ -189,14 +193,14 @@ fn engine_options(spec: &NetSpec, workers: usize, offset: usize, process: usize)
 /// An attempt a plan prepared — its rounds, offset, owner map and jobs.
 type Prepared = (Range<usize>, usize, Vec<usize>, Vec<RoundJob>);
 
+/// The telemetry frames a driver set aside, and how many other frames it
+/// dropped.
+type Aside = (Vec<TelemetryFrame>, usize);
+
 /// One read of the control inbox until `timer`: a `rejoin` frame, or
 /// `Timer` once it passed. A telemetry frame is set aside, and any other
 /// is dropped and counted, with no log line a hostile peer could flood.
-fn recv(
-    transport: &TcpTransport,
-    timer: &mut Option<Instant>,
-    telemetry: &mut Vec<TelemetryFrame>,
-) -> Option<Input> {
+fn recv(transport: &TcpTransport, timer: &mut Option<Instant>, aside: &mut Aside) -> Option<Input> {
     let deadline = timer.expect("a machine arms its timer before it waits");
     let Some(payload) = transport.recv_control(deadline) else {
         *timer = None;
@@ -204,8 +208,11 @@ fn recv(
     };
     match wire::decode(&payload) {
         Ok(Frame::Rejoin(frame)) => return Some(Input::Frame(frame)),
-        Ok(Frame::Telemetry(frame)) => telemetry.push(frame),
-        _ => atom_obs::count("fleet.control.dropped", 1),
+        Ok(Frame::Telemetry(frame)) => aside.0.push(frame),
+        _ => {
+            aside.1 += 1;
+            atom_obs::count("fleet.control.dropped", 1);
+        }
     }
     None
 }
@@ -217,15 +224,12 @@ fn drive(
     (spec, transport, with_submissions): (&NetSpec, &TcpTransport, bool),
     machine: &mut impl Machine,
     run: &mut dyn FnMut(Prepared) -> Vec<Result<(), AtomError>>,
-    telemetry: &mut Vec<TelemetryFrame>,
+    aside: &mut Aside,
 ) -> (Result<(), String>, Option<Instant>, Instant) {
     let (start, mut timer, mut prepared, mut detected) = (Instant::now(), None, None, None);
     let mut next = Some(Input::Timer);
     loop {
-        let Some(input) = next
-            .take()
-            .or_else(|| recv(transport, &mut timer, telemetry))
-        else {
+        let Some(input) = next.take().or_else(|| recv(transport, &mut timer, aside)) else {
             continue;
         };
         let now = Instant::now();
@@ -298,7 +302,7 @@ pub fn run_recovery_coordinator(
     let shape = (processes, spec.rounds, batch);
     let ack = fleet_clocks(spec.stall_timeout).ack;
     let mut machine = CoordinatorState::new(&config, shape, ack);
-    let mut reports: Vec<Option<RoundReport>> = (0..spec.rounds).map(|_| None).collect();
+    let mut reports = FillVec::new(spec.rounds);
     let completions: Arc<Mutex<Vec<(usize, Instant)>>> = Arc::default();
     let mut engine = Duration::ZERO;
     let mut run = |(rounds, offset, owner, jobs): Prepared| {
@@ -315,13 +319,14 @@ pub fn run_recovery_coordinator(
         let began = Instant::now();
         let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
         engine += began.elapsed();
+        // The machine ends the run on a second report of a round.
         let mut report = |(round, result): (usize, Result<RoundReport, _>)| {
-            result.map(|r| reports[round] = Some(r))
+            result.map(|r| drop(reports.set(round, r)))
         };
         rounds.zip(results).map(&mut report).collect()
     };
-    let (driven, mut telemetry) = ((spec, &transport, true), Vec::new());
-    let (run, detected, finished) = drive(driven, &mut machine, &mut run, &mut telemetry);
+    let (driven, mut aside) = ((spec, &transport, true), Aside::default());
+    let (run, detected, finished) = drive(driven, &mut machine, &mut run, &mut aside);
     if let Err(error) = &run {
         // Beside the last attempt's spans, labelled with its first wire
         // round: a run can fail before any engine ran.
@@ -331,12 +336,13 @@ pub fn run_recovery_coordinator(
     // every admitted member the done sentinel reached.
     let mut timer = spec.trace.then_some(finished + ack);
     let shipped = |t: &[TelemetryFrame], p| t.iter().any(|f| f.last && f.process as usize == p);
-    while timer.is_some() && !(machine.reached.iter()).all(|&p| shipped(&telemetry, p)) {
-        recv(&transport, &mut timer, &mut telemetry);
+    while timer.is_some() && !(machine.reached.iter()).all(|&p| shipped(&aside.0, p)) {
+        recv(&transport, &mut timer, &mut aside);
     }
     transport.shutdown();
-    let telemetry = fleet_telemetry(telemetry, spec.trace);
-    run.map_err(|error| (error, telemetry.clone()))?;
+    let (telemetry, control_dropped) = (fleet_telemetry(aside.0, spec.trace), aside.1);
+    let reports = run.and_then(|()| reports.into_full().ok_or("a round has no report".into()));
+    let reports = reports.map_err(|error| (error, telemetry.clone()))?;
     let completions = completions.lock().unwrap_or_else(PoisonError::into_inner);
     let healed: Vec<(usize, Duration)> = (completions.iter())
         .filter_map(|&(round, at)| Some((round, at.checked_duration_since(detected?)?)))
@@ -344,10 +350,7 @@ pub fn run_recovery_coordinator(
         .collect();
     let healed_rounds: BTreeSet<usize> = healed.iter().map(|&(round, _)| round).collect();
     Ok(RecoveryOutcome {
-        reports: reports
-            .into_iter()
-            .map(|r| r.expect("every round resolved"))
-            .collect(),
+        reports,
         evictions: machine.evictions,
         rejoins: machine.rejoins,
         round_evicted: machine.round_evicted,
@@ -359,6 +362,7 @@ pub fn run_recovery_coordinator(
         healed_rounds: healed_rounds.into_iter().collect(),
         wall: start.elapsed(),
         telemetry,
+        control_dropped,
     })
 }
 
@@ -415,7 +419,7 @@ pub(crate) fn run_healing_member(
         results.into_iter().map(|result| result.map(drop)).collect()
     };
     let driven = (spec, &*transport, !spec.sharded);
-    let (result, ..) = drive(driven, &mut machine, &mut run, &mut Vec::new());
+    let (result, ..) = drive(driven, &mut machine, &mut run, &mut Aside::default());
     if result.is_ok() && spec.trace {
         ship(true);
     }
@@ -522,8 +526,9 @@ mod tests {
 
     /// A control frame that is neither a `rejoin` nor telemetry — here bytes
     /// no frame decodes from, sent by a peer outside the fleet before the
-    /// first plan — is dropped and counted once as `fleet.control.dropped`,
-    /// and the fleet still delivers the bytes of its reference.
+    /// first plan — is dropped and counted once in the run's outcome, with
+    /// recording off or on (then also as `fleet.control.dropped`), and the
+    /// fleet still delivers the bytes of its reference.
     #[test]
     fn a_garbage_control_frame_is_counted_and_changes_no_output() {
         let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -534,35 +539,42 @@ mod tests {
             stall_timeout: Duration::from_secs(2),
             ..NetSpec::default()
         };
-        let addrs = free_addrs(2);
         let dropped = || {
             let mut counters = atom_obs::counter_snapshot().into_iter();
             (counters.find(|(name, _)| name == "fleet.control.dropped")).map_or(0, |(_, n)| n)
         };
-        atom_obs::set_enabled(true);
-        let before = dropped();
-        let member = Member::spawn("member 1", &spec, &addrs, 1, false);
-        let coordinator = addrs[0].clone();
-        let inject = move || {
-            let owner = owner_map_excluding(spec.groups, 2, &[]);
-            let hostile = TcpTransport::bind_any(2, owner, 1, Default::default()).unwrap();
-            hostile.set_peer_addr(0, coordinator);
-            (hostile.send_control(0, b"not a frame", Dial::IfNeeded)).expect("reach the inbox");
-            hostile.shutdown();
-        };
-        let outcome = run_recovery_coordinator(&spec, 1, addrs, 2, None, inject)
-            .expect("a dropped frame fails no round");
-        assert!(member.result().is_ok(), "the member exits cleanly");
-        let counted = dropped() - before;
-        atom_obs::set_enabled(false);
-        assert_eq!(counted, 1, "the garbage frame is counted once");
-        assert!(outcome.evictions.is_empty());
-        let reference =
-            build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
-        assert_eq!(
-            serialize_reports(&outcome.reports),
-            serialize_reports(&reference)
-        );
+        for recording in [false, true] {
+            atom_obs::set_enabled(recording);
+            let (addrs, before) = (free_addrs(2), dropped());
+            let member = Member::spawn("member 1", &spec, &addrs, 1, false);
+            let coordinator = addrs[0].clone();
+            let inject = move || {
+                let owner = owner_map_excluding(spec.groups, 2, &[]);
+                let hostile = TcpTransport::bind_any(2, owner, 1, Default::default()).unwrap();
+                hostile.set_peer_addr(0, coordinator);
+                let garbage = hostile.send_control(0, b"not a frame", Dial::IfNeeded);
+                garbage.expect("reach the inbox");
+                hostile.shutdown();
+            };
+            let outcome = run_recovery_coordinator(&spec, 1, addrs, 2, None, inject)
+                .expect("a dropped frame fails no round");
+            assert!(member.result().is_ok(), "the member exits cleanly");
+            let counted = dropped() - before;
+            atom_obs::set_enabled(false);
+            assert_eq!(outcome.control_dropped, 1, "recording {recording}");
+            assert_eq!(
+                counted,
+                u64::from(recording),
+                "the counter records only when on"
+            );
+            assert!(outcome.evictions.is_empty());
+            let reference =
+                build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+            assert_eq!(
+                serialize_reports(&outcome.reports),
+                serialize_reports(&reference)
+            );
+        }
     }
 
     /// The whole tentpole in one process: a three-"process" fleet (threads

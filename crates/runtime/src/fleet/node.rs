@@ -412,7 +412,7 @@ pub(crate) fn run_node(args: &NodeArgs) -> Result<(), String> {
     println!(
         "atom-node coordinator: {} processes, {} groups, {} rounds x {} messages \
          -> {delivered} delivered, engine {:.2?} ({:.1} msgs/sec), {} epoch(s), \
-         {} eviction(s), {} rejoin(s)",
+         {} eviction(s), {} rejoin(s), {} control frame(s) dropped",
         args.addrs.len(),
         spec.groups,
         spec.rounds,
@@ -422,6 +422,7 @@ pub(crate) fn run_node(args: &NodeArgs) -> Result<(), String> {
         outcome.epochs,
         outcome.evictions.len(),
         outcome.rejoins.len(),
+        outcome.control_dropped,
     );
     if let Some(latency) = outcome.healed_latency {
         println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");

@@ -132,6 +132,7 @@
 
 mod engine;
 pub mod fault;
+mod fill_vec;
 pub mod fleet;
 pub mod ingress;
 mod recovery;

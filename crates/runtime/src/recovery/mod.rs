@@ -58,7 +58,7 @@ use atom_core::error::AtomError;
 use atom_net::{SendError, TcpOptions};
 
 use crate::fault::{FaultKind, FaultVerdict};
-use crate::wire::RejoinFrame;
+use crate::{fill_vec::FillVec, wire::RejoinFrame};
 use ledger::{batch_end, process_servers, RecoveryLedger};
 
 /// A fleet's group count and process count.
@@ -207,7 +207,8 @@ pub(crate) struct CoordinatorState {
     attempt: Range<usize>,
     /// Consecutive failures of the batch that yielded no actionable verdict.
     stuck: usize,
-    reported: Vec<bool>,
+    /// Per reported round: the evicted and the mid-flight failed servers.
+    reports: FillVec<(Vec<usize>, Vec<usize>)>,
     phase: Phase,
     /// Attempts planned (plan/ack/go handshakes begun).
     pub(crate) epoch: usize,
@@ -215,9 +216,8 @@ pub(crate) struct CoordinatorState {
     pub(crate) evictions: Vec<FaultVerdict>,
     /// `(process, round)` of each readmission.
     pub(crate) rejoins: Vec<(usize, usize)>,
-    /// Per round: the evicted-server set its report was made under.
+    /// Per round once every round reported: `reports`, unzipped.
     pub(crate) round_evicted: Vec<Vec<usize>>,
-    /// Per round: the mid-flight failure set it healed around.
     pub(crate) round_failed: Vec<Vec<usize>>,
     /// The admitted members the done sentinel reached.
     pub(crate) reached: Vec<usize>,
@@ -240,9 +240,7 @@ impl CoordinatorState {
             rounds,
             batch,
             ack_deadline,
-            reported: vec![false; rounds],
-            round_evicted: vec![Vec::new(); rounds],
-            round_failed: vec![Vec::new(); rounds],
+            reports: FillVec::new(rounds),
             ..Self::default()
         }
     }
@@ -276,8 +274,8 @@ impl CoordinatorState {
             out.push(Action::Readmitted(process, self.next));
         }
         out.push(Action::Planned);
-        let end = (self.next..end).find(|&r| self.reported[r]).unwrap_or(end);
-        self.attempt = self.next..end;
+        let reported = (self.next..end).find(|&r| self.reports.get(r).is_some());
+        self.attempt = self.next..reported.unwrap_or(end);
         let offset = self.epoch * self.batch;
         let plan = (self.ledger).handshake(self.attempt.clone(), 0, offset, false);
         for process in 1..self.processes {
@@ -347,19 +345,18 @@ impl CoordinatorState {
     fn ran(&mut self, results: Vec<Result<(), AtomError>>, out: &mut Vec<Action>) {
         let mut failed = None;
         for (round, result) in (self.attempt.start..).zip(results) {
-            match result {
+            let Err(error) = result else {
                 // The membership the report was made under.
-                Ok(()) => {
-                    self.round_evicted[round] = self.ledger.evicted_for(round);
-                    self.round_failed[round] = self.ledger.failed_for(round);
-                    self.reported[round] = true;
+                let ledger = &self.ledger;
+                let membership = (ledger.evicted_for(round), ledger.failed_for(round));
+                if self.reports.set(round, membership).is_err() {
+                    return self.close(Err(format!("round {round} reported twice")), out);
                 }
-                Err(error) => {
-                    failed.get_or_insert((round, error));
-                }
-            }
+                continue;
+            };
+            failed.get_or_insert((round, error));
         }
-        self.next = (self.reported.iter().position(|r| !r)).unwrap_or(self.rounds);
+        self.next = self.reports.missing().next().unwrap_or(self.rounds);
         let Some((round, error)) = failed else {
             self.stuck = 0;
             return self.plan(out);
@@ -468,6 +465,9 @@ impl CoordinatorState {
     /// Tells every member and waiting rejoiner that the run is over: a plan
     /// starting at `rounds` is the done sentinel.
     fn close(&mut self, result: Result<(), String>, out: &mut Vec<Action>) {
+        if let Some(settled) = mem::take(&mut self.reports).into_full() {
+            (self.round_evicted, self.round_failed) = settled.into_iter().unzip();
+        }
         self.reached = self.members().collect();
         let (done, offset) = (self.rounds..self.rounds + 1, (self.epoch + 1) * self.batch);
         let sentinel = self.ledger.handshake(done, 0, offset, false);
@@ -901,6 +901,10 @@ mod tests {
         /// `(round, process)`: `process` restarts once an attempt ran past
         /// `round` with it dead.
         restart: Option<(usize, usize)>,
+        /// Whether every ack and every go reaches its inbox twice, and how
+        /// many frames did.
+        duplicate: bool,
+        duplicated: usize,
     }
 
     impl Lockstep {
@@ -922,6 +926,8 @@ mod tests {
                 attempts: Vec::new(),
                 kill: None,
                 restart: None,
+                duplicate: false,
+                duplicated: 0,
             }
         }
 
@@ -987,6 +993,12 @@ mod tests {
             if self.alive(to) {
                 self.sent.push((from, to, frame.clone()));
                 self.inbox[to].push_back(wire::encode_rejoin(frame));
+                // An ack echoes a plan's offset; a request carries none.
+                let ack = !frame.response && frame.offset > 0;
+                if self.duplicate && (ack || frame.commit) {
+                    self.duplicated += 1;
+                    self.inbox[to].push_back(wire::encode_rejoin(frame));
+                }
             }
             self.alive(to)
         }
@@ -1154,5 +1166,59 @@ mod tests {
         let (_, readmitted_at) = rejoins[0];
         assert!(fleet.coordinator.round_evicted[readmitted_at].is_empty());
         assert_eq!(fleet.coordinator.reached, vec![1, 2]);
+    }
+
+    /// Every ack and every go delivered twice changes nothing: fault-free,
+    /// with a kill, and with a kill and a restart, the fleet finishes alike
+    /// with the same attempts, go offsets, verdicts and readmissions as when
+    /// each is delivered once.
+    #[test]
+    fn lockstep_duplicated_acks_and_gos_change_nothing() {
+        let run = |duplicate, kill, restart| {
+            let mut fleet = Lockstep::new(3, 8, 2);
+            (fleet.duplicate, fleet.kill, fleet.restart) = (duplicate, kill, restart);
+            fleet.run_to_end();
+            assert_eq!(fleet.duplicated > 0, duplicate, "duplicates delivered");
+            let gos = fleet.frames_from(|p| p == 0).into_iter();
+            let offsets: Vec<usize> = gos
+                .filter(|(_, f)| f.commit)
+                .map(|(_, f)| f.offset)
+                .collect();
+            let coordinator = fleet.coordinator;
+            let settled = (
+                coordinator.evictions,
+                coordinator.rejoins,
+                coordinator.round_evicted,
+            );
+            (fleet.finished, fleet.attempts, offsets, settled)
+        };
+        let kill = Some((1, 2));
+        for (kill, restart) in [(None, None), (kill, None), (kill, Some((3, 2)))] {
+            let (once, twice) = (run(false, kill, restart), run(true, kill, restart));
+            assert_eq!(twice, once, "kill {kill:?}, restart {restart:?}");
+        }
+    }
+
+    /// A second report for a round ends the run by name. Round 0 fails with
+    /// no verdict and round 1 succeeds; the retry plans round 0 alone, and a
+    /// driver that answers it with two results reports round 1 again.
+    #[test]
+    fn a_second_report_for_a_round_ends_the_run_by_name() {
+        let (mut machine, now) = (coordinator(1, 2, 2), Duration::ZERO);
+        machine.step(now, Input::Timer);
+        let go = machine.step(now, Input::Timer);
+        assert!(matches!(go.last(), Some(Action::Run)), "{go:?}");
+        let unattributed = AtomError::Config("no node named".into());
+        let retry = machine.step(now, Input::Ran(vec![Err(unattributed), Ok(())]));
+        assert!(matches!(retry[0], Action::Retrying(0, 1, _)), "{retry:?}");
+        assert_eq!(machine.attempt, 0..1, "the retry plans round 0 alone");
+        let go = machine.step(now, Input::Timer);
+        assert!(matches!(go.last(), Some(Action::Run)), "{go:?}");
+        let answer = machine.step(now, Input::Ran(vec![Ok(()), Ok(())]));
+        let reason = "round 1 reported twice".to_string();
+        assert!(
+            matches!(answer.last(), Some(Action::Finish(Err(r))) if *r == reason),
+            "{answer:?}"
+        );
     }
 }

@@ -370,7 +370,7 @@ fn put_proof(out: &mut Vec<u8>, proof: &EncProof) {
 pub(crate) fn encode_verdict(out: &mut Vec<u8>, verdict: &FaultVerdict) {
     put_u32(out, verdict.round as u32);
     put_u32(out, verdict.process as u32);
-    out.push(verdict.kind.to_wire());
+    out.push(verdict.kind as u8);
     put_u32(out, verdict.servers.len() as u32);
     for server in &verdict.servers {
         put_u32(out, *server as u32);

@@ -405,29 +405,58 @@ fn remote_actor_failure_aborts_the_round_on_both_sides() {
     coordinator_net.shutdown();
 }
 
+/// The member transport exists (so connects and sends succeed) but no
+/// engine ever runs on it — the moral equivalent of a member process dying
+/// right after startup. TCP gives the coordinator no abort frame, only
+/// silence; the stall detector must convert that into per-round errors that
+/// name what the round waited on: a prebuilt round stalls on the exit
+/// frames of the member's groups, a sharded one in setup, on their
+/// directories. Either way the verdict convicts the member, process 1.
 #[test]
 fn silent_peer_death_fails_the_round_instead_of_hanging() {
-    use atom_runtime::EngineOptions;
+    use atom_core::error::EngineErrorKind;
+    use atom_runtime::{EngineOptions, FaultKind, FaultVerdict};
 
-    let jobs = trap_jobs(1, 9900);
-    // The member transport exists (so connects and sends succeed) but no
-    // engine ever runs on it — the moral equivalent of a member process
-    // dying right after startup. TCP gives the coordinator no abort frame,
-    // only silence; the stall detector must convert that into per-round
-    // errors.
-    let (coordinator_net, _member_net) = tcp_pair();
-    let mut options = EngineOptions::with_workers(2);
-    options.stall_timeout = Duration::from_millis(300);
-    let reports = Engine::new(options).run_rounds_on(
-        jobs,
-        &coordinator_net,
-        &EngineRole::coordinator(vec![0]),
-    );
-    let err = reports.into_iter().next().unwrap().unwrap_err();
-    assert!(
-        format!("{err:?}").contains("stalled"),
-        "want a stall error, got {err:?}"
-    );
+    let (_, sharded, _) = sharded_jobs(1);
+    let cases = [
+        (
+            trap_jobs(1, 9900),
+            "waiting on exit frames from groups [0 (local), 1 (remote), 2 (remote)]",
+        ),
+        (
+            sharded,
+            "waiting on group directories [1 (remote), 2 (remote)]",
+        ),
+    ];
+    for (jobs, waiting) in cases {
+        let (coordinator_net, _member_net) = tcp_pair();
+        let mut options = EngineOptions::with_workers(2);
+        options.stall_timeout = Duration::from_millis(300);
+        let reports = Engine::new(options).run_rounds_on(
+            jobs,
+            &coordinator_net,
+            &EngineRole::coordinator(vec![0]),
+        );
+        let err = reports.into_iter().next().unwrap().unwrap_err();
+        let AtomError::Engine {
+            kind,
+            reason,
+            nodes,
+        } = &err
+        else {
+            panic!("want a stall error, got {err:?}");
+        };
+        assert_eq!(*kind, EngineErrorKind::Stall, "{err:?}");
+        assert!(
+            reason.contains("stalled") && reason.contains(waiting),
+            "want a stall {waiting}, got {reason}"
+        );
+        assert_eq!(nodes, &[1, 2], "the silent member's groups, exactly");
+        let owners = [0, 1, 1, 0];
+        let verdict = FaultVerdict::diagnose(0, &err, &owners, 0, |_| Vec::new());
+        let verdict = verdict.expect("a stall naming one process yields a verdict");
+        assert_eq!((verdict.process, verdict.kind), (1, FaultKind::Dead));
+    }
 }
 
 #[test]
