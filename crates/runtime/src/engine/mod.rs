@@ -1918,7 +1918,6 @@ mod tests {
     /// worker fixes the queue order.
     #[test]
     fn hostile_frames_end_in_their_named_verdict() {
-        use crate::fault::{FaultKind, FaultVerdict};
         use crate::wire::{
             ClientSubmission, ExitFrame, RejoinFrame, SetupFrame, SubmitFrame, TelemetryFrame,
         };
@@ -2062,14 +2061,9 @@ mod tests {
                         offset: 1,
                         response: true,
                         commit: false,
-                        digest: [0; 32],
-                        evictions: vec![FaultVerdict {
-                            round: 0,
-                            process: 1,
-                            kind: FaultKind::Dead,
-                            servers: vec![1],
-                            reason: "gone".into(),
-                        }],
+                        dead: vec![1],
+                        evicted: vec![vec![1]],
+                        failed: vec![Vec::new()],
                     }),
                 )],
                 want: Want::Delivers("engine.misdirected.frames"),

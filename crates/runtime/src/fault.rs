@@ -5,10 +5,9 @@
 //! still waiting on, or the peer a send could not reach). This module turns
 //! that raw evidence into a [`FaultVerdict`] — which *process* is at fault,
 //! which *servers* that process hosted, and how confident the diagnosis is
-//! — which the coordinator appends to the eviction log its next plan
-//! carries (each verdict in the `rejoin` frame's `verdict` encoding), so
-//! every surviving process applies the identical membership change and the
-//! healed directory stays a pure function of `(config, eviction log)`.
+//! — which the coordinator appends to its eviction log. Its next plan
+//! carries the membership that log yields, so every surviving process
+//! prepares the identical healed directory from the same bytes.
 //!
 //! [`slow_groups`] is the other side of a `Slow` verdict: the send rule
 //! that makes a server slow at the transport, the way drills and tests
@@ -21,30 +20,20 @@ use atom_net::{NodeId, SendFault};
 
 use crate::wire::{self, Frame};
 
-/// How a fault verdict classifies the failed process. The discriminant is
-/// its verdict byte on the wire.
+/// How a fault verdict classifies the failed process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The process is gone: its peer reset the connection, or it produced
     /// no frames at all before the stall timeout. Evict immediately.
-    Dead = 0,
+    Dead,
     /// The process (or one of its servers) provably deviated — it sent an
     /// abort, a malformed frame, or failed a protocol check. Evict and
     /// attribute.
-    Blamed = 1,
+    Blamed,
     /// The process was implicated but the evidence is circumstantial
     /// (e.g. a stall that points at several processes). Evict it to heal
     /// the round, but a real deployment would only deprioritize it.
-    Slow = 2,
-}
-
-impl FaultKind {
-    /// Parses a wire verdict byte; unknown values are rejected by the
-    /// frame decoder.
-    pub(crate) fn from_wire(byte: u8) -> Option<Self> {
-        let kinds = [FaultKind::Dead, FaultKind::Blamed, FaultKind::Slow];
-        kinds.get(usize::from(byte)).copied()
-    }
+    Slow,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -228,18 +217,5 @@ mod tests {
         // Out-of-range nodes are ignored rather than panicking.
         let error = engine_error(EngineErrorKind::Stall, vec![99]);
         assert!(FaultVerdict::diagnose(0, &error, &OWNERS, 0, |_| Vec::new()).is_none());
-    }
-
-    #[test]
-    fn wire_byte_roundtrips() {
-        for (byte, kind) in [
-            (0, FaultKind::Dead),
-            (1, FaultKind::Blamed),
-            (2, FaultKind::Slow),
-        ] {
-            assert_eq!((FaultKind::from_wire(byte), kind as u8), (Some(kind), byte));
-        }
-        assert_eq!(FaultKind::from_wire(3), None);
-        assert_eq!(FaultKind::from_wire(0xff), None);
     }
 }

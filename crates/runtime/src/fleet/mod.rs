@@ -378,9 +378,9 @@ pub(crate) fn run_healing_member(
     rejoin: bool,
     on_ready: impl FnOnce(),
 ) -> Result<(), String> {
-    let fleet = (index, addrs.len(), spec.groups);
     let plan = fleet_clocks(spec.stall_timeout).plan;
-    let mut machine = MemberState::new(fleet, spec.rounds, plan, rejoin);
+    let shape = (index, addrs.len(), spec.rounds);
+    let mut machine = MemberState::new(&round_config(spec, 0), shape, plan, rejoin);
     let transport = Arc::new(join_fleet(spec, addrs, index)?);
     on_ready();
     let (shipper, shipped) = (Arc::clone(&transport), Mutex::new(0));

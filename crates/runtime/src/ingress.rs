@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use atom_core::{AtomError, AtomResult, Defense, NizkSubmission, TrapSubmission};
+use atom_core::{AtomError, AtomResult, Defense};
 use atom_net::evloop::{ConnId, Event, EventLoop, EvloopOptions, Waker};
 use parking_lot::{Condvar, Mutex};
 
@@ -443,81 +443,54 @@ fn send_ack(evloop: &mut EventLoop, conn: ConnId, options: &IngressOptions, shed
 /// a [`SubmissionSource`] the engine streams through its bounded intake
 /// window exactly like any other source.
 pub struct IngressSource {
-    submissions: Sorted,
-}
-
-enum Sorted {
-    Nizk(Vec<NizkSubmission>),
-    Trap(Vec<TrapSubmission>),
+    submissions: SubmissionBlock,
 }
 
 impl IngressSource {
     fn from_items(defense: Defense, items: Vec<(u64, ClientSubmission)>) -> AtomResult<Self> {
-        let submissions = match defense {
-            Defense::Nizk => {
-                let mut out = Vec::with_capacity(items.len());
-                for (client, submission) in items {
-                    match submission {
-                        ClientSubmission::Nizk(s) => out.push(s),
-                        ClientSubmission::Trap(_) => {
-                            return Err(AtomError::Config(format!(
-                                "client {client} admitted with the wrong defense variant"
-                            )))
-                        }
-                    }
-                }
-                Sorted::Nizk(out)
-            }
-            Defense::Trap => {
-                let mut out = Vec::with_capacity(items.len());
-                for (client, submission) in items {
-                    match submission {
-                        ClientSubmission::Trap(s) => out.push(s),
-                        ClientSubmission::Nizk(_) => {
-                            return Err(AtomError::Config(format!(
-                                "client {client} admitted with the wrong defense variant"
-                            )))
-                        }
-                    }
-                }
-                Sorted::Trap(out)
-            }
+        let mut submissions = match defense {
+            Defense::Nizk => SubmissionBlock::Nizk(Vec::with_capacity(items.len())),
+            Defense::Trap => SubmissionBlock::Trap(Vec::with_capacity(items.len())),
         };
+        for (client, submission) in items {
+            match (&mut submissions, submission) {
+                (SubmissionBlock::Nizk(out), ClientSubmission::Nizk(s)) => out.push(s),
+                (SubmissionBlock::Trap(out), ClientSubmission::Trap(s)) => out.push(s),
+                _ => {
+                    return Err(AtomError::Config(format!(
+                        "client {client} admitted with the wrong defense variant"
+                    )))
+                }
+            }
+        }
         Ok(Self { submissions })
     }
 }
 
 impl SubmissionSource for IngressSource {
     fn total(&self) -> usize {
-        match &self.submissions {
-            Sorted::Nizk(v) => v.len(),
-            Sorted::Trap(v) => v.len(),
-        }
+        self.submissions.len()
     }
 
     fn defense(&self) -> Defense {
         match &self.submissions {
-            Sorted::Nizk(_) => Defense::Nizk,
-            Sorted::Trap(_) => Defense::Trap,
+            SubmissionBlock::Nizk(_) => Defense::Nizk,
+            SubmissionBlock::Trap(_) => Defense::Trap,
         }
     }
 
-    fn generate(&self, range: (usize, usize)) -> AtomResult<SubmissionBlock> {
-        let (start, end) = range;
-        let bounds_err = || {
+    fn generate(&self, (start, end): (usize, usize)) -> AtomResult<SubmissionBlock> {
+        use SubmissionBlock::{Nizk, Trap};
+        let block = match &self.submissions {
+            Nizk(all) => all.get(start..end).map(|part| Nizk(part.to_vec())),
+            Trap(all) => all.get(start..end).map(|part| Trap(part.to_vec())),
+        };
+        block.ok_or_else(|| {
             AtomError::Config(format!(
                 "ingress source asked for submissions {start}..{end} of {}",
                 self.total()
             ))
-        };
-        match &self.submissions {
-            Sorted::Nizk(v) => Ok(SubmissionBlock::Nizk(
-                v.get(start..end).ok_or_else(bounds_err)?.to_vec(),
-            )),
-            Sorted::Trap(v) => Ok(SubmissionBlock::Trap(
-                v.get(start..end).ok_or_else(bounds_err)?.to_vec(),
-            )),
-        }
+        })
     }
 }
 

@@ -1,13 +1,11 @@
-//! The recovery ledger and the pure functions every fleet process computes
-//! identically: who hosts which servers, where a batch ends and what an
-//! eviction log digests to.
+//! The coordinator's recovery ledger, and the pure functions of a fleet's
+//! shape: who hosts which servers and where a batch ends.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use super::{owner_map_excluding, Action, Fleet};
 use crate::fault::FaultVerdict;
-use crate::wire::{self, RejoinFrame};
+use crate::wire::RejoinFrame;
 
 /// The servers hosted by fleet process `process`: server `s` lives on
 /// process `s mod processes`, so a dead process's servers need no
@@ -25,29 +23,11 @@ pub(crate) fn batch_end(round: usize, batch: usize, rounds: usize) -> usize {
     (((round / batch) + 1) * batch).min(rounds)
 }
 
-/// A 32-byte integrity digest of an eviction log: four FNV-64 lanes over
-/// each verdict's wire encoding, in log order. It catches divergence
-/// between the coordinator's log and a member's mirror; it is not an
-/// adversarial hash.
-pub(crate) fn eviction_log_digest(log: &[FaultVerdict]) -> [u8; 32] {
-    let mut bytes = Vec::new();
-    log.iter()
-        .for_each(|verdict| wire::encode_verdict(&mut bytes, verdict));
-    let mut digest = [0u8; 32];
-    for (lane, chunk) in (0u64..).zip(digest.chunks_mut(8)) {
-        let seed = 0xcbf2_9ce4_8422_2325 ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let fnv = |hash: u64, &byte: &u8| (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        chunk.copy_from_slice(&bytes.iter().fold(seed, fnv).to_le_bytes());
-    }
-    digest
-}
-
-/// Both sides' view of who has been evicted and how each round heals.
-/// Members mirror each plan through [`RecoveryLedger::apply_plan`], the
-/// update `evict` takes too, so both sides derive byte-identical jobs.
+/// The coordinator's record of who has been evicted and how each round
+/// heals. Members keep none: each plan carries the membership it yields.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RecoveryLedger {
-    /// Standing verdicts, one per process still out: the log plans carry.
+    /// Standing verdicts, one per process still out.
     active: Vec<FaultVerdict>,
     /// round → evicted-server set its directory was built with, frozen at
     /// its first go so a *retried* round keeps its membership and heals by
@@ -74,11 +54,6 @@ impl RecoveryLedger {
         self.active.iter().flat_map(|v| v.servers.clone()).collect()
     }
 
-    /// The digest members must echo in their acks.
-    pub(crate) fn digest(&self) -> [u8; 32] {
-        eviction_log_digest(&self.active)
-    }
-
     /// The evicted-server set round `round`'s directory is built with.
     pub(crate) fn evicted_for(&self, round: usize) -> Vec<usize> {
         let active = || self.active_servers().into_iter().collect();
@@ -100,32 +75,24 @@ impl RecoveryLedger {
         self.frozen.range(rounds).next().is_some()
     }
 
-    /// Coordinator side: convict `verdict`, retrying from `retry_round`,
-    /// through the update members mirror the plan with.
+    /// Convicts `verdict`, retrying from `retry_round`. Its servers new to
+    /// the log become mid-flight failures of that round if it is frozen, so
+    /// it heals in place; every later round is unfrozen, so its directory
+    /// re-forms over the survivors.
     pub(crate) fn evict(&mut self, verdict: FaultVerdict, retry_round: usize) {
-        let log: Vec<FaultVerdict> = self.active.iter().cloned().chain([verdict]).collect();
-        self.apply_plan(&log, retry_round);
+        let known = self.active_servers();
+        let fresh = verdict.servers.iter().filter(|s| !known.contains(s));
+        if self.frozen.contains_key(&retry_round) {
+            self.failed.entry(retry_round).or_default().extend(fresh);
+        }
+        self.active.push(verdict);
+        self.frozen.retain(|&round, _| round <= retry_round);
+        self.failed.retain(|&round, _| round <= retry_round);
     }
 
-    /// Coordinator side: welcome `process` back; later plans include it.
+    /// Welcomes `process` back; later plans include it.
     pub(crate) fn readmit(&mut self, process: usize) {
         self.active.retain(|v| v.process != process);
-    }
-
-    /// Adopt the eviction log `evictions` for a batch starting at
-    /// `plan_round`. Servers new to our log become mid-flight failures of
-    /// that round if it is frozen, so it heals in place; every later round
-    /// is unfrozen, so its directory re-forms over the survivors.
-    pub(crate) fn apply_plan(&mut self, evictions: &[FaultVerdict], plan_round: usize) {
-        let known = self.active_servers();
-        let servers = evictions.iter().flat_map(|v| v.servers.clone());
-        let fresh: BTreeSet<usize> = servers.filter(|s| !known.contains(s)).collect();
-        self.active = evictions.to_vec();
-        if !fresh.is_empty() && self.frozen.contains_key(&plan_round) {
-            self.failed.entry(plan_round).or_default().extend(fresh);
-        }
-        self.frozen.retain(|&round, _| round <= plan_round);
-        self.failed.retain(|&round, _| round <= plan_round);
     }
 
     /// Freezes the membership of `rounds` as the go that commits them finds
@@ -137,44 +104,31 @@ impl RecoveryLedger {
         }
     }
 
-    /// The [`Action::Prepare`] of `rounds` at `offset` under this log.
-    pub(crate) fn prepare(&self, rounds: Range<usize>, offset: usize, fleet: Fleet) -> Action {
-        let owner = owner_map_excluding(fleet.0, fleet.1, &self.dead_processes());
-        let evicted = rounds.clone().map(|r| self.evicted_for(r)).collect();
-        let failed = rounds.clone().map(|r| self.failed_for(r)).collect();
-        Action::Prepare(rounds, offset, owner, evicted, failed)
-    }
-
-    /// One `rejoin` frame over this log, naming `rounds` at `offset`. The
-    /// coordinator's (process 0) plan, go and done frames are responses
-    /// carrying the whole log; a member's ack and request carry its digest.
-    pub(crate) fn handshake(
-        &self,
-        rounds: Range<usize>,
-        process: usize,
-        offset: usize,
-        commit: bool,
-    ) -> RejoinFrame {
-        let (round, end, response, digest) =
-            (rounds.start, rounds.end, process == 0, self.digest());
-        let evictions = self.active.iter().filter(|_| response).cloned().collect();
+    /// The coordinator's frame of `rounds` at `offset` — a plan, its go
+    /// with `commit`, or the done sentinel: the evicted processes and, per
+    /// round, the servers its directory excludes and those it heals around.
+    pub(crate) fn plan(&self, rounds: Range<usize>, offset: usize, commit: bool) -> RejoinFrame {
         RejoinFrame {
-            round,
-            end,
-            process,
+            round: rounds.start,
+            end: rounds.end,
+            process: 0,
             offset,
-            response,
+            response: true,
             commit,
-            digest,
-            evictions,
+            dead: self.dead_processes(),
+            evicted: rounds.clone().map(|r| self.evicted_for(r)).collect(),
+            failed: rounds.map(|r| self.failed_for(r)).collect(),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::prepare;
     use super::*;
     use crate::fault::FaultKind;
+    use crate::recovery::Action;
+    use crate::wire::{self, Frame};
     use crate::{RoundDirectory, RoundJob, RoundSubmissions};
     use atom_core::config::AtomConfig;
     use atom_core::directory::derive_setup;
@@ -188,26 +142,51 @@ mod tests {
         honest: usize,
     }
 
-    /// The jobs of `rounds` under `ledger`'s membership, derived the way a
-    /// driver derives a plan's (without submissions).
+    /// Round `round`'s job (without submissions) built without `evicted`
+    /// and healing around `failed`, the way a driver derives it.
+    fn job(
+        spec: &Spec,
+        round: usize,
+        evicted: Vec<usize>,
+        failed: Vec<usize>,
+    ) -> Result<RoundJob, String> {
+        let mut config = AtomConfig::test_default();
+        (config.num_groups, config.num_servers) = (spec.groups, spec.groups * 3);
+        (config.required_honest, config.round) = (spec.honest, round as u64);
+        config.beacon_seed = round as u64;
+        config.evicted_servers = evicted;
+        let setup = derive_setup(&config).map_err(|error| format!("{error:?}"))?;
+        let submissions = RoundSubmissions::Trap(Vec::new());
+        let mut job = RoundJob::new(setup, submissions, round as u64);
+        job.failed_servers = failed;
+        Ok(job)
+    }
+
+    /// The jobs of `rounds` under `ledger`'s membership.
     fn batch_jobs(
         ledger: &RecoveryLedger,
         spec: &Spec,
         rounds: Range<usize>,
     ) -> Result<Vec<RoundJob>, String> {
-        rounds
-            .map(|round| {
-                let mut config = AtomConfig::test_default();
-                (config.num_groups, config.num_servers) = (spec.groups, spec.groups * 3);
-                (config.required_honest, config.round) = (spec.honest, round as u64);
-                config.beacon_seed = round as u64;
-                config.evicted_servers = ledger.evicted_for(round);
-                let setup = derive_setup(&config).map_err(|error| format!("{error:?}"))?;
-                let submissions = RoundSubmissions::Trap(Vec::new());
-                let mut job = RoundJob::new(setup, submissions, round as u64);
-                job.failed_servers = ledger.failed_for(round);
-                Ok(job)
-            })
+        let membership = |r| (r, ledger.evicted_for(r), ledger.failed_for(r));
+        let jobs = rounds.map(membership);
+        jobs.map(|(round, evicted, failed)| job(spec, round, evicted, failed))
+            .collect()
+    }
+
+    /// The jobs a member derives from `plan` once it crossed the wire:
+    /// those of the `Prepare` it yields.
+    fn plan_jobs(plan: &RejoinFrame, spec: &Spec) -> Result<Vec<RoundJob>, String> {
+        let Ok(Frame::Rejoin(plan)) = wire::decode(&wire::encode_rejoin(plan)) else {
+            panic!("a plan decodes");
+        };
+        let Action::Prepare(rounds, _, _, evicted, failed) = prepare(&plan, (spec.groups, 3))
+        else {
+            panic!("a plan prepares its attempt");
+        };
+        let membership = rounds.zip(evicted.into_iter().zip(failed));
+        membership
+            .map(|(round, (evicted, failed))| job(spec, round, evicted, failed))
             .collect()
     }
 
@@ -251,16 +230,6 @@ mod tests {
         assert_eq!(seen, (0..num_servers).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn eviction_log_digest_tracks_content() {
-        let empty = eviction_log_digest(&[]);
-        let one = eviction_log_digest(&[verdict(1, vec![1, 4], 0)]);
-        let other = eviction_log_digest(&[verdict(2, vec![2, 5], 0)]);
-        assert_ne!(empty, one);
-        assert_ne!(one, other);
-        assert_eq!(one, eviction_log_digest(&[verdict(1, vec![1, 4], 0)]));
-    }
-
     fn job_fingerprint(job: &RoundJob) -> (Vec<usize>, Vec<usize>, Vec<[u8; 32]>) {
         let RoundDirectory::Full(setup) = &job.directory else {
             panic!("prebuilt directory expected");
@@ -276,46 +245,29 @@ mod tests {
         )
     }
 
+    /// The retried detection round keeps its membership (same DKG keys as
+    /// the pre-failure build) and heals the victims mid-flight; the next
+    /// round re-forms without them.
     #[test]
-    fn member_mirror_matches_coordinator_ledger() {
+    fn retried_round_heals_and_next_round_reforms() {
         let spec = Spec {
             groups: 3,
             rounds: 3,
             honest: 2,
         };
         let victims = process_servers(9, 3, 2);
-
-        // Coordinator: build round 0, observe the failure, retry round 0
-        // and move on to round 1.
         let mut coordinator = RecoveryLedger::default();
         let before = coordinator.job_for_round(&spec, 0).unwrap();
         coordinator.evict(verdict(2, victims.clone(), 0), 0);
-        let retried = coordinator.job_for_round(&spec, 0).unwrap();
-        let reformed = coordinator.job_for_round(&spec, 1).unwrap();
-
-        // Member: built round 0 too, then mirrors the plan.
-        let mut member = RecoveryLedger::default();
-        let _ = member.job_for_round(&spec, 0).unwrap();
-        member.apply_plan(&coordinator.active, 0);
-        assert_eq!(member.digest(), coordinator.digest());
-        assert_eq!(member.dead_processes(), vec![2]);
-        let member_retried = member.job_for_round(&spec, 0).unwrap();
-        let member_reformed = member.job_for_round(&spec, 1).unwrap();
-
-        // The retried detection round keeps its membership (same DKG keys
-        // as the pre-failure build) and heals the victims mid-flight; the
-        // next round re-forms without them. Coordinator and member agree
-        // byte-for-byte on both.
+        assert_eq!(coordinator.dead_processes(), vec![2]);
+        let retried = job_fingerprint(&coordinator.job_for_round(&spec, 0).unwrap());
+        let reformed = job_fingerprint(&coordinator.job_for_round(&spec, 1).unwrap());
         let original = job_fingerprint(&before);
-        let retried = job_fingerprint(&retried);
         assert_eq!(retried.0, original.0);
         assert_eq!(retried.2, original.2);
         assert_eq!(retried.1, victims);
-        assert_eq!(retried, job_fingerprint(&member_retried));
-        let reformed = job_fingerprint(&reformed);
         assert_eq!(reformed.0, victims);
         assert!(reformed.1.is_empty());
-        assert_eq!(reformed, job_fingerprint(&member_reformed));
     }
 
     /// A batch derived from a plan that a newer eviction supersedes before
@@ -342,6 +294,8 @@ mod tests {
         }
     }
 
+    /// A restarted process keeps no ledger: the coordinator's plan, once it
+    /// crossed the wire, derives the same fresh round the coordinator does.
     #[test]
     fn rejoined_member_rebuilds_identical_fresh_rounds() {
         let spec = Spec {
@@ -356,22 +310,20 @@ mod tests {
         let _ = coordinator.job_for_round(&spec, 2).unwrap();
         coordinator.readmit(2);
         assert!(coordinator.active.is_empty());
+        let plan = coordinator.plan(3..4, 9, false);
         let fresh = coordinator.job_for_round(&spec, 3).unwrap();
-
-        // The restarted process starts from an empty ledger plus the plan.
-        let mut rejoiner = RecoveryLedger::default();
-        rejoiner.apply_plan(&coordinator.active, 3);
-        let mirrored = rejoiner.job_for_round(&spec, 3).unwrap();
-        assert_eq!(job_fingerprint(&fresh), job_fingerprint(&mirrored));
+        let rebuilt = plan_jobs(&plan, &spec).unwrap();
+        assert!(plan.dead.is_empty());
+        assert_eq!(job_fingerprint(&fresh), job_fingerprint(&rebuilt[0]));
         assert!(job_fingerprint(&fresh).0.is_empty());
     }
 
     /// A seeded walk over the coordinator's ledger calls — batch builds,
-    /// convictions at the retry round, readmissions at a healed boundary —
-    /// with a member mirroring every plan through `apply_plan`: both sides
-    /// build the same job for every committed round.
+    /// convictions at the retry round, readmissions at a healed boundary:
+    /// for every committed round, the job a member derives from the plan
+    /// after the wire is the one the ledger derives.
     #[test]
-    fn ledger_mirror_agrees_over_a_seeded_walk() {
+    fn plans_carry_the_ledger_over_a_seeded_walk() {
         use rand::Rng;
         let spec = Spec {
             groups: 3,
@@ -380,7 +332,6 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(0x1ED6E4);
         let mut coordinator = RecoveryLedger::default();
-        let mut member = RecoveryLedger::default();
         // `next` is the round the next plan starts at; `healed` whether a
         // batch just succeeded there — the only place readmission happens.
         let (mut next, mut healed) = (0, true);
@@ -402,15 +353,15 @@ mod tests {
                     }
                 }
                 _ => {
-                    member.apply_plan(&coordinator.active, next);
-                    assert_eq!(member.digest(), coordinator.digest(), "step {step}");
                     let end = batch_end(next, 3, spec.rounds);
-                    for round in next..end {
-                        let ours = coordinator.job_for_round(&spec, round);
-                        let theirs = member.job_for_round(&spec, round);
+                    let plan = coordinator.plan(next..end, step, false);
+                    assert_eq!(plan.dead, coordinator.dead_processes(), "step {step}");
+                    let theirs = plan_jobs(&plan, &spec).unwrap();
+                    for (round, theirs) in (next..end).zip(&theirs) {
+                        let ours = coordinator.job_for_round(&spec, round).unwrap();
                         assert_eq!(
-                            ours.map(|job| job_fingerprint(&job)),
-                            theirs.map(|job| job_fingerprint(&job)),
+                            job_fingerprint(&ours),
+                            job_fingerprint(theirs),
                             "step {step}, round {round}"
                         );
                     }

@@ -6,40 +6,49 @@
 //! [`Input`]s through [`Machine::step`] and carries out the [`Action`]s
 //! each step returns.
 //! Before each attempt of a batch the fleet passes a two-phase handshake,
-//! so every process agrees on who is dead and on the attempt's rounds and
-//! wire-round offset — the coordinator's to decide — before it runs:
+//! so every process runs the attempt's rounds, wire-round offset and
+//! membership — the coordinator's to decide — that its plan names:
 //!
 //! ```text
 //!            ┌──────────────────────────────────────────────────────┐
 //!            ▼                                                      │
 //!   plan ──▶ ack ──▶ drain ──▶ go ──▶ run attempt ──▶ ok? ── yes ──▶ advance
-//!   (readmit at an    (purge    (commit,               │
-//!    open batch start, stale    freeze)               no
-//!    evictions,        frames)                         ▼
-//!    round..end,       diagnose lowest failed round → FaultVerdict, extend
-//!    offset, digest)   the eviction log, re-plan the rounds without a report
+//!   (readmit at an    (purge    (commit;               │
+//!    open batch start, stale    the coordinator       no
+//!    round..end,       frames)  freezes)               ▼
+//!    offset, dead,     diagnose lowest failed round → FaultVerdict, extend
+//!    per-round         the eviction log, re-plan the rounds without a report
+//!    membership)
 //! ```
 //!
 //! **Detection.** A dead process surfaces as an engine failure that
 //! [`FaultVerdict::diagnose`] pins on it, as a plan send that fails, or as
 //! a member that never acks. The coordinator convicts, extends its
-//! eviction log and re-plans; the next plan carries the verdict.
+//! eviction log and re-plans; the next plan names the process dead.
 //!
 //! **Healing.** A retried detection round keeps the membership frozen at
 //! its go and marks the evicted servers *failed*, so its groups heal by
 //! Lagrange reweighting or buddy escrow (§4.5); later rounds re-form over
-//! the survivors. Both are pure functions of the eviction log.
+//! the survivors. Both live in the coordinator's ledger, the only one:
+//! members keep none.
 //!
 //! **Job derivation.** A plan runs `round..end`: the lowest round without a
-//! report up to the first round with one or the batch end. Every process
-//! derives its jobs at the plan's [`Action::Prepare`] — the coordinator
-//! after sending it, a member before acking it.
+//! report up to the first round with one or the batch end. It carries the
+//! evicted processes and, per round, the servers the directory excludes
+//! and those it heals around. Every process builds its [`Action::Prepare`]
+//! from those bytes through one function — the coordinator after sending
+//! the plan, a member before acking it — so all derive the same jobs. A
+//! member first checks the plan: one that evicts a process outside
+//! `1..processes`, runs past the spec's rounds or names a server outside
+//! the deployment or leaves a round fewer than a group's servers ends the
+//! member with a named error.
 //!
 //! **Epoch fencing.** An attempt runs at the plan's offset, `epoch × batch`,
 //! so a straggling frame of a failed attempt is dropped as stale. Members
 //! take the offset from the plan and never know the batch size.
 //!
-//! **Rejoin.** A restarted process sends a `rejoin` request. The coordinator
+//! **Rejoin.** A restarted process sends a `rejoin` request; the plan that
+//! readmits it tells it the membership. The coordinator
 //! readmits in one place: planning a batch start none of whose rounds is
 //! frozen (an *open* plan). A request read while an open plan awaits its
 //! acks supersedes it with one that readmits the requester, so a request
@@ -105,6 +114,16 @@ pub(crate) fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize
         preferred => preferred,
     });
     owner.chain([0]).collect()
+}
+
+/// The [`Action::Prepare`] of the attempt `plan` names: its rounds at its
+/// offset, the owner map without its dead processes, and per round the
+/// servers excluded and failed. The coordinator and every member prepare an
+/// attempt through this alone.
+fn prepare(plan: &RejoinFrame, (groups, processes): Fleet) -> Action {
+    let owner = owner_map_excluding(groups, processes, &plan.dead);
+    let (evicted, failed) = (plan.evicted.clone(), plan.failed.clone());
+    Action::Prepare(plan.round..plan.end, plan.offset, owner, evicted, failed)
 }
 
 /// What a driver tells a machine.
@@ -277,15 +296,14 @@ impl CoordinatorState {
         let reported = (self.next..end).find(|&r| self.reports.get(r).is_some());
         self.attempt = self.next..reported.unwrap_or(end);
         let offset = self.epoch * self.batch;
-        let plan = (self.ledger).handshake(self.attempt.clone(), 0, offset, false);
+        let plan = self.ledger.plan(self.attempt.clone(), offset, false);
         for process in 1..self.processes {
             out.push(match self.ledger.admits(process) {
                 true => Action::Send(vec![process], plan.clone()),
                 false => Action::Courtesy(process, plan.clone()),
             });
         }
-        let fleet = (self.groups, self.processes);
-        out.push(self.ledger.prepare(self.attempt.clone(), offset, fleet));
+        out.push(prepare(&plan, (self.groups, self.processes)));
         out.push(Action::Arm(Duration::ZERO));
         let awaiting = self.members().collect();
         self.phase = Phase::Acks(awaiting, BTreeSet::new(), None, open);
@@ -390,11 +408,6 @@ impl CoordinatorState {
         let ack = member && frame.offset == self.epoch * self.batch;
         match &mut self.phase {
             Phase::Acks(awaiting, acked, ..) if ack && awaiting.contains(&process) => {
-                if frame.digest != self.ledger.digest() {
-                    let reason =
-                        format!("process {process} acked with a divergent eviction-log digest");
-                    return self.close(Err(reason), out);
-                }
                 acked.insert(process);
                 if acked.len() == awaiting.len() {
                     // Commit once the inbox behind the last ack is read.
@@ -416,7 +429,7 @@ impl CoordinatorState {
 
     /// With every ack in and the inbox behind them read, every member frame
     /// of dead epochs has arrived: purge, freeze, send the go to every member
-    /// before reacting to a failure (each freezes on it), and run. Else
+    /// before reacting to a failure, and run. Else
     /// convict the members silent past the ack deadline, or start it.
     fn timer(&mut self, now: Duration, out: &mut Vec<Action>) {
         let Phase::Acks(awaiting, acked, wait, _) = &mut self.phase else {
@@ -429,7 +442,7 @@ impl CoordinatorState {
             let to: Vec<usize> = mem::take(awaiting).into_iter().collect();
             self.ledger.freeze(self.attempt.clone());
             let offset = self.epoch * self.batch;
-            let go = (self.ledger).handshake(self.attempt.clone(), 0, offset, true);
+            let go = self.ledger.plan(self.attempt.clone(), offset, true);
             out.push(Action::Purge);
             out.extend((!to.is_empty()).then_some(Action::Send(to, go)));
             out.push(Action::Run);
@@ -470,7 +483,7 @@ impl CoordinatorState {
         }
         self.reached = self.members().collect();
         let (done, offset) = (self.rounds..self.rounds + 1, (self.epoch + 1) * self.batch);
-        let sentinel = self.ledger.handshake(done, 0, offset, false);
+        let sentinel = self.ledger.plan(done, offset, false);
         let to: Vec<usize> = (1..self.processes).collect();
         out.extend((!to.is_empty()).then_some(Action::Send(to, sentinel)));
         self.phase = Phase::Closing(result.clone());
@@ -492,15 +505,19 @@ impl Machine for CoordinatorState {
 }
 
 /// A member's (process `index > 0`'s) side of the recovery loop: a plan is
-/// mirrored, derived and acked, and its go runs its rounds, until the done
+/// checked, prepared and acked, and its go runs its rounds, until the done
 /// sentinel. A restarted member starts outside the fleet and asks back in.
+/// It keeps no ledger: each plan names the membership it runs under.
 #[derive(Debug, Default)]
 pub(crate) struct MemberState {
     index: usize,
     fleet: Fleet,
     rounds: usize,
+    /// The deployment's server count and group size, which a plan must
+    /// respect.
+    servers: usize,
+    group_size: usize,
     plan_deadline: Duration,
-    ledger: RecoveryLedger,
     /// The rounds and offset of the last plan: none before the first.
     planned: Range<usize>,
     offset: usize,
@@ -518,61 +535,95 @@ pub(crate) struct MemberState {
 }
 
 impl MemberState {
-    /// Process `index` of `processes` hosting `groups` groups, for `rounds`
-    /// rounds, with a `plan_deadline`; with `rejoin`, a restarted process.
+    /// Process `index` of `processes` over `config`'s groups and servers,
+    /// for `rounds` rounds, with a `plan_deadline`; with `rejoin`, a
+    /// restarted process.
     pub(crate) fn new(
-        (index, processes, groups): (usize, usize, usize),
-        rounds: usize,
+        config: &AtomConfig,
+        (index, processes, rounds): (usize, usize, usize),
         plan_deadline: Duration,
         rejoin: bool,
     ) -> Self {
         assert!(index > 0 && index < processes, "member index out of range");
-        let (fleet, outside) = ((groups, processes), rejoin);
         Self {
             index,
-            fleet,
+            fleet: (config.num_groups, processes),
             rounds,
+            servers: config.num_servers,
+            group_size: config.group_size,
             plan_deadline,
-            outside,
+            outside: rejoin,
             ..Self::default()
+        }
+    }
+
+    /// This member's request (at `offset` 0) or ack (at the plan's offset)
+    /// of the last plan it saw: it carries no membership.
+    fn answer(&self, offset: usize) -> RejoinFrame {
+        let (round, end, process) = (self.planned.start, self.planned.end, self.index);
+        RejoinFrame {
+            round,
+            end,
+            process,
+            offset,
+            ..RejoinFrame::default()
         }
     }
 
     /// Asks back in, once per eviction, if not admitted.
     fn ask_back_in(&mut self, out: &mut Vec<Action>) {
         if self.outside && !self.requested {
-            let request = (self.ledger).handshake(self.planned.clone(), self.index, 0, false);
-            out.extend([Action::Requested, Action::Send(vec![0], request)]);
+            out.extend([Action::Requested, Action::Send(vec![0], self.answer(0))]);
             self.requested = true;
         }
     }
 
-    /// Runs an acked plan on its go, or mirrors a new plan: apply its log,
-    /// check the digest and, if admitted, derive its jobs, purge dead-epoch
-    /// residue before acking (new-epoch frames follow the ack), and ack.
+    /// Why `plan` cannot run here, if it cannot: it may evict only
+    /// processes of `1..processes`, end by the spec's last round, and name
+    /// only the deployment's servers, leaving each round a group's worth.
+    fn check(&self, plan: &RejoinFrame) -> Result<(), String> {
+        let (processes, rounds, servers) = (self.fleet.1, self.rounds, self.servers);
+        let (round, end) = (plan.round, plan.end);
+        if let Some(p) = plan.dead.iter().find(|&&p| p == 0 || p >= processes) {
+            return Err(format!("plan evicts process {p} of {processes}"));
+        }
+        if end > rounds {
+            return Err(format!("plan runs rounds {round}..{end} of {rounds}"));
+        }
+        for (round, (evicted, failed)) in (round..).zip(plan.evicted.iter().zip(&plan.failed)) {
+            let lost: BTreeSet<usize> = evicted.iter().chain(failed).copied().collect();
+            if let Some(s) = lost.iter().find(|&&s| s >= servers) {
+                return Err(format!("plan names server {s} outside 0..{servers}"));
+            }
+            let left = servers - lost.len();
+            if left < self.group_size {
+                return Err(format!(
+                    "plan leaves round {round} {left} servers, under a group"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs an acked plan on its go, or takes up a new plan: check it and,
+    /// if admitted, prepare its attempt, purge dead-epoch residue before
+    /// acking (new-epoch frames follow the ack), and ack.
     fn act(&mut self, frame: RejoinFrame, out: &mut Vec<Action>) {
         if frame.commit {
-            // Freeze the rounds only now that the attempt committed: a plan
-            // abandoned before its go must leave nothing frozen, or a later
-            // retry of the same rounds would heal them under a membership
-            // the coordinator never agreed to.
             self.acked = false;
-            self.ledger.freeze(self.planned.clone());
             return out.push(Action::Run);
         }
         if frame.round >= self.rounds {
             return out.push(Action::Finish(Ok(())));
         }
-        (self.planned, self.offset, self.acked) = (frame.round..frame.end, frame.offset, false);
-        self.ledger.apply_plan(&frame.evictions, frame.round);
-        if self.ledger.digest() != frame.digest {
-            let reason = "eviction-log digest diverged from the coordinator";
-            return out.push(Action::Finish(Err(reason.into())));
+        if let Err(reason) = self.check(&frame) {
+            return out.push(Action::Finish(Err(reason)));
         }
-        self.outside = self.ledger.dead_processes().contains(&self.index);
+        (self.planned, self.offset, self.acked) = (frame.round..frame.end, frame.offset, false);
+        self.outside = frame.dead.contains(&self.index);
         if !self.outside {
-            out.push((self.ledger).prepare(self.planned.clone(), self.offset, self.fleet));
-            let ack = (self.ledger).handshake(self.planned.clone(), self.index, self.offset, false);
+            out.push(prepare(&frame, self.fleet));
+            let ack = self.answer(self.offset);
             out.extend([Action::Purge, Action::Acked, Action::Send(vec![0], ack)]);
             (self.requested, self.acked) = (false, true);
         }
@@ -644,18 +695,27 @@ mod tests {
     use atom_core::error::EngineErrorKind;
 
     use crate::wire::{self, Frame};
-    use ledger::eviction_log_digest;
 
     const ACK_DEADLINE: Duration = Duration::from_secs(1);
     const PLAN_DEADLINE: Duration = Duration::from_secs(20);
     const GROUPS: usize = 3;
 
-    /// The coordinator of `processes` processes hosting three groups of
-    /// three over nine servers.
-    fn coordinator(processes: usize, rounds: usize, batch: usize) -> CoordinatorState {
+    /// Three groups of three over nine servers.
+    fn config() -> AtomConfig {
         let mut config = AtomConfig::test_default();
         (config.num_groups, config.num_servers, config.group_size) = (GROUPS, 9, 3);
-        CoordinatorState::new(&config, (processes, rounds, batch), ACK_DEADLINE)
+        config
+    }
+
+    /// The coordinator of `processes` processes hosting [`config`].
+    fn coordinator(processes: usize, rounds: usize, batch: usize) -> CoordinatorState {
+        CoordinatorState::new(&config(), (processes, rounds, batch), ACK_DEADLINE)
+    }
+
+    /// Member `index` of `processes` processes hosting [`config`]; with
+    /// `rejoin`, a restarted one.
+    fn member(index: usize, processes: usize, rounds: usize, rejoin: bool) -> MemberState {
+        MemberState::new(&config(), (index, processes, rounds), PLAN_DEADLINE, rejoin)
     }
 
     fn refused(process: usize) -> SendError {
@@ -680,7 +740,9 @@ mod tests {
         Input::Frame(RejoinFrame {
             process,
             response: false,
-            evictions: Vec::new(),
+            dead: Vec::new(),
+            evicted: Vec::new(),
+            failed: Vec::new(),
             ..plan.clone()
         })
     }
@@ -740,8 +802,9 @@ mod tests {
             offset: 0,
             response: false,
             commit: false,
-            digest: eviction_log_digest(&[]),
-            evictions: Vec::new(),
+            dead: Vec::new(),
+            evicted: Vec::new(),
+            failed: Vec::new(),
         };
         let read = machine.step(now, Input::Frame(request));
         assert!(matches!(read[0], Action::RequestRead(2, _)));
@@ -780,8 +843,9 @@ mod tests {
             process: 2,
             response: false,
             offset: 0,
-            evictions: Vec::new(),
-            digest: eviction_log_digest(&[]),
+            dead: Vec::new(),
+            evicted: Vec::new(),
+            failed: Vec::new(),
             ..plan.clone()
         };
         let answer = machine.step(now, Input::Frame(request));
@@ -871,12 +935,17 @@ mod tests {
         assert_eq!(dead, vec![(1, 1), (1, 2)], "readmitted at the next start");
     }
 
+    /// One [`Action::Prepare`]'s rounds, owner map, and per round the
+    /// servers excluded and failed.
+    type Prepared = (Range<usize>, Vec<usize>, Vec<Vec<usize>>, Vec<Vec<usize>>);
+
     /// One coordinator and its members in one thread: FIFOs of encoded
     /// control frames, one timer per process, and a fake engine under which
     /// an attempt's round succeeds iff every process of its owner map is
     /// alive. Frames are delivered before any timer fires; the earliest
     /// timer fires next (of equal times, the one armed first), moving the
-    /// clock.
+    /// clock. At every go it asserts that each member that acked the plan
+    /// prepared exactly the coordinator's attempt.
     struct Lockstep {
         now: Duration,
         rounds: usize,
@@ -888,6 +957,11 @@ mod tests {
         timer: Vec<Option<(Duration, usize)>>,
         armed: usize,
         prepared: Vec<Option<(Range<usize>, Vec<usize>)>>,
+        /// Per process: every attempt it prepared, by offset.
+        preparations: Vec<BTreeMap<usize, Prepared>>,
+        /// `(member, offset)` of each ack checked against the coordinator's
+        /// attempt at its go.
+        checked: Vec<(usize, usize)>,
         finished: Vec<Option<Result<(), String>>>,
         /// Every frame delivered: sender, receiver, frame.
         sent: Vec<(usize, usize, RejoinFrame)>,
@@ -909,8 +983,7 @@ mod tests {
 
     impl Lockstep {
         fn new(processes: usize, rounds: usize, batch: usize) -> Self {
-            let member =
-                |index| MemberState::new((index, processes, GROUPS), rounds, PLAN_DEADLINE, false);
+            let member = |index| member(index, processes, rounds, false);
             Self {
                 now: Duration::ZERO,
                 rounds,
@@ -920,6 +993,8 @@ mod tests {
                 timer: (0..processes).map(|p| Some((Duration::ZERO, p))).collect(),
                 armed: processes,
                 prepared: vec![None; processes],
+                preparations: vec![BTreeMap::new(); processes],
+                checked: Vec::new(),
                 finished: vec![None; processes],
                 sent: Vec::new(),
                 events: Vec::new(),
@@ -959,6 +1034,9 @@ mod tests {
             for action in actions {
                 match action {
                     Action::Send(to, frame) => {
+                        if process == 0 && frame.commit {
+                            self.check_go(&frame);
+                        }
                         let failed: Vec<SendError> = (to.into_iter())
                             .filter(|&to| !self.deliver(process, to, &frame))
                             .map(refused)
@@ -970,8 +1048,10 @@ mod tests {
                     Action::Courtesy(to, frame) => {
                         self.deliver(process, to, &frame);
                     }
-                    Action::Prepare(rounds, _, owner, ..) => {
-                        self.prepared[process] = Some((rounds, owner));
+                    Action::Prepare(rounds, offset, owner, evicted, failed) => {
+                        self.prepared[process] = Some((rounds.clone(), owner.clone()));
+                        let prepared = (rounds, owner, evicted, failed);
+                        self.preparations[process].insert(offset, prepared);
                     }
                     Action::Run => return Some(Input::Ran(self.run(process))),
                     Action::Arm(at) => {
@@ -987,6 +1067,23 @@ mod tests {
                 }
             }
             None
+        }
+
+        /// Each member that acked the plan `go` commits prepared exactly the
+        /// coordinator's attempt at its offset.
+        fn check_go(&mut self, go: &RejoinFrame) {
+            let offset = go.offset;
+            let ours = self.preparations[0].get(&offset).cloned();
+            assert!(ours.is_some(), "the coordinator prepared offset {offset}");
+            let acks = self.sent.iter().filter(|(from, to, frame)| {
+                *from > 0 && *to == 0 && !frame.response && frame.offset == offset
+            });
+            let acked: BTreeSet<usize> = acks.map(|(from, ..)| *from).collect();
+            for member in acked {
+                let theirs = self.preparations[member].get(&offset).cloned();
+                assert_eq!(theirs, ours, "member {member} at offset {offset}");
+                self.checked.push((member, offset));
+            }
         }
 
         fn deliver(&mut self, from: usize, to: usize, frame: &RejoinFrame) -> bool {
@@ -1036,9 +1133,8 @@ mod tests {
                 |&(after, p): &(usize, usize)| rounds.end > after && self.members[p].is_none();
             if let Some((_, process)) = self.restart.filter(due) {
                 self.restart = None;
-                let fresh = (process, self.members.len(), GROUPS);
-                self.members[process] =
-                    Some(MemberState::new(fresh, self.rounds, PLAN_DEADLINE, true));
+                let processes = self.members.len();
+                self.members[process] = Some(member(process, processes, self.rounds, true));
                 self.armed += 1;
                 self.finished[process] = None;
                 self.timer[process] = Some((self.now, self.armed));
@@ -1092,7 +1188,7 @@ mod tests {
     }
 
     /// A fault-free run of four rounds in batches of two: per batch one
-    /// plan, two acks and one go, every ack echoing its plan's digest.
+    /// plan, two acks and one go, every ack echoing its plan's offset.
     #[test]
     fn lockstep_fault_free_run_takes_one_handshake_per_batch() {
         let mut fleet = Lockstep::new(3, 4, 2);
@@ -1120,10 +1216,10 @@ mod tests {
             assert_eq!(gos.count(), 2, "one go of batch {start}, to each member");
             let acked: Vec<&RejoinFrame> = (acks.iter())
                 .map(|(_, frame)| *frame)
-                .filter(|frame| frame.offset == offset)
+                .filter(batch)
                 .collect();
             assert_eq!(acked.len(), 2, "two acks of batch {start}");
-            assert!(acked.iter().all(|ack| ack.digest == plans[0].digest));
+            assert!(acked.iter().all(|ack| ack.offset == offset));
         }
     }
 
@@ -1197,6 +1293,108 @@ mod tests {
             let (once, twice) = (run(false, kill, restart), run(true, kill, restart));
             assert_eq!(twice, once, "kill {kill:?}, restart {restart:?}");
         }
+    }
+
+    /// Every member that acked a plan prepared, at its go, exactly the
+    /// coordinator's attempt (the harness asserts it at every go):
+    /// fault-free, with a kill, with a kill and a restart, and with every
+    /// ack and go delivered twice. The restarted member is checked again
+    /// once readmitted.
+    #[test]
+    fn lockstep_every_acked_member_prepares_the_coordinators_attempt() {
+        let (kill, restart) = (Some((1, 2)), Some((3, 2)));
+        let runs = [
+            (false, None, None),
+            (false, kill, None),
+            (false, kill, restart),
+            (true, kill, restart),
+        ];
+        for (duplicate, kill, restart) in runs {
+            let mut fleet = Lockstep::new(3, 8, 2);
+            (fleet.duplicate, fleet.kill, fleet.restart) = (duplicate, kill, restart);
+            fleet.run_to_end();
+            let case = format!("duplicate {duplicate}, kill {kill:?}, restart {restart:?}");
+            assert_eq!(fleet.finished[0], Some(Ok(())), "{case}");
+            let last = fleet.checked.last().map(|&(_, offset)| offset);
+            let at_last: Vec<usize> = (fleet.checked.iter())
+                .filter(|&&(_, offset)| Some(offset) == last)
+                .map(|&(member, _)| member)
+                .collect();
+            let members = match (kill, restart) {
+                (Some(_), None) => vec![1],
+                _ => vec![1, 2],
+            };
+            assert_eq!(
+                at_last, members,
+                "the last go checks each admitted member: {case}"
+            );
+            assert!(fleet.checked.len() >= 4 * members.len(), "{case}");
+        }
+    }
+
+    /// A plan of rounds `0..end` at offset 2 without processes `dead`,
+    /// every round excluding `evicted`.
+    fn plan_of(end: usize, dead: Vec<usize>, evicted: Vec<usize>) -> RejoinFrame {
+        RejoinFrame {
+            round: 0,
+            end,
+            process: 0,
+            offset: 2,
+            response: true,
+            commit: false,
+            dead,
+            evicted: vec![evicted; end],
+            failed: vec![Vec::new(); end],
+        }
+    }
+
+    /// What member 1 of three, over four rounds, answers `plan` with when
+    /// it is the first frame it reads.
+    fn member_takes(plan: RejoinFrame) -> Vec<Action> {
+        let (mut machine, now) = (member(1, 3, 4, false), Duration::ZERO);
+        machine.step(now, Input::Timer);
+        machine.step(now, Input::Frame(plan));
+        machine.step(now, Input::Timer)
+    }
+
+    /// Asserts that `answer` ends the member with an error naming `what`,
+    /// having prepared nothing.
+    fn assert_refused(answer: &[Action], what: &str) {
+        assert!(
+            !answer.iter().any(|a| matches!(a, Action::Prepare(..))),
+            "{answer:?}"
+        );
+        assert!(
+            matches!(answer.last(), Some(Action::Finish(Err(reason))) if reason.contains(what)),
+            "want an error naming {what:?}: {answer:?}"
+        );
+    }
+
+    /// A plan that evicts the coordinator ends the member by name; the
+    /// same plan evicting process 2 prepares.
+    #[test]
+    fn a_plan_evicting_the_coordinator_ends_the_member_by_name() {
+        let answer = member_takes(plan_of(2, vec![2], process_servers(9, 3, 2)));
+        assert!(answer.iter().any(|a| matches!(a, Action::Prepare(..))));
+        let answer = member_takes(plan_of(2, vec![0], Vec::new()));
+        assert_refused(&answer, "evicts process 0 of 3");
+    }
+
+    /// A plan naming a server outside the deployment, or leaving a round
+    /// fewer servers than a group, ends the member by name.
+    #[test]
+    fn a_plan_outside_the_deployment_ends_the_member_by_name() {
+        let answer = member_takes(plan_of(2, vec![2], vec![2, 9]));
+        assert_refused(&answer, "server 9 outside");
+        let answer = member_takes(plan_of(2, vec![2], (0..7).collect()));
+        assert_refused(&answer, "under a group");
+    }
+
+    /// A plan that runs past the spec's rounds ends the member by name.
+    #[test]
+    fn a_plan_past_the_specs_rounds_ends_the_member_by_name() {
+        let answer = member_takes(plan_of(5, Vec::new(), Vec::new()));
+        assert_refused(&answer, "rounds 0..5 of 4");
     }
 
     /// A second report for a round ends the run by name. Round 0 fails with

@@ -29,10 +29,12 @@
 //! rejoin:
 //!        0x07 ‖ round u32 ‖ end u32 ‖ process u32 ‖ offset u32 ‖ flags u8
 //!        (bit0: response, bit1: commit; a response needs end > round)
-//!        ‖ digest 32B ‖ evict_count u32 ‖ verdict *
-//!        verdict: round u32 ‖ process u32 ‖ kind u8 (0 dead, 1 blamed,
-//!                 2 slow) ‖ server_count u32 ‖ server u32 *
-//!                 ‖ reason_len u16 ‖ reason (UTF-8)
+//!        ‖ dead: ids ‖ evicted: rounds ‖ failed: rounds
+//!        (the evicted processes; per round of round..end, the servers
+//!        its directory excludes and the servers it heals around)
+//!        ids:    count u32 ‖ id u32 *
+//!        rounds: count u32 ‖ ids *   (count is end − round in a
+//!                response, 0 in a member's frame)
 //! submit:
 //!        0x08 ‖ round u32 ‖ client u64 ‖ flags u8 (bit0: trap variant)
 //!        ‖ app u16 ‖ entry_group u32 ‖ body
@@ -76,8 +78,6 @@ use atom_crypto::nizk::enc::EncProof;
 use atom_crypto::{RistrettoPoint, Scalar};
 use atom_obs::SpanRecord;
 use curve25519_dalek::ristretto::CompressedRistretto;
-
-use crate::fault::{FaultKind, FaultVerdict};
 
 /// A decoded mixing frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -165,11 +165,12 @@ pub struct TelemetryFrame {
 }
 
 /// A decoded rejoin frame: every message of the recovery handshake, which
-/// [`crate::fleet`] drives. A member's request or ack carries the rounds of
-/// the last plan it saw and its eviction-log digest; the coordinator's
-/// response — a plan, its go, or the done sentinel — carries the
-/// authoritative eviction log and the rounds and offset of an attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// [`crate::fleet`] drives. A member's request or ack carries the rounds
+/// and offset of the last plan it saw; the coordinator's response — a plan,
+/// its go, or the done sentinel — carries the rounds and offset of an
+/// attempt and the membership it runs under, which every process prepares
+/// the attempt from. Its default is a member's frame naming no round.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RejoinFrame {
     /// `round..end`: the rounds a plan's attempt runs, or those of the
     /// plan a member's frame answers.
@@ -186,11 +187,13 @@ pub struct RejoinFrame {
     /// Set on the coordinator's go: every survivor has acked and drained,
     /// so the next epoch's frames cannot be confused with stale ones.
     pub commit: bool,
-    /// Digest of the sender's eviction log: both sides detect divergent
-    /// membership views without shipping the directory.
-    pub digest: [u8; 32],
-    /// The eviction log as the sender knows it (empty in a member's frame).
-    pub evictions: Vec<FaultVerdict>,
+    /// The evicted processes (a response's; empty in a member's frame).
+    pub dead: Vec<usize>,
+    /// Per round of `round..end`, the servers its directory excludes (a
+    /// response's; empty in a member's frame).
+    pub evicted: Vec<Vec<usize>>,
+    /// Per round of `round..end`, the servers it heals around.
+    pub failed: Vec<Vec<usize>>,
 }
 
 /// The payload of a [`SubmitFrame`]: one user submission in whichever
@@ -288,10 +291,6 @@ const POINT_LEN: usize = 32;
 /// Hard cap on `reason` strings so a corrupt length cannot force a large
 /// allocation before the bounds check against the body runs.
 const MAX_ABORT_REASON: usize = 4096;
-/// Minimum encoded size of one fault verdict (no servers, empty reason).
-const MIN_VERDICT_LEN: usize = 4 + 4 + 1 + 4 + 2;
-/// Size of the eviction-log digest carried by rejoin frames.
-const DIGEST_LEN: usize = 32;
 /// Hard cap on onion components in one client submission. A submission
 /// carries exactly one user message (two in the trap variant), whose
 /// component count is set by the deployment's padded message length —
@@ -364,18 +363,10 @@ fn put_proof(out: &mut Vec<u8>, proof: &EncProof) {
     }
 }
 
-/// Appends one fault verdict in its wire encoding (the `verdict` layout
-/// of a `rejoin` frame's eviction log), which is also the encoding the
-/// recovery ledger's eviction-log digest hashes.
-pub(crate) fn encode_verdict(out: &mut Vec<u8>, verdict: &FaultVerdict) {
-    put_u32(out, verdict.round as u32);
-    put_u32(out, verdict.process as u32);
-    out.push(verdict.kind as u8);
-    put_u32(out, verdict.servers.len() as u32);
-    for server in &verdict.servers {
-        put_u32(out, *server as u32);
-    }
-    put_string(out, &verdict.reason);
+/// Writes a `count u32 ‖ id u32 *` list of server or process ids.
+fn put_ids(out: &mut Vec<u8>, ids: &[usize]) {
+    put_u32(out, ids.len() as u32);
+    ids.iter().for_each(|&id| put_u32(out, id as u32));
 }
 
 /// Serializes a mixing sub-batch for transmission.
@@ -446,10 +437,7 @@ pub fn encode_setup(frame: &SetupFrame) -> Vec<u8> {
     put_u32(&mut out, frame.gid as u32);
     out.push(0); // flags: none defined yet
     put_u32(&mut out, frame.threshold as u32);
-    put_u32(&mut out, frame.members.len() as u32);
-    for member in &frame.members {
-        put_u32(&mut out, *member as u32);
-    }
+    put_ids(&mut out, &frame.members);
     put_point(&mut out, &frame.public_key.0);
     out
 }
@@ -485,10 +473,10 @@ pub fn encode_rejoin(frame: &RejoinFrame) -> Vec<u8> {
     put_u32(&mut out, frame.process as u32);
     put_u32(&mut out, frame.offset as u32);
     out.push(frame.response as u8 | (frame.commit as u8) << 1);
-    out.extend_from_slice(&frame.digest);
-    put_u32(&mut out, frame.evictions.len() as u32);
-    for verdict in &frame.evictions {
-        encode_verdict(&mut out, verdict);
+    put_ids(&mut out, &frame.dead);
+    for rounds in [&frame.evicted, &frame.failed] {
+        put_u32(&mut out, rounds.len() as u32);
+        rounds.iter().for_each(|servers| put_ids(&mut out, servers));
     }
     out
 }
@@ -769,22 +757,21 @@ fn read_submission_side(r: &mut Reader) -> AtomResult<(MessageCiphertext, EncPro
     Ok((ciphertext, read_proof(r)?))
 }
 
-fn read_verdict(r: &mut Reader) -> AtomResult<FaultVerdict> {
-    let round = r.u32("verdict round")? as usize;
-    let process = r.u32("verdict process")? as usize;
-    let byte = r.u8("verdict kind")?;
-    let kind = FaultKind::from_wire(byte).ok_or_else(|| {
-        malformed(format_args!(
-            "verdict carries unknown kind byte {byte:#04x}"
-        ))
-    })?;
-    Ok(FaultVerdict {
-        round,
-        process,
-        kind,
-        servers: r.list(4, "verdict servers", |r| Ok(r.u32("server")? as usize))?,
-        reason: r.string("verdict reason")?,
-    })
+/// A `count u32 ‖ id u32 *` list of server or process ids.
+fn read_ids(r: &mut Reader) -> AtomResult<Vec<usize>> {
+    r.list(4, "rejoin ids", |r| Ok(r.u32("rejoin id")? as usize))
+}
+
+/// A per-round list of server lists, which must hold `rounds` of them: the
+/// count is checked before the body bound and any allocation.
+fn read_rounds(r: &mut Reader, rounds: usize, what: &str) -> AtomResult<Vec<Vec<usize>>> {
+    let count = r.u32(what)? as usize;
+    if count != rounds {
+        return Err(malformed(format_args!(
+            "rejoin frame carries {count} {what} for {rounds} rounds"
+        )));
+    }
+    r.entries(count, 4, what, read_ids)
 }
 
 fn decode_mix(r: &mut Reader) -> AtomResult<MixEnvelope> {
@@ -867,18 +854,21 @@ fn decode_rejoin(r: &mut Reader) -> AtomResult<RejoinFrame> {
     let process = r.u32("rejoin process")? as usize;
     let offset = r.u32("rejoin offset")? as usize;
     let flags = r.flags(0b11, "rejoin frame")?;
-    if flags & 1 == 1 && end <= round {
+    let response = flags & 1 == 1;
+    if response && end <= round {
         return Err(malformed(format_args!("rejoin response runs no round")));
     }
+    let rounds = if response { end - round } else { 0 };
     Ok(RejoinFrame {
         round,
         end,
         process,
         offset,
-        response: flags & 1 == 1,
+        response,
         commit: flags & 2 == 2,
-        digest: r.array::<DIGEST_LEN>("rejoin digest")?,
-        evictions: r.list(MIN_VERDICT_LEN, "rejoin evictions", read_verdict)?,
+        dead: read_ids(r)?,
+        evicted: read_rounds(r, rounds, "evicted lists")?,
+        failed: read_rounds(r, rounds, "failed lists")?,
     })
 }
 
@@ -1264,9 +1254,9 @@ mod tests {
         assert!(decode(&[0]).is_err());
         assert!(decode(&[10, 1, 2, 3]).is_err());
         assert!(decode(&[0xFF, 1, 2, 3]).is_err());
-        // The retired evict kind, even over a well-formed verdict body.
-        let mut retired = vec![6];
-        encode_verdict(&mut retired, &sample_evict());
+        // The retired evict kind, even over a well-formed rejoin body.
+        let mut retired = encode_rejoin(&sample_plan());
+        retired[0] = 6;
         assert!(decode(&retired).is_err());
     }
 
@@ -1490,20 +1480,9 @@ mod tests {
         );
     }
 
-    // Verdict and rejoin-frame adversarial coverage, mirroring the other
-    // suites. A verdict only travels in a rejoin frame's eviction log, so
-    // the verdict cases decode a rejoin frame whose log is that verdict.
+    // Rejoin-frame adversarial coverage, mirroring the other suites.
 
-    fn sample_evict() -> FaultVerdict {
-        FaultVerdict {
-            round: 11,
-            process: 2,
-            kind: FaultKind::Dead,
-            servers: vec![4, 5],
-            reason: "no frames before the stall timeout".to_string(),
-        }
-    }
-
+    /// A member's ack of the plan of rounds 12..14: no membership.
     fn sample_rejoin() -> RejoinFrame {
         RejoinFrame {
             round: 12,
@@ -1512,79 +1491,72 @@ mod tests {
             offset: 3,
             response: false,
             commit: false,
-            digest: [0xA7; 32],
-            evictions: vec![
-                sample_evict(),
-                FaultVerdict {
-                    round: 9,
-                    process: 3,
-                    kind: FaultKind::Slow,
-                    servers: Vec::new(),
-                    reason: String::new(),
-                },
-            ],
+            dead: Vec::new(),
+            evicted: Vec::new(),
+            failed: Vec::new(),
         }
     }
 
-    /// The sample rejoin frame as a coordinator's plan of rounds 12..14.
+    /// The coordinator's plan of rounds 12..14 without processes 2 and 3:
+    /// round 12 heals around servers 4 and 5, round 13 re-forms without
+    /// them.
     fn sample_plan() -> RejoinFrame {
         RejoinFrame {
+            process: 0,
             response: true,
+            dead: vec![2, 3],
+            evicted: vec![Vec::new(), vec![4, 5]],
+            failed: vec![vec![4, 5], Vec::new()],
             ..sample_rejoin()
         }
     }
 
-    /// The sample rejoin frame with `verdict` as its whole eviction log.
-    fn evict_frame(verdict: FaultVerdict) -> RejoinFrame {
-        RejoinFrame {
-            evictions: vec![verdict],
-            ..sample_rejoin()
-        }
-    }
+    /// Byte offset of a rejoin frame's dead list, right after its header.
+    const DEAD_AT: usize = 1 + 4 + 4 + 4 + 4 + 1;
+    /// Byte offsets, in a [`sample_plan`] frame, of its evicted-list count
+    /// and of round 13's evicted-server count.
+    const EVICTED_AT: usize = DEAD_AT + 4 + 2 * 4;
+    const ROUND_13_EVICTED_AT: usize = EVICTED_AT + 4 + 4;
 
-    fn encode_evict(verdict: FaultVerdict) -> Vec<u8> {
-        encode_rejoin(&evict_frame(verdict))
+    /// Little-endian `u32`s.
+    fn words(values: &[u32]) -> Vec<u8> {
+        values
+            .iter()
+            .flat_map(|value| value.to_le_bytes())
+            .collect()
     }
-
-    /// Byte offset of the verdict in an [`encode_evict`] frame.
-    const VERDICT_AT: usize = 1 + 4 + 4 + 4 + 4 + 1 + DIGEST_LEN + 4;
-    /// Byte offset of the verdict's server-count field.
-    const EVICT_SERVER_COUNT_AT: usize = VERDICT_AT + 4 + 4 + 1;
 
     #[test]
     fn evict_frame_roundtrips() {
-        // Every verdict kind survives the trip, as the frame's tail.
-        for kind in [FaultKind::Dead, FaultKind::Blamed, FaultKind::Slow] {
-            let verdict = FaultVerdict {
-                kind,
-                ..sample_evict()
-            };
-            let bytes = encode_evict(verdict.clone());
-            let mut tail = Vec::new();
-            encode_verdict(&mut tail, &verdict);
-            assert_eq!(&bytes[VERDICT_AT..], &tail[..]);
-            let frame = Frame::Rejoin(evict_frame(verdict));
-            assert_eq!(decode(&bytes).unwrap(), frame);
-        }
+        // A plan's membership survives the trip, laid out as its dead
+        // processes, then per round the servers excluded, then per round
+        // those healed around.
+        let plan = sample_plan();
+        let bytes = encode_rejoin(&plan);
+        let tail = words(&[2, 2, 3, 2, 0, 2, 4, 5, 2, 2, 4, 5, 0]);
+        assert_eq!(&bytes[DEAD_AT..], &tail[..]);
+        assert_eq!(decode(&bytes).unwrap(), Frame::Rejoin(plan));
     }
 
     #[test]
     fn rejoin_frame_roundtrips() {
-        for response in [false, true] {
+        for frame in [sample_rejoin(), sample_plan()] {
             for commit in [false, true] {
                 let frame = RejoinFrame {
-                    response,
                     commit,
-                    ..sample_rejoin()
+                    ..frame.clone()
                 };
                 let bytes = encode_rejoin(&frame);
                 assert_eq!(decode(&bytes).unwrap(), Frame::Rejoin(frame));
             }
         }
-        // An empty eviction log (a fresh fleet's handshake) is well-formed.
+        // A plan with nobody evicted (a fresh fleet's handshake) is
+        // well-formed.
         let empty = RejoinFrame {
-            evictions: Vec::new(),
-            ..sample_rejoin()
+            dead: Vec::new(),
+            evicted: vec![Vec::new(); 2],
+            failed: vec![Vec::new(); 2],
+            ..sample_plan()
         };
         let bytes = encode_rejoin(&empty);
         assert_eq!(decode(&bytes).unwrap(), Frame::Rejoin(empty));
@@ -1604,8 +1576,10 @@ mod tests {
                     "plan of rounds {round}..{end}: want Malformed, got {error:?}"
                 );
                 let request = RejoinFrame {
-                    response: false,
-                    ..plan
+                    round,
+                    end,
+                    commit,
+                    ..sample_rejoin()
                 };
                 let bytes = encode_rejoin(&request);
                 assert_eq!(decode(&bytes).unwrap(), Frame::Rejoin(request));
@@ -1613,16 +1587,28 @@ mod tests {
         }
     }
 
+    /// A response carries one evicted and one failed list per round of
+    /// `round..end`, a member's frame none: any other count is rejected.
     #[test]
-    fn evict_unknown_verdict_kind_rejected() {
-        let kind_at = VERDICT_AT + 4 + 4;
-        for byte in [3u8, 0x80, 0xff] {
-            let mut bytes = encode_evict(sample_evict());
-            bytes[kind_at] = byte;
-            let error = decode(&bytes).unwrap_err();
+    fn rejoin_round_lists_must_match_the_rounds() {
+        let plan = sample_plan();
+        let short = RejoinFrame {
+            failed: vec![Vec::new()],
+            ..plan.clone()
+        };
+        let long = RejoinFrame {
+            evicted: vec![Vec::new(); 3],
+            ..plan.clone()
+        };
+        let request = RejoinFrame {
+            response: false,
+            ..plan
+        };
+        for frame in [short, long, request] {
+            let error = decode(&encode_rejoin(&frame)).unwrap_err();
             assert!(
-                format!("{error:?}").contains("kind byte"),
-                "want the verdict-kind error, got {error:?}"
+                format!("{error:?}").contains("rounds"),
+                "{frame:?}: want the round-count error, got {error:?}"
             );
         }
     }
@@ -1630,44 +1616,35 @@ mod tests {
     #[test]
     fn evict_count_overflows_rejected_before_allocation() {
         // u32::MAX servers claimed over a 2-server body.
-        let mut bytes = encode_evict(sample_evict());
-        bytes[EVICT_SERVER_COUNT_AT..EVICT_SERVER_COUNT_AT + 4]
+        let mut bytes = encode_rejoin(&sample_plan());
+        bytes[ROUND_13_EVICTED_AT..ROUND_13_EVICTED_AT + 4]
             .copy_from_slice(&u32::MAX.to_le_bytes());
         let error = decode(&bytes).unwrap_err();
         assert!(
             format!("{error:?}").contains("claims"),
             "want the bounds error, got {error:?}"
         );
-        // A reason length pointing past the frame end.
-        let mut bytes = encode_evict(sample_evict());
-        let reason_len_at = EVICT_SERVER_COUNT_AT + 4 + 2 * 4;
-        bytes[reason_len_at..reason_len_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-        assert!(decode(&bytes).is_err());
+        // u32::MAX per-round lists: the count must be the plan's two
+        // rounds, checked before any allocation.
+        let mut bytes = encode_rejoin(&sample_plan());
+        bytes[EVICTED_AT..EVICTED_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let error = decode(&bytes).unwrap_err();
+        assert!(
+            format!("{error:?}").contains("for 2 rounds"),
+            "want the round-count error, got {error:?}"
+        );
     }
 
     #[test]
     fn evict_trailing_bytes_rejected() {
-        let mut bytes = encode_evict(sample_evict());
+        let mut bytes = encode_rejoin(&sample_plan());
         bytes.push(0);
         assert!(decode(&bytes).is_err());
     }
 
     #[test]
-    fn evict_non_utf8_reason_rejected() {
-        let mut bytes = encode_evict(sample_evict());
-        let end = bytes.len();
-        bytes[end - 2] = 0xff;
-        bytes[end - 1] = 0xfe;
-        let error = decode(&bytes).unwrap_err();
-        assert!(
-            format!("{error:?}").contains("UTF-8"),
-            "want the UTF-8 error, got {error:?}"
-        );
-    }
-
-    #[test]
     fn rejoin_unknown_flags_rejected() {
-        let flags_at = 1 + 4 + 4 + 4 + 4;
+        let flags_at = DEAD_AT - 1;
         for flags in [4u8, 0x80, 0xff] {
             let mut bytes = encode_rejoin(&sample_rejoin());
             bytes[flags_at] = flags;
@@ -1681,19 +1658,18 @@ mod tests {
 
     #[test]
     fn rejoin_evict_count_overflow_rejected_before_allocation() {
-        // u32::MAX verdicts claimed over a 2-verdict body: the bound by
-        // MIN_VERDICT_LEN must fire before any allocation.
-        let evict_count_at = 1 + 4 + 4 + 4 + 4 + 1 + DIGEST_LEN;
-        let mut bytes = encode_rejoin(&sample_rejoin());
-        bytes[evict_count_at..evict_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // u32::MAX dead processes claimed over a plan's body: the bound
+        // must fire before any allocation.
+        let mut bytes = encode_rejoin(&sample_plan());
+        bytes[DEAD_AT..DEAD_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let error = decode(&bytes).unwrap_err();
         assert!(
             format!("{error:?}").contains("claims"),
             "want the bounds error, got {error:?}"
         );
-        // A count that is too small leaves trailing bytes, also rejected.
-        let mut bytes = encode_rejoin(&sample_rejoin());
-        bytes[evict_count_at..evict_count_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        // A count that is too small misreads the rest, also rejected.
+        let mut bytes = encode_rejoin(&sample_plan());
+        bytes[DEAD_AT..DEAD_AT + 4].copy_from_slice(&1u32.to_le_bytes());
         assert!(decode(&bytes).is_err());
     }
 
@@ -1913,8 +1889,8 @@ mod tests {
     #[test]
     fn submit_trap_truncated_commitment_rejected() {
         let bytes = encode_submit(&sample_submit(true));
-        // Slice off half the trailing commitment.
-        let error = decode(&bytes[..bytes.len() - DIGEST_LEN / 2]).unwrap_err();
+        // Slice off half the trailing 32-byte commitment.
+        let error = decode(&bytes[..bytes.len() - 16]).unwrap_err();
         assert!(
             format!("{error:?}").contains("commitment")
                 || format!("{error:?}").contains("truncated"),

@@ -611,8 +611,9 @@ fn a_control_frame_sent_mid_run_reaches_only_the_control_inbox() {
         offset: 1,
         response: true,
         commit: false,
-        digest: [0; 32],
-        evictions: Vec::new(),
+        dead: Vec::new(),
+        evicted: vec![Vec::new()],
+        failed: vec![Vec::new()],
     });
     let (tcp, member_reports) = std::thread::scope(|scope| {
         let member = scope.spawn(|| {
