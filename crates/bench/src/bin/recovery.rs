@@ -53,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
             messages: 12,
             iterations: 2,
             seed: 0x4EA1_BEAC,
-            sharded: false,
             stall_timeout: Duration::from_secs(2),
             trace: false,
             honest: 2,

@@ -4,12 +4,12 @@
 //! `InMemoryNetwork`. Spawns the fleet processes (coordinator + members,
 //! every one running the recovery loop; the `recovery` bin in its `node`
 //! mode, which runs what `atom-node` runs), reads the coordinator's
-//! canonical output serialization and diffs it against the in-memory run
-//! of the same jobs (`fleet::fleet_jobs`) — whole bytes, not summaries. Also
-//! the failure-path acceptance: a member SIGKILLed mid-deployment must be
-//! *evicted*, the surviving fleet must keep delivering rounds without it,
-//! and a restarted member must rejoin and contribute again — no hang, no
-//! orphaned processes, no lost messages.
+//! canonical output serialization and diffs it against an in-memory run of
+//! the same jobs with monolithically derived directories — whole bytes, not
+//! summaries. Also the failure-path acceptance: a member SIGKILLed
+//! mid-deployment must be *evicted*, the surviving fleet must keep
+//! delivering rounds without it, and a restarted member must rejoin and
+//! contribute again — no hang, no orphaned processes, no lost messages.
 
 use std::process::ExitStatus;
 use std::sync::{Arc, Mutex};
@@ -17,8 +17,9 @@ use std::time::Duration;
 
 use atom_bench::json::{self, Value};
 use atom_bench::netbench::{ProcessFleet, NODE_MODE};
+use atom_core::directory::derive_setup;
 use atom_runtime::fleet::{self, NetSpec, NodeArgs};
-use atom_runtime::{Engine, FaultKind, RoundCompleteHook};
+use atom_runtime::{Engine, FaultKind, RoundCompleteHook, RoundJob};
 
 /// The fleet process as a [`ProcessFleet`] program: `recovery node`, the
 /// program `atom-node` runs.
@@ -60,41 +61,30 @@ fn fleet_output(spec: &NetSpec, processes: usize, tag: &str) -> Vec<u8> {
     got
 }
 
-#[test]
-fn two_process_tcp_run_is_byte_identical_to_in_memory() {
-    let spec = NetSpec {
-        groups: 4,
-        rounds: 2,
-        messages: 12,
-        iterations: 2,
-        seed: 0xEC_0FF,
-        sharded: false,
-        ..NetSpec::default()
-    };
-
-    // Reference: the same spec, single process, in-memory transport.
+/// The monolithic reference of `spec`'s fleet: its jobs with every
+/// directory derived up front (`derive_setup`, `RoundJob::new`), run in one
+/// process over the in-memory transport, as canonical bytes.
+fn monolithic_reference(spec: &NetSpec) -> Vec<u8> {
+    let prebuilt = (fleet::fleet_jobs(spec).into_iter())
+        .map(|job| {
+            let setup = derive_setup(job.config()).expect("derive the directory");
+            RoundJob::new(setup, job.submissions, job.seed)
+        })
+        .collect();
     let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(fleet::fleet_jobs(&spec))
+        .run_rounds(prebuilt)
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("in-memory reference run");
     let want = fleet::serialize_reports(&in_memory);
-
-    let got = fleet_output(&spec, 2, "tcp_equivalence");
     assert!(!want.is_empty());
-    assert_eq!(
-        got, want,
-        "TCP two-process output differs from the in-memory run"
-    );
+    want
 }
 
-/// The sharded-directory acceptance test: a 2-OS-process `--sharded` run —
-/// where each `atom-node` derives only the DKGs of its hosted groups and
-/// the rest of the directory travels as `setup` wire frames — must produce
-/// round outputs byte-identical to a single-process in-memory run whose
-/// directory was derived monolithically (`fleet::fleet_jobs` of the
-/// unsharded spec, i.e. `atom_core::directory::derive_setup`) — the same
-/// reference the prebuilt cases diff against.
+/// The two-process acceptance test: each OS process derives only the DKGs
+/// of its hosted groups and the rest of the directory travels as `setup`
+/// wire frames, yet the round outputs are byte-identical to a
+/// single-process in-memory run whose directory was derived monolithically.
 #[test]
 fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     let spec = NetSpec {
@@ -103,65 +93,21 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         messages: 12,
         iterations: 2,
         seed: 0x5AAD0,
-        sharded: true,
         ..NetSpec::default()
     };
-
-    // Reference: the same spec, single process, prebuilt monolithic
-    // derivation over the identical per-group beacon streams.
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(fleet::fleet_jobs(&NetSpec {
-            sharded: false,
-            ..spec.clone()
-        }))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = fleet::serialize_reports(&in_memory);
-
-    let got = fleet_output(&spec, 2, "sharded_equivalence");
-    assert!(!want.is_empty());
+    let got = fleet_output(&spec, 2, "tcp_equivalence");
     assert_eq!(
-        got, want,
-        "sharded two-process output differs from the monolithic derivation"
+        got,
+        monolithic_reference(&spec),
+        "two-process output differs from the monolithic derivation"
     );
 }
 
-/// The N-process acceptance test: a **three**-OS-process run (coordinator
-/// plus two members, groups round-robin over all three) must still be
-/// byte-identical to the single-process in-memory run — adding processes
-/// must not change a single output byte.
-#[test]
-fn three_process_tcp_run_is_byte_identical_to_in_memory() {
-    let spec = NetSpec {
-        groups: 3,
-        rounds: 2,
-        messages: 9,
-        iterations: 2,
-        seed: 0x3EC_0FF,
-        sharded: false,
-        ..NetSpec::default()
-    };
-
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(fleet::fleet_jobs(&spec))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = fleet::serialize_reports(&in_memory);
-    assert!(!want.is_empty());
-
-    let got = fleet_output(&spec, 3, "tcp3_equivalence");
-    assert_eq!(
-        got, want,
-        "TCP three-process output differs from the in-memory run"
-    );
-}
-
-/// The sharded-directory variant at three processes: each of the three
-/// `atom-node`s derives only the DKGs of its own group and the rest of the
-/// directory travels as `setup` wire frames — still byte-identical to the
-/// monolithic in-memory derivation.
+/// The N-process acceptance test: at **three** OS processes (coordinator
+/// plus two members, groups round-robin over all three, each deriving only
+/// its own group's DKGs) the outputs are still byte-identical to the
+/// monolithic in-memory run — adding processes must not change a single
+/// output byte.
 #[test]
 fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     let spec = NetSpec {
@@ -170,25 +116,13 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         messages: 9,
         iterations: 2,
         seed: 0x35AAD0,
-        sharded: true,
         ..NetSpec::default()
     };
-
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(fleet::fleet_jobs(&NetSpec {
-            sharded: false,
-            ..spec.clone()
-        }))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = fleet::serialize_reports(&in_memory);
-    assert!(!want.is_empty());
-
-    let got = fleet_output(&spec, 3, "sharded3_equivalence");
+    let got = fleet_output(&spec, 3, "tcp3_equivalence");
     assert_eq!(
-        got, want,
-        "sharded three-process output differs from the monolithic derivation"
+        got,
+        monolithic_reference(&spec),
+        "three-process output differs from the monolithic derivation"
     );
 }
 
@@ -226,7 +160,6 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
         messages: 6,
         iterations: 2,
         seed: 0xC4A0_5EED,
-        sharded: false,
         // A short stall budget keeps detection (and the test) fast.
         stall_timeout: Duration::from_secs(2),
         trace: false,

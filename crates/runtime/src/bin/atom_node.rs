@@ -23,7 +23,7 @@
 //! recovery state machine (`atom_runtime::fleet`), so a lost member is
 //! evicted and its groups re-formed rather than failing the run.
 //! `docs/operations.md` is the operator guide: the flag-agreement rules,
-//! the `atom-process-ready` readiness line, `--sharded`, `--batch` /
+//! the `atom-process-ready` readiness line, round setup, `--batch` /
 //! `--honest` / `--rejoin` (failure and recovery), and the coordinator's
 //! `--out`, `--trace` and `--metrics-out` files.
 //!

@@ -1406,12 +1406,19 @@ mod tests {
                 .0
             })
             .collect();
-        let mut job = RoundJob::new(setup, RoundSubmissions::Trap(submissions), 4100);
-        job.failed_servers = victims;
+        let submissions = RoundSubmissions::Trap(submissions);
+        let mut job = RoundJob::new(setup, submissions.clone(), 4100);
+        job.failed_servers = victims.clone();
         let report = Engine::with_workers(3).run_round(job).unwrap();
         let mut want = messages;
         want.sort();
         assert_eq!(recovered(&report.output), want);
+        // The same heal with the directory derived inside the run.
+        let mut job = RoundJob::sharded(config, submissions, 4100);
+        job.failed_servers = victims;
+        let sharded = Engine::with_workers(3).run_round(job).unwrap();
+        assert_eq!(sharded.output.plaintexts, report.output.plaintexts);
+        assert_eq!(sharded.output.per_group, report.output.per_group);
     }
 
     #[test]

@@ -46,10 +46,15 @@ use node::{hosted_groups, round_config};
 
 /// The jobs of `rounds`, the `i`-th built without the servers `evicted[i]`
 /// and healing around those in `failed[i]`: the one round-job derivation.
-/// A sharded member passes `with_submissions: false` and derives no
-/// directory. Submissions come from a stream keyed on `(seed, round)` and
-/// encrypt to DKG keys that derive from the beacon, not from membership, so
-/// they stay valid under any eviction.
+/// Every job derives its directory inside the run (`RoundJob::sharded`):
+/// each process derives only the DKGs of the groups it hosts, and the
+/// coordinator the trustees' too. With `with_submissions` (the coordinator
+/// and the in-memory references) the full directory is derived here as
+/// well, but only to play the users, as clients read the published
+/// directory; a member passes `false` and derives none. Submissions come
+/// from a stream keyed on `(seed, round)` and encrypt to DKG keys that
+/// derive from the beacon, not from membership, so they stay valid under
+/// any eviction.
 pub(crate) fn batch_jobs(
     spec: &NetSpec,
     rounds: Range<usize>,
@@ -60,12 +65,11 @@ pub(crate) fn batch_jobs(
     let job = |(round, (evicted, failed)): (usize, (&Vec<usize>, &Vec<usize>))| {
         let mut config = round_config(spec, round);
         config.evicted_servers = evicted.clone();
-        let setup = (!spec.sharded || with_submissions)
-            .then(|| derive_setup(&config).expect("derive healed directory"));
-        let key = spec.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x4845_414C;
-        let mut rng = StdRng::seed_from_u64(key);
         let mut submissions = Vec::new();
-        if let Some(setup) = setup.as_ref().filter(|_| with_submissions) {
+        if with_submissions {
+            let setup = derive_setup(&config).expect("derive healed directory");
+            let key = spec.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x4845_414C;
+            let mut rng = StdRng::seed_from_u64(key);
             let (trustees, length) = (&setup.trustees.public_key, config.message_len);
             for i in 0..spec.messages {
                 let text = format!("net r{round} m{i}");
@@ -76,11 +80,7 @@ pub(crate) fn batch_jobs(
             }
         }
         let submissions = RoundSubmissions::Trap(submissions);
-        let seed = spec.seed.wrapping_add(round as u64);
-        let mut job = match setup {
-            Some(setup) if !spec.sharded => RoundJob::new(setup, submissions, seed),
-            _ => RoundJob::sharded(config, submissions, seed),
-        };
+        let mut job = RoundJob::sharded(config, submissions, spec.seed.wrapping_add(round as u64));
         job.failed_servers = failed.clone();
         job
     };
@@ -418,7 +418,7 @@ pub(crate) fn run_healing_member(
         );
         results.into_iter().map(|result| result.map(drop)).collect()
     };
-    let driven = (spec, &*transport, !spec.sharded);
+    let driven = (spec, &*transport, false);
     let (result, ..) = drive(driven, &mut machine, &mut run, &mut Aside::default());
     if result.is_ok() && spec.trace {
         ship(true);

@@ -29,14 +29,6 @@ pub struct NetSpec {
     pub iterations: usize,
     /// Deterministic seed for setup, submissions and mixing.
     pub seed: u64,
-    /// Sharded directory mode: each engine process derives only the DKGs of
-    /// its hosted groups inside the run (`RoundJob::sharded`) instead of
-    /// every process re-deriving the full directory up front. Members skip
-    /// submission generation entirely; the coordinator still derives the
-    /// full directory *outside* the engine to play the users (submissions
-    /// must encrypt to the entry groups' keys), mirroring a real
-    /// deployment where clients read the published directory.
-    pub sharded: bool,
     /// Engine stall detector (`EngineOptions::stall_timeout`): how long a
     /// process waits with no task progress before failing its unresolved
     /// rounds — the budget for declaring a silent peer dead. Operational,
@@ -82,7 +74,6 @@ impl Default for NetSpec {
             messages: 16,
             iterations: 2,
             seed: 0xA70,
-            sharded: false,
             stall_timeout: Duration::from_secs(120),
             round_deadline: Duration::ZERO,
             loris: Duration::ZERO,
@@ -187,7 +178,7 @@ pub fn free_addrs(count: usize) -> Vec<String> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeArgs {
     /// The workload (`--groups`, `--rounds`, `--messages`, `--iterations`,
-    /// `--seed`, `--sharded`, `--stall-timeout-ms`, `--honest`); every
+    /// `--seed`, `--stall-timeout-ms`, `--honest`); every
     /// process of a deployment must get the same one.
     pub spec: NetSpec,
     /// One listen address per process, in process-index order (`--addrs`).
@@ -234,7 +225,7 @@ impl Default for NodeArgs {
 
 /// What [`node_main`] prints after a flag error.
 const NODE_USAGE: &str = "usage: atom-node --index I --addrs HOST:PORT,HOST:PORT[,..] \
-     [--groups G] [--rounds R] [--messages M] [--iterations N] [--seed S] [--sharded] \
+     [--groups G] [--rounds R] [--messages M] [--iterations N] [--seed S] \
      [--stall-timeout-ms T] [--honest H] [--workers W] [--rejoin] [--batch B] \
      [--out PATH] [--trace PATH [--metrics-out PATH]]";
 
@@ -275,7 +266,6 @@ impl NodeArgs {
                 "--messages" => spec.messages = flag_number(flag, argv.next())?,
                 "--iterations" => spec.iterations = flag_number(flag, argv.next())?,
                 "--seed" => spec.seed = flag_number(flag, argv.next())?,
-                "--sharded" => spec.sharded = true,
                 "--stall-timeout-ms" => {
                     spec.stall_timeout = Duration::from_millis(flag_number(flag, argv.next())?)
                 }
@@ -308,6 +298,9 @@ impl NodeArgs {
         }
         if let Err(error) = round_config(&args.spec, 0).validate() {
             return Err(format!("the workload flags name no deployment: {error:?}"));
+        }
+        if args.spec.rounds == 0 {
+            return Err("--rounds must be at least one round".into());
         }
         if args.batch == Some(0) {
             return Err("--batch must be at least one round".into());
@@ -360,12 +353,9 @@ impl NodeArgs {
             ("--trace", self.trace.clone()),
             ("--metrics-out", self.metrics_out.clone()),
         ];
-        let switches = [("--sharded", spec.sharded), ("--rejoin", self.rejoin)];
         let valued = (valued.into_iter()).filter_map(|(flag, value)| Some([flag.into(), value?]));
-        let switches = (switches.into_iter())
-            .filter(|&(_, on)| on)
-            .map(|(flag, _)| flag.into());
-        Ok(valued.flatten().chain(switches).collect())
+        let rejoin = self.rejoin.then(|| "--rejoin".into());
+        Ok(valued.flatten().chain(rejoin).collect())
     }
 }
 
@@ -485,7 +475,8 @@ mod tests {
     use super::*;
     use crate::fleet::{batch_jobs, fleet_jobs};
     use crate::recovery::owner_map_excluding;
-    use crate::{Engine, RoundSubmissions};
+    use crate::{Engine, RoundJob, RoundSubmissions};
+    use atom_core::directory::derive_setup;
 
     /// Reserved ports come from below the ephemeral range, so nothing else
     /// of this host's is handed them on a port-0 bind or a connect.
@@ -518,6 +509,8 @@ mod tests {
         assert_eq!(hosted_groups(&owner_map(4, 3), 2), vec![2]);
     }
 
+    /// Equal submissions encrypt to equal group keys, so this also pins
+    /// the directory the submissions were made under.
     #[test]
     fn job_derivation_is_deterministic() {
         let spec = NetSpec::default();
@@ -525,11 +518,14 @@ mod tests {
         let b = fleet_jobs(&spec);
         assert_eq!(a.len(), b.len());
         for (ja, jb) in a.iter().zip(&b) {
-            assert_eq!(ja.seed, jb.seed);
-            assert_eq!(
-                ja.full_setup().unwrap().groups[0].public_key.0,
-                jb.full_setup().unwrap().groups[0].public_key.0
-            );
+            assert_eq!((ja.seed, ja.config()), (jb.seed, jb.config()));
+            let (RoundSubmissions::Trap(sa), RoundSubmissions::Trap(sb)) =
+                (&ja.submissions, &jb.submissions)
+            else {
+                panic!("fleet rounds are trap rounds");
+            };
+            assert_eq!(sa.len(), spec.messages);
+            assert_eq!(sa, sb);
         }
     }
 
@@ -541,16 +537,21 @@ mod tests {
             messages: 4,
             ..NetSpec::default()
         };
+        let jobs = fleet_jobs(&spec);
+        assert!(jobs.iter().all(|job| job.full_setup().is_none()));
+        let prebuilt = (jobs.iter())
+            .map(|job| {
+                let setup = derive_setup(job.config()).unwrap();
+                RoundJob::new(setup, job.submissions.clone(), job.seed)
+            })
+            .collect();
         let reference: Vec<_> = Engine::with_workers(2)
-            .run_rounds(fleet_jobs(&spec))
+            .run_rounds(prebuilt)
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
         let sharded: Vec<_> = Engine::with_workers(2)
-            .run_rounds(fleet_jobs(&NetSpec {
-                sharded: true,
-                ..spec.clone()
-            }))
+            .run_rounds(jobs)
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
@@ -566,10 +567,7 @@ mod tests {
 
     #[test]
     fn memberless_sharded_jobs_skip_submission_generation() {
-        let spec = NetSpec {
-            sharded: true,
-            ..NetSpec::default()
-        };
+        let spec = NetSpec::default();
         let none = vec![Vec::new(); spec.rounds];
         for job in batch_jobs(&spec, 0..spec.rounds, &none, &none, false) {
             match &job.submissions {
@@ -624,11 +622,7 @@ mod tests {
             workers: 4,
             ..NodeArgs::default()
         };
-        let sharded = NodeArgs {
-            spec: NetSpec {
-                sharded: true,
-                ..plain.spec.clone()
-            },
+        let coordinator = NodeArgs {
             out: Some("/tmp/out.bin".into()),
             index: 0,
             ..plain.clone()
@@ -658,7 +652,7 @@ mod tests {
         // No `--batch`: the coordinator plans one batch of every round.
         assert_eq!((plain.batch, plain.rounds_per_batch()), (None, 3));
         assert_eq!(batched.rounds_per_batch(), 4);
-        for args in [plain, sharded, batched, rejoin, traced] {
+        for args in [plain, coordinator, batched, rejoin, traced] {
             let argv = args.argv().expect("every flag carries");
             assert_eq!(NodeArgs::parse(argv.clone()), Ok(args), "{argv:?}");
         }
@@ -675,17 +669,6 @@ mod tests {
                 1,
                 NetSpec {
                     messages: 8,
-                    ..NetSpec::default()
-                },
-            ),
-            (
-                "--index 0 --sharded --addrs 127.0.0.1:7403,127.0.0.1:7404 --groups 4 --rounds 1 \
-                 --messages 8",
-                0,
-                NetSpec {
-                    rounds: 1,
-                    messages: 8,
-                    sharded: true,
                     ..NetSpec::default()
                 },
             ),
@@ -738,11 +721,11 @@ mod tests {
                 "{line}"
             );
         }
-        let heal = parse(cases[4].0).unwrap();
+        let heal = parse(cases[3].0).unwrap();
         assert!(!heal.rejoin && heal.batch == Some(4));
         // CI's smoke: the coordinator plans one-round batches, and the
         // member, which has no `--batch`, runs them.
-        assert_eq!(parse(cases[5].0).unwrap().rounds_per_batch(), 1);
+        assert_eq!(parse(cases[4].0).unwrap().rounds_per_batch(), 1);
         assert_eq!(parse(cases[0].0).unwrap().batch, None);
         let coordinator = parse(
             "--index 0 --addrs 127.0.0.1:7421,127.0.0.1:7422 --groups 4 --rounds 2 --messages 12 \
@@ -772,6 +755,8 @@ mod tests {
             &format!("{base} --honest 0"),
             &format!("{base} --groups 0"),
             &format!("{base} --batch 0"),
+            &format!("{base} --rounds 0"),
+            &format!("{base} --sharded"),
             &format!("{base} --rejoin"),
         ] {
             assert!(parse(line).is_err(), "{line}");

@@ -246,7 +246,7 @@ fn server_churn(
 /// [`microblog_jobs`] twice over the identical configs, submissions and
 /// seeds, both sharded: with submissions for the coordinator, and without
 /// them for the member — members never run intake, the same contract
-/// `atom-node --sharded` ships. Returns `(coordinator, member)`.
+/// every `atom-node` member runs under. Returns `(coordinator, member)`.
 fn sharded_microblog_jobs(
     groups: usize,
     posts_per_round: usize,

@@ -19,7 +19,7 @@ const CEILINGS: [(&str, usize); 8] = [
     ("IngressOptions", 8),
     ("EvloopOptions", 4),
     ("TcpOptions", 1),
-    ("NetSpec", 11),
+    ("NetSpec", 10),
     ("ActorConfig", 4),
     ("GroupStepOptions", 2),
     ("NodeArgs", 9),
