@@ -5,7 +5,8 @@
 //! every one running the recovery loop; the `recovery` bin in its `node`
 //! mode, which runs what `atom-node` runs), reads the coordinator's
 //! canonical output serialization and diffs it against an in-memory run of
-//! the same jobs with monolithically derived directories — whole bytes, not
+//! the same jobs, once as the fleet builds them (directories derived in the
+//! run) and once with monolithically derived directories — whole bytes, not
 //! summaries. Also the failure-path acceptance: a member SIGKILLed
 //! mid-deployment must be *evicted*, the surviving fleet must keep
 //! delivering rounds without it, and a restarted member must rejoin and
@@ -81,6 +82,60 @@ fn monolithic_reference(spec: &NetSpec) -> Vec<u8> {
     want
 }
 
+/// The in-memory reference of `spec`'s fleet: the very jobs the fleet runs
+/// (`fleet::fleet_jobs`, directories derived in the run), in one process
+/// over the in-memory transport, as canonical bytes.
+fn in_memory_reference(spec: &NetSpec) -> Vec<u8> {
+    let in_memory: Vec<_> = Engine::with_workers(3)
+        .run_rounds(fleet::fleet_jobs(spec))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("in-memory reference run");
+    let want = fleet::serialize_reports(&in_memory);
+    assert!(!want.is_empty());
+    want
+}
+
+/// The transport acceptance test: a 2-OS-process TCP run produces the same
+/// bytes as the same jobs run in one process over the in-memory transport.
+#[test]
+fn two_process_tcp_run_is_byte_identical_to_in_memory() {
+    let spec = NetSpec {
+        groups: 4,
+        rounds: 2,
+        messages: 12,
+        iterations: 2,
+        seed: 0xEC_0FF,
+        ..NetSpec::default()
+    };
+    let got = fleet_output(&spec, 2, "tcp_equivalence");
+    assert_eq!(
+        got,
+        in_memory_reference(&spec),
+        "TCP two-process output differs from the in-memory run"
+    );
+}
+
+/// The transport acceptance test at **three** OS processes (coordinator
+/// plus two members, groups round-robin over all three).
+#[test]
+fn three_process_tcp_run_is_byte_identical_to_in_memory() {
+    let spec = NetSpec {
+        groups: 3,
+        rounds: 2,
+        messages: 9,
+        iterations: 2,
+        seed: 0x3EC_0FF,
+        ..NetSpec::default()
+    };
+    let got = fleet_output(&spec, 3, "tcp3_equivalence");
+    assert_eq!(
+        got,
+        in_memory_reference(&spec),
+        "TCP three-process output differs from the in-memory run"
+    );
+}
+
 /// The two-process acceptance test: each OS process derives only the DKGs
 /// of its hosted groups and the rest of the directory travels as `setup`
 /// wire frames, yet the round outputs are byte-identical to a
@@ -95,7 +150,7 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         seed: 0x5AAD0,
         ..NetSpec::default()
     };
-    let got = fleet_output(&spec, 2, "tcp_equivalence");
+    let got = fleet_output(&spec, 2, "sharded_equivalence");
     assert_eq!(
         got,
         monolithic_reference(&spec),
@@ -118,7 +173,7 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         seed: 0x35AAD0,
         ..NetSpec::default()
     };
-    let got = fleet_output(&spec, 3, "tcp3_equivalence");
+    let got = fleet_output(&spec, 3, "sharded3_equivalence");
     assert_eq!(
         got,
         monolithic_reference(&spec),
