@@ -1,22 +1,9 @@
-//! Renders the per-phase cost breakdown of a recorded fleet trace.
-//!
-//! Reads the Chrome trace-event JSON written by the coordinator of
-//! `atom-node --trace` (path overridable as the first argument, default
-//! `trace.json`) and prints, per fleet process and fleet-wide, how the
-//! recorded span time splits across the engine phases (`setup`, `intake`,
-//! `mix`, `verify`, `exit`) — the textual companion to loading the same
-//! file in Perfetto. Regenerate a trace with a two-process fleet, every
-//! process traced:
-//!
-//! ```text
-//! cargo run --release -p atom-runtime --bin atom-node -- \
-//!     --index 1 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace x &
-//! cargo run --release -p atom-runtime --bin atom-node -- \
-//!     --index 0 --addrs 127.0.0.1:7401,127.0.0.1:7402 --trace trace.json
-//! ```
-//!
-//! The trace is read through `atom_bench::json`, the one JSON codec of the
-//! bench crate.
+//! Renders the per-phase cost breakdown of a recorded fleet trace: reads
+//! the Chrome trace-event JSON the coordinator of `atom-node --trace`
+//! writes (the first argument, default `trace.json`), through
+//! `atom_bench::json`, and prints, per fleet process and fleet-wide, how
+//! the span time splits across the engine phases. `docs/observability.md`
+//! shows how to record a trace.
 
 use std::collections::BTreeMap;
 

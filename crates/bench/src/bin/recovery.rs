@@ -1,25 +1,11 @@
-//! The recovery experiment: measures how fast a self-healing fleet gets
-//! back to delivering rounds after losing a member.
-//!
-//! Runs a three-OS-process deployment (coordinator in this process, two
-//! `atom-node` members — this binary re-executed as `recovery node
-//! <atom-node flags>`, running `atom_runtime::fleet::node_main`),
-//! SIGKILLs member 2 once a round at or past `--kill-at` completes,
-//! restarts it with the rejoin handshake once a later completion reaches
-//! `--restart-at`, and records:
-//!
-//! * **kill → verdict** — the wall-clock gap between the SIGKILL and the
-//!   coordinator convicting the dead process,
-//! * **detection → first healed round** — the wall-clock gap between the
-//!   coordinator convicting the dead process and the first round completed
-//!   afterwards (the paper-facing recovery latency), and
-//! * **healed throughput** — messages/sec over the rounds completed after
-//!   the detection, next to the whole run's rate.
-//!
-//! A run without an eviction and a readmitted rejoin fails instead of
-//! recording. With `--out PATH` the measurement is written as
-//! `BENCH_recovery.json` (schema: [`atom_bench::recovery`], rendered by the
-//! `fig_recovery` bin).
+//! The recovery experiment: how fast a self-healing fleet gets back to
+//! delivering rounds after losing a member. A three-process deployment
+//! (coordinator here, members this binary re-executed as `recovery node
+//! <atom-node flags>`) loses member 2 to a SIGKILL at `--kill-at`, restarts
+//! it at `--restart-at`, and records kill → verdict, detection → first
+//! healed round and the healed throughput; a run without an eviction and a
+//! readmitted rejoin fails instead. `docs/benchmarks.md` describes the
+//! recorded `BENCH_recovery.json` ([`atom_bench::recovery`]).
 //!
 //! Usage: `cargo run --release -p atom-bench --bin recovery --
 //! [--rounds N] [--messages M] [--kill-at R] [--restart-at R]

@@ -67,13 +67,14 @@ impl FaultVerdict {
     /// Diagnoses a failed round: maps the engine error's implicated
     /// transport nodes through `owners` (node → fleet process, the
     /// coordinator's group-ownership map) and convicts the process owning
-    /// the most implicated nodes (ties broken toward the lowest index).
-    /// `servers_of` supplies the global server ids a process hosts.
+    /// the most implicated nodes (other ties broken toward the lowest
+    /// index). `servers_of` supplies the global server ids a process hosts.
     ///
     /// Returns `None` when the error carries no usable evidence — a
-    /// non-engine error, an engine error with no implicated nodes, or
-    /// nodes that only point back at the coordinator itself
-    /// (`own_process`): evicting nobody is better than evicting at random.
+    /// non-engine error, an engine error with no implicated nodes, nodes
+    /// that only point back at the coordinator itself (`own_process`), or a
+    /// stall whose top vote two processes share, which names no culprit:
+    /// evicting nobody is better than evicting at random.
     pub fn diagnose(
         round: usize,
         error: &AtomError,
@@ -90,12 +91,9 @@ impl FaultVerdict {
             return None;
         };
         let mut votes = vec![0usize; owners.iter().max().map_or(0, |max| max + 1)];
-        for node in nodes {
-            if let Some(&owner) = owners.get(*node) {
-                if owner != own_process {
-                    votes[owner] += 1;
-                }
-            }
+        let owned = nodes.iter().filter_map(|&node| owners.get(node));
+        for &owner in owned.filter(|&&owner| owner != own_process) {
+            votes[owner] += 1;
         }
         let process = votes
             .iter()
@@ -104,11 +102,14 @@ impl FaultVerdict {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(process, _)| process)?;
         let implicated = votes.iter().filter(|votes| **votes > 0).count();
+        let tied = votes.iter().filter(|&&v| v == votes[process]).count() > 1;
         let kind = match kind {
             // A lost transport names the unreachable peer exactly.
             EngineErrorKind::TransportLost => FaultKind::Dead,
             // A stall pointing at a single process is as good as dead; one
-            // pointing at several is circumstantial.
+            // pointing at several is circumstantial, and one whose top vote
+            // several share names no culprit.
+            EngineErrorKind::Stall if tied => return None,
             EngineErrorKind::Stall if implicated == 1 => FaultKind::Dead,
             EngineErrorKind::Stall => FaultKind::Slow,
             // The aborting peer holds the authoritative error; convicting
@@ -188,10 +189,9 @@ mod tests {
         let verdict = FaultVerdict::diagnose(0, &error, &OWNERS, 0, |_| Vec::new()).unwrap();
         assert_eq!((verdict.process, verdict.kind), (1, FaultKind::Slow));
 
-        // A tie convicts the lower process index.
+        // A tie names no culprit, so it convicts nobody.
         let error = engine_error(EngineErrorKind::Stall, vec![3, 5]);
-        let verdict = FaultVerdict::diagnose(0, &error, &OWNERS, 0, |_| Vec::new()).unwrap();
-        assert_eq!(verdict.process, 1);
+        assert!(FaultVerdict::diagnose(0, &error, &OWNERS, 0, |_| Vec::new()).is_none());
     }
 
     #[test]

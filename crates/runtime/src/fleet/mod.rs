@@ -1,17 +1,7 @@
 //! The fleet process (`atom-node` is [`node_main`]): it derives its rounds
-//! from a [`NetSpec`], joins the TCP mesh and drives a state machine of
-//! `crate::recovery` to its finish — `CoordinatorState` on process 0,
-//! `MemberState` elsewhere.
-//!
-//! **The driver contract.** The machine decides; the driver carries out a
-//! step's actions in order. A failed `Send` ends the list with
-//! `Unreachable`, and `Run` with `Ran`. Otherwise it steps each `rejoin`
-//! frame of its control inbox, then `Timer` once the armed time has passed;
-//! a machine's first input is `Timer`. It sets telemetry frames aside and
-//! drops and counts any other (`fleet.control.dropped`). It keeps what the
-//! protocol does not decide: jobs, clocks, `fleet.*` counters, log lines,
-//! and telemetry, which members ship over the control inbox after each
-//! round and at the done sentinel.
+//! from a [`NetSpec`], joins the TCP mesh and drives a `crate::recovery`
+//! machine (`CoordinatorState` on process 0, `MemberState` elsewhere) to its
+//! finish through `step` over its `TcpCarrier` (`Carrier` states the contract).
 
 mod node;
 
@@ -32,9 +22,9 @@ use atom_net::{Dial, FaultyTransport, SendError, TcpTransport, Transport};
 
 use crate::fault::{slow_groups, FaultVerdict};
 use crate::fill_vec::FillVec;
-use crate::recovery::{fleet_clocks, owner_map_excluding, Action, Input, Machine};
+use crate::recovery::{fleet_clocks, owner_map_excluding, Action, Attempt, Input, Machine};
 use crate::recovery::{CoordinatorState, MemberState};
-use crate::wire::{self, Frame, TelemetryFrame};
+use crate::wire::{self, Frame, RejoinFrame, TelemetryFrame};
 use crate::{Engine, EngineOptions, EngineRole, RoundCompleteHook};
 use crate::{RoundJob, RoundReport, RoundSubmissions};
 
@@ -159,126 +149,252 @@ fn fleet_telemetry(frames: Vec<TelemetryFrame>, trace: bool) -> Vec<Snapshot> {
     fleet.into_values().collect()
 }
 
-/// Binds fleet process `me`'s end of the mesh and connects it to every
-/// peer. Turns recording on under `NetSpec::trace`.
-fn join_fleet(spec: &NetSpec, addrs: Vec<String>, me: usize) -> Result<TcpTransport, String> {
-    if spec.trace {
-        atom_obs::set_process(me as u32);
-        atom_obs::set_enabled(true);
-    }
-    let owner = owner_map_excluding(spec.groups, addrs.len(), &[]);
-    let role = if me == 0 { "coordinator" } else { "member" };
-    let mesh = fleet_clocks(spec.stall_timeout).mesh;
-    let transport = TcpTransport::bind(addrs, owner, me, mesh)
-        .map_err(|error| format!("bind {role} transport: {error}"))?;
-    let connected = transport.connect_peers();
-    connected.map_err(|error| format!("connect to fleet: {error}"))?;
-    Ok(transport)
-}
-
 /// The engine options of one attempt on `process`, at wire-round `offset`.
+/// The round clock is the coordinator's alone (`NetSpec::round_deadline`).
 fn engine_options(spec: &NetSpec, workers: usize, offset: usize, process: usize) -> EngineOptions {
     let mut options = EngineOptions::with_workers(workers);
     options.stall_timeout = fleet_clocks(spec.stall_timeout).stall;
     if process == 0 {
-        // The round clock is the coordinator's alone: it owns the diagnosis,
-        // and a member that also deadlined would race its abort against the
-        // coordinator's verdict (turning `Slow` into `Blamed`).
         options.round_deadline = spec.round_deadline;
     }
     options.round_offset = offset;
     options
 }
 
-/// An attempt a plan prepared — its rounds, offset, owner map and jobs.
-type Prepared = (Range<usize>, usize, Vec<usize>, Vec<RoundJob>);
-
-/// The telemetry frames a driver set aside, and how many other frames it
-/// dropped.
-type Aside = (Vec<TelemetryFrame>, usize);
-
-/// One read of the control inbox until `timer`: a `rejoin` frame, or
-/// `Timer` once it passed. A telemetry frame is set aside, and any other
-/// is dropped and counted, with no log line a hostile peer could flood.
-fn recv(transport: &TcpTransport, timer: &mut Option<Instant>, aside: &mut Aside) -> Option<Input> {
-    let deadline = timer.expect("a machine arms its timer before it waits");
-    let Some(payload) = transport.recv_control(deadline) else {
-        *timer = None;
-        return Some(Input::Timer);
-    };
-    match wire::decode(&payload) {
-        Ok(Frame::Rejoin(frame)) => return Some(Input::Frame(frame)),
-        Ok(Frame::Telemetry(frame)) => aside.0.push(frame),
-        _ => {
-            aside.1 += 1;
-            atom_obs::count("fleet.control.dropped", 1);
-        }
-    }
-    None
+/// What a recovery machine's actions are carried out over: one method per
+/// action, the clock, the inbox and a sink for the events. **The driver
+/// contract:** the machine decides, and [`step`] carries out a step's
+/// actions in order. A failed `Send` ends the list with `Unreachable`, and
+/// `Run` ends it with `Ran`, the machine's next input. `Courtesy` ignores
+/// errors, `Arm` sets the timer (`Arm(ZERO)`: once the inbox behind this is
+/// read), `Finish` ends the run, and any other action is an event. Between
+/// steps the machine takes each `rejoin` frame of the inbox, then `Timer`
+/// once the armed time has passed; its first input is `Timer`. Jobs,
+/// clocks, counters, log lines and telemetry are the carrier's. Two
+/// carriers implement it: the fleet's `TcpCarrier`, which [`drive`] runs,
+/// and the recovery tests' lockstep harness (FIFOs, a virtual clock and a
+/// fake engine), which steps a whole fleet in one thread.
+pub(crate) trait Carrier {
+    /// The time since the machine started.
+    fn now(&mut self) -> Duration;
+    fn send(&mut self, to: usize, frame: &RejoinFrame) -> Result<(), SendError>;
+    fn courtesy(&mut self, to: usize, frame: &RejoinFrame) -> Result<(), SendError>;
+    fn purge(&mut self);
+    fn prepare(&mut self, attempt: Attempt);
+    fn run(&mut self) -> Vec<Result<(), AtomError>>;
+    fn arm(&mut self, at: Duration);
+    /// One read of the inbox until the armed time: a `rejoin` frame,
+    /// `Timer` once the time passed, or nothing for a frame set aside.
+    fn recv(&mut self) -> Option<Input>;
+    fn event(&mut self, event: Action);
 }
 
-/// Steps `machine` from its first timer to its finish over `transport`,
-/// carrying out each step's actions; `run` runs an attempt on its go.
-/// Returns the run's result, its first conviction's time and its end's.
-fn drive(
-    (spec, transport, with_submissions): (&NetSpec, &TcpTransport, bool),
-    machine: &mut impl Machine,
-    run: &mut dyn FnMut(Prepared) -> Vec<Result<(), AtomError>>,
-    aside: &mut Aside,
-) -> (Result<(), String>, Option<Instant>, Instant) {
-    let (start, mut timer, mut prepared, mut detected) = (Instant::now(), None, None, None);
-    let mut next = Some(Input::Timer);
-    loop {
-        let Some(input) = next.take().or_else(|| recv(transport, &mut timer, aside)) else {
-            continue;
-        };
-        let now = Instant::now();
-        for action in machine.step(now - start, input) {
+/// Steps `machine` with `input`, carrying out its actions over `carrier` under
+/// the [`Carrier`] contract, and returns the run's result once one ends it.
+pub(crate) fn step(
+    machine: &mut dyn Machine,
+    carrier: &mut impl Carrier,
+    input: Input,
+) -> Option<Result<(), String>> {
+    let mut next = Some(input);
+    while let Some(input) = next.take() {
+        for action in machine.step(carrier.now(), input) {
             match action {
                 Action::Send(to, frame) => {
-                    let payload = wire::encode_rejoin(&frame);
-                    let send = |p| transport.send_control(p, &payload, Dial::IfNeeded).err();
+                    let send = |p| carrier.send(p, &frame).err();
                     let failed: Vec<SendError> = to.into_iter().filter_map(send).collect();
                     if !failed.is_empty() {
                         next = Some(Input::Unreachable(failed));
                         break;
                     }
                 }
-                Action::Courtesy(to, frame) => {
-                    let _ = transport.send_control(to, &wire::encode_rejoin(&frame), Dial::Never);
+                Action::Courtesy(to, frame) => drop(carrier.courtesy(to, &frame)),
+                Action::Purge => carrier.purge(),
+                Action::Prepare(attempt) => carrier.prepare(attempt),
+                Action::Run => {
+                    next = Some(Input::Ran(carrier.run()));
+                    break;
                 }
-                Action::Purge => (0..Transport::nodes(transport)).for_each(|node| drop(transport.drain(node))),
-                Action::Prepare(rounds, offset, owner, evicted, failed) => {
-                    for (node, &process) in owner.iter().enumerate() {
-                        transport.set_owner(node, process);
-                    }
-                    let jobs = batch_jobs(spec, rounds.clone(), &evicted, &failed, with_submissions);
-                    prepared = Some((rounds, offset, owner, jobs));
-                }
-                // A run ends its list.
-                Action::Run => next = Some(Input::Ran(run(prepared.take().expect("a go runs its plan")))),
-                Action::Arm(at) => timer = Some(start + at),
-                Action::Planned => atom_obs::count("fleet.handshake.plans", 1),
-                Action::Acked => atom_obs::count("fleet.handshake.acks", 1),
-                Action::Requested => atom_obs::count("fleet.rejoin.handshakes", 1),
-                Action::RequestRead(process, round) => {
-                    atom_obs::count("fleet.rejoin.requests", 1);
-                    println!("recovery: process {process} requests rejoin (last plan from round {round})");
-                }
-                Action::Convicted(FaultVerdict { process, kind, round, reason, .. }) => {
-                    detected.get_or_insert(now);
-                    atom_obs::count("fleet.evictions", 1);
-                    println!("recovery: evicting process {process} ({kind}) at round {round}: {reason}");
-                }
-                Action::Readmitted(process, round) => {
-                    atom_obs::count("fleet.rejoin.readmissions", 1);
-                    println!("recovery: process {process} readmitted from round {round}");
-                }
-                Action::Retrying(round, stuck, error) => println!(
-                    "recovery: round {round} failed without a verdict (attempt {stuck}), retrying: {error}"
-                ),
-                Action::Finish(result) => return (result, detected, now),
+                Action::Arm(at) => carrier.arm(at),
+                Action::Finish(result) => return Some(result),
+                event => carrier.event(event),
             }
+        }
+    }
+    None
+}
+
+/// Steps `machine` from its first `Timer` to its finish on what `carrier` reads.
+fn drive(machine: &mut dyn Machine, carrier: &mut impl Carrier) -> Result<(), String> {
+    let mut input = Some(Input::Timer);
+    loop {
+        if let Some(result) = input.and_then(|input| step(machine, carrier, input)) {
+            return result;
+        }
+        input = carrier.recv();
+    }
+}
+
+/// The fleet's [`Carrier`]: process `me`'s TCP mesh, control inbox, engine,
+/// `fleet.*` counters and log lines. It keeps each round's first report,
+/// the engine's wall clock, the first conviction's time, the telemetry
+/// frames it set aside and a count of the other frames it dropped.
+struct TcpCarrier<'a> {
+    spec: &'a NetSpec,
+    transport: Arc<TcpTransport>,
+    me: usize,
+    workers: usize,
+    /// Fires with each global round an engine run completes.
+    on_round: Option<RoundCompleteHook>,
+    /// The process's start, the last clock read since, the armed timer.
+    start: Instant,
+    now: Duration,
+    timer: Option<Instant>,
+    /// The prepared attempt and its jobs.
+    prepared: Option<(Attempt, Vec<RoundJob>)>,
+    reports: FillVec<RoundReport>,
+    engine: Duration,
+    detected: Option<Duration>,
+    aside: (Vec<TelemetryFrame>, usize),
+}
+
+impl<'a> TcpCarrier<'a> {
+    /// Binds process `me`'s end of the mesh and connects it to every peer.
+    /// Turns recording on under `NetSpec::trace`.
+    fn join(
+        spec: &'a NetSpec,
+        addrs: Vec<String>,
+        me: usize,
+        workers: usize,
+    ) -> Result<Self, String> {
+        let start = Instant::now();
+        if spec.trace {
+            atom_obs::set_process(me as u32);
+            atom_obs::set_enabled(true);
+        }
+        let owner = owner_map_excluding(spec.groups, addrs.len(), &[]);
+        let role = if me == 0 { "coordinator" } else { "member" };
+        let mesh = fleet_clocks(spec.stall_timeout).mesh;
+        let transport = TcpTransport::bind(addrs, owner, me, mesh)
+            .map_err(|error| format!("bind {role} transport: {error}"))?;
+        let connected = transport.connect_peers();
+        connected.map_err(|error| format!("connect to fleet: {error}"))?;
+        Ok(Self {
+            spec,
+            transport: Arc::new(transport),
+            me,
+            workers,
+            on_round: None,
+            start,
+            now: Duration::ZERO,
+            timer: None,
+            prepared: None,
+            reports: FillVec::new(spec.rounds),
+            engine: Duration::ZERO,
+            detected: None,
+            aside: Default::default(),
+        })
+    }
+}
+
+impl Carrier for TcpCarrier<'_> {
+    fn now(&mut self) -> Duration {
+        self.now = self.start.elapsed();
+        self.now
+    }
+
+    fn send(&mut self, to: usize, frame: &RejoinFrame) -> Result<(), SendError> {
+        (self.transport).send_control(to, &wire::encode_rejoin(frame), Dial::IfNeeded)
+    }
+
+    fn courtesy(&mut self, to: usize, frame: &RejoinFrame) -> Result<(), SendError> {
+        (self.transport).send_control(to, &wire::encode_rejoin(frame), Dial::Never)
+    }
+
+    fn purge(&mut self) {
+        (0..Transport::nodes(&*self.transport)).for_each(|node| drop(self.transport.drain(node)));
+    }
+
+    fn prepare(&mut self, attempt: Attempt) {
+        let (rounds, _, owner, [evicted, failed]) = &attempt;
+        (owner.iter().enumerate()).for_each(|(node, &p)| self.transport.set_owner(node, p));
+        let jobs = batch_jobs(self.spec, rounds.clone(), evicted, failed, self.me == 0);
+        self.prepared = Some((attempt, jobs));
+    }
+
+    /// Runs the attempt through the `NetSpec::loris` send rule. A member logs
+    /// how many rounds resolved, their failures being the coordinator's.
+    fn run(&mut self) -> Vec<Result<(), AtomError>> {
+        let ((rounds, offset, owner, _), jobs) = self.prepared.take().expect("a go runs its plan");
+        let (spec, me, total, base) = (self.spec, self.me, jobs.len(), rounds.start);
+        let mut options = engine_options(spec, self.workers, offset, me);
+        let global = |hook: RoundCompleteHook| Arc::new(move |i| hook(base + i)) as _;
+        options.on_round_complete = self.on_round.clone().map(global);
+        let groups = hosted_groups(&owner, me);
+        let role = match me {
+            0 => EngineRole::coordinator(groups),
+            _ => EngineRole::member(groups),
+        };
+        let loris = me == 1 && !spec.loris.is_zero();
+        let slow = slow_groups(move |_| loris, spec.groups, spec.loris);
+        let transport = FaultyTransport::new(&*self.transport, slow);
+        let began = Instant::now();
+        let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
+        self.engine += began.elapsed();
+        if me > 0 {
+            let resolved = results.iter().filter(|result| result.is_ok()).count();
+            println!("fleet member {me}: offset {offset} rounds {rounds:?} → {resolved}/{total} resolved");
+        }
+        (rounds.zip(results))
+            .map(|(round, result)| result.map(|report| drop(self.reports.set(round, report))))
+            .collect()
+    }
+
+    fn arm(&mut self, at: Duration) {
+        self.timer = Some(self.start + at);
+    }
+
+    /// Sets a telemetry frame aside, and drops and counts any other frame
+    /// that is not a `rejoin` one, logging nothing a hostile peer could flood.
+    fn recv(&mut self) -> Option<Input> {
+        let deadline = self.timer.expect("a machine waits on an armed timer");
+        let Some(payload) = self.transport.recv_control(deadline) else {
+            self.timer = None;
+            return Some(Input::Timer);
+        };
+        match wire::decode(&payload) {
+            Ok(Frame::Rejoin(frame)) => return Some(Input::Frame(frame)),
+            Ok(Frame::Telemetry(frame)) => self.aside.0.push(frame),
+            _ => {
+                self.aside.1 += 1;
+                atom_obs::count("fleet.control.dropped", 1);
+            }
+        }
+        None
+    }
+
+    fn event(&mut self, event: Action) {
+        match event {
+            Action::Planned => atom_obs::count("fleet.handshake.plans", 1),
+            Action::Acked => atom_obs::count("fleet.handshake.acks", 1),
+            Action::Requested => atom_obs::count("fleet.rejoin.handshakes", 1),
+            Action::RequestRead(process, round) => {
+                atom_obs::count("fleet.rejoin.requests", 1);
+                println!("recovery: process {process} requests rejoin (last plan from round {round})");
+            }
+            Action::Convicted(FaultVerdict { process, kind, round, reason, .. }) => {
+                self.detected.get_or_insert(self.now);
+                atom_obs::count("fleet.evictions", 1);
+                println!("recovery: evicting process {process} ({kind}) at round {round}: {reason}");
+            }
+            Action::Readmitted(process, round) => {
+                atom_obs::count("fleet.rejoin.readmissions", 1);
+                println!("recovery: process {process} readmitted from round {round}");
+            }
+            Action::Retrying(round, stuck, error) => println!(
+                "recovery: round {round} failed without a verdict (attempt {stuck}), retrying: {error}"
+            ),
+            _ => {}
         }
     }
 }
@@ -296,37 +412,21 @@ pub fn run_recovery_coordinator(
     on_round: Option<RoundCompleteHook>,
     on_ready: impl FnOnce(),
 ) -> Result<RecoveryOutcome, (String, Vec<Snapshot>)> {
-    let (start, config, processes) = (Instant::now(), round_config(spec, 0), addrs.len());
-    let transport = join_fleet(spec, addrs, 0).map_err(|error| (error, Vec::new()))?;
+    let (config, processes) = (round_config(spec, 0), addrs.len());
+    let mut carrier = (TcpCarrier::join(spec, addrs, 0, workers)).map_err(|e| (e, Vec::new()))?;
     on_ready();
-    let shape = (processes, spec.rounds, batch);
     let ack = fleet_clocks(spec.stall_timeout).ack;
-    let mut machine = CoordinatorState::new(&config, shape, ack);
-    let mut reports = FillVec::new(spec.rounds);
+    let mut machine = CoordinatorState::new(&config, (processes, spec.rounds, batch), ack);
     let completions: Arc<Mutex<Vec<(usize, Instant)>>> = Arc::default();
-    let mut engine = Duration::ZERO;
-    let mut run = |(rounds, offset, owner, jobs): Prepared| {
-        let mut options = engine_options(spec, workers, offset, 0);
-        let (base, tap, user_hook) = (rounds.start, completions.clone(), on_round.clone());
-        options.on_round_complete = Some(Arc::new(move |index: usize| {
-            let mut completions = tap.lock().unwrap_or_else(PoisonError::into_inner);
-            completions.push((base + index, Instant::now()));
-            if let Some(hook) = &user_hook {
-                hook(base + index);
-            }
-        }));
-        let role = EngineRole::coordinator(hosted_groups(&owner, 0));
-        let began = Instant::now();
-        let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
-        engine += began.elapsed();
-        // The machine ends the run on a second report of a round.
-        let mut report = |(round, result): (usize, Result<RoundReport, _>)| {
-            result.map(|r| drop(reports.set(round, r)))
-        };
-        rounds.zip(results).map(&mut report).collect()
-    };
-    let (driven, mut aside) = ((spec, &transport, true), Aside::default());
-    let (run, detected, finished) = drive(driven, &mut machine, &mut run, &mut aside);
+    let tap = Arc::clone(&completions);
+    carrier.on_round = Some(Arc::new(move |round| {
+        let mut completions = tap.lock().unwrap_or_else(PoisonError::into_inner);
+        completions.push((round, Instant::now()));
+        if let Some(hook) = &on_round {
+            hook(round);
+        }
+    }));
+    let run = drive(&mut machine, &mut carrier);
     if let Err(error) = &run {
         // Beside the last attempt's spans, labelled with its first wire
         // round: a run can fail before any engine ran.
@@ -334,16 +434,20 @@ pub fn run_recovery_coordinator(
     }
     // A traced run awaits, until the ack deadline, the final telemetry of
     // every admitted member the done sentinel reached.
-    let mut timer = spec.trace.then_some(finished + ack);
+    let start = carrier.start;
+    carrier.timer = spec.trace.then_some(start + carrier.now + ack);
     let shipped = |t: &[TelemetryFrame], p| t.iter().any(|f| f.last && f.process as usize == p);
-    while timer.is_some() && !(machine.reached.iter()).all(|&p| shipped(&aside.0, p)) {
-        recv(&transport, &mut timer, &mut aside);
+    while carrier.timer.is_some()
+        && !(machine.reached.iter()).all(|&p| shipped(&carrier.aside.0, p))
+    {
+        carrier.recv();
     }
-    transport.shutdown();
-    let (telemetry, control_dropped) = (fleet_telemetry(aside.0, spec.trace), aside.1);
-    let reports = run.and_then(|()| reports.into_full().ok_or("a round has no report".into()));
-    let reports = reports.map_err(|error| (error, telemetry.clone()))?;
+    carrier.transport.shutdown();
+    let telemetry = fleet_telemetry(carrier.aside.0, spec.trace);
+    let full = (carrier.reports.into_full()).ok_or("a round has no report".to_string());
+    let reports = run.and(full).map_err(|error| (error, telemetry.clone()))?;
     let completions = completions.lock().unwrap_or_else(PoisonError::into_inner);
+    let detected = carrier.detected.map(|at| start + at);
     let healed: Vec<(usize, Duration)> = (completions.iter())
         .filter_map(|&(round, at)| Some((round, at.checked_duration_since(detected?)?)))
         .filter(|&(_, latency)| !latency.is_zero())
@@ -356,13 +460,13 @@ pub fn run_recovery_coordinator(
         round_evicted: machine.round_evicted,
         round_failed: machine.round_failed,
         epochs: machine.epoch,
-        engine,
-        detected_at: detected.map(|instant| instant - start),
+        engine: carrier.engine,
+        detected_at: carrier.detected,
         healed_latency: healed.iter().map(|&(_, latency)| latency).min(),
         healed_rounds: healed_rounds.into_iter().collect(),
         wall: start.elapsed(),
         telemetry,
-        control_dropped,
+        control_dropped: carrier.aside.1,
     })
 }
 
@@ -381,9 +485,9 @@ pub(crate) fn run_healing_member(
     let plan = fleet_clocks(spec.stall_timeout).plan;
     let shape = (index, addrs.len(), spec.rounds);
     let mut machine = MemberState::new(&round_config(spec, 0), shape, plan, rejoin);
-    let transport = Arc::new(join_fleet(spec, addrs, index)?);
+    let mut carrier = TcpCarrier::join(spec, addrs, index, workers)?;
     on_ready();
-    let (shipper, shipped) = (Arc::clone(&transport), Mutex::new(0));
+    let (shipper, shipped) = (Arc::clone(&carrier.transport), Mutex::new(0));
     let ship = Arc::new(move |last: bool| {
         let mut shipped = shipped.lock().unwrap_or_else(PoisonError::into_inner);
         let spans = atom_obs::spans_since(*shipped);
@@ -397,33 +501,14 @@ pub(crate) fn run_healing_member(
         });
         let _ = shipper.send_control(0, &frame, Dial::IfNeeded);
     });
-    let mut run = |(rounds, offset, owner, jobs): Prepared| {
-        let mut options = engine_options(spec, workers, offset, index);
-        let ship = Arc::clone(&ship);
-        let hook: RoundCompleteHook = Arc::new(move |_| ship(false));
-        options.on_round_complete = spec.trace.then_some(hook);
-        let (total, role) = (jobs.len(), EngineRole::member(hosted_groups(&owner, index)));
-        // Chaos knob: member process 1 plays the slow loris, dripping its
-        // hosted groups' steps slowly enough to defeat the stall detector
-        // but not the round clock.
-        let loris = index == 1 && !spec.loris.is_zero();
-        let slow = slow_groups(move |_| loris, spec.groups, spec.loris);
-        let transport = FaultyTransport::new(&*transport, slow);
-        let results = Engine::new(options).run_rounds_on(jobs, &transport, &role);
-        // Failures here are expected during churn — the coordinator owns
-        // the diagnosis; we just report in and wait for the next plan.
-        let resolved = results.iter().filter(|result| result.is_ok()).count();
-        println!(
-            "fleet member {index}: offset {offset} rounds {rounds:?} → {resolved}/{total} resolved"
-        );
-        results.into_iter().map(|result| result.map(drop)).collect()
-    };
-    let driven = (spec, &*transport, false);
-    let (result, ..) = drive(driven, &mut machine, &mut run, &mut Aside::default());
+    let shipper = Arc::clone(&ship);
+    let hook = Arc::new(move |_| shipper(false)) as RoundCompleteHook;
+    carrier.on_round = spec.trace.then_some(hook);
+    let result = drive(&mut machine, &mut carrier);
     if result.is_ok() && spec.trace {
         ship(true);
     }
-    transport.shutdown();
+    carrier.transport.shutdown();
     result
 }
 
@@ -819,38 +904,34 @@ mod tests {
         )
     }
 
-    /// One attempt of a [`lone_coordinator`], carried out by hand with no
-    /// transport: the jobs of the plan in `plan` are derived and `tamper`ed,
-    /// the go (the inbox is empty) runs them on an in-memory engine at the
-    /// plan's offset with `hook` firing per global round, and the machine
-    /// is told their results. Returns the attempt's rounds, its job count
-    /// and the machine's answer.
+    /// The carrier of a fleet of one, its engine firing `hook` per global
+    /// round.
+    fn lone_carrier(spec: &NetSpec, hook: Option<RoundCompleteHook>) -> TcpCarrier<'_> {
+        let mut carrier = TcpCarrier::join(spec, free_addrs(1), 0, 2).expect("a fleet of one");
+        carrier.on_round = hook;
+        carrier
+    }
+
+    /// One attempt of a [`lone_coordinator`] over `carrier`: the plan in
+    /// `plan` is prepared and its jobs `tamper`ed, and the go (the inbox is
+    /// empty) runs them on the carrier's engine. Returns the attempt's
+    /// rounds, its job count and the machine's answer to its results.
     fn attempt(
         coordinator: &mut CoordinatorState,
-        (spec, plan): (&NetSpec, Vec<Action>),
-        reports: &mut [Option<RoundReport>],
-        hook: Option<RoundCompleteHook>,
+        (carrier, plan): (&mut TcpCarrier, Vec<Action>),
         tamper: impl FnOnce(&mut [RoundJob]),
     ) -> (Range<usize>, usize, Vec<Action>) {
-        let prepare = plan
-            .into_iter()
-            .find(|a| matches!(a, Action::Prepare { .. }));
-        let Some(Action::Prepare(rounds, offset, _, evicted, failed)) = prepare else {
-            panic!("a plan prepares its attempt");
-        };
-        let mut jobs = batch_jobs(spec, rounds.clone(), &evicted, &failed, true);
-        tamper(&mut jobs);
+        let prepare = plan.into_iter().find_map(|action| match action {
+            Action::Prepare(attempt) => Some(attempt),
+            _ => None,
+        });
+        carrier.prepare(prepare.expect("a plan prepares its attempt"));
+        let ((rounds, ..), jobs) = carrier.prepared.as_mut().expect("a prepared attempt");
+        tamper(jobs);
+        let (rounds, count) = (rounds.clone(), jobs.len());
         let go = coordinator.step(Duration::ZERO, Input::Timer);
         assert!(matches!(go.last(), Some(Action::Run)), "{go:?}");
-        let mut options = engine_options(spec, 2, offset, 0);
-        let base = rounds.start;
-        options.on_round_complete =
-            hook.map(|hook| Arc::new(move |index| hook(base + index)) as RoundCompleteHook);
-        let count = jobs.len();
-        let results = (base..)
-            .zip(Engine::new(options).run_rounds(jobs))
-            .map(|(round, result)| result.map(|report| reports[round] = Some(report)))
-            .collect();
+        let results = carrier.run();
         (
             rounds,
             count,
@@ -863,7 +944,7 @@ mod tests {
     fn next_round(answer: &[Action], rounds: usize) -> usize {
         (answer.iter())
             .find_map(|action| match action {
-                Action::Prepare(rounds, ..) => Some(rounds.start),
+                Action::Prepare((rounds, ..)) => Some(rounds.start),
                 Action::Finish(Ok(())) => Some(rounds),
                 _ => None,
             })
@@ -899,31 +980,17 @@ mod tests {
             Arc::new(move |round| fired.lock().unwrap()[round] += 1)
         };
         let mut coordinator = lone_coordinator(&spec);
-        let mut reports: Vec<Option<RoundReport>> = (0..spec.rounds).map(|_| None).collect();
+        let mut carrier = lone_carrier(&spec, Some(hook));
         let plan = coordinator.step(Duration::ZERO, Input::Timer);
         let tamper = |jobs: &mut [RoundJob]| rebind_a_round_1_submission(jobs, spec.groups);
-        let first_attempt = (&spec, plan);
-        let (_, _, answer) = attempt(
-            &mut coordinator,
-            first_attempt,
-            &mut reports,
-            Some(hook.clone()),
-            tamper,
-        );
+        let (_, _, answer) = attempt(&mut coordinator, (&mut carrier, plan), tamper);
         assert_eq!(next_round(&answer, spec.rounds), 1, "round 1 alone failed");
-        let first: Vec<Option<Duration>> = reports
-            .iter()
-            .map(|report| report.as_ref().map(|report| report.wall_clock))
+        let first: Vec<Option<Duration>> = (0..spec.rounds)
+            .map(|round| carrier.reports.get(round).map(|report| report.wall_clock))
             .collect();
         assert!(first[1].is_none() && first[2].is_some() && first[3].is_some());
 
-        let (retried, retry, answer) = attempt(
-            &mut coordinator,
-            (&spec, answer),
-            &mut reports,
-            Some(hook),
-            |_| {},
-        );
+        let (retried, retry, answer) = attempt(&mut coordinator, (&mut carrier, answer), |_| {});
         assert_eq!(retried, 1..2, "the retry plans round 1 alone");
         assert_eq!(retry, 1, "the retry's engine run holds one job");
         assert_eq!(
@@ -936,7 +1003,11 @@ mod tests {
             vec![1; spec.rounds],
             "each round's hook fires once"
         );
-        let reports: Vec<RoundReport> = reports.into_iter().map(Option::unwrap).collect();
+        carrier.transport.shutdown();
+        let reports = carrier
+            .reports
+            .into_full()
+            .expect("every round has its report");
         for round in [0, 2, 3] {
             assert_eq!(
                 Some(reports[round].wall_clock),
@@ -966,23 +1037,18 @@ mod tests {
         atom_obs::set_process(0);
         atom_obs::set_enabled(true);
         let mut coordinator = lone_coordinator(&spec);
-        let mut reports: Vec<Option<RoundReport>> = (0..spec.rounds).map(|_| None).collect();
+        let mut carrier = lone_carrier(&spec, None);
         let plan = coordinator.step(Duration::ZERO, Input::Timer);
         let tamper = |jobs: &mut [RoundJob]| rebind_a_round_1_submission(jobs, spec.groups);
-        let (_, _, answer) = attempt(&mut coordinator, (&spec, plan), &mut reports, None, tamper);
+        let (_, _, answer) = attempt(&mut coordinator, (&mut carrier, plan), tamper);
         assert_eq!(next_round(&answer, spec.rounds), 1, "round 1 alone failed");
-        let (_, _, answer) = attempt(
-            &mut coordinator,
-            (&spec, answer),
-            &mut reports,
-            None,
-            |_| {},
-        );
+        let (_, _, answer) = attempt(&mut coordinator, (&mut carrier, answer), |_| {});
         assert_eq!(
             next_round(&answer, spec.rounds),
             spec.rounds,
             "the retry completes round 1"
         );
+        carrier.transport.shutdown();
         let telemetry = fleet_telemetry(Vec::new(), spec.trace);
         atom_obs::set_enabled(false);
 

@@ -31,32 +31,22 @@ pub struct NetSpec {
     pub seed: u64,
     /// Engine stall detector (`EngineOptions::stall_timeout`): how long a
     /// process waits with no task progress before failing its unresolved
-    /// rounds — the budget for declaring a silent peer dead. Operational,
-    /// not part of the workload derivation, but carried here so every
-    /// process of a deployment agrees on it like on every other knob.
+    /// rounds. Every process of a deployment agrees on it, so it lives in
+    /// the spec; `docs/operations.md` tabulates the clocks derived from it.
     pub stall_timeout: Duration,
-    /// Enables `atom-obs` span/counter recording in every process of the
-    /// deployment. Members then ship telemetry to the coordinator, which
-    /// awaits their last frames, so it must be on fleet-wide or not at all
-    /// — which is why it lives in the spec rather than in a per-process
-    /// flag. Recording is observational only: round outputs are
-    /// byte-identical either way.
+    /// Enables `atom-obs` recording in every process: members ship their
+    /// telemetry to the coordinator, which awaits their last frames, so it
+    /// is on fleet-wide or not at all. Round outputs are byte-identical
+    /// either way.
     pub trace: bool,
     /// Coordinator round clock (`EngineOptions::round_deadline`; zero =
-    /// disabled): the wall-clock budget a round gets before the coordinator
-    /// fails it even though progress keeps trickling in. The slow-loris
-    /// countermeasure — a peer dripping one frame per stall window resets
-    /// the stall detector forever, but cannot stop the round clock. Armed
-    /// on the coordinator only: it owns the diagnosis, and a member that
-    /// also deadlined would race its `abort` against the coordinator's
-    /// verdict and turn a `Slow` conviction into a `Blamed` one.
+    /// disabled), the slow-loris countermeasure: armed on the coordinator
+    /// only, which owns the diagnosis; a member that also deadlined would
+    /// race its `abort` against the verdict and turn `Slow` into `Blamed`.
     pub round_deadline: Duration,
-    /// Slow-loris drip (zero = none): member process 1 sends through
-    /// [`slow_groups`](crate::fault::slow_groups), so each mixing step of its
-    /// hosted groups costs this much wall time where its frames leave,
-    /// while everyone else runs at full speed. Combined with
-    /// `round_deadline` this is the chaos-drill knob: the drip defeats the
-    /// stall detector, the round clock catches it anyway.
+    /// Slow-loris drip (zero = none), a chaos-drill knob: member process 1
+    /// sends through [`slow_groups`](crate::fault::slow_groups), so each
+    /// mixing step of its hosted groups costs this much wall time.
     pub loris: Duration,
     /// Honest members assumed per group (`h`): the DKG threshold becomes
     /// `k − (h − 1)`, so `h − 1` member losses per group heal by Lagrange
@@ -311,10 +301,9 @@ impl NodeArgs {
         Ok(args)
     }
 
-    /// Rounds per batch: `--batch`, or all of `--rounds` in one batch. Only
-    /// the coordinator uses it, to plan each attempt's rounds and its epoch
-    /// fence (`round_offset = epoch × batch`); its plans carry both to the
-    /// members.
+    /// Rounds per batch: `--batch`, or all of `--rounds` in one batch, which
+    /// the coordinator's epoch fence multiplies (`round_offset = epoch ×
+    /// batch`).
     pub(crate) fn rounds_per_batch(&self) -> usize {
         self.batch.unwrap_or(self.spec.rounds)
     }

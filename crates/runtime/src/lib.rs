@@ -94,24 +94,14 @@
 //! let mut config = AtomConfig::test_default();
 //! config.message_len = 24;
 //! let setup = derive_setup(&config).unwrap();
-//! let submissions: Vec<_> = ["hello", "world"]
-//!     .iter()
-//!     .enumerate()
-//!     .map(|(i, msg)| {
-//!         let gid = i % config.num_groups;
-//!         make_trap_submission(
-//!             gid,
-//!             &setup.groups[gid].public_key,
-//!             &setup.trustees.public_key,
-//!             config.round,
-//!             msg.as_bytes(),
-//!             config.message_len,
-//!             &mut rng,
-//!         )
-//!         .unwrap()
-//!         .0
-//!     })
-//!     .collect();
+//! let (round, length, trustees) = (config.round, config.message_len, &setup.trustees);
+//! let mut submissions = Vec::new();
+//! for (i, msg) in ["hello", "world"].iter().enumerate() {
+//!     let (gid, text) = (i % config.num_groups, msg.as_bytes());
+//!     let group = &setup.groups[gid].public_key;
+//!     let made = make_trap_submission(gid, group, &trustees.public_key, round, text, length, &mut rng);
+//!     submissions.push(made.unwrap().0);
+//! }
 //!
 //! let engine = Engine::with_workers(2);
 //! let report = engine

@@ -180,7 +180,7 @@ mod tests {
         let Ok(Frame::Rejoin(plan)) = wire::decode(&wire::encode_rejoin(plan)) else {
             panic!("a plan decodes");
         };
-        let Action::Prepare(rounds, _, _, evicted, failed) = prepare(&plan, (spec.groups, 3))
+        let Action::Prepare((rounds, _, _, [evicted, failed])) = prepare(&plan, (spec.groups, 3))
         else {
             panic!("a plan prepares its attempt");
         };

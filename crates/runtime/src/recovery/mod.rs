@@ -2,9 +2,10 @@
 //! recovery — as two sans-I/O state machines: process 0 runs a
 //! [`CoordinatorState`], every other process a [`MemberState`]. A machine
 //! owns no socket, thread, engine, clock, counter or log line; its driver
-//! ([`crate::fleet`], over TCP, whose docs state the contract) feeds it
-//! [`Input`]s through [`Machine::step`] and carries out the [`Action`]s
-//! each step returns.
+//! (the fleet's one driver step, [`crate::fleet::step`], whose
+//! [`crate::fleet::Carrier`] trait states the contract) feeds it [`Input`]s
+//! through [`Machine::step`] and carries out the [`Action`]s each step
+//! returns.
 //! Before each attempt of a batch the fleet passes a two-phase handshake,
 //! so every process runs the attempt's rounds, wire-round offset and
 //! membership — the coordinator's to decide — that its plan names:
@@ -38,10 +39,7 @@
 //! and those it heals around. Every process builds its [`Action::Prepare`]
 //! from those bytes through one function — the coordinator after sending
 //! the plan, a member before acking it — so all derive the same jobs. A
-//! member first checks the plan: one that evicts a process outside
-//! `1..processes`, runs past the spec's rounds or names a server outside
-//! the deployment or leaves a round fewer than a group's servers ends the
-//! member with a named error.
+//! plan a member's check refuses ends the member with a named error.
 //!
 //! **Epoch fencing.** An attempt runs at the plan's offset, `epoch × batch`,
 //! so a straggling frame of a failed attempt is dropped as stale. Members
@@ -123,8 +121,12 @@ pub(crate) fn owner_map_excluding(groups: usize, processes: usize, dead: &[usize
 fn prepare(plan: &RejoinFrame, (groups, processes): Fleet) -> Action {
     let owner = owner_map_excluding(groups, processes, &plan.dead);
     let (evicted, failed) = (plan.evicted.clone(), plan.failed.clone());
-    Action::Prepare(plan.round..plan.end, plan.offset, owner, evicted, failed)
+    Action::Prepare((plan.round..plan.end, plan.offset, owner, [evicted, failed]))
 }
+
+/// An attempt to prepare: its rounds, wire offset, owner map, and per round
+/// the servers excluded and those failed.
+pub(crate) type Attempt = (Range<usize>, usize, Vec<usize>, [Vec<Vec<usize>>; 2]);
 
 /// What a driver tells a machine.
 #[derive(Debug)]
@@ -149,15 +151,8 @@ pub(crate) enum Action {
     Courtesy(usize, RejoinFrame),
     /// Empty every node mailbox of frames from dead epochs.
     Purge,
-    /// Install an attempt's owner map and derive its jobs: its rounds, wire
-    /// offset, owner map, and per round the servers excluded and failed.
-    Prepare(
-        Range<usize>,
-        usize,
-        Vec<usize>,
-        Vec<Vec<usize>>,
-        Vec<Vec<usize>>,
-    ),
+    /// Install an attempt's owner map and derive its jobs.
+    Prepare(Attempt),
     /// Run the prepared attempt.
     Run,
     /// Arm the timer at this time since the start (replacing any armed).
@@ -691,9 +686,11 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
     use std::io;
+    use std::ops::{Deref, DerefMut};
 
     use atom_core::error::EngineErrorKind;
 
+    use crate::fleet::{step, Carrier};
     use crate::wire::{self, Frame};
 
     const ACK_DEADLINE: Duration = Duration::from_secs(1);
@@ -859,6 +856,42 @@ mod tests {
         );
     }
 
+    /// A stall naming live process 1 and dead process 2 alike names no
+    /// culprit: the attempt is retried with no conviction, and the retry's
+    /// plan, refused by process 2, convicts it alone.
+    #[test]
+    fn a_stall_tie_convicts_nobody_and_the_retry_convicts_the_dead() {
+        let mut machine = coordinator(3, 4, 2);
+        let now = Duration::ZERO;
+        let plan = plan_in(&machine.step(now, Input::Timer));
+        machine.step(now, ack(1, &plan));
+        machine.step(now, ack(2, &plan));
+        machine.step(now, Input::Timer);
+        let stall = AtomError::Engine {
+            kind: EngineErrorKind::Stall,
+            reason: "no progress".into(),
+            nodes: vec![1, 2],
+        };
+        let retry = machine.step(now, Input::Ran(vec![Ok(()), Err(stall)]));
+        assert!(matches!(retry[0], Action::Retrying(1, 1, _)), "{retry:?}");
+        let convictions = |answer: &[Action]| -> Vec<FaultVerdict> {
+            (answer.iter())
+                .filter_map(|action| match action {
+                    Action::Convicted(verdict) => Some(verdict.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert!(convictions(&retry).is_empty(), "{retry:?}");
+        let refused = machine.step(now, Input::Unreachable(vec![refused(2)]));
+        let verdicts = convictions(&refused);
+        assert_eq!(verdicts.len(), 1, "{refused:?}");
+        assert_eq!(
+            (verdicts[0].process, verdicts[0].kind),
+            (2, FaultKind::Dead)
+        );
+    }
+
     /// The fleet's clocks at the 120 s default stall window and at the
     /// drills' 2 s.
     #[test]
@@ -939,23 +972,34 @@ mod tests {
     /// servers excluded and failed.
     type Prepared = (Range<usize>, Vec<usize>, Vec<Vec<usize>>, Vec<Vec<usize>>);
 
-    /// One coordinator and its members in one thread: FIFOs of encoded
-    /// control frames, one timer per process, and a fake engine under which
-    /// an attempt's round succeeds iff every process of its owner map is
-    /// alive. Frames are delivered before any timer fires; the earliest
-    /// timer fires next (of equal times, the one armed first), moving the
-    /// clock. At every go it asserts that each member that acked the plan
-    /// prepared exactly the coordinator's attempt.
+    /// One coordinator and its members in one thread, each stepped through
+    /// the fleet's own driver step over its [`Port`] of one [`Net`]: FIFOs
+    /// of encoded control frames, one timer per process, and a fake engine
+    /// under which an attempt's round succeeds iff every process of its
+    /// owner map is alive. Frames are delivered before any timer fires; the
+    /// earliest timer fires next (of equal times, the one armed first),
+    /// moving the clock. At every go it asserts that each member that acked
+    /// the plan prepared exactly the coordinator's attempt.
     struct Lockstep {
+        coordinator: CoordinatorState,
+        /// Index 0 unused; a killed member's machine waits for its restart.
+        members: Vec<Option<MemberState>>,
+        net: Net,
+    }
+
+    /// Everything of a [`Lockstep`] fleet but its machines, so that a
+    /// machine and the net it is carried over borrow apart.
+    #[derive(Default)]
+    struct Net {
         now: Duration,
         rounds: usize,
-        coordinator: CoordinatorState,
-        /// Index 0 unused; `None` while dead.
-        members: Vec<Option<MemberState>>,
         inbox: Vec<VecDeque<Vec<u8>>>,
         /// Per process: when its timer fires, and when it was armed.
         timer: Vec<Option<(Duration, usize)>>,
         armed: usize,
+        /// Per process: killed and not restarted; the purges it carried out.
+        down: Vec<bool>,
+        purged: Vec<usize>,
         prepared: Vec<Option<(Range<usize>, Vec<usize>)>>,
         /// Per process: every attempt it prepared, by offset.
         preparations: Vec<BTreeMap<usize, Prepared>>,
@@ -973,131 +1017,145 @@ mod tests {
         /// there.
         kill: Option<(usize, usize)>,
         /// `(round, process)`: `process` restarts once an attempt ran past
-        /// `round` with it dead.
+        /// `round` with it dead; the restart whose machine is still due.
         restart: Option<(usize, usize)>,
+        restarted: Option<usize>,
+        /// A member that goes down right after its first ack.
+        vanish: Option<usize>,
         /// Whether every ack and every go reaches its inbox twice, and how
         /// many frames did.
         duplicate: bool,
         duplicated: usize,
     }
 
+    /// A [`Lockstep`] reads as its net.
+    impl Deref for Lockstep {
+        type Target = Net;
+        fn deref(&self) -> &Net {
+            &self.net
+        }
+    }
+
+    impl DerefMut for Lockstep {
+        fn deref_mut(&mut self) -> &mut Net {
+            &mut self.net
+        }
+    }
+
     impl Lockstep {
         fn new(processes: usize, rounds: usize, batch: usize) -> Self {
             let member = |index| member(index, processes, rounds, false);
-            Self {
-                now: Duration::ZERO,
+            let net = Net {
                 rounds,
-                coordinator: coordinator(processes, rounds, batch),
-                members: (0..processes).map(|p| (p > 0).then(|| member(p))).collect(),
                 inbox: vec![VecDeque::new(); processes],
                 timer: (0..processes).map(|p| Some((Duration::ZERO, p))).collect(),
                 armed: processes,
+                down: vec![false; processes],
+                purged: vec![0; processes],
                 prepared: vec![None; processes],
                 preparations: vec![BTreeMap::new(); processes],
-                checked: Vec::new(),
                 finished: vec![None; processes],
-                sent: Vec::new(),
-                events: Vec::new(),
-                attempts: Vec::new(),
-                kill: None,
-                restart: None,
-                duplicate: false,
-                duplicated: 0,
+                ..Net::default()
+            };
+            Self {
+                coordinator: coordinator(processes, rounds, batch),
+                members: (0..processes).map(|p| (p > 0).then(|| member(p))).collect(),
+                net,
             }
         }
 
-        fn alive(&self, process: usize) -> bool {
-            let running = process == 0 || self.members[process].is_some();
-            running && self.finished[process].is_none()
-        }
-
-        fn step(&mut self, process: usize, input: Input) -> Vec<Action> {
-            match process {
-                0 => self.coordinator.step(self.now, input),
-                _ => (self.members[process].as_mut())
-                    .expect("a live member")
-                    .step(self.now, input),
-            }
-        }
-
-        /// Steps `process` with `input`, and with every input its actions
-        /// yield in turn.
-        fn feed(&mut self, process: usize, input: Input) {
-            let mut next = Some(input);
-            while let Some(input) = next.take() {
-                let actions = self.step(process, input);
-                next = self.carry(process, actions);
-            }
-        }
-
-        fn carry(&mut self, process: usize, actions: Vec<Action>) -> Option<Input> {
-            for action in actions {
-                match action {
-                    Action::Send(to, frame) => {
-                        if process == 0 && frame.commit {
-                            self.check_go(&frame);
-                        }
-                        let failed: Vec<SendError> = (to.into_iter())
-                            .filter(|&to| !self.deliver(process, to, &frame))
-                            .map(refused)
-                            .collect();
-                        if !failed.is_empty() {
-                            return Some(Input::Unreachable(failed));
-                        }
-                    }
-                    Action::Courtesy(to, frame) => {
-                        self.deliver(process, to, &frame);
-                    }
-                    Action::Prepare(rounds, offset, owner, evicted, failed) => {
-                        self.prepared[process] = Some((rounds.clone(), owner.clone()));
-                        let prepared = (rounds, owner, evicted, failed);
-                        self.preparations[process].insert(offset, prepared);
-                    }
-                    Action::Run => return Some(Input::Ran(self.run(process))),
-                    Action::Arm(at) => {
-                        self.armed += 1;
-                        self.timer[process] = Some((at.max(self.now), self.armed));
-                    }
-                    Action::Finish(result) => {
-                        self.finished[process] = Some(result);
-                        return None;
-                    }
-                    event if process == 0 => self.events.push(event),
-                    _ => {}
+        /// Runs the fleet until every live process finished.
+        fn run_to_end(&mut self) {
+            let processes = self.members.len();
+            for _ in 0..100_000 {
+                let Self {
+                    coordinator,
+                    members,
+                    net,
+                } = self;
+                let alive: Vec<usize> = (0..processes).filter(|&p| net.alive(p)).collect();
+                let ready = alive.iter().find(|&&p| !net.inbox[p].is_empty());
+                let armed = alive.iter().filter_map(|&p| Some((net.timer[p]?, p))).min();
+                let Some(&process) = ready.or(armed.as_ref().map(|(_, p)| p)) else {
+                    assert!(alive.is_empty(), "a waiting process has a timer");
+                    return;
+                };
+                let machine: &mut dyn Machine = match process {
+                    0 => coordinator,
+                    _ => members[process].as_mut().expect("a live member"),
+                };
+                let mut port = Port(process, net);
+                let input = port.recv().expect("a frame or the timer");
+                if let Some(result) = step(machine, &mut port, input) {
+                    net.finished[process] = Some(result);
+                }
+                if let Some(p) = net.restarted.take() {
+                    members[p] = Some(member(p, processes, net.rounds, true));
                 }
             }
-            None
+            panic!("the fleet did not finish within 100,000 steps");
         }
 
-        /// Each member that acked the plan `go` commits prepared exactly the
-        /// coordinator's attempt at its offset.
-        fn check_go(&mut self, go: &RejoinFrame) {
+        fn convicted(&self) -> Vec<usize> {
+            (self.events.iter())
+                .filter_map(|event| match event {
+                    Action::Convicted(verdict) => Some(verdict.process),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    impl Net {
+        fn alive(&self, process: usize) -> bool {
+            !self.down[process] && self.finished[process].is_none()
+        }
+
+        /// Takes `process` down with its inbox and timer.
+        fn take_down(&mut self, process: usize) {
+            self.down[process] = true;
+            self.inbox[process].clear();
+            self.timer[process] = None;
+        }
+
+        /// If member `to` acked the plan of the go `go`, it prepared exactly
+        /// the coordinator's attempt at its offset.
+        fn check_go(&mut self, to: usize, go: &RejoinFrame) {
             let offset = go.offset;
             let ours = self.preparations[0].get(&offset).cloned();
             assert!(ours.is_some(), "the coordinator prepared offset {offset}");
-            let acks = self.sent.iter().filter(|(from, to, frame)| {
-                *from > 0 && *to == 0 && !frame.response && frame.offset == offset
-            });
-            let acked: BTreeSet<usize> = acks.map(|(from, ..)| *from).collect();
-            for member in acked {
-                let theirs = self.preparations[member].get(&offset).cloned();
-                assert_eq!(theirs, ours, "member {member} at offset {offset}");
-                self.checked.push((member, offset));
+            let ack = |(from, at, frame): &(usize, usize, RejoinFrame)| {
+                *from == to && *at == 0 && !frame.response && frame.offset == offset
+            };
+            if self.sent.iter().any(ack) {
+                let theirs = self.preparations[to].get(&offset).cloned();
+                assert_eq!(theirs, ours, "member {to} at offset {offset}");
+                self.checked.push((to, offset));
             }
         }
 
-        fn deliver(&mut self, from: usize, to: usize, frame: &RejoinFrame) -> bool {
-            if self.alive(to) {
-                self.sent.push((from, to, frame.clone()));
-                self.inbox[to].push_back(wire::encode_rejoin(frame));
-                // An ack echoes a plan's offset; a request carries none.
-                let ack = !frame.response && frame.offset > 0;
-                if self.duplicate && (ack || frame.commit) {
-                    self.duplicated += 1;
-                    self.inbox[to].push_back(wire::encode_rejoin(frame));
-                }
+        fn deliver(
+            &mut self,
+            from: usize,
+            to: usize,
+            frame: &RejoinFrame,
+        ) -> Result<(), SendError> {
+            if !self.alive(to) {
+                return Err(refused(to));
             }
-            self.alive(to)
+            self.sent.push((from, to, frame.clone()));
+            self.inbox[to].push_back(wire::encode_rejoin(frame));
+            // An ack echoes a plan's offset; a request carries none.
+            let ack = !frame.response && frame.offset > 0;
+            if self.duplicate && (ack || frame.commit) {
+                self.duplicated += 1;
+                self.inbox[to].push_back(wire::encode_rejoin(frame));
+            }
+            if ack && self.vanish == Some(from) {
+                self.vanish = None;
+                self.take_down(from);
+            }
+            Ok(())
         }
 
         /// The fake engine. A member's run always succeeds: the coordinator
@@ -1112,9 +1170,7 @@ mod tests {
                 .map(|round| {
                     if let Some((_, victim)) = self.kill.filter(|&(at, _)| round >= at) {
                         self.kill = None;
-                        self.members[victim] = None;
-                        self.inbox[victim].clear();
-                        self.timer[victim] = None;
+                        self.take_down(victim);
                     }
                     let lost: Vec<usize> = (0..owner.len())
                         .filter(|&node| !self.alive(owner[node]))
@@ -1129,44 +1185,15 @@ mod tests {
                     }
                 })
                 .collect();
-            let due =
-                |&(after, p): &(usize, usize)| rounds.end > after && self.members[p].is_none();
+            let due = |&(after, p): &(usize, usize)| rounds.end > after && self.down[p];
             if let Some((_, process)) = self.restart.filter(due) {
-                self.restart = None;
-                let processes = self.members.len();
-                self.members[process] = Some(member(process, processes, self.rounds, true));
+                (self.restart, self.restarted) = (None, Some(process));
+                self.down[process] = false;
                 self.armed += 1;
                 self.finished[process] = None;
                 self.timer[process] = Some((self.now, self.armed));
             }
             results
-        }
-
-        /// Runs the fleet until every live process finished.
-        fn run_to_end(&mut self) {
-            let processes = self.members.len();
-            for _ in 0..100_000 {
-                if (0..processes).all(|p| !self.alive(p)) {
-                    return;
-                }
-                let ready = (0..processes).find(|&p| self.alive(p) && !self.inbox[p].is_empty());
-                if let Some(process) = ready {
-                    let payload = self.inbox[process].pop_front().unwrap();
-                    let Ok(Frame::Rejoin(frame)) = wire::decode(&payload) else {
-                        panic!("a control frame decodes");
-                    };
-                    self.feed(process, Input::Frame(frame));
-                    continue;
-                }
-                let armed = (0..processes)
-                    .filter(|&p| self.alive(p))
-                    .filter_map(|p| self.timer[p].map(|timer| (timer, p)))
-                    .min();
-                let ((at, _), process) = armed.expect("a waiting process has a timer");
-                (self.now, self.timer[process]) = (self.now.max(at), None);
-                self.feed(process, Input::Timer);
-            }
-            panic!("the fleet did not finish within 100,000 steps");
         }
 
         /// The frames `from` sent, with their receivers.
@@ -1176,14 +1203,66 @@ mod tests {
                 .map(|(_, to, frame)| (*to, frame))
                 .collect()
         }
+    }
 
-        fn convicted(&self) -> Vec<usize> {
-            (self.events.iter())
-                .filter_map(|event| match event {
-                    Action::Convicted(verdict) => Some(verdict.process),
-                    _ => None,
-                })
-                .collect()
+    /// Process `.0`'s end of a [`Net`]: the carrier of its machine.
+    struct Port<'a>(usize, &'a mut Net);
+
+    impl Carrier for Port<'_> {
+        fn now(&mut self) -> Duration {
+            self.1.now
+        }
+
+        fn send(&mut self, to: usize, frame: &RejoinFrame) -> Result<(), SendError> {
+            if self.0 == 0 && frame.commit {
+                self.1.check_go(to, frame);
+            }
+            self.1.deliver(self.0, to, frame)
+        }
+
+        fn courtesy(&mut self, to: usize, frame: &RejoinFrame) -> Result<(), SendError> {
+            self.1.deliver(self.0, to, frame)
+        }
+
+        fn purge(&mut self) {
+            self.1.purged[self.0] += 1;
+        }
+
+        fn prepare(&mut self, (rounds, offset, owner, [evicted, failed]): Attempt) {
+            let Self(process, net) = self;
+            net.prepared[*process] = Some((rounds.clone(), owner.clone()));
+            let prepared = (rounds, owner, evicted, failed);
+            net.preparations[*process].insert(offset, prepared);
+        }
+
+        fn run(&mut self) -> Vec<Result<(), AtomError>> {
+            self.1.run(self.0)
+        }
+
+        fn arm(&mut self, at: Duration) {
+            let Self(process, net) = self;
+            net.armed += 1;
+            net.timer[*process] = Some((at.max(net.now), net.armed));
+        }
+
+        /// The next frame of the inbox, or else the timer, moving the clock.
+        fn recv(&mut self) -> Option<Input> {
+            let Self(process, net) = self;
+            let Some(payload) = net.inbox[*process].pop_front() else {
+                let (at, _) = net.timer[*process].take()?;
+                net.now = net.now.max(at);
+                return Some(Input::Timer);
+            };
+            let Ok(Frame::Rejoin(frame)) = wire::decode(&payload) else {
+                panic!("a control frame decodes");
+            };
+            Some(Input::Frame(frame))
+        }
+
+        fn event(&mut self, event: Action) {
+            if self.0 == 0 {
+                self.1.events.push(event);
+            }
         }
     }
 
@@ -1280,13 +1359,15 @@ mod tests {
                 .filter(|(_, f)| f.commit)
                 .map(|(_, f)| f.offset)
                 .collect();
-            let coordinator = fleet.coordinator;
+            let Lockstep {
+                coordinator, net, ..
+            } = fleet;
             let settled = (
                 coordinator.evictions,
                 coordinator.rejoins,
                 coordinator.round_evicted,
             );
-            (fleet.finished, fleet.attempts, offsets, settled)
+            (net.finished, net.attempts, offsets, settled)
         };
         let kill = Some((1, 2));
         for (kill, restart) in [(None, None), (kill, None), (kill, Some((3, 2)))] {
@@ -1330,6 +1411,34 @@ mod tests {
             );
             assert!(fleet.checked.len() >= 4 * members.len(), "{case}");
         }
+    }
+
+    /// Member 2 goes down right after acking the first plan, so the go
+    /// cannot reach it. The refused send ends the coordinator's list before
+    /// its `Run`: process 2 is convicted at commit, and the batch runs once,
+    /// on the retry without it.
+    #[test]
+    fn lockstep_a_go_refused_after_its_ack_runs_nothing() {
+        let mut fleet = Lockstep::new(3, 4, 2);
+        fleet.vanish = Some(2);
+        fleet.run_to_end();
+        assert_eq!(fleet.convicted(), vec![2]);
+        let verdict = &fleet.coordinator.evictions[0];
+        assert!(
+            verdict.reason.starts_with("unreachable at commit"),
+            "{verdict:?}"
+        );
+        assert_eq!(fleet.attempts, vec![0..2, 2..4]);
+        assert_eq!(fleet.finished[..2], [Some(Ok(())), Some(Ok(()))]);
+    }
+
+    /// `Purge` reaches the carrier: a member purges before it acks a plan,
+    /// and the coordinator before its go; two batches, two purges each.
+    #[test]
+    fn lockstep_each_prepared_attempt_purges_its_carrier() {
+        let mut fleet = Lockstep::new(3, 4, 2);
+        fleet.run_to_end();
+        assert_eq!(fleet.purged, vec![2; 3]);
     }
 
     /// A plan of rounds `0..end` at offset 2 without processes `dead`,

@@ -50,8 +50,9 @@ fn thread_sleep_count_does_not_grow() {
 }
 
 /// What the non-test part of `crates/runtime/src/recovery*` may not name:
-/// the machines take their time and their frames from a driver.
-const IO_TOKENS: [&str; 7] = [
+/// the machines take their time and their frames from a driver, and never
+/// name the trait the driver carries their actions over.
+const IO_TOKENS: [&str; 8] = [
     "Instant::now",
     "SystemTime",
     "thread::",
@@ -59,6 +60,7 @@ const IO_TOKENS: [&str; 7] = [
     "recv_control",
     "Engine::",
     "println!",
+    "Carrier",
 ];
 
 #[test]
@@ -116,7 +118,7 @@ const CLOCK_READS: [&str; 3] = ["Instant::now", ".elapsed(", "Instant::elapsed"]
 
 /// The count when the bound was last lowered (36 before the decisions took
 /// `now`).
-const MAX_CLOCK_READS: usize = 26;
+const MAX_CLOCK_READS: usize = 25;
 
 /// Decisions that take `now` (or a budget) from their caller, by file and
 /// signature: no clock read inside.
