@@ -5,9 +5,9 @@
 //! every one running the recovery loop; the `recovery` bin in its `node`
 //! mode, which runs what `atom-node` runs), reads the coordinator's
 //! canonical output serialization and diffs it against an in-memory run of
-//! the same jobs, once as the fleet builds them (directories derived in the
-//! run) and once with monolithically derived directories — whole bytes, not
-//! summaries. Also the failure-path acceptance: a member SIGKILLed
+//! the same jobs as the fleet builds them (directories derived in the run),
+//! and against the sequential `RoundDriver` over monolithically derived
+//! directories — whole bytes, not summaries. Also the failure-path acceptance: a member SIGKILLed
 //! mid-deployment must be *evicted*, the surviving fleet must keep
 //! delivering rounds without it, and a restarted member must rejoin and
 //! contribute again — no hang, no orphaned processes, no lost messages.
@@ -19,8 +19,11 @@ use std::time::Duration;
 use atom_bench::json::{self, Value};
 use atom_bench::netbench::{ProcessFleet, NODE_MODE};
 use atom_core::directory::derive_setup;
+use atom_core::round::RoundDriver;
 use atom_runtime::fleet::{self, NetSpec, NodeArgs};
-use atom_runtime::{Engine, FaultKind, RoundCompleteHook, RoundJob};
+use atom_runtime::{Engine, FaultKind, RoundCompleteHook, RoundReport, RoundSubmissions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The fleet process as a [`ProcessFleet`] program: `recovery node`, the
 /// program `atom-node` runs.
@@ -62,22 +65,30 @@ fn fleet_output(spec: &NetSpec, processes: usize, tag: &str) -> Vec<u8> {
     got
 }
 
-/// The monolithic reference of `spec`'s fleet: its jobs with every
-/// directory derived up front (`derive_setup`, `RoundJob::new`), run in one
-/// process over the in-memory transport, as canonical bytes.
+/// The monolithic reference of `spec`'s fleet: each round's directory
+/// derived up front (`derive_setup`) and run by the sequential
+/// `RoundDriver`, seeded as the engine seeds the round, as canonical bytes.
 fn monolithic_reference(spec: &NetSpec) -> Vec<u8> {
-    let prebuilt = (fleet::fleet_jobs(spec).into_iter())
+    let reports: Vec<RoundReport> = (fleet::fleet_jobs(spec).into_iter())
         .map(|job| {
             let setup = derive_setup(job.config()).expect("derive the directory");
-            RoundJob::new(setup, job.submissions, job.seed)
+            let (driver, mut rng) = (RoundDriver::new(setup), StdRng::seed_from_u64(job.seed));
+            let output = match &job.submissions {
+                RoundSubmissions::Nizk(subs) => driver.run_nizk_round(subs, &mut rng),
+                RoundSubmissions::Trap(subs) => driver.run_trap_round(subs, &mut rng),
+                RoundSubmissions::Stream(_) => unreachable!("fleet jobs materialize submissions"),
+            };
+            RoundReport {
+                output: output.expect("sequential reference run"),
+                pipelined_latency: Duration::ZERO,
+                wall_clock: Duration::ZERO,
+                setup_latency: Duration::ZERO,
+                mix_messages: 0,
+                mix_bytes: 0,
+            }
         })
         .collect();
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(prebuilt)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = fleet::serialize_reports(&in_memory);
+    let want = fleet::serialize_reports(&reports);
     assert!(!want.is_empty());
     want
 }

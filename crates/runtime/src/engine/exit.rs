@@ -83,6 +83,7 @@ pub(super) fn on_exit_frame(shared: &Shared<'_>, round: usize, node: usize, fram
             let error = AtomError::Malformed(format!("duplicate exit frame from group {gid}"));
             return shared.fail_job(round, error);
         }
+        shared.progressed(round);
         // Taking the state is the claim: the frame that completes the
         // round takes it, once, under the exit lock.
         if exit.frames.is_full() {

@@ -132,6 +132,7 @@ pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) 
     if job.failed() {
         return;
     }
+    shared.progressed(round);
     job.start_clock();
 
     let intake = &job.intake;

@@ -3,37 +3,47 @@
 //! the exit frame to the orchestrator.
 
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use atom_core::actor::ActorOutput;
 use atom_core::error::AtomError;
 
-use super::{exit, setup, Shared, EXIT_LABEL, MIX_LABEL};
+use super::setup::{self, Input};
+use super::{exit, Shared, EXIT_LABEL, MIX_LABEL};
 use crate::wire::{self, ExitFrame, MixEnvelope};
 
-/// Feeds one mixing sub-batch to the local actor of group `gid` and routes
-/// whatever the actor emits.
+/// Routes one mixing sub-batch for group `gid`: to its actor once the
+/// round's directory is installed, through the setup machine before.
 pub(super) fn on_mix_frame(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelope) {
     let job = &shared.jobs[round];
     if job.failed() {
         return;
     }
-    let Some(mix) = setup::park(shared, round, gid, mix) else {
+    if gid >= job.num_groups() || !shared.role.hosts(gid) {
+        let error = AtomError::Malformed(format!(
+            "mix envelope for group {gid}, which this process does not host"
+        ));
+        return shared.fail_job(round, error);
+    }
+    match job.setup.get() {
+        Some(_) => feed(shared, round, gid, mix),
+        None => setup::step(shared, round, Input::Mix(gid, mix)),
+    }
+}
+
+/// Feeds one mixing sub-batch to the local actor of hosted group `gid`,
+/// which the round's installation built, and routes whatever the actor
+/// emits.
+pub(super) fn feed(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelope) {
+    let job = &shared.jobs[round];
+    if job.failed() {
         return;
-    };
+    }
+    shared.progressed(round);
     // Members start their round clock at the first local delivery (the
     // coordinator starts it at intake).
     job.start_clock();
-    let Some(actor_slot) = job.actors.get(gid).and_then(OnceLock::get) else {
-        shared.fail_job(
-            round,
-            AtomError::Malformed(format!(
-                "mix envelope for group {gid}, which this process does not host"
-            )),
-        );
-        return;
-    };
+    let actor_slot = job.actors[gid].get().expect("installed with the directory");
 
     // Frames are encoded and traffic counters updated while the actor lock
     // is held: the lock serializes the group's iterations, so by the time

@@ -21,12 +21,12 @@
 //!   so proof checking parallelizes across workers inside a single round;
 //!   chunk results merge deterministically (in submission order, first
 //!   failure wins) before the iteration-0 batches are released.
-//! * **Before a round**, a [`RoundDirectory::Sharded`] job's directory —
-//!   group formation and the per-group DKGs — is itself a set of queue
-//!   tasks: each process derives only the DKGs of its hosted groups and
-//!   ships the public results to its peers as `setup` wire frames, so round
-//!   `r + 1`'s directory work overlaps round `r`'s mixing tail, and adding
-//!   processes divides the DKG work instead of replicating it.
+//! * **Before a round**, its directory — group formation and the
+//!   per-group DKGs — is itself a set of queue tasks: each process derives
+//!   only the DKGs of its hosted groups and ships the public results to its
+//!   peers as `setup` wire frames, so round `r + 1`'s directory work
+//!   overlaps round `r`'s mixing tail, and adding processes divides the DKG
+//!   work instead of replicating it.
 //!
 //! Determinism: all randomness of round `r` derives from
 //! `RoundJob::seed` — the master draw mirrors the sequential
@@ -36,9 +36,9 @@
 //! cannot influence any byte produced; for equal seeds the engine's
 //! [`RoundOutput`] is identical to the sequential driver's.
 //!
-//! Each phase of a round owns its state in one module: `setup` (a sharded
-//! round's DKG tasks and `setup` frames, and the one `install` path every
-//! directory takes into its round), `intake` (chunked proof verification
+//! Each phase of a round owns its state in one module: `setup` (the DKG
+//! tasks and `setup` frames, collected by a sans-I/O machine whose one
+//! `step` every directory goes through), `intake` (chunked proof verification
 //! and the iteration-0 release), `mix` (the hosted group actors) and `exit`
 //! (exit collection, finalization and member stubs). This module holds the
 //! public types, the task queue, frame routing and the one place a round's
@@ -105,10 +105,11 @@ pub struct EngineOptions {
     /// (default) auto-sizes to spread one round's intake evenly across the
     /// worker pool.
     pub intake_chunk: usize,
-    /// Stall detector: with rounds pending, no task executing and none
-    /// *finished* for this long, every unresolved round fails. It is how a
-    /// peer process dying without a word (crash, OOM-kill) surfaces — TCP
-    /// gives the survivor only silence. Default 120 s.
+    /// Stall detector: with rounds pending, no task executing and none that
+    /// moved a round forward *finished* for this long, every unresolved
+    /// round fails. It is how a peer process dying without a word (crash,
+    /// OOM-kill) surfaces — TCP gives the survivor only silence. Default
+    /// 120 s.
     pub stall_timeout: Duration,
     /// Invoked each time a round resolves successfully in this process
     /// (coordinator: the full report is finalized; member: the local stub
@@ -326,40 +327,10 @@ impl RoundSubmissions {
     }
 }
 
-/// How a round's directory ([`RoundSetup`]) comes to exist in this process.
-#[derive(Clone, Debug)]
-pub enum RoundDirectory {
-    /// The full directory — every group's DKG — was derived (or loaded)
-    /// ahead of time via [`atom_core::directory::derive_setup`].
-    Full(RoundSetup),
-    /// Sharded: this process derives **only the DKGs of the groups it
-    /// hosts** ([`atom_core::directory::derive_group`], one queue task per
-    /// hosted group), ships the public half of each result to its peers as
-    /// `setup` wire frames, and assembles the round's directory from its
-    /// peers' frames before any of its actors mix. The coordinator
-    /// additionally derives the trustee DKG. Because each group's DKG draws
-    /// from its own beacon-derived stream, the assembled directory — and
-    /// therefore the round's [`RoundOutput`] — is byte-identical to the
-    /// monolithic [`derive_setup`](atom_core::directory::derive_setup) of
-    /// the same config, whatever the process layout.
-    Sharded(AtomConfig),
-}
-
-impl RoundDirectory {
-    /// The deployment configuration of either variant.
-    pub fn config(&self) -> &AtomConfig {
-        match self {
-            RoundDirectory::Full(setup) => &setup.config,
-            RoundDirectory::Sharded(config) => config,
-        }
-    }
-}
-
 /// One round to execute.
 #[derive(Clone)]
 pub struct RoundJob {
-    /// Where the round's directory comes from (prebuilt or sharded).
-    pub directory: RoundDirectory,
+    config: AtomConfig,
     /// User submissions.
     pub submissions: RoundSubmissions,
     /// Seed of all round randomness (equal seeds ⇒ byte-identical output to
@@ -375,22 +346,31 @@ pub struct RoundJob {
 }
 
 impl RoundJob {
-    /// A job with a prebuilt directory and no adversary, failures or churn.
+    /// The job of `setup`'s deployment: [`sharded`](Self::sharded) over
+    /// `setup.config`. The directory is derived in the run, not taken from
+    /// `setup`, so submissions made against any other directory than
+    /// `derive_setup(&setup.config)` are rejected at intake: their proofs
+    /// bind the group keys.
     pub fn new(setup: RoundSetup, submissions: RoundSubmissions, seed: u64) -> Self {
-        Self::with_directory(RoundDirectory::Full(setup), submissions, seed)
+        Self::sharded(setup.config, submissions, seed)
     }
 
-    /// A job whose directory is derived *inside* the engine run, sharded
-    /// across the participating processes (see [`RoundDirectory::Sharded`]).
-    /// Only the coordinator's `submissions` are consulted; members may pass
-    /// an empty vector of the matching variant.
+    /// A job whose directory is derived *inside* the engine run: each
+    /// process derives only the DKGs of the groups it hosts
+    /// ([`atom_core::directory::derive_group`], one queue task per hosted
+    /// group), ships the public half of each result to its peers as `setup`
+    /// wire frames, and assembles the round's directory from its peers'
+    /// frames before any of its actors mix; the coordinator also derives the
+    /// trustee DKG. Because each group's DKG draws from its own
+    /// beacon-derived stream, the directory — and therefore the round's
+    /// [`RoundOutput`] — is byte-identical to the monolithic
+    /// [`derive_setup`](atom_core::directory::derive_setup) of the same
+    /// config, whatever the process layout. Only the coordinator's
+    /// `submissions` are consulted; members may pass an empty vector of the
+    /// matching variant.
     pub fn sharded(config: AtomConfig, submissions: RoundSubmissions, seed: u64) -> Self {
-        Self::with_directory(RoundDirectory::Sharded(config), submissions, seed)
-    }
-
-    fn with_directory(directory: RoundDirectory, submissions: RoundSubmissions, seed: u64) -> Self {
         Self {
-            directory,
+            config,
             submissions,
             seed,
             adversary: None,
@@ -401,15 +381,7 @@ impl RoundJob {
 
     /// The deployment configuration of the round.
     pub fn config(&self) -> &AtomConfig {
-        self.directory.config()
-    }
-
-    /// The prebuilt directory, if this job carries one.
-    pub fn full_setup(&self) -> Option<&RoundSetup> {
-        match &self.directory {
-            RoundDirectory::Full(setup) => Some(setup),
-            RoundDirectory::Sharded(_) => None,
-        }
+        &self.config
     }
 }
 
@@ -433,11 +405,9 @@ pub struct RoundReport {
     pub wall_clock: Duration,
     /// Wall-clock time from engine start until this round's directory was
     /// ready in this process — local DKGs run, every peer's setup frame
-    /// received, actors constructed. Always zero for
-    /// [`RoundDirectory::Full`] jobs, whose directory predates the engine.
-    /// Because setup runs as ordinary queue tasks, later rounds' directory
-    /// work overlaps earlier rounds' mixing, so per-round setup latencies
-    /// of one run are *not* additive.
+    /// received. Because setup runs as ordinary queue tasks, later rounds'
+    /// directory work overlaps earlier rounds' mixing, so per-round setup
+    /// latencies of one run are *not* additive.
     pub setup_latency: Duration,
     /// Mixing messages this round pushed through the transport.
     pub mix_messages: u64,
@@ -453,20 +423,20 @@ enum Task {
     Deliver {
         node: usize,
     },
-    /// Derive the DKG of one locally hosted group of a sharded round and
-    /// broadcast its public half to every remote mailbox.
+    /// Derive the DKG of one locally hosted group of a round and broadcast
+    /// its public half to every remote mailbox.
     SetupGroup {
         round: usize,
         gid: usize,
     },
-    /// Derive the trustee DKG of a sharded round (coordinator only).
+    /// Derive the trustee DKG of a round (coordinator only).
     SetupTrustees {
         round: usize,
     },
 }
 
 /// What actor construction needs from a [`RoundJob`], retained per round so
-/// sharded rounds can build their actors once the directory is assembled.
+/// the actors can be built once the directory is assembled.
 struct ActorSpec {
     master_seed: u64,
     defense: Defense,
@@ -477,9 +447,7 @@ struct ActorSpec {
 
 /// How a job starts once the run's shared state exists.
 enum Start {
-    /// Install the prebuilt directory before any worker runs.
-    Install(RoundSetup),
-    /// Derive the sharded directory on the task queue.
+    /// Derive the directory on the task queue.
     Derive,
     /// A member hosting none of the round's groups: nothing to run.
     Idle,
@@ -489,11 +457,11 @@ enum Start {
 
 struct JobState {
     config: AtomConfig,
-    /// The round's directory, set by `setup::install`; reads outside the
-    /// setup phase go through [`JobState::round_setup`].
+    /// The round's directory, published by `setup::install`; reads outside
+    /// the setup phase go through [`JobState::round_setup`].
     setup: OnceLock<RoundSetup>,
-    /// Sharded-setup progress (`None` for prebuilt directories).
-    phase: Option<Mutex<SetupPhase>>,
+    /// The machine that assembles the directory.
+    phase: Mutex<SetupPhase>,
     actor_spec: ActorSpec,
     submissions: RoundSubmissions,
     /// One lazily initialized slot per group id; never set for groups
@@ -524,20 +492,12 @@ impl JobState {
         options: &EngineOptions,
         workers: usize,
     ) -> (Self, Start) {
-        let config = job.config().clone();
+        let config = job.config;
         let num_groups = config.num_groups;
         let offered = job.submissions.len();
-        let mut phase = None;
-        let directory = match job.directory {
-            RoundDirectory::Full(setup) => Ok(Start::Install(setup)),
-            // Derivation happens on the task queue; here we only validate
-            // the config and set up the phase bookkeeping.
-            RoundDirectory::Sharded(config) => config.validate().map(|()| {
-                phase = Some(Mutex::new(SetupPhase::new(&config, role)));
-                Start::Derive
-            }),
-        };
-        let start = match directory {
+        // Derivation happens on the task queue; here we only validate the
+        // config.
+        let start = match config.validate() {
             // Every frame carries its round as a `u32`: a job past that
             // range would go out wrapped and be fenced as stale by its own
             // run. Every process fails it alike.
@@ -564,11 +524,11 @@ impl JobState {
                 })
             }
             Ok(_) if !role.coordinator && role.hosted_in_round(num_groups) == 0 => Start::Idle,
-            Ok(start) => start,
+            Ok(()) => Start::Derive,
         };
         let state = JobState {
             setup: OnceLock::new(),
-            phase,
+            phase: Mutex::new(SetupPhase::new(&config, role)),
             // The master draw mirrors RoundDriver::run_mixing's first use of
             // the caller RNG, keeping seed semantics identical across
             // drivers.
@@ -623,11 +583,9 @@ impl JobState {
         self.started.get().map(Instant::elapsed).unwrap_or_default()
     }
 
-    /// See [`RoundReport::setup_latency`]: zero for prebuilt directories.
+    /// See [`RoundReport::setup_latency`].
     fn setup_latency(&self) -> Duration {
-        self.phase
-            .as_ref()
-            .map_or(Duration::ZERO, |phase| phase.lock().latency())
+        self.phase.lock().latency()
     }
 }
 
@@ -653,8 +611,12 @@ struct Scheduler {
     /// Workers between a task's start and their next empty queue: a
     /// long-running healthy task must not look like a stall.
     executing: AtomicUsize,
-    /// When a worker last found the queue empty after tasks.
-    last_progress: Mutex<Instant>,
+    /// How often a task moved an unresolved round forward (see
+    /// [`Shared::progressed`]).
+    moves: AtomicU64,
+    /// When a worker last found the queue empty after tasks that moved a
+    /// round forward, and `moves` then.
+    last_progress: Mutex<(Instant, u64)>,
 }
 
 impl Scheduler {
@@ -671,6 +633,8 @@ impl Scheduler {
 struct Shared<'a> {
     jobs: &'a [JobState],
     sched: Arc<Scheduler>,
+    /// When the run started: the setup machines' clock.
+    started: Instant,
     transport: &'a dyn Transport,
     orchestrator: usize,
     role: &'a EngineRole,
@@ -697,6 +661,16 @@ impl Shared<'_> {
     /// whatever round currently reuses the low indices.
     fn job_index(&self, wire_round: usize) -> Option<usize> {
         wire_round.checked_sub(self.options.round_offset)
+    }
+
+    /// Marks that a task moved `round` forward — an intake chunk, a setup
+    /// input, a mix batch fed to an actor, an exit frame recorded — unless
+    /// it is resolved. Only that restarts the stall window: a peer's abort,
+    /// a stale or misdirected frame or an empty mailbox does not.
+    fn progressed(&self, round: usize) {
+        if !self.jobs[round].finalized() {
+            self.sched.moves.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// The one place a round's result is written. The first result wins
@@ -821,7 +795,7 @@ impl Shared<'_> {
     /// and the remote group nodes, which a
     /// [`FaultVerdict`](crate::fault::FaultVerdict) maps to a process.
     fn stall_detail(&self, job: &JobState) -> (String, Vec<usize>) {
-        let setup = job.phase.as_ref().and_then(|p| p.lock().waiting_on(self));
+        let setup = job.phase.lock().waiting_on(|gids| self.locate(gids));
         let intake = || self.role.coordinator.then(|| job.intake.waiting_on())?;
         let exit = || exit::waiting_on(self, job);
         setup.or_else(intake).unwrap_or_else(exit)
@@ -883,10 +857,9 @@ impl Engine {
     /// the mailboxes of its `hosted` groups (plus the orchestrator's iff
     /// coordinator); otherwise every job fails with [`AtomError::Config`]
     /// and no frame is sent. Every participating process derives the same
-    /// `jobs` (identical directories, submissions and seeds — except that
-    /// under [`RoundDirectory::Sharded`] only the coordinator needs
-    /// submissions, and each process derives only its hosted groups' DKGs)
-    /// and calls this concurrently; the coordinator's returned reports
+    /// `jobs` (identical configs and seeds; only the coordinator needs
+    /// submissions) and calls this concurrently, each deriving only its
+    /// hosted groups' DKGs; the coordinator's returned reports
     /// carry the round outputs, byte-identical to a single-process run of
     /// the same jobs.
     pub fn run_rounds_on(
@@ -906,31 +879,32 @@ impl Engine {
         let (states, starts): (Vec<JobState>, Vec<Start>) = (jobs.into_iter().enumerate())
             .map(|(round, job)| JobState::new(round, job, role, &self.options, workers))
             .unzip();
+        let started = Instant::now();
         let sched = Arc::new(Scheduler {
             queue: std::sync::Mutex::new(VecDeque::new()),
             ready: std::sync::Condvar::new(),
             pending_jobs: AtomicUsize::new(states.len()),
             executing: AtomicUsize::new(0),
-            last_progress: Mutex::new(Instant::now()),
+            moves: AtomicU64::new(0),
+            last_progress: Mutex::new((started, 0)),
         });
         let shared = Shared {
             jobs: &states,
             sched: Arc::clone(&sched),
+            started,
             transport,
             orchestrator,
             role,
             options: &self.options,
         };
 
-        // Prebuilt rounds are installed (and their intake released) before
-        // any worker runs; sharded rounds start at their directory
-        // derivation. All rounds' tasks coexist on the one queue, which is
-        // what overlaps round `r + 1`'s directory work with round `r`'s
-        // mixing tail. A round this process cannot even set up resolves
-        // here, which also tells the other processes not to wait on it.
+        // Every round starts at its directory derivation. All rounds' tasks
+        // coexist on the one queue, which is what overlaps round `r + 1`'s
+        // directory work with round `r`'s mixing tail. A round this process
+        // cannot even set up resolves here, which also tells the other
+        // processes not to wait on it.
         for (round, start) in starts.into_iter().enumerate() {
             match start {
-                Start::Install(setup) => setup::install(&shared, round, setup),
                 Start::Derive => setup::derive(&shared, round),
                 Start::Idle => shared.resolve(round, Ok(exit::member_stub(&states[round]))),
                 Start::Fail(error) => shared.fail_job(round, error),
@@ -1014,11 +988,11 @@ enum Watch {
 }
 
 /// The stall detector and the round clock, at `now`, for a worker that
-/// found the queue empty. `progress` is when a task last finished (`None`
-/// while one executes), `clocks` when each unresolved round's clock
-/// started; a zero `deadline` disarms the round clock. A silent dead peer
-/// stalls the engine; a peer dripping one frame per stall window defeats
-/// that detector, but not a round's clock.
+/// found the queue empty. `progress` is when a task that moved a round
+/// forward last finished (`None` while one executes), `clocks` when each
+/// unresolved round's clock started; a zero `deadline` disarms the round
+/// clock. A silent dead peer stalls the engine; a peer dripping one frame
+/// per stall window defeats that detector, but not a round's clock.
 fn watchdog(
     now: Instant,
     progress: Option<Instant>,
@@ -1063,11 +1037,15 @@ fn worker_loop(shared: &Shared<'_>, stall_timeout: Duration) {
                 // One clock read stamps the progress and feeds the watchdog.
                 let now = Instant::now();
                 if let Some(done) = busy.take() {
-                    *shared.sched.last_progress.lock() = now;
+                    let moves = shared.sched.moves.load(Ordering::SeqCst);
+                    let mut last = shared.sched.last_progress.lock();
+                    if last.1 != moves {
+                        *last = (now, moves);
+                    }
                     drop(done);
                 }
                 let idle = shared.sched.executing.load(Ordering::SeqCst) == 0;
-                let progress = idle.then(|| *shared.sched.last_progress.lock());
+                let progress = idle.then(|| shared.sched.last_progress.lock().0);
                 let rounds = (shared.jobs.iter())
                     .map(|job| job.started.get().copied().filter(|_| !job.finalized()));
                 // Failing rounds re-acquires the queue lock (`resolve`
@@ -1136,8 +1114,8 @@ impl Drop for Executing<'_, '_> {
 
 /// Drains a local mailbox and routes each frame to its round's phase: mix
 /// batches feed the node's group actor, exit frames accumulate at the
-/// orchestrator, setup frames build a sharded directory
-/// and abort frames fail their round. This is the one place a frame's
+/// orchestrator, setup frames feed the round's setup machine and abort
+/// frames fail their round. This is the one place a frame's
 /// round is checked against the run's job list.
 fn run_deliver(shared: &Shared<'_>, node: usize) {
     for envelope in shared.transport.drain(node) {
@@ -1176,7 +1154,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
             Err(error) => shared.fail_job(round, error),
             Ok(Frame::Mix(mix)) => mix::on_mix_frame(shared, round, node, mix),
             Ok(Frame::Exit(exit)) => exit::on_exit_frame(shared, round, node, exit),
-            Ok(Frame::Setup(setup)) => setup::on_setup_frame(shared, round, setup),
+            Ok(Frame::Setup(frame)) => setup::step(shared, round, setup::Input::Frame(frame)),
             Ok(Frame::Abort(abort)) => shared.fail_job(
                 round,
                 AtomError::Engine {
@@ -1193,7 +1171,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::intake::chunk_ranges;
     use super::*;
     use atom_core::config::AtomConfig;
@@ -1242,6 +1220,22 @@ mod tests {
             expected.push(messages);
         }
         (jobs, expected)
+    }
+
+    /// The monolithic reference of `job`: the sequential `RoundDriver` over
+    /// `derive_setup(job.config())`, seeded as the engine seeds the round,
+    /// in either variant.
+    pub(crate) fn monolithic(job: &RoundJob) -> AtomResult<RoundOutput> {
+        let mut driver = RoundDriver::new(derive_setup(job.config())?);
+        if let Some(plan) = job.adversary {
+            driver = driver.with_adversary(plan);
+        }
+        let mut rng = StdRng::seed_from_u64(job.seed);
+        match &job.submissions {
+            RoundSubmissions::Nizk(subs) => driver.run_nizk_round(subs, &mut rng),
+            RoundSubmissions::Trap(subs) => driver.run_trap_round(subs, &mut rng),
+            RoundSubmissions::Stream(_) => unreachable!("references materialize submissions"),
+        }
     }
 
     fn recovered(output: &RoundOutput) -> Vec<String> {
@@ -1310,7 +1304,7 @@ mod tests {
     #[test]
     fn single_round_delivers_and_matches_sequential_driver() {
         let (jobs, expected) = trap_jobs(1, 1000);
-        let sequential = RoundDriver::new(jobs[0].full_setup().unwrap().clone());
+        let sequential = RoundDriver::new(derive_setup(jobs[0].config()).unwrap());
         let submissions = match &jobs[0].submissions {
             RoundSubmissions::Trap(s) => s.clone(),
             _ => unreachable!(),
@@ -1655,7 +1649,7 @@ mod tests {
             RoundSubmissions::Trap(s) => s.clone(),
             _ => unreachable!(),
         };
-        let driver = RoundDriver::new(jobs[0].full_setup().unwrap().clone());
+        let driver = RoundDriver::new(derive_setup(jobs[0].config()).unwrap());
         let mut driver_rng = StdRng::seed_from_u64(jobs[0].seed);
         let sequential_err = driver
             .run_trap_round(&submissions, &mut driver_rng)
@@ -1741,11 +1735,10 @@ mod tests {
         }
     }
 
-    fn sharded_pair(rounds: usize, seed: u64) -> (Vec<RoundJob>, Vec<RoundJob>) {
-        use atom_core::directory::derive_setup;
+    /// Trap rounds whose deployments differ in their beacon.
+    fn beacon_jobs(rounds: usize, seed: u64) -> Vec<RoundJob> {
         let mut rng = StdRng::seed_from_u64(91);
-        let mut full = Vec::new();
-        let mut sharded = Vec::new();
+        let mut jobs = Vec::new();
         for round in 0..rounds {
             let mut config = AtomConfig::test_default();
             config.num_groups = 3;
@@ -1770,51 +1763,54 @@ mod tests {
                     .0
                 })
                 .collect();
-            full.push(RoundJob::new(
-                setup,
-                RoundSubmissions::Trap(submissions.clone()),
-                seed + round as u64,
-            ));
-            sharded.push(RoundJob::sharded(
-                config,
-                RoundSubmissions::Trap(submissions),
-                seed + round as u64,
-            ));
+            let submissions = RoundSubmissions::Trap(submissions);
+            jobs.push(RoundJob::new(setup, submissions, seed + round as u64));
         }
-        (full, sharded)
+        jobs
+    }
+
+    /// A NIZK round of `trap_jobs`' shape.
+    fn nizk_job(seed: u64) -> RoundJob {
+        use atom_core::message::make_nizk_submission;
+        let mut rng = StdRng::seed_from_u64(92);
+        let mut config = AtomConfig::test_default();
+        (config.defense, config.num_groups) = (Defense::Nizk, 3);
+        (config.iterations, config.message_len) = (2, 24);
+        let setup = derive_setup(&config).unwrap();
+        let submissions = (0..4)
+            .map(|i| {
+                let (gid, text) = (i % config.num_groups, format!("nizk m{i}"));
+                let key = &setup.groups[gid].public_key;
+                let made = make_nizk_submission(gid, key, text.as_bytes(), 24, &mut rng);
+                made.unwrap().0
+            })
+            .collect();
+        RoundJob::new(setup, RoundSubmissions::Nizk(submissions), seed)
     }
 
     #[test]
     fn sharded_setup_matches_prebuilt_derivation_byte_for_byte() {
-        let (full, sharded) = sharded_pair(2, 42_000);
-        let engine = Engine::with_workers(3);
-        let reference = engine.run_rounds(full);
-        let derived = engine.run_rounds(sharded);
-        assert_eq!(reference.len(), derived.len());
-        for (round, (want, got)) in reference.iter().zip(&derived).enumerate() {
-            let want = want.as_ref().unwrap();
+        let mut jobs = beacon_jobs(2, 42_000);
+        jobs.push(nizk_job(42_002));
+        let derived = Engine::with_workers(3).run_rounds(jobs.clone());
+        assert_eq!(derived.len(), jobs.len());
+        for (round, (job, got)) in jobs.iter().zip(&derived).enumerate() {
+            let want = monolithic(job).unwrap();
             let got = got.as_ref().unwrap();
             assert_eq!(
-                got.output.plaintexts, want.output.plaintexts,
+                got.output.plaintexts, want.plaintexts,
                 "round {round} plaintexts diverge"
             );
-            assert_eq!(got.output.per_group, want.output.per_group);
-            assert_eq!(
-                got.output.routed_ciphertexts,
-                want.output.routed_ciphertexts
-            );
-            assert_eq!(got.mix_messages, want.mix_messages);
-            assert_eq!(got.mix_bytes, want.mix_bytes);
-            // The prebuilt directory predates the engine; the sharded one
-            // was derived inside the run and must report its cost.
-            assert_eq!(want.setup_latency, Duration::ZERO);
+            assert_eq!(got.output.per_group, want.per_group);
+            assert_eq!(got.output.routed_ciphertexts, want.routed_ciphertexts);
+            // The directory was derived inside the run and reports its cost.
             assert!(got.setup_latency > Duration::ZERO);
         }
     }
 
     #[test]
     fn sharded_round_reports_failures_like_a_prebuilt_one() {
-        let (_, mut sharded) = sharded_pair(2, 43_000);
+        let mut sharded = beacon_jobs(2, 43_000);
         sharded[0].adversary = Some(AdversaryPlan {
             group: 1,
             member: 1,
@@ -1901,6 +1897,52 @@ mod tests {
         );
     }
 
+    /// Only a task that moves a round forward restarts the stall window.
+    /// Both rounds wait on a member process that joined the mesh and went
+    /// silent; half a window in, it relays an abort of round 1. Round 0
+    /// must fail one window after its own last progress, not one window
+    /// after the abort.
+    #[test]
+    fn an_abort_does_not_restart_the_stall_window() {
+        use atom_net::{TcpOptions, TcpTransport};
+
+        let owner = vec![0, 1, 1, 0];
+        let options = TcpOptions::default();
+        let coordinator = TcpTransport::bind_any(2, owner.clone(), 0, options.clone()).unwrap();
+        let member = TcpTransport::bind_any(2, owner, 1, options).unwrap();
+        coordinator.set_peer_addr(1, member.local_addr().to_string());
+        member.set_peer_addr(0, coordinator.local_addr().to_string());
+        coordinator.connect_peers().unwrap();
+        member.connect_peers().unwrap();
+
+        let window = Duration::from_secs(1);
+        let mut options = EngineOptions::with_workers(2);
+        options.stall_timeout = window;
+        // The member's abort takes half a window to leave it.
+        let slow = FaultyTransport::new(&member, |_, _, _: &[u8]| SendFault::Delay(window / 2));
+        let abort = wire::encode_abort(1, "a peer gave up");
+        let started = Instant::now();
+        let reports = std::thread::scope(|scope| {
+            scope.spawn(|| slow.send(1, 3, ABORT_LABEL.into(), abort));
+            let role = EngineRole::coordinator(vec![0]);
+            Engine::new(options).run_rounds_on(trap_jobs(2, 9500).0, &coordinator, &role)
+        });
+        let elapsed = started.elapsed();
+        coordinator.shutdown();
+        member.shutdown();
+
+        let kind = |report: &AtomResult<RoundReport>| match report {
+            Err(AtomError::Engine { kind, .. }) => Some(*kind),
+            _ => None,
+        };
+        assert_eq!(kind(&reports[1]), Some(EngineErrorKind::ProtocolAbort));
+        assert_eq!(kind(&reports[0]), Some(EngineErrorKind::Stall));
+        assert!(
+            elapsed < window * 3 / 2,
+            "round 0 failed after {elapsed:?}: the abort restarted its stall window"
+        );
+    }
+
     #[test]
     fn straggler_group_does_not_block_others() {
         let (jobs, expected) = trap_jobs(1, 4000);
@@ -1943,14 +1985,13 @@ mod tests {
         struct Case {
             name: &'static str,
             rounds: usize,
-            sharded: bool,
             hosted: Vec<usize>,
             frames: Vec<(usize, &'static str, Vec<u8>)>,
             want: Want,
         }
 
         let (probe, _) = trap_jobs(1, 9400);
-        let setup = probe[0].full_setup().unwrap().clone();
+        let setup = derive_setup(probe[0].config()).unwrap();
         let submission = trap_submissions_of(&probe[0]).remove(0);
         let groups = setup.config.num_groups;
         let orchestrator = groups;
@@ -1967,9 +2008,8 @@ mod tests {
         });
         let cases = vec![
             Case {
-                name: "setup frame for a prebuilt round",
+                name: "setup frame for a group this process derives",
                 rounds: 1,
-                sharded: false,
                 hosted: all.clone(),
                 frames: vec![(
                     0,
@@ -1982,20 +2022,21 @@ mod tests {
                         public_key: setup.groups[1].public_key,
                     }),
                 )],
-                want: Want::Fails("setup frame for a round with a prebuilt directory"),
+                want: Want::Fails("setup frame for group 1, which this process derives itself"),
             },
             Case {
-                name: "exit frame before the sharded directory exists",
+                name: "exit frame before the directory exists",
                 rounds: 1,
-                sharded: true,
                 hosted: Vec::new(),
                 frames: vec![(orchestrator, EXIT_LABEL, exit.clone())],
                 want: Want::Fails("before the round directory was assembled"),
             },
+            // The run queues its DKG tasks before it drains a mailbox, so
+            // with one worker the directory is assembled before these
+            // frames are read.
             Case {
                 name: "duplicate exit frame",
                 rounds: 1,
-                sharded: false,
                 hosted: all.clone(),
                 frames: vec![
                     (orchestrator, EXIT_LABEL, exit.clone()),
@@ -2006,7 +2047,6 @@ mod tests {
             Case {
                 name: "mix envelope for a group hosted elsewhere",
                 rounds: 1,
-                sharded: false,
                 hosted: vec![1, 2],
                 frames: vec![(0, MIX_LABEL, mix(0))],
                 want: Want::Fails("mix envelope for group 0, which this process does not host"),
@@ -2014,7 +2054,6 @@ mod tests {
             Case {
                 name: "mix envelope past the job list",
                 rounds: 2,
-                sharded: false,
                 hosted: all.clone(),
                 frames: vec![(0, MIX_LABEL, mix(2))],
                 want: Want::AllFail("unknown round"),
@@ -2022,16 +2061,16 @@ mod tests {
             Case {
                 name: "abort frame past the job list",
                 rounds: 2,
-                sharded: false,
                 hosted: all.clone(),
                 frames: vec![(0, ABORT_LABEL, wire::encode_abort(2, "ghost"))],
                 want: Want::AllFail("unknown round"),
             },
+            // Group 0 is hosted here, groups 1 and 2 never send their
+            // setup frames.
             Case {
                 name: "pre-directory mix buffer past its cap",
                 rounds: 1,
-                sharded: true,
-                hosted: Vec::new(),
+                hosted: vec![0],
                 // 3 groups x 2 iterations: the cap is 3 * (1 + 3 * 2) = 21.
                 frames: (0..22).map(|_| (0, MIX_LABEL, mix(0))).collect(),
                 want: Want::Fails("mix envelopes buffered before the round's directory"),
@@ -2039,7 +2078,6 @@ mod tests {
             Case {
                 name: "client submit frame on the mesh",
                 rounds: 1,
-                sharded: false,
                 hosted: all.clone(),
                 frames: vec![(
                     0,
@@ -2056,7 +2094,6 @@ mod tests {
             Case {
                 name: "membership control frames mid-run",
                 rounds: 1,
-                sharded: false,
                 hosted: all.clone(),
                 frames: vec![(
                     orchestrator,
@@ -2078,7 +2115,6 @@ mod tests {
             Case {
                 name: "telemetry frame on the mesh",
                 rounds: 1,
-                sharded: false,
                 hosted: all,
                 frames: vec![(
                     orchestrator,
@@ -2103,11 +2139,7 @@ mod tests {
         for case in cases {
             let name = case.name;
             let run = || {
-                let jobs = if case.sharded {
-                    sharded_pair(case.rounds, 9400).1
-                } else {
-                    trap_jobs(case.rounds, 9400).0
-                };
+                let (jobs, _) = trap_jobs(case.rounds, 9400);
                 let network = InMemoryNetwork::local(groups + 1);
                 for (node, label, payload) in &case.frames {
                     network.send(0, *node, *label, payload.clone());

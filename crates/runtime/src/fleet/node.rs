@@ -462,10 +462,10 @@ pub const READY_LINE: &str = "atom-process-ready";
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::monolithic;
     use crate::fleet::{batch_jobs, fleet_jobs};
     use crate::recovery::owner_map_excluding;
-    use crate::{Engine, RoundJob, RoundSubmissions};
-    use atom_core::directory::derive_setup;
+    use crate::{Engine, RoundSubmissions};
 
     /// Reserved ports come from below the ephemeral range, so nothing else
     /// of this host's is handed them on a port-0 bind or a connect.
@@ -527,18 +527,16 @@ mod tests {
             ..NetSpec::default()
         };
         let jobs = fleet_jobs(&spec);
-        assert!(jobs.iter().all(|job| job.full_setup().is_none()));
-        let prebuilt = (jobs.iter())
-            .map(|job| {
-                let setup = derive_setup(job.config()).unwrap();
-                RoundJob::new(setup, job.submissions.clone(), job.seed)
+        let reference: Vec<_> = (jobs.iter())
+            .map(|job| RoundReport {
+                output: monolithic(job).unwrap(),
+                pipelined_latency: Duration::ZERO,
+                wall_clock: Duration::ZERO,
+                setup_latency: Duration::ZERO,
+                mix_messages: 0,
+                mix_bytes: 0,
             })
             .collect();
-        let reference: Vec<_> = Engine::with_workers(2)
-            .run_rounds(prebuilt)
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .unwrap();
         let sharded: Vec<_> = Engine::with_workers(2)
             .run_rounds(jobs)
             .into_iter()
@@ -563,7 +561,6 @@ mod tests {
                 RoundSubmissions::Trap(subs) => assert!(subs.is_empty()),
                 other => panic!("expected trap submissions, got {other:?}"),
             }
-            assert!(job.full_setup().is_none(), "no prebuilt directory");
         }
     }
 

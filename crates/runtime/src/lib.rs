@@ -53,8 +53,8 @@
 //! ```
 //!
 //! **Pipeline stages.** A round flows through: directory setup (group
-//! formation + per-group DKGs — prebuilt, or derived *inside* the run and
-//! sharded across processes via [`RoundDirectory::Sharded`]) → submission
+//! formation + per-group DKGs, derived *inside* the run and sharded across
+//! processes, see [`RoundJob::sharded`]) → submission
 //! intake (proof verification, batching) → iteration 0 → … → iteration T−1
 //! (exit layer) → exit phase (trap checking / decryption). Every stage is a
 //! queue task, so the pool interleaves: group 3 of round 0 can run
@@ -103,18 +103,11 @@
 //!     submissions.push(made.unwrap().0);
 //! }
 //!
-//! let engine = Engine::with_workers(2);
-//! let report = engine
-//!     .run_round(RoundJob::new(setup, RoundSubmissions::Trap(submissions.clone()), 7))
-//!     .unwrap();
+//! // The engine derives the same directory in the run: one config names
+//! // one deployment.
+//! let job = RoundJob::sharded(config, RoundSubmissions::Trap(submissions), 7);
+//! let report = Engine::with_workers(2).run_round(job).unwrap();
 //! assert_eq!(report.output.plaintexts.len(), 2);
-//!
-//! // One config names one deployment: derived inside the run instead of
-//! // prebuilt, the same round delivers the same bytes in the same order.
-//! let sharded = engine
-//!     .run_round(RoundJob::sharded(config, RoundSubmissions::Trap(submissions), 7))
-//!     .unwrap();
-//! assert_eq!(sharded.output.plaintexts, report.output.plaintexts);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -129,8 +122,8 @@ mod recovery;
 pub mod wire;
 
 pub use engine::{
-    Engine, EngineOptions, EngineRole, RoundCompleteHook, RoundDirectory, RoundJob, RoundReport,
-    RoundSubmissions, SubmissionBlock, SubmissionSource, MIX_LABEL, SETUP_LABEL,
+    Engine, EngineOptions, EngineRole, RoundCompleteHook, RoundJob, RoundReport, RoundSubmissions,
+    SubmissionBlock, SubmissionSource, MIX_LABEL, SETUP_LABEL,
 };
 pub use fault::{FaultKind, FaultVerdict};
 pub use ingress::{

@@ -129,7 +129,7 @@ mod tests {
     use crate::fault::FaultKind;
     use crate::recovery::Action;
     use crate::wire::{self, Frame};
-    use crate::{RoundDirectory, RoundJob, RoundSubmissions};
+    use crate::{RoundJob, RoundSubmissions};
     use atom_core::config::AtomConfig;
     use atom_core::directory::derive_setup;
     use rand::rngs::StdRng;
@@ -231,9 +231,7 @@ mod tests {
     }
 
     fn job_fingerprint(job: &RoundJob) -> (Vec<usize>, Vec<usize>, Vec<[u8; 32]>) {
-        let RoundDirectory::Full(setup) = &job.directory else {
-            panic!("prebuilt directory expected");
-        };
+        let setup = derive_setup(job.config()).expect("the job's directory");
         (
             setup.config.evicted_servers.clone(),
             job.failed_servers.clone(),

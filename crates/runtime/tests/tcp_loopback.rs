@@ -17,7 +17,7 @@ use atom_core::directory::derive_setup;
 use atom_core::error::AtomError;
 use atom_core::message::{make_nizk_submission, make_trap_submission};
 use atom_net::{TcpOptions, TcpTransport};
-use atom_runtime::{Engine, EngineRole, RoundJob, RoundSubmissions};
+use atom_runtime::{Engine, EngineRole, RoundJob, RoundSubmissions, SETUP_LABEL};
 
 const GROUPS: usize = 3;
 
@@ -54,6 +54,26 @@ fn trap_jobs(rounds: usize, seed: u64) -> Vec<RoundJob> {
             )
         })
         .collect()
+}
+
+/// Sends, over `net`, the `setup` frames of groups 1 and 2 of `config`'s
+/// round 0 to the coordinator's group-0 mailbox, as member process 1 does
+/// before its groups mix.
+fn send_member_setup_frames(net: &TcpTransport, config: &AtomConfig) {
+    use atom_net::Transport;
+    use atom_runtime::wire::{self, SetupFrame};
+    let setup = derive_setup(config).unwrap();
+    for gid in [1, 2] {
+        let group = &setup.groups[gid];
+        let frame = wire::encode_setup(&SetupFrame {
+            round: 0,
+            gid,
+            members: group.members.clone(),
+            threshold: group.threshold,
+            public_key: group.public_key,
+        });
+        Transport::send(net, gid, 0, SETUP_LABEL.into(), frame).unwrap();
+    }
 }
 
 /// Two `TcpTransport`s on loopback: process 0 is the coordinator hosting
@@ -409,9 +429,10 @@ fn remote_actor_failure_aborts_the_round_on_both_sides() {
 /// engine ever runs on it — the moral equivalent of a member process dying
 /// right after startup. TCP gives the coordinator no abort frame, only
 /// silence; the stall detector must convert that into per-round errors that
-/// name what the round waited on: a prebuilt round stalls on the exit
-/// frames of the member's groups, a sharded one in setup, on their
-/// directories. Either way the verdict convicts the member, process 1.
+/// name what the round waited on: a round whose member sent its `setup`
+/// frames before it died stalls on the exit frames of the member's groups,
+/// one whose member sent nothing in setup, on their directories. Either way
+/// the verdict convicts the member, process 1.
 #[test]
 fn silent_peer_death_fails_the_round_instead_of_hanging() {
     use atom_core::error::EngineErrorKind;
@@ -421,15 +442,20 @@ fn silent_peer_death_fails_the_round_instead_of_hanging() {
     let cases = [
         (
             trap_jobs(1, 9900),
+            true,
             "waiting on exit frames from groups [0 (local), 1 (remote), 2 (remote)]",
         ),
         (
             sharded,
+            false,
             "waiting on group directories [1 (remote), 2 (remote)]",
         ),
     ];
-    for (jobs, waiting) in cases {
-        let (coordinator_net, _member_net) = tcp_pair();
+    for (jobs, member_sent_setup, waiting) in cases {
+        let (coordinator_net, member_net) = tcp_pair();
+        if member_sent_setup {
+            send_member_setup_frames(&member_net, jobs[0].config());
+        }
         let mut options = EngineOptions::with_workers(2);
         options.stall_timeout = Duration::from_millis(300);
         let reports = Engine::new(options).run_rounds_on(
@@ -690,6 +716,9 @@ fn a_peer_that_never_reads_ends_the_round_in_transport_lost() {
     coordinator_net.set_peer_addr(1, wedged.local_addr().unwrap().to_string());
     coordinator_net.connect_peers().unwrap();
     let _peer = wedged.accept().unwrap();
+    // The directory is complete without the peer: its groups' setup frames
+    // are already queued, as if it had sent them before it wedged.
+    send_member_setup_frames(&coordinator_net, job.config());
 
     let (done, outcome) = channel();
     let engine = std::thread::spawn(move || {

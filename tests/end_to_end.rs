@@ -121,7 +121,7 @@ fn microblogging_app_works_over_both_defenses_and_topologies() {
 /// The oracle's output for `job`: the sequential driver over the same
 /// directory and submissions, seeded as the engine seeds the round.
 fn oracle_output(job: &RoundJob) -> RoundOutput {
-    let driver = RoundDriver::new(job.full_setup().unwrap().clone());
+    let driver = RoundDriver::new(derive_setup(job.config()).unwrap());
     let mut rng = StdRng::seed_from_u64(job.seed);
     match &job.submissions {
         RoundSubmissions::Nizk(subs) => driver.run_nizk_round(subs, &mut rng),
