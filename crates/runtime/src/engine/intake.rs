@@ -15,7 +15,7 @@ use atom_core::round::{verify_nizk_submissions_range, verify_trap_submissions_ra
 use atom_crypto::commit::Commitment;
 use atom_crypto::elgamal::MessageCiphertext;
 
-use super::{EngineOptions, RoundSubmissions, Shared, SubmissionBlock, Task, MIX_LABEL};
+use super::{exit, EngineOptions, RoundSubmissions, Shared, SubmissionBlock, Task, MIX_LABEL};
 use crate::{fill_vec::FillVec, wire};
 
 /// A round's intake chunks and their progress.
@@ -218,9 +218,8 @@ fn finish_intake(shared: &Shared<'_>, round: usize, results: Vec<AtomResult<Trap
         }
     }
 
-    if let Some(exit) = job.exit.lock().as_mut() {
-        exit.released(batches.iter().map(Vec::len).sum(), commitments);
-    }
+    let routed = batches.iter().map(Vec::len).sum();
+    exit::step(shared, round, exit::Input::Released((routed, commitments)));
 
     for (gid, batch) in batches.into_iter().enumerate() {
         let payload = wire::encode_mix(shared.wire_round(round), 0, SOURCE, Duration::ZERO, &batch);

@@ -59,7 +59,7 @@ pub(super) fn feed(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelo
         // on a group another worker is stepping is waiting, not mixing) and
         // closed before it is released. Scoped to the actor section (not
         // the sends), so a member's final hop is recorded before
-        // `exit::on_local_exit` resolves the round.
+        // the exit machine resolves the round.
         let span = atom_obs::span("mix", shared.trace_round(round), gid as u32);
         actor.note_arrival(mix.iteration, mix.sent_virtual);
         let outputs = match actor.on_batch(mix.iteration, mix.from, mix.batch) {
@@ -124,6 +124,6 @@ pub(super) fn feed(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelo
         if !shared.send_for_round(round, gid, shared.orchestrator, EXIT_LABEL, payload) {
             return;
         }
-        exit::on_local_exit(shared, round, finished_virtual);
+        exit::step(shared, round, exit::Input::Local(finished_virtual));
     }
 }

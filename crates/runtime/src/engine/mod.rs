@@ -8,41 +8,22 @@
 //! any other backend (e.g. [`atom_net::TcpTransport`]) via
 //! [`Engine::run_rounds_on`], which also lets one engine instance host only
 //! a *subset* of the groups so a round spans several OS processes (see
-//! [`EngineRole`]). There is no barrier anywhere:
-//!
-//! * **Within a round**, a group steps mixing iteration `i + 1` as soon as
-//!   all of its inbound sub-batches for `i + 1` have arrived, so fast groups
-//!   pipeline ahead of stragglers.
-//! * **Across rounds**, every round's submission intake is a set of queue
-//!   tasks like any other, so round `r + 1`'s proof verification and entry
-//!   mixing overlap round `r`'s tail.
-//! * **Within an intake**, a round's submissions split into
-//!   [`IntakeChunk`](EngineOptions::intake_chunk)-sized verification tasks,
-//!   so proof checking parallelizes across workers inside a single round;
-//!   chunk results merge deterministically (in submission order, first
-//!   failure wins) before the iteration-0 batches are released.
-//! * **Before a round**, its directory — group formation and the
-//!   per-group DKGs — is itself a set of queue tasks: each process derives
-//!   only the DKGs of its hosted groups and ships the public results to its
-//!   peers as `setup` wire frames, so round `r + 1`'s directory work
-//!   overlaps round `r`'s mixing tail, and adding processes divides the DKG
-//!   work instead of replicating it.
-//!
-//! Determinism: all randomness of round `r` derives from
-//! `RoundJob::seed` — the master draw mirrors the sequential
-//! [`RoundDriver`](atom_core::round::RoundDriver) consuming the first
-//! `next_u64` of `StdRng::seed_from_u64(seed)`, and each group actor owns the
-//! stream `group_stream_seed(master, round, gid)`. Scheduling therefore
-//! cannot influence any byte produced; for equal seeds the engine's
-//! [`RoundOutput`] is identical to the sequential driver's.
+//! [`EngineRole`]). There is no barrier anywhere, and scheduling cannot
+//! influence any byte produced (the crate docs say how): a group steps
+//! iteration `i + 1` once its own inbound sub-batches arrived, every
+//! phase of every round is queue tasks, so round `r + 1`'s setup and intake
+//! overlap round `r`'s tail, and a round's intake splits into
+//! [`IntakeChunk`](EngineOptions::intake_chunk)-sized verification tasks
+//! whose results merge in submission order (first failure wins).
 //!
 //! Each phase of a round owns its state in one module: `setup` (the DKG
-//! tasks and `setup` frames, collected by a sans-I/O machine whose one
-//! `step` every directory goes through), `intake` (chunked proof verification
-//! and the iteration-0 release), `mix` (the hosted group actors) and `exit`
-//! (exit collection, finalization and member stubs). This module holds the
-//! public types, the task queue, frame routing and the one place a round's
-//! result is written.
+//! tasks and `setup` frames), `intake` (chunked proof verification and the
+//! iteration-0 release), `mix` (the hosted group actors) and `exit` (the
+//! exit frames, finalization and member stubs). Setup and exit are sans-I/O
+//! machines, `SetupPhase` and `ExitPhase`, whose one `step` every round
+//! goes through; their modules are the machines' drivers. This module holds
+//! the public types, the task queue, frame routing and the one place a
+//! round's result is written.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -70,7 +51,7 @@ mod intake;
 mod mix;
 mod setup;
 
-use exit::ExitState;
+use exit::ExitPhase;
 use intake::Intake;
 use setup::SetupPhase;
 
@@ -356,18 +337,14 @@ impl RoundJob {
     }
 
     /// A job whose directory is derived *inside* the engine run: each
-    /// process derives only the DKGs of the groups it hosts
-    /// ([`atom_core::directory::derive_group`], one queue task per hosted
-    /// group), ships the public half of each result to its peers as `setup`
-    /// wire frames, and assembles the round's directory from its peers'
-    /// frames before any of its actors mix; the coordinator also derives the
-    /// trustee DKG. Because each group's DKG draws from its own
-    /// beacon-derived stream, the directory — and therefore the round's
-    /// [`RoundOutput`] — is byte-identical to the monolithic
-    /// [`derive_setup`](atom_core::directory::derive_setup) of the same
-    /// config, whatever the process layout. Only the coordinator's
-    /// `submissions` are consulted; members may pass an empty vector of the
-    /// matching variant.
+    /// process derives only its hosted groups' DKGs
+    /// ([`atom_core::directory::derive_group`]) and ships their public halves
+    /// to its peers as `setup` frames; the coordinator also derives the
+    /// trustee DKG. Each DKG draws from its own beacon-derived stream, so the
+    /// directory — and the round's [`RoundOutput`] — is byte-identical to
+    /// [`derive_setup`](atom_core::directory::derive_setup) of `config`,
+    /// whatever the process layout. Only the coordinator reads `submissions`;
+    /// members may pass an empty vector of the matching variant.
     pub fn sharded(config: AtomConfig, submissions: RoundSubmissions, seed: u64) -> Self {
         Self {
             config,
@@ -471,9 +448,8 @@ struct JobState {
     /// The round clock: the coordinator starts it at its first intake work,
     /// a member at its first local delivery.
     started: OnceLock<Instant>,
-    /// Exit collection. The exit frame that completes the round takes it
-    /// for finalization, so finalization runs once.
-    exit: Mutex<Option<ExitState>>,
+    /// The machine that collects the exits and claims finalization.
+    exit: Mutex<ExitPhase>,
     result: OnceLock<AtomResult<RoundReport>>,
     /// Iteration-0 injections by the local intake (coordinator only).
     intake_mix_messages: AtomicU64,
@@ -543,7 +519,7 @@ impl JobState {
             actors: (0..num_groups).map(|_| OnceLock::new()).collect(),
             intake: Intake::new(offered, options, workers),
             started: OnceLock::new(),
-            exit: Mutex::new(Some(ExitState::new(num_groups))),
+            exit: Mutex::new(ExitPhase::new(num_groups, role)),
             result: OnceLock::new(),
             intake_mix_messages: AtomicU64::new(0),
             intake_mix_bytes: AtomicU64::new(0),
@@ -797,7 +773,7 @@ impl Shared<'_> {
     fn stall_detail(&self, job: &JobState) -> (String, Vec<usize>) {
         let setup = job.phase.lock().waiting_on(|gids| self.locate(gids));
         let intake = || self.role.coordinator.then(|| job.intake.waiting_on())?;
-        let exit = || exit::waiting_on(self, job);
+        let exit = || job.exit.lock().waiting_on(|gids| self.locate(gids));
         setup.or_else(intake).unwrap_or_else(exit)
     }
 
@@ -851,17 +827,14 @@ impl Engine {
 
     /// Runs `jobs` over an explicit [`Transport`], playing `role`.
     ///
-    /// The transport must expose one node per group id (of the widest
-    /// round) plus the orchestrator as its **last** node, and `role` must
-    /// agree with the transport's locality: this process must host exactly
-    /// the mailboxes of its `hosted` groups (plus the orchestrator's iff
-    /// coordinator); otherwise every job fails with [`AtomError::Config`]
-    /// and no frame is sent. Every participating process derives the same
-    /// `jobs` (identical configs and seeds; only the coordinator needs
-    /// submissions) and calls this concurrently, each deriving only its
-    /// hosted groups' DKGs; the coordinator's returned reports
-    /// carry the round outputs, byte-identical to a single-process run of
-    /// the same jobs.
+    /// The transport and `role` must follow [`EngineRole`]'s node
+    /// convention for the widest round, with the orchestrator's mailbox
+    /// local exactly on the coordinator; otherwise every job fails with
+    /// [`AtomError::Config`] and no frame is sent. Every participating
+    /// process derives the same `jobs` (identical configs and seeds; only the
+    /// coordinator needs submissions) and calls this concurrently; the
+    /// coordinator's reports carry the round outputs, byte-identical to a
+    /// single-process run of the same jobs.
     pub fn run_rounds_on(
         &self,
         jobs: Vec<RoundJob>,
@@ -906,7 +879,9 @@ impl Engine {
         for (round, start) in starts.into_iter().enumerate() {
             match start {
                 Start::Derive => setup::derive(&shared, round),
-                Start::Idle => shared.resolve(round, Ok(exit::member_stub(&states[round]))),
+                Start::Idle => {
+                    shared.resolve(round, Ok(exit::member_stub(&states[round], Duration::ZERO)))
+                }
                 Start::Fail(error) => shared.fail_job(round, error),
             }
         }
@@ -1400,19 +1375,12 @@ pub(crate) mod tests {
                 .0
             })
             .collect();
-        let submissions = RoundSubmissions::Trap(submissions);
-        let mut job = RoundJob::new(setup, submissions.clone(), 4100);
-        job.failed_servers = victims.clone();
+        let mut job = RoundJob::new(setup, RoundSubmissions::Trap(submissions), 4100);
+        job.failed_servers = victims;
         let report = Engine::with_workers(3).run_round(job).unwrap();
         let mut want = messages;
         want.sort();
         assert_eq!(recovered(&report.output), want);
-        // The same heal with the directory derived inside the run.
-        let mut job = RoundJob::sharded(config, submissions, 4100);
-        job.failed_servers = victims;
-        let sharded = Engine::with_workers(3).run_round(job).unwrap();
-        assert_eq!(sharded.output.plaintexts, report.output.plaintexts);
-        assert_eq!(sharded.output.per_group, report.output.per_group);
     }
 
     #[test]
@@ -1809,20 +1777,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_round_reports_failures_like_a_prebuilt_one() {
-        let mut sharded = beacon_jobs(2, 43_000);
-        sharded[0].adversary = Some(AdversaryPlan {
-            group: 1,
-            member: 1,
-            iteration: 0,
-            action: atom_core::adversary::Misbehavior::DropMessage { slot: 0 },
-        });
-        let reports = Engine::with_workers(2).run_rounds(sharded);
-        assert!(matches!(reports[0], Err(AtomError::TrapCheckFailed(_))));
-        assert!(reports[1].is_ok(), "round 1 must survive round 0's failure");
-    }
-
-    #[test]
     fn sharded_round_rejects_invalid_config_up_front() {
         let mut config = AtomConfig::test_default();
         config.group_size = 0;
@@ -1941,6 +1895,29 @@ pub(crate) mod tests {
             elapsed < window * 3 / 2,
             "round 0 failed after {elapsed:?}: the abort restarted its stall window"
         );
+    }
+
+    /// A member hosting none of a round's groups resolves it at once and
+    /// may end its run, so the round's setup frames go only to the mailboxes
+    /// of its groups and the orchestrator: here mailboxes 1 and 2 belong to
+    /// a peer that refuses every frame, and a one-group round still runs.
+    #[test]
+    fn setup_frames_skip_mailboxes_hosting_no_group_of_the_round() {
+        use atom_net::{TcpOptions, TcpTransport};
+
+        let owner = vec![0, 1, 1, 0];
+        let coordinator = TcpTransport::bind_any(2, owner, 0, TcpOptions::default()).unwrap();
+        let refusing = FaultyTransport::new(&coordinator, |_, to, _: &[u8]| match to {
+            1 | 2 => SendFault::Unreachable { process: 1 },
+            _ => SendFault::Deliver,
+        });
+        let mut config = AtomConfig::test_default();
+        (config.num_groups, config.iterations) = (1, 1);
+        let job = RoundJob::sharded(config, RoundSubmissions::Trap(Vec::new()), 9600);
+        let role = EngineRole::coordinator(vec![0]);
+        let report = Engine::with_workers(2).run_rounds_on(vec![job], &refusing, &role);
+        coordinator.shutdown();
+        assert!(report[0].is_ok(), "{:?}", report[0]);
     }
 
     #[test]

@@ -31,10 +31,11 @@ pub(super) fn derive(shared: &Shared<'_>, round: usize) {
 }
 
 /// Derives the DKG of locally hosted group `gid` from its beacon stream,
-/// broadcasts the public half to every remote mailbox (each peer process
-/// needs every group's public key before its actors can mix; the
-/// coordinator also needs it for intake verification), and records the
-/// full context locally.
+/// sends the public half to the remote mailboxes of the round's groups and
+/// the orchestrator (each process hosting a group of the round needs every
+/// group's public key before its actors can mix; the coordinator also needs
+/// it for intake verification; a process hosting none resolved the round at
+/// once and may have ended its run), and records the full context locally.
 pub(super) fn run_setup_group(shared: &Shared<'_>, round: usize, gid: usize) {
     let _span = atom_obs::span("setup", shared.trace_round(round), gid as u32);
     let job = &shared.jobs[round];
@@ -57,10 +58,9 @@ pub(super) fn run_setup_group(shared: &Shared<'_>, round: usize, gid: usize) {
         public_key: public.public_key,
     };
     let payload = wire::encode_setup(&frame);
-    for node in 0..shared.transport.nodes() {
-        if !shared.transport.is_local(node)
-            && !shared.send_for_round(round, gid, node, SETUP_LABEL, payload.clone())
-        {
+    let readers = (0..job.num_groups()).chain([shared.orchestrator]);
+    for node in readers.filter(|&node| !shared.transport.is_local(node)) {
+        if !shared.send_for_round(round, gid, node, SETUP_LABEL, payload.clone()) {
             return;
         }
     }

@@ -54,15 +54,13 @@
 //!
 //! **Pipeline stages.** A round flows through: directory setup (group
 //! formation + per-group DKGs, derived *inside* the run and sharded across
-//! processes, see [`RoundJob::sharded`]) → submission
-//! intake (proof verification, batching) → iteration 0 → … → iteration T−1
-//! (exit layer) → exit phase (trap checking / decryption). Every stage is a
-//! queue task, so the pool interleaves: group 3 of round 0 can run
-//! iteration 4 while group 1 is still on iteration 2, round 1's intake
-//! verifies proofs while round 0 mixes, and round 1's DKGs run during
-//! round 0's mixing tail. The per-iteration barrier of the sequential
-//! driver exists nowhere; a group only waits for *its own* inbound
-//! sub-batches.
+//! processes, see [`RoundJob::sharded`]) → submission intake (proof
+//! verification, batching) → iteration 0 → … → iteration T−1 (exit layer)
+//! → exit phase (trap checking / decryption). Every stage is a queue task,
+//! so the pool interleaves: group 3 of round 0 can run iteration 4 while
+//! group 1 is still on iteration 2 (a group waits only for *its own*
+//! inbound sub-batches), round 1's intake verifies proofs while round 0
+//! mixes, and round 1's DKGs run during round 0's mixing tail.
 //!
 //! **Determinism.** All round randomness derives from `RoundJob::seed`;
 //! each group actor owns the stream `group_stream_seed(master, round, gid)`
@@ -72,13 +70,10 @@
 //! `runtime_equivalence` integration suite.
 //!
 //! **Accounting.** The transport only transports: the engine counts each
-//! mix envelope as it encodes it and reports per-round message and byte
-//! counts ([`RoundReport`]). Latency is tracked on two models: the barrier
-//! model (`RoundTimings::end_to_end`, matching the sequential driver and
-//! Fig. 9–11) and the pipelined model (the virtual-clock time of the latest
-//! group exit), whose gap quantifies what the barrier costs. Both clocks
-//! carry compute only: no simulated §6 link time is charged anywhere (the
-//! deployment simulator in `atom-sim` models links instead).
+//! mix envelope as it encodes it ([`RoundReport`]'s traffic counters) and
+//! reports latency on the barrier and the pipelined model
+//! ([`RoundReport::pipelined_latency`]). Both carry compute only: links are
+//! modelled by the deployment simulator in `atom-sim`, never charged here.
 //!
 //! ## Example
 //!

@@ -5,10 +5,11 @@
 //! them. This scan counts the calls left under `crates/`, `src/` and
 //! `tests/` (comments stripped) and fails when the count rises above
 //! [`MAX_SLEEPS`]. A change that removes a sleep lowers the bound with it.
-//! A second scan keeps the recovery and setup state machines free of
-//! clocks, threads and I/O, so time stays injected there, and a third counts the clock
-//! reads of the protocol paths and keeps them out of the decisions that
-//! take `now`. CI runs all three in the Chaos step.
+//! A second scan keeps the recovery machines and the round-phase machines
+//! (setup, exit) free of clocks, threads and I/O, so time stays injected
+//! there, and a third counts the clock reads of the protocol paths and
+//! keeps them out of the decisions that take `now`. CI runs all three in
+//! the Chaos step.
 
 mod common;
 
@@ -67,23 +68,24 @@ const IO_TOKENS: [&str; 11] = [
     "transport",
 ];
 
-/// The setup machine's file, under `crates/runtime/src`; the recovery
-/// machines are every file under `recovery`.
-const SETUP_MACHINE: &str = "engine/setup/machine.rs";
+/// The round-phase machines' files, under `crates/runtime/src`; the
+/// recovery machines are every file under `recovery`.
+const PHASE_MACHINES: [&str; 2] = ["engine/setup/machine.rs", "engine/exit/machine.rs"];
 
 #[test]
-fn recovery_and_setup_machines_stay_sans_io() {
+fn recovery_and_round_phase_machines_stay_sans_io() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/runtime/src");
     let mut files = Vec::new();
     rust_files(&src, &mut files);
     let machine = |file: &&std::path::PathBuf| {
         let relative = file.strip_prefix(&src).expect("under the runtime sources");
         let relative = relative.to_string_lossy();
-        relative.starts_with("recovery") || relative == SETUP_MACHINE
+        relative.starts_with("recovery") || PHASE_MACHINES.contains(&relative.as_ref())
     };
     let files: Vec<_> = files.iter().filter(machine).collect();
+    let present = |phase: &str| files.iter().any(|file| file.ends_with(phase));
     assert!(
-        files.len() >= 2 && files.iter().any(|file| file.ends_with(SETUP_MACHINE)),
+        files.len() >= 4 && PHASE_MACHINES.into_iter().all(present),
         "the machines' sources are missing under {}",
         src.display()
     );
@@ -104,17 +106,20 @@ fn recovery_and_setup_machines_stay_sans_io() {
     }
     assert!(
         hits.is_empty(),
-        "the recovery and setup machines own no clock, thread, transport, engine or log line:\n{}",
+        "the recovery and round-phase machines own no clock, thread, transport, engine or log \
+         line:\n{}",
         hits.join("\n")
     );
 }
 
 /// The protocol-path files whose clock reads [`clock_reads_do_not_grow`]
 /// counts.
-const CLOCK_FILES: [&str; 9] = [
+const CLOCK_FILES: [&str; 11] = [
     "crates/runtime/src/engine/mod.rs",
     "crates/runtime/src/engine/setup.rs",
     "crates/runtime/src/engine/setup/machine.rs",
+    "crates/runtime/src/engine/exit.rs",
+    "crates/runtime/src/engine/exit/machine.rs",
     "crates/runtime/src/ingress.rs",
     "crates/net/src/tcp.rs",
     "crates/net/src/evloop.rs",
