@@ -1,7 +1,6 @@
-//! Exit: the driver of a round's [`ExitPhase`]. The machine takes intake's
-//! release, the orchestrator's exit frames and a member's hosted exits;
-//! [`step`] carries out what it returns: the coordinator's finalization
-//! through its variant's exit phase, a member's stub report, a failure.
+//! Exit: the coordinator's finalization through its variant's exit phase,
+//! and a member's stub report. The round's machine decides when either is
+//! due; exit frames reach it through [`on_exit_frame`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -9,13 +8,13 @@ use std::time::Duration;
 use atom_core::config::Defense;
 use atom_core::round::{collect_round_timings, finish_nizk_round, finish_trap_round, RoundOutput};
 
+use super::phase::{self, Input};
 use super::{JobState, RoundReport, Shared};
 use crate::wire::ExitFrame;
 
 mod machine;
 
-use machine::{Action, Released};
-pub(super) use machine::{ExitPhase, Input};
+pub(super) use machine::Released;
 
 /// Routes one exit frame to its round's machine: exit frames go to the
 /// orchestrator alone.
@@ -23,26 +22,7 @@ pub(super) fn on_exit_frame(shared: &Shared<'_>, round: usize, node: usize, fram
     if node != shared.orchestrator || !shared.role.coordinator {
         return shared.fail_all("exit frame delivered to a non-orchestrator node");
     }
-    let installed = shared.jobs[round].setup.get().is_some();
-    step(shared, round, Input::Frame(frame, installed));
-}
-
-/// Steps round `round`'s exit machine with `input` and, once the machine is
-/// released, carries out what it returns.
-pub(super) fn step(shared: &Shared<'_>, round: usize, input: Input) {
-    let job = &shared.jobs[round];
-    if job.failed() {
-        return;
-    }
-    shared.progressed(round);
-    let actions = job.exit.lock().step(input);
-    for action in actions {
-        match action {
-            Action::Finalize(frames, released) => finalize_round(shared, round, frames, released),
-            Action::Stub(pipelined) => shared.resolve(round, Ok(member_stub(job, pipelined))),
-            Action::Fail(error) => shared.fail_job(round, error),
-        }
-    }
+    phase::step(shared, round, Input::Exit(frame));
 }
 
 /// A member's stub report (see [`RoundReport`]): its hosted groups' traffic
@@ -63,7 +43,12 @@ pub(super) fn member_stub(job: &JobState, pipelined: Duration) -> RoundReport {
 
 /// Runs the variant's exit phase over every group's frame and resolves the
 /// round (coordinator only).
-fn finalize_round(shared: &Shared<'_>, round: usize, frames: Vec<ExitFrame>, released: Released) {
+pub(super) fn finalize_round(
+    shared: &Shared<'_>,
+    round: usize,
+    frames: Vec<ExitFrame>,
+    released: Released,
+) {
     let (job, (routed, commitments)) = (&shared.jobs[round], released);
     let pipelined = frames.iter().map(|frame| frame.finished_virtual).max();
     let mix = (frames.iter()).fold((0, 0), |(m, b), f| (m + f.mix_messages, b + f.mix_bytes));

@@ -1,75 +1,38 @@
 //! Submission intake (coordinator only): a round's submissions verified in
-//! chunk-sized queue tasks under the streaming window, then merged in chunk
-//! order into the iteration-0 batches.
+//! chunk-sized queue tasks, which the round's machine hands out under the
+//! streaming window and merges in chunk order into the iteration-0
+//! batches; [`release`] sends them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use atom_core::actor::SOURCE;
 use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult};
 use atom_core::message::{NizkSubmission, TrapSubmission};
 use atom_core::round::{verify_nizk_submissions_range, verify_trap_submissions_range, TrapIntake};
-use atom_crypto::commit::Commitment;
 use atom_crypto::elgamal::MessageCiphertext;
 
-use super::{exit, EngineOptions, RoundSubmissions, Shared, SubmissionBlock, Task, MIX_LABEL};
-use crate::{fill_vec::FillVec, wire};
+use super::phase::{self, Input};
+use super::{EngineOptions, RoundSubmissions, Shared, SubmissionBlock, MIX_LABEL};
+use crate::wire;
 
-/// A round's intake chunks and their progress.
+/// A round's intake chunks.
 pub(super) struct Intake {
     /// Submission index ranges of the intake chunks.
-    chunks: Vec<(usize, usize)>,
-    /// Chunks scheduled when intake is released: at most
-    /// [`EngineOptions::intake_window`] of them (`0` = all) are scheduled —
-    /// and therefore materialized — at once.
-    window: usize,
-    /// Next intake chunk index to schedule under the streaming window
-    /// ([`EngineOptions::intake_window`]): each finishing chunk fetch-adds
-    /// here and enqueues the claimed index, keeping at most `window` chunks
-    /// in flight. Starts at `window`, which is `chunks.len()` when the
-    /// window is unbounded, so the fetch-add finds nothing left to schedule.
-    next_chunk: AtomicUsize,
+    pub(super) chunks: Vec<(usize, usize)>,
     /// Submissions currently materialized by in-flight streaming chunks
     /// (feeds the `engine.intake.peak_in_flight` gauge).
     stream_in_flight: AtomicUsize,
-    /// Per-chunk verification results — per-entry-group sub-batches and
-    /// (trap variant only) commitments — merged in chunk order, so the first
-    /// failing submission wins, exactly like the sequential driver. The
-    /// worker filling the last slot takes them all and releases the round's
-    /// iteration-0 batches, leaving this empty.
-    results: Mutex<FillVec<AtomResult<TrapIntake>>>,
 }
 
 impl Intake {
     /// The intake of a round offering `offered` submissions.
     pub(super) fn new(offered: usize, options: &EngineOptions, workers: usize) -> Self {
-        let chunks = chunk_ranges(offered, options.intake_chunk, workers);
-        let window = match options.intake_window {
-            0 => chunks.len(),
-            window => window.min(chunks.len()).max(1),
-        };
         Self {
-            results: Mutex::new(FillVec::new(chunks.len())),
-            chunks,
-            window,
-            next_chunk: AtomicUsize::new(window),
+            chunks: chunk_ranges(offered, options.intake_chunk, workers),
             stream_in_flight: AtomicUsize::new(0),
         }
-    }
-
-    /// How many chunks to schedule when intake is released.
-    pub(super) fn window(&self) -> usize {
-        self.window
-    }
-
-    /// What the round waits on while chunks are still unverified.
-    pub(super) fn waiting_on(&self) -> Option<(String, Vec<usize>)> {
-        let pending = self.results.lock().missing().count();
-        let detail = format!("stuck before batch release: {pending} intake chunk(s) unverified");
-        (pending > 0).then_some((detail, Vec::new()))
     }
 }
 
@@ -123,9 +86,8 @@ fn verify_chunk(
     }
 }
 
-/// Verifies one intake chunk of a round's submissions; the worker that
-/// completes the round's last chunk merges the results and releases the
-/// iteration-0 batches ([`finish_intake`]).
+/// Verifies one intake chunk of a round's submissions and feeds the result
+/// to the round's machine.
 pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) {
     let _span = atom_obs::span("intake", shared.trace_round(round), atom_obs::GID_NONE);
     let job = &shared.jobs[round];
@@ -173,54 +135,13 @@ pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) 
     };
     drop(verify_span);
 
-    // Under a bounded window, a finishing chunk releases the next unclaimed
-    // one. This also runs for failed chunks: the release path needs every
-    // chunk's slot filled before it can diagnose the round.
-    let next = intake.next_chunk.fetch_add(1, Ordering::SeqCst);
-    if next < intake.chunks.len() {
-        shared
-            .sched
-            .push_task(Task::IntakeChunk { round, chunk: next });
-    }
-
-    let mut results = intake.results.lock();
-    if results.set(chunk, result).is_ok() && results.is_full() {
-        let full = std::mem::replace(&mut *results, FillVec::new(0)).into_full();
-        drop(results);
-        finish_intake(shared, round, full.expect("every chunk verified"));
-    }
+    phase::step(shared, round, Input::Chunk(chunk, result));
 }
 
-/// Merges the verified intake chunks in chunk order and injects the
-/// iteration-0 batches. Ranges are contiguous and ascending, so the merged
-/// per-group batches equal the single-task (and sequential-driver)
-/// bucketing byte for byte; the first failed chunk — which contains the
-/// lowest-indexed rejected submission — decides the round's error.
-fn finish_intake(shared: &Shared<'_>, round: usize, results: Vec<AtomResult<TrapIntake>>) {
+/// Injects the iteration-0 batches the round's machine released, one per
+/// group.
+pub(super) fn release(shared: &Shared<'_>, round: usize, batches: Vec<Vec<MessageCiphertext>>) {
     let job = &shared.jobs[round];
-    if job.failed() {
-        return;
-    }
-    let num_groups = job.num_groups();
-    let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); num_groups];
-    let mut commitments: Vec<Vec<Commitment>> = vec![Vec::new(); num_groups];
-    for result in results {
-        match result {
-            Ok(chunk) => {
-                for (gid, mut sub) in chunk.batches.into_iter().enumerate() {
-                    batches[gid].append(&mut sub);
-                }
-                for (gid, mut sub) in chunk.commitments.into_iter().enumerate() {
-                    commitments[gid].append(&mut sub);
-                }
-            }
-            Err(error) => return shared.fail_job(round, error),
-        }
-    }
-
-    let routed = batches.iter().map(Vec::len).sum();
-    exit::step(shared, round, exit::Input::Released((routed, commitments)));
-
     for (gid, batch) in batches.into_iter().enumerate() {
         let payload = wire::encode_mix(shared.wire_round(round), 0, SOURCE, Duration::ZERO, &batch);
         job.intake_mix_messages.fetch_add(1, Ordering::Relaxed);

@@ -8,12 +8,12 @@ use std::time::Duration;
 use atom_core::actor::ActorOutput;
 use atom_core::error::AtomError;
 
-use super::setup::{self, Input};
-use super::{exit, Shared, EXIT_LABEL, MIX_LABEL};
+use super::phase::{self, Input};
+use super::{Shared, EXIT_LABEL, MIX_LABEL};
 use crate::wire::{self, ExitFrame, MixEnvelope};
 
 /// Routes one mixing sub-batch for group `gid`: to its actor once the
-/// round's directory is installed, through the setup machine before.
+/// round's directory is published, through the round's machine before.
 pub(super) fn on_mix_frame(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelope) {
     let job = &shared.jobs[round];
     if job.failed() {
@@ -27,7 +27,7 @@ pub(super) fn on_mix_frame(shared: &Shared<'_>, round: usize, gid: usize, mix: M
     }
     match job.setup.get() {
         Some(_) => feed(shared, round, gid, mix),
-        None => setup::step(shared, round, Input::Mix(gid, mix)),
+        None => phase::step(shared, round, Input::Mix(gid, mix)),
     }
 }
 
@@ -59,7 +59,7 @@ pub(super) fn feed(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelo
         // on a group another worker is stepping is waiting, not mixing) and
         // closed before it is released. Scoped to the actor section (not
         // the sends), so a member's final hop is recorded before
-        // the exit machine resolves the round.
+        // its stub resolves the round.
         let span = atom_obs::span("mix", shared.trace_round(round), gid as u32);
         actor.note_arrival(mix.iteration, mix.sent_virtual);
         let outputs = match actor.on_batch(mix.iteration, mix.from, mix.batch) {
@@ -124,6 +124,6 @@ pub(super) fn feed(shared: &Shared<'_>, round: usize, gid: usize, mix: MixEnvelo
         if !shared.send_for_round(round, gid, shared.orchestrator, EXIT_LABEL, payload) {
             return;
         }
-        exit::step(shared, round, exit::Input::Local(finished_virtual));
+        phase::step(shared, round, Input::Local(finished_virtual));
     }
 }

@@ -16,14 +16,15 @@
 //! [`IntakeChunk`](EngineOptions::intake_chunk)-sized verification tasks
 //! whose results merge in submission order (first failure wins).
 //!
-//! Each phase of a round owns its state in one module: `setup` (the DKG
-//! tasks and `setup` frames), `intake` (chunked proof verification and the
-//! iteration-0 release), `mix` (the hosted group actors) and `exit` (the
-//! exit frames, finalization and member stubs). Setup and exit are sans-I/O
-//! machines, `SetupPhase` and `ExitPhase`, whose one `step` every round
-//! goes through; their modules are the machines' drivers. This module holds
-//! the public types, the task queue, frame routing and the one place a
-//! round's result is written.
+//! A round's setup, intake and exit decisions are one sans-I/O machine,
+//! `RoundPhase`, behind one lock per round; `phase::step`, its one driver,
+//! feeds it each input and carries out what it returns. The work lives in
+//! one module per phase: `setup` (the DKG tasks, `setup` frames and actor
+//! building), `intake` (chunked proof verification and the iteration-0
+//! sends), `mix` (the hosted group actors, whose hot path bypasses the
+//! lock once the directory is published) and `exit` (finalization and
+//! member stubs). This module holds the public types, the task queue,
+//! frame routing and the one place a round's result is written.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -49,11 +50,11 @@ use crate::wire::{self, Frame};
 mod exit;
 mod intake;
 mod mix;
+mod phase;
 mod setup;
 
-use exit::ExitPhase;
 use intake::Intake;
-use setup::SetupPhase;
+use phase::RoundPhase;
 
 /// Envelope label of serialized mixing sub-batches (static: no per-message
 /// allocation on the hot path).
@@ -422,23 +423,13 @@ struct ActorSpec {
     churn: Vec<(usize, usize)>,
 }
 
-/// How a job starts once the run's shared state exists.
-enum Start {
-    /// Derive the directory on the task queue.
-    Derive,
-    /// A member hosting none of the round's groups: nothing to run.
-    Idle,
-    /// The job cannot run at all.
-    Fail(AtomError),
-}
-
 struct JobState {
     config: AtomConfig,
     /// The round's directory, published by `setup::install`; reads outside
     /// the setup phase go through [`JobState::round_setup`].
     setup: OnceLock<RoundSetup>,
-    /// The machine that assembles the directory.
-    phase: Mutex<SetupPhase>,
+    /// The machine that makes the round's setup, intake and exit decisions.
+    phase: Mutex<RoundPhase>,
     actor_spec: ActorSpec,
     submissions: RoundSubmissions,
     /// One lazily initialized slot per group id; never set for groups
@@ -448,8 +439,6 @@ struct JobState {
     /// The round clock: the coordinator starts it at its first intake work,
     /// a member at its first local delivery.
     started: OnceLock<Instant>,
-    /// The machine that collects the exits and claims finalization.
-    exit: Mutex<ExitPhase>,
     result: OnceLock<AtomResult<RoundReport>>,
     /// Iteration-0 injections by the local intake (coordinator only).
     intake_mix_messages: AtomicU64,
@@ -460,51 +449,23 @@ struct JobState {
 }
 
 impl JobState {
-    /// The state of job `round` and how it starts.
+    /// The state of job `round`; its machine decides at
+    /// [`phase::Input::Begin`] whether the job runs.
     fn new(
         round: usize,
         job: RoundJob,
         role: &EngineRole,
         options: &EngineOptions,
         workers: usize,
-    ) -> (Self, Start) {
+    ) -> Self {
         let config = job.config;
         let num_groups = config.num_groups;
         let offered = job.submissions.len();
-        // Derivation happens on the task queue; here we only validate the
-        // config.
-        let start = match config.validate() {
-            // Every frame carries its round as a `u32`: a job past that
-            // range would go out wrapped and be fenced as stale by its own
-            // run. Every process fails it alike.
-            _ if wire_round_id(round, options.round_offset).is_none() => {
-                Start::Fail(AtomError::Config(format!(
-                    "round_offset {} puts job {round} past the u32 wire round range",
-                    options.round_offset
-                )))
-            }
-            Err(error) => Start::Fail(error),
-            // The intake cap fails a flood closed here, at admission: not
-            // one of the flood's submissions gets materialized or verified,
-            // so an attacker can spend our memory only up to the cap, never
-            // up to their offer.
-            Ok(_) if role.coordinator && options.intake_cap > 0 && offered > options.intake_cap => {
-                Start::Fail(AtomError::Engine {
-                    kind: EngineErrorKind::ProtocolAbort,
-                    reason: format!(
-                        "submission flood: round {round} offers {offered} submissions, over the \
-                         intake cap of {}; failing closed without buffering the flood",
-                        options.intake_cap
-                    ),
-                    nodes: Vec::new(),
-                })
-            }
-            Ok(_) if !role.coordinator && role.hosted_in_round(num_groups) == 0 => Start::Idle,
-            Ok(()) => Start::Derive,
-        };
-        let state = JobState {
+        let intake = Intake::new(offered, options, workers);
+        let phase = RoundPhase::new(round, &config, role, options, offered, intake.chunks.len());
+        JobState {
             setup: OnceLock::new(),
-            phase: Mutex::new(SetupPhase::new(&config, role)),
+            phase: Mutex::new(phase),
             // The master draw mirrors RoundDriver::run_mixing's first use of
             // the caller RNG, keeping seed semantics identical across
             // drivers.
@@ -517,9 +478,8 @@ impl JobState {
             },
             submissions: job.submissions,
             actors: (0..num_groups).map(|_| OnceLock::new()).collect(),
-            intake: Intake::new(offered, options, workers),
+            intake,
             started: OnceLock::new(),
-            exit: Mutex::new(ExitPhase::new(num_groups, role)),
             result: OnceLock::new(),
             intake_mix_messages: AtomicU64::new(0),
             intake_mix_bytes: AtomicU64::new(0),
@@ -527,8 +487,7 @@ impl JobState {
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
                 .collect(),
             config,
-        };
-        (state, start)
+        }
     }
 
     fn num_groups(&self) -> usize {
@@ -561,7 +520,7 @@ impl JobState {
 
     /// See [`RoundReport::setup_latency`].
     fn setup_latency(&self) -> Duration {
-        self.phase.lock().latency()
+        self.phase.lock().ready.unwrap_or_default()
     }
 }
 
@@ -609,7 +568,7 @@ impl Scheduler {
 struct Shared<'a> {
     jobs: &'a [JobState],
     sched: Arc<Scheduler>,
-    /// When the run started: the setup machines' clock.
+    /// When the run started: the round machines' clock.
     started: Instant,
     transport: &'a dyn Transport,
     orchestrator: usize,
@@ -766,15 +725,12 @@ impl Shared<'_> {
         }
     }
 
-    /// What an unresolved round waits for, asked of the phase it is stuck
-    /// in: the diagnosis, with each outstanding group tagged local/remote,
-    /// and the remote group nodes, which a
+    /// What an unresolved round waits for, asked of its machine once: the
+    /// diagnosis, with each outstanding group tagged local/remote, and the
+    /// remote group nodes, which a
     /// [`FaultVerdict`](crate::fault::FaultVerdict) maps to a process.
     fn stall_detail(&self, job: &JobState) -> (String, Vec<usize>) {
-        let setup = job.phase.lock().waiting_on(|gids| self.locate(gids));
-        let intake = || self.role.coordinator.then(|| job.intake.waiting_on())?;
-        let exit = || job.exit.lock().waiting_on(|gids| self.locate(gids));
-        setup.or_else(intake).unwrap_or_else(exit)
+        job.phase.lock().waiting_on(|gids| self.locate(gids))
     }
 
     /// Names `gids` as `"g (local), h (remote)"` — a remote tag names a
@@ -849,9 +805,9 @@ impl Engine {
             Err(reason) => return vec![Err(AtomError::Config(reason)); jobs.len()],
         };
         let workers = self.options.workers.max(1);
-        let (states, starts): (Vec<JobState>, Vec<Start>) = (jobs.into_iter().enumerate())
+        let states: Vec<JobState> = (jobs.into_iter().enumerate())
             .map(|(round, job)| JobState::new(round, job, role, &self.options, workers))
-            .unzip();
+            .collect();
         let started = Instant::now();
         let sched = Arc::new(Scheduler {
             queue: std::sync::Mutex::new(VecDeque::new()),
@@ -876,14 +832,8 @@ impl Engine {
         // directory work with round `r`'s mixing tail. A round this process
         // cannot even set up resolves here, which also tells the other
         // processes not to wait on it.
-        for (round, start) in starts.into_iter().enumerate() {
-            match start {
-                Start::Derive => setup::derive(&shared, round),
-                Start::Idle => {
-                    shared.resolve(round, Ok(exit::member_stub(&states[round], Duration::ZERO)))
-                }
-                Start::Fail(error) => shared.fail_job(round, error),
-            }
+        for round in 0..states.len() {
+            phase::step(&shared, round, phase::Input::Begin);
         }
 
         // Arrivals wake the pool through the delivery hook; a sweep over
@@ -1089,7 +1039,7 @@ impl Drop for Executing<'_, '_> {
 
 /// Drains a local mailbox and routes each frame to its round's phase: mix
 /// batches feed the node's group actor, exit frames accumulate at the
-/// orchestrator, setup frames feed the round's setup machine and abort
+/// orchestrator, setup frames feed the round's machine and abort
 /// frames fail their round. This is the one place a frame's
 /// round is checked against the run's job list.
 fn run_deliver(shared: &Shared<'_>, node: usize) {
@@ -1129,7 +1079,7 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
             Err(error) => shared.fail_job(round, error),
             Ok(Frame::Mix(mix)) => mix::on_mix_frame(shared, round, node, mix),
             Ok(Frame::Exit(exit)) => exit::on_exit_frame(shared, round, node, exit),
-            Ok(Frame::Setup(frame)) => setup::step(shared, round, setup::Input::Frame(frame)),
+            Ok(Frame::Setup(frame)) => phase::step(shared, round, phase::Input::Frame(frame)),
             Ok(Frame::Abort(abort)) => shared.fail_job(
                 round,
                 AtomError::Engine {

@@ -1,8 +1,8 @@
-//! Directory setup: the driver of a round's [`SetupPhase`]. Every round
-//! derives its directory in the run: one DKG task per hosted group (plus
-//! the trustee DKG on the coordinator), whose public halves travel to the
-//! peers as `setup` frames; the machine collects them, and [`step`] carries
-//! out what it returns.
+//! Directory setup: every round derives its directory in the run, one DKG
+//! task per hosted group (plus the trustee DKG on the coordinator), whose
+//! public halves travel to the peers as `setup` frames. The round's
+//! machine collects them; [`install`] builds the actors from what it
+//! assembles.
 
 use parking_lot::Mutex;
 
@@ -11,12 +11,13 @@ use atom_core::directory::{derive_group, derive_trustees, RoundSetup};
 use atom_core::error::AtomResult;
 use atom_core::group::GroupStepOptions;
 
-use super::{mix, ActorSpec, Shared, Task, SETUP_LABEL};
+use super::phase::{self, Input};
+use super::{ActorSpec, Shared, Task, SETUP_LABEL};
 use crate::wire::{self, SetupFrame};
 
 mod machine;
 
-pub(super) use machine::{Action, Input, SetupPhase};
+pub(super) use machine::member_trustee_placeholder;
 
 /// Queues a round's directory derivation: one task per hosted group, plus
 /// the trustee DKG on the coordinator.
@@ -64,7 +65,7 @@ pub(super) fn run_setup_group(shared: &Shared<'_>, round: usize, gid: usize) {
             return;
         }
     }
-    step(shared, round, Input::Group(context));
+    phase::step(shared, round, Input::Group(context));
 }
 
 /// Derives the trustee DKG (coordinator only; members record a
@@ -76,70 +77,27 @@ pub(super) fn run_setup_trustees(shared: &Shared<'_>, round: usize) {
         return;
     }
     match derive_trustees(&job.config) {
-        Ok(trustees) => step(shared, round, Input::Trustees(trustees)),
+        Ok(trustees) => phase::step(shared, round, Input::Trustees(trustees)),
         Err(error) => shared.fail_job(round, error),
     }
 }
 
-/// Steps round `round`'s setup machine with `input`, at the time since the
-/// run started, and carries out what it returns. The machine stays held
-/// while [`install`] builds the actors, so an envelope it hands another
-/// worker never finds its actor missing; envelopes reach their actors, and
-/// a failure its round, once it is released.
-pub(super) fn step(shared: &Shared<'_>, round: usize, input: Input) {
-    let job = &shared.jobs[round];
-    if job.failed() {
-        return;
-    }
-    shared.progressed(round);
-    let (mut deliver, mut failure) = (Vec::new(), None);
-    let mut machine = job.phase.lock();
-    for action in machine.step(shared.started.elapsed(), input) {
-        match action {
-            Action::Install(setup, replay) => {
-                if !install(shared, round, *setup) {
-                    return;
-                }
-                deliver.extend(replay);
-            }
-            Action::Deliver(gid, mix) => deliver.push((gid, mix)),
-            Action::Fail(error) => failure = Some(error),
-        }
-    }
-    drop(machine);
-    if let Some(error) = failure {
-        return shared.fail_job(round, error);
-    }
-    for (gid, mix) in deliver {
-        mix::feed(shared, round, gid, mix);
-    }
-}
-
-/// Builds the hosted actors, publishes the directory and releases the
-/// coordinator's intake, which could not run before: submission proofs
-/// verify against the group and trustee keys. An actor that cannot be
-/// built fails the round while the machine is held; returns whether the
-/// round still runs.
-fn install(shared: &Shared<'_>, round: usize, setup: RoundSetup) -> bool {
+/// Builds the hosted actors and publishes the directory, which releases
+/// the coordinator's intake: submission proofs verify against the group
+/// and trustee keys. An actor that cannot be built fails the round while
+/// the machine is held; the actions that follow the install find the
+/// round failed.
+pub(super) fn install(shared: &Shared<'_>, round: usize, setup: RoundSetup) {
     let job = &shared.jobs[round];
     for gid in (0..job.num_groups()).filter(|&gid| shared.role.hosts(gid)) {
         match build_actor(&setup, gid, &job.actor_spec) {
             Ok(actor) => {
                 let _ = job.actors[gid].set(Mutex::new(actor));
             }
-            Err(error) => {
-                shared.fail_job(round, error);
-                return false;
-            }
+            Err(error) => return shared.fail_job(round, error),
         }
     }
     let _ = job.setup.set(setup);
-    if shared.role.coordinator && !job.finalized() {
-        for chunk in 0..job.intake.window() {
-            shared.sched.push_task(Task::IntakeChunk { round, chunk });
-        }
-    }
-    true
 }
 
 /// Builds the actor of group `gid` from the directory and the job's
