@@ -1,35 +1,36 @@
-//! The re-entrant per-group mixing actor.
+//! The per-group mixing state machine, in two parts.
 //!
-//! [`GroupActor`] wraps one anytrust group's share of a round as a
-//! message-driven state machine: inbound sub-batches are buffered per
-//! iteration, and as soon as **all** of a group's expected inputs for its
-//! next iteration have arrived the actor runs [`group_mix_iteration`] and
+//! A [`GroupInbox`] buffers a group's inbound sub-batches per iteration and
+//! hands the next iteration out once **all** of its senders' sub-batches
+//! arrived; it needs only the config, so it exists before the directory.
+//! A [`GroupStepper`] then runs [`group_mix_iteration`] over that batch and
 //! emits the outputs — sub-batches addressed to neighbour groups, or the
 //! decoded exit payloads on the final layer. Nothing else synchronizes
 //! groups, which is what lets the parallel runtime (`atom-runtime`) run
 //! groups barrier-free: a fast group may be several iterations ahead of a
 //! straggler.
 //!
-//! Two properties make actor execution reproducible and byte-equivalent to
-//! the sequential [`RoundDriver`](crate::round::RoundDriver):
+//! Two properties make execution reproducible and byte-equivalent to the
+//! sequential [`RoundDriver`](crate::round::RoundDriver):
 //!
-//! * **Per-group RNG streams.** Each actor draws randomness from its own
-//!   `StdRng` seeded by [`group_stream_seed`]`(master, round, gid)`, so the
+//! * **Per-group RNG streams.** Each stepper draws randomness from its own
+//!   `StdRng` seeded by `group_stream_seed(master, round, gid)`, so the
 //!   bytes a group produces depend only on its inputs and its own stream —
 //!   never on how its execution interleaves with other groups.
 //! * **Deterministic batch assembly.** A group's iteration-`i` input batch
-//!   is the concatenation of the inbound sub-batches ordered by sender group
-//!   id (with the round orchestrator as the lowest, [`SOURCE`]), matching
-//!   the order the sequential driver produces.
+//!   is the concatenation of the inbound sub-batches ordered by sender:
+//!   the round orchestrator ([`SOURCE`]) alone at iteration 0, the sending
+//!   groups by ascending id afterwards, matching the order the sequential
+//!   driver produces.
 //!
-//! The actor also tracks a per-group *virtual clock*: each inbound batch
+//! The stepper also tracks a per-group *virtual clock*: each inbound batch
 //! carries its simulated arrival time (sender finish time plus link
-//! latency), and the actor's finish time for an iteration is
+//! latency), and the group's finish time for an iteration is
 //! `max(arrivals, previous finish) + measured compute`. Exit outputs carry
 //! the group's final virtual time, from which a pipelined end-to-end latency
 //! (Fig. 9–11 accounting without the per-iteration barrier) falls out.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -39,20 +40,19 @@ use atom_crypto::elgamal::{MessageCiphertext, PublicKey};
 use atom_topology::network::Topology;
 
 use crate::adversary::AdversaryPlan;
-use crate::config::Defense;
+use crate::config::{AtomConfig, Defense};
 use crate::directory::{GroupContext, RoundSetup};
 use crate::error::{AtomError, AtomResult};
 use crate::group::{group_mix_iteration, GroupStepOptions};
 use crate::message::{nizk_payload_len, trap_payload_len};
 
-/// Pseudo group id of the round orchestrator, the sender of every group's
-/// iteration-0 batch. Sorts below every real group id during batch assembly
-/// (real ids occupy `0..num_groups`; the orchestrator is mapped in front).
+/// Pseudo group id of the round orchestrator, the one sender of every
+/// group's iteration-0 batch (real ids occupy `0..num_groups`).
 pub const SOURCE: usize = usize::MAX;
 
 /// Derives the RNG seed of group `gid`'s stream for `round` from a master
 /// seed (splitmix64-style finalizer over the mixed inputs).
-pub fn group_stream_seed(master: u64, round: u64, gid: usize) -> u64 {
+pub(crate) fn group_stream_seed(master: u64, round: u64, gid: usize) -> u64 {
     let mut x = master
         ^ round.wrapping_mul(0xa24b_aed4_963e_e407)
         ^ (gid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -61,7 +61,7 @@ pub fn group_stream_seed(master: u64, round: u64, gid: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-actor execution options beyond the common [`GroupStepOptions`].
+/// Per-group execution options beyond the common [`GroupStepOptions`].
 #[derive(Clone, Debug)]
 pub struct ActorConfig {
     /// Defence and intra-group parallelism options.
@@ -79,7 +79,7 @@ pub struct ActorConfig {
 
 impl ActorConfig {
     /// Options for a well-behaved group with the given defence settings.
-    pub fn new(options: GroupStepOptions) -> Self {
+    pub(crate) fn new(options: GroupStepOptions) -> Self {
         Self {
             options,
             adversary: None,
@@ -89,7 +89,7 @@ impl ActorConfig {
     }
 }
 
-/// One output of [`GroupActor::on_batch`].
+/// One output of a group step.
 #[derive(Clone, Debug)]
 pub enum ActorOutput {
     /// A sub-batch to deliver to group `to` as part of its `iteration` input.
@@ -110,11 +110,108 @@ pub enum ActorOutput {
         plaintexts: Vec<Vec<u8>>,
         /// The group's virtual clock at the end of its last iteration.
         finished_virtual: Duration,
+        /// Measured compute time of each of the group's iterations.
+        compute: Vec<Duration>,
     },
 }
 
-/// A single group's mixing state machine. See the module docs.
-pub struct GroupActor {
+/// A complete iteration: `(iteration, batch, ready)`, `ready` being the
+/// latest virtual arrival of its sub-batches.
+type Ready = (usize, Vec<MessageCiphertext>, Duration);
+
+/// One group's inbound sub-batches. See the module docs.
+pub struct GroupInbox {
+    gid: usize,
+    /// Per iteration, the senders whose sub-batches complete it: the
+    /// orchestrator at iteration 0, afterwards every group that lists this
+    /// one as a neighbour in the previous iteration.
+    senders: Vec<Vec<usize>>,
+    /// The iteration handed out next; past the last once the exit layer
+    /// was handed out.
+    next: usize,
+    pending: BTreeMap<usize, BTreeMap<usize, Vec<MessageCiphertext>>>,
+    arrivals: Vec<Duration>,
+}
+
+impl GroupInbox {
+    /// The inbox of group `gid` in a round of `config`.
+    pub fn new(config: &AtomConfig, gid: usize) -> Self {
+        let topology = config.topology();
+        let iterations = topology.iterations();
+        let mut senders = vec![vec![SOURCE]];
+        for iteration in 1..iterations {
+            let from = (0..config.num_groups)
+                .filter(|&h| topology.neighbors(h, iteration - 1).contains(&gid))
+                .collect();
+            senders.push(from);
+        }
+        Self {
+            gid,
+            senders,
+            next: 0,
+            pending: BTreeMap::new(),
+            arrivals: vec![Duration::ZERO; iterations],
+        }
+    }
+
+    /// Records one inbound sub-batch for `iteration` from `from` (a group
+    /// id, or [`SOURCE`]), sent at `arrival` on the sender's virtual clock.
+    /// Sub-batches may arrive in any order and for any future iteration; a
+    /// sub-batch after the exit layer was handed out, for a past
+    /// iteration, from a group that is not one of the iteration's senders,
+    /// or a second one from a sender is refused.
+    pub fn record(
+        &mut self,
+        iteration: usize,
+        from: usize,
+        batch: Vec<MessageCiphertext>,
+        arrival: Duration,
+    ) -> AtomResult<()> {
+        let (gid, next) = (self.gid, self.next);
+        let refused = if next == self.senders.len() {
+            format!("group {gid} received a batch after its exit layer")
+        } else if iteration >= self.senders.len() || iteration < next {
+            format!("group {gid} received a batch for iteration {iteration} (next is {next})")
+        } else if !self.senders[iteration].contains(&from) {
+            let sender = match from {
+                SOURCE => "the orchestrator".to_string(),
+                from => format!("group {from}"),
+            };
+            format!(
+                "group {gid} received an iteration-{iteration} batch from {sender}, which is not \
+                 one of its senders"
+            )
+        } else {
+            match self.pending.entry(iteration).or_default().entry(from) {
+                Entry::Occupied(_) => format!(
+                    "group {gid} received a duplicate iteration-{iteration} batch from {from}"
+                ),
+                Entry::Vacant(slot) => {
+                    slot.insert(batch);
+                    self.arrivals[iteration] = self.arrivals[iteration].max(arrival);
+                    return Ok(());
+                }
+            }
+        };
+        Err(AtomError::Malformed(refused))
+    }
+
+    /// Hands out the next iteration once every one of its senders'
+    /// sub-batches arrived, assembled in ascending sender order.
+    pub fn take(&mut self) -> Option<Ready> {
+        let iteration = self.next;
+        if self.pending.get(&iteration)?.len() < self.senders[iteration].len() {
+            return None;
+        }
+        let batch = self.pending.remove(&iteration)?.into_values().flatten();
+        self.next += 1;
+        Some((iteration, batch.collect(), self.arrivals[iteration]))
+    }
+}
+
+/// One group's mixing: its context, RNG stream, participating set, churn
+/// and virtual clock. See the module docs.
+pub struct GroupStepper {
     gid: usize,
     group: GroupContext,
     group_keys: Vec<PublicKey>,
@@ -124,22 +221,16 @@ pub struct GroupActor {
     padded_len: usize,
     rng: StdRng,
     topology: Box<dyn Topology + Send + Sync>,
-    iterations: usize,
-    expected_inbound: Vec<usize>,
-    next_iteration: usize,
-    pending: BTreeMap<usize, BTreeMap<usize, Vec<MessageCiphertext>>>,
     compute: Vec<Duration>,
-    virtual_ready: Vec<Duration>,
     /// Virtual time at which the group finished its latest iteration.
     clock: Duration,
-    done: bool,
 }
 
-impl GroupActor {
-    /// Builds the actor for group `gid` of `setup`.
+impl GroupStepper {
+    /// Builds the stepper for group `gid` of `setup`.
     ///
-    /// `master_seed` must be shared by every actor of the round; each actor
-    /// derives its private stream via [`group_stream_seed`]. Fails if the
+    /// `master_seed` must be shared by every group of the round; each
+    /// derives its private stream via `group_stream_seed`. Fails if the
     /// initial failure set already exceeds the group's tolerance.
     pub fn new(
         setup: &RoundSetup,
@@ -150,26 +241,10 @@ impl GroupActor {
         let group = setup.groups[gid].clone();
         let participating = group.participating(&config.failed_servers)?;
         let topology = setup.config.topology();
-        let iterations = topology.iterations();
-        let num_groups = setup.config.num_groups;
-
-        // How many inbound sub-batches each iteration waits for: one from
-        // the orchestrator at iteration 0, afterwards one from every group
-        // that lists us as a neighbour in the previous iteration.
-        let mut expected_inbound = Vec::with_capacity(iterations);
-        expected_inbound.push(1);
-        for iteration in 1..iterations {
-            let senders = (0..num_groups)
-                .filter(|&h| topology.neighbors(h, iteration - 1).contains(&gid))
-                .count();
-            expected_inbound.push(senders);
-        }
-
         let padded_len = match config.options.defense {
             Defense::Nizk => nizk_payload_len(setup.config.message_len),
             Defense::Trap => trap_payload_len(setup.config.message_len),
         };
-
         Ok(Self {
             gid,
             group,
@@ -178,94 +253,17 @@ impl GroupActor {
             failed: config.failed_servers.clone(),
             padded_len,
             rng: StdRng::seed_from_u64(group_stream_seed(master_seed, setup.config.round, gid)),
+            compute: Vec::with_capacity(topology.iterations()),
             topology,
-            iterations,
-            expected_inbound,
-            next_iteration: 0,
-            pending: BTreeMap::new(),
-            compute: Vec::with_capacity(iterations),
-            virtual_ready: vec![Duration::ZERO; iterations],
             clock: Duration::ZERO,
             config,
-            done: false,
         })
     }
 
-    /// The group id this actor plays.
-    pub fn gid(&self) -> usize {
-        self.gid
-    }
-
-    /// Measured compute time of each completed iteration.
-    pub fn compute_times(&self) -> &[Duration] {
-        &self.compute
-    }
-
-    /// Records the simulated arrival time of an inbound batch for
-    /// `iteration`. Call before [`Self::on_batch`]; the actor keeps the
-    /// maximum per iteration.
-    pub fn note_arrival(&mut self, iteration: usize, arrival: Duration) {
-        if let Some(slot) = self.virtual_ready.get_mut(iteration) {
-            if arrival > *slot {
-                *slot = arrival;
-            }
-        }
-    }
-
-    /// Delivers one inbound sub-batch and runs every iteration that becomes
-    /// ready, returning all emitted outputs.
-    ///
-    /// Re-entrant: sub-batches may arrive in any order and for any future
-    /// iteration; the actor buffers them and only steps iteration `i` once
-    /// all [`expected`](RoundSetup) inputs for `i` are present. `from` is the
-    /// sending group id, or [`SOURCE`] for the orchestrator's iteration-0
-    /// injection.
-    pub fn on_batch(
-        &mut self,
-        iteration: usize,
-        from: usize,
-        batch: Vec<MessageCiphertext>,
-    ) -> AtomResult<Vec<ActorOutput>> {
-        if self.done {
-            return Err(AtomError::Malformed(format!(
-                "group {} received a batch after its exit layer",
-                self.gid
-            )));
-        }
-        if iteration >= self.iterations || iteration < self.next_iteration {
-            return Err(AtomError::Malformed(format!(
-                "group {} received a batch for iteration {iteration} (next is {})",
-                self.gid, self.next_iteration
-            )));
-        }
-        // Map SOURCE in front of every real group id so assembly order is
-        // simply ascending keys.
-        let order_key = if from == SOURCE { 0 } else { from + 1 };
-        let slot = self.pending.entry(iteration).or_default();
-        if slot.insert(order_key, batch).is_some() {
-            return Err(AtomError::Malformed(format!(
-                "group {} received a duplicate iteration-{iteration} batch from {from}",
-                self.gid
-            )));
-        }
-
-        let mut outputs = Vec::new();
-        while !self.done && self.ready() {
-            self.step(&mut outputs)?;
-        }
-        Ok(outputs)
-    }
-
-    fn ready(&self) -> bool {
-        self.pending
-            .get(&self.next_iteration)
-            .map(|slot| slot.len() >= self.expected_inbound[self.next_iteration])
-            .unwrap_or(false)
-    }
-
-    fn step(&mut self, outputs: &mut Vec<ActorOutput>) -> AtomResult<()> {
-        let iteration = self.next_iteration;
-
+    /// Runs one iteration the group's inbox handed out and returns what it
+    /// emits: a sub-batch per neighbour group, or the exit on the last
+    /// layer.
+    pub fn step(&mut self, (iteration, batch, ready): Ready) -> AtomResult<Vec<ActorOutput>> {
         // Mid-round churn: recompute the participating set if servers
         // scheduled to fail before this iteration.
         let churned: Vec<usize> = self
@@ -279,12 +277,6 @@ impl GroupActor {
             self.failed.extend(churned);
             self.participating = self.group.participating(&self.failed)?;
         }
-
-        let batch: Vec<MessageCiphertext> = self
-            .pending
-            .remove(&iteration)
-            .map(|slot| slot.into_values().flatten().collect())
-            .unwrap_or_default();
 
         let neighbors = self.topology.neighbors(self.gid, iteration);
         let next_keys: Vec<PublicKey> = neighbors.iter().map(|&n| self.group_keys[n]).collect();
@@ -307,27 +299,61 @@ impl GroupActor {
         let elapsed = start.elapsed();
         self.compute.push(elapsed);
         // Group-local virtual clock: wait for the slowest arrival, then run.
-        self.clock = self.clock.max(self.virtual_ready[iteration]) + elapsed;
+        self.clock = self.clock.max(ready) + elapsed;
         let now = self.clock;
-        self.next_iteration += 1;
 
         if neighbors.is_empty() {
-            self.done = true;
-            outputs.push(ActorOutput::Exit {
+            return Ok(vec![ActorOutput::Exit {
                 plaintexts: output.plaintexts,
                 finished_virtual: now,
-            });
-        } else {
-            for (neighbor, sub_batch) in neighbors.into_iter().zip(output.outputs) {
-                outputs.push(ActorOutput::Forward {
-                    iteration: iteration + 1,
-                    to: neighbor,
-                    batch: sub_batch,
-                    sent_virtual: now,
-                });
-            }
+                compute: self.compute.clone(),
+            }]);
         }
-        Ok(())
+        let forwards = neighbors.into_iter().zip(output.outputs);
+        let forward = |(to, batch)| ActorOutput::Forward {
+            iteration: iteration + 1,
+            to,
+            batch,
+            sent_virtual: now,
+        };
+        Ok(forwards.map(forward).collect())
+    }
+}
+
+/// A group's inbox and stepper composed on one thread: the group of the
+/// sequential [`RoundDriver`](crate::round::RoundDriver).
+pub(crate) struct GroupActor {
+    inbox: GroupInbox,
+    stepper: GroupStepper,
+}
+
+impl GroupActor {
+    /// Builds group `gid`'s inbox and stepper (see [`GroupStepper::new`]).
+    pub(crate) fn new(
+        setup: &RoundSetup,
+        gid: usize,
+        master_seed: u64,
+        config: ActorConfig,
+    ) -> AtomResult<Self> {
+        let stepper = GroupStepper::new(setup, gid, master_seed, config)?;
+        let inbox = GroupInbox::new(&setup.config, gid);
+        Ok(Self { inbox, stepper })
+    }
+
+    /// Records one inbound sub-batch and runs every iteration that becomes
+    /// complete, returning all emitted outputs.
+    pub(crate) fn on_batch(
+        &mut self,
+        iteration: usize,
+        from: usize,
+        batch: Vec<MessageCiphertext>,
+    ) -> AtomResult<Vec<ActorOutput>> {
+        self.inbox.record(iteration, from, batch, Duration::ZERO)?;
+        let mut outputs = Vec::new();
+        while let Some(ready) = self.inbox.take() {
+            outputs.extend(self.stepper.step(ready)?);
+        }
+        Ok(outputs)
     }
 }
 
@@ -386,7 +412,7 @@ mod tests {
         let mut actors: Vec<GroupActor> = (0..2)
             .map(|gid| GroupActor::new(&setup, gid, 42, actor_config()).unwrap())
             .collect();
-        let padded_len = actors[0].padded_len;
+        let padded_len = actors[0].stepper.padded_len;
 
         let batch = encrypt_batch(&setup, 0, &[b"a", b"b"], padded_len, &mut rng);
         let from_g0 = actors[0].on_batch(0, SOURCE, batch).unwrap();
@@ -456,6 +482,35 @@ mod tests {
     }
 
     #[test]
+    fn a_sub_batch_from_no_sender_of_its_iteration_is_refused() {
+        let config = AtomConfig::test_default();
+        let mut inbox = GroupInbox::new(&config, 0);
+        let refused = |inbox: &mut GroupInbox, iteration, from| match inbox.record(
+            iteration,
+            from,
+            Vec::new(),
+            Duration::ZERO,
+        ) {
+            Err(AtomError::Malformed(reason)) => reason,
+            other => panic!("want a refusal, got {other:?}"),
+        };
+        let want = "group 0 received an iteration-1 batch from the orchestrator, which is not one \
+                    of its senders";
+        assert_eq!(refused(&mut inbox, 1, SOURCE), want);
+        let want = "group 0 received an iteration-0 batch from group 2, which is not one of its \
+                    senders";
+        assert_eq!(refused(&mut inbox, 0, 2), want);
+        let want = "group 0 received an iteration-1 batch from group 4, which is not one of its \
+                    senders";
+        assert_eq!(refused(&mut inbox, 1, config.num_groups), want);
+        // None of them was counted: the orchestrator's batch alone
+        // completes iteration 0.
+        inbox.record(0, SOURCE, Vec::new(), Duration::ZERO).unwrap();
+        assert!(matches!(inbox.take(), Some((0, _, _))));
+        assert!(inbox.take().is_none());
+    }
+
+    #[test]
     fn virtual_clock_accumulates_arrivals_and_compute() {
         let mut rng = rng();
         let mut config = AtomConfig::test_default();
@@ -463,10 +518,13 @@ mod tests {
         config.iterations = 1;
         let setup = derive_setup(&config).unwrap();
         let mut actor = GroupActor::new(&setup, 0, 5, actor_config()).unwrap();
-        actor.note_arrival(0, Duration::from_millis(120));
-        let padded_len = actor.padded_len;
+        let padded_len = actor.stepper.padded_len;
         let batch = encrypt_batch(&setup, 0, &[b"x"], padded_len, &mut rng);
-        let outputs = actor.on_batch(0, SOURCE, batch).unwrap();
+        let arrival = Duration::from_millis(120);
+        actor.inbox.record(0, SOURCE, batch, arrival).unwrap();
+        let ready = actor.inbox.take().expect("iteration 0 is complete");
+        assert_eq!(ready.2, arrival);
+        let outputs = actor.stepper.step(ready).unwrap();
         match &outputs[..] {
             [ActorOutput::Exit {
                 finished_virtual, ..
@@ -490,9 +548,9 @@ mod tests {
         let mut cfg = actor_config();
         cfg.churn = vec![(1, victim)];
         let mut actor = GroupActor::new(&setup, 0, 9, cfg).unwrap();
-        assert_eq!(actor.participating, vec![1, 2]);
+        assert_eq!(actor.stepper.participating, vec![1, 2]);
 
-        let padded_len = actor.padded_len;
+        let padded_len = actor.stepper.padded_len;
         let batch = encrypt_batch(&setup, 0, &[b"m"], padded_len, &mut rng);
         let outputs = actor.on_batch(0, SOURCE, batch).unwrap();
         // Single group, two iterations: iteration 0 forwards to itself.
@@ -516,7 +574,7 @@ mod tests {
         }
         assert!(exited);
         // The victim was dropped from the participating set.
-        assert_eq!(actor.participating, vec![2, 3]);
+        assert_eq!(actor.stepper.participating, vec![2, 3]);
     }
 
     #[test]
@@ -531,7 +589,7 @@ mod tests {
         let mut cfg = actor_config();
         cfg.churn = vec![(1, victim)];
         let mut actor = GroupActor::new(&setup, 0, 9, cfg).unwrap();
-        let padded_len = actor.padded_len;
+        let padded_len = actor.stepper.padded_len;
         let batch = encrypt_batch(&setup, 0, &[b"m"], padded_len, &mut rng);
         let outputs = actor.on_batch(0, SOURCE, batch).unwrap();
         let ActorOutput::Forward {

@@ -19,9 +19,11 @@
 //! * [`directory`] — per-round setup: group formation, DKGs, trustees.
 //! * [`message`] — client-side submissions and the mix-payload wire format.
 //! * [`group`] — the group mixing protocol (Algorithms 1 and 2).
-//! * [`actor`] — the re-entrant per-group mixing state machine
-//!   ([`actor::GroupActor`]) with deterministic per-group RNG streams, which
-//!   the `atom-runtime` engine drives from its worker pool.
+//! * [`actor`] — the per-group mixing state machine: an inbox that says
+//!   when an iteration is complete ([`actor::GroupInbox`]) and a stepper
+//!   that runs it ([`actor::GroupStepper`]) with a deterministic per-group
+//!   RNG stream, which the `atom-runtime` engine drives from its worker
+//!   pool.
 //! * [`round`] — the round phases the engine calls into: submission
 //!   verification, trap checking, trustee release. Also the sequential
 //!   [`round::RoundDriver`], the oracle the equivalence suites diff the
@@ -90,7 +92,7 @@ pub mod latency;
 pub mod message;
 pub mod round;
 
-pub use actor::{group_stream_seed, ActorConfig, ActorOutput, GroupActor, SOURCE};
+pub use actor::{ActorConfig, ActorOutput, GroupInbox, GroupStepper, SOURCE};
 pub use adversary::{AdversaryPlan, Misbehavior};
 pub use config::{AtomConfig, Defense, TopologyKind};
 pub use directory::{derive_setup, GroupContext, RoundSetup, TrusteeContext};

@@ -9,10 +9,11 @@
 //! ([`collect_round_timings`]).
 //!
 //! [`RoundDriver`] is the oracle the equivalence suites diff the engine
-//! against: it feeds the submissions to their entry groups, steps every
-//! group's [`GroupActor`] in FIFO order on one thread and runs the same exit
-//! phase, so for equal seeds its [`RoundOutput`] is the engine's byte for
-//! byte.
+//! against: it feeds the submissions to their entry groups, records every
+//! sub-batch in its group's [`GroupInbox`](crate::actor::GroupInbox) and
+//! steps the group's [`GroupStepper`](crate::actor::GroupStepper) in FIFO
+//! order on one thread, and runs the same exit phase, so for equal seeds
+//! its [`RoundOutput`] is the engine's byte for byte.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -124,11 +125,12 @@ impl RoundDriver {
     /// splitting and forwarding. Returns the per-exit-group payload bytes and
     /// the timings.
     ///
-    /// Groups execute as [`GroupActor`]s with per-group RNG streams derived
-    /// from one master draw on `rng`, delivered here in deterministic FIFO
-    /// order. The engine drives the same actors from a worker pool; because
-    /// each group's stream and batch-assembly order are independent of
-    /// scheduling, both produce byte-identical outputs for the same seed.
+    /// Groups execute as `GroupActor`s (an inbox and a stepper each) with
+    /// per-group RNG streams derived from one master draw on `rng`,
+    /// delivered here in deterministic FIFO order. The engine drives the
+    /// same inboxes and steppers from a worker pool; because each group's
+    /// stream and batch-assembly order are independent of scheduling, both
+    /// produce byte-identical outputs for the same seed.
     fn run_mixing<R: RngCore + CryptoRng>(
         &self,
         batches: Vec<Vec<MessageCiphertext>>,
@@ -138,17 +140,11 @@ impl RoundDriver {
         let groups = self.setup.groups.len();
         let wall_start = Instant::now();
 
-        let mut actors = Vec::with_capacity(groups);
-        for gid in 0..groups {
-            actors.push(GroupActor::new(
-                &self.setup,
-                gid,
-                master_seed,
-                self.actor_config(),
-            )?);
-        }
+        let actor = |gid| GroupActor::new(&self.setup, gid, master_seed, self.actor_config());
+        let mut actors = (0..groups).map(actor).collect::<AtomResult<Vec<_>>>()?;
 
         let mut exit_payloads: Vec<Vec<Vec<u8>>> = vec![Vec::new(); groups];
+        let mut computes: Vec<Vec<Duration>> = vec![Vec::new(); groups];
         let mut queue: VecDeque<(usize, usize, usize, Vec<MessageCiphertext>)> = batches
             .into_iter()
             .enumerate()
@@ -164,15 +160,15 @@ impl RoundDriver {
                         batch,
                         ..
                     } => queue.push_back((next, iteration, to, batch)),
-                    ActorOutput::Exit { plaintexts, .. } => exit_payloads[to] = plaintexts,
+                    ActorOutput::Exit {
+                        plaintexts,
+                        compute,
+                        ..
+                    } => (exit_payloads[to], computes[to]) = (plaintexts, compute),
                 }
             }
         }
 
-        let computes: Vec<Vec<Duration>> = actors
-            .iter()
-            .map(|actor| actor.compute_times().to_vec())
-            .collect();
         let mut timings = collect_round_timings(&self.setup, &computes);
         timings.wall_clock = wall_start.elapsed();
         Ok((exit_payloads, timings))

@@ -265,7 +265,7 @@ pub enum SendFault {
 /// deliveries, [`Transport::pending`], [`Transport::drain`] and the
 /// delivery hook behave exactly as on the inner transport. A delay blocks
 /// only the calling thread: in the engine, the worker sending that group's
-/// frames, outside the group's actor lock.
+/// frames, outside any lock.
 pub struct FaultyTransport<'a, R> {
     inner: &'a dyn Transport,
     rule: R,

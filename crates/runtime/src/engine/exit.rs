@@ -2,7 +2,6 @@
 //! and a member's stub report. The round's machine decides when either is
 //! due; exit frames reach it through [`on_exit_frame`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use atom_core::config::Defense;
@@ -27,17 +26,14 @@ pub(super) fn on_exit_frame(shared: &Shared<'_>, round: usize, node: usize, fram
 
 /// A member's stub report (see [`RoundReport`]): its hosted groups' traffic
 /// and latency, no output; all zero for a round it hosts no group of.
-pub(super) fn member_stub(job: &JobState, pipelined: Duration) -> RoundReport {
-    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-    let mix_messages = job.group_mix.iter().map(|(m, _)| load(m)).sum();
-    let mix_bytes = job.group_mix.iter().map(|(_, b)| load(b)).sum();
+pub(super) fn member_stub(job: &JobState, pipelined: Duration, traffic: (u64, u64)) -> RoundReport {
     RoundReport {
         output: RoundOutput::default(),
         pipelined_latency: pipelined,
         wall_clock: job.wall_clock(),
         setup_latency: job.setup_latency(),
-        mix_messages,
-        mix_bytes,
+        mix_messages: traffic.0,
+        mix_bytes: traffic.1,
     }
 }
 
@@ -49,7 +45,7 @@ pub(super) fn finalize_round(
     frames: Vec<ExitFrame>,
     released: Released,
 ) {
-    let (job, (routed, commitments)) = (&shared.jobs[round], released);
+    let (job, (routed, commitments, injected)) = (&shared.jobs[round], released);
     let pipelined = frames.iter().map(|frame| frame.finished_virtual).max();
     let mix = (frames.iter()).fold((0, 0), |(m, b), f| (m + f.mix_messages, b + f.mix_bytes));
     let (payloads, computes): (Vec<_>, Vec<_>) =
@@ -74,8 +70,8 @@ pub(super) fn finalize_round(
         pipelined_latency: pipelined.unwrap_or_default(),
         wall_clock,
         setup_latency: job.setup_latency(),
-        mix_messages: job.intake_mix_messages.load(Ordering::Relaxed) + mix.0,
-        mix_bytes: job.intake_mix_bytes.load(Ordering::Relaxed) + mix.1,
+        mix_messages: injected.0 + mix.0,
+        mix_bytes: injected.1 + mix.1,
         output,
     });
     shared.resolve(round, report);

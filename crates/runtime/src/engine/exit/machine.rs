@@ -9,9 +9,10 @@ use atom_crypto::commit::Commitment;
 use crate::engine::phase::{Action, RoundPhase};
 use crate::{fill_vec::FillVec, wire::ExitFrame};
 
-/// What intake released: the routed ciphertext count and (trap variant)
-/// the per-group commitments the exit phase checks.
-pub(crate) type Released = (usize, Vec<Vec<Commitment>>);
+/// What intake released: the routed ciphertext count, (trap variant) the
+/// per-group commitments the exit phase checks, and the iteration-0
+/// frames' count and bytes.
+pub(crate) type Released = (usize, Vec<Vec<Commitment>>, (u64, u64));
 
 impl RoundPhase {
     /// Records one group's exit frame; the frame that completes the round
@@ -38,27 +39,27 @@ impl RoundPhase {
     }
 
     /// Records a hosted group's exit; a member's last claims its stub.
-    pub(crate) fn local(&mut self, finished_virtual: Duration) -> Vec<Action> {
-        if self.coordinator {
-            return Vec::new();
+    pub(crate) fn local(&mut self, finished_virtual: Duration) -> Option<Action> {
+        if self.coordinator || self.done {
+            return None;
         }
         self.exited += 1;
         self.pipelined = self.pipelined.max(finished_virtual);
-        self.done = self.exited == self.in_round;
-        match self.done {
-            true => vec![Action::Stub(self.pipelined)],
-            false => Vec::new(),
-        }
+        self.done = self.exited == self.mixers.len();
+        self.done
+            .then(|| Action::Stub(self.pipelined, self.traffic()))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::phase::machine::tests::verified;
+    use crate::engine::mix::machine::tests::exit_step;
     use crate::engine::phase::machine::tests::{frame as setup_frame, install, machine, ms, T0};
+    use crate::engine::phase::machine::tests::{releases, verified};
     use crate::engine::phase::{Action, Input, RoundPhase};
     use crate::wire::ExitFrame;
     use crate::EngineRole;
+    use atom_core::actor::SOURCE;
     use atom_core::error::AtomError;
 
     fn frame(gid: usize) -> ExitFrame {
@@ -92,12 +93,12 @@ mod tests {
     fn the_frame_that_fills_the_last_slot_finalizes_once() {
         let mut phase = coordinator();
         let actions = phase.step(T0, Input::Chunk(0, verified([2, 1, 4], 0)));
-        assert!(matches!(actions.as_slice(), [Action::Release(_)]));
+        assert_eq!(releases(&actions), [2, 1, 4]);
         for gid in [2, 0] {
             assert!(phase.step(T0, Input::Exit(frame(gid))).is_empty());
         }
         let actions = phase.step(T0, Input::Exit(frame(1)));
-        let [Action::Finalize(frames, (routed, commitments))] = actions.as_slice() else {
+        let [Action::Finalize(frames, (routed, commitments, _))] = actions.as_slice() else {
             panic!("the last frame finalizes the round");
         };
         let gids: Vec<_> = frames.iter().map(|frame| frame.gid).collect();
@@ -153,16 +154,22 @@ mod tests {
         }
         let actions = phase.step(T0, Input::Frame(setup_frame(&setup, 1)));
         assert!(matches!(actions.as_slice(), [Action::Install(_)]));
-        assert!(phase.step(T0, Input::Local(ms(9))).is_empty());
+        let actions = exit_step(&mut phase, 0, ms(9));
+        assert!(matches!(actions.as_slice(), [Action::Send(0, SOURCE, _)]));
         let (detail, _) = phase.waiting_on(|_| panic!("a member names no groups"));
         assert_eq!(detail, "member still mixing: 1/2 hosted groups exited");
-        let actions = phase.step(T0, Input::Local(ms(4)));
-        assert!(matches!(actions.as_slice(), [Action::Stub(pipelined)] if *pipelined == ms(9)));
-        assert!(phase.step(T0, Input::Local(ms(12))).is_empty());
+        let actions = exit_step(&mut phase, 2, ms(4));
+        assert!(matches!(
+            actions.as_slice(),
+            [Action::Send(2, SOURCE, _), Action::Stub(pipelined, _)] if *pipelined == ms(9)
+        ));
+        assert!(phase.local(ms(12)).is_none());
 
         // The coordinator resolves on its frames, not on its local exits.
-        let mut phase = coordinator();
-        assert!(phase.step(T0, Input::Local(ms(1))).is_empty());
+        let (setup, mut phase) = machine(EngineRole::coordinator(vec![0]), 0, 1);
+        install(&setup, &mut phase);
+        let actions = exit_step(&mut phase, 0, ms(1));
+        assert!(matches!(actions.as_slice(), [Action::Send(0, SOURCE, _)]));
     }
 
     #[test]

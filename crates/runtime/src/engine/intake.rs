@@ -1,21 +1,17 @@
 //! Submission intake (coordinator only): a round's submissions verified in
 //! chunk-sized queue tasks, which the round's machine hands out under the
 //! streaming window and merges in chunk order into the iteration-0
-//! batches; [`release`] sends them.
+//! batches it sends.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
-use atom_core::actor::SOURCE;
 use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult};
 use atom_core::message::{NizkSubmission, TrapSubmission};
 use atom_core::round::{verify_nizk_submissions_range, verify_trap_submissions_range, TrapIntake};
-use atom_crypto::elgamal::MessageCiphertext;
 
 use super::phase::{self, Input};
-use super::{EngineOptions, RoundSubmissions, Shared, SubmissionBlock, MIX_LABEL};
-use crate::wire;
+use super::{EngineOptions, RoundSubmissions, Shared, SubmissionBlock};
 
 /// A round's intake chunks.
 pub(super) struct Intake {
@@ -136,21 +132,4 @@ pub(super) fn run_intake_chunk(shared: &Shared<'_>, round: usize, chunk: usize) 
     drop(verify_span);
 
     phase::step(shared, round, Input::Chunk(chunk, result));
-}
-
-/// Injects the iteration-0 batches the round's machine released, one per
-/// group.
-pub(super) fn release(shared: &Shared<'_>, round: usize, batches: Vec<Vec<MessageCiphertext>>) {
-    let job = &shared.jobs[round];
-    for (gid, batch) in batches.into_iter().enumerate() {
-        let payload = wire::encode_mix(shared.wire_round(round), 0, SOURCE, Duration::ZERO, &batch);
-        job.intake_mix_messages.fetch_add(1, Ordering::Relaxed);
-        job.intake_mix_bytes
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        // The transport's delivery hook wakes the pool for local
-        // destinations; remote ones wake their own process.
-        if !shared.send_for_round(round, shared.orchestrator, gid, MIX_LABEL, payload) {
-            return;
-        }
-    }
 }

@@ -2,7 +2,9 @@
 //!
 //! [`Engine::run_rounds`] executes one or more Atom rounds over a scoped
 //! worker pool. Each anytrust group of each round is a
-//! [`GroupActor`] behind a mutex; workers pull
+//! [`GroupInbox`](atom_core::actor::GroupInbox) in its round's machine and
+//! a [`GroupStepper`](atom_core::actor::GroupStepper) that a worker runs
+//! outside any lock; workers pull
 //! tasks from a shared queue and exchange serialized sub-batches through a
 //! [`Transport`] mailbox per group — an [`InMemoryNetwork`] by default, or
 //! any other backend (e.g. [`atom_net::TcpTransport`]) via
@@ -16,15 +18,17 @@
 //! [`IntakeChunk`](EngineOptions::intake_chunk)-sized verification tasks
 //! whose results merge in submission order (first failure wins).
 //!
-//! A round's setup, intake and exit decisions are one sans-I/O machine,
-//! `RoundPhase`, behind one lock per round; `phase::step`, its one driver,
-//! feeds it each input and carries out what it returns. The work lives in
-//! one module per phase: `setup` (the DKG tasks, `setup` frames and actor
-//! building), `intake` (chunked proof verification and the iteration-0
-//! sends), `mix` (the hosted group actors, whose hot path bypasses the
-//! lock once the directory is published) and `exit` (finalization and
-//! member stubs). This module holds the public types, the task queue,
-//! frame routing and the one place a round's result is written.
+//! A round's setup, intake, mixing and exit decisions are one sans-I/O
+//! machine, `RoundPhase`, behind one lock per round; `phase::step`, its one
+//! driver, feeds it each input and carries out what it returns. Every mix
+//! envelope reaches it as an input, and it hands a group's stepper out
+//! for each step and takes it back with the outputs, so no lock is held
+//! across a group step. The work lives in one module per phase: `setup`
+//! (the DKG tasks and `setup` frames), `intake` (chunked proof
+//! verification and the iteration-0 sends), `mix` (the group step) and
+//! `exit` (finalization and member stubs). This module holds the public
+//! types, the task queue, frame routing and the one place a round's result
+//! is written.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,11 +39,12 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use atom_core::actor::GroupActor;
+use atom_core::actor::ActorConfig;
 use atom_core::adversary::AdversaryPlan;
 use atom_core::config::{AtomConfig, Defense};
 use atom_core::directory::RoundSetup;
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
+use atom_core::group::GroupStepOptions;
 use atom_core::message::{NizkSubmission, TrapSubmission};
 use atom_core::round::RoundOutput;
 
@@ -197,16 +202,6 @@ impl EngineRole {
             hosted,
             coordinator: false,
         }
-    }
-
-    fn hosts(&self, gid: usize) -> bool {
-        self.hosted.contains(&gid)
-    }
-
-    /// How many of this role's groups participate in a round of
-    /// `num_groups` groups.
-    fn hosted_in_round(&self, num_groups: usize) -> usize {
-        self.hosted.iter().filter(|&&g| g < num_groups).count()
     }
 }
 
@@ -413,39 +408,20 @@ enum Task {
     },
 }
 
-/// What actor construction needs from a [`RoundJob`], retained per round so
-/// the actors can be built once the directory is assembled.
-struct ActorSpec {
-    master_seed: u64,
-    defense: Defense,
-    adversary: Option<AdversaryPlan>,
-    failed_servers: Vec<usize>,
-    churn: Vec<(usize, usize)>,
-}
-
 struct JobState {
     config: AtomConfig,
-    /// The round's directory, published by `setup::install`; reads outside
-    /// the setup phase go through [`JobState::round_setup`].
+    /// The round's directory, published by the machine's `Install`; reads
+    /// go through [`JobState::round_setup`].
     setup: OnceLock<RoundSetup>,
-    /// The machine that makes the round's setup, intake and exit decisions.
+    /// The machine that makes the round's setup, intake, mixing and exit
+    /// decisions.
     phase: Mutex<RoundPhase>,
-    actor_spec: ActorSpec,
     submissions: RoundSubmissions,
-    /// One lazily initialized slot per group id; never set for groups
-    /// hosted by another process.
-    actors: Vec<OnceLock<Mutex<GroupActor>>>,
     intake: Intake,
     /// The round clock: the coordinator starts it at its first intake work,
-    /// a member at its first local delivery.
+    /// a member at its first group step.
     started: OnceLock<Instant>,
     result: OnceLock<AtomResult<RoundReport>>,
-    /// Iteration-0 injections by the local intake (coordinator only).
-    intake_mix_messages: AtomicU64,
-    intake_mix_bytes: AtomicU64,
-    /// Forward traffic per locally hosted group, shipped to the
-    /// coordinator in the group's exit frame.
-    group_mix: Vec<(AtomicU64, AtomicU64)>,
 }
 
 impl JobState {
@@ -459,33 +435,26 @@ impl JobState {
         workers: usize,
     ) -> Self {
         let config = job.config;
-        let num_groups = config.num_groups;
         let offered = job.submissions.len();
         let intake = Intake::new(offered, options, workers);
-        let phase = RoundPhase::new(round, &config, role, options, offered, intake.chunks.len());
+        // The master draw mirrors RoundDriver::run_mixing's first use of the
+        // caller RNG, keeping seed semantics identical across drivers.
+        let stepping = ActorConfig {
+            options: GroupStepOptions::new(job.submissions.defense()),
+            adversary: job.adversary,
+            failed_servers: job.failed_servers,
+            churn: job.churn,
+        };
+        let seed = StdRng::seed_from_u64(job.seed).next_u64();
+        let sizes = (offered, intake.chunks.len());
+        let phase = RoundPhase::new(round, &config, role, options, sizes, (seed, stepping));
         JobState {
             setup: OnceLock::new(),
             phase: Mutex::new(phase),
-            // The master draw mirrors RoundDriver::run_mixing's first use of
-            // the caller RNG, keeping seed semantics identical across
-            // drivers.
-            actor_spec: ActorSpec {
-                master_seed: StdRng::seed_from_u64(job.seed).next_u64(),
-                defense: job.submissions.defense(),
-                adversary: job.adversary,
-                failed_servers: job.failed_servers,
-                churn: job.churn,
-            },
             submissions: job.submissions,
-            actors: (0..num_groups).map(|_| OnceLock::new()).collect(),
             intake,
             started: OnceLock::new(),
             result: OnceLock::new(),
-            intake_mix_messages: AtomicU64::new(0),
-            intake_mix_bytes: AtomicU64::new(0),
-            group_mix: (0..num_groups)
-                .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-                .collect(),
             config,
         }
     }
@@ -599,7 +568,7 @@ impl Shared<'_> {
     }
 
     /// Marks that a task moved `round` forward — an intake chunk, a setup
-    /// input, a mix batch fed to an actor, an exit frame recorded — unless
+    /// input, a mix batch recorded or stepped, an exit frame — unless
     /// it is resolved. Only that restarts the stall window: a peer's abort,
     /// a stale or misdirected frame or an empty mailbox does not.
     fn progressed(&self, round: usize) {
@@ -1037,11 +1006,10 @@ impl Drop for Executing<'_, '_> {
     }
 }
 
-/// Drains a local mailbox and routes each frame to its round's phase: mix
-/// batches feed the node's group actor, exit frames accumulate at the
-/// orchestrator, setup frames feed the round's machine and abort
-/// frames fail their round. This is the one place a frame's
-/// round is checked against the run's job list.
+/// Drains a local mailbox and routes each frame to its round: mix batches
+/// and setup frames feed the round's machine, exit frames accumulate at
+/// the orchestrator and abort frames fail their round. This is the one
+/// place a frame's round is checked against the run's job list.
 fn run_deliver(shared: &Shared<'_>, node: usize) {
     for envelope in shared.transport.drain(node) {
         let decoded = match wire::decode(&envelope.payload) {
@@ -1075,9 +1043,9 @@ fn run_deliver(shared: &Shared<'_>, node: usize) {
             // Within one process every envelope is engine-generated, so a
             // decode failure means format skew; over TCP it means a corrupt
             // or hostile peer. Either way, dropping it would strand the
-            // receiving actor forever: fail the round its header names.
+            // receiving group forever: fail the round its header names.
             Err(error) => shared.fail_job(round, error),
-            Ok(Frame::Mix(mix)) => mix::on_mix_frame(shared, round, node, mix),
+            Ok(Frame::Mix(mix)) => phase::step(shared, round, phase::Input::Mix(node, mix)),
             Ok(Frame::Exit(exit)) => exit::on_exit_frame(shared, round, node, exit),
             Ok(Frame::Setup(frame)) => phase::step(shared, round, phase::Input::Frame(frame)),
             Ok(Frame::Abort(abort)) => shared.fail_job(
@@ -1923,7 +1891,9 @@ pub(crate) mod tests {
         let groups = setup.config.num_groups;
         let orchestrator = groups;
         let all: Vec<usize> = (0..groups).collect();
-        let mix = |round| wire::encode_mix(round, 0, atom_core::actor::SOURCE, Duration::ZERO, &[]);
+        use atom_core::actor::SOURCE;
+        let mix = |round| wire::encode_mix(round, 0, SOURCE, Duration::ZERO, &[]);
+        let sent_by = |iteration, from| wire::encode_mix(0, iteration, from, Duration::ZERO, &[]);
         let exit = wire::encode_exit(&ExitFrame {
             round: 0,
             gid: 0,
@@ -1993,14 +1963,47 @@ pub(crate) mod tests {
                 want: Want::AllFail("unknown round"),
             },
             // Group 0 is hosted here, groups 1 and 2 never send their
-            // setup frames.
+            // setup frames: the inbox refuses a repeat before the
+            // directory, so a peer withholding its setup frames cannot
+            // grow it.
             Case {
-                name: "pre-directory mix buffer past its cap",
+                name: "pre-directory mix envelope sent twice",
                 rounds: 1,
                 hosted: vec![0],
-                // 3 groups x 2 iterations: the cap is 3 * (1 + 3 * 2) = 21.
-                frames: (0..22).map(|_| (0, MIX_LABEL, mix(0))).collect(),
-                want: Want::Fails("mix envelopes buffered before the round's directory"),
+                frames: (0..2).map(|_| (0, MIX_LABEL, mix(0))).collect(),
+                want: Want::Fails("group 0 received a duplicate iteration-0 batch from"),
+            },
+            // A sub-batch from no sender of its iteration: refused on
+            // receipt, before it could complete the iteration early.
+            Case {
+                name: "mix envelope from the orchestrator past iteration 0",
+                rounds: 1,
+                hosted: all.clone(),
+                frames: vec![(0, MIX_LABEL, sent_by(1, SOURCE))],
+                want: Want::Fails(
+                    "group 0 received an iteration-1 batch from the orchestrator, which is not one \
+                     of its senders",
+                ),
+            },
+            Case {
+                name: "mix envelope from a group at iteration 0",
+                rounds: 1,
+                hosted: all.clone(),
+                frames: vec![(0, MIX_LABEL, sent_by(0, 1))],
+                want: Want::Fails(
+                    "group 0 received an iteration-0 batch from group 1, which is not one of its \
+                     senders",
+                ),
+            },
+            Case {
+                name: "mix envelope from a group past the group count",
+                rounds: 1,
+                hosted: all.clone(),
+                frames: vec![(0, MIX_LABEL, sent_by(1, groups))],
+                want: Want::Fails(
+                    "group 0 received an iteration-1 batch from group 3, which is not one of its \
+                     senders",
+                ),
             },
             Case {
                 name: "client submit frame on the mesh",

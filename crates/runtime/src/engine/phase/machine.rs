@@ -1,12 +1,14 @@
-//! A round's machine: every setup, intake and exit decision of the round,
-//! made in one [`step`](RoundPhase::step). Its setup and exit transitions
-//! live beside those phases' work, in `engine/{setup,exit}/machine.rs`;
-//! intake's are here. Its driver (`engine::phase`) runs the DKGs, verifies
-//! the chunks, builds the actors, sends every frame and finalizes; time is
-//! an input.
+//! A round's machine: every setup, intake, mixing and exit decision of
+//! the round, made in one [`step`](RoundPhase::step). Its setup, mixing
+//! and exit transitions live beside those phases' work, in
+//! `engine/{setup,mix,exit}/machine.rs`; intake's are here. Its driver
+//! (`engine::phase`) runs the DKGs, verifies the chunks, runs the group
+//! steps, sends every frame and finalizes; time is an input.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
+use atom_core::actor::{ActorConfig, ActorOutput, GroupStepper, SOURCE};
 use atom_core::config::AtomConfig;
 use atom_core::directory::{GroupContext, RoundSetup, TrusteeContext};
 use atom_core::error::{AtomError, AtomResult, EngineErrorKind};
@@ -15,11 +17,16 @@ use atom_crypto::commit::Commitment;
 use atom_crypto::elgamal::MessageCiphertext;
 
 use super::super::exit::Released;
+use super::super::mix::Mixer;
 use super::super::setup::member_trustee_placeholder;
 use super::super::{wire_round_id, EngineOptions};
 use crate::fill_vec::FillVec;
-use crate::wire::{ExitFrame, MixEnvelope, SetupFrame};
+use crate::wire::{self, ExitFrame, MixEnvelope, SetupFrame};
 use crate::EngineRole;
+
+/// A complete iteration of a group, as its inbox hands it out:
+/// `(iteration, batch, ready)`, `ready` on the group's virtual clock.
+pub(crate) type Ready = (usize, Vec<MessageCiphertext>, Duration);
 
 /// What the driver feeds the machine.
 pub(crate) enum Input {
@@ -31,47 +38,51 @@ pub(crate) enum Input {
     Trustees(TrusteeContext),
     /// A peer's `setup` frame.
     Frame(SetupFrame),
-    /// A mix envelope for hosted group `gid` that reached the round before
-    /// its directory was published.
+    /// A mix envelope delivered to group `gid`'s mailbox, whenever it
+    /// arrives.
     Mix(usize, MixEnvelope),
+    /// Group `gid`'s stepper back from the step a [`Action::Step`] handed
+    /// out, with what the step emitted.
+    Stepped(usize, Box<GroupStepper>, AtomResult<Vec<ActorOutput>>),
     /// An intake chunk's verification result, by chunk index.
     Chunk(usize, AtomResult<TrapIntake>),
     /// An exit frame at the coordinator.
     Exit(ExitFrame),
-    /// A hosted group reached its exit layer at this virtual time.
-    Local(Duration),
 }
 
 /// What the driver is to do, in order.
 pub(crate) enum Action {
     /// Queue the round's DKG tasks.
     Derive,
-    /// Build the hosted actors from the directory and publish it while the
-    /// machine is held. Always first: the parked envelopes follow as
-    /// `Deliver`s in arrival order, then (coordinator) the first chunks.
+    /// Publish the directory. Always first: (coordinator) the first chunks
+    /// follow, then a step for each hosted group whose first iteration is
+    /// already complete.
     Install(Box<RoundSetup>),
-    /// Feed the envelope to the actor of its group.
-    Deliver(usize, MixEnvelope),
+    /// Run group `gid`'s step over the complete iteration with its
+    /// stepper, outside the machine, and feed [`Input::Stepped`] back.
+    Step(usize, Box<GroupStepper>, Ready),
+    /// Send an encoded frame from `from` to `to`, each a group id or
+    /// [`SOURCE`] for the orchestrator: a mix frame to a group, a group's
+    /// exit frame to the orchestrator.
+    Send(usize, usize, Vec<u8>),
     /// Queue the verification of this intake chunk.
     Verify(usize),
-    /// Send the iteration-0 batches, one per group, in group order.
-    Release(Vec<Vec<MessageCiphertext>>),
     /// Run the variant's exit phase over every group's frame, in group
     /// order, with what intake released (coordinator only).
     Finalize(Vec<ExitFrame>, Released),
     /// Resolve a member's round with its stub report: every hosted group
-    /// exited, the last at this virtual time.
-    Stub(Duration),
+    /// exited, the last at this virtual time, after forwarding this many
+    /// sub-batches and bytes.
+    Stub(Duration, (u64, u64)),
     Fail(AtomError),
 }
 
-/// One round's setup, intake and exit. Every engine round goes through
-/// [`step`](Self::step), from its [`Input::Begin`] on. The fields each
-/// phase's transitions read are the crate's, for their modules.
+/// One round's setup, intake, mixing and exit. Every engine round goes
+/// through [`step`](Self::step), from its [`Input::Begin`] on. The fields
+/// each phase's transitions read are the crate's, for their modules.
 pub(crate) struct RoundPhase {
     pub(crate) config: AtomConfig,
     pub(crate) coordinator: bool,
-    pub(crate) hosted: Vec<usize>,
     /// Why the round cannot run at all, handed out at [`Input::Begin`].
     refused: Option<AtomError>,
     /// Setup. Collected contexts: full (with shares) for hosted groups,
@@ -84,9 +95,6 @@ pub(crate) struct RoundPhase {
     /// The trustee context: derived on the coordinator, a placeholder from
     /// the start on members (see [`member_trustee_placeholder`]).
     pub(crate) trustees: Option<TrusteeContext>,
-    /// Mix envelopes that arrived before the directory, `(gid, envelope)`
-    /// in arrival order.
-    pub(crate) parked: Vec<(usize, MixEnvelope)>,
     /// When the directory was installed, as the driver's `now`.
     pub(crate) ready: Option<Duration>,
     /// Intake. The chunk count, and the next chunk to hand out: each chunk
@@ -98,14 +106,20 @@ pub(crate) struct RoundPhase {
     /// chunk reported, so the first failing submission wins, exactly like
     /// the sequential driver. Empty once released.
     results: FillVec<AtomResult<TrapIntake>>,
+    /// Mixing. The hosted groups of the round by id, built with the
+    /// machine so a sub-batch is recorded whether it arrives before the
+    /// directory or after; the shared seed and options their steppers are
+    /// built from at install; and the wire round their frames carry.
+    pub(crate) mixers: BTreeMap<usize, Mixer>,
+    pub(crate) stepping: (u64, ActorConfig),
+    pub(crate) wire_round: usize,
     /// Exit. The coordinator's exit frames, one slot per group, local and
     /// remote, and what intake released.
     pub(crate) frames: FillVec<ExitFrame>,
     pub(crate) released: Released,
-    /// A member's hosted groups in the round, how many exited and their
-    /// latest virtual exit time (the coordinator learns of its own groups'
-    /// exits from their frames).
-    pub(crate) in_round: usize,
+    /// How many of a member's hosted groups exited and their latest
+    /// virtual exit time (the coordinator learns of its own groups' exits
+    /// from their frames).
     pub(crate) exited: usize,
     pub(crate) pipelined: Duration,
     /// Whether finalization or the stub was handed out: the claim. After
@@ -115,24 +129,26 @@ pub(crate) struct RoundPhase {
 
 impl RoundPhase {
     /// The machine of job `round` offering `offered` submissions in
-    /// `chunks` intake chunks.
+    /// `chunks` intake chunks, whose groups step with `stepping`'s master
+    /// seed and options. A round that cannot run gets no inboxes.
     pub(crate) fn new(
         round: usize,
         config: &AtomConfig,
         role: &EngineRole,
         options: &EngineOptions,
-        offered: usize,
-        chunks: usize,
+        (offered, chunks): (usize, usize),
+        stepping: (u64, ActorConfig),
     ) -> Self {
         let groups = config.num_groups;
+        let refused = refusal(round, config, role, options, offered);
+        let hosted = (role.hosted.iter()).filter(|&&gid| gid < groups && refused.is_none());
+        let mixers = hosted.map(|&gid| (gid, Mixer::new(config, gid))).collect();
         Self {
             config: config.clone(),
             coordinator: role.coordinator,
-            hosted: role.hosted.clone(),
-            refused: refusal(round, config, role, options, offered),
+            refused,
             groups: FillVec::new(groups),
             trustees: (!role.coordinator).then(member_trustee_placeholder),
-            parked: Vec::new(),
             ready: None,
             chunks,
             next_chunk: match options.intake_window {
@@ -141,8 +157,10 @@ impl RoundPhase {
             },
             results: FillVec::new(chunks),
             frames: FillVec::new(groups),
-            released: (0, Vec::new()),
-            in_round: role.hosted_in_round(groups),
+            released: (0, Vec::new(), (0, 0)),
+            mixers,
+            stepping,
+            wire_round: round + options.round_offset,
             exited: 0,
             pipelined: Duration::ZERO,
             done: false,
@@ -151,11 +169,12 @@ impl RoundPhase {
 
     /// Feeds `input`, read at `now`, and returns what the driver is to do.
     /// The input that completes the directory returns [`Action::Install`],
-    /// once; from then on a mix envelope is delivered at once. The last
-    /// chunk result returns [`Action::Release`], the frame that fills the
-    /// last slot [`Action::Finalize`] and a member's last hosted exit
-    /// [`Action::Stub`], each once; after the claim, exit inputs yield
-    /// nothing.
+    /// once. A mix envelope or a step's return hands out the group's next
+    /// [`Action::Step`] once its stepper is home and its next iteration
+    /// complete. The last chunk result returns the iteration-0 sends, the
+    /// frame that fills the last slot [`Action::Finalize`] and a member's
+    /// last hosted exit [`Action::Stub`], each once; after the claim, exit
+    /// frames yield nothing.
     pub(crate) fn step(&mut self, now: Duration, input: Input) -> Vec<Action> {
         let recorded = match input {
             Input::Begin => return self.begin(),
@@ -168,12 +187,11 @@ impl RoundPhase {
                 Ok(())
             }
             Input::Frame(frame) => self.record_setup(frame),
-            Input::Mix(gid, mix) if self.ready.is_some() => return vec![Action::Deliver(gid, mix)],
-            Input::Mix(gid, mix) => self.park(gid, mix),
+            Input::Mix(gid, mix) => return self.mix(gid, mix),
+            Input::Stepped(gid, stepper, outputs) => return self.stepped(gid, stepper, outputs),
             Input::Chunk(chunk, result) => return self.verified(chunk, result),
-            Input::Exit(_) | Input::Local(_) if self.done => return Vec::new(),
+            Input::Exit(_) if self.done => return Vec::new(),
             Input::Exit(frame) => return self.record_exit(frame),
-            Input::Local(finished_virtual) => return self.local(finished_virtual),
         };
         if let Err(error) = recorded {
             return vec![Action::Fail(error)];
@@ -194,8 +212,8 @@ impl RoundPhase {
         &self,
         locate: impl FnOnce(Vec<usize>) -> (String, Vec<usize>),
     ) -> (String, Vec<usize>) {
-        let (pending, exited, in_round) =
-            (self.results.missing().count(), self.exited, self.in_round);
+        let pending = self.results.missing().count();
+        let (exited, in_round) = (self.exited, self.mixers.len());
         if self.ready.is_none() {
             let trustees = self.trustees.is_none().then_some(" and the trustee DKG");
             let (named, remote) = locate(self.groups.missing().collect());
@@ -225,9 +243,9 @@ impl RoundPhase {
         if let Some(error) = self.refused.take() {
             return vec![Action::Fail(error)];
         }
-        self.done = !self.coordinator && self.in_round == 0;
+        self.done = !self.coordinator && self.mixers.is_empty();
         vec![match self.done {
-            true => Action::Stub(Duration::ZERO),
+            true => Action::Stub(Duration::ZERO, (0, 0)),
             false => Action::Derive,
         }]
     }
@@ -243,24 +261,25 @@ impl RoundPhase {
         }
         if self.results.set(chunk, result).is_ok() && self.results.is_full() {
             let results = std::mem::replace(&mut self.results, FillVec::new(0)).into_full();
-            actions.push(self.release(results.expect("every chunk verified")));
+            actions.extend(self.release(results.expect("every chunk verified")));
         }
         actions
     }
 
-    /// Merges the chunk results in chunk order. Ranges are contiguous and
+    /// Merges the chunk results in chunk order and sends the iteration-0
+    /// batches, one per group in group order. Ranges are contiguous and
     /// ascending, so the merged per-group batches equal the single-task
     /// (and sequential-driver) bucketing byte for byte; the first failed
     /// chunk — which holds the lowest-indexed rejected submission — decides
     /// the round's error.
-    fn release(&mut self, results: Vec<AtomResult<TrapIntake>>) -> Action {
+    fn release(&mut self, results: Vec<AtomResult<TrapIntake>>) -> Vec<Action> {
         let groups = self.config.num_groups;
         let mut batches: Vec<Vec<MessageCiphertext>> = vec![Vec::new(); groups];
         let mut commitments: Vec<Vec<Commitment>> = vec![Vec::new(); groups];
         for result in results {
             let chunk = match result {
                 Ok(chunk) => chunk,
-                Err(error) => return Action::Fail(error),
+                Err(error) => return vec![Action::Fail(error)],
             };
             for (gid, mut sub) in chunk.batches.into_iter().enumerate() {
                 batches[gid].append(&mut sub);
@@ -269,8 +288,13 @@ impl RoundPhase {
                 commitments[gid].append(&mut sub);
             }
         }
-        self.released = (batches.iter().map(Vec::len).sum(), commitments);
-        Action::Release(batches)
+        let (round, routed) = (self.wire_round, batches.iter().map(Vec::len).sum());
+        let encode = |batch: &Vec<_>| wire::encode_mix(round, 0, SOURCE, Duration::ZERO, batch);
+        let payloads: Vec<Vec<u8>> = batches.iter().map(encode).collect();
+        let bytes = payloads.iter().map(|payload| payload.len() as u64).sum();
+        self.released = (routed, commitments, (payloads.len() as u64, bytes));
+        let send = |(gid, payload)| Action::Send(SOURCE, gid, payload);
+        payloads.into_iter().enumerate().map(send).collect()
     }
 }
 
@@ -312,9 +336,23 @@ fn refusal(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use atom_core::config::Defense;
     use atom_core::directory::derive_setup;
+    use atom_core::group::GroupStepOptions;
 
     pub(crate) const T0: Duration = Duration::ZERO;
+
+    /// The master seed and options the test rounds' groups step with.
+    fn stepping() -> (u64, ActorConfig) {
+        let options = GroupStepOptions::new(Defense::Trap);
+        let config = ActorConfig {
+            options,
+            adversary: None,
+            failed_servers: Vec::new(),
+            churn: Vec::new(),
+        };
+        (7, config)
+    }
 
     pub(crate) fn ms(millis: u64) -> Duration {
         Duration::from_millis(millis)
@@ -334,7 +372,7 @@ pub(crate) mod tests {
             intake_window: window,
             ..EngineOptions::default()
         };
-        let phase = RoundPhase::new(0, &config, &role, &options, 0, chunks);
+        let phase = RoundPhase::new(0, &config, &role, &options, (0, chunks), stepping());
         (derive_setup(&config).unwrap(), phase)
     }
 
@@ -376,6 +414,21 @@ pub(crate) mod tests {
             _ => panic!("want only chunks handed out"),
         };
         actions.iter().map(chunk).collect()
+    }
+
+    /// The batch sizes of the iteration-0 frames `actions` send, one per
+    /// group in group order, and nothing else.
+    pub(crate) fn releases(actions: &[Action]) -> Vec<usize> {
+        let size = |(gid, action): (usize, &Action)| match action {
+            Action::Send(SOURCE, to, payload) if *to == gid => match wire::decode(payload) {
+                Ok(wire::Frame::Mix(mix)) if (mix.iteration, mix.from) == (0, SOURCE) => {
+                    mix.batch.len()
+                }
+                _ => panic!("want an iteration-0 mix frame"),
+            },
+            _ => panic!("want only the iteration-0 sends, in group order"),
+        };
+        actions.iter().enumerate().map(size).collect()
     }
 
     /// A chunk result routing `lens[g]` ciphertexts to group `g`, each
@@ -421,11 +474,12 @@ pub(crate) mod tests {
         // Group 5 is not in this 3-group round: nothing to run.
         let (_, mut phase) = machine(EngineRole::member(vec![5]), 0, 1);
         let actions = phase.step(T0, Input::Begin);
-        assert!(matches!(actions.as_slice(), [Action::Stub(pipelined)] if pipelined.is_zero()));
+        assert!(matches!(actions.as_slice(), [Action::Stub(pipelined, _)] if pipelined.is_zero()));
 
         let (config, role) = (AtomConfig::test_default(), EngineRole::coordinator(vec![0]));
         let begin = |round, options: &EngineOptions, offered| {
-            let mut phase = RoundPhase::new(round, &config, &role, options, offered, 1);
+            let mut phase =
+                RoundPhase::new(round, &config, &role, options, (offered, 1), stepping());
             phase.step(T0, Input::Begin)
         };
         let fenced = EngineOptions {
@@ -461,7 +515,7 @@ pub(crate) mod tests {
         }
         assert_eq!(handed, [0, 1, 2, 3, 4], "every chunk, none twice");
         let actions = phase.step(T0, Input::Chunk(4, verified([1, 0, 0], 0)));
-        assert!(matches!(actions.as_slice(), [Action::Release(_)]));
+        assert_eq!(releases(&actions), [5, 0, 0]);
     }
 
     #[test]
@@ -485,10 +539,16 @@ pub(crate) mod tests {
             .step(T0, Input::Chunk(1, verified([0, 2, 1], 1)))
             .is_empty());
         let actions = phase.step(T0, Input::Chunk(0, verified([1, 1, 0], 0)));
-        let [Action::Release(batches)] = actions.as_slice() else {
-            panic!("the last chunk releases the round");
+        assert_eq!(
+            releases(&actions),
+            [1, 3, 1],
+            "the last chunk releases the round"
+        );
+        let sent = |action: &Action| match action {
+            Action::Send(_, _, payload) => payload.len() as u64,
+            _ => unreachable!(),
         };
-        assert_eq!(batches.iter().map(Vec::len).collect::<Vec<_>>(), [1, 3, 1]);
+        let bytes: u64 = actions.iter().map(sent).sum();
         assert!(phase
             .step(T0, Input::Chunk(0, verified([1, 1, 0], 0)))
             .is_empty());
@@ -497,13 +557,14 @@ pub(crate) mod tests {
             assert!(phase.step(T0, Input::Exit(exit_frame(gid))).is_empty());
         }
         let actions = phase.step(T0, Input::Exit(exit_frame(1)));
-        let [Action::Finalize(_, (routed, commitments))] = actions.as_slice() else {
+        let [Action::Finalize(_, (routed, commitments, traffic))] = actions.as_slice() else {
             panic!("the last exit frame finalizes the round");
         };
         let tags: Vec<Vec<u8>> = (commitments.iter())
             .map(|group| group.iter().map(|c| c.0[0]).collect())
             .collect();
         assert_eq!((*routed, tags), (5, vec![vec![0], vec![0, 1, 1], vec![1]]));
+        assert_eq!(*traffic, (3, bytes));
     }
 
     #[test]

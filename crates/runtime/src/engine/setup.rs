@@ -1,18 +1,12 @@
 //! Directory setup: every round derives its directory in the run, one DKG
 //! task per hosted group (plus the trustee DKG on the coordinator), whose
 //! public halves travel to the peers as `setup` frames. The round's
-//! machine collects them; [`install`] builds the actors from what it
-//! assembles.
+//! machine collects them and installs what it assembles.
 
-use parking_lot::Mutex;
-
-use atom_core::actor::{ActorConfig, GroupActor};
-use atom_core::directory::{derive_group, derive_trustees, RoundSetup};
-use atom_core::error::AtomResult;
-use atom_core::group::GroupStepOptions;
+use atom_core::directory::{derive_group, derive_trustees};
 
 use super::phase::{self, Input};
-use super::{ActorSpec, Shared, Task, SETUP_LABEL};
+use super::{Shared, Task, SETUP_LABEL};
 use crate::wire::{self, SetupFrame};
 
 mod machine;
@@ -80,53 +74,4 @@ pub(super) fn run_setup_trustees(shared: &Shared<'_>, round: usize) {
         Ok(trustees) => phase::step(shared, round, Input::Trustees(trustees)),
         Err(error) => shared.fail_job(round, error),
     }
-}
-
-/// Builds the hosted actors and publishes the directory, which releases
-/// the coordinator's intake: submission proofs verify against the group
-/// and trustee keys. An actor that cannot be built fails the round while
-/// the machine is held; the actions that follow the install find the
-/// round failed.
-pub(super) fn install(shared: &Shared<'_>, round: usize, setup: RoundSetup) {
-    let job = &shared.jobs[round];
-    for gid in (0..job.num_groups()).filter(|&gid| shared.role.hosts(gid)) {
-        match build_actor(&setup, gid, &job.actor_spec) {
-            Ok(actor) => {
-                let _ = job.actors[gid].set(Mutex::new(actor));
-            }
-            Err(error) => return shared.fail_job(round, error),
-        }
-    }
-    let _ = job.setup.set(setup);
-}
-
-/// Builds the actor of group `gid` from the directory and the job's
-/// retained [`ActorSpec`].
-fn build_actor(setup: &RoundSetup, gid: usize, spec: &ActorSpec) -> AtomResult<GroupActor> {
-    let mut config = ActorConfig::new(GroupStepOptions::new(spec.defense));
-    config.adversary = spec.adversary;
-    config.failed_servers = spec.failed_servers.clone();
-    config.churn = spec.churn.clone();
-    // A group that lost more members than its DKG threshold tolerates
-    // cannot run threshold decryption with Lagrange reweighting alone; fall
-    // back to the buddy-group escrow (§4.5), which deterministically
-    // reconstructs the missing shares onto replacement servers drawn from
-    // the buddy group. The group public key is unchanged, so already
-    // collected submissions stay decryptable.
-    let healed;
-    let setup = if !spec.failed_servers.is_empty()
-        && setup.groups[gid]
-            .participating(&spec.failed_servers)
-            .is_err()
-    {
-        let group = atom_core::faults::heal_group_via_escrow(setup, gid, &spec.failed_servers)?;
-        atom_obs::count("engine.escrow.reconstructions", 1);
-        let mut patched = setup.clone();
-        patched.groups[gid] = group;
-        healed = patched;
-        &healed
-    } else {
-        setup
-    };
-    GroupActor::new(setup, gid, spec.master_seed, config)
 }

@@ -1,7 +1,6 @@
 //! The setup transitions of a round's machine: they collect the hosted
-//! groups' DKGs, the trustee DKG and the peers' `setup` frames, park the
-//! mix envelopes that race ahead of the directory, and install the
-//! directory once every piece is in.
+//! groups' DKGs, the trustee DKG and the peers' `setup` frames, and install
+//! the directory once every piece is in.
 
 use std::time::Duration;
 
@@ -16,12 +15,13 @@ use curve25519_dalek::traits::Identity;
 
 use crate::engine::phase::{Action, RoundPhase};
 use crate::fill_vec::FillVec;
-use crate::wire::{MixEnvelope, SetupFrame};
+use crate::wire::SetupFrame;
 
 impl RoundPhase {
-    /// Hands out the directory, then the parked envelopes and the window's
-    /// chunks. The contexts move into the directory; only their public
-    /// halves stay for [`record_setup`](Self::record_setup).
+    /// Builds the hosted groups' steppers and hands out the directory, the
+    /// window's chunks and the steps of the groups whose first iteration
+    /// arrived early. The contexts move into the directory; only their
+    /// public halves stay for [`record_setup`](Self::record_setup).
     pub(crate) fn install(&mut self, now: Duration) -> Vec<Action> {
         self.ready = Some(now);
         let groups = std::mem::replace(&mut self.groups, FillVec::new(self.config.num_groups));
@@ -35,11 +35,14 @@ impl RoundPhase {
             trustees: self.trustees.take().expect("the trustees recorded"),
             buddies: derive_buddies(&self.config),
         };
+        if let Err(error) = self.arm(&setup) {
+            return vec![Action::Fail(error)];
+        }
         let mut actions = vec![Action::Install(Box::new(setup))];
-        actions.extend((self.parked.drain(..)).map(|(gid, mix)| Action::Deliver(gid, mix)));
         if self.coordinator {
             actions.extend((0..self.next_chunk).map(Action::Verify));
         }
+        actions.extend((self.mixers.iter_mut()).filter_map(|(&gid, mixer)| mixer.hand_out(gid)));
         actions
     }
 
@@ -55,7 +58,7 @@ impl RoundPhase {
                 "setup frame for unknown group {gid}"
             )));
         }
-        if self.hosted.contains(&gid) {
+        if self.mixers.contains_key(&gid) {
             return Err(AtomError::Malformed(format!(
                 "setup frame for group {gid}, which this process derives itself"
             )));
@@ -79,22 +82,6 @@ impl RoundPhase {
             threshold: frame.threshold,
         };
         let _ = self.groups.set(gid, context);
-        Ok(())
-    }
-
-    /// Parks an envelope until the directory is installed. Bounded: a
-    /// legitimate round delivers at most `groups × (1 + groups ×
-    /// iterations)` mix frames in all, so growth past that is a peer
-    /// streaming frames while withholding its setup frames.
-    pub(crate) fn park(&mut self, gid: usize, mix: MixEnvelope) -> AtomResult<()> {
-        let (groups, iterations) = (self.config.num_groups, self.config.topology().iterations());
-        let cap = groups.saturating_mul(1 + groups.saturating_mul(iterations));
-        if self.parked.len() >= cap {
-            return Err(AtomError::Malformed(format!(
-                "more than {cap} mix envelopes buffered before the round's directory was assembled"
-            )));
-        }
-        self.parked.push((gid, mix));
         Ok(())
     }
 }
@@ -122,7 +109,7 @@ fn validate(config: &AtomConfig, frame: &SetupFrame) -> AtomResult<()> {
 }
 
 /// The trustee context a non-coordinator member records in its assembled
-/// directory. Members never consult the trustees — group actors only read
+/// directory. Members never consult the trustees — group steppers only read
 /// `setup.groups` and `setup.config`, and the trap-variant exit phase runs
 /// on the coordinator — so an empty placeholder keeps the trustee DKG off
 /// every member's setup path.
@@ -138,7 +125,7 @@ pub(crate) fn member_trustee_placeholder() -> TrusteeContext {
 mod tests {
     use crate::engine::phase::machine::tests::{all_but_group_2, assert_fails, frame, machine, T0};
     use crate::engine::phase::{Action, Input, RoundPhase};
-    use crate::wire::{MixEnvelope, SetupFrame};
+    use crate::wire::SetupFrame;
     use crate::EngineRole;
     use atom_core::directory::RoundSetup;
     use std::time::Duration;
@@ -150,23 +137,9 @@ mod tests {
         machine(EngineRole::coordinator(vec![0]), 0, 0)
     }
 
-    fn mix(from: usize) -> MixEnvelope {
-        MixEnvelope {
-            round: 0,
-            iteration: 0,
-            from,
-            sent_virtual: T0,
-            batch: Vec::new(),
-        }
-    }
-
     #[test]
-    fn parked_envelopes_replay_in_arrival_order_at_install() {
+    fn the_last_piece_installs_the_assembled_directory() {
         let (setup, mut phase) = deployment();
-        let ms = Duration::from_millis;
-        for from in [7, 3, 5] {
-            assert!(phase.step(ms(1), Input::Mix(0, mix(from))).is_empty());
-        }
         all_but_group_2(&setup, &mut phase);
         let in_setup = |phase: &RoundPhase| {
             let (detail, _) = phase.waiting_on(|gids| (format!("{gids:?}"), gids));
@@ -174,17 +147,11 @@ mod tests {
         };
         assert!(in_setup(&phase));
 
+        let ms = Duration::from_millis;
         let actions = phase.step(ms(5), Input::Frame(frame(&setup, 2)));
-        let [Action::Install(installed), replay @ ..] = actions.as_slice() else {
+        let [Action::Install(installed)] = actions.as_slice() else {
             panic!("the last piece installs the directory");
         };
-        let order: Vec<_> = (replay.iter())
-            .map(|action| match action {
-                Action::Deliver(gid, mix) => (*gid, mix.from),
-                _ => panic!("want only the parked envelopes after the install"),
-            })
-            .collect();
-        assert_eq!(order, [(0, 7), (0, 3), (0, 5)]);
         let keys = |setup: &RoundSetup| {
             setup
                 .groups
@@ -196,10 +163,6 @@ mod tests {
         assert!(installed.trustees.public_key == setup.trustees.public_key);
         assert_eq!(phase.ready, Some(ms(5)));
         assert!(!in_setup(&phase));
-
-        // From then on an envelope is delivered at once.
-        let actions = phase.step(ms(6), Input::Mix(0, mix(1)));
-        assert!(matches!(actions.as_slice(), [Action::Deliver(0, mix)] if mix.from == 1));
     }
 
     #[test]
@@ -248,16 +211,5 @@ mod tests {
         let actions = phase.step(T0, Input::Frame(frame(&setup, 2)));
         assert!(matches!(actions.as_slice(), [Action::Install(..)]));
         assert_fails(phase.step(T0, Input::Frame(forged)), conflict);
-    }
-
-    #[test]
-    fn the_park_cap_fails_the_round() {
-        let (_, mut phase) = deployment();
-        // 3 groups x 2 iterations: the cap is 3 * (1 + 3 * 2) = 21.
-        for _ in 0..21 {
-            assert!(phase.step(T0, Input::Mix(0, mix(0))).is_empty());
-        }
-        let actions = phase.step(T0, Input::Mix(0, mix(0)));
-        assert_fails(actions, "more than 21 mix envelopes buffered");
     }
 }

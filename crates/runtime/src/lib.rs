@@ -30,7 +30,7 @@
 //!   setup, submissions) ─▶│  task queue + worker pool  │
 //!                         └─────┬───────────────┬──────┘
 //!             Intake(round)     │               │    Deliver(node)
-//!        verify proofs, inject  │               │  drain mailbox, step actor
+//!        verify proofs, inject  │               │  drain mailbox, feed round
 //!                               ▼               ▼
 //!   ┌─────────────┐  wire::encode_mix ┌──────────────────────────┐
 //!   │ orchestrator│ ────────────────▶ │   Transport mailboxes    │
@@ -39,13 +39,13 @@
 //!   └─────────────┘ wire::encode_exit └──────┬───────────▲───────┘
 //!                                            │ drain     │ send
 //!                                            ▼           │
-//!                              ┌─────────────────────────┴─┐
-//!                              │ GroupActor (per round×gid) │
-//!                              │  · buffers sub-batches     │
-//!                              │  · steps iteration i once  │
-//!                              │    all inputs arrived      │
-//!                              │  · per-group RNG stream    │
-//!                              │  · virtual-clock tracking  │
+//!                              ┌─────────────────────────┴──┐
+//!                              │ RoundPhase (per round)     │
+//!                              │  · GroupInbox per gid:     │
+//!                              │    buffers sub-batches     │
+//!                              │  · GroupStepper per gid:   │
+//!                              │    steps outside the lock, │
+//!                              │    own RNG + virtual clock │
 //!                              └──────────┬─────────────────┘
 //!                                         │ Exit frames
 //!                                         ▼
@@ -63,7 +63,7 @@
 //! mixes, and round 1's DKGs run during round 0's mixing tail.
 //!
 //! **Determinism.** All round randomness derives from `RoundJob::seed`;
-//! each group actor owns the stream `group_stream_seed(master, round, gid)`
+//! each group's stepper owns the stream `group_stream_seed(master, round, gid)`
 //! and batch assembly orders inbound sub-batches by sender id, so scheduling
 //! cannot influence output bytes. For equal seeds the engine is
 //! byte-equivalent to [`atom_core::round::RoundDriver`] — asserted by the

@@ -313,9 +313,10 @@ fn forged_setup_frame_membership_fails_the_round() {
     coordinator_net.shutdown();
 }
 
-/// A peer streaming mix frames while withholding its setup frames must hit
-/// the pre-ready buffer cap and fail the round instead of growing memory
-/// without bound.
+/// A peer streaming mix frames while withholding its setup frames must
+/// fail the round instead of growing memory without bound: a group's inbox
+/// takes one sub-batch per sender and iteration, before the directory as
+/// after it, and refuses the first repeat.
 #[test]
 fn mix_flood_before_setup_completion_fails_the_round() {
     use atom_net::Transport;
@@ -327,7 +328,8 @@ fn mix_flood_before_setup_completion_fails_the_round() {
     config.message_len = 24;
     let job = RoundJob::sharded(config, RoundSubmissions::Trap(Vec::new()), 13);
 
-    // Cap for 3 groups x 2 iterations: 3 * (1 + 3*2) = 21. Flood past it.
+    // Group 1 is one of group 0's iteration-1 senders: only its first
+    // frame is recorded.
     let (coordinator_net, member_net) = tcp_pair();
     let payload = wire::encode_mix(0, 1, 1, Duration::ZERO, &[]);
     for _ in 0..64 {
@@ -348,8 +350,8 @@ fn mix_flood_before_setup_completion_fails_the_round() {
         .unwrap()
         .unwrap_err();
     assert!(
-        format!("{err:?}").contains("buffered"),
-        "want the buffer-cap error, got {err:?}"
+        format!("{err:?}").contains("group 0 received a duplicate iteration-1 batch from 1"),
+        "want the duplicate refusal, got {err:?}"
     );
     coordinator_net.shutdown();
 }

@@ -23,6 +23,7 @@ use atom_runtime::{Engine, EngineOptions, EngineRole, RoundJob, RoundSubmissions
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 const GROUPS: usize = 3;
+const ITERATIONS: usize = 2;
 
 fn trap_jobs(rounds: usize, seed: u64) -> Vec<RoundJob> {
     let mut rng = StdRng::seed_from_u64(404);
@@ -30,7 +31,7 @@ fn trap_jobs(rounds: usize, seed: u64) -> Vec<RoundJob> {
         .map(|round| {
             let mut config = AtomConfig::test_default();
             config.num_groups = GROUPS;
-            config.iterations = 2;
+            config.iterations = ITERATIONS;
             config.message_len = 24;
             config.round = round as u64;
             let setup = derive_setup(&config).unwrap();
@@ -208,11 +209,13 @@ fn spans_are_labelled_with_the_wire_round() {
     );
 }
 
-/// A `mix` span measures a group step, not the wait for the group's lock:
-/// it opens once the worker holds the actor lock and closes before the
-/// lock is released. So over a multi-round run on three workers, where
-/// several workers often deliver to one group at once, no two `mix` spans
-/// of one `(round, gid)` overlap in time.
+/// A `mix` span measures one group step and nothing else: it opens and
+/// closes around the step, which the round's machine hands out once the
+/// group's iteration is complete and only while no other step of the group
+/// is out. So over a multi-round run on three workers, where several
+/// workers often deliver to one group at once, every `(round, gid)` has
+/// exactly one `mix` span per iteration, and no two of them overlap in
+/// time.
 #[test]
 fn mix_spans_of_one_group_never_overlap() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -233,6 +236,11 @@ fn mix_spans_of_one_group_never_overlap() {
     }
     assert_eq!(steps.len(), 4 * GROUPS, "every group of every round mixed");
     for ((round, gid), mut spans) in steps {
+        assert_eq!(
+            spans.len(),
+            ITERATIONS,
+            "round {round} group {gid}: one mix span per group step"
+        );
         spans.sort_unstable();
         for pair in spans.windows(2) {
             assert!(

@@ -13,7 +13,7 @@ use std::path::Path;
 use common::rust_files;
 
 /// The count when the bound was last lowered.
-const MAX_LINES: usize = 17_313;
+const MAX_LINES: usize = 17_302;
 
 #[test]
 fn non_test_line_count_does_not_grow() {

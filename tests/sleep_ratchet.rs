@@ -6,10 +6,10 @@
 //! `tests/` (comments stripped) and fails when the count rises above
 //! [`MAX_SLEEPS`]. A change that removes a sleep lowers the bound with it.
 //! A second scan keeps the recovery machines and the round-phase machine
-//! (setup, intake, exit) free of clocks, threads and I/O, so time stays
-//! injected there, and a third counts the clock reads of the protocol
-//! paths and keeps them out of the decisions that take `now`. CI runs all
-//! three in the Chaos step.
+//! (setup, intake, mixing, exit) free of clocks, threads and I/O, so time
+//! stays injected there, and a third counts the clock reads of the
+//! protocol paths and keeps them out of the decisions that take `now`. CI
+//! runs all three in the Chaos step.
 
 mod common;
 
@@ -68,12 +68,13 @@ const IO_TOKENS: [&str; 11] = [
     "transport",
 ];
 
-/// The round-phase machine's files (its intake transitions and its setup
-/// and exit ones), under `crates/runtime/src`; the recovery machines are
-/// every file under `recovery`.
-const PHASE_MACHINES: [&str; 3] = [
+/// The round-phase machine's files (its intake transitions and its setup,
+/// mixing and exit ones), under `crates/runtime/src`; the recovery
+/// machines are every file under `recovery`.
+const PHASE_MACHINES: [&str; 4] = [
     "engine/phase/machine.rs",
     "engine/setup/machine.rs",
+    "engine/mix/machine.rs",
     "engine/exit/machine.rs",
 ];
 
@@ -119,10 +120,13 @@ fn recovery_and_round_phase_machines_stay_sans_io() {
 
 /// The protocol-path files whose clock reads [`clock_reads_do_not_grow`]
 /// counts.
-const CLOCK_FILES: [&str; 13] = [
+const CLOCK_FILES: [&str; 16] = [
     "crates/runtime/src/engine/mod.rs",
     "crates/runtime/src/engine/setup.rs",
     "crates/runtime/src/engine/setup/machine.rs",
+    "crates/runtime/src/engine/intake.rs",
+    "crates/runtime/src/engine/mix.rs",
+    "crates/runtime/src/engine/mix/machine.rs",
     "crates/runtime/src/engine/exit.rs",
     "crates/runtime/src/engine/exit/machine.rs",
     "crates/runtime/src/engine/phase.rs",
