@@ -8,8 +8,9 @@
 //! recorded `BENCH_recovery.json` ([`atom_bench::recovery`]).
 //!
 //! Usage: `cargo run --release -p atom-bench --bin recovery --
-//! [--rounds N] [--messages M] [--kill-at R] [--restart-at R]
-//! [--batch B] [--honest H] [--out PATH]`
+//! [--rounds N] [--messages M] [--iterations I] [--seed S]
+//! [--stall-timeout-ms MS] [--honest H] [--batch B] [--workers W]
+//! [--kill-at R] [--restart-at R] [--out PATH]`
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,6 +70,9 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(flag_value(flag, argv.next())?),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if args.batch == 0 {
+        return Err("--batch must be at least one round".into());
     }
     // The restart lands at or past `restart_at` in a batch after the kill's;
     // a later batch start's handshake reads its request and readmits it.

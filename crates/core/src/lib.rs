@@ -28,8 +28,6 @@
 //!   verification, trap checking, trustee release. Also the sequential
 //!   [`round::RoundDriver`], the oracle the equivalence suites diff the
 //!   engine against.
-//! * [`latency`] — the §6 server-class mix the deployment simulator draws
-//!   from.
 //! * [`adversary`] — active-attack injection used by tests and benches.
 //! * [`blame`] — identification of malicious users after a disruption (§4.6).
 //! * [`faults`] — buddy-group escrow and catastrophic-failure recovery (§4.5).
@@ -88,7 +86,6 @@ pub mod directory;
 pub mod error;
 pub mod faults;
 pub mod group;
-pub mod latency;
 pub mod message;
 pub mod round;
 

@@ -11,11 +11,11 @@
 use serde::{Deserialize, Serialize};
 
 use atom_core::config::Defense;
-use atom_core::latency::{assign_server_classes, paper_server_mix, ServerClass};
 use atom_core::message::trap_payload_len;
 use atom_crypto::encoding::points_needed;
 
 use crate::costs::PrimitiveCosts;
+use crate::latency::{assign_server_classes, paper_server_mix, ServerClass};
 
 /// A deployment whose round latency we want to estimate.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -11,12 +11,14 @@
 //!   deployment sizes, including the large-scale overhead terms that make
 //!   the speed-up sub-linear beyond ~2¹⁰ servers, and the closed-form
 //!   Riposte and Vuvuzela/Alpenhorn latency models Table 12 compares against.
+//! * [`latency`] — the §6 server-class mix the deployment model draws from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod costs;
 pub mod deployment;
+pub mod latency;
 
 pub use costs::PrimitiveCosts;
 pub use deployment::{estimate_round, speedup, DeploymentSpec, RoundEstimate};

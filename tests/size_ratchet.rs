@@ -13,7 +13,7 @@ use std::path::Path;
 use common::rust_files;
 
 /// The count when the bound was last lowered.
-const MAX_LINES: usize = 17_302;
+const MAX_LINES: usize = 17_147;
 
 #[test]
 fn non_test_line_count_does_not_grow() {
@@ -25,7 +25,7 @@ fn non_test_line_count_does_not_grow() {
             rust_files(&src, &mut files);
         }
     }
-    assert!(files.len() > 75, "scan found only {} files", files.len());
+    assert!(files.len() > 70, "scan found only {} files", files.len());
 
     let mut sizes: Vec<(usize, String)> = files
         .iter()
