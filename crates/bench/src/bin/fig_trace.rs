@@ -1,13 +1,13 @@
 //! Renders the per-phase cost breakdown of a recorded fleet trace: reads
 //! the Chrome trace-event JSON the coordinator of `atom-node --trace`
 //! writes (the first argument, default `trace.json`), through
-//! `atom_bench::json`, and prints, per fleet process and fleet-wide, how
+//! `atom_obs::json`, and prints, per fleet process and fleet-wide, how
 //! the span time splits across the engine phases. `docs/observability.md`
 //! shows how to record a trace.
 
 use std::collections::BTreeMap;
 
-use atom_bench::json::{self, Value};
+use atom_obs::json::{self, Value};
 
 /// One complete (`"ph":"X"`) event of a trace.
 struct TraceEvent {

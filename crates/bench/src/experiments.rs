@@ -291,12 +291,13 @@ fn fig6(run: &Run) -> Artifact {
 fn fig7(run: &Run) -> Artifact {
     let (size, count) = run.pick([(2, 4), (4, 256), (8, 1024)]);
     let threads: &[usize] = run.pick([&[1, 2], &[1, 2, 4], &[4, 8, 16, 36]]);
-    let time = |defense, threads| time_iteration(defense, size, count, threads, 32);
-    let trap_base = time(Defense::Trap, threads[0]);
-    let nizk_base = time(Defense::Nizk, threads[0]);
-    let rows = threads.iter().map(|&t| {
-        let trap = trap_base / time(Defense::Trap, t);
-        let nizk = nizk_base / time(Defense::Nizk, t);
+    let times = |defense| -> Vec<f64> {
+        let time = |&t| time_iteration(defense, size, count, t, 32);
+        threads.iter().map(time).collect()
+    };
+    let (trap, nizk) = (times(Defense::Trap), times(Defense::Nizk));
+    let rows = threads.iter().enumerate().map(|(i, t)| {
+        let (trap, nizk) = (trap[0] / trap[i], nizk[0] / nizk[i]);
         cells!["{t}", "{trap:.2}", "{nizk:.2}"]
     });
     Artifact {
@@ -473,6 +474,8 @@ mod tests {
             }
             assert!(artifact.to_string().starts_with(&artifact.title));
         }
+        // Fig. 7 divides every row by its first row's own time.
+        assert_eq!(fig7(&run).rows[0][1..], ["1.00", "1.00"]);
     }
 
     #[test]

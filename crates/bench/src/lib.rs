@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 mod experiments;
-pub mod json;
 pub mod netbench;
 pub mod recovery;
 
@@ -31,7 +30,7 @@ pub use experiments::{paper, Scale};
 
 use std::sync::OnceLock;
 
-use json::{Json, Value};
+use atom_obs::json::{Json, Value};
 
 /// The text of a recorded `BENCH_*.json`: three provenance fields readers
 /// ignore, then `record`'s fields and `"transport": "tcp-loopback"`, the

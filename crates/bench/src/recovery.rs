@@ -3,9 +3,10 @@
 //! The `recovery` bin runs a fleet through a kill → evict → heal → rejoin
 //! cycle (`atom_runtime::fleet`) and emits this file; the `fig_recovery` bin
 //! reads it back and renders the healing timeline. Emitter and parser live
-//! together and round-trip under unit test, both through [`crate::json`].
+//! together and round-trip under unit test, both through `atom_obs::json`.
 
-use crate::json::{self, json_record, Json};
+use atom_obs::json::{self, Json};
+use atom_obs::json_record;
 
 /// What one recovered fleet run measured: the deployment shape, the churn
 /// history, and the two paper-facing numbers — detection-to-healed-round
@@ -170,6 +171,11 @@ mod tests {
     #[test]
     fn check_refuses_a_run_that_did_not_heal() {
         assert_eq!(sample().check(), Ok(()));
+        let committed = include_str!("../../../BENCH_recovery.json");
+        assert_eq!(
+            RecoveryBaseline::parse(committed).map(|b| b.check()),
+            Ok(Ok(()))
+        );
         let broken: [fn(&mut RecoveryBaseline); 5] = [
             |b| b.evictions = 0,
             |b| b.rejoins = 0,

@@ -12,13 +12,6 @@ use atom_crypto::encoding::encode_message;
 use atom_crypto::nizk::shuffle::prove_shuffle;
 use atom_crypto::MessageCiphertext;
 
-fn multiexp_terms() -> u64 {
-    let all = atom_obs::counter_snapshot();
-    all.into_iter()
-        .find(|(name, _)| name == "crypto.multiexp.terms")
-        .map_or(0, |c| c.1)
-}
-
 /// A `k`-member chain over `n` messages pays every distinct point once:
 /// `(k+1)·2L·n` stage points, `n` generators and `6 + 2L` points per
 /// proof. A stage handed to two links as one slice is one set of points;
@@ -26,7 +19,6 @@ fn multiexp_terms() -> u64 {
 /// costs exactly `(k−1)·2L·n` more.
 #[test]
 fn chain_verification_spends_one_term_per_distinct_point() {
-    atom_obs::set_enabled(true);
     let mut rng = StdRng::seed_from_u64(55);
     let kp = KeyPair::generate(&mut rng);
     let (k, n) = (3, 5);
@@ -57,9 +49,9 @@ fn chain_verification_spends_one_term_per_distinct_point() {
                 proof: &proofs[m],
             })
             .collect();
-        let before = multiexp_terms();
+        let before = atom_obs::counter("crypto.multiexp.terms");
         verify_shuffle_batch(&items).expect("an honest chain verifies");
-        (multiexp_terms() - before) as usize
+        (atom_obs::counter("crypto.multiexp.terms") - before) as usize
     };
 
     let aliased = (k + 1) * 2 * components * n + n + (6 + 2 * components) * k;

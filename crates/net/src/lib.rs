@@ -44,11 +44,3 @@ pub use tcp::{Dial, TcpOptions, TcpTransport};
 pub use transport::{
     Envelope, FaultyTransport, InMemoryNetwork, NodeId, SendError, SendFault, Transport,
 };
-
-/// Serializes the unit tests that flip the process-global `atom_obs` switch.
-#[cfg(test)]
-pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}

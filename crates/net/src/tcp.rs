@@ -502,11 +502,9 @@ impl Transport for TcpTransport {
         }
         // Metered only once the frame is written: frames that never reached
         // a dead peer must not inflate the fleet's traffic counters.
-        if atom_obs::enabled() {
-            atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
-            atom_obs::count(&format!("net.tcp.bytes.{label}"), payload.len() as u64);
-            atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
-        }
+        atom_obs::count(&format!("net.tcp.frames.{label}"), 1);
+        atom_obs::count(&format!("net.tcp.bytes.{label}"), payload.len() as u64);
+        atom_obs::count(&format!("net.tcp.to_process.{process}.frames"), 1);
         if process == self.me {
             let envelope = Envelope {
                 from,
@@ -536,6 +534,7 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::evloop::client_frame;
+    use atom_obs::counter;
     use std::io::Read;
     use std::net::TcpListener;
     use std::sync::mpsc::{channel, Receiver};
@@ -777,8 +776,6 @@ mod tests {
     /// send that blocks fails this test rather than hanging it.
     #[test]
     fn send_to_a_peer_that_never_reads_errs_within_the_write_budget() {
-        let _obs = crate::obs_test_lock();
-        atom_obs::set_enabled(true);
         let budget = Duration::from_millis(200);
         let options = TcpOptions {
             connect_timeout: budget,
@@ -809,7 +806,6 @@ mod tests {
         assert_eq!(error.process, 1);
         assert_eq!(error.error.kind(), ErrorKind::TimedOut, "{error}");
         assert!(counter("net.tcp.send_timeouts") > timeouts);
-        atom_obs::set_enabled(false);
     }
 
     #[test]
@@ -915,8 +911,6 @@ mod tests {
     /// not as traffic, and the next send after the peer binds reconnects.
     #[test]
     fn send_to_a_never_started_peer_errs_then_reaches_it_once_bound() {
-        let _obs = crate::obs_test_lock();
-        atom_obs::set_enabled(true);
         let options = TcpOptions {
             connect_timeout: Duration::from_millis(100),
         };
@@ -952,7 +946,6 @@ mod tests {
         wait_pending(&b, 1);
         assert_eq!(Transport::drain(&b, 1)[0].payload, vec![2]);
         assert_eq!(counter("net.tcp.frames.arrived"), 1);
-        atom_obs::set_enabled(false);
         a.shutdown();
         b.shutdown();
     }
@@ -979,8 +972,6 @@ mod tests {
 
     #[test]
     fn failed_connects_meter_retries() {
-        let _obs = crate::obs_test_lock();
-        atom_obs::set_enabled(true);
         let before = counter("net.tcp.connect_retries");
         // Nobody listens on the peer address: the connect loop must retry
         // (metering each attempt) until the budget expires.
@@ -998,15 +989,6 @@ mod tests {
             "net.tcp.connect_retries must increment ({before} -> {after})"
         );
         a.shutdown();
-        atom_obs::set_enabled(false);
-    }
-
-    fn counter(name: &str) -> u64 {
-        atom_obs::counter_snapshot()
-            .into_iter()
-            .find(|(found, _)| found == name)
-            .map(|(_, value)| value)
-            .unwrap_or(0)
     }
 
     #[test]

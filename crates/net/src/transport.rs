@@ -190,10 +190,8 @@ impl InMemoryNetwork {
     ) {
         assert!(from < self.nodes() && to < self.nodes(), "unknown node");
         let label = label.into();
-        if atom_obs::enabled() {
-            atom_obs::count(&format!("net.mem.frames.{label}"), 1);
-            atom_obs::count(&format!("net.mem.bytes.{label}"), payload.len() as u64);
-        }
+        atom_obs::count(&format!("net.mem.frames.{label}"), 1);
+        atom_obs::count(&format!("net.mem.bytes.{label}"), payload.len() as u64);
         self.mailboxes.deliver(Envelope {
             from,
             to,
@@ -342,34 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn sends_feed_the_observability_counters_when_enabled() {
-        let _obs = crate::obs_test_lock();
+    fn sends_feed_the_observability_counters() {
         let net = InMemoryNetwork::local(2);
-        // Disabled (the default): nothing is recorded.
-        net.send(0, 1, "meter-probe", vec![0u8; 5]);
-        let disabled: u64 = atom_obs::counter_snapshot()
-            .into_iter()
-            .filter(|(name, _)| name == "net.mem.frames.meter-probe")
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(disabled, 0);
-
-        atom_obs::set_enabled(true);
+        // Recording off (the default): counters count all the same. The
+        // label is unique to this test, so exact counts are safe even with
+        // other tests running concurrently in this binary.
         net.send(0, 1, "meter-probe", vec![0u8; 9]);
         net.send(1, 0, "meter-probe", vec![0u8; 4]);
-        atom_obs::set_enabled(false);
-        let snapshot = atom_obs::counter_snapshot();
-        let get = |name: &str| -> u64 {
-            snapshot
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        // The label is unique to this test, so exact counts are safe even
-        // with other tests running concurrently in this binary.
-        assert_eq!(get("net.mem.frames.meter-probe"), 2);
-        assert_eq!(get("net.mem.bytes.meter-probe"), 13);
+        assert_eq!(atom_obs::counter("net.mem.frames.meter-probe"), 2);
+        assert_eq!(atom_obs::counter("net.mem.bytes.meter-probe"), 13);
     }
 
     #[test]

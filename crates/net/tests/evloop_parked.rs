@@ -13,18 +13,12 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use atom_net::evloop::{client_frame, CloseReason, Event, EventLoop, EvloopOptions};
+use atom_obs::counter;
 
-/// Serializes the tests and switches recording on.
+/// Serializes the tests.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    atom_obs::set_enabled(true);
-    guard
-}
-
-fn counter(name: &str) -> u64 {
-    let all = atom_obs::counter_snapshot();
-    all.into_iter().find(|(n, _)| n == name).map_or(0, |c| c.1)
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An 80 s idle timeout puts the first sweep 10 s away: nothing but

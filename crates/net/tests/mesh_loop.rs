@@ -15,18 +15,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use atom_net::{client_frame, NodeId, TcpOptions, TcpTransport, Transport};
+use atom_obs::counter;
 
-/// Serializes the tests and switches recording on.
+/// Serializes the tests.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    atom_obs::set_enabled(true);
-    guard
-}
-
-fn counter(name: &str) -> u64 {
-    let all = atom_obs::counter_snapshot();
-    all.into_iter().find(|(n, _)| n == name).map_or(0, |c| c.1)
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Routes `transport`'s delivery hook into a channel.

@@ -4,15 +4,16 @@
 //! through: a process-global, lock-cheap recorder for *phase spans*
 //! (setup / intake / verify / mix / exit, keyed by round and group) plus
 //! named *operation counters* (crypto batch sizes, transport frame volume),
-//! and emitters that render collected snapshots as a Chrome trace-event
-//! JSON file (loadable in Perfetto / `chrome://tracing`) or a human text
-//! summary with p50/p99 per phase per round.
+//! emitters that render collected snapshots as a Chrome trace-event JSON
+//! file (loadable in Perfetto / `chrome://tracing`) or a human text summary
+//! with p50/p99 per phase per round, and the workspace's one JSON codec
+//! ([`json`]).
 //!
-//! Everything is **disabled by default** and costs one relaxed atomic load
-//! per instrumentation site until [`set_enabled`]`(true)` is called, so the
-//! hot paths of an untraced run are unperturbed. Recording never touches
-//! protocol state or randomness: traced runs must stay byte-identical to
-//! untraced ones, and CI asserts exactly that.
+//! Counters always count. Spans and notes are **off by default** and cost
+//! one relaxed atomic load per site until [`set_enabled`]`(true)` is
+//! called, so an untraced run reads no clock for them. Recording never
+//! touches protocol state or randomness: traced runs must stay
+//! byte-identical to untraced ones, and CI asserts exactly that.
 //!
 //! The crate deliberately depends on nothing but `std`. Spans are coarse
 //! (one per phase × round × group × hop), so a plain `Mutex<Vec<_>>` is
@@ -23,6 +24,7 @@
 #![warn(missing_docs)]
 
 mod emit;
+pub mod json;
 
 pub use emit::{chrome_trace_json, metrics_json, text_summary};
 
@@ -35,7 +37,7 @@ use std::time::Instant;
 /// (trustee setup, exit assembly, failure notes).
 pub const GID_NONE: u32 = u32::MAX;
 
-/// Global enable flag. All instrumentation sites check this first.
+/// Global enable flag for spans and notes; [`span`] and [`note`] check it first.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The process index stamped on local snapshots (fleet member index).
@@ -68,15 +70,11 @@ thread_local! {
     static TID: u32 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Turn recording on or off process-wide. Disabled (the default) makes every
-/// instrumentation site a single relaxed load.
+/// Turn span and note recording on or off process-wide. Disabled (the
+/// default) makes every span and note site a single relaxed load. Counters
+/// count either way.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether recording is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Record which fleet process this is (0 = coordinator). Stamped on
@@ -163,7 +161,7 @@ impl Drop for Span {
 /// Open a phase span; the returned guard records it on drop. Use
 /// [`GID_NONE`] for spans not tied to one group.
 pub fn span(phase: &'static str, round: u32, gid: u32) -> Span {
-    if !enabled() {
+    if !ENABLED.load(Ordering::Relaxed) {
         return Span { start: None };
     }
     Span {
@@ -174,7 +172,7 @@ pub fn span(phase: &'static str, round: u32, gid: u32) -> Span {
 /// Record an instant marker with free-text detail (e.g. why a round failed).
 /// No-op while recording is disabled.
 pub fn note(phase: &'static str, round: u32, detail: &str) {
-    if !enabled() {
+    if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     record(SpanRecord {
@@ -201,9 +199,9 @@ fn record(span: SpanRecord) {
 /// FIXED_BASE_CALLS.add(1);
 /// ```
 ///
-/// `add` is a relaxed fetch-add when recording is enabled and a single
-/// relaxed load otherwise. The counter registers itself in the global
-/// snapshot registry on its first increment.
+/// `add` is a relaxed fetch-add, whether recording is enabled or not. The
+/// counter registers itself in the global snapshot registry on its first
+/// increment.
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
@@ -221,11 +219,8 @@ impl Counter {
         }
     }
 
-    /// Add `n` to the counter. No-op while recording is disabled.
+    /// Add `n` to the counter.
     pub fn add(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
         if !self.registered.swap(true, Ordering::Relaxed) {
             COUNTERS
                 .lock()
@@ -243,36 +238,40 @@ impl Counter {
 
 /// Add `n` to a dynamically-named counter (for names only known at runtime,
 /// e.g. per-peer transport volume). Hotter sites should prefer a static
-/// [`Counter`]. No-op while recording is disabled.
+/// [`Counter`]. Only a name's first count allocates: transports count
+/// every send.
 pub fn count(name: &str, n: u64) {
-    if !enabled() {
-        return;
-    }
     let mut map = DYN_COUNTERS.lock().expect("dyn counters poisoned");
-    *map.entry(name.to_string()).or_insert(0) += n;
+    match map.get_mut(name) {
+        Some(value) => *value += n,
+        None => drop(map.insert(name.to_string(), n)),
+    }
 }
 
 /// Raise a dynamically-named high-water-mark gauge to at least `value`.
 /// Samples merge by maximum, so the snapshot reports the peak ever observed
-/// (e.g. peak in-flight intake submissions), not a running sum. No-op while
-/// recording is disabled.
+/// (e.g. peak in-flight intake submissions), not a running sum.
 pub fn gauge_max(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
     let mut map = DYN_GAUGES.lock().expect("dyn gauges poisoned");
     let slot = map.entry(name.to_string()).or_insert(0);
     *slot = (*slot).max(value);
 }
 
 /// The peak value a [`gauge_max`] gauge has reached, or `None` if the gauge
-/// was never touched (or recording was disabled at every touch).
+/// was never touched since the last [`reset`].
 pub fn gauge_peak(name: &str) -> Option<u64> {
     DYN_GAUGES
         .lock()
         .expect("dyn gauges poisoned")
         .get(name)
         .copied()
+}
+
+/// The value of counter or gauge `name` in [`counter_snapshot`], 0 if it was
+/// never touched since the last [`reset`].
+pub fn counter(name: &str) -> u64 {
+    let found = counter_snapshot().into_iter().find(|(n, _)| n == name);
+    found.map_or(0, |(_, value)| value)
 }
 
 /// Current values of every counter touched so far, sorted by name.
@@ -355,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_and_counters_record_nothing() {
+    fn disabled_recording_keeps_counting_but_records_no_spans() {
         let _guard = exclusive();
         set_enabled(false);
         reset();
@@ -365,12 +364,14 @@ mod tests {
         note("stall", 7, "detail");
         static TEST_DISABLED: Counter = Counter::new("test.disabled");
         TEST_DISABLED.add(5);
-        count("test.disabled.dyn", 5);
+        count("test.disabled.dyn", 6);
+        gauge_max("test.disabled.peak", 7);
         assert!(local_snapshot(Some(7)).spans.is_empty());
-        assert_eq!(TEST_DISABLED.get(), 0);
-        assert!(counter_snapshot()
-            .iter()
-            .all(|(name, _)| !name.starts_with("test.disabled")));
+        assert_eq!(TEST_DISABLED.get(), 5);
+        assert_eq!(counter("test.disabled"), 5);
+        assert_eq!(counter("test.disabled.dyn"), 6);
+        assert_eq!(counter("test.disabled.peak"), 7);
+        assert_eq!(counter("test.disabled.never"), 0);
     }
 
     #[test]
@@ -411,8 +412,8 @@ mod tests {
         assert_eq!(gauge_peak("test.gauge.peak"), Some(9));
         assert!(counter_snapshot().contains(&("test.gauge.peak".to_string(), 9)));
         set_enabled(false);
-        gauge_max("test.gauge.peak", 100); // disabled: must not record
-        assert_eq!(gauge_peak("test.gauge.peak"), Some(9));
+        gauge_max("test.gauge.peak", 100); // disabled: still the peak
+        assert_eq!(gauge_peak("test.gauge.peak"), Some(100));
         reset();
         assert_eq!(gauge_peak("test.gauge.peak"), None);
     }

@@ -1437,6 +1437,11 @@ pub(crate) mod tests {
         let submissions = trap_submissions_of(&job);
         let reference = Engine::with_workers(3).run_round(job.clone()).unwrap();
 
+        // Its windows raise the in-flight gauge that
+        // `bounded_window_keeps_only_a_window_resident` reads.
+        let _guard = crate::OBS_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for (window, chunk) in [(1usize, 1usize), (1, 2), (2, 1), (3, 3), (0, 1)] {
             let source = Arc::new(SlicedSource::new(submissions.clone()));
             let mut streamed = job.clone();
@@ -1478,10 +1483,8 @@ pub(crate) mod tests {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         atom_obs::reset();
-        atom_obs::set_enabled(true);
         let report = Engine::new(options).run_round(streamed);
         let peak = atom_obs::gauge_peak("engine.intake.peak_in_flight");
-        atom_obs::set_enabled(false);
         atom_obs::reset();
 
         report.unwrap();
@@ -2060,12 +2063,6 @@ pub(crate) mod tests {
             },
         ];
 
-        let counter = |name: &str| {
-            atom_obs::counter_snapshot()
-                .into_iter()
-                .find(|(counter, _)| counter == name)
-                .map_or(0, |(_, value)| value)
-        };
         for case in cases {
             let name = case.name;
             let run = || {
@@ -2095,23 +2092,16 @@ pub(crate) mod tests {
                     }
                 }
                 Want::Delivers(bumped) => {
-                    // Another test in this binary resets recording and
-                    // switches it off, which can swallow a reading: retry,
-                    // and leave recording on so this test never cuts short
-                    // another one's.
-                    let mut attempts = 0;
-                    loop {
-                        atom_obs::set_enabled(true);
-                        let before = counter(bumped);
-                        for report in &run() {
-                            assert!(report.is_ok(), "{name}: {report:?}");
-                        }
-                        if counter(bumped) > before {
-                            break;
-                        }
-                        attempts += 1;
-                        assert!(attempts < 5, "{name}: {bumped} never counted the frame");
+                    // The tests that reset the counters hold the lock.
+                    let _guard = crate::OBS_LOCK
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    let before = atom_obs::counter(bumped);
+                    for report in &run() {
+                        assert!(report.is_ok(), "{name}: {report:?}");
                     }
+                    let counted = atom_obs::counter(bumped) > before;
+                    assert!(counted, "{name}: {bumped} never counted the frame");
                 }
             }
         }

@@ -128,9 +128,6 @@ pub struct RecoveryOutcome {
     /// Under [`NetSpec::trace`], one snapshot per process in process order:
     /// the coordinator's whole run and what each member shipped.
     pub telemetry: Vec<Snapshot>,
-    /// Control frames the coordinator dropped, traced or not: neither
-    /// `rejoin` nor telemetry (what `fleet.control.dropped` counts).
-    pub control_dropped: usize,
 }
 
 /// The fleet's telemetry under `trace` (none otherwise), one snapshot per
@@ -237,8 +234,8 @@ fn drive(machine: &mut dyn Machine, carrier: &mut impl Carrier) -> Result<(), St
 
 /// The fleet's [`Carrier`]: process `me`'s TCP mesh, control inbox, engine,
 /// `fleet.*` counters and log lines. It keeps each round's first report,
-/// the engine's wall clock, the first conviction's time, the telemetry
-/// frames it set aside and a count of the other frames it dropped.
+/// the engine's wall clock, the first conviction's time and the telemetry
+/// frames it set aside.
 struct TcpCarrier<'a> {
     spec: &'a NetSpec,
     transport: Arc<TcpTransport>,
@@ -255,7 +252,7 @@ struct TcpCarrier<'a> {
     reports: FillVec<RoundReport>,
     engine: Duration,
     detected: Option<Duration>,
-    aside: (Vec<TelemetryFrame>, usize),
+    aside: Vec<TelemetryFrame>,
 }
 
 impl<'a> TcpCarrier<'a> {
@@ -292,7 +289,7 @@ impl<'a> TcpCarrier<'a> {
             reports: FillVec::new(spec.rounds),
             engine: Duration::ZERO,
             detected: None,
-            aside: Default::default(),
+            aside: Vec::new(),
         })
     }
 }
@@ -364,11 +361,8 @@ impl Carrier for TcpCarrier<'_> {
         };
         match wire::decode(&payload) {
             Ok(Frame::Rejoin(frame)) => return Some(Input::Frame(frame)),
-            Ok(Frame::Telemetry(frame)) => self.aside.0.push(frame),
-            _ => {
-                self.aside.1 += 1;
-                atom_obs::count("fleet.control.dropped", 1);
-            }
+            Ok(Frame::Telemetry(frame)) => self.aside.push(frame),
+            _ => atom_obs::count("fleet.control.dropped", 1),
         }
         None
     }
@@ -437,13 +431,12 @@ pub fn run_recovery_coordinator(
     let start = carrier.start;
     carrier.timer = spec.trace.then_some(start + carrier.now + ack);
     let shipped = |t: &[TelemetryFrame], p| t.iter().any(|f| f.last && f.process as usize == p);
-    while carrier.timer.is_some()
-        && !(machine.reached.iter()).all(|&p| shipped(&carrier.aside.0, p))
+    while carrier.timer.is_some() && !(machine.reached.iter()).all(|&p| shipped(&carrier.aside, p))
     {
         carrier.recv();
     }
     carrier.transport.shutdown();
-    let telemetry = fleet_telemetry(carrier.aside.0, spec.trace);
+    let telemetry = fleet_telemetry(carrier.aside, spec.trace);
     let full = (carrier.reports.into_full()).ok_or("a round has no report".to_string());
     let reports = run.and(full).map_err(|error| (error, telemetry.clone()))?;
     let completions = completions.lock().unwrap_or_else(PoisonError::into_inner);
@@ -466,7 +459,6 @@ pub fn run_recovery_coordinator(
         healed_rounds: healed_rounds.into_iter().collect(),
         wall: start.elapsed(),
         telemetry,
-        control_dropped: carrier.aside.1,
     })
 }
 
@@ -611,9 +603,9 @@ mod tests {
 
     /// A control frame that is neither a `rejoin` nor telemetry — here bytes
     /// no frame decodes from, sent by a peer outside the fleet before the
-    /// first plan — is dropped and counted once in the run's outcome, with
-    /// recording off or on (then also as `fleet.control.dropped`), and the
-    /// fleet still delivers the bytes of its reference.
+    /// first plan — is dropped and counted once as `fleet.control.dropped`
+    /// with recording off, and the fleet still delivers the bytes of its
+    /// reference.
     #[test]
     fn a_garbage_control_frame_is_counted_and_changes_no_output() {
         let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -624,42 +616,28 @@ mod tests {
             stall_timeout: Duration::from_secs(2),
             ..NetSpec::default()
         };
-        let dropped = || {
-            let mut counters = atom_obs::counter_snapshot().into_iter();
-            (counters.find(|(name, _)| name == "fleet.control.dropped")).map_or(0, |(_, n)| n)
+        let (addrs, before) = (free_addrs(2), atom_obs::counter("fleet.control.dropped"));
+        let member = Member::spawn("member 1", &spec, &addrs, 1, false);
+        let coordinator = addrs[0].clone();
+        let inject = move || {
+            let owner = owner_map_excluding(spec.groups, 2, &[]);
+            let hostile = TcpTransport::bind_any(2, owner, 1, Default::default()).unwrap();
+            hostile.set_peer_addr(0, coordinator);
+            let garbage = hostile.send_control(0, b"not a frame", Dial::IfNeeded);
+            garbage.expect("reach the inbox");
+            hostile.shutdown();
         };
-        for recording in [false, true] {
-            atom_obs::set_enabled(recording);
-            let (addrs, before) = (free_addrs(2), dropped());
-            let member = Member::spawn("member 1", &spec, &addrs, 1, false);
-            let coordinator = addrs[0].clone();
-            let inject = move || {
-                let owner = owner_map_excluding(spec.groups, 2, &[]);
-                let hostile = TcpTransport::bind_any(2, owner, 1, Default::default()).unwrap();
-                hostile.set_peer_addr(0, coordinator);
-                let garbage = hostile.send_control(0, b"not a frame", Dial::IfNeeded);
-                garbage.expect("reach the inbox");
-                hostile.shutdown();
-            };
-            let outcome = run_recovery_coordinator(&spec, 1, addrs, 2, None, inject)
-                .expect("a dropped frame fails no round");
-            assert!(member.result().is_ok(), "the member exits cleanly");
-            let counted = dropped() - before;
-            atom_obs::set_enabled(false);
-            assert_eq!(outcome.control_dropped, 1, "recording {recording}");
-            assert_eq!(
-                counted,
-                u64::from(recording),
-                "the counter records only when on"
-            );
-            assert!(outcome.evictions.is_empty());
-            let reference =
-                build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
-            assert_eq!(
-                serialize_reports(&outcome.reports),
-                serialize_reports(&reference)
-            );
-        }
+        let outcome = run_recovery_coordinator(&spec, 1, addrs, 2, None, inject)
+            .expect("a dropped frame fails no round");
+        assert!(member.result().is_ok(), "the member exits cleanly");
+        assert_eq!(atom_obs::counter("fleet.control.dropped") - before, 1);
+        assert!(outcome.evictions.is_empty());
+        let reference =
+            build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+        assert_eq!(
+            serialize_reports(&outcome.reports),
+            serialize_reports(&reference)
+        );
     }
 
     /// The whole tentpole in one process: a three-"process" fleet (threads

@@ -276,6 +276,11 @@ impl NodeArgs {
                 args.addrs.len()
             ));
         }
+        if let Some(repeated) = (args.addrs.iter().enumerate())
+            .find_map(|(at, addr)| args.addrs[..at].contains(addr).then_some(addr))
+        {
+            return Err(format!("--addrs names {repeated} twice"));
+        }
         if args.index >= args.addrs.len() {
             return Err(format!(
                 "--index {} out of range for {} addresses",
@@ -401,7 +406,7 @@ pub(crate) fn run_node(args: &NodeArgs) -> Result<(), String> {
         outcome.epochs,
         outcome.evictions.len(),
         outcome.rejoins.len(),
-        outcome.control_dropped,
+        atom_obs::counter("fleet.control.dropped"),
     );
     if let Some(latency) = outcome.healed_latency {
         println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
@@ -733,6 +738,8 @@ mod tests {
         for line in [
             "--index 0 --addrs 127.0.0.1:1",
             "--index 2 --addrs 127.0.0.1:1,127.0.0.1:2",
+            "--index 0 --addrs 127.0.0.1:1,127.0.0.1:1",
+            "--index 1 --addrs 127.0.0.1:1,127.0.0.1:2,127.0.0.1:1",
             &format!("{base} --metrics-out /tmp/m.json"),
             &format!("{base} --rounds two"),
             &format!("{base} --rounds"),

@@ -130,8 +130,6 @@ fn socket_fed_round_is_byte_identical_to_the_materialized_path() {
     options.intake_window = 2;
     options.intake_chunk = 4;
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = atom_obs::enabled();
-    atom_obs::set_enabled(true);
     atom_obs::reset();
     let streamed = Engine::new(options)
         .run_round(RoundJob::new(
@@ -141,7 +139,6 @@ fn socket_fed_round_is_byte_identical_to_the_materialized_path() {
         ))
         .unwrap();
     let peak = atom_obs::gauge_peak("engine.intake.peak_in_flight").unwrap_or(0);
-    atom_obs::set_enabled(was_enabled);
     assert!(
         peak > 0 && peak <= (2 * 4) as u64,
         "intake window leaked: peak {peak} in flight"
@@ -175,8 +172,6 @@ fn a_concurrent_swarm_is_admitted_whole_and_mixes_like_the_materialized_round() 
     let (config, setup) = test_setup(0xE0_09);
     let submissions = test_submissions(&config, &setup, CLIENTS);
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = atom_obs::enabled();
-    atom_obs::set_enabled(true);
     atom_obs::reset();
     let server = IngressServer::bind("127.0.0.1:0", ingress_options(&config)).unwrap();
 
@@ -208,7 +203,6 @@ fn a_concurrent_swarm_is_admitted_whole_and_mixes_like_the_materialized_round() 
         peak >= CLIENTS as u64,
         "only {peak} connections open at once"
     );
-    atom_obs::set_enabled(was_enabled);
 
     let source = server.source(CLIENTS, Duration::from_secs(10)).unwrap();
     server.shutdown();
@@ -272,8 +266,6 @@ fn a_flood_past_the_admission_queue_sheds_observably() {
     let mut options = ingress_options(&config);
     options.queue_capacity = 4;
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = atom_obs::enabled();
-    atom_obs::set_enabled(true);
     atom_obs::reset();
     let server = IngressServer::bind("127.0.0.1:0", options).unwrap();
 
@@ -295,19 +287,13 @@ fn a_flood_past_the_admission_queue_sheds_observably() {
     assert_eq!(stats.offered, stats.admitted + stats.shed_queue);
 
     // The shed counter is observable through atom-obs, not just stats().
-    let counters = atom_obs::counter_snapshot();
-    let shed_counter = counters
-        .iter()
-        .find(|(name, _)| name == "ingress.shed.queue")
-        .map(|(_, n)| *n);
-    assert_eq!(shed_counter, Some(16));
+    assert_eq!(atom_obs::counter("ingress.shed.queue"), 16);
 
     // Draining the queue restores capacity: the server is alive, not hung.
     let source = server.source(4, Duration::from_secs(5)).unwrap();
     use atom_runtime::SubmissionSource as _;
     assert_eq!(source.total(), 4);
     assert!(!submit_once(&server, config.round as usize, 99, &submissions[0]).shed);
-    atom_obs::set_enabled(was_enabled);
 }
 
 #[test]
@@ -390,8 +376,6 @@ fn malformed_and_non_submit_frames_close_the_connection() {
     let (config, setup) = test_setup(0xE0_06);
     let submissions = test_submissions(&config, &setup, 1);
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = atom_obs::enabled();
-    atom_obs::set_enabled(true);
     atom_obs::reset();
     let server = IngressServer::bind("127.0.0.1:0", ingress_options(&config)).unwrap();
 
@@ -447,12 +431,7 @@ fn malformed_and_non_submit_frames_close_the_connection() {
     assert!(read_client_frame(&mut twin, 1 << 20).is_err());
 
     assert_eq!(server.stats().malformed, 3);
-    let counted = atom_obs::counter_snapshot()
-        .into_iter()
-        .find(|(name, _)| name == "ingress.rejected.malformed")
-        .map(|(_, n)| n);
-    assert_eq!(counted, Some(3));
-    atom_obs::set_enabled(was_enabled);
+    assert_eq!(atom_obs::counter("ingress.rejected.malformed"), 3);
 
     // Honest traffic is untouched by the convictions.
     assert!(!submit_once(&server, config.round as usize, 0, &submissions[0]).shed);

@@ -13,7 +13,7 @@ use std::path::Path;
 use common::rust_files;
 
 /// The count when the bound was last lowered.
-const MAX_LINES: usize = 17_147;
+const MAX_LINES: usize = 17_139;
 
 #[test]
 fn non_test_line_count_does_not_grow() {
